@@ -13,6 +13,7 @@ import (
 	"github.com/mach-fl/mach/internal/nn"
 	"github.com/mach-fl/mach/internal/sampling"
 	"github.com/mach-fl/mach/internal/telemetry"
+	"github.com/mach-fl/mach/internal/tensor"
 )
 
 // DeviceServer hosts a set of logical mobile devices: their datasets, model
@@ -51,6 +52,12 @@ type hostedDevice struct {
 	opt   *nn.SGD
 	rng   *rand.Rand
 	dist  []float64
+
+	// Pooled minibatch buffers, sized on first use and whenever the batch
+	// size changes; local steps then draw batches without allocating.
+	batchX   *tensor.Tensor
+	batchY   []int
+	batchIdx []int
 }
 
 // NewDeviceServer creates a host for the given logical devices (deviceID →
@@ -207,10 +214,15 @@ func (s *DeviceServer) trainOne(dev *hostedDevice, id int, base []float64, hyper
 		return nil, fmt.Errorf("fed: device %d: %w", id, err)
 	}
 	dev.opt.SetLearningRate(hyper.LearningRate)
+	if len(dev.batchY) != hyper.BatchSize {
+		dev.batchX = tensor.New(hyper.BatchSize, dev.data.InC, dev.data.InH, dev.data.InW)
+		dev.batchY = make([]int, hyper.BatchSize)
+		dev.batchIdx = make([]int, hyper.BatchSize)
+	}
 	sqNorms := make([]float64, hyper.LocalEpochs)
 	for tau := range sqNorms {
-		x, y := dev.data.RandomBatch(dev.rng, hyper.BatchSize)
-		_, gn := dev.model.TrainStep(x, y, dev.opt)
+		dev.data.RandomBatchInto(dev.rng, dev.batchX, dev.batchY, dev.batchIdx)
+		_, gn := dev.model.TrainStep(dev.batchX, dev.batchY, dev.opt)
 		sqNorms[tau] = gn
 	}
 	s.book.Observe(id, sqNorms)

@@ -2,20 +2,28 @@ package nn
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 
 	"github.com/mach-fl/mach/internal/tensor"
 )
 
-// ReLU applies max(0, x) element-wise.
+// ReLU applies max(0, x) element-wise. Forward and Backward are branch-free:
+// the sign of a pre-activation is a coin flip the branch predictor loses, so
+// both select through an all-ones/zero word ANDed onto the float's bits.
+// Backward derives that word from the retained forward output (positive
+// exactly where the input was), so no separate mask is stored.
 type ReLU struct {
 	name string
-	mask []bool // true where input > 0 on the last training forward
 
-	fwdOut *tensor.Tensor // reusable output buffer; see ensureTensor
+	fwdOut *tensor.Tensor // reusable output buffer (see ensureTensor); Backward reads it
 	bwdOut *tensor.Tensor
 }
 
 var _ Layer = (*ReLU)(nil)
+
+// posInfBits is the bit pattern of +Inf, the largest float64 that is > 0.
+const posInfBits = 0x7FF0000000000000
 
 // NewReLU returns a ReLU activation layer.
 func NewReLU(name string) *ReLU { return &ReLU{name: name} }
@@ -27,44 +35,40 @@ func (r *ReLU) Name() string { return r.name }
 func (r *ReLU) Params() []*Param { return nil }
 
 // Forward implements Layer.
+//
+//machlint:allocfree
 func (r *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	r.fwdOut = ensureTensor(r.fwdOut, x.Shape()...)
-	out := r.fwdOut
-	copy(out.Data(), x.Data())
-	if train {
-		if cap(r.mask) < out.Len() {
-			r.mask = make([]bool, out.Len())
-		}
-		r.mask = r.mask[:out.Len()]
+	in := x.Data()
+	out := r.fwdOut.Data()[:len(in)]
+	for i, v := range in {
+		// v > 0 ⇔ its bits lie in [1, posInfBits] ⇔ (bits−1) − posInfBits
+		// borrows; −x, ±0 and NaNs of either sign do not and become +0.
+		b := math.Float64bits(v)
+		_, pos := bits.Sub64(b-1, posInfBits, 0)
+		out[i] = math.Float64frombits(b & -pos)
 	}
-	data := out.Data()
-	for i, v := range data {
-		pos := v > 0
-		if !pos {
-			data[i] = 0
-		}
-		if train {
-			r.mask[i] = pos
-		}
-	}
-	return out
+	return r.fwdOut
 }
 
 // Backward implements Layer.
+//
+//machlint:allocfree
 func (r *ReLU) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	if len(r.mask) != grad.Len() {
-		panic("nn: ReLU.Backward called before Forward(train=true)")
+	if r.fwdOut == nil || r.fwdOut.Len() != grad.Len() {
+		panic("nn: ReLU.Backward called before Forward")
 	}
 	r.bwdOut = ensureTensor(r.bwdOut, grad.Shape()...)
-	out := r.bwdOut
-	copy(out.Data(), grad.Data())
-	data := out.Data()
-	for i := range data {
-		if !r.mask[i] {
-			data[i] = 0
-		}
+	gd := grad.Data()
+	fwd := r.fwdOut.Data()[:len(gd)]
+	out := r.bwdOut.Data()[:len(gd)]
+	for i, g := range gd {
+		// A forward output is +0 or positive, so negating its bits sets the
+		// sign exactly where the input was > 0; masked gradients become +0.
+		keep := uint64(-int64(math.Float64bits(fwd[i])) >> 63)
+		out[i] = math.Float64frombits(math.Float64bits(g) & keep)
 	}
-	return out
+	return r.bwdOut
 }
 
 func (r *ReLU) clone() Layer { return &ReLU{name: r.name} }

@@ -28,6 +28,30 @@ func TestTrainStepSteadyStateZeroAllocsMLP(t *testing.T) {
 	}
 }
 
+// TestTrainStepSteadyStateZeroAllocsCNN is the same contract on the
+// convolutional path, where the per-image input and gradient windows are the
+// headers that used to be rebuilt every step.
+func TestTrainStepSteadyStateZeroAllocsCNN(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	net, err := NewCNN(MNISTCNNConfig(16, 16), rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := NewSGD(0.05)
+	x := tensor.Randn(rng, 1, 8, 1, 16, 16)
+	y := make([]int, 8)
+	for i := range y {
+		y[i] = rng.Intn(10)
+	}
+	net.TrainStep(x, y, opt) // warm-up installs the buffers and window headers
+	allocs := testing.AllocsPerRun(20, func() {
+		net.TrainStep(x, y, opt)
+	})
+	if allocs != 0 {
+		t.Fatalf("steady-state CNN TrainStep allocates %v objects per call", allocs)
+	}
+}
+
 // TestForwardReusedBufferStillCorrect guards the subtle half of buffer
 // reuse: a second forward pass through the same network must produce the
 // same values it would from fresh buffers.

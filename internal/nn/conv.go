@@ -20,8 +20,14 @@ type Conv2D struct {
 
 	lastCols []*tensor.Tensor // cached per-image column matrices
 
+	// Per-image headers over the last input ([InC, InH, InW]) and output
+	// gradient ([outC, n]) batches, rebuilt only when the upstream buffer
+	// moves (see wraps) — in steady state it does not.
+	imgViews  []*tensor.Tensor
+	gradViews []*tensor.Tensor
+
 	// Reusable buffers; see ensureTensor. In steady state (fixed batch
-	// size) Forward/Backward allocate nothing beyond small tensor headers.
+	// size) Forward/Backward allocate nothing.
 	fwdOut       *tensor.Tensor // [B, outC, outH, outW]
 	colScratch   *tensor.Tensor // eval-path column matrix, [InC·K·K, n]
 	resScratch   *tensor.Tensor // per-image product, [outC, n]
@@ -61,6 +67,8 @@ func (c *Conv2D) OutShape() (outC, outH, outW int) {
 }
 
 // Forward implements Layer.
+//
+//machlint:allocfree
 func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	g := c.geom
 	if x.Rank() != 4 || x.Dim(1) != g.InC || x.Dim(2) != g.InH || x.Dim(3) != g.InW {
@@ -72,17 +80,22 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	c.fwdOut = ensure4(c.fwdOut, batch, c.outC, outH, outW)
 	out := c.fwdOut
 	colRows := g.InC * g.K * g.K
-	if train {
-		if len(c.lastCols) != batch {
-			c.lastCols = make([]*tensor.Tensor, batch)
-		}
+	if train && len(c.lastCols) != batch {
+		c.lastCols = make([]*tensor.Tensor, batch)
+	}
+	if len(c.imgViews) != batch {
+		c.imgViews = make([]*tensor.Tensor, batch)
 	}
 	c.resScratch = ensure2(c.resScratch, c.outC, n)
 	res := c.resScratch
 	imgLen := g.InC * g.InH * g.InW
 	bdata := c.b.Value.Data()
 	for i := 0; i < batch; i++ {
-		img := tensor.FromSlice(x.Data()[i*imgLen:(i+1)*imgLen], g.InC, g.InH, g.InW)
+		img := c.imgViews[i]
+		if window := x.Data()[i*imgLen : (i+1)*imgLen]; !wraps(img, window) {
+			img = tensor.FromSlice(window, g.InC, g.InH, g.InW)
+			c.imgViews[i] = img
+		}
 		var cols *tensor.Tensor
 		if train {
 			// Backward needs every image's columns, so each batch slot
@@ -109,7 +122,13 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 }
 
 // Backward implements Layer.
-func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
+func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor { return c.backward(grad, true) }
+
+// backward accumulates dW and db and, when needDx, forms the input gradient;
+// without it the Wᵀ·g product and col2im scatter are skipped and nil returned.
+//
+//machlint:allocfree
+func (c *Conv2D) backward(grad *tensor.Tensor, needDx bool) *tensor.Tensor {
 	if c.lastCols == nil {
 		panic("nn: Conv2D.Backward called before Forward(train=true)")
 	}
@@ -118,14 +137,24 @@ func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	outH, outW := g.OutH(), g.OutW()
 	n := outH * outW
 	imgLen := g.InC * g.InH * g.InW
-	c.bwdOut = ensure4(c.bwdOut, batch, g.InC, g.InH, g.InW)
-	dx := c.bwdOut
+	var dx *tensor.Tensor
+	if needDx {
+		c.bwdOut = ensure4(c.bwdOut, batch, g.InC, g.InH, g.InW)
+		dx = c.bwdOut
+		c.dcolsScratch = ensure2(c.dcolsScratch, g.InC*g.K*g.K, n)
+		c.dimgScratch = ensure3(c.dimgScratch, g.InC, g.InH, g.InW)
+	}
 	c.dwScratch = ensure2(c.dwScratch, c.outC, g.InC*g.K*g.K)
-	c.dcolsScratch = ensure2(c.dcolsScratch, g.InC*g.K*g.K, n)
-	c.dimgScratch = ensure3(c.dimgScratch, g.InC, g.InH, g.InW)
+	if len(c.gradViews) != batch {
+		c.gradViews = make([]*tensor.Tensor, batch)
+	}
 	bgrad := c.b.Grad.Data()
 	for i := 0; i < batch; i++ {
-		gmat := tensor.FromSlice(grad.Data()[i*c.outC*n:(i+1)*c.outC*n], c.outC, n)
+		gmat := c.gradViews[i]
+		if window := grad.Data()[i*c.outC*n : (i+1)*c.outC*n]; !wraps(gmat, window) {
+			gmat = tensor.FromSlice(window, c.outC, n)
+			c.gradViews[i] = gmat
+		}
 		// dW += gmat·colsᵀ
 		tensor.MatMulTransBInto(c.dwScratch, gmat, c.lastCols[i])
 		c.w.Grad.AddInPlace(c.dwScratch)
@@ -137,6 +166,9 @@ func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 				s += v
 			}
 			bgrad[oc] += s
+		}
+		if !needDx {
+			continue
 		}
 		// dX = col2im(Wᵀ·gmat)
 		tensor.MatMulTransAInto(c.dcolsScratch, c.w.Value, gmat)

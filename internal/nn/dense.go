@@ -71,7 +71,11 @@ func (d *Dense) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 }
 
 // Backward implements Layer.
-func (d *Dense) Backward(grad *tensor.Tensor) *tensor.Tensor {
+func (d *Dense) Backward(grad *tensor.Tensor) *tensor.Tensor { return d.backward(grad, true) }
+
+// backward accumulates dW and db and, when needDx, forms the input gradient;
+// without it the grad·W product is skipped and nil returned.
+func (d *Dense) backward(grad *tensor.Tensor, needDx bool) *tensor.Tensor {
 	if d.lastX == nil {
 		panic("nn: Dense.Backward called before Forward(train=true)")
 	}
@@ -88,6 +92,9 @@ func (d *Dense) Backward(grad *tensor.Tensor) *tensor.Tensor {
 		for j, v := range row {
 			bgrad[j] += v
 		}
+	}
+	if !needDx {
+		return nil
 	}
 	// dX = grad·W.
 	d.bwdOut = ensure2(d.bwdOut, batch, d.in)

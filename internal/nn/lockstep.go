@@ -64,10 +64,14 @@ func (ls *Lockstep) Step(nets []*Network, xs []*tensor.Tensor, labels [][]int, o
 		losses[d] = SoftmaxCrossEntropyInto(logits, labels[d], net.lossGrad)
 		acts[d] = net.lossGrad
 	}
-	for li := depth - 1; li >= 0; li-- {
+	first := nets[0].first // resolved by ZeroGrad above; see Network.backwardParams
+	for li := depth - 1; li > first; li-- {
 		for d := 0; d < n; d++ {
 			acts[d] = nets[d].layers[li].Backward(acts[d])
 		}
+	}
+	for d := 0; d < n; d++ {
+		backwardParamsOnly(nets[d].layers[first], acts[d])
 	}
 	for d := 0; d < n; d++ {
 		sqNorms[d] = nets[d].GradSquaredNorm()

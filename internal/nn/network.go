@@ -16,6 +16,7 @@ type Network struct {
 	layers []Layer
 
 	params   []*Param       // cached Params() result (layer stacks are immutable)
+	first    int            // index of the first layer holding parameters
 	lossGrad *tensor.Tensor // reusable loss-gradient scratch for TrainStep
 }
 
@@ -53,11 +54,38 @@ func (n *Network) Backward(grad *tensor.Tensor) *tensor.Tensor {
 // allocating.
 func (n *Network) Params() []*Param {
 	if n.params == nil {
-		for _, l := range n.layers {
+		for i, l := range n.layers {
+			if len(n.params) == 0 {
+				n.first = i
+			}
 			n.params = append(n.params, l.Params()...)
 		}
 	}
 	return n.params
+}
+
+// backwardParams is Backward for a training step, where nothing reads the
+// gradient with respect to the network input: the first layer that holds
+// parameters skips its input-gradient product (often the step's largest),
+// and the parameterless layers below it do not run at all.
+func (n *Network) backwardParams(grad *tensor.Tensor) {
+	n.Params() // resolves n.first
+	for i := len(n.layers) - 1; i > n.first; i-- {
+		grad = n.layers[i].Backward(grad)
+	}
+	backwardParamsOnly(n.layers[n.first], grad)
+}
+
+// backwardParamsOnly accumulates l's parameter gradients, leaving its input
+// gradient unformed when the layer knows how (Conv2D, Dense).
+func backwardParamsOnly(l Layer, grad *tensor.Tensor) {
+	if pl, ok := l.(interface {
+		backward(grad *tensor.Tensor, needDx bool) *tensor.Tensor
+	}); ok {
+		pl.backward(grad, false)
+		return
+	}
+	l.Backward(grad)
 }
 
 // ZeroGrad clears all accumulated parameter gradients.
@@ -151,7 +179,7 @@ func (n *Network) TrainStep(x *tensor.Tensor, labels []int, opt Optimizer) (loss
 	logits := n.Forward(x, true)
 	n.lossGrad = ensure2(n.lossGrad, logits.Dim(0), logits.Dim(1))
 	loss = SoftmaxCrossEntropyInto(logits, labels, n.lossGrad)
-	n.Backward(n.lossGrad)
+	n.backwardParams(n.lossGrad)
 	gradSqNorm = n.GradSquaredNorm()
 	opt.Step(n.Params())
 	return loss, gradSqNorm

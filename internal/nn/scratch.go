@@ -43,7 +43,7 @@ func ensure4(t *tensor.Tensor, d0, d1, d2, d3 int) *tensor.Tensor {
 // reshape2Cached is reshapeCached for the common rank-2 target, avoiding a
 // shape-slice literal on the reuse path.
 func reshape2Cached(view, x *tensor.Tensor, d0, d1 int) *tensor.Tensor {
-	if view != nil && view.Rank() == 2 && view.Dim(0) == d0 && view.Dim(1) == d1 && sameStorage(view, x) {
+	if wraps(view, x.Data()) && view.Rank() == 2 && view.Dim(0) == d0 && view.Dim(1) == d1 {
 		return view
 	}
 	return x.Reshape(d0, d1)
@@ -54,15 +54,21 @@ func reshape2Cached(view, x *tensor.Tensor, d0, d1 int) *tensor.Tensor {
 // Because upstream layers reuse their output buffers, the cached header
 // stays valid across steady-state steps and reshaping stops allocating.
 func reshapeCached(view, x *tensor.Tensor, shape []int) *tensor.Tensor {
-	if view != nil && shapeEqual(view.Shape(), shape) && sameStorage(view, x) {
+	if wraps(view, x.Data()) && shapeEqual(view.Shape(), shape) {
 		return view
 	}
 	return x.Reshape(shape...)
 }
 
-func sameStorage(a, b *tensor.Tensor) bool {
-	da, db := a.Data(), b.Data()
-	return len(da) == len(db) && len(da) > 0 && &da[0] == &db[0]
+// wraps reports whether view (nil allowed) is a header over exactly the
+// storage window data. Conv2D keeps one such header per image over its
+// input and gradient batches instead of building them every step.
+func wraps(view *tensor.Tensor, data []float64) bool {
+	if view == nil {
+		return false
+	}
+	vd := view.Data()
+	return len(vd) == len(data) && len(vd) > 0 && &vd[0] == &data[0]
 }
 
 func shapeEqual(a, b []int) bool {

@@ -4,24 +4,26 @@ import "fmt"
 
 // This file is the float32 compute lane's kernel set (DESIGN.md §10). The
 // f64 kernels in matmul.go/im2col.go are the reference arithmetic of the
-// simulator's default lane and are frozen by the bit-identity golden tests;
-// the lane-32 kernels below mirror them over raw []float32 storage for the
-// opt-in fast path. Two deliberate differences:
+// simulator's default lane: the bit-identity golden tests freeze every
+// output element's accumulation chain, not the loops around it. The lane-32
+// kernels below mirror them over raw []float32 storage for the opt-in lane.
+// Two deliberate differences:
 //
 //   - They take flat slices plus explicit dimensions instead of *Tensor.
 //     The lane-32 executor in internal/nn owns large pooled buffers and
 //     carves per-device views out of them; a shape-carrying wrapper per view
 //     would put allocation back on the hot path.
 //
-//   - They are register-tiled rather than singly-accumulated. The serial
-//     f64 kernels are bound by one add-latency chain and by 2–3 memory
-//     operations per multiply-add; the lane-32 kernels unroll the reduction
-//     dimension four ways (and MatMulTransB32Into additionally tiles four
-//     output columns) so each load feeds several independent partial sums.
-//     Every split has a fixed shape and combination order, so the f32 lane
-//     is deterministic — just not term-for-term identical to the f64
-//     reduction order, which is fine because the lanes never mix inside a
-//     forward/backward pass.
+//   - They may tile the reduction. Both kernel sets are register-tiled and
+//     run at the same scalar multiply-add rate, but the f64 kernels tile
+//     outputs only ("tile outputs, never the reduction"): every element
+//     still sums its terms one by one in ascending p. The lane-32 kernels
+//     reassociate instead: four terms are paired before they meet the
+//     running sum, and MatMulTransB32Into splits each dot product into
+//     partial sums. Every split has a fixed shape and combination order, so
+//     the f32 lane is deterministic — just not term-for-term identical to
+//     the f64 reduction order, which is fine because the lanes never mix
+//     inside a forward/backward pass.
 //
 // All lane-32 kernels are serial: per-device products are far below the
 // row-parallel threshold, and the worker pool above already provides the

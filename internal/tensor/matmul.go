@@ -8,11 +8,12 @@ import (
 
 // Kernel blocking parameters. Blocks are chosen so one block of b
 // (mmBlockK × n doubles for moderate n) and the active rows of dst stay
-// resident in L1/L2 while the i loop sweeps over them. Blocking reorders
-// only the *traversal* of (i, p) pairs, never the per-element accumulation
-// order: for every output element dst[i,j] the partial products are still
-// added in ascending p, so blocked results are bit-identical to the naive
-// i-k-j kernel.
+// resident in L1/L2 while the i loop sweeps over them. The invariant every
+// kernel in this file keeps: tile outputs, never the reduction. Blocking,
+// register tiling and row parallelism reorder only the *traversal* of (i, p)
+// pairs; for every output element dst[i,j] the partial products are still
+// added one at a time in ascending p, so results are bit-identical to the
+// naive i-k-j kernel (the reference loops live on as oracles in the tests).
 const (
 	mmBlockI = 64  // rows of dst per block
 	mmBlockK = 256 // inner-dimension slice per block
@@ -73,8 +74,15 @@ func matMulDispatch(dst, a, b []float64, m, k, n int) {
 	})
 }
 
-// matMulBlocked accumulates dst rows [i0, i1) of a·b with i/k blocking.
+// matMulBlocked accumulates dst rows [i0, i1) of a·b with i/k blocking. Per
+// row and k-block the non-zero a[i,p] are compacted in ascending p and folded
+// four at a time by foldRows, so the exact-zero skip of the reference loop
+// holds for every input (a skipped term never meets a non-finite b).
+//
+//machlint:allocfree
 func matMulBlocked(dst, a, b []float64, i0, i1, k, n int) {
+	var ps [mmBlockK]int
+	var vs [mmBlockK]float64
 	for ib := i0; ib < i1; ib += mmBlockI {
 		ie := ib + mmBlockI
 		if ie > i1 {
@@ -86,20 +94,45 @@ func matMulBlocked(dst, a, b []float64, i0, i1, k, n int) {
 				pe = k
 			}
 			for i := ib; i < ie; i++ {
-				arow := a[i*k : (i+1)*k]
-				drow := dst[i*n : (i+1)*n]
-				for p := pb; p < pe; p++ {
-					av := arow[p]
+				cnt := 0
+				for p, av := range a[i*k+pb : i*k+pe] {
 					//machlint:allow floateq sparsity fast path: exact zero rows multiply to exactly zero, skipping them is bit-identical
-					if av == 0 {
-						continue
-					}
-					brow := b[p*n : (p+1)*n]
-					for j, bv := range brow {
-						drow[j] += av * bv
+					if av != 0 {
+						ps[cnt], vs[cnt] = pb+p, av
+						cnt++
 					}
 				}
+				foldRows(dst[i*n:(i+1)*n], b, ps[:cnt], vs[:cnt])
 			}
+		}
+	}
+}
+
+// foldRows adds Σ_t vs[t]·b[ps[t],:] onto drow, term by term in ascending t.
+// Four b rows are folded per pass over drow as the left-associated chain
+// (((d+v0·b0)+v1·b1)+v2·b2)+v3·b3 — the same additions in the same order as
+// four single passes, with a quarter of the drow loads and stores.
+//
+//machlint:noalias drow,b
+//machlint:allocfree
+func foldRows(drow, b []float64, ps []int, vs []float64) {
+	n := len(drow)
+	vs = vs[:len(ps)]
+	t := 0
+	for ; t+4 <= len(ps); t += 4 {
+		v0, v1, v2, v3 := vs[t], vs[t+1], vs[t+2], vs[t+3]
+		b0 := b[ps[t]*n:][:n]
+		b1 := b[ps[t+1]*n:][:n]
+		b2 := b[ps[t+2]*n:][:n]
+		b3 := b[ps[t+3]*n:][:n]
+		for j, d := range drow {
+			drow[j] = (((d + v0*b0[j]) + v1*b1[j]) + v2*b2[j]) + v3*b3[j]
+		}
+	}
+	for ; t < len(ps); t++ {
+		v := vs[t]
+		for j, bv := range b[ps[t]*n:][:n] {
+			drow[j] += v * bv
 		}
 	}
 }
@@ -137,25 +170,33 @@ func transAShape(a, b *Tensor) (k, m, n int) {
 	return k, m, b.shape[1]
 }
 
-// matMulTransAInto accumulates dst += aᵀ·b with the p-i-j loop order of the
-// reference kernel. Row-parallelism would split the p loop, which *is* the
-// accumulation order, so the transposed-A form stays serial; it is only used
-// on small backward-pass weight gradients.
+// matMulTransAInto accumulates dst += aᵀ·b. The reference order is p-i-j;
+// interchanging to i-outer leaves every dst[i,j] summing its non-zero
+// a[p,i]·b[p,j] in ascending p, and lets a dst row take four p terms per pass
+// through foldRows exactly like matMulBlocked. It stays serial: only small
+// backward-pass products use the transposed-A form.
 //
 //machlint:noalias dst,a dst,b
+//machlint:allocfree
 func matMulTransAInto(dst, a, b []float64, k, m, n int) {
-	for p := 0; p < k; p++ {
-		arow := a[p*m : (p+1)*m]
-		brow := b[p*n : (p+1)*n]
-		for i, av := range arow {
-			//machlint:allow floateq sparsity fast path: exact zero rows multiply to exactly zero, skipping them is bit-identical
-			if av == 0 {
-				continue
+	var ps [mmBlockK]int
+	var vs [mmBlockK]float64
+	for pb := 0; pb < k; pb += mmBlockK {
+		pe := pb + mmBlockK
+		if pe > k {
+			pe = k
+		}
+		for i := 0; i < m; i++ {
+			cnt := 0
+			for p := pb; p < pe; p++ {
+				av := a[p*m+i]
+				//machlint:allow floateq sparsity fast path: exact zero rows multiply to exactly zero, skipping them is bit-identical
+				if av != 0 {
+					ps[cnt], vs[cnt] = p, av
+					cnt++
+				}
 			}
-			drow := dst[i*n : (i+1)*n]
-			for j, bv := range brow {
-				drow[j] += av * bv
-			}
+			foldRows(dst[i*n:(i+1)*n], b, ps[:cnt], vs[:cnt])
 		}
 	}
 }
@@ -205,19 +246,47 @@ func matMulTransBDispatch(dst, a, b []float64, m, k, n int) {
 
 // matMulTransBRows writes dst rows [i0, i1) of a·bᵀ. Every element is an
 // independent dot product accumulated in ascending p, so row partitioning
-// and j-blocking cannot change results. Each element is written exactly
-// once, so dst needs no zeroing.
+// and output tiling cannot change results: a 2-row × 3-column tile runs six
+// such dots side by side, each a/b load feeding several of them. Six is the
+// most that stays in registers — the compiler holds a product per running
+// sum, and a 2×4 tile's sixteen values spill a sum to the stack inside its
+// own add chain. An odd last row pairs with itself (its values are stored
+// twice). Each element is written exactly once per row, so dst needs no
+// zeroing.
+//
+//machlint:allocfree
 func matMulTransBRows(dst, a, b []float64, i0, i1, k, n int) {
-	for i := i0; i < i1; i++ {
-		arow := a[i*k : (i+1)*k]
-		drow := dst[i*n : (i+1)*n]
-		for j := 0; j < n; j++ {
-			brow := b[j*k : (j+1)*k]
-			s := 0.0
-			for p, av := range arow {
-				s += av * brow[p]
+	for i := i0; i < i1; i += 2 {
+		ii := i + 1
+		if ii == i1 {
+			ii = i
+		}
+		a0, a1 := a[i*k:][:k], a[ii*k:][:k]
+		d0, d1 := dst[i*n:][:n], dst[ii*n:][:n]
+		j := 0
+		for ; j+3 <= n; j += 3 {
+			b0, b1, b2 := b[j*k:][:k], b[(j+1)*k:][:k], b[(j+2)*k:][:k]
+			var s00, s01, s02, s10, s11, s12 float64
+			for p, x0 := range a0 {
+				x1 := a1[p]
+				s00 += x0 * b0[p]
+				s01 += x0 * b1[p]
+				s02 += x0 * b2[p]
+				s10 += x1 * b0[p]
+				s11 += x1 * b1[p]
+				s12 += x1 * b2[p]
 			}
-			drow[j] = s
+			d0[j], d0[j+1], d0[j+2] = s00, s01, s02
+			d1[j], d1[j+1], d1[j+2] = s10, s11, s12
+		}
+		for ; j < n; j++ {
+			brow := b[j*k:][:k]
+			var s0, s1 float64
+			for p, x0 := range a0 {
+				s0 += x0 * brow[p]
+				s1 += a1[p] * brow[p]
+			}
+			d0[j], d1[j] = s0, s1
 		}
 	}
 }

@@ -182,3 +182,61 @@ func BenchmarkMatMulTransB(b *testing.B) {
 		})
 	}
 }
+
+// trainShapes are the products one minibatch (8 images, 16×16) of the paper's
+// 2-conv CNN runs under each kernel form — the sizes every paper-scale
+// workload spends its time in, unlike the 64–512 squares above. Each row is
+// (m, k, n) of an m×n output reduced over k.
+var trainShapes = map[string][][3]int{
+	"plain":  {{8, 9, 256}, {16, 72, 64}, {8, 64, 256}}, // conv1/conv2 forward W·cols, fc1 dX = grad·W
+	"transA": {{9, 8, 256}, {72, 16, 64}, {64, 8, 256}}, // conv1/conv2 dcols = Wᵀ·g, fc1 dW = gradᵀ·x
+	"transB": {{8, 256, 9}, {16, 64, 72}, {8, 256, 64}}, // conv1/conv2 dW = g·colsᵀ, fc1 forward x·Wᵀ
+}
+
+// BenchmarkGEMMTrainShapes reports achieved GFLOP/s (2·m·k·n per product) of
+// the three f64 kernel forms and their f32 twins at the training shapes: the
+// per-kernel roofline rows for EXPERIMENTS.md.
+func BenchmarkGEMMTrainShapes(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	for _, form := range []string{"plain", "transA", "transB"} {
+		for _, s := range trainShapes[form] {
+			m, k, n := s[0], s[1], s[2]
+			// Operand layouts per form: plain a m×k, b k×n; transA a k×m,
+			// b k×n; transB a m×k, b n×k. Only the shapes differ, not sizes.
+			ar, ac, br, bc := m, k, k, n
+			switch form {
+			case "transA":
+				ar, ac = k, m
+			case "transB":
+				br, bc = n, k
+			}
+			a64, b64, dst64 := Randn(rng, 1, ar, ac), Randn(rng, 1, br, bc), New(m, n)
+			a32, _ := randn32(rng, m*k)
+			b32, _ := randn32(rng, k*n)
+			dst32 := make([]float32, m*n)
+			run := func(lane string, pass func()) {
+				b.Run(fmt.Sprintf("%s/%dx%dx%d/%s", form, m, k, n, lane), func(b *testing.B) {
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						pass()
+					}
+					b.ReportMetric(2*float64(m*k*n)*float64(b.N)/float64(b.Elapsed().Nanoseconds()), "GFLOP/s")
+				})
+			}
+			switch form {
+			case "plain":
+				run("f64", func() { MatMulInto(dst64, a64, b64) })
+				run("f32", func() { MatMul32Into(dst32, a32, b32, m, k, n) })
+			case "transA":
+				run("f64", func() { MatMulTransAInto(dst64, a64, b64) })
+				run("f32", func() {
+					clear(dst32) // the f32 form accumulates; clear like the lane does
+					MatMulTransA32Acc(dst32, a32, b32, k, m, n)
+				})
+			case "transB":
+				run("f64", func() { MatMulTransBInto(dst64, a64, b64) })
+				run("f32", func() { MatMulTransB32Into(dst32, a32, b32, m, k, n) })
+			}
+		}
+	}
+}

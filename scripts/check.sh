@@ -65,18 +65,19 @@ echo "== observability smoke (machsim -debug-addr, machtop scrape mid-run)"
 obs_tmp=$(mktemp -d)
 go build -o "$obs_tmp/machsim" ./cmd/machsim
 go build -o "$obs_tmp/machtop" ./cmd/machtop
-"$obs_tmp/machsim" -task mnist -strategy mach -steps 60 \
+# 600 steps ≈ 1 s: long enough that the poll below meets a live server.
+"$obs_tmp/machsim" -task mnist -strategy mach -steps 600 \
 	-debug-addr 127.0.0.1:16060 -metrics-out "$obs_tmp/snap.json" \
 	>/dev/null 2>"$obs_tmp/machsim.log" &
 obs_pid=$!
 # Poll /healthz until the debug server is up (the run itself takes longer).
 obs_ok=0
-for _ in $(seq 1 50); do
+for _ in $(seq 1 100); do
 	if "$obs_tmp/machtop" scrape -addr 127.0.0.1:16060 >"$obs_tmp/scrape.out" 2>&1; then
 		obs_ok=1
 		break
 	fi
-	sleep 0.1
+	sleep 0.05
 done
 [ "$obs_ok" = 1 ] || { echo "check: machtop scrape never succeeded against a live machsim" >&2; \
 	cat "$obs_tmp/scrape.out" "$obs_tmp/machsim.log" >&2; kill "$obs_pid" 2>/dev/null; exit 1; }
