@@ -299,6 +299,10 @@ func runCodecMicro(cfg Config) ([]CodecMicroRow, error) {
 	}
 	rawBytes := 8 * len(params)
 
+	// An op is ~100 µs, and the first handful of calls pay for cold pooled
+	// codec state, caches and branch predictors; best-of-25 reads the steady
+	// state the protocol runs in.
+	const iters = 25
 	var rows []CodecMicroRow
 	for _, scheme := range codec.Schemes() {
 		var ef []float64
@@ -306,7 +310,7 @@ func runCodecMicro(cfg Config) ([]CodecMicroRow, error) {
 			ef = make([]float64, len(params))
 		}
 		var blob codec.Blob
-		encNs := bestOf(3, func() {
+		encNs := bestOf(iters, func() {
 			// Error feedback mutates ef; reset so every iteration encodes
 			// the same input.
 			for i := range ef {
@@ -327,7 +331,7 @@ func runCodecMicro(cfg Config) ([]CodecMicroRow, error) {
 		if blob.Baseline == 0 {
 			decBaseline = nil
 		}
-		decNs := bestOf(3, func() {
+		decNs := bestOf(iters, func() {
 			if _, decErr := codec.Decode(blob, decBaseline); decErr != nil {
 				err = decErr
 			}

@@ -8,12 +8,13 @@
 // previous step's base, the last global model the cloud distributed.
 // SchemeDelta encodes against such a shared baseline: XORing the IEEE-754
 // bit patterns zeroes the sign, the exponent and the agreeing mantissa
-// prefix of every parameter, grouping the XORed words byte-plane by
-// byte-plane turns those zeroed bits into long runs, and DEFLATE collapses
-// the runs. The pipeline is exactly invertible, so the decoder recovers the
-// original float64s bit for bit — NaN payloads, signed zeros and denormals
-// included — and a run over the delta path follows the same learning
-// trajectory as one over raw vectors.
+// prefix of every parameter, cutting the XORed words into byte planes turns
+// those zeroed bits into constant or low-entropy planes, and the entropy
+// stage (planes.go) packs each plane in the cheapest of three modes — const,
+// stored, or a DEFLATE stream. The pipeline is exactly invertible, so the
+// decoder recovers the original float64s bit for bit — NaN payloads, signed
+// zeros and denormals included — and a run over the delta path follows the
+// same learning trajectory as one over raw vectors.
 //
 // Baselines are negotiated by ID: the sender names the shared vector in
 // Blob.Baseline and the receiver must hold the same bits under that ID
@@ -30,12 +31,9 @@
 package codec
 
 import (
-	"bytes"
-	"compress/flate"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 )
 
@@ -51,8 +49,8 @@ type Scheme uint8
 
 const (
 	// SchemeDelta XORs the parameters' float64 bit patterns against the
-	// baseline (all zeros when Blob.Baseline == 0), byte-shuffles and
-	// DEFLATE-compresses the result. Lossless: decodes bit-exactly.
+	// baseline (all zeros when Blob.Baseline == 0) and packs the result
+	// byte plane by byte plane. Lossless: decodes bit-exactly.
 	SchemeDelta Scheme = iota
 	// SchemeRaw is the legacy wire format — eight little-endian bytes per
 	// parameter, no baseline, no compression. It exists so the measured
@@ -156,18 +154,30 @@ func Encode(scheme Scheme, params, baseline []float64, baseID uint64, ef []float
 		return Blob{Scheme: SchemeRaw, Count: n, Data: data}, nil
 
 	case SchemeDelta:
-		data, err := deflateBytes(xorShuffle64(params, baseline))
-		if err != nil {
-			return Blob{}, err
+		s := scratchPool.Get().(*scratch)
+		defer scratchPool.Put(s)
+		s.words = grow(s.words, n)
+		for i, p := range params {
+			u := math.Float64bits(p)
+			if baseline != nil {
+				u ^= math.Float64bits(baseline[i])
+			}
+			s.words[i] = u
 		}
-		return Blob{Scheme: SchemeDelta, Baseline: baseID, Count: n, Data: data}, nil
+		return s.pack(SchemeDelta, baseID, nil, 8)
 
 	case SchemeFloat32:
-		data, err := deflateBytes(xorShuffle32(params, baseline))
-		if err != nil {
-			return Blob{}, err
+		s := scratchPool.Get().(*scratch)
+		defer scratchPool.Put(s)
+		s.words = grow(s.words, n)
+		for i, p := range params {
+			u := math.Float32bits(float32(p))
+			if baseline != nil {
+				u ^= math.Float32bits(float32(baseline[i]))
+			}
+			s.words[i] = uint64(u)
 		}
-		return Blob{Scheme: SchemeFloat32, Baseline: baseID, Count: n, Data: data}, nil
+		return s.pack(SchemeFloat32, baseID, nil, 4)
 
 	default: // SchemeInt8
 		return encodeInt8(params, baseline, baseID, ef)
@@ -203,16 +213,13 @@ func Decode(b Blob, baseline []float64) ([]float64, error) {
 		return out, nil
 
 	case SchemeDelta:
-		planes, err := inflateBytes(b.Data, 8*n)
-		if err != nil {
+		s := scratchPool.Get().(*scratch)
+		defer scratchPool.Put(s)
+		if err := s.unpack(b.Data, 8, n); err != nil {
 			return nil, err
 		}
 		out := make([]float64, n)
-		for i := range out {
-			var u uint64
-			for p := 0; p < 8; p++ {
-				u |= uint64(planes[p*n+i]) << (8 * p)
-			}
+		for i, u := range s.words {
 			if baseline != nil {
 				u ^= math.Float64bits(baseline[i])
 			}
@@ -221,18 +228,17 @@ func Decode(b Blob, baseline []float64) ([]float64, error) {
 		return out, nil
 
 	case SchemeFloat32:
-		planes, err := inflateBytes(b.Data, 4*n)
-		if err != nil {
+		s := scratchPool.Get().(*scratch)
+		defer scratchPool.Put(s)
+		if err := s.unpack(b.Data, 4, n); err != nil {
 			return nil, err
 		}
 		out := make([]float64, n)
-		for i := range out {
-			u := uint32(planes[i]) | uint32(planes[n+i])<<8 |
-				uint32(planes[2*n+i])<<16 | uint32(planes[3*n+i])<<24
+		for i, u := range s.words {
 			if baseline != nil {
-				u ^= math.Float32bits(float32(baseline[i]))
+				u ^= uint64(math.Float32bits(float32(baseline[i])))
 			}
-			out[i] = float64(math.Float32frombits(u))
+			out[i] = float64(math.Float32frombits(uint32(u)))
 		}
 		return out, nil
 
@@ -243,8 +249,9 @@ func Decode(b Blob, baseline []float64) ([]float64, error) {
 
 // encodeInt8 quantizes the residual params−baseline(+ef) — or the raw
 // values when baseline is nil — to the byte range of its own min/max. The
-// 16-byte header stores the range; the quantization error of each parameter
-// lands in ef for the stream's next encode.
+// payload is a verbatim 16-byte header storing the range, then the quantized
+// bytes as one packed plane; the quantization error of each parameter lands
+// in ef for the stream's next encode.
 func encodeInt8(params, baseline []float64, baseID uint64, ef []float64) (Blob, error) {
 	n := len(params)
 	res := make([]float64, n)
@@ -272,9 +279,12 @@ func encodeInt8(params, baseline []float64, baseID uint64, ef []float64) (Blob, 
 		return Blob{}, fmt.Errorf("codec: int8 quantization needs finite residuals (range [%v, %v])", lo, hi)
 	}
 	span := hi - lo
-	raw := make([]byte, 16+n)
-	binary.LittleEndian.PutUint64(raw[0:], math.Float64bits(lo))
-	binary.LittleEndian.PutUint64(raw[8:], math.Float64bits(hi))
+	s := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(s)
+	s.words = grow(s.words, n)
+	var header [16]byte
+	binary.LittleEndian.PutUint64(header[0:], math.Float64bits(lo))
+	binary.LittleEndian.PutUint64(header[8:], math.Float64bits(hi))
 	for i, r := range res {
 		q := 0
 		if span > 0 {
@@ -285,7 +295,7 @@ func encodeInt8(params, baseline []float64, baseID uint64, ef []float64) (Blob, 
 				q = 255
 			}
 		}
-		raw[16+i] = byte(q)
+		s.words[i] = uint64(q)
 		if ef != nil {
 			dq := lo
 			if span > 0 {
@@ -294,99 +304,31 @@ func encodeInt8(params, baseline []float64, baseID uint64, ef []float64) (Blob, 
 			ef[i] = r - dq
 		}
 	}
-	data, err := deflateBytes(raw)
-	if err != nil {
-		return Blob{}, err
-	}
-	return Blob{Scheme: SchemeInt8, Baseline: baseID, Count: n, Data: data}, nil
+	return s.pack(SchemeInt8, baseID, header[:], 1)
 }
 
 func decodeInt8(b Blob, baseline []float64) ([]float64, error) {
-	raw, err := inflateBytes(b.Data, 16+b.Count)
-	if err != nil {
+	if len(b.Data) < 16 {
+		return nil, fmt.Errorf("codec: int8 blob has %d bytes, want a 16-byte range header", len(b.Data))
+	}
+	s := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(s)
+	if err := s.unpack(b.Data[16:], 1, b.Count); err != nil {
 		return nil, err
 	}
-	lo := math.Float64frombits(binary.LittleEndian.Uint64(raw[0:]))
-	hi := math.Float64frombits(binary.LittleEndian.Uint64(raw[8:]))
+	lo := math.Float64frombits(binary.LittleEndian.Uint64(b.Data[0:]))
+	hi := math.Float64frombits(binary.LittleEndian.Uint64(b.Data[8:]))
 	span := hi - lo
 	out := make([]float64, b.Count)
 	for i := range out {
 		v := lo
 		if span > 0 {
-			v = lo + span*float64(raw[16+i])/255
+			v = lo + span*float64(s.words[i])/255
 		}
 		if baseline != nil {
 			v += baseline[i]
 		}
 		out[i] = v
-	}
-	return out, nil
-}
-
-// xorShuffle64 XORs each parameter's float64 bits against the baseline's
-// (zeros when baseline is nil) and transposes the n×8 little-endian byte
-// matrix into eight planes — all lowest bytes first, all highest bytes
-// last. Matching sign/exponent/mantissa-prefix bits become runs of zeros in
-// the high planes, which is exactly what DEFLATE compresses best.
-func xorShuffle64(params, baseline []float64) []byte {
-	n := len(params)
-	out := make([]byte, 8*n)
-	for i, p := range params {
-		u := math.Float64bits(p)
-		if baseline != nil {
-			u ^= math.Float64bits(baseline[i])
-		}
-		for b := 0; b < 8; b++ {
-			out[b*n+i] = byte(u >> (8 * b))
-		}
-	}
-	return out
-}
-
-// xorShuffle32 is xorShuffle64 for float32-cast values (four planes).
-func xorShuffle32(params, baseline []float64) []byte {
-	n := len(params)
-	out := make([]byte, 4*n)
-	for i, p := range params {
-		u := math.Float32bits(float32(p))
-		if baseline != nil {
-			u ^= math.Float32bits(float32(baseline[i]))
-		}
-		out[i] = byte(u)
-		out[n+i] = byte(u >> 8)
-		out[2*n+i] = byte(u >> 16)
-		out[3*n+i] = byte(u >> 24)
-	}
-	return out
-}
-
-func deflateBytes(p []byte) ([]byte, error) {
-	var buf bytes.Buffer
-	w, err := flate.NewWriter(&buf, flate.BestCompression)
-	if err != nil {
-		return nil, fmt.Errorf("codec: deflate init: %w", err)
-	}
-	if _, err := w.Write(p); err != nil {
-		return nil, fmt.Errorf("codec: deflate: %w", err)
-	}
-	if err := w.Close(); err != nil {
-		return nil, fmt.Errorf("codec: deflate close: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-func inflateBytes(p []byte, want int) ([]byte, error) {
-	r := flate.NewReader(bytes.NewReader(p))
-	out := make([]byte, want)
-	if _, err := io.ReadFull(r, out); err != nil {
-		return nil, fmt.Errorf("codec: inflate %d bytes: %w", want, err)
-	}
-	var tail [1]byte
-	if n, err := r.Read(tail[:]); n != 0 || (err != nil && err != io.EOF) {
-		return nil, fmt.Errorf("codec: payload longer than declared %d bytes", want)
-	}
-	if err := r.Close(); err != nil {
-		return nil, fmt.Errorf("codec: inflate close: %w", err)
 	}
 	return out, nil
 }

@@ -28,22 +28,17 @@ func Encode32(params, baseline []float32, baseID uint64) (Blob, error) {
 		return Blob{}, fmt.Errorf("codec: baseline length %d != params length %d", len(baseline), len(params))
 	}
 	n := len(params)
-	out := make([]byte, 4*n)
+	s := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(s)
+	s.words = grow(s.words, n)
 	for i, p := range params {
 		u := math.Float32bits(p)
 		if baseline != nil {
 			u ^= math.Float32bits(baseline[i])
 		}
-		out[i] = byte(u)
-		out[n+i] = byte(u >> 8)
-		out[2*n+i] = byte(u >> 16)
-		out[3*n+i] = byte(u >> 24)
+		s.words[i] = uint64(u)
 	}
-	data, err := deflateBytes(out)
-	if err != nil {
-		return Blob{}, err
-	}
-	return Blob{Scheme: SchemeFloat32, Baseline: baseID, Count: n, Data: data}, nil
+	return s.pack(SchemeFloat32, baseID, nil, 4)
 }
 
 // Decode32 unpacks a SchemeFloat32 Blob into float32 values — exactly the
@@ -63,19 +58,17 @@ func Decode32(b Blob, baseline []float32) ([]float32, error) {
 	if b.Count < 0 {
 		return nil, fmt.Errorf("codec: negative parameter count %d", b.Count)
 	}
-	n := b.Count
-	planes, err := inflateBytes(b.Data, 4*n)
-	if err != nil {
+	s := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(s)
+	if err := s.unpack(b.Data, 4, b.Count); err != nil {
 		return nil, err
 	}
-	out := make([]float32, n)
-	for i := range out {
-		u := uint32(planes[i]) | uint32(planes[n+i])<<8 |
-			uint32(planes[2*n+i])<<16 | uint32(planes[3*n+i])<<24
+	out := make([]float32, b.Count)
+	for i, u := range s.words {
 		if baseline != nil {
-			u ^= math.Float32bits(baseline[i])
+			u ^= uint64(math.Float32bits(baseline[i]))
 		}
-		out[i] = math.Float32frombits(u)
+		out[i] = math.Float32frombits(uint32(u))
 	}
 	return out, nil
 }

@@ -358,11 +358,13 @@ func (c *Cloud) encodeGlobal() (codec.Blob, uint64, error) {
 	if err != nil {
 		return codec.Blob{}, 0, err
 	}
-	// Record exactly what receivers will hold after decoding; under lossy
-	// schemes that differs from c.global, and edge replies come back encoded
-	// against it.
-	view, err := codec.Decode(blob, baseline)
-	if err != nil {
+	// Record exactly what receivers will hold after decoding, since edge
+	// replies come back encoded against it: the global itself bit for bit
+	// under a lossless scheme, the cloud's own decode under a lossy one.
+	var view []float64
+	if c.cfg.Codec.Lossless() {
+		view = append(view, c.global...)
+	} else if view, err = codec.Decode(blob, baseline); err != nil {
 		return codec.Blob{}, 0, err
 	}
 	c.lastID++
@@ -381,6 +383,9 @@ func (c *Cloud) decodeEdgeModel(blob codec.Blob) ([]float64, error) {
 				blob.Baseline, c.prevID, codec.ErrUnknownBaseline)
 		}
 		baseline = c.prevView
+	}
+	if blob.Count != len(c.global) {
+		return nil, fmt.Errorf("fed: edge model of %d params, global has %d", blob.Count, len(c.global))
 	}
 	return codec.Decode(blob, baseline)
 }

@@ -26,6 +26,7 @@ type DeviceServer struct {
 	book    *sampling.ExperienceBook
 	arch    hfl.ArchFunc
 	seed    int64
+	nParams int // parameter count of the hosted model architecture
 
 	// edgeBases caches, per edge, the base models installed by SetBase or
 	// advanced in place by TrainMany (DESIGN.md §6). At most a couple of
@@ -89,6 +90,7 @@ func NewDeviceServer(arch hfl.ArchFunc, data map[int]*dataset.Dataset, machCfg s
 		if err != nil {
 			return nil, fmt.Errorf("fed: build model for device %d: %w", id, err)
 		}
+		ds.nParams = model.NumParams()
 		ds.devices[id] = &hostedDevice{
 			data:  d,
 			model: model,
@@ -237,6 +239,9 @@ func (s *DeviceServer) SetBase(args SetBaseArgs, reply *SetBaseReply) error {
 	s.tel.Add(telemetry.CounterRPCCalls, 1)
 	sp := s.tel.StartSpan(telemetry.SpanHandleSetBase, telemetry.SpanID(args.Span.Parent), -1, args.Edge, -1)
 	defer sp.End()
+	if args.Model.Count != s.nParams {
+		return fmt.Errorf("fed: set base for edge %d: %d params, hosted models have %d", args.Edge, args.Model.Count, s.nParams)
+	}
 	params, err := codec.Decode(args.Model, nil)
 	if err != nil {
 		return fmt.Errorf("fed: set base for edge %d: %w", args.Edge, err)

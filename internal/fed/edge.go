@@ -286,6 +286,9 @@ func (e *EdgeServer) installGlobal(args EdgeStepArgs) error {
 		}
 		baseline = e.cloudView
 	}
+	if len(e.params) != 0 && args.Model.Count != len(e.params) {
+		return fmt.Errorf("fed: edge %d: global of %d params, edge model has %d", e.id, args.Model.Count, len(e.params))
+	}
 	global, err := codec.Decode(args.Model, baseline)
 	if err != nil {
 		return fmt.Errorf("fed: edge %d decode global: %w", e.id, err)
@@ -350,7 +353,7 @@ func (e *EdgeServer) ensureParams(step int) error {
 		e.mu.Unlock()
 		return nil
 	}
-	addr, id := e.staleAddr, e.baseID
+	addr, id, want := e.staleAddr, e.baseID, len(e.params)
 	e.mu.Unlock()
 	c, err := e.client(addr)
 	if err != nil {
@@ -364,6 +367,9 @@ func (e *EdgeServer) ensureParams(step int) error {
 	sp.End()
 	if callErr != nil {
 		return fmt.Errorf("fed: edge %d fetch base %d from %s: %w", e.id, id, addr, callErr)
+	}
+	if rep.Model.Count != want {
+		return fmt.Errorf("fed: edge %d: host %s returned a base of %d params, want %d", e.id, addr, rep.Model.Count, want)
 	}
 	params, err := codec.Decode(rep.Model, nil)
 	if err != nil {
@@ -525,16 +531,14 @@ func (e *EdgeServer) trainCodec(args EdgeStepArgs, totalSampled int, sampledAddr
 	e.mu.Lock()
 	baseID := e.baseID
 	e.mu.Unlock()
+	var missing []string
 	for _, addr := range sampledAddrs {
-		if e.installed[addr] == baseID {
-			continue
+		if e.installed[addr] != baseID {
+			missing = append(missing, addr)
 		}
-		if err := e.ensureParams(args.Step); err != nil {
-			return err
-		}
-		if err := e.setBaseOn(args.Step, addr, args.Scheme, baseID); err != nil {
-			return err
-		}
+	}
+	if err := e.setBaseOn(args.Step, missing, args.Scheme, baseID); err != nil {
+		return err
 	}
 	if !advance {
 		// The sum path computes next = base + Σ/|sample| edge-side.
@@ -597,10 +601,7 @@ func (e *EdgeServer) trainCodec(args EdgeStepArgs, totalSampled int, sampledAddr
 		// happened before any training, so reinstall the base and retry
 		// once. A stale edge whose authoritative host forgot the base
 		// cannot recover: ensureParams surfaces that as its own error.
-		if err := e.ensureParams(args.Step); err != nil {
-			return err
-		}
-		if err := e.setBaseOn(args.Step, addr, args.Scheme, baseID); err != nil {
+		if err := e.setBaseOn(args.Step, []string{addr}, args.Scheme, baseID); err != nil {
 			return err
 		}
 		replies[i] = TrainManyReply{}
@@ -631,13 +632,13 @@ func (e *EdgeServer) trainCodec(args EdgeStepArgs, totalSampled int, sampledAddr
 		if !replies[i].HasSum {
 			return fmt.Errorf("fed: edge %d: host %s returned no update sum", e.id, addr)
 		}
+		if replies[i].Sum.Count != len(base) {
+			return fmt.Errorf("fed: edge %d: host %s summed %d params, want %d",
+				e.id, addr, replies[i].Sum.Count, len(base))
+		}
 		hostSum, err := codec.Decode(replies[i].Sum, nil)
 		if err != nil {
 			return fmt.Errorf("fed: edge %d decode sum from %s: %w", e.id, addr, err)
-		}
-		if len(hostSum) != len(base) {
-			return fmt.Errorf("fed: edge %d: host %s summed %d params, want %d",
-				e.id, addr, len(hostSum), len(base))
 		}
 		e.uploads.Add(1)
 		for j, v := range hostSum {
@@ -648,12 +649,16 @@ func (e *EdgeServer) trainCodec(args EdgeStepArgs, totalSampled int, sampledAddr
 	return nil
 }
 
-// setBaseOn installs the edge's current base model on one host. A host that
-// lost its cache (restart) simply gets the full baseline-free blob again —
-// the vector IDs make the stream self-describing. step labels the RPC span.
-func (e *EdgeServer) setBaseOn(step int, addr string, scheme codec.Scheme, id uint64) error {
-	c, err := e.client(addr)
-	if err != nil {
+// setBaseOn installs the edge's current base model on the given hosts: the
+// base is encoded once and the per-host Device.SetBase RPCs run concurrently,
+// errors surfacing in addrs order. A host that lost its cache (restart)
+// simply gets the full baseline-free blob again — the vector IDs make the
+// stream self-describing. step labels the RPC spans.
+func (e *EdgeServer) setBaseOn(step int, addrs []string, scheme codec.Scheme, id uint64) error {
+	if len(addrs) == 0 {
+		return nil
+	}
+	if err := e.ensureParams(step); err != nil {
 		return err
 	}
 	e.mu.Lock()
@@ -663,18 +668,37 @@ func (e *EdgeServer) setBaseOn(step int, addr string, scheme codec.Scheme, id ui
 	if err != nil {
 		return fmt.Errorf("fed: edge %d encode base: %w", e.id, err)
 	}
-	var rep SetBaseReply
-	sp := e.tel.StartSpan(telemetry.SpanRPCSetBase, e.stepSpanID(step), step, e.id, -1)
-	callErr := c.Call("Device.SetBase", SetBaseArgs{Edge: e.id, ID: id, Model: blob,
-		Span: SpanContext{Parent: uint64(telemetry.DeriveSpanID(telemetry.SpanRPCSetBase, step, e.id, -1))},
-	}, &rep)
-	sp.End()
-	if callErr != nil {
-		return fmt.Errorf("fed: edge %d set base on %s: %w", e.id, addr, callErr)
+	setArgs := SetBaseArgs{Edge: e.id, ID: id, Model: blob,
+		Span: SpanContext{Parent: uint64(telemetry.DeriveSpanID(telemetry.SpanRPCSetBase, step, e.id, -1))}}
+	errs := make([]error, len(addrs))
+	parent := e.stepSpanID(step)
+	var wg sync.WaitGroup
+	for i, addr := range addrs {
+		wg.Add(1)
+		go func(i int, addr string) {
+			defer wg.Done()
+			c, err := e.client(addr)
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			var rep SetBaseReply
+			sp := e.tel.StartSpan(telemetry.SpanRPCSetBase, parent, step, e.id, -1)
+			errs[i] = c.Call("Device.SetBase", setArgs, &rep)
+			sp.End()
+		}(i, addr)
 	}
-	e.downloads.Add(1)
-	e.installed[addr] = id
-	return nil
+	wg.Wait()
+	var firstErr error
+	for i, addr := range addrs {
+		if errs[i] == nil {
+			e.downloads.Add(1)
+			e.installed[addr] = id
+		} else if firstErr == nil {
+			firstErr = fmt.Errorf("fed: edge %d set base on %s: %w", e.id, addr, errs[i])
+		}
+	}
+	return firstErr
 }
 
 // isUnknownBaseline detects codec.ErrUnknownBaseline both locally and

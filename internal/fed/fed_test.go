@@ -4,7 +4,10 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"net"
 	"net/rpc"
+	"sort"
+	"strings"
 	"testing"
 
 	"github.com/mach-fl/mach/internal/codec"
@@ -672,6 +675,128 @@ func TestSpanStitchingAcrossRPC(t *testing.T) {
 	for _, s := range trains {
 		if want := uint64(telemetry.DeriveSpanID(telemetry.SpanRPCTrainMany, s.Step, s.Edge, 0)); s.Parent != want {
 			t.Fatalf("handle_train_many step %d edge %d: parent %#x, want edge rpc span %#x", s.Step, s.Edge, s.Parent, want)
+		}
+	}
+}
+
+// hostileHost is a device host that answers every model-bearing RPC with a
+// blob of its choosing.
+type hostileHost struct {
+	blob      codec.Blob
+	noSetBase bool // SetBase fails
+}
+
+func (h *hostileHost) Estimate(args EstimateArgs, reply *EstimateReply) error {
+	reply.Estimates = make([]float64, len(args.Devices))
+	for i := range reply.Estimates {
+		reply.Estimates[i] = 1
+	}
+	return nil
+}
+
+func (h *hostileHost) SetBase(SetBaseArgs, *SetBaseReply) error {
+	if h.noSetBase {
+		return fmt.Errorf("no room for a base")
+	}
+	return nil
+}
+
+// serveHostile starts a hostile device host on loopback.
+func serveHostile(t *testing.T, h *hostileHost) string {
+	t.Helper()
+	srv := rpc.NewServer()
+	if err := srv.RegisterName("Device", h); err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	go acceptLoop(srv, ln)
+	return ln.Addr().String()
+}
+
+func (h *hostileHost) TrainMany(args TrainManyArgs, reply *TrainManyReply) error {
+	reply.Sum, reply.HasSum = h.blob, !args.Advance
+	return nil
+}
+
+func (h *hostileHost) GetBase(_ GetBaseArgs, reply *GetBaseReply) error {
+	reply.Model = h.blob
+	return nil
+}
+
+// TestForeignParameterCountRejectedBeforeDecode: a blob whose Count is not
+// the receiver's parameter count is refused at every fed call site before the
+// codec sees it. The probe is a well-formed 16-byte all-const payload claiming
+// 2^40 parameters — decoding it would try to allocate 8 TiB.
+func TestForeignParameterCountRejectedBeforeDecode(t *testing.T) {
+	huge := codec.Blob{Scheme: codec.SchemeDelta, Count: 1 << 40, Data: make([]byte, 16)}
+
+	d := deploy(t, 4, 2, 5, 1, codec.SchemeDelta)
+	defer d.close()
+	if err := d.devices[0].SetBase(SetBaseArgs{Edge: 0, ID: 1, Model: huge}, &SetBaseReply{}); err == nil {
+		t.Fatal("device host accepted a base of foreign size")
+	}
+	if _, err := d.cloud.decodeEdgeModel(huge); err == nil {
+		t.Fatal("cloud accepted an edge model of foreign size")
+	}
+	var rep EdgeStepReply
+	if err := d.edges[0].Step(EdgeStepArgs{HasModel: true, Model: huge, ModelID: 1}, &rep); err == nil {
+		t.Fatal("edge accepted a global of foreign size")
+	}
+
+	// An edge facing a hostile host: the update sum, then the base fetched
+	// back after a host-side advance.
+	addr := serveHostile(t, &hostileHost{blob: huge})
+	base, err := testArch(rand.New(rand.NewSource(4)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := NewEdgeServer(0, sampling.DefaultMACHConfig(), Hyper{LocalEpochs: 1, BatchSize: 2, LearningRate: 0.1}, 1,
+		StaticResolver(map[int]string{0: addr, 1: addr}), base.ParamVector())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	step := EdgeStepArgs{Members: []int{0, 1}, Capacity: 2, WantModel: true}
+	if err := e.Step(step, &rep); err == nil || !strings.Contains(err.Error(), "summed") {
+		t.Fatalf("hostile update sum: err = %v, want a parameter-count error", err)
+	}
+	step.WantModel = false // one host covers the sample: it advances the base in place
+	if err := e.Step(step, &rep); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Step(EdgeStepArgs{Step: 1, WantModel: true}, &rep); err == nil || !strings.Contains(err.Error(), "returned a base of") {
+		t.Fatalf("hostile base fetch: err = %v, want a parameter-count error", err)
+	}
+}
+
+// TestSetBaseFanOutReportsFirstHostInAddressOrder: the concurrent base
+// installs surface the failure of the first host in sorted-address order,
+// whichever RPC happens to fail first.
+func TestSetBaseFanOutReportsFirstHostInAddressOrder(t *testing.T) {
+	addrs := []string{
+		serveHostile(t, &hostileHost{noSetBase: true}),
+		serveHostile(t, &hostileHost{noSetBase: true}),
+	}
+	base, err := testArch(rand.New(rand.NewSource(4)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := NewEdgeServer(0, sampling.DefaultMACHConfig(), Hyper{LocalEpochs: 1, BatchSize: 2, LearningRate: 0.1}, 1,
+		StaticResolver(map[int]string{0: addrs[0], 1: addrs[1]}), base.ParamVector())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	sort.Strings(addrs)
+	for i := 0; i < 5; i++ {
+		var rep EdgeStepReply
+		err := e.Step(EdgeStepArgs{Step: i, Members: []int{0, 1}, Capacity: 2}, &rep)
+		if err == nil || !strings.Contains(err.Error(), "set base on "+addrs[0]) {
+			t.Fatalf("step %d: err = %v, want the set-base failure of %s", i, err, addrs[0])
 		}
 	}
 }

@@ -35,6 +35,9 @@ go test -race -short -run 'TestRunBitIdenticalAcrossWorkerCounts' ./internal/hfl
 echo "== go test -race -short (fed wire protocol + codec)"
 go test -race -short ./internal/fed/ ./internal/codec/
 
+echo "== codec fuzz smoke (FuzzDecode, 10 s from the committed seed corpus)"
+go test -run '^$' -fuzz 'FuzzDecode' -fuzztime 10s ./internal/codec
+
 echo "== go test -race -short (fused-path determinism, both lanes)"
 go test -race -short -run 'TestRunF32BitIdenticalAcrossWorkerCounts|TestRunFusedMatchesUnfused' ./internal/hfl
 
