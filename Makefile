@@ -9,11 +9,13 @@ lint:
 	go run ./cmd/machlint ./...
 
 # Regenerate the committed lint artifacts: the suppression ledger
-# (lint_ledger.txt) and the allocfree heap-allocation budget
-# (lint_allocs.txt). make check fails when either is stale.
+# (lint_ledger.txt), the allocfree heap-allocation budget (lint_allocs.txt)
+# and the deadexport ledger (lint_deadexports.txt). make check fails when
+# any of them is stale.
 lint-ledger:
 	go run ./cmd/machlint -ledger ./... > lint_ledger.txt
 	go run ./cmd/machlint -write-allocs ./...
+	go run ./cmd/machlint -write-deadexports ./...
 
 test:
 	go test ./...

@@ -100,7 +100,7 @@ type Config struct {
 	Aggregation      hfl.Aggregation
 	MACH             sampling.MACHConfig
 	Lane             string // compute lane for local updates: "f64" (default) or "f32"
-	FuseBatch        bool   // fuse each edge's sampled devices into one lockstep execution task
+	FuseBatch        bool   // train each edge's sampled devices in one execution task
 }
 
 // Validate reports whether the config is usable.

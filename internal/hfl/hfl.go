@@ -31,9 +31,9 @@ import (
 	"github.com/mach-fl/mach/internal/tensor"
 )
 
-// ArchFunc constructs the model architecture. Every device, every edge and
-// the cloud instantiate structurally identical networks from it; parameters
-// flow between them as flat vectors.
+// ArchFunc constructs the model architecture. The engine calls it once; the
+// evaluation replicas and the pooled trainers are clones of that network, and
+// parameters flow between cloud, edges and trainers as flat vectors.
 type ArchFunc func(rng *rand.Rand) (*nn.Network, error)
 
 // Config parameterizes one HFL training run.
@@ -96,13 +96,13 @@ type Config struct {
 	// across worker counts and tracks the f64 trajectory within float32
 	// tolerance. Probing, evaluation and aggregation always run f64.
 	Lane Lane
-	// FuseBatch fuses the local updates of an edge's sampled devices into
-	// one per-edge lockstep pass (cross-device batch fusion, DESIGN.md
-	// §10): the devices march through the shared architecture layer by
-	// layer with pooled per-edge buffers instead of each walking it alone.
-	// Per-device update semantics, RNG streams and gradients are
-	// unchanged — fused results are bit-identical to unfused within the
-	// same lane. Default off.
+	// FuseBatch sets the execution phase's task granularity (DESIGN.md
+	// §10): one pool task trains all of an edge's sampled devices as a
+	// group instead of one task per device. On the f32 lane the group's
+	// devices step through the architecture together, layer by layer, in
+	// the slots of one strided executor. Per-device update semantics, RNG
+	// streams and gradients are unchanged — fused results are bit-identical
+	// to unfused within the same lane. Default off.
 	FuseBatch bool
 	// Shards partitions the control plane into this many in-process shard
 	// actors (0 = 1), each owning a contiguous range of edges plus that
@@ -289,32 +289,15 @@ func (c Config) aggregation() Aggregation {
 	return c.Aggregation
 }
 
-// device is one mobile device: its local data and a reusable model instance.
-// The scratch buffers at the bottom make steady-state local updates
-// allocation-free; they are safe because a device belongs to exactly one
-// edge per step (the schedule's partition property), so at most one worker
-// touches a device at a time.
+// device is what the paper says a device is between time steps: its local
+// data, the RNG stream its minibatches are drawn from, and the cached label
+// distribution of that data. Eq. (4) starts every local update from the edge
+// model, so nothing a local update mutates belongs to the device; that state
+// lives in a trainer (lane.go), lent to whichever task trains the device.
 type device struct {
-	id    int
-	data  *dataset.Dataset
-	model *nn.Network
-	opt   *nn.SGD
-	rng   *rand.Rand
-	dist  []float64 // cached local label distribution
-
-	sqNorms  []float64      // per-step gradient-norm window (observers copy)
-	batchX   *tensor.Tensor // minibatch pixels [BatchSize, InC, InH, InW]
-	batchY   []int          // minibatch labels
-	batchIdx []int          // minibatch index scratch
-	upload   []float64      // flat parameter upload, consumed by aggregation
-
-	// Float32-lane state (Config.Lane == LaneF32, unfused): a lazily built
-	// single-slot executor plus fixed-size per-call scratch, so the f32
-	// steady state allocates nothing, matching the f64 guarantee.
-	lane      *nn.Lane32
-	laneLbls  [1][]int
-	laneLoss  [1]float64
-	laneNorms [1]float64
+	data *dataset.Dataset
+	rng  *rand.Rand
+	dist []float64 // cached local label distribution
 }
 
 // Engine runs Algorithm 1.
@@ -361,10 +344,14 @@ type Engine struct {
 	global   []float64   // cloud model parameters w^t
 	edge     [][]float64 // edge model parameters w^t_n
 	evalNet  *nn.Network
-	probeNet *nn.Network
-	probeOpt *nn.SGD    // zero-step optimizer: probing measures gradients only
-	probeMu  sync.Mutex // probeNet/probeOpt are shared across deciding edges
-	capacity float64    // K_n, identical across edges as in the paper
+	capacity float64 // K_n, identical across edges as in the paper
+	lr       float64 // device learning rate γ, decayed at cloud rounds
+
+	// trainers is the free list of local-update state (lane.go). A pool task
+	// or a probe borrows one for its duration, so at most Workers + Shards
+	// exist however many devices the run has.
+	trainerMu sync.Mutex
+	trainers  []*trainer
 
 	// Sharded control plane (DESIGN.md §11): shards[s] owns a contiguous
 	// edge range with its slice of the member index; edgeShard maps each
@@ -398,10 +385,6 @@ type Engine struct {
 	cloudCounts []int             // per-edge member counts of the cloud round
 	evalIdx     []int             // evaluation sample indices
 	evalShard   []evalShardState
-
-	// fused holds the per-edge fusion state when Config.FuseBatch is set;
-	// fused[n] is private to edge n's execution task within a step.
-	fused []fusedEdgeState
 }
 
 // edgeDecideState is one edge's pooled decision-phase machinery: a reusable
@@ -494,9 +477,8 @@ func New(cfg Config, arch ArchFunc, deviceData []*dataset.Dataset, test *dataset
 		test:     test,
 		global:   base.ParamVector(),
 		evalNet:  base,
-		probeNet: base.Clone(),
-		probeOpt: nn.NewSGD(0),
 		capacity: cfg.Participation * float64(nDevices) / float64(nEdges),
+		lr:       cfg.LearningRate,
 	}
 	if obs, ok := strategy.(sampling.Observer); ok {
 		e.observer = obs
@@ -521,12 +503,9 @@ func New(cfg Config, arch ArchFunc, deviceData []*dataset.Dataset, test *dataset
 			return nil, fmt.Errorf("hfl: device %d has no data", m)
 		}
 		e.devices[m] = &device{
-			id:    m,
-			data:  data,
-			model: base.Clone(),
-			opt:   nn.NewSGD(cfg.LearningRate),
-			rng:   rand.New(rand.NewSource(mix(cfg.Seed, 0x9E3779B9, int64(m)))),
-			dist:  data.ClassDistribution(),
+			data: data,
+			rng:  rand.New(rand.NewSource(mix(cfg.Seed, 0x9E3779B9, int64(m)))),
+			dist: data.ClassDistribution(),
 		}
 	}
 	e.edge = make([][]float64, nEdges)
@@ -536,9 +515,6 @@ func New(cfg Config, arch ArchFunc, deviceData []*dataset.Dataset, test *dataset
 	e.plans = make([]edgePlan, nEdges)
 	e.decide = make([]edgeDecideState, nEdges)
 	e.aggNext = make([][]float64, nEdges)
-	if cfg.FuseBatch {
-		e.fused = make([]fusedEdgeState, nEdges)
-	}
 	e.groups = cloudGroups(nEdges)
 	e.groupCounts = make([]int, e.groups)
 	e.cloudCounts = make([]int, nEdges)

@@ -306,10 +306,8 @@ func TestLRDecayApplied(t *testing.T) {
 	}
 	// 10 steps with Tg=5 → 2 cloud rounds → lr × 0.25.
 	want := 0.05 * 0.25
-	for _, d := range eng.devices {
-		if math.Abs(d.opt.LearningRate()-want) > 1e-12 {
-			t.Fatalf("device lr = %v, want %v", d.opt.LearningRate(), want)
-		}
+	if math.Abs(eng.lr-want) > 1e-12 {
+		t.Fatalf("device lr = %v, want %v", eng.lr, want)
 	}
 }
 

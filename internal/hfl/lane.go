@@ -2,187 +2,164 @@ package hfl
 
 import (
 	"github.com/mach-fl/mach/internal/nn"
+	"github.com/mach-fl/mach/internal/parallel"
 	"github.com/mach-fl/mach/internal/tensor"
 )
 
-// This file holds the execution-phase variants behind Config.Lane and
-// Config.FuseBatch (DESIGN.md §10). The default path — float64, one pool
-// task per sampled device — lives untouched in run.go; the variants here
-// preserve its semantics exactly:
+// This file holds the execution phase (DESIGN.md §5, §10). There is one
+// path: trainGroup runs the local updates of a run of one edge's planned
+// devices on a borrowed trainer. Config.Lane picks the arithmetic inside it
+// and Config.FuseBatch only how the shard cuts an edge's plan into pool
+// tasks (one group per edge, or one per device); neither can reach a value:
 //
-//   - Per-device RNG streams: every path draws each device's minibatches
-//     from dev.rng in local-epoch order, so a device's draw sequence is
-//     independent of lane, fusion and scheduling.
-//   - Aggregation boundaries stay float64: the f32 lane trains on float32
+//   - Every device's minibatches come from its own dev.rng in local-epoch
+//     order, whatever group or trainer serves it.
+//   - A trainer carries nothing from one device to the next (see trainer).
+//   - Aggregation boundaries stay float64: the f32 lane trains float32
 //     compute copies of float64 master weights and uploads the masters.
-//   - Determinism: fused execution is one task per edge, and a device
-//     belongs to exactly one edge per step, so per-edge state needs no
-//     locking and results are bit-identical for every worker count.
 
-// fusedEdgeState is one edge's pooled batch-fusion machinery, private to the
-// edge's execution task within a step. Buffers grow to the edge's high-water
-// sampled count and are reused across steps.
-type fusedEdgeState struct {
-	lane *nn.Lane32  // f32 lane: multi-slot fused executor
-	ls   nn.Lockstep // f64 lane: layer-lockstep walker
+// trainer is everything a local update mutates: one float64 model replica
+// with its optimizer, one minibatch buffer set and — built on first f32 use —
+// a float32 lane whose slot count grows to the largest group it has served.
+// Reuse cannot reach a value: the parameters are overwritten with the edge
+// model before any of them is read, every training step zeroes the gradients
+// and rewrites each activation cache it later reads, plain SGD keeps no state
+// beyond the learning rate (set at every use), and the batch buffers are
+// filled before each step.
+type trainer struct {
+	net      *nn.Network
+	opt      *nn.SGD
+	batchX   *tensor.Tensor // minibatch pixels [BatchSize, InC, InH, InW]
+	batchIdx []int          // minibatch index scratch
 
-	nets   []*nn.Network
-	xs     []*tensor.Tensor
-	opts   []nn.Optimizer
-	labels [][]int
+	lane   *nn.Lane32
+	labels [][]int // per-slot minibatch labels; the f64 lane uses slot 0
 	losses []float64
 	norms  []float64
 }
 
-// ensureDeviceBatch installs the device's reusable minibatch buffers
-// (shared by every lane and fusion mode).
-func (e *Engine) ensureDeviceBatch(dev *device) {
-	if dev.sqNorms == nil {
-		dev.sqNorms = make([]float64, e.cfg.LocalEpochs)
-		dev.batchX = tensor.New(e.cfg.BatchSize, dev.data.InC, dev.data.InH, dev.data.InW)
-		dev.batchY = make([]int, e.cfg.BatchSize)
-		dev.batchIdx = make([]int, e.cfg.BatchSize)
+func (e *Engine) newTrainer() *trainer {
+	batch := e.cfg.BatchSize
+	return &trainer{
+		net:      e.evalNet.Clone(),
+		opt:      nn.NewSGD(e.lr),
+		batchX:   tensor.New(batch, e.test.InC, e.test.InH, e.test.InW),
+		batchIdx: make([]int, batch),
+		labels:   [][]int{make([]int, batch)},
 	}
 }
 
-// localUpdate32 is the float32-lane unfused local update: the same I SGD
-// steps as localUpdate, executed on the device's single-slot Lane32. The
-// float64 master weights become the device's upload directly, so the
-// parameter vector that reaches edge aggregation never round-trips through
-// float32.
-func (e *Engine) localUpdate32(dev *device, edgeParams []float64) ([]float64, error) {
-	if dev.lane == nil {
-		lane, err := nn.NewLane32(e.evalNet, 1)
-		if err != nil {
-			return nil, err
-		}
-		dev.lane = lane
-		dev.laneLbls[0] = nil
+// borrowTrainer takes a trainer off the free list, building one when the
+// list is empty. Borrowers are pool tasks and deciding shards, so the list
+// never holds more than Workers + Shards.
+func (e *Engine) borrowTrainer() *trainer {
+	e.trainerMu.Lock()
+	defer e.trainerMu.Unlock()
+	if k := len(e.trainers) - 1; k >= 0 {
+		tr := e.trainers[k]
+		e.trainers = e.trainers[:k]
+		return tr
 	}
-	if err := dev.lane.LoadParams(0, edgeParams); err != nil {
-		return nil, err
-	}
-	e.ensureDeviceBatch(dev)
-	dev.laneLbls[0] = dev.batchY
-	lr := dev.opt.LearningRate()
-	for tau := 0; tau < e.cfg.LocalEpochs; tau++ {
-		dev.data.RandomBatchInto(dev.rng, dev.batchX, dev.batchY, dev.batchIdx)
-		dev.lane.SetInput(0, e.cfg.BatchSize, dev.batchX.Data())
-		dev.lane.TrainStep(1, e.cfg.BatchSize, dev.laneLbls[:], lr, dev.laneLoss[:], dev.laneNorms[:])
-		dev.sqNorms[tau] = dev.laneNorms[0]
-	}
-	dev.upload = dev.lane.ParamsInto(0, dev.upload)
-	return dev.sqNorms, nil
+	return e.newTrainer()
 }
 
-// edgeLocalUpdates executes one edge's whole sampled-device plan as a single
-// fused task (Config.FuseBatch). Per-device errors and gradient-norm windows
-// land in the plan exactly where the per-device tasks would put them.
-func (e *Engine) edgeLocalUpdates(n int) {
+func (e *Engine) releaseTrainer(tr *trainer) {
+	e.trainerMu.Lock()
+	e.trainers = append(e.trainers, tr)
+	e.trainerMu.Unlock()
+}
+
+// submitTrain queues trainGroup(n, lo, hi) as one pool task on a trainer
+// borrowed for its duration. The bounds are parameters, not the caller's
+// loop variables, so the closure captures them by value.
+func (e *Engine) submitTrain(g *parallel.Group, n, lo, hi int) {
+	g.Go(func() {
+		tr := e.borrowTrainer()
+		defer e.releaseTrainer(tr)
+		e.trainGroup(n, lo, hi, tr)
+	})
+}
+
+// growLane sizes the trainer's float32 lane and per-slot buffers for count
+// devices.
+func (tr *trainer) growLane(count int) error {
+	lane, err := nn.NewLane32(tr.net, count)
+	if err != nil {
+		return err
+	}
+	tr.lane = lane
+	for len(tr.labels) < count {
+		tr.labels = append(tr.labels, make([]int, len(tr.batchIdx)))
+	}
+	tr.losses = make([]float64, count)
+	tr.norms = make([]float64, count)
+	return nil
+}
+
+// trainGroup runs I local SGD steps from edge n's model (Eq. 4) for the
+// planned devices [lo, hi) of the edge. Each device's gradient-norm window
+// and — when its upload survives — its trained parameters land in the
+// plan's slot buffers (edgePlan.reserve sized them), where edgeFinalize
+// reads them; an error lands on the device that met it. On the f32 lane the
+// group's devices occupy lane slots 0..hi-lo and step together, layer by
+// layer; slot order is plan order, so a k-slot pass equals k one-slot
+// passes.
+//
+//machlint:allocfree
+func (e *Engine) trainGroup(n, lo, hi int, tr *trainer) {
 	plan := &e.plans[n]
-	if len(plan.devs) == 0 {
+	devs := plan.devs[lo:hi]
+	uploads := plan.uploads[lo:hi]
+	epochs, batch := e.cfg.LocalEpochs, e.cfg.BatchSize
+	for i := range devs {
+		devs[i].sqNorms = plan.norms[(lo+i)*epochs : (lo+i+1)*epochs]
+	}
+	if e.cfg.Lane != LaneF32 {
+		tr.opt.SetLearningRate(e.lr)
+		y := tr.labels[0]
+		for i := range devs {
+			pd := &devs[i]
+			dev := e.devices[pd.m]
+			if err := tr.net.SetParamVector(e.edge[n]); err != nil {
+				pd.err = err
+				return
+			}
+			for tau := range pd.sqNorms {
+				dev.data.RandomBatchInto(dev.rng, tr.batchX, y, tr.batchIdx)
+				_, pd.sqNorms[tau] = tr.net.TrainStep(tr.batchX, y, tr.opt)
+			}
+			if pd.upload {
+				uploads[i] = tr.net.ParamVectorInto(uploads[i])
+			}
+		}
 		return
 	}
-	if e.cfg.Lane == LaneF32 {
-		e.edgeLocalUpdates32(n)
-		return
-	}
-	st := &e.fused[n]
-	devs := plan.devs
-	count := len(devs)
-	st.grow(count)
-	for i := range devs {
-		dev := e.devices[devs[i].m]
-		if err := dev.model.SetParamVector(e.edge[n]); err != nil {
-			devs[i].err = err
-			return
-		}
-		e.ensureDeviceBatch(dev)
-		st.nets[i] = dev.model
-		st.xs[i] = dev.batchX
-		st.opts[i] = dev.opt
-		st.labels[i] = dev.batchY
-	}
-	for tau := 0; tau < e.cfg.LocalEpochs; tau++ {
-		for i := range devs {
-			dev := e.devices[devs[i].m]
-			dev.data.RandomBatchInto(dev.rng, dev.batchX, dev.batchY, dev.batchIdx)
-		}
-		st.ls.Step(st.nets[:count], st.xs[:count], st.labels[:count], st.opts[:count], st.losses, st.norms)
-		for i := range devs {
-			e.devices[devs[i].m].sqNorms[tau] = st.norms[i]
-		}
-	}
-	for i := range devs {
-		devs[i].sqNorms = e.devices[devs[i].m].sqNorms
-	}
-}
-
-// edgeLocalUpdates32 is the fused float32 path: every sampled device of the
-// edge occupies one slot of a pooled multi-slot Lane32, so each local epoch
-// runs the whole edge through the network layer by layer over contiguous
-// strided buffers — the cross-device batch fusion the f32 lane was built
-// for. Slot order is plan order (member order), a pure function of the
-// decision phase, so fused results do not depend on worker scheduling.
-func (e *Engine) edgeLocalUpdates32(n int) {
-	plan := &e.plans[n]
-	devs := plan.devs
-	count := len(devs)
-	st := &e.fused[n]
-	if st.lane == nil || st.lane.Slots() < count {
-		lane, err := nn.NewLane32(e.evalNet, count)
-		if err != nil {
+	if tr.lane == nil || tr.lane.Slots() < len(devs) {
+		if err := tr.growLane(len(devs)); err != nil {
 			devs[0].err = err
 			return
 		}
-		st.lane = lane
 	}
-	st.grow(count)
 	for i := range devs {
-		dev := e.devices[devs[i].m]
-		if err := st.lane.LoadParams(i, e.edge[n]); err != nil {
+		if err := tr.lane.LoadParams(i, e.edge[n]); err != nil {
 			devs[i].err = err
 			return
 		}
-		e.ensureDeviceBatch(dev)
-		st.labels[i] = dev.batchY
 	}
-	// All devices share one learning rate: LR decay applies uniformly at
-	// cloud rounds (see Run), so any sampled device's optimizer reports it.
-	lr := e.devices[devs[0].m].opt.LearningRate()
-	for tau := 0; tau < e.cfg.LocalEpochs; tau++ {
+	for tau := 0; tau < epochs; tau++ {
 		for i := range devs {
 			dev := e.devices[devs[i].m]
-			dev.data.RandomBatchInto(dev.rng, dev.batchX, dev.batchY, dev.batchIdx)
-			st.lane.SetInput(i, e.cfg.BatchSize, dev.batchX.Data())
+			dev.data.RandomBatchInto(dev.rng, tr.batchX, tr.labels[i], tr.batchIdx)
+			tr.lane.SetInput(i, batch, tr.batchX.Data())
 		}
-		st.lane.TrainStep(count, e.cfg.BatchSize, st.labels[:count], lr, st.losses, st.norms)
+		tr.lane.TrainStep(len(devs), batch, tr.labels, e.lr, tr.losses, tr.norms)
 		for i := range devs {
-			e.devices[devs[i].m].sqNorms[tau] = st.norms[i]
+			devs[i].sqNorms[tau] = tr.norms[i]
 		}
 	}
 	for i := range devs {
-		dev := e.devices[devs[i].m]
-		dev.upload = st.lane.ParamsInto(i, dev.upload)
-		devs[i].sqNorms = dev.sqNorms
+		if devs[i].upload {
+			uploads[i] = tr.lane.ParamsInto(i, uploads[i])
+		}
 	}
-}
-
-// grow sizes the per-device gather slices for count devices, keeping
-// capacity across steps.
-func (st *fusedEdgeState) grow(count int) {
-	if cap(st.nets) < count {
-		st.nets = make([]*nn.Network, count)
-		st.xs = make([]*tensor.Tensor, count)
-		st.opts = make([]nn.Optimizer, count)
-		st.labels = make([][]int, count)
-		st.losses = make([]float64, count)
-		st.norms = make([]float64, count)
-	}
-	st.nets = st.nets[:count]
-	st.xs = st.xs[:count]
-	st.opts = st.opts[:count]
-	st.labels = st.labels[:count]
-	st.losses = st.losses[:count]
-	st.norms = st.norms[:count]
 }

@@ -101,9 +101,27 @@ type plannedDevice struct {
 	err     error
 }
 
-// edgePlan is one edge's decision-phase output for the current step.
+// edgePlan is one edge's decision-phase output for the current step, plus
+// the pooled buffers the execution phase fills per planned device (slot i
+// belongs to devs[i]): its gradient-norm window norms[i·I:(i+1)·I] and, when
+// its upload survives, its trained parameters uploads[i]. The buffers are
+// valid until the edge's next decide, which is after the step's observations
+// are merged and its uploads aggregated.
 type edgePlan struct {
-	devs []plannedDevice
+	devs    []plannedDevice
+	norms   []float64
+	uploads [][]float64
+}
+
+// reserve sizes the slot buffers for the devices just planned, keeping what
+// earlier steps grew.
+func (p *edgePlan) reserve(epochs int) {
+	if need := len(p.devs) * epochs; len(p.norms) < need {
+		p.norms = make([]float64, need)
+	}
+	for len(p.uploads) < len(p.devs) {
+		p.uploads = append(p.uploads, nil)
+	}
 }
 
 // Run executes Algorithm 1 and returns the training history.
@@ -223,9 +241,7 @@ func (e *Engine) Run(opts ...RunOption) (*Result, error) {
 				e.observer.CloudRound(t + 1)
 			}
 			if e.cfg.LRDecay < 1 {
-				for _, d := range e.devices {
-					d.opt.SetLearningRate(d.opt.LearningRate() * e.cfg.LRDecay)
-				}
+				e.lr *= e.cfg.LRDecay
 			}
 			if e.tel != nil {
 				e.tel.Add(telemetry.CounterCloudRounds, 1)
@@ -240,6 +256,7 @@ func (e *Engine) Run(opts ...RunOption) (*Result, error) {
 				}
 			}
 		}
+		reached := false
 		evalDue := cloudRound
 		if e.cfg.EvalEvery > 0 {
 			evalDue = (t+1)%e.cfg.EvalEvery == 0
@@ -262,17 +279,17 @@ func (e *Engine) Run(opts ...RunOption) (*Result, error) {
 			if o.evalFn != nil {
 				o.evalFn(t+1, acc, loss)
 			}
-			if o.hasTgt && acc >= o.target {
-				res.ReachedTarget = true
-				res.TargetStep = t + 1
-				emitDone()
-				return res, nil
-			}
+			reached = o.hasTgt && acc >= o.target
 		}
 		e.tel.Add(telemetry.CounterSteps, 1)
 		stepEnd := e.tel.Now()
 		e.tel.Observe(telemetry.HistStepNS, stepEnd-stepStart)
 		e.tel.RecordSpan(telemetry.SpanStep, 0, t, -1, -1, stepStart, stepEnd)
+		if reached {
+			res.ReachedTarget = true
+			res.TargetStep = t + 1
+			break
+		}
 	}
 	emitDone()
 	return res, nil
@@ -473,6 +490,7 @@ func (e *Engine) edgeDecide(t, n int) error {
 		}
 		plan.devs = append(plan.devs, plannedDevice{m: m, weight: weight, upload: upload})
 	}
+	plan.reserve(e.cfg.LocalEpochs)
 	return nil
 }
 
@@ -480,9 +498,8 @@ func (e *Engine) edgeDecide(t, n int) error {
 // local-update errors, buffers training experience into the owning shard
 // (merged into the strategy's observer at the step's collect point, in edge
 // order), collects the surviving uploads and merges them into the edge model
-// (Algorithm 1, lines 6-11). The buffered sqNorms slices are the devices'
-// reusable windows, valid until each device's next training step — which is
-// after the merge.
+// (Algorithm 1, lines 6-11). The buffered sqNorms slices and the uploads are
+// the plan's slot buffers (see edgePlan), valid until after the merge.
 func (e *Engine) edgeFinalize(t, n int, s *shardState) (edgeStepCounts, error) {
 	var counts edgeStepCounts
 	plan := &e.plans[n]
@@ -501,39 +518,12 @@ func (e *Engine) edgeFinalize(t, n int, s *shardState) (edgeStepCounts, error) {
 		if !pd.upload {
 			continue
 		}
-		dev := e.devices[pd.m]
-		if e.cfg.Lane != LaneF32 {
-			dev.upload = dev.model.ParamVectorInto(dev.upload)
-		}
-		// LaneF32: the execution phase already staged the float64 master
-		// weights in dev.upload (see lane.go); dev.model was never trained.
-		results = append(results, localResult{params: dev.upload, weight: pd.weight, size: dev.data.Len()})
+		results = append(results, localResult{params: plan.uploads[i], weight: pd.weight, size: e.devices[pd.m].data.Len()})
 	}
 	e.aggregateEdge(n, results, e.strategy.Unbiased())
 	counts.uploaded = len(results)
 	s.aggResults = results[:0] // keep the grown capacity for the shard's next edge
 	return counts, nil
-}
-
-// localUpdate runs I local SGD steps from the edge model (Eq. 4) and returns
-// the squared norms of the I stochastic gradients. The returned slice is the
-// device's reusable window buffer: observers copy what they keep, and the
-// next step overwrites it. With Config.Lane == LaneF32 the same steps run on
-// the device's float32 lane (see lane.go).
-func (e *Engine) localUpdate(dev *device, edgeParams []float64) ([]float64, error) {
-	if e.cfg.Lane == LaneF32 {
-		return e.localUpdate32(dev, edgeParams)
-	}
-	if err := dev.model.SetParamVector(edgeParams); err != nil {
-		return nil, err
-	}
-	e.ensureDeviceBatch(dev)
-	for tau := 0; tau < e.cfg.LocalEpochs; tau++ {
-		dev.data.RandomBatchInto(dev.rng, dev.batchX, dev.batchY, dev.batchIdx)
-		_, gn := dev.model.TrainStep(dev.batchX, dev.batchY, dev.opt)
-		dev.sqNorms[tau] = gn
-	}
-	return dev.sqNorms, nil
 }
 
 // aggregateEdge merges sampled local models into the edge model. For
@@ -669,23 +659,24 @@ func (e *Engine) cloudAggregate(t int) {
 
 // probeGradNorm measures the true squared stochastic-gradient norm of device
 // m under edge n's current model, without updating any state (used by
-// MACH-P). The shared probe network is mutex-guarded because edges decide in
-// parallel; the value is deterministic regardless of interleaving — the
-// probed model, batch and optimizer depend only on (seed, t, n, m), and a
-// device is attached to exactly one edge per step.
+// MACH-P). It runs on a borrowed trainer, so edges on different shards probe
+// concurrently; the value depends only on (seed, t, n, m) — the probed model,
+// the batch stream and a zero learning rate — never on which trainer serves.
 func (e *Engine) probeGradNorm(t, n, m int) float64 {
 	e.tel.Add(telemetry.CounterProbes, 1)
-	e.probeMu.Lock()
-	defer e.probeMu.Unlock()
-	if err := e.probeNet.SetParamVector(e.edge[n]); err != nil {
+	tr := e.borrowTrainer()
+	defer e.releaseTrainer(tr)
+	if err := tr.net.SetParamVector(e.edge[n]); err != nil {
 		// The strategy callback has no error channel, and a length mismatch
 		// here means the engine's networks are wired wrong — fail loudly
 		// instead of silently scoring the device as zero.
 		panic(fmt.Sprintf("hfl: probe gradient of device %d (step %d, edge %d): %v", m, t, n, err))
 	}
 	rng := rand.New(rand.NewSource(mix(e.cfg.Seed, int64(t)+7, int64(m)+301)))
-	x, y := e.devices[m].data.RandomBatch(rng, e.cfg.BatchSize)
-	_, gn := e.probeNet.TrainStep(x, y, e.probeOpt)
+	y := tr.labels[0]
+	e.devices[m].data.RandomBatchInto(rng, tr.batchX, y, tr.batchIdx)
+	tr.opt.SetLearningRate(0) // probing measures the gradient and moves nothing
+	_, gn := tr.net.TrainStep(tr.batchX, y, tr.opt)
 	return gn
 }
 

@@ -106,8 +106,8 @@ type shardState struct {
 
 	// Observation buffer: the step's (edge, device, norms) records in edge
 	// then member order, merged into the strategy's observer at the collect
-	// point. The norms slices are the devices' reusable windows — valid
-	// until each device's next training step, which is after the merge.
+	// point. The norms slices are the edge plans' slot windows — valid until
+	// each edge's next decide, which is after the merge.
 	obsEdges []int
 	obsDevs  []int
 	obsNorms [][]float64
@@ -257,21 +257,17 @@ func (s *shardState) step(t int) {
 	if s.decideErr != nil {
 		return // the engine aborts the run; skip execution like the monolith
 	}
+	// Config.FuseBatch is task granularity only: an edge's plan is one
+	// trainGroup task, or one per device.
 	g := e.pool.Group()
-	if e.cfg.FuseBatch {
-		for n := s.lo; n < s.hi; n++ {
-			g.Go(func() { e.edgeLocalUpdates(n) })
+	for n := s.lo; n < s.hi; n++ {
+		count := len(e.plans[n].devs)
+		size := 1
+		if e.cfg.FuseBatch {
+			size = count
 		}
-	} else {
-		for n := s.lo; n < s.hi; n++ {
-			edgeParams := e.edge[n]
-			devs := e.plans[n].devs
-			for i := range devs {
-				pd := &devs[i]
-				g.Go(func() {
-					pd.sqNorms, pd.err = e.localUpdate(e.devices[pd.m], edgeParams)
-				})
-			}
+		for lo := 0; lo < count; lo += size {
+			e.submitTrain(g, n, lo, lo+size)
 		}
 	}
 	s.queueDepth = e.pool.QueueDepth()

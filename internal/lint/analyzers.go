@@ -3,9 +3,10 @@ package lint
 import "sort"
 
 // Analyzers returns the full AST-analyzer suite in stable order. The
-// allocfree check is not in this list: it is driven by the compiler's
-// escape analysis rather than a Run function, and the Runner schedules it
-// as a separate phase (see allocfree.go). AllChecks covers both.
+// allocfree and deadexport checks are not in this list: one is driven by the
+// compiler's escape analysis, the other needs every unit at once, and the
+// Runner schedules each as its own phase (see allocfree.go, deadexport.go).
+// AllChecks covers all of them.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		MapRange, GlobalRand, WallTime, FloatEq, ErrDrop, MutexCopy,
@@ -14,10 +15,11 @@ func Analyzers() []*Analyzer {
 }
 
 // AllChecks returns every check name the suite knows — the nine AST
-// analyzers plus the build-integrated allocfree check — sorted. This is
-// the set -checks and //machlint:allow directives are validated against.
+// analyzers plus the build-integrated allocfree check and the whole-tree
+// deadexport check — sorted. This is the set -checks and //machlint:allow
+// directives are validated against.
 func AllChecks() []string {
-	names := []string{AllocFreeName}
+	names := []string{AllocFreeName, DeadExportName}
 	for _, a := range Analyzers() {
 		names = append(names, a.Name)
 	}

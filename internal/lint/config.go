@@ -109,6 +109,9 @@ func (c *Config) Keep(names []string) {
 //     on purpose to pin in-place semantics.
 //   - allocfree runs everywhere it finds annotations; scoping is by
 //     annotation, not path.
+//   - deadexport audits declarations under internal/ — nothing outside the
+//     module can import them, so an export only tests use is dead — against
+//     uses anywhere in the module.
 func DefaultConfig() *Config {
 	return &Config{Rules: map[string]*Rule{
 		"maprange":  {Enabled: true},
@@ -155,7 +158,8 @@ func DefaultConfig() *Config {
 			SkipTests: true,
 			Skip:      []string{"cmd", "examples"},
 		},
-		"intoalias": {Enabled: true, SkipTests: true},
-		"allocfree": {Enabled: true},
+		"intoalias":  {Enabled: true, SkipTests: true},
+		"allocfree":  {Enabled: true},
+		"deadexport": {Enabled: true, Only: []string{"internal"}},
 	}}
 }

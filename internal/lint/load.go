@@ -221,13 +221,19 @@ type Runner struct {
 // Run lints the packages matched by patterns and returns the surviving
 // findings, sorted by position.
 func (r *Runner) Run(patterns []string) ([]Diagnostic, error) {
-	return r.run(patterns, false)
+	return r.run(patterns, "")
 }
 
 // WriteAllocs regenerates the allocfree budget file from the current tree
 // (the -write-allocs flag) and returns the non-allocfree findings.
 func (r *Runner) WriteAllocs(patterns []string) ([]Diagnostic, error) {
-	return r.run(patterns, true)
+	return r.run(patterns, AllocFreeName)
+}
+
+// WriteDeadExports regenerates the deadexport ledger from the current tree
+// (the -write-deadexports flag) and returns the other checks' findings.
+func (r *Runner) WriteDeadExports(patterns []string) ([]Diagnostic, error) {
+	return r.run(patterns, DeadExportName)
 }
 
 // run is the two-phase driver. Phase one loads and type-checks every
@@ -235,9 +241,11 @@ func (r *Runner) WriteAllocs(patterns []string) ([]Diagnostic, error) {
 // AST analyzers per unit. Phase two — gated on the allocfree rule and on
 // there being anything to check — compiles the matched packages with
 // -gcflags=-m and audits the escape sites of annotated functions against
-// the committed budget. Finally every justified-but-unused suppression in
-// scope of a check that actually ran is reported as stale.
-func (r *Runner) run(patterns []string, writeAllocs bool) ([]Diagnostic, error) {
+// the committed budget. Phase three, on whole-tree runs, audits the dead
+// exports against their ledger. Finally every justified-but-unused
+// suppression in scope of a check that actually ran is reported as stale.
+// write names the check whose committed file to regenerate instead of audit.
+func (r *Runner) run(patterns []string, write string) ([]Diagnostic, error) {
 	dirs, err := ExpandPatterns(r.Root, patterns)
 	if err != nil {
 		return nil, err
@@ -269,11 +277,31 @@ func (r *Runner) run(patterns []string, writeAllocs bool) ([]Diagnostic, error) 
 		merged.merge(idx)
 	}
 
-	escapeRan, afDiags, err := r.allocFreePhase(loader.fset, facts, dirs, merged, writeAllocs)
-	if err != nil {
-		return nil, err
+	// A regeneration run audits neither committed file, so either can be
+	// rewritten while the other is stale.
+	escapeRan := false
+	if write != DeadExportName {
+		var afDiags []Diagnostic
+		escapeRan, afDiags, err = r.allocFreePhase(loader.fset, facts, dirs, merged, write == AllocFreeName)
+		if err != nil {
+			return nil, err
+		}
+		diags = append(diags, afDiags...)
 	}
-	diags = append(diags, afDiags...)
+
+	wholeTree := len(patterns) == 1 && (patterns[0] == "./..." || patterns[0] == "...")
+	if rule := r.Config.rule(DeadExportName); rule.Enabled && wholeTree && write != AllocFreeName {
+		dead := deadExports(units, rule)
+		ledgerPath := filepath.Join(r.Root, DefaultDeadExportPath)
+		if write == DeadExportName {
+			return diags, writeDeadExportLedger(ledgerPath, dead)
+		}
+		ledger, err := readDeadExportLedger(ledgerPath)
+		if err != nil {
+			return nil, err
+		}
+		diags = append(diags, checkDeadExports(dead, ledger, DefaultDeadExportPath)...)
+	}
 
 	diags = append(diags, merged.unusedDiags(func(s *suppression, check string) bool {
 		rule := r.Config.rule(check)
@@ -351,12 +379,14 @@ func Main(root string, args []string, stdout, stderr io.Writer) int {
 	checks := flags.String("checks", "", "comma-separated subset of checks to run (default: all)")
 	ledger := flags.Bool("ledger", false, "print the //machlint:allow suppression ledger to stdout and exit (redirect to "+DefaultLedgerPath+")")
 	writeAllocs := flags.Bool("write-allocs", false, "regenerate the allocfree budget file ("+DefaultAllocBudgetPath+") from the current tree")
+	writeDead := flags.Bool("write-deadexports", false, "regenerate the deadexport ledger ("+DefaultDeadExportPath+") from the current tree")
 	flags.Usage = func() {
-		fmt.Fprintf(stderr, "usage: machlint [-checks c1,c2] [-ledger | -write-allocs] [packages]\n\nchecks:\n")
+		fmt.Fprintf(stderr, "usage: machlint [-checks c1,c2] [-ledger | -write-allocs | -write-deadexports] [packages]\n\nchecks:\n")
 		for _, a := range Analyzers() {
 			fmt.Fprintf(stderr, "  %-11s %s\n", a.Name, a.Doc)
 		}
 		fmt.Fprintf(stderr, "  %-11s %s\n", AllocFreeName, AllocFreeDoc)
+		fmt.Fprintf(stderr, "  %-11s %s\n", DeadExportName, DeadExportDoc)
 		fmt.Fprintf(stderr, "\nfunction annotations: //machlint:noalias <p,q>..., //machlint:aliasok <why>, //machlint:allocfree\nsuppression: //machlint:allow <check>[,<check>...] <justification>\n\n")
 		flags.PrintDefaults()
 	}
@@ -391,9 +421,12 @@ func Main(root string, args []string, stdout, stderr io.Writer) int {
 	r := &Runner{Root: root, Config: cfg, Stderr: stderr}
 	var diags []Diagnostic
 	var err error
-	if *writeAllocs {
+	switch {
+	case *writeAllocs:
 		diags, err = r.WriteAllocs(patterns)
-	} else {
+	case *writeDead:
+		diags, err = r.WriteDeadExports(patterns)
+	default:
 		diags, err = r.Run(patterns)
 	}
 	if err != nil {
@@ -402,6 +435,9 @@ func Main(root string, args []string, stdout, stderr io.Writer) int {
 	}
 	if *writeAllocs {
 		fmt.Fprintf(stderr, "machlint: wrote %s\n", DefaultAllocBudgetPath)
+	}
+	if *writeDead {
+		fmt.Fprintf(stderr, "machlint: wrote %s\n", DefaultDeadExportPath)
 	}
 	for _, d := range diags {
 		fmt.Fprintln(stdout, d.String())

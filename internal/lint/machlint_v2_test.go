@@ -2,6 +2,7 @@ package lint
 
 import (
 	"bytes"
+	"go/token"
 	"os"
 	"path/filepath"
 	"strings"
@@ -243,17 +244,67 @@ func TestTreeCleanAtHead(t *testing.T) {
 	}
 }
 
+// TestDeadExportFixture drives the deadexport phase over its fixture module
+// (testdata/src/deadexport: an internal package, its test file, a command
+// that uses part of it, and a ledger with one live entry, one used again and
+// one whose identifier is gone) and pins the ledger failure modes plus the
+// exemptions.
+func TestDeadExportFixture(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Keep([]string{DeadExportName})
+	r := &Runner{Root: "testdata/src/deadexport", Config: cfg}
+	diags, err := r.Run([]string{"./..."})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{
+		"internal/lib.OnlyTests is exported but no non-test file",
+		"internal/lib.Orphan is exported but no non-test file",
+		"internal/lib.Recursive is exported but no non-test file",
+		"stale ledger: internal/lib.Gone is used by non-test code now, or gone",
+		"stale ledger: internal/lib.Revived is used by non-test code now, or gone",
+	}
+	var got []string
+	for _, d := range diags {
+		got = append(got, d.String())
+	}
+	if len(diags) != len(want) {
+		t.Fatalf("want %d findings, got %d:\n%s", len(want), len(diags), strings.Join(got, "\n"))
+	}
+	for _, w := range want {
+		if !strings.Contains(strings.Join(got, "\n"), w) {
+			t.Errorf("missing finding %q in:\n%s", w, strings.Join(got, "\n"))
+		}
+	}
+
+	// A subset run cannot see every use, so the check stays silent.
+	if diags, err = r.Run([]string{"internal/lib"}); err != nil || len(diags) != 0 {
+		t.Fatalf("subset run: %v, %v", diags, err)
+	}
+
+	// The ledger a tree writes is the ledger it reads back clean.
+	path := filepath.Join(t.TempDir(), "dead.txt")
+	dead := map[string]token.Position{"internal/lib.OnlyTests": {}, "internal/lib.Orphan": {}}
+	if err := writeDeadExportLedger(path, dead); err != nil {
+		t.Fatal(err)
+	}
+	ledger, err := readDeadExportLedger(path)
+	if err != nil || len(ledger) != 2 || ledger["internal/lib.Orphan"] == 0 {
+		t.Fatalf("ledger round trip: %v, %v", ledger, err)
+	}
+}
+
 // TestAllChecks pins the check inventory the CLI validates against.
 func TestAllChecks(t *testing.T) {
 	checks := AllChecks()
-	if len(checks) != len(Analyzers())+1 {
-		t.Fatalf("AllChecks has %d entries for %d analyzers + allocfree", len(checks), len(Analyzers()))
+	if len(checks) != len(Analyzers())+2 {
+		t.Fatalf("AllChecks has %d entries for %d analyzers + allocfree + deadexport", len(checks), len(Analyzers()))
 	}
 	set := map[string]bool{}
 	for _, c := range checks {
 		set[c] = true
 	}
-	for _, want := range []string{"randshare", "intoalias", "selectdet", "allocfree", "maprange"} {
+	for _, want := range []string{"randshare", "intoalias", "selectdet", "allocfree", "deadexport", "maprange"} {
 		if !set[want] {
 			t.Fatalf("AllChecks missing %q: %v", want, checks)
 		}

@@ -2,43 +2,43 @@ package mobility
 
 import "sort"
 
-// MemberIndex is a per-step membership index over a Schedule: it materializes
-// M^t_n for every edge at once, so per-step control logic reads edge members
-// in O(1) per edge instead of rescanning all devices per edge. A full build
-// is a counting pass over the step's device row — O(Devices + Edges) — into
-// pooled per-edge buffers, so steady-state positioning allocates nothing.
+// MemberIndex is a per-step membership index fed by the StepSource protocol:
+// it materializes M^t_n for every covered edge at once, so per-step control
+// logic reads edge members in O(1) per edge instead of rescanning all devices
+// per edge. A full build is a counting pass over the step's attachment row —
+// O(Devices + Edges) — into pooled per-edge buffers, so steady-state
+// positioning allocates nothing.
 //
 // Consecutive steps take an incremental delta path exploiting the trace's
-// spatial locality: only the devices whose edge actually changed are removed
+// spatial locality: only the devices in the step's move stream are removed
 // from their old edge list and inserted into their new one, keeping every
 // list in ascending device order. Each repair shifts O(Devices/Edges)
 // elements, so once a step moves more than about half the covered edge count
 // the counting rebuild is cheaper and the index falls back to it, bounding
 // the worst case at the full-build cost.
 //
-// An index may cover only a contiguous *range* of edges [lo, hi) — see
-// NewMemberIndexRange. Range indexes are how the sharded control plane
-// partitions membership: each shard builds and repairs exactly its own
-// edges' lists, and the union of the shards' indexes is the full index.
-// Whether a list was produced by a full index, a range index, a rebuild or a
-// delta repair, its contents are identical — membership is a pure function
-// of (schedule, step) — so range scoping never affects what callers read.
+// An index covers a contiguous *range* of edges [lo, hi). Range indexes are
+// how the sharded control plane partitions membership: each shard builds and
+// repairs exactly its own edges' lists, and the union of the shards' indexes
+// is the full index. Whether a list was produced by a full index, a range
+// index, a rebuild or a delta repair, its contents are identical —
+// membership is a pure function of the attachment row — so range scoping
+// never affects what callers read.
 //
 // Member lists are ascending in device ID — exactly the order
 // Schedule.MembersAt returns — so decision logic that walks members in order
 // draws its randomness at the same stream offsets as the naive scan.
 //
-// A MemberIndex is not safe for concurrent mutation: Advance must be called
-// from one goroutine, but any number of goroutines may call Members/Count
-// between Advances (the per-step parallel decide phase does exactly that).
+// A MemberIndex is not safe for concurrent mutation: AdvanceWith must be
+// called from one goroutine, but any number of goroutines may call
+// Members/Count between advances (the per-step parallel decide phase does
+// exactly that).
 type MemberIndex struct {
-	s      *Schedule
-	step   int // current step, -1 before the first Advance
+	step   int // current step, -1 before the first AdvanceWith
 	lo, hi int // covered edge range [lo, hi)
 
 	members [][]int // members[n-lo]: devices on edge n at the current step, ascending
 	counts  []int   // counting-pass scratch, one cell per covered edge
-	moved   []int   // delta-pass scratch: devices whose edge change touches the range
 }
 
 // Delta advances rebuild from scratch once more than covered/deltaRebuildDen
@@ -49,32 +49,14 @@ type MemberIndex struct {
 // moved · 2·Devices/Edges < Devices, i.e. moved < Edges/2.
 const deltaRebuildDen = 2
 
-// NewMemberIndex returns an index over every edge of s, positioned at no
-// step. Call Advance before reading members.
-func NewMemberIndex(s *Schedule) *MemberIndex {
-	return NewMemberIndexRange(s, 0, s.Edges)
-}
-
-// NewMemberIndexRange returns an index covering only the edges [lo, hi) of
-// s, positioned at no step. Build and repair cost scale with the range: the
-// counting pass still scans the full device row (membership of a range is
-// not locally decidable) but sizes, fills and repairs only the covered
-// lists. Members/Count must only be asked about edges inside the range.
-func NewMemberIndexRange(s *Schedule, lo, hi int) *MemberIndex {
-	if lo < 0 || hi > s.Edges || lo > hi {
-		panic("mobility: member index range out of bounds")
-	}
-	ix := NewMemberIndexWindow(lo, hi)
-	ix.s = s
-	return ix
-}
-
-// NewMemberIndexWindow returns an index covering the edges [lo, hi) with no
-// schedule bound: the caller feeds it the per-step attachment row and move
-// stream through AdvanceWith. This is the streaming-plane construction — the
-// index holds only its covered member lists plus O(hi-lo) scratch, never a
-// dense schedule. Advance (the schedule-bound entry point) must not be called
-// on a window index.
+// NewMemberIndexWindow returns an index covering the edges [lo, hi),
+// positioned at no step: the caller feeds it the per-step attachment row and
+// move stream through AdvanceWith. The index holds only its covered member
+// lists plus O(hi-lo) scratch, never a dense schedule. Build and repair cost
+// scale with the range: the counting pass still scans the full device row
+// (membership of a range is not locally decidable) but sizes, fills and
+// repairs only the covered lists. Members/Count must only be asked about
+// edges inside the range.
 func NewMemberIndexWindow(lo, hi int) *MemberIndex {
 	if lo < 0 || lo > hi {
 		panic("mobility: member index range out of bounds")
@@ -89,7 +71,7 @@ func NewMemberIndexWindow(lo, hi int) *MemberIndex {
 }
 
 // Step returns the step the index is positioned at, or -1 before the first
-// Advance.
+// AdvanceWith.
 func (ix *MemberIndex) Step() int { return ix.step }
 
 // Lo returns the first covered edge.
@@ -99,39 +81,23 @@ func (ix *MemberIndex) Lo() int { return ix.lo }
 func (ix *MemberIndex) Hi() int { return ix.hi }
 
 // Members returns M^t_n for the current step, ascending in device ID. The
-// slice is owned by the index and valid until the next Advance; callers must
-// not mutate or retain it across Advances. n must lie in the covered range.
+// slice is owned by the index and valid until the next AdvanceWith; callers
+// must not mutate or retain it across advances. n must lie in the covered
+// range.
 func (ix *MemberIndex) Members(n int) []int { return ix.members[n-ix.lo] }
 
 // Count returns |M^t_n| for the current step. n must lie in the covered
 // range.
 func (ix *MemberIndex) Count(n int) int { return len(ix.members[n-ix.lo]) }
 
-// Advance positions the index at step t. Advancing to the current step is a
-// no-op; advancing by exactly one step takes the incremental delta path when
-// few devices moved; any other jump rebuilds by counting sort.
-//
-//machlint:allocfree
-func (ix *MemberIndex) Advance(t int) {
-	switch {
-	case t == ix.step:
-		return
-	case ix.step >= 0 && t == ix.step+1 && ix.advanceDelta(t):
-		return
-	default:
-		ix.rebuild(t)
-	}
-}
-
-// AdvanceWith positions the index at step t from an externally supplied
-// attachment row and move stream — the StepSource protocol — instead of a
-// bound schedule. row is the full device→edge row at step t; moves is the
-// step's move stream when the caller advanced by exactly one step (rebuilt
-// false). A single-step advance repairs only the moves that intersect the
-// covered range — O(moves·log + shifts), no row-vs-row diff — and falls back
-// to the counting rebuild over row when too many covered devices moved.
-// Whether positioned by Advance or AdvanceWith, the member lists are
-// identical: membership is a pure function of the attachment row.
+// AdvanceWith positions the index at step t from the caller's attachment row
+// and move stream — the StepSource protocol. row is the full device→edge row
+// at step t; moves is the step's move stream when the caller advanced by
+// exactly one step (rebuilt false). Advancing to the current step is a no-op.
+// A single-step advance repairs only the moves that intersect the covered
+// range — O(moves·log + shifts), no row-vs-row diff — and falls back to the
+// counting rebuild over row when too many covered devices moved; any other
+// jump rebuilds.
 //
 //machlint:allocfree
 func (ix *MemberIndex) AdvanceWith(t int, row []int, moves []Move, rebuilt bool) {
@@ -148,7 +114,8 @@ func (ix *MemberIndex) AdvanceWith(t int, row []int, moves []Move, rebuilt bool)
 // applyMovesDelta repairs the member lists with one step's move stream,
 // touching only moves that intersect the covered range. It reports false —
 // leaving the index unchanged — when the step moved too many covered devices
-// for a repair to beat a rebuild (same budget as advanceDelta).
+// for a repair to beat a rebuild: a move entirely outside the range costs
+// nothing and does not count against the budget.
 func (ix *MemberIndex) applyMovesDelta(t int, moves []Move) bool {
 	limit := (ix.hi - ix.lo) / deltaRebuildDen
 	covered := 0
@@ -172,11 +139,6 @@ func (ix *MemberIndex) applyMovesDelta(t int, moves []Move) bool {
 	}
 	ix.step = t
 	return true
-}
-
-// rebuild builds the member lists for step t from the bound schedule's row.
-func (ix *MemberIndex) rebuild(t int) {
-	ix.rebuildRow(t, ix.s.edgeOf[t])
 }
 
 // rebuildRow builds the member lists for step t from an explicit attachment
@@ -208,39 +170,6 @@ func (ix *MemberIndex) rebuildRow(t int, row []int) {
 		}
 	}
 	ix.step = t
-}
-
-// advanceDelta repairs the member lists from step t-1 to step t, touching
-// only the devices whose edge change intersects the covered range (a move
-// entirely outside the range costs nothing and does not count against the
-// repair budget). It reports false — leaving the index unchanged — when the
-// step moved too many covered devices for a repair to beat a rebuild.
-func (ix *MemberIndex) advanceDelta(t int) bool {
-	prev, cur := ix.s.edgeOf[t-1], ix.s.edgeOf[t]
-	limit := (ix.hi - ix.lo) / deltaRebuildDen
-	moved := ix.moved[:0]
-	for m := range cur {
-		if cur[m] != prev[m] && (ix.covers(cur[m]) || ix.covers(prev[m])) {
-			if len(moved) >= limit {
-				ix.moved = moved
-				return false
-			}
-			moved = append(moved, m)
-		}
-	}
-	ix.moved = moved
-	for _, m := range moved {
-		if ix.covers(prev[m]) {
-			ix.members[prev[m]-ix.lo] = removeSorted(ix.members[prev[m]-ix.lo], m)
-		}
-	}
-	for _, m := range moved {
-		if ix.covers(cur[m]) {
-			ix.members[cur[m]-ix.lo] = insertSorted(ix.members[cur[m]-ix.lo], m)
-		}
-	}
-	ix.step = t
-	return true
 }
 
 // covers reports whether edge n lies in the index's covered range.

@@ -6,12 +6,38 @@ import (
 	"testing"
 )
 
-// checkIndexMatchesNaive compares the index's view of every edge at the
-// index's current step against the naive MembersAt rescan.
+// scheduleFeed drives a member index from a dense schedule the way the
+// engine does: one AdvanceTo on the schedule's StepSource adapter per seek,
+// the attachment row repaired from the step's moves or resynced from Snapshot
+// after a jump, then AdvanceWith.
+type scheduleFeed struct {
+	s   *Schedule
+	row []int
+}
+
+func (f *scheduleFeed) seek(t testing.TB, ix *MemberIndex, step int) {
+	t.Helper()
+	moves, rebuilt, err := f.s.AdvanceTo(step)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rebuilt || f.row == nil {
+		f.row, rebuilt = f.s.Snapshot(f.row), true
+	} else {
+		ApplyMoves(f.row, moves)
+	}
+	ix.AdvanceWith(step, f.row, moves, rebuilt)
+	if ix.Step() != step {
+		t.Fatalf("index at step %d after seeking %d", ix.Step(), step)
+	}
+}
+
+// checkIndexMatchesNaive compares the index's view of every covered edge at
+// the index's current step against the naive MembersAt rescan.
 func checkIndexMatchesNaive(t *testing.T, ix *MemberIndex, s *Schedule) {
 	t.Helper()
 	step := ix.Step()
-	for n := 0; n < s.Edges; n++ {
+	for n := ix.Lo(); n < ix.Hi(); n++ {
 		want := s.MembersAt(step, n)
 		got := ix.Members(n)
 		if len(want) == 0 && len(got) == 0 {
@@ -65,9 +91,9 @@ func indexSchedules(t *testing.T) map[string]*Schedule {
 func TestMemberIndexMatchesNaiveSequential(t *testing.T) {
 	for name, s := range indexSchedules(t) {
 		t.Run(name, func(t *testing.T) {
-			ix := NewMemberIndex(s)
+			ix, feed := NewMemberIndexWindow(0, s.Edges), scheduleFeed{s: s}
 			for step := 0; step < s.Steps; step++ {
-				ix.Advance(step)
+				feed.seek(t, ix, step)
 				checkIndexMatchesNaive(t, ix, s)
 			}
 		})
@@ -81,9 +107,9 @@ func TestMemberIndexMatchesNaiveRandomJumps(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for name, s := range indexSchedules(t) {
 		t.Run(name, func(t *testing.T) {
-			ix := NewMemberIndex(s)
+			ix, feed := NewMemberIndexWindow(0, s.Edges), scheduleFeed{s: s}
 			for i := 0; i < 3*s.Steps; i++ {
-				ix.Advance(rng.Intn(s.Steps))
+				feed.seek(t, ix, rng.Intn(s.Steps))
 				checkIndexMatchesNaive(t, ix, s)
 			}
 		})
@@ -98,17 +124,17 @@ func TestMemberIndexSteadyStateZeroAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix := NewMemberIndex(s)
+	ix, feed := NewMemberIndexWindow(0, s.Edges), scheduleFeed{s: s}
 	for step := 0; step < s.Steps; step++ { // warm-up grows every buffer
-		ix.Advance(step)
+		feed.seek(t, ix, step)
 	}
 	step := 0
 	allocs := testing.AllocsPerRun(100, func() {
-		ix.Advance(step % s.Steps) // sequential wrap: delta steps + one rebuild jump
+		feed.seek(t, ix, step%s.Steps) // sequential wrap: delta steps + one rebuild jump
 		step++
 	})
 	if allocs != 0 {
-		t.Fatalf("steady-state Advance allocates %v objects per step", allocs)
+		t.Fatalf("steady-state AdvanceWith allocates %v objects per step", allocs)
 	}
 }
 
@@ -183,14 +209,14 @@ func BenchmarkMemberIndexAdvance(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			ix := NewMemberIndex(s)
+			ix, feed := NewMemberIndexWindow(0, s.Edges), scheduleFeed{s: s}
 			for step := 0; step < s.Steps; step++ {
-				ix.Advance(step)
+				feed.seek(b, ix, step)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				ix.Advance(i % s.Steps)
+				feed.seek(b, ix, i%s.Steps)
 			}
 		})
 	}

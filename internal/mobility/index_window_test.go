@@ -5,68 +5,29 @@ import (
 	"testing"
 )
 
-// TestAdvanceWithMatchesAdvance: a window index fed the StepSource protocol
-// (row + move stream) holds exactly the member lists of a schedule-bound
-// index positioned by Advance — through single-step repairs, forced rebuilds
-// (high-churn steps beyond the repair budget) and jumps, across full-range
-// and partial-range coverage.
-func TestAdvanceWithMatchesAdvance(t *testing.T) {
-	// stayProb 0.3 makes many steps exceed the repair budget, so both the
-	// applyMovesDelta and rebuildRow paths are exercised.
-	sched, err := GenerateMarkovSchedule(17, 6, 90, 25, 0.3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ranges := [][2]int{{0, 6}, {2, 5}, {4, 4}}
-	for _, r := range ranges {
-		lo, hi := r[0], r[1]
-		bound := NewMemberIndexRange(sched, lo, hi)
-		window := NewMemberIndexWindow(lo, hi)
-		row := make([]int, sched.Devices)
-
-		// Fresh adapter state: walk a materialized twin so the shared sched
-		// adapter cursor can't leak between subtests.
-		twin, err := Materialize(sched)
+// TestAdvanceWithRangesMatchRescan: an index covering only part of the edge
+// range — a shard's view, down to the empty range — holds exactly the
+// MembersAt rescan of its edges, through single-step repairs, forced rebuilds
+// (high-churn steps beyond the repair budget) and forward jumps.
+func TestAdvanceWithRangesMatchRescan(t *testing.T) {
+	for _, r := range [][2]int{{0, 6}, {2, 5}, {4, 4}} {
+		// stayProb 0.3 makes many steps exceed the repair budget, so both the
+		// applyMovesDelta and rebuildRow paths are exercised. A schedule per
+		// range keeps the adapter cursor from leaking between ranges.
+		sched, err := GenerateMarkovSchedule(17, 6, 90, 25, 0.3)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rng := rand.New(rand.NewSource(int64(lo)))
-		step := 0
-		for i := 0; i < 40; i++ {
-			moves, rebuilt, err := twin.AdvanceTo(step)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if rebuilt || i == 0 {
-				row = twin.Snapshot(row)
-				rebuilt = true
-			} else {
-				ApplyMoves(row, moves)
-			}
-			window.AdvanceWith(step, row, moves, rebuilt)
-			bound.Advance(step)
-			if window.Step() != step || bound.Step() != step {
-				t.Fatalf("positions diverged: window %d bound %d want %d", window.Step(), bound.Step(), step)
-			}
-			for n := lo; n < hi; n++ {
-				got, want := window.Members(n), bound.Members(n)
-				if len(got) != len(want) {
-					t.Fatalf("step %d edge %d: window %d members, bound %d", step, n, len(got), len(want))
-				}
-				for k := range want {
-					if got[k] != want[k] {
-						t.Fatalf("step %d edge %d member %d: window %d, bound %d", step, n, k, got[k], want[k])
-					}
-				}
-			}
+		ix, feed := NewMemberIndexWindow(r[0], r[1]), scheduleFeed{s: sched}
+		rng := rand.New(rand.NewSource(int64(r[0])))
+		for step := 0; step < sched.Steps; {
+			feed.seek(t, ix, step)
+			checkIndexMatchesNaive(t, ix, sched)
 			// Mix of single-step advances (delta/rebuild paths) and jumps.
 			if rng.Intn(4) == 0 {
 				step += 1 + rng.Intn(3)
 			} else {
 				step++
-			}
-			if step >= sched.Steps {
-				break
 			}
 		}
 	}

@@ -287,64 +287,3 @@ func TestLane32RejectsDropout(t *testing.T) {
 		t.Fatal("NewLane32 accepted a Dropout layer")
 	}
 }
-
-// TestLockstepBitIdenticalToTrainStep is the f64 fusion contract: lockstep
-// execution across several networks must equal per-device TrainStep calls
-// bit-for-bit (losses, gradient norms, updated parameters).
-func TestLockstepBitIdenticalToTrainStep(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	const n = 3
-	fusedNets := make([]*Network, n)
-	soloNets := make([]*Network, n)
-	xs := make([]*tensor.Tensor, n)
-	labels := make([][]int, n)
-	fusedOpts := make([]Optimizer, n)
-	for d := 0; d < n; d++ {
-		net := NewMLP("lockstep", 16, []int{16}, 10, rand.New(rand.NewSource(int64(30+d))))
-		fusedNets[d] = net
-		soloNets[d] = net.Clone()
-		x, _, lb := laneTestBatch(rng, 8, 16)
-		xs[d], labels[d] = x, lb
-		fusedOpts[d] = NewSGD(0.05)
-	}
-	var ls Lockstep
-	losses, norms := make([]float64, n), make([]float64, n)
-	for step := 0; step < 3; step++ {
-		ls.Step(fusedNets, xs, labels, fusedOpts, losses, norms)
-		for d := 0; d < n; d++ {
-			soloLoss, soloNorm := soloNets[d].TrainStep(xs[d], labels[d], NewSGD(0.05))
-			if losses[d] != soloLoss || norms[d] != soloNorm {
-				t.Fatalf("step %d net %d: lockstep (loss %v, norm %v) != solo (loss %v, norm %v)",
-					step, d, losses[d], norms[d], soloLoss, soloNorm)
-			}
-			fp, sp := fusedNets[d].ParamVector(), soloNets[d].ParamVector()
-			for i := range fp {
-				if math.Float64bits(fp[i]) != math.Float64bits(sp[i]) {
-					t.Fatalf("step %d net %d param %d: lockstep %v != solo %v", step, d, i, fp[i], sp[i])
-				}
-			}
-		}
-	}
-}
-
-// TestLockstepSingleEqualsTrainStep: the one-device property — fusing a
-// single network is exactly the unfused step.
-func TestLockstepSingleEqualsTrainStep(t *testing.T) {
-	rng := rand.New(rand.NewSource(22))
-	fused := NewMLP("single", 16, []int{16}, 10, rng)
-	solo := fused.Clone()
-	x, _, labels := laneTestBatch(rng, 8, 16)
-	var ls Lockstep
-	losses, norms := make([]float64, 1), make([]float64, 1)
-	ls.Step([]*Network{fused}, []*tensor.Tensor{x}, [][]int{labels}, []Optimizer{NewSGD(0.05)}, losses, norms)
-	soloLoss, soloNorm := solo.TrainStep(x, labels, NewSGD(0.05))
-	if losses[0] != soloLoss || norms[0] != soloNorm {
-		t.Fatalf("lockstep (loss %v, norm %v) != TrainStep (loss %v, norm %v)", losses[0], norms[0], soloLoss, soloNorm)
-	}
-	fp, sp := fused.ParamVector(), solo.ParamVector()
-	for i := range fp {
-		if fp[i] != sp[i] {
-			t.Fatalf("param %d: lockstep %v != TrainStep %v", i, fp[i], sp[i])
-		}
-	}
-}

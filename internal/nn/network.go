@@ -9,8 +9,8 @@ import (
 )
 
 // Network is an ordered stack of layers trained with softmax cross-entropy.
-// Networks are not safe for concurrent use; every device in the simulator
-// owns its own instance and exchanges flat parameter vectors.
+// Networks are not safe for concurrent use; in the simulator every worker
+// trains on its own replica and exchanges flat parameter vectors.
 type Network struct {
 	name   string
 	layers []Layer
@@ -66,26 +66,21 @@ func (n *Network) Params() []*Param {
 
 // backwardParams is Backward for a training step, where nothing reads the
 // gradient with respect to the network input: the first layer that holds
-// parameters skips its input-gradient product (often the step's largest),
-// and the parameterless layers below it do not run at all.
+// parameters skips its input-gradient product (often the step's largest)
+// when it knows how (Conv2D, Dense), and the parameterless layers below it
+// do not run at all.
 func (n *Network) backwardParams(grad *tensor.Tensor) {
 	n.Params() // resolves n.first
 	for i := len(n.layers) - 1; i > n.first; i-- {
 		grad = n.layers[i].Backward(grad)
 	}
-	backwardParamsOnly(n.layers[n.first], grad)
-}
-
-// backwardParamsOnly accumulates l's parameter gradients, leaving its input
-// gradient unformed when the layer knows how (Conv2D, Dense).
-func backwardParamsOnly(l Layer, grad *tensor.Tensor) {
-	if pl, ok := l.(interface {
+	if pl, ok := n.layers[n.first].(interface {
 		backward(grad *tensor.Tensor, needDx bool) *tensor.Tensor
 	}); ok {
 		pl.backward(grad, false)
 		return
 	}
-	l.Backward(grad)
+	n.layers[n.first].Backward(grad)
 }
 
 // ZeroGrad clears all accumulated parameter gradients.

@@ -8,8 +8,8 @@
 // All layers follow a simple contract: Forward caches whatever Backward
 // needs, and Backward must be called with the gradient of the loss with
 // respect to Forward's most recent output. Networks therefore are not safe
-// for concurrent use; in the HFL simulator every device owns its own Network
-// instance.
+// for concurrent use; in the HFL simulator every concurrent local update
+// borrows its own Network replica.
 package nn
 
 import (

@@ -13,7 +13,7 @@ go vet ./...
 echo "== go build ./..."
 go build ./...
 
-echo "== machlint ./... (DESIGN.md §5.5 invariants)"
+echo "== machlint ./... (DESIGN.md §5.5 invariants, allocfree budget, deadexport ledger)"
 lint_t0=$(date +%s)
 go run ./cmd/machlint ./...
 lint_t1=$(date +%s)
@@ -46,7 +46,7 @@ go test -race -short -run 'TestRunBitIdenticalAcrossShardCounts|TestShardedMatch
 
 echo "== streaming-vs-dense bit-identity smoke (StepSource plane, DESIGN.md §12)"
 go test -count=1 -run 'TestRunStreamingMatchesDenseBitIdentical|TestTransitionStatsAreObservationOnly' ./internal/hfl
-go test -count=1 -run 'TestMarkovSourceMatchesMaterializedTwin|TestGeoSourcesMatchMaterializedTwin|TestTraceSourceMatchesBuildSchedule|TestAdvanceWithMatchesAdvance' ./internal/mobility
+go test -count=1 -run 'TestMarkovSourceMatchesMaterializedTwin|TestGeoSourcesMatchMaterializedTwin|TestTraceSourceMatchesBuildSchedule|TestAdvanceWithRangesMatchRescan' ./internal/mobility
 
 echo "== go test -race (sharded engine on a streaming source)"
 go test -race -count=1 -run 'TestRunStreamingMatchesDenseBitIdentical' ./internal/hfl
