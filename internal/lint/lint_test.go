@@ -294,3 +294,24 @@ func TestSortDiagnostics(t *testing.T) {
 		}
 	}
 }
+
+// TestLoadDirHonoursBuildConstraints loads a package whose two files declare
+// the same symbols under complementary //go:build lines. Exactly one belongs
+// to the host build; parsing both would type-check as redeclarations and the
+// resulting TypeErrors could hide findings.
+func TestLoadDirHonoursBuildConstraints(t *testing.T) {
+	units, err := NewLoader().LoadDir("testdata/src/buildtags", "testdata/src/buildtags")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(units) != 1 {
+		t.Fatalf("fixture loaded as %d units, want 1", len(units))
+	}
+	u := units[0]
+	for _, terr := range u.TypeErrors {
+		t.Errorf("constrained twins must load as one declaration set: %v", terr)
+	}
+	if len(u.Files) != 2 {
+		t.Errorf("loaded %d files, want 2 (use.go and the host's twin)", len(u.Files))
+	}
+}

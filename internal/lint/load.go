@@ -4,6 +4,7 @@ import (
 	"flag"
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -43,17 +44,23 @@ type Unit struct {
 type Loader struct {
 	fset *token.FileSet
 	imp  types.Importer
+	// ctxt decides which files belong to the build: the host GOOS/GOARCH
+	// and the default tags, the same context the source importer resolves
+	// imports with.
+	ctxt build.Context
 }
 
 func NewLoader() *Loader {
 	fset := token.NewFileSet()
-	return &Loader{fset: fset, imp: importer.ForCompiler(fset, "source", nil)}
+	return &Loader{fset: fset, imp: importer.ForCompiler(fset, "source", nil), ctxt: build.Default}
 }
 
-// LoadDir parses every .go file in dir and type-checks it as up to two
-// units: the primary package (including in-package tests) and, when
-// present, the external _test package. path is the package path recorded
-// on the units.
+// LoadDir parses the .go files in dir that the host build would compile —
+// file-name suffixes and //go:build lines are honoured, so an _amd64.go /
+// generic twin pair loads as one set of declarations, not a redeclaration —
+// and type-checks them as up to two units: the primary package (including
+// in-package tests) and, when present, the external _test package. path is
+// the package path recorded on the units.
 func (l *Loader) LoadDir(dir, path string) ([]*Unit, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -66,7 +73,13 @@ func (l *Loader) LoadDir(dir, path string) ([]*Unit, error) {
 			strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
 			continue
 		}
-		names = append(names, name)
+		match, err := l.ctxt.MatchFile(dir, name)
+		if err != nil {
+			return nil, fmt.Errorf("lint: build constraints of %s: %w", filepath.Join(dir, name), err)
+		}
+		if match {
+			names = append(names, name)
+		}
 	}
 	sort.Strings(names)
 

@@ -166,32 +166,52 @@ func (p *MaxPool2) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		p.inShape = append(p.inShape[:0], x.Shape()...)
 	}
 	xd, od := x.Data(), out.Data()
-	oi := 0
-	for bc := 0; bc < b*c; bc++ {
-		plane := bc * h * w
-		for oy := 0; oy < oh; oy++ {
-			rowTop := plane + 2*oy*w
-			for ox := 0; ox < ow; ox++ {
-				i0 := rowTop + 2*ox
-				best, bestIdx := xd[i0], i0
-				if v := xd[i0+1]; v > best {
-					best, bestIdx = v, i0+1
-				}
-				if v := xd[i0+w]; v > best {
-					best, bestIdx = v, i0+w
-				}
-				if v := xd[i0+w+1]; v > best {
-					best, bestIdx = v, i0+w+1
-				}
-				od[oi] = best
-				if train {
-					p.argmax[oi] = bestIdx
-				}
-				oi++
-			}
+	// Output row r pools input rows 2r and 2r+1. arg stays nil outside
+	// training: the row kernel then records no indices.
+	var arg []int
+	for r := 0; r < b*c*oh; r++ {
+		if train {
+			arg = p.argmax[r*ow:][:ow]
 		}
+		maxPoolRow(od[r*ow:][:ow], arg, xd[2*r*w:][:w], xd[(2*r+1)*w:][:w], 2*r*w)
 	}
 	return out
+}
+
+// maxPoolRow pools the input rows top and bot (top starting at flat index
+// base) into out and, unless arg is nil, records the flat index of each
+// maximum in arg: the first one under strict > in (top-left, top-right,
+// bottom-left, bottom-right) order, so a NaN never wins a comparison. On ReLU
+// outputs those comparisons are coin flips a branch predictor cannot learn, so
+// the running maximum is carried as bits and every candidate is computed
+// before the comparisons: each step then compiles to conditional moves.
+func maxPoolRow(out []float64, arg []int, top, bot []float64, base int) {
+	w := len(top)
+	bot = bot[:w]
+	for ox := range out {
+		j := 2 * ox
+		if j+1 >= w { // never taken (len(out) is w/2); it proves the four loads in bounds
+			break
+		}
+		i0 := base + j
+		i1, i2, i3 := i0+1, i0+w, i0+w+1
+		t1, u0, u1 := top[j+1], bot[j], bot[j+1]
+		b1, b2, b3 := math.Float64bits(t1), math.Float64bits(u0), math.Float64bits(u1)
+		best, bestIdx := math.Float64bits(top[j]), i0
+		if t1 > math.Float64frombits(best) {
+			best, bestIdx = b1, i1
+		}
+		if u0 > math.Float64frombits(best) {
+			best, bestIdx = b2, i2
+		}
+		if u1 > math.Float64frombits(best) {
+			best, bestIdx = b3, i3
+		}
+		out[ox] = math.Float64frombits(best)
+		if arg != nil {
+			arg[ox] = bestIdx
+		}
+	}
 }
 
 // Backward implements Layer.

@@ -55,14 +55,25 @@ func Im2ColInto(dst, x *Tensor, g ConvGeom) {
 	if dst.Rank() != 2 || dst.shape[0] != rows || dst.shape[1] != cols {
 		panic(fmt.Sprintf("tensor: Im2ColInto dst %v does not match geometry %+v", dst.shape, g))
 	}
-	out := dst
-	out.Zero()
+	if g.Stride == 1 {
+		im2ColStride1(dst.data, x.data, g)
+		return
+	}
+	im2ColGeneral(dst.data, x.data, g)
+}
+
+// im2ColGeneral is the any-stride lowering: zero everything, then one bounds
+// test per element.
+func im2ColGeneral(out, x []float64, g ConvGeom) {
+	outH, outW := g.OutH(), g.OutW()
+	cols := outH * outW
+	clear(out)
 	for c := 0; c < g.InC; c++ {
 		chOff := c * g.InH * g.InW
 		for ky := 0; ky < g.K; ky++ {
 			for kx := 0; kx < g.K; kx++ {
 				row := (c*g.K+ky)*g.K + kx
-				dst := out.data[row*cols : (row+1)*cols]
+				dst := out[row*cols : (row+1)*cols]
 				for oy := 0; oy < outH; oy++ {
 					iy := oy*g.Stride + ky - g.Pad
 					if iy < 0 || iy >= g.InH {
@@ -74,9 +85,65 @@ func Im2ColInto(dst, x *Tensor, g ConvGeom) {
 						if ix < 0 || ix >= g.InW {
 							continue
 						}
-						dst[oy*outW+ox] = x.data[srcRow+ix]
+						dst[oy*outW+ox] = x[srcRow+ix]
 					}
 				}
+			}
+		}
+	}
+}
+
+// stride1Range returns the output positions [lo, hi) along one axis whose
+// input position o+kPos-pad falls inside [0, in) at stride 1; the positions
+// outside it read padding. The range is clamped into [0, out] and may be
+// empty (a kernel wider than the input).
+func stride1Range(kPos, pad, in, out int) (lo, hi int) {
+	lo = min(max(pad-kPos, 0), out)
+	hi = max(min(in+pad-kPos, out), lo)
+	return lo, hi
+}
+
+// im2ColStride1 lowers a stride-1 geometry run by run: at stride 1 the
+// in-bounds outputs of one (ky, kx, oy) are one contiguous run of an input row,
+// and the padding cells between two runs (the right edge of one output row and
+// the left edge of the next) are contiguous too. So each matrix row is a head
+// of padding, copies with short gaps of padding between them, and a tail of
+// padding; when input and output rows have the same width the copies abut in
+// the source as well and become one. Every cell of out is written.
+func im2ColStride1(out, x []float64, g ConvGeom) {
+	outH, outW := g.OutH(), g.OutW()
+	cols := outH * outW
+	for c := 0; c < g.InC; c++ {
+		chOff := c * g.InH * g.InW
+		for ky := 0; ky < g.K; ky++ {
+			yLo, yHi := stride1Range(ky, g.Pad, g.InH, outH)
+			for kx := 0; kx < g.K; kx++ {
+				xLo, xHi := stride1Range(kx, g.Pad, g.InW, outW)
+				row := (c*g.K+ky)*g.K + kx
+				dst := out[row*cols : (row+1)*cols]
+				if xLo == xHi || yLo == yHi {
+					clear(dst)
+					continue
+				}
+				// Output cell oy·outW+ox reads x[src + oy·InW + ox].
+				src := chOff + (ky-g.Pad)*g.InW + kx - g.Pad
+				start, end := yLo*outW+xLo, (yHi-1)*outW+xHi
+				clear(dst[:start])
+				if outW == g.InW {
+					copy(dst[start:end], x[src+start:])
+				} else {
+					for oy := yLo; oy < yHi; oy++ {
+						copy(dst[oy*outW+xLo:oy*outW+xHi], x[src+oy*g.InW+xLo:])
+					}
+				}
+				// A gap is at most 2·Pad cells, fewer than a clear call costs;
+				// after the single copy it holds wrapped-around input.
+				for oy := yLo; oy < yHi-1; oy++ {
+					for i := oy*outW + xHi; i < (oy+1)*outW+xLo; i++ {
+						dst[i] = 0
+					}
+				}
+				clear(dst[end:])
 			}
 		}
 	}
@@ -107,12 +174,24 @@ func Col2ImInto(img, cols *Tensor, g ConvGeom) {
 		panic(fmt.Sprintf("tensor: Col2ImInto dst %v does not match geometry %+v", img.shape, g))
 	}
 	img.Zero()
+	if g.Stride == 1 {
+		col2ImStride1(img.data, cols.data, g)
+		return
+	}
+	col2ImGeneral(img.data, cols.data, g)
+}
+
+// col2ImGeneral is the any-stride scatter onto a zeroed img, one bounds test
+// per element.
+func col2ImGeneral(img, cols []float64, g ConvGeom) {
+	outH, outW := g.OutH(), g.OutW()
+	n := outH * outW
 	for c := 0; c < g.InC; c++ {
 		chOff := c * g.InH * g.InW
 		for ky := 0; ky < g.K; ky++ {
 			for kx := 0; kx < g.K; kx++ {
 				row := (c*g.K+ky)*g.K + kx
-				src := cols.data[row*n : (row+1)*n]
+				src := cols[row*n : (row+1)*n]
 				for oy := 0; oy < outH; oy++ {
 					iy := oy*g.Stride + ky - g.Pad
 					if iy < 0 || iy >= g.InH {
@@ -124,7 +203,37 @@ func Col2ImInto(img, cols *Tensor, g ConvGeom) {
 						if ix < 0 || ix >= g.InW {
 							continue
 						}
-						img.data[dstRow+ix] += src[oy*outW+ox]
+						img[dstRow+ix] += src[oy*outW+ox]
+					}
+				}
+			}
+		}
+	}
+}
+
+// col2ImStride1 scatters a stride-1 geometry onto a zeroed img as one slice
+// add per (c, ky, kx, oy) over the in-bounds run of stride1Range. The outer
+// (c, ky, kx) order and the ascending oy, ox within it are those of
+// col2ImGeneral, so every pixel receives its addends in the same order.
+func col2ImStride1(img, cols []float64, g ConvGeom) {
+	outH, outW := g.OutH(), g.OutW()
+	n := outH * outW
+	for c := 0; c < g.InC; c++ {
+		chOff := c * g.InH * g.InW
+		for ky := 0; ky < g.K; ky++ {
+			yLo, yHi := stride1Range(ky, g.Pad, g.InH, outH)
+			for kx := 0; kx < g.K; kx++ {
+				xLo, xHi := stride1Range(kx, g.Pad, g.InW, outW)
+				if xLo == xHi {
+					continue
+				}
+				row := (c*g.K+ky)*g.K + kx
+				src := cols[row*n : (row+1)*n]
+				for oy := yLo; oy < yHi; oy++ {
+					seg := src[oy*outW+xLo : oy*outW+xHi]
+					dst := img[chOff+(oy+ky-g.Pad)*g.InW+xLo+kx-g.Pad:][:len(seg)]
+					for i, v := range seg {
+						dst[i] += v
 					}
 				}
 			}

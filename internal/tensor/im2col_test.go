@@ -1,6 +1,8 @@
 package tensor
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -146,4 +148,41 @@ func TestIm2ColShapeMismatchPanics(t *testing.T) {
 	}()
 	g := ConvGeom{InC: 2, InH: 4, InW: 4, K: 3, Stride: 1, Pad: 1}
 	Im2Col(New(1, 4, 4), g)
+}
+
+// TestStride1PathsMatchGeneralLoop compares the stride-1 im2col/col2im fast
+// paths with the any-stride loops bit for bit, over every padding-vs-kernel
+// relation (no padding, padding narrower and wider than the input, a kernel
+// wider than the image) on non-square images. Destinations start dirty where
+// the callee owns the clearing; ±0, ±Inf and NaN cells must land unchanged.
+func TestStride1PathsMatchGeneralLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	special := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN()}
+	for _, hw := range [][2]int{{1, 1}, {2, 5}, {5, 2}, {6, 9}, {16, 16}} {
+		for _, k := range []int{1, 3, 5} {
+			for _, pad := range []int{0, 1, 2} {
+				g := ConvGeom{InC: 2, InH: hw[0], InW: hw[1], K: k, Stride: 1, Pad: pad}
+				if g.Validate() != nil {
+					continue
+				}
+				x := Randn(rng, 1, g.InC, g.InH, g.InW)
+				for i := range x.data {
+					if rng.Intn(5) == 0 {
+						x.data[i] = special[rng.Intn(len(special))]
+					}
+				}
+				rows, n := g.InC*k*k, g.OutH()*g.OutW()
+				want, got := Full(7, rows, n), Full(-7, rows, n)
+				im2ColGeneral(want.data, x.data, g)
+				im2ColStride1(got.data, x.data, g)
+				requireSameBits(t, fmt.Sprintf("im2col %+v", g), got, want)
+
+				cols := Randn(rng, 1, rows, n)
+				wantImg, gotImg := New(g.InC, g.InH, g.InW), New(g.InC, g.InH, g.InW)
+				col2ImGeneral(wantImg.data, cols.data, g)
+				col2ImStride1(gotImg.data, cols.data, g)
+				requireSameBits(t, fmt.Sprintf("col2im %+v", g), gotImg, wantImg)
+			}
+		}
+	}
 }

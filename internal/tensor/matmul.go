@@ -111,28 +111,39 @@ func matMulBlocked(dst, a, b []float64, i0, i1, k, n int) {
 // foldRows adds Σ_t vs[t]·b[ps[t],:] onto drow, term by term in ascending t.
 // Four b rows are folded per pass over drow as the left-associated chain
 // (((d+v0·b0)+v1·b1)+v2·b2)+v3·b3 — the same additions in the same order as
-// four single passes, with a quarter of the drow loads and stores.
+// four single passes, with a quarter of the drow loads and stores. Columns are
+// independent, so where the vector kernel exists it takes every whole group of
+// four columns and the loops below fold only the n%4 that remain.
 //
 //machlint:noalias drow,b
 //machlint:allocfree
 func foldRows(drow, b []float64, ps []int, vs []float64) {
 	n := len(drow)
 	vs = vs[:len(ps)]
+	jv := 0 // columns [0, jv) are folded by the vector kernel
+	if useAVX2 && n >= 4 && len(ps) > 0 {
+		jv = n &^ 3
+		foldTermsAVX2(&drow[0], &b[0], &ps[0], &vs[0], len(ps), jv, n)
+	}
+	d := drow[jv:]
+	if len(d) == 0 {
+		return
+	}
 	t := 0
 	for ; t+4 <= len(ps); t += 4 {
 		v0, v1, v2, v3 := vs[t], vs[t+1], vs[t+2], vs[t+3]
-		b0 := b[ps[t]*n:][:n]
-		b1 := b[ps[t+1]*n:][:n]
-		b2 := b[ps[t+2]*n:][:n]
-		b3 := b[ps[t+3]*n:][:n]
-		for j, d := range drow {
-			drow[j] = (((d + v0*b0[j]) + v1*b1[j]) + v2*b2[j]) + v3*b3[j]
+		b0 := b[ps[t]*n+jv:][:len(d)]
+		b1 := b[ps[t+1]*n+jv:][:len(d)]
+		b2 := b[ps[t+2]*n+jv:][:len(d)]
+		b3 := b[ps[t+3]*n+jv:][:len(d)]
+		for j, dv := range d {
+			d[j] = (((dv + v0*b0[j]) + v1*b1[j]) + v2*b2[j]) + v3*b3[j]
 		}
 	}
 	for ; t < len(ps); t++ {
 		v := vs[t]
-		for j, bv := range b[ps[t]*n:][:n] {
-			drow[j] += v * bv
+		for j, bv := range b[ps[t]*n+jv:][:len(d)] {
+			d[j] += v * bv
 		}
 	}
 }
@@ -245,17 +256,47 @@ func matMulTransBDispatch(dst, a, b []float64, m, k, n int) {
 }
 
 // matMulTransBRows writes dst rows [i0, i1) of a·bᵀ. Every element is an
-// independent dot product accumulated in ascending p, so row partitioning
-// and output tiling cannot change results: a 2-row × 3-column tile runs six
-// such dots side by side, each a/b load feeding several of them. Six is the
-// most that stays in registers — the compiler holds a product per running
-// sum, and a 2×4 tile's sixteen values spill a sum to the stack inside its
-// own add chain. An odd last row pairs with itself (its values are stored
-// twice). Each element is written exactly once per row, so dst needs no
-// zeroing.
+// independent dot product accumulated from +0 in ascending p, so row
+// partitioning and output tiling cannot change results. Where the vector
+// kernel exists it takes every whole 8-row × 4-column tile over the first
+// k&^3 terms and the k%4 last terms are added onto its sums here; the rows
+// and columns outside those tiles are whole dots in transBDots. Each element
+// is written before it is read, so dst needs no zeroing.
 //
 //machlint:allocfree
 func matMulTransBRows(dst, a, b []float64, i0, i1, k, n int) {
+	iv, jv := i0, 0 // rows [i0, iv) × columns [0, jv) are done by the vector kernel
+	if useAVX2 && n >= 4 {
+		jv = n &^ 3
+		k4 := k &^ 3
+		for ; iv+8 <= i1; iv += 8 {
+			transBTilesAVX2(&dst[iv*n], &a[iv*k], &b[0], k4, k, n, jv/4)
+			if k4 == k {
+				continue
+			}
+			for i := iv; i < iv+8; i++ {
+				arow, drow := a[i*k+k4:(i+1)*k], dst[i*n:][:jv]
+				for j := range drow {
+					s := drow[j]
+					for p, bv := range b[j*k+k4 : (j+1)*k] {
+						s += arow[p] * bv
+					}
+					drow[j] = s
+				}
+			}
+		}
+	}
+	transBDots(dst, a, b, i0, iv, jv, n, k, n)
+	transBDots(dst, a, b, iv, i1, 0, n, k, n)
+}
+
+// transBDots writes the block rows [i0, i1) × columns [j0, j1) of a·bᵀ as a
+// 2-row × 3-column tile of dots running side by side, each a/b load feeding
+// several of them. Six is the most that stays in registers — the compiler
+// holds a product per running sum, and a 2×4 tile's sixteen values spill a
+// sum to the stack inside its own add chain. An odd last row pairs with
+// itself (its values are stored twice).
+func transBDots(dst, a, b []float64, i0, i1, j0, j1, k, n int) {
 	for i := i0; i < i1; i += 2 {
 		ii := i + 1
 		if ii == i1 {
@@ -263,8 +304,8 @@ func matMulTransBRows(dst, a, b []float64, i0, i1, k, n int) {
 		}
 		a0, a1 := a[i*k:][:k], a[ii*k:][:k]
 		d0, d1 := dst[i*n:][:n], dst[ii*n:][:n]
-		j := 0
-		for ; j+3 <= n; j += 3 {
+		j := j0
+		for ; j+3 <= j1; j += 3 {
 			b0, b1, b2 := b[j*k:][:k], b[(j+1)*k:][:k], b[(j+2)*k:][:k]
 			var s00, s01, s02, s10, s11, s12 float64
 			for p, x0 := range a0 {
@@ -279,7 +320,7 @@ func matMulTransBRows(dst, a, b []float64, i0, i1, k, n int) {
 			d0[j], d0[j+1], d0[j+2] = s00, s01, s02
 			d1[j], d1[j+1], d1[j+2] = s10, s11, s12
 		}
-		for ; j < n; j++ {
+		for ; j < j1; j++ {
 			brow := b[j*k:][:k]
 			var s0, s1 float64
 			for p, x0 := range a0 {

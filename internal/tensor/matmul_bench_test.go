@@ -240,3 +240,17 @@ func BenchmarkGEMMTrainShapes(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkMachinePeakF64 measures the arithmetic ceiling of the vector f64
+// kernels on this machine: independent register-only VMULPD/VADDPD pairs with
+// no loads, stores or FMA, reported in the GFLOP/s of the rows above.
+func BenchmarkMachinePeakF64(b *testing.B) {
+	if !useAVX2 {
+		b.Skip("no vector kernels in this build")
+	}
+	const iters = 1 << 16 // 128 flops each
+	for i := 0; i < b.N; i++ {
+		machinePeakAVX2(iters)
+	}
+	b.ReportMetric(128*iters*float64(b.N)/float64(b.Elapsed().Nanoseconds()), "GFLOP/s")
+}

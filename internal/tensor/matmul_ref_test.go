@@ -76,17 +76,43 @@ func plantZeros(rng *rand.Rand, t *Tensor) {
 	}
 }
 
-// kernelSweepShapes are (m, k, n) triples covering the tile tails (odd m,
-// n%3≠0, k%4≠0, k<4, 1×1×1), the training shapes, every block boundary and a
-// product above mmParallelFlops that takes the row-parallel path.
-var kernelSweepShapes = [][3]int{
+// kernelSweepShapes are (m, k, n) triples covering the scalar tile tails (odd
+// m, n%3≠0, k%4≠0, k<4, 1×1×1), the training shapes, every block boundary, a
+// product above mmParallelFlops that takes the row-parallel path, and — in
+// vectorTailShapes — every tail of the vector kernels.
+var kernelSweepShapes = append([][3]int{
 	{1, 1, 1}, {1, 3, 1}, {2, 2, 3}, {2, 4, 4}, {3, 5, 7}, {5, 2, 9}, {7, 13, 10}, {4, 8, 8},
+	{8, 3, 5}, {9, 1, 4}, // k < 4 under a full vector tile: its sums are the k tail alone
 	{8, 9, 256}, {16, 72, 64}, {8, 256, 64}, {9, 8, 256}, {64, 8, 256},
 	{mmBlockI - 1, mmBlockK - 1, 17},
 	{mmBlockI, mmBlockK, 16},
 	{mmBlockI + 1, mmBlockK + 1, 9},
 	{2*mmBlockI + 3, 2*mmBlockK + 5, 6},
 	{160, 160, 160},
+}, vectorTailShapes()...)
+
+// vectorTailShapes crosses m around the 8-row tile (row tail, one and two
+// tiles), k around the 4-term quad (k tail of a·bᵀ, single-term tail of the
+// fold) and n around the 4- and 8-column lane groups, so every combination of
+// full tile, row tail, column tail and k tail of both vector kernels occurs.
+func vectorTailShapes() [][3]int {
+	var shapes [][3]int
+	for _, m := range []int{7, 8, 9, 15, 16, 17} {
+		for _, k := range []int{4, 5, 7, 8} {
+			for _, n := range []int{4, 5, 6, 7, 8, 9, 10} {
+				shapes = append(shapes, [3]int{m, k, n})
+			}
+		}
+	}
+	return shapes
+}
+
+// offsetBy1 returns a tensor equal to t whose storage starts one element into
+// a larger buffer, so its rows sit at addresses no vector load is aligned to.
+func offsetBy1(t *Tensor) *Tensor {
+	buf := make([]float64, len(t.data)+1)
+	copy(buf[1:], t.data)
+	return FromSlice(buf[1:], t.shape...)
 }
 
 // TestTiledKernelsBitIdenticalToReferenceOrder sweeps all three f64 kernels
@@ -132,14 +158,17 @@ func TestTiledKernelsBitIdenticalToReferenceOrder(t *testing.T) {
 			}
 		}
 		requireSameBits(t, "MatMul", MatMul(a, b), want)
-		dirty := Full(math.NaN(), m, n)
-		MatMulInto(dirty, a, b)
+		// The Into forms run on operands one element off any alignment the
+		// allocator gives (the vector kernels use unaligned loads and stores)
+		// and on a dirty destination.
+		dirty := offsetBy1(Full(math.NaN(), m, n))
+		MatMulInto(dirty, offsetBy1(a), offsetBy1(b))
 		requireSameBits(t, "MatMulInto", dirty, want)
 
 		wantA := refMatMulTransAPIJ(at, b)
 		requireSameBits(t, "MatMulTransA", MatMulTransA(at, b), wantA)
-		dirty = Full(math.NaN(), m, n)
-		MatMulTransAInto(dirty, at, b)
+		dirty = offsetBy1(Full(math.NaN(), m, n))
+		MatMulTransAInto(dirty, offsetBy1(at), offsetBy1(b))
 		requireSameBits(t, "MatMulTransAInto", dirty, wantA)
 
 		// a·bᵀ has no skip in the reference, so only finite operands (with
@@ -148,8 +177,18 @@ func TestTiledKernelsBitIdenticalToReferenceOrder(t *testing.T) {
 		plantZeros(rng, bt)
 		wantB := refMatMulTransBDot(a, bt)
 		requireSameBits(t, "MatMulTransB", MatMulTransB(a, bt), wantB)
-		dirty = Full(math.NaN(), m, n)
-		MatMulTransBInto(dirty, a, bt)
+		dirty = offsetBy1(Full(math.NaN(), m, n))
+		MatMulTransBInto(dirty, offsetBy1(a), offsetBy1(bt))
 		requireSameBits(t, "MatMulTransBInto", dirty, wantB)
 	}
+}
+
+// TestKernelPathReported logs which kernels this test binary selected, so a
+// CI log shows whether the sweep above exercised the assembly or the Go loops.
+func TestKernelPathReported(t *testing.T) {
+	path := "go"
+	if useAVX2 {
+		path = "avx2"
+	}
+	t.Logf("tensor kernel path: %s", path)
 }

@@ -7,11 +7,14 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-echo "== go vet ./..."
+echo "== go vet ./... (asmdecl checks internal/tensor/kernels_amd64.s against its Go declarations)"
 go vet ./...
 
 echo "== go build ./..."
 go build ./...
+
+echo "== GOARCH=arm64 go build ./... (the pure-Go kernel fallback compiles)"
+GOARCH=arm64 go build ./...
 
 echo "== machlint ./... (DESIGN.md §5.5 invariants, allocfree budget, deadexport ledger)"
 lint_t0=$(date +%s)
@@ -25,6 +28,9 @@ go run ./cmd/machlint -ledger ./... | diff - lint_ledger.txt \
 
 echo "== go test ./..."
 go test ./...
+
+echo "== go test -tags purego (kernel sweep, layer parity and engine goldens on the pure-Go kernels)"
+go test -tags purego ./internal/tensor ./internal/nn ./internal/hfl
 
 echo "== go test -race ./..."
 go test -race ./...
