@@ -46,4 +46,9 @@ bench-telemetry:
 bench:
 	go test -bench=. -benchmem ./...
 
-.PHONY: check lint lint-ledger test race bench bench-engine bench-comm bench-scale bench-telemetry
+# Non-test source lines per package for the tree excluding benchmark/;
+# `make loc REV=<rev>` adds the per-package delta against a revision.
+loc:
+	./scripts/loc.sh $(REV)
+
+.PHONY: check lint lint-ledger test race bench bench-engine bench-comm bench-scale bench-telemetry loc

@@ -247,9 +247,10 @@ func BenchmarkTensorMatMul64(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	x := tensor.Randn(rng, 1, 64, 64)
 	y := tensor.Randn(rng, 1, 64, 64)
+	dst := tensor.New(64, 64)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tensor.MatMul(x, y)
+		tensor.MatMulInto(dst, x, y)
 	}
 }
 
@@ -294,7 +295,7 @@ func BenchmarkMACHProbabilities(b *testing.B) {
 		b.Fatal(err)
 	}
 	for m := 0; m < 100; m++ {
-		strat.Observe(0, 0, m, []float64{float64(m) + 1})
+		strat.ObserveBatch(0, []int{0}, []int{m}, [][]float64{{float64(m) + 1}})
 	}
 	strat.CloudRound(1)
 	members := make([]int, 10)
@@ -305,9 +306,10 @@ func BenchmarkMACHProbabilities(b *testing.B) {
 		Step: 5, Capacity: 5, Members: members,
 		RNG: rand.New(rand.NewSource(4)),
 	}
+	var q []float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		strat.Probabilities(ctx)
+		q = strat.ProbabilitiesInto(ctx, q)
 	}
 }
 

@@ -45,11 +45,11 @@ func ExampleMACHConfig_Transfer() {
 // ExampleNewUniform shows that any Strategy plugs into the same engine.
 func ExampleNewUniform() {
 	var s mach.Strategy = mach.NewUniform()
-	q := s.Probabilities(&sampling.EdgeContext{
+	q := s.ProbabilitiesInto(&sampling.EdgeContext{
 		Capacity: 2,
 		Members:  []int{4, 7, 9, 11},
 		RNG:      rand.New(rand.NewSource(1)),
-	})
+	}, nil)
 	fmt.Println(q)
 	// Output: [0.5 0.5 0.5 0.5]
 }

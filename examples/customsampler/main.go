@@ -39,33 +39,27 @@ func (*Sticky) Name() string { return "sticky" }
 // plain aggregation path like class-balance does.
 func (*Sticky) Unbiased() bool { return false }
 
-// Probabilities implements sampling.Strategy.
-func (s *Sticky) Probabilities(ctx *sampling.EdgeContext) []float64 {
+// ProbabilitiesInto implements sampling.Strategy: streak scores land in the
+// caller's buffer and are scaled to the capacity in place.
+func (s *Sticky) ProbabilitiesInto(ctx *sampling.EdgeContext, dst []float64) []float64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	scores := make([]float64, len(ctx.Members))
-	for i, m := range ctx.Members {
+	dst = dst[:0]
+	total := 0.0
+	for _, m := range ctx.Members {
 		if last, ok := s.lastEdge[m]; ok && last == ctx.Edge {
 			s.streak[m]++
 		} else {
 			s.streak[m] = 1
 		}
 		s.lastEdge[m] = ctx.Edge
-		scores[i] = s.streak[m]
+		dst = append(dst, s.streak[m])
+		total += s.streak[m]
 	}
-	total := 0.0
-	for _, v := range scores {
-		total += v
+	for i, v := range dst {
+		dst[i] = min(1, ctx.Capacity*v/total)
 	}
-	out := make([]float64, len(scores))
-	for i, v := range scores {
-		q := ctx.Capacity * v / total
-		if q > 1 {
-			q = 1
-		}
-		out[i] = q
-	}
-	return out
+	return dst
 }
 
 func main() {
@@ -120,6 +114,6 @@ func run() error {
 	fmt.Printf("  sticky (custom)  %.3f\n", sticky)
 	fmt.Printf("  uniform          %.3f\n", uniform)
 	fmt.Printf("  mach             %.3f\n", mach)
-	fmt.Println("\nimplementing sampling.Strategy is all a new sampler needs.")
+	fmt.Println("\nthe three methods of sampling.Strategy are all a new sampler needs.")
 	return nil
 }

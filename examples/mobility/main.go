@@ -118,9 +118,11 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	mach.Observe(0, 0, 7, []float64{4, 4, 4}) // device 7 trains at edge 0
+	mach.ObserveBatch(0, []int{0}, []int{7}, [][]float64{{4, 4, 4}}) // device 7 trains at edge 0
 	mach.CloudRound(1)
+	var estimate [1]float64
+	mach.Book().UCBEstimatesInto(estimate[:], []int{7}, 10)
 	fmt.Printf("\nMACH estimate for device 7 after it moves to edge 3: %.2f (experience retained)\n",
-		mach.Book().UCBEstimate(7, 10))
+		estimate[0])
 	return nil
 }

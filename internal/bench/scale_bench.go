@@ -245,13 +245,41 @@ func (r *coinRNG) Float64() float64 {
 	return float64(z>>11) / float64(1<<53)
 }
 
+// scaleObs buffers (edge, device, norm) observations — one synthetic norm per
+// sampled device — until its owner flushes them into the strategy as one
+// batch.
+type scaleObs struct {
+	edges, devs []int
+	normStore   []float64   // flat backing for norms, one per record
+	norms       [][]float64 // subslices of normStore, built at flush
+}
+
+func (o *scaleObs) add(n, m int, norm float64) {
+	o.edges = append(o.edges, n)
+	o.devs = append(o.devs, m)
+	o.normStore = append(o.normStore, norm)
+}
+
+// flush delivers the buffered observations as one ObserveBatch (one book
+// lock) and empties the buffer.
+func (o *scaleObs) flush(strat *sampling.MACH, t int) {
+	if len(o.devs) == 0 {
+		return
+	}
+	o.norms = o.norms[:0]
+	for i := range o.normStore {
+		o.norms = append(o.norms, o.normStore[i:i+1])
+	}
+	strat.ObserveBatch(t, o.edges, o.devs, o.norms)
+	o.edges, o.devs, o.normStore = o.edges[:0], o.devs[:0], o.normStore[:0]
+}
+
 // scaleDecideState is one edge's pooled control-plane machinery in the
 // indexed mode, mirroring hfl's edgeDecideState.
 type scaleDecideState struct {
-	coin    coinRNG
 	ctx     sampling.EdgeContext
 	probs   []float64
-	normBuf [1]float64
+	obs     scaleObs
 	sampled int64 // devices sampled by this edge in the current step
 }
 
@@ -260,6 +288,8 @@ type scaleDecideState struct {
 // draws the sampling coins in member order from per-edge coinRNG streams, and
 // feeds synthetic gradient norms of the sampled devices back into the
 // experience book. No models exist; everything measured is control plane.
+// Every mode runs the same decideEdge; they differ in where an edge's members
+// come from, whether its state is pooled, and when observations are flushed.
 //
 // The mobility plane is a mobility.StepSource either way: streaming rows use
 // the MarkovSource window directly, dense rows Materialize the same source
@@ -270,12 +300,9 @@ type scaleDecideState struct {
 type scaleEngine struct {
 	cfg   ScaleConfig
 	sched *mobility.Schedule // dense rows only; nil when streaming
-	src   mobility.StepSource
 
-	// Mobility window threaded into the member indexes, maintained by
-	// advance() exactly as hfl.Engine.advanceMobility does.
-	row         []int
-	srcPos      int
+	// Mobility window threaded into the member indexes, as in hfl.Engine.
+	win         *mobility.Window
 	stepMoves   []mobility.Move
 	stepRebuilt bool
 	// mobilityBytes is the GC'd HeapAlloc delta around schedule/source
@@ -297,11 +324,7 @@ type scaleShard struct {
 	lo, hi  int
 	index   *mobility.MemberIndex
 	sampled int64
-
-	obsEdges  []int
-	obsDevs   []int
-	normStore []float64   // flat backing for obsNorms, one norm per record
-	obsNorms  [][]float64 // subslices of normStore, built after all appends
+	obs     scaleObs
 }
 
 func newScaleEngine(cfg ScaleConfig, cell ScaleCell, steps int, streaming bool) (*scaleEngine, error) {
@@ -346,19 +369,19 @@ func newScaleEngine(cfg ScaleConfig, cell ScaleCell, steps int, streaming bool) 
 	// of the cold-start transient of first-time buffer growth. Both modes
 	// pre-warm identically, so their RNG-replay equality is unaffected.
 	warm := make([]float64, 4) // window-sized: caps cover repeat samples
+	edge, dev, batch := []int{0}, []int{0}, [][]float64{warm}
 	for m := 0; m < cell.Devices; m++ {
 		for i := range warm {
 			warm[i] = synthNorm(cfg.Seed, -1-i, m)
 		}
-		strat.Observe(0, 0, m, warm)
+		dev[0] = m
+		strat.ObserveBatch(0, edge, dev, batch)
 	}
 	strat.CloudRound(0)
 	eng := &scaleEngine{
 		cfg:           cfg,
 		sched:         sched,
-		src:           src,
-		row:           make([]int, cell.Devices),
-		srcPos:        -1,
+		win:           mobility.NewWindow(src),
 		mobilityBytes: mobilityBytes,
 		index:         mobility.NewMemberIndexWindow(0, cell.Edges),
 		strat:         strat,
@@ -378,30 +401,17 @@ func newScaleEngine(cfg ScaleConfig, cell ScaleCell, steps int, streaming bool) 
 	return eng, nil
 }
 
-// advance positions the engine's mobility window at step t: it pulls the
-// step's move stream from the StepSource, maintains the O(Devices)
-// attachment row, and leaves (stepMoves, stepRebuilt) for the member
-// indexes' AdvanceWith repair. Mirrors hfl.Engine.advanceMobility at bench
-// scale. Called once per step from the driver goroutine, before any shard
-// reads the window.
+// advance positions the engine's mobility window at step t and leaves
+// (stepMoves, stepRebuilt) for the member indexes' AdvanceWith repair. Called
+// once per step from the driver goroutine, before any shard reads the window.
 func (e *scaleEngine) advance(t int) {
-	if t == e.srcPos {
-		return
-	}
-	moves, rebuilt, err := e.src.AdvanceTo(t)
+	moves, rebuilt, err := e.win.Advance(t)
 	if err != nil {
 		// The harness always advances forward within the generated
 		// horizon; an error here is a programming bug, not an input.
-		panic(fmt.Sprintf("bench: scale mobility at step %d: %v", t, err))
-	}
-	if rebuilt || e.srcPos < 0 {
-		e.row = e.src.Snapshot(e.row)
-		rebuilt = true
-	} else {
-		mobility.ApplyMoves(e.row, moves)
+		panic(fmt.Sprintf("bench: scale step %d: %v", t, err))
 	}
 	e.stepMoves, e.stepRebuilt = moves, rebuilt
-	e.srcPos = t
 }
 
 // buildShards splits the engine's edges into `shards` contiguous ranges,
@@ -423,14 +433,49 @@ func (e *scaleEngine) buildShards(shards int) {
 	}
 }
 
+// decideEdge is the benchmark's one per-edge decision (Algorithm 1, lines 3-5
+// at bench scale): MACH probabilities for the members, the edge's coin stream
+// drawn in member order, and one synthetic-norm observation per sampled device
+// appended to obs. It returns the number of devices sampled. A device is a
+// member of exactly one edge per step and its observation only moves its own
+// future estimates, so when the caller flushes obs — per edge or at a step
+// barrier — cannot change a same-step decision: every mode samples the same
+// devices. tb, when non-nil, additionally records the decision for a trace.
+func (e *scaleEngine) decideEdge(t, n int, members []int, st *scaleDecideState, obs *scaleObs, tb *telemetryTraceBuf) int64 {
+	if len(members) == 0 {
+		return 0
+	}
+	st.ctx.Step, st.ctx.Edge, st.ctx.Capacity, st.ctx.Members = t, n, e.capacity, members
+	st.ctx.Estimates, st.ctx.Floor = nil, 0
+	st.probs = e.strat.ProbabilitiesInto(&st.ctx, st.probs)
+	if tb != nil {
+		tb.members = append(tb.members[:0], members...)
+		tb.estimates = append(tb.estimates[:0], st.ctx.Estimates...)
+		tb.coins, tb.sampled = tb.coins[:0], tb.sampled[:0]
+	}
+	coin := coinRNG(scaleMix(e.cfg.Seed, int64(t)+1, int64(n)+101))
+	sampled := int64(0)
+	for i, m := range members {
+		c := coin.Float64()
+		if tb != nil {
+			tb.coins = append(tb.coins, c)
+		}
+		if c >= st.probs[i] {
+			continue
+		}
+		if tb != nil {
+			tb.sampled = append(tb.sampled, m)
+		}
+		sampled++
+		obs.add(n, m, synthNorm(e.cfg.Seed, t, m))
+	}
+	return sampled
+}
+
 // stepSharded runs one step of the sharded control plane: every shard
 // advances its range index and decides its edges serially on its own
-// goroutine, buffering (edge, device, norm) observations; at the barrier
-// the shards' buffers merge into the experience book in shard order via the
-// batched observer path (one book lock per shard). The coin streams are
-// identical to the other modes, and a device is a member of exactly one
-// edge per step, so deferring its observation to the barrier cannot change
-// any same-step decision — sampled counts match the indexed mode exactly.
+// goroutine into the shard's observation buffer; at the barrier the buffers
+// flush into the experience book in shard order (one book lock per shard).
 func (e *scaleEngine) stepSharded(t int) int64 {
 	// The driver advances the shared mobility window once; the shard
 	// goroutines then repair their range indexes from the read-only move
@@ -443,31 +488,9 @@ func (e *scaleEngine) stepSharded(t int) int64 {
 		go func() {
 			defer wg.Done()
 			sh.sampled = 0
-			sh.obsEdges = sh.obsEdges[:0]
-			sh.obsDevs = sh.obsDevs[:0]
-			sh.normStore = sh.normStore[:0]
-			sh.index.AdvanceWith(t, e.row, e.stepMoves, e.stepRebuilt)
+			sh.index.AdvanceWith(t, e.win.Row(), e.stepMoves, e.stepRebuilt)
 			for n := sh.lo; n < sh.hi; n++ {
-				st := &e.decide[n]
-				members := sh.index.Members(n)
-				if len(members) == 0 {
-					continue
-				}
-				st.ctx.Edge = n
-				st.ctx.Capacity = e.capacity
-				st.coin = coinRNG(scaleMix(e.cfg.Seed, int64(t)+1, int64(n)+101))
-				st.ctx.Step = t
-				st.ctx.Members = members
-				st.probs = e.strat.ProbabilitiesInto(&st.ctx, st.probs)
-				for i, m := range members {
-					if st.coin.Float64() >= st.probs[i] {
-						continue
-					}
-					sh.sampled++
-					sh.obsEdges = append(sh.obsEdges, n)
-					sh.obsDevs = append(sh.obsDevs, m)
-					sh.normStore = append(sh.normStore, synthNorm(e.cfg.Seed, t, m))
-				}
+				sh.sampled += e.decideEdge(t, n, sh.index.Members(n), &e.decide[n], &sh.obs, nil)
 			}
 		}()
 	}
@@ -475,47 +498,22 @@ func (e *scaleEngine) stepSharded(t int) int64 {
 	total := int64(0)
 	for _, sh := range e.shards {
 		total += sh.sampled
-		if len(sh.obsDevs) == 0 {
-			continue
-		}
-		sh.obsNorms = sh.obsNorms[:0]
-		for i := range sh.normStore {
-			sh.obsNorms = append(sh.obsNorms, sh.normStore[i:i+1])
-		}
-		e.strat.ObserveBatch(t, sh.obsEdges, sh.obsDevs, sh.obsNorms)
+		sh.obs.flush(e.strat, t)
 	}
 	e.cloudRound(t)
 	return total
 }
 
 // stepIndexed runs one step of the optimized control plane: one index
-// advance, then a parallel decide over edges with pooled RNGs, contexts and
-// in-place probabilities. Draw order within an edge is serial and identical
-// to stepNaive, so the sampled sets match bit for bit.
+// advance, then a parallel decide over edges with pooled contexts, in-place
+// probabilities and one observation flush per edge.
 func (e *scaleEngine) stepIndexed(t, workers int) int64 {
 	e.advance(t)
-	e.index.AdvanceWith(t, e.row, e.stepMoves, e.stepRebuilt)
+	e.index.AdvanceWith(t, e.win.Row(), e.stepMoves, e.stepRebuilt)
 	parallel.ForEach(workers, len(e.decide), func(n int) {
 		st := &e.decide[n]
-		st.sampled = 0
-		members := e.index.Members(n)
-		if len(members) == 0 {
-			return
-		}
-		st.ctx.Edge = n
-		st.ctx.Capacity = e.capacity
-		st.coin = coinRNG(scaleMix(e.cfg.Seed, int64(t)+1, int64(n)+101))
-		st.ctx.Step = t
-		st.ctx.Members = members
-		st.probs = e.strat.ProbabilitiesInto(&st.ctx, st.probs)
-		for i, m := range members {
-			if st.coin.Float64() >= st.probs[i] {
-				continue
-			}
-			st.sampled++
-			st.normBuf[0] = synthNorm(e.cfg.Seed, t, m)
-			e.strat.Observe(t, n, m, st.normBuf[:])
-		}
+		st.sampled = e.decideEdge(t, n, e.index.Members(n), st, &st.obs, nil)
+		st.obs.flush(e.strat, t)
 	})
 	total := int64(0)
 	for n := range e.decide {
@@ -526,34 +524,17 @@ func (e *scaleEngine) stepIndexed(t, workers int) int64 {
 }
 
 // stepNaive replays the pre-index control plane's structure: a serial loop
-// over edges, a full MembersAt rescan per edge, a freshly allocated context,
-// an allocating Probabilities call, and per-observation slice allocation. It
-// is the baseline row of BENCH_scale.json and requires the dense schedule —
-// MembersAt is exactly the random-access rescan streaming eliminates, so
-// naive rows only exist in dense mobility mode. (The coin stream is the same
-// cheap coinRNG the indexed mode uses — see its doc comment.)
+// over edges, a full MembersAt rescan per edge, and freshly allocated decide
+// state — context, probabilities, estimates, observation buffers — every
+// time. It is the baseline row of BENCH_scale.json and requires the dense
+// schedule — MembersAt is exactly the random-access rescan streaming
+// eliminates, so naive rows only exist in dense mobility mode.
 func (e *scaleEngine) stepNaive(t int) int64 {
 	total := int64(0)
 	for n := 0; n < e.sched.Edges; n++ {
-		members := e.sched.MembersAt(t, n)
-		if len(members) == 0 {
-			continue
-		}
-		coin := coinRNG(scaleMix(e.cfg.Seed, int64(t)+1, int64(n)+101))
-		ctx := &sampling.EdgeContext{
-			Step:     t,
-			Edge:     n,
-			Capacity: e.capacity,
-			Members:  members,
-		}
-		probs := e.strat.Probabilities(ctx)
-		for i, m := range members {
-			if coin.Float64() >= probs[i] {
-				continue
-			}
-			total++
-			e.strat.Observe(t, n, m, []float64{synthNorm(e.cfg.Seed, t, m)})
-		}
+		var st scaleDecideState
+		total += e.decideEdge(t, n, e.sched.MembersAt(t, n), &st, &st.obs, nil)
+		st.obs.flush(e.strat, t)
 	}
 	e.cloudRound(t)
 	return total

@@ -122,8 +122,8 @@ func (w *countingWriter) Write(p []byte) (int, error) {
 }
 
 // telemetryTraceBuf is one edge's decision buffers in the trace mode,
-// mirroring the engine's edgeDecideState trace fields: filled during the
-// parallel decide, emitted serially in edge order afterwards.
+// mirroring the engine's edgeDecideState trace fields: filled by decideEdge
+// during the parallel decide, emitted serially in edge order afterwards.
 type telemetryTraceBuf struct {
 	members   []int
 	estimates []float64
@@ -139,48 +139,17 @@ type telemetryTraceBuf struct {
 func stepTelemetry(e *scaleEngine, bufs []telemetryTraceBuf, tel *telemetry.Telemetry, t, workers int) int64 {
 	stepStart := tel.Now()
 	e.advance(t)
-	e.index.AdvanceWith(t, e.row, e.stepMoves, e.stepRebuilt)
+	e.index.AdvanceWith(t, e.win.Row(), e.stepMoves, e.stepRebuilt)
 	decideStart := tel.Now()
 	tr := tel.Trace()
 	parallel.ForEach(workers, len(e.decide), func(n int) {
 		st := &e.decide[n]
-		st.sampled = 0
-		members := e.index.Members(n)
-		if len(members) == 0 {
-			return
-		}
-		tracing := tr.DecisionActive(t, n)
 		var buf *telemetryTraceBuf
-		if tracing {
+		if tr.DecisionActive(t, n) {
 			buf = &bufs[n]
-			buf.members = append(buf.members[:0], members...)
-			buf.coins = buf.coins[:0]
-			buf.sampled = buf.sampled[:0]
 		}
-		st.ctx.Edge = n
-		st.ctx.Capacity = e.capacity
-		st.coin = coinRNG(scaleMix(e.cfg.Seed, int64(t)+1, int64(n)+101))
-		st.ctx.Step = t
-		st.ctx.Members = members
-		st.probs = e.strat.ProbabilitiesInto(&st.ctx, st.probs)
-		if tracing {
-			buf.estimates = append(buf.estimates[:0], st.ctx.Scratch[:len(members)]...)
-		}
-		for i, m := range members {
-			coin := st.coin.Float64()
-			if tracing {
-				buf.coins = append(buf.coins, coin)
-			}
-			if coin >= st.probs[i] {
-				continue
-			}
-			if tracing {
-				buf.sampled = append(buf.sampled, m)
-			}
-			st.sampled++
-			st.normBuf[0] = synthNorm(e.cfg.Seed, t, m)
-			e.strat.Observe(t, n, m, st.normBuf[:])
-		}
+		st.sampled = e.decideEdge(t, n, e.index.Members(n), st, &st.obs, buf)
+		st.obs.flush(e.strat, t)
 	})
 	decideEnd := tel.Now()
 	if tel != nil && tr.StepActive(t) {

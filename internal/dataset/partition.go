@@ -227,42 +227,3 @@ func gammaSample(rng *rand.Rand, shape float64) float64 {
 		}
 	}
 }
-
-// Imbalance measures the class imbalance of a label distribution as the
-// squared Euclidean distance to the uniform distribution. Zero means
-// perfectly balanced; it is the quantity class-balance sampling minimizes
-// over the selected group (the QCID objective of Fed-CBS).
-func Imbalance(dist []float64) float64 {
-	u := 1.0 / float64(len(dist))
-	s := 0.0
-	for _, p := range dist {
-		d := p - u
-		s += d * d
-	}
-	return s
-}
-
-// MixDistributions returns the weighted mixture Σ w_i·dist_i of label
-// distributions, normalizing the weights. Used by class-balance sampling to
-// score candidate device groups.
-func MixDistributions(dists [][]float64, weights []float64) []float64 {
-	if len(dists) == 0 {
-		return nil
-	}
-	out := make([]float64, len(dists[0]))
-	total := 0.0
-	for _, w := range weights {
-		total += w
-	}
-	//machlint:allow floateq all-zero weights is the exact degenerate case; any tolerance would misread tiny real weights
-	if total == 0 {
-		return out
-	}
-	for i, d := range dists {
-		w := weights[i] / total
-		for c, p := range d {
-			out[c] += w * p
-		}
-	}
-	return out
-}

@@ -113,7 +113,7 @@ func TestPartitionIsHeterogeneous(t *testing.T) {
 	}
 	// Devices should be individually imbalanced...
 	for m, d := range parts {
-		if Imbalance(d.ClassDistribution()) < 0.01 {
+		if imbalance(d.ClassDistribution()) < 0.01 {
 			t.Fatalf("device %d unexpectedly balanced", m)
 		}
 	}
@@ -135,11 +135,11 @@ func TestPartitionIsHeterogeneous(t *testing.T) {
 }
 
 func TestImbalanceKnownValues(t *testing.T) {
-	if got := Imbalance([]float64{0.25, 0.25, 0.25, 0.25}); got != 0 {
+	if got := imbalance([]float64{0.25, 0.25, 0.25, 0.25}); got != 0 {
 		t.Fatalf("uniform imbalance = %v", got)
 	}
 	// One-hot over 2 classes: (1-0.5)² + (0-0.5)² = 0.5
-	if got := Imbalance([]float64{1, 0}); math.Abs(got-0.5) > 1e-12 {
+	if got := imbalance([]float64{1, 0}); math.Abs(got-0.5) > 1e-12 {
 		t.Fatalf("one-hot imbalance = %v", got)
 	}
 }
@@ -147,14 +147,14 @@ func TestImbalanceKnownValues(t *testing.T) {
 func TestMixDistributions(t *testing.T) {
 	a := []float64{1, 0}
 	b := []float64{0, 1}
-	mixed := MixDistributions([][]float64{a, b}, []float64{3, 1})
+	mixed := mixDistributions([][]float64{a, b}, []float64{3, 1})
 	if math.Abs(mixed[0]-0.75) > 1e-12 || math.Abs(mixed[1]-0.25) > 1e-12 {
 		t.Fatalf("mix = %v", mixed)
 	}
-	if MixDistributions(nil, nil) != nil {
+	if mixDistributions(nil, nil) != nil {
 		t.Fatal("empty mix should be nil")
 	}
-	zero := MixDistributions([][]float64{a}, []float64{0})
+	zero := mixDistributions([][]float64{a}, []float64{0})
 	if zero[0] != 0 {
 		t.Fatal("zero-weight mix should be zero")
 	}
@@ -178,7 +178,7 @@ func TestMixDistributionsProperty(t *testing.T) {
 			dists[i] = rot
 			weights[i] = float64(i + 1)
 		}
-		mixed := MixDistributions(dists, weights)
+		mixed := mixDistributions(dists, weights)
 		sum := 0.0
 		for _, v := range mixed {
 			if v < -1e-12 {
@@ -224,7 +224,7 @@ func TestDirichletAlphaControlsHeterogeneity(t *testing.T) {
 		}
 		total := 0.0
 		for _, d := range parts {
-			total += Imbalance(d.ClassDistribution())
+			total += imbalance(d.ClassDistribution())
 		}
 		return total / float64(len(parts))
 	}
@@ -295,4 +295,42 @@ func TestPartitionSizeSpread(t *testing.T) {
 	if err := cfg.Validate(); err == nil {
 		t.Fatal("expected negative-spread error")
 	}
+}
+
+// imbalance measures the class imbalance of a label distribution as the
+// squared Euclidean distance to the uniform distribution. Zero means
+// perfectly balanced; it is the quantity class-balance sampling minimizes
+// over the selected group (the QCID objective of Fed-CBS).
+func imbalance(dist []float64) float64 {
+	u := 1.0 / float64(len(dist))
+	s := 0.0
+	for _, p := range dist {
+		d := p - u
+		s += d * d
+	}
+	return s
+}
+
+// mixDistributions returns the weighted mixture Σ w_i·dist_i of label
+// distributions, normalizing the weights.
+func mixDistributions(dists [][]float64, weights []float64) []float64 {
+	if len(dists) == 0 {
+		return nil
+	}
+	out := make([]float64, len(dists[0]))
+	total := 0.0
+	for _, w := range weights {
+		total += w
+	}
+	//machlint:allow floateq all-zero weights is the exact degenerate case; any tolerance would misread tiny real weights
+	if total == 0 {
+		return out
+	}
+	for i, d := range dists {
+		w := weights[i] / total
+		for c, p := range d {
+			out[c] += w * p
+		}
+	}
+	return out
 }

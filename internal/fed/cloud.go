@@ -53,14 +53,12 @@ func (c CloudConfig) Validate() error {
 // redistributes the global model (Eq. 6).
 type Cloud struct {
 	cfg CloudConfig
-	// src feeds the mobility plane as a per-step move stream (DESIGN.md
-	// §12): a dense *mobility.Schedule via its adapter or a true streaming
-	// source. The cloud keeps only the O(Devices) window below.
-	src      mobility.StepSource
+	// win is the cloud's O(Devices) window over the mobility plane's
+	// per-step move stream (DESIGN.md §12): a dense *mobility.Schedule via
+	// its adapter or a true streaming source.
+	win      *mobility.Window
 	nEdges   int
 	nDevices int
-	row      []int // device→edge attachments at step srcPos
-	srcPos   int   // positioned step, -1 before the first advance
 	// memberIndex materializes every edge's member set once per step,
 	// repaired from the move stream between consecutive steps instead of
 	// rescanning rows.
@@ -128,11 +126,9 @@ func NewCloud(cfg CloudConfig, arch hfl.ArchFunc, src mobility.StepSource, test 
 	}
 	c := &Cloud{
 		cfg:         cfg,
-		src:         src,
+		win:         mobility.NewWindow(src),
 		nEdges:      nEdges,
 		nDevices:    nDevices,
-		row:         make([]int, nDevices),
-		srcPos:      -1,
 		memberIndex: mobility.NewMemberIndexWindow(0, nEdges),
 		test:        test,
 		evalNet:     net0,
@@ -390,25 +386,15 @@ func (c *Cloud) decodeEdgeModel(blob codec.Blob) ([]float64, error) {
 	return codec.Decode(blob, baseline)
 }
 
-// advanceMobility positions the cloud's mobility window at step t: it
-// advances the source, maintains the attachment row, and repairs the member
-// index from the move stream. Advancing to the current position is a no-op.
+// advanceMobility positions the cloud's mobility window at step t and
+// repairs the member index from the move stream. Advancing to the current
+// position is a no-op.
 func (c *Cloud) advanceMobility(t int) error {
-	if t == c.srcPos {
-		return nil
-	}
-	moves, rebuilt, err := c.src.AdvanceTo(t)
+	moves, rebuilt, err := c.win.Advance(t)
 	if err != nil {
-		return fmt.Errorf("mobility source: %w", err)
+		return err
 	}
-	if rebuilt || c.srcPos < 0 {
-		c.row = c.src.Snapshot(c.row)
-		rebuilt = true
-	} else {
-		mobility.ApplyMoves(c.row, moves)
-	}
-	c.memberIndex.AdvanceWith(t, c.row, moves, rebuilt)
-	c.srcPos = t
+	c.memberIndex.AdvanceWith(t, c.win.Row(), moves, rebuilt)
 	return nil
 }
 

@@ -52,7 +52,6 @@ type hostedDevice struct {
 	model *nn.Network
 	opt   *nn.SGD
 	rng   *rand.Rand
-	dist  []float64
 
 	// Pooled minibatch buffers, sized on first use and whenever the batch
 	// size changes; local steps then draw batches without allocating.
@@ -96,7 +95,6 @@ func NewDeviceServer(arch hfl.ArchFunc, data map[int]*dataset.Dataset, machCfg s
 			model: model,
 			opt:   nn.NewSGD(0.01),
 			rng:   rng,
-			dist:  d.ClassDistribution(),
 		}
 	}
 	return ds, nil
@@ -145,37 +143,21 @@ func (s *DeviceServer) Ping(_ PingArgs, reply *PingReply) error {
 }
 
 // Estimate returns the devices' current UCB gradient-norm estimates
-// (Eq. 15). Unknown devices yield an error: the edge's membership view is
-// stale.
+// (Eq. 15), read under one book lock. Unknown devices yield an error: the
+// edge's membership view is stale.
 func (s *DeviceServer) Estimate(args EstimateArgs, reply *EstimateReply) error {
 	s.tel.Add(telemetry.CounterRPCCalls, 1)
 	sp := s.tel.StartSpan(telemetry.SpanHandleEstimate, telemetry.SpanID(args.Span.Parent), args.Step, -1, -1)
 	defer sp.End()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	reply.Estimates = make([]float64, len(args.Devices))
-	for i, id := range args.Devices {
+	for _, id := range args.Devices {
 		if _, ok := s.devices[id]; !ok {
 			return fmt.Errorf("fed: device %d not hosted here", id)
 		}
-		reply.Estimates[i] = s.book.UCBEstimate(id, args.Step)
 	}
-	return nil
-}
-
-// ClassDist returns the devices' local label distributions.
-func (s *DeviceServer) ClassDist(args ClassDistArgs, reply *ClassDistReply) error {
-	s.tel.Add(telemetry.CounterRPCCalls, 1)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	reply.Distributions = make([][]float64, len(args.Devices))
-	for i, id := range args.Devices {
-		dev, ok := s.devices[id]
-		if !ok {
-			return fmt.Errorf("fed: device %d not hosted here", id)
-		}
-		reply.Distributions[i] = append([]float64(nil), dev.dist...)
-	}
+	reply.Estimates = make([]float64, len(args.Devices))
+	s.book.UCBEstimatesInto(reply.Estimates, args.Devices, args.Step)
 	return nil
 }
 
@@ -200,14 +182,15 @@ func (s *DeviceServer) Train(args TrainArgs, reply *TrainReply) error {
 	if err != nil {
 		return err
 	}
+	s.book.ObserveMany([]int{args.Device}, [][]float64{sqNorms})
 	reply.Params = dev.model.ParamVector()
 	reply.SqNorms = sqNorms
 	return nil
 }
 
 // trainOne runs local updating (Eq. 4) on one hosted device from the given
-// base parameters and records the experience. The device's model holds the
-// trained parameters afterwards.
+// base parameters and returns the squared gradient norms for the caller to
+// record. The device's model holds the trained parameters afterwards.
 func (s *DeviceServer) trainOne(dev *hostedDevice, id int, base []float64, hyper Hyper) ([]float64, error) {
 	if hyper.LocalEpochs <= 0 || hyper.BatchSize <= 0 || hyper.LearningRate <= 0 {
 		return nil, fmt.Errorf("fed: invalid hyperparameters %+v", hyper)
@@ -227,7 +210,6 @@ func (s *DeviceServer) trainOne(dev *hostedDevice, id int, base []float64, hyper
 		_, gn := dev.model.TrainStep(dev.batchX, dev.batchY, dev.opt)
 		sqNorms[tau] = gn
 	}
-	s.book.Observe(id, sqNorms)
 	s.tel.Add(telemetry.CounterDevicesTrained, 1)
 	return sqNorms, nil
 }
@@ -322,6 +304,9 @@ func (s *DeviceServer) TrainMany(args TrainManyArgs, reply *TrainManyReply) erro
 			sum[j] += v - base[j]
 		}
 	}
+	// The RPC's experiences go in under one book lock (Algorithm 2, line 1);
+	// a failed RPC, which fails the run, records none.
+	s.book.ObserveMany(args.Devices, reply.SqNorms)
 
 	if args.Advance {
 		inv := 1 / float64(len(args.Devices))

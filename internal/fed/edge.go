@@ -235,8 +235,9 @@ func (e *EdgeServer) Step(args EdgeStepArgs, reply *EdgeStepReply) error {
 		return err
 	}
 
-	// Edge sampling (Algorithm 3) and Bernoulli device sampling.
-	probs := sampling.EdgeSampling(e.machCfg, args.Capacity, estimates)
+	// Edge sampling (Algorithm 3), in place over the fetched estimates, and
+	// Bernoulli device sampling.
+	probs := sampling.EdgeSamplingInto(e.machCfg, args.Capacity, estimates, estimates)
 	rng := rand.New(rand.NewSource(e.seed + int64(args.Step)*1009 + int64(e.id)))
 	var sampled []int
 	for i, m := range args.Members {

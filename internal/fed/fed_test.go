@@ -234,15 +234,6 @@ func TestDeviceServerRPCs(t *testing.T) {
 	if err := client.Call("Device.Train", bad, &tr); err == nil {
 		t.Fatal("expected error for invalid hyperparameters")
 	}
-
-	// Class distributions round-trip.
-	var cd ClassDistReply
-	if err := client.Call("Device.ClassDist", ClassDistArgs{Devices: []int{3}}, &cd); err != nil {
-		t.Fatal(err)
-	}
-	if len(cd.Distributions) != 1 || len(cd.Distributions[0]) != 10 {
-		t.Fatalf("class distributions %v", cd.Distributions)
-	}
 }
 
 func TestEdgeServerValidation(t *testing.T) {

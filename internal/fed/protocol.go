@@ -11,8 +11,9 @@
 //     makes the experience travel with the device across edges);
 //   - an edge server (EdgeServer) executes one edge's share of a time step:
 //     it queries its current members' G̃² estimates, computes the sampling
-//     strategy (Algorithm 3), dispatches local training, and aggregates the
-//     returned models (Eq. 5);
+//     strategy (Algorithm 3), dispatches local training, and adds the plain
+//     mean of the returned updates, Σ(w_m − base)/|sample|, to its model
+//     (equal weights, not Eq. 5's 1/q);
 //   - the cloud (Cloud) owns the mobility schedule B^t, drives time steps,
 //     aggregates edge models every T_g steps (Eq. 6), and redistributes the
 //     global model.
@@ -164,17 +165,6 @@ type CloudRoundArgs struct {
 
 // CloudRoundReply is empty.
 type CloudRoundReply struct{}
-
-// ClassDistArgs asks for the label distributions of some devices (used by
-// the class-balance strategy).
-type ClassDistArgs struct {
-	Devices []int
-}
-
-// ClassDistReply returns one distribution per requested device.
-type ClassDistReply struct {
-	Distributions [][]float64
-}
 
 // EdgeStepArgs asks an edge server to execute one time step for its edge.
 // Scheme selects the wire format for the whole step; the edge forwards it

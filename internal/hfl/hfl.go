@@ -2,9 +2,9 @@
 // (Algorithm 1) over mobile devices: Bernoulli device sampling under edge
 // channel capacities (Eq. 3), local SGD updating (Eq. 4), unbiased
 // inverse-probability edge aggregation (Eq. 5), and periodic edge-to-cloud
-// aggregation (Eq. 6). Device mobility enters through a mobility.Schedule —
-// the realized indicator B^t_{n,m} — so every edge trains on a different,
-// time-varying device set.
+// aggregation (Eq. 6). Device mobility enters through a mobility.StepSource —
+// the realized indicator B^t_{n,m}, one step at a time — so every edge trains
+// on a different, time-varying device set.
 //
 // Each time step splits into a decision phase — strategy probabilities and
 // every Bernoulli coin drawn from per-edge RNG streams in member order, with
@@ -305,36 +305,27 @@ type Engine struct {
 	cfg      Config
 	arch     ArchFunc
 	strategy sampling.Strategy
-	inplace  sampling.InPlaceStrategy // strategy's fast path, when implemented
-	observer sampling.Observer        // strategy's Observer side, when implemented
+	// observer is the strategy's Observer side, nil when it does not learn
+	// from experience; pulls then counts each device's observed time steps,
+	// the estimator's exploration state reported at cloud rounds.
+	observer sampling.Observer
+	pulls    []int
 	devices  []*device
 	test     *dataset.Dataset
 
 	// tel is the engine's observation sink; nil (the default) disables all
-	// instrumentation at zero cost. Its optional companions are discovered
-	// from the strategy in New: inspector reports estimator exploration
-	// stats at cloud rounds, estInScratch marks that the strategy leaves its
-	// per-member estimates in the decide context's scratch buffer, and
-	// probFloor (valid when hasProbFloor) is the strategy's probability
-	// floor, used to count clamp saturation. Telemetry reads simulation
-	// state but never feeds back into it (DESIGN.md §8).
-	tel          *telemetry.Telemetry
-	inspector    sampling.Introspector
-	estInScratch bool
-	probFloor    float64
-	hasProbFloor bool
+	// instrumentation at zero cost. Telemetry reads simulation state but
+	// never feeds back into it (DESIGN.md §8).
+	tel *telemetry.Telemetry
 
 	// Streaming mobility plane (DESIGN.md §12): the engine positions itself
 	// from a StepSource — a dense *Schedule via its adapter, or a true
 	// streaming source — keeping only an O(Devices + Shards) window: the
-	// current attachment row, the per-shard move buckets of the step, and
-	// the positioned step. nEdges/nDevices/nSteps cache the source's Dims.
-	src         mobility.StepSource
+	// current attachment row and the per-shard move buckets of the step.
+	// nEdges/nDevices cache the source's Dims.
+	win         *mobility.Window
 	nEdges      int
 	nDevices    int
-	nSteps      int
-	row         []int             // device→edge attachments at step srcPos
-	srcPos      int               // positioned step, -1 before the first advance
 	stepRebuilt bool              // last advance resynced from Snapshot
 	shardMoves  [][]mobility.Move // per-shard buckets of the step's moves
 	// transStats, when attached, folds the engine's move stream into an
@@ -359,8 +350,7 @@ type Engine struct {
 	// inside Run) synchronize with the engine exclusively through shardWG
 	// barriers; actorDone tracks goroutine lifetime. groups is the
 	// cloud-reduce group count cloudGroups(Edges) and groupCounts the
-	// per-group member-count sums of the current cloud round. batchObs is
-	// the strategy's batched observation path, when implemented.
+	// per-group member-count sums of the current cloud round.
 	shards      []*shardState
 	edgeShard   []int
 	shardWG     sync.WaitGroup
@@ -368,7 +358,6 @@ type Engine struct {
 	actorsUp    bool
 	groups      int
 	groupCounts []int
-	batchObs    sampling.BatchObserver
 
 	// pool executes per-device local updates and evaluation shards while a
 	// Run is active; nil otherwise (standalone evaluation falls back to
@@ -466,12 +455,9 @@ func New(cfg Config, arch ArchFunc, deviceData []*dataset.Dataset, test *dataset
 	e := &Engine{
 		cfg:      cfg,
 		arch:     arch,
-		src:      src,
+		win:      mobility.NewWindow(src),
 		nEdges:   nEdges,
 		nDevices: nDevices,
-		nSteps:   nSteps,
-		row:      make([]int, nDevices),
-		srcPos:   -1,
 		strategy: strategy,
 		devices:  make([]*device, len(deviceData)),
 		test:     test,
@@ -481,22 +467,7 @@ func New(cfg Config, arch ArchFunc, deviceData []*dataset.Dataset, test *dataset
 		lr:       cfg.LearningRate,
 	}
 	if obs, ok := strategy.(sampling.Observer); ok {
-		e.observer = obs
-	}
-	if bo, ok := strategy.(sampling.BatchObserver); ok {
-		e.batchObs = bo
-	}
-	if ip, ok := strategy.(sampling.InPlaceStrategy); ok {
-		e.inplace = ip
-	}
-	if insp, ok := strategy.(sampling.Introspector); ok {
-		e.inspector = insp
-	}
-	if se, ok := strategy.(sampling.ScratchEstimator); ok {
-		e.estInScratch = se.ScratchEstimates()
-	}
-	if fr, ok := strategy.(sampling.FloorReporter); ok {
-		e.probFloor, e.hasProbFloor = fr.ProbFloor(), true
+		e.observer, e.pulls = obs, make([]int, nDevices)
 	}
 	for m, data := range deviceData {
 		if data == nil || data.Len() == 0 {

@@ -501,8 +501,8 @@ type badStrategy struct{}
 
 func (badStrategy) Name() string   { return "bad" }
 func (badStrategy) Unbiased() bool { return true }
-func (badStrategy) Probabilities(ctx *sampling.EdgeContext) []float64 {
-	return []float64{0.5} // wrong length for any edge with ≠1 members
+func (badStrategy) ProbabilitiesInto(_ *sampling.EdgeContext, dst []float64) []float64 {
+	return append(dst[:0], 0.5) // wrong length for any edge with ≠1 members
 }
 
 func TestRunSurfacesBadStrategy(t *testing.T) {
@@ -522,9 +522,9 @@ type zeroProbStrategy struct{}
 
 func (zeroProbStrategy) Name() string   { return "zerop" }
 func (zeroProbStrategy) Unbiased() bool { return true }
-func (zeroProbStrategy) Probabilities(ctx *sampling.EdgeContext) []float64 {
-	out := make([]float64, len(ctx.Members))
-	return out // all zeros: never sampled, so Run proceeds with no training
+func (zeroProbStrategy) ProbabilitiesInto(ctx *sampling.EdgeContext, dst []float64) []float64 {
+	// all zeros: never sampled, so Run proceeds with no training
+	return append(dst[:0], make([]float64, len(ctx.Members))...)
 }
 
 func TestRunToleratesNeverSamplingStrategy(t *testing.T) {

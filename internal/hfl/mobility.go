@@ -7,9 +7,9 @@ import (
 )
 
 // This file threads the streaming mobility plane (DESIGN.md §12) through the
-// engine: the engine holds a mobility.StepSource plus an O(Devices) window —
-// the current attachment row and per-shard move buckets — instead of reading
-// a dense schedule. A single advance per step produces the move stream every
+// engine: the engine holds a mobility.Window over its StepSource — the
+// current attachment row — plus per-shard move buckets, instead of reading a
+// dense schedule. A single advance per step produces the move stream every
 // consumer repairs from: each shard's member index receives exactly the moves
 // intersecting its edge range, and the optional online transition statistics
 // fold the same stream. Dense *Schedule runs go through the same code path
@@ -23,33 +23,27 @@ import (
 // engine computes.
 func (e *Engine) SetTransitionStats(s *mobility.OnlineTransitionStats) { e.transStats = s }
 
-// advanceMobility positions the engine's mobility window at step t: it
-// advances the source, maintains the attachment row (move application on a
-// single-step advance, snapshot on a rebuild), feeds the transition
-// statistics, and buckets the step's moves per shard so each shard repairs
-// its member index from only the moves that touch its edge range. Advancing
-// to the current position is a no-op. O(moves + shards) per single step.
+// advanceMobility positions the engine's mobility window at step t, feeds
+// the transition statistics, and buckets the step's moves per shard so each
+// shard repairs its member index from only the moves that touch its edge
+// range. Advancing to the current position is a no-op. O(moves + shards) per
+// single step.
 //
 //machlint:allocfree
 func (e *Engine) advanceMobility(t int) error {
-	if t == e.srcPos {
+	prev := e.win.Pos()
+	if t == prev {
 		return nil
 	}
-	moves, rebuilt, err := e.src.AdvanceTo(t)
+	moves, rebuilt, err := e.win.Advance(t)
 	if err != nil {
-		return fmt.Errorf("mobility source: %w", err)
-	}
-	if rebuilt || e.srcPos < 0 {
-		e.row = e.src.Snapshot(e.row)
-		rebuilt = true
-	} else {
-		mobility.ApplyMoves(e.row, moves)
+		return err
 	}
 	e.stepRebuilt = rebuilt
 	if e.transStats != nil {
 		if !rebuilt {
 			e.transStats.ObserveStep(moves)
-		} else if e.srcPos >= 0 || t > 0 {
+		} else if prev >= 0 || t > 0 {
 			// A reposition that skipped steps: the intermediate transitions
 			// are unobservable. Initial positioning at step 0 skips nothing.
 			e.transStats.ObserveJump()
@@ -58,16 +52,13 @@ func (e *Engine) advanceMobility(t int) error {
 	for s := range e.shardMoves {
 		e.shardMoves[s] = e.shardMoves[s][:0]
 	}
-	if !rebuilt {
-		for _, mv := range moves {
-			sf, st := e.edgeShard[mv.From], e.edgeShard[mv.To]
-			e.shardMoves[sf] = append(e.shardMoves[sf], mv)
-			if st != sf {
-				e.shardMoves[st] = append(e.shardMoves[st], mv)
-			}
+	for _, mv := range moves {
+		sf, st := e.edgeShard[mv.From], e.edgeShard[mv.To]
+		e.shardMoves[sf] = append(e.shardMoves[sf], mv)
+		if st != sf {
+			e.shardMoves[st] = append(e.shardMoves[st], mv)
 		}
 	}
-	e.srcPos = t
 	return nil
 }
 
@@ -82,6 +73,6 @@ func (e *Engine) positionMobility(t int) {
 		panic(fmt.Sprintf("hfl: position mobility at step %d: %v", t, err))
 	}
 	for _, s := range e.shards {
-		s.index.AdvanceWith(t, e.row, e.shardMoves[s.id], e.stepRebuilt)
+		s.index.AdvanceWith(t, e.win.Row(), e.shardMoves[s.id], e.stepRebuilt)
 	}
 }

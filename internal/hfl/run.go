@@ -246,12 +246,19 @@ func (e *Engine) Run(opts ...RunOption) (*Result, error) {
 			if e.tel != nil {
 				e.tel.Add(telemetry.CounterCloudRounds, 1)
 				e.tel.Add(telemetry.CounterCloudBytes, 2*int64(e.nEdges)*modelBytes)
-				if e.inspector != nil {
-					s := e.inspector.EstimatorStats()
-					e.tel.SetGauge(telemetry.GaugeNeverPulled, float64(s.NeverPulled))
-					e.tel.SetGauge(telemetry.GaugeMaxPulls, float64(s.MaxPulls))
+				if e.observer != nil {
+					never, total, most := 0, 0, 0
+					for _, n := range e.pulls {
+						if n == 0 {
+							never++
+						}
+						total += n
+						most = max(most, n)
+					}
+					e.tel.SetGauge(telemetry.GaugeNeverPulled, float64(never))
+					e.tel.SetGauge(telemetry.GaugeMaxPulls, float64(most))
 					tr.Emit(&telemetry.Event{Type: telemetry.EventEstimator, Step: t + 1, Estimator: &telemetry.EstimatorEvent{
-						Devices: s.Devices, NeverPulled: s.NeverPulled, TotalPulls: s.TotalPulls, MaxPulls: s.MaxPulls,
+						Devices: e.nDevices, NeverPulled: never, TotalPulls: total, MaxPulls: most,
 					}})
 				}
 			}
@@ -325,8 +332,8 @@ type stepTelemetry struct {
 // observeEdge folds one edge's decision into the step accumulator and, when
 // the trace records this decision, emits the complete decision event. It
 // runs on the sequential finalize path in edge order, which is what makes
-// trace output deterministic; the decide-phase buffers it reads (probs,
-// scratch estimates, coins) stay valid until the edge's next decide.
+// trace output deterministic; the decide-phase buffers it reads (probs, the
+// context's estimates, coins) stay valid until the edge's next decide.
 func (e *Engine) observeEdge(t, n int, counts edgeStepCounts, acc *stepTelemetry) {
 	members := e.edgeMembers(n)
 	e.tel.Observe(telemetry.HistEdgeMembers, int64(len(members)))
@@ -341,19 +348,14 @@ func (e *Engine) observeEdge(t, n int, counts edgeStepCounts, acc *stepTelemetry
 	probs := st.probs[:len(members)]
 	for _, q := range probs {
 		acc.probMass += q
-		if e.hasProbFloor && q <= e.probFloor {
+		if st.ctx.Floor > 0 && q <= st.ctx.Floor {
 			acc.floorClamps++
 		}
 		if q >= 1 {
 			acc.ceilClamps++
 		}
 	}
-	estimates := st.ctx.Scratch
-	if !e.estInScratch || len(estimates) < len(members) {
-		estimates = nil
-	} else {
-		estimates = estimates[:len(members)]
-	}
+	estimates := st.ctx.Estimates
 	for _, g := range estimates {
 		if acc.ucbCount == 0 || g < acc.ucbMin {
 			acc.ucbMin = g
@@ -412,9 +414,9 @@ type edgeStepCounts struct {
 // All per-step machinery is pooled in e.decide[n]: the RNG is reseeded to
 // the same mix(seed, t, n) stream a fresh rand.New would start (Seed resets
 // the source to exactly the NewSource state), the context and its closures
-// are built once per edge, and probabilities land in a reused buffer when
-// the strategy implements the in-place fast path. Distinct edges may decide
-// concurrently; everything mutated here is private to edge n.
+// are built once per edge, and probabilities land in a reused buffer.
+// Distinct edges may decide concurrently; everything mutated here is private
+// to edge n.
 //
 //machlint:allocfree
 func (e *Engine) edgeDecide(t, n int) error {
@@ -442,14 +444,9 @@ func (e *Engine) edgeDecide(t, n int) error {
 	}
 	st.ctx.Step = t
 	st.ctx.Members = members
-	var probs []float64
-	if e.inplace != nil {
-		st.probs = e.inplace.ProbabilitiesInto(&st.ctx, st.probs)
-		probs = st.probs
-	} else {
-		probs = e.strategy.Probabilities(&st.ctx)
-		st.probs = probs // finalize-phase telemetry reads the step's vector
-	}
+	st.ctx.Estimates, st.ctx.Floor = nil, 0
+	st.probs = e.strategy.ProbabilitiesInto(&st.ctx, st.probs)
+	probs := st.probs
 	if len(probs) != len(members) {
 		return fmt.Errorf("strategy %q returned %d probabilities for %d members", e.strategy.Name(), len(probs), len(members))
 	}

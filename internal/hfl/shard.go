@@ -241,7 +241,7 @@ func (s *shardState) step(t int) {
 	// per-shard positioning cost is O(own moves), not a row-vs-row diff. The
 	// row, bucket and rebuilt flag were written before the step was
 	// submitted and are read-only until the barrier.
-	s.index.AdvanceWith(t, e.row, e.shardMoves[s.id], e.stepRebuilt)
+	s.index.AdvanceWith(t, e.win.Row(), e.shardMoves[s.id], e.stepRebuilt)
 	for n := s.lo; n < s.hi; n++ {
 		if err := e.edgeDecide(t, n); err != nil && s.decideErr == nil {
 			s.decideErrEdge, s.decideErr = n, err
@@ -373,18 +373,14 @@ func (e *Engine) collectStep(t int) error {
 			return stepEdgeError(t, s.finalErrEdge, s.finalErr)
 		}
 	}
-	if e.observer != nil {
-		for _, s := range e.shards {
-			if len(s.obsDevs) == 0 {
-				continue
-			}
-			if e.batchObs != nil {
-				e.batchObs.ObserveBatch(t, s.obsEdges, s.obsDevs, s.obsNorms)
-				continue
-			}
-			for i, m := range s.obsDevs {
-				e.observer.Observe(t, s.obsEdges[i], m, s.obsNorms[i])
-			}
+	for _, s := range e.shards {
+		// Nothing is buffered for a strategy that does not observe.
+		if len(s.obsDevs) == 0 {
+			continue
+		}
+		e.observer.ObserveBatch(t, s.obsEdges, s.obsDevs, s.obsNorms)
+		for _, m := range s.obsDevs {
+			e.pulls[m]++
 		}
 	}
 	if e.tel != nil {

@@ -10,8 +10,8 @@ import (
 )
 
 // shardStrategies are the strategy constructors the sharding contract is
-// checked against: uniform (no observer), MACH (BatchObserver fast path) and
-// MACH-P (probe path, no observer).
+// checked against: uniform (no observer), MACH (device-side experience book)
+// and MACH-P (probe path, no observer).
 func shardStrategies(devices int) map[string]func(t *testing.T) sampling.Strategy {
 	return map[string]func(t *testing.T) sampling.Strategy{
 		"uniform": func(*testing.T) sampling.Strategy { return sampling.NewUniform() },

@@ -64,6 +64,52 @@ func ApplyMoves(row []int, moves []Move) {
 	}
 }
 
+// Window is the O(Devices) view a driver keeps of a StepSource: the
+// attachment row at the positioned step, maintained from the source's move
+// stream. Everything derived from the row (member indexes, transition
+// statistics, shard buckets) follows from what Advance returns.
+type Window struct {
+	src StepSource
+	row []int
+	pos int
+}
+
+// NewWindow returns an unpositioned window over src.
+func NewWindow(src StepSource) *Window {
+	_, devices, _ := src.Dims()
+	return &Window{src: src, row: make([]int, devices), pos: -1}
+}
+
+// Pos returns the positioned step, -1 before the first Advance.
+func (w *Window) Pos() int { return w.pos }
+
+// Row returns the device→edge attachments at the positioned step. The slice
+// is owned by the window and rewritten by the next Advance.
+func (w *Window) Row() []int { return w.row }
+
+// Advance positions the window at step t. A single-step advance applies the
+// step's moves to the row and returns them (valid until the next Advance);
+// the first positioning and any other jump resynchronize the row from
+// Snapshot and report rebuilt with no moves. Advancing to the current step is
+// a no-op returning (nil, false, nil).
+func (w *Window) Advance(t int) (moves []Move, rebuilt bool, err error) {
+	if t == w.pos {
+		return nil, false, nil
+	}
+	moves, rebuilt, err = w.src.AdvanceTo(t)
+	if err != nil {
+		return nil, false, fmt.Errorf("mobility source: %w", err)
+	}
+	if rebuilt || w.pos < 0 {
+		w.row = w.src.Snapshot(w.row)
+		moves, rebuilt = nil, true
+	} else {
+		ApplyMoves(w.row, moves)
+	}
+	w.pos = t
+	return moves, rebuilt, nil
+}
+
 // Dims makes *Schedule a StepSource over its pre-materialized rows.
 func (s *Schedule) Dims() (edges, devices, steps int) {
 	return s.Edges, s.Devices, s.Steps

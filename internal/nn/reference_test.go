@@ -154,7 +154,8 @@ func (c *refConv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	c.lastCols = make([]*tensor.Tensor, batch)
 	for i := 0; i < batch; i++ {
 		img := tensor.FromSlice(x.Data()[i*imgLen:(i+1)*imgLen], g.InC, g.InH, g.InW)
-		c.lastCols[i] = tensor.Im2Col(img, g)
+		c.lastCols[i] = tensor.New(g.InC*g.K*g.K, n)
+		tensor.Im2ColInto(c.lastCols[i], img, g)
 		res := refMatMul(c.w.Value, c.lastCols[i])
 		dst := out.Data()[i*c.outC*n : (i+1)*c.outC*n]
 		copy(dst, res.Data())
@@ -182,8 +183,8 @@ func (c *refConv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 			}
 			c.b.Grad.Data()[oc] += s
 		}
-		dimg := tensor.Col2Im(refMatMulTransA(c.w.Value, gmat), g)
-		copy(dx.Data()[i*imgLen:(i+1)*imgLen], dimg.Data())
+		dimg := tensor.FromSlice(dx.Data()[i*imgLen:(i+1)*imgLen], g.InC, g.InH, g.InW)
+		tensor.Col2ImInto(dimg, refMatMulTransA(c.w.Value, gmat), g)
 	}
 	return dx
 }

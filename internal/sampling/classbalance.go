@@ -1,10 +1,6 @@
 package sampling
 
-import (
-	"math"
-
-	"github.com/mach-fl/mach/internal/dataset"
-)
+import "math"
 
 // ClassBalance is the class-balance sampling baseline (CS), modelled on
 // Fed-CBS (Zhang et al., ICML 2023): the edge actively selects the group of
@@ -32,11 +28,11 @@ func (*ClassBalance) Name() string { return "class-balance" }
 // Unbiased implements Strategy.
 func (*ClassBalance) Unbiased() bool { return false }
 
-// Probabilities implements Strategy: 1 for the greedily selected balanced
+// ProbabilitiesInto implements Strategy: 1 for the greedily selected balanced
 // group, 0 for everyone else.
-func (*ClassBalance) Probabilities(ctx *EdgeContext) []float64 {
+func (*ClassBalance) ProbabilitiesInto(ctx *EdgeContext, dst []float64) []float64 {
 	n := len(ctx.Members)
-	out := make([]float64, n)
+	out := ensureLen(dst, n)
 	k := int(math.Floor(ctx.Capacity + 1e-9))
 	if k < 1 {
 		k = 1
@@ -47,6 +43,7 @@ func (*ClassBalance) Probabilities(ctx *EdgeContext) []float64 {
 		}
 		return out
 	}
+	clear(out)
 	dists := make([][]float64, n)
 	for i, m := range ctx.Members {
 		if ctx.ClassDist != nil {
@@ -100,12 +97,4 @@ func (*ClassBalance) Probabilities(ctx *EdgeContext) []float64 {
 		}
 	}
 	return out
-}
-
-// GroupImbalance reports the class imbalance of the group a probability
-// vector selects in expectation: the squared distance to uniform of the
-// q-weighted mixture of member distributions. Exposed for tests and the
-// ablation benches.
-func GroupImbalance(probs []float64, dists [][]float64) float64 {
-	return dataset.Imbalance(dataset.MixDistributions(dists, probs))
 }

@@ -30,7 +30,7 @@ func TestClassBalanceSelectsComplementaryDevices(t *testing.T) {
 		RNG:       rand.New(rand.NewSource(1)),
 		ClassDist: func(m int) []float64 { return dists[m] },
 	}
-	q := cb.Probabilities(ctx)
+	q := probabilities(cb, ctx)
 	// Devices 4 and 5 (the only holders of classes 1 and 2) must always be
 	// chosen.
 	if q[4] != 1 || q[5] != 1 {
@@ -74,8 +74,8 @@ func TestClassBalanceBeatsRandomGroupsOnImbalance(t *testing.T) {
 		RNG:       rng,
 		ClassDist: func(m int) []float64 { return dists[m] },
 	}
-	q := cb.Probabilities(ctx)
-	cbImb := GroupImbalance(q, dists)
+	q := probabilities(cb, ctx)
+	cbImb := groupImbalance(q, dists)
 	// Compare against the average imbalance of random 4-subsets.
 	randTotal := 0.0
 	const trials = 50
@@ -84,7 +84,7 @@ func TestClassBalanceBeatsRandomGroupsOnImbalance(t *testing.T) {
 		for _, i := range rng.Perm(n)[:4] {
 			sel[i] = 1
 		}
-		randTotal += GroupImbalance(sel, dists)
+		randTotal += groupImbalance(sel, dists)
 	}
 	if cbImb >= randTotal/trials {
 		t.Fatalf("class-balance imbalance %.4f not better than random %.4f", cbImb, randTotal/trials)
@@ -99,7 +99,7 @@ func TestClassBalanceAllFitWhenCapacityCoversEdge(t *testing.T) {
 		RNG:       rand.New(rand.NewSource(3)),
 		ClassDist: func(m int) []float64 { return oneHot(2, m%2) },
 	}
-	q := cb.Probabilities(ctx)
+	q := probabilities(cb, ctx)
 	for i, v := range q {
 		if v != 1 {
 			t.Fatalf("q[%d] = %v, want 1", i, v)
@@ -114,7 +114,7 @@ func TestClassBalanceWithoutClassInfoPicksRandomGroup(t *testing.T) {
 		Members:  []int{0, 1, 2, 3, 4},
 		RNG:      rand.New(rand.NewSource(4)),
 	}
-	q := cb.Probabilities(ctx)
+	q := probabilities(cb, ctx)
 	chosen := 0
 	for _, v := range q {
 		if v == 1 {
@@ -150,7 +150,7 @@ func TestClassBalanceGreedyIsDeterministic(t *testing.T) {
 			RNG:       rand.New(rand.NewSource(seed)),
 			ClassDist: func(m int) []float64 { return dists[m] },
 		}
-		q := cb.Probabilities(ctx)
+		q := probabilities(cb, ctx)
 		if first == nil {
 			first = q
 			continue
@@ -168,7 +168,7 @@ func TestClassBalanceGreedyIsDeterministic(t *testing.T) {
 		RNG:       rand.New(rand.NewSource(1)),
 		ClassDist: func(m int) []float64 { return dists[m] },
 	}
-	q := cb.Probabilities(ctx)
+	q := probabilities(cb, ctx)
 	chosen := 0
 	for _, v := range q {
 		if v == 1 {
@@ -182,7 +182,7 @@ func TestClassBalanceGreedyIsDeterministic(t *testing.T) {
 
 func TestGroupImbalanceUniformGroupIsZero(t *testing.T) {
 	dists := [][]float64{oneHot(2, 0), oneHot(2, 1)}
-	if got := GroupImbalance([]float64{1, 1}, dists); math.Abs(got) > 1e-12 {
+	if got := groupImbalance([]float64{1, 1}, dists); math.Abs(got) > 1e-12 {
 		t.Fatalf("balanced pair imbalance = %v, want 0", got)
 	}
 }

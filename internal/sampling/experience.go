@@ -46,25 +46,10 @@ func NewExperienceBook(numDevices int, explorationCoef, discount float64) *Exper
 	}
 }
 
-// Observe appends the squared norms of device m's local stochastic gradients
-// from one time step to its experience buffer (Algorithm 2, line 1).
-func (b *ExperienceBook) Observe(m int, sqNorms []float64) {
-	if len(sqNorms) == 0 {
-		return
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	d := &b.devices[m]
-	d.buffer = append(d.buffer, sqNorms...)
-	d.steps++
-	d.seen = true
-}
-
-// ObserveMany records one Observe(devices[i], norms[i]) per element under a
-// single lock — the sharded engine's merge path, one lock per shard batch
-// instead of one per observation. The per-device bookkeeping is identical to
-// Observe, so the book's state after ObserveMany is bit-identical to the
-// equivalent Observe sequence.
+// ObserveMany appends, for every element, the squared norms of device
+// devices[i]'s local stochastic gradients from one time step to its
+// experience buffer (Algorithm 2, line 1) — under a single lock, one per batch
+// however many devices trained. Empty norm windows record nothing.
 func (b *ExperienceBook) ObserveMany(devices []int, norms [][]float64) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -101,31 +86,16 @@ func (b *ExperienceBook) CloudRound(t int) {
 	}
 }
 
-// UCBEstimate returns G̃²_m of Eq. (15): the max window-average (term A)
-// plus the confidence radius √(log t / Σ 1^t_m) (term B). A device that has
-// never participated receives a pure exploration score √(log t), which keeps
-// it attractive until sampled at least once.
-func (b *ExperienceBook) UCBEstimate(m, t int) float64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	d := &b.devices[m]
-	logT := math.Log(float64(t) + 2) // +2 keeps the radius defined at t ∈ {0,1}
-	steps := d.steps
-	if steps < 1 {
-		steps = 1
-	}
-	return d.maxAvg + b.explorationCoef*math.Sqrt(logT/float64(steps))
-}
-
-// UCBEstimatesInto writes UCBEstimate(m, t) for every member into dst
-// (aligned with members, which must not be longer than dst) under a single
-// lock — at scale, one lock per edge instead of one per member. The per-
-// device arithmetic is identical to UCBEstimate, so the values match it
-// bit for bit.
+// UCBEstimatesInto writes G̃²_m of Eq. (15) for every member into dst
+// (aligned with members, which must not be longer than dst): the max
+// window-average (term A) plus the confidence radius √(log t / Σ 1^t_m)
+// (term B). A device that has never participated receives a pure exploration
+// score √(log t), which keeps it attractive until sampled at least once. One
+// lock per call — at scale, one per edge instead of one per member.
 func (b *ExperienceBook) UCBEstimatesInto(dst []float64, members []int, t int) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	logT := math.Log(float64(t) + 2)
+	logT := math.Log(float64(t) + 2) // +2 keeps the radius defined at t ∈ {0,1}
 	for i, m := range members {
 		d := &b.devices[m]
 		steps := d.steps
@@ -148,34 +118,6 @@ func (b *ExperienceBook) LastAverage(m int, fallback float64) float64 {
 		return fallback
 	}
 	return d.lastAvg
-}
-
-// EstimatorStats summarizes an estimator's exploration state: how much of
-// the population has ever been pulled and how concentrated participation is.
-type EstimatorStats struct {
-	Devices     int
-	NeverPulled int
-	TotalPulls  int
-	MaxPulls    int
-}
-
-// Stats aggregates participation counts over every tracked device under a
-// single lock.
-func (b *ExperienceBook) Stats() EstimatorStats {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	s := EstimatorStats{Devices: len(b.devices)}
-	for m := range b.devices {
-		d := &b.devices[m]
-		if !d.seen {
-			s.NeverPulled++
-		}
-		s.TotalPulls += d.steps
-		if d.steps > s.MaxPulls {
-			s.MaxPulls = d.steps
-		}
-	}
-	return s
 }
 
 // Participations returns how many time steps device m has participated in.

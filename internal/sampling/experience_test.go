@@ -11,20 +11,20 @@ import (
 func TestExperienceBookWindowFolding(t *testing.T) {
 	b := NewExperienceBook(2, 1, 1)
 	// Window 1: norms {4, 6} → avg 5.
-	b.Observe(0, []float64{4, 6})
+	observeBook(b, 0, []float64{4, 6})
 	b.CloudRound(5)
 	if got := b.LastAverage(0, -1); got != 5 {
 		t.Fatalf("window average %v, want 5", got)
 	}
 	// Window 2: smaller average; exploitation term keeps the max (5).
-	b.Observe(0, []float64{1})
+	observeBook(b, 0, []float64{1})
 	b.CloudRound(10)
 	if got := b.LastAverage(0, -1); got != 1 {
 		t.Fatalf("last average %v, want 1", got)
 	}
 	// UCB = maxAvg + √(log t / steps) with maxAvg = 5, steps = 2.
 	want := 5 + math.Sqrt(math.Log(12)/2)
-	if got := b.UCBEstimate(0, 10); math.Abs(got-want) > 1e-12 {
+	if got := ucbEstimate(b, 0, 10); math.Abs(got-want) > 1e-12 {
 		t.Fatalf("UCB %v, want %v", got, want)
 	}
 	// Device 1 never participated: fallback applies.
@@ -37,7 +37,7 @@ func TestExperienceBookDiscountDecaysMax(t *testing.T) {
 	lit := NewExperienceBook(1, 0, 1)
 	disc := NewExperienceBook(1, 0, 0.5)
 	for _, b := range []*ExperienceBook{lit, disc} {
-		b.Observe(0, []float64{8})
+		observeBook(b, 0, []float64{8})
 		b.CloudRound(1)
 	}
 	// Three empty cloud rounds: literal max stays, discounted halves.
@@ -45,27 +45,27 @@ func TestExperienceBookDiscountDecaysMax(t *testing.T) {
 		lit.CloudRound(r)
 		disc.CloudRound(r)
 	}
-	if got := lit.UCBEstimate(0, 10); math.Abs(got-8) > 1e-12 {
+	if got := ucbEstimate(lit, 0, 10); math.Abs(got-8) > 1e-12 {
 		t.Fatalf("literal max drifted: %v", got)
 	}
-	if got := disc.UCBEstimate(0, 10); math.Abs(got-1) > 1e-12 { // 8·0.5³
+	if got := ucbEstimate(disc, 0, 10); math.Abs(got-1) > 1e-12 { // 8·0.5³
 		t.Fatalf("discounted max %v, want 1", got)
 	}
 }
 
 func TestExperienceBookInvalidDiscountDefaultsToOne(t *testing.T) {
 	b := NewExperienceBook(1, 0, -3)
-	b.Observe(0, []float64{4})
+	observeBook(b, 0, []float64{4})
 	b.CloudRound(1)
 	b.CloudRound(2)
-	if got := b.UCBEstimate(0, 5); math.Abs(got-4) > 1e-12 {
+	if got := ucbEstimate(b, 0, 5); math.Abs(got-4) > 1e-12 {
 		t.Fatalf("invalid discount not defaulted: %v", got)
 	}
 }
 
 func TestExperienceBookEmptyObservationIgnored(t *testing.T) {
 	b := NewExperienceBook(1, 1, 1)
-	b.Observe(0, nil)
+	observeBook(b, 0, nil)
 	if got := b.Participations(0); got != 0 {
 		t.Fatalf("empty observation counted: %d", got)
 	}
@@ -79,7 +79,7 @@ func TestExperienceBookConcurrentObserve(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				b.Observe((g*200+i)%50, []float64{1, 2})
+				observeBook(b, (g*200+i)%50, []float64{1, 2})
 			}
 		}(g)
 	}
@@ -102,14 +102,14 @@ func TestUCBMonotoneInParticipationsProperty(t *testing.T) {
 		few := NewExperienceBook(1, 1, 1)
 		many := NewExperienceBook(1, 1, 1)
 		norm := []float64{rng.Float64()*5 + 0.1}
-		few.Observe(0, norm)
+		observeBook(few, 0, norm)
 		for i := 0; i < 10; i++ {
-			many.Observe(0, norm)
+			observeBook(many, 0, norm)
 		}
 		few.CloudRound(1)
 		many.CloudRound(1)
 		t1 := 20
-		return few.UCBEstimate(0, t1) > many.UCBEstimate(0, t1)
+		return ucbEstimate(few, 0, t1) > ucbEstimate(many, 0, t1)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
@@ -128,7 +128,7 @@ func TestEdgeSamplingProperty(t *testing.T) {
 			est[i] = rng.Float64() * 50
 		}
 		capacity := 0.5 + rng.Float64()*float64(n)
-		q := EdgeSampling(cfg, capacity, est)
+		q := EdgeSamplingInto(cfg, capacity, est, nil)
 		total := 0.0
 		for _, v := range q {
 			if v < 0 || v > 1 {

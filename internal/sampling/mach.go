@@ -76,12 +76,8 @@ type MACH struct {
 }
 
 var (
-	_ InPlaceStrategy  = (*MACH)(nil)
-	_ Observer         = (*MACH)(nil)
-	_ BatchObserver    = (*MACH)(nil)
-	_ Introspector     = (*MACH)(nil)
-	_ ScratchEstimator = (*MACH)(nil)
-	_ FloorReporter    = (*MACH)(nil)
+	_ Strategy = (*MACH)(nil)
+	_ Observer = (*MACH)(nil)
 )
 
 // NewMACH returns a MACH strategy tracking numDevices devices.
@@ -101,23 +97,9 @@ func (*MACH) Unbiased() bool { return true }
 // Book exposes the experience book for inspection in tests and analysis.
 func (s *MACH) Book() *ExperienceBook { return s.book }
 
-// EstimatorStats implements Introspector.
-func (s *MACH) EstimatorStats() EstimatorStats { return s.book.Stats() }
-
-// ScratchEstimates implements ScratchEstimator: ProbabilitiesInto leaves the
-// UCB estimates of Eq. (15) in ctx.Scratch.
-func (*MACH) ScratchEstimates() bool { return true }
-
-// ProbFloor implements FloorReporter.
-func (s *MACH) ProbFloor() float64 { return s.cfg.QMin }
-
-// Observe implements Observer (Algorithm 2, line 1). The edge is ignored:
-// MACH's experience buffer lives on the device, so experiences follow the
-// device across edges.
-func (s *MACH) Observe(_, _, m int, sqNorms []float64) { s.book.Observe(m, sqNorms) }
-
-// ObserveBatch implements BatchObserver: one book lock per shard batch. The
-// edges are ignored for the same reason Observe ignores its edge.
+// ObserveBatch implements Observer (Algorithm 2, line 1): one book lock per
+// batch. The edges are ignored: MACH's experience buffer lives on the device,
+// so experiences follow the device across edges.
 func (s *MACH) ObserveBatch(_ int, _, devices []int, norms [][]float64) {
 	s.book.ObserveMany(devices, norms)
 }
@@ -125,19 +107,14 @@ func (s *MACH) ObserveBatch(_ int, _, devices []int, norms [][]float64) {
 // CloudRound implements Observer (Algorithm 2, lines 2-4).
 func (s *MACH) CloudRound(t int) { s.book.CloudRound(t) }
 
-// Probabilities implements Strategy (Algorithm 3).
-func (s *MACH) Probabilities(ctx *EdgeContext) []float64 {
-	return s.ProbabilitiesInto(ctx, make([]float64, len(ctx.Members)))
-}
-
-// ProbabilitiesInto implements InPlaceStrategy: the same Algorithm 3
-// pipeline with the UCB estimates batched into ctx.Scratch (one book lock
-// per edge instead of one per member) and every result written into dst.
+// ProbabilitiesInto implements Strategy (Algorithm 3): the UCB estimates of
+// Eq. (15) are batched into ctx.Scratch (one book lock per edge) and reported
+// as ctx.Estimates, and every result is written into dst.
 //
 //machlint:allocfree
 func (s *MACH) ProbabilitiesInto(ctx *EdgeContext, dst []float64) []float64 {
 	estimates := ensureLen(ctx.Scratch, len(ctx.Members))
-	ctx.Scratch = estimates
+	ctx.Scratch, ctx.Estimates, ctx.Floor = estimates, estimates, s.cfg.QMin
 	s.book.UCBEstimatesInto(estimates, ctx.Members, ctx.Step)
 	if s.cfg.RawEq13 {
 		// Ablation path: Eq. (16) plugged in directly without smoothing.
@@ -146,19 +123,14 @@ func (s *MACH) ProbabilitiesInto(ctx *EdgeContext, dst []float64) []float64 {
 	return EdgeSamplingInto(s.cfg, ctx.Capacity, estimates, dst)
 }
 
-// EdgeSampling is the core of Algorithm 3: given the gradient-norm estimates
-// of an edge's members, it computes the virtual probabilities of Eq. (16),
-// smooths them with the transfer function of Eq. (17), and normalizes to the
-// channel capacity (Eq. 18). It is shared by the in-process MACH strategy
-// and the distributed edge server of internal/fed.
-func EdgeSampling(cfg MACHConfig, capacity float64, estimates []float64) []float64 {
-	return EdgeSamplingInto(cfg, capacity, estimates, make([]float64, len(estimates)))
-}
-
-// EdgeSamplingInto is EdgeSampling into a caller-owned buffer, growing it
-// only when its capacity is insufficient. dst may alias estimates: the
-// estimate total is accumulated before any write and each score depends only
-// on its own estimate.
+// EdgeSamplingInto is the core of Algorithm 3: given the gradient-norm
+// estimates of an edge's members, it computes the virtual probabilities of
+// Eq. (16), smooths them with the transfer function of Eq. (17), and
+// normalizes to the channel capacity (Eq. 18), into a caller-owned buffer
+// grown only when its capacity is insufficient. It is shared by the
+// in-process strategies and the distributed edge server of internal/fed. dst
+// may alias estimates: the estimate total is accumulated before any write and
+// each score depends only on its own estimate.
 //
 //machlint:aliasok the estimate total is accumulated before any write and dst[i] depends only on estimates[i]
 //

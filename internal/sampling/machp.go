@@ -17,11 +17,7 @@ type MACHP struct {
 	cache map[int]float64 // device → probed norm, valid for the current step
 }
 
-var (
-	_ InPlaceStrategy  = (*MACHP)(nil)
-	_ ScratchEstimator = (*MACHP)(nil)
-	_ FloorReporter    = (*MACHP)(nil)
-)
+var _ Strategy = (*MACHP)(nil)
 
 // NewMACHP returns the perfect-information MACH variant.
 func NewMACHP(cfg MACHConfig) (*MACHP, error) {
@@ -37,23 +33,11 @@ func (*MACHP) Name() string { return "mach-p" }
 // Unbiased implements Strategy.
 func (*MACHP) Unbiased() bool { return true }
 
-// ScratchEstimates implements ScratchEstimator: ProbabilitiesInto leaves the
-// probed true squared gradient norms in ctx.Scratch.
-func (*MACHP) ScratchEstimates() bool { return true }
-
-// ProbFloor implements FloorReporter.
-func (s *MACHP) ProbFloor() float64 { return s.cfg.QMin }
-
-// Probabilities implements Strategy: the probed true norms fed through the
-// Eq. (16)-(18) pipeline of EdgeSampling.
-func (s *MACHP) Probabilities(ctx *EdgeContext) []float64 {
-	return s.ProbabilitiesInto(ctx, make([]float64, len(ctx.Members)))
-}
-
-// ProbabilitiesInto implements InPlaceStrategy.
+// ProbabilitiesInto implements Strategy: the probed true norms, reported as
+// ctx.Estimates, fed through the Eq. (16)-(18) pipeline of EdgeSamplingInto.
 func (s *MACHP) ProbabilitiesInto(ctx *EdgeContext, dst []float64) []float64 {
 	norms := ensureLen(ctx.Scratch, len(ctx.Members))
-	ctx.Scratch = norms
+	ctx.Scratch, ctx.Estimates, ctx.Floor = norms, norms, s.cfg.QMin
 	for i, m := range ctx.Members {
 		norms[i] = s.probe(ctx, m)
 	}

@@ -86,38 +86,36 @@ func (*Oort) Name() string { return "oort" }
 // plain aggregation over participants.
 func (*Oort) Unbiased() bool { return false }
 
-// Observe implements Observer: utility is the mean observed squared norm,
-// exponentially averaged.
-func (o *Oort) Observe(t, _, m int, sqNorms []float64) {
-	if len(sqNorms) == 0 {
-		return
-	}
-	avg := 0.0
-	for _, v := range sqNorms {
-		avg += v
-	}
-	avg /= float64(len(sqNorms))
+// ObserveBatch implements Observer: a device's utility is the mean observed
+// squared norm of its window, exponentially averaged across steps.
+func (o *Oort) ObserveBatch(t int, _, devices []int, norms [][]float64) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	if o.seen[m] {
-		o.utility[m] = 0.7*o.utility[m] + 0.3*avg
-	} else {
-		o.utility[m] = avg
-		o.seen[m] = true
+	for i, m := range devices {
+		if len(norms[i]) == 0 {
+			continue
+		}
+		avg := mean(norms[i])
+		if o.seen[m] {
+			o.utility[m] = 0.7*o.utility[m] + 0.3*avg
+		} else {
+			o.utility[m] = avg
+			o.seen[m] = true
+		}
+		o.lastSeen[m] = t
 	}
-	o.lastSeen[m] = t
 }
 
 // CloudRound implements Observer (no round-boundary state).
 func (*Oort) CloudRound(int) {}
 
-// Probabilities implements Strategy.
-func (o *Oort) Probabilities(ctx *EdgeContext) []float64 {
+// ProbabilitiesInto implements Strategy.
+func (o *Oort) ProbabilitiesInto(ctx *EdgeContext, dst []float64) []float64 {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 
 	n := len(ctx.Members)
-	out := make([]float64, n)
+	out := ensureLen(dst, n)
 	if n == 0 {
 		return out
 	}
@@ -131,6 +129,7 @@ func (o *Oort) Probabilities(ctx *EdgeContext) []float64 {
 		}
 		return out
 	}
+	clear(out)
 
 	// Split members into explored and unexplored.
 	var explored, unexplored []int // indices into ctx.Members

@@ -38,9 +38,9 @@ func TestOortSelectsHighUtilityDevices(t *testing.T) {
 	}
 	// Devices 0..5 with rising utilities; all seen recently.
 	for m := 0; m < 6; m++ {
-		o.Observe(10, 0, m, []float64{float64(m + 1)})
+		observe(o, 10, 0, m, []float64{float64(m + 1)})
 	}
-	q := o.Probabilities(&EdgeContext{
+	q := probabilities(o, &EdgeContext{
 		Step: 11, Capacity: 2, Members: []int{0, 1, 2, 3, 4, 5},
 		RNG: rand.New(rand.NewSource(1)),
 	})
@@ -70,9 +70,9 @@ func TestOortExplorationBudget(t *testing.T) {
 	// Half the members explored, half unseen; capacity 4 → 2 exploration
 	// slots go to unseen devices.
 	for m := 0; m < 4; m++ {
-		o.Observe(5, 0, m, []float64{10})
+		observe(o, 5, 0, m, []float64{10})
 	}
-	q := o.Probabilities(&EdgeContext{
+	q := probabilities(o, &EdgeContext{
 		Step: 6, Capacity: 4, Members: []int{0, 1, 2, 3, 4, 5, 6, 7},
 		RNG: rand.New(rand.NewSource(2)),
 	})
@@ -99,11 +99,11 @@ func TestOortOutlierClipping(t *testing.T) {
 	// One pathological device with an enormous utility; clipping at the
 	// median must prevent it from being the sole determinant: with equal
 	// clipped utilities the selection is by order, not by the outlier.
-	o.Observe(3, 0, 0, []float64{1e9})
-	o.Observe(3, 0, 1, []float64{2})
-	o.Observe(3, 0, 2, []float64{2})
-	o.Observe(3, 0, 3, []float64{2})
-	q := o.Probabilities(&EdgeContext{
+	observe(o, 3, 0, 0, []float64{1e9})
+	observe(o, 3, 0, 1, []float64{2})
+	observe(o, 3, 0, 2, []float64{2})
+	observe(o, 3, 0, 3, []float64{2})
+	q := probabilities(o, &EdgeContext{
 		Step: 4, Capacity: 3, Members: []int{0, 1, 2, 3},
 		RNG: rand.New(rand.NewSource(3)),
 	})
@@ -125,7 +125,7 @@ func TestOortCapacityCoversAll(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q := o.Probabilities(&EdgeContext{
+	q := probabilities(o, &EdgeContext{
 		Step: 1, Capacity: 5, Members: []int{0, 1, 2},
 		RNG: rand.New(rand.NewSource(4)),
 	})

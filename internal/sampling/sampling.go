@@ -8,9 +8,13 @@
 // A Strategy computes, independently for every edge and time step, the
 // sampling probability q^t_{m,n} of each device currently attached to the
 // edge, subject to the expected channel capacity E[Σ_m 1^t_{m,n}] ≤ K_n
-// (Eq. 3). Strategies that learn from training experiences additionally
-// implement Observer and receive the squared norms of every local stochastic
-// gradient computed by the devices they sampled.
+// (Eq. 3). That is the whole contract: ProbabilitiesInto fills a caller-owned
+// buffer and reports what telemetry wants to know about the decision (the
+// per-member estimates behind it, the probability floor) as plain outputs on
+// the EdgeContext. Strategies that learn from training experiences
+// additionally implement Observer and receive, one batch per control-plane
+// shard per step, the squared norms of every local stochastic gradient
+// computed by the devices they sampled.
 package sampling
 
 import (
@@ -47,57 +51,36 @@ type EdgeContext struct {
 	// amortizes the allocation across steps. Contexts must not be shared
 	// across concurrently-deciding edges.
 	Scratch []float64
+
+	// Estimates and Floor are outputs of ProbabilitiesInto, observed by
+	// telemetry only. The caller zeroes both before every call; a strategy
+	// that has them sets them. Estimates holds the per-member values the
+	// probabilities were computed from (UCB estimates, probed norms,
+	// last-window averages), aligned with Members, and may alias Scratch; it
+	// stays empty for strategies without an estimator. Floor is the
+	// probability floor the strategy clamps to, 0 when it has none. Both are
+	// valid until the context's next use.
+	Estimates []float64
+	Floor     float64
 }
 
 // Strategy computes per-edge device sampling probabilities.
 type Strategy interface {
 	// Name identifies the strategy in experiment output.
 	Name() string
-	// Probabilities returns q^t_{m,n} for each member, aligned with
-	// ctx.Members. Probabilities are in [0, 1] and the vector respects
-	// Σ q ≤ K_n whenever len(Members) ≥ K_n. Strategies for which Unbiased
-	// returns true keep every probability strictly positive, since the
-	// aggregation weights of Eq. (5) are 1/q.
-	Probabilities(ctx *EdgeContext) []float64
 	// Unbiased reports whether edge aggregation should use the
 	// inverse-probability weights of Eq. (5) (true) or a plain average
 	// over the sampled devices (false, used by the actively-selecting
 	// class-balance baseline).
 	Unbiased() bool
-}
-
-// InPlaceStrategy is the allocation-free fast path: ProbabilitiesInto
-// computes the same vector as Probabilities — bit-identically — into a
-// caller-owned buffer, growing it only when its capacity is insufficient,
-// and may use ctx.Scratch for intermediates. The engine's per-step hot loop
-// uses it when available and falls back to Probabilities otherwise.
-type InPlaceStrategy interface {
-	Strategy
+	// ProbabilitiesInto writes q^t_{m,n} for each member, aligned with
+	// ctx.Members, into dst — growing it only when its capacity is
+	// insufficient, whatever it held before — and returns it. Probabilities
+	// are in [0, 1] and the vector respects Σ q ≤ K_n whenever
+	// len(Members) ≥ K_n. Strategies for which Unbiased returns true keep
+	// every probability strictly positive, since the aggregation weights of
+	// Eq. (5) are 1/q.
 	ProbabilitiesInto(ctx *EdgeContext, dst []float64) []float64
-}
-
-// Introspector is implemented by strategies whose estimator can report
-// exploration health (never-pulled counts, pull concentration). The engine
-// records the stats through its telemetry sink at cloud rounds; they are
-// observations only and never feed back into sampling.
-type Introspector interface {
-	EstimatorStats() EstimatorStats
-}
-
-// ScratchEstimator marks strategies whose ProbabilitiesInto leaves the
-// per-member estimates that produced the probabilities in ctx.Scratch,
-// aligned with ctx.Members and valid until the context's next use. The
-// engine's trace sink reads them to record complete sampling decisions
-// without recomputing estimates.
-type ScratchEstimator interface {
-	ScratchEstimates() bool
-}
-
-// FloorReporter is implemented by strategies that clamp probabilities to a
-// floor; telemetry uses it to count floor/ceiling clamp events without
-// hard-coding strategy internals.
-type FloorReporter interface {
-	ProbFloor() float64
 }
 
 // ensureLen returns dst resized to n, reallocating only when cap(dst) < n.
@@ -111,46 +94,32 @@ func ensureLen(dst []float64, n int) []float64 {
 
 // Observer is implemented by strategies that learn from training
 // experiences (MACH's experience updating, and statistical sampling's
-// last-observation estimates). The edge at which the experience was produced
+// last-observation estimates). The edge at which each experience was produced
 // is reported so strategies can choose where knowledge lives: MACH keeps the
 // buffer on the *device* (experiences travel with it across edges — the
 // paper's answer to whether experiences can be shared across edges), while
 // the naive statistical baseline keeps them on the *edge* and therefore
 // forgets devices that move.
 type Observer interface {
-	// Observe records the squared norms of the I local stochastic
-	// gradients device m computed during time step t while attached to
-	// the given edge (Algorithm 2, line 1).
-	Observe(t, edge, m int, sqNorms []float64)
+	// ObserveBatch records a run of time step t's experiences: norms[i]
+	// holds the squared norms of the I local stochastic gradients device
+	// devices[i] computed while attached to edges[i] (Algorithm 2, line 1).
+	// The engine buffers each control-plane shard's observations during the
+	// step and delivers them at the step's collect point in edge then member
+	// order, so the sequence a strategy sees is the same for every shard and
+	// worker count, and one call costs one lock however many devices trained.
+	ObserveBatch(t int, edges, devices []int, norms [][]float64)
 	// CloudRound runs at every edge-to-cloud communication step
 	// (t mod T_g == 0): estimates are refreshed and experience buffers
 	// cleared (Algorithm 2, lines 2-4).
 	CloudRound(t int)
 }
 
-// BatchObserver is an optional extension of Observer for sharded control
-// planes: ObserveBatch records a whole run of one step's observations —
-// edges[i], devices[i], norms[i] aligned — in one call, equivalent to the
-// same sequence of Observe(t, edges[i], devices[i], norms[i]) calls but
-// without per-observation lock traffic. The engine buffers each shard's
-// observations during the step and merges them at the step's collect point
-// in edge order, so a BatchObserver sees exactly the observation sequence
-// the serial engine produced; strategies without it get the per-call replay.
-type BatchObserver interface {
-	Observer
-	ObserveBatch(t int, edges, devices []int, norms [][]float64)
-}
-
-// capProbabilities scales raw non-negative scores to sampling probabilities
-// with Σ q ≤ capacity and q ∈ [floor, 1]. Scores must not be all zero; a
-// uniform fallback is used if they are.
-func capProbabilities(scores []float64, capacity, floor float64) []float64 {
-	return capProbabilitiesInto(make([]float64, len(scores)), scores, capacity, floor)
-}
-
-// capProbabilitiesInto is capProbabilities into a caller-owned buffer. dst
-// may alias scores: the total is accumulated before any write, and out[i]
-// depends only on scores[i] and the total.
+// capProbabilitiesInto scales raw non-negative scores to sampling
+// probabilities with Σ q ≤ capacity and q ∈ [floor, 1], written into a
+// caller-owned buffer. Scores must not be all zero; a uniform fallback is
+// used if they are. dst may alias scores: the total is accumulated before any
+// write, and out[i] depends only on scores[i] and the total.
 //
 //machlint:aliasok the score total is accumulated before any write and dst[i] depends only on scores[i]
 //
@@ -262,7 +231,7 @@ func VarianceTerm(sqNorms, probs []float64) float64 {
 // sampled with the same probability K_n/|M^t_n| [Li et al., ICLR 2020].
 type Uniform struct{}
 
-var _ InPlaceStrategy = (*Uniform)(nil)
+var _ Strategy = (*Uniform)(nil)
 
 // NewUniform returns the uniform sampling baseline.
 func NewUniform() *Uniform { return &Uniform{} }
@@ -273,12 +242,7 @@ func (*Uniform) Name() string { return "uniform" }
 // Unbiased implements Strategy.
 func (*Uniform) Unbiased() bool { return true }
 
-// Probabilities implements Strategy.
-func (u *Uniform) Probabilities(ctx *EdgeContext) []float64 {
-	return u.ProbabilitiesInto(ctx, make([]float64, len(ctx.Members)))
-}
-
-// ProbabilitiesInto implements InPlaceStrategy.
+// ProbabilitiesInto implements Strategy.
 func (*Uniform) ProbabilitiesInto(ctx *EdgeContext, dst []float64) []float64 {
 	dst = ensureLen(dst, len(ctx.Members))
 	for i := range dst {

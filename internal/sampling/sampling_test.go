@@ -44,7 +44,7 @@ func TestUniformProbabilities(t *testing.T) {
 			for i := range members {
 				members[i] = i
 			}
-			q := u.Probabilities(ctxWith(members, tt.capacity, 1))
+			q := probabilities(u, ctxWith(members, tt.capacity, 1))
 			for i, v := range q {
 				if math.Abs(v-tt.want) > 1e-12 {
 					t.Fatalf("q[%d] = %v, want %v", i, v, tt.want)
@@ -148,7 +148,7 @@ func TestVarianceTermInfiniteOnZeroProb(t *testing.T) {
 
 func TestCapProbabilitiesRespectsCapacityAndFloor(t *testing.T) {
 	scores := []float64{10, 1, 1, 1e-9}
-	q := capProbabilities(scores, 2, 0.05)
+	q := capProbabilitiesInto(nil, scores, 2, 0.05)
 	if got := sum(q); got > 2+0.25 { // floor may lift the sum slightly
 		t.Fatalf("Σq = %v exceeds capacity budget", got)
 	}
@@ -215,7 +215,7 @@ func TestMACHStartsNearUniform(t *testing.T) {
 		t.Fatal(err)
 	}
 	members := []int{0, 1, 2, 3, 4, 5}
-	q := s.Probabilities(ctxWith(members, 3, 2))
+	q := probabilities(s, ctxWith(members, 3, 2))
 	// With no experiences every estimate is the same exploration score, so
 	// probabilities are equal.
 	for i := 1; i < len(q); i++ {
@@ -235,13 +235,13 @@ func TestMACHFavorsHighNormDevices(t *testing.T) {
 	}
 	// Device 0 reports large gradients; device 1 small; 2 and 3 medium.
 	for step := 0; step < 5; step++ {
-		s.Observe(step, 0, 0, []float64{9, 10, 11})
-		s.Observe(step, 0, 1, []float64{0.1, 0.2})
-		s.Observe(step, 0, 2, []float64{2})
-		s.Observe(step, 0, 3, []float64{2})
+		observe(s, step, 0, 0, []float64{9, 10, 11})
+		observe(s, step, 0, 1, []float64{0.1, 0.2})
+		observe(s, step, 0, 2, []float64{2})
+		observe(s, step, 0, 3, []float64{2})
 	}
 	s.CloudRound(5)
-	q := s.Probabilities(ctxWith([]int{0, 1, 2, 3}, 2, 3))
+	q := probabilities(s, ctxWith([]int{0, 1, 2, 3}, 2, 3))
 	if !(q[0] > q[2] && q[2] > q[1]) {
 		t.Fatalf("ordering violated: %v", q)
 	}
@@ -260,17 +260,17 @@ func TestMACHExplorationBonusForUnseenDevices(t *testing.T) {
 	}
 	// Devices 0 and 1 participated often with small norms; device 2 never.
 	for step := 0; step < 20; step++ {
-		s.Observe(step, 0, 0, []float64{0.2})
-		s.Observe(step, 0, 1, []float64{0.2})
+		observe(s, step, 0, 0, []float64{0.2})
+		observe(s, step, 0, 1, []float64{0.2})
 	}
 	s.CloudRound(20)
 	book := s.Book()
-	unseen := book.UCBEstimate(2, 100)
-	seen := book.UCBEstimate(0, 100)
+	unseen := ucbEstimate(book, 2, 100)
+	seen := ucbEstimate(book, 0, 100)
 	if unseen <= seen {
 		t.Fatalf("unseen device must carry the larger UCB score: %v vs %v", unseen, seen)
 	}
-	q := s.Probabilities(ctxWith([]int{0, 1, 2}, 1.5, 4))
+	q := probabilities(s, ctxWith([]int{0, 1, 2}, 1.5, 4))
 	if q[2] <= q[0] {
 		t.Fatalf("unseen device must be sampled more: %v", q)
 	}
@@ -281,14 +281,14 @@ func TestMACHBufferClearedAtCloudRound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Observe(0, 0, 0, []float64{8})
+	observe(s, 0, 0, 0, []float64{8})
 	s.CloudRound(1)
-	first := s.Book().UCBEstimate(0, 10)
+	first := ucbEstimate(s.Book(), 0, 10)
 	// A later, smaller window must not lower the max-based estimate
 	// (Eq. 15 takes the max over windows)...
-	s.Observe(2, 0, 0, []float64{1})
+	observe(s, 2, 0, 0, []float64{1})
 	s.CloudRound(3)
-	second := s.Book().UCBEstimate(0, 10)
+	second := ucbEstimate(s.Book(), 0, 10)
 	if second > first {
 		t.Fatalf("estimate grew after smaller window with more steps: %v → %v", first, second)
 	}
@@ -307,21 +307,21 @@ func TestStatisticalTracksLastWindow(t *testing.T) {
 		t.Fatal("statistical must be unbiased")
 	}
 	// Before any experience: uniform via prior.
-	q := s.Probabilities(ctxWith([]int{0, 1}, 1, 5))
+	q := probabilities(s, ctxWith([]int{0, 1}, 1, 5))
 	if math.Abs(q[0]-q[1]) > 1e-12 {
 		t.Fatalf("prior probabilities not uniform: %v", q)
 	}
-	s.Observe(0, 0, 0, []float64{4})
-	s.Observe(0, 0, 1, []float64{1})
+	observe(s, 0, 0, 0, []float64{4})
+	observe(s, 0, 0, 1, []float64{1})
 	s.CloudRound(1)
-	q = s.Probabilities(ctxWith([]int{0, 1}, 1, 5))
+	q = probabilities(s, ctxWith([]int{0, 1}, 1, 5))
 	if q[0] <= q[1] {
 		t.Fatalf("statistical must favor the larger last window: %v", q)
 	}
 	// Unlike MACH, a later smaller window *replaces* the estimate.
-	s.Observe(2, 0, 0, []float64{0.1})
+	observe(s, 2, 0, 0, []float64{0.1})
 	s.CloudRound(3)
-	q2 := s.Probabilities(ctxWith([]int{0, 1}, 1, 5))
+	q2 := probabilities(s, ctxWith([]int{0, 1}, 1, 5))
 	if q2[0] >= q2[1] {
 		t.Fatalf("statistical must track the last window, not the max: %v", q2)
 	}
@@ -347,7 +347,7 @@ func TestMACHPUsesProbedNorms(t *testing.T) {
 		probes++
 		return float64(m*m + 1) // device 2 ≫ device 0
 	}
-	q := s.Probabilities(ctx)
+	q := probabilities(s, ctx)
 	if !(q[2] > q[1] && q[1] > q[0]) {
 		t.Fatalf("MACH-P ordering violated: %v", q)
 	}
@@ -355,13 +355,13 @@ func TestMACHPUsesProbedNorms(t *testing.T) {
 		t.Fatalf("probed %d times, want 3", probes)
 	}
 	// Same step again: cache must prevent re-probing.
-	_ = s.Probabilities(ctx)
+	_ = probabilities(s, ctx)
 	if probes != 3 {
 		t.Fatalf("cache miss: probed %d times", probes)
 	}
 	// New step: cache invalidated.
 	ctx.Step++
-	_ = s.Probabilities(ctx)
+	_ = probabilities(s, ctx)
 	if probes != 6 {
 		t.Fatalf("stale cache: probed %d times, want 6", probes)
 	}
@@ -372,7 +372,7 @@ func TestMACHPWithoutProbeDegradesToUniform(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q := s.Probabilities(ctxWith([]int{0, 1}, 1, 7))
+	q := probabilities(s, ctxWith([]int{0, 1}, 1, 7))
 	if math.Abs(q[0]-q[1]) > 1e-12 {
 		t.Fatalf("expected uniform fallback: %v", q)
 	}
@@ -412,7 +412,7 @@ func TestStrategyProbabilityRangeProperty(t *testing.T) {
 			ProbeGradNorm: func(m int) float64 { return float64(m) + 1 },
 		}
 		for _, s := range strategies {
-			q := s.Probabilities(ctx)
+			q := probabilities(s, ctx)
 			if len(q) != n {
 				return false
 			}

@@ -33,10 +33,8 @@ type Statistical struct {
 }
 
 var (
-	_ InPlaceStrategy  = (*Statistical)(nil)
-	_ Observer         = (*Statistical)(nil)
-	_ ScratchEstimator = (*Statistical)(nil)
-	_ FloorReporter    = (*Statistical)(nil)
+	_ Strategy = (*Statistical)(nil)
+	_ Observer = (*Statistical)(nil)
 )
 
 // NewStatistical returns the statistical sampling baseline. qMin floors the
@@ -60,13 +58,6 @@ func (*Statistical) Name() string { return "statistical" }
 // Unbiased implements Strategy.
 func (*Statistical) Unbiased() bool { return true }
 
-// ScratchEstimates implements ScratchEstimator: ProbabilitiesInto leaves the
-// last-window-average norm estimates in ctx.Scratch.
-func (*Statistical) ScratchEstimates() bool { return true }
-
-// ProbFloor implements FloorReporter.
-func (s *Statistical) ProbFloor() float64 { return s.qMin }
-
 func (s *Statistical) book(edge int) *ExperienceBook {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -78,10 +69,17 @@ func (s *Statistical) book(edge int) *ExperienceBook {
 	return b
 }
 
-// Observe implements Observer: the experience is recorded only on the edge
-// that produced it.
-func (s *Statistical) Observe(_, edge, m int, sqNorms []float64) {
-	s.book(edge).Observe(m, sqNorms)
+// ObserveBatch implements Observer: each experience is recorded only on the
+// edge that produced it, one book lock per run of same-edge observations.
+func (s *Statistical) ObserveBatch(_ int, edges, devices []int, norms [][]float64) {
+	for lo := 0; lo < len(edges); {
+		hi := lo + 1
+		for hi < len(edges) && edges[hi] == edges[lo] {
+			hi++
+		}
+		s.book(edges[lo]).ObserveMany(devices[lo:hi], norms[lo:hi])
+		lo = hi
+	}
 }
 
 // CloudRound implements Observer.
@@ -97,19 +95,14 @@ func (s *Statistical) CloudRound(t int) {
 	}
 }
 
-// Probabilities implements Strategy: q ∝ last observed window-average norm
-// at this edge (Eq. 13 with plug-in estimates), clipped to [qMin, 1] and
-// scaled to the capacity. Devices the edge has never trained score the
-// prior.
-func (s *Statistical) Probabilities(ctx *EdgeContext) []float64 {
-	return s.ProbabilitiesInto(ctx, make([]float64, len(ctx.Members)))
-}
-
-// ProbabilitiesInto implements InPlaceStrategy.
+// ProbabilitiesInto implements Strategy: q ∝ last observed window-average
+// norm at this edge (Eq. 13 with plug-in estimates, reported as
+// ctx.Estimates), clipped to [qMin, 1] and scaled to the capacity. Devices the
+// edge has never trained score the prior.
 func (s *Statistical) ProbabilitiesInto(ctx *EdgeContext, dst []float64) []float64 {
 	b := s.book(ctx.Edge)
 	scores := ensureLen(ctx.Scratch, len(ctx.Members))
-	ctx.Scratch = scores
+	ctx.Scratch, ctx.Estimates, ctx.Floor = scores, scores, s.qMin
 	for i, m := range ctx.Members {
 		scores[i] = b.LastAverage(m, s.priorNorm)
 	}

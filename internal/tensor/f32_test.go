@@ -134,7 +134,7 @@ func TestIm2Col32MatchesF64Exactly(t *testing.T) {
 	rows, n := g.InC*g.K*g.K, g.OutH()*g.OutW()
 	cols32 := make([]float32, rows*n)
 	Im2Col32Into(cols32, x32, g)
-	ref := Im2Col(FromSlice(x64, g.InC, g.InH, g.InW), g)
+	ref := im2Col(FromSlice(x64, g.InC, g.InH, g.InW), g)
 	for i, v := range cols32 {
 		if float64(v) != ref.Data()[i] {
 			t.Fatalf("Im2Col32[%d] = %v, want %v", i, v, ref.Data()[i])
@@ -144,6 +144,6 @@ func TestIm2Col32MatchesF64Exactly(t *testing.T) {
 	c32, c64 := randn32(rng, rows*n)
 	img32 := make([]float32, g.InC*g.InH*g.InW)
 	Col2Im32Into(img32, c32, g)
-	refImg := Col2Im(FromSlice(c64, rows, n), g)
+	refImg := col2Im(FromSlice(c64, rows, n), g)
 	close32(t, "Col2Im32Into", img32, refImg.Data(), g.K*g.K)
 }

@@ -30,19 +30,10 @@ func (g ConvGeom) Validate() error {
 	return nil
 }
 
-// Im2Col lowers a single image x of shape [InC, InH, InW] into a matrix of
-// shape [InC*K*K, OutH*OutW] so the convolution becomes a matrix product
-// W (outC × InC*K*K) · cols. Out-of-bounds (padding) positions contribute
-// zeros.
-func Im2Col(x *Tensor, g ConvGeom) *Tensor {
-	out := New(g.InC*g.K*g.K, g.OutH()*g.OutW())
-	Im2ColInto(out, x, g)
-	return out
-}
-
-// Im2ColInto lowers x into dst, reusing dst's storage. dst must have shape
-// [InC*K*K, OutH*OutW]; it is fully overwritten (padding positions with
-// zeros), so a dirty scratch tensor may be passed.
+// Im2ColInto lowers a single image x of shape [InC, InH, InW] into dst, a
+// matrix of shape [InC*K*K, OutH*OutW], so the convolution becomes a matrix
+// product W (outC × InC*K*K) · cols. dst is fully overwritten (out-of-bounds
+// padding positions with zeros), so a dirty scratch tensor may be passed.
 //
 //machlint:noalias dst,x
 func Im2ColInto(dst, x *Tensor, g ConvGeom) {
@@ -149,18 +140,10 @@ func im2ColStride1(out, x []float64, g ConvGeom) {
 	}
 }
 
-// Col2Im is the adjoint of Im2Col: it scatters a [InC*K*K, OutH*OutW] matrix
-// of column gradients back into an image gradient of shape [InC, InH, InW],
-// accumulating where patches overlap.
-func Col2Im(cols *Tensor, g ConvGeom) *Tensor {
-	img := New(g.InC, g.InH, g.InW)
-	Col2ImInto(img, cols, g)
-	return img
-}
-
-// Col2ImInto scatters cols into img, reusing img's storage. img must have
-// shape [InC, InH, InW]; it is zeroed before accumulation, so a dirty
-// scratch tensor may be passed.
+// Col2ImInto is the adjoint of Im2ColInto: it scatters a [InC*K*K, OutH*OutW]
+// matrix of column gradients back into img, an image gradient of shape
+// [InC, InH, InW], accumulating where patches overlap. img is zeroed before
+// accumulation, so a dirty scratch tensor may be passed.
 //
 //machlint:noalias img,cols
 func Col2ImInto(img, cols *Tensor, g ConvGeom) {

@@ -89,9 +89,9 @@ func TestIm2ColMatchesNaiveConv(t *testing.T) {
 	for _, g := range geoms {
 		x := Randn(rng, 1, g.InC, g.InH, g.InW)
 		w := Randn(rng, 1, g.InC, g.K, g.K)
-		cols := Im2Col(x, g)
+		cols := im2Col(x, g)
 		wRow := w.Reshape(1, g.InC*g.K*g.K)
-		got := MatMul(wRow, cols).Reshape(g.OutH(), g.OutW())
+		got := matMul(wRow, cols).Reshape(g.OutH(), g.OutW())
 		want := naiveConv(x, w, g)
 		for i := range got.Data() {
 			if !almostEqual(got.Data()[i], want.Data()[i], 1e-10) {
@@ -120,7 +120,7 @@ func TestCol2ImAdjointProperty(t *testing.T) {
 			return true
 		}
 		x := Randn(rng, 1, g.InC, g.InH, g.InW)
-		cx := Im2Col(x, g)
+		cx := im2Col(x, g)
 		y := Randn(rng, 1, cx.Dim(0), cx.Dim(1))
 		// <Im2Col(x), y>
 		lhs := 0.0
@@ -128,7 +128,7 @@ func TestCol2ImAdjointProperty(t *testing.T) {
 			lhs += v * y.Data()[i]
 		}
 		// <x, Col2Im(y)>
-		cy := Col2Im(y, g)
+		cy := col2Im(y, g)
 		rhs := 0.0
 		for i, v := range x.Data() {
 			rhs += v * cy.Data()[i]
@@ -147,7 +147,7 @@ func TestIm2ColShapeMismatchPanics(t *testing.T) {
 		}
 	}()
 	g := ConvGeom{InC: 2, InH: 4, InW: 4, K: 3, Stride: 1, Pad: 1}
-	Im2Col(New(1, 4, 4), g)
+	im2Col(New(1, 4, 4), g)
 }
 
 // TestStride1PathsMatchGeneralLoop compares the stride-1 im2col/col2im fast

@@ -29,26 +29,12 @@ const (
 	mmMinRowsPerTask = 32
 )
 
-// MatMul returns the matrix product a·b for 2-D tensors a (m×k) and b (k×n).
-// The kernel is cache-blocked over rows of dst and slices of the inner
-// dimension, and partitions by output rows across goroutines for large
-// products; both transformations preserve the per-element accumulation
-// order, so the result is bit-identical for any block size or parallelism.
-func MatMul(a, b *Tensor) *Tensor {
-	if a.Rank() != 2 || b.Rank() != 2 {
-		panic(fmt.Sprintf("tensor: MatMul requires 2-D operands, got %v and %v", a.shape, b.shape))
-	}
-	m, k := a.shape[0], a.shape[1]
-	k2, n := b.shape[0], b.shape[1]
-	if k != k2 {
-		panic(fmt.Sprintf("tensor: MatMul inner dimensions disagree: %v × %v", a.shape, b.shape))
-	}
-	out := New(m, n)
-	matMulDispatch(out.data, a.data, b.data, m, k, n)
-	return out
-}
-
-// MatMulInto computes dst = a·b, reusing dst's storage. dst must be m×n.
+// MatMulInto computes the matrix product dst = a·b for 2-D tensors a (m×k)
+// and b (k×n), reusing dst's storage; dst must be m×n. The kernel is
+// cache-blocked over rows of dst and slices of the inner dimension, and
+// partitions by output rows across goroutines for large products; both
+// transformations preserve the per-element accumulation order, so the result
+// is bit-identical for any block size or parallelism.
 //
 //machlint:noalias dst,a dst,b
 func MatMulInto(dst, a, b *Tensor) {
@@ -148,17 +134,9 @@ func foldRows(drow, b []float64, ps []int, vs []float64) {
 	}
 }
 
-// MatMulTransA returns aᵀ·b for a (k×m) and b (k×n), producing m×n. This is
-// the backward-pass form used when computing weight gradients.
-func MatMulTransA(a, b *Tensor) *Tensor {
-	k, m, n := transAShape(a, b)
-	out := New(m, n)
-	matMulTransAInto(out.data, a.data, b.data, k, m, n)
-	return out
-}
-
 // MatMulTransAInto computes dst = aᵀ·b, reusing dst's storage. dst must be
-// m×n for a (k×m) and b (k×n).
+// m×n for a (k×m) and b (k×n). This is the backward-pass form used when
+// computing weight gradients.
 //
 //machlint:noalias dst,a dst,b
 func MatMulTransAInto(dst, a, b *Tensor) {
@@ -212,18 +190,9 @@ func matMulTransAInto(dst, a, b []float64, k, m, n int) {
 	}
 }
 
-// MatMulTransB returns a·bᵀ for a (m×k) and b (n×k), producing m×n. This is
-// the backward-pass form used when propagating gradients through a dense
-// layer.
-func MatMulTransB(a, b *Tensor) *Tensor {
-	m, k, n := transBShape(a, b)
-	out := New(m, n)
-	matMulTransBDispatch(out.data, a.data, b.data, m, k, n)
-	return out
-}
-
 // MatMulTransBInto computes dst = a·bᵀ, reusing dst's storage. dst must be
-// m×n for a (m×k) and b (n×k).
+// m×n for a (m×k) and b (n×k). This is the backward-pass form used when
+// propagating gradients through a dense layer.
 //
 //machlint:noalias dst,a dst,b
 func MatMulTransBInto(dst, a, b *Tensor) {
@@ -361,19 +330,4 @@ func rowParallel(m int, fn func(i0, i1 int)) {
 		}(i0, i1)
 	}
 	wg.Wait()
-}
-
-// Transpose2D returns the transpose of a 2-D tensor.
-func Transpose2D(a *Tensor) *Tensor {
-	if a.Rank() != 2 {
-		panic(fmt.Sprintf("tensor: Transpose2D requires a 2-D tensor, got %v", a.shape))
-	}
-	m, n := a.shape[0], a.shape[1]
-	out := New(n, m)
-	for i := 0; i < m; i++ {
-		for j := 0; j < n; j++ {
-			out.data[j*m+i] = a.data[i*n+j]
-		}
-	}
-	return out
 }

@@ -45,7 +45,7 @@ func TestBlockedMatMulBitIdenticalToNaive(t *testing.T) {
 		b := Randn(rng, 1, k, n)
 		a.data[rng.Intn(len(a.data))] = 0 // exercise the zero-skip
 		want := refMatMulIKJ(a, b)
-		got := MatMul(a, b)
+		got := matMul(a, b)
 		for i := range want.data {
 			if got.data[i] != want.data[i] {
 				t.Fatalf("%dx%dx%d: blocked result differs from naive at %d: %v vs %v",
@@ -71,7 +71,7 @@ func TestMatMulTransIntoMatchAllocatingForms(t *testing.T) {
 		// aᵀ·b with a (k×m), b (k×n).
 		at := Randn(rng, 1, k, m)
 		b := Randn(rng, 1, k, n)
-		wantA := MatMulTransA(at, b)
+		wantA := matMulTransA(at, b)
 		gotA := New(m, n)
 		gotA.Fill(-1)
 		MatMulTransAInto(gotA, at, b)
@@ -84,7 +84,7 @@ func TestMatMulTransIntoMatchAllocatingForms(t *testing.T) {
 		// a·bᵀ with a (m×k), b (n×k).
 		a := Randn(rng, 1, m, k)
 		bt := Randn(rng, 1, n, k)
-		wantB := MatMulTransB(a, bt)
+		wantB := matMulTransB(a, bt)
 		gotB := New(m, n)
 		gotB.Fill(-1)
 		MatMulTransBInto(gotB, a, bt)
@@ -117,7 +117,7 @@ func TestIm2ColColIntoReuseDirtyScratch(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	g := ConvGeom{InC: 2, InH: 6, InW: 6, K: 3, Stride: 1, Pad: 1}
 	x := Randn(rng, 1, 2, 6, 6)
-	want := Im2Col(x, g)
+	want := im2Col(x, g)
 	dst := New(want.Dim(0), want.Dim(1))
 	dst.Fill(42)
 	Im2ColInto(dst, x, g)
@@ -127,7 +127,7 @@ func TestIm2ColColIntoReuseDirtyScratch(t *testing.T) {
 		}
 	}
 
-	wantImg := Col2Im(want, g)
+	wantImg := col2Im(want, g)
 	img := New(2, 6, 6)
 	img.Fill(-7)
 	Col2ImInto(img, want, g)

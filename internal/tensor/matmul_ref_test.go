@@ -157,7 +157,7 @@ func TestTiledKernelsBitIdenticalToReferenceOrder(t *testing.T) {
 				t.Fatalf("%v: oracle produced %v; the planted non-finite rows must stay unread", s, v)
 			}
 		}
-		requireSameBits(t, "MatMul", MatMul(a, b), want)
+		requireSameBits(t, "MatMul", matMul(a, b), want)
 		// The Into forms run on operands one element off any alignment the
 		// allocator gives (the vector kernels use unaligned loads and stores)
 		// and on a dirty destination.
@@ -166,7 +166,7 @@ func TestTiledKernelsBitIdenticalToReferenceOrder(t *testing.T) {
 		requireSameBits(t, "MatMulInto", dirty, want)
 
 		wantA := refMatMulTransAPIJ(at, b)
-		requireSameBits(t, "MatMulTransA", MatMulTransA(at, b), wantA)
+		requireSameBits(t, "MatMulTransA", matMulTransA(at, b), wantA)
 		dirty = offsetBy1(Full(math.NaN(), m, n))
 		MatMulTransAInto(dirty, offsetBy1(at), offsetBy1(b))
 		requireSameBits(t, "MatMulTransAInto", dirty, wantA)
@@ -176,7 +176,7 @@ func TestTiledKernelsBitIdenticalToReferenceOrder(t *testing.T) {
 		bt := Randn(rng, 1, n, k)
 		plantZeros(rng, bt)
 		wantB := refMatMulTransBDot(a, bt)
-		requireSameBits(t, "MatMulTransB", MatMulTransB(a, bt), wantB)
+		requireSameBits(t, "MatMulTransB", matMulTransB(a, bt), wantB)
 		dirty = offsetBy1(Full(math.NaN(), m, n))
 		MatMulTransBInto(dirty, offsetBy1(a), offsetBy1(bt))
 		requireSameBits(t, "MatMulTransBInto", dirty, wantB)

@@ -17,7 +17,7 @@ import (
 )
 
 // Tensor is a dense, row-major float64 tensor. The zero value is not usable;
-// construct tensors with New, FromSlice, Zeros, or the random initializers.
+// construct tensors with New, FromSlice, Full, or Randn.
 type Tensor struct {
 	shape []int
 	data  []float64
@@ -40,9 +40,6 @@ func FromSlice(data []float64, shape ...int) *Tensor {
 	return &Tensor{shape: append([]int(nil), shape...), data: data}
 }
 
-// Zeros is an alias of New, provided for readability at call sites.
-func Zeros(shape ...int) *Tensor { return New(shape...) }
-
 // Full returns a tensor with every element set to v.
 func Full(v float64, shape ...int) *Tensor {
 	t := New(shape...)
@@ -57,15 +54,6 @@ func Randn(rng *rand.Rand, std float64, shape ...int) *Tensor {
 	t := New(shape...)
 	for i := range t.data {
 		t.data[i] = rng.NormFloat64() * std
-	}
-	return t
-}
-
-// Uniform returns a tensor with elements drawn i.i.d. from U[lo, hi).
-func Uniform(rng *rand.Rand, lo, hi float64, shape ...int) *Tensor {
-	t := New(shape...)
-	for i := range t.data {
-		t.data[i] = lo + rng.Float64()*(hi-lo)
 	}
 	return t
 }

@@ -161,7 +161,7 @@ func TestReductions(t *testing.T) {
 func TestMatMulSmall(t *testing.T) {
 	a := FromSlice([]float64{1, 2, 3, 4, 5, 6}, 2, 3)
 	b := FromSlice([]float64{7, 8, 9, 10, 11, 12}, 3, 2)
-	got := MatMul(a, b)
+	got := matMul(a, b)
 	want := []float64{58, 64, 139, 154}
 	for i, w := range want {
 		if got.Data()[i] != w {
@@ -177,7 +177,7 @@ func TestMatMulIdentity(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		id.Set(1, i, i)
 	}
-	got := MatMul(a, id)
+	got := matMul(a, id)
 	for i, v := range got.Data() {
 		if !almostEqual(v, a.Data()[i], 1e-12) {
 			t.Fatalf("A·I differs from A at %d: %v vs %v", i, v, a.Data()[i])
@@ -208,7 +208,7 @@ func TestMatMulMatchesNaive(t *testing.T) {
 		m, k, n := 1+rng.Intn(8), 1+rng.Intn(8), 1+rng.Intn(8)
 		a := Randn(rng, 1, m, k)
 		b := Randn(rng, 1, k, n)
-		got, want := MatMul(a, b), naiveMatMul(a, b)
+		got, want := matMul(a, b), naiveMatMul(a, b)
 		for i := range got.Data() {
 			if !almostEqual(got.Data()[i], want.Data()[i], 1e-10) {
 				t.Fatalf("trial %d: MatMul differs from naive at %d", trial, i)
@@ -223,8 +223,8 @@ func TestMatMulTransformsAgreeWithExplicitTranspose(t *testing.T) {
 		m, k, n := 1+rng.Intn(6), 1+rng.Intn(6), 1+rng.Intn(6)
 		a := Randn(rng, 1, k, m) // for TransA
 		b := Randn(rng, 1, k, n)
-		got := MatMulTransA(a, b)
-		want := MatMul(Transpose2D(a), b)
+		got := matMulTransA(a, b)
+		want := matMul(transpose2D(a), b)
 		for i := range got.Data() {
 			if !almostEqual(got.Data()[i], want.Data()[i], 1e-10) {
 				t.Fatalf("TransA differs from explicit transpose at %d", i)
@@ -232,8 +232,8 @@ func TestMatMulTransformsAgreeWithExplicitTranspose(t *testing.T) {
 		}
 		c := Randn(rng, 1, m, k)
 		d := Randn(rng, 1, n, k) // for TransB
-		got2 := MatMulTransB(c, d)
-		want2 := MatMul(c, Transpose2D(d))
+		got2 := matMulTransB(c, d)
+		want2 := matMul(c, transpose2D(d))
 		for i := range got2.Data() {
 			if !almostEqual(got2.Data()[i], want2.Data()[i], 1e-10) {
 				t.Fatalf("TransB differs from explicit transpose at %d", i)
@@ -247,7 +247,7 @@ func TestMatMulInto(t *testing.T) {
 	b := FromSlice([]float64{5, 6, 7, 8}, 2, 2)
 	dst := Full(99, 2, 2) // pre-filled garbage must be overwritten
 	MatMulInto(dst, a, b)
-	want := MatMul(a, b)
+	want := matMul(a, b)
 	for i := range dst.Data() {
 		if dst.Data()[i] != want.Data()[i] {
 			t.Fatalf("MatMulInto[%d] = %v, want %v", i, dst.Data()[i], want.Data()[i])
@@ -257,7 +257,7 @@ func TestMatMulInto(t *testing.T) {
 
 func TestTranspose2D(t *testing.T) {
 	a := FromSlice([]float64{1, 2, 3, 4, 5, 6}, 2, 3)
-	at := Transpose2D(a)
+	at := transpose2D(a)
 	if at.Dim(0) != 3 || at.Dim(1) != 2 {
 		t.Fatalf("transpose shape = %v", at.Shape())
 	}
@@ -279,8 +279,8 @@ func TestMatMulDistributiveProperty(t *testing.T) {
 		a := Randn(rng, 1, m, k)
 		b := Randn(rng, 1, k, n)
 		c := Randn(rng, 1, k, n)
-		left := MatMul(a, b.Clone().AddInPlace(c))
-		right := MatMul(a, b).AddInPlace(MatMul(a, c))
+		left := matMul(a, b.Clone().AddInPlace(c))
+		right := matMul(a, b).AddInPlace(matMul(a, c))
 		for i := range left.Data() {
 			if !almostEqual(left.Data()[i], right.Data()[i], 1e-9) {
 				return false
@@ -341,7 +341,7 @@ func TestFillApplyAndString(t *testing.T) {
 
 func TestUniformRange(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
-	x := Uniform(rng, -2, 5, 1000)
+	x := uniform(rng, -2, 5, 1000)
 	for _, v := range x.Data() {
 		if v < -2 || v >= 5 {
 			t.Fatalf("uniform draw %v outside [-2,5)", v)

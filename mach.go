@@ -83,9 +83,12 @@ type (
 
 // Sampling.
 type (
-	// Strategy computes per-edge device sampling probabilities.
+	// Strategy computes per-edge device sampling probabilities into a
+	// caller-owned buffer: Name, Unbiased and ProbabilitiesInto(ctx, dst)
+	// are the whole contract.
 	Strategy = sampling.Strategy
-	// EdgeContext is the information a strategy sees per edge per step.
+	// EdgeContext is the information a strategy sees per edge per step,
+	// plus the Estimates/Floor outputs it may report back.
 	EdgeContext = sampling.EdgeContext
 	// MACHConfig parameterizes the MACH strategy.
 	MACHConfig = sampling.MACHConfig
