@@ -111,7 +111,7 @@ func run() error {
 				data[m] = env.DeviceData[m]
 			}
 		}
-		srv, err := fed.NewDeviceServer(cfg.Arch(), data, cfg.MACH, *seed+int64(*hostIndex)*97)
+		srv, err := fed.NewDeviceServer(cfg.Arch(), data, cfg.MACH, *seed)
 		if err != nil {
 			return err
 		}
@@ -139,7 +139,7 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		e, err := fed.NewEdgeServer(*edgeIndex, cfg.MACH, hyper, *seed+int64(*edgeIndex)*31, fed.StaticResolver(table), base.ParamVector())
+		e, err := fed.NewEdgeServer(*edgeIndex, cfg.MACH, hyper, *seed, fed.StaticResolver(table), base.ParamVector())
 		if err != nil {
 			return err
 		}

@@ -32,8 +32,7 @@ func run() error {
 	)
 
 	// A heterogeneous population: per-device squared gradient-norm bounds
-	// G²_m spread over an order of magnitude, as the diagnostics of
-	// cmd/diag show mid-training.
+	// G²_m spread over an order of magnitude, as mid-training runs show.
 	norms := make([][]float64, edges)
 	for n := range norms {
 		norms[n] = make([]float64, perEdge)

@@ -45,7 +45,7 @@ func run() error {
 		for m := h * cfg.Devices / numHosts; m < (h+1)*cfg.Devices/numHosts; m++ {
 			data[m] = env.DeviceData[m]
 		}
-		srv, err := fed.NewDeviceServer(cfg.Arch(), data, cfg.MACH, int64(100+h))
+		srv, err := fed.NewDeviceServer(cfg.Arch(), data, cfg.MACH, cfg.Seed)
 		if err != nil {
 			return err
 		}
@@ -73,7 +73,7 @@ func run() error {
 	}
 	var edgeAddrs []string
 	for n := 0; n < cfg.Edges; n++ {
-		e, err := fed.NewEdgeServer(n, cfg.MACH, hyper, int64(200+n), fed.StaticResolver(table), base.ParamVector())
+		e, err := fed.NewEdgeServer(n, cfg.MACH, hyper, cfg.Seed, fed.StaticResolver(table), base.ParamVector())
 		if err != nil {
 			return err
 		}

@@ -116,7 +116,7 @@ func buildCommDeployment(cfg Config, env *Environment, hosts int, scheme codec.S
 		for m := h * cfg.Devices / hosts; m < (h+1)*cfg.Devices/hosts; m++ {
 			data[m] = env.DeviceData[m]
 		}
-		srv, err := fed.NewDeviceServer(cfg.Arch(), data, cfg.MACH, cfg.Seed+int64(100+h))
+		srv, err := fed.NewDeviceServer(cfg.Arch(), data, cfg.MACH, cfg.Seed)
 		if err != nil {
 			d.close()
 			return nil, err
@@ -143,7 +143,7 @@ func buildCommDeployment(cfg Config, env *Environment, hosts int, scheme codec.S
 	}
 	var edgeAddrs []string
 	for n := 0; n < cfg.Edges; n++ {
-		e, err := fed.NewEdgeServer(n, cfg.MACH, hyper, cfg.Seed+11, fed.StaticResolver(table), nil)
+		e, err := fed.NewEdgeServer(n, cfg.MACH, hyper, cfg.Seed, fed.StaticResolver(table), nil)
 		if err != nil {
 			d.close()
 			return nil, err

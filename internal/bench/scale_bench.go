@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"sync"
 
+	"github.com/mach-fl/mach/internal/det"
 	"github.com/mach-fl/mach/internal/mobility"
 	"github.com/mach-fl/mach/internal/parallel"
 	"github.com/mach-fl/mach/internal/sampling"
@@ -204,23 +205,12 @@ type ScaleBenchResult struct {
 	Profiles *ProfileMeta `json:"profiles,omitempty"`
 }
 
-// scaleMix reproduces the engine's FNV-style seed mixing so the benchmark's
-// per-edge RNG streams have the same structure as training runs.
-func scaleMix(parts ...int64) int64 {
-	h := int64(1469598103934665603)
-	for _, p := range parts {
-		h ^= p
-		h *= 1099511628211
-	}
-	return h
-}
-
 // synthNorm is the seeded synthetic gradient-norm generator: a hash of
 // (seed, step, device) mapped into [0.5, 1.5). It stands in for the squared
 // norms NN training would produce, with per-device, per-step variation and
 // no training cost.
 func synthNorm(seed int64, t, m int) float64 {
-	h := uint64(scaleMix(seed, int64(t)+17, int64(m)+1_000_003))
+	h := uint64(det.Mix(seed, int64(t)+17, int64(m)+1_000_003))
 	return 0.5 + float64(h>>11)/float64(1<<53)
 }
 
@@ -453,7 +443,7 @@ func (e *scaleEngine) decideEdge(t, n int, members []int, st *scaleDecideState, 
 		tb.estimates = append(tb.estimates[:0], st.ctx.Estimates...)
 		tb.coins, tb.sampled = tb.coins[:0], tb.sampled[:0]
 	}
-	coin := coinRNG(scaleMix(e.cfg.Seed, int64(t)+1, int64(n)+101))
+	coin := coinRNG(det.EdgeCoin(e.cfg.Seed, t, n))
 	sampled := int64(0)
 	for i, m := range members {
 		c := coin.Float64()

@@ -2,12 +2,14 @@ package fed
 
 import (
 	"fmt"
+	"math/rand"
 	"net/rpc"
 	"sync"
 	"sync/atomic"
 
 	"github.com/mach-fl/mach/internal/codec"
 	"github.com/mach-fl/mach/internal/dataset"
+	"github.com/mach-fl/mach/internal/det"
 	"github.com/mach-fl/mach/internal/hfl"
 	"github.com/mach-fl/mach/internal/metrics"
 	"github.com/mach-fl/mach/internal/mobility"
@@ -26,7 +28,7 @@ type CloudConfig struct {
 	// EvalEvery evaluates the global model every EvalEvery steps
 	// (0 = every cloud round).
 	EvalEvery int
-	// Seed drives model initialization.
+	// Seed is the run's seed; the cloud draws the initial global model from it.
 	Seed int64
 	// Codec selects the wire format for every model transfer of the run
 	// (DESIGN.md §6). The zero value, codec.SchemeDelta, is lossless and
@@ -119,8 +121,7 @@ func NewCloud(cfg CloudConfig, arch hfl.ArchFunc, src mobility.StepSource, test 
 	if test == nil || test.Len() == 0 {
 		return nil, fmt.Errorf("fed: cloud needs a test set")
 	}
-	rng := newRand(cfg.Seed)
-	net0, err := arch(rng)
+	net0, err := arch(rand.New(rand.NewSource(det.ModelInit(cfg.Seed))))
 	if err != nil {
 		return nil, fmt.Errorf("fed: build global model: %w", err)
 	}

@@ -9,24 +9,24 @@ import (
 
 	"github.com/mach-fl/mach/internal/codec"
 	"github.com/mach-fl/mach/internal/dataset"
+	"github.com/mach-fl/mach/internal/det"
 	"github.com/mach-fl/mach/internal/hfl"
-	"github.com/mach-fl/mach/internal/nn"
 	"github.com/mach-fl/mach/internal/sampling"
 	"github.com/mach-fl/mach/internal/telemetry"
-	"github.com/mach-fl/mach/internal/tensor"
 )
 
-// DeviceServer hosts a set of logical mobile devices: their datasets, model
-// replicas, optimizers and — per the paper's device-side design — their
-// gradient experience buffers. One process typically hosts many devices
-// (like one simulator machine emulating a fleet).
+// DeviceServer hosts a set of logical mobile devices: their datasets,
+// minibatch streams and — per the paper's device-side design — their gradient
+// experience buffers. What a local update mutates is not a device's: like the
+// engine, the host lends each training RPC one of the engine's trainers, so
+// it holds one model replica per concurrent RPC however many devices it
+// hosts (like one simulator machine emulating a fleet).
 type DeviceServer struct {
-	mu      sync.Mutex
-	devices map[int]*hostedDevice
-	book    *sampling.ExperienceBook
-	arch    hfl.ArchFunc
-	seed    int64
-	nParams int // parameter count of the hosted model architecture
+	mu       sync.Mutex
+	devices  map[int]*hostedDevice
+	book     *sampling.ExperienceBook
+	trainers *hfl.TrainerPool
+	nParams  int // parameter count of the hosted model architecture
 
 	// edgeBases caches, per edge, the base models installed by SetBase or
 	// advanced in place by TrainMany (DESIGN.md §6). At most a couple of
@@ -47,21 +47,16 @@ type DeviceServer struct {
 // SetTelemetry attaches a telemetry sink (nil detaches). Call before Serve.
 func (s *DeviceServer) SetTelemetry(t *telemetry.Telemetry) { s.tel = t }
 
+// hostedDevice is the engine's device: its data and the minibatch stream
+// det.DeviceBatch(seed, id), which does not depend on the host serving it.
 type hostedDevice struct {
-	data  *dataset.Dataset
-	model *nn.Network
-	opt   *nn.SGD
-	rng   *rand.Rand
-
-	// Pooled minibatch buffers, sized on first use and whenever the batch
-	// size changes; local steps then draw batches without allocating.
-	batchX   *tensor.Tensor
-	batchY   []int
-	batchIdx []int
+	data *dataset.Dataset
+	rng  *rand.Rand
 }
 
 // NewDeviceServer creates a host for the given logical devices (deviceID →
-// dataset). machCfg parameterizes the on-device UCB estimator.
+// dataset). machCfg parameterizes the on-device UCB estimator; seed is the
+// run's seed, the same on every host.
 func NewDeviceServer(arch hfl.ArchFunc, data map[int]*dataset.Dataset, machCfg sampling.MACHConfig, seed int64) (*DeviceServer, error) {
 	if len(data) == 0 {
 		return nil, fmt.Errorf("fed: device server needs at least one device")
@@ -75,27 +70,20 @@ func NewDeviceServer(arch hfl.ArchFunc, data map[int]*dataset.Dataset, machCfg s
 			maxID = id
 		}
 	}
+	proto, err := arch(rand.New(rand.NewSource(det.ModelInit(seed))))
+	if err != nil {
+		return nil, fmt.Errorf("fed: build hosted model: %w", err)
+	}
 	ds := &DeviceServer{
 		devices:   make(map[int]*hostedDevice, len(data)),
 		book:      sampling.NewExperienceBook(maxID+1, machCfg.ExplorationCoef, machCfg.Discount),
-		arch:      arch,
-		seed:      seed,
+		trainers:  hfl.NewTrainerPool(proto, data[maxID]), // any hosted dataset has the sample dims
+		nParams:   proto.NumParams(),
 		edgeBases: make(map[int]map[uint64][]float64),
 		efSum:     make(map[int][]float64),
 	}
 	for id, d := range data {
-		rng := rand.New(rand.NewSource(seed + int64(id)*311))
-		model, err := arch(rng)
-		if err != nil {
-			return nil, fmt.Errorf("fed: build model for device %d: %w", id, err)
-		}
-		ds.nParams = model.NumParams()
-		ds.devices[id] = &hostedDevice{
-			data:  d,
-			model: model,
-			opt:   nn.NewSGD(0.01),
-			rng:   rng,
-		}
+		ds.devices[id] = &hostedDevice{data: d, rng: rand.New(rand.NewSource(det.DeviceBatch(seed, id)))}
 	}
 	return ds, nil
 }
@@ -164,54 +152,53 @@ func (s *DeviceServer) Estimate(args EstimateArgs, reply *EstimateReply) error {
 // Train runs local updating (Eq. 4) on one device and records the training
 // experience in the device-side buffer (Algorithm 2, line 1).
 //
-// Concurrent Train calls are safe for distinct devices (each owns its model
-// and RNG); calls for the same device must be serialized by the caller,
-// which the schedule's partition property (Eq. 1 — a device attaches to
-// exactly one edge per step) guarantees in a correct deployment.
+// Concurrent Train calls are safe for distinct devices (each call borrows its
+// own trainer and each device owns its RNG); calls for the same device must
+// be serialized by the caller, which the schedule's partition property (Eq. 1
+// — a device attaches to exactly one edge per step) guarantees in a correct
+// deployment.
 func (s *DeviceServer) Train(args TrainArgs, reply *TrainReply) error {
 	s.tel.Add(telemetry.CounterRPCCalls, 1)
 	sp := s.tel.StartSpan(telemetry.SpanHandleTrain, telemetry.SpanID(args.Span.Parent), args.Step, -1, args.Device)
 	defer sp.End()
-	s.mu.Lock()
-	dev, ok := s.devices[args.Device]
-	s.mu.Unlock()
-	if !ok {
-		return fmt.Errorf("fed: device %d not hosted here", args.Device)
-	}
-	sqNorms, err := s.trainOne(dev, args.Device, args.Params, args.Hyper)
+	tr, err := s.borrow(args.Hyper)
 	if err != nil {
 		return err
 	}
-	s.book.ObserveMany([]int{args.Device}, [][]float64{sqNorms})
-	reply.Params = dev.model.ParamVector()
-	reply.SqNorms = sqNorms
+	defer s.trainers.Release(tr)
+	reply.SqNorms = make([]float64, args.Hyper.LocalEpochs)
+	if err := s.localUpdate(tr, args.Device, args.Params, args.Hyper.LearningRate, reply.SqNorms); err != nil {
+		return err
+	}
+	s.book.ObserveMany([]int{args.Device}, [][]float64{reply.SqNorms})
+	reply.Params = tr.ParamsInto(nil)
 	return nil
 }
 
-// trainOne runs local updating (Eq. 4) on one hosted device from the given
-// base parameters and returns the squared gradient norms for the caller to
-// record. The device's model holds the trained parameters afterwards.
-func (s *DeviceServer) trainOne(dev *hostedDevice, id int, base []float64, hyper Hyper) ([]float64, error) {
+// borrow takes a trainer for one RPC. The hyperparameters arrive from the
+// wire and size the trainer's buffers, so they are checked first.
+func (s *DeviceServer) borrow(hyper Hyper) (*hfl.Trainer, error) {
 	if hyper.LocalEpochs <= 0 || hyper.BatchSize <= 0 || hyper.LearningRate <= 0 {
 		return nil, fmt.Errorf("fed: invalid hyperparameters %+v", hyper)
 	}
-	if err := dev.model.SetParamVector(base); err != nil {
-		return nil, fmt.Errorf("fed: device %d: %w", id, err)
+	return s.trainers.Borrow(hyper.BatchSize), nil
+}
+
+// localUpdate runs Eq. (4) for hosted device id on a borrowed trainer, which
+// holds the trained parameters afterwards; the squared gradient norms land in
+// sqNorms for the caller to record.
+func (s *DeviceServer) localUpdate(tr *hfl.Trainer, id int, base []float64, lr float64, sqNorms []float64) error {
+	s.mu.Lock()
+	dev, ok := s.devices[id]
+	s.mu.Unlock()
+	if !ok {
+		return fmt.Errorf("fed: device %d not hosted here", id)
 	}
-	dev.opt.SetLearningRate(hyper.LearningRate)
-	if len(dev.batchY) != hyper.BatchSize {
-		dev.batchX = tensor.New(hyper.BatchSize, dev.data.InC, dev.data.InH, dev.data.InW)
-		dev.batchY = make([]int, hyper.BatchSize)
-		dev.batchIdx = make([]int, hyper.BatchSize)
-	}
-	sqNorms := make([]float64, hyper.LocalEpochs)
-	for tau := range sqNorms {
-		dev.data.RandomBatchInto(dev.rng, dev.batchX, dev.batchY, dev.batchIdx)
-		_, gn := dev.model.TrainStep(dev.batchX, dev.batchY, dev.opt)
-		sqNorms[tau] = gn
+	if err := tr.LocalUpdate(base, dev.data, dev.rng, lr, sqNorms); err != nil {
+		return fmt.Errorf("fed: device %d: %w", id, err)
 	}
 	s.tel.Add(telemetry.CounterDevicesTrained, 1)
-	return sqNorms, nil
+	return nil
 }
 
 // SetBase caches an edge's base model under a baseline ID (DESIGN.md §6).
@@ -285,21 +272,22 @@ func (s *DeviceServer) TrainMany(args TrainManyArgs, reply *TrainManyReply) erro
 	if err != nil {
 		return err
 	}
+	tr, err := s.borrow(args.Hyper)
+	if err != nil {
+		return err
+	}
+	defer s.trainers.Release(tr)
+	epochs := args.Hyper.LocalEpochs
 	sum := make([]float64, len(base))
+	var trained []float64 // the RPC's one read-out buffer, reused per device
+	norms := make([]float64, len(args.Devices)*epochs)
 	reply.SqNorms = make([][]float64, len(args.Devices))
 	for i, id := range args.Devices {
-		s.mu.Lock()
-		dev, ok := s.devices[id]
-		s.mu.Unlock()
-		if !ok {
-			return fmt.Errorf("fed: device %d not hosted here", id)
-		}
-		sqNorms, err := s.trainOne(dev, id, base, args.Hyper)
-		if err != nil {
+		reply.SqNorms[i] = norms[i*epochs : (i+1)*epochs]
+		if err := s.localUpdate(tr, id, base, args.Hyper.LearningRate, reply.SqNorms[i]); err != nil {
 			return err
 		}
-		reply.SqNorms[i] = sqNorms
-		trained := dev.model.ParamVector()
+		trained = tr.ParamsInto(trained)
 		for j, v := range trained {
 			sum[j] += v - base[j]
 		}

@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 
 	"github.com/mach-fl/mach/internal/codec"
+	"github.com/mach-fl/mach/internal/det"
 	"github.com/mach-fl/mach/internal/sampling"
 	"github.com/mach-fl/mach/internal/telemetry"
 )
@@ -79,8 +80,9 @@ func StaticResolver(table map[int]string) Resolver {
 	}
 }
 
-// NewEdgeServer creates an edge. initialParams seeds the edge model (the
-// cloud re-sends parameters at every global aggregation anyway).
+// NewEdgeServer creates an edge. seed is the run's seed, the same on every
+// edge; initialParams seeds the edge model (the cloud re-sends parameters at
+// every global aggregation anyway).
 func NewEdgeServer(id int, machCfg sampling.MACHConfig, hyper Hyper, seed int64, resolver Resolver, initialParams []float64) (*EdgeServer, error) {
 	if err := machCfg.Validate(); err != nil {
 		return nil, err
@@ -236,9 +238,9 @@ func (e *EdgeServer) Step(args EdgeStepArgs, reply *EdgeStepReply) error {
 	}
 
 	// Edge sampling (Algorithm 3), in place over the fetched estimates, and
-	// Bernoulli device sampling.
+	// Bernoulli device sampling on the engine's coin stream for (step, edge).
 	probs := sampling.EdgeSamplingInto(e.machCfg, args.Capacity, estimates, estimates)
-	rng := rand.New(rand.NewSource(e.seed + int64(args.Step)*1009 + int64(e.id)))
+	rng := rand.New(rand.NewSource(det.EdgeCoin(e.seed, args.Step, e.id)))
 	var sampled []int
 	for i, m := range args.Members {
 		if rng.Float64() < probs[i] {

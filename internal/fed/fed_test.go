@@ -8,10 +8,13 @@ import (
 	"net/rpc"
 	"sort"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"github.com/mach-fl/mach/internal/codec"
 	"github.com/mach-fl/mach/internal/dataset"
+	"github.com/mach-fl/mach/internal/det"
 	"github.com/mach-fl/mach/internal/hfl"
 	"github.com/mach-fl/mach/internal/metrics"
 	"github.com/mach-fl/mach/internal/mobility"
@@ -45,7 +48,21 @@ func (d *deployment) close() {
 	}
 }
 
-func deploy(t *testing.T, devices, edges, steps, hosts int, scheme codec.Scheme) *deployment {
+// runSeed is the one seed every role of a test deployment receives, as
+// cmd/machnode passes its -seed flag to every node.
+const runSeed = 6
+
+// testHyper is the local-update setting of every test deployment.
+var testHyper = Hyper{LocalEpochs: 2, BatchSize: 4, LearningRate: 0.05}
+
+// world is a deployment's input: per-device data, the test set, the schedule.
+type world struct {
+	parts []*dataset.Dataset
+	test  *dataset.Dataset
+	sched *mobility.Schedule
+}
+
+func buildWorld(t *testing.T, devices, edges, steps int) world {
 	t.Helper()
 	task, err := dataset.NewTask(dataset.MNISTLike(4, 4))
 	if err != nil {
@@ -65,18 +82,33 @@ func deploy(t *testing.T, devices, edges, steps, hosts int, scheme codec.Scheme)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return world{parts, test, sched}
+}
 
+func deploy(t *testing.T, devices, edges, steps, hosts int, scheme codec.Scheme) *deployment {
+	t.Helper()
+	return deployWorld(t, buildWorld(t, devices, edges, steps), hosts, CloudConfig{
+		Steps: steps, CloudInterval: 5, Participation: 0.5, EvalEvery: 5, Seed: runSeed,
+		Codec: scheme,
+	})
+}
+
+// deployWorld serves w from `hosts` device hosts splitting the population
+// into contiguous ranges, one edge server per scheduled edge and a cloud.
+func deployWorld(t *testing.T, w world, hosts int, cfg CloudConfig) *deployment {
+	t.Helper()
 	d := &deployment{}
 	machCfg := sampling.DefaultMACHConfig()
+	devices := len(w.parts)
 
-	// Device hosts splitting the population into contiguous ranges.
 	table := map[int]string{}
+	var hostAddrs []string
 	for h := 0; h < hosts; h++ {
 		data := map[int]*dataset.Dataset{}
 		for m := h * devices / hosts; m < (h+1)*devices/hosts; m++ {
-			data[m] = parts[m]
+			data[m] = w.parts[m]
 		}
-		srv, err := NewDeviceServer(testArch, data, machCfg, int64(100+h))
+		srv, err := NewDeviceServer(testArch, data, machCfg, runSeed)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -85,20 +117,19 @@ func deploy(t *testing.T, devices, edges, steps, hosts int, scheme codec.Scheme)
 			t.Fatal(err)
 		}
 		d.devices = append(d.devices, srv)
+		hostAddrs = append(hostAddrs, addr)
 		for m := range data {
 			table[m] = addr
 		}
 	}
 
-	hyper := Hyper{LocalEpochs: 2, BatchSize: 4, LearningRate: 0.05}
-	rng := rand.New(rand.NewSource(4))
-	base, err := testArch(rng)
+	base, err := testArch(rand.New(rand.NewSource(runSeed)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	var edgeAddrs []string
-	for n := 0; n < edges; n++ {
-		e, err := NewEdgeServer(n, machCfg, hyper, 5, StaticResolver(table), base.ParamVector())
+	for n := 0; n < w.sched.Edges; n++ {
+		e, err := NewEdgeServer(n, machCfg, testHyper, runSeed, StaticResolver(table), base.ParamVector())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -110,14 +141,7 @@ func deploy(t *testing.T, devices, edges, steps, hosts int, scheme codec.Scheme)
 		edgeAddrs = append(edgeAddrs, addr)
 	}
 
-	var hostAddrs []string
-	for _, s := range d.devices {
-		hostAddrs = append(hostAddrs, s.listener.Addr().String())
-	}
-	cloud, err := NewCloud(CloudConfig{
-		Steps: steps, CloudInterval: 5, Participation: 0.5, EvalEvery: 5, Seed: 6,
-		Codec: scheme,
-	}, testArch, sched, test, edgeAddrs, hostAddrs)
+	cloud, err := NewCloud(cfg, testArch, w.sched, w.test, edgeAddrs, hostAddrs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -789,5 +813,180 @@ func TestSetBaseFanOutReportsFirstHostInAddressOrder(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "set base on "+addrs[0]) {
 			t.Fatalf("step %d: err = %v, want the set-base failure of %s", i, err, addrs[0])
 		}
+	}
+}
+
+func requireSameBits(t *testing.T, label string, got, want []float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d values, want %d", label, len(got), len(want))
+	}
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s[%d] = %v, want %v", label, i, got[i], want[i])
+		}
+	}
+}
+
+// TestDeviceTrainMatchesEngineTrainer: a hosted device's local update is the
+// engine's — Device.Train replies exactly what hfl.Trainer.LocalUpdate leaves
+// for the same data, base model and run seed, whichever host serves it.
+func TestDeviceTrainMatchesEngineTrainer(t *testing.T) {
+	const device = 3
+	w := buildWorld(t, 8, 2, 1)
+	proto, err := testArch(rand.New(rand.NewSource(9)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := proto.ParamVector()
+
+	srv, err := NewDeviceServer(testArch, map[int]*dataset.Dataset{device: w.parts[device], 5: w.parts[5]}, sampling.DefaultMACHConfig(), runSeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := hfl.NewTrainerPool(proto, w.test).Borrow(testHyper.BatchSize)
+	rng := rand.New(rand.NewSource(det.DeviceBatch(runSeed, device)))
+	// Two updates in a row: the second continues the device's minibatch stream.
+	for step := 0; step < 2; step++ {
+		var rep TrainReply
+		if err := srv.Train(TrainArgs{Step: step, Device: device, Params: base, Hyper: testHyper}, &rep); err != nil {
+			t.Fatal(err)
+		}
+		sqNorms := make([]float64, testHyper.LocalEpochs)
+		if err := tr.LocalUpdate(base, w.parts[device], rng, testHyper.LearningRate, sqNorms); err != nil {
+			t.Fatal(err)
+		}
+		requireSameBits(t, fmt.Sprintf("step %d SqNorms", step), rep.SqNorms, sqNorms)
+		requireSameBits(t, fmt.Sprintf("step %d Params", step), rep.Params, tr.ParamsInto(nil))
+	}
+}
+
+// TestFirstStepMatchesEngine is the in-process ≡ distributed statement as far
+// as it holds today: from the same seed, data and schedule, hfl.Engine under
+// MACH and a fed cluster — on one device host or two — sample the same devices
+// at step 0 and record bit-identical gradient-norm windows. The windows are
+// read through the UCB estimates after the step's cloud round folded them
+// (Eq. 15's term A is their mean). The trajectories part at the step's edge
+// aggregation, where the two sides still sum in different orders (DESIGN.md
+// §6).
+func TestFirstStepMatchesEngine(t *testing.T) {
+	const devices, edges = 12, 3
+	w := buildWorld(t, devices, edges, 1)
+	all := make([]int, devices)
+	for m := range all {
+		all[m] = m
+	}
+
+	mach, err := sampling.NewMACH(devices, sampling.DefaultMACHConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := hfl.DefaultConfig()
+	cfg.Steps, cfg.CloudInterval, cfg.Seed = 1, 1, runSeed
+	cfg.LocalEpochs, cfg.BatchSize, cfg.LearningRate = testHyper.LocalEpochs, testHyper.BatchSize, testHyper.LearningRate
+	eng, err := hfl.New(cfg, testArch, w.parts, w.test, w.sched, mach)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	want := make([]float64, devices)
+	mach.Book().UCBEstimatesInto(want, all, 1)
+	wantSampled := make([]int64, edges)
+	for m := range all {
+		wantSampled[w.sched.EdgeOf(0, m)] += int64(mach.Book().Participations(m))
+	}
+	if total := wantSampled[0] + wantSampled[1] + wantSampled[2]; total == 0 || total == devices {
+		t.Fatalf("engine sampled %d of %d devices: the comparison would be vacuous", total, devices)
+	}
+
+	for _, hosts := range []int{1, 2} {
+		t.Run(fmt.Sprintf("hosts=%d", hosts), func(t *testing.T) {
+			d := deployWorld(t, w, hosts, CloudConfig{
+				Steps: 1, CloudInterval: 1, Participation: cfg.Participation, Seed: runSeed,
+			})
+			defer d.close()
+			tels := make([]*telemetry.Telemetry, edges)
+			for n, e := range d.edges {
+				tels[n] = telemetry.New()
+				e.SetTelemetry(tels[n])
+			}
+			if _, err := d.cloud.Run(); err != nil {
+				t.Fatal(err)
+			}
+			got := make([]float64, 0, devices)
+			for h, srv := range d.devices {
+				var rep EstimateReply
+				if err := srv.Estimate(EstimateArgs{Step: 1, Devices: all[h*devices/hosts : (h+1)*devices/hosts]}, &rep); err != nil {
+					t.Fatal(err)
+				}
+				got = append(got, rep.Estimates...)
+			}
+			requireSameBits(t, "estimates", got, want)
+			for n, tel := range tels {
+				if got := tel.Count(telemetry.CounterDevicesTrained); got != wantSampled[n] {
+					t.Fatalf("edge %d sampled %d devices, the engine %d", n, got, wantSampled[n])
+				}
+			}
+		})
+	}
+}
+
+// TestDeviceServerModelsBoundedByCallers: a host's model replicas follow its
+// concurrent callers, not its devices. 200 hosted devices cost one arch call
+// at construction; after every device has trained, through four concurrent
+// callers, the host has built at most four trainers.
+func TestDeviceServerModelsBoundedByCallers(t *testing.T) {
+	const devices, callers = 200, 4
+	task, err := dataset.NewTask(dataset.MNISTLike(4, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := map[int]*dataset.Dataset{}
+	for m := 0; m < devices; m++ {
+		if data[m], err = task.Generate(rand.New(rand.NewSource(int64(m))), 8, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var archCalls atomic.Int64
+	arch := func(rng *rand.Rand) (*nn.Network, error) {
+		archCalls.Add(1)
+		return testArch(rng)
+	}
+	srv, err := NewDeviceServer(arch, data, sampling.DefaultMACHConfig(), runSeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := archCalls.Load(); n != 1 {
+		t.Fatalf("construction called arch %d times for %d devices, want 1", n, devices)
+	}
+	proto, err := testArch(rand.New(rand.NewSource(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := proto.ParamVector()
+	errs := make([]error, callers)
+	var wg sync.WaitGroup
+	for c := 0; c < callers; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for m := c; m < devices && errs[c] == nil; m += callers {
+				errs[c] = srv.Train(TrainArgs{Device: m, Params: base, Hyper: testHyper}, &TrainReply{})
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := archCalls.Load(); n != 1 {
+		t.Fatalf("training called arch: %d calls", n)
+	}
+	if built := srv.trainers.Built(); built < 1 || built > callers {
+		t.Fatalf("host built %d trainers for %d concurrent callers", built, callers)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"github.com/mach-fl/mach/internal/det"
 	"github.com/mach-fl/mach/internal/sampling"
 )
 
@@ -18,7 +19,7 @@ func TestReseededRNGMatchesFreshSource(t *testing.T) {
 	for _, tc := range []struct{ seed, t, n int64 }{
 		{1, 0, 0}, {1, 0, 4}, {1, 57, 2}, {42, 13, 0}, {-9, 99, 999},
 	} {
-		s := mix(tc.seed, tc.t+1, tc.n+101)
+		s := det.EdgeCoin(tc.seed, int(tc.t), int(tc.n))
 		fresh := rand.New(rand.NewSource(s))
 		reused.Seed(s)
 		for i := 0; i < 200; i++ {

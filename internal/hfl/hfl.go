@@ -23,6 +23,7 @@ import (
 	"sync"
 
 	"github.com/mach-fl/mach/internal/dataset"
+	"github.com/mach-fl/mach/internal/det"
 	"github.com/mach-fl/mach/internal/mobility"
 	"github.com/mach-fl/mach/internal/nn"
 	"github.com/mach-fl/mach/internal/parallel"
@@ -303,7 +304,6 @@ type device struct {
 // Engine runs Algorithm 1.
 type Engine struct {
 	cfg      Config
-	arch     ArchFunc
 	strategy sampling.Strategy
 	// observer is the strategy's Observer side, nil when it does not learn
 	// from experience; pulls then counts each device's observed time steps,
@@ -338,11 +338,9 @@ type Engine struct {
 	capacity float64 // K_n, identical across edges as in the paper
 	lr       float64 // device learning rate γ, decayed at cloud rounds
 
-	// trainers is the free list of local-update state (lane.go). A pool task
-	// or a probe borrows one for its duration, so at most Workers + Shards
-	// exist however many devices the run has.
-	trainerMu sync.Mutex
-	trainers  []*trainer
+	// trainers lends local-update state (lane.go) to a pool task or a probe
+	// for its duration: at most Workers + Shards exist, whatever the devices.
+	trainers *TrainerPool
 
 	// Sharded control plane (DESIGN.md §11): shards[s] owns a contiguous
 	// edge range with its slice of the member index; edgeShard maps each
@@ -440,8 +438,7 @@ func New(cfg Config, arch ArchFunc, deviceData []*dataset.Dataset, test *dataset
 		return nil, fmt.Errorf("hfl: nil strategy")
 	}
 
-	initRNG := rand.New(rand.NewSource(cfg.Seed))
-	base, err := arch(initRNG)
+	base, err := arch(rand.New(rand.NewSource(det.ModelInit(cfg.Seed))))
 	if err != nil {
 		return nil, fmt.Errorf("hfl: build architecture: %w", err)
 	}
@@ -454,7 +451,6 @@ func New(cfg Config, arch ArchFunc, deviceData []*dataset.Dataset, test *dataset
 	}
 	e := &Engine{
 		cfg:      cfg,
-		arch:     arch,
 		win:      mobility.NewWindow(src),
 		nEdges:   nEdges,
 		nDevices: nDevices,
@@ -463,6 +459,7 @@ func New(cfg Config, arch ArchFunc, deviceData []*dataset.Dataset, test *dataset
 		test:     test,
 		global:   base.ParamVector(),
 		evalNet:  base,
+		trainers: NewTrainerPool(base, test),
 		capacity: cfg.Participation * float64(nDevices) / float64(nEdges),
 		lr:       cfg.LearningRate,
 	}
@@ -475,7 +472,7 @@ func New(cfg Config, arch ArchFunc, deviceData []*dataset.Dataset, test *dataset
 		}
 		e.devices[m] = &device{
 			data: data,
-			rng:  rand.New(rand.NewSource(mix(cfg.Seed, 0x9E3779B9, int64(m)))),
+			rng:  rand.New(rand.NewSource(det.DeviceBatch(cfg.Seed, m))),
 			dist: data.ClassDistribution(),
 		}
 	}
@@ -547,14 +544,4 @@ func (e *Engine) LoadCheckpoint(r io.Reader) error {
 // GlobalParams returns a copy of the current global model parameters.
 func (e *Engine) GlobalParams() []float64 {
 	return append([]float64(nil), e.global...)
-}
-
-// mix produces well-separated deterministic seeds from components.
-func mix(parts ...int64) int64 {
-	h := int64(1469598103934665603)
-	for _, p := range parts {
-		h ^= p
-		h *= 1099511628211
-	}
-	return h
 }

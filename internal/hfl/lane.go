@@ -1,88 +1,106 @@
 package hfl
 
 import (
+	"math/rand"
+	"sync"
+	"sync/atomic"
+
+	"github.com/mach-fl/mach/internal/dataset"
 	"github.com/mach-fl/mach/internal/nn"
-	"github.com/mach-fl/mach/internal/parallel"
 	"github.com/mach-fl/mach/internal/tensor"
 )
 
-// This file holds the execution phase (DESIGN.md §5, §10). There is one
-// path: trainGroup runs the local updates of a run of one edge's planned
-// devices on a borrowed trainer. Config.Lane picks the arithmetic inside it
-// and Config.FuseBatch only how the shard cuts an edge's plan into pool
-// tasks (one group per edge, or one per device); neither can reach a value:
-//
-//   - Every device's minibatches come from its own dev.rng in local-epoch
-//     order, whatever group or trainer serves it.
-//   - A trainer carries nothing from one device to the next (see trainer).
-//   - Aggregation boundaries stay float64: the f32 lane trains float32
-//     compute copies of float64 master weights and uploads the masters.
-
-// trainer is everything a local update mutates: one float64 model replica
-// with its optimizer, one minibatch buffer set and — built on first f32 use —
-// a float32 lane whose slot count grows to the largest group it has served.
-// Reuse cannot reach a value: the parameters are overwritten with the edge
-// model before any of them is read, every training step zeroes the gradients
-// and rewrites each activation cache it later reads, plain SGD keeps no state
-// beyond the learning rate (set at every use), and the batch buffers are
-// filled before each step.
-type trainer struct {
+// Trainer is everything a local update mutates — one float64 model replica
+// with its optimizer, one minibatch buffer set and, built on first f32 use, a
+// float32 lane grown to the largest group it has served — and the one unit
+// that runs Eq. (4): for the engine's pool tasks and probes and for
+// internal/fed's device hosts. Reuse cannot reach a value: the parameters are
+// overwritten with the base model before any is read, every training step
+// zeroes the gradients and rewrites each activation cache it later reads,
+// plain SGD keeps no state beyond the learning rate (set at every use), and
+// the batch buffers are filled before each step.
+type Trainer struct {
 	net      *nn.Network
 	opt      *nn.SGD
-	batchX   *tensor.Tensor // minibatch pixels [BatchSize, InC, InH, InW]
+	batchX   *tensor.Tensor // minibatch pixels [batch, InC, InH, InW]
 	batchIdx []int          // minibatch index scratch
 
-	lane   *nn.Lane32
-	labels [][]int // per-slot minibatch labels; the f64 lane uses slot 0
-	losses []float64
-	norms  []float64
+	lane          *nn.Lane32
+	labels        [][]int   // per-slot minibatch labels; the f64 lane uses slot 0
+	losses, norms []float64 // per-slot outputs of one f32 step
 }
 
-func (e *Engine) newTrainer() *trainer {
-	batch := e.cfg.BatchSize
-	return &trainer{
-		net:      e.evalNet.Clone(),
-		opt:      nn.NewSGD(e.lr),
-		batchX:   tensor.New(batch, e.test.InC, e.test.InH, e.test.InW),
-		batchIdx: make([]int, batch),
-		labels:   [][]int{make([]int, batch)},
+// LocalUpdate runs Eq. (4) in float64: from base, len(sqNorms) SGD steps at
+// rate lr on minibatches of data drawn from rng, recording each step's squared
+// stochastic-gradient norm. ParamsInto reads the trained parameters.
+//
+//machlint:allocfree
+func (tr *Trainer) LocalUpdate(base []float64, data *dataset.Dataset, rng *rand.Rand, lr float64, sqNorms []float64) error {
+	if err := tr.net.SetParamVector(base); err != nil {
+		return err
 	}
-}
-
-// borrowTrainer takes a trainer off the free list, building one when the
-// list is empty. Borrowers are pool tasks and deciding shards, so the list
-// never holds more than Workers + Shards.
-func (e *Engine) borrowTrainer() *trainer {
-	e.trainerMu.Lock()
-	defer e.trainerMu.Unlock()
-	if k := len(e.trainers) - 1; k >= 0 {
-		tr := e.trainers[k]
-		e.trainers = e.trainers[:k]
-		return tr
+	tr.opt.SetLearningRate(lr)
+	y := tr.labels[0]
+	for tau := range sqNorms {
+		data.RandomBatchInto(rng, tr.batchX, y, tr.batchIdx)
+		_, sqNorms[tau] = tr.net.TrainStep(tr.batchX, y, tr.opt)
 	}
-	return e.newTrainer()
+	return nil
 }
 
-func (e *Engine) releaseTrainer(tr *trainer) {
-	e.trainerMu.Lock()
-	e.trainers = append(e.trainers, tr)
-	e.trainerMu.Unlock()
+// ParamsInto copies the last LocalUpdate's result into dst, grown as needed.
+func (tr *Trainer) ParamsInto(dst []float64) []float64 { return tr.net.ParamVectorInto(dst) }
+
+// TrainerPool is a free list of Trainers cloned from one prototype network.
+// A borrower holds its trainer for one task, so a pool builds no more than it
+// has concurrent borrowers — Workers + Shards in the engine, the in-flight
+// training RPCs on a device host — however many devices they serve.
+type TrainerPool struct {
+	proto *nn.Network
+	shape *dataset.Dataset // any dataset of the run; fixes the sample dims
+
+	mu    sync.Mutex
+	free  []*Trainer
+	built atomic.Int64
 }
 
-// submitTrain queues trainGroup(n, lo, hi) as one pool task on a trainer
-// borrowed for its duration. The bounds are parameters, not the caller's
-// loop variables, so the closure captures them by value.
-func (e *Engine) submitTrain(g *parallel.Group, n, lo, hi int) {
-	g.Go(func() {
-		tr := e.borrowTrainer()
-		defer e.releaseTrainer(tr)
-		e.trainGroup(n, lo, hi, tr)
-	})
+// NewTrainerPool returns an empty pool of proto's clones for shape's samples.
+func NewTrainerPool(proto *nn.Network, shape *dataset.Dataset) *TrainerPool {
+	return &TrainerPool{proto: proto, shape: shape}
 }
+
+// Borrow takes a trainer off the free list, building one when the list is
+// empty, with buffers for minibatches of batch samples.
+func (p *TrainerPool) Borrow(batch int) *Trainer {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if len(p.free) == 0 {
+		p.free = append(p.free, &Trainer{net: p.proto.Clone(), opt: nn.NewSGD(0)})
+		p.built.Add(1)
+	}
+	tr := p.free[len(p.free)-1]
+	p.free = p.free[:len(p.free)-1]
+	if len(tr.batchIdx) != batch {
+		tr.batchX = tensor.New(batch, p.shape.InC, p.shape.InH, p.shape.InW)
+		tr.batchIdx = make([]int, batch)
+		tr.labels, tr.lane = [][]int{make([]int, batch)}, nil
+	}
+	return tr
+}
+
+// Release returns a borrowed trainer to the free list.
+func (p *TrainerPool) Release(tr *Trainer) {
+	p.mu.Lock()
+	p.free = append(p.free, tr)
+	p.mu.Unlock()
+}
+
+// Built reports how many trainers the pool has ever built.
+func (p *TrainerPool) Built() int { return int(p.built.Load()) }
 
 // growLane sizes the trainer's float32 lane and per-slot buffers for count
 // devices.
-func (tr *trainer) growLane(count int) error {
+func (tr *Trainer) growLane(count int) error {
 	lane, err := nn.NewLane32(tr.net, count)
 	if err != nil {
 		return err
@@ -96,53 +114,47 @@ func (tr *trainer) growLane(count int) error {
 	return nil
 }
 
-// trainGroup runs I local SGD steps from edge n's model (Eq. 4) for the
-// planned devices [lo, hi) of the edge. Each device's gradient-norm window
-// and — when its upload survives — its trained parameters land in the
-// plan's slot buffers (edgePlan.reserve sized them), where edgeFinalize
-// reads them; an error lands on the device that met it. On the f32 lane the
-// group's devices occupy lane slots 0..hi-lo and step together, layer by
-// layer; slot order is plan order, so a k-slot pass equals k one-slot
-// passes.
+// trainGroup is the execution phase (DESIGN.md §5, §10): on a borrowed
+// trainer it runs I local SGD steps from edge n's model (Eq. 4) for the
+// planned devices [lo, hi) of the edge. Config.Lane picks the arithmetic and
+// Config.FuseBatch only how the shard cuts a plan into pool tasks; neither
+// can reach a value, because every device's minibatches come from its own
+// dev.rng in local-epoch order whatever group or trainer serves it, a trainer
+// carries nothing between devices, and aggregation boundaries stay float64 —
+// the f32 lane trains float32 copies of float64 master weights and uploads
+// the masters. Each device's gradient-norm window and — when its upload
+// survives — its trained parameters land in the plan's slot buffers
+// (edgePlan.reserve sized them), where edgeFinalize reads them; an error
+// lands on the device that met it. On the f32 lane the group's devices occupy
+// lane slots 0..hi-lo and step together, layer by layer; slot order is plan
+// order, so a k-slot pass equals k one-slot passes.
 //
 //machlint:allocfree
-func (e *Engine) trainGroup(n, lo, hi int, tr *trainer) {
+func (e *Engine) trainGroup(n, lo, hi int, tr *Trainer) {
 	plan := &e.plans[n]
 	devs := plan.devs[lo:hi]
 	uploads := plan.uploads[lo:hi]
 	epochs, batch := e.cfg.LocalEpochs, e.cfg.BatchSize
-	for i := range devs {
-		devs[i].sqNorms = plan.norms[(lo+i)*epochs : (lo+i+1)*epochs]
-	}
+	norms := plan.norms[lo*epochs : hi*epochs]
 	if e.cfg.Lane != LaneF32 {
-		tr.opt.SetLearningRate(e.lr)
-		y := tr.labels[0]
 		for i := range devs {
-			pd := &devs[i]
-			dev := e.devices[pd.m]
-			if err := tr.net.SetParamVector(e.edge[n]); err != nil {
-				pd.err = err
+			pd, dev := &devs[i], e.devices[devs[i].m]
+			if pd.err = tr.LocalUpdate(e.edge[n], dev.data, dev.rng, e.lr, norms[i*epochs:(i+1)*epochs]); pd.err != nil {
 				return
 			}
-			for tau := range pd.sqNorms {
-				dev.data.RandomBatchInto(dev.rng, tr.batchX, y, tr.batchIdx)
-				_, pd.sqNorms[tau] = tr.net.TrainStep(tr.batchX, y, tr.opt)
-			}
 			if pd.upload {
-				uploads[i] = tr.net.ParamVectorInto(uploads[i])
+				uploads[i] = tr.ParamsInto(uploads[i])
 			}
 		}
 		return
 	}
 	if tr.lane == nil || tr.lane.Slots() < len(devs) {
-		if err := tr.growLane(len(devs)); err != nil {
-			devs[0].err = err
+		if devs[0].err = tr.growLane(len(devs)); devs[0].err != nil {
 			return
 		}
 	}
 	for i := range devs {
-		if err := tr.lane.LoadParams(i, e.edge[n]); err != nil {
-			devs[i].err = err
+		if devs[i].err = tr.lane.LoadParams(i, e.edge[n]); devs[i].err != nil {
 			return
 		}
 	}
@@ -154,7 +166,7 @@ func (e *Engine) trainGroup(n, lo, hi int, tr *trainer) {
 		}
 		tr.lane.TrainStep(len(devs), batch, tr.labels, e.lr, tr.losses, tr.norms)
 		for i := range devs {
-			devs[i].sqNorms[tau] = tr.norms[i]
+			norms[i*epochs+tau] = tr.norms[i]
 		}
 	}
 	for i := range devs {

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 
 	"github.com/mach-fl/mach/internal/dataset"
+	"github.com/mach-fl/mach/internal/det"
 	"github.com/mach-fl/mach/internal/metrics"
 	"github.com/mach-fl/mach/internal/parallel"
 	"github.com/mach-fl/mach/internal/telemetry"
@@ -94,11 +95,10 @@ type localResult struct {
 // plannedDevice is one sampled device's decision-phase outcome, later filled
 // in with its execution-phase result.
 type plannedDevice struct {
-	m       int     // device id
-	weight  float64 // 1/(|M_n|·q) for unbiased strategies, 1 for biased
-	upload  bool    // false when the upload-failure coin dropped the result
-	sqNorms []float64
-	err     error
+	m      int     // device id
+	weight float64 // 1/(|M_n|·q) for unbiased strategies, 1 for biased
+	upload bool    // false when the upload-failure coin dropped the result
+	err    error
 }
 
 // edgePlan is one edge's decision-phase output for the current step, plus
@@ -412,7 +412,7 @@ type edgeStepCounts struct {
 // post-training position leaves every draw at the same stream offset.
 //
 // All per-step machinery is pooled in e.decide[n]: the RNG is reseeded to
-// the same mix(seed, t, n) stream a fresh rand.New would start (Seed resets
+// the same det.EdgeCoin stream a fresh rand.New would start (Seed resets
 // the source to exactly the NewSource state), the context and its closures
 // are built once per edge, and probabilities land in a reused buffer.
 // Distinct edges may decide concurrently; everything mutated here is private
@@ -427,7 +427,7 @@ func (e *Engine) edgeDecide(t, n int) error {
 		return nil
 	}
 	st := &e.decide[n]
-	seed := mix(e.cfg.Seed, int64(t)+1, int64(n)+101)
+	seed := det.EdgeCoin(e.cfg.Seed, t, n)
 	if st.rng == nil {
 		st.rng = rand.New(rand.NewSource(seed))
 		st.ctx.Edge = n
@@ -495,7 +495,7 @@ func (e *Engine) edgeDecide(t, n int) error {
 // local-update errors, buffers training experience into the owning shard
 // (merged into the strategy's observer at the step's collect point, in edge
 // order), collects the surviving uploads and merges them into the edge model
-// (Algorithm 1, lines 6-11). The buffered sqNorms slices and the uploads are
+// (Algorithm 1, lines 6-11). The buffered norm windows and the uploads are
 // the plan's slot buffers (see edgePlan), valid until after the merge.
 func (e *Engine) edgeFinalize(t, n int, s *shardState) (edgeStepCounts, error) {
 	var counts edgeStepCounts
@@ -510,7 +510,7 @@ func (e *Engine) edgeFinalize(t, n int, s *shardState) (edgeStepCounts, error) {
 		if e.observer != nil {
 			s.obsEdges = append(s.obsEdges, n)
 			s.obsDevs = append(s.obsDevs, pd.m)
-			s.obsNorms = append(s.obsNorms, pd.sqNorms)
+			s.obsNorms = append(s.obsNorms, plan.norms[i*e.cfg.LocalEpochs:(i+1)*e.cfg.LocalEpochs])
 		}
 		if !pd.upload {
 			continue
@@ -655,26 +655,23 @@ func (e *Engine) cloudAggregate(t int) {
 }
 
 // probeGradNorm measures the true squared stochastic-gradient norm of device
-// m under edge n's current model, without updating any state (used by
-// MACH-P). It runs on a borrowed trainer, so edges on different shards probe
-// concurrently; the value depends only on (seed, t, n, m) — the probed model,
-// the batch stream and a zero learning rate — never on which trainer serves.
+// m under edge n's current model (used by MACH-P): one local step at a zero
+// learning rate, which moves nothing. It runs on a borrowed trainer, so edges
+// on different shards probe concurrently; the value depends only on (seed, t,
+// n, m) — the probed model and the batch stream — never on the trainer.
 func (e *Engine) probeGradNorm(t, n, m int) float64 {
 	e.tel.Add(telemetry.CounterProbes, 1)
-	tr := e.borrowTrainer()
-	defer e.releaseTrainer(tr)
-	if err := tr.net.SetParamVector(e.edge[n]); err != nil {
+	tr := e.trainers.Borrow(e.cfg.BatchSize)
+	defer e.trainers.Release(tr)
+	rng := rand.New(rand.NewSource(det.Probe(e.cfg.Seed, t, m)))
+	var gn [1]float64
+	if err := tr.LocalUpdate(e.edge[n], e.devices[m].data, rng, 0, gn[:]); err != nil {
 		// The strategy callback has no error channel, and a length mismatch
 		// here means the engine's networks are wired wrong — fail loudly
 		// instead of silently scoring the device as zero.
 		panic(fmt.Sprintf("hfl: probe gradient of device %d (step %d, edge %d): %v", m, t, n, err))
 	}
-	rng := rand.New(rand.NewSource(mix(e.cfg.Seed, int64(t)+7, int64(m)+301)))
-	y := tr.labels[0]
-	e.devices[m].data.RandomBatchInto(rng, tr.batchX, y, tr.batchIdx)
-	tr.opt.SetLearningRate(0) // probing measures the gradient and moves nothing
-	_, gn := tr.net.TrainStep(tr.batchX, y, tr.opt)
-	return gn
+	return gn[0]
 }
 
 // EvaluateConfusion classifies the full test set with the current global
@@ -699,7 +696,7 @@ func (e *Engine) EvaluateConfusion() (*metrics.Confusion, error) {
 // (optionally a deterministic subsample of EvalBatch samples).
 func (e *Engine) evaluate(t int) (acc, loss float64, err error) {
 	if e.cfg.EvalBatch > 0 && e.cfg.EvalBatch < e.test.Len() {
-		rng := rand.New(rand.NewSource(mix(e.cfg.Seed, 0xE7A1, int64(t))))
+		rng := rand.New(rand.NewSource(det.EvalSubsample(e.cfg.Seed, t)))
 		e.evalIdx = resizeInts(e.evalIdx, e.cfg.EvalBatch)
 		for i := range e.evalIdx {
 			e.evalIdx[i] = rng.Intn(e.test.Len())

@@ -257,8 +257,7 @@ func (s *shardState) step(t int) {
 	if s.decideErr != nil {
 		return // the engine aborts the run; skip execution like the monolith
 	}
-	// Config.FuseBatch is task granularity only: an edge's plan is one
-	// trainGroup task, or one per device.
+	// Config.FuseBatch is task granularity only: one trainGroup per plan or per device.
 	g := e.pool.Group()
 	for n := s.lo; n < s.hi; n++ {
 		count := len(e.plans[n].devs)
@@ -267,7 +266,12 @@ func (s *shardState) step(t int) {
 			size = count
 		}
 		for lo := 0; lo < count; lo += size {
-			e.submitTrain(g, n, lo, lo+size)
+			n, hi := n, lo+size // never reassigned, so the task captures them by value
+			g.Go(func() {
+				tr := e.trainers.Borrow(e.cfg.BatchSize)
+				defer e.trainers.Release(tr)
+				e.trainGroup(n, lo, hi, tr)
+			})
 		}
 	}
 	s.queueDepth = e.pool.QueueDepth()

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"github.com/mach-fl/mach/internal/dataset"
+	"github.com/mach-fl/mach/internal/det"
 	"github.com/mach-fl/mach/internal/mobility"
 	"github.com/mach-fl/mach/internal/nn"
 	"github.com/mach-fl/mach/internal/sampling"
@@ -76,7 +77,7 @@ func groupOutputs(t *testing.T, e *Engine, n int) (norms [][]float64, uploads []
 		if pd.err != nil {
 			t.Fatalf("device %d: %v", pd.m, pd.err)
 		}
-		norms = append(norms, append([]float64(nil), pd.sqNorms...))
+		norms = append(norms, append([]float64(nil), plan.norms[i*e.cfg.LocalEpochs:(i+1)*e.cfg.LocalEpochs]...))
 		var up []float64
 		if pd.upload {
 			up = append(up, plan.uploads[i]...)
@@ -133,14 +134,14 @@ func TestTrainerCarriesNoStateBetweenDevices(t *testing.T) {
 					}
 					planFor(used, 0, devsA)
 					planFor(used, 1, devsB)
-					tr := used.newTrainer()
+					tr := used.trainers.Borrow(used.cfg.BatchSize)
 					used.trainGroup(0, 0, len(devsA), tr)
 					used.trainGroup(1, 0, len(devsB), tr)
 					gotNorms, gotUploads := groupOutputs(t, used, 1)
 
 					fresh := build()
 					planFor(fresh, 1, devsB)
-					fresh.trainGroup(1, 0, len(devsB), fresh.newTrainer())
+					fresh.trainGroup(1, 0, len(devsB), fresh.trainers.Borrow(fresh.cfg.BatchSize))
 					wantNorms, wantUploads := groupOutputs(t, fresh, 1)
 
 					requireSameBits(t, "norms", gotNorms, wantNorms)
@@ -157,7 +158,7 @@ func TestTrainerCarriesNoStateBetweenDevices(t *testing.T) {
 // minibatches drawn from its own stream.
 func deviceOwnedUpdate(t *testing.T, cfg Config, base *nn.Network, data *dataset.Dataset, m int, edgeParams []float64) (norms, upload []float64) {
 	t.Helper()
-	rng := rand.New(rand.NewSource(mix(cfg.Seed, 0x9E3779B9, int64(m))))
+	rng := rand.New(rand.NewSource(det.DeviceBatch(cfg.Seed, m)))
 	norms = make([]float64, cfg.LocalEpochs)
 	if cfg.Lane == LaneF32 {
 		lane, err := nn.NewLane32(base, 1)

@@ -11,11 +11,13 @@ import (
 // (DESIGN.md §5 phase 1, §7 pooled decide state):
 //
 //  1. Seed provenance: every explicit source must be derived from the run
-//     seed. rand.NewSource / (*rand.Rand).Seed with a compile-time
-//     constant argument forks a stream the config's Seed does not control
-//     — the exact bug class behind "identically seeded runs differ".
-//     Derived expressions (mix(seed, t, n), seed+offset, rng.Int63())
-//     taint from a seed value and pass.
+//     seed through internal/det's seed table. rand.NewSource /
+//     (*rand.Rand).Seed with a compile-time constant argument forks a
+//     stream the config's Seed does not control — the exact bug class
+//     behind "identically seeded runs differ". Seed arithmetic (seed+k,
+//     seed+id*311) is controlled by Seed but collides across roles: two
+//     additive recipes meet wherever their offsets do. A plain value or a
+//     call (det.EdgeCoin(seed, t, n), rng.Int63()) passes.
 //  2. Goroutine ownership: a *rand.Rand local must be owned by exactly one
 //     goroutine-spawning scope. A rand captured by two spawned closures,
 //     by a closure spawned in a loop, by a parallel.ForEach body (which
@@ -49,7 +51,7 @@ func runRandShare(p *Pass) {
 }
 
 // checkConstSeed flags rand.NewSource / rand.NewPCG / (*rand.Rand).Seed
-// calls whose seed arguments are compile-time constants.
+// calls whose seed arguments are compile-time constants or arithmetic.
 func (p *Pass) checkConstSeed(call *ast.CallExpr) {
 	fn := calleeFunc(p, call)
 	if fn == nil || fn.Pkg() == nil {
@@ -75,7 +77,34 @@ func (p *Pass) checkConstSeed(call *ast.CallExpr) {
 	}
 	for _, arg := range call.Args {
 		if tv, ok := p.Info.Types[arg]; ok && tv.Value != nil {
-			p.Reportf(arg.Pos(), "%s seeded with constant %s; derive the seed from the run seed (mix(...)) so the stream is controlled by Config.Seed", name, tv.Value)
+			p.Reportf(arg.Pos(), "%s seeded with constant %s; derive the seed from the run seed (internal/det) so the stream is controlled by Config.Seed", name, tv.Value)
+		} else if isArithmetic(p, arg) && !pathMatch(p.Path, seedArithmeticOK) {
+			p.Reportf(arg.Pos(), "%s seeded with seed arithmetic; additive recipes collide across streams — take the seed from internal/det's seed table", name)
+		}
+	}
+}
+
+// seedArithmeticOK lists where seed arithmetic stays legal: the benchmark
+// harness offsets its workload seed once per world input (test set, mobility
+// source), streams no seed-table entry names.
+var seedArithmeticOK = []string{"benchmark"}
+
+// isArithmetic reports whether e, under parentheses and type conversions, is
+// a binary expression.
+func isArithmetic(p *Pass, e ast.Expr) bool {
+	for {
+		switch x := e.(type) {
+		case *ast.ParenExpr:
+			e = x.X
+		case *ast.CallExpr:
+			if tv, ok := p.Info.Types[x.Fun]; !ok || !tv.IsType() || len(x.Args) != 1 {
+				return false
+			}
+			e = x.Args[0]
+		case *ast.BinaryExpr:
+			return true
+		default:
+			return false
 		}
 	}
 }
@@ -223,7 +252,7 @@ func (p *Pass) reportRandSharing(obj types.Object, uses []randUse) {
 			continue
 		}
 		if u.multi {
-			p.Reportf(u.pos, "*rand.Rand %s is captured by a closure that runs on multiple goroutines (spawned in a loop or a parallel fan-out); give each goroutine its own mix(...)-seeded stream", obj.Name())
+			p.Reportf(u.pos, "*rand.Rand %s is captured by a closure that runs on multiple goroutines (spawned in a loop or a parallel fan-out); give each goroutine its own det-seeded stream", obj.Name())
 			return
 		}
 		if firstLit == nil {
@@ -231,7 +260,7 @@ func (p *Pass) reportRandSharing(obj types.Object, uses []randUse) {
 			continue
 		}
 		if u.lit != firstLit {
-			p.Reportf(u.pos, "*rand.Rand %s is captured by more than one goroutine-spawning closure; draws interleave nondeterministically — give each goroutine its own mix(...)-seeded stream", obj.Name())
+			p.Reportf(u.pos, "*rand.Rand %s is captured by more than one goroutine-spawning closure; draws interleave nondeterministically — give each goroutine its own det-seeded stream", obj.Name())
 			return
 		}
 	}
@@ -243,7 +272,7 @@ func (p *Pass) reportRandSharing(obj types.Object, uses []randUse) {
 	// initialization and stay legal.
 	for _, u := range uses {
 		if u.lit == nil && u.pos > firstInLit.spawnPos {
-			p.Reportf(firstInLit.pos, "*rand.Rand %s is used by this spawned goroutine and by its parent scope after the spawn; hand the stream off completely or derive a second one with mix(...)", obj.Name())
+			p.Reportf(firstInLit.pos, "*rand.Rand %s is used by this spawned goroutine and by its parent scope after the spawn; hand the stream off completely or derive a second one from internal/det", obj.Name())
 			return
 		}
 	}

@@ -31,6 +31,18 @@ func derivedSeedClean(seed int64, t int) *rand.Rand {
 	return rand.New(rand.NewSource(mix(seed, int64(t))))
 }
 
+func additiveSeed(seed int64, id int) *rand.Rand {
+	return rand.New(rand.NewSource(seed + int64(id)*311)) // want "seeded with seed arithmetic"
+}
+
+func scaledReseed(r *rand.Rand, seed int64) {
+	r.Seed(int64((seed * 1009))) // want "seeded with seed arithmetic"
+}
+
+func plainSeedClean(seed int64) *rand.Rand {
+	return rand.New(rand.NewSource(int64(seed)))
+}
+
 func sharedByTwoGoroutines(seed int64) {
 	r := rand.New(rand.NewSource(mix(seed)))
 	var wg sync.WaitGroup

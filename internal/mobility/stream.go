@@ -3,6 +3,8 @@ package mobility
 import (
 	"fmt"
 	"math/rand"
+
+	"github.com/mach-fl/mach/internal/det"
 )
 
 // This file holds the streaming generator sources: the Markov, waypoint and
@@ -66,17 +68,6 @@ func (r *splitmixRNG) Int63n(n int64) int64 {
 // Intn returns a uniform draw in [0, n).
 func (r *splitmixRNG) Intn(n int) int { return int(r.Int63n(int64(n))) }
 
-// mixSeed reproduces the engine's FNV-style seed mixing so per-device
-// substreams are well separated and deterministic in (seed, salt, device).
-func mixSeed(parts ...int64) splitmixRNG {
-	h := int64(1469598103934665603)
-	for _, p := range parts {
-		h ^= p
-		h *= 1099511628211
-	}
-	return splitmixRNG(h)
-}
-
 // Per-model substream salts, keeping a device's streams disjoint across
 // mobility models built from the same seed.
 const (
@@ -134,7 +125,7 @@ func NewMarkovSource(seed int64, edges, devices, steps int, stayProb float64) (*
 		row:      make([]int, devices),
 	}
 	for m := 0; m < devices; m++ {
-		s.rngs[m] = mixSeed(seed, saltMarkov, int64(m))
+		s.rngs[m] = splitmixRNG(det.MobilityDevice(seed, saltMarkov, m))
 		s.row[m] = s.rngs[m].Intn(edges)
 	}
 	return s, nil
@@ -302,7 +293,7 @@ func NewWaypointSource(seed int64, edges, devices, steps, stationsPerEdge int, c
 	}
 	g.mv = w
 	for m := 0; m < devices; m++ {
-		w.rngs[m] = mixSeed(seed, saltWaypoint, int64(m))
+		w.rngs[m] = splitmixRNG(det.MobilityDevice(seed, saltWaypoint, m))
 		w.states[m] = waypointInit(&w.rngs[m], cfg)
 		g.place(m, w.states[m].x, w.states[m].y)
 	}
@@ -343,7 +334,7 @@ func NewLevySource(seed int64, edges, devices, steps, stationsPerEdge int, cfg L
 	}
 	g.mv = l
 	for m := 0; m < devices; m++ {
-		l.rngs[m] = mixSeed(seed, saltLevy, int64(m))
+		l.rngs[m] = splitmixRNG(det.MobilityDevice(seed, saltLevy, m))
 		l.states[m] = levyInit(&l.rngs[m], cfg)
 		g.place(m, l.states[m].x, l.states[m].y)
 	}

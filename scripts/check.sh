@@ -35,20 +35,8 @@ go test -tags purego ./internal/tensor ./internal/nn ./internal/hfl
 echo "== go test -race ./..."
 go test -race ./...
 
-echo "== go test -race -short (parallel engine determinism)"
-go test -race -short -run 'TestRunBitIdenticalAcrossWorkerCounts' ./internal/hfl
-
-echo "== go test -race -short (fed wire protocol + codec)"
-go test -race -short ./internal/fed/ ./internal/codec/
-
 echo "== codec fuzz smoke (FuzzDecode, 10 s from the committed seed corpus)"
 go test -run '^$' -fuzz 'FuzzDecode' -fuzztime 10s ./internal/codec
-
-echo "== go test -race -short (fused-path determinism, both lanes)"
-go test -race -short -run 'TestRunF32BitIdenticalAcrossWorkerCounts|TestRunFusedMatchesUnfused' ./internal/hfl
-
-echo "== go test -race -short (sharded control plane, Shards=3 smoke)"
-go test -race -short -run 'TestRunBitIdenticalAcrossShardCounts|TestShardedMatchesSeedEngineGolden' ./internal/hfl
 
 echo "== streaming-vs-dense bit-identity smoke (StepSource plane, DESIGN.md §12)"
 go test -count=1 -run 'TestRunStreamingMatchesDenseBitIdentical|TestTransitionStatsAreObservationOnly' ./internal/hfl
