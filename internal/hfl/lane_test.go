@@ -1,11 +1,15 @@
 package hfl
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
+	"math/rand"
 	"testing"
 
 	"github.com/mach-fl/mach/internal/dataset"
 	"github.com/mach-fl/mach/internal/mobility"
+	"github.com/mach-fl/mach/internal/nn"
 	"github.com/mach-fl/mach/internal/sampling"
 )
 
@@ -177,6 +181,74 @@ func TestRunF32TracksF64(t *testing.T) {
 			if d := math.Abs(params[j] - v); d > 1e-2*math.Max(1, math.Abs(v)) {
 				t.Fatalf("fuse=%v: param %d = %v, f64 %v (diff %v)", fuse, j, params[j], v, d)
 			}
+		}
+	}
+}
+
+// TestRunF32GoldenAcrossBuilds pins the f32 lane's arithmetic: a seeded MACH
+// run of the paper's 2-conv CNN (16×16 inputs, batch 8 — the shapes every f32
+// kernel form, tile and tail is built for), fused and unfused, must reproduce
+// the digest of the evaluation history and the final global model recorded at
+// the commit before the lane got vector kernels (6f99131). scripts/check.sh
+// runs this package under -tags purego as well, so the one value proves
+// parent ≡ AVX2 kernels ≡ pure-Go loops.
+func TestRunF32GoldenAcrossBuilds(t *testing.T) {
+	const want = 0x43ff2366249b270
+	arch := func(rng *rand.Rand) (*nn.Network, error) {
+		return nn.NewCNN(nn.MNISTCNNConfig(16, 16), rng)
+	}
+	task, err := dataset.NewTask(dataset.MNISTLike(16, 16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, fuse := range []bool{false, true} {
+		parts, err := dataset.Partition(task, dataset.PartitionConfig{
+			Devices: 8, SamplesPerDevice: 24, TailRatio: 0.4, Seed: 5,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		test, err := task.Generate(rand.New(rand.NewSource(6)), 64, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sched, err := mobility.GenerateSchedule(7, 2, 8, 4, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := tinyConfig(4, 5)
+		cfg.CloudInterval = 2
+		cfg.BatchSize = 8
+		cfg.Lane = LaneF32
+		cfg.FuseBatch = fuse
+		strat, err := sampling.NewMACH(8, sampling.DefaultMACHConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng, err := New(cfg, arch, parts, test, sched, strat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := eng.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := fnv.New64a()
+		word := func(v uint64) {
+			var b [8]byte
+			binary.LittleEndian.PutUint64(b[:], v)
+			h.Write(b[:])
+		}
+		for _, p := range res.History.Points {
+			word(uint64(p.Step))
+			word(math.Float64bits(p.Accuracy))
+			word(math.Float64bits(p.Loss))
+		}
+		for _, v := range eng.GlobalParams() {
+			word(math.Float64bits(v))
+		}
+		if got := h.Sum64(); got != want {
+			t.Fatalf("fuse=%v: run digest %#x, want %#x (history %+v)", fuse, got, uint64(want), res.History.Points)
 		}
 	}
 }

@@ -403,38 +403,13 @@ func (l *Lane32) forwardOp(op *lane32Op, s, batch int) {
 			}
 		}
 	case laneOpReLU:
-		for i, v := range in {
-			if v > 0 {
-				out[i] = v
-			} else {
-				out[i] = 0
-			}
-		}
+		relu32(out, in)
 	case laneOpPool:
-		oh, ow := op.h/2, op.w/2
+		ow := op.w / 2
 		am := op.argmax[s*batch*op.outLen : (s+1)*batch*op.outLen]
-		oi := 0
-		for bc := 0; bc < batch*op.c; bc++ {
-			plane := bc * op.h * op.w
-			for oy := 0; oy < oh; oy++ {
-				rowTop := plane + 2*oy*op.w
-				for ox := 0; ox < ow; ox++ {
-					i0 := rowTop + 2*ox
-					best, bestIdx := in[i0], i0
-					if v := in[i0+1]; v > best {
-						best, bestIdx = v, i0+1
-					}
-					if v := in[i0+op.w]; v > best {
-						best, bestIdx = v, i0+op.w
-					}
-					if v := in[i0+op.w+1]; v > best {
-						best, bestIdx = v, i0+op.w+1
-					}
-					out[oi] = best
-					am[oi] = int32(bestIdx)
-					oi++
-				}
-			}
+		// Output row r pools input rows 2r and 2r+1.
+		for r := 0; r < batch*op.c*(op.h/2); r++ {
+			maxPoolRow32(out[r*ow:][:ow], am[r*ow:][:ow], in[2*r*op.w:][:op.w], in[(2*r+1)*op.w:][:op.w], 2*r*op.w)
 		}
 	case laneOpBN:
 		l.forwardBN(op, s, batch, in, out)
@@ -492,15 +467,7 @@ func (l *Lane32) backwardOp(op *lane32Op, s, batch int, goutBuf, ginBuf []float3
 			tensor.Col2Im32Into(gin[i*op.inLen:(i+1)*op.inLen], dcols, op.geom)
 		}
 	case laneOpReLU:
-		// The forward output doubles as the mask: out > 0 ⟺ input > 0.
-		out := op.outBuf[s*batch*op.outLen : (s+1)*batch*op.outLen]
-		for i, v := range out {
-			if v > 0 {
-				gin[i] = gout[i]
-			} else {
-				gin[i] = 0
-			}
-		}
+		reluGrad32(gin, gout, op.outBuf[s*batch*op.outLen:(s+1)*batch*op.outLen])
 	case laneOpPool:
 		am := op.argmax[s*batch*op.outLen : (s+1)*batch*op.outLen]
 		for i := range gin {
@@ -511,6 +478,67 @@ func (l *Lane32) backwardOp(op *lane32Op, s, batch int, goutBuf, ginBuf []float3
 		}
 	case laneOpBN:
 		l.backwardBN(op, s, batch, gout, gin)
+	}
+}
+
+// posInfBits32 is the bit pattern of +Inf, the largest float32 that is > 0.
+const posInfBits32 = 0x7F800000
+
+// relu32 writes max(0, x) for every x of in, branch-free like ReLU.Forward:
+// −x, ±0 and NaNs of either sign become +0.
+func relu32(out, in []float32) {
+	out = out[:len(in)]
+	for i, v := range in {
+		// v > 0 ⇔ its bits lie in [1, posInfBits32] ⇔ (bits−1) − posInfBits32,
+		// taken in 64 bits, is negative (bits.Sub32 is not an intrinsic).
+		b := math.Float32bits(v)
+		keep := uint32((int64(b-1) - posInfBits32) >> 63)
+		out[i] = math.Float32frombits(b & keep)
+	}
+}
+
+// reluGrad32 passes gout where the forward output fwd is positive and writes
+// +0 elsewhere. fwd is +0 or positive, so negating its bits sets the sign
+// exactly where the input was > 0 — the forward output doubles as the mask.
+func reluGrad32(gin, gout, fwd []float32) {
+	gin, fwd = gin[:len(gout)], fwd[:len(gout)]
+	for i, g := range gout {
+		keep := uint32(-int32(math.Float32bits(fwd[i])) >> 31)
+		gin[i] = math.Float32frombits(math.Float32bits(g) & keep)
+	}
+}
+
+// maxPoolRow32 is maxPoolRow on the lane's float32 rows: it pools the input
+// rows top and bot (top starting at flat index base) into out and records the
+// flat index of each maximum in arg — the first one under strict > in
+// (top-left, top-right, bottom-left, bottom-right) order, so a NaN never wins
+// a comparison. The running maximum is carried as bits and every candidate is
+// computed before the comparisons, so each step compiles to conditional moves.
+func maxPoolRow32(out []float32, arg []int32, top, bot []float32, base int) {
+	w := len(top)
+	bot = bot[:w]
+	arg = arg[:len(out)]
+	for ox := range out {
+		j := 2 * ox
+		if j+1 >= w { // never taken (len(out) is w/2); it proves the four loads in bounds
+			break
+		}
+		i0 := int32(base + j)
+		i1, i2, i3 := i0+1, i0+int32(w), i0+int32(w)+1
+		t1, u0, u1 := top[j+1], bot[j], bot[j+1]
+		b1, b2, b3 := math.Float32bits(t1), math.Float32bits(u0), math.Float32bits(u1)
+		best, bestIdx := math.Float32bits(top[j]), i0
+		if t1 > math.Float32frombits(best) {
+			best, bestIdx = b1, i1
+		}
+		if u0 > math.Float32frombits(best) {
+			best, bestIdx = b2, i2
+		}
+		if u1 > math.Float32frombits(best) {
+			best, bestIdx = b3, i3
+		}
+		out[ox] = math.Float32frombits(best)
+		arg[ox] = bestIdx
 	}
 }
 

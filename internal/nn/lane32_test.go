@@ -287,3 +287,104 @@ func TestLane32RejectsDropout(t *testing.T) {
 		t.Fatal("NewLane32 accepted a Dropout layer")
 	}
 }
+
+// refRelu32, refReluGrad32 and refMaxPool32 are the branchy loops the lane ran
+// before relu32, reluGrad32 and maxPoolRow32 replaced them, kept as oracles.
+func refRelu32(out, in []float32) {
+	for i, v := range in {
+		if v > 0 {
+			out[i] = v
+		} else {
+			out[i] = 0
+		}
+	}
+}
+
+func refReluGrad32(gin, gout, fwd []float32) {
+	for i, v := range fwd {
+		if v > 0 {
+			gin[i] = gout[i]
+		} else {
+			gin[i] = 0
+		}
+	}
+}
+
+func refMaxPool32(out []float32, am []int32, in []float32, planes, h, w int) {
+	oi := 0
+	for bc := 0; bc < planes; bc++ {
+		for oy := 0; oy < h/2; oy++ {
+			rowTop := bc*h*w + 2*oy*w
+			for ox := 0; ox < w/2; ox++ {
+				i0 := rowTop + 2*ox
+				best, bestIdx := in[i0], i0
+				for _, i := range []int{i0 + 1, i0 + w, i0 + w + 1} {
+					if in[i] > best {
+						best, bestIdx = in[i], i
+					}
+				}
+				out[oi], am[oi] = best, int32(bestIdx)
+				oi++
+			}
+		}
+	}
+}
+
+// TestLane32ElementwiseMatchesReferenceLoops compares the lane's branch-free
+// ReLU forward/backward and 2×2 pool with the loops they replaced, bit for
+// bit and index for index, on inputs dense in ties, ±0, ±Inf and NaN.
+func TestLane32ElementwiseMatchesReferenceLoops(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	inf := float32(math.Inf(1))
+	pool := []float32{0, float32(math.Copysign(0, -1)), inf, -inf, float32(math.NaN()),
+		math.Float32frombits(0xFFC00001), 1, 1, -1, 2, math.SmallestNonzeroFloat32, -math.SmallestNonzeroFloat32}
+	draw := func(n int) []float32 {
+		v := make([]float32, n)
+		for i := range v {
+			if rng.Intn(3) == 0 {
+				v[i] = float32(rng.NormFloat64())
+			} else {
+				v[i] = pool[rng.Intn(len(pool))]
+			}
+		}
+		return v
+	}
+	same := func(name string, got, want []float32) {
+		t.Helper()
+		for i := range want {
+			if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+				t.Fatalf("%s[%d] = %v (%#x), reference loop gives %v (%#x)", name, i,
+					got[i], math.Float32bits(got[i]), want[i], math.Float32bits(want[i]))
+			}
+		}
+	}
+	const planes, h, w = 3, 6, 10
+	n := planes * h * w
+	for rep := 0; rep < 50; rep++ {
+		in, gout := draw(n), draw(n)
+		want, got := draw(n), draw(n) // dirty destinations
+		refRelu32(want, in)
+		relu32(got, in)
+		same("relu32", got, want)
+
+		fwd := want // a forward output: +0 or positive, as reluGrad32 requires
+		wantG, gotG := draw(n), draw(n)
+		refReluGrad32(wantG, gout, fwd)
+		reluGrad32(gotG, gout, fwd)
+		same("reluGrad32", gotG, wantG)
+
+		on := n / 4
+		wantP, gotP := draw(on), draw(on)
+		wantA, gotA := make([]int32, on), make([]int32, on)
+		refMaxPool32(wantP, wantA, in, planes, h, w)
+		for r := 0; r < planes*h/2; r++ {
+			maxPoolRow32(gotP[r*w/2:][:w/2], gotA[r*w/2:][:w/2], in[2*r*w:][:w], in[(2*r+1)*w:][:w], 2*r*w)
+		}
+		same("maxPoolRow32", gotP, wantP)
+		for i := range wantA {
+			if gotA[i] != wantA[i] {
+				t.Fatalf("maxPoolRow32 argmax[%d] = %d, reference loop gives %d", i, gotA[i], wantA[i])
+			}
+		}
+	}
+}

@@ -39,7 +39,7 @@ func TestMatMul32MatchesF64(t *testing.T) {
 		m, k, n := dims[0], dims[1], dims[2]
 		a32, a64 := randn32(rng, m*k)
 		b32, b64 := randn32(rng, k*n)
-		// Exercise the sparsity fast path on a few exact-zero rows.
+		// A few exact zeros: ordinary terms, folded like any other.
 		for p := 0; p < k; p += 7 {
 			a32[p] = 0
 			a64[p] = 0
@@ -146,4 +146,128 @@ func TestIm2Col32MatchesF64Exactly(t *testing.T) {
 	Col2Im32Into(img32, c32, g)
 	refImg := col2Im(FromSlice(c64, rows, n), g)
 	close32(t, "Col2Im32Into", img32, refImg.Data(), g.K*g.K)
+}
+
+// x86NaN32 is the quiet NaN the SSE/AVX units generate (0·Inf, Inf−Inf).
+// Planting this one pattern keeps every NaN in flight identical, so which
+// operand of an add the compiler put first — the one x86 propagates — cannot
+// show up as a payload difference between two correct kernels.
+var x86NaN32 = math.Float32frombits(0xFFC00000)
+
+// specials32 draws n values, about a quarter of them ±0, ±Inf or NaN.
+func specials32(rng *rand.Rand, n int) []float32 {
+	inf := float32(math.Inf(1))
+	special := []float32{0, float32(math.Copysign(0, -1)), inf, -inf, x86NaN32}
+	v := make([]float32, n)
+	for i := range v {
+		v[i] = float32(rng.NormFloat64())
+		if rng.Intn(4) == 0 {
+			v[i] = special[rng.Intn(len(special))]
+		}
+	}
+	return v
+}
+
+// offset32 returns a copy of v that starts one element into a larger buffer,
+// so its rows sit at addresses no vector load is aligned to.
+func offset32(v []float32) []float32 {
+	return append(make([]float32, 1, len(v)+1), v...)[1:]
+}
+
+func requireSameBits32(t *testing.T, name string, m, k, n int, got, want []float32) {
+	t.Helper()
+	for i := range want {
+		if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+			t.Fatalf("%s %dx%dx%d: element [%d,%d] = %v (%#x), the Go loop gives %v (%#x)", name, m, k, n,
+				i/n, i%n, got[i], math.Float32bits(got[i]), want[i], math.Float32bits(want[i]))
+		}
+	}
+}
+
+// TestF32KernelsBitIdenticalToGoLoops sweeps the three f32 products, vector
+// path against the Go loops of the same binary, over every combination of
+// full tile, row tail, column tail and reduction tail of both kernels plus
+// the training shapes — once on finite operands and once with ±0, ±Inf and
+// NaN planted in both, which pins that no form skips or reorders a term
+// (0·Inf is NaN in the quad body and in the k%4 tail alike; −0 + +0 keeps its
+// sign rule). Operands and destinations are unaligned, Into destinations
+// start dirty and the Acc destination preloaded.
+func TestF32KernelsBitIdenticalToGoLoops(t *testing.T) {
+	if !useAVX2 {
+		t.Skip("no vector kernels in this build: the Go loops are the only path")
+	}
+	rng := rand.New(rand.NewSource(32))
+	ks := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 64, 72, 256}
+	ns := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 64, 72, 256}
+	for _, m := range []int{1, 7, 8, 9, 16, 17} {
+		for _, k := range ks {
+			for _, n := range ns {
+				for _, draw := range []func(*rand.Rand, int) []float32{
+					func(rng *rand.Rand, n int) []float32 { v, _ := randn32(rng, n); return v },
+					specials32,
+				} {
+					a, b := offset32(draw(rng, m*k)), offset32(draw(rng, k*n))
+					pre := draw(rng, m*n)
+					want, got := offset32(pre), offset32(pre)
+
+					fold32(want, a, b, m, k, n, k, 1, false)
+					fold32(got, a, b, m, k, n, k, 1, true)
+					requireSameBits32(t, "a·b fold", m, k, n, got, want)
+					MatMul32Into(got, a, b, m, k, n) // dirty destination
+					clear(want)
+					fold32(want, a, b, m, k, n, k, 1, false)
+					requireSameBits32(t, "MatMul32Into", m, k, n, got, want)
+
+					// aᵀ·b reads the same buffer as a k×m matrix.
+					copy(want, pre)
+					copy(got, pre)
+					fold32(want, a, b, m, k, n, 1, m, false)
+					MatMulTransA32Acc(got, a, b, k, m, n)
+					requireSameBits32(t, "MatMulTransA32Acc", m, k, n, got, want)
+
+					// a·bᵀ reads b's buffer as an n×k matrix.
+					matMulTransB32(want, a, b, m, k, n, false)
+					MatMulTransB32Into(got, a, b, m, k, n)
+					requireSameBits32(t, "MatMulTransB32Into", m, k, n, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestFold32TailsNeverSkipATerm pins the tree the sweep above compares: an
+// exact zero in a meets an Inf in b as NaN whether the term sits in a quad or
+// in the k%4 tail, and a −0 product keeps a −0 sum (the parent's tails skipped
+// av == 0, so both depended on k%4).
+func TestFold32TailsNeverSkipATerm(t *testing.T) {
+	inf, negZero := float32(math.Inf(1)), float32(math.Copysign(0, -1))
+	for k := 1; k <= 9; k++ {
+		for p := 0; p < k; p++ {
+			a, b := make([]float32, k), make([]float32, k)
+			for i := range a {
+				a[i], b[i] = 1, 1
+			}
+			a[p], b[p] = 0, inf
+			dst := []float32{0}
+			MatMul32Into(dst, a, b, 1, k, 1)
+			if !math.IsNaN(float64(dst[0])) {
+				t.Fatalf("MatMul32Into k=%d: 0·Inf at p=%d gave %v, want NaN", k, p, dst[0])
+			}
+			dst[0] = 0
+			MatMulTransA32Acc(dst, a, b, k, 1, 1)
+			if !math.IsNaN(float64(dst[0])) {
+				t.Fatalf("MatMulTransA32Acc k=%d: 0·Inf at p=%d gave %v, want NaN", k, p, dst[0])
+			}
+		}
+		// −0 + Σ(−0·1): every partial sum is −0, so the result is too.
+		a, b := make([]float32, k), make([]float32, k)
+		for i := range a {
+			a[i], b[i] = negZero, 1
+		}
+		dst := []float32{negZero}
+		MatMulTransA32Acc(dst, a, b, k, 1, 1)
+		if math.Float32bits(dst[0]) != math.Float32bits(negZero) {
+			t.Fatalf("MatMulTransA32Acc k=%d: −0 + Σ −0 = %v (%#x), want −0", k, dst[0], math.Float32bits(dst[0]))
+		}
+	}
 }

@@ -46,16 +46,25 @@ func Im2ColInto(dst, x *Tensor, g ConvGeom) {
 	if dst.Rank() != 2 || dst.shape[0] != rows || dst.shape[1] != cols {
 		panic(fmt.Sprintf("tensor: Im2ColInto dst %v does not match geometry %+v", dst.shape, g))
 	}
+	im2ColInto(dst.data, x.data, g)
+}
+
+// im2ColInto is the lowering behind Im2ColInto and Im2Col32Into: out is the
+// [InC·K·K, OutH·OutW] matrix and x the [InC, InH, InW] image, both flat and
+// exactly sized.
+//
+//machlint:noalias out,x
+func im2ColInto[T float32 | float64](out, x []T, g ConvGeom) {
 	if g.Stride == 1 {
-		im2ColStride1(dst.data, x.data, g)
+		im2ColStride1(out, x, g)
 		return
 	}
-	im2ColGeneral(dst.data, x.data, g)
+	im2ColGeneral(out, x, g)
 }
 
 // im2ColGeneral is the any-stride lowering: zero everything, then one bounds
 // test per element.
-func im2ColGeneral(out, x []float64, g ConvGeom) {
+func im2ColGeneral[T float32 | float64](out, x []T, g ConvGeom) {
 	outH, outW := g.OutH(), g.OutW()
 	cols := outH * outW
 	clear(out)
@@ -101,7 +110,9 @@ func stride1Range(kPos, pad, in, out int) (lo, hi int) {
 // of padding, copies with short gaps of padding between them, and a tail of
 // padding; when input and output rows have the same width the copies abut in
 // the source as well and become one. Every cell of out is written.
-func im2ColStride1(out, x []float64, g ConvGeom) {
+//
+//machlint:allocfree
+func im2ColStride1[T float32 | float64](out, x []T, g ConvGeom) {
 	outH, outW := g.OutH(), g.OutW()
 	cols := outH * outW
 	for c := 0; c < g.InC; c++ {
@@ -156,17 +167,25 @@ func Col2ImInto(img, cols *Tensor, g ConvGeom) {
 	if img.Rank() != 3 || img.shape[0] != g.InC || img.shape[1] != g.InH || img.shape[2] != g.InW {
 		panic(fmt.Sprintf("tensor: Col2ImInto dst %v does not match geometry %+v", img.shape, g))
 	}
-	img.Zero()
+	col2ImInto(img.data, cols.data, g)
+}
+
+// col2ImInto is the scatter behind Col2ImInto and Col2Im32Into, over the flat,
+// exactly sized operands of im2ColInto; it zeroes img first.
+//
+//machlint:noalias img,cols
+func col2ImInto[T float32 | float64](img, cols []T, g ConvGeom) {
+	clear(img)
 	if g.Stride == 1 {
-		col2ImStride1(img.data, cols.data, g)
+		col2ImStride1(img, cols, g)
 		return
 	}
-	col2ImGeneral(img.data, cols.data, g)
+	col2ImGeneral(img, cols, g)
 }
 
 // col2ImGeneral is the any-stride scatter onto a zeroed img, one bounds test
 // per element.
-func col2ImGeneral(img, cols []float64, g ConvGeom) {
+func col2ImGeneral[T float32 | float64](img, cols []T, g ConvGeom) {
 	outH, outW := g.OutH(), g.OutW()
 	n := outH * outW
 	for c := 0; c < g.InC; c++ {
@@ -198,7 +217,9 @@ func col2ImGeneral(img, cols []float64, g ConvGeom) {
 // add per (c, ky, kx, oy) over the in-bounds run of stride1Range. The outer
 // (c, ky, kx) order and the ascending oy, ox within it are those of
 // col2ImGeneral, so every pixel receives its addends in the same order.
-func col2ImStride1(img, cols []float64, g ConvGeom) {
+//
+//machlint:allocfree
+func col2ImStride1[T float32 | float64](img, cols []T, g ConvGeom) {
 	outH, outW := g.OutH(), g.OutW()
 	n := outH * outW
 	for c := 0; c < g.InC; c++ {

@@ -1,7 +1,6 @@
 package tensor
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -151,13 +150,40 @@ func TestIm2ColShapeMismatchPanics(t *testing.T) {
 }
 
 // TestStride1PathsMatchGeneralLoop compares the stride-1 im2col/col2im fast
-// paths with the any-stride loops bit for bit, over every padding-vs-kernel
-// relation (no padding, padding narrower and wider than the input, a kernel
-// wider than the image) on non-square images. Destinations start dirty where
-// the callee owns the clearing; ±0, ±Inf and NaN cells must land unchanged.
+// paths with the any-stride loops bit for bit, for both element types, over
+// every padding-vs-kernel relation (no padding, padding narrower and wider
+// than the input, a kernel wider than the image) on non-square images.
+// Destinations start dirty where the callee owns the clearing; ±0, ±Inf and
+// NaN cells must land unchanged.
 func TestStride1PathsMatchGeneralLoop(t *testing.T) {
+	t.Run("f64", func(t *testing.T) { stride1MatchesGeneral(t, math.Float64bits) })
+	t.Run("f32", func(t *testing.T) {
+		stride1MatchesGeneral(t, func(v float32) uint64 { return uint64(math.Float32bits(v)) })
+	})
+}
+
+func stride1MatchesGeneral[T float32 | float64](t *testing.T, bits func(T) uint64) {
 	rng := rand.New(rand.NewSource(21))
 	special := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN()}
+	draw := func(n int, specials bool) []T {
+		v := make([]T, n)
+		for i := range v {
+			v[i] = T(rng.NormFloat64())
+			if specials && rng.Intn(5) == 0 {
+				v[i] = T(special[rng.Intn(len(special))])
+			}
+		}
+		return v
+	}
+	requireSame := func(name string, g ConvGeom, got, want []T) {
+		t.Helper()
+		for i := range want {
+			if bits(got[i]) != bits(want[i]) {
+				t.Fatalf("%s %+v: element %d = %v (%#x), the general loop gives %v (%#x)",
+					name, g, i, got[i], bits(got[i]), want[i], bits(want[i]))
+			}
+		}
+	}
 	for _, hw := range [][2]int{{1, 1}, {2, 5}, {5, 2}, {6, 9}, {16, 16}} {
 		for _, k := range []int{1, 3, 5} {
 			for _, pad := range []int{0, 1, 2} {
@@ -165,23 +191,18 @@ func TestStride1PathsMatchGeneralLoop(t *testing.T) {
 				if g.Validate() != nil {
 					continue
 				}
-				x := Randn(rng, 1, g.InC, g.InH, g.InW)
-				for i := range x.data {
-					if rng.Intn(5) == 0 {
-						x.data[i] = special[rng.Intn(len(special))]
-					}
-				}
+				x := draw(g.InC*g.InH*g.InW, true)
 				rows, n := g.InC*k*k, g.OutH()*g.OutW()
-				want, got := Full(7, rows, n), Full(-7, rows, n)
-				im2ColGeneral(want.data, x.data, g)
-				im2ColStride1(got.data, x.data, g)
-				requireSameBits(t, fmt.Sprintf("im2col %+v", g), got, want)
+				want, got := draw(rows*n, false), draw(rows*n, false)
+				im2ColGeneral(want, x, g)
+				im2ColStride1(got, x, g)
+				requireSame("im2col", g, got, want)
 
-				cols := Randn(rng, 1, rows, n)
-				wantImg, gotImg := New(g.InC, g.InH, g.InW), New(g.InC, g.InH, g.InW)
-				col2ImGeneral(wantImg.data, cols.data, g)
-				col2ImStride1(gotImg.data, cols.data, g)
-				requireSameBits(t, fmt.Sprintf("col2im %+v", g), gotImg, wantImg)
+				cols := draw(rows*n, false)
+				wantImg, gotImg := make([]T, len(x)), make([]T, len(x))
+				col2ImGeneral(wantImg, cols, g)
+				col2ImStride1(gotImg, cols, g)
+				requireSame("col2im", g, gotImg, wantImg)
 			}
 		}
 	}

@@ -4,7 +4,8 @@ package tensor
 
 // useAVX2 selects the vector micro-kernels of kernels_amd64.s. It is decided
 // once, from the CPU and the OS alone, so a binary takes the same path on
-// every call; the Go loops in matmul.go produce the same bits either way.
+// every call; the Go loops in matmul.go and f32.go produce the same bits
+// either way.
 var useAVX2 = cpuHasAVX2()
 
 // cpuHasAVX2 reports whether the CPU implements AVX2 and the OS saves the
@@ -31,3 +32,25 @@ func transBTilesAVX2(dst, a, b *float64, k4, k, n, tiles int)
 // VMULPD/VADDPD pairs (128 flops per round): the arithmetic ceiling the
 // kernels above are measured against.
 func machinePeakAVX2(iters int)
+
+// fold32AVX2 adds Σ_p v[r·vrow+p·vterm]·b[p·n : p·n+cols] onto
+// d[r·n : r·n+cols] for r in [0, rows) and p in [0, terms), in the expression
+// tree of fold32: four terms at a time as (v0·b0 + v1·b1) + (v2·b2 + v3·b3)
+// added to the running sum, then the terms%4 last ones singly, eight adjacent
+// columns per YMM register. cols must be a positive multiple of 8, rows and
+// terms positive.
+//
+//go:noescape
+func fold32AVX2(d, b, v *float32, rows, vrow, vterm, terms, cols, n int)
+
+// transB32TilesAVX2 writes the 4·rowTiles-row × 8·colTiles-column block
+// dst[r·n+j] = e + o, where e and o sum a[r·k+p]·b[j·k+p] over the even and
+// the odd p in [0, k), each from +0 in ascending p with a multiply and then an
+// add per term: the tree of transB32Dots' 4×2 body. rowTiles, colTiles and k
+// must be positive.
+//
+//go:noescape
+func transB32TilesAVX2(dst, a, b *float32, rowTiles, colTiles, k, n int)
+
+// machinePeak32AVX2 is machinePeakAVX2 on eight f32 lanes: 256 flops a round.
+func machinePeak32AVX2(iters int)

@@ -254,3 +254,16 @@ func BenchmarkMachinePeakF64(b *testing.B) {
 	}
 	b.ReportMetric(128*iters*float64(b.N)/float64(b.Elapsed().Nanoseconds()), "GFLOP/s")
 }
+
+// BenchmarkMachinePeakF32 is the same ceiling for the vector f32 kernels:
+// register-only VMULPS/VADDPS pairs, eight lanes each.
+func BenchmarkMachinePeakF32(b *testing.B) {
+	if !useAVX2 {
+		b.Skip("no vector kernels in this build")
+	}
+	const iters = 1 << 16 // 256 flops each
+	for i := 0; i < b.N; i++ {
+		machinePeak32AVX2(iters)
+	}
+	b.ReportMetric(256*iters*float64(b.N)/float64(b.Elapsed().Nanoseconds()), "GFLOP/s")
+}
