@@ -214,27 +214,6 @@ func synthNorm(seed int64, t, m int) float64 {
 	return 0.5 + float64(h>>11)/float64(1<<53)
 }
 
-// coinRNG is the benchmark's sampling-coin stream: splitmix64 over a
-// one-word state. Both modes seed it identically per edge per step, so the
-// naive/indexed divergence check stays meaningful. A cheap stream is
-// deliberate — math/rand's Seed re-expands a 607-word feedback register
-// (~10µs), a per-edge constant both control planes would pay equally; at
-// thousands of edges it would dominate the step and mask the rescan and
-// allocation costs this benchmark isolates. The training engine keeps its
-// math/rand streams for bit-identity with recorded runs; here only
-// naive-vs-indexed equality matters.
-type coinRNG uint64
-
-// Float64 returns the next coin in [0, 1).
-func (r *coinRNG) Float64() float64 {
-	*r += 0x9e3779b97f4a7c15
-	z := uint64(*r)
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	z ^= z >> 31
-	return float64(z>>11) / float64(1<<53)
-}
-
 // scaleObs buffers (edge, device, norm) observations — one synthetic norm per
 // sampled device — until its owner flushes them into the strategy as one
 // batch.
@@ -275,9 +254,9 @@ type scaleDecideState struct {
 
 // scaleEngine runs the sampling-only control plane over a synthetic Markov
 // mobility plane: per step it computes MACH probabilities for every edge,
-// draws the sampling coins in member order from per-edge coinRNG streams, and
-// feeds synthetic gradient norms of the sampled devices back into the
-// experience book. No models exist; everything measured is control plane.
+// draws the sampling coins in member order from per-edge det.EdgeCoin streams
+// (the engine's own), and feeds synthetic gradient norms of the sampled
+// devices back into the experience book. No models exist; everything measured is control plane.
 // Every mode runs the same decideEdge; they differ in where an edge's members
 // come from, whether its state is pooled, and when observations are flushed.
 //
@@ -443,7 +422,7 @@ func (e *scaleEngine) decideEdge(t, n int, members []int, st *scaleDecideState, 
 		tb.estimates = append(tb.estimates[:0], st.ctx.Estimates...)
 		tb.coins, tb.sampled = tb.coins[:0], tb.sampled[:0]
 	}
-	coin := coinRNG(det.EdgeCoin(e.cfg.Seed, t, n))
+	coin := det.Stream(det.EdgeCoin(e.cfg.Seed, t, n))
 	sampled := int64(0)
 	for i, m := range members {
 		c := coin.Float64()

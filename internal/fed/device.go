@@ -83,7 +83,7 @@ func NewDeviceServer(arch hfl.ArchFunc, data map[int]*dataset.Dataset, machCfg s
 		efSum:     make(map[int][]float64),
 	}
 	for id, d := range data {
-		ds.devices[id] = &hostedDevice{data: d, rng: rand.New(rand.NewSource(det.DeviceBatch(seed, id)))}
+		ds.devices[id] = &hostedDevice{data: d, rng: det.NewRand(det.DeviceBatch(seed, id))}
 	}
 	return ds, nil
 }

@@ -3,7 +3,6 @@ package fed
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"net"
 	"net/rpc"
 	"sort"
@@ -240,7 +239,7 @@ func (e *EdgeServer) Step(args EdgeStepArgs, reply *EdgeStepReply) error {
 	// Edge sampling (Algorithm 3), in place over the fetched estimates, and
 	// Bernoulli device sampling on the engine's coin stream for (step, edge).
 	probs := sampling.EdgeSamplingInto(e.machCfg, args.Capacity, estimates, estimates)
-	rng := rand.New(rand.NewSource(det.EdgeCoin(e.seed, args.Step, e.id)))
+	rng := det.NewRand(det.EdgeCoin(e.seed, args.Step, e.id))
 	var sampled []int
 	for i, m := range args.Members {
 		if rng.Float64() < probs[i] {

@@ -845,7 +845,7 @@ func TestDeviceTrainMatchesEngineTrainer(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := hfl.NewTrainerPool(proto, w.test).Borrow(testHyper.BatchSize)
-	rng := rand.New(rand.NewSource(det.DeviceBatch(runSeed, device)))
+	rng := det.NewRand(det.DeviceBatch(runSeed, device))
 	// Two updates in a row: the second continues the device's minibatch stream.
 	for step := 0; step < 2; step++ {
 		var rep TrainReply

@@ -472,7 +472,7 @@ func New(cfg Config, arch ArchFunc, deviceData []*dataset.Dataset, test *dataset
 		}
 		e.devices[m] = &device{
 			data: data,
-			rng:  rand.New(rand.NewSource(det.DeviceBatch(cfg.Seed, m))),
+			rng:  det.NewRand(det.DeviceBatch(cfg.Seed, m)),
 			dist: data.ClassDistribution(),
 		}
 	}

@@ -2,7 +2,6 @@ package hfl
 
 import (
 	"fmt"
-	"math/rand"
 
 	"github.com/mach-fl/mach/internal/dataset"
 	"github.com/mach-fl/mach/internal/det"
@@ -114,13 +113,14 @@ type edgePlan struct {
 }
 
 // reserve sizes the slot buffers for the devices just planned, keeping what
-// earlier steps grew.
-func (p *edgePlan) reserve(epochs int) {
+// earlier steps grew. A new upload slot is allocated once, at the model's
+// size, so ParamsInto's per-layer appends never regrow it.
+func (p *edgePlan) reserve(epochs, numParams int) {
 	if need := len(p.devs) * epochs; len(p.norms) < need {
 		p.norms = make([]float64, need)
 	}
 	for len(p.uploads) < len(p.devs) {
-		p.uploads = append(p.uploads, nil)
+		p.uploads = append(p.uploads, make([]float64, 0, numParams))
 	}
 }
 
@@ -412,11 +412,10 @@ type edgeStepCounts struct {
 // post-training position leaves every draw at the same stream offset.
 //
 // All per-step machinery is pooled in e.decide[n]: the RNG is reseeded to
-// the same det.EdgeCoin stream a fresh rand.New would start (Seed resets
-// the source to exactly the NewSource state), the context and its closures
-// are built once per edge, and probabilities land in a reused buffer.
-// Distinct edges may decide concurrently; everything mutated here is private
-// to edge n.
+// the det.EdgeCoin stream a fresh det.NewRand would start (Seed is one store
+// into the stream's word), the context and its closures are built once per
+// edge, and probabilities land in a reused buffer. Distinct edges may decide
+// concurrently; everything mutated here is private to edge n.
 //
 //machlint:allocfree
 func (e *Engine) edgeDecide(t, n int) error {
@@ -427,9 +426,8 @@ func (e *Engine) edgeDecide(t, n int) error {
 		return nil
 	}
 	st := &e.decide[n]
-	seed := det.EdgeCoin(e.cfg.Seed, t, n)
 	if st.rng == nil {
-		st.rng = rand.New(rand.NewSource(seed))
+		st.rng = det.NewRand(0)
 		st.ctx.Edge = n
 		st.ctx.Capacity = e.capacity
 		st.ctx.RNG = st.rng
@@ -439,9 +437,8 @@ func (e *Engine) edgeDecide(t, n int) error {
 		st.ctx.ProbeGradNorm = func(m int) float64 {
 			return e.probeGradNorm(st.ctx.Step, n, m)
 		}
-	} else {
-		st.rng.Seed(seed)
 	}
+	st.rng.Seed(det.EdgeCoin(e.cfg.Seed, t, n))
 	st.ctx.Step = t
 	st.ctx.Members = members
 	st.ctx.Estimates, st.ctx.Floor = nil, 0
@@ -487,7 +484,7 @@ func (e *Engine) edgeDecide(t, n int) error {
 		}
 		plan.devs = append(plan.devs, plannedDevice{m: m, weight: weight, upload: upload})
 	}
-	plan.reserve(e.cfg.LocalEpochs)
+	plan.reserve(e.cfg.LocalEpochs, len(e.global))
 	return nil
 }
 
@@ -663,7 +660,7 @@ func (e *Engine) probeGradNorm(t, n, m int) float64 {
 	e.tel.Add(telemetry.CounterProbes, 1)
 	tr := e.trainers.Borrow(e.cfg.BatchSize)
 	defer e.trainers.Release(tr)
-	rng := rand.New(rand.NewSource(det.Probe(e.cfg.Seed, t, m)))
+	rng := det.NewRand(det.Probe(e.cfg.Seed, t, m))
 	var gn [1]float64
 	if err := tr.LocalUpdate(e.edge[n], e.devices[m].data, rng, 0, gn[:]); err != nil {
 		// The strategy callback has no error channel, and a length mismatch
@@ -696,7 +693,7 @@ func (e *Engine) EvaluateConfusion() (*metrics.Confusion, error) {
 // (optionally a deterministic subsample of EvalBatch samples).
 func (e *Engine) evaluate(t int) (acc, loss float64, err error) {
 	if e.cfg.EvalBatch > 0 && e.cfg.EvalBatch < e.test.Len() {
-		rng := rand.New(rand.NewSource(det.EvalSubsample(e.cfg.Seed, t)))
+		rng := det.NewRand(det.EvalSubsample(e.cfg.Seed, t))
 		e.evalIdx = resizeInts(e.evalIdx, e.cfg.EvalBatch)
 		for i := range e.evalIdx {
 			e.evalIdx[i] = rng.Intn(e.test.Len())

@@ -104,11 +104,11 @@ func TestRunBitIdenticalAcrossShardCounts(t *testing.T) {
 }
 
 // TestShardedMatchesSeedEngineGolden pins sharded runs to the same golden
-// trace as TestRunRegressionFixedSeed: the pre-index serial engine's exact
-// sampled-per-step sequence (commit 040083d) must survive any shard count,
-// not just equality between sharded runs.
+// trace as TestRunRegressionFixedSeed: the serial engine's exact
+// sampled-per-step sequence (re-pinned with it, DESIGN.md §5) must survive
+// any shard count, not just equality between sharded runs.
 func TestShardedMatchesSeedEngineGolden(t *testing.T) {
-	wantSampled := []int{7, 4, 6, 5, 6, 6, 9, 3, 4, 6, 6, 5}
+	wantSampled := []int{3, 7, 6, 4, 4, 4, 5, 5, 5, 8, 3, 6}
 	for _, shards := range []int{2, 3} {
 		parts, test, sched := tinySetup(t, 12, 3, 12, 21)
 		cfg := tinyConfig(12, 21)

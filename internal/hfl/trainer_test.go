@@ -65,7 +65,7 @@ func planFor(e *Engine, n int, devs []int) {
 	for i, m := range devs {
 		plan.devs = append(plan.devs, plannedDevice{m: m, weight: 1, upload: i%2 == 0})
 	}
-	plan.reserve(e.cfg.LocalEpochs)
+	plan.reserve(e.cfg.LocalEpochs, len(e.global))
 }
 
 // groupOutputs copies what trainGroup left in edge n's plan.
@@ -158,7 +158,7 @@ func TestTrainerCarriesNoStateBetweenDevices(t *testing.T) {
 // minibatches drawn from its own stream.
 func deviceOwnedUpdate(t *testing.T, cfg Config, base *nn.Network, data *dataset.Dataset, m int, edgeParams []float64) (norms, upload []float64) {
 	t.Helper()
-	rng := rand.New(rand.NewSource(det.DeviceBatch(cfg.Seed, m)))
+	rng := det.NewRand(det.DeviceBatch(cfg.Seed, m))
 	norms = make([]float64, cfg.LocalEpochs)
 	if cfg.Lane == LaneF32 {
 		lane, err := nn.NewLane32(base, 1)
@@ -237,6 +237,24 @@ func TestEngineStepMatchesDeviceOwnedUpdate(t *testing.T) {
 	}
 }
 
+// heapAfterNew returns the live heap New adds: HeapAlloc after minus before,
+// both measured after a collection, with everything New was handed (device
+// data, test set, schedule) allocated by the caller beforehand.
+func heapAfterNew(t *testing.T, arch ArchFunc, parts []*dataset.Dataset, test *dataset.Dataset, src mobility.StepSource) float64 {
+	t.Helper()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	e, err := New(tinyConfig(2, 47), arch, parts, test, src, sampling.NewUniform())
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(e)
+	return float64(after.HeapAlloc) - float64(before.HeapAlloc)
+}
+
 // TestDeviceFootprintIndependentOfModelSize: a device is data and an RNG
 // stream, so what one more device costs the engine does not depend on the
 // architecture. Two MLPs whose parameter counts differ 30× must agree on the
@@ -251,31 +269,51 @@ func TestDeviceFootprintIndependentOfModelSize(t *testing.T) {
 	if s, l := 64*8+8+8*10+10, 64*256+256+256*10+10; l < 10*s {
 		t.Fatalf("architectures too close: %d vs %d parameters", s, l)
 	}
-	heapAfterNew := func(arch ArchFunc, parts []*dataset.Dataset, test *dataset.Dataset, sched *mobility.Schedule) float64 {
-		var before, after runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&before)
-		e, err := New(tinyConfig(2, 47), arch, parts, test, sched, sampling.NewUniform())
-		if err != nil {
-			t.Fatal(err)
-		}
-		runtime.GC()
-		runtime.ReadMemStats(&after)
-		runtime.KeepAlive(e)
-		return float64(after.HeapAlloc) - float64(before.HeapAlloc)
-	}
 	perDevice := map[string]float64{}
 	for name, arch := range map[string]ArchFunc{"small": small, "large": large} {
 		var heap [2]float64
 		for i, devices := range []int{1000, 5000} {
 			parts, test, sched := world8(t, devices, 10, 47)
-			heap[i] = heapAfterNew(arch, parts, test, sched)
+			heap[i] = heapAfterNew(t, arch, parts, test, sched)
 		}
 		perDevice[name] = (heap[1] - heap[0]) / 4000
 		t.Logf("%s: %.0f bytes per added device", name, perDevice[name])
 	}
 	if d := math.Abs(perDevice["large"] - perDevice["small"]); d > 1024 {
 		t.Fatalf("a device costs %.0f bytes under the small model and %.0f under the large one", perDevice["small"], perDevice["large"])
+	}
+}
+
+// TestEngineHeapPerDevice is the fleet memory guard: everything the engine
+// owns for 5,000 devices — device records, their det.Stream minibatch
+// streams, label distributions, the mobility window, the edge models of an
+// MLP — fits in 1 KiB a device. The data is one sample each and allocated
+// outside the measurement. A math/rand source per device alone is 4.9 KB
+// (≈ 5.9 KB a device through d7166bc); scripts/check.sh runs this by name.
+func TestEngineHeapPerDevice(t *testing.T) {
+	const devices, budget = 5000, 1024
+	task, err := dataset.NewTask(dataset.MNISTLike(8, 8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	parts, err := dataset.Partition(task, dataset.PartitionConfig{
+		Devices: devices, SamplesPerDevice: 1, TailRatio: 0.4, Seed: 47,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	test, err := task.Generate(rand.New(rand.NewSource(48)), 40, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched, err := mobility.GenerateMarkovSchedule(49, 10, devices, 2, 0.9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	perDevice := heapAfterNew(t, mlp8Arch, parts, test, sched) / devices
+	t.Logf("engine-owned heap: %.0f bytes per device", perDevice)
+	if perDevice > budget {
+		t.Fatalf("engine owns %.0f bytes per device, budget %d", perDevice, budget)
 	}
 }
 

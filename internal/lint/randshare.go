@@ -17,7 +17,12 @@ import (
 //     behind "identically seeded runs differ". Seed arithmetic (seed+k,
 //     seed+id*311) is controlled by Seed but collides across roles: two
 //     additive recipes meet wherever their offsets do. A plain value or a
-//     call (det.EdgeCoin(seed, t, n), rng.Int63()) passes.
+//     call (mix(seed, t), rng.Int63()) passes — except a seed-table call:
+//     the keyed streams (det.DeviceBatch, det.EdgeCoin, …) exist per device
+//     and per (step, edge), so they run on the one-word det.Stream, and
+//     rand.NewSource / rand.NewPCG over one of them outside internal/det
+//     puts a 607-word register back behind every key. det.NewRand is the
+//     constructor; det.ModelInit, one stream a run, stays on math/rand.
 //  2. Goroutine ownership: a *rand.Rand local must be owned by exactly one
 //     goroutine-spawning scope. A rand captured by two spawned closures,
 //     by a closure spawned in a loop, by a parallel.ForEach body (which
@@ -51,7 +56,8 @@ func runRandShare(p *Pass) {
 }
 
 // checkConstSeed flags rand.NewSource / rand.NewPCG / (*rand.Rand).Seed
-// calls whose seed arguments are compile-time constants or arithmetic.
+// calls whose seed arguments are compile-time constants or arithmetic, and
+// the two constructors over a keyed seed-table stream.
 func (p *Pass) checkConstSeed(call *ast.CallExpr) {
 	fn := calleeFunc(p, call)
 	if fn == nil || fn.Pkg() == nil {
@@ -80,6 +86,8 @@ func (p *Pass) checkConstSeed(call *ast.CallExpr) {
 			p.Reportf(arg.Pos(), "%s seeded with constant %s; derive the seed from the run seed (internal/det) so the stream is controlled by Config.Seed", name, tv.Value)
 		} else if isArithmetic(p, arg) && !pathMatch(p.Path, seedArithmeticOK) {
 			p.Reportf(arg.Pos(), "%s seeded with seed arithmetic; additive recipes collide across streams — take the seed from internal/det's seed table", name)
+		} else if stream := keyedStream(p, arg); stream != "" && name != "Seed" && !pathMatch(p.Path, []string{"internal/det"}) {
+			p.Reportf(arg.Pos(), "%s over det.%s builds a math/rand register per keyed stream; use det.NewRand", name, stream)
 		}
 	}
 }
@@ -89,24 +97,46 @@ func (p *Pass) checkConstSeed(call *ast.CallExpr) {
 // source), streams no seed-table entry names.
 var seedArithmeticOK = []string{"benchmark"}
 
-// isArithmetic reports whether e, under parentheses and type conversions, is
-// a binary expression.
-func isArithmetic(p *Pass, e ast.Expr) bool {
+// unwrapConversions strips parentheses and type conversions from e.
+func unwrapConversions(p *Pass, e ast.Expr) ast.Expr {
 	for {
 		switch x := e.(type) {
 		case *ast.ParenExpr:
 			e = x.X
 		case *ast.CallExpr:
 			if tv, ok := p.Info.Types[x.Fun]; !ok || !tv.IsType() || len(x.Args) != 1 {
-				return false
+				return e
 			}
 			e = x.Args[0]
-		case *ast.BinaryExpr:
-			return true
 		default:
-			return false
+			return e
 		}
 	}
+}
+
+// isArithmetic reports whether e, under parentheses and type conversions, is
+// a binary expression.
+func isArithmetic(p *Pass, e ast.Expr) bool {
+	_, ok := unwrapConversions(p, e).(*ast.BinaryExpr)
+	return ok
+}
+
+// keyedStream names the seed-table function e calls, under parentheses and
+// type conversions, when it is one of internal/det's keyed streams — every
+// int64-returning entry but ModelInit and the raw Mix.
+func keyedStream(p *Pass, e ast.Expr) string {
+	call, ok := unwrapConversions(p, e).(*ast.CallExpr)
+	if !ok {
+		return ""
+	}
+	fn := calleeFunc(p, call)
+	if fn == nil || fn.Pkg() == nil || !strings.HasSuffix("/"+fn.Pkg().Path(), "/internal/det") {
+		return ""
+	}
+	if fn.Name() == "ModelInit" || fn.Name() == "Mix" {
+		return ""
+	}
+	return fn.Name()
 }
 
 // spawnKind classifies how a function literal leaves its parent goroutine.

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"sync"
 
+	"github.com/mach-fl/mach/internal/det"
 	"github.com/mach-fl/mach/internal/parallel"
 )
 
@@ -37,6 +38,27 @@ func additiveSeed(seed int64, id int) *rand.Rand {
 
 func scaledReseed(r *rand.Rand, seed int64) {
 	r.Seed(int64((seed * 1009))) // want "seeded with seed arithmetic"
+}
+
+func keyedStreamOnMathRand(seed int64, m int) *rand.Rand {
+	return rand.New(rand.NewSource(det.DeviceBatch(seed, m))) // want "NewSource over det.DeviceBatch builds a math/rand register per keyed stream; use det.NewRand"
+}
+
+func keyedStreamConverted(seed int64, t, n int) rand.Source {
+	return rand.NewSource(int64((det.EdgeCoin(seed, t, n)))) // want "use det.NewRand"
+}
+
+// keyedStreamClean is the remediation; reseeding a det.NewRand in place from
+// the table is how the engine pools its per-edge stream.
+func keyedStreamClean(seed int64, t, n int) *rand.Rand {
+	r := det.NewRand(det.EdgeCoin(seed, t, n))
+	r.Seed(det.EdgeCoin(seed, t+1, n))
+	return r
+}
+
+// modelInitClean: the one stream of the table that stays on math/rand.
+func modelInitClean(seed int64) *rand.Rand {
+	return rand.New(rand.NewSource(det.ModelInit(seed)))
 }
 
 func plainSeedClean(seed int64) *rand.Rand {

@@ -17,7 +17,7 @@ import (
 // whole trajectory has been drawn — a step-major streaming emitter would
 // need a full per-device math/rand state (~4.9 KB each, gigabytes at 1M
 // devices) to reproduce them. The streaming sources therefore give every
-// device its own one-word splitmix64 substream and preserve the *per-device
+// device its own one-word det.Stream and preserve the *per-device
 // draw order* of the legacy models through the shared steppers (markovNext,
 // waypointStep, levyStep): the chain logic cannot drift, the legacy
 // generators and their recorded goldens stay byte-identical, and
@@ -25,48 +25,13 @@ import (
 // source and its Materialize'd twin through the whole engine.
 
 // uniformRNG is the draw interface of the per-device mobility steppers;
-// *rand.Rand (legacy trace generators) and *splitmixRNG (streaming sources)
+// *rand.Rand (legacy trace generators) and *det.Stream (streaming sources)
 // both satisfy it.
 type uniformRNG interface {
 	Float64() float64
 	Intn(n int) int
 	Int63n(n int64) int64
 }
-
-// splitmixRNG is a one-word splitmix64 stream: 8 bytes of state per device
-// is what makes per-device substreams affordable at millions of devices.
-type splitmixRNG uint64
-
-func (r *splitmixRNG) next() uint64 {
-	*r += 0x9e3779b97f4a7c15
-	z := uint64(*r)
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
-// Float64 returns the next draw in [0, 1).
-func (r *splitmixRNG) Float64() float64 { return float64(r.next()>>11) / (1 << 53) }
-
-// Int63n returns a uniform draw in [0, n). Rejection-free modulo bias is
-// negligible at mobility's tiny ranges, but reject anyway so the stream is
-// exactly uniform.
-func (r *splitmixRNG) Int63n(n int64) int64 {
-	if n <= 0 {
-		panic("mobility: Int63n on non-positive bound")
-	}
-	max := uint64(1)<<63 - 1
-	limit := max - max%uint64(n)
-	for {
-		v := r.next() >> 1
-		if v < limit {
-			return int64(v % uint64(n))
-		}
-	}
-}
-
-// Intn returns a uniform draw in [0, n).
-func (r *splitmixRNG) Intn(n int) int { return int(r.Int63n(int64(n))) }
 
 // Per-model substream salts, keeping a device's streams disjoint across
 // mobility models built from the same seed.
@@ -102,7 +67,7 @@ type MarkovSource struct {
 	edges, devices, steps int
 	stayProb              float64
 
-	rngs  []splitmixRNG
+	rngs  []det.Stream
 	row   []int
 	moves []Move
 	pos   int
@@ -121,11 +86,11 @@ func NewMarkovSource(seed int64, edges, devices, steps int, stayProb float64) (*
 		devices:  devices,
 		steps:    steps,
 		stayProb: stayProb,
-		rngs:     make([]splitmixRNG, devices),
+		rngs:     make([]det.Stream, devices),
 		row:      make([]int, devices),
 	}
 	for m := 0; m < devices; m++ {
-		s.rngs[m] = splitmixRNG(det.MobilityDevice(seed, saltMarkov, m))
+		s.rngs[m] = det.Stream(det.MobilityDevice(seed, saltMarkov, m))
 		s.row[m] = s.rngs[m].Intn(edges)
 	}
 	return s, nil
@@ -272,7 +237,7 @@ func (g *geoSource) Snapshot(dst []int) []int { return append(dst[:0], g.row...)
 type WaypointSource struct {
 	*geoSource
 	cfg    WaypointConfig
-	rngs   []splitmixRNG
+	rngs   []det.Stream
 	states []waypointState
 }
 
@@ -288,12 +253,12 @@ func NewWaypointSource(seed int64, edges, devices, steps, stationsPerEdge int, c
 	w := &WaypointSource{
 		geoSource: g,
 		cfg:       cfg,
-		rngs:      make([]splitmixRNG, devices),
+		rngs:      make([]det.Stream, devices),
 		states:    make([]waypointState, devices),
 	}
 	g.mv = w
 	for m := 0; m < devices; m++ {
-		w.rngs[m] = splitmixRNG(det.MobilityDevice(seed, saltWaypoint, m))
+		w.rngs[m] = det.Stream(det.MobilityDevice(seed, saltWaypoint, m))
 		w.states[m] = waypointInit(&w.rngs[m], cfg)
 		g.place(m, w.states[m].x, w.states[m].y)
 	}
@@ -313,7 +278,7 @@ func (w *WaypointSource) step(m int) (float64, float64) {
 type LevySource struct {
 	*geoSource
 	cfg    LevyConfig
-	rngs   []splitmixRNG
+	rngs   []det.Stream
 	states []levyState
 }
 
@@ -329,12 +294,12 @@ func NewLevySource(seed int64, edges, devices, steps, stationsPerEdge int, cfg L
 	l := &LevySource{
 		geoSource: g,
 		cfg:       cfg,
-		rngs:      make([]splitmixRNG, devices),
+		rngs:      make([]det.Stream, devices),
 		states:    make([]levyState, devices),
 	}
 	g.mv = l
 	for m := 0; m < devices; m++ {
-		l.rngs[m] = splitmixRNG(det.MobilityDevice(seed, saltLevy, m))
+		l.rngs[m] = det.Stream(det.MobilityDevice(seed, saltLevy, m))
 		l.states[m] = levyInit(&l.rngs[m], cfg)
 		g.place(m, l.states[m].x, l.states[m].y)
 	}

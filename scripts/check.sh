@@ -48,6 +48,9 @@ go test -race -count=1 -run 'TestRunStreamingMatchesDenseBitIdentical' ./interna
 echo "== f32-lane + fusion smoke (seeded run, accuracy within tolerance of f64)"
 go test -count=1 -run 'TestRunF32TracksF64' ./internal/hfl
 
+echo "== fleet memory guard (engine-owned heap per device <= 1 KiB: keyed streams are one-word det.Streams)"
+go test -count=1 -run 'TestEngineHeapPerDevice' ./internal/hfl
+
 echo "== scale bench smoke (-exp scale -quick, naive/indexed divergence check)"
 scale_tmp=$(mktemp -d)
 go run ./cmd/machbench -exp scale -quick -out "$scale_tmp" >/dev/null
