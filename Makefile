@@ -23,25 +23,13 @@ test:
 race:
 	go test -race ./...
 
-# Engine micro-benchmark; writes BENCH_engine.json in the repo root.
-bench-engine:
-	go run ./cmd/machbench -exp engine
-
-# Wire-format benchmark: measured bytes per codec scheme on a loopback
-# deployment; writes BENCH_comm.json in the repo root.
-bench-comm:
-	go run ./cmd/machbench -exp comm
-
-# Sampling control-plane scale benchmark: naive vs indexed decide across
-# device populations up to 100k; writes BENCH_scale.json in the repo root.
-bench-scale:
-	go run ./cmd/machbench -exp scale
-
-# Telemetry overhead benchmark: the control-plane workload with telemetry
-# off / metrics only / full trace; writes BENCH_telemetry.json in the repo
-# root.
-bench-telemetry:
-	go run ./cmd/machbench -exp telemetry
+# Regenerate the four committed BENCH_*.json files in the repo root: the
+# engine micro-benchmark, the wire-format benchmark (measured bytes per codec
+# scheme on a loopback deployment), the engine at fleet scale (dense/stream
+# mobility × shard sweep up to 1M devices) and the telemetry tier overheads.
+# The scale sweep takes minutes and peaks near 1 GiB.
+bench-all:
+	for exp in engine comm scale telemetry; do go run ./cmd/machbench -exp $$exp || exit 1; done
 
 bench:
 	go test -bench=. -benchmem ./...
@@ -51,4 +39,4 @@ bench:
 loc:
 	./scripts/loc.sh $(REV)
 
-.PHONY: check lint lint-ledger test race bench bench-engine bench-comm bench-scale bench-telemetry loc
+.PHONY: check lint lint-ledger test race bench bench-all loc

@@ -11,6 +11,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -78,11 +79,11 @@ func main() {
 
 func run() error {
 	var (
-		exp   = flag.String("exp", "fig3", "experiment: fig3 | fig4 | fig5 | table1 | ablations | engine | comm | scale | telemetry | all")
-		task  = flag.String("task", "", "task: mnist | fmnist | cifar10 (default: all tasks)")
-		scale = flag.String("scale", "ci", "scale: ci | full")
+		exp    = flag.String("exp", "fig3", "experiment: fig3 | fig4 | fig5 | table1 | ablations | engine | comm | scale | telemetry | all")
+		task   = flag.String("task", "", "task: mnist | fmnist | cifar10 (default: all tasks)")
+		scale  = flag.String("scale", "ci", "scale: ci | full")
 		quick  = flag.Bool("quick", false, "use the seconds-scale smoke preset (scale/telemetry experiments only)")
-		shards = flag.String("shards", "", "comma-separated shard counts for the scale experiment's sharded rows (empty = preset sweep)")
+		shards = flag.String("shards", "", "comma-separated shard counts for the scale experiment (empty = preset sweep)")
 
 		cpuProfile   = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile   = flag.String("memprofile", "", "write a heap profile to this file on exit")
@@ -103,8 +104,8 @@ func run() error {
 		beta    = flag.Float64("beta", 0, "override MACH beta (0 = preset)")
 		target  = flag.Float64("target", 0, "override target accuracy (0 = preset)")
 		agg     = flag.String("agg", "", "override aggregation: inverse | plain | literal")
-	lane    = flag.String("lane", "", "override compute lane for local updates: f64 | f32 (default: preset)")
-	fuse    = flag.Bool("fuse", false, "train each edge's sampled devices in one execution task")
+		lane    = flag.String("lane", "", "override compute lane for local updates: f64 | f32 (default: preset)")
+		fuse    = flag.Bool("fuse", false, "train each edge's sampled devices in one execution task")
 		conf    = flag.String("config", "", "JSON experiment config layered over the preset")
 		outDir  = flag.String("out", "", "directory for per-strategy CSV curves and the resolved config (optional)")
 		ndev    = flag.Float64("noisydev", -1, "override noisy-device fraction (-1 = preset)")
@@ -166,8 +167,8 @@ func run() error {
 	}
 
 	if *exp == "scale" {
-		// The control-plane scale benchmark builds synthetic populations;
-		// task/scale flags don't apply.
+		// The scale benchmark builds its own fleet populations; task/scale
+		// flags don't apply.
 		return runScale(*outDir, *quick, *shards, profiles)
 	}
 	if *exp == "engine" {
@@ -182,8 +183,8 @@ func run() error {
 		return runComm(*outDir, profiles)
 	}
 	if *exp == "telemetry" {
-		// The telemetry overhead benchmark reruns one control-plane workload
-		// per observability tier; task/scale flags don't apply.
+		// The telemetry overhead benchmark reruns one fleet cell per
+		// observability tier; task/scale flags don't apply.
 		return runTelemetry(*outDir, *quick, profiles)
 	}
 
@@ -386,9 +387,35 @@ func runAblations(cfg bench.Config) error {
 	return nil
 }
 
+// writeBenchJSON writes one JSON-writing experiment's result as name in the
+// working directory, or in outDir (created if missing) when -out is set, and
+// reports how long the experiment took since start.
+func writeBenchJSON(outDir, name string, start time.Time, write func(io.Writer) error) error {
+	path := name
+	if outDir != "" {
+		if err := os.MkdirAll(outDir, 0o755); err != nil {
+			return fmt.Errorf("create output dir: %w", err)
+		}
+		path = filepath.Join(outDir, name)
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return fmt.Errorf("create %s: %w", path, err)
+	}
+	err = write(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return fmt.Errorf("write %s: %w", path, err)
+	}
+	fmt.Printf("\n[done in %v — wrote %s]\n\n", telemetry.WallSince(start).Round(time.Millisecond), path)
+	return nil
+}
+
 // runEngine measures the training engine itself (wall time per step,
 // allocations, devices-trained/sec across worker-pool sizes) and writes
-// BENCH_engine.json next to the binary or into -out.
+// BENCH_engine.json.
 func runEngine(outDir string, profiles *bench.ProfileMeta) error {
 	start := telemetry.WallNow()
 	r, err := bench.RunEngineBench(bench.EngineBenchPreset())
@@ -399,33 +426,13 @@ func runEngine(outDir string, profiles *bench.ProfileMeta) error {
 	if err := bench.RenderEngineBench(os.Stdout, r); err != nil {
 		return err
 	}
-	path := "BENCH_engine.json"
-	if outDir != "" {
-		if err := os.MkdirAll(outDir, 0o755); err != nil {
-			return fmt.Errorf("create output dir: %w", err)
-		}
-		path = filepath.Join(outDir, path)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("create %s: %w", path, err)
-	}
-	err = r.WriteEngineBenchJSON(f)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return fmt.Errorf("write %s: %w", path, err)
-	}
-	fmt.Printf("\n[engine bench done in %v — wrote %s]\n\n", telemetry.WallSince(start).Round(time.Millisecond), path)
-	return nil
+	return writeBenchJSON(outDir, "BENCH_engine.json", start, r.WriteEngineBenchJSON)
 }
 
-// runScale measures the sampling control plane at synthetic populations up
-// to 1M devices × 10k edges (naive, indexed and sharded rows per cell) and
-// writes BENCH_scale.json next to the binary or into -out. -quick swaps in
-// the seconds-scale smoke preset; -shards overrides the preset's shard-count
-// sweep.
+// runScale runs hfl.Engine on fleet populations up to 1M devices × 10k edges
+// ({dense, stream} mobility × the shard sweep per cell, every row of a cell
+// bit-identical) and writes BENCH_scale.json. -quick swaps in the
+// seconds-scale smoke preset; -shards overrides the preset's shard sweep.
 func runScale(outDir string, quick bool, shards string, profiles *bench.ProfileMeta) error {
 	start := telemetry.WallNow()
 	preset := bench.ScaleBenchPreset()
@@ -447,26 +454,7 @@ func runScale(outDir string, quick bool, shards string, profiles *bench.ProfileM
 	if err := bench.RenderScaleBench(os.Stdout, r); err != nil {
 		return err
 	}
-	path := "BENCH_scale.json"
-	if outDir != "" {
-		if err := os.MkdirAll(outDir, 0o755); err != nil {
-			return fmt.Errorf("create output dir: %w", err)
-		}
-		path = filepath.Join(outDir, path)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("create %s: %w", path, err)
-	}
-	err = r.WriteScaleBenchJSON(f)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return fmt.Errorf("write %s: %w", path, err)
-	}
-	fmt.Printf("\n[scale bench done in %v — wrote %s]\n\n", telemetry.WallSince(start).Round(time.Millisecond), path)
-	return nil
+	return writeBenchJSON(outDir, "BENCH_scale.json", start, r.WriteScaleBenchJSON)
 }
 
 // parseShardSweep parses the -shards flag: comma-separated positive shard
@@ -484,8 +472,7 @@ func parseShardSweep(s string) ([]int, error) {
 }
 
 // runComm measures the distributed stack's wire traffic per codec scheme
-// (real bytes counted on every connection) and writes BENCH_comm.json next
-// to the binary or into -out.
+// (real bytes counted on every connection) and writes BENCH_comm.json.
 func runComm(outDir string, profiles *bench.ProfileMeta) error {
 	start := telemetry.WallNow()
 	r, err := bench.RunCommBench(bench.CommBenchPreset())
@@ -496,32 +483,13 @@ func runComm(outDir string, profiles *bench.ProfileMeta) error {
 	if err := bench.RenderCommBench(os.Stdout, r); err != nil {
 		return err
 	}
-	path := "BENCH_comm.json"
-	if outDir != "" {
-		if err := os.MkdirAll(outDir, 0o755); err != nil {
-			return fmt.Errorf("create output dir: %w", err)
-		}
-		path = filepath.Join(outDir, path)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("create %s: %w", path, err)
-	}
-	err = r.WriteCommBenchJSON(f)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return fmt.Errorf("write %s: %w", path, err)
-	}
-	fmt.Printf("\n[comm bench done in %v — wrote %s]\n\n", telemetry.WallSince(start).Round(time.Millisecond), path)
-	return nil
+	return writeBenchJSON(outDir, "BENCH_comm.json", start, r.WriteCommBenchJSON)
 }
 
 // runTelemetry measures the observability overhead (off vs metrics vs spans
-// vs full trace vs a live /metrics scrape load) on the control-plane workload
-// and writes BENCH_telemetry.json next to the binary or into -out. -quick
-// swaps in the seconds-scale smoke preset.
+// vs full trace vs a live /metrics scrape load) on one fleet cell of the
+// scale experiment and writes BENCH_telemetry.json. -quick swaps in the
+// seconds-scale smoke preset.
 func runTelemetry(outDir string, quick bool, profiles *bench.ProfileMeta) error {
 	start := telemetry.WallNow()
 	preset := bench.TelemetryBenchPreset()
@@ -536,26 +504,7 @@ func runTelemetry(outDir string, quick bool, profiles *bench.ProfileMeta) error 
 	if err := bench.RenderTelemetryBench(os.Stdout, r); err != nil {
 		return err
 	}
-	path := "BENCH_telemetry.json"
-	if outDir != "" {
-		if err := os.MkdirAll(outDir, 0o755); err != nil {
-			return fmt.Errorf("create output dir: %w", err)
-		}
-		path = filepath.Join(outDir, path)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("create %s: %w", path, err)
-	}
-	err = r.WriteTelemetryBenchJSON(f)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return fmt.Errorf("write %s: %w", path, err)
-	}
-	fmt.Printf("\n[telemetry bench done in %v — wrote %s]\n\n", telemetry.WallSince(start).Round(time.Millisecond), path)
-	return nil
+	return writeBenchJSON(outDir, "BENCH_telemetry.json", start, r.WriteTelemetryBenchJSON)
 }
 
 func runTable1(cfg bench.Config) error {

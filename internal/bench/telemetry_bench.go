@@ -8,17 +8,16 @@ import (
 	"runtime"
 	"sync/atomic"
 
-	"github.com/mach-fl/mach/internal/parallel"
 	"github.com/mach-fl/mach/internal/telemetry"
 )
 
-// TelemetryBenchConfig parameterizes `machbench -exp telemetry`: the
-// sampling-only control plane of the scale benchmark run at one population
-// shape once per observability tier — telemetry off, metrics only, metrics
-// plus spans, metrics plus a full decision trace, and metrics plus spans
-// under a live /metrics scrape load — so the overhead of each tier is
-// measured against an identical workload. All modes replay the same coin
-// streams, so their sampled counts must agree exactly.
+// TelemetryBenchConfig parameterizes `machbench -exp telemetry`: one fleet
+// cell of the scale benchmark — the same hfl.Engine run — repeated once per
+// observability tier: telemetry off, metrics only, metrics plus spans,
+// metrics plus a full decision trace, and metrics plus spans under a live
+// /metrics scrape load, so the overhead of each tier is measured against an
+// identical workload. Telemetry never feeds back into a run, so every tier
+// must end on the same bits.
 type TelemetryBenchConfig struct {
 	Devices       int     `json:"devices"`
 	Edges         int     `json:"edges"`
@@ -57,7 +56,7 @@ func TelemetryBenchQuickPreset() TelemetryBenchConfig {
 	return cfg
 }
 
-// scaleConfig reuses the scale benchmark's validation and engine plumbing.
+// scaleConfig reuses the scale benchmark's validation and fleet builder.
 func (c TelemetryBenchConfig) scaleConfig() ScaleConfig {
 	return ScaleConfig{
 		Cells:         []ScaleCell{{Devices: c.Devices, Edges: c.Edges}},
@@ -74,31 +73,32 @@ func (c TelemetryBenchConfig) scaleConfig() ScaleConfig {
 // Validate reports whether the configuration is usable.
 func (c TelemetryBenchConfig) Validate() error { return c.scaleConfig().Validate() }
 
-// TelemetryBenchRow is one mode's measurement.
+// TelemetryBenchRow is one tier's measurement.
 type TelemetryBenchRow struct {
 	// Mode is "off" (nil sink), "metrics" (counters, gauges, histograms),
 	// "spans" (metrics plus span recording), "trace" (metrics plus a full
 	// JSONL decision trace) or "scrape" (spans plus a goroutine hammering
-	// the debug server's /metrics endpoint throughout the measured window).
+	// the debug server's /metrics endpoint throughout the run).
 	Mode          string `json:"mode"`
 	StepsMeasured int    `json:"steps_measured"`
-	WallNs        int64  `json:"wall_ns"`
-	NsPerStep     int64  `json:"ns_per_step"`
-	// NsPerDeviceDecision is WallNs / (steps × devices), comparable to the
-	// scale benchmark's headline metric.
-	NsPerDeviceDecision float64 `json:"ns_per_device_decision"`
-	AllocsPerStep       float64 `json:"allocs_per_step"`
-	BytesPerStep        float64 `json:"bytes_per_step"`
-	SampledPerStep      float64 `json:"sampled_per_step"`
+	// WallNs is stopwatch time over the measured window — the off tier has
+	// no other clock — and NsPerStep / NsPerDeviceStep divide it by the
+	// window's steps and steps × devices.
+	WallNs          int64   `json:"wall_ns"`
+	NsPerStep       int64   `json:"ns_per_step"`
+	NsPerDeviceStep float64 `json:"ns_per_device_step"`
+	AllocsPerStep   float64 `json:"allocs_per_step"`
+	BytesPerStep    float64 `json:"bytes_per_step"`
+	SampledPerStep  float64 `json:"sampled_per_step"`
 	// OverheadVsOff is (WallNs − off.WallNs) / off.WallNs as a percentage
 	// (0 for the off row itself).
 	OverheadVsOff float64 `json:"overhead_vs_off_pct"`
-	// TraceEvents/TraceBytes size the trace the run emitted (trace mode).
+	// TraceEvents/TraceBytes size the trace the run emitted (trace mode) and
+	// Scrapes counts the /metrics GETs it served (scrape mode) — both over
+	// the whole run, warm-up included.
 	TraceEvents int64 `json:"trace_events,omitempty"`
 	TraceBytes  int64 `json:"trace_bytes,omitempty"`
-	// Scrapes counts the /metrics GETs completed during the measured window
-	// (scrape mode).
-	Scrapes int64 `json:"scrapes,omitempty"`
+	Scrapes     int64 `json:"scrapes,omitempty"`
 }
 
 // TelemetryBenchResult is the payload of BENCH_telemetry.json.
@@ -121,127 +121,20 @@ func (w *countingWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// telemetryTraceBuf is one edge's decision buffers in the trace mode,
-// mirroring the engine's edgeDecideState trace fields: filled by decideEdge
-// during the parallel decide, emitted serially in edge order afterwards.
-type telemetryTraceBuf struct {
-	members   []int
-	estimates []float64
-	coins     []float64
-	sampled   []int
-}
-
-// stepTelemetry runs one control-plane step with the engine's instrumentation
-// pattern: phase timings around decide and finalize, per-edge member/sampled
-// histograms, counters, and — when the trace records this step — buffered
-// decision events emitted in edge order. With tel == nil it must stay on the
-// same zero-overhead path as stepIndexed.
-func stepTelemetry(e *scaleEngine, bufs []telemetryTraceBuf, tel *telemetry.Telemetry, t, workers int) int64 {
-	stepStart := tel.Now()
-	e.advance(t)
-	e.index.AdvanceWith(t, e.win.Row(), e.stepMoves, e.stepRebuilt)
-	decideStart := tel.Now()
-	tr := tel.Trace()
-	parallel.ForEach(workers, len(e.decide), func(n int) {
-		st := &e.decide[n]
-		var buf *telemetryTraceBuf
-		if tr.DecisionActive(t, n) {
-			buf = &bufs[n]
-		}
-		st.sampled = e.decideEdge(t, n, e.index.Members(n), st, &st.obs, buf)
-		st.obs.flush(e.strat, t)
-	})
-	decideEnd := tel.Now()
-	if tel != nil && tr.StepActive(t) {
-		tr.Emit(&telemetry.Event{Type: telemetry.EventPhase, Step: t,
-			Phase: &telemetry.PhaseEvent{Name: "decide", NS: decideEnd - decideStart}})
-	}
-	tel.Observe(telemetry.HistDecideNS, decideEnd-decideStart)
-	// Span parents re-derive the step root the way the engine does: pure
-	// hashes, so the spans mode pays exactly the engine's recording cost.
-	stepSpan := telemetry.DeriveSpanID(telemetry.SpanStep, t, -1, -1)
-	tel.RecordSpan(telemetry.SpanDecide, stepSpan, t, -1, -1, decideStart, decideEnd)
-
-	finStart := decideEnd
-	total := int64(0)
-	for n := range e.decide {
-		st := &e.decide[n]
-		total += st.sampled
-		if tel == nil {
-			continue
-		}
-		tel.Observe(telemetry.HistEdgeMembers, int64(len(e.index.Members(n))))
-		tel.Observe(telemetry.HistEdgeSampled, st.sampled)
-		tel.Add(telemetry.CounterDevicesTrained, st.sampled)
-		if tr.DecisionActive(t, n) && len(bufs[n].members) > 0 {
-			buf := &bufs[n]
-			tr.Emit(&telemetry.Event{Type: telemetry.EventDecision, Step: t,
-				Decision: &telemetry.DecisionEvent{
-					Edge:      n,
-					Members:   buf.members,
-					Estimates: buf.estimates,
-					Probs:     st.probs[:len(buf.members)],
-					Coins:     buf.coins,
-					Sampled:   buf.sampled,
-				}})
-			buf.members = buf.members[:0]
-		}
-	}
-	finEnd := tel.Now()
-	tel.Observe(telemetry.HistAggregateNS, finEnd-finStart)
-	tel.RecordSpan(telemetry.SpanFinalize, stepSpan, t, -1, -1, finStart, finEnd)
-	e.cloudRound(t)
-	tel.Add(telemetry.CounterSteps, 1)
-	stepEnd := tel.Now()
-	tel.Observe(telemetry.HistStepNS, stepEnd-stepStart)
-	tel.RecordSpan(telemetry.SpanStep, 0, t, -1, -1, stepStart, stepEnd)
-	return total
-}
-
-// telemetryBenchReps is how many times each mode's workload is repeated;
-// the fastest repetition is recorded. The measured window is only ~30 steps,
-// short enough that scheduler noise on a shared core can swamp the mode
-// deltas — the minimum over a few runs is the standard noise-rejecting
-// estimator, and determinism makes every repetition the same workload.
+// telemetryBenchReps is how many rounds of the five tiers run; each tier's
+// fastest repetition is recorded. The measured window is only ~30 steps,
+// short enough that scheduler noise on a shared box swamps the tier deltas —
+// the minimum over a few runs is the standard noise-rejecting estimator,
+// determinism makes every repetition the same workload, and running the
+// tiers round-robin spreads a noisy stretch over all of them instead of
+// charging it to one.
 const telemetryBenchReps = 3
 
-// measureTelemetryMode runs the full workload telemetryBenchReps times in one
-// mode and returns the fastest repetition's measurements.
-func measureTelemetryMode(cfg TelemetryBenchConfig, mode string) (TelemetryBenchRow, int64, error) {
-	var best TelemetryBenchRow
-	var bestSampled int64
-	for rep := 0; rep < telemetryBenchReps; rep++ {
-		row, sampled, err := measureTelemetryOnce(cfg, mode)
-		if err != nil {
-			return TelemetryBenchRow{}, 0, err
-		}
-		if rep > 0 && sampled != bestSampled {
-			return TelemetryBenchRow{}, 0, fmt.Errorf(
-				"bench: telemetry %s rep %d sampled %d devices, rep 0 sampled %d — nondeterministic workload",
-				mode, rep, sampled, bestSampled)
-		}
-		if rep == 0 || row.WallNs < best.WallNs {
-			best = row
-		}
-		bestSampled = sampled
-	}
-	return best, bestSampled, nil
-}
-
-// measureTelemetryOnce runs the full workload in one mode and measures the
-// timed window between two MemStats snapshots.
-func measureTelemetryOnce(cfg TelemetryBenchConfig, mode string) (TelemetryBenchRow, int64, error) {
-	scfg := cfg.scaleConfig()
-	cell := scfg.Cells[0]
-	totalSteps := cfg.WarmupSteps + cfg.Steps
-	eng, err := newScaleEngine(scfg, cell, totalSteps, false)
-	if err != nil {
-		return TelemetryBenchRow{}, 0, err
-	}
+// measureTelemetryOnce runs the cell once with the sink configured for mode.
+func measureTelemetryOnce(cfg TelemetryBenchConfig, mode string) (TelemetryBenchRow, *fleetWindow, error) {
 	var tel *telemetry.Telemetry
 	var sink *countingWriter
 	var trace *telemetry.Trace
-	bufs := make([]telemetryTraceBuf, cell.Edges)
 	switch mode {
 	case "off":
 	case "metrics":
@@ -255,54 +148,49 @@ func measureTelemetryOnce(cfg TelemetryBenchConfig, mode string) (TelemetryBench
 		trace = telemetry.NewTrace(sink, telemetry.TraceConfig{})
 		tel.SetTrace(trace)
 	default:
-		return TelemetryBenchRow{}, 0, fmt.Errorf("bench: unknown telemetry mode %q", mode)
+		return TelemetryBenchRow{}, nil, fmt.Errorf("bench: unknown telemetry mode %q", mode)
 	}
-	workers := scfg.workers()
-	for t := 0; t < cfg.WarmupSteps; t++ {
-		stepTelemetry(eng, bufs, tel, t, workers)
+	scfg := cfg.scaleConfig()
+	eng, _, err := newFleet(scfg, scfg.Cells[0], false, 1)
+	if err != nil {
+		return TelemetryBenchRow{}, nil, err
 	}
 	var scraper *metricsScraper
+	var scrapes int64
 	if mode == "scrape" {
-		s, err := startMetricsScraper(tel)
-		if err != nil {
-			return TelemetryBenchRow{}, 0, err
+		if scraper, err = startMetricsScraper(tel); err != nil {
+			return TelemetryBenchRow{}, nil, err
 		}
-		scraper = s
 	}
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	start := telemetry.WallNow()
-	sampled := int64(0)
-	for t := cfg.WarmupSteps; t < totalSteps; t++ {
-		sampled += stepTelemetry(eng, bufs, tel, t, workers)
+	w, err := measure(eng, tel, cfg.WarmupSteps)
+	if scraper != nil {
+		scrapes = scraper.stop()
 	}
-	wall := telemetry.WallSince(start)
-	runtime.ReadMemStats(&after)
+	if err != nil {
+		return TelemetryBenchRow{}, nil, err
+	}
 	row := TelemetryBenchRow{
-		Mode:                mode,
-		StepsMeasured:       cfg.Steps,
-		WallNs:              wall.Nanoseconds(),
-		NsPerStep:           wall.Nanoseconds() / int64(cfg.Steps),
-		NsPerDeviceDecision: float64(wall.Nanoseconds()) / (float64(cfg.Steps) * float64(cell.Devices)),
-		AllocsPerStep:       float64(after.Mallocs-before.Mallocs) / float64(cfg.Steps),
-		BytesPerStep:        float64(after.TotalAlloc-before.TotalAlloc) / float64(cfg.Steps),
-		SampledPerStep:      float64(sampled) / float64(cfg.Steps),
+		Mode:            mode,
+		StepsMeasured:   cfg.Steps,
+		WallNs:          w.wall.Nanoseconds(),
+		NsPerStep:       w.wall.Nanoseconds() / int64(cfg.Steps),
+		NsPerDeviceStep: float64(w.wall.Nanoseconds()) / (float64(cfg.Steps) * float64(cfg.Devices)),
+		AllocsPerStep:   w.allocs,
+		BytesPerStep:    w.bytes,
+		SampledPerStep:  w.sampledPerStep,
+		Scrapes:         scrapes,
 	}
 	if trace != nil {
 		if err := trace.Close(); err != nil {
-			return TelemetryBenchRow{}, 0, fmt.Errorf("bench: telemetry trace: %w", err)
+			return TelemetryBenchRow{}, nil, fmt.Errorf("bench: telemetry trace: %w", err)
 		}
 		row.TraceEvents = trace.Events()
 		row.TraceBytes = sink.n
 	}
-	if scraper != nil {
-		row.Scrapes = scraper.stop()
-		if row.Scrapes == 0 {
-			return TelemetryBenchRow{}, 0, fmt.Errorf("bench: scrape mode completed no /metrics scrapes")
-		}
+	if scraper != nil && scrapes == 0 {
+		return TelemetryBenchRow{}, nil, fmt.Errorf("bench: scrape mode completed no /metrics scrapes")
 	}
-	return row, sampled, nil
+	return row, w, nil
 }
 
 // metricsScraper hammers a real debug server's /metrics endpoint from a
@@ -313,7 +201,6 @@ type metricsScraper struct {
 	done   chan struct{}
 	closed chan struct{}
 	n      atomic.Int64
-	errs   atomic.Int64
 }
 
 func startMetricsScraper(tel *telemetry.Telemetry) (*metricsScraper, error) {
@@ -334,16 +221,13 @@ func startMetricsScraper(tel *telemetry.Telemetry) (*metricsScraper, error) {
 			}
 			resp, err := client.Get(url)
 			if err != nil {
-				s.errs.Add(1)
 				continue
 			}
 			_, err = io.Copy(io.Discard, resp.Body)
 			resp.Body.Close() //machlint:allow errdrop scrape loop: a close failure just ends this probe; the next GET reports it
-			if err != nil || resp.StatusCode != http.StatusOK {
-				s.errs.Add(1)
-				continue
+			if err == nil && resp.StatusCode == http.StatusOK {
+				s.n.Add(1)
 			}
-			s.n.Add(1)
 		}
 	}()
 	return s, nil
@@ -358,10 +242,11 @@ func (s *metricsScraper) stop() int64 {
 	return s.n.Load()
 }
 
-// RunTelemetryBench measures the workload once per observability tier.
-// Beyond the overhead numbers it is a determinism check: every mode must
-// sample exactly the same devices, since telemetry never feeds back into the
-// simulation.
+// RunTelemetryBench measures the cell per observability tier (fastest of
+// telemetryBenchReps). Beyond the overhead numbers it is a determinism check:
+// every tier, and every repetition, must end on the off tier's global model,
+// evaluation and per-step sampled counts bit for bit, since telemetry never
+// feeds back into the simulation.
 func RunTelemetryBench(cfg TelemetryBenchConfig) (*TelemetryBenchResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -373,24 +258,28 @@ func RunTelemetryBench(cfg TelemetryBenchConfig) (*TelemetryBenchResult, error) 
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		Config:     cfg,
 	}
-	var offWall, offSampled int64
-	for _, mode := range []string{"off", "metrics", "spans", "trace", "scrape"} {
-		row, sampled, err := measureTelemetryMode(cfg, mode)
-		if err != nil {
-			return nil, fmt.Errorf("bench: telemetry %s: %w", mode, err)
-		}
-		if mode == "off" {
-			offWall, offSampled = row.WallNs, sampled
-		} else {
-			if sampled != offSampled {
-				return nil, fmt.Errorf("bench: telemetry %s sampled %d devices, off sampled %d — telemetry fed back into the run",
-					mode, sampled, offSampled)
+	modes := []string{"off", "metrics", "spans", "trace", "scrape"}
+	res.Rows = make([]TelemetryBenchRow, len(modes))
+	var ref *fleetWindow
+	for rep := 0; rep < telemetryBenchReps; rep++ {
+		for i, mode := range modes {
+			row, w, err := measureTelemetryOnce(cfg, mode)
+			if err != nil {
+				return nil, fmt.Errorf("bench: telemetry %s: %w", mode, err)
 			}
-			if offWall > 0 {
-				row.OverheadVsOff = 100 * float64(row.WallNs-offWall) / float64(offWall)
+			if ref == nil {
+				ref = w
+			} else if !sameRun(ref, w) {
+				return nil, fmt.Errorf("bench: telemetry %s rep %d: global model or per-step sampled counts differ from the off tier — telemetry fed back into the run", mode, rep)
+			}
+			if rep == 0 || row.WallNs < res.Rows[i].WallNs {
+				res.Rows[i] = row
 			}
 		}
-		res.Rows = append(res.Rows, row)
+	}
+	for i := range res.Rows[1:] {
+		row, off := &res.Rows[i+1], res.Rows[0].WallNs
+		row.OverheadVsOff = 100 * float64(row.WallNs-off) / float64(off)
 	}
 	return res, nil
 }
@@ -414,13 +303,13 @@ func RenderTelemetryBench(w io.Writer, r *TelemetryBenchResult) error {
 		return err
 	}
 	if _, err := fmt.Fprintf(w, "%8s %12s %12s %13s %14s %12s %10s %12s %12s %9s\n",
-		"mode", "ns/step", "ns/dev-dec", "allocs/step", "bytes/step", "sampled/step",
+		"mode", "ns/step", "ns/dev-step", "allocs/step", "bytes/step", "sampled/step",
 		"overhead", "events", "trace B", "scrapes"); err != nil {
 		return err
 	}
 	for _, row := range r.Rows {
 		if _, err := fmt.Fprintf(w, "%8s %12d %12.1f %13.1f %14.0f %12.1f %9.2f%% %12d %12d %9d\n",
-			row.Mode, row.NsPerStep, row.NsPerDeviceDecision, row.AllocsPerStep,
+			row.Mode, row.NsPerStep, row.NsPerDeviceStep, row.AllocsPerStep,
 			row.BytesPerStep, row.SampledPerStep, row.OverheadVsOff,
 			row.TraceEvents, row.TraceBytes, row.Scrapes); err != nil {
 			return err

@@ -199,7 +199,7 @@ func (e *Engine) Run(opts ...RunOption) (*Result, error) {
 
 		// Serial accounting pass in edge order: communication and sampling
 		// telemetry, plus the edge-ordered emission of decision events.
-		var stepTel stepTelemetry
+		var stepTel stepSamplingStats
 		stepSampled := 0
 		for _, s := range e.shards {
 			for n := s.lo; n < s.hi; n++ {
@@ -319,9 +319,9 @@ func (e *Engine) observePhase(t int, h telemetry.Hist, name string, kind telemet
 	}
 }
 
-// stepTelemetry accumulates one step's cross-edge sampling observations,
+// stepSamplingStats accumulates one step's cross-edge sampling observations,
 // folded serially during the finalize loop and flushed once per step.
-type stepTelemetry struct {
+type stepSamplingStats struct {
 	ucbMin, ucbMax, ucbSum float64
 	ucbCount               int
 	probMass               float64
@@ -334,7 +334,7 @@ type stepTelemetry struct {
 // runs on the sequential finalize path in edge order, which is what makes
 // trace output deterministic; the decide-phase buffers it reads (probs, the
 // context's estimates, coins) stay valid until the edge's next decide.
-func (e *Engine) observeEdge(t, n int, counts edgeStepCounts, acc *stepTelemetry) {
+func (e *Engine) observeEdge(t, n int, counts edgeStepCounts, acc *stepSamplingStats) {
 	members := e.edgeMembers(n)
 	e.tel.Observe(telemetry.HistEdgeMembers, int64(len(members)))
 	e.tel.Observe(telemetry.HistEdgeSampled, int64(counts.trained))
@@ -384,7 +384,7 @@ func (e *Engine) observeEdge(t, n int, counts edgeStepCounts, acc *stepTelemetry
 }
 
 // flushStepTelemetry publishes the step accumulator's gauges and counters.
-func (e *Engine) flushStepTelemetry(acc *stepTelemetry) {
+func (e *Engine) flushStepTelemetry(acc *stepSamplingStats) {
 	e.tel.Add(telemetry.CounterProbFloorClamps, acc.floorClamps)
 	e.tel.Add(telemetry.CounterProbCeilClamps, acc.ceilClamps)
 	e.tel.SetGauge(telemetry.GaugeProbMass, acc.probMass)

@@ -98,8 +98,8 @@ type lane32Op struct {
 }
 
 // NewLane32 compiles net's layer stack into a float32 executor with the given
-// number of slots. It returns an error for layer types the lane does not
-// support (e.g. Dropout, whose RNG stream is owned by the f64 layer).
+// number of slots. It returns an error for layer types the lane has no op
+// for.
 func NewLane32(net *Network, slots int) (*Lane32, error) {
 	if slots <= 0 {
 		return nil, fmt.Errorf("nn: Lane32 needs at least one slot, got %d", slots)

@@ -274,17 +274,28 @@ func TestLane32SteadyStateZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestLane32RejectsDropout: layers the lane cannot reproduce bit-for-bit
-// (Dropout owns an RNG stream) must fail at construction, not at runtime.
+// stochasticLayer stands in for any layer the lane has no op for — the kind
+// Dropout was: an identity whose training-mode behaviour the float32
+// executor cannot reproduce.
+type stochasticLayer struct{}
+
+func (stochasticLayer) Name() string                                    { return "stochastic" }
+func (stochasticLayer) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor { return x }
+func (stochasticLayer) Backward(g *tensor.Tensor) *tensor.Tensor        { return g }
+func (stochasticLayer) Params() []*Param                                { return nil }
+func (stochasticLayer) clone() Layer                                    { return stochasticLayer{} }
+
+// TestLane32RejectsDropout: a layer the lane cannot execute must fail at
+// construction, not at runtime.
 func TestLane32RejectsDropout(t *testing.T) {
 	rng := rand.New(rand.NewSource(20))
 	net := NewNetwork("lane-drop",
 		NewDense("fc", 8, 8, rng),
-		NewDropout("d", 0.5, rng),
+		stochasticLayer{},
 		NewDense("out", 8, 4, rng),
 	)
 	if _, err := NewLane32(net, 1); err == nil {
-		t.Fatal("NewLane32 accepted a Dropout layer")
+		t.Fatal("NewLane32 accepted a layer it has no op for")
 	}
 }
 

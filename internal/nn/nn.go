@@ -1,9 +1,8 @@
 // Package nn implements a small from-scratch neural-network library on top of
 // internal/tensor. It provides exactly the pieces the paper's evaluation
 // needs: dense and convolutional layers, ReLU, 2×2 max-pooling, softmax
-// cross-entropy, plain SGD with optional momentum and weight decay, and the
-// two CNN architectures used in the paper (2 conv + 2 fc for MNIST/FMNIST,
-// 3 conv + 2 fc for CIFAR-10).
+// cross-entropy, plain SGD, and the two CNN architectures used in the paper
+// (2 conv + 2 fc for MNIST/FMNIST, 3 conv + 2 fc for CIFAR-10).
 //
 // All layers follow a simple contract: Forward caches whatever Backward
 // needs, and Backward must be called with the gradient of the loss with

@@ -227,7 +227,7 @@ func TestTrainStepsBitIdenticalToReferenceArithmetic(t *testing.T) {
 	}
 	for _, net := range []*Network{cnn, NewMLP("mlp", 256, []int{32}, 10, rng)} {
 		ref := referenceTwin(t, net)
-		opt, refOpt := NewSGD(0.05, WithMomentum(0.9)), NewSGD(0.05, WithMomentum(0.9))
+		opt, refOpt := NewSGD(0.05), NewSGD(0.05)
 		const batch = 8
 		labels := make([]int, batch)
 		for step := 0; step < 6; step++ {

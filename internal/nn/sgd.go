@@ -1,7 +1,5 @@
 package nn
 
-import "github.com/mach-fl/mach/internal/tensor"
-
 // Optimizer updates parameters from their accumulated gradients.
 type Optimizer interface {
 	// Step applies one update to params and leaves gradients untouched
@@ -9,46 +7,22 @@ type Optimizer interface {
 	Step(params []*Param)
 	// LearningRate reports the current step size.
 	LearningRate() float64
-	// SetLearningRate changes the step size (used for LR decay schedules).
+	// SetLearningRate changes the step size (the engine decays it at cloud
+	// rounds).
 	SetLearningRate(lr float64)
 }
 
-// SGD is stochastic gradient descent with optional momentum and decoupled
-// weight decay. With zero momentum and decay it is exactly the local update
-// rule of Eq. (4) in the paper: w ← w − γ·g(w, ξ).
+// SGD is plain stochastic gradient descent, exactly the local update rule of
+// Eq. (4) in the paper: w ← w − γ·g(w, ξ). It keeps no state between steps
+// (DESIGN.md §5: nothing a local update mutates outlives it).
 type SGD struct {
-	lr          float64
-	momentum    float64
-	weightDecay float64
-	velocity    map[*Param]*tensor.Tensor
+	lr float64
 }
 
 var _ Optimizer = (*SGD)(nil)
 
-// SGDOption customizes an SGD optimizer.
-type SGDOption func(*SGD)
-
-// WithMomentum enables classical momentum with coefficient m ∈ [0, 1).
-func WithMomentum(m float64) SGDOption {
-	return func(s *SGD) { s.momentum = m }
-}
-
-// WithWeightDecay enables decoupled L2 weight decay with coefficient wd.
-func WithWeightDecay(wd float64) SGDOption {
-	return func(s *SGD) { s.weightDecay = wd }
-}
-
 // NewSGD returns an SGD optimizer with learning rate lr.
-func NewSGD(lr float64, opts ...SGDOption) *SGD {
-	s := &SGD{lr: lr}
-	for _, opt := range opts {
-		opt(s)
-	}
-	if s.momentum > 0 {
-		s.velocity = make(map[*Param]*tensor.Tensor)
-	}
-	return s
-}
+func NewSGD(lr float64) *SGD { return &SGD{lr: lr} }
 
 // LearningRate implements Optimizer.
 func (s *SGD) LearningRate() float64 { return s.lr }
@@ -59,19 +33,6 @@ func (s *SGD) SetLearningRate(lr float64) { s.lr = lr }
 // Step implements Optimizer.
 func (s *SGD) Step(params []*Param) {
 	for _, p := range params {
-		if s.weightDecay > 0 {
-			p.Value.ScaleInPlace(1 - s.lr*s.weightDecay)
-		}
-		if s.momentum > 0 {
-			v, ok := s.velocity[p]
-			if !ok {
-				v = tensor.New(p.Value.Shape()...)
-				s.velocity[p] = v
-			}
-			v.ScaleInPlace(s.momentum).AxpyInPlace(1, p.Grad)
-			p.Value.AxpyInPlace(-s.lr, v)
-			continue
-		}
 		p.Value.AxpyInPlace(-s.lr, p.Grad)
 	}
 }

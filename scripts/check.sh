@@ -51,16 +51,6 @@ go test -count=1 -run 'TestRunF32TracksF64' ./internal/hfl
 echo "== fleet memory guard (engine-owned heap per device <= 1 KiB: keyed streams are one-word det.Streams)"
 go test -count=1 -run 'TestEngineHeapPerDevice' ./internal/hfl
 
-echo "== scale bench smoke (-exp scale -quick, naive/indexed divergence check)"
-scale_tmp=$(mktemp -d)
-go run ./cmd/machbench -exp scale -quick -out "$scale_tmp" >/dev/null
-rm -rf "$scale_tmp"
-
-echo "== telemetry bench smoke (-exp telemetry -quick, cross-mode agreement check)"
-tel_tmp=$(mktemp -d)
-go run ./cmd/machbench -exp telemetry -quick -out "$tel_tmp" >/dev/null
-rm -rf "$tel_tmp"
-
 echo "== observability smoke (machsim -debug-addr, machtop scrape mid-run)"
 obs_tmp=$(mktemp -d)
 go build -o "$obs_tmp/machsim" ./cmd/machsim
