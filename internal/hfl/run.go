@@ -549,9 +549,7 @@ func (e *Engine) aggregateEdge(n int, results []localResult, unbiased bool) {
 		for _, r := range results {
 			total += r.size
 		}
-		for j := range next {
-			next[j] = 0
-		}
+		clear(next)
 		for _, r := range results {
 			// total == 0 can only mean every participant reported an empty
 			// dataset; fall back to a plain mean instead of dividing by 0.
@@ -559,25 +557,17 @@ func (e *Engine) aggregateEdge(n int, results []localResult, unbiased bool) {
 			if total > 0 {
 				w = float64(r.size) / float64(total)
 			}
-			for j, v := range r.params {
-				next[j] += w * v
-			}
+			tensor.Axpy(next, w, r.params)
 		}
 	case AggLiteralEq5:
-		for j := range next {
-			next[j] = 0
-		}
+		clear(next)
 		for _, r := range results {
-			for j, v := range r.params {
-				next[j] += r.weight * v
-			}
+			tensor.Axpy(next, r.weight, r.params)
 		}
 	default: // AggInverseUpdate: w_n ← w_n + Σ weight·(w_m − w_n)
 		copy(next, cur)
 		for _, r := range results {
-			for j, v := range r.params {
-				next[j] += r.weight * (v - cur[j])
-			}
+			tensor.AxpyDiff(next, r.weight, r.params, cur)
 		}
 	}
 	e.edge[n], e.aggNext[n] = next, cur

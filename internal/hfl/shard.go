@@ -5,6 +5,7 @@ import (
 
 	"github.com/mach-fl/mach/internal/mobility"
 	"github.com/mach-fl/mach/internal/telemetry"
+	"github.com/mach-fl/mach/internal/tensor"
 )
 
 // This file holds the sharded control plane (DESIGN.md §11): the engine's
@@ -309,21 +310,8 @@ func (s *shardState) cloudPartials(total float64) {
 			if w == 0 {
 				continue
 			}
-			weightedAccumInto(dst, s.e.edge[n], w)
+			tensor.Axpy(dst, w, s.e.edge[n])
 		}
-	}
-}
-
-// weightedAccumInto adds w·src to dst elementwise. dst is a shard's pooled
-// group-partial buffer and src an edge model vector; they never share
-// storage, and the accumulation corrupts dst if they do.
-//
-//machlint:noalias dst,src
-//
-//machlint:allocfree
-func weightedAccumInto(dst, src []float64, w float64) {
-	for j, v := range src {
-		dst[j] += w * v
 	}
 }
 

@@ -20,20 +20,20 @@ type Conv2D struct {
 
 	lastCols []*tensor.Tensor // cached per-image column matrices
 
-	// Per-image headers over the last input ([InC, InH, InW]) and output
-	// gradient ([outC, n]) batches, rebuilt only when the upstream buffer
-	// moves (see wraps) — in steady state it does not.
-	imgViews  []*tensor.Tensor
-	gradViews []*tensor.Tensor
+	// Per-image headers over the last input and the input gradient
+	// ([InC, InH, InW]) and over the output and the output gradient
+	// ([outC, n]) batches, rebuilt only when the buffer behind them moves (see
+	// windows2) — in steady state it does not. The products and the col2im
+	// scatter write through them, straight into their batch window.
+	imgViews, dxViews   []*tensor.Tensor
+	outViews, gradViews []*tensor.Tensor
 
 	// Reusable buffers; see ensureTensor. In steady state (fixed batch
 	// size) Forward/Backward allocate nothing.
 	fwdOut       *tensor.Tensor // [B, outC, outH, outW]
 	colScratch   *tensor.Tensor // eval-path column matrix, [InC·K·K, n]
-	resScratch   *tensor.Tensor // per-image product, [outC, n]
 	dwScratch    *tensor.Tensor // [outC, InC·K·K]
 	dcolsScratch *tensor.Tensor // [InC·K·K, n]
-	dimgScratch  *tensor.Tensor // [InC, InH, InW]
 	bwdOut       *tensor.Tensor // [B, InC, InH, InW]
 }
 
@@ -83,19 +83,10 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if train && len(c.lastCols) != batch {
 		c.lastCols = make([]*tensor.Tensor, batch)
 	}
-	if len(c.imgViews) != batch {
-		c.imgViews = make([]*tensor.Tensor, batch)
-	}
-	c.resScratch = ensure2(c.resScratch, c.outC, n)
-	res := c.resScratch
-	imgLen := g.InC * g.InH * g.InW
+	c.imgViews = windows3(c.imgViews, x.Data(), g.InC, g.InH, g.InW)
+	c.outViews = windows2(c.outViews, out.Data(), c.outC, n)
 	bdata := c.b.Value.Data()
 	for i := 0; i < batch; i++ {
-		img := c.imgViews[i]
-		if window := x.Data()[i*imgLen : (i+1)*imgLen]; !wraps(img, window) {
-			img = tensor.FromSlice(window, g.InC, g.InH, g.InW)
-			c.imgViews[i] = img
-		}
 		var cols *tensor.Tensor
 		if train {
 			// Backward needs every image's columns, so each batch slot
@@ -106,16 +97,11 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 			c.colScratch = ensure2(c.colScratch, colRows, n)
 			cols = c.colScratch
 		}
-		tensor.Im2ColInto(cols, img, g)
-		tensor.MatMulInto(res, c.w.Value, cols) // [outC, n]
-		dst := out.Data()[i*c.outC*n : (i+1)*c.outC*n]
-		copy(dst, res.Data())
+		tensor.Im2ColInto(cols, c.imgViews[i], g)
+		tensor.MatMulInto(c.outViews[i], c.w.Value, cols) // [outC, n]
+		dst := c.outViews[i].Data()
 		for oc := 0; oc < c.outC; oc++ {
-			row := dst[oc*n : (oc+1)*n]
-			bv := bdata[oc]
-			for j := range row {
-				row[j] += bv
-			}
+			tensor.AddScalar(dst[oc*n:(oc+1)*n], bdata[oc])
 		}
 	}
 	return out
@@ -136,44 +122,29 @@ func (c *Conv2D) backward(grad *tensor.Tensor, needDx bool) *tensor.Tensor {
 	batch := grad.Dim(0)
 	outH, outW := g.OutH(), g.OutW()
 	n := outH * outW
-	imgLen := g.InC * g.InH * g.InW
 	var dx *tensor.Tensor
 	if needDx {
 		c.bwdOut = ensure4(c.bwdOut, batch, g.InC, g.InH, g.InW)
 		dx = c.bwdOut
 		c.dcolsScratch = ensure2(c.dcolsScratch, g.InC*g.K*g.K, n)
-		c.dimgScratch = ensure3(c.dimgScratch, g.InC, g.InH, g.InW)
+		c.dxViews = windows3(c.dxViews, dx.Data(), g.InC, g.InH, g.InW)
 	}
 	c.dwScratch = ensure2(c.dwScratch, c.outC, g.InC*g.K*g.K)
-	if len(c.gradViews) != batch {
-		c.gradViews = make([]*tensor.Tensor, batch)
-	}
+	c.gradViews = windows2(c.gradViews, grad.Data(), c.outC, n)
 	bgrad := c.b.Grad.Data()
 	for i := 0; i < batch; i++ {
 		gmat := c.gradViews[i]
-		if window := grad.Data()[i*c.outC*n : (i+1)*c.outC*n]; !wraps(gmat, window) {
-			gmat = tensor.FromSlice(window, c.outC, n)
-			c.gradViews[i] = gmat
-		}
 		// dW += gmat·colsᵀ
 		tensor.MatMulTransBInto(c.dwScratch, gmat, c.lastCols[i])
 		c.w.Grad.AddInPlace(c.dwScratch)
 		// db += row sums of gmat
-		for oc := 0; oc < c.outC; oc++ {
-			row := gmat.Data()[oc*n : (oc+1)*n]
-			s := 0.0
-			for _, v := range row {
-				s += v
-			}
-			bgrad[oc] += s
-		}
+		tensor.AddRowSums(bgrad, gmat.Data(), n)
 		if !needDx {
 			continue
 		}
 		// dX = col2im(Wᵀ·gmat)
 		tensor.MatMulTransAInto(c.dcolsScratch, c.w.Value, gmat)
-		tensor.Col2ImInto(c.dimgScratch, c.dcolsScratch, g)
-		copy(dx.Data()[i*imgLen:(i+1)*imgLen], c.dimgScratch.Data())
+		tensor.Col2ImInto(c.dxViews[i], c.dcolsScratch, g)
 	}
 	return dx
 }

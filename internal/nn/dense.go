@@ -62,10 +62,7 @@ func (d *Dense) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	bdata := d.b.Value.Data()
 	odata := out.Data()
 	for i := 0; i < batch; i++ {
-		row := odata[i*d.out : (i+1)*d.out]
-		for j := range row {
-			row[j] += bdata[j]
-		}
+		tensor.Add(odata[i*d.out:(i+1)*d.out], bdata)
 	}
 	return out
 }
@@ -88,10 +85,7 @@ func (d *Dense) backward(grad *tensor.Tensor, needDx bool) *tensor.Tensor {
 	gdata := grad.Data()
 	bgrad := d.b.Grad.Data()
 	for i := 0; i < batch; i++ {
-		row := gdata[i*d.out : (i+1)*d.out]
-		for j, v := range row {
-			bgrad[j] += v
-		}
+		tensor.Add(bgrad, gdata[i*d.out:(i+1)*d.out])
 	}
 	if !needDx {
 		return nil

@@ -79,7 +79,7 @@ type lane32Op struct {
 	outC   int
 	cr, sp int // conv: im2col rows (InC·K·K) and spatial size (OutH·OutW)
 
-	c, h, w int // pool input dims
+	w int // pool: input row width
 
 	features int
 	mom, eps float64 // bn hyperparameters copied from the layer
@@ -173,8 +173,7 @@ func NewLane32(net *Network, slots int) (*Lane32, error) {
 				return nil, fmt.Errorf("nn: Lane32: %s requires even H and W, got %dx%d", t.name, h, w)
 			}
 			l.ops = append(l.ops, lane32Op{
-				kind: laneOpPool, name: t.name,
-				c: c, h: h, w: w,
+				kind: laneOpPool, name: t.name, w: w,
 				inLen: c * h * w, outLen: c * (h / 2) * (w / 2),
 			})
 			shape = []int{c, h / 2, w / 2}
@@ -289,10 +288,7 @@ func (l *Lane32) TrainStep(active, batch int, labels [][]int, lr float64, losses
 	}
 	l.ensure(batch)
 	for s := 0; s < active; s++ {
-		g := l.grads[s]
-		for i := range g {
-			g[i] = 0
-		}
+		clear(l.grads[s])
 	}
 	for i := range l.ops {
 		op := &l.ops[i]
@@ -318,20 +314,9 @@ func (l *Lane32) TrainStep(active, batch int, labels [][]int, lr float64, losses
 		gout, gin = gin, gout
 	}
 	// Aggregation boundary: norms and the SGD update run in float64 against
-	// the master weights, then the float32 copy is re-rounded. One pass:
-	// the norm terms accumulate in ascending j exactly as a separate loop
-	// would.
+	// the master weights, then the float32 copy is re-rounded.
 	for s := 0; s < active; s++ {
-		g := l.grads[s]
-		m, p := l.master[s], l.params[s]
-		sum := 0.0
-		for j, gv := range g {
-			f := float64(gv)
-			sum += f * f
-			m[j] -= lr * f
-			p[j] = float32(m[j])
-		}
-		sqNorms[s] = sum
+		sqNorms[s] = tensor.MasterUpdate32(l.master[s], l.params[s], l.grads[s], lr)
 	}
 }
 
@@ -381,10 +366,7 @@ func (l *Lane32) forwardOp(op *lane32Op, s, batch int) {
 		b := l.params[s][op.bOff : op.bOff+op.out]
 		tensor.MatMulTransB32Into(out, in, w, batch, op.in, op.out)
 		for i := 0; i < batch; i++ {
-			row := out[i*op.out : (i+1)*op.out]
-			for j := range row {
-				row[j] += b[j]
-			}
+			tensor.Add(out[i*op.out:(i+1)*op.out], b)
 		}
 	case laneOpConv:
 		w := l.params[s][op.wOff : op.wOff+op.outC*op.cr]
@@ -395,22 +377,15 @@ func (l *Lane32) forwardOp(op *lane32Op, s, batch int) {
 			seg := out[i*op.outLen : (i+1)*op.outLen]
 			tensor.MatMul32Into(seg, w, cols, op.outC, op.cr, op.sp)
 			for oc := 0; oc < op.outC; oc++ {
-				row := seg[oc*op.sp : (oc+1)*op.sp]
-				bv := b[oc]
-				for j := range row {
-					row[j] += bv
-				}
+				tensor.AddScalar(seg[oc*op.sp:(oc+1)*op.sp], b[oc])
 			}
 		}
 	case laneOpReLU:
-		relu32(out, in)
+		tensor.Relu(out, in)
 	case laneOpPool:
-		ow := op.w / 2
-		am := op.argmax[s*batch*op.outLen : (s+1)*batch*op.outLen]
-		// Output row r pools input rows 2r and 2r+1.
-		for r := 0; r < batch*op.c*(op.h/2); r++ {
-			maxPoolRow32(out[r*ow:][:ow], am[r*ow:][:ow], in[2*r*op.w:][:op.w], in[(2*r+1)*op.w:][:op.w], 2*r*op.w)
-		}
+		// The slot's batch·c planes are one stack of rows: h is even, so row
+		// pairs never straddle two planes.
+		tensor.MaxPool2x2(out, op.argmax[s*batch*op.outLen:(s+1)*batch*op.outLen], in, op.w)
 	case laneOpBN:
 		l.forwardBN(op, s, batch, in, out)
 	}
@@ -427,10 +402,7 @@ func (l *Lane32) backwardOp(op *lane32Op, s, batch int, goutBuf, ginBuf []float3
 		tensor.MatMulTransA32Acc(dw, gout, in, batch, op.out, op.in)
 		db := l.grads[s][op.bOff : op.bOff+op.out]
 		for i := 0; i < batch; i++ {
-			row := gout[i*op.out : (i+1)*op.out]
-			for j, v := range row {
-				db[j] += v
-			}
+			tensor.Add(db, gout[i*op.out:(i+1)*op.out])
 		}
 		if needGin {
 			w := l.params[s][op.wOff : op.wOff+op.out*op.in]
@@ -446,99 +418,28 @@ func (l *Lane32) backwardOp(op *lane32Op, s, batch int, goutBuf, ginBuf []float3
 			gmat := gout[i*op.outLen : (i+1)*op.outLen]
 			cols := op.cols[(s*batch+i)*op.cr*op.sp : (s*batch+i+1)*op.cr*op.sp]
 			tensor.MatMulTransB32Into(dw, gmat, cols, op.outC, op.sp, op.cr)
-			for j, v := range dw {
-				dwAcc[j] += v
-			}
-			for oc := 0; oc < op.outC; oc++ {
-				row := gmat[oc*op.sp : (oc+1)*op.sp]
-				var sum float32
-				for _, v := range row {
-					sum += v
-				}
-				db[oc] += sum
-			}
+			tensor.Add(dwAcc, dw)
+			tensor.AddRowSums(db, gmat, op.sp)
 			if !needGin {
 				continue
 			}
-			for j := range dcols {
-				dcols[j] = 0
-			}
+			clear(dcols)
 			tensor.MatMulTransA32Acc(dcols, w, gmat, op.outC, op.cr, op.sp)
 			tensor.Col2Im32Into(gin[i*op.inLen:(i+1)*op.inLen], dcols, op.geom)
 		}
 	case laneOpReLU:
-		reluGrad32(gin, gout, op.outBuf[s*batch*op.outLen:(s+1)*batch*op.outLen])
+		tensor.ReluGrad(gin, gout, op.outBuf[s*batch*op.outLen:(s+1)*batch*op.outLen])
 	case laneOpPool:
 		am := op.argmax[s*batch*op.outLen : (s+1)*batch*op.outLen]
-		for i := range gin {
-			gin[i] = 0
-		}
+		// Stays a clear and a scatter-add: every other cell needs its zero
+		// anyway, and a store of v in place of 0 + v would leave a −0 gradient
+		// −0 where this loop yields +0.
+		clear(gin)
 		for i, v := range gout {
 			gin[am[i]] += v
 		}
 	case laneOpBN:
 		l.backwardBN(op, s, batch, gout, gin)
-	}
-}
-
-// posInfBits32 is the bit pattern of +Inf, the largest float32 that is > 0.
-const posInfBits32 = 0x7F800000
-
-// relu32 writes max(0, x) for every x of in, branch-free like ReLU.Forward:
-// −x, ±0 and NaNs of either sign become +0.
-func relu32(out, in []float32) {
-	out = out[:len(in)]
-	for i, v := range in {
-		// v > 0 ⇔ its bits lie in [1, posInfBits32] ⇔ (bits−1) − posInfBits32,
-		// taken in 64 bits, is negative (bits.Sub32 is not an intrinsic).
-		b := math.Float32bits(v)
-		keep := uint32((int64(b-1) - posInfBits32) >> 63)
-		out[i] = math.Float32frombits(b & keep)
-	}
-}
-
-// reluGrad32 passes gout where the forward output fwd is positive and writes
-// +0 elsewhere. fwd is +0 or positive, so negating its bits sets the sign
-// exactly where the input was > 0 — the forward output doubles as the mask.
-func reluGrad32(gin, gout, fwd []float32) {
-	gin, fwd = gin[:len(gout)], fwd[:len(gout)]
-	for i, g := range gout {
-		keep := uint32(-int32(math.Float32bits(fwd[i])) >> 31)
-		gin[i] = math.Float32frombits(math.Float32bits(g) & keep)
-	}
-}
-
-// maxPoolRow32 is maxPoolRow on the lane's float32 rows: it pools the input
-// rows top and bot (top starting at flat index base) into out and records the
-// flat index of each maximum in arg — the first one under strict > in
-// (top-left, top-right, bottom-left, bottom-right) order, so a NaN never wins
-// a comparison. The running maximum is carried as bits and every candidate is
-// computed before the comparisons, so each step compiles to conditional moves.
-func maxPoolRow32(out []float32, arg []int32, top, bot []float32, base int) {
-	w := len(top)
-	bot = bot[:w]
-	arg = arg[:len(out)]
-	for ox := range out {
-		j := 2 * ox
-		if j+1 >= w { // never taken (len(out) is w/2); it proves the four loads in bounds
-			break
-		}
-		i0 := int32(base + j)
-		i1, i2, i3 := i0+1, i0+int32(w), i0+int32(w)+1
-		t1, u0, u1 := top[j+1], bot[j], bot[j+1]
-		b1, b2, b3 := math.Float32bits(t1), math.Float32bits(u0), math.Float32bits(u1)
-		best, bestIdx := math.Float32bits(top[j]), i0
-		if t1 > math.Float32frombits(best) {
-			best, bestIdx = b1, i1
-		}
-		if u0 > math.Float32frombits(best) {
-			best, bestIdx = b2, i2
-		}
-		if u1 > math.Float32frombits(best) {
-			best, bestIdx = b3, i3
-		}
-		out[ox] = math.Float32frombits(best)
-		arg[ox] = bestIdx
 	}
 }
 

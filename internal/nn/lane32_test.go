@@ -300,7 +300,7 @@ func TestLane32RejectsDropout(t *testing.T) {
 }
 
 // refRelu32, refReluGrad32 and refMaxPool32 are the branchy loops the lane ran
-// before relu32, reluGrad32 and maxPoolRow32 replaced them, kept as oracles.
+// before the tensor elementwise kernels replaced them, kept as oracles.
 func refRelu32(out, in []float32) {
 	for i, v := range in {
 		if v > 0 {
@@ -341,9 +341,10 @@ func refMaxPool32(out []float32, am []int32, in []float32, planes, h, w int) {
 	}
 }
 
-// TestLane32ElementwiseMatchesReferenceLoops compares the lane's branch-free
-// ReLU forward/backward and 2×2 pool with the loops they replaced, bit for
-// bit and index for index, on inputs dense in ties, ±0, ±Inf and NaN.
+// TestLane32ElementwiseMatchesReferenceLoops compares the ReLU
+// forward/backward and 2×2 pool kernels the lane calls with the loops they
+// replaced, bit for bit and index for index, on inputs dense in ties, ±0, ±Inf
+// and NaN.
 func TestLane32ElementwiseMatchesReferenceLoops(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	inf := float32(math.Inf(1))
@@ -375,27 +376,101 @@ func TestLane32ElementwiseMatchesReferenceLoops(t *testing.T) {
 		in, gout := draw(n), draw(n)
 		want, got := draw(n), draw(n) // dirty destinations
 		refRelu32(want, in)
-		relu32(got, in)
-		same("relu32", got, want)
+		tensor.Relu(got, in)
+		same("Relu", got, want)
 
-		fwd := want // a forward output: +0 or positive, as reluGrad32 requires
+		fwd := want // a forward output: +0 or positive
 		wantG, gotG := draw(n), draw(n)
 		refReluGrad32(wantG, gout, fwd)
-		reluGrad32(gotG, gout, fwd)
-		same("reluGrad32", gotG, wantG)
+		tensor.ReluGrad(gotG, gout, fwd)
+		same("ReluGrad", gotG, wantG)
 
 		on := n / 4
 		wantP, gotP := draw(on), draw(on)
 		wantA, gotA := make([]int32, on), make([]int32, on)
 		refMaxPool32(wantP, wantA, in, planes, h, w)
-		for r := 0; r < planes*h/2; r++ {
-			maxPoolRow32(gotP[r*w/2:][:w/2], gotA[r*w/2:][:w/2], in[2*r*w:][:w], in[(2*r+1)*w:][:w], 2*r*w)
-		}
-		same("maxPoolRow32", gotP, wantP)
+		tensor.MaxPool2x2(gotP, gotA, in, w)
+		same("MaxPool2x2", gotP, wantP)
 		for i := range wantA {
 			if gotA[i] != wantA[i] {
-				t.Fatalf("maxPoolRow32 argmax[%d] = %d, reference loop gives %d", i, gotA[i], wantA[i])
+				t.Fatalf("MaxPool2x2 argmax[%d] = %d, reference loop gives %d", i, gotA[i], wantA[i])
 			}
 		}
 	}
+}
+
+// BenchmarkLane32TrainStepByOp splits one fused f32 training step of the paper
+// cell — the MNIST CNN on 16×16 inputs, batch 8, five slots, what
+// benchmark/probes.go times whole as nn.train_step_f32_us — by op kind and
+// direction, so the budget inside hfl.train_share adds up the way the one
+// around it does: "step" is the whole TrainStep, the other rows run one kind's
+// ops for every slot on the buffers a real step left behind ("update" is the
+// gradient clear and the float64 master update). ns/op is per training step.
+func BenchmarkLane32TrainStepByOp(b *testing.B) {
+	const slots, batch = 5, 8
+	rng := rand.New(rand.NewSource(31))
+	net, err := NewCNN(MNISTCNNConfig(16, 16), rng)
+	if err != nil {
+		b.Fatal(err)
+	}
+	lane, err := NewLane32(net, slots)
+	if err != nil {
+		b.Fatal(err)
+	}
+	_, flat, labelRow := laneTestBatch(rng, batch, 1, 16, 16)
+	labels := make([][]int, slots)
+	losses, norms := make([]float64, slots), make([]float64, slots)
+	for s := range labels {
+		labels[s] = labelRow
+		if err := lane.LoadParams(s, net.ParamVector()); err != nil {
+			b.Fatal(err)
+		}
+		lane.SetInput(s, batch, flat)
+	}
+	lane.TrainStep(slots, batch, labels, 0.05, losses, norms)
+	b.Run("step", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			lane.TrainStep(slots, batch, labels, 0.05, losses, norms)
+		}
+	})
+	for _, k := range []struct {
+		name string
+		kind lane32Kind
+	}{{"conv", laneOpConv}, {"relu", laneOpReLU}, {"pool", laneOpPool}, {"dense", laneOpDense}} {
+		b.Run(k.name+"/forward", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				for j := range lane.ops {
+					for s := 0; s < slots && lane.ops[j].kind == k.kind; s++ {
+						lane.forwardOp(&lane.ops[j], s, batch)
+					}
+				}
+			}
+		})
+		b.Run(k.name+"/backward", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				for j := range lane.ops {
+					for s := 0; s < slots && lane.ops[j].kind == k.kind; s++ {
+						lane.backwardOp(&lane.ops[j], s, batch, lane.gradA, lane.gradB, j > 0)
+					}
+				}
+			}
+		})
+	}
+	last := lane.ops[len(lane.ops)-1]
+	b.Run("loss", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for s := 0; s < slots; s++ {
+				lane.lossInto(last.outBuf[s*batch*lane.classes:(s+1)*batch*lane.classes], labelRow,
+					lane.gradA[s*batch*lane.classes:(s+1)*batch*lane.classes], batch)
+			}
+		}
+	})
+	b.Run("update", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for s := 0; s < slots; s++ {
+				clear(lane.grads[s])
+				tensor.MasterUpdate32(lane.master[s], lane.params[s], lane.grads[s], 0.05)
+			}
+		}
+	})
 }

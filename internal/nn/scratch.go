@@ -16,7 +16,7 @@ func ensureTensor(t *tensor.Tensor, shape ...int) *tensor.Tensor {
 	return tensor.New(shape...)
 }
 
-// ensure2, ensure3 and ensure4 are arity-specific forms of ensureTensor.
+// ensure2 and ensure4 are arity-specific forms of ensureTensor.
 // They avoid materializing a variadic shape slice on the reuse path, which
 // otherwise costs one heap allocation per call in the training loop.
 func ensure2(t *tensor.Tensor, d0, d1 int) *tensor.Tensor {
@@ -24,13 +24,6 @@ func ensure2(t *tensor.Tensor, d0, d1 int) *tensor.Tensor {
 		return t
 	}
 	return tensor.New(d0, d1)
-}
-
-func ensure3(t *tensor.Tensor, d0, d1, d2 int) *tensor.Tensor {
-	if t != nil && t.Rank() == 3 && t.Dim(0) == d0 && t.Dim(1) == d1 && t.Dim(2) == d2 {
-		return t
-	}
-	return tensor.New(d0, d1, d2)
 }
 
 func ensure4(t *tensor.Tensor, d0, d1, d2, d3 int) *tensor.Tensor {
@@ -60,9 +53,27 @@ func reshapeCached(view, x *tensor.Tensor, shape []int) *tensor.Tensor {
 	return x.Reshape(shape...)
 }
 
+// windows2 and windows3 return views when it already cuts exactly data into
+// headers of the given shape, else a fresh cut (arity-specific like ensure2: a
+// variadic shape would be materialized on the reuse path too). Conv2D keeps
+// such per-image headers over every batch buffer it reads or writes instead
+// of building them every step.
+func windows2(views []*tensor.Tensor, data []float64, d0, d1 int) []*tensor.Tensor {
+	if len(views)*d0*d1 == len(data) && wraps(views[0], data[:d0*d1]) {
+		return views
+	}
+	return tensor.Windows(data, d0, d1)
+}
+
+func windows3(views []*tensor.Tensor, data []float64, d0, d1, d2 int) []*tensor.Tensor {
+	if len(views)*d0*d1*d2 == len(data) && wraps(views[0], data[:d0*d1*d2]) {
+		return views
+	}
+	return tensor.Windows(data, d0, d1, d2)
+}
+
 // wraps reports whether view (nil allowed) is a header over exactly the
-// storage window data. Conv2D keeps one such header per image over its
-// input and gradient batches instead of building them every step.
+// storage window data.
 func wraps(view *tensor.Tensor, data []float64) bool {
 	if view == nil {
 		return false

@@ -140,9 +140,11 @@ func im2ColStride1[T float32 | float64](out, x []T, g ConvGeom) {
 				}
 				// A gap is at most 2·Pad cells, fewer than a clear call costs;
 				// after the single copy it holds wrapped-around input.
-				for oy := yLo; oy < yHi-1; oy++ {
-					for i := oy*outW + xHi; i < (oy+1)*outW+xLo; i++ {
-						dst[i] = 0
+				if gap := outW - (xHi - xLo); gap > 0 {
+					for at := yLo*outW + xHi; at < end; at += outW {
+						for i := at; i < at+gap; i++ {
+							dst[i] = 0
+						}
 					}
 				}
 				clear(dst[end:])
@@ -213,10 +215,11 @@ func col2ImGeneral[T float32 | float64](img, cols []T, g ConvGeom) {
 	}
 }
 
-// col2ImStride1 scatters a stride-1 geometry onto a zeroed img as one slice
-// add per (c, ky, kx, oy) over the in-bounds run of stride1Range. The outer
-// (c, ky, kx) order and the ascending oy, ox within it are those of
-// col2ImGeneral, so every pixel receives its addends in the same order.
+// col2ImStride1 scatters a stride-1 geometry onto a zeroed img as one block
+// add (addRows) per (c, ky, kx): the in-bounds runs of stride1Range, one per
+// oy, are rows of one strided block on both sides. Within a block every cell
+// is written once, and the outer (c, ky, kx) order is col2ImGeneral's, so
+// every pixel receives its addends in the same order.
 //
 //machlint:allocfree
 func col2ImStride1[T float32 | float64](img, cols []T, g ConvGeom) {
@@ -228,18 +231,12 @@ func col2ImStride1[T float32 | float64](img, cols []T, g ConvGeom) {
 			yLo, yHi := stride1Range(ky, g.Pad, g.InH, outH)
 			for kx := 0; kx < g.K; kx++ {
 				xLo, xHi := stride1Range(kx, g.Pad, g.InW, outW)
-				if xLo == xHi {
+				if xLo == xHi || yLo == yHi {
 					continue
 				}
 				row := (c*g.K+ky)*g.K + kx
-				src := cols[row*n : (row+1)*n]
-				for oy := yLo; oy < yHi; oy++ {
-					seg := src[oy*outW+xLo : oy*outW+xHi]
-					dst := img[chOff+(oy+ky-g.Pad)*g.InW+xLo+kx-g.Pad:][:len(seg)]
-					for i, v := range seg {
-						dst[i] += v
-					}
-				}
+				addRows(img[chOff+(yLo+ky-g.Pad)*g.InW+xLo+kx-g.Pad:], cols[row*n+yLo*outW+xLo:],
+					yHi-yLo, xHi-xLo, g.InW, outW)
 			}
 		}
 	}

@@ -600,3 +600,630 @@ peak32:
 	JNZ  peak32
 	VZEROUPPER
 	RET
+
+// The elementwise family (elementwise.go). One YMM register is eight f32 or
+// four f64 iterations of the Go loop side by side; where an operation has an
+// operand order the bits depend on — the running value first in an add, the
+// candidate first in a maximum — it is the order of the Go expression.
+
+// func add32AVX2(dst, src *float32, n int)
+TEXT ·add32AVX2(SB), NOSPLIT, $0-24
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ n+16(FP), CX
+	SHLQ $2, CX
+	XORQ AX, AX
+
+add32:
+	VMOVUPS (DI)(AX*1), Y0
+	VADDPS  (SI)(AX*1), Y0, Y0
+	VMOVUPS Y0, (DI)(AX*1)
+	ADDQ    $32, AX
+	CMPQ    AX, CX
+	JLT     add32
+	VZEROUPPER
+	RET
+
+// func add64AVX2(dst, src *float64, n int)
+TEXT ·add64AVX2(SB), NOSPLIT, $0-24
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ n+16(FP), CX
+	SHLQ $3, CX
+	XORQ AX, AX
+
+add64:
+	VMOVUPD (DI)(AX*1), Y0
+	VADDPD  (SI)(AX*1), Y0, Y0
+	VMOVUPD Y0, (DI)(AX*1)
+	ADDQ    $32, AX
+	CMPQ    AX, CX
+	JLT     add64
+	VZEROUPPER
+	RET
+
+// func addScalar32AVX2(dst *float32, v float32, n int)
+TEXT ·addScalar32AVX2(SB), NOSPLIT, $0-24
+	MOVQ dst+0(FP), DI
+	VBROADCASTSS v+8(FP), Y1
+	MOVQ n+16(FP), CX
+	SHLQ $2, CX
+	XORQ AX, AX
+
+adds32:
+	VMOVUPS (DI)(AX*1), Y0
+	VADDPS  Y1, Y0, Y0
+	VMOVUPS Y0, (DI)(AX*1)
+	ADDQ    $32, AX
+	CMPQ    AX, CX
+	JLT     adds32
+	VZEROUPPER
+	RET
+
+// func addScalar64AVX2(dst *float64, v float64, n int)
+TEXT ·addScalar64AVX2(SB), NOSPLIT, $0-24
+	MOVQ dst+0(FP), DI
+	VBROADCASTSD v+8(FP), Y1
+	MOVQ n+16(FP), CX
+	SHLQ $3, CX
+	XORQ AX, AX
+
+adds64:
+	VMOVUPD (DI)(AX*1), Y0
+	VADDPD  Y1, Y0, Y0
+	VMOVUPD Y0, (DI)(AX*1)
+	ADDQ    $32, AX
+	CMPQ    AX, CX
+	JLT     adds64
+	VZEROUPPER
+	RET
+
+// func axpy32AVX2(dst, src *float32, a float32, n int)
+TEXT ·axpy32AVX2(SB), NOSPLIT, $0-32
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	VBROADCASTSS a+16(FP), Y2
+	MOVQ n+24(FP), CX
+	SHLQ $2, CX
+	XORQ AX, AX
+
+axpy32:
+	VMULPS  (SI)(AX*1), Y2, Y1
+	VMOVUPS (DI)(AX*1), Y0
+	VADDPS  Y1, Y0, Y0
+	VMOVUPS Y0, (DI)(AX*1)
+	ADDQ    $32, AX
+	CMPQ    AX, CX
+	JLT     axpy32
+	VZEROUPPER
+	RET
+
+// func axpy64AVX2(dst, src *float64, a float64, n int)
+TEXT ·axpy64AVX2(SB), NOSPLIT, $0-32
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	VBROADCASTSD a+16(FP), Y2
+	MOVQ n+24(FP), CX
+	SHLQ $3, CX
+	XORQ AX, AX
+
+axpy64:
+	VMULPD  (SI)(AX*1), Y2, Y1
+	VMOVUPD (DI)(AX*1), Y0
+	VADDPD  Y1, Y0, Y0
+	VMOVUPD Y0, (DI)(AX*1)
+	ADDQ    $32, AX
+	CMPQ    AX, CX
+	JLT     axpy64
+	VZEROUPPER
+	RET
+
+// func axpyDiff64AVX2(dst, x, y *float64, a float64, n int)
+TEXT ·axpyDiff64AVX2(SB), NOSPLIT, $0-40
+	MOVQ dst+0(FP), DI
+	MOVQ x+8(FP), SI
+	MOVQ y+16(FP), DX
+	VBROADCASTSD a+24(FP), Y2
+	MOVQ n+32(FP), CX
+	SHLQ $3, CX
+	XORQ AX, AX
+
+axpydiff:
+	VMOVUPD (SI)(AX*1), Y1
+	VSUBPD  (DX)(AX*1), Y1, Y1
+	VMULPD  Y1, Y2, Y1
+	VMOVUPD (DI)(AX*1), Y0
+	VADDPD  Y1, Y0, Y0
+	VMOVUPD Y0, (DI)(AX*1)
+	ADDQ    $32, AX
+	CMPQ    AX, CX
+	JLT     axpydiff
+	VZEROUPPER
+	RET
+
+// func relu32AVX2(dst, src *float32, n int)
+//
+// MAXPS returns its second source unless the first is greater: with +0 second,
+// −x, ±0 and every NaN become +0 and a positive x (+Inf included) is kept.
+TEXT ·relu32AVX2(SB), NOSPLIT, $0-24
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ n+16(FP), CX
+	SHLQ $2, CX
+	VXORPS Y1, Y1, Y1
+	XORQ AX, AX
+
+relu32:
+	VMOVUPS (SI)(AX*1), Y0
+	VMAXPS  Y1, Y0, Y0
+	VMOVUPS Y0, (DI)(AX*1)
+	ADDQ    $32, AX
+	CMPQ    AX, CX
+	JLT     relu32
+	VZEROUPPER
+	RET
+
+// func relu64AVX2(dst, src *float64, n int)
+TEXT ·relu64AVX2(SB), NOSPLIT, $0-24
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ n+16(FP), CX
+	SHLQ $3, CX
+	VXORPD Y1, Y1, Y1
+	XORQ AX, AX
+
+relu64:
+	VMOVUPD (SI)(AX*1), Y0
+	VMAXPD  Y1, Y0, Y0
+	VMOVUPD Y0, (DI)(AX*1)
+	ADDQ    $32, AX
+	CMPQ    AX, CX
+	JLT     relu64
+	VZEROUPPER
+	RET
+
+// func reluGrad32AVX2(dst, grad, fwd *float32, n int)
+//
+// Predicate 0x1E is greater-than, ordered, quiet: the Go >.
+TEXT ·reluGrad32AVX2(SB), NOSPLIT, $0-32
+	MOVQ dst+0(FP), DI
+	MOVQ grad+8(FP), SI
+	MOVQ fwd+16(FP), DX
+	MOVQ n+24(FP), CX
+	SHLQ $2, CX
+	VXORPS Y1, Y1, Y1
+	XORQ AX, AX
+
+relugrad32:
+	VMOVUPS (DX)(AX*1), Y0
+	VCMPPS  $0x1E, Y1, Y0, Y0
+	VANDPS  (SI)(AX*1), Y0, Y0
+	VMOVUPS Y0, (DI)(AX*1)
+	ADDQ    $32, AX
+	CMPQ    AX, CX
+	JLT     relugrad32
+	VZEROUPPER
+	RET
+
+// func reluGrad64AVX2(dst, grad, fwd *float64, n int)
+TEXT ·reluGrad64AVX2(SB), NOSPLIT, $0-32
+	MOVQ dst+0(FP), DI
+	MOVQ grad+8(FP), SI
+	MOVQ fwd+16(FP), DX
+	MOVQ n+24(FP), CX
+	SHLQ $3, CX
+	VXORPD Y1, Y1, Y1
+	XORQ AX, AX
+
+relugrad64:
+	VMOVUPD (DX)(AX*1), Y0
+	VCMPPD  $0x1E, Y1, Y0, Y0
+	VANDPD  (SI)(AX*1), Y0, Y0
+	VMOVUPD Y0, (DI)(AX*1)
+	ADDQ    $32, AX
+	CMPQ    AX, CX
+	JLT     relugrad64
+	VZEROUPPER
+	RET
+
+// POOLCAND offers one candidate to the running maximum: where cand > best
+// (ordered, strict) the value and the index move, else both stay — the Go
+// loop's `if c > best`. MAXP* returns its second source when the first is not
+// greater or either is a NaN, so best is the second source.
+#define POOLCAND(CMP, MAX, BLENDV, cand, idx, best, bestidx, m) \
+	CMP    $0x1E, best, cand, m; \
+	MAX    best, cand, best; \
+	BLENDV m, idx, bestidx, bestidx
+
+// poolidx32 is the order in which VSHUFPS leaves the eight even (or odd)
+// elements of two adjacent registers, as offsets from the first; poolidx64 the
+// order VUNPCK{L,H}PD leaves four, as 64-bit offsets; poolnarrow64 the VPERMD
+// selector that puts the low halves of that order's indices in output order.
+DATA poolidx32<>+0(SB)/4, $0
+DATA poolidx32<>+4(SB)/4, $2
+DATA poolidx32<>+8(SB)/4, $8
+DATA poolidx32<>+12(SB)/4, $10
+DATA poolidx32<>+16(SB)/4, $4
+DATA poolidx32<>+20(SB)/4, $6
+DATA poolidx32<>+24(SB)/4, $12
+DATA poolidx32<>+28(SB)/4, $14
+GLOBL poolidx32<>(SB), RODATA|NOPTR, $32
+
+DATA poolidx64<>+0(SB)/8, $0
+DATA poolidx64<>+8(SB)/8, $4
+DATA poolidx64<>+16(SB)/8, $2
+DATA poolidx64<>+24(SB)/8, $6
+GLOBL poolidx64<>(SB), RODATA|NOPTR, $32
+
+DATA poolnarrow64<>+0(SB)/4, $0
+DATA poolnarrow64<>+4(SB)/4, $4
+DATA poolnarrow64<>+8(SB)/4, $2
+DATA poolnarrow64<>+12(SB)/4, $6
+DATA poolnarrow64<>+16(SB)/4, $0
+DATA poolnarrow64<>+20(SB)/4, $0
+DATA poolnarrow64<>+24(SB)/4, $0
+DATA poolnarrow64<>+28(SB)/4, $0
+GLOBL poolnarrow64<>(SB), RODATA|NOPTR, $32
+
+// poolidx stride-2 offsets in output order, for the half-width steps.
+DATA poolhalf32<>+0(SB)/4, $0
+DATA poolhalf32<>+4(SB)/4, $2
+DATA poolhalf32<>+8(SB)/4, $4
+DATA poolhalf32<>+12(SB)/4, $6
+GLOBL poolhalf32<>(SB), RODATA|NOPTR, $16
+
+DATA poolhalf64<>+0(SB)/8, $0
+DATA poolhalf64<>+8(SB)/8, $2
+GLOBL poolhalf64<>(SB), RODATA|NOPTR, $16
+
+// func maxPool32AVX2(out *float32, arg *int32, in *float32, orows, w, cols int)
+//
+// Eight outputs a step: sixteen floats of the top row and of the bottom row,
+// split by VSHUFPS into the four window corners, candidates taken in
+// top-left, top-right, bottom-left, bottom-right order, and one VPERMPD that
+// undoes the split's lane order; then four outputs in XMM registers, whose
+// split is already in order.
+TEXT ·maxPool32AVX2(SB), NOSPLIT, $0-48
+	MOVQ out+0(FP), DI
+	MOVQ arg+8(FP), R8
+	MOVQ in+16(FP), SI
+	MOVQ orows+24(FP), BX
+	MOVQ w+32(FP), R9
+	MOVQ cols+40(FP), R10
+	VMOVDQU  poolidx32<>(SB), Y12
+	VMOVDQU  poolhalf32<>(SB), X13
+	VPCMPEQD Y14, Y14, Y14
+	VPSRLD   $31, Y14, Y14 // 1 in every lane
+	MOVQ     R9, AX
+	VMOVD    AX, X15
+	VPBROADCASTD X15, Y15  // w in every lane
+	XORQ R11, R11          // flat index of the row pair's first element
+	LEAQ (R9*4), R12       // bytes per input row
+	LEAQ (R9*2), R13       // bytes per output (and index) row
+
+pool32row:
+	LEAQ (SI)(R12*1), DX   // the bottom row
+	XORQ CX, CX            // output column
+
+pool32y:
+	LEAQ 8(CX), AX
+	CMPQ AX, R10
+	JGT  pool32x
+	VMOVUPS (SI)(CX*8), Y0
+	VMOVUPS 32(SI)(CX*8), Y1
+	VMOVUPS (DX)(CX*8), Y2
+	VMOVUPS 32(DX)(CX*8), Y3
+	VSHUFPS $0x88, Y1, Y0, Y4 // top-left
+	VSHUFPS $0xDD, Y1, Y0, Y5 // top-right
+	VSHUFPS $0x88, Y3, Y2, Y6 // bottom-left
+	VSHUFPS $0xDD, Y3, Y2, Y7 // bottom-right
+	LEAQ    (R11)(CX*2), AX
+	VMOVD   AX, X8
+	VPBROADCASTD X8, Y8
+	VPADDD  Y12, Y8, Y11      // top-left indices: the running argmax
+	VPADDD  Y14, Y11, Y8
+	POOLCAND(VCMPPS, VMAXPS, VBLENDVPS, Y5, Y8, Y4, Y11, Y10)
+	VPADDD  Y15, Y8, Y8
+	VPSUBD  Y14, Y8, Y9
+	POOLCAND(VCMPPS, VMAXPS, VBLENDVPS, Y6, Y9, Y4, Y11, Y10)
+	POOLCAND(VCMPPS, VMAXPS, VBLENDVPS, Y7, Y8, Y4, Y11, Y10)
+	VPERMPD $0xD8, Y4, Y4
+	VMOVUPS Y4, (DI)(CX*4)
+	TESTQ   R8, R8
+	JZ      pool32ynext
+	VPERMQ  $0xD8, Y11, Y11
+	VMOVDQU Y11, (R8)(CX*4)
+
+pool32ynext:
+	ADDQ $8, CX
+	JMP  pool32y
+
+pool32x:
+	CMPQ CX, R10
+	JGE  pool32next
+	VMOVUPS (SI)(CX*8), X0
+	VMOVUPS 16(SI)(CX*8), X1
+	VMOVUPS (DX)(CX*8), X2
+	VMOVUPS 16(DX)(CX*8), X3
+	VSHUFPS $0x88, X1, X0, X4
+	VSHUFPS $0xDD, X1, X0, X5
+	VSHUFPS $0x88, X3, X2, X6
+	VSHUFPS $0xDD, X3, X2, X7
+	LEAQ    (R11)(CX*2), AX
+	VMOVD   AX, X8
+	VPBROADCASTD X8, X8
+	VPADDD  X13, X8, X11
+	VPADDD  X14, X11, X8
+	POOLCAND(VCMPPS, VMAXPS, VBLENDVPS, X5, X8, X4, X11, X10)
+	VPADDD  X15, X8, X8
+	VPSUBD  X14, X8, X9
+	POOLCAND(VCMPPS, VMAXPS, VBLENDVPS, X6, X9, X4, X11, X10)
+	POOLCAND(VCMPPS, VMAXPS, VBLENDVPS, X7, X8, X4, X11, X10)
+	VMOVUPS X4, (DI)(CX*4)
+	TESTQ   R8, R8
+	JZ      pool32next
+	VMOVDQU X11, (R8)(CX*4)
+
+pool32next:
+	LEAQ (SI)(R12*2), SI
+	ADDQ R13, DI
+	LEAQ (R11)(R9*2), R11
+	TESTQ R8, R8
+	JZ   pool32noarg
+	ADDQ R13, R8
+
+pool32noarg:
+	DECQ BX
+	JNZ  pool32row
+	VZEROUPPER
+	RET
+
+// func maxPool64AVX2(out *float64, arg *int32, in *float64, orows, w, cols int)
+//
+// Four outputs a step from eight doubles of each row, split by VUNPCK{L,H}PD;
+// the indices ride in 64-bit lanes beside the values and are narrowed to the
+// int32 argmax by the VPERMD that also restores output order. Then two outputs
+// in XMM registers.
+TEXT ·maxPool64AVX2(SB), NOSPLIT, $0-48
+	MOVQ out+0(FP), DI
+	MOVQ arg+8(FP), R8
+	MOVQ in+16(FP), SI
+	MOVQ orows+24(FP), BX
+	MOVQ w+32(FP), R9
+	MOVQ cols+40(FP), R10
+	VMOVDQU  poolidx64<>(SB), Y12
+	VMOVDQU  poolhalf64<>(SB), X13
+	VPCMPEQQ Y14, Y14, Y14
+	VPSRLQ   $63, Y14, Y14 // 1 in every lane
+	MOVQ     R9, AX
+	VMOVQ    AX, X15
+	VPBROADCASTQ X15, Y15  // w in every lane
+	XORQ R11, R11          // flat index of the row pair's first element
+	LEAQ (R9*8), R12       // bytes per input row
+	LEAQ (R9*4), R13       // bytes per output row
+	LEAQ (R9*2), R15       // bytes per index row
+
+pool64row:
+	LEAQ (SI)(R12*1), DX   // the bottom row
+	XORQ CX, CX            // output column
+
+pool64y:
+	LEAQ 4(CX), AX
+	CMPQ AX, R10
+	JGT  pool64x
+	LEAQ (CX*2), AX       // input column
+	VMOVUPD (SI)(AX*8), Y0
+	VMOVUPD 32(SI)(AX*8), Y1
+	VMOVUPD (DX)(AX*8), Y2
+	VMOVUPD 32(DX)(AX*8), Y3
+	VUNPCKLPD Y1, Y0, Y4 // top-left
+	VUNPCKHPD Y1, Y0, Y5 // top-right
+	VUNPCKLPD Y3, Y2, Y6 // bottom-left
+	VUNPCKHPD Y3, Y2, Y7 // bottom-right
+	ADDQ    R11, AX
+	VMOVQ   AX, X8
+	VPBROADCASTQ X8, Y8
+	VPADDQ  Y12, Y8, Y11
+	VPADDQ  Y14, Y11, Y8
+	POOLCAND(VCMPPD, VMAXPD, VBLENDVPD, Y5, Y8, Y4, Y11, Y10)
+	VPADDQ  Y15, Y8, Y8
+	VPSUBQ  Y14, Y8, Y9
+	POOLCAND(VCMPPD, VMAXPD, VBLENDVPD, Y6, Y9, Y4, Y11, Y10)
+	POOLCAND(VCMPPD, VMAXPD, VBLENDVPD, Y7, Y8, Y4, Y11, Y10)
+	VPERMPD $0xD8, Y4, Y4
+	VMOVUPD Y4, (DI)(CX*8)
+	TESTQ   R8, R8
+	JZ      pool64ynext
+	VMOVDQU poolnarrow64<>(SB), Y9
+	VPERMD  Y11, Y9, Y11
+	VMOVDQU X11, (R8)(CX*4)
+
+pool64ynext:
+	ADDQ $4, CX
+	JMP  pool64y
+
+pool64x:
+	CMPQ CX, R10
+	JGE  pool64next
+	LEAQ (CX*2), AX
+	VMOVUPD (SI)(AX*8), X0
+	VMOVUPD 16(SI)(AX*8), X1
+	VMOVUPD (DX)(AX*8), X2
+	VMOVUPD 16(DX)(AX*8), X3
+	VUNPCKLPD X1, X0, X4
+	VUNPCKHPD X1, X0, X5
+	VUNPCKLPD X3, X2, X6
+	VUNPCKHPD X3, X2, X7
+	ADDQ    R11, AX
+	VMOVQ   AX, X8
+	VPBROADCASTQ X8, X8
+	VPADDQ  X13, X8, X11
+	VPADDQ  X14, X11, X8
+	POOLCAND(VCMPPD, VMAXPD, VBLENDVPD, X5, X8, X4, X11, X10)
+	VPADDQ  X15, X8, X8
+	VPSUBQ  X14, X8, X9
+	POOLCAND(VCMPPD, VMAXPD, VBLENDVPD, X6, X9, X4, X11, X10)
+	POOLCAND(VCMPPD, VMAXPD, VBLENDVPD, X7, X8, X4, X11, X10)
+	VMOVUPD X4, (DI)(CX*8)
+	TESTQ   R8, R8
+	JZ      pool64next
+	VPSHUFD $0xE8, X11, X11 // the two low halves, adjacent
+	VMOVQ   X11, (R8)(CX*4)
+
+pool64next:
+	LEAQ (SI)(R12*2), SI
+	ADDQ R13, DI
+	LEAQ (R11)(R9*2), R11
+	TESTQ R8, R8
+	JZ   pool64noarg
+	ADDQ R15, R8
+
+pool64noarg:
+	DECQ BX
+	JNZ  pool64row
+	VZEROUPPER
+	RET
+
+// lanemask holds eight set dwords and then eight clear ones: the VMASKMOVPS
+// mask of a row's r last lanes starts 4·r bytes, the VMASKMOVPD mask 8·r
+// bytes, before the middle.
+DATA lanemask<>+0(SB)/8, $0xffffffffffffffff
+DATA lanemask<>+8(SB)/8, $0xffffffffffffffff
+DATA lanemask<>+16(SB)/8, $0xffffffffffffffff
+DATA lanemask<>+24(SB)/8, $0xffffffffffffffff
+DATA lanemask<>+32(SB)/8, $0
+DATA lanemask<>+40(SB)/8, $0
+DATA lanemask<>+48(SB)/8, $0
+DATA lanemask<>+56(SB)/8, $0
+GLOBL lanemask<>(SB), RODATA|NOPTR, $64
+
+// func addRows32AVX2(dst, src *float32, rows, n, dstStride, srcStride int)
+TEXT ·addRows32AVX2(SB), NOSPLIT, $0-48
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ rows+16(FP), BX
+	MOVQ n+24(FP), CX
+	MOVQ dstStride+32(FP), R8
+	MOVQ srcStride+40(FP), R9
+	SHLQ $2, R8
+	SHLQ $2, R9
+	MOVQ CX, DX
+	ANDQ $7, DX           // lanes of the masked step; none when zero
+	MOVQ DX, R10
+	NEGQ R10
+	LEAQ lanemask<>(SB), AX
+	VMOVDQU 32(AX)(R10*4), Y2
+	ANDQ $-8, CX
+	SHLQ $2, CX           // bytes of a row the whole registers cover
+
+addrows32row:
+	XORQ AX, AX
+
+addrows32full:
+	CMPQ AX, CX
+	JGE  addrows32tail
+	VMOVUPS (DI)(AX*1), Y0
+	VADDPS  (SI)(AX*1), Y0, Y0
+	VMOVUPS Y0, (DI)(AX*1)
+	ADDQ    $32, AX
+	JMP     addrows32full
+
+addrows32tail:
+	TESTQ DX, DX
+	JZ    addrows32next
+	VMASKMOVPS (DI)(AX*1), Y2, Y0
+	VMASKMOVPS (SI)(AX*1), Y2, Y1
+	VADDPS     Y1, Y0, Y0
+	VMASKMOVPS Y0, Y2, (DI)(AX*1)
+
+addrows32next:
+	ADDQ R8, DI
+	ADDQ R9, SI
+	DECQ BX
+	JNZ  addrows32row
+	VZEROUPPER
+	RET
+
+// func addRows64AVX2(dst, src *float64, rows, n, dstStride, srcStride int)
+TEXT ·addRows64AVX2(SB), NOSPLIT, $0-48
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ rows+16(FP), BX
+	MOVQ n+24(FP), CX
+	MOVQ dstStride+32(FP), R8
+	MOVQ srcStride+40(FP), R9
+	SHLQ $3, R8
+	SHLQ $3, R9
+	MOVQ CX, DX
+	ANDQ $3, DX           // lanes of the masked step; none when zero
+	MOVQ DX, R10
+	NEGQ R10
+	LEAQ lanemask<>(SB), AX
+	VMOVDQU 32(AX)(R10*8), Y2
+	ANDQ $-4, CX
+	SHLQ $3, CX           // bytes of a row the whole registers cover
+
+addrows64row:
+	XORQ AX, AX
+
+addrows64full:
+	CMPQ AX, CX
+	JGE  addrows64tail
+	VMOVUPD (DI)(AX*1), Y0
+	VADDPD  (SI)(AX*1), Y0, Y0
+	VMOVUPD Y0, (DI)(AX*1)
+	ADDQ    $32, AX
+	JMP     addrows64full
+
+addrows64tail:
+	TESTQ DX, DX
+	JZ    addrows64next
+	VMASKMOVPD (DI)(AX*1), Y2, Y0
+	VMASKMOVPD (SI)(AX*1), Y2, Y1
+	VADDPD     Y1, Y0, Y0
+	VMASKMOVPD Y0, Y2, (DI)(AX*1)
+
+addrows64next:
+	ADDQ R8, DI
+	ADDQ R9, SI
+	DECQ BX
+	JNZ  addrows64row
+	VZEROUPPER
+	RET
+
+// func masterUpdateAVX2(m *float64, p, grad *float32, lr float64, n int) float64
+//
+// Four gradients a step are widened, squared, scaled and applied as vectors;
+// the squares then join the norm one lane at a time, lowest first, so the sum
+// is the single ascending chain of the Go loop.
+TEXT ·masterUpdateAVX2(SB), NOSPLIT, $0-48
+	MOVQ m+0(FP), DI
+	MOVQ p+8(FP), R8
+	MOVQ grad+16(FP), SI
+	VBROADCASTSD lr+24(FP), Y7
+	MOVQ n+32(FP), CX
+	VXORPD X5, X5, X5
+	XORQ AX, AX
+
+master:
+	VCVTPS2PD  (SI)(AX*4), Y0
+	VMULPD     Y0, Y0, Y1   // f·f
+	VMULPD     Y0, Y7, Y2   // lr·f
+	VMOVUPD    (DI)(AX*8), Y3
+	VSUBPD     Y2, Y3, Y3
+	VMOVUPD    Y3, (DI)(AX*8)
+	VCVTPD2PSY Y3, X4
+	VMOVUPS    X4, (R8)(AX*4)
+	VADDSD     X1, X5, X5
+	VPERMILPD  $1, X1, X6
+	VADDSD     X6, X5, X5
+	VEXTRACTF128 $1, Y1, X6
+	VADDSD     X6, X5, X5
+	VPERMILPD  $1, X6, X6
+	VADDSD     X6, X5, X5
+	ADDQ       $4, AX
+	CMPQ       AX, CX
+	JLT        master
+	VMOVSD X5, ret+40(FP)
+	VZEROUPPER
+	RET

@@ -184,12 +184,12 @@ func TestTiledKernelsBitIdenticalToReferenceOrder(t *testing.T) {
 }
 
 // TestKernelPathReported logs which kernels this test binary selected (one
-// gate, useAVX2, picks both lanes'), so a CI log shows whether the sweeps
-// exercised the assembly or the Go loops.
+// gate, useAVX2, picks both lanes' products and the elementwise family), so a
+// CI log shows whether the sweeps exercised the assembly or the Go loops.
 func TestKernelPathReported(t *testing.T) {
 	path := "go"
 	if useAVX2 {
 		path = "avx2"
 	}
-	t.Logf("tensor kernel path: f64 %s, f32 %s", path, path)
+	t.Logf("tensor kernel path: f64 %s, f32 %s, elementwise %s (from %d elements)", path, path, path, vecMin)
 }

@@ -40,6 +40,26 @@ func FromSlice(data []float64, shape ...int) *Tensor {
 	return &Tensor{shape: append([]int(nil), shape...), data: data}
 }
 
+// Windows is FromSlice for a batch: it cuts data into consecutive tensors of
+// the given shape that share its storage and, between them, one shape slice
+// and one allocation of headers, so per-image views of a batch cost what one
+// view does. len(data) must be a positive multiple of the shape's element
+// count.
+func Windows(data []float64, shape ...int) []*Tensor {
+	n := checkShape(shape)
+	if len(data) < n || len(data)%n != 0 {
+		panic(fmt.Sprintf("tensor: Windows data length %d is not a positive multiple of shape %v (%d elements)", len(data), shape, n))
+	}
+	first := FromSlice(data[:n], shape...)
+	headers := make([]Tensor, len(data)/n)
+	views := make([]*Tensor, len(headers))
+	for i := range headers {
+		headers[i] = Tensor{shape: first.shape, data: data[i*n : (i+1)*n]}
+		views[i] = &headers[i]
+	}
+	return views
+}
+
 // Full returns a tensor with every element set to v.
 func Full(v float64, shape ...int) *Tensor {
 	t := New(shape...)
@@ -147,9 +167,7 @@ func (t *Tensor) mustSameShape(u *Tensor, op string) {
 // AddInPlace adds u to t element-wise, returning t.
 func (t *Tensor) AddInPlace(u *Tensor) *Tensor {
 	t.mustSameShape(u, "AddInPlace")
-	for i := range t.data {
-		t.data[i] += u.data[i]
-	}
+	Add(t.data, u.data)
 	return t
 }
 
@@ -182,9 +200,7 @@ func (t *Tensor) ScaleInPlace(s float64) *Tensor {
 // AxpyInPlace computes t += a*u element-wise, returning t.
 func (t *Tensor) AxpyInPlace(a float64, u *Tensor) *Tensor {
 	t.mustSameShape(u, "AxpyInPlace")
-	for i := range t.data {
-		t.data[i] += a * u.data[i]
-	}
+	Axpy(t.data, a, u.data)
 	return t
 }
 

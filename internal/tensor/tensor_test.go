@@ -94,6 +94,31 @@ func TestCloneIsDeep(t *testing.T) {
 	}
 }
 
+// TestWindowsShareStorage checks the batch form of FromSlice: each window has
+// the shape, covers its own stretch of data and writes through to it.
+func TestWindowsShareStorage(t *testing.T) {
+	data := make([]float64, 3*2*4)
+	ws := Windows(data, 2, 4)
+	if len(ws) != 3 {
+		t.Fatalf("Windows cut %d tensors, want 3", len(ws))
+	}
+	for i, w := range ws {
+		if w.Rank() != 2 || w.Dim(0) != 2 || w.Dim(1) != 4 {
+			t.Fatalf("window %d has shape %v, want [2 4]", i, w.Shape())
+		}
+		w.Set(float64(i+1), 1, 3)
+		if data[i*8+7] != float64(i+1) {
+			t.Fatalf("window %d does not write through to data[%d]", i, i*8+7)
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Windows accepted a length that is no multiple of the shape")
+		}
+	}()
+	Windows(data[:9], 2, 4)
+}
+
 func TestReshapeSharesStorage(t *testing.T) {
 	x := FromSlice([]float64{1, 2, 3, 4}, 4)
 	y := x.Reshape(2, 2)

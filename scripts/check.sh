@@ -7,7 +7,7 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-echo "== go vet ./... (asmdecl checks internal/tensor/kernels_amd64.s against its Go declarations: foldTermsAVX2, transBTilesAVX2, fold32AVX2, transB32TilesAVX2, machinePeakAVX2, machinePeak32AVX2, cpuHasAVX2)"
+echo "== go vet ./... (asmdecl checks internal/tensor/kernels_amd64.s against its Go declarations: foldTermsAVX2, transBTilesAVX2, fold32AVX2, transB32TilesAVX2, machinePeakAVX2, machinePeak32AVX2, cpuHasAVX2; elementwise family: add{32,64}AVX2, addScalar{32,64}AVX2, axpy{32,64}AVX2, axpyDiff64AVX2, relu{32,64}AVX2, reluGrad{32,64}AVX2, maxPool{32,64}AVX2, addRows{32,64}AVX2, masterUpdateAVX2)"
 go vet ./...
 
 echo "== go build ./..."
@@ -29,7 +29,7 @@ go run ./cmd/machlint -ledger ./... | diff - lint_ledger.txt \
 echo "== go test ./..."
 go test ./...
 
-echo "== go test -tags purego (kernel sweeps, layer parity and the f64 + f32 engine goldens on the pure-Go kernels)"
+echo "== go test -tags purego (kernel sweeps, elementwise family, layer parity and the f64 + f32 engine goldens on the pure-Go kernels)"
 go test -tags purego ./internal/tensor ./internal/nn ./internal/hfl
 
 echo "== go test -race ./..."
