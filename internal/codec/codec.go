@@ -10,11 +10,12 @@
 // bit patterns zeroes the sign, the exponent and the agreeing mantissa
 // prefix of every parameter, cutting the XORed words into byte planes turns
 // those zeroed bits into constant or low-entropy planes, and the entropy
-// stage (planes.go) packs each plane in the cheapest of three modes — const,
-// stored, or a DEFLATE stream. The pipeline is exactly invertible, so the
-// decoder recovers the original float64s bit for bit — NaN payloads, signed
-// zeros and denormals included — and a run over the delta path follows the
-// same learning trajectory as one over raw vectors.
+// stage (planes.go) packs each plane in the cheapest of four modes — const,
+// stored, its own canonical Huffman code (huff.go), or a DEFLATE stream. The
+// pipeline is exactly invertible, so the decoder recovers the original
+// float64s bit for bit — NaN payloads, signed zeros and denormals included —
+// and a run over the delta path follows the same learning trajectory as one
+// over raw vectors.
 //
 // Baselines are negotiated by ID: the sender names the shared vector in
 // Blob.Baseline and the receiver must hold the same bits under that ID
@@ -219,12 +220,7 @@ func Decode(b Blob, baseline []float64) ([]float64, error) {
 			return nil, err
 		}
 		out := make([]float64, n)
-		for i, u := range s.words {
-			if baseline != nil {
-				u ^= math.Float64bits(baseline[i])
-			}
-			out[i] = math.Float64frombits(u)
-		}
+		s.join(out, baseline)
 		return out, nil
 
 	case SchemeFloat32:
@@ -234,11 +230,12 @@ func Decode(b Blob, baseline []float64) ([]float64, error) {
 			return nil, err
 		}
 		out := make([]float64, n)
-		for i, u := range s.words {
+		for i := range out {
+			u := s.word32(i)
 			if baseline != nil {
-				u ^= uint64(math.Float32bits(float32(baseline[i])))
+				u ^= math.Float32bits(float32(baseline[i]))
 			}
-			out[i] = float64(math.Float32frombits(uint32(u)))
+			out[i] = float64(math.Float32frombits(u))
 		}
 		return out, nil
 
@@ -323,7 +320,7 @@ func decodeInt8(b Blob, baseline []float64) ([]float64, error) {
 	for i := range out {
 		v := lo
 		if span > 0 {
-			v = lo + span*float64(s.words[i])/255
+			v = lo + span*float64(s.word32(i))/255
 		}
 		if baseline != nil {
 			v += baseline[i]

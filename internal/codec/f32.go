@@ -64,11 +64,12 @@ func Decode32(b Blob, baseline []float32) ([]float32, error) {
 		return nil, err
 	}
 	out := make([]float32, b.Count)
-	for i, u := range s.words {
+	for i := range out {
+		u := s.word32(i)
 		if baseline != nil {
-			u ^= uint64(math.Float32bits(baseline[i]))
+			u ^= math.Float32bits(baseline[i])
 		}
-		out[i] = math.Float32frombits(uint32(u))
+		out[i] = math.Float32frombits(u)
 	}
 	return out, nil
 }

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"sort"
+	"strings"
 	"testing"
 )
 
@@ -38,9 +39,10 @@ func fuzzSeeds(t testing.TB) map[string]fuzzSeed {
 	const n = 96
 	base := fuzzBaseline(n)
 	vectors := map[string][]float64{
-		"const":  make([]float64, n), // every plane constant
-		"noise":  make([]float64, n), // low planes stored, high planes Huffman
-		"sparse": make([]float64, n), // against the baseline: runs of zeros, BestSpeed
+		"const":  make([]float64, n),  // every plane constant
+		"noise":  make([]float64, n),  // low planes stored, high planes huff
+		"sparse": make([]float64, n),  // against the baseline: a few values per plane, huff
+		"runs":   fuzzBaseline(4 * n), // against the baseline: two long runs of zeros, BestSpeed
 	}
 	for i := range base {
 		vectors["const"][i] = 1.5
@@ -50,6 +52,7 @@ func fuzzSeeds(t testing.TB) map[string]fuzzSeed {
 			vectors["sparse"][i] += 1e-3
 		}
 	}
+	vectors["runs"][n] += 1e-3
 	seeds := map[string]fuzzSeed{}
 	for _, scheme := range Schemes() {
 		for name, v := range vectors {
@@ -60,7 +63,7 @@ func fuzzSeeds(t testing.TB) map[string]fuzzSeed {
 				var bl []float64
 				var id uint64
 				if withBase {
-					bl, id = base, 1
+					bl, id = fuzzBaseline(len(v)), 1
 				}
 				blob, err := Encode(scheme, v, bl, id, nil)
 				if err != nil {
@@ -83,6 +86,16 @@ func fuzzSeeds(t testing.TB) map[string]fuzzSeed {
 	seeds["bad-stream-length"] = mutated(n, func(d []byte) []byte {
 		return append([]byte{modeDeflate, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F}, d...)
 	})
+	// Hand-built huff bodies: two one-bit codes over n/8 stream bytes, then
+	// the ways the lengths and the stream can be wrong.
+	pair, bits := []byte{2, 0, 1, 0x11}, make([]byte, n/8)
+	seeds["huff-hand-built"] = fuzzSeed{huffBlob(n, pair, bits), false}
+	seeds["bad-huff-oversubscribed"] = fuzzSeed{huffBlob(n, []byte{3, 0, 1, 2, 0x11, 0x01}, bits), false}
+	seeds["bad-huff-13-bit-length"] = fuzzSeed{huffBlob(n, []byte{2, 0, 1, 0xD1}, bits), false}
+	seeds["bad-huff-incomplete"] = fuzzSeed{huffBlob(n, []byte{2, 0, 1, 0x21}, bits), false}
+	seeds["bad-huff-empty-array"] = fuzzSeed{huffBlob(n, make([]byte, 129), bits), false}
+	seeds["bad-huff-truncated"] = fuzzSeed{huffBlob(n, pair, bits[:n/8-1]), false}
+	seeds["bad-huff-long-stream"] = fuzzSeed{huffBlob(n, pair, append(bits, 0)), false}
 	seeds["const-large-count"] = fuzzSeed{Blob{Scheme: SchemeDelta, Count: 1 << 13, Data: make([]byte, 16)}, false}
 	seeds["bad-scheme"] = fuzzSeed{Blob{Scheme: Scheme(200), Count: n, Data: good.Data}, false}
 	return seeds
@@ -95,11 +108,27 @@ func (s fuzzSeed) corpusFile() string {
 
 // TestFuzzCorpusIsCurrent keeps the committed seed corpus equal to what
 // fuzzSeeds builds from the current encoder, so a payload-format change
-// cannot leave the fuzzer starting from stale shapes. Regenerate with
+// cannot leave the fuzzer starting from stale shapes, and checks the encoder's
+// seeds reach every plane mode under every plane-coded scheme. Regenerate with
 // `go test ./internal/codec -run TestFuzzCorpusIsCurrent -update-corpus`.
 func TestFuzzCorpusIsCurrent(t *testing.T) {
 	dir := filepath.Join("testdata", "fuzz", "FuzzDecode")
 	seeds := fuzzSeeds(t)
+	seen := map[Scheme]map[byte]bool{SchemeDelta: {}, SchemeFloat32: {}, SchemeInt8: {}}
+	for name, s := range seeds {
+		if modes := seen[s.blob.Scheme]; modes != nil && strings.HasPrefix(name, s.blob.Scheme.String()) {
+			for _, m := range schemePlaneModes(t, s.blob) {
+				modes[m] = true
+			}
+		}
+	}
+	for scheme, modes := range seen {
+		for _, m := range []byte{modeConst, modeStored, modeDeflate, modeHuff} {
+			if !modes[m] {
+				t.Errorf("no %v seed has a plane in mode %d", scheme, m)
+			}
+		}
+	}
 	if *updateCorpus {
 		if err := os.RemoveAll(dir); err != nil {
 			t.Fatal(err)

@@ -21,24 +21,30 @@ const (
 	modeConst   = iota // one distinct byte; body: that byte
 	modeStored         // incompressible; body: the plane verbatim
 	modeDeflate        // body: uvarint stream length, then a DEFLATE stream of the plane
+	modeHuff           // body: uvarint length, then code lengths and the Huffman stream (huff.go)
 )
 
 // scratch is the pooled working memory of one Encode or Decode call. The
-// flate writers (~650 KB each) and the reader are created on first use and
-// Reset afterwards, never built per call.
+// flate writer (~650 KB) and reader are created on first use and Reset
+// afterwards, never built per call.
 type scratch struct {
-	words      []uint64     // XORed bit patterns, one per parameter
-	plane      []byte       // the plane being packed or inflated
-	out        appendWriter // payload under construction
-	huff, fast appendWriter // candidate DEFLATE bodies of the current plane
-	hw, fw     *flate.Writer
-	br         bytes.Reader
-	fr         io.ReadCloser // flate reader over br; implements flate.Resetter
+	words  []uint64       // Encode: XORed bit patterns, one per parameter
+	planes []byte         // Encode: all eight planes of words; Decode: the entropy-coded planes, decoded
+	hist   [8][256]uint32 // Encode: byte counts per plane
+	src    [8][]byte      // Decode: where each plane's bytes are — payload, planes or zero
+	fixed  uint64         // Decode: the const planes' bytes, in place
+	zero   []byte         // Decode: stands in for const and absent planes; never written
+	out    []byte         // payload under construction
+	huff   huffCoder
+	fast   appendWriter // the current plane's DEFLATE body
+	fw     *flate.Writer
+	br     bytes.Reader
+	fr     io.ReadCloser // flate reader over br; implements flate.Resetter
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
-// appendWriter is the io.Writer the pooled flate writers emit into.
+// appendWriter is the io.Writer the pooled flate writer emits into.
 type appendWriter []byte
 
 func (w *appendWriter) Write(p []byte) (int, error) {
@@ -55,77 +61,118 @@ func grow[T any](b []T, n int) []T {
 }
 
 // pack builds the blob of s.words: its payload is header, then the low width
-// byte planes of the words (none for an empty vector). One pass per plane
-// gathers and histograms its bytes, and the histogram picks the mode: one
-// distinct byte is const; a plane whose order-0 information is within 1/17 of
-// its length is stored untried (the bound under which flate's Huffman block
-// writer itself gives up and stores); the rest go through the Huffman-only
-// writer, planes under two bits per byte (sparse changes, runs) through the
-// match-searching BestSpeed writer too, and the smallest of those and the
-// stored plane wins.
+// byte planes of the words (none for an empty vector). One sweep over the
+// words cuts all planes and counts their bytes, and the counts pick each
+// plane's mode. One distinct byte is const. A plane whose collision entropy
+// −log2 Σp² is within 1/17 of eight bits is stored unpriced — its Shannon
+// entropy is no lower, and that is the bound at which the flate writer this
+// stage once ran gave up and stored. Every other plane is priced exactly under
+// its Huffman code; where one byte value is most of the plane and the order-0
+// information is under half a bit per byte — half of Huffman's floor: on fed
+// traffic a match search wins only below 0.4, and bare sign planes sit a
+// hair under the floor itself — the BestSpeed writer runs too; and the
+// smallest of those and the stored plane wins.
 //
 //machlint:allocfree
 func (s *scratch) pack(scheme Scheme, baseID uint64, header []byte, width int) (Blob, error) {
-	s.out = append(s.out[:0], header...)
-	if len(s.words) == 0 {
+	n := len(s.words)
+	if n == 0 {
 		width = 0
 	}
-	n := float64(len(s.words))
-	s.plane = grow(s.plane, len(s.words))
-	plane := s.plane
+	s.planes = grow(s.planes, 8*n)
+	s.cut()
+	if most := len(header) + width*(1+n) + 8; cap(s.out) < most { // +8: huff's flush slack
+		s.out = make([]byte, 0, most)
+	}
+	s.out = append(s.out[:0], header...)
 	for p := 0; p < width; p++ {
-		var hist [256]uint32
-		for i, u := range s.words {
-			v := byte(u >> (8 * p))
-			plane[i] = v
-			hist[v]++
+		plane, hist := s.planes[p*n:(p+1)*n], &s.hist[p]
+		var top uint32
+		var squares float64
+		for _, c := range hist {
+			top = max(top, c)
+			squares += float64(c) * float64(c)
 		}
-		if hist[plane[0]] == uint32(len(plane)) {
+		if int(top) == n {
 			s.out = append(s.out, modeConst, plane[0])
 			continue
 		}
-		var info float64 // Σ c·log2(n/c) bits
-		for _, c := range hist {
-			if c != 0 {
-				info += float64(c) * math.Log2(n/float64(c))
-			}
-		}
-		if 17*info < 16*8*n {
-			if err := deflate(&s.hw, flate.HuffmanOnly, &s.huff, plane); err != nil {
-				return Blob{}, err
-			}
-			body := s.huff
-			if info < 2*n {
-				if err := deflate(&s.fw, flate.BestSpeed, &s.fast, plane); err != nil {
+		if 185*squares > float64(n)*float64(n) { // Σp² > 2^(−8·16/17)
+			mode, size := byte(modeHuff), s.huff.build(hist)
+			if 2*int(top) > n && 2*information(hist, n) < float64(n) {
+				if err := s.deflate(plane); err != nil {
 					return Blob{}, err
 				}
-				if len(s.fast) < len(body) {
-					body = s.fast
+				if len(s.fast) < size {
+					mode, size = modeDeflate, len(s.fast)
 				}
 			}
-			var size [binary.MaxVarintLen64]byte
-			if k := binary.PutUvarint(size[:], uint64(len(body))); k+len(body) < len(plane) {
-				s.out = append(append(append(s.out, modeDeflate), size[:k]...), body...)
+			var prefix [binary.MaxVarintLen64]byte
+			if k := binary.PutUvarint(prefix[:], uint64(size)); k+size < n {
+				s.out = append(append(s.out, mode), prefix[:k]...)
+				if mode == modeDeflate {
+					s.out = append(s.out, s.fast...)
+				} else {
+					at := len(s.out)
+					s.huff.encode(s.out[at:at+size+8], plane)
+					s.out = s.out[:at+size]
+				}
 				continue
 			}
 		}
 		s.out = append(append(s.out, modeStored), plane...)
 	}
-	return Blob{Scheme: scheme, Baseline: baseID, Count: len(s.words), Data: append([]byte(nil), s.out...)}, nil
+	return Blob{Scheme: scheme, Baseline: baseID, Count: n, Data: append([]byte(nil), s.out...)}, nil
 }
 
-// deflate compresses plane into dst through the pooled writer *w, created at
-// the given level on first use.
-func deflate(w **flate.Writer, level int, dst *appendWriter, plane []byte) (err error) {
-	*dst = (*dst)[:0]
-	if *w == nil {
-		if *w, err = flate.NewWriter(nil, level); err != nil {
+// cut transposes s.words into s.planes, plane p at [p·n, (p+1)·n), and counts
+// every plane's bytes into s.hist.
+//
+//machlint:allocfree
+func (s *scratch) cut() {
+	n := len(s.words)
+	b, h := s.planes, &s.hist
+	*h = [8][256]uint32{}
+	p0, p1, p2, p3 := b[:n], b[n:2*n], b[2*n:3*n], b[3*n:4*n]
+	p4, p5, p6, p7 := b[4*n:5*n], b[5*n:6*n], b[6*n:7*n], b[7*n:8*n]
+	for i, u := range s.words {
+		v0, v1, v2, v3 := byte(u), byte(u>>8), byte(u>>16), byte(u>>24)
+		v4, v5, v6, v7 := byte(u>>32), byte(u>>40), byte(u>>48), byte(u>>56)
+		p0[i], p1[i], p2[i], p3[i] = v0, v1, v2, v3
+		p4[i], p5[i], p6[i], p7[i] = v4, v5, v6, v7
+		h[0][v0]++
+		h[1][v1]++
+		h[2][v2]++
+		h[3][v3]++
+		h[4][v4]++
+		h[5][v5]++
+		h[6][v6]++
+		h[7][v7]++
+	}
+}
+
+// information is the order-0 information, in bits, of a plane of n bytes
+// counted in hist: Σ c·log2(n/c).
+func information(hist *[256]uint32, n int) (bits float64) {
+	for _, c := range hist {
+		if c != 0 {
+			bits += float64(c) * math.Log2(float64(n)/float64(c))
+		}
+	}
+	return bits
+}
+
+// deflate compresses plane into s.fast through the pooled BestSpeed writer.
+func (s *scratch) deflate(plane []byte) (err error) {
+	s.fast = s.fast[:0]
+	if s.fw == nil {
+		if s.fw, err = flate.NewWriter(nil, flate.BestSpeed); err != nil {
 			return fmt.Errorf("codec: deflate init: %w", err)
 		}
 	}
-	(*w).Reset(dst)
-	if _, err = (*w).Write(plane); err == nil {
-		err = (*w).Close()
+	s.fw.Reset(&s.fast)
+	if _, err = s.fw.Write(plane); err == nil {
+		err = s.fw.Close()
 	}
 	if err != nil {
 		return fmt.Errorf("codec: deflate: %w", err)
@@ -133,11 +180,14 @@ func deflate(w **flate.Writer, level int, dst *appendWriter, plane []byte) (err 
 	return nil
 }
 
-// unpack parses width planes of n bytes (none when n is 0) out of data into
-// s.words, the inverse of pack. The whole plane directory is validated — known modes, no truncated
-// plane, no trailing bytes — before anything is allocated or inflated, and
-// every DEFLATE stream must yield exactly n bytes and end with its declared
-// length, so hostile input costs at most the 9·n bytes of scratch.
+// unpack parses width planes of n bytes (none when n is 0) out of data, the
+// inverse of pack's plane directory: afterwards s.src[p][:n] is plane p, with
+// the const planes' bytes gathered in s.fixed and s.zero standing in for them.
+// The whole directory is validated — known modes, no truncated plane, a
+// complete length-capped code ahead of every Huffman stream, no trailing
+// bytes — before anything is allocated or decoded, and every coded stream must
+// yield exactly n bytes and end with its declared length, so hostile input
+// costs at most 9·n bytes of scratch.
 //
 //machlint:allocfree
 func (s *scratch) unpack(data []byte, width, n int) error {
@@ -146,6 +196,7 @@ func (s *scratch) unpack(data []byte, width, n int) error {
 	}
 	var modes [8]byte
 	var bodies [8][]byte
+	coded := 0
 	for p := 0; p < width; p++ {
 		if len(data) == 0 {
 			return fmt.Errorf("codec: payload ends before plane %d", p)
@@ -157,12 +208,13 @@ func (s *scratch) unpack(data []byte, width, n int) error {
 		case modeConst:
 		case modeStored:
 			size = uint64(n)
-		case modeDeflate:
+		case modeDeflate, modeHuff:
 			var k int
 			if size, k = binary.Uvarint(data); k <= 0 {
 				return fmt.Errorf("codec: plane %d: bad stream length", p)
 			}
 			data = data[k:]
+			coded++
 		default:
 			return fmt.Errorf("codec: plane %d: unknown mode %d", p, modes[p])
 		}
@@ -170,36 +222,72 @@ func (s *scratch) unpack(data []byte, width, n int) error {
 			return fmt.Errorf("codec: plane %d truncated: %d of %d bytes", p, len(data), size)
 		}
 		bodies[p], data = data[:size], data[size:]
+		if modes[p] == modeHuff {
+			if _, err := s.huff.readLengths(bodies[p]); err != nil {
+				return fmt.Errorf("codec: plane %d: %w", p, err)
+			}
+		}
 	}
 	if len(data) != 0 {
 		return fmt.Errorf("codec: %d trailing payload bytes", len(data))
 	}
 
-	s.words = grow(s.words, n)
-	words := s.words
-	clear(words)
+	s.planes = grow(s.planes, coded*n)
+	s.zero = grow(s.zero, n)
+	s.fixed = 0
+	for p := range s.src {
+		s.src[p] = s.zero
+	}
 	for p := 0; p < width; p++ {
-		src := bodies[p]
 		switch modes[p] {
 		case modeConst:
-			if c := uint64(src[0]) << (8 * p); c != 0 {
-				for i := range words {
-					words[i] |= c
+			s.fixed |= uint64(bodies[p][0]) << (8 * p)
+		case modeStored:
+			s.src[p] = bodies[p]
+		default:
+			coded--
+			s.src[p] = s.planes[coded*n : (coded+1)*n]
+			var err error
+			if modes[p] == modeDeflate {
+				err = s.inflate(s.src[p], bodies[p])
+			} else {
+				var at int // the directory pass checked these lengths; the one coder holds a plane's at a time
+				if at, err = s.huff.readLengths(bodies[p]); err == nil {
+					s.huff.setTable()
+					err = s.huff.decode(s.src[p], bodies[p][at:])
 				}
 			}
-			continue
-		case modeDeflate:
-			s.plane = grow(s.plane, n)
-			if err := s.inflate(s.plane, src); err != nil {
+			if err != nil {
 				return fmt.Errorf("codec: plane %d: %w", p, err)
 			}
-			src = s.plane
-		}
-		for i, v := range src {
-			words[i] |= uint64(v) << (8 * p)
 		}
 	}
 	return nil
+}
+
+// join writes into out the float64s whose bit patterns are the words of the
+// eight unpacked planes XORed with baseline's (nil: none) — the one sweep that
+// undoes cut.
+//
+//machlint:allocfree
+//machlint:noalias out,baseline
+func (s *scratch) join(out, baseline []float64) {
+	n, fixed := len(out), s.fixed
+	p0, p1, p2, p3 := s.src[0][:n], s.src[1][:n], s.src[2][:n], s.src[3][:n]
+	p4, p5, p6, p7 := s.src[4][:n], s.src[5][:n], s.src[6][:n], s.src[7][:n]
+	for i := range out {
+		u := fixed | uint64(p0[i]) | uint64(p1[i])<<8 | uint64(p2[i])<<16 | uint64(p3[i])<<24 |
+			uint64(p4[i])<<32 | uint64(p5[i])<<40 | uint64(p6[i])<<48 | uint64(p7[i])<<56
+		if baseline != nil {
+			u ^= math.Float64bits(baseline[i])
+		}
+		out[i] = math.Float64frombits(u)
+	}
+}
+
+// word32 is the i-th word of the four low unpacked planes.
+func (s *scratch) word32(i int) uint32 {
+	return uint32(s.fixed) | uint32(s.src[0][i]) | uint32(s.src[1][i])<<8 | uint32(s.src[2][i])<<16 | uint32(s.src[3][i])<<24
 }
 
 // inflate decodes, through the pooled reader, one DEFLATE stream that must

@@ -38,6 +38,9 @@ go test -race ./...
 echo "== codec fuzz smoke (FuzzDecode, 10 s from the committed seed corpus)"
 go test -run '^$' -fuzz 'FuzzDecode' -fuzztime 10s ./internal/codec
 
+echo "== codec bench smoke (every BenchmarkCodec / BenchmarkPlaneCoder case still runs, one iteration)"
+go test -run '^$' -bench 'BenchmarkCodec|BenchmarkPlaneCoder' -benchtime 1x ./internal/codec >/dev/null
+
 echo "== streaming-vs-dense bit-identity smoke (StepSource plane, DESIGN.md §12)"
 go test -count=1 -run 'TestRunStreamingMatchesDenseBitIdentical|TestTransitionStatsAreObservationOnly' ./internal/hfl
 go test -count=1 -run 'TestMarkovSourceMatchesMaterializedTwin|TestGeoSourcesMatchMaterializedTwin|TestTraceSourceMatchesBuildSchedule|TestAdvanceWithRangesMatchRescan' ./internal/mobility
