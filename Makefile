@@ -1,5 +1,5 @@
-# Tier-1+ gate: vet + build + machlint + full tests + race detector on the
-# concurrent packages. CI and every PR run this.
+# Tier-1+ gate: vet + build + machlint + full tests + race detector over
+# every package. CI and every PR run this.
 check:
 	./scripts/check.sh
 
@@ -23,13 +23,13 @@ test:
 race:
 	go test -race ./...
 
-# Regenerate the four committed BENCH_*.json files in the repo root: the
-# engine micro-benchmark, the wire-format benchmark (measured bytes per codec
-# scheme on a loopback deployment), the engine at fleet scale (dense/stream
-# mobility × shard sweep up to 1M devices) and the telemetry tier overheads.
-# The scale sweep takes minutes and peaks near 1 GiB.
+# Regenerate the three committed BENCH_*.json files in the repo root: the
+# wire-format benchmark (measured bytes per codec scheme on a loopback
+# deployment), the engine at fleet scale (dense/stream mobility × shard sweep
+# up to 1M devices) and the telemetry tier overheads. The scale sweep takes
+# minutes and peaks near 1 GiB.
 bench-all:
-	for exp in engine comm scale telemetry; do go run ./cmd/machbench -exp $$exp || exit 1; done
+	for exp in comm scale telemetry; do go run ./cmd/machbench -exp $$exp || exit 1; done
 
 bench:
 	go test -bench=. -benchmem ./...

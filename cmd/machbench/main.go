@@ -79,7 +79,7 @@ func main() {
 
 func run() error {
 	var (
-		exp    = flag.String("exp", "fig3", "experiment: fig3 | fig4 | fig5 | table1 | ablations | engine | comm | scale | telemetry | all")
+		exp    = flag.String("exp", "fig3", "experiment: fig3 | fig4 | fig5 | table1 | ablations | comm | scale | telemetry | all")
 		task   = flag.String("task", "", "task: mnist | fmnist | cifar10 (default: all tasks)")
 		scale  = flag.String("scale", "ci", "scale: ci | full")
 		quick  = flag.Bool("quick", false, "use the seconds-scale smoke preset (scale/telemetry experiments only)")
@@ -171,15 +171,9 @@ func run() error {
 		// flags don't apply.
 		return runScale(*outDir, *quick, *shards, profiles)
 	}
-	if *exp == "engine" {
-		// The engine micro-benchmark runs a frozen configuration so its
-		// numbers are comparable across commits; task/scale flags don't
-		// apply.
-		return runEngine(*outDir, profiles)
-	}
 	if *exp == "comm" {
-		// Same deal for the wire-format benchmark: a frozen distributed
-		// deployment measured per codec scheme.
+		// The wire-format benchmark runs a frozen distributed deployment
+		// measured per codec scheme; task/scale flags don't apply.
 		return runComm(*outDir, profiles)
 	}
 	if *exp == "telemetry" {
@@ -411,22 +405,6 @@ func writeBenchJSON(outDir, name string, start time.Time, write func(io.Writer) 
 	}
 	fmt.Printf("\n[done in %v — wrote %s]\n\n", telemetry.WallSince(start).Round(time.Millisecond), path)
 	return nil
-}
-
-// runEngine measures the training engine itself (wall time per step,
-// allocations, devices-trained/sec across worker-pool sizes) and writes
-// BENCH_engine.json.
-func runEngine(outDir string, profiles *bench.ProfileMeta) error {
-	start := telemetry.WallNow()
-	r, err := bench.RunEngineBench(bench.EngineBenchPreset())
-	if err != nil {
-		return err
-	}
-	r.Profiles = profiles
-	if err := bench.RenderEngineBench(os.Stdout, r); err != nil {
-		return err
-	}
-	return writeBenchJSON(outDir, "BENCH_engine.json", start, r.WriteEngineBenchJSON)
 }
 
 // runScale runs hfl.Engine on fleet populations up to 1M devices × 10k edges

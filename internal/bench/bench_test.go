@@ -1,10 +1,12 @@
 package bench
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 
 	"github.com/mach-fl/mach/internal/metrics"
+	"github.com/mach-fl/mach/internal/nn"
 )
 
 // microConfig is small enough for unit tests to run in well under a second.
@@ -76,6 +78,25 @@ func TestTaskPresetsMirrorPaperSetup(t *testing.T) {
 		}
 		if ci.Devices >= full.Devices || ci.Steps >= full.Steps {
 			t.Fatalf("%s: CI preset not smaller than full", task)
+		}
+	}
+}
+
+// TestPresetArchitecturesCompileOnLane32: every preset architecture — each
+// task's MLP and CNN — compiles onto the f32 lane, which has ops for Dense,
+// Conv2D, ReLU, MaxPool and Flatten only.
+func TestPresetArchitecturesCompileOnLane32(t *testing.T) {
+	for _, task := range AllTasks() {
+		for _, model := range []string{"mlp", "cnn"} {
+			cfg := TaskPreset(task, ScaleFull)
+			cfg.Model = model
+			net, err := cfg.Arch()(rand.New(rand.NewSource(1)))
+			if err != nil {
+				t.Fatalf("%s/%s: %v", task, model, err)
+			}
+			if _, err := nn.NewLane32(net, 1); err != nil {
+				t.Errorf("%s/%s: %v", task, model, err)
+			}
 		}
 	}
 }

@@ -354,6 +354,20 @@ func runCodecMicro(cfg Config) ([]CodecMicroRow, error) {
 	return rows, nil
 }
 
+// bestOf runs fn iters times and returns the fastest run's wall time in ns.
+func bestOf(iters int, fn func()) int64 {
+	best := int64(0)
+	for i := 0; i < iters; i++ {
+		start := telemetry.WallNow()
+		fn()
+		d := telemetry.WallSince(start).Nanoseconds()
+		if best == 0 || d < best {
+			best = d
+		}
+	}
+	return best
+}
+
 // WriteCommBenchJSON writes the result as indented JSON.
 func (r *CommBenchResult) WriteCommBenchJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)

@@ -148,82 +148,3 @@ func corruptLabels(rng *rand.Rand, d *Dataset, fraction float64) {
 		}
 	}
 }
-
-// DirichletPartition draws one local dataset per device with label laws
-// sampled from a symmetric Dirichlet(α) distribution — the other standard
-// non-IID partition in the FL literature (Hsu et al., 2019). Small α gives
-// near-one-class devices; large α approaches IID. It complements the paper's
-// long-tailed scheme for sensitivity studies.
-func DirichletPartition(task *Task, devices, samplesPerDevice int, alpha float64, seed int64) ([]*Dataset, error) {
-	if devices <= 0 || samplesPerDevice <= 0 {
-		return nil, fmt.Errorf("dataset: dirichlet partition needs positive devices/samples")
-	}
-	if alpha <= 0 {
-		return nil, fmt.Errorf("dataset: dirichlet alpha %v must be positive", alpha)
-	}
-	rng := rand.New(rand.NewSource(seed))
-	out := make([]*Dataset, devices)
-	for m := range out {
-		law := dirichlet(rng, task.Spec.Classes, alpha)
-		d, err := task.Generate(rng, samplesPerDevice, law)
-		if err != nil {
-			return nil, fmt.Errorf("dataset: dirichlet device %d: %w", m, err)
-		}
-		d.Name = fmt.Sprintf("%s-dir%d", task.Spec.Name, m)
-		out[m] = d
-	}
-	return out, nil
-}
-
-// dirichlet samples a symmetric Dirichlet(α) vector via normalized Gamma
-// draws (Marsaglia-Tsang for α ≥ 1, boosted for α < 1).
-func dirichlet(rng *rand.Rand, k int, alpha float64) []float64 {
-	out := make([]float64, k)
-	total := 0.0
-	for i := range out {
-		out[i] = gammaSample(rng, alpha)
-		total += out[i]
-	}
-	//machlint:allow floateq degenerate-draw guard; only an exact all-zero sample needs the uniform fallback
-	if total == 0 {
-		for i := range out {
-			out[i] = 1 / float64(k)
-		}
-		return out
-	}
-	for i := range out {
-		out[i] /= total
-	}
-	return out
-}
-
-// gammaSample draws from Gamma(shape, 1).
-func gammaSample(rng *rand.Rand, shape float64) float64 {
-	if shape < 1 {
-		// Boost: Gamma(a) = Gamma(a+1)·U^(1/a).
-		u := rng.Float64()
-		//machlint:allow floateq rejection sampling: only the exact zero makes math.Log diverge
-		for u == 0 {
-			u = rng.Float64()
-		}
-		return gammaSample(rng, shape+1) * math.Pow(u, 1/shape)
-	}
-	// Marsaglia-Tsang squeeze method.
-	d := shape - 1.0/3
-	c := 1 / math.Sqrt(9*d)
-	for {
-		x := rng.NormFloat64()
-		v := 1 + c*x
-		if v <= 0 {
-			continue
-		}
-		v = v * v * v
-		u := rng.Float64()
-		if u < 1-0.0331*x*x*x*x {
-			return d * v
-		}
-		if u > 0 && math.Log(u) < 0.5*x*x+d*(1-v+math.Log(v)) {
-			return d * v
-		}
-	}
-}

@@ -2,7 +2,6 @@ package dataset
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -189,81 +188,6 @@ func TestMixDistributionsProperty(t *testing.T) {
 		return math.Abs(sum-1) < 1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestDirichletPartitionShapes(t *testing.T) {
-	task, err := NewTask(MNISTLike(4, 4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	parts, err := DirichletPartition(task, 10, 40, 0.3, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(parts) != 10 {
-		t.Fatalf("%d devices", len(parts))
-	}
-	for m, d := range parts {
-		if d.Len() != 40 {
-			t.Fatalf("device %d has %d samples", m, d.Len())
-		}
-	}
-}
-
-func TestDirichletAlphaControlsHeterogeneity(t *testing.T) {
-	task, err := NewTask(MNISTLike(4, 4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	meanImbalance := func(alpha float64) float64 {
-		parts, err := DirichletPartition(task, 20, 100, alpha, 8)
-		if err != nil {
-			t.Fatal(err)
-		}
-		total := 0.0
-		for _, d := range parts {
-			total += imbalance(d.ClassDistribution())
-		}
-		return total / float64(len(parts))
-	}
-	concentrated := meanImbalance(0.1)
-	spread := meanImbalance(10)
-	if concentrated <= spread*2 {
-		t.Fatalf("alpha=0.1 imbalance %.4f not well above alpha=10 imbalance %.4f", concentrated, spread)
-	}
-}
-
-func TestDirichletPartitionErrors(t *testing.T) {
-	task, err := NewTask(MNISTLike(4, 4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := DirichletPartition(task, 0, 10, 1, 1); err == nil {
-		t.Fatal("expected devices error")
-	}
-	if _, err := DirichletPartition(task, 2, 10, 0, 1); err == nil {
-		t.Fatal("expected alpha error")
-	}
-}
-
-// Property: dirichlet draws are valid distributions for any positive alpha.
-func TestDirichletIsDistributionProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		alpha := 0.05 + rng.Float64()*5
-		p := dirichlet(rng, 2+rng.Intn(8), alpha)
-		sum := 0.0
-		for _, v := range p {
-			if v < 0 || math.IsNaN(v) {
-				return false
-			}
-			sum += v
-		}
-		return math.Abs(sum-1) < 1e-9
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -9,12 +9,12 @@ import "sort"
 // AllChecks covers all of them.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
-		MapRange, GlobalRand, WallTime, FloatEq, ErrDrop, MutexCopy,
-		RandShare, IntoAlias, SelectDet,
+		MapRange, GlobalRand, WallTime, FloatEq, ErrDrop, RandShare,
+		IntoAlias, SelectDet,
 	}
 }
 
-// AllChecks returns every check name the suite knows — the nine AST
+// AllChecks returns every check name the suite knows — the eight AST
 // analyzers plus the build-integrated allocfree check and the whole-tree
 // deadexport check — sorted. This is the set -checks and //machlint:allow
 // directives are validated against.

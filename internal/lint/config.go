@@ -87,8 +87,8 @@ func (c *Config) Keep(names []string) {
 
 // DefaultConfig is the repo's policy, mirroring DESIGN.md §5.5:
 //
-//   - maprange and mutexcopy guard everything, including tests — an
-//     order-dependent accumulation in a test is a flaky test.
+//   - maprange guards everything, including tests — an order-dependent
+//     accumulation in a test is a flaky test.
 //   - globalrand guards the deterministic simulation core. The benchmark
 //     harness and the CLIs legitimately read the wall clock, and tests may
 //     time things, so those are exempt. internal/telemetry is the sanctioned
@@ -114,8 +114,7 @@ func (c *Config) Keep(names []string) {
 //     uses anywhere in the module.
 func DefaultConfig() *Config {
 	return &Config{Rules: map[string]*Rule{
-		"maprange":  {Enabled: true},
-		"mutexcopy": {Enabled: true},
+		"maprange": {Enabled: true},
 		"globalrand": {
 			Enabled:   true,
 			SkipTests: true,

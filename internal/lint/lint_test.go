@@ -121,14 +121,14 @@ func TestCleanPackageExitsZero(t *testing.T) {
 // TestChecksFlag covers -checks subsetting and unknown-check rejection.
 func TestChecksFlag(t *testing.T) {
 	var stdout, stderr bytes.Buffer
-	// Only mutexcopy enabled: the seeded maprange/floateq/... violations
+	// Only maprange enabled: the seeded floateq/errdrop/... violations
 	// must not be reported.
-	code := Main(".", []string{"-checks", "mutexcopy", "./testdata/src/seeded"}, &stdout, &stderr)
+	code := Main(".", []string{"-checks", "maprange", "./testdata/src/seeded"}, &stdout, &stderr)
 	if code != 1 {
 		t.Fatalf("Main = %d, want 1", code)
 	}
-	if strings.Contains(stdout.String(), "maprange") {
-		t.Errorf("-checks mutexcopy still reported maprange:\n%s", stdout.String())
+	if strings.Contains(stdout.String(), "floateq") {
+		t.Errorf("-checks maprange still reported floateq:\n%s", stdout.String())
 	}
 	if code := Main(".", []string{"-checks", "nosuch"}, &stdout, &stderr); code != 2 {
 		t.Fatalf("unknown check: Main = %d, want 2", code)
@@ -178,7 +178,7 @@ func f() {
 	_ = 1 //machlint:allow floateq,errdrop zero is a sentinel here
 	//machlint:allow maprange
 	_ = 2
-	/* machlint:allow mutexcopy block comments work too */
+	/* machlint:allow maprange block comments work too */
 	_ = 3
 }
 `

@@ -6,18 +6,12 @@ package seeded
 
 import (
 	"math/rand"
-	"sync"
 	"time"
 )
 
-type guarded struct {
-	mu sync.Mutex
-	n  int
-}
-
 func mayFail() error { return nil }
 
-func violations(m map[string]float64, g guarded) float64 { // mutexcopy
+func violations(m map[string]float64) float64 {
 	total := 0.0
 	for _, v := range m { // maprange
 		total += v
@@ -27,7 +21,7 @@ func violations(m map[string]float64, g guarded) float64 { // mutexcopy
 	}
 	mayFail()                                 // errdrop
 	total += float64(time.Now().Nanosecond()) // walltime
-	return total + float64(g.n)
+	return total
 }
 
 func moreViolations() int {

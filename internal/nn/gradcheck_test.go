@@ -8,14 +8,20 @@ import (
 	"github.com/mach-fl/mach/internal/tensor"
 )
 
+// lossAndGrad is SoftmaxCrossEntropyInto with a fresh gradient tensor.
+func lossAndGrad(logits *tensor.Tensor, labels []int) (float64, *tensor.Tensor) {
+	grad := tensor.New(logits.Dim(0), logits.Dim(1))
+	return SoftmaxCrossEntropyInto(logits, labels, grad), grad
+}
+
 // numericalGrad estimates d(loss)/d(param[i]) with central differences.
 func numericalGrad(net *Network, x *tensor.Tensor, labels []int, p *Param, i int) float64 {
 	const h = 1e-5
 	orig := p.Value.Data()[i]
 	p.Value.Data()[i] = orig + h
-	lossPlus, _ := SoftmaxCrossEntropy(net.Forward(x, false), labels)
+	lossPlus, _ := lossAndGrad(net.Forward(x, false), labels)
 	p.Value.Data()[i] = orig - h
-	lossMinus, _ := SoftmaxCrossEntropy(net.Forward(x, false), labels)
+	lossMinus, _ := lossAndGrad(net.Forward(x, false), labels)
 	p.Value.Data()[i] = orig
 	return (lossPlus - lossMinus) / (2 * h)
 }
@@ -26,7 +32,7 @@ func checkGradients(t *testing.T, net *Network, x *tensor.Tensor, labels []int, 
 	t.Helper()
 	net.ZeroGrad()
 	logits := net.Forward(x, true)
-	_, grad := SoftmaxCrossEntropy(logits, labels)
+	_, grad := lossAndGrad(logits, labels)
 	net.Backward(grad)
 	for _, p := range net.Params() {
 		n := p.Value.Len()
@@ -110,7 +116,7 @@ func TestFullCNNGradients(t *testing.T) {
 func TestSoftmaxCrossEntropyKnownValues(t *testing.T) {
 	// Uniform logits over C classes → loss = ln C, grad rows sum to 0.
 	logits := tensor.New(2, 4)
-	loss, grad := SoftmaxCrossEntropy(logits, []int{0, 3})
+	loss, grad := lossAndGrad(logits, []int{0, 3})
 	if math.Abs(loss-math.Log(4)) > 1e-12 {
 		t.Fatalf("uniform-logit loss = %v, want ln 4 = %v", loss, math.Log(4))
 	}
@@ -128,7 +134,7 @@ func TestSoftmaxCrossEntropyKnownValues(t *testing.T) {
 func TestSoftmaxCrossEntropyStability(t *testing.T) {
 	// Huge logits must not overflow to NaN/Inf.
 	logits := tensor.FromSlice([]float64{1e4, -1e4, 0, 1e4}, 1, 4)
-	loss, grad := SoftmaxCrossEntropy(logits, []int{1})
+	loss, grad := lossAndGrad(logits, []int{1})
 	if math.IsNaN(loss) || math.IsInf(loss, 0) {
 		t.Fatalf("loss not finite: %v", loss)
 	}
@@ -139,13 +145,19 @@ func TestSoftmaxCrossEntropyStability(t *testing.T) {
 	}
 }
 
+// TestSoftmaxRowsAreDistributions reads the softmax back out of the loss
+// gradient, B·grad + onehot(labels), and checks every row is a distribution.
 func TestSoftmaxRowsAreDistributions(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	p := Softmax(tensor.Randn(rng, 3, 5, 7))
+	labels := []int{0, 6, 3, 3, 1}
+	_, grad := lossAndGrad(tensor.Randn(rng, 3, 5, 7), labels)
 	for i := 0; i < 5; i++ {
 		sum := 0.0
 		for j := 0; j < 7; j++ {
-			v := p.At(i, j)
+			v := 5 * grad.At(i, j)
+			if j == labels[i] {
+				v++
+			}
 			if v < 0 || v > 1 {
 				t.Fatalf("softmax value %v out of [0,1]", v)
 			}
@@ -157,17 +169,21 @@ func TestSoftmaxRowsAreDistributions(t *testing.T) {
 	}
 }
 
+// TestArgmax: evaluation counts a sample correct exactly when its label is
+// the row's largest logit.
 func TestArgmax(t *testing.T) {
 	logits := tensor.FromSlice([]float64{
 		0.1, 0.9, 0.0,
 		2.0, -1.0, 1.0,
 		0.0, 0.0, 5.0,
 	}, 3, 3)
-	want := []int{1, 0, 2}
-	got := Argmax(logits)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Argmax[%d] = %d, want %d", i, got[i], want[i])
+	net := NewNetwork("identity", NewFlatten("flat"))
+	for _, tc := range []struct {
+		labels []int
+		want   int
+	}{{[]int{1, 0, 2}, 3}, {[]int{0, 0, 2}, 2}, {[]int{2, 1, 0}, 0}} {
+		if got, _ := net.EvaluateSums(logits, tc.labels); got != tc.want {
+			t.Fatalf("labels %v: %d correct, want %d", tc.labels, got, tc.want)
 		}
 	}
 }

@@ -24,8 +24,8 @@ import (
 //     arithmetic and the parameter vectors exchanged with edge/cloud
 //     aggregation never accumulate float32 rounding.
 //   - Losses and squared gradient norms are accumulated in float64.
-//   - Everything in between — matmuls, im2col, activations, batch-norm
-//     normalization — is float32, with batch statistics reduced in float64.
+//   - Everything in between — matmuls, im2col, activations, pooling — is
+//     float32.
 //
 // Lane32 is deterministic: given the same loaded params and inputs it
 // produces bit-identical float32 results regardless of how many other slots
@@ -48,9 +48,8 @@ type Lane32 struct {
 	gradA, gradB []float32 // ping-pong gradient buffers, S·B·maxLen each
 
 	// Shared serial scratch (TrainStep never runs ops concurrently).
-	dw, dcols                          []float32
-	statMean, statVar, sumDxh, sumDxhX []float64
-	expRow                             []float64
+	dw, dcols []float32
+	expRow    []float64
 }
 
 type lane32Kind uint8
@@ -60,7 +59,6 @@ const (
 	laneOpConv
 	laneOpReLU
 	laneOpPool
-	laneOpBN
 )
 
 // lane32Op is one compiled layer. Buffer fields are pooled across slots and
@@ -72,7 +70,7 @@ type lane32Op struct {
 
 	inLen, outLen int // per-sample element counts
 
-	wOff, bOff int // flat param offsets (dense/conv: w,b; bn: gamma,beta)
+	wOff, bOff int // flat param offsets of the weights and biases
 	in, out    int // dense dims
 
 	geom   tensor.ConvGeom
@@ -81,20 +79,10 @@ type lane32Op struct {
 
 	w int // pool: input row width
 
-	features int
-	mom, eps float64 // bn hyperparameters copied from the layer
-
 	outBuf []float32
 	inRef  []float32
 	cols   []float32 // conv: cached column matrices, [slot][image][cr·sp]
 	argmax []int32   // pool: flat input index per output element
-	xhat   []float32 // bn: cached normalized activations
-	std    []float64 // bn: per-slot batch std, [slot][features]
-	// bn per-slot running statistics (float64, excluded from the parameter
-	// vector exactly like BatchNorm1D). They live with the slot: callers that
-	// reassign slots across logical devices treat them as ephemeral, the
-	// known federated batch-norm caveat documented on BatchNorm1D.
-	runMean, runVar []float64
 }
 
 // NewLane32 compiles net's layer stack into a float32 executor with the given
@@ -114,7 +102,7 @@ func NewLane32(net *Network, slots int) (*Lane32, error) {
 		}
 		return n
 	}
-	maxDW, maxDcols, maxF := 0, 0, 0
+	maxDW, maxDcols := 0, 0
 	for _, layer := range net.Layers() {
 		lOff := off
 		for _, p := range layer.Params() {
@@ -177,26 +165,6 @@ func NewLane32(net *Network, slots int) (*Lane32, error) {
 				inLen: c * h * w, outLen: c * (h / 2) * (w / 2),
 			})
 			shape = []int{c, h / 2, w / 2}
-		case *BatchNorm1D:
-			if shape == nil || prod() != t.features {
-				return nil, fmt.Errorf("nn: Lane32: %s expects %d features, have %v", t.name, t.features, shape)
-			}
-			op := lane32Op{
-				kind: laneOpBN, name: t.name,
-				features: t.features, mom: t.momentum, eps: t.epsilon,
-				wOff: lOff, bOff: lOff + t.features,
-				inLen: t.features, outLen: t.features,
-				std:     make([]float64, slots*t.features),
-				runMean: make([]float64, slots*t.features),
-				runVar:  make([]float64, slots*t.features),
-			}
-			for i := range op.runVar {
-				op.runVar[i] = 1
-			}
-			l.ops = append(l.ops, op)
-			if t.features > maxF {
-				maxF = t.features
-			}
 		default:
 			return nil, fmt.Errorf("nn: Lane32 does not support layer %T (%s); use the float64 lane", layer, layer.Name())
 		}
@@ -217,10 +185,6 @@ func NewLane32(net *Network, slots int) (*Lane32, error) {
 	}
 	l.dw = make([]float32, maxDW)
 	l.dcols = make([]float32, maxDcols)
-	l.statMean = make([]float64, maxF)
-	l.statVar = make([]float64, maxF)
-	l.sumDxh = make([]float64, maxF)
-	l.sumDxhX = make([]float64, maxF)
 	l.expRow = make([]float64, l.classes)
 	return l, nil
 }
@@ -338,8 +302,6 @@ func (l *Lane32) ensure(batch int) {
 			op.cols = grow32(op.cols, S*batch*op.cr*op.sp)
 		case laneOpPool:
 			op.argmax = growI32(op.argmax, S*batch*op.outLen)
-		case laneOpBN:
-			op.xhat = grow32(op.xhat, S*batch*op.features)
 		}
 		if op.inLen > maxLen {
 			maxLen = op.inLen
@@ -386,8 +348,6 @@ func (l *Lane32) forwardOp(op *lane32Op, s, batch int) {
 		// The slot's batch·c planes are one stack of rows: h is even, so row
 		// pairs never straddle two planes.
 		tensor.MaxPool2x2(out, op.argmax[s*batch*op.outLen:(s+1)*batch*op.outLen], in, op.w)
-	case laneOpBN:
-		l.forwardBN(op, s, batch, in, out)
 	}
 }
 
@@ -437,87 +397,6 @@ func (l *Lane32) backwardOp(op *lane32Op, s, batch int, goutBuf, ginBuf []float3
 		clear(gin)
 		for i, v := range gout {
 			gin[am[i]] += v
-		}
-	case laneOpBN:
-		l.backwardBN(op, s, batch, gout, gin)
-	}
-}
-
-// forwardBN normalizes in float32 with float64 batch statistics — the same
-// accumulation-boundary rule as the loss: reductions over the batch are f64.
-func (l *Lane32) forwardBN(op *lane32Op, s, batch int, in, out []float32) {
-	f := op.features
-	mean, vari := l.statMean[:f], l.statVar[:f]
-	for j := range mean {
-		mean[j], vari[j] = 0, 0
-	}
-	for i := 0; i < batch; i++ {
-		row := in[i*f : (i+1)*f]
-		for j, v := range row {
-			mean[j] += float64(v)
-		}
-	}
-	inv := 1.0 / float64(batch)
-	for j := range mean {
-		mean[j] *= inv
-	}
-	for i := 0; i < batch; i++ {
-		row := in[i*f : (i+1)*f]
-		for j, v := range row {
-			d := float64(v) - mean[j]
-			vari[j] += d * d
-		}
-	}
-	for j := range vari {
-		vari[j] *= inv
-	}
-	std := op.std[s*f : (s+1)*f]
-	rm := op.runMean[s*f : (s+1)*f]
-	rv := op.runVar[s*f : (s+1)*f]
-	for j := 0; j < f; j++ {
-		std[j] = math.Sqrt(vari[j] + op.eps)
-		rm[j] = op.mom*rm[j] + (1-op.mom)*mean[j]
-		rv[j] = op.mom*rv[j] + (1-op.mom)*vari[j]
-	}
-	g := l.params[s][op.wOff : op.wOff+f]
-	bt := l.params[s][op.bOff : op.bOff+f]
-	xh := op.xhat[s*batch*f : (s+1)*batch*f]
-	for i := 0; i < batch; i++ {
-		for j := 0; j < f; j++ {
-			v := float32((float64(in[i*f+j]) - mean[j]) / std[j])
-			xh[i*f+j] = v
-			out[i*f+j] = g[j]*v + bt[j]
-		}
-	}
-}
-
-func (l *Lane32) backwardBN(op *lane32Op, s, batch int, gout, gin []float32) {
-	f := op.features
-	n := float64(batch)
-	xh := op.xhat[s*batch*f : (s+1)*batch*f]
-	g := l.params[s][op.wOff : op.wOff+f]
-	gGrad := l.grads[s][op.wOff : op.wOff+f]
-	bGrad := l.grads[s][op.bOff : op.bOff+f]
-	std := op.std[s*f : (s+1)*f]
-	sd, sdx := l.sumDxh[:f], l.sumDxhX[:f]
-	for j := range sd {
-		sd[j], sdx[j] = 0, 0
-	}
-	for i := 0; i < batch; i++ {
-		for j := 0; j < f; j++ {
-			dy := float64(gout[i*f+j])
-			x := float64(xh[i*f+j])
-			gGrad[j] += float32(dy * x)
-			bGrad[j] += float32(dy)
-			dxh := dy * float64(g[j])
-			sd[j] += dxh
-			sdx[j] += dxh * x
-		}
-	}
-	for i := 0; i < batch; i++ {
-		for j := 0; j < f; j++ {
-			dxh := float64(gout[i*f+j]) * float64(g[j])
-			gin[i*f+j] = float32((n*dxh - sd[j] - float64(xh[i*f+j])*sdx[j]) / (n * std[j]))
 		}
 	}
 }

@@ -103,37 +103,6 @@ func TestLane32TracksF64CNN(t *testing.T) {
 	}
 }
 
-// TestLane32TracksF64BatchNorm covers the batch-norm op (f64 statistics,
-// f32 normalize) against the reference layer.
-func TestLane32TracksF64BatchNorm(t *testing.T) {
-	rng := rand.New(rand.NewSource(15))
-	net := NewNetwork("lane-bn",
-		NewDense("fc1", 12, 6, rng),
-		NewBatchNorm1D("bn", 6),
-		NewReLU("r"),
-		NewDense("fc2", 6, 10, rng),
-	)
-	lane, err := NewLane32(net, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := lane.LoadParams(0, net.ParamVector()); err != nil {
-		t.Fatal(err)
-	}
-	opt := NewSGD(0.05)
-	losses, norms := make([]float64, 1), make([]float64, 1)
-	batchRng := rand.New(rand.NewSource(16))
-	for step := 0; step < 10; step++ {
-		x, flat, labels := laneTestBatch(batchRng, 6, 12)
-		loss64, _ := net.TrainStep(x, labels, opt)
-		lane.SetInput(0, 6, flat)
-		lane.TrainStep(1, 6, [][]int{labels}, 0.05, losses, norms)
-		if math.Abs(losses[0]-loss64) > 1e-4*(1+math.Abs(loss64)) {
-			t.Fatalf("step %d: f32 loss %v vs f64 loss %v", step, losses[0], loss64)
-		}
-	}
-}
-
 // TestLane32GradCheck verifies the f32 lane's analytic gradients against
 // central differences on the float64 master weights, with the looser
 // tolerance float32 arithmetic warrants.

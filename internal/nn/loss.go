@@ -7,34 +7,23 @@ import (
 	"github.com/mach-fl/mach/internal/tensor"
 )
 
-// SoftmaxCrossEntropy computes the mean cross-entropy loss of logits
-// [B, classes] against integer labels, together with the gradient of the
-// loss w.r.t. the logits (softmax(logits) − onehot(labels)) / B. The softmax
-// is computed with the usual max-subtraction for numerical stability.
-func SoftmaxCrossEntropy(logits *tensor.Tensor, labels []int) (loss float64, grad *tensor.Tensor) {
-	if logits.Rank() != 2 {
-		panic(fmt.Sprintf("nn: SoftmaxCrossEntropy expects [B, classes], got %v", logits.Shape()))
-	}
-	grad = tensor.New(logits.Dim(0), logits.Dim(1))
-	loss = SoftmaxCrossEntropyInto(logits, labels, grad)
-	return loss, grad
-}
-
-// SoftmaxCrossEntropyInto is SoftmaxCrossEntropy writing the gradient into a
+// SoftmaxCrossEntropyInto computes the mean cross-entropy loss of logits
+// [B, classes] against integer labels and writes the gradient of the loss
+// w.r.t. the logits, (softmax(logits) − onehot(labels)) / B, into a
 // caller-owned [B, classes] tensor (fully overwritten), so the training hot
-// path can reuse one gradient buffer across steps. The arithmetic is
-// identical to the allocating form.
+// path can reuse one gradient buffer across steps. The softmax is computed
+// with the usual max-subtraction for numerical stability.
 //
 //machlint:noalias logits,grad
 //
 //machlint:allocfree
 func SoftmaxCrossEntropyInto(logits *tensor.Tensor, labels []int, grad *tensor.Tensor) (loss float64) {
 	if logits.Rank() != 2 {
-		panic(fmt.Sprintf("nn: SoftmaxCrossEntropy expects [B, classes], got %v", logits.Shape()))
+		panic(fmt.Sprintf("nn: SoftmaxCrossEntropyInto expects [B, classes], got %v", logits.Shape()))
 	}
 	batch, classes := logits.Dim(0), logits.Dim(1)
 	if len(labels) != batch {
-		panic(fmt.Sprintf("nn: SoftmaxCrossEntropy got %d labels for batch %d", len(labels), batch))
+		panic(fmt.Sprintf("nn: SoftmaxCrossEntropyInto got %d labels for batch %d", len(labels), batch))
 	}
 	if grad.Rank() != 2 || grad.Dim(0) != batch || grad.Dim(1) != classes {
 		panic(fmt.Sprintf("nn: SoftmaxCrossEntropyInto grad shape %v, want [%d, %d]", grad.Shape(), batch, classes))
@@ -73,8 +62,8 @@ func SoftmaxCrossEntropyInto(logits *tensor.Tensor, labels []int, grad *tensor.T
 // CrossEntropyLossSum returns the *sum* of per-sample cross-entropy losses
 // of logits [B, classes] against labels, without materializing a gradient.
 // Per-sample terms are accumulated in row order with the same arithmetic as
-// SoftmaxCrossEntropy, so sum/batch equals that function's mean loss for the
-// same rows. Evaluation shards use it so a shard-ordered reduction over
+// SoftmaxCrossEntropyInto, so sum/batch equals that function's mean loss for
+// the same rows. Evaluation shards use it so a shard-ordered reduction over
 // (correct, lossSum) pairs is exact and allocation-free.
 func CrossEntropyLossSum(logits *tensor.Tensor, labels []int) float64 {
 	if logits.Rank() != 2 {
@@ -106,52 +95,4 @@ func CrossEntropyLossSum(logits *tensor.Tensor, labels []int) float64 {
 		sum += -math.Log(math.Max(p, 1e-300))
 	}
 	return sum
-}
-
-// Softmax returns the row-wise softmax probabilities of logits [B, classes].
-func Softmax(logits *tensor.Tensor) *tensor.Tensor {
-	if logits.Rank() != 2 {
-		panic(fmt.Sprintf("nn: Softmax expects [B, classes], got %v", logits.Shape()))
-	}
-	batch, classes := logits.Dim(0), logits.Dim(1)
-	out := logits.Clone()
-	od := out.Data()
-	for i := 0; i < batch; i++ {
-		row := od[i*classes : (i+1)*classes]
-		maxv := row[0]
-		for _, v := range row[1:] {
-			if v > maxv {
-				maxv = v
-			}
-		}
-		sum := 0.0
-		for j, v := range row {
-			e := math.Exp(v - maxv)
-			row[j] = e
-			sum += e
-		}
-		for j := range row {
-			row[j] /= sum
-		}
-	}
-	return out
-}
-
-// Argmax returns the index of the largest logit in each row of a
-// [B, classes] tensor.
-func Argmax(logits *tensor.Tensor) []int {
-	batch, classes := logits.Dim(0), logits.Dim(1)
-	out := make([]int, batch)
-	ld := logits.Data()
-	for i := 0; i < batch; i++ {
-		row := ld[i*classes : (i+1)*classes]
-		best := 0
-		for j, v := range row {
-			if v > row[best] {
-				best = j
-			}
-		}
-		out[i] = best
-	}
-	return out
 }

@@ -185,7 +185,7 @@ func (n *Network) TrainStep(x *tensor.Tensor, labels []int, opt Optimizer) (loss
 func (n *Network) Evaluate(x *tensor.Tensor, labels []int) (accuracy, loss float64) {
 	correct, lossSum := n.EvaluateSums(x, labels)
 	// Mean via multiplication by 1/B to keep the value bit-identical to the
-	// historical SoftmaxCrossEntropy mean (which scaled by invB).
+	// SoftmaxCrossEntropyInto mean (which scales by invB).
 	return float64(correct) / float64(len(labels)), lossSum * (1.0 / float64(len(labels)))
 }
 

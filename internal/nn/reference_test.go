@@ -265,7 +265,7 @@ func TestTrainStepSkipsOnlyTheUnreadInputGradient(t *testing.T) {
 	labels := []int{1, 0, 7, 3}
 
 	full.ZeroGrad()
-	_, grad := SoftmaxCrossEntropy(full.Forward(x, true), labels)
+	_, grad := lossAndGrad(full.Forward(x, true), labels)
 	dx := full.Backward(grad)
 	if dx == nil || !shapeEqual(dx.Shape(), x.Shape()) {
 		t.Fatalf("Backward returned input gradient %v, want shape %v", dx, x.Shape())

@@ -2,44 +2,23 @@ package telemetry
 
 import (
 	"encoding/json"
-	"expvar"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
 	"net/http/pprof"
 	rtdebug "runtime/debug"
-	"sync"
 	"sync/atomic"
 )
 
-// expvarTel is the telemetry sink published under the "mach" expvar. The
-// expvar registry panics on duplicate names, so the variable is published
-// once and reads through this pointer — the most recently started debug
-// server's sink wins.
-var (
-	expvarTel  atomic.Pointer[Telemetry]
-	expvarOnce sync.Once
-)
-
-func publishExpvar() {
-	expvarOnce.Do(func() {
-		expvar.Publish("mach", expvar.Func(func() any {
-			return expvarTel.Load().Snapshot() // Snapshot is nil-safe
-		}))
-	})
-}
-
-// DebugServer is the process's observability HTTP endpoint: the standard
-// expvar dump at /debug/vars (with the telemetry snapshot published as the
-// "mach" variable), the full pprof suite at /debug/pprof/, the telemetry
-// snapshot alone at /debug/telemetry, the retained span ring at
-// /debug/spans, the module's build identity at /debug/buildinfo, the
-// Prometheus text exposition at /metrics, and the /healthz + /readyz
-// probes. /healthz answers 200 whenever the process can serve HTTP at
-// all; /readyz answers 503 until the host program calls SetReady(true) —
-// machsim flips it once the engine is constructed, machnode once its RPC
-// listener is up.
+// DebugServer is the process's observability HTTP endpoint: the telemetry
+// snapshot at /debug/telemetry, the full pprof suite at /debug/pprof/, the
+// retained span ring at /debug/spans, the module's build identity at
+// /debug/buildinfo, the Prometheus text exposition at /metrics, and the
+// /healthz + /readyz probes. /healthz answers 200 whenever the process can
+// serve HTTP at all; /readyz answers 503 until the host program calls
+// SetReady(true) — machsim flips it once the engine is constructed,
+// machnode once its RPC listener is up.
 type DebugServer struct {
 	// Addr is the bound address, with any ":0" port resolved.
 	Addr  string
@@ -57,16 +36,12 @@ func (s *DebugServer) SetReady(ready bool) {
 }
 
 // StartDebugServer binds addr and serves the debug endpoints in a
-// background goroutine until Close. t may be nil: pprof, expvar and the
-// health probes still work, and the telemetry surfaces are empty.
+// background goroutine until Close. t may be nil: pprof and the health
+// probes still work, and the telemetry surfaces are empty.
 func StartDebugServer(addr string, t *Telemetry) (*DebugServer, error) {
-	expvarTel.Store(t)
-	publishExpvar()
-
 	s := &DebugServer{}
 
 	mux := http.NewServeMux()
-	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)

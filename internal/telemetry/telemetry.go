@@ -1,7 +1,8 @@
 // Package telemetry is the repo's observability layer: process-wide
 // counters, gauges and fixed-bucket histograms for the training engine's
 // phases, a structured JSONL trace of every sampling decision, and the
-// debug HTTP surface (expvar + pprof) that exposes them.
+// debug HTTP surface (JSON snapshot, Prometheus text, pprof) that exposes
+// them.
 //
 // The package is built so that *disabled* telemetry is free: every method
 // on *Telemetry is safe on a nil receiver and returns immediately, so the

@@ -228,9 +228,6 @@ func TestDebugServer(t *testing.T) {
 	if snap.Counters["steps"] != 9 {
 		t.Fatalf("/debug/telemetry steps = %d, want 9", snap.Counters["steps"])
 	}
-	if body := get("/debug/vars"); !strings.Contains(body, `"mach"`) {
-		t.Fatalf("/debug/vars missing mach variable: %s", body)
-	}
 	if body := get("/debug/pprof/"); !strings.Contains(body, "goroutine") {
 		t.Fatalf("/debug/pprof/ index unexpected: %.120s", body)
 	}

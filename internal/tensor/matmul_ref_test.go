@@ -161,13 +161,13 @@ func TestTiledKernelsBitIdenticalToReferenceOrder(t *testing.T) {
 		// The Into forms run on operands one element off any alignment the
 		// allocator gives (the vector kernels use unaligned loads and stores)
 		// and on a dirty destination.
-		dirty := offsetBy1(Full(math.NaN(), m, n))
+		dirty := offsetBy1(full(math.NaN(), m, n))
 		MatMulInto(dirty, offsetBy1(a), offsetBy1(b))
 		requireSameBits(t, "MatMulInto", dirty, want)
 
 		wantA := refMatMulTransAPIJ(at, b)
 		requireSameBits(t, "MatMulTransA", matMulTransA(at, b), wantA)
-		dirty = offsetBy1(Full(math.NaN(), m, n))
+		dirty = offsetBy1(full(math.NaN(), m, n))
 		MatMulTransAInto(dirty, offsetBy1(at), offsetBy1(b))
 		requireSameBits(t, "MatMulTransAInto", dirty, wantA)
 
@@ -177,7 +177,7 @@ func TestTiledKernelsBitIdenticalToReferenceOrder(t *testing.T) {
 		plantZeros(rng, bt)
 		wantB := refMatMulTransBDot(a, bt)
 		requireSameBits(t, "MatMulTransB", matMulTransB(a, bt), wantB)
-		dirty = offsetBy1(Full(math.NaN(), m, n))
+		dirty = offsetBy1(full(math.NaN(), m, n))
 		MatMulTransBInto(dirty, offsetBy1(a), offsetBy1(bt))
 		requireSameBits(t, "MatMulTransBInto", dirty, wantB)
 	}

@@ -60,15 +60,6 @@ func Windows(data []float64, shape ...int) []*Tensor {
 	return views
 }
 
-// Full returns a tensor with every element set to v.
-func Full(v float64, shape ...int) *Tensor {
-	t := New(shape...)
-	for i := range t.data {
-		t.data[i] = v
-	}
-	return t
-}
-
 // Randn returns a tensor with elements drawn i.i.d. from N(0, std²).
 func Randn(rng *rand.Rand, std float64, shape ...int) *Tensor {
 	t := New(shape...)

@@ -270,7 +270,7 @@ func TestMatMulTransformsAgreeWithExplicitTranspose(t *testing.T) {
 func TestMatMulInto(t *testing.T) {
 	a := FromSlice([]float64{1, 2, 3, 4}, 2, 2)
 	b := FromSlice([]float64{5, 6, 7, 8}, 2, 2)
-	dst := Full(99, 2, 2) // pre-filled garbage must be overwritten
+	dst := full(99, 2, 2) // pre-filled garbage must be overwritten
 	MatMulInto(dst, a, b)
 	want := matMul(a, b)
 	for i := range dst.Data() {
@@ -336,8 +336,15 @@ func TestNormHomogeneityProperty(t *testing.T) {
 	}
 }
 
+// full returns a tensor with every element set to v.
+func full(v float64, shape ...int) *Tensor {
+	t := New(shape...)
+	t.Fill(v)
+	return t
+}
+
 func TestFillApplyAndString(t *testing.T) {
-	x := Full(3, 2, 2)
+	x := full(3, 2, 2)
 	for _, v := range x.Data() {
 		if v != 3 {
 			t.Fatalf("Full value %v", v)
