@@ -196,7 +196,8 @@ func RunCommBench(cfg Config) (*CommBenchResult, error) {
 	var rawHist *metrics.History
 	var rawGlobal []float64
 	var rawPerStep float64
-	// Raw runs first: it is the reference the other rows are compared to.
+	// Raw runs first: every scheme rides the same protocol, and raw's
+	// uncompressed payloads are the reference the other rows are compared to.
 	schemes := []codec.Scheme{codec.SchemeRaw, codec.SchemeDelta, codec.SchemeFloat32, codec.SchemeInt8}
 	for _, scheme := range schemes {
 		// Fresh world per scheme with identical seeds: every run sees the
@@ -241,14 +242,11 @@ func RunCommBench(cfg Config) (*CommBenchResult, error) {
 		}
 		if scheme == codec.SchemeRaw {
 			rawHist, rawGlobal, rawPerStep = hist, global, row.BytesPerStep
-			row.ReductionVsRaw = 1
-			row.BitIdenticalToRaw = true
-		} else {
-			if row.BytesPerStep > 0 {
-				row.ReductionVsRaw = rawPerStep / row.BytesPerStep
-			}
-			row.BitIdenticalToRaw = bitIdentical(rawHist, hist, rawGlobal, global)
 		}
+		if row.BytesPerStep > 0 {
+			row.ReductionVsRaw = rawPerStep / row.BytesPerStep
+		}
+		row.BitIdenticalToRaw = bitIdentical(rawHist, hist, rawGlobal, global)
 		res.Params = len(global)
 		res.Rows = append(res.Rows, row)
 	}

@@ -53,9 +53,9 @@ const (
 	// baseline (all zeros when Blob.Baseline == 0) and packs the result
 	// byte plane by byte plane. Lossless: decodes bit-exactly.
 	SchemeDelta Scheme = iota
-	// SchemeRaw is the legacy wire format — eight little-endian bytes per
-	// parameter, no baseline, no compression. It exists so the measured
-	// cost of the pre-codec protocol stays reproducible.
+	// SchemeRaw is the uncompressed format — eight little-endian bytes per
+	// parameter, no baseline, no compression: the lossless reference the
+	// other schemes' payload bytes are measured against.
 	SchemeRaw
 	// SchemeFloat32 casts each parameter to float32 and delta-encodes the
 	// 32-bit patterns against the float32-cast baseline. Lossy: decoding

@@ -31,9 +31,9 @@ type CloudConfig struct {
 	// Seed is the run's seed; the cloud draws the initial global model from it.
 	Seed int64
 	// Codec selects the wire format for every model transfer of the run
-	// (DESIGN.md §6). The zero value, codec.SchemeDelta, is lossless and
-	// reproduces codec.SchemeRaw's learning trajectory bit for bit while
-	// moving far fewer bytes.
+	// (DESIGN.md §6). The zero value, codec.SchemeDelta, is lossless: it
+	// reproduces the uncompressed raw scheme's learning trajectory bit for
+	// bit while moving far fewer bytes.
 	Codec codec.Scheme
 }
 
@@ -199,7 +199,6 @@ func (c *Cloud) CommStats() (hfl.CommStats, error) {
 func (c *Cloud) Run() (*metrics.History, error) {
 	hist := &metrics.History{}
 	capacity := c.cfg.Participation * float64(c.nDevices) / float64(c.nEdges)
-	raw := c.cfg.Codec == codec.SchemeRaw
 	resetParams := true // first step seeds every edge with the global model
 	edgeParams := make([][]float64, c.nEdges)
 
@@ -213,7 +212,7 @@ func (c *Cloud) Run() (*metrics.History, error) {
 		cloudRound := (t+1)%c.cfg.CloudInterval == 0
 		var blob codec.Blob
 		var blobID uint64
-		if resetParams && !raw {
+		if resetParams {
 			var err error
 			blob, blobID, err = c.encodeGlobal()
 			if err != nil {
@@ -237,17 +236,11 @@ func (c *Cloud) Run() (*metrics.History, error) {
 					Members:   c.memberIndex.Members(n),
 					Capacity:  capacity,
 					Scheme:    c.cfg.Codec,
-					WantModel: cloudRound && !raw,
+					WantModel: cloudRound,
 					Span:      SpanContext{Parent: uint64(telemetry.DeriveSpanID(telemetry.SpanRPCEdgeStep, t, n, -1))},
 				}
 				if resetParams {
-					if raw {
-						args.Params = c.global
-					} else {
-						args.Model = blob
-						args.ModelID = blobID
-						args.HasModel = true
-					}
+					args.Model, args.ModelID, args.HasModel = blob, blobID, true
 					c.transfers.Add(1)
 				}
 				var rep EdgeStepReply
@@ -255,23 +248,12 @@ func (c *Cloud) Run() (*metrics.History, error) {
 				sp := c.tel.StartSpan(telemetry.SpanRPCEdgeStep, stepSpan, t, n, -1)
 				err := c.edges[n].Call("Edge.Step", args, &rep)
 				sp.End()
-				if err != nil {
+				if err != nil || !rep.HasModel {
 					errs[n] = err
 					return
 				}
-				switch {
-				case raw:
-					edgeParams[n] = rep.Params
-					c.transfers.Add(1)
-				case rep.HasModel:
-					params, err := c.decodeEdgeModel(rep.Model)
-					if err != nil {
-						errs[n] = err
-						return
-					}
-					edgeParams[n] = params
-					c.transfers.Add(1)
-				}
+				edgeParams[n], errs[n] = c.decodeEdgeModel(rep.Model)
+				c.transfers.Add(1)
 			}(n)
 		}
 		wg.Wait()

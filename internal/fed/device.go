@@ -13,6 +13,7 @@ import (
 	"github.com/mach-fl/mach/internal/hfl"
 	"github.com/mach-fl/mach/internal/sampling"
 	"github.com/mach-fl/mach/internal/telemetry"
+	"github.com/mach-fl/mach/internal/tensor"
 )
 
 // DeviceServer hosts a set of logical mobile devices: their datasets,
@@ -149,58 +150,6 @@ func (s *DeviceServer) Estimate(args EstimateArgs, reply *EstimateReply) error {
 	return nil
 }
 
-// Train runs local updating (Eq. 4) on one device and records the training
-// experience in the device-side buffer (Algorithm 2, line 1).
-//
-// Concurrent Train calls are safe for distinct devices (each call borrows its
-// own trainer and each device owns its RNG); calls for the same device must
-// be serialized by the caller, which the schedule's partition property (Eq. 1
-// — a device attaches to exactly one edge per step) guarantees in a correct
-// deployment.
-func (s *DeviceServer) Train(args TrainArgs, reply *TrainReply) error {
-	s.tel.Add(telemetry.CounterRPCCalls, 1)
-	sp := s.tel.StartSpan(telemetry.SpanHandleTrain, telemetry.SpanID(args.Span.Parent), args.Step, -1, args.Device)
-	defer sp.End()
-	tr, err := s.borrow(args.Hyper)
-	if err != nil {
-		return err
-	}
-	defer s.trainers.Release(tr)
-	reply.SqNorms = make([]float64, args.Hyper.LocalEpochs)
-	if err := s.localUpdate(tr, args.Device, args.Params, args.Hyper.LearningRate, reply.SqNorms); err != nil {
-		return err
-	}
-	s.book.ObserveMany([]int{args.Device}, [][]float64{reply.SqNorms})
-	reply.Params = tr.ParamsInto(nil)
-	return nil
-}
-
-// borrow takes a trainer for one RPC. The hyperparameters arrive from the
-// wire and size the trainer's buffers, so they are checked first.
-func (s *DeviceServer) borrow(hyper Hyper) (*hfl.Trainer, error) {
-	if hyper.LocalEpochs <= 0 || hyper.BatchSize <= 0 || hyper.LearningRate <= 0 {
-		return nil, fmt.Errorf("fed: invalid hyperparameters %+v", hyper)
-	}
-	return s.trainers.Borrow(hyper.BatchSize), nil
-}
-
-// localUpdate runs Eq. (4) for hosted device id on a borrowed trainer, which
-// holds the trained parameters afterwards; the squared gradient norms land in
-// sqNorms for the caller to record.
-func (s *DeviceServer) localUpdate(tr *hfl.Trainer, id int, base []float64, lr float64, sqNorms []float64) error {
-	s.mu.Lock()
-	dev, ok := s.devices[id]
-	s.mu.Unlock()
-	if !ok {
-		return fmt.Errorf("fed: device %d not hosted here", id)
-	}
-	if err := tr.LocalUpdate(base, dev.data, dev.rng, lr, sqNorms); err != nil {
-		return fmt.Errorf("fed: device %d: %w", id, err)
-	}
-	s.tel.Add(telemetry.CounterDevicesTrained, 1)
-	return nil
-}
-
 // SetBase caches an edge's base model under a baseline ID (DESIGN.md §6).
 // Installing a base replaces every earlier base of that edge, so the cache
 // holds at most one vector per edge between steps.
@@ -252,12 +201,14 @@ func (s *DeviceServer) lookupBase(edge int, id uint64) ([]float64, error) {
 
 // TrainMany runs local updating on every listed device from the cached base
 // named by BaseID and returns the summed update Σ(w_m − base), accumulated
-// in args.Devices order so the edge's aggregation is order-identical to the
-// raw path's. With args.Advance the host instead folds the sum into the
+// in args.Devices order, which fixes the float order of the edge's
+// aggregation. With args.Advance the host instead folds the sum into the
 // next base itself (base + Σ/|Devices|), installs it under NextID and ships
 // no vector at all. Devices train sequentially: they share the host's
 // compute the way one simulator machine emulates a fleet, and cross-host
-// parallelism comes from the edge's concurrent dispatch.
+// parallelism comes from the edge's concurrent dispatch. Concurrent calls
+// (one per edge) touch distinct devices, since a device attaches to exactly
+// one edge per step (Eq. 1), so each device's RNG serves one call at a time.
 func (s *DeviceServer) TrainMany(args TrainManyArgs, reply *TrainManyReply) error {
 	s.tel.Add(telemetry.CounterRPCCalls, 1)
 	sp := s.tel.StartSpan(telemetry.SpanHandleTrainMany, telemetry.SpanID(args.Span.Parent), args.Step, args.Edge, -1)
@@ -265,43 +216,44 @@ func (s *DeviceServer) TrainMany(args TrainManyArgs, reply *TrainManyReply) erro
 	if err := args.Scheme.Validate(); err != nil {
 		return err
 	}
-	if len(args.Devices) == 0 {
-		return fmt.Errorf("fed: TrainMany with no devices")
+	// The hyperparameters arrive from the wire and size the trainer's
+	// buffers, so they are checked before the borrow.
+	hyper := args.Hyper
+	if len(args.Devices) == 0 || hyper.LocalEpochs <= 0 || hyper.BatchSize <= 0 || hyper.LearningRate <= 0 {
+		return fmt.Errorf("fed: TrainMany of %d devices with hyperparameters %+v", len(args.Devices), hyper)
 	}
 	base, err := s.lookupBase(args.Edge, args.BaseID)
 	if err != nil {
 		return err
 	}
-	tr, err := s.borrow(args.Hyper)
-	if err != nil {
-		return err
-	}
+	tr := s.trainers.Borrow(hyper.BatchSize)
 	defer s.trainers.Release(tr)
-	epochs := args.Hyper.LocalEpochs
+	epochs := hyper.LocalEpochs
 	sum := make([]float64, len(base))
 	var trained []float64 // the RPC's one read-out buffer, reused per device
 	norms := make([]float64, len(args.Devices)*epochs)
 	reply.SqNorms = make([][]float64, len(args.Devices))
 	for i, id := range args.Devices {
+		s.mu.Lock()
+		dev, ok := s.devices[id]
+		s.mu.Unlock()
+		if !ok {
+			return fmt.Errorf("fed: device %d not hosted here", id)
+		}
 		reply.SqNorms[i] = norms[i*epochs : (i+1)*epochs]
-		if err := s.localUpdate(tr, id, base, args.Hyper.LearningRate, reply.SqNorms[i]); err != nil {
-			return err
+		if err := tr.LocalUpdate(base, dev.data, dev.rng, hyper.LearningRate, reply.SqNorms[i]); err != nil {
+			return fmt.Errorf("fed: device %d: %w", id, err)
 		}
 		trained = tr.ParamsInto(trained)
-		for j, v := range trained {
-			sum[j] += v - base[j]
-		}
+		tensor.AxpyDiff(sum, 1, trained, base) // sum += trained − base, exactly
 	}
+	s.tel.Add(telemetry.CounterDevicesTrained, int64(len(args.Devices)))
 	// The RPC's experiences go in under one book lock (Algorithm 2, line 1);
 	// a failed RPC, which fails the run, records none.
 	s.book.ObserveMany(args.Devices, reply.SqNorms)
 
 	if args.Advance {
-		inv := 1 / float64(len(args.Devices))
-		next := make([]float64, len(base))
-		for j := range next {
-			next[j] = base[j] + inv*sum[j]
-		}
+		next := nextBase(base, sum, len(args.Devices))
 		s.mu.Lock()
 		bases := s.edgeBases[args.Edge]
 		delete(bases, args.BaseID)

@@ -18,18 +18,17 @@
 //     aggregates edge models every T_g steps (Eq. 6), and redistributes the
 //     global model.
 //
-// # Wire formats
+// # One protocol, four wire formats
 //
-// The cloud's CloudConfig.Codec selects the wire format for every model
-// transfer of the run (DESIGN.md §6). Under codec.SchemeRaw the protocol is
-// the legacy one: full float64 vectors ride in TrainArgs/TrainReply (one
-// pair per sampled device) and in every EdgeStepArgs/EdgeStepReply. Under
-// the codec schemes the vectors move as codec.Blob payloads and three
-// structural optimizations engage:
+// The cloud's CloudConfig.Codec selects the codec.Scheme of every model
+// transfer of the run (DESIGN.md §6): delta (the lossless default), raw
+// (8 B/param, no baseline), float32 or int8. Every scheme rides the same
+// messages — models move as codec.Blob payloads — and the same three
+// structural optimizations:
 //
 //   - baseline caching: Device.SetBase installs an edge's base model on a
 //     host once; Device.TrainMany then names it by ID for all of the host's
-//     sampled devices, eliminating the per-device duplicate upload;
+//     sampled devices;
 //   - host-side update sums: TrainMany returns the single summed update
 //     Σ(w_m − base) of its devices instead of per-device models, and when
 //     one host covers the edge's whole sample it advances the base in place
@@ -39,13 +38,13 @@
 //     the cloud asks (WantModel, at cloud rounds), and the cloud ships the
 //     global as a delta against the previous global it distributed.
 //
-// Both formats compute edge aggregation with the same float operations in
-// the same order (per-host partial sums of w_m − base in sampled order,
-// hosts reduced in sorted-address order, then base + Σ/|sample|), so a run
-// over the lossless delta path reproduces the raw path's evaluation history
-// bit for bit. The deployment produces the same algorithm as the in-process
-// simulator; an integration test trains the same tiny task both ways and
-// checks that the distributed run learns.
+// Edge aggregation is the same float operations in the same order under
+// every scheme (per-host partial sums of w_m − base in sampled order, hosts
+// reduced in sorted-address order, then base + Σ/|sample|), so the lossless
+// schemes, raw and delta, produce bit-identical evaluation histories. The
+// deployment produces the same algorithm as the in-process simulator; an
+// integration test trains the same tiny task both ways and checks that the
+// distributed run learns.
 package fed
 
 import "github.com/mach-fl/mach/internal/codec"
@@ -80,27 +79,9 @@ type EstimateReply struct {
 	Estimates []float64
 }
 
-// TrainArgs asks one logical device to run local updating from the given
-// edge model parameters. It is the legacy (codec.SchemeRaw) training RPC:
-// every sampled device receives its own full copy of the edge base model.
-type TrainArgs struct {
-	Step   int
-	Device int
-	Params []float64
-	Hyper  Hyper
-	Span   SpanContext
-}
-
-// TrainReply returns the updated local model and the squared norms of the
-// local stochastic gradients (the training experience of Algorithm 2).
-type TrainReply struct {
-	Params  []float64
-	SqNorms []float64
-}
-
 // SetBaseArgs installs an edge's base model on a device host under a
-// baseline ID (codec paths only). The blob is baseline-free; later
-// TrainMany calls and codec blobs reference the vector by ID.
+// baseline ID. The blob is baseline-free; later TrainMany calls and codec
+// blobs reference the vector by ID.
 type SetBaseArgs struct {
 	Edge  int
 	ID    uint64
@@ -174,27 +155,23 @@ type EdgeStepArgs struct {
 	Members  []int
 	Capacity float64
 	Scheme   codec.Scheme
-	// Params, when non-nil, resets the edge model first (legacy raw path:
-	// sent by the cloud after each global aggregation).
-	Params []float64
-	// Model/ModelID reset the edge model on the codec paths: the blob is
-	// encoded against the previous global the cloud distributed, and
-	// ModelID names the new global for the edge's reply baseline.
+	// Model/ModelID, when HasModel, reset the edge model first (sent by the
+	// cloud after each global aggregation): the blob is encoded against the
+	// previous global the cloud distributed, and ModelID names the new
+	// global for the edge's reply baseline.
 	Model    codec.Blob
 	ModelID  uint64
 	HasModel bool
 	// WantModel asks the edge to return its model in the reply. The cloud
-	// sets it at cloud rounds; on the raw path the model is always returned.
+	// sets it at cloud rounds.
 	WantModel bool
 	Span      SpanContext
 }
 
 // EdgeStepReply returns how many devices trained, plus the updated edge
-// model — always as Params on the raw path, as Model only when requested
-// on the codec paths (encoded against the global named by the last
+// model when requested (encoded against the global named by the last
 // EdgeStepArgs.ModelID).
 type EdgeStepReply struct {
-	Params   []float64
 	Model    codec.Blob
 	HasModel bool
 	Sampled  int

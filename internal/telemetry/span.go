@@ -39,14 +39,12 @@ const (
 	SpanShardCmd
 	SpanRPCEdgeStep
 	SpanRPCTrainMany
-	SpanRPCTrain
 	SpanRPCSetBase
 	SpanRPCGetBase
 	SpanRPCEstimate
 	SpanRPCCloudRound
 	SpanHandleEdgeStep
 	SpanHandleTrainMany
-	SpanHandleTrain
 	SpanHandleSetBase
 	SpanHandleGetBase
 	SpanHandleEstimate
@@ -66,14 +64,12 @@ var spanKindNames = [spanKindCount]string{
 	"shard_cmd",
 	"rpc_edge_step",
 	"rpc_train_many",
-	"rpc_train",
 	"rpc_set_base",
 	"rpc_get_base",
 	"rpc_estimate",
 	"rpc_cloud_round",
 	"handle_edge_step",
 	"handle_train_many",
-	"handle_train",
 	"handle_set_base",
 	"handle_get_base",
 	"handle_estimate",

@@ -1,8 +1,8 @@
 #!/usr/bin/env sh
 # check.sh — the repo's tier-1+ gate: vet, build, machlint, the full test
 # suite (default, -tags purego on the kernel packages, and -race over
-# ./...), the codec fuzz and bench smokes and the observability smoke. Run
-# via `make check` or directly. Every PR must pass.
+# ./...), the codec fuzz and bench smokes, the observability smoke and the
+# distributed smoke. Run via `make check` or directly. Every PR must pass.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -66,5 +66,43 @@ wait "$obs_pid" || { echo "check: machsim -debug-addr run failed" >&2; cat "$obs
 # The final snapshot must diff cleanly against itself (machtop diff exit 0).
 "$obs_tmp/machtop" diff "$obs_tmp/snap.json" "$obs_tmp/snap.json" >/dev/null
 rm -rf "$obs_tmp"
+
+echo "== distributed smoke (2 device hosts, 2 edges, a cloud: separate machnode processes; -codec raw ≡ -codec delta)"
+fed_tmp=$(mktemp -d)
+go build -o "$fed_tmp/machnode" ./cmd/machnode
+fed_pids=""
+trap 'kill $fed_pids 2>/dev/null || true' EXIT
+# fed_addr waits for a node's "… on <addr>" line and prints the address.
+fed_addr() {
+	for _ in $(seq 1 200); do
+		a=$(sed -n 's/^machnode: .* on \(127\.0\.0\.1:[0-9]*\)$/\1/p' "$1")
+		[ -n "$a" ] && { echo "$a"; return 0; }
+		sleep 0.05
+	done
+	echo "check: machnode never listened: $1" >&2; cat "$1" >&2; return 1
+}
+for scheme in raw delta; do
+	hosts="" edges="" fed_pids=""
+	for h in 0 1; do
+		"$fed_tmp/machnode" -role device -steps 10 -host-index $h -num-hosts 2 >"$fed_tmp/host$h.log" 2>&1 &
+		fed_pids="$fed_pids $!"
+	done
+	for h in 0 1; do hosts="$hosts${hosts:+,}$(fed_addr "$fed_tmp/host$h.log")"; done
+	for n in 0 1; do
+		"$fed_tmp/machnode" -role edge -steps 10 -edge-index $n -device-hosts "$hosts" >"$fed_tmp/edge$n.log" 2>&1 &
+		fed_pids="$fed_pids $!"
+	done
+	for n in 0 1; do edges="$edges${edges:+,}$(fed_addr "$fed_tmp/edge$n.log")"; done
+	"$fed_tmp/machnode" -role cloud -steps 10 -codec $scheme -edge-addrs "$edges" -device-hosts "$hosts" \
+		>"$fed_tmp/$scheme.csv" 2>"$fed_tmp/cloud.log" \
+		|| { echo "check: machnode cloud -codec $scheme failed" >&2; cat "$fed_tmp"/*.log >&2; exit 1; }
+	kill $fed_pids
+	wait $fed_pids 2>/dev/null || true
+done
+trap - EXIT
+[ -s "$fed_tmp/raw.csv" ] && cmp "$fed_tmp/raw.csv" "$fed_tmp/delta.csv" \
+	|| { echo "check: machnode -codec raw and -codec delta histories differ" >&2; exit 1; }
+echo "   $(($(wc -l <"$fed_tmp/raw.csv") - 1)) evaluations, byte-identical under raw and delta"
+rm -rf "$fed_tmp"
 
 echo "check: OK"
