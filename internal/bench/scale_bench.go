@@ -38,7 +38,7 @@ type ScaleCell struct {
 // shares one 4-sample dataset and a sampled device trains a 50-parameter MLP
 // for one single-sample SGD step — so a row is dominated by what grows with
 // the population (mobility advance, per-edge decide, experience updating,
-// edge aggregation, the shard actors) and not by the math kernels.
+// edge aggregation, the shard fan-out) and not by the math kernels.
 type ScaleConfig struct {
 	// Cells are the (devices, edges) shapes measured; each gets one row per
 	// mobility plane (dense, stream) and shard count.
@@ -60,8 +60,7 @@ type ScaleConfig struct {
 	Workers int   `json:"workers"`
 	Seed    int64 `json:"seed"`
 	// Shards is the hfl.Config.Shards sweep (empty = one shard). The engine
-	// clamps a count to its cloud-reduce group count, min(edges, 64); rows
-	// record the effective value.
+	// clamps a count to its edge count; rows record the effective value.
 	Shards []int `json:"shards,omitempty"`
 }
 
@@ -150,7 +149,7 @@ type ScaleBenchRow struct {
 	// a GC'd HeapAlloc delta bracketing schedule/source construction. Dense
 	// rows grow with Steps×Devices; streaming rows stay O(Devices).
 	MobilityResidentBytes int64 `json:"mobility_resident_bytes"`
-	// Shards is the effective shard-actor count of the run.
+	// Shards is the effective shard count of the run.
 	Shards        int `json:"shards"`
 	StepsMeasured int `json:"steps_measured"`
 	// NsPerStep is the mean of the engine's step_ns histogram over the

@@ -15,6 +15,7 @@ import (
 	"github.com/mach-fl/mach/internal/mobility"
 	"github.com/mach-fl/mach/internal/nn"
 	"github.com/mach-fl/mach/internal/telemetry"
+	"github.com/mach-fl/mach/internal/tensor"
 )
 
 // CloudConfig parameterizes the coordinator.
@@ -381,8 +382,10 @@ func (c *Cloud) advanceMobility(t int) error {
 	return nil
 }
 
-// aggregate merges edge models with the member-count weights of Eq. (6). Run
-// has already positioned the member index at t by the time it aggregates.
+// aggregate merges edge models with the member-count weights of Eq. (6),
+// folded with tensor.Axpy in edge order and skipping edges without members —
+// the operations of hfl.Engine's cloud round. Run has already positioned the
+// member index at t by the time it aggregates.
 func (c *Cloud) aggregate(t int, edgeParams [][]float64) {
 	total := 0
 	counts := make([]int, c.nEdges)
@@ -392,12 +395,8 @@ func (c *Cloud) aggregate(t int, edgeParams [][]float64) {
 	}
 	next := make([]float64, len(c.global))
 	for n, params := range edgeParams {
-		if counts[n] == 0 || params == nil {
-			continue
-		}
-		w := float64(counts[n]) / float64(total)
-		for j, v := range params {
-			next[j] += w * v
+		if counts[n] > 0 && params != nil {
+			tensor.Axpy(next, float64(counts[n])/float64(total), params)
 		}
 	}
 	c.global = next

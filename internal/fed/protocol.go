@@ -42,9 +42,9 @@
 // every scheme (per-host partial sums of w_m − base in sampled order, hosts
 // reduced in sorted-address order, then base + Σ/|sample|), so the lossless
 // schemes, raw and delta, produce bit-identical evaluation histories. The
-// deployment produces the same algorithm as the in-process simulator; an
-// integration test trains the same tiny task both ways and checks that the
-// distributed run learns.
+// cloud folds Eq. (6) with hfl.Engine's operations in its edge order; edge
+// aggregation still differs from the engine's (an unweighted mean here, the
+// configured rule there), so the two stacks agree bit for bit through step 0.
 package fed
 
 import "github.com/mach-fl/mach/internal/codec"

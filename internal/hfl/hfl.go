@@ -20,7 +20,6 @@ import (
 	"io"
 	"math/rand"
 	"runtime"
-	"sync"
 
 	"github.com/mach-fl/mach/internal/dataset"
 	"github.com/mach-fl/mach/internal/det"
@@ -93,15 +92,14 @@ type Config struct {
 	// streams and gradients are unchanged — fused results are bit-identical
 	// to unfused within the same lane. Default off.
 	FuseBatch bool
-	// Shards partitions the control plane into this many in-process shard
-	// actors (0 = 1), each owning a contiguous range of edges plus that
-	// range's member index, experience-observation buffering and
-	// aggregation scratch (DESIGN.md §11). Shards run decide → execute →
-	// finalize for their edges concurrently; results are bit-identical for
-	// every value, because the cloud reduce folds over a fixed edge
-	// grouping independent of the shard count and every cross-shard merge
-	// happens in edge order at a deterministic barrier. Values above the
-	// reduce-group count (min(edges, 64)) are clamped.
+	// Shards partitions the control plane into this many in-process shards
+	// (0 = 1), each owning a contiguous range of edges plus that range's
+	// member index, experience-observation buffering and aggregation
+	// scratch (DESIGN.md §11). Shards run decide → execute → finalize for
+	// their edges concurrently; results are bit-identical for every value,
+	// because every cross-shard merge and the cloud reduce happen in edge
+	// order after the step's fan-out returns. Values above the edge count
+	// are clamped.
 	Shards int
 }
 
@@ -227,18 +225,9 @@ func (c Config) Validate() error {
 }
 
 // shardCount returns the effective control-plane shard count: Config.Shards
-// (0 = 1) clamped to the cloud-reduce group count, so every shard owns at
-// least one whole group (and therefore at least one edge) and shard ranges
-// stay group-aligned.
-func (c Config) shardCount(groups int) int {
-	s := c.Shards
-	if s < 1 {
-		s = 1
-	}
-	if s > groups {
-		s = groups
-	}
-	return s
+// (0 = 1) clamped to the edge count, so every shard owns at least one edge.
+func (c Config) shardCount(edges int) int {
+	return min(max(c.Shards, 1), edges)
 }
 
 // evalShards is how many shards test-set evaluation splits into. It is a
@@ -315,33 +304,22 @@ type Engine struct {
 
 	// Sharded control plane (DESIGN.md §11): shards[s] owns a contiguous
 	// edge range with its slice of the member index; edgeShard maps each
-	// edge to its owner. The actor goroutines (alive inside Run)
-	// synchronize with the engine exclusively through shardWG barriers;
-	// actorDone tracks goroutine lifetime. groups is the
-	// cloud-reduce group count cloudGroups(Edges) and groupCounts the
-	// per-group member-count sums of the current cloud round.
-	shards      []*shardState
-	edgeShard   []int
-	shardWG     sync.WaitGroup
-	actorDone   sync.WaitGroup
-	groups      int
-	groupCounts []int
+	// edge to its owner.
+	shards    []*shardState
+	edgeShard []int
 
-	// pool executes per-device local updates and evaluation shards while a
-	// Run is active; nil otherwise (standalone evaluation falls back to
-	// transient goroutines).
+	// pool executes per-device local updates while a Run is active; nil
+	// otherwise.
 	pool *parallel.Pool
 
 	// Steady-state scratch. plans[n] and decide[n] are private to edge n's
-	// owning shard while a step command is in flight and to the engine
-	// goroutine between commands.
-	plans       []edgePlan        // per-edge decision-phase output
-	decide      []edgeDecideState // per-edge pooled RNG + context + buffers
-	aggNext     [][]float64       // per-edge aggregation double-buffer
-	cloudNext   []float64         // cloud aggregation double-buffer
-	cloudCounts []int             // per-edge member counts of the cloud round
-	evalIdx     []int             // the test set's sample indices, 0..n-1
-	evalShard   []evalShardState
+	// owning shard during a step and to the Run goroutine between steps.
+	plans     []edgePlan        // per-edge decision-phase output
+	decide    []edgeDecideState // per-edge pooled RNG + context + buffers
+	aggNext   [][]float64       // per-edge aggregation double-buffer
+	cloudNext []float64         // cloud aggregation double-buffer
+	evalIdx   []int             // the test set's sample indices, 0..n-1
+	evalShard []evalShardState
 }
 
 // edgeDecideState is one edge's pooled decision-phase machinery: a reusable
@@ -452,10 +430,7 @@ func New(cfg Config, arch ArchFunc, deviceData []*dataset.Dataset, test *dataset
 	e.plans = make([]edgePlan, nEdges)
 	e.decide = make([]edgeDecideState, nEdges)
 	e.aggNext = make([][]float64, nEdges)
-	e.groups = cloudGroups(nEdges)
-	e.groupCounts = make([]int, e.groups)
-	e.cloudCounts = make([]int, nEdges)
-	shards := cfg.shardCount(e.groups)
+	shards := cfg.shardCount(nEdges)
 	e.shards = make([]*shardState, shards)
 	e.shardMoves = make([][]mobility.Move, shards)
 	e.edgeShard = make([]int, nEdges)

@@ -11,6 +11,7 @@ import (
 	"github.com/mach-fl/mach/internal/mobility"
 	"github.com/mach-fl/mach/internal/nn"
 	"github.com/mach-fl/mach/internal/sampling"
+	"github.com/mach-fl/mach/internal/tensor"
 )
 
 // tinyArch is a small MLP over 4×4 single-channel images, fast enough for
@@ -517,45 +518,55 @@ func TestCommStatsUploadFailuresSplitCounts(t *testing.T) {
 	}
 }
 
-// TestCloudAggregateIsMemberWeightedMean drives Eq. (6) through Run: a step
-// hook overwrites the edge models with known constants just before the first
-// cloud round, and the global model that round's evaluation scores must be
-// their member-count-weighted mean.
+// TestCloudAggregateIsMemberWeightedMean drives Eq. (6) through Run, on three
+// edges and on seventy: a step hook overwrites the edge models with random
+// values just before the first cloud round, and the global model that
+// round's evaluation scores must be Σ_n (|M_n|/|M|)·w_n folded with
+// tensor.Axpy in edge order, bit for bit.
 func TestCloudAggregateIsMemberWeightedMean(t *testing.T) {
-	parts, test, sched := tinySetup(t, 9, 3, 10, 21)
-	eng, err := New(tinyConfig(5, 21), tinyArch, parts, test, sched, sampling.NewUniform())
-	if err != nil {
-		t.Fatal(err)
-	}
-	const step = 4 // the cloud round of CloudInterval 5
-	counts := make([]int, 3)
-	total := 0
-	for n := range counts {
-		counts[n] = len(sched.MembersAt(step, n))
-		total += counts[n]
-	}
-	want := 0.0
-	for n, c := range counts {
-		want += float64(n+1) * float64(c) / float64(total)
-	}
-	evals := 0
-	_, err = eng.Run(
-		WithStepHook(func(int, int) { // the last call precedes the cloud round
-			for n := range eng.edge {
-				for j := range eng.edge[n] {
-					eng.edge[n][j] = float64(n + 1)
-				}
+	for _, world := range []string{"tiny", "wide"} {
+		t.Run(world, func(t *testing.T) {
+			w := layoutWorlds[world]
+			parts, test, src := w.build(t, false)
+			cfg := tinyConfig(w.steps, w.seed)
+			w.tune(&cfg)
+			cfg.Steps = cfg.CloudInterval
+			eng, err := New(cfg, w.arch, parts, test, src, sampling.NewUniform())
+			if err != nil {
+				t.Fatal(err)
 			}
-		}),
-		WithEvalHook(func(int, float64, float64) {
-			evals++
-			for j, v := range eng.global {
-				if math.Abs(v-want) > 1e-12 {
-					t.Fatalf("global[%d] = %v, want %v", j, v, want)
-				}
+			rng := rand.New(rand.NewSource(w.seed))
+			want := make([]float64, len(eng.global))
+			evals := 0
+			_, err = eng.Run(
+				WithStepHook(func(step, _ int) {
+					if step != cfg.Steps-1 {
+						return
+					}
+					total := 0
+					for n := range eng.edge {
+						total += len(eng.edgeMembers(n))
+					}
+					for n, edge := range eng.edge {
+						for j := range edge {
+							edge[j] = rng.NormFloat64()
+						}
+						if c := len(eng.edgeMembers(n)); c > 0 {
+							tensor.Axpy(want, float64(c)/float64(total), edge)
+						}
+					}
+				}),
+				WithEvalHook(func(int, float64, float64) {
+					evals++
+					for j, v := range eng.global {
+						if math.Float64bits(v) != math.Float64bits(want[j]) {
+							t.Fatalf("global[%d] = %v, want %v", j, v, want[j])
+						}
+					}
+				}))
+			if err != nil || evals != 1 {
+				t.Fatalf("run: %v after %d evaluations, want 1", err, evals)
 			}
-		}))
-	if err != nil || evals != 1 {
-		t.Fatalf("run: %v after %d evaluations, want 1", err, evals)
+		})
 	}
 }

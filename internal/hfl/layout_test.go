@@ -34,9 +34,10 @@ import (
 //     diverges … at step 4: eval point (acc 0.21, loss 2.745782120704111),
 //     reference (acc 0.21, loss 2.7457821207041126)", and TestLayoutMatrix's
 //     rows move, one evaluation shard at workers 1 summing differently;
-//   - shards: cloudAggregate folding the shards' group partials last shard
+//   - shards: cloudAggregate folding the shards' edge ranges last shard
 //     first: "TestRunBitIdenticalAcrossShardCounts/uniform/five/uniform/f64/unfused/w3/s2/dense/off:
-//     diverges … at step 4: eval point";
+//     diverges … at step 4: eval point", and every multi-shard wide cell at
+//     step 1 (its first cloud round);
 //   - mobility plane: the dense Schedule adapter dropping device 0's moves:
 //     TestLayoutMatrix's (markov, mach, f64) row moves, and
 //     "TestRunStreamingMatchesDenseBitIdentical/markov/mach/f64/unfused/w1/s1/stream/off:
@@ -80,6 +81,10 @@ var layoutWorlds = map[string]layoutWorld{
 	// single is one device on one edge: fusion has nothing to fuse.
 	"single": {devices: 1, edges: 1, steps: 10, seed: 33, img: 4, samples: 40, tests: 300, arch: tinyArch,
 		tune: func(c *Config) { c.Participation = 1 }},
+	// wide has 70 edges, so its shard cells run up to 64 shards of one or two
+	// edges and clamp 99, with a cloud round every other step.
+	"wide": {devices: 140, edges: 70, steps: 6, seed: 21, img: 4, samples: 40, tests: 300, arch: tinyArch,
+		tune: func(c *Config) { c.CloudInterval = 2 }},
 }
 
 // build generates the world's device data, test set and mobility source: a
@@ -327,6 +332,7 @@ var layoutGolden = map[layoutClass]layoutPin{
 	{"tiny", "mach", LaneF64}:      {"3 7 6 4 4 4 5 5 5 8 3 6", 0x6b0b5efc2827e5d9},
 	{"tiny", "machp", LaneF64}:     {"4 7 6 4 2 2 6 5 4 8 3 4", 0x3fddea31d76cf39a},
 	{"tiny", "uniform", LaneF64}:   {"3 7 6 4 4 3 5 5 4 8 3 6", 0xb506bae57e1cc3ca},
+	{"wide", "mach", LaneF64}:      {"54 53 48 40 45 45", 0x90444f7bf3bd31b2},
 }
 
 // runLayout runs each cell as a subtest of t and holds it to its class: step
@@ -423,8 +429,8 @@ func TestRunBitIdenticalAcrossWorkerCounts(t *testing.T) {
 
 // TestRunBitIdenticalAcrossShardCounts (DESIGN.md §11): shards change no bit
 // of a run. The five-edge world is divisible by no tested shard count, so
-// shard ranges are uneven, and 7 > 5 exercises the clamp to one group per
-// shard.
+// shard ranges are uneven, and 7 > 5 exercises the clamp to one edge per
+// shard. The 70-edge world runs 64 shards of one or two edges and clamps 99.
 func TestRunBitIdenticalAcrossShardCounts(t *testing.T) {
 	for _, s := range layoutStrategies {
 		t.Run(s, func(t *testing.T) {
@@ -435,6 +441,15 @@ func TestRunBitIdenticalAcrossShardCounts(t *testing.T) {
 			runLayout(t, cells...)
 		})
 	}
+	t.Run("wide", func(t *testing.T) {
+		var cells []layoutCell
+		for _, w := range []int{1, 3} {
+			for _, sh := range []int{1, 2, 3, 7, 64, 99} {
+				cells = append(cells, layoutCell{world: "wide", strategy: "mach", workers: w, shards: sh})
+			}
+		}
+		runLayout(t, cells...)
+	})
 }
 
 // TestShardedMatchesSeedEngineGolden: every workers × shards layout of the

@@ -128,14 +128,14 @@ func (p *edgePlan) reserve(epochs, numParams int) {
 //
 // Every time step runs in three phases: a *decision* phase draws all of the
 // step's randomness (strategy probabilities, sampling coins, upload-failure
-// coins) from the per-edge RNG streams in member order — edges decide in
-// parallel on the pool, which is safe because each edge's stream, context
-// and plan are private to it and every draw within an edge stays serial; a
-// parallel *execution* phase dispatches the sampled devices' local SGD to a
-// bounded worker pool shared across edges; a sequential *finalize* phase
-// observes experiences and aggregates uploads back in member order. Because
-// no random decision depends on execution timing and every reduction is
-// order-fixed, the result is bit-identical for every Config.Workers value.
+// coins) from the per-edge RNG streams in member order — edges of different
+// shards decide in parallel, which is safe because each edge's stream,
+// context and plan are private to it and every draw within an edge stays
+// serial; a parallel *execution* phase dispatches the sampled devices' local
+// SGD to a bounded worker pool shared across edges; a sequential *finalize*
+// phase observes experiences and aggregates uploads back in member order.
+// Because no random decision depends on execution timing and every reduction
+// is order-fixed, the result is bit-identical for every Config.Workers value.
 func (e *Engine) Run(opts ...RunOption) (*Result, error) {
 	var o runOptions
 	for _, opt := range opts {
@@ -144,9 +144,7 @@ func (e *Engine) Run(opts ...RunOption) (*Result, error) {
 	res := &Result{History: &metrics.History{}}
 
 	e.pool = parallel.NewPool(e.cfg.workers())
-	e.startActors()
 	defer func() {
-		e.stopActors()
 		e.pool.Close()
 		e.pool = nil
 	}()
@@ -174,25 +172,25 @@ func (e *Engine) Run(opts ...RunOption) (*Result, error) {
 
 	modelBytes := int64(len(e.global)) * 8
 	for t := 0; t < e.cfg.Steps; t++ {
-		// Submit the step to every shard actor: each runs decide → execute →
+		// Fan the step out over the shards: each runs decide → execute →
 		// finalize for its own edge range (decide and finalize serially, in
-		// edge order, on its goroutine; device training on the shared pool)
-		// and the barrier inside submitAll is the collect point. No RNG
-		// stream, experience write or model reduction crosses a shard
-		// boundary mid-step, so the cross-shard interleaving cannot reach a
-		// value (DESIGN.md §11).
+		// edge order, on its goroutine; device training on the shared pool),
+		// and ForEach's return is the collect point. No RNG stream,
+		// experience write or model reduction crosses a shard boundary
+		// mid-step, so the cross-shard interleaving cannot reach a value
+		// (DESIGN.md §11).
 		stepStart := e.tel.Now()
 		// stepSpan parents the step's phase spans. Deriving it is a pure hash
 		// (no clock, no allocation), so it runs unconditionally and the span
 		// machinery costs nothing until EnableSpans turns recording on.
 		stepSpan := telemetry.DeriveSpanID(telemetry.SpanStep, t, -1, -1)
-		// One mobility advance per step, on the engine goroutine: the shards
+		// One mobility advance per step, on the Run goroutine: the shards
 		// then repair their member indexes from the bucketed move stream
-		// (read-only to them) inside the step command.
+		// (read-only to them) inside their step.
 		if err := e.advanceMobility(t); err != nil {
 			return nil, fmt.Errorf("hfl: step %d: %w", t, err)
 		}
-		e.submitAll(shardCmd{op: opStep, t: t})
+		parallel.ForEach(len(e.shards), len(e.shards), func(i int) { e.shards[i].runStep(t) })
 		if err := e.collectStep(t); err != nil {
 			return nil, err
 		}
@@ -570,57 +568,35 @@ func (e *Engine) aggregateEdge(n int, results []localResult, unbiased bool) {
 	e.edge[n], e.aggNext[n] = next, cur
 }
 
-// cloudAggregate merges edge models into the global model with the
-// member-count weights of Eq. (6) as a two-tier reduce — every shard folds
-// its cloud-reduce groups' partial sums in edge order, then the engine folds
-// the group partials in group order — and redistributes the result to every
-// edge. The grouping is a pure function of the edge count (cloudGroups),
-// never of the shard count, so the summation order — and therefore every
-// bit of the global model — is identical for every Config.Shards value.
-// Like edge aggregation it double-buffers the global vector, so cloud
-// rounds stop allocating after the first. Run calls it after a step's
-// barrier, with every shard index positioned at that step.
+// cloudAggregate merges the edge models into the global model with the
+// member-count weights of Eq. (6), next = Σ_n (|M_n|/|M|)·w_n, folded with
+// tensor.Axpy serially in edge order — the operations of fed's
+// Cloud.aggregate — skipping edges without members, and copies the result
+// into every edge. Like edge aggregation it double-buffers the global vector,
+// so cloud rounds stop allocating after the first. Run calls it after a
+// step's fan-out, with every shard index positioned at that step.
+//
+//machlint:allocfree
 func (e *Engine) cloudAggregate() {
 	total := 0
-	for _, s := range e.shards {
-		for n := s.lo; n < s.hi; n++ {
-			e.cloudCounts[n] = s.index.Count(n)
-			total += e.cloudCounts[n]
-		}
+	for n := range e.edge {
+		total += len(e.edgeMembers(n))
 	}
-	for g := 0; g < e.groups; g++ {
-		sum := 0
-		for n := groupEdgeLo(e.nEdges, e.groups, g); n < groupEdgeLo(e.nEdges, e.groups, g+1); n++ {
-			sum += e.cloudCounts[n]
-		}
-		e.groupCounts[g] = sum
-	}
-	e.submitAll(shardCmd{op: opCloudPartial, total: float64(total)})
-	e.surfaceShardPanics()
 	next := e.cloudNext
 	if len(next) != len(e.global) {
 		next = make([]float64, len(e.global))
 	} else {
-		for j := range next {
-			next[j] = 0
-		}
+		clear(next)
 	}
-	for _, s := range e.shards {
-		for g := s.gLo; g < s.gHi; g++ {
-			// A group whose edges all have zero members contributed exactly
-			// zero weight; skipping it mirrors the per-edge zero-weight skip
-			// inside the shard fold.
-			if e.groupCounts[g] == 0 {
-				continue
-			}
-			for j, v := range s.partials[g-s.gLo] {
-				next[j] += v
-			}
+	for n, w := range e.edge {
+		if c := len(e.edgeMembers(n)); c > 0 {
+			tensor.Axpy(next, float64(c)/float64(total), w)
 		}
 	}
 	e.global, e.cloudNext = next, e.global
-	e.submitAll(shardCmd{op: opInstallGlobal})
-	e.surfaceShardPanics()
+	for _, w := range e.edge {
+		copy(w, e.global)
+	}
 }
 
 // probeGradNorm measures the true squared stochastic-gradient norm of device
@@ -731,15 +707,7 @@ func (e *Engine) evalSums(indices []int, preds []int) (correct int, lossSum floa
 			preds[start+i] = best
 		}
 	}
-	if e.pool != nil {
-		g := e.pool.Group()
-		for s := 0; s < shards; s++ {
-			g.Go(func() { runShard(s) })
-		}
-		g.Wait()
-	} else {
-		parallel.ForEach(e.cfg.workers(), shards, runShard)
-	}
+	parallel.ForEach(e.cfg.workers(), shards, runShard)
 	for _, o := range out {
 		correct += o.correct
 		lossSum += o.lossSum

@@ -50,11 +50,22 @@ func world8(t testing.TB, devices, edges int, seed int64) ([]*dataset.Dataset, *
 	if err != nil {
 		t.Fatal(err)
 	}
-	sched, err := mobility.GenerateMarkovSchedule(seed+2, edges, devices, 2, 0.9)
+	return parts, test, markovTwin(t, seed+2, edges, devices)
+}
+
+// markovTwin is the dense twin of a two-step MarkovSource with stay
+// probability 0.9.
+func markovTwin(t testing.TB, seed int64, edges, devices int) *mobility.Schedule {
+	t.Helper()
+	markov, err := mobility.NewMarkovSource(seed, edges, devices, 2, 0.9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return parts, test, sched
+	sched, err := mobility.Materialize(markov)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sched
 }
 
 // planFor installs a hand-made plan on edge n: the given devices, every
@@ -306,11 +317,7 @@ func TestEngineHeapPerDevice(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sched, err := mobility.GenerateMarkovSchedule(49, 10, devices, 2, 0.9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	perDevice := heapAfterNew(t, mlp8Arch, parts, test, sched) / devices
+	perDevice := heapAfterNew(t, mlp8Arch, parts, test, markovTwin(t, 49, 10, devices)) / devices
 	t.Logf("engine-owned heap: %.0f bytes per device", perDevice)
 	if perDevice > budget {
 		t.Fatalf("engine owns %.0f bytes per device, budget %d", perDevice, budget)

@@ -32,6 +32,20 @@ func (f *scheduleFeed) seek(t testing.TB, ix *MemberIndex, step int) {
 	}
 }
 
+// markovSchedule materializes a streaming MarkovSource into a dense schedule.
+func markovSchedule(t testing.TB, seed int64, edges, devices, steps int, stay float64) *Schedule {
+	t.Helper()
+	src, err := NewMarkovSource(seed, edges, devices, steps, stay)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := Materialize(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 // checkIndexMatchesNaive compares the index's view of every covered edge at
 // the index's current step against the naive MembersAt rescan.
 func checkIndexMatchesNaive(t *testing.T, ix *MemberIndex, s *Schedule) {
@@ -72,11 +86,7 @@ func indexSchedules(t *testing.T) map[string]*Schedule {
 		// schedule that actually drives the sorted remove/insert repair path.
 		"sparse-edges": {50, 30, 40, 0.8},
 	} {
-		s, err := GenerateMarkovSchedule(int64(len(name)), cfg.edges, cfg.devices, cfg.steps, cfg.stay)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		out[name] = s
+		out[name] = markovSchedule(t, int64(len(name)), cfg.edges, cfg.devices, cfg.steps, cfg.stay)
 	}
 	wp, err := GenerateSchedule(11, 6, 20, 40, 3)
 	if err != nil {
@@ -120,10 +130,7 @@ func TestMemberIndexMatchesNaiveRandomJumps(t *testing.T) {
 // per-edge buffers have grown to the schedule's occupancy, advancing the
 // index allocates nothing on either path.
 func TestMemberIndexSteadyStateZeroAllocs(t *testing.T) {
-	s, err := GenerateMarkovSchedule(7, 8, 200, 120, 0.9)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := markovSchedule(t, 7, 8, 200, 120, 0.9)
 	ix, feed := NewMemberIndexWindow(0, s.Edges), scheduleFeed{s: s}
 	for step := 0; step < s.Steps; step++ { // warm-up grows every buffer
 		feed.seek(t, ix, step)
@@ -141,10 +148,7 @@ func TestMemberIndexSteadyStateZeroAllocs(t *testing.T) {
 // TestMembersAtIntoReusesBuffer checks the caller-owned-buffer contract and
 // equality with MembersAt.
 func TestMembersAtIntoReusesBuffer(t *testing.T) {
-	s, err := GenerateMarkovSchedule(3, 4, 30, 25, 0.8)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := markovSchedule(t, 3, 4, 30, 25, 0.8)
 	buf := make([]int, 0, s.Devices)
 	for step := 0; step < s.Steps; step++ {
 		for n := 0; n < s.Edges; n++ {
@@ -165,36 +169,6 @@ func TestMembersAtIntoReusesBuffer(t *testing.T) {
 	}
 }
 
-// TestGenerateMarkovScheduleProperties validates the generator itself: the
-// partition property, the stayProb endpoints, and determinism in the seed.
-func TestGenerateMarkovScheduleProperties(t *testing.T) {
-	if _, err := GenerateMarkovSchedule(1, 3, 5, 10, 1.5); err == nil {
-		t.Fatal("accepted stayProb > 1")
-	}
-	frozen, err := GenerateMarkovSchedule(2, 4, 20, 30, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := frozen.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if r := frozen.TransitionRate(); r != 0 {
-		t.Fatalf("stayProb=1 schedule has transition rate %v", r)
-	}
-	churn, err := GenerateMarkovSchedule(2, 4, 200, 30, 0.2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r := churn.TransitionRate(); r < 0.5 {
-		t.Fatalf("stayProb=0.2 schedule has transition rate %v, want ≳ 0.8", r)
-	}
-	a, _ := GenerateMarkovSchedule(5, 3, 15, 20, 0.7)
-	b, _ := GenerateMarkovSchedule(5, 3, 15, 20, 0.7)
-	if !reflect.DeepEqual(a, b) {
-		t.Fatal("same seed produced different schedules")
-	}
-}
-
 // BenchmarkMemberIndexAdvance measures the per-step cost of positioning the
 // index at bench scale: stay 0.95 moves ~5% of devices per step (above the
 // Edges/2 repair threshold → counting rebuild), stay 0.999 moves ~10 (below
@@ -205,10 +179,7 @@ func BenchmarkMemberIndexAdvance(b *testing.B) {
 		stay float64
 	}{{"rebuild", 0.95}, {"delta", 0.999}} {
 		b.Run(bc.name, func(b *testing.B) {
-			s, err := GenerateMarkovSchedule(1, 100, 10000, 64, bc.stay)
-			if err != nil {
-				b.Fatal(err)
-			}
+			s := markovSchedule(b, 1, 100, 10000, 64, bc.stay)
 			ix, feed := NewMemberIndexWindow(0, s.Edges), scheduleFeed{s: s}
 			for step := 0; step < s.Steps; step++ {
 				feed.seek(b, ix, step)
@@ -225,10 +196,7 @@ func BenchmarkMemberIndexAdvance(b *testing.B) {
 // BenchmarkMembersAtScan is the naive counterpart: one full MembersAt sweep
 // over all edges, the per-step membership cost of the pre-index engine.
 func BenchmarkMembersAtScan(b *testing.B) {
-	s, err := GenerateMarkovSchedule(1, 100, 10000, 64, 0.95)
-	if err != nil {
-		b.Fatal(err)
-	}
+	s := markovSchedule(b, 1, 100, 10000, 64, 0.95)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -14,10 +14,7 @@ func TestAdvanceWithRangesMatchRescan(t *testing.T) {
 		// stayProb 0.3 makes many steps exceed the repair budget, so both the
 		// applyMovesDelta and rebuildRow paths are exercised. A schedule per
 		// range keeps the adapter cursor from leaking between ranges.
-		sched, err := GenerateMarkovSchedule(17, 6, 90, 25, 0.3)
-		if err != nil {
-			t.Fatal(err)
-		}
+		sched := markovSchedule(t, 17, 6, 90, 25, 0.3)
 		ix, feed := NewMemberIndexWindow(r[0], r[1]), scheduleFeed{s: sched}
 		rng := rand.New(rand.NewSource(int64(r[0])))
 		for step := 0; step < sched.Steps; {

@@ -203,36 +203,6 @@ func GenerateSchedule(seed int64, edges, devices, steps, stationsPerEdge int) (*
 	return GenerateScheduleWaypoint(seed, edges, devices, steps, stationsPerEdge, DefaultWaypoint())
 }
 
-// GenerateMarkovSchedule builds a schedule directly from an edge-level
-// stay/hop Markov chain: every device starts on a uniformly random edge and
-// at each step stays with probability stayProb or hops to a uniformly random
-// other edge. It skips the station/trace layer entirely — O(Devices·Steps)
-// with no geometry — so it scales to the 100k-device populations of the
-// scale benchmark, and stayProb directly controls the transition rate the
-// MemberIndex delta path exploits.
-func GenerateMarkovSchedule(seed int64, edges, devices, steps int, stayProb float64) (*Schedule, error) {
-	if stayProb < 0 || stayProb > 1 {
-		return nil, fmt.Errorf("mobility: stay probability %v outside [0,1]", stayProb)
-	}
-	s, err := NewSchedule(edges, devices, steps)
-	if err != nil {
-		return nil, err
-	}
-	rng := rand.New(rand.NewSource(seed))
-	for m := 0; m < devices; m++ {
-		e := rng.Intn(edges)
-		s.edgeOf[0][m] = e
-		for t := 1; t < steps; t++ {
-			// markovNext draws exactly the legacy sequence (one Float64 when
-			// edges > 1, one Intn on a hop), so recorded goldens are
-			// untouched; MarkovSource advances the same chain per device.
-			e = markovNext(rng, e, edges, stayProb)
-			s.edgeOf[t][m] = e
-		}
-	}
-	return s, nil
-}
-
 // GenerateScheduleWaypoint is GenerateSchedule with an explicit waypoint
 // mobility configuration, letting experiments control how fast devices cross
 // edges.

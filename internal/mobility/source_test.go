@@ -57,10 +57,7 @@ func walkSource(t *testing.T, src StepSource) [][]int {
 // StepSource adapter reproduces exactly the schedule's rows, via moves that
 // are the adjacent-row diffs.
 func TestScheduleAdapterEmitsRowDiffs(t *testing.T) {
-	sched, err := GenerateMarkovSchedule(3, 5, 60, 20, 0.7)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sched := markovSchedule(t, 3, 5, 60, 20, 0.7)
 	rows := walkSource(t, sched)
 	for step := range rows {
 		for m, e := range rows[step] {
@@ -75,10 +72,7 @@ func TestScheduleAdapterEmitsRowDiffs(t *testing.T) {
 // adapter repositions anywhere — forward jumps and rewinds both succeed with
 // rebuilt == true, and Snapshot lands on the requested row.
 func TestScheduleAdapterRandomAccess(t *testing.T) {
-	sched, err := GenerateMarkovSchedule(4, 4, 30, 12, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sched := markovSchedule(t, 4, 4, 30, 12, 0.5)
 	for _, step := range []int{7, 3, 11, 0} { // forward jump, rewind, jump, rewind
 		moves, rebuilt, err := sched.AdvanceTo(step)
 		if err != nil {
@@ -115,10 +109,7 @@ func TestScheduleAdapterRandomAccess(t *testing.T) {
 // TestMaterializeScheduleRoundTrip: materializing a schedule's own adapter
 // reproduces the schedule bit for bit.
 func TestMaterializeScheduleRoundTrip(t *testing.T) {
-	sched, err := GenerateMarkovSchedule(9, 6, 50, 15, 0.8)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sched := markovSchedule(t, 9, 6, 50, 15, 0.8)
 	twin, err := Materialize(sched)
 	if err != nil {
 		t.Fatal(err)

@@ -20,7 +20,7 @@ import (
 // device its own one-word det.Stream and preserve the *per-device
 // draw order* of the legacy models through the shared steppers (markovNext,
 // waypointStep, levyStep): the chain logic cannot drift, the legacy
-// generators and their recorded goldens stay byte-identical, and
+// waypoint and Lévy generators stay byte-identical, and
 // streaming-vs-dense bit-identity is enforced where it matters — between a
 // source and its Materialize'd twin through the whole engine.
 
@@ -43,8 +43,7 @@ const (
 
 // markovNext advances one device's edge-level stay/hop chain by one step:
 // stay with probability stayProb, otherwise hop to a uniformly random other
-// edge. The draw sequence (one Float64 when edges > 1, one Intn on a hop)
-// is exactly GenerateMarkovSchedule's, which calls this same function.
+// edge, drawing one Float64 when edges > 1 and one Intn on a hop.
 func markovNext(rng uniformRNG, cur, edges int, stayProb float64) int {
 	if edges <= 1 || rng.Float64() < stayProb {
 		return cur
@@ -58,11 +57,13 @@ func markovNext(rng uniformRNG, cur, edges int, stayProb float64) int {
 	return hop
 }
 
-// MarkovSource streams the edge-level stay/hop Markov chain of
-// GenerateMarkovSchedule from an O(Devices) window: one splitmix64 word and
-// one current edge per device. Memory is independent of the step horizon,
-// which is what lets the scale benchmark run 1M devices over hundreds of
-// steps without a dense schedule.
+// MarkovSource streams an edge-level stay/hop Markov chain — every device
+// starts on a uniformly random edge and at each step stays with probability
+// stayProb or hops to a uniformly random other edge — from an O(Devices)
+// window: one splitmix64 word and one current edge per device. Memory is
+// independent of the step horizon, which is what lets the scale benchmark
+// run 1M devices over hundreds of steps without a dense schedule;
+// Materialize gives the dense twin.
 type MarkovSource struct {
 	edges, devices, steps int
 	stayProb              float64

@@ -219,6 +219,22 @@ func TestEdgeSamplingIntoAliasing(t *testing.T) {
 	}
 }
 
+// TestEdgeSamplingIntoRawEq13: with RawEq13 set, EdgeSamplingInto skips the
+// smoothing of Eqs. (17)-(18) and returns the capped Eq. (16) probabilities,
+// so MACH and fed's edge server honour the ablation alike.
+func TestEdgeSamplingIntoRawEq13(t *testing.T) {
+	cfg := DefaultMACHConfig()
+	cfg.RawEq13 = true
+	estimates := []float64{0.2, 1.7, 0.0, 3.1, 0.4}
+	want := capProbabilitiesInto(nil, estimates, 2, cfg.QMin)
+	got := EdgeSamplingInto(cfg, 2, estimates, nil)
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("index %d: %v, want the unsmoothed %v", i, got[i], want[i])
+		}
+	}
+}
+
 // TestUCBEstimatesIntoMatchesEq15 pins the batched estimate path against
 // Eq. (15) evaluated by hand: max window average plus the scaled confidence
 // radius, √(log t) alone for a device never pulled.

@@ -116,10 +116,6 @@ func (s *MACH) ProbabilitiesInto(ctx *EdgeContext, dst []float64) []float64 {
 	estimates := ensureLen(ctx.Scratch, len(ctx.Members))
 	ctx.Scratch, ctx.Estimates, ctx.Floor = estimates, estimates, s.cfg.QMin
 	s.book.UCBEstimatesInto(estimates, ctx.Members, ctx.Step)
-	if s.cfg.RawEq13 {
-		// Ablation path: Eq. (16) plugged in directly without smoothing.
-		return capProbabilitiesInto(dst, estimates, ctx.Capacity, s.cfg.QMin)
-	}
 	return EdgeSamplingInto(s.cfg, ctx.Capacity, estimates, dst)
 }
 
@@ -127,15 +123,19 @@ func (s *MACH) ProbabilitiesInto(ctx *EdgeContext, dst []float64) []float64 {
 // estimates of an edge's members, it computes the virtual probabilities of
 // Eq. (16), smooths them with the transfer function of Eq. (17), and
 // normalizes to the channel capacity (Eq. 18), into a caller-owned buffer
-// grown only when its capacity is insufficient. It is shared by the
-// in-process strategies and the distributed edge server of internal/fed. dst
-// may alias estimates: the estimate total is accumulated before any write and
-// each score depends only on its own estimate.
+// grown only when its capacity is insufficient; under cfg.RawEq13 it returns
+// the Eq. (16) probabilities unsmoothed. It is shared by the in-process
+// strategies and the distributed edge server of internal/fed. dst may alias
+// estimates: the estimate total is accumulated before any write and each
+// score depends only on its own estimate.
 //
 //machlint:aliasok the estimate total is accumulated before any write and dst[i] depends only on estimates[i]
 //
 //machlint:allocfree
 func EdgeSamplingInto(cfg MACHConfig, capacity float64, estimates, dst []float64) []float64 {
+	if cfg.RawEq13 {
+		return capProbabilitiesInto(dst, estimates, capacity, cfg.QMin) // Eq. (16) unsmoothed, the ablation
+	}
 	total := 0.0
 	for _, g := range estimates {
 		total += g

@@ -5,7 +5,7 @@ import (
 )
 
 // Span-based tracing: lightweight cross-process spans over the engine's
-// phases, the shard actors' commands, and every fed RPC. Span identity is
+// phases, each control-plane shard's step, and every fed RPC. Span identity is
 // purely structural — an ID is a hash of (kind, step, edge, device), never
 // of a clock or random draw — so the same logical operation gets the same
 // ID in every process and in every identically-configured run. That is
@@ -26,7 +26,7 @@ type SpanID uint64
 // surfaced in Snapshot.Histograms under "span_<name>_ns".
 type SpanKind int
 
-// Span kinds: the engine's step phases, the control-plane shard commands,
+// Span kinds: the engine's step phases, each control-plane shard's step,
 // the cloud reduce, the client side of every fed RPC (rpc_*) and the server
 // side of every fed RPC handler (handle_*).
 const (
