@@ -240,7 +240,11 @@ func (e *EdgeServer) Step(args EdgeStepArgs, reply *EdgeStepReply) error {
 	rng := det.NewRand(det.EdgeCoin(e.seed, args.Step, e.id))
 	var sampled []int
 	for i, m := range args.Members {
-		if rng.Float64() < probs[i] {
+		q := probs[i]
+		if !(q >= 0 && q <= 1) {
+			return fmt.Errorf("fed: edge %d: device %d sampling probability %v, outside [0, 1]", e.id, m, q)
+		}
+		if rng.Float64() < q {
 			sampled = append(sampled, m)
 		}
 	}

@@ -1,6 +1,7 @@
 package fed
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
@@ -703,13 +704,14 @@ func TestSpanStitchingAcrossRPC(t *testing.T) {
 // blob of its choosing.
 type hostileHost struct {
 	blob      codec.Blob
-	noSetBase bool // SetBase fails
+	noSetBase bool    // SetBase fails
+	estimate  float64 // Estimate's answer for every device (0 = 1)
 }
 
 func (h *hostileHost) Estimate(args EstimateArgs, reply *EstimateReply) error {
 	reply.Estimates = make([]float64, len(args.Devices))
 	for i := range reply.Estimates {
-		reply.Estimates[i] = 1
+		reply.Estimates[i] = cmp.Or(h.estimate, 1)
 	}
 	return nil
 }
@@ -821,6 +823,28 @@ func TestForeignParameterCountRejectedBeforeDecode(t *testing.T) {
 	defer cloud.Close()
 	if _, err := cloud.Run(); err == nil || !strings.Contains(err.Error(), "edge model of") {
 		t.Fatalf("hostile raw edge reply: err = %v, want a parameter-count error", err)
+	}
+}
+
+// TestEdgeStepRejectsNaNProbability: +Inf estimates drive Algorithm 3 to
+// q = NaN, and the step fails naming the edge, device and q instead of
+// silently sampling nobody.
+func TestEdgeStepRejectsNaNProbability(t *testing.T) {
+	addr := serveHostile(t, &hostileHost{estimate: math.Inf(1)})
+	base, err := testArch(rand.New(rand.NewSource(4)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := NewEdgeServer(0, sampling.DefaultMACHConfig(), Hyper{LocalEpochs: 1, BatchSize: 2, LearningRate: 0.1}, 1,
+		StaticResolver(map[int]string{0: addr, 1: addr}), base.ParamVector())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	var rep EdgeStepReply
+	err = e.Step(EdgeStepArgs{Members: []int{0, 1}, Capacity: 1}, &rep)
+	if want := "fed: edge 0: device 0 sampling probability NaN, outside [0, 1]"; err == nil || err.Error() != want {
+		t.Fatalf("+Inf estimates: err = %v (sampled %d), want %q", err, rep.Sampled, want)
 	}
 }
 

@@ -93,13 +93,12 @@ type Config struct {
 	// to unfused within the same lane. Default off.
 	FuseBatch bool
 	// Shards partitions the control plane into this many in-process shards
-	// (0 = 1), each owning a contiguous range of edges plus that range's
-	// member index, experience-observation buffering and aggregation
-	// scratch (DESIGN.md §11). Shards run decide → execute → finalize for
+	// (0 = 1), each a contiguous range of edges with its own aggregation
+	// scratch (DESIGN.md §11). Shards run decide → execute → aggregate for
 	// their edges concurrently; results are bit-identical for every value,
-	// because every cross-shard merge and the cloud reduce happen in edge
-	// order after the step's fan-out returns. Values above the edge count
-	// are clamped.
+	// because each edge's step lives in its own plan and the collect point
+	// and the cloud reduce read the plans in edge order after the step's
+	// fan-out returns. Values above the edge count are clamped.
 	Shards int
 }
 
@@ -281,14 +280,13 @@ type Engine struct {
 
 	// Streaming mobility plane (DESIGN.md §12): the engine positions itself
 	// from a StepSource — a dense *Schedule via its adapter, or a true
-	// streaming source — keeping only an O(Devices + Shards) window: the
-	// current attachment row and the per-shard move buckets of the step.
+	// streaming source — keeping only an O(Devices) window, the current
+	// attachment row, and the member index repaired from its move stream.
 	// nEdges/nDevices cache the source's Dims.
 	win         *mobility.Window
+	memberIndex *mobility.MemberIndex
 	nEdges      int
 	nDevices    int
-	stepRebuilt bool              // last advance resynced from Snapshot
-	shardMoves  [][]mobility.Move // per-shard buckets of the step's moves
 	// transStats, when attached, folds the engine's move stream into an
 	// incremental edge-transition model (observational only).
 	transStats *mobility.OnlineTransitionStats
@@ -303,10 +301,8 @@ type Engine struct {
 	trainers *TrainerPool
 
 	// Sharded control plane (DESIGN.md §11): shards[s] owns a contiguous
-	// edge range with its slice of the member index; edgeShard maps each
-	// edge to its owner.
-	shards    []*shardState
-	edgeShard []int
+	// edge range.
+	shards []*shardState
 
 	// pool executes per-device local updates while a Run is active; nil
 	// otherwise.
@@ -318,7 +314,12 @@ type Engine struct {
 	decide    []edgeDecideState // per-edge pooled RNG + context + buffers
 	aggNext   [][]float64       // per-edge aggregation double-buffer
 	cloudNext []float64         // cloud aggregation double-buffer
-	evalIdx   []int             // the test set's sample indices, 0..n-1
+	// The step's observation batch, gathered from the plans at the collect
+	// point: (edge, device, norm window) records in edge then member order.
+	obsEdges  []int
+	obsDevs   []int
+	obsNorms  [][]float64
+	evalIdx   []int // the test set's sample indices, 0..n-1
 	evalShard []evalShardState
 }
 
@@ -398,17 +399,18 @@ func New(cfg Config, arch ArchFunc, deviceData []*dataset.Dataset, test *dataset
 		}
 	}
 	e := &Engine{
-		cfg:      cfg,
-		win:      mobility.NewWindow(src),
-		nEdges:   nEdges,
-		nDevices: nDevices,
-		strategy: strategy,
-		devices:  make([]*device, len(deviceData)),
-		test:     test,
-		global:   base.ParamVector(),
-		evalNet:  base,
-		trainers: NewTrainerPool(base, test),
-		capacity: cfg.Participation * float64(nDevices) / float64(nEdges),
+		cfg:         cfg,
+		win:         mobility.NewWindow(src),
+		memberIndex: mobility.NewMemberIndexWindow(0, nEdges),
+		nEdges:      nEdges,
+		nDevices:    nDevices,
+		strategy:    strategy,
+		devices:     make([]*device, len(deviceData)),
+		test:        test,
+		global:      base.ParamVector(),
+		evalNet:     base,
+		trainers:    NewTrainerPool(base, test),
+		capacity:    cfg.Participation * float64(nDevices) / float64(nEdges),
 	}
 	if obs, ok := strategy.(sampling.Observer); ok {
 		e.observer, e.pulls = obs, make([]int, nDevices)
@@ -432,13 +434,8 @@ func New(cfg Config, arch ArchFunc, deviceData []*dataset.Dataset, test *dataset
 	e.aggNext = make([][]float64, nEdges)
 	shards := cfg.shardCount(nEdges)
 	e.shards = make([]*shardState, shards)
-	e.shardMoves = make([][]mobility.Move, shards)
-	e.edgeShard = make([]int, nEdges)
 	for s := range e.shards {
-		e.shards[s] = newShardState(e, s, shards)
-		for n := e.shards[s].lo; n < e.shards[s].hi; n++ {
-			e.edgeShard[n] = s
-		}
+		e.shards[s] = &shardState{e: e, id: s, lo: nEdges * s / shards, hi: nEdges * (s + 1) / shards}
 	}
 	return e, nil
 }

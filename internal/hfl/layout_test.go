@@ -34,10 +34,12 @@ import (
 //     diverges … at step 4: eval point (acc 0.21, loss 2.745782120704111),
 //     reference (acc 0.21, loss 2.7457821207041126)", and TestLayoutMatrix's
 //     rows move, one evaluation shard at workers 1 summing differently;
-//   - shards: cloudAggregate folding the shards' edge ranges last shard
-//     first: "TestRunBitIdenticalAcrossShardCounts/uniform/five/uniform/f64/unfused/w3/s2/dense/off:
-//     diverges … at step 4: eval point", and every multi-shard wide cell at
-//     step 1 (its first cloud round);
+//   - shards: collectStep leaving the last edge of each shard range out of
+//     the observation batch when there are several shards:
+//     "TestRunBitIdenticalAcrossShardCounts/mach/five/mach/f64/unfused/w3/s2/dense/off:
+//     diverges … at step 4: eval point", the statistical cells at s2 at
+//     step 9, and the wide cells from s3 up at step 2 (sampled count); the
+//     non-observing strategies' cells hold, as they must;
 //   - mobility plane: the dense Schedule adapter dropping device 0's moves:
 //     TestLayoutMatrix's (markov, mach, f64) row moves, and
 //     "TestRunStreamingMatchesDenseBitIdentical/markov/mach/f64/unfused/w1/s1/stream/off:
@@ -135,6 +137,10 @@ func newStrategy(t *testing.T, name string, devices int) sampling.Strategy {
 		s, err = sampling.NewMACH(devices, sampling.DefaultMACHConfig())
 	case "machp":
 		s, err = sampling.NewMACHP(sampling.DefaultMACHConfig())
+	case "statistical":
+		s, err = sampling.NewStatistical(devices, sampling.DefaultMACHConfig().QMin)
+	case "classbalance":
+		s = sampling.NewClassBalance()
 	default:
 		err = fmt.Errorf("unknown strategy %q", name)
 	}
@@ -320,19 +326,23 @@ func goldenRow(k layoutClass, pin layoutPin) string {
 // Re-pinning is a paste: on a mismatch TestLayoutMatrix prints the
 // replacement table; DESIGN.md §5's re-pin record takes the old → new row.
 var layoutGolden = map[layoutClass]layoutPin{
-	{"cnn16", "mach", LaneF32}:     {"5 4 2 3", 0xfbdd056f8900c935},
-	{"cnn16", "mach", LaneF64}:     {"5 4 2 3", 0xbcfcbb2143f81381},
-	{"five", "mach", LaneF64}:      {"5 7 2 4 4 5 3 8 7 4 5 4", 0x597b3d20ece54b11},
-	{"five", "machp", LaneF64}:     {"5 7 2 4 6 5 3 8 6 6 5 4", 0x72b3d601121c3898},
-	{"five", "uniform", LaneF64}:   {"5 7 2 4 4 5 3 8 6 6 5 4", 0x1c9687d27f021524},
-	{"markov", "mach", LaneF64}:    {"5 6 4 2 4 3 4 5 4 6 3 6", 0x70d14f521a227fae},
-	{"single", "uniform", LaneF32}: {"1 1 1 1 1 1 1 1 1 1", 0x89db4aae08847b5f},
-	{"single", "uniform", LaneF64}: {"1 1 1 1 1 1 1 1 1 1", 0x91686c9c1f29e21a},
-	{"tiny", "mach", LaneF32}:      {"3 7 6 4 4 4 5 5 5 8 3 6", 0x30c46ab3ce2afd24},
-	{"tiny", "mach", LaneF64}:      {"3 7 6 4 4 4 5 5 5 8 3 6", 0x6b0b5efc2827e5d9},
-	{"tiny", "machp", LaneF64}:     {"4 7 6 4 2 2 6 5 4 8 3 4", 0x3fddea31d76cf39a},
-	{"tiny", "uniform", LaneF64}:   {"3 7 6 4 4 3 5 5 4 8 3 6", 0xb506bae57e1cc3ca},
-	{"wide", "mach", LaneF64}:      {"54 53 48 40 45 45", 0x90444f7bf3bd31b2},
+	{"cnn16", "mach", LaneF32}:        {"5 4 2 3", 0xfbdd056f8900c935},
+	{"cnn16", "mach", LaneF64}:        {"5 4 2 3", 0xbcfcbb2143f81381},
+	{"five", "classbalance", LaneF64}: {"2 5 1 5 5 5 5 4 4 4 3 4", 0x2a0b1e5cc92670af},
+	{"five", "mach", LaneF64}:         {"5 7 2 4 4 5 3 8 7 4 5 4", 0x597b3d20ece54b11},
+	{"five", "machp", LaneF64}:        {"5 7 2 4 6 5 3 8 6 6 5 4", 0x72b3d601121c3898},
+	{"five", "statistical", LaneF64}:  {"5 7 2 4 4 5 3 7 5 4 2 6", 0xab52c69b12bec792},
+	{"five", "uniform", LaneF64}:      {"5 7 2 4 4 5 3 8 6 6 5 4", 0x1c9687d27f021524},
+	{"markov", "mach", LaneF64}:       {"5 6 4 2 4 3 4 5 4 6 3 6", 0x70d14f521a227fae},
+	{"single", "uniform", LaneF32}:    {"1 1 1 1 1 1 1 1 1 1", 0x89db4aae08847b5f},
+	{"single", "uniform", LaneF64}:    {"1 1 1 1 1 1 1 1 1 1", 0x91686c9c1f29e21a},
+	{"tiny", "classbalance", LaneF64}: {"2 6 3 6 6 4 6 5 5 5 5 5", 0x9f6f3cda178355ff},
+	{"tiny", "mach", LaneF32}:         {"3 7 6 4 4 4 5 5 5 8 3 6", 0x30c46ab3ce2afd24},
+	{"tiny", "mach", LaneF64}:         {"3 7 6 4 4 4 5 5 5 8 3 6", 0x6b0b5efc2827e5d9},
+	{"tiny", "machp", LaneF64}:        {"4 7 6 4 2 2 6 5 4 8 3 4", 0x3fddea31d76cf39a},
+	{"tiny", "statistical", LaneF64}:  {"3 7 6 4 4 4 5 5 7 4 5 7", 0x927da09f6b5907c6},
+	{"tiny", "uniform", LaneF64}:      {"3 7 6 4 4 3 5 5 4 8 3 6", 0xb506bae57e1cc3ca},
+	{"wide", "mach", LaneF64}:         {"54 53 48 40 45 45", 0x90444f7bf3bd31b2},
 }
 
 // runLayout runs each cell as a subtest of t and holds it to its class: step
@@ -376,7 +386,7 @@ func runLayout(t *testing.T, cells ...layoutCell) {
 }
 
 // layoutStrategies are the strategies whose layout invariance is tested.
-var layoutStrategies = []string{"uniform", "mach", "machp"}
+var layoutStrategies = []string{"uniform", "mach", "machp", "statistical", "classbalance"}
 
 // TestLayoutMatrix pins every class's reference run to its row of
 // layoutGolden; on a mismatch it prints the replacement table.

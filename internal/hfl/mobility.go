@@ -4,13 +4,12 @@ import "github.com/mach-fl/mach/internal/mobility"
 
 // This file threads the streaming mobility plane (DESIGN.md §12) through the
 // engine: the engine holds a mobility.Window over its StepSource — the
-// current attachment row — plus per-shard move buckets, instead of reading a
-// dense schedule. A single advance per step produces the move stream every
-// consumer repairs from: each shard's member index receives exactly the moves
-// intersecting its edge range, and the optional online transition statistics
-// fold the same stream. Dense *Schedule runs go through the same code path
-// via the schedule's StepSource adapter, which is what makes streaming and
-// dense runs bit-identical: both planes position the engine from one move
+// current attachment row — instead of reading a dense schedule. A single
+// advance per step produces the move stream every consumer repairs from: the
+// engine's member index, with the two calls fed.Cloud makes, and the optional
+// online transition statistics. Dense *Schedule runs go through the same code
+// path via the schedule's StepSource adapter, which is what makes streaming
+// and dense runs bit-identical: both planes position the engine from one move
 // stream per step.
 
 // SetTransitionStats attaches an online transition-statistics accumulator
@@ -19,11 +18,9 @@ import "github.com/mach-fl/mach/internal/mobility"
 // engine computes.
 func (e *Engine) SetTransitionStats(s *mobility.OnlineTransitionStats) { e.transStats = s }
 
-// advanceMobility positions the engine's mobility window at step t, feeds
-// the transition statistics, and buckets the step's moves per shard so each
-// shard repairs its member index from only the moves that touch its edge
-// range. Advancing to the current position is a no-op. O(moves + shards) per
-// single step.
+// advanceMobility positions the engine's mobility window at step t, repairs
+// the member index from the step's moves and feeds the transition
+// statistics. Advancing to the current position is a no-op.
 //
 //machlint:allocfree
 func (e *Engine) advanceMobility(t int) error {
@@ -35,7 +32,7 @@ func (e *Engine) advanceMobility(t int) error {
 	if err != nil {
 		return err
 	}
-	e.stepRebuilt = rebuilt
+	e.memberIndex.AdvanceWith(t, e.win.Row(), moves, rebuilt)
 	if e.transStats != nil {
 		if !rebuilt {
 			e.transStats.ObserveStep(moves)
@@ -43,16 +40,6 @@ func (e *Engine) advanceMobility(t int) error {
 			// A reposition that skipped steps: the intermediate transitions
 			// are unobservable. Initial positioning at step 0 skips nothing.
 			e.transStats.ObserveJump()
-		}
-	}
-	for s := range e.shardMoves {
-		e.shardMoves[s] = e.shardMoves[s][:0]
-	}
-	for _, mv := range moves {
-		sf, st := e.edgeShard[mv.From], e.edgeShard[mv.To]
-		e.shardMoves[sf] = append(e.shardMoves[sf], mv)
-		if st != sf {
-			e.shardMoves[st] = append(e.shardMoves[st], mv)
 		}
 	}
 	return nil

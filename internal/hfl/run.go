@@ -100,16 +100,39 @@ type plannedDevice struct {
 	err    error
 }
 
-// edgePlan is one edge's decision-phase output for the current step, plus
-// the pooled buffers the execution phase fills per planned device (slot i
-// belongs to devs[i]): its gradient-norm window norms[i·I:(i+1)·I] and, when
-// its upload survives, its trained parameters uploads[i]. The buffers are
-// valid until the edge's next decide, which is after the step's observations
-// are merged and its uploads aggregated.
+// edgePlan is everything one step produces for one edge: the decision-phase
+// output (the planned devices, or the decide error), plus the pooled buffers
+// the execution phase fills per planned device (slot i belongs to devs[i]):
+// its gradient-norm window norms[i·I:(i+1)·I], its error and, when its upload
+// survives, its trained parameters uploads[i]. The buffers are valid until
+// the edge's next decide, which is after the step's observations are merged
+// and its uploads aggregated.
 type edgePlan struct {
 	devs    []plannedDevice
+	err     error
 	norms   []float64
 	uploads [][]float64
+}
+
+// trainErr returns the plan's first local-update error in member order.
+func (p *edgePlan) trainErr() error {
+	for _, pd := range p.devs {
+		if pd.err != nil {
+			return fmt.Errorf("device %d: %w", pd.m, pd.err)
+		}
+	}
+	return nil
+}
+
+// uploaded counts the planned devices whose upload survived.
+func (p *edgePlan) uploaded() int {
+	k := 0
+	for _, pd := range p.devs {
+		if pd.upload {
+			k++
+		}
+	}
+	return k
 }
 
 // reserve sizes the slot buffers for the devices just planned, keeping what
@@ -132,8 +155,9 @@ func (p *edgePlan) reserve(epochs, numParams int) {
 // shards decide in parallel, which is safe because each edge's stream,
 // context and plan are private to it and every draw within an edge stays
 // serial; a parallel *execution* phase dispatches the sampled devices' local
-// SGD to a bounded worker pool shared across edges; a sequential *finalize*
-// phase observes experiences and aggregates uploads back in member order.
+// SGD to a bounded worker pool shared across edges; a *finalize* phase
+// aggregates each edge's uploads in member order, and the step's collect
+// point hands the strategy its experiences in edge then member order.
 // Because no random decision depends on execution timing and every reduction
 // is order-fixed, the result is bit-identical for every Config.Workers value.
 func (e *Engine) Run(opts ...RunOption) (*Result, error) {
@@ -184,9 +208,8 @@ func (e *Engine) Run(opts ...RunOption) (*Result, error) {
 		// (no clock, no allocation), so it runs unconditionally and the span
 		// machinery costs nothing until EnableSpans turns recording on.
 		stepSpan := telemetry.DeriveSpanID(telemetry.SpanStep, t, -1, -1)
-		// One mobility advance per step, on the Run goroutine: the shards
-		// then repair their member indexes from the bucketed move stream
-		// (read-only to them) inside their step.
+		// One mobility advance per step, on the Run goroutine, positions the
+		// member index the shards read.
 		if err := e.advanceMobility(t); err != nil {
 			return nil, fmt.Errorf("hfl: step %d: %w", t, err)
 		}
@@ -199,22 +222,20 @@ func (e *Engine) Run(opts ...RunOption) (*Result, error) {
 		// telemetry, plus the edge-ordered emission of decision events.
 		var stepTel stepSamplingStats
 		stepSampled := 0
-		for _, s := range e.shards {
-			for n := s.lo; n < s.hi; n++ {
-				counts := s.counts[n-s.lo]
-				stepSampled += counts.uploaded
-				res.Comm.DeviceDownlinkBytes += int64(counts.trained) * modelBytes
-				res.Comm.DeviceUplinkBytes += int64(counts.uploaded) * modelBytes
-				res.Comm.DeviceDownloads += int64(counts.trained)
-				res.Comm.DeviceUploads += int64(counts.uploaded)
-				if e.tel != nil {
-					e.tel.Add(telemetry.CounterDevicesTrained, int64(counts.trained))
-					e.tel.Add(telemetry.CounterDevicesUploaded, int64(counts.uploaded))
-					e.tel.Add(telemetry.CounterUploadsDropped, int64(counts.trained-counts.uploaded))
-					e.tel.Add(telemetry.CounterDeviceDownlinkBytes, int64(counts.trained)*modelBytes)
-					e.tel.Add(telemetry.CounterDeviceUplinkBytes, int64(counts.uploaded)*modelBytes)
-					e.observeEdge(t, n, counts, &stepTel)
-				}
+		for n := range e.plans {
+			trained, uploaded := len(e.plans[n].devs), e.plans[n].uploaded()
+			stepSampled += uploaded
+			res.Comm.DeviceDownlinkBytes += int64(trained) * modelBytes
+			res.Comm.DeviceUplinkBytes += int64(uploaded) * modelBytes
+			res.Comm.DeviceDownloads += int64(trained)
+			res.Comm.DeviceUploads += int64(uploaded)
+			if e.tel != nil {
+				e.tel.Add(telemetry.CounterDevicesTrained, int64(trained))
+				e.tel.Add(telemetry.CounterDevicesUploaded, int64(uploaded))
+				e.tel.Add(telemetry.CounterUploadsDropped, int64(trained-uploaded))
+				e.tel.Add(telemetry.CounterDeviceDownlinkBytes, int64(trained)*modelBytes)
+				e.tel.Add(telemetry.CounterDeviceUplinkBytes, int64(uploaded)*modelBytes)
+				e.observeEdge(t, n, &stepTel)
 			}
 		}
 		if e.tel != nil {
@@ -329,10 +350,10 @@ type stepSamplingStats struct {
 // runs on the sequential finalize path in edge order, which is what makes
 // trace output deterministic; the decide-phase buffers it reads (probs, the
 // context's estimates, coins) stay valid until the edge's next decide.
-func (e *Engine) observeEdge(t, n int, counts edgeStepCounts, acc *stepSamplingStats) {
+func (e *Engine) observeEdge(t, n int, acc *stepSamplingStats) {
 	members := e.edgeMembers(n)
 	e.tel.Observe(telemetry.HistEdgeMembers, int64(len(members)))
-	e.tel.Observe(telemetry.HistEdgeSampled, int64(counts.trained))
+	e.tel.Observe(telemetry.HistEdgeSampled, int64(len(e.plans[n].devs)))
 	if len(members) == 0 {
 		return // edgeDecide returned early; decide-state buffers are stale
 	}
@@ -390,14 +411,6 @@ func (e *Engine) flushStepTelemetry(acc *stepSamplingStats) {
 	}
 }
 
-// edgeStepCounts reports one edge's activity in one step: how many devices
-// trained (downloaded the edge model and ran local SGD) and how many of
-// those successfully uploaded.
-type edgeStepCounts struct {
-	trained  int
-	uploaded int
-}
-
 // edgeDecide performs the sampling decisions for one edge at one time step
 // (Algorithm 1, lines 3-5) and records them in e.plans[n]. It draws from the
 // edge's deterministic RNG stream in member order: strategy probabilities
@@ -453,15 +466,15 @@ func (e *Engine) edgeDecide(t, n int) error {
 	unbiased := e.strategy.Unbiased()
 	for i, m := range members {
 		q := probs[i]
+		if !(q >= 0 && q <= 1) {
+			return fmt.Errorf("strategy %q gave device %d probability %v, outside [0, 1]", e.strategy.Name(), m, q)
+		}
 		coin := st.rng.Float64()
 		if tracing {
 			st.coins = append(st.coins, coin)
 		}
 		if coin >= q {
 			continue // not sampled: 1^t_{m,n} = 0
-		}
-		if unbiased && q <= 0 {
-			return fmt.Errorf("strategy %q sampled device %d with probability %v", e.strategy.Name(), m, q)
 		}
 		upload := true
 		if e.cfg.UploadFailureProb > 0 && st.rng.Float64() < e.cfg.UploadFailureProb {
@@ -483,36 +496,19 @@ func (e *Engine) edgeDecide(t, n int) error {
 	return nil
 }
 
-// edgeFinalize walks one edge's executed plan in member order: it surfaces
-// local-update errors, buffers training experience into the owning shard
-// (merged into the strategy's observer at the step's collect point, in edge
-// order), collects the surviving uploads and merges them into the edge model
-// (Algorithm 1, lines 6-11). The buffered norm windows and the uploads are
-// the plan's slot buffers (see edgePlan), valid until after the merge.
-func (e *Engine) edgeFinalize(t, n int, s *shardState) (edgeStepCounts, error) {
-	var counts edgeStepCounts
+// edgeFinalize merges the surviving uploads of one edge's executed plan into
+// the edge model in member order (Algorithm 1, lines 6-11). The uploads are
+// the plan's slot buffers (see edgePlan).
+func (e *Engine) edgeFinalize(n int, s *shardState) {
 	plan := &e.plans[n]
 	results := s.aggResults[:0]
-	for i := range plan.devs {
-		pd := &plan.devs[i]
-		if pd.err != nil {
-			return counts, fmt.Errorf("device %d: %w", pd.m, pd.err)
+	for i, pd := range plan.devs {
+		if pd.upload {
+			results = append(results, localResult{params: plan.uploads[i], weight: pd.weight, size: e.devices[pd.m].data.Len()})
 		}
-		counts.trained++
-		if e.observer != nil {
-			s.obsEdges = append(s.obsEdges, n)
-			s.obsDevs = append(s.obsDevs, pd.m)
-			s.obsNorms = append(s.obsNorms, plan.norms[i*e.cfg.LocalEpochs:(i+1)*e.cfg.LocalEpochs])
-		}
-		if !pd.upload {
-			continue
-		}
-		results = append(results, localResult{params: plan.uploads[i], weight: pd.weight, size: e.devices[pd.m].data.Len()})
 	}
 	e.aggregateEdge(n, results, e.strategy.Unbiased())
-	counts.uploaded = len(results)
 	s.aggResults = results[:0] // keep the grown capacity for the shard's next edge
-	return counts, nil
 }
 
 // aggregateEdge merges sampled local models into the edge model. For
@@ -574,7 +570,7 @@ func (e *Engine) aggregateEdge(n int, results []localResult, unbiased bool) {
 // Cloud.aggregate — skipping edges without members, and copies the result
 // into every edge. Like edge aggregation it double-buffers the global vector,
 // so cloud rounds stop allocating after the first. Run calls it after a
-// step's fan-out, with every shard index positioned at that step.
+// step's fan-out, with the member index positioned at that step.
 //
 //machlint:allocfree
 func (e *Engine) cloudAggregate() {

@@ -33,11 +33,6 @@ func TestShardLayout(t *testing.T) {
 			if s.hi <= s.lo {
 				t.Fatalf("Shards=%d: shard %d owns empty range [%d,%d)", tc.configured, i, s.lo, s.hi)
 			}
-			for n := s.lo; n < s.hi; n++ {
-				if eng.edgeShard[n] != i {
-					t.Fatalf("Shards=%d: edgeShard[%d] = %d, want %d", tc.configured, n, eng.edgeShard[n], i)
-				}
-			}
 			next = s.hi
 		}
 		if next != sched.Edges {

@@ -118,7 +118,6 @@ func TestDecideWarmPathZeroAllocNilTelemetry(t *testing.T) {
 	if err := eng.advanceMobility(0); err != nil {
 		t.Fatal(err)
 	}
-	eng.shards[0].index.AdvanceWith(0, eng.win.Row(), eng.shardMoves[0], eng.stepRebuilt)
 	if err := eng.edgeDecide(0, 0); err != nil { // warm-up installs the buffers
 		t.Fatal(err)
 	}

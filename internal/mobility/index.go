@@ -17,13 +17,11 @@ import "sort"
 // the counting rebuild is cheaper and the index falls back to it, bounding
 // the worst case at the full-build cost.
 //
-// An index covers a contiguous *range* of edges [lo, hi). Range indexes are
-// how the sharded control plane partitions membership: each shard builds and
-// repairs exactly its own edges' lists, and the union of the shards' indexes
-// is the full index. Whether a list was produced by a full index, a range
-// index, a rebuild or a delta repair, its contents are identical —
-// membership is a pure function of the attachment row — so range scoping
-// never affects what callers read.
+// An index covers a contiguous *range* of edges [lo, hi); hfl.Engine and
+// fed.Cloud each keep one index over every edge, [0, E). Whether a list was
+// produced by a full index, a range index, a rebuild or a delta repair, its
+// contents are identical — membership is a pure function of the attachment
+// row — so range scoping never affects what callers read.
 //
 // Member lists are ascending in device ID — exactly the order
 // Schedule.MembersAt returns — so decision logic that walks members in order

@@ -12,9 +12,9 @@
 // buffer and reports what telemetry wants to know about the decision (the
 // per-member estimates behind it, the probability floor) as plain outputs on
 // the EdgeContext. Strategies that learn from training experiences
-// additionally implement Observer and receive, one batch per control-plane
-// shard per step, the squared norms of every local stochastic gradient
-// computed by the devices they sampled.
+// additionally implement Observer and receive, in one batch per step, the
+// squared norms of every local stochastic gradient computed by the devices
+// they sampled.
 package sampling
 
 import (
@@ -104,10 +104,12 @@ type Observer interface {
 	// ObserveBatch records a run of time step t's experiences: norms[i]
 	// holds the squared norms of the I local stochastic gradients device
 	// devices[i] computed while attached to edges[i] (Algorithm 2, line 1).
-	// The engine buffers each control-plane shard's observations during the
-	// step and delivers them at the step's collect point in edge then member
-	// order, so the sequence a strategy sees is the same for every shard and
-	// worker count, and one call costs one lock however many devices trained.
+	// The engine gathers the step's observations from its edges' plans at
+	// the step's collect point and delivers them in one call, in edge then
+	// member order, so the sequence a strategy sees is the same for every
+	// shard and worker count, and one call costs one lock however many
+	// devices trained. An observer must not depend on how records are split
+	// across calls.
 	ObserveBatch(t int, edges, devices []int, norms [][]float64)
 	// CloudRound runs at every edge-to-cloud communication step
 	// (t mod T_g == 0): estimates are refreshed and experience buffers
