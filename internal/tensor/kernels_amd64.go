@@ -12,6 +12,13 @@ var useAVX2 = cpuHasAVX2()
 // YMM state (CPUID leaves 1 and 7, XGETBV).
 func cpuHasAVX2() bool
 
+// useAVX512 adds foldTile4AVX512 to the f64 fold (foldQuad), decided the
+// same way; the tile gives the bits the AVX2 fold gives.
+var useAVX512 = useAVX2 && cpuHasAVX512()
+
+// cpuHasAVX512 reports AVX-512F with the OS saving opmask and ZMM state.
+func cpuHasAVX512() bool
+
 // foldTermsAVX2 adds Σ_t vs[t]·b[ps[t]·n : ps[t]·n+cols] onto d[0:cols] for
 // t in [0, terms), term by term in ascending t with a multiply and then an
 // add per term, four adjacent columns per YMM register. cols must be a
@@ -19,6 +26,13 @@ func cpuHasAVX2() bool
 //
 //go:noescape
 func foldTermsAVX2(d, b *float64, ps *int, vs *float64, terms, cols, n int)
+
+// foldTile4AVX512 is foldTermsAVX2 for four d rows with every term live: it
+// adds Σ_t v[r·vrow+t·vterm]·b[t·n : t·n+n] onto d[r·n : r·n+n] for r < 4 and
+// t < terms, both terms and n positive, the sums held in registers from d on.
+//
+//go:noescape
+func foldTile4AVX512(d, b, v *float64, vrow, vterm, terms, n int)
 
 // transBTilesAVX2 writes the 8-row × 4·tiles-column block
 // dst[r·n+j] = Σ_{p<k4} a[r·k+p]·b[j·k+p], each sum accumulated from +0 in
@@ -32,6 +46,9 @@ func transBTilesAVX2(dst, a, b *float64, k4, k, n, tiles int)
 // VMULPD/VADDPD pairs (128 flops per round): the arithmetic ceiling the
 // kernels above are measured against.
 func machinePeakAVX2(iters int)
+
+// machinePeakAVX512 is machinePeakAVX2 on ZMM registers: 128 flops a round.
+func machinePeakAVX512(iters int)
 
 // fold32AVX2 adds Σ_p v[r·vrow+p·vterm]·b[p·n : p·n+cols] onto
 // d[r·n : r·n+cols] for r in [0, rows) and p in [0, terms), in the expression

@@ -3,12 +3,13 @@
 #include "textflag.h"
 
 // AVX2 micro-kernels for matmul.go (f64, four columns per register) and
-// f32.go (f32, eight). The rule they all keep: lanes run across output
-// columns, every output combines its terms in the expression tree of the Go
-// loop it replaces, a VMULPD/VMULPS and then a VADDPD/VADDPS per term with the
-// operands in source order, never VFMADD, never a horizontal sum. Each lane
-// therefore performs exactly the scalar operations of the Go loops, in the
-// same order, and the results agree bit for bit.
+// f32.go (f32, eight), and one AVX-512 tile of the f64 fold (eight columns
+// per register). The rule they all keep: lanes run across output columns,
+// every output combines its terms in the expression tree of the Go loop it
+// replaces, a VMULPD/VMULPS and then a VADDPD/VADDPS per term, never VFMADD,
+// never a horizontal sum. Each lane therefore performs exactly the scalar
+// operations of the Go loops, in the same order, and the results agree bit
+// for bit.
 
 // func cpuHasAVX2() bool
 TEXT ·cpuHasAVX2(SB), NOSPLIT, $0-1
@@ -37,16 +38,40 @@ TEXT ·cpuHasAVX2(SB), NOSPLIT, $0-1
 done:
 	RET
 
+// func cpuHasAVX512() bool, called only where cpuHasAVX2 holds: XGETBV and
+// leaf 7 exist.
+TEXT ·cpuHasAVX512(SB), NOSPLIT, $0-1
+	MOVB $0, ret+0(FP)
+	XORL CX, CX
+	XGETBV
+	ANDL $0xe6, AX // XCR0: the OS saves XMM, YMM, opmask and all of ZMM0-31
+	CMPL AX, $0xe6
+	JNE  no512
+	MOVL $7, AX
+	XORL CX, CX
+	CPUID
+	SHRL $16, BX // leaf 7 EBX bit 16: AVX-512F
+	ANDL $1, BX
+	MOVB BX, ret+0(FP)
+no512:
+	RET
+
 // FOLD4 folds one quad of terms onto four columns at byte offset AX:
-// acc = (((d + v0·b0) + v1·b1) + v2·b2) + v3·b3 with d in acc on entry.
+// acc = (((d + v0·b0) + v1·b1) + v2·b2) + v3·b3 with d in acc on entry. Each
+// product takes b and each add the sum as first operand, as the compiled Go
+// loops do: that operand's payload wins when both are NaN.
 #define FOLD4(acc, tmp, off) \
-	VMULPD off(R11)(AX*1), Y0, tmp; \
+	VMOVUPD off(R11)(AX*1), tmp; \
+	VMULPD Y0, tmp, tmp; \
 	VADDPD tmp, acc, acc; \
-	VMULPD off(R12)(AX*1), Y1, tmp; \
+	VMOVUPD off(R12)(AX*1), tmp; \
+	VMULPD Y1, tmp, tmp; \
 	VADDPD tmp, acc, acc; \
-	VMULPD off(R13)(AX*1), Y2, tmp; \
+	VMOVUPD off(R13)(AX*1), tmp; \
+	VMULPD Y2, tmp, tmp; \
 	VADDPD tmp, acc, acc; \
-	VMULPD off(R14)(AX*1), Y3, tmp; \
+	VMOVUPD off(R14)(AX*1), tmp; \
+	VMULPD Y3, tmp, tmp; \
 	VADDPD tmp, acc, acc
 
 // func foldTermsAVX2(d, b *float64, ps *int, vs *float64, terms, cols, n int)
@@ -120,7 +145,8 @@ single:
 
 single4:
 	VMOVUPD 0(DI)(AX*1), Y4
-	VMULPD  0(R11)(AX*1), Y0, Y5
+	VMOVUPD 0(R11)(AX*1), Y5
+	VMULPD  Y0, Y5, Y5
 	VADDPD  Y5, Y4, Y4
 	VMOVUPD Y4, 0(DI)(AX*1)
 	ADDQ    $32, AX
@@ -132,6 +158,89 @@ single4:
 	JMP     single
 
 folded:
+	VZEROUPPER
+	RET
+
+// TILE4 adds one term to eight columns of four rows in FOLD4's operand order:
+// acc_r = acc_r + v_r·bcol, v_r broadcast in Z8..Z11.
+#define TILE4(bcol, a0, a1, a2, a3) \
+	VMULPD Z8, bcol, Z16; \
+	VMULPD Z9, bcol, Z17; \
+	VMULPD Z10, bcol, Z18; \
+	VMULPD Z11, bcol, Z19; \
+	VADDPD Z16, a0, a0; \
+	VADDPD Z17, a1, a1; \
+	VADDPD Z18, a2, a2; \
+	VADDPD Z19, a3, a3
+
+// LOAD4 and STORE4 move the lanes of mask k of eight columns of the four d
+// rows at byte offset off; LOAD4 zeroes the other lanes.
+#define LOAD4(off, k, a0, a1, a2, a3) \
+	VMOVUPD.Z off(DI), k, a0; \
+	VMOVUPD.Z off(DI)(R11*1), k, a1; \
+	VMOVUPD.Z off(DI)(R11*2), k, a2; \
+	VMOVUPD.Z off(DI)(R14*1), k, a3
+
+#define STORE4(off, k, a0, a1, a2, a3) \
+	VMOVUPD a0, k, off(DI); \
+	VMOVUPD a1, k, off(DI)(R11*1); \
+	VMOVUPD a2, k, off(DI)(R11*2); \
+	VMOVUPD a3, k, off(DI)(R14*1)
+
+// func foldTile4AVX512(d, b, v *float64, vrow, vterm, terms, n int)
+//
+// Z0..Z7 hold a 4-row × 16-column block of d over the whole reduction, so
+// each b row is loaded once for the four rows. K1 and K2 mask the block's
+// halves to the columns before n: no cell past a row is loaded or stored.
+TEXT ·foldTile4AVX512(SB), NOSPLIT, $0-56
+	MOVQ d+0(FP), DI
+	MOVQ b+8(FP), SI
+	MOVQ v+16(FP), R9
+	MOVQ vrow+24(FP), R10
+	MOVQ vterm+32(FP), R8
+	MOVQ terms+40(FP), BX
+	MOVQ n+48(FP), DX       // columns left
+	SHLQ $3, R10            // bytes from one row's values to the next row's
+	SHLQ $3, R8             // bytes from one term's values to the next term's
+	LEAQ (R10)(R10*2), R15  // three value rows
+	LEAQ (DX*8), R11        // bytes per b / d row
+	LEAQ (R11)(R11*2), R14  // three d rows
+
+tile:
+	MOVQ $16, CX
+	CMPQ DX, CX
+	CMOVQLT DX, CX
+	MOVL $-1, AX
+	SHLL CX, AX
+	NOTL AX                 // the block's min(DX, 16) live columns
+	KMOVW AX, K1
+	SHRL $8, AX
+	KMOVW AX, K2
+	LOAD4(0, K1, Z0, Z1, Z2, Z3)
+	LOAD4(64, K2, Z4, Z5, Z6, Z7)
+	MOVQ SI, R12
+	MOVQ R9, R13
+	MOVQ BX, AX
+
+term:
+	VMOVUPD.Z (R12), K1, Z12
+	VMOVUPD.Z 64(R12), K2, Z13
+	VBROADCASTSD (R13), Z8
+	VBROADCASTSD (R13)(R10*1), Z9
+	VBROADCASTSD (R13)(R10*2), Z10
+	VBROADCASTSD (R13)(R15*1), Z11
+	TILE4(Z12, Z0, Z1, Z2, Z3)
+	TILE4(Z13, Z4, Z5, Z6, Z7)
+	ADDQ R11, R12
+	ADDQ R8, R13
+	DECQ AX
+	JNZ  term
+	STORE4(0, K1, Z0, Z1, Z2, Z3)
+	STORE4(64, K2, Z4, Z5, Z6, Z7)
+	ADDQ $128, DI
+	ADDQ $128, SI
+	SUBQ $16, DX
+	JG   tile
 	VZEROUPPER
 	RET
 
@@ -268,6 +377,20 @@ peak:
 	PAIRS8
 	DECQ CX
 	JNZ  peak
+	VZEROUPPER
+	RET
+
+// func machinePeakAVX512(iters int): the tile's arithmetic, register-only, 8
+// pairs into 8 running sums a round.
+TEXT ·machinePeakAVX512(SB), NOSPLIT, $0-8
+	MOVQ iters+0(FP), CX
+	VZEROALL // all of ZMM0-15
+
+peak512:
+	TILE4(Z12, Z0, Z1, Z2, Z3)
+	TILE4(Z13, Z4, Z5, Z6, Z7)
+	DECQ CX
+	JNZ  peak512
 	VZEROUPPER
 	RET
 

@@ -6,7 +6,14 @@ package tensor
 // work; the vector entry points exist only so the guarded calls compile.
 const useAVX2 = false
 
+// useAVX512 is a variable only so the kernel sweep can set it on every build.
+var useAVX512 = false
+
 func foldTermsAVX2(d, b *float64, ps *int, vs *float64, terms, cols, n int) {
+	panic("tensor: no vector kernels in this build")
+}
+
+func foldTile4AVX512(d, b, v *float64, vrow, vterm, terms, n int) {
 	panic("tensor: no vector kernels in this build")
 }
 
@@ -17,6 +24,8 @@ func transBTilesAVX2(dst, a, b *float64, k4, k, n, tiles int) {
 func machinePeakAVX2(iters int) {
 	panic("tensor: no vector kernels in this build")
 }
+
+func machinePeakAVX512(iters int) { panic("tensor: no vector kernels in this build") }
 
 func fold32AVX2(d, b, v *float32, rows, vrow, vterm, terms, cols, n int) {
 	panic("tensor: no vector kernels in this build")

@@ -43,12 +43,11 @@ func MatMulInto(dst, a, b *Tensor) {
 	if b.shape[0] != k || dst.shape[0] != m || dst.shape[1] != n {
 		panic(fmt.Sprintf("tensor: MatMulInto shape mismatch dst=%v a=%v b=%v", dst.shape, a.shape, b.shape))
 	}
-	dst.Zero()
 	matMulDispatch(dst.data, a.data, b.data, m, k, n)
 }
 
-// matMulDispatch routes to the serial or row-parallel blocked kernel.
-// dst must be zeroed. The serial path is taken without materializing a
+// matMulDispatch routes to the serial or row-parallel blocked kernel, which
+// overwrites dst. The serial path is taken without materializing a
 // closure so the training hot path stays allocation-free.
 func matMulDispatch(dst, a, b []float64, m, k, n int) {
 	if !shouldRowParallel(m, m*k*n) {
@@ -60,37 +59,97 @@ func matMulDispatch(dst, a, b []float64, m, k, n int) {
 	})
 }
 
-// matMulBlocked accumulates dst rows [i0, i1) of a·b with i/k blocking. Per
-// row and k-block the non-zero a[i,p] are compacted in ascending p and folded
-// four at a time by foldRows, so the exact-zero skip of the reference loop
+// matMulBlocked writes dst rows [i0, i1) of a·b with i/k blocking. Per
+// k-block, four rows at a time go through foldQuad, which folds only the
+// non-zero a[i,p] in ascending p, so the exact-zero skip of the reference loop
 // holds for every input (a skipped term never meets a non-finite b).
 //
 //machlint:allocfree
 func matMulBlocked(dst, a, b []float64, i0, i1, k, n int) {
-	var ps [mmBlockK]int
-	var vs [mmBlockK]float64
+	var s rowTerms
 	for ib := i0; ib < i1; ib += mmBlockI {
-		ie := ib + mmBlockI
-		if ie > i1 {
-			ie = i1
-		}
+		ie := min(ib+mmBlockI, i1)
 		for pb := 0; pb < k; pb += mmBlockK {
-			pe := pb + mmBlockK
-			if pe > k {
-				pe = k
-			}
-			for i := ib; i < ie; i++ {
-				cnt := 0
-				for p, av := range a[i*k+pb : i*k+pe] {
-					//machlint:allow floateq sparsity fast path: exact zero rows multiply to exactly zero, skipping them is bit-identical
-					if av != 0 {
-						ps[cnt], vs[cnt] = pb+p, av
-						cnt++
-					}
-				}
-				foldRows(dst[i*n:(i+1)*n], b, ps[:cnt], vs[:cnt])
+			pe := min(pb+mmBlockK, k)
+			for i := ib; i < ie; i += 4 {
+				s.foldQuad(dst[i*n:], a[i*k+pb:], b, min(4, ie-i), k, 1, pb, pe-pb, n)
 			}
 		}
+	}
+}
+
+// rowTerms holds one dst row's non-zero a values in a k-block and their p.
+type rowTerms struct {
+	ps [mmBlockK]int
+	vs [mmBlockK]float64
+}
+
+// foldQuad adds the k-block [pb, pb+terms) of up to four dst rows onto d, one
+// every n elements, clearing them first when pb = 0 (while they are hot, not
+// in a pass over dst before the fold); row r's a values are a[r·rs + t·ts].
+// Rows with a zero term are compacted and go through foldRows. Four rows with
+// none — always so when a is a weight matrix — go through the AVX-512 tile,
+// which reads them from a and loads each b row once for the four.
+//
+//machlint:noalias d,a d,b
+//machlint:allocfree
+func (s *rowTerms) foldQuad(d, a, b []float64, rows, rs, ts, pb, terms, n int) {
+	if pb == 0 {
+		clear(d[:rows*n])
+	}
+	dense := 0 // bit r: row r has no zero term
+	for r := range rows {
+		cnt := s.compact(a[r*rs:], ts, pb, terms)
+		if cnt == terms {
+			dense |= 1 << r
+			continue
+		}
+		foldRows(d[r*n:(r+1)*n], b, s.ps[:cnt], s.vs[:cnt])
+	}
+	if dense == 0b1111 && useAVX512 {
+		foldTile4AVX512(&d[0], &b[pb*n], &a[0], rs, ts, terms, n)
+		return
+	}
+	for r := range rows {
+		if dense&(1<<r) != 0 {
+			s.fill(a[r*rs:], ts, pb, terms)
+			foldRows(d[r*n:(r+1)*n], b, s.ps[:terms], s.vs[:terms])
+		}
+	}
+}
+
+// compact returns how many of a[0], a[ts], … (terms of them) are non-zero.
+// It writes nothing up to the first zero; from there on s holds the non-zero
+// values and their p, counted from pb.
+//
+//machlint:allocfree
+func (s *rowTerms) compact(a []float64, ts, pb, terms int) int {
+	t, j := 0, 0
+	//machlint:allow floateq sparsity fast path: exact zero rows multiply to exactly zero, skipping them is bit-identical
+	for t < terms && a[j] != 0 {
+		t, j = t+1, j+ts
+	}
+	if t == terms {
+		return terms
+	}
+	s.fill(a, ts, pb, t)
+	cnt := t
+	for ; t < terms; t, j = t+1, j+ts {
+		//machlint:allow floateq sparsity fast path: exact zero rows multiply to exactly zero, skipping them is bit-identical
+		if av := a[j]; av != 0 {
+			s.ps[cnt], s.vs[cnt] = pb+t, av
+			cnt++
+		}
+	}
+	return cnt
+}
+
+// fill copies the first terms values a[0], a[ts], … and their p into s.
+//
+//machlint:allocfree
+func (s *rowTerms) fill(a []float64, ts, pb, terms int) {
+	for t := range terms {
+		s.ps[t], s.vs[t] = pb+t, a[t*ts]
 	}
 }
 
@@ -144,7 +203,6 @@ func MatMulTransAInto(dst, a, b *Tensor) {
 	if dst.shape[0] != m || dst.shape[1] != n {
 		panic(fmt.Sprintf("tensor: MatMulTransAInto shape mismatch dst=%v a=%v b=%v", dst.shape, a.shape, b.shape))
 	}
-	dst.Zero()
 	matMulTransAInto(dst.data, a.data, b.data, k, m, n)
 }
 
@@ -159,33 +217,20 @@ func transAShape(a, b *Tensor) (k, m, n int) {
 	return k, m, b.shape[1]
 }
 
-// matMulTransAInto accumulates dst += aᵀ·b. The reference order is p-i-j;
+// matMulTransAInto writes dst = aᵀ·b. The reference order is p-i-j;
 // interchanging to i-outer leaves every dst[i,j] summing its non-zero
-// a[p,i]·b[p,j] in ascending p, and lets a dst row take four p terms per pass
-// through foldRows exactly like matMulBlocked. It stays serial: only small
-// backward-pass products use the transposed-A form.
+// a[p,i]·b[p,j] in ascending p, and lets four dst rows at a time go through
+// foldQuad exactly like matMulBlocked, with a's strides swapped. It stays
+// serial: only small backward-pass products use the transposed-A form.
 //
 //machlint:noalias dst,a dst,b
 //machlint:allocfree
 func matMulTransAInto(dst, a, b []float64, k, m, n int) {
-	var ps [mmBlockK]int
-	var vs [mmBlockK]float64
+	var s rowTerms
 	for pb := 0; pb < k; pb += mmBlockK {
-		pe := pb + mmBlockK
-		if pe > k {
-			pe = k
-		}
-		for i := 0; i < m; i++ {
-			cnt := 0
-			for p := pb; p < pe; p++ {
-				av := a[p*m+i]
-				//machlint:allow floateq sparsity fast path: exact zero rows multiply to exactly zero, skipping them is bit-identical
-				if av != 0 {
-					ps[cnt], vs[cnt] = p, av
-					cnt++
-				}
-			}
-			foldRows(dst[i*n:(i+1)*n], b, ps[:cnt], vs[:cnt])
+		pe := min(pb+mmBlockK, k)
+		for i := 0; i < m; i += 4 {
+			s.foldQuad(dst[i*n:], a[pb*m+i:], b, min(4, m-i), 1, m, pb, pe-pb, n)
 		}
 	}
 }

@@ -193,9 +193,15 @@ var trainShapes = map[string][][3]int{
 	"transB": {{8, 256, 9}, {16, 64, 72}, {8, 256, 64}}, // conv1/conv2 dW = g·colsᵀ, fc1 forward x·Wᵀ
 }
 
+// reluMaskedA is the row of each fold form whose a is fc1's gradient, which
+// the ReLU before it has zeroed about half of: its rows have zero terms and
+// take the compacted fold, not the dense tile a weight matrix takes.
+var reluMaskedA = map[string][3]int{"plain": {8, 64, 256}, "transA": {64, 8, 256}}
+
 // BenchmarkGEMMTrainShapes reports achieved GFLOP/s (2·m·k·n per product) of
 // the three f64 kernel forms and their f32 twins at the training shapes: the
-// per-kernel roofline rows for EXPERIMENTS.md.
+// per-kernel roofline rows for EXPERIMENTS.md. Each row's a has the zeros it
+// has in training (reluMaskedA), so the row runs the path training takes.
 func BenchmarkGEMMTrainShapes(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	for _, form := range []string{"plain", "transA", "transB"} {
@@ -212,6 +218,13 @@ func BenchmarkGEMMTrainShapes(b *testing.B) {
 			}
 			a64, b64, dst64 := Randn(rng, 1, ar, ac), Randn(rng, 1, br, bc), New(m, n)
 			a32, _ := randn32(rng, m*k)
+			if reluMaskedA[form] == s {
+				for i := range a32 {
+					if rng.Intn(2) == 0 {
+						a64.data[i], a32[i] = 0, 0
+					}
+				}
+			}
 			b32, _ := randn32(rng, k*n)
 			dst32 := make([]float32, m*n)
 			run := func(lane string, pass func()) {
@@ -242,17 +255,27 @@ func BenchmarkGEMMTrainShapes(b *testing.B) {
 }
 
 // BenchmarkMachinePeakF64 measures the arithmetic ceiling of the vector f64
-// kernels on this machine: independent register-only VMULPD/VADDPD pairs with
-// no loads, stores or FMA, reported in the GFLOP/s of the rows above.
+// kernels on this machine, one row per register width the kernels use:
+// independent register-only VMULPD/VADDPD pairs with no loads, stores or FMA,
+// reported in the GFLOP/s of the rows above: 16 pairs into 8 YMM running
+// sums a round for avx2, 8 pairs into 8 ZMM ones for avx512 (the tile's own
+// arithmetic) — enough independent sums that the add latency does not bound
+// either.
 func BenchmarkMachinePeakF64(b *testing.B) {
 	if !useAVX2 {
 		b.Skip("no vector kernels in this build")
 	}
-	const iters = 1 << 16 // 128 flops each
-	for i := 0; i < b.N; i++ {
-		machinePeakAVX2(iters)
+	peak := func(b *testing.B, flopsPerRound int, run func(iters int)) {
+		const iters = 1 << 16
+		for i := 0; i < b.N; i++ {
+			run(iters)
+		}
+		b.ReportMetric(float64(flopsPerRound*iters)*float64(b.N)/float64(b.Elapsed().Nanoseconds()), "GFLOP/s")
 	}
-	b.ReportMetric(128*iters*float64(b.N)/float64(b.Elapsed().Nanoseconds()), "GFLOP/s")
+	b.Run("avx2", func(b *testing.B) { peak(b, 128, machinePeakAVX2) })
+	if useAVX512 {
+		b.Run("avx512", func(b *testing.B) { peak(b, 128, machinePeakAVX512) })
+	}
 }
 
 // BenchmarkMachinePeakF32 is the same ceiling for the vector f32 kernels:

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -115,81 +116,165 @@ func offsetBy1(t *Tensor) *Tensor {
 	return FromSlice(buf[1:], t.shape...)
 }
 
-// TestTiledKernelsBitIdenticalToReferenceOrder sweeps all three f64 kernels
-// against their reference-order oracles. For the two skipping forms, whole
-// reduction slices of a are zeroed and the b rows opposite them filled with
-// ±Inf and NaN: the reference never multiplies those, so any tiling that
-// folds a zero term in (0·Inf) turns a finite element into NaN and fails.
-func TestTiledKernelsBitIdenticalToReferenceOrder(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	nonFinite := []float64{math.Inf(1), math.Inf(-1), math.NaN(), -math.NaN()}
-	for _, s := range kernelSweepShapes {
-		m, k, n := s[0], s[1], s[2]
-		dead := make([]bool, k) // reduction indices p whose a slice is all zero
-		for p := range dead {
-			dead[p] = rng.Intn(4) == 0
+// forEachFoldTier runs fn as one subtest per f64 fold tier this binary can
+// take — the AVX-512 tile off, then on where the CPU has it — and restores
+// the gate afterwards.
+func forEachFoldTier(t *testing.T, fn func(t *testing.T)) {
+	has := useAVX512
+	defer func() { useAVX512 = has }()
+	for _, on := range []bool{false, true} {
+		if on && !has {
+			continue
 		}
-		b := Randn(rng, 1, k, n)
-		for p := 0; p < k; p++ {
-			if dead[p] {
-				for j := 0; j < n; j++ {
-					b.data[p*n+j] = nonFinite[rng.Intn(len(nonFinite))]
-				}
-			}
-		}
-
-		a := Randn(rng, 1, m, k)
-		plantZeros(rng, a)
-		at := Randn(rng, 1, k, m)
-		plantZeros(rng, at)
-		for p := 0; p < k; p++ {
-			if dead[p] {
-				for i := 0; i < m; i++ {
-					a.data[i*k+p] = 0
-					at.data[p*m+i] = 0
-				}
-			}
-		}
-
-		want := refMatMulIKJ(a, b)
-		for _, v := range want.data {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				t.Fatalf("%v: oracle produced %v; the planted non-finite rows must stay unread", s, v)
-			}
-		}
-		requireSameBits(t, "MatMul", matMul(a, b), want)
-		// The Into forms run on operands one element off any alignment the
-		// allocator gives (the vector kernels use unaligned loads and stores)
-		// and on a dirty destination.
-		dirty := offsetBy1(full(math.NaN(), m, n))
-		MatMulInto(dirty, offsetBy1(a), offsetBy1(b))
-		requireSameBits(t, "MatMulInto", dirty, want)
-
-		wantA := refMatMulTransAPIJ(at, b)
-		requireSameBits(t, "MatMulTransA", matMulTransA(at, b), wantA)
-		dirty = offsetBy1(full(math.NaN(), m, n))
-		MatMulTransAInto(dirty, offsetBy1(at), offsetBy1(b))
-		requireSameBits(t, "MatMulTransAInto", dirty, wantA)
-
-		// a·bᵀ has no skip in the reference, so only finite operands (with
-		// zeros of both signs) are compared.
-		bt := Randn(rng, 1, n, k)
-		plantZeros(rng, bt)
-		wantB := refMatMulTransBDot(a, bt)
-		requireSameBits(t, "MatMulTransB", matMulTransB(a, bt), wantB)
-		dirty = offsetBy1(full(math.NaN(), m, n))
-		MatMulTransBInto(dirty, offsetBy1(a), offsetBy1(bt))
-		requireSameBits(t, "MatMulTransBInto", dirty, wantB)
+		useAVX512 = on
+		t.Run(foldTier(), fn)
 	}
 }
 
-// TestKernelPathReported logs which kernels this test binary selected (one
-// gate, useAVX2, picks both lanes' products and the elementwise family), so a
+// foldTier names the kernel four rows with no zero term fold in.
+func foldTier() string {
+	switch {
+	case useAVX512:
+		return "avx512"
+	case useAVX2:
+		return "avx2"
+	}
+	return "go"
+}
+
+// requireFoldForms checks a·b and aᵀ·b (at is k×m) of shape s against their
+// reference orders, through the allocating forms and through the Into forms
+// on operands one element off any alignment the allocator gives (the vector
+// kernels use unaligned loads and stores) and on a dirty destination.
+func requireFoldForms(t *testing.T, s [3]int, a, at, b *Tensor) {
+	t.Helper()
+	m, n := s[0], s[2]
+	want := refMatMulIKJ(a, b)
+	requireSameBits(t, fmt.Sprint(s, " MatMul"), matMul(a, b), want)
+	dirty := offsetBy1(full(math.NaN(), m, n))
+	MatMulInto(dirty, offsetBy1(a), offsetBy1(b))
+	requireSameBits(t, fmt.Sprint(s, " MatMulInto"), dirty, want)
+
+	wantA := refMatMulTransAPIJ(at, b)
+	requireSameBits(t, fmt.Sprint(s, " MatMulTransA"), matMulTransA(at, b), wantA)
+	dirty = offsetBy1(full(math.NaN(), m, n))
+	MatMulTransAInto(dirty, offsetBy1(at), offsetBy1(b))
+	requireSameBits(t, fmt.Sprint(s, " MatMulTransAInto"), dirty, wantA)
+}
+
+// TestTiledKernelsBitIdenticalToReferenceOrder sweeps all three f64 kernels
+// against their reference-order oracles on every fold tier. For the two
+// skipping forms, whole reduction slices of a are zeroed and the b rows
+// opposite them filled with ±Inf and NaN: the reference never multiplies
+// those, so any tiling that folds a zero term in (0·Inf) turns a finite
+// element into NaN and fails.
+func TestTiledKernelsBitIdenticalToReferenceOrder(t *testing.T) {
+	forEachFoldTier(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(12))
+		for _, s := range kernelSweepShapes {
+			m, k, n := s[0], s[1], s[2]
+			dead := make([]bool, k) // reduction indices p whose a slice is all zero
+			for p := range dead {
+				dead[p] = rng.Intn(4) == 0
+			}
+			b := Randn(rng, 1, k, n)
+			for p := 0; p < k; p++ {
+				if dead[p] {
+					for j := 0; j < n; j++ {
+						b.data[p*n+j] = nonFinite[rng.Intn(len(nonFinite))]
+					}
+				}
+			}
+
+			a := Randn(rng, 1, m, k)
+			plantZeros(rng, a)
+			at := Randn(rng, 1, k, m)
+			plantZeros(rng, at)
+			for p := 0; p < k; p++ {
+				if dead[p] {
+					for i := 0; i < m; i++ {
+						a.data[i*k+p] = 0
+						at.data[p*m+i] = 0
+					}
+				}
+			}
+
+			for _, v := range refMatMulIKJ(a, b).data {
+				if math.IsNaN(v) || math.IsInf(v, 0) {
+					t.Fatalf("%v: oracle produced %v; the planted non-finite rows must stay unread", s, v)
+				}
+			}
+			requireFoldForms(t, s, a, at, b)
+
+			// a·bᵀ has no skip in the reference, so only finite operands (with
+			// zeros of both signs) are compared.
+			bt := Randn(rng, 1, n, k)
+			plantZeros(rng, bt)
+			wantB := refMatMulTransBDot(a, bt)
+			requireSameBits(t, fmt.Sprint(s, " MatMulTransB"), matMulTransB(a, bt), wantB)
+			dirty := offsetBy1(full(math.NaN(), m, n))
+			MatMulTransBInto(dirty, offsetBy1(a), offsetBy1(bt))
+			requireSameBits(t, fmt.Sprint(s, " MatMulTransBInto"), dirty, wantB)
+		}
+	})
+}
+
+var nonFinite = []float64{math.Inf(1), math.Inf(-1), math.NaN(), -math.NaN()}
+
+// TestDenseFoldBitIdenticalToReferenceOrder runs the two fold forms on an a
+// with no zero, so every four consecutive rows take the AVX-512 tile where
+// the CPU has one: m around the four-row quad, n around the 16- and 8-column
+// blocks and the masked tail, and one k past a k-block, whose second block
+// must start from the first one's sums. One b row holds ±Inf and NaN, and
+// row 1 of a holds a NaN whose payload differs from the b NaNs it meets (the
+// one in the last column always), so the bits show every operand order. Each
+// of three mutations planted in the tile failed here first at:
+//   - an FMA for the multiply and add: [4 9 7] MatMul element 1, the first
+//     shape with a full quad, off by one ulp;
+//   - VMULPD's operands swapped (v first): [4 1 7] MatMul element 7, row 1's
+//     NaN times a −NaN of b, which kept a's payload;
+//   - the running sums started at +0 rather than loaded from d: [8 265 17]
+//     MatMul element 0, the shape past a k-block, which lost the first block.
+func TestDenseFoldBitIdenticalToReferenceOrder(t *testing.T) {
+	var shapes [][3]int
+	for _, m := range []int{3, 4, 5, 8, 9} {
+		for _, k := range []int{1, 9, 72} {
+			for _, n := range []int{7, 8, 9, 15, 16, 17, 64} {
+				shapes = append(shapes, [3]int{m, k, n})
+			}
+		}
+	}
+	shapes = append(shapes, [3]int{8, mmBlockK + 9, 17})
+	nanA := math.Float64frombits(0x7ff800000000a0a0)
+	nanB := math.Float64frombits(0xfff800000000b0b0)
+	forEachFoldTier(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(13))
+		for _, s := range shapes {
+			m, k, n := s[0], s[1], s[2]
+			a, at, b := Randn(rng, 1, m, k), Randn(rng, 1, k, m), Randn(rng, 1, k, n)
+			p := rng.Intn(k)
+			for j := 0; j < n-1; j += 5 {
+				b.data[p*n+j] = nonFinite[rng.Intn(len(nonFinite))]
+			}
+			b.data[p*n+n-1] = nanB
+			a.data[k+p], at.data[p*m+1] = nanA, nanA
+			requireFoldForms(t, s, a, at, b)
+		}
+	})
+}
+
+// TestKernelPathReported logs which kernels this test binary selected, so a
 // CI log shows whether the sweeps exercised the assembly or the Go loops.
+// useAVX2 picks both lanes' products and the elementwise family; useAVX512
+// adds the four-row tile of the f64 fold.
 func TestKernelPathReported(t *testing.T) {
 	path := "go"
 	if useAVX2 {
 		path = "avx2"
 	}
-	t.Logf("tensor kernel path: f64 %s, f32 %s, elementwise %s (from %d elements)", path, path, path, vecMin)
+	fold := path
+	if useAVX512 {
+		fold = "avx512 tile + avx2"
+	}
+	t.Logf("tensor kernel path: f64 fold %s, f64 a·bᵀ %s, f32 %s, elementwise %s (from %d elements)", fold, path, path, path, vecMin)
 }
