@@ -93,7 +93,7 @@ func TestParseEscapeLine(t *testing.T) {
 func TestAllocBudgetRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "allocs.txt")
 	counts := map[string]int{
-		"internal/hfl.(*Engine).edgeDecide": 3,
+		"internal/hfl.(*Engine).edgeDecide":  3,
 		"internal/sampling.EdgeSamplingInto": 0,
 	}
 	if err := WriteAllocBudget(path, counts); err != nil {

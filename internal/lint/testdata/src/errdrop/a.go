@@ -40,5 +40,5 @@ func waived() {
 
 func unjustified() {
 	/* want "no justification" */ //machlint:allow errdrop
-	_ = mayFail() // want "discarded into _"
+	_ = mayFail()                 // want "discarded into _"
 }

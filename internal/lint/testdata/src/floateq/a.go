@@ -30,7 +30,7 @@ func compare(a float64, b float32, eps float64) bool {
 
 func unjustified(a float64) bool {
 	/* want "no justification" */ //machlint:allow floateq
-	return a == 1 // want "exact floating-point =="
+	return a == 1                 // want "exact floating-point =="
 }
 
 func switches(a float64, b float32, n int) int {

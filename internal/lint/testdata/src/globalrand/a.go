@@ -9,8 +9,8 @@ import (
 )
 
 func hazards() time.Duration {
-	_ = rand.Intn(10)  // want "shared global source"
-	_ = rand.Float64() // want "shared global source"
+	_ = rand.Intn(10)                  // want "shared global source"
+	_ = rand.Float64()                 // want "shared global source"
 	rand.Shuffle(3, func(i, j int) {}) // want "shared global source"
 	start := time.Now()                // want "wall-clock read"
 	_ = time.Now()                     // want "wall-clock read"

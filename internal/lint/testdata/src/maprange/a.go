@@ -79,7 +79,7 @@ func suppressed(m map[string]float64) []string {
 func unjustifiedSuppression(m map[string]float64) []string {
 	var keys []string
 	/* want "no justification" */ //machlint:allow maprange
-	for k := range m { // want "appends to a slice"
+	for k := range m {            // want "appends to a slice"
 		keys = append(keys, k)
 	}
 	return keys

@@ -406,7 +406,6 @@ func (l *Lane32) backwardOp(op *lane32Op, s, batch int, goutBuf, ginBuf []float3
 // SoftmaxCrossEntropyInto.
 //
 //machlint:noalias logits,grad
-//
 //machlint:allocfree
 func (l *Lane32) lossInto(logits []float32, labels []int, grad []float32, batch int) float64 {
 	classes := l.classes

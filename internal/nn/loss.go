@@ -15,7 +15,6 @@ import (
 // with the usual max-subtraction for numerical stability.
 //
 //machlint:noalias logits,grad
-//
 //machlint:allocfree
 func SoftmaxCrossEntropyInto(logits *tensor.Tensor, labels []int, grad *tensor.Tensor) (loss float64) {
 	if logits.Rank() != 2 {

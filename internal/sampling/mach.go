@@ -130,7 +130,6 @@ func (s *MACH) ProbabilitiesInto(ctx *EdgeContext, dst []float64) []float64 {
 // score depends only on its own estimate.
 //
 //machlint:aliasok the estimate total is accumulated before any write and dst[i] depends only on estimates[i]
-//
 //machlint:allocfree
 func EdgeSamplingInto(cfg MACHConfig, capacity float64, estimates, dst []float64) []float64 {
 	if cfg.RawEq13 {

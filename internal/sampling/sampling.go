@@ -124,7 +124,6 @@ type Observer interface {
 // write, and out[i] depends only on scores[i] and the total.
 //
 //machlint:aliasok the score total is accumulated before any write and dst[i] depends only on scores[i]
-//
 //machlint:allocfree
 func capProbabilitiesInto(dst, scores []float64, capacity, floor float64) []float64 {
 	n := len(scores)

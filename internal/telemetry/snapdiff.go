@@ -22,7 +22,7 @@ import (
 type SnapshotDelta struct {
 	// Metric is the qualified name: "counter/steps", "gauge/accuracy",
 	// "hist/step_ns.p99", "shard0/decide.p99".
-	Metric string `json:"metric"`
+	Metric string  `json:"metric"`
 	Old    float64 `json:"old"`
 	New    float64 `json:"new"`
 	// Pct is the relative change in percent ((new-old)/old·100); +Inf is

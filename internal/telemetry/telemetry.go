@@ -157,9 +157,9 @@ var histNames = [histCount]string{
 // configuration, and bucketing stays a bits.Len64 plus a shift — cheap
 // enough for per-edge observations.
 const (
-	histSubBits  = 4                         // 16 linear sub-buckets per octave
-	histSubCount = 1 << histSubBits          //
-	histExactMax = 1<<(histSubBits+1) - 1    // values 1..31 bucket exactly
+	histSubBits  = 4                      // 16 linear sub-buckets per octave
+	histSubCount = 1 << histSubBits       //
+	histExactMax = 1<<(histSubBits+1) - 1 // values 1..31 bucket exactly
 	histBuckets  = histExactMax + 1 + (63-(histSubBits+1))*histSubCount
 )
 

@@ -16,7 +16,10 @@ import (
 // the bits of the Go loops below. Those loops are the whole kernel without the
 // amd64 assembly (-tags purego, arm64), the tail of every vector pass, the
 // path of operands shorter than vecMin, and the oracle of
-// TestElementwiseKernelsBitIdenticalToGoLoops.
+// TestElementwiseKernelsBitIdenticalToGoLoops. The loops whose operand order
+// the compiler picks are kept out of line (go:noinline), so the tails, the
+// pure-Go build and the tests run one compiled body, whose order on NaN
+// payloads the kernels copy.
 
 // vecMin is the operand length from which the vector kernels run. Below it a
 // call costs more than it saves: BenchmarkElementwise has the Go loop ahead at
@@ -43,6 +46,7 @@ func Add[T float32 | float64](dst, src []T) {
 	addGo(dst[i:], src[i:])
 }
 
+//go:noinline
 func addGo[T float32 | float64](dst, src []T) {
 	for i, v := range src {
 		dst[i] += v
@@ -67,6 +71,7 @@ func AddScalar[T float32 | float64](dst []T, v T) {
 	addScalarGo(dst[i:], v)
 }
 
+//go:noinline
 func addScalarGo[T float32 | float64](dst []T, v T) {
 	for i := range dst {
 		dst[i] += v
@@ -94,6 +99,7 @@ func Axpy[T float32 | float64](dst []T, a T, src []T) {
 	axpyGo(dst[i:], a, src[i:])
 }
 
+//go:noinline
 func axpyGo[T float32 | float64](dst []T, a T, src []T) {
 	for i, v := range src {
 		dst[i] += T(a * v)
@@ -115,6 +121,7 @@ func AxpyDiff(dst []float64, a float64, x, y []float64) {
 	axpyDiffGo(dst[i:], a, x[i:], y[i:])
 }
 
+//go:noinline
 func axpyDiffGo(dst []float64, a float64, x, y []float64) {
 	for i, v := range x {
 		dst[i] += float64(a * (v - y[i]))
@@ -326,6 +333,8 @@ func MasterUpdate32(m []float64, p, g []float32, lr float64) float64 {
 }
 
 // masterUpdateGo continues the norm chain from sum.
+//
+//go:noinline
 func masterUpdateGo(m []float64, p, g []float32, lr, sum float64) float64 {
 	for j, gv := range g {
 		f := float64(gv)

@@ -143,63 +143,66 @@ func matMulTransB32(dst, a, b []float32, m, k, n int, vec bool) {
 }
 
 // transB32Dots writes rows [i0, i1) × columns [j0, n) of a·bᵀ; j0 must be a
-// multiple of 4. Columns below n&^3 go four per pass — each a load feeds four
-// dots — with every dot split into an even-p and an odd-p partial sum, eight
-// independent chains in the 4×2 body; the n%4 last columns fall back to a
-// four-way single-dot split. Which split a column gets depends on n alone.
+// multiple of 4. Columns below n&^3 split every dot into an even-p and an
+// odd-p partial sum, e + o; the n%4 last columns fall back to splitDot32.
+// Which split a column gets depends on n alone. Dots run four rows side by
+// side, each b load feeding four of them (a last group of fewer rows repeats
+// its last row, storing its sums twice), and the even and the odd sums take
+// one pass each: so every a value feeds one product and the compiled loops
+// multiply with a as the first operand and add onto the running sum first, as
+// transB32TilesAVX2 does, and NaN payloads agree with it.
 //
 //machlint:allocfree
 func transB32Dots(dst, a, b []float32, i0, i1, j0, k, n int) {
-	for i := i0; i < i1; i++ {
-		arow := a[i*k : (i+1)*k]
-		drow := dst[i*n : (i+1)*n]
+	for i := i0; i < i1; i += 4 {
+		r1, r2, r3 := min(i+1, i1-1), min(i+2, i1-1), min(i+3, i1-1)
+		a0, a1, a2, a3 := a[i*k:(i+1)*k], a[r1*k:(r1+1)*k], a[r2*k:(r2+1)*k], a[r3*k:(r3+1)*k]
+		d0, d1, d2, d3 := dst[i*n:(i+1)*n], dst[r1*n:(r1+1)*n], dst[r2*n:(r2+1)*n], dst[r3*n:(r3+1)*n]
 		j := j0
-		for ; j+4 <= n; j += 4 {
-			b0 := b[j*k : (j+1)*k]
-			b1 := b[(j+1)*k : (j+2)*k]
-			b2 := b[(j+2)*k : (j+3)*k]
-			b3 := b[(j+3)*k : (j+4)*k]
-			var s00, s01, s10, s11, s20, s21, s30, s31 float32
-			p := 0
-			for ; p+2 <= k; p += 2 {
-				a0, a1 := arow[p], arow[p+1]
-				s00 += a0 * b0[p]
-				s01 += a1 * b0[p+1]
-				s10 += a0 * b1[p]
-				s11 += a1 * b1[p+1]
-				s20 += a0 * b2[p]
-				s21 += a1 * b2[p+1]
-				s30 += a0 * b3[p]
-				s31 += a1 * b3[p+1]
+		for ; j < n&^3; j++ {
+			brow := b[j*k : (j+1)*k]
+			var e0, e1, e2, e3, o0, o1, o2, o3 float32
+			for p := 0; p < k; p += 2 {
+				x := brow[p]
+				e0 += a0[p] * x
+				e1 += a1[p] * x
+				e2 += a2[p] * x
+				e3 += a3[p] * x
 			}
-			if p < k {
-				av := arow[p]
-				s00 += av * b0[p]
-				s10 += av * b1[p]
-				s20 += av * b2[p]
-				s30 += av * b3[p]
+			for p := 1; p < k; p += 2 {
+				x := brow[p]
+				o0 += a0[p] * x
+				o1 += a1[p] * x
+				o2 += a2[p] * x
+				o3 += a3[p] * x
 			}
-			drow[j] = s00 + s01
-			drow[j+1] = s10 + s11
-			drow[j+2] = s20 + s21
-			drow[j+3] = s30 + s31
+			d0[j], d1[j], d2[j], d3[j] = e0+o0, e1+o1, e2+o2, e3+o3
 		}
 		for ; j < n; j++ {
 			brow := b[j*k : (j+1)*k]
-			var s0, s1, s2, s3, tail float32
-			p := 0
-			for ; p+4 <= k; p += 4 {
-				s0 += arow[p] * brow[p]
-				s1 += arow[p+1] * brow[p+1]
-				s2 += arow[p+2] * brow[p+2]
-				s3 += arow[p+3] * brow[p+3]
-			}
-			for ; p < k; p++ {
-				tail += arow[p] * brow[p]
-			}
-			drow[j] = ((s0 + s1) + (s2 + s3)) + tail
+			d0[j], d1[j], d2[j], d3[j] = splitDot32(a0, brow), splitDot32(a1, brow), splitDot32(a2, brow), splitDot32(a3, brow)
 		}
 	}
+}
+
+// splitDot32 is Σ a[p]·b[p] over len(a) terms as four interleaved partial
+// sums and the len(a)%4 last terms: ((s0 + s1) + (s2 + s3)) + tail.
+//
+//machlint:allocfree
+func splitDot32(a, b []float32) float32 {
+	b = b[:len(a)]
+	var s0, s1, s2, s3, tail float32
+	p := 0
+	for ; p+4 <= len(a); p += 4 {
+		s0 += a[p] * b[p]
+		s1 += a[p+1] * b[p+1]
+		s2 += a[p+2] * b[p+2]
+		s3 += a[p+3] * b[p+3]
+	}
+	for ; p < len(a); p++ {
+		tail += a[p] * b[p]
+	}
+	return ((s0 + s1) + (s2 + s3)) + tail
 }
 
 // Im2Col32Into lowers one image x ([InC, InH, InW], flat) into dst

@@ -12,8 +12,9 @@ var useAVX2 = cpuHasAVX2()
 // YMM state (CPUID leaves 1 and 7, XGETBV).
 func cpuHasAVX2() bool
 
-// useAVX512 adds foldTile4AVX512 to the f64 fold (foldQuad), decided the
-// same way; the tile gives the bits the AVX2 fold gives.
+// useAVX512 adds foldTile4AVX512 to the f64 fold (foldQuad) and puts a·bᵀ on
+// transBTilesAVX512, decided the same way; the tiles give the bits the AVX2
+// kernels give.
 var useAVX512 = useAVX2 && cpuHasAVX512()
 
 // cpuHasAVX512 reports AVX-512F with the OS saving opmask and ZMM state.
@@ -41,6 +42,27 @@ func foldTile4AVX512(d, b, v *float64, vrow, vterm, terms, n int)
 //
 //go:noescape
 func transBTilesAVX2(dst, a, b *float64, k4, k, n, tiles int)
+
+// transBTilesAVX512 is transBTilesAVX2 with 8-column tiles: it writes the
+// 8-row × 8·tiles-column block dst[r·n+j] = Σ_{p<k8} a[r·k+p]·b[j·k+p] in the
+// same order and operand order. k8 must be a multiple of 8 (zero is allowed).
+//
+//go:noescape
+func transBTilesAVX512(dst, a, b *float64, k8, k, n, tiles int)
+
+// transBFringeAVX512 writes the 8-row × cols-column block
+// dst[r·n+j] = Σ_{p<k8} a[r·k+p]·b[j·k+p] in transBTilesAVX512's order and
+// operand order, for the 1 ≤ cols ≤ 7 columns a block of eight tiles leaves.
+// k8 must be a multiple of 8 (zero is allowed).
+//
+//go:noescape
+func transBFringeAVX512(dst, a, b *float64, k8, k, n, cols int)
+
+// anyZeroAVX2 reports whether any of a[0:n] is an exact zero of either sign (a
+// NaN is not); n must be a positive multiple of 4.
+//
+//go:noescape
+func anyZeroAVX2(a *float64, n int) bool
 
 // machinePeakAVX2 runs iters rounds of 16 independent register-only
 // VMULPD/VADDPD pairs (128 flops per round): the arithmetic ceiling the

@@ -3,13 +3,13 @@
 #include "textflag.h"
 
 // AVX2 micro-kernels for matmul.go (f64, four columns per register) and
-// f32.go (f32, eight), and one AVX-512 tile of the f64 fold (eight columns
-// per register). The rule they all keep: lanes run across output columns,
-// every output combines its terms in the expression tree of the Go loop it
-// replaces, a VMULPD/VMULPS and then a VADDPD/VADDPS per term, never VFMADD,
-// never a horizontal sum. Each lane therefore performs exactly the scalar
-// operations of the Go loops, in the same order, and the results agree bit
-// for bit.
+// f32.go (f32, eight), and AVX-512 tiles of the f64 fold and a·bᵀ (eight
+// columns, or in the a·bᵀ fringe eight rows, per register). The rule they all
+// keep: lanes run across outputs, every output combines its terms in the
+// expression tree of the Go loop it replaces, a VMULPD/VMULPS and then a
+// VADDPD/VADDPS per term, never VFMADD, never a horizontal sum. Each lane
+// therefore performs exactly the scalar operations of the Go loops, in the
+// same order and operand order, and the results agree bit for bit.
 
 // func cpuHasAVX2() bool
 TEXT ·cpuHasAVX2(SB), NOSPLIT, $0-1
@@ -339,6 +339,343 @@ store:
 	VZEROUPPER
 	RET
 
+// TRANSPOSE8 turns Z8..Z15, eight rows of eight consecutive doubles, into
+// Z16..Z23, one column of them each: VUNPCK{L,H}PD pairs rows, then two
+// VSHUFF64X2 stages move 128-bit lanes (0x88 picks lanes 0 and 2 of each
+// source, 0xDD lanes 1 and 3).
+#define TRANSPOSE8 \
+	VUNPCKLPD Z9, Z8, Z16; \
+	VUNPCKHPD Z9, Z8, Z17; \
+	VUNPCKLPD Z11, Z10, Z18; \
+	VUNPCKHPD Z11, Z10, Z19; \
+	VUNPCKLPD Z13, Z12, Z20; \
+	VUNPCKHPD Z13, Z12, Z21; \
+	VUNPCKLPD Z15, Z14, Z22; \
+	VUNPCKHPD Z15, Z14, Z23; \
+	VSHUFF64X2 $0x88, Z18, Z16, Z8; \
+	VSHUFF64X2 $0xDD, Z18, Z16, Z9; \
+	VSHUFF64X2 $0x88, Z19, Z17, Z10; \
+	VSHUFF64X2 $0xDD, Z19, Z17, Z11; \
+	VSHUFF64X2 $0x88, Z22, Z20, Z12; \
+	VSHUFF64X2 $0xDD, Z22, Z20, Z13; \
+	VSHUFF64X2 $0x88, Z23, Z21, Z14; \
+	VSHUFF64X2 $0xDD, Z23, Z21, Z15; \
+	VSHUFF64X2 $0x88, Z12, Z8, Z16; \
+	VSHUFF64X2 $0x88, Z14, Z10, Z17; \
+	VSHUFF64X2 $0x88, Z13, Z9, Z18; \
+	VSHUFF64X2 $0x88, Z15, Z11, Z19; \
+	VSHUFF64X2 $0xDD, Z12, Z8, Z20; \
+	VSHUFF64X2 $0xDD, Z14, Z10, Z21; \
+	VSHUFF64X2 $0xDD, Z13, Z9, Z22; \
+	VSHUFF64X2 $0xDD, Z15, Z11, Z23
+
+// ROWS8 adds a[r,p]·bcol onto the running sums Z0..Z7 of the tile's eight
+// rows: off is the byte offset of p within the block of eight, SI and R12
+// point at a rows 0 and 4, and R8 / R11 hold one and three row strides. Each
+// product takes a and each add the sum as first operand, as ROWS4 does.
+#define ROWS8(off, bcol) \
+	VBROADCASTSD off(SI), Z24; \
+	VBROADCASTSD off(SI)(R8*1), Z25; \
+	VBROADCASTSD off(SI)(R8*2), Z26; \
+	VBROADCASTSD off(SI)(R11*1), Z27; \
+	VBROADCASTSD off(R12), Z28; \
+	VBROADCASTSD off(R12)(R8*1), Z29; \
+	VBROADCASTSD off(R12)(R8*2), Z30; \
+	VBROADCASTSD off(R12)(R11*1), Z31; \
+	VMULPD bcol, Z24, Z24; \
+	VMULPD bcol, Z25, Z25; \
+	VMULPD bcol, Z26, Z26; \
+	VMULPD bcol, Z27, Z27; \
+	VMULPD bcol, Z28, Z28; \
+	VMULPD bcol, Z29, Z29; \
+	VMULPD bcol, Z30, Z30; \
+	VMULPD bcol, Z31, Z31; \
+	VADDPD Z24, Z0, Z0; \
+	VADDPD Z25, Z1, Z1; \
+	VADDPD Z26, Z2, Z2; \
+	VADDPD Z27, Z3, Z3; \
+	VADDPD Z28, Z4, Z4; \
+	VADDPD Z29, Z5, Z5; \
+	VADDPD Z30, Z6, Z6; \
+	VADDPD Z31, Z7, Z7
+
+// func transBTilesAVX512(dst, a, b *float64, k8, k, n, tiles int)
+//
+// transBTilesAVX2 on ZMM registers: a tile is 8 rows × 8 columns, Z0..Z7 its
+// rows' sums. Per eight p, the eight b rows of the tile are transposed in
+// registers (TRANSPOSE8), so Z16..Z23 hold p+0..p+7 each across the tile's
+// columns.
+TEXT ·transBTilesAVX512(SB), NOSPLIT, $0-56
+	MOVQ dst+0(FP), DI
+	MOVQ a+8(FP), SI
+	MOVQ b+16(FP), BX
+	MOVQ k8+24(FP), R15
+	MOVQ k+32(FP), R8
+	MOVQ n+40(FP), R9
+	MOVQ tiles+48(FP), DX
+	SHLQ $3, R15          // bytes of a row the vector loop consumes
+	SHLQ $3, R8           // bytes per a / b row
+	SHLQ $3, R9           // bytes per dst row
+	LEAQ (R8)(R8*2), R11  // three a / b rows
+	LEAQ (R9)(R9*2), R13  // three dst rows
+	LEAQ (SI)(R8*4), R12  // a rows 4..7
+
+tile512:
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z1, Z1, Z1
+	VPXORQ Z2, Z2, Z2
+	VPXORQ Z3, Z3, Z3
+	VPXORQ Z4, Z4, Z4
+	VPXORQ Z5, Z5, Z5
+	VPXORQ Z6, Z6, Z6
+	VPXORQ Z7, Z7, Z7
+	LEAQ  (BX)(R8*4), R10 // b rows 4..7
+	MOVQ  R15, CX
+	TESTQ CX, CX
+	JZ    store512
+
+block512:
+	VMOVUPD (BX), Z8
+	VMOVUPD (BX)(R8*1), Z9
+	VMOVUPD (BX)(R8*2), Z10
+	VMOVUPD (BX)(R11*1), Z11
+	VMOVUPD (R10), Z12
+	VMOVUPD (R10)(R8*1), Z13
+	VMOVUPD (R10)(R8*2), Z14
+	VMOVUPD (R10)(R11*1), Z15
+	TRANSPOSE8
+	ROWS8(0, Z16)
+	ROWS8(8, Z17)
+	ROWS8(16, Z18)
+	ROWS8(24, Z19)
+	ROWS8(32, Z20)
+	ROWS8(40, Z21)
+	ROWS8(48, Z22)
+	ROWS8(56, Z23)
+	ADDQ $64, BX
+	ADDQ $64, R10
+	ADDQ $64, SI
+	ADDQ $64, R12
+	SUBQ $64, CX
+	JNZ  block512
+
+store512:
+	LEAQ    (DI)(R9*4), AX
+	VMOVUPD Z0, (DI)
+	VMOVUPD Z1, (DI)(R9*1)
+	VMOVUPD Z2, (DI)(R9*2)
+	VMOVUPD Z3, (DI)(R13*1)
+	VMOVUPD Z4, (AX)
+	VMOVUPD Z5, (AX)(R9*1)
+	VMOVUPD Z6, (AX)(R9*2)
+	VMOVUPD Z7, (AX)(R13*1)
+	ADDQ $64, DI
+	SUBQ R15, SI          // back to p = 0
+	SUBQ R15, R12
+	SUBQ R15, BX
+	LEAQ (BX)(R8*8), BX   // next eight b rows
+	DECQ DX
+	JNZ  tile512
+	VZEROUPPER
+	RET
+
+// iota8 is 0..7 in qwords: the lane numbers VPMULUDQ turns into row offsets.
+DATA iota8<>+0(SB)/8, $0
+DATA iota8<>+8(SB)/8, $1
+DATA iota8<>+16(SB)/8, $2
+DATA iota8<>+24(SB)/8, $3
+DATA iota8<>+32(SB)/8, $4
+DATA iota8<>+40(SB)/8, $5
+DATA iota8<>+48(SB)/8, $6
+DATA iota8<>+56(SB)/8, $7
+GLOBL iota8<>(SB), RODATA|NOPTR, $64
+
+// COL8 adds Σ_t a[r,p+t]·b[j,p+t] over the block's eight p onto acc, the
+// sums of one fringe column j for the eight rows r (one per lane); register bj
+// points at b[j,p]. Each product takes the a column first, each add the sum.
+#define COL8(acc, bj) \
+	VBROADCASTSD 0(bj), Z24; \
+	VMULPD Z24, Z16, Z24; \
+	VADDPD Z24, acc, acc; \
+	VBROADCASTSD 8(bj), Z25; \
+	VMULPD Z25, Z17, Z25; \
+	VADDPD Z25, acc, acc; \
+	VBROADCASTSD 16(bj), Z26; \
+	VMULPD Z26, Z18, Z26; \
+	VADDPD Z26, acc, acc; \
+	VBROADCASTSD 24(bj), Z27; \
+	VMULPD Z27, Z19, Z27; \
+	VADDPD Z27, acc, acc; \
+	VBROADCASTSD 32(bj), Z28; \
+	VMULPD Z28, Z20, Z28; \
+	VADDPD Z28, acc, acc; \
+	VBROADCASTSD 40(bj), Z29; \
+	VMULPD Z29, Z21, Z29; \
+	VADDPD Z29, acc, acc; \
+	VBROADCASTSD 48(bj), Z30; \
+	VMULPD Z30, Z22, Z30; \
+	VADDPD Z30, acc, acc; \
+	VBROADCASTSD 56(bj), Z31; \
+	VMULPD Z31, Z23, Z31; \
+	VADDPD Z31, acc, acc
+
+// func transBFringeAVX512(dst, a, b *float64, k8, k, n, cols int)
+//
+// The columns transBTilesAVX512 leaves, turned the other way: per eight p the
+// block of the eight a rows is transposed (Z16..Z23 hold one p across the
+// rows), each of the cols b rows is broadcast against it, and Z0..Z6 hold the
+// sums of columns 0..cols-1, one row per lane, until a scatter writes them.
+TEXT ·transBFringeAVX512(SB), NOSPLIT, $0-56
+	MOVQ dst+0(FP), DI
+	MOVQ a+8(FP), SI
+	MOVQ b+16(FP), BX
+	MOVQ k8+24(FP), CX
+	MOVQ k+32(FP), R8
+	MOVQ cols+48(FP), DX
+	SHLQ $3, CX           // bytes of a row the vector loop consumes
+	SHLQ $3, R8           // bytes per a / b row
+	LEAQ (R8)(R8*2), R11  // three a / b rows
+	LEAQ (SI)(R8*4), R12  // a rows 4..7
+	LEAQ (BX)(R8*4), R10  // b rows 4..6
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z1, Z1, Z1
+	VPXORQ Z2, Z2, Z2
+	VPXORQ Z3, Z3, Z3
+	VPXORQ Z4, Z4, Z4
+	VPXORQ Z5, Z5, Z5
+	VPXORQ Z6, Z6, Z6
+	TESTQ CX, CX
+	JZ    fringestore
+
+fringeblock:
+	VMOVUPD (SI), Z8
+	VMOVUPD (SI)(R8*1), Z9
+	VMOVUPD (SI)(R8*2), Z10
+	VMOVUPD (SI)(R11*1), Z11
+	VMOVUPD (R12), Z12
+	VMOVUPD (R12)(R8*1), Z13
+	VMOVUPD (R12)(R8*2), Z14
+	VMOVUPD (R12)(R11*1), Z15
+	TRANSPOSE8
+	COL8(Z0, BX)
+	CMPQ DX, $1
+	JEQ  fringenext
+	LEAQ (BX)(R8*1), AX
+	COL8(Z1, AX)
+	CMPQ DX, $2
+	JEQ  fringenext
+	LEAQ (BX)(R8*2), AX
+	COL8(Z2, AX)
+	CMPQ DX, $3
+	JEQ  fringenext
+	LEAQ (BX)(R11*1), AX
+	COL8(Z3, AX)
+	CMPQ DX, $4
+	JEQ  fringenext
+	COL8(Z4, R10)
+	CMPQ DX, $5
+	JEQ  fringenext
+	LEAQ (R10)(R8*1), AX
+	COL8(Z5, AX)
+	CMPQ DX, $6
+	JEQ  fringenext
+	LEAQ (R10)(R8*2), AX
+	COL8(Z6, AX)
+
+fringenext:
+	ADDQ $64, SI
+	ADDQ $64, R12
+	ADDQ $64, BX
+	ADDQ $64, R10
+	SUBQ $64, CX
+	JNZ  fringeblock
+
+fringestore:
+	// Lane r of a column's sums goes to dst[r·n + j]: qword indices r·n.
+	MOVQ n+40(FP), AX
+	VPBROADCASTQ AX, Z8
+	VMOVDQU64 iota8<>(SB), Z9
+	VPMULUDQ Z8, Z9, Z9
+	MOVQ $-1, AX
+	KMOVW AX, K1
+	VSCATTERQPD Z0, K1, (DI)(Z9*8)
+	CMPQ DX, $1
+	JEQ  fringedone
+	KMOVW AX, K1
+	VSCATTERQPD Z1, K1, 8(DI)(Z9*8)
+	CMPQ DX, $2
+	JEQ  fringedone
+	KMOVW AX, K1
+	VSCATTERQPD Z2, K1, 16(DI)(Z9*8)
+	CMPQ DX, $3
+	JEQ  fringedone
+	KMOVW AX, K1
+	VSCATTERQPD Z3, K1, 24(DI)(Z9*8)
+	CMPQ DX, $4
+	JEQ  fringedone
+	KMOVW AX, K1
+	VSCATTERQPD Z4, K1, 32(DI)(Z9*8)
+	CMPQ DX, $5
+	JEQ  fringedone
+	KMOVW AX, K1
+	VSCATTERQPD Z5, K1, 40(DI)(Z9*8)
+	CMPQ DX, $6
+	JEQ  fringedone
+	KMOVW AX, K1
+	VSCATTERQPD Z6, K1, 48(DI)(Z9*8)
+
+fringedone:
+	VZEROUPPER
+	RET
+
+// func anyZeroAVX2(a *float64, n int) bool
+//
+// VCMPPD predicate 0 is equal, ordered, quiet: ±0 compare equal to +0 and a
+// NaN compares unequal, the Go a[i] == 0. VTESTPD sets ZF unless some lane of
+// the compare mask is set.
+TEXT ·anyZeroAVX2(SB), NOSPLIT, $0-17
+	MOVQ a+0(FP), SI
+	MOVQ n+8(FP), CX
+	SHLQ $3, CX
+	VXORPD Y0, Y0, Y0
+	XORQ AX, AX
+	MOVQ CX, DX
+	SUBQ $128, DX         // last offset at which sixteen elements remain
+	JLT  zero4
+
+zero16:
+	VCMPPD  $0, (SI)(AX*1), Y0, Y1
+	VCMPPD  $0, 32(SI)(AX*1), Y0, Y2
+	VCMPPD  $0, 64(SI)(AX*1), Y0, Y3
+	VCMPPD  $0, 96(SI)(AX*1), Y0, Y4
+	VORPD   Y2, Y1, Y1
+	VORPD   Y4, Y3, Y3
+	VORPD   Y3, Y1, Y1
+	VTESTPD Y1, Y1
+	JNZ     zerofound
+	ADDQ    $128, AX
+	CMPQ    AX, DX
+	JLE     zero16
+
+zero4:
+	CMPQ    AX, CX
+	JGE     zeronone
+	VCMPPD  $0, (SI)(AX*1), Y0, Y1
+	VTESTPD Y1, Y1
+	JNZ     zerofound
+	ADDQ    $32, AX
+	JMP     zero4
+
+zeronone:
+	MOVB $0, ret+16(FP)
+	VZEROUPPER
+	RET
+
+zerofound:
+	MOVB $1, ret+16(FP)
+	VZEROUPPER
+	RET
+
 // PAIRS8 is eight independent multiply-then-add pairs, one per running sum.
 #define PAIRS8 \
 	VMULPD Y8, Y9, Y10; \
@@ -395,22 +732,29 @@ peak512:
 	RET
 
 // QUAD32 folds four terms onto eight columns at byte offset off of the b rows
-// at R12: acc = d + ((v0·b0 + v1·b1) + (v2·b2 + v3·b3)) with d in acc on
-// entry, the pairing of the f32 lane's Go fold.
+// at R12: acc = ((v1·b1 + v0·b0) + (v3·b3 + v2·b2)) + d with d in acc on
+// entry, the pairing of the f32 lane's Go fold in the operand order its
+// compiled loop uses — each product takes b first, each pair its second
+// product, the last add the quad's sum — so NaN payloads come out alike.
 #define QUAD32(acc, t, u, w, off) \
-	VMULPS off(R12), Y0, t; \
-	VMULPS off(R12)(R11*1), Y1, u; \
+	VMOVUPS off(R12), t; \
+	VMULPS Y0, t, t; \
+	VMOVUPS off(R12)(R11*1), u; \
+	VMULPS Y1, u, u; \
+	VADDPS t, u, t; \
+	VMOVUPS off(R12)(R11*2), u; \
+	VMULPS Y2, u, u; \
+	VMOVUPS off(R12)(R14*1), w; \
+	VMULPS Y3, w, w; \
+	VADDPS u, w, u; \
 	VADDPS u, t, t; \
-	VMULPS off(R12)(R11*2), Y2, u; \
-	VMULPS off(R12)(R14*1), Y3, w; \
-	VADDPS w, u, u; \
-	VADDPS u, t, t; \
-	VADDPS t, acc, acc
+	VADDPS acc, t, acc
 
-// ONE32 folds a single term: acc = d + v0·b0.
+// ONE32 folds a single term in the same operand order: acc = b0·v0 + d.
 #define ONE32(acc, t, off) \
-	VMULPS off(R12), Y0, t; \
-	VADDPS t, acc, acc
+	VMOVUPS off(R12), t; \
+	VMULPS Y0, t, t; \
+	VADDPS acc, t, acc
 
 // func fold32AVX2(d, b, v *float32, rows, vrow, vterm, terms, cols, n int)
 //
@@ -726,8 +1070,11 @@ peak32:
 
 // The elementwise family (elementwise.go). One YMM register is eight f32 or
 // four f64 iterations of the Go loop side by side; where an operation has an
-// operand order the bits depend on — the running value first in an add, the
-// candidate first in a maximum — it is the order of the Go expression.
+// operand order the bits depend on, it is the order of the Go loop as
+// compiled: a NaN meeting a NaN keeps the first source's payload, so an add
+// takes src before dst, a multiply the vector before the scalar, axpy's add
+// the product before dst (TestNaNPayloadsFollowGoOperandOrder), and a maximum
+// the candidate first.
 
 // func add32AVX2(dst, src *float32, n int)
 TEXT ·add32AVX2(SB), NOSPLIT, $0-24
@@ -738,8 +1085,8 @@ TEXT ·add32AVX2(SB), NOSPLIT, $0-24
 	XORQ AX, AX
 
 add32:
-	VMOVUPS (DI)(AX*1), Y0
-	VADDPS  (SI)(AX*1), Y0, Y0
+	VMOVUPS (SI)(AX*1), Y0
+	VADDPS  (DI)(AX*1), Y0, Y0
 	VMOVUPS Y0, (DI)(AX*1)
 	ADDQ    $32, AX
 	CMPQ    AX, CX
@@ -756,8 +1103,8 @@ TEXT ·add64AVX2(SB), NOSPLIT, $0-24
 	XORQ AX, AX
 
 add64:
-	VMOVUPD (DI)(AX*1), Y0
-	VADDPD  (SI)(AX*1), Y0, Y0
+	VMOVUPD (SI)(AX*1), Y0
+	VADDPD  (DI)(AX*1), Y0, Y0
 	VMOVUPD Y0, (DI)(AX*1)
 	ADDQ    $32, AX
 	CMPQ    AX, CX
@@ -811,10 +1158,10 @@ TEXT ·axpy32AVX2(SB), NOSPLIT, $0-32
 	XORQ AX, AX
 
 axpy32:
-	VMULPS  (SI)(AX*1), Y2, Y1
-	VMOVUPS (DI)(AX*1), Y0
-	VADDPS  Y1, Y0, Y0
-	VMOVUPS Y0, (DI)(AX*1)
+	VMOVUPS (SI)(AX*1), Y1
+	VMULPS  Y2, Y1, Y1
+	VADDPS  (DI)(AX*1), Y1, Y1
+	VMOVUPS Y1, (DI)(AX*1)
 	ADDQ    $32, AX
 	CMPQ    AX, CX
 	JLT     axpy32
@@ -831,10 +1178,10 @@ TEXT ·axpy64AVX2(SB), NOSPLIT, $0-32
 	XORQ AX, AX
 
 axpy64:
-	VMULPD  (SI)(AX*1), Y2, Y1
-	VMOVUPD (DI)(AX*1), Y0
-	VADDPD  Y1, Y0, Y0
-	VMOVUPD Y0, (DI)(AX*1)
+	VMOVUPD (SI)(AX*1), Y1
+	VMULPD  Y2, Y1, Y1
+	VADDPD  (DI)(AX*1), Y1, Y1
+	VMOVUPD Y1, (DI)(AX*1)
 	ADDQ    $32, AX
 	CMPQ    AX, CX
 	JLT     axpy64
@@ -854,7 +1201,7 @@ TEXT ·axpyDiff64AVX2(SB), NOSPLIT, $0-40
 axpydiff:
 	VMOVUPD (SI)(AX*1), Y1
 	VSUBPD  (DX)(AX*1), Y1, Y1
-	VMULPD  Y1, Y2, Y1
+	VMULPD  Y2, Y1, Y1
 	VMOVUPD (DI)(AX*1), Y0
 	VADDPD  Y1, Y0, Y0
 	VMOVUPD Y0, (DI)(AX*1)
@@ -1245,8 +1592,8 @@ addrows32row:
 addrows32full:
 	CMPQ AX, CX
 	JGE  addrows32tail
-	VMOVUPS (DI)(AX*1), Y0
-	VADDPS  (SI)(AX*1), Y0, Y0
+	VMOVUPS (SI)(AX*1), Y0
+	VADDPS  (DI)(AX*1), Y0, Y0
 	VMOVUPS Y0, (DI)(AX*1)
 	ADDQ    $32, AX
 	JMP     addrows32full
@@ -1256,7 +1603,7 @@ addrows32tail:
 	JZ    addrows32next
 	VMASKMOVPS (DI)(AX*1), Y2, Y0
 	VMASKMOVPS (SI)(AX*1), Y2, Y1
-	VADDPS     Y1, Y0, Y0
+	VADDPS     Y0, Y1, Y0
 	VMASKMOVPS Y0, Y2, (DI)(AX*1)
 
 addrows32next:
@@ -1292,8 +1639,8 @@ addrows64row:
 addrows64full:
 	CMPQ AX, CX
 	JGE  addrows64tail
-	VMOVUPD (DI)(AX*1), Y0
-	VADDPD  (SI)(AX*1), Y0, Y0
+	VMOVUPD (SI)(AX*1), Y0
+	VADDPD  (DI)(AX*1), Y0, Y0
 	VMOVUPD Y0, (DI)(AX*1)
 	ADDQ    $32, AX
 	JMP     addrows64full
@@ -1303,7 +1650,7 @@ addrows64tail:
 	JZ    addrows64next
 	VMASKMOVPD (DI)(AX*1), Y2, Y0
 	VMASKMOVPD (SI)(AX*1), Y2, Y1
-	VADDPD     Y1, Y0, Y0
+	VADDPD     Y0, Y1, Y0
 	VMASKMOVPD Y0, Y2, (DI)(AX*1)
 
 addrows64next:
@@ -1331,7 +1678,7 @@ TEXT ·masterUpdateAVX2(SB), NOSPLIT, $0-48
 master:
 	VCVTPS2PD  (SI)(AX*4), Y0
 	VMULPD     Y0, Y0, Y1   // f·f
-	VMULPD     Y0, Y7, Y2   // lr·f
+	VMULPD     Y7, Y0, Y2   // f·lr
 	VMOVUPD    (DI)(AX*8), Y3
 	VSUBPD     Y2, Y3, Y3
 	VMOVUPD    Y3, (DI)(AX*8)

@@ -21,6 +21,16 @@ func transBTilesAVX2(dst, a, b *float64, k4, k, n, tiles int) {
 	panic("tensor: no vector kernels in this build")
 }
 
+func transBTilesAVX512(dst, a, b *float64, k8, k, n, tiles int) {
+	panic("tensor: no vector kernels in this build")
+}
+
+func transBFringeAVX512(dst, a, b *float64, k8, k, n, cols int) {
+	panic("tensor: no vector kernels in this build")
+}
+
+func anyZeroAVX2(a *float64, n int) bool { panic("tensor: no vector kernels in this build") }
+
 func machinePeakAVX2(iters int) {
 	panic("tensor: no vector kernels in this build")
 }

@@ -62,20 +62,44 @@ func matMulDispatch(dst, a, b []float64, m, k, n int) {
 // matMulBlocked writes dst rows [i0, i1) of a·b with i/k blocking. Per
 // k-block, four rows at a time go through foldQuad, which folds only the
 // non-zero a[i,p] in ascending p, so the exact-zero skip of the reference loop
-// holds for every input (a skipped term never meets a non-finite b).
+// holds for every input (a skipped term never meets a non-finite b). The rows'
+// a values are one contiguous run, checked for a zero once for all quads.
 //
 //machlint:allocfree
 func matMulBlocked(dst, a, b []float64, i0, i1, k, n int) {
 	var s rowTerms
+	dense := !hasZero(a[i0*k : i1*k])
 	for ib := i0; ib < i1; ib += mmBlockI {
 		ie := min(ib+mmBlockI, i1)
 		for pb := 0; pb < k; pb += mmBlockK {
 			pe := min(pb+mmBlockK, k)
 			for i := ib; i < ie; i += 4 {
-				s.foldQuad(dst[i*n:], a[i*k+pb:], b, min(4, ie-i), k, 1, pb, pe-pb, n)
+				s.foldQuad(dst[i*n:], a[i*k+pb:], b, min(4, ie-i), k, 1, pb, pe-pb, n, dense)
 			}
 		}
 	}
+}
+
+// hasZero reports whether any of a is an exact zero of either sign — the test
+// compact makes of each term, so a NaN is not one. When it reports false, no
+// row of a product over a has a term to skip and none needs compacting.
+//
+//machlint:allocfree
+func hasZero(a []float64) bool {
+	i := 0
+	if useAVX2 && len(a) >= 4 {
+		i = len(a) &^ 3
+		if anyZeroAVX2(&a[0], i) {
+			return true
+		}
+	}
+	for _, v := range a[i:] {
+		//machlint:allow floateq sparsity fast path: exact zero rows multiply to exactly zero, skipping them is bit-identical
+		if v == 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // rowTerms holds one dst row's non-zero a values in a k-block and their p.
@@ -87,31 +111,35 @@ type rowTerms struct {
 // foldQuad adds the k-block [pb, pb+terms) of up to four dst rows onto d, one
 // every n elements, clearing them first when pb = 0 (while they are hot, not
 // in a pass over dst before the fold); row r's a values are a[r·rs + t·ts].
-// Rows with a zero term are compacted and go through foldRows. Four rows with
-// none — always so when a is a weight matrix — go through the AVX-512 tile,
-// which reads them from a and loads each b row once for the four.
+// Unless the caller has proven every a of the product non-zero (dense), rows
+// with a zero term are compacted and go through foldRows. Four rows with none
+// — always so when a is a weight matrix — go through the AVX-512 tile, which
+// reads them from a and loads each b row once for the four.
 //
 //machlint:noalias d,a d,b
 //machlint:allocfree
-func (s *rowTerms) foldQuad(d, a, b []float64, rows, rs, ts, pb, terms, n int) {
+func (s *rowTerms) foldQuad(d, a, b []float64, rows, rs, ts, pb, terms, n int, dense bool) {
 	if pb == 0 {
 		clear(d[:rows*n])
 	}
-	dense := 0 // bit r: row r has no zero term
-	for r := range rows {
-		cnt := s.compact(a[r*rs:], ts, pb, terms)
-		if cnt == terms {
-			dense |= 1 << r
-			continue
+	live := 1<<rows - 1 // bit r: row r has no zero term
+	if !dense {
+		live = 0
+		for r := range rows {
+			cnt := s.compact(a[r*rs:], ts, pb, terms)
+			if cnt == terms {
+				live |= 1 << r
+				continue
+			}
+			foldRows(d[r*n:(r+1)*n], b, s.ps[:cnt], s.vs[:cnt])
 		}
-		foldRows(d[r*n:(r+1)*n], b, s.ps[:cnt], s.vs[:cnt])
 	}
-	if dense == 0b1111 && useAVX512 {
+	if live == 0b1111 && useAVX512 {
 		foldTile4AVX512(&d[0], &b[pb*n], &a[0], rs, ts, terms, n)
 		return
 	}
 	for r := range rows {
-		if dense&(1<<r) != 0 {
+		if live&(1<<r) != 0 {
 			s.fill(a[r*rs:], ts, pb, terms)
 			foldRows(d[r*n:(r+1)*n], b, s.ps[:terms], s.vs[:terms])
 		}
@@ -220,17 +248,19 @@ func transAShape(a, b *Tensor) (k, m, n int) {
 // matMulTransAInto writes dst = aᵀ·b. The reference order is p-i-j;
 // interchanging to i-outer leaves every dst[i,j] summing its non-zero
 // a[p,i]·b[p,j] in ascending p, and lets four dst rows at a time go through
-// foldQuad exactly like matMulBlocked, with a's strides swapped. It stays
-// serial: only small backward-pass products use the transposed-A form.
+// foldQuad exactly like matMulBlocked, with a's strides swapped; the zero
+// check reads a in its own order, contiguously, once. It stays serial: only
+// small backward-pass products use the transposed-A form.
 //
 //machlint:noalias dst,a dst,b
 //machlint:allocfree
 func matMulTransAInto(dst, a, b []float64, k, m, n int) {
 	var s rowTerms
+	dense := !hasZero(a[:k*m])
 	for pb := 0; pb < k; pb += mmBlockK {
 		pe := min(pb+mmBlockK, k)
 		for i := 0; i < m; i += 4 {
-			s.foldQuad(dst[i*n:], a[pb*m+i:], b, min(4, m-i), 1, m, pb, pe-pb, n)
+			s.foldQuad(dst[i*n:], a[pb*m+i:], b, min(4, m-i), 1, m, pb, pe-pb, n, dense)
 		}
 	}
 }
@@ -271,77 +301,74 @@ func matMulTransBDispatch(dst, a, b []float64, m, k, n int) {
 
 // matMulTransBRows writes dst rows [i0, i1) of a·bᵀ. Every element is an
 // independent dot product accumulated from +0 in ascending p, so row
-// partitioning and output tiling cannot change results. Where the vector
-// kernel exists it takes every whole 8-row × 4-column tile over the first
-// k&^3 terms and the k%4 last terms are added onto its sums here; the rows
-// and columns outside those tiles are whole dots in transBDots. Each element
-// is written before it is read, so dst needs no zeroing.
+// partitioning and output tiling cannot change results. Where vector kernels
+// exist they take every whole block of eight rows over the first kv terms —
+// with AVX-512 every column, in 8×8 tiles and the n%8 last columns in the
+// fringe kernel, over k&^7; else every whole 8-row × 4-column tile over k&^3
+// — and transBDots adds the k-kv last terms onto their sums; the rows and
+// columns outside them are whole dots in transBDots. Each element is written
+// before it is read, so dst needs no zeroing.
 //
 //machlint:allocfree
 func matMulTransBRows(dst, a, b []float64, i0, i1, k, n int) {
-	iv, jv := i0, 0 // rows [i0, iv) × columns [0, jv) are done by the vector kernel
-	if useAVX2 && n >= 4 {
-		jv = n &^ 3
-		k4 := k &^ 3
+	iv, jv, kv := i0, 0, 0 // rows [i0, iv) × columns [0, jv) are done by the vector kernels over p < kv
+	if useAVX2 && (n >= 4 || useAVX512) {
+		kv, jv = k&^3, n&^3
+		if useAVX512 {
+			kv, jv = k&^7, n
+		}
 		for ; iv+8 <= i1; iv += 8 {
-			transBTilesAVX2(&dst[iv*n], &a[iv*k], &b[0], k4, k, n, jv/4)
-			if k4 == k {
-				continue
-			}
-			for i := iv; i < iv+8; i++ {
-				arow, drow := a[i*k+k4:(i+1)*k], dst[i*n:][:jv]
-				for j := range drow {
-					s := drow[j]
-					for p, bv := range b[j*k+k4 : (j+1)*k] {
-						s += arow[p] * bv
-					}
-					drow[j] = s
+			d, ai := &dst[iv*n], &a[iv*k]
+			switch {
+			case !useAVX512:
+				transBTilesAVX2(d, ai, &b[0], kv, k, n, jv/4)
+			case n >= 8:
+				transBTilesAVX512(d, ai, &b[0], kv, k, n, n/8)
+				if n%8 != 0 {
+					transBFringeAVX512(&dst[iv*n+n&^7], ai, &b[(n&^7)*k], kv, k, n, n%8)
 				}
+			default:
+				transBFringeAVX512(d, ai, &b[0], kv, k, n, n)
+			}
+			if kv < k {
+				transBDots(dst, a, b, iv, iv+8, 0, jv, kv, k, n)
 			}
 		}
 	}
-	transBDots(dst, a, b, i0, iv, jv, n, k, n)
-	transBDots(dst, a, b, iv, i1, 0, n, k, n)
+	transBDots(dst, a, b, i0, iv, jv, n, 0, k, n)
+	transBDots(dst, a, b, iv, i1, 0, n, 0, k, n)
 }
 
-// transBDots writes the block rows [i0, i1) × columns [j0, j1) of a·bᵀ as a
-// 2-row × 3-column tile of dots running side by side, each a/b load feeding
-// several of them. Six is the most that stays in registers — the compiler
-// holds a product per running sum, and a 2×4 tile's sixteen values spill a
-// sum to the stack inside its own add chain. An odd last row pairs with
-// itself (its values are stored twice).
-func transBDots(dst, a, b []float64, i0, i1, j0, j1, k, n int) {
-	for i := i0; i < i1; i += 2 {
-		ii := i + 1
-		if ii == i1 {
-			ii = i
+// transBDots writes the block rows [i0, i1) × columns [j0, j1) of a·bᵀ, or
+// with p0 > 0 adds the terms p ≥ p0 onto the sums dst holds. Dots run four
+// rows side by side, each b load feeding four of them; a last group of fewer
+// rows repeats its last row, which stores the same sum twice. The running sums
+// start from dst (cleared first when p0 = 0) and every a value feeds one
+// product, so the compiled loop multiplies a first and adds onto the sum
+// first — the operand order of the vector tiles, which the payload of a NaN
+// meeting a NaN shows.
+//
+//machlint:allocfree
+func transBDots(dst, a, b []float64, i0, i1, j0, j1, p0, k, n int) {
+	for i := i0; i < i1; i += 4 {
+		r1, r2, r3 := min(i+1, i1-1), min(i+2, i1-1), min(i+3, i1-1)
+		a0, a1, a2, a3 := a[i*k+p0:(i+1)*k], a[r1*k+p0:(r1+1)*k], a[r2*k+p0:(r2+1)*k], a[r3*k+p0:(r3+1)*k]
+		d0, d1, d2, d3 := dst[i*n:][:n], dst[r1*n:][:n], dst[r2*n:][:n], dst[r3*n:][:n]
+		if p0 == 0 {
+			clear(d0[j0:j1])
+			clear(d1[j0:j1])
+			clear(d2[j0:j1])
+			clear(d3[j0:j1])
 		}
-		a0, a1 := a[i*k:][:k], a[ii*k:][:k]
-		d0, d1 := dst[i*n:][:n], dst[ii*n:][:n]
-		j := j0
-		for ; j+3 <= j1; j += 3 {
-			b0, b1, b2 := b[j*k:][:k], b[(j+1)*k:][:k], b[(j+2)*k:][:k]
-			var s00, s01, s02, s10, s11, s12 float64
-			for p, x0 := range a0 {
-				x1 := a1[p]
-				s00 += x0 * b0[p]
-				s01 += x0 * b1[p]
-				s02 += x0 * b2[p]
-				s10 += x1 * b0[p]
-				s11 += x1 * b1[p]
-				s12 += x1 * b2[p]
+		for j := j0; j < j1; j++ {
+			s0, s1, s2, s3 := d0[j], d1[j], d2[j], d3[j]
+			for p, bv := range b[j*k+p0 : (j+1)*k] {
+				s0 += a0[p] * bv
+				s1 += a1[p] * bv
+				s2 += a2[p] * bv
+				s3 += a3[p] * bv
 			}
-			d0[j], d0[j+1], d0[j+2] = s00, s01, s02
-			d1[j], d1[j+1], d1[j+2] = s10, s11, s12
-		}
-		for ; j < j1; j++ {
-			brow := b[j*k:][:k]
-			var s0, s1 float64
-			for p, x0 := range a0 {
-				s0 += x0 * brow[p]
-				s1 += a1[p] * brow[p]
-			}
-			d0[j], d1[j] = s0, s1
+			d0[j], d1[j], d2[j], d3[j] = s0, s1, s2, s3
 		}
 	}
 }

@@ -93,14 +93,17 @@ var kernelSweepShapes = append([][3]int{
 }, vectorTailShapes()...)
 
 // vectorTailShapes crosses m around the 8-row tile (row tail, one and two
-// tiles), k around the 4-term quad (k tail of a·bᵀ, single-term tail of the
-// fold) and n around the 4- and 8-column lane groups, so every combination of
-// full tile, row tail, column tail and k tail of both vector kernels occurs.
+// tiles), k around the 4- and 8-term blocks (k tails of the a·bᵀ tiles,
+// single-term tail of the fold) and n around the 4- and 8-column lane groups
+// (n < 8 is the AVX-512 fringe alone, n%8 ≥ 4 a fringe of at least four
+// columns), so every combination of full tile, row tail, column tail and k
+// tail of the vector kernels occurs — among them a full 8×8 tile with a k%8
+// tail and with every fringe width.
 func vectorTailShapes() [][3]int {
 	var shapes [][3]int
 	for _, m := range []int{7, 8, 9, 15, 16, 17} {
-		for _, k := range []int{4, 5, 7, 8} {
-			for _, n := range []int{4, 5, 6, 7, 8, 9, 10} {
+		for _, k := range []int{4, 5, 7, 8, 15, 16, 17} {
+			for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 15, 16, 17, 20} {
 				shapes = append(shapes, [3]int{m, k, n})
 			}
 		}
@@ -168,6 +171,18 @@ func requireFoldForms(t *testing.T, s [3]int, a, at, b *Tensor) {
 // opposite them filled with ±Inf and NaN: the reference never multiplies
 // those, so any tiling that folds a zero term in (0·Inf) turns a finite
 // element into NaN and fails.
+//
+// Mutations planted in the a·bᵀ ZMM tile (ROWS8, TRANSPOSE8) and where the
+// avx512 tier caught each:
+//   - an FMA for row 0's multiply and add: [8 9 256] MatMulTransB element 11,
+//     one ulp off;
+//   - VMULPD's operands swapped (b first): not here, whose a·bᵀ operands are
+//     finite; TestNaNPayloadsFollowGoOperandOrder failed at [16 64 72]
+//     MatMulTransBInto element 20, which kept b's NaN payload for a's;
+//   - $0x22 for $0x88 in TRANSPOSE8's first last-stage VSHUFF64X2, which
+//     swaps two 128-bit lanes of the first p's column: [16 72 64]
+//     MatMulTransB element 0 ([8 9 256], the one shape before it that
+//     multiplies in the tile, did not show it).
 func TestTiledKernelsBitIdenticalToReferenceOrder(t *testing.T) {
 	forEachFoldTier(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(12))
@@ -266,15 +281,16 @@ func TestDenseFoldBitIdenticalToReferenceOrder(t *testing.T) {
 // TestKernelPathReported logs which kernels this test binary selected, so a
 // CI log shows whether the sweeps exercised the assembly or the Go loops.
 // useAVX2 picks both lanes' products and the elementwise family; useAVX512
-// adds the four-row tile of the f64 fold.
+// adds the four-row tile of the f64 fold and puts a·bᵀ on the 8×8 ZMM tile
+// and its fringe kernel.
 func TestKernelPathReported(t *testing.T) {
 	path := "go"
 	if useAVX2 {
 		path = "avx2"
 	}
-	fold := path
+	fold, transB := path, path
 	if useAVX512 {
-		fold = "avx512 tile + avx2"
+		fold, transB = "avx512 tile + avx2", "avx512 8×8 tile + fringe"
 	}
-	t.Logf("tensor kernel path: f64 fold %s, f64 a·bᵀ %s, f32 %s, elementwise %s (from %d elements)", fold, path, path, path, vecMin)
+	t.Logf("tensor kernel path: f64 fold %s, f64 a·bᵀ %s, f32 %s, elementwise %s (from %d elements)", fold, transB, path, path, vecMin)
 }

@@ -1,5 +1,5 @@
 #!/usr/bin/env sh
-# check.sh — the repo's tier-1+ gate: vet, build, machlint, the full test
+# check.sh — the repo's tier-1+ gate: gofmt, vet, build, machlint, the full test
 # suite (default, -tags purego on the kernel packages, and -race over
 # ./...), the codec fuzz and bench smokes, the observability smoke and the
 # distributed smoke. Run via `make check` or directly. Every PR must pass.
@@ -7,7 +7,11 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-echo "== go vet ./... (asmdecl checks internal/tensor/kernels_amd64.s against its Go declarations: foldTermsAVX2, transBTilesAVX2, fold32AVX2, transB32TilesAVX2, machinePeakAVX2, machinePeak32AVX2, cpuHasAVX2; AVX-512 f64 fold tile: foldTile4AVX512, machinePeakAVX512, cpuHasAVX512; elementwise family: add{32,64}AVX2, addScalar{32,64}AVX2, axpy{32,64}AVX2, axpyDiff64AVX2, relu{32,64}AVX2, reluGrad{32,64}AVX2, maxPool{32,64}AVX2, addRows{32,64}AVX2, masterUpdateAVX2)"
+echo "== gofmt -l . (every Go file is gofmt-clean)"
+unformatted=$(gofmt -l .)
+[ -z "$unformatted" ] || { echo "check: not gofmt-clean (run gofmt -w):" >&2; echo "$unformatted" >&2; exit 1; }
+
+echo "== go vet ./... (asmdecl checks internal/tensor/kernels_amd64.s against its Go declarations: foldTermsAVX2, transBTilesAVX2, anyZeroAVX2 (the one zero scan of a product's a), fold32AVX2, transB32TilesAVX2, machinePeakAVX2, machinePeak32AVX2, cpuHasAVX2; AVX-512 f64 tiles: foldTile4AVX512, transBTilesAVX512, transBFringeAVX512, machinePeakAVX512, cpuHasAVX512; elementwise family: add{32,64}AVX2, addScalar{32,64}AVX2, axpy{32,64}AVX2, axpyDiff64AVX2, relu{32,64}AVX2, reluGrad{32,64}AVX2, maxPool{32,64}AVX2, addRows{32,64}AVX2, masterUpdateAVX2)"
 go vet ./...
 
 echo "== go build ./..."
