@@ -25,10 +25,13 @@ import "fmt"
 //     because the lanes never mix inside a forward/backward pass.
 //
 // Like the f64 set, the three products run on AVX2 micro-kernels
-// (kernels_amd64.s, eight output columns per register) where useAVX2 says so
-// and on the Go loops below everywhere else; the loops are also the vector
-// kernels' column and row tails and their test oracle, and the two agree in
-// every bit of every element.
+// (kernels_amd64.s, eight output columns per register) where useAVX2 says so,
+// on AVX-512 ones where useAVX512 adds the ZMM tier — fold32AVX512 folds four
+// rows × 32 columns at a time with sixteen columns per register, and
+// transB32TilesAVX512 runs 8×8 a·bᵀ tiles whose registers hold each column's
+// even-p and odd-p sums side by side — and on the Go loops below everywhere
+// else; the loops are also the vector kernels' column and row tails and their
+// test oracle, and every tier agrees in every bit of every element.
 //
 // All lane-32 kernels are serial: per-device products are far below the
 // row-parallel threshold, and the worker pool above already provides the
@@ -76,12 +79,17 @@ func MatMulTransA32Acc(dst, a, b []float32, k, m, n int) {
 // quartering the dst traffic of the per-p form — and the k%4 last terms are
 // added singly. No term is ever skipped, so an element's expression tree
 // depends on k alone, never on the data. Columns are independent: with vec
-// the vector kernel takes every whole group of eight and the loops below fold
-// the n%8 that remain.
+// the AVX-512 tier folds every element in fold32AVX512, else the AVX2 kernel
+// takes every whole group of eight columns and the loops below fold the n%8
+// that remain.
 //
 //machlint:noalias dst,a dst,b
 //machlint:allocfree
 func fold32(dst, a, b []float32, m, k, n, arow, aterm int, vec bool) {
+	if vec && useAVX512 && m > 0 && k > 0 && n > 0 {
+		fold32AVX512(&dst[0], &b[0], &a[0], m, arow, aterm, k, n)
+		return
+	}
 	jv := 0 // columns [0, jv) are folded by the vector kernel
 	if vec && n >= 8 && m > 0 && k > 0 {
 		jv = n &^ 7
@@ -117,8 +125,11 @@ func fold32(dst, a, b []float32, m, k, n, arow, aterm int, vec bool) {
 // each element of dst (m×n) exactly once. Every element is an independent
 // dot product whose split into partial sums has a fixed shape (transB32Dots),
 // so results are deterministic (independent of anything but the operands).
-// Where the vector kernel exists it takes every whole 4-row × 8-column tile;
-// the columns right of the tiles and the rows below them are transB32Dots'.
+// Where the vector kernels exist they take the columns below n&^7 in tiles:
+// with AVX-512 every whole block of eight rows in 8×8 tiles and a block of
+// four rows left below them in a 4×8 AVX2 tile, with AVX2 alone every whole
+// block of four rows in 4×8 tiles. The columns right of the tiles and the
+// rows below them are transB32Dots'.
 //
 //machlint:noalias dst,a dst,b
 func MatMulTransB32Into(dst, a, b []float32, m, k, n int) {
@@ -133,27 +144,37 @@ func MatMulTransB32Into(dst, a, b []float32, m, k, n int) {
 //
 //machlint:allocfree
 func matMulTransB32(dst, a, b []float32, m, k, n int, vec bool) {
-	iv, jv := 0, 0 // rows [0, iv) × columns [0, jv) are done by the vector kernel
-	if vec && m >= 4 && n >= 8 && k > 0 {
-		iv, jv = m&^3, n&^7
-		transB32TilesAVX2(&dst[0], &a[0], &b[0], iv/4, jv/8, k, n)
+	iv, jv := 0, 0 // rows [0, iv) × columns [0, jv) are done by the vector kernels
+	if vec && n >= 8 && k > 0 {
+		jv = n &^ 7
+		if useAVX512 && m >= 8 {
+			iv = m &^ 7
+			transB32TilesAVX512(&dst[0], &a[0], &b[0], iv/8, jv/8, k, n)
+		}
+		if m-iv >= 4 {
+			transB32TilesAVX2(&dst[iv*n], &a[iv*k], &b[0], (m-iv)/4, jv/8, k, n)
+			iv = m &^ 3
+		}
 	}
-	transB32Dots(dst, a, b, 0, iv, jv, k, n)
-	transB32Dots(dst, a, b, iv, m, 0, k, n)
+	transB32Dots(dst, a, b, 0, iv, jv, k, n, vec && useAVX512)
+	transB32Dots(dst, a, b, iv, m, 0, k, n, vec && useAVX512)
 }
 
 // transB32Dots writes rows [i0, i1) × columns [j0, n) of a·bᵀ; j0 must be a
 // multiple of 4. Columns below n&^3 split every dot into an even-p and an
-// odd-p partial sum, e + o; the n%4 last columns fall back to splitDot32.
-// Which split a column gets depends on n alone. Dots run four rows side by
-// side, each b load feeding four of them (a last group of fewer rows repeats
-// its last row, storing its sums twice), and the even and the odd sums take
-// one pass each: so every a value feeds one product and the compiled loops
-// multiply with a as the first operand and add onto the running sum first, as
-// transB32TilesAVX2 does, and NaN payloads agree with it.
+// odd-p partial sum, e + o; the n%4 last columns into the four partial sums
+// of the p < k&^3 with p%4 = q, joined by splitJoin32. Which split a column
+// gets depends on n alone. Dots run four rows side by side, each b load
+// feeding four of them (a last group of fewer rows repeats its last row,
+// storing its sums twice), and each partial sum takes a pass of its own: so
+// every a value feeds one product and the compiled loops multiply with a as
+// the first operand and add onto the running sum first, as the vector
+// kernels do, and NaN payloads agree with them. With vec the four rows'
+// p%4 partial sums come from splitDots32AVX512.
 //
 //machlint:allocfree
-func transB32Dots(dst, a, b []float32, i0, i1, j0, k, n int) {
+func transB32Dots(dst, a, b []float32, i0, i1, j0, k, n int, vec bool) {
+	k4 := k &^ 3
 	for i := i0; i < i1; i += 4 {
 		r1, r2, r3 := min(i+1, i1-1), min(i+2, i1-1), min(i+3, i1-1)
 		a0, a1, a2, a3 := a[i*k:(i+1)*k], a[r1*k:(r1+1)*k], a[r2*k:(r2+1)*k], a[r3*k:(r3+1)*k]
@@ -180,29 +201,41 @@ func transB32Dots(dst, a, b []float32, i0, i1, j0, k, n int) {
 		}
 		for ; j < n; j++ {
 			brow := b[j*k : (j+1)*k]
-			d0[j], d1[j], d2[j], d3[j] = splitDot32(a0, brow), splitDot32(a1, brow), splitDot32(a2, brow), splitDot32(a3, brow)
+			var s [16]float32 // s[4r+q]: row r's partial sum over the p < k4 with p%4 = q
+			if vec && k4 > 0 {
+				splitDots32AVX512(&s[0], &a0[0], &a1[0], &a2[0], &a3[0], &brow[0], k4)
+			} else {
+				for q := range 4 {
+					var s0, s1, s2, s3 float32
+					for p := q; p < k4; p += 4 {
+						x := brow[p]
+						s0 += a0[p] * x
+						s1 += a1[p] * x
+						s2 += a2[p] * x
+						s3 += a3[p] * x
+					}
+					s[q], s[4+q], s[8+q], s[12+q] = s0, s1, s2, s3
+				}
+			}
+			d0[j] = splitJoin32(s[0:4], a0[k4:], brow[k4:])
+			d1[j] = splitJoin32(s[4:8], a1[k4:], brow[k4:])
+			d2[j] = splitJoin32(s[8:12], a2[k4:], brow[k4:])
+			d3[j] = splitJoin32(s[12:16], a3[k4:], brow[k4:])
 		}
 	}
 }
 
-// splitDot32 is Σ a[p]·b[p] over len(a) terms as four interleaved partial
-// sums and the len(a)%4 last terms: ((s0 + s1) + (s2 + s3)) + tail.
+// splitJoin32 ends a split dot: it sums the len(a) < 4 last terms a[p]·b[p]
+// from +0 and returns ((s0 + s1) + (s2 + s3)) + tail for the partial sums s.
 //
 //machlint:allocfree
-func splitDot32(a, b []float32) float32 {
+func splitJoin32(s, a, b []float32) float32 {
 	b = b[:len(a)]
-	var s0, s1, s2, s3, tail float32
-	p := 0
-	for ; p+4 <= len(a); p += 4 {
-		s0 += a[p] * b[p]
-		s1 += a[p+1] * b[p+1]
-		s2 += a[p+2] * b[p+2]
-		s3 += a[p+3] * b[p+3]
-	}
-	for ; p < len(a); p++ {
+	var tail float32
+	for p := range a {
 		tail += a[p] * b[p]
 	}
-	return ((s0 + s1) + (s2 + s3)) + tail
+	return ((s[0] + s[1]) + (s[2] + s[3])) + tail
 }
 
 // Im2Col32Into lowers one image x ([InC, InH, InW], flat) into dst

@@ -174,6 +174,28 @@ func offset32(v []float32) []float32 {
 	return append(make([]float32, 1, len(v)+1), v...)[1:]
 }
 
+// guarded32 is offset32 with guard cells past the end of the copy, all of
+// them fill. As a destination (requireGuard32 checks its guard) it shows a
+// kernel that stores past the last row or column; as an operand with fill
+// non-zero it makes a read past the end change what such a store writes.
+func guarded32(v []float32, fill float32) []float32 {
+	buf := make([]float32, 1+len(v)+32)
+	copy(buf[1:], v)
+	for i := 1 + len(v); i < len(buf); i++ {
+		buf[i] = fill
+	}
+	return buf[1 : 1+len(v) : len(buf)]
+}
+
+func requireGuard32(t *testing.T, name string, m, k, n int, got []float32, fill float32) {
+	t.Helper()
+	for i, v := range got[len(got):cap(got)] {
+		if math.Float32bits(v) != math.Float32bits(fill) {
+			t.Fatalf("%s %dx%dx%d: guard cell %d past the destination was overwritten with %v", name, m, k, n, i, v)
+		}
+	}
+}
+
 func requireSameBits32(t *testing.T, name string, m, k, n int, got, want []float32) {
 	t.Helper()
 	for i := range want {
@@ -185,30 +207,63 @@ func requireSameBits32(t *testing.T, name string, m, k, n int, got, want []float
 }
 
 // TestF32KernelsBitIdenticalToGoLoops sweeps the three f32 products, vector
-// path against the Go loops of the same binary, over every combination of
-// full tile, row tail, column tail and reduction tail of both kernels plus
-// the training shapes — once on finite operands and once with ±0, ±Inf and
-// NaN planted in both, which pins that no form skips or reorders a term
-// (0·Inf is NaN in the quad body and in the k%4 tail alike; −0 + +0 keeps its
-// sign rule). Operands and destinations are unaligned, Into destinations
-// start dirty and the Acc destination preloaded.
+// path against the Go loops of the same binary, on every tier the CPU has,
+// over every combination of full tile, row tail, column tail and reduction
+// tail of the kernels plus the training shapes: m around the 4- and 8-row
+// tiles (m%4 of 0 to 3), k around the 4- and 16-term blocks, n around the 8-
+// and 16-column groups. Each shape runs once on finite operands and once with
+// ±0, ±Inf and NaN planted in both, which pins that no form skips or reorders
+// a term (0·Inf is NaN in the quad body and in the k%4 tail alike; −0 + +0
+// keeps its sign rule). Operands and destinations are unaligned, Into
+// destinations start dirty, the Acc destination preloaded, and guard cells
+// past the destination must stay untouched.
+//
+// Mutations planted in the AVX-512 kernels, and the element where each
+// failed first (avx512 subtest; "NaN" is TestNaNPayloadsFollowGoOperandOrder,
+// whose F32Products case runs the same tiers):
+//   - o + e in place of e + o in the a·bᵀ store: NaN transB32 8x8x8 element
+//     [0,0], which kept a's NaN payload for b's (not here: the planted NaNs
+//     here share one payload);
+//   - an FMA for row 0's multiply and add in the a·bᵀ tile: MatMulTransB32Into
+//     8x4x8 element [0,0], four ulps off;
+//   - lane 5 for lane 4 in the VPERMPS selector: MatMulTransB32Into 8x1x8
+//     element [0,2], which stored column 2's odd sum alone;
+//   - the odd last term added to every lane, not just the even ones:
+//     MatMulTransB32Into 8x1x10 element [4,0], NaN for −Inf (Inf·0 on a lane
+//     that holds no term);
+//   - an FMA for a quad's first pair in the fold: a·b fold 1x4x2 element [0,0],
+//     one ulp off;
+//   - the fold's second product with its operands swapped: NaN fold32 a·b
+//     8x4x4 element [3,2];
+//   - a last tile of two rows not repeating its last row for the fourth:
+//     10x1x1, whose guard cell 0 was overwritten;
+//   - the p%4 partial sums of the n%4 last columns adding the sum second: NaN
+//     transB32 8x16x9 element [6,8];
+//   - row 3's a in place of row 2's in those sums: MatMulTransB32Into 7x4x1
+//     element [2,0].
 func TestF32KernelsBitIdenticalToGoLoops(t *testing.T) {
 	if !useAVX2 {
 		t.Skip("no vector kernels in this build: the Go loops are the only path")
 	}
+	forEachFoldTier(t, sweepF32Kernels)
+}
+
+func sweepF32Kernels(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
-	ks := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 64, 72, 256}
+	ks := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 15, 16, 17, 31, 32, 33, 64, 72, 256}
 	ns := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 64, 72, 256}
-	for _, m := range []int{1, 7, 8, 9, 16, 17} {
+	for _, m := range []int{1, 7, 8, 9, 10, 16, 17, 24, 25} {
 		for _, k := range ks {
 			for _, n := range ns {
 				for _, draw := range []func(*rand.Rand, int) []float32{
 					func(rng *rand.Rand, n int) []float32 { v, _ := randn32(rng, n); return v },
 					specials32,
 				} {
-					a, b := offset32(draw(rng, m*k)), offset32(draw(rng, k*n))
+					// Guards: 1 past a, so a row read past its end adds a term
+					// b·1, and 3 past the destination, which must stay 3.
+					a, b := guarded32(draw(rng, m*k), 1), offset32(draw(rng, k*n))
 					pre := draw(rng, m*n)
-					want, got := offset32(pre), offset32(pre)
+					want, got := offset32(pre), guarded32(pre, 3)
 
 					fold32(want, a, b, m, k, n, k, 1, false)
 					fold32(got, a, b, m, k, n, k, 1, true)
@@ -229,6 +284,7 @@ func TestF32KernelsBitIdenticalToGoLoops(t *testing.T) {
 					matMulTransB32(want, a, b, m, k, n, false)
 					MatMulTransB32Into(got, a, b, m, k, n)
 					requireSameBits32(t, "MatMulTransB32Into", m, k, n, got, want)
+					requireGuard32(t, "f32 products", m, k, n, got, 3)
 				}
 			}
 		}

@@ -13,7 +13,9 @@ var useAVX2 = cpuHasAVX2()
 func cpuHasAVX2() bool
 
 // useAVX512 adds foldTile4AVX512 to the f64 fold (foldQuad) and puts a·bᵀ on
-// transBTilesAVX512, decided the same way; the tiles give the bits the AVX2
+// transBTilesAVX512, and in the f32 lane puts a·b and aᵀ·b on fold32AVX512 and
+// a·bᵀ on transB32TilesAVX512 (sixteen f32 columns, or eight e/o pairs, per
+// ZMM register), decided the same way; the tiles give the bits the AVX2
 // kernels give.
 var useAVX512 = useAVX2 && cpuHasAVX512()
 
@@ -93,6 +95,35 @@ func transB32TilesAVX2(dst, a, b *float32, rowTiles, colTiles, k, n int)
 
 // machinePeak32AVX2 is machinePeakAVX2 on eight f32 lanes: 256 flops a round.
 func machinePeak32AVX2(iters int)
+
+// fold32AVX512 is fold32AVX2 over every row and column, four rows at a time:
+// it adds Σ_p v[r·vrow+p·vterm]·b[p·n : p·n+n] onto d[r·n : r·n+n] for r in
+// [0, rows) and p in [0, terms) in the same tree and operand order, sixteen
+// adjacent columns per ZMM register. rows, terms and n must be positive.
+//
+//go:noescape
+func fold32AVX512(d, b, v *float32, rows, vrow, vterm, terms, n int)
+
+// transB32TilesAVX512 is transB32TilesAVX2 with 8-row tiles: it writes the
+// 8·rowTiles-row × 8·colTiles-column block dst[r·n+j] = e + o in the same
+// order and operand order, a ZMM register holding one row's eight e and eight
+// o sums. rowTiles, colTiles and k must be positive.
+//
+//go:noescape
+func transB32TilesAVX512(dst, a, b *float32, rowTiles, colTiles, k, n int)
+
+// splitDots32AVX512 writes the p%4 partial sums of transB32Dots' last n%4
+// columns for the four rows a0..a3 against one b row: s[4r+q] = Σ a_r[p]·b[p]
+// over the p < k4 with p%4 = q, each from +0 in ascending p with a multiply
+// (a first) and then an add (the sum first) per term. k4 must be a positive
+// multiple of 4.
+//
+//go:noescape
+func splitDots32AVX512(s, a0, a1, a2, a3, b *float32, k4 int)
+
+// machinePeak32AVX512 is machinePeak32AVX2 on sixteen f32 lanes: 256 flops a
+// round.
+func machinePeak32AVX512(iters int)
 
 // The elementwise family (elementwise.go): n is a positive multiple of eight
 // (f32) or four (f64) elements; each lane does what one iteration of the Go

@@ -4,12 +4,14 @@
 
 // AVX2 micro-kernels for matmul.go (f64, four columns per register) and
 // f32.go (f32, eight), and AVX-512 tiles of the f64 fold and a·bᵀ (eight
-// columns, or in the a·bᵀ fringe eight rows, per register). The rule they all
-// keep: lanes run across outputs, every output combines its terms in the
-// expression tree of the Go loop it replaces, a VMULPD/VMULPS and then a
-// VADDPD/VADDPS per term, never VFMADD, never a horizontal sum. Each lane
-// therefore performs exactly the scalar operations of the Go loops, in the
-// same order and operand order, and the results agree bit for bit.
+// columns, or in the a·bᵀ fringe eight rows, per register) and of the f32
+// fold and a·bᵀ (sixteen columns, or eight columns' even and odd sums, per
+// register). The rule they all keep: lanes run across outputs, every output
+// combines its terms in the expression tree of the Go loop it replaces, a
+// VMULPD/VMULPS and then a VADDPD/VADDPS per term, never VFMADD, never a
+// horizontal sum. Each lane therefore performs exactly the scalar operations
+// of the Go loops, in the same order and operand order, and the results agree
+// bit for bit.
 
 // func cpuHasAVX2() bool
 TEXT ·cpuHasAVX2(SB), NOSPLIT, $0-1
@@ -1065,6 +1067,481 @@ peak32:
 	PAIRS8S
 	DECQ CX
 	JNZ  peak32
+	VZEROUPPER
+	RET
+
+// CLAMP3 sets r1, r2, r3 to min(i, BX−1)·s for i = 1, 2, 3: the offsets of the
+// rows of a four-row tile with BX ≥ 1 rows left, a last tile of fewer rows
+// repeating its last row. AX is clobbered; s must not be AX.
+#define CLAMP3(s, r1, r2, r3) \
+	XORL    AX, AX; \
+	MOVQ    s, r1; \
+	LEAQ    (s)(s*1), r2; \
+	LEAQ    (s)(s*2), r3; \
+	CMPQ    BX, $3; \
+	CMOVQLE r2, r3; \
+	CMPQ    BX, $2; \
+	CMOVQLE r1, r2; \
+	CMOVQLE r1, r3; \
+	CMPQ    BX, $1; \
+	CMOVQLE AX, r1; \
+	CMOVQLE AX, r2; \
+	CMOVQLE AX, r3
+
+// QUAD16 is QUAD32 on sixteen columns with the four b rows in registers and
+// v0..v3 broadcast in Z16..Z19: acc = ((b1·v1 + b0·v0) + (b3·v3 + b2·v2)) + acc,
+// in QUAD32's operand order.
+#define QUAD16(acc, b0, b1, b2, b3, t, u, w) \
+	VMULPS Z16, b0, t; \
+	VMULPS Z17, b1, u; \
+	VADDPS t, u, t; \
+	VMULPS Z18, b2, u; \
+	VMULPS Z19, b3, w; \
+	VADDPS u, w, u; \
+	VADDPS u, t, t; \
+	VADDPS acc, t, acc
+
+// QROW folds one quad into the two blocks of one tile row: CX points at the
+// row's value of the quad's first term, R10 is one term step.
+#define QROW(a0, a1) \
+	VBROADCASTSS (CX), Z16; \
+	VBROADCASTSS (CX)(R10*1), Z17; \
+	VBROADCASTSS (CX)(R10*2), Z18; \
+	LEAQ         (CX)(R10*2), CX; \
+	VBROADCASTSS (CX)(R10*1), Z19; \
+	QUAD16(a0, Z8, Z10, Z12, Z14, Z20, Z21, Z22); \
+	QUAD16(a1, Z9, Z11, Z13, Z15, Z23, Z24, Z25)
+
+// ONE16 folds one term, v0 broadcast in Z16, in ONE32's order:
+// acc = b0·v0 + acc.
+#define ONE16(acc, b0, t) \
+	VMULPS Z16, b0, t; \
+	VADDPS acc, t, acc
+
+// func fold32AVX512(d, b, v *float32, rows, vrow, vterm, terms, n int)
+//
+// fold32AVX2 on ZMM registers, four rows at a time: Z0..Z7 hold a 4-row ×
+// 32-column block of d over the whole reduction (row r in Z2r and Z2r+1), so
+// each b row is loaded once for the four rows. K1 and K2 mask the block's
+// halves to the columns before n, and a last tile of fewer than four rows
+// repeats its last row (CLAMP3), which stores the same sums twice: every row
+// and column is folded here, and no cell past the operands is loaded or
+// stored.
+TEXT ·fold32AVX512(SB), NOSPLIT, $0-64
+	MOVQ d+0(FP), DI
+	MOVQ v+16(FP), R9
+	MOVQ rows+24(FP), BX   // rows left
+	MOVQ vterm+40(FP), R10
+	MOVQ n+56(FP), R11
+	SHLQ $2, R10           // bytes from one term's value to the next term's
+	SHLQ $2, R11           // bytes per b / d row
+
+rowtile:
+	MOVQ   vrow+32(FP), CX
+	SHLQ   $2, CX
+	CLAMP3(CX, R8, R14, R15) // the tile's value rows 1..3
+	MOVQ   b+8(FP), SI
+	MOVQ   n+56(FP), DX      // columns left
+
+block:
+	MOVQ    $32, CX
+	CMPQ    DX, CX
+	CMOVQLT DX, CX
+	MOVQ    $-1, AX
+	SHLQ    CX, AX
+	NOTQ    AX               // the block's min(DX, 32) live columns
+	KMOVW   AX, K1
+	SHRQ    $16, AX
+	KMOVW   AX, K2
+	CLAMP3(R11, R12, R13, CX)
+	VMOVUPS.Z (DI), K1, Z0
+	VMOVUPS.Z 64(DI), K2, Z1
+	VMOVUPS.Z (DI)(R12*1), K1, Z2
+	VMOVUPS.Z 64(DI)(R12*1), K2, Z3
+	VMOVUPS.Z (DI)(R13*1), K1, Z4
+	VMOVUPS.Z 64(DI)(R13*1), K2, Z5
+	VMOVUPS.Z (DI)(CX*1), K1, Z6
+	VMOVUPS.Z 64(DI)(CX*1), K2, Z7
+	MOVQ      SI, R12
+	MOVQ R9, R13
+	MOVQ terms+48(FP), AX
+
+quad:
+	CMPQ      AX, $4
+	JLT       one
+	VMOVUPS.Z (R12), K1, Z8
+	VMOVUPS.Z 64(R12), K2, Z9
+	VMOVUPS.Z (R12)(R11*1), K1, Z10
+	VMOVUPS.Z 64(R12)(R11*1), K2, Z11
+	LEAQ      (R12)(R11*2), R12
+	VMOVUPS.Z (R12), K1, Z12
+	VMOVUPS.Z 64(R12), K2, Z13
+	VMOVUPS.Z (R12)(R11*1), K1, Z14
+	VMOVUPS.Z 64(R12)(R11*1), K2, Z15
+	LEAQ      (R12)(R11*2), R12
+	MOVQ      R13, CX
+	QROW(Z0, Z1)
+	LEAQ      (R13)(R8*1), CX
+	QROW(Z2, Z3)
+	LEAQ      (R13)(R14*1), CX
+	QROW(Z4, Z5)
+	LEAQ      (R13)(R15*1), CX
+	QROW(Z6, Z7)
+	LEAQ      (R13)(R10*4), R13
+	SUBQ      $4, AX
+	JMP       quad
+
+one:
+	TESTQ        AX, AX
+	JZ           store
+	VMOVUPS.Z    (R12), K1, Z8
+	VMOVUPS.Z    64(R12), K2, Z9
+	VBROADCASTSS (R13), Z16
+	ONE16(Z0, Z8, Z20)
+	ONE16(Z1, Z9, Z23)
+	VBROADCASTSS (R13)(R8*1), Z16
+	ONE16(Z2, Z8, Z20)
+	ONE16(Z3, Z9, Z23)
+	VBROADCASTSS (R13)(R14*1), Z16
+	ONE16(Z4, Z8, Z20)
+	ONE16(Z5, Z9, Z23)
+	VBROADCASTSS (R13)(R15*1), Z16
+	ONE16(Z6, Z8, Z20)
+	ONE16(Z7, Z9, Z23)
+	ADDQ         R11, R12
+	ADDQ         R10, R13
+	DECQ         AX
+	JMP          one
+
+store:
+	CLAMP3(R11, R12, R13, CX)
+	VMOVUPS Z0, K1, (DI)
+	VMOVUPS Z1, K2, 64(DI)
+	VMOVUPS Z2, K1, (DI)(R12*1)
+	VMOVUPS Z3, K2, 64(DI)(R12*1)
+	VMOVUPS Z4, K1, (DI)(R13*1)
+	VMOVUPS Z5, K2, 64(DI)(R13*1)
+	VMOVUPS Z6, K1, (DI)(CX*1)
+	VMOVUPS Z7, K2, 64(DI)(CX*1)
+	ADDQ    $128, DI
+	ADDQ    $128, SI
+	SUBQ    $32, DX
+	JG      block
+	MOVQ    n+56(FP), AX
+	ADDQ    $31, AX
+	ANDQ    $-32, AX
+	SHLQ    $2, AX
+	SUBQ    AX, DI             // back to column 0
+	LEAQ    (DI)(R11*4), DI    // d's next four rows
+	MOVQ    vrow+32(FP), AX
+	SHLQ    $4, AX
+	ADDQ    AX, R9             // their values
+	SUBQ    $4, BX
+	JG      rowtile
+	VZEROUPPER
+	RET
+
+// ROWS8S is ROWS8 on f32 pairs: the broadcast qword is a[r,p..p+1] and bcol
+// holds b[c,p..p+1] in lanes 2c and 2c+1, so lane 2c takes an even-p term of
+// column c and lane 2c+1 the odd-p one.
+#define ROWS8S(off, bcol) \
+	VBROADCASTSD off(SI), Z24; \
+	VBROADCASTSD off(SI)(R8*1), Z25; \
+	VBROADCASTSD off(SI)(R8*2), Z26; \
+	VBROADCASTSD off(SI)(R11*1), Z27; \
+	VBROADCASTSD off(R12), Z28; \
+	VBROADCASTSD off(R12)(R8*1), Z29; \
+	VBROADCASTSD off(R12)(R8*2), Z30; \
+	VBROADCASTSD off(R12)(R11*1), Z31; \
+	VMULPS bcol, Z24, Z24; \
+	VMULPS bcol, Z25, Z25; \
+	VMULPS bcol, Z26, Z26; \
+	VMULPS bcol, Z27, Z27; \
+	VMULPS bcol, Z28, Z28; \
+	VMULPS bcol, Z29, Z29; \
+	VMULPS bcol, Z30, Z30; \
+	VMULPS bcol, Z31, Z31; \
+	VADDPS Z24, Z0, Z0; \
+	VADDPS Z25, Z1, Z1; \
+	VADDPS Z26, Z2, Z2; \
+	VADDPS Z27, Z3, Z3; \
+	VADDPS Z28, Z4, Z4; \
+	VADDPS Z29, Z5, Z5; \
+	VADDPS Z30, Z6, Z6; \
+	VADDPS Z31, Z7, Z7
+
+// ROWS8ODD adds the odd last term of a reduction, at byte offset off, onto
+// the even lanes alone: a[r,p] is broadcast as a single, and the adds are
+// merge-masked by K2, so an odd lane gets no term the Go loop does not add.
+#define ROWS8ODD(off, bcol) \
+	VBROADCASTSS off(SI), Z24; \
+	VBROADCASTSS off(SI)(R8*1), Z25; \
+	VBROADCASTSS off(SI)(R8*2), Z26; \
+	VBROADCASTSS off(SI)(R11*1), Z27; \
+	VBROADCASTSS off(R12), Z28; \
+	VBROADCASTSS off(R12)(R8*1), Z29; \
+	VBROADCASTSS off(R12)(R8*2), Z30; \
+	VBROADCASTSS off(R12)(R11*1), Z31; \
+	VMULPS bcol, Z24, Z24; \
+	VMULPS bcol, Z25, Z25; \
+	VMULPS bcol, Z26, Z26; \
+	VMULPS bcol, Z27, Z27; \
+	VMULPS bcol, Z28, Z28; \
+	VMULPS bcol, Z29, Z29; \
+	VMULPS bcol, Z30, Z30; \
+	VMULPS bcol, Z31, Z31; \
+	VADDPS Z24, Z0, K2, Z0; \
+	VADDPS Z25, Z1, K2, Z1; \
+	VADDPS Z26, Z2, K2, Z2; \
+	VADDPS Z27, Z3, K2, Z3; \
+	VADDPS Z28, Z4, K2, Z4; \
+	VADDPS Z29, Z5, K2, Z5; \
+	VADDPS Z30, Z6, K2, Z6; \
+	VADDPS Z31, Z7, K2, Z7
+
+// TAILPAIR adds the pair of terms at byte offset off of the k%16 tail when CX
+// (the tail terms left) is at least two, and jumps to odd when one is left.
+#define TAILPAIR(off, bcol, odd) \
+	CMPQ CX, $1; \
+	JLT  sum512; \
+	JEQ  odd; \
+	ROWS8S(off, bcol); \
+	SUBQ $2, CX
+
+// SUMEO stores one tile row: e + o in lane 2c (VMOVSHDUP copies each odd lane
+// down, and the add takes e first, as the AVX2 store does), then VPERMPS by
+// Z8 (evenlanes32) packs the eight sums into the low YMM half.
+#define SUMEO(acc, accy, dst) \
+	VMOVSHDUP acc, Z24; \
+	VADDPS    Z24, acc, acc; \
+	VPERMPS   acc, Z8, acc; \
+	VMOVUPS   accy, dst
+
+// evenlanes32 is the VPERMPS selector of lanes 0, 2, …, 14.
+DATA evenlanes32<>+0(SB)/4, $0
+DATA evenlanes32<>+4(SB)/4, $2
+DATA evenlanes32<>+8(SB)/4, $4
+DATA evenlanes32<>+12(SB)/4, $6
+DATA evenlanes32<>+16(SB)/4, $8
+DATA evenlanes32<>+20(SB)/4, $10
+DATA evenlanes32<>+24(SB)/4, $12
+DATA evenlanes32<>+28(SB)/4, $14
+GLOBL evenlanes32<>(SB), RODATA|NOPTR, $32
+
+// func transB32TilesAVX512(dst, a, b *float32, rowTiles, colTiles, k, n int)
+//
+// transB32TilesAVX2 on ZMM registers: a tile is 8 rows × 8 columns, and Z0..Z7
+// hold its rows' sums, column c's even-p sum in lane 2c and its odd-p sum in
+// lane 2c+1. Per 16 p, the eight b row segments are transposed as 64-bit
+// pairs (TRANSPOSE8), so Z16+q holds b[c, p+2q..p+2q+1] in lanes 2c and 2c+1.
+// The k%16 last terms are read through the zeroing mask K1 and added pair by
+// pair, an odd last one by ROWS8ODD.
+TEXT ·transB32TilesAVX512(SB), NOSPLIT, $0-56
+	MOVQ  dst+0(FP), DI
+	MOVQ  a+8(FP), SI
+	MOVQ  rowTiles+24(FP), R10
+	MOVQ  k+40(FP), R8
+	MOVQ  n+48(FP), R9
+	MOVQ  R8, CX
+	ANDQ  $15, CX
+	MOVL  $1, AX
+	SHLL  CX, AX
+	DECL  AX
+	KMOVW AX, K1           // the k%16 tail's lanes of a b row segment
+	MOVL  $0x5555, AX
+	KMOVW AX, K2           // the even lanes
+	SHLQ  $2, R8           // bytes per a / b row
+	SHLQ  $2, R9           // bytes per dst row
+	MOVQ  R8, R15
+	ANDQ  $-64, R15        // bytes of a row the 16-term blocks consume
+	LEAQ  (R8)(R8*2), R11  // three a / b rows
+	LEAQ  (R9)(R9*2), R13  // three dst rows
+
+rowtile512:
+	MOVQ b+16(FP), BX
+	MOVQ colTiles+32(FP), DX
+	LEAQ (SI)(R8*4), R12   // a rows 4..7
+
+tile512:
+	VPXORD Z0, Z0, Z0
+	VPXORD Z1, Z1, Z1
+	VPXORD Z2, Z2, Z2
+	VPXORD Z3, Z3, Z3
+	VPXORD Z4, Z4, Z4
+	VPXORD Z5, Z5, Z5
+	VPXORD Z6, Z6, Z6
+	VPXORD Z7, Z7, Z7
+	LEAQ   (BX)(R8*4), R14 // b rows 4..7
+	MOVQ   R15, CX
+	TESTQ  CX, CX
+	JZ     tail512
+
+block512:
+	VMOVUPS (BX), Z8
+	VMOVUPS (BX)(R8*1), Z9
+	VMOVUPS (BX)(R8*2), Z10
+	VMOVUPS (BX)(R11*1), Z11
+	VMOVUPS (R14), Z12
+	VMOVUPS (R14)(R8*1), Z13
+	VMOVUPS (R14)(R8*2), Z14
+	VMOVUPS (R14)(R11*1), Z15
+	TRANSPOSE8
+	ROWS8S(0, Z16)
+	ROWS8S(8, Z17)
+	ROWS8S(16, Z18)
+	ROWS8S(24, Z19)
+	ROWS8S(32, Z20)
+	ROWS8S(40, Z21)
+	ROWS8S(48, Z22)
+	ROWS8S(56, Z23)
+	ADDQ $64, BX
+	ADDQ $64, R14
+	ADDQ $64, SI
+	ADDQ $64, R12
+	SUBQ $64, CX
+	JNZ  block512
+
+tail512:
+	MOVQ      k+40(FP), CX
+	ANDQ      $15, CX        // tail terms left
+	JZ        sum512
+	VMOVUPS.Z (BX), K1, Z8
+	VMOVUPS.Z (BX)(R8*1), K1, Z9
+	VMOVUPS.Z (BX)(R8*2), K1, Z10
+	VMOVUPS.Z (BX)(R11*1), K1, Z11
+	VMOVUPS.Z (R14), K1, Z12
+	VMOVUPS.Z (R14)(R8*1), K1, Z13
+	VMOVUPS.Z (R14)(R8*2), K1, Z14
+	VMOVUPS.Z (R14)(R11*1), K1, Z15
+	TRANSPOSE8
+	TAILPAIR(0, Z16, odd0)
+	TAILPAIR(8, Z17, odd1)
+	TAILPAIR(16, Z18, odd2)
+	TAILPAIR(24, Z19, odd3)
+	TAILPAIR(32, Z20, odd4)
+	TAILPAIR(40, Z21, odd5)
+	TAILPAIR(48, Z22, odd6)
+	TESTQ     CX, CX
+	JZ        sum512
+	ROWS8ODD(56, Z23)
+	JMP       sum512
+
+odd0:
+	ROWS8ODD(0, Z16)
+	JMP sum512
+
+odd1:
+	ROWS8ODD(8, Z17)
+	JMP sum512
+
+odd2:
+	ROWS8ODD(16, Z18)
+	JMP sum512
+
+odd3:
+	ROWS8ODD(24, Z19)
+	JMP sum512
+
+odd4:
+	ROWS8ODD(32, Z20)
+	JMP sum512
+
+odd5:
+	ROWS8ODD(40, Z21)
+	JMP sum512
+
+odd6:
+	ROWS8ODD(48, Z22)
+
+sum512:
+	VMOVUPS evenlanes32<>(SB), Y8
+	LEAQ    (DI)(R9*4), AX
+	SUMEO(Z0, Y0, (DI))
+	SUMEO(Z1, Y1, (DI)(R9*1))
+	SUMEO(Z2, Y2, (DI)(R9*2))
+	SUMEO(Z3, Y3, (DI)(R13*1))
+	SUMEO(Z4, Y4, (AX))
+	SUMEO(Z5, Y5, (AX)(R9*1))
+	SUMEO(Z6, Y6, (AX)(R9*2))
+	SUMEO(Z7, Y7, (AX)(R13*1))
+	ADDQ    $32, DI
+	SUBQ    R15, SI            // back to p = 0
+	SUBQ    R15, R12
+	SUBQ    R15, BX
+	LEAQ    (BX)(R8*8), BX     // next eight b rows
+	DECQ    DX
+	JNZ     tile512
+	MOVQ    colTiles+32(FP), DX
+	SHLQ    $5, DX
+	SUBQ    DX, DI
+	LEAQ    (DI)(R9*8), DI     // next eight dst rows
+	LEAQ    (SI)(R8*8), SI     // next eight a rows
+	DECQ    R10
+	JNZ     rowtile512
+	VZEROUPPER
+	RET
+
+// func splitDots32AVX512(s, a0, a1, a2, a3, b *float32, k4 int)
+//
+// Z0 holds the sixteen partial sums, row r's four in the 128-bit lane r: per
+// four p the rows' a[p..p+3] fill Z1's four lanes, and b[p..p+3] is broadcast
+// to every lane of Z2.
+TEXT ·splitDots32AVX512(SB), NOSPLIT, $0-56
+	MOVQ   s+0(FP), DI
+	MOVQ   a0+8(FP), SI
+	MOVQ   a1+16(FP), R8
+	MOVQ   a2+24(FP), R9
+	MOVQ   a3+32(FP), R10
+	MOVQ   b+40(FP), R11
+	MOVQ   k4+48(FP), CX
+	SHLQ   $2, CX          // bytes of the rows the partial sums cover
+	XORQ   AX, AX          // byte offset of p
+	VPXORD Z0, Z0, Z0
+
+split4:
+	VMOVUPS         (SI)(AX*1), X1
+	VINSERTF32X4    $1, (R8)(AX*1), Z1, Z1
+	VINSERTF32X4    $2, (R9)(AX*1), Z1, Z1
+	VINSERTF32X4    $3, (R10)(AX*1), Z1, Z1
+	VBROADCASTF32X4 (R11)(AX*1), Z2
+	VMULPS          Z2, Z1, Z1
+	VADDPS          Z1, Z0, Z0
+	ADDQ            $16, AX
+	CMPQ            AX, CX
+	JLT             split4
+	VMOVUPS         Z0, (DI)
+	VZEROUPPER
+	RET
+
+// PAIRS8Z is PAIRS8S on ZMM registers: sixteen f32 lanes.
+#define PAIRS8Z \
+	VMULPS Z8, Z9, Z10; \
+	VMULPS Z8, Z9, Z11; \
+	VMULPS Z8, Z9, Z12; \
+	VMULPS Z8, Z9, Z13; \
+	VADDPS Z10, Z0, Z0; \
+	VADDPS Z11, Z1, Z1; \
+	VADDPS Z12, Z2, Z2; \
+	VADDPS Z13, Z3, Z3; \
+	VMULPS Z8, Z9, Z10; \
+	VMULPS Z8, Z9, Z11; \
+	VMULPS Z8, Z9, Z12; \
+	VMULPS Z8, Z9, Z13; \
+	VADDPS Z10, Z4, Z4; \
+	VADDPS Z11, Z5, Z5; \
+	VADDPS Z12, Z6, Z6; \
+	VADDPS Z13, Z7, Z7
+
+// func machinePeak32AVX512(iters int): 8 pairs into 8 running sums a round,
+// 256 flops.
+TEXT ·machinePeak32AVX512(SB), NOSPLIT, $0-8
+	MOVQ iters+0(FP), CX
+	VZEROALL // all of ZMM0-15
+
+peak32z:
+	PAIRS8Z
+	DECQ CX
+	JNZ  peak32z
 	VZEROUPPER
 	RET
 

@@ -49,6 +49,20 @@ func machinePeak32AVX2(iters int) {
 	panic("tensor: no vector kernels in this build")
 }
 
+func fold32AVX512(d, b, v *float32, rows, vrow, vterm, terms, n int) {
+	panic("tensor: no vector kernels in this build")
+}
+
+func transB32TilesAVX512(dst, a, b *float32, rowTiles, colTiles, k, n int) {
+	panic("tensor: no vector kernels in this build")
+}
+
+func splitDots32AVX512(s, a0, a1, a2, a3, b *float32, k4 int) {
+	panic("tensor: no vector kernels in this build")
+}
+
+func machinePeak32AVX512(iters int) { panic("tensor: no vector kernels in this build") }
+
 func add32AVX2(dst, src *float32, n int) { panic("tensor: no vector kernels in this build") }
 
 func add64AVX2(dst, src *float64, n int) { panic("tensor: no vector kernels in this build") }

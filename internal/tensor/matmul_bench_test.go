@@ -278,15 +278,23 @@ func BenchmarkMachinePeakF64(b *testing.B) {
 	}
 }
 
-// BenchmarkMachinePeakF32 is the same ceiling for the vector f32 kernels:
-// register-only VMULPS/VADDPS pairs, eight lanes each.
+// BenchmarkMachinePeakF32 is the same ceiling for the vector f32 kernels,
+// one row per register width: register-only VMULPS/VADDPS pairs, 16 pairs
+// into 8 YMM running sums a round for avx2, 8 pairs into 8 ZMM ones for
+// avx512 — 256 flops a round either way.
 func BenchmarkMachinePeakF32(b *testing.B) {
 	if !useAVX2 {
 		b.Skip("no vector kernels in this build")
 	}
-	const iters = 1 << 16 // 256 flops each
-	for i := 0; i < b.N; i++ {
-		machinePeak32AVX2(iters)
+	peak := func(b *testing.B, run func(iters int)) {
+		const iters = 1 << 16
+		for i := 0; i < b.N; i++ {
+			run(iters)
+		}
+		b.ReportMetric(256*iters*float64(b.N)/float64(b.Elapsed().Nanoseconds()), "GFLOP/s")
 	}
-	b.ReportMetric(256*iters*float64(b.N)/float64(b.Elapsed().Nanoseconds()), "GFLOP/s")
+	b.Run("avx2", func(b *testing.B) { peak(b, machinePeak32AVX2) })
+	if useAVX512 {
+		b.Run("avx512", func(b *testing.B) { peak(b, machinePeak32AVX512) })
+	}
 }

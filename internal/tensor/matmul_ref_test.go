@@ -119,9 +119,9 @@ func offsetBy1(t *Tensor) *Tensor {
 	return FromSlice(buf[1:], t.shape...)
 }
 
-// forEachFoldTier runs fn as one subtest per f64 fold tier this binary can
-// take — the AVX-512 tile off, then on where the CPU has it — and restores
-// the gate afterwards.
+// forEachFoldTier runs fn as one subtest per kernel tier this binary can
+// take — the AVX-512 tiles of both lanes off, then on where the CPU has
+// them — and restores the gate afterwards.
 func forEachFoldTier(t *testing.T, fn func(t *testing.T)) {
 	has := useAVX512
 	defer func() { useAVX512 = has }()
@@ -282,15 +282,16 @@ func TestDenseFoldBitIdenticalToReferenceOrder(t *testing.T) {
 // CI log shows whether the sweeps exercised the assembly or the Go loops.
 // useAVX2 picks both lanes' products and the elementwise family; useAVX512
 // adds the four-row tile of the f64 fold and puts a·bᵀ on the 8×8 ZMM tile
-// and its fringe kernel.
+// and its fringe kernel, and in the f32 lane puts a·b and aᵀ·b on the ZMM
+// fold and a·bᵀ on the 8×8 tile whose lanes hold even and odd sums.
 func TestKernelPathReported(t *testing.T) {
 	path := "go"
 	if useAVX2 {
 		path = "avx2"
 	}
-	fold, transB := path, path
+	fold, transB, f32 := path, path, path
 	if useAVX512 {
-		fold, transB = "avx512 tile + avx2", "avx512 8×8 tile + fringe"
+		fold, transB, f32 = "avx512 tile + avx2", "avx512 8×8 tile + fringe", "avx512 fold + 8×8 e/o tile"
 	}
-	t.Logf("tensor kernel path: f64 fold %s, f64 a·bᵀ %s, f32 %s, elementwise %s (from %d elements)", fold, transB, path, path, vecMin)
+	t.Logf("tensor kernel path: f64 fold %s, f64 a·bᵀ %s, f32 %s, elementwise %s (from %d elements)", fold, transB, f32, path, vecMin)
 }

@@ -26,10 +26,13 @@ var (
 )
 
 // nanShapes are (m, k, n) products with full tiles of every vector kernel,
-// the a·bᵀ fringe (n%8 ≠ 0), the k tails and the row tails.
+// the a·bᵀ fringe (n%8 ≠ 0), the k tails and the row tails. The last three
+// put a full 8×8 f32 a·bᵀ tile on a k%16 tail: an odd last term after two
+// 16-term blocks and after none, and an even tail over a 4-row AVX2 tile.
 var nanShapes = [][3]int{
 	{3, 5, 7}, {8, 4, 4}, {8, 8, 8}, {8, 16, 9}, {9, 17, 20}, {16, 12, 12},
 	{8, 256, 9}, {16, 64, 72}, {17, 15, 16},
+	{8, 33, 16}, {16, 7, 9}, {12, 26, 24},
 }
 
 // plantRowNaNs gives each of the rows rows of v (row r at v[r·rs + p·ps], p < k)
@@ -78,43 +81,47 @@ func TestNaNPayloadsFollowGoOperandOrder(t *testing.T) {
 	if !useAVX2 {
 		return // the rest compares vector kernels with their Go loops
 	}
-	t.Run("F32Products", func(t *testing.T) {
-		rng := rand.New(rand.NewSource(42))
-		for _, s := range nanShapes {
-			m, k, n := s[0], s[1], s[2]
-			a, _ := randn32(rng, m*k)
-			b, _ := randn32(rng, k*n)
-			a, b = offset32(a), offset32(b)
-			pre, _ := randn32(rng, m*n)
-			nans := [2]float32{nanPayloads32[0], nanPayloads32[2]}
-
-			// a·b: a's rows are m×k, b's columns run down k.
-			plantRowNaNs(rng, a, m, k, k, 1, nans)
-			plantRowNaNs(rng, b, n, k, 1, n, [2]float32{nanPayloads32[1], nanPayloads32[1]})
-			want, got := offset32(pre), offset32(pre)
-			fold32(want, a, b, m, k, n, k, 1, false)
-			fold32(got, a, b, m, k, n, k, 1, true)
-			requireSameBits32(t, "fold32 a·b", m, k, n, got, want)
-			// aᵀ·b reads a's buffer as k×m, each dst row from one column.
-			plantRowNaNs(rng, a, m, k, 1, m, nans)
-			copy(want, pre)
-			copy(got, pre)
-			fold32(want, a, b, m, k, n, 1, m, false)
-			fold32(got, a, b, m, k, n, 1, m, true)
-			requireSameBits32(t, "fold32 aᵀ·b", m, k, n, got, want)
-			// a·bᵀ reads b's buffer as n×k.
-			plantRowNaNs(rng, a, m, k, k, 1, nans)
-			plantRowNaNs(rng, b, n, k, k, 1, [2]float32{nanPayloads32[1], nanPayloads32[1]})
-			matMulTransB32(want, a, b, m, k, n, false)
-			matMulTransB32(got, a, b, m, k, n, true)
-			requireSameBits32(t, "transB32", m, k, n, got, want)
-		}
-	})
+	t.Run("F32Products", func(t *testing.T) { forEachFoldTier(t, nanF32ProductsMatchGo) })
 	t.Run("Elementwise", func(t *testing.T) {
 		nanElementwiseMatchesGo(t, width32, nanPayloads32)
 		nanElementwiseMatchesGo(t, width64, nanPayloads64)
 		nanMasterUpdateMatchesGo(t)
 	})
+}
+
+// nanF32ProductsMatchGo holds the three f32 products to their Go loops on the
+// current tier.
+func nanF32ProductsMatchGo(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	for _, s := range nanShapes {
+		m, k, n := s[0], s[1], s[2]
+		a, _ := randn32(rng, m*k)
+		b, _ := randn32(rng, k*n)
+		a, b = offset32(a), offset32(b)
+		pre, _ := randn32(rng, m*n)
+		nans := [2]float32{nanPayloads32[0], nanPayloads32[2]}
+
+		// a·b: a's rows are m×k, b's columns run down k.
+		plantRowNaNs(rng, a, m, k, k, 1, nans)
+		plantRowNaNs(rng, b, n, k, 1, n, [2]float32{nanPayloads32[1], nanPayloads32[1]})
+		want, got := offset32(pre), offset32(pre)
+		fold32(want, a, b, m, k, n, k, 1, false)
+		fold32(got, a, b, m, k, n, k, 1, true)
+		requireSameBits32(t, "fold32 a·b", m, k, n, got, want)
+		// aᵀ·b reads a's buffer as k×m, each dst row from one column.
+		plantRowNaNs(rng, a, m, k, 1, m, nans)
+		copy(want, pre)
+		copy(got, pre)
+		fold32(want, a, b, m, k, n, 1, m, false)
+		fold32(got, a, b, m, k, n, 1, m, true)
+		requireSameBits32(t, "fold32 aᵀ·b", m, k, n, got, want)
+		// a·bᵀ reads b's buffer as n×k.
+		plantRowNaNs(rng, a, m, k, k, 1, nans)
+		plantRowNaNs(rng, b, n, k, k, 1, [2]float32{nanPayloads32[1], nanPayloads32[1]})
+		matMulTransB32(want, a, b, m, k, n, false)
+		matMulTransB32(got, a, b, m, k, n, true)
+		requireSameBits32(t, "transB32", m, k, n, got, want)
+	}
 }
 
 // nanDraw returns n unaligned normals with about half the cells the NaN nan.

@@ -11,7 +11,7 @@ echo "== gofmt -l . (every Go file is gofmt-clean)"
 unformatted=$(gofmt -l .)
 [ -z "$unformatted" ] || { echo "check: not gofmt-clean (run gofmt -w):" >&2; echo "$unformatted" >&2; exit 1; }
 
-echo "== go vet ./... (asmdecl checks internal/tensor/kernels_amd64.s against its Go declarations: foldTermsAVX2, transBTilesAVX2, anyZeroAVX2 (the one zero scan of a product's a), fold32AVX2, transB32TilesAVX2, machinePeakAVX2, machinePeak32AVX2, cpuHasAVX2; AVX-512 f64 tiles: foldTile4AVX512, transBTilesAVX512, transBFringeAVX512, machinePeakAVX512, cpuHasAVX512; elementwise family: add{32,64}AVX2, addScalar{32,64}AVX2, axpy{32,64}AVX2, axpyDiff64AVX2, relu{32,64}AVX2, reluGrad{32,64}AVX2, maxPool{32,64}AVX2, addRows{32,64}AVX2, masterUpdateAVX2)"
+echo "== go vet ./... (asmdecl checks internal/tensor/kernels_amd64.s against its Go declarations: foldTermsAVX2, transBTilesAVX2, anyZeroAVX2 (the one zero scan of a product's a), fold32AVX2, transB32TilesAVX2, machinePeakAVX2, machinePeak32AVX2, cpuHasAVX2; AVX-512 f64 tiles: foldTile4AVX512, transBTilesAVX512, transBFringeAVX512, machinePeakAVX512, cpuHasAVX512; AVX-512 f32 tiles: fold32AVX512, transB32TilesAVX512, splitDots32AVX512, machinePeak32AVX512; elementwise family: add{32,64}AVX2, addScalar{32,64}AVX2, axpy{32,64}AVX2, axpyDiff64AVX2, relu{32,64}AVX2, reluGrad{32,64}AVX2, maxPool{32,64}AVX2, addRows{32,64}AVX2, masterUpdateAVX2)"
 go vet ./...
 
 echo "== go build ./..."
