@@ -1,8 +1,10 @@
 package codec
 
 import (
+	"bytes"
 	"compress/flate"
 	"fmt"
+	"io"
 	"math/rand"
 	"testing"
 )
@@ -117,7 +119,7 @@ func BenchmarkPlaneCoder(b *testing.B) {
 			perSymbol(b, n)
 		})
 
-		var stream appendWriter
+		var stream bytes.Buffer
 		w, err := flate.NewWriter(&stream, flate.HuffmanOnly)
 		if err != nil {
 			b.Fatal(err)
@@ -125,7 +127,7 @@ func BenchmarkPlaneCoder(b *testing.B) {
 		b.Run(fmt.Sprintf("encode/flate/plane=%d", p), func(b *testing.B) {
 			b.SetBytes(int64(n))
 			for i := 0; i < b.N; i++ {
-				stream = stream[:0]
+				stream.Reset()
 				w.Reset(&stream)
 				if _, err := w.Write(plane); err != nil {
 					b.Fatal(err)
@@ -136,11 +138,16 @@ func BenchmarkPlaneCoder(b *testing.B) {
 			}
 			perSymbol(b, n)
 		})
-		s := new(scratch)
+		var src bytes.Reader
+		r := flate.NewReader(&src)
 		b.Run(fmt.Sprintf("decode/flate/plane=%d", p), func(b *testing.B) {
 			b.SetBytes(int64(n))
 			for i := 0; i < b.N; i++ {
-				if err := s.inflate(got, stream); err != nil {
+				src.Reset(stream.Bytes())
+				if err := r.(flate.Resetter).Reset(&src, nil); err != nil {
+					b.Fatal(err)
+				}
+				if _, err := io.ReadFull(r, got); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -10,12 +10,12 @@
 // bit patterns zeroes the sign, the exponent and the agreeing mantissa
 // prefix of every parameter, cutting the XORed words into byte planes turns
 // those zeroed bits into constant or low-entropy planes, and the entropy
-// stage (planes.go) packs each plane in the cheapest of four modes — const,
-// stored, its own canonical Huffman code (huff.go), or a DEFLATE stream. The
-// pipeline is exactly invertible, so the decoder recovers the original
-// float64s bit for bit — NaN payloads, signed zeros and denormals included —
-// and a run over the delta path follows the same learning trajectory as one
-// over raw vectors.
+// stage (planes.go) packs each plane in the cheapest of three modes — const,
+// stored, or its own canonical Huffman code (huff.go). The pipeline is
+// exactly invertible, so the decoder recovers the original float64s bit for
+// bit — NaN payloads, signed zeros and denormals included — and a run over
+// the delta path follows the same learning trajectory as one over raw
+// vectors.
 //
 // Baselines are negotiated by ID: the sender names the shared vector in
 // Blob.Baseline and the receiver must hold the same bits under that ID
@@ -165,7 +165,7 @@ func Encode(scheme Scheme, params, baseline []float64, baseID uint64, ef []float
 			}
 			s.words[i] = u
 		}
-		return s.pack(SchemeDelta, baseID, nil, 8)
+		return s.pack(SchemeDelta, baseID, nil, 8), nil
 
 	case SchemeFloat32:
 		s := scratchPool.Get().(*scratch)
@@ -178,7 +178,7 @@ func Encode(scheme Scheme, params, baseline []float64, baseID uint64, ef []float
 			}
 			s.words[i] = uint64(u)
 		}
-		return s.pack(SchemeFloat32, baseID, nil, 4)
+		return s.pack(SchemeFloat32, baseID, nil, 4), nil
 
 	default: // SchemeInt8
 		return encodeInt8(params, baseline, baseID, ef)
@@ -301,20 +301,26 @@ func encodeInt8(params, baseline []float64, baseID uint64, ef []float64) (Blob, 
 			ef[i] = r - dq
 		}
 	}
-	return s.pack(SchemeInt8, baseID, header[:], 1)
+	return s.pack(SchemeInt8, baseID, header[:], 1), nil
 }
 
+// decodeInt8 inverts encodeInt8. A range header the encoder never writes —
+// an end that is not finite, or lo > hi — is refused before any scratch is
+// touched.
 func decodeInt8(b Blob, baseline []float64) ([]float64, error) {
 	if len(b.Data) < 16 {
 		return nil, fmt.Errorf("codec: int8 blob has %d bytes, want a 16-byte range header", len(b.Data))
+	}
+	lo := math.Float64frombits(binary.LittleEndian.Uint64(b.Data[0:]))
+	hi := math.Float64frombits(binary.LittleEndian.Uint64(b.Data[8:]))
+	if !(lo <= hi) || math.IsInf(lo, 0) || math.IsInf(hi, 0) {
+		return nil, fmt.Errorf("codec: int8 range header [%v, %v] is not a finite lo ≤ hi", lo, hi)
 	}
 	s := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(s)
 	if err := s.unpack(b.Data[16:], 1, b.Count); err != nil {
 		return nil, err
 	}
-	lo := math.Float64frombits(binary.LittleEndian.Uint64(b.Data[0:]))
-	hi := math.Float64frombits(binary.LittleEndian.Uint64(b.Data[8:]))
 	span := hi - lo
 	out := make([]float64, b.Count)
 	for i := range out {

@@ -1,6 +1,7 @@
 package codec
 
 import (
+	"encoding/binary"
 	"flag"
 	"fmt"
 	"math"
@@ -42,7 +43,7 @@ func fuzzSeeds(t testing.TB) map[string]fuzzSeed {
 		"const":  make([]float64, n),  // every plane constant
 		"noise":  make([]float64, n),  // low planes stored, high planes huff
 		"sparse": make([]float64, n),  // against the baseline: a few values per plane, huff
-		"runs":   fuzzBaseline(4 * n), // against the baseline: two long runs of zeros, BestSpeed
+		"runs":   fuzzBaseline(4 * n), // against the baseline: two long runs of zeros, huff at its one-bit floor
 	}
 	for i := range base {
 		vectors["const"][i] = 1.5
@@ -78,14 +79,25 @@ func fuzzSeeds(t testing.TB) map[string]fuzzSeed {
 		return fuzzSeed{Blob{Scheme: good.Scheme, Baseline: 1, Count: count, Data: f(append([]byte(nil), good.Data...))}, true}
 	}
 	seeds["bad-unknown-mode"] = mutated(n, func(d []byte) []byte { d[0] = 7; return d })
+	seeds["bad-mode-2"] = mutated(n, func(d []byte) []byte { d[0] = 2; return d }) // once DEFLATE
 	seeds["bad-truncated"] = mutated(n, func(d []byte) []byte { return d[:len(d)/2] })
 	seeds["bad-trailing"] = mutated(n, func(d []byte) []byte { return append(d, 0, 0) })
 	seeds["bad-count-short"] = mutated(n-1, func(d []byte) []byte { return d })
 	seeds["bad-count-long"] = mutated(n+1, func(d []byte) []byte { return d })
 	seeds["bad-count-negative"] = mutated(-1, func(d []byte) []byte { return d })
 	seeds["bad-stream-length"] = mutated(n, func(d []byte) []byte {
-		return append([]byte{modeDeflate, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F}, d...)
+		return append([]byte{modeHuff, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F}, d...)
 	})
+	// int8 range headers the encoder never writes: inverted, and NaN.
+	int8Header := func(lo, hi float64) fuzzSeed {
+		b := seeds["int8-noise-basefalse"].blob
+		d := append([]byte(nil), b.Data...)
+		binary.LittleEndian.PutUint64(d[0:], math.Float64bits(lo))
+		binary.LittleEndian.PutUint64(d[8:], math.Float64bits(hi))
+		return fuzzSeed{Blob{Scheme: SchemeInt8, Count: b.Count, Data: d}, false}
+	}
+	seeds["bad-int8-inverted-range"] = int8Header(1, -1)
+	seeds["bad-int8-nan-range"] = int8Header(math.NaN(), 1)
 	// Hand-built huff bodies: two one-bit codes over n/8 stream bytes, then
 	// the ways the lengths and the stream can be wrong.
 	pair, bits := []byte{2, 0, 1, 0x11}, make([]byte, n/8)
@@ -123,7 +135,7 @@ func TestFuzzCorpusIsCurrent(t *testing.T) {
 		}
 	}
 	for scheme, modes := range seen {
-		for _, m := range []byte{modeConst, modeStored, modeDeflate, modeHuff} {
+		for _, m := range []byte{modeConst, modeStored, modeHuff} {
 			if !modes[m] {
 				t.Errorf("no %v seed has a plane in mode %d", scheme, m)
 			}

@@ -1,11 +1,8 @@
 package codec
 
 import (
-	"bytes"
-	"compress/flate"
 	"encoding/binary"
 	"fmt"
-	"io"
 	"math"
 	"sync"
 )
@@ -16,17 +13,14 @@ import (
 // nothing in common: agreeing sign/exponent/mantissa-prefix bits leave the
 // high planes constant or nearly so, while the low mantissa planes are noise
 // no compressor shrinks. A payload is the planes in order, each a mode byte
-// followed by its body.
+// followed by its body. Mode byte 2, once a DEFLATE stream, is unknown.
 const (
-	modeConst   = iota // one distinct byte; body: that byte
-	modeStored         // incompressible; body: the plane verbatim
-	modeDeflate        // body: uvarint stream length, then a DEFLATE stream of the plane
-	modeHuff           // body: uvarint length, then code lengths and the Huffman stream (huff.go)
+	modeConst  = 0 // one distinct byte; body: that byte
+	modeStored = 1 // incompressible; body: the plane verbatim
+	modeHuff   = 3 // body: uvarint length, then code lengths and the Huffman stream (huff.go)
 )
 
-// scratch is the pooled working memory of one Encode or Decode call. The
-// flate writer (~650 KB) and reader are created on first use and Reset
-// afterwards, never built per call.
+// scratch is the pooled working memory of one Encode or Decode call.
 type scratch struct {
 	words  []uint64       // Encode: XORed bit patterns, one per parameter
 	planes []byte         // Encode: all eight planes of words; Decode: the entropy-coded planes, decoded
@@ -36,21 +30,9 @@ type scratch struct {
 	zero   []byte         // Decode: stands in for const and absent planes; never written
 	out    []byte         // payload under construction
 	huff   huffCoder
-	fast   appendWriter // the current plane's DEFLATE body
-	fw     *flate.Writer
-	br     bytes.Reader
-	fr     io.ReadCloser // flate reader over br; implements flate.Resetter
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
-
-// appendWriter is the io.Writer the pooled flate writer emits into.
-type appendWriter []byte
-
-func (w *appendWriter) Write(p []byte) (int, error) {
-	*w = append(*w, p...)
-	return len(p), nil
-}
 
 // grow returns b resliced to n elements, reallocating only when it is too small.
 func grow[T any](b []T, n int) []T {
@@ -66,15 +48,11 @@ func grow[T any](b []T, n int) []T {
 // plane's mode. One distinct byte is const. A plane whose collision entropy
 // −log2 Σp² is within 1/17 of eight bits is stored unpriced — its Shannon
 // entropy is no lower, and that is the bound at which the flate writer this
-// stage once ran gave up and stored. Every other plane is priced exactly under
-// its Huffman code; where one byte value is most of the plane and the order-0
-// information is under half a bit per byte — half of Huffman's floor: on fed
-// traffic a match search wins only below 0.4, and bare sign planes sit a
-// hair under the floor itself — the BestSpeed writer runs too; and the
-// smallest of those and the stored plane wins.
+// stage once ran gave up and stored. Every other plane is priced exactly
+// under its Huffman code, and is stored when the code does not shrink it.
 //
 //machlint:allocfree
-func (s *scratch) pack(scheme Scheme, baseID uint64, header []byte, width int) (Blob, error) {
+func (s *scratch) pack(scheme Scheme, baseID uint64, header []byte, width int) Blob {
 	n := len(s.words)
 	if n == 0 {
 		width = 0
@@ -87,42 +65,28 @@ func (s *scratch) pack(scheme Scheme, baseID uint64, header []byte, width int) (
 	s.out = append(s.out[:0], header...)
 	for p := 0; p < width; p++ {
 		plane, hist := s.planes[p*n:(p+1)*n], &s.hist[p]
-		var top uint32
-		var squares float64
-		for _, c := range hist {
-			top = max(top, c)
-			squares += float64(c) * float64(c)
-		}
-		if int(top) == n {
+		if int(hist[plane[0]]) == n {
 			s.out = append(s.out, modeConst, plane[0])
 			continue
 		}
+		var squares float64
+		for _, c := range hist {
+			squares += float64(c) * float64(c)
+		}
 		if 185*squares > float64(n)*float64(n) { // Σp² > 2^(−8·16/17)
-			mode, size := byte(modeHuff), s.huff.build(hist)
-			if 2*int(top) > n && 2*information(hist, n) < float64(n) {
-				if err := s.deflate(plane); err != nil {
-					return Blob{}, err
-				}
-				if len(s.fast) < size {
-					mode, size = modeDeflate, len(s.fast)
-				}
-			}
+			size := s.huff.build(hist)
 			var prefix [binary.MaxVarintLen64]byte
 			if k := binary.PutUvarint(prefix[:], uint64(size)); k+size < n {
-				s.out = append(append(s.out, mode), prefix[:k]...)
-				if mode == modeDeflate {
-					s.out = append(s.out, s.fast...)
-				} else {
-					at := len(s.out)
-					s.huff.encode(s.out[at:at+size+8], plane)
-					s.out = s.out[:at+size]
-				}
+				s.out = append(append(s.out, modeHuff), prefix[:k]...)
+				at := len(s.out)
+				s.huff.encode(s.out[at:at+size+8], plane)
+				s.out = s.out[:at+size]
 				continue
 			}
 		}
 		s.out = append(append(s.out, modeStored), plane...)
 	}
-	return Blob{Scheme: scheme, Baseline: baseID, Count: n, Data: append([]byte(nil), s.out...)}, nil
+	return Blob{Scheme: scheme, Baseline: baseID, Count: n, Data: append([]byte(nil), s.out...)}
 }
 
 // cut transposes s.words into s.planes, plane p at [p·n, (p+1)·n), and counts
@@ -151,43 +115,14 @@ func (s *scratch) cut() {
 	}
 }
 
-// information is the order-0 information, in bits, of a plane of n bytes
-// counted in hist: Σ c·log2(n/c).
-func information(hist *[256]uint32, n int) (bits float64) {
-	for _, c := range hist {
-		if c != 0 {
-			bits += float64(c) * math.Log2(float64(n)/float64(c))
-		}
-	}
-	return bits
-}
-
-// deflate compresses plane into s.fast through the pooled BestSpeed writer.
-func (s *scratch) deflate(plane []byte) (err error) {
-	s.fast = s.fast[:0]
-	if s.fw == nil {
-		if s.fw, err = flate.NewWriter(nil, flate.BestSpeed); err != nil {
-			return fmt.Errorf("codec: deflate init: %w", err)
-		}
-	}
-	s.fw.Reset(&s.fast)
-	if _, err = s.fw.Write(plane); err == nil {
-		err = s.fw.Close()
-	}
-	if err != nil {
-		return fmt.Errorf("codec: deflate: %w", err)
-	}
-	return nil
-}
-
 // unpack parses width planes of n bytes (none when n is 0) out of data, the
 // inverse of pack's plane directory: afterwards s.src[p][:n] is plane p, with
 // the const planes' bytes gathered in s.fixed and s.zero standing in for them.
 // The whole directory is validated — known modes, no truncated plane, a
 // complete length-capped code ahead of every Huffman stream, no trailing
-// bytes — before anything is allocated or decoded, and every coded stream must
-// yield exactly n bytes and end with its declared length, so hostile input
-// costs at most 9·n bytes of scratch.
+// bytes — before anything is allocated or decoded, and every Huffman stream
+// must yield exactly n bytes and end with its declared length, so hostile
+// input costs at most 9·n bytes of scratch.
 //
 //machlint:allocfree
 func (s *scratch) unpack(data []byte, width, n int) error {
@@ -208,7 +143,7 @@ func (s *scratch) unpack(data []byte, width, n int) error {
 		case modeConst:
 		case modeStored:
 			size = uint64(n)
-		case modeDeflate, modeHuff:
+		case modeHuff:
 			var k int
 			if size, k = binary.Uvarint(data); k <= 0 {
 				return fmt.Errorf("codec: plane %d: bad stream length", p)
@@ -244,18 +179,15 @@ func (s *scratch) unpack(data []byte, width, n int) error {
 			s.fixed |= uint64(bodies[p][0]) << (8 * p)
 		case modeStored:
 			s.src[p] = bodies[p]
-		default:
+		default: // modeHuff
 			coded--
 			s.src[p] = s.planes[coded*n : (coded+1)*n]
-			var err error
-			if modes[p] == modeDeflate {
-				err = s.inflate(s.src[p], bodies[p])
-			} else {
-				var at int // the directory pass checked these lengths; the one coder holds a plane's at a time
-				if at, err = s.huff.readLengths(bodies[p]); err == nil {
-					s.huff.setTable()
-					err = s.huff.decode(s.src[p], bodies[p][at:])
-				}
+			// The directory pass checked these lengths; the one coder
+			// holds one plane's at a time.
+			at, err := s.huff.readLengths(bodies[p])
+			if err == nil {
+				s.huff.setTable()
+				err = s.huff.decode(s.src[p], bodies[p][at:])
 			}
 			if err != nil {
 				return fmt.Errorf("codec: plane %d: %w", p, err)
@@ -288,25 +220,4 @@ func (s *scratch) join(out, baseline []float64) {
 // word32 is the i-th word of the four low unpacked planes.
 func (s *scratch) word32(i int) uint32 {
 	return uint32(s.fixed) | uint32(s.src[0][i]) | uint32(s.src[1][i])<<8 | uint32(s.src[2][i])<<16 | uint32(s.src[3][i])<<24
-}
-
-// inflate decodes, through the pooled reader, one DEFLATE stream that must
-// fill dst exactly and span the whole of src.
-//
-//machlint:noalias dst,src
-func (s *scratch) inflate(dst, src []byte) error {
-	s.br.Reset(src)
-	if s.fr == nil {
-		s.fr = flate.NewReader(&s.br)
-	} else if err := s.fr.(flate.Resetter).Reset(&s.br, nil); err != nil {
-		return fmt.Errorf("inflate reset: %w", err)
-	}
-	if _, err := io.ReadFull(s.fr, dst); err != nil {
-		return fmt.Errorf("inflate %d bytes: %w", len(dst), err)
-	}
-	var tail [1]byte
-	if k, err := s.fr.Read(tail[:]); k != 0 || err != io.EOF || s.br.Len() != 0 {
-		return fmt.Errorf("stream longer than the declared %d bytes", len(dst))
-	}
-	return nil
 }

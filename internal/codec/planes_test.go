@@ -2,11 +2,13 @@ package codec
 
 import (
 	"bytes"
+	"compress/flate"
 	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
 	"runtime/debug"
+	"strings"
 	"testing"
 )
 
@@ -23,7 +25,7 @@ func planeModes(t testing.TB, data []byte, width, n int) []byte {
 			data = data[1:]
 		case modeStored:
 			data = data[n:]
-		case modeDeflate, modeHuff:
+		case modeHuff:
 			size, k := binary.Uvarint(data)
 			data = data[k+int(size):]
 		default:
@@ -122,7 +124,7 @@ func TestPlaneRoundtripEveryModeAndSize(t *testing.T) {
 			}
 		}
 	}
-	for _, m := range []byte{modeConst, modeStored, modeDeflate, modeHuff} {
+	for _, m := range []byte{modeConst, modeStored, modeHuff} {
 		if seen[m] == 0 {
 			t.Fatalf("mode %d never chosen (seen %v)", m, seen)
 		}
@@ -130,10 +132,9 @@ func TestPlaneRoundtripEveryModeAndSize(t *testing.T) {
 }
 
 // TestPlaneModeRule pins the histogram rule on planes built for it: constant
-// → const, uniform noise → stored, a skewed alphabet → huff, long zero runs →
-// DEFLATE far below Huffman's one-bit-per-byte floor, and a sign-bit plane —
-// two values, one of them a single byte over half, a hair under one bit of
-// information per byte — → huff without the BestSpeed writer ever being built.
+// → const, uniform noise → stored, a skewed alphabet → huff, and a sign-bit
+// plane — two values, one of them a single byte over half — → huff at its
+// one-bit-per-byte floor.
 func TestPlaneModeRule(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	const n = 4096
@@ -143,13 +144,11 @@ func TestPlaneModeRule(t *testing.T) {
 		byteAt  func(i int) byte
 		mode    byte
 		maxSize int
-		deflate bool // the BestSpeed writer was tried
 	}{
-		{"const", func(int) byte { return 0x5A }, modeConst, 2, false},
-		{"noise", func(int) byte { return byte(rng.Intn(256)) }, modeStored, n + 1, false},
-		{"skewed", func(int) byte { return byte(rng.Intn(4) * rng.Intn(4)) }, modeHuff, n / 2, false},
-		{"runs", func(i int) byte { return byte(i % 512 / 511) }, modeDeflate, n / 32, true},
-		{"sign bit", func(i int) byte { return 0x3F | byte(shuffled[i]/(n/2+1))<<7 }, modeHuff, n/8 + 8, false},
+		{"const", func(int) byte { return 0x5A }, modeConst, 2},
+		{"noise", func(int) byte { return byte(rng.Intn(256)) }, modeStored, n + 1},
+		{"skewed", func(int) byte { return byte(rng.Intn(4) * rng.Intn(4)) }, modeHuff, n / 2},
+		{"sign bit", func(i int) byte { return 0x3F | byte(shuffled[i]/(n/2+1))<<7 }, modeHuff, n/8 + 8},
 	}
 	for _, c := range cases {
 		s := new(scratch)
@@ -158,16 +157,9 @@ func TestPlaneModeRule(t *testing.T) {
 			s.words[i] = uint64(c.byteAt(i))
 		}
 		want := append([]uint64(nil), s.words...)
-		blob, err := s.pack(SchemeInt8, 0, nil, 1)
-		if err != nil {
-			t.Fatalf("%s: %v", c.name, err)
-		}
-		data := blob.Data
+		data := s.pack(SchemeInt8, 0, nil, 1).Data
 		if data[0] != c.mode || len(data) > c.maxSize {
 			t.Fatalf("%s: mode %d in %d bytes, want mode %d in at most %d", c.name, data[0], len(data), c.mode, c.maxSize)
-		}
-		if tried := s.fw != nil; tried != c.deflate {
-			t.Fatalf("%s: BestSpeed tried = %v, want %v", c.name, tried, c.deflate)
 		}
 		if err := s.unpack(data, 1, n); err != nil {
 			t.Fatalf("%s: %v", c.name, err)
@@ -191,30 +183,22 @@ func huffBlob(n int, lengths, stream []byte) Blob {
 	return Blob{Scheme: SchemeDelta, Count: n, Data: data}
 }
 
-// TestUnpackRejectsMalformedPayloads: unknown modes, truncated planes, coded
-// streams of the wrong length, trailing bytes, and every way a huff body's
-// code lengths can fail to be a complete 12-bit prefix code are all errors.
+// TestUnpackRejectsMalformedPayloads: unknown modes — mode 2, once a DEFLATE
+// stream, among them — truncated planes, coded streams of the wrong length,
+// trailing bytes, and every way a huff body's code lengths can fail to be a
+// complete 12-bit prefix code are all errors.
 func TestUnpackRejectsMalformedPayloads(t *testing.T) {
 	const n = 256
 	ramp := make([]float64, n)
-	runs := make([]float64, n)
 	for i := range ramp {
 		ramp[i] = math.Float64frombits(uint64(i%4) << 56) // plane 7 is huff-coded, the rest const
-		runs[i] = math.Float64frombits(uint64(i/(n-1)) << 56)
 	}
 	good, err := Encode(SchemeDelta, ramp, nil, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	deflated, err := Encode(SchemeDelta, runs, nil, 0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
 	if m := planeModes(t, good.Data, 8, n)[7]; m != modeHuff {
 		t.Fatalf("ramp's top plane has mode %d, want huff", m)
-	}
-	if m := planeModes(t, deflated.Data, 8, n)[7]; m != modeDeflate {
-		t.Fatalf("runs' top plane has mode %d, want DEFLATE", m)
 	}
 	mutate := func(f func(d []byte) []byte) Blob {
 		b := good
@@ -234,10 +218,8 @@ func TestUnpackRejectsMalformedPayloads(t *testing.T) {
 			d[15] = byte(body + 1)
 			return append(d, 0)
 		}),
-		"huff count too small":    {Scheme: SchemeDelta, Count: n - 8, Data: good.Data},
-		"huff count too large":    {Scheme: SchemeDelta, Count: n + 8, Data: good.Data},
-		"deflate count too small": {Scheme: SchemeDelta, Count: n - 1, Data: deflated.Data},
-		"deflate count too large": {Scheme: SchemeDelta, Count: n + 1, Data: deflated.Data},
+		"huff count too small": {Scheme: SchemeDelta, Count: n - 8, Data: good.Data},
+		"huff count too large": {Scheme: SchemeDelta, Count: n + 8, Data: good.Data},
 		"bad varint": mutate(func(d []byte) []byte {
 			return append(d[:15], bytes.Repeat([]byte{0xFF}, 11)...)
 		}),
@@ -269,7 +251,25 @@ func TestUnpackRejectsMalformedPayloads(t *testing.T) {
 			t.Errorf("%s: accepted", name)
 		}
 	}
-	for name, blob := range map[string]Blob{"ramp": good, "runs": deflated, "hand-built huff": huffBlob(n, pair, bits),
+	// A well-formed DEFLATE stream of the plane, which the codec once wrote
+	// under mode 2, is refused at the directory.
+	var deflated bytes.Buffer
+	w, err := flate.NewWriter(&deflated, flate.BestSpeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Write(make([]byte, n)); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	mode2 := binary.AppendUvarint(append(bytes.Repeat([]byte{modeConst, 0}, 7), 2), uint64(deflated.Len()))
+	mode2 = append(mode2, deflated.Bytes()...)
+	if _, err := Decode(Blob{Scheme: SchemeDelta, Count: n, Data: mode2}, nil); err == nil || !strings.Contains(err.Error(), "unknown mode 2") {
+		t.Errorf("mode-2 plane: err = %v, want unknown mode 2", err)
+	}
+	for name, blob := range map[string]Blob{"ramp": good, "hand-built huff": huffBlob(n, pair, bits),
 		"hand-built huff, spare bits": huffBlob(n-7, pair, bits)} {
 		if _, err := Decode(blob, nil); err != nil {
 			t.Errorf("%s rejected: %v", name, err)
@@ -317,9 +317,7 @@ func TestEncodeSteadyStateAllocs(t *testing.T) {
 }
 
 // TestDecodeSteadyStateAllocs: a Decode allocates the vector it returns and
-// nothing else of its own — the tables and planes are pooled. Only a DEFLATE
-// plane costs more: compress/flate rebuilds its decoder's link tables per
-// stream.
+// nothing else — the tables and planes are pooled.
 func TestDecodeSteadyStateAllocs(t *testing.T) {
 	if raceEnabled() {
 		t.Skip("sync.Pool sheds pooled scratch at random under the race detector")
@@ -335,19 +333,13 @@ func TestDecodeSteadyStateAllocs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			limit := 1.0
-			for _, m := range schemePlaneModes(t, blob) {
-				if m == modeDeflate {
-					limit += 2
-				}
-			}
 			allocs := testing.AllocsPerRun(20, func() {
 				if _, err := Decode(blob, tr.baseline); err != nil {
 					t.Fatal(err)
 				}
 			})
-			if allocs > limit {
-				t.Errorf("%v/%s: %.0f allocs per Decode, want at most %.0f", scheme, tr.class, allocs, limit)
+			if allocs > 1 {
+				t.Errorf("%v/%s: %.0f allocs per Decode, want 1", scheme, tr.class, allocs)
 			}
 		}
 	}
