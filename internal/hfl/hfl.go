@@ -160,7 +160,9 @@ const (
 	// AggLiteralEq5 is the paper's Eq. (5) verbatim in model space:
 	// w_n ← Σ 1/(|M|q)·w_m. When the realized Σ 1/(|M|q) deviates from 1
 	// the whole edge model is rescaled — the instability §III-B2 warns
-	// about. Exposed for the aggregation ablation bench.
+	// about. An empty sample carries w_n over instead of the formula's
+	// Σ = 0, so E[w_n'] is the member mean plus P(∅)·w_n, not Lemma 1's
+	// mean alone. Exposed for the aggregation ablation bench.
 	AggLiteralEq5
 )
 

@@ -241,53 +241,68 @@ func TestLiteralEq5ModeRuns(t *testing.T) {
 	}
 }
 
-// Lemma 1: with inverse-probability weights, the expected aggregated edge
-// model equals the plain average of the member models, regardless of the
-// sampling probabilities. Verified by Monte Carlo over the update-space
-// aggregation rule.
+// Lemma 1, exactly: every one of the 2^4 sample outcomes of a four-member
+// edge is aggregated and weighted by its probability Π q_m or (1 − q_m), so
+// the expectation carries no sampling noise. With inverse-probability weights
+// on the updates, E[w_n'] is the member mean for any q. The literal Eq. (5)
+// form is off by P(∅)·w_n: an empty sample carries the edge model over where
+// the formula's Σ would be 0. Plain averaging is biased toward the likely
+// members, which shows the enumeration tells the modes apart.
 func TestEdgeAggregationUnbiasedness(t *testing.T) {
-	parts, test, sched := tinySetup(t, 4, 1, 5, 10)
+	probs := []float64{0.9, 0.5, 0.3, 0.7} // deliberately non-uniform
+	parts, test, sched := tinySetup(t, len(probs), 1, 5, 10)
 	eng, err := New(tinyConfig(5, 10), tinyArch, parts, test, sched, sampling.NewUniform())
 	if err != nil {
 		t.Fatal(err)
 	}
 	dim := len(eng.global)
-	memberParams := make([][]float64, 4)
-	rng := rand.New(rand.NewSource(42))
-	for i := range memberParams {
-		v := make([]float64, dim)
-		for j := range v {
-			v[j] = rng.NormFloat64()
-		}
-		memberParams[i] = v
-	}
-	probs := []float64{0.9, 0.5, 0.3, 0.7} // deliberately non-uniform
 	base := append([]float64(nil), eng.edge[0]...)
-	const trials = 4000
-	sum := make([]float64, dim)
-	for trial := 0; trial < trials; trial++ {
-		copy(eng.edge[0], base)
-		var results []localResult
-		for i, q := range probs {
-			if rng.Float64() < q {
-				results = append(results, localResult{
-					params: memberParams[i],
-					weight: 1 / (4 * q),
-				})
-			}
-		}
-		eng.aggregateEdge(0, results, true)
-		for j := range sum {
-			sum[j] += eng.edge[0][j]
+	rng := rand.New(rand.NewSource(42))
+	members := make([][]float64, len(probs))
+	mean := make([]float64, dim)
+	for i := range members {
+		members[i] = make([]float64, dim)
+		for j := range members[i] {
+			members[i][j] = rng.NormFloat64()
+			mean[j] += members[i][j] / float64(len(probs))
 		}
 	}
-	// E[w'] should equal mean of member params.
-	for j := 0; j < 10; j++ { // spot-check the first coordinates
-		want := (memberParams[0][j] + memberParams[1][j] + memberParams[2][j] + memberParams[3][j]) / 4
-		got := sum[j] / trials
-		if math.Abs(got-want) > 0.08 {
-			t.Fatalf("coordinate %d: E[aggregate] = %v, want %v", j, got, want)
+	for _, mode := range []Aggregation{AggInverseUpdate, AggLiteralEq5, AggPlain} {
+		eng.cfg.Aggregation = mode
+		expect, pEmpty := make([]float64, dim), 0.0
+		for outcome := 0; outcome < 1<<len(probs); outcome++ {
+			prob := 1.0
+			var results []localResult
+			for i, q := range probs {
+				if outcome&(1<<i) == 0 {
+					prob *= 1 - q
+					continue
+				}
+				prob *= q
+				results = append(results, localResult{params: members[i], weight: 1 / (float64(len(probs)) * q), size: 1})
+			}
+			if outcome == 0 {
+				pEmpty = prob
+			}
+			copy(eng.edge[0], base)
+			eng.aggregateEdge(0, results, true)
+			tensor.Axpy(expect, prob, eng.edge[0])
 		}
+		worst := 0.0
+		for j := range expect {
+			want := mean[j]
+			if mode == AggLiteralEq5 {
+				want += pEmpty * base[j]
+			}
+			worst = max(worst, math.Abs(expect[j]-want))
+		}
+		switch {
+		case mode == AggPlain && worst < 0.1:
+			t.Fatalf("%v: E[aggregate] is within %.3g of the member mean; plain averaging under non-uniform q should be biased", mode, worst)
+		case mode != AggPlain && worst > 1e-12:
+			t.Fatalf("%v: E[aggregate] is %.3g from its Lemma 1 value (P(∅) = %v)", mode, worst, pEmpty)
+		}
+		t.Logf("%v: largest |E[aggregate] − Lemma 1 value| = %.3g", mode, worst)
 	}
 }
 

@@ -8,8 +8,8 @@ import (
 // This file is the elementwise kernel family: the loops of a training step
 // that have no reduction order to protect — slice add, scalar add, axpy, the
 // aggregation update, ReLU forward and backward, the 2×2 max-pool, the col2im
-// run add and the f32 lane's master update — each written once, for both
-// widths, and called by every layer of both lanes (DESIGN.md §10). An output
+// run add and the f32 lane's master update — each written once, for the
+// widths the lanes use, and called by every layer (DESIGN.md §10). An output
 // element depends on the operand elements at its own index (or, for the pool,
 // on a fixed 2×2 window), so eight f32 or four f64 outputs per YMM register
 // are eight or four scalar computations side by side and the results carry
@@ -80,29 +80,24 @@ func addScalarGo[T float32 | float64](dst []T, v T) {
 
 // Axpy adds a·src onto dst: dst[i] += a·src[i], the product rounded before
 // the add (the explicit conversion keeps a fusing compiler from contracting
-// the two; the vector kernel multiplies, then adds).
+// the two; the vector kernel multiplies, then adds). Like AxpyDiff it is
+// float64 only: its callers are the aggregations and the f64 SGD step.
 //
 //machlint:allocfree
-func Axpy[T float32 | float64](dst []T, a T, src []T) {
+func Axpy(dst []float64, a float64, src []float64) {
 	src = src[:len(dst)]
 	i := 0
 	if useAVX2 && len(dst) >= vecMin {
-		switch d := any(dst).(type) {
-		case []float32:
-			i = len(d) &^ 7
-			axpy32AVX2(&d[0], &any(src).([]float32)[0], float32(a), i)
-		case []float64:
-			i = len(d) &^ 3
-			axpy64AVX2(&d[0], &any(src).([]float64)[0], float64(a), i)
-		}
+		i = len(dst) &^ 3
+		axpy64AVX2(&dst[0], &src[0], a, i)
 	}
 	axpyGo(dst[i:], a, src[i:])
 }
 
 //go:noinline
-func axpyGo[T float32 | float64](dst []T, a T, src []T) {
+func axpyGo(dst []float64, a float64, src []float64) {
 	for i, v := range src {
-		dst[i] += T(a * v)
+		dst[i] += float64(a * v)
 	}
 }
 
@@ -201,7 +196,7 @@ func MaxPool2x2[T float32 | float64](out []T, arg []int32, in []T, w int) {
 	checkPool(len(out), arg, len(in), w)
 	ow := w / 2
 	jv := 0 // output columns [0, jv) of every row are pooled by the vector kernel
-	if useAVX2 {
+	if useAVX2 && len(out) > 0 {
 		var ap *int32
 		if arg != nil {
 			ap = &arg[0]

@@ -156,8 +156,8 @@ func matMulTransB32(dst, a, b []float32, m, k, n int, vec bool) {
 			iv = m &^ 3
 		}
 	}
-	transB32Dots(dst, a, b, 0, iv, jv, k, n, vec && useAVX512)
-	transB32Dots(dst, a, b, iv, m, 0, k, n, vec && useAVX512)
+	transB32Dots(dst, a, b, 0, iv, jv, k, n)
+	transB32Dots(dst, a, b, iv, m, 0, k, n)
 }
 
 // transB32Dots writes rows [i0, i1) × columns [j0, n) of a·bᵀ; j0 must be a
@@ -169,11 +169,10 @@ func matMulTransB32(dst, a, b []float32, m, k, n int, vec bool) {
 // storing its sums twice), and each partial sum takes a pass of its own: so
 // every a value feeds one product and the compiled loops multiply with a as
 // the first operand and add onto the running sum first, as the vector
-// kernels do, and NaN payloads agree with them. With vec the four rows'
-// p%4 partial sums come from splitDots32AVX512.
+// kernels do, and NaN payloads agree with them.
 //
 //machlint:allocfree
-func transB32Dots(dst, a, b []float32, i0, i1, j0, k, n int, vec bool) {
+func transB32Dots(dst, a, b []float32, i0, i1, j0, k, n int) {
 	k4 := k &^ 3
 	for i := i0; i < i1; i += 4 {
 		r1, r2, r3 := min(i+1, i1-1), min(i+2, i1-1), min(i+3, i1-1)
@@ -202,20 +201,16 @@ func transB32Dots(dst, a, b []float32, i0, i1, j0, k, n int, vec bool) {
 		for ; j < n; j++ {
 			brow := b[j*k : (j+1)*k]
 			var s [16]float32 // s[4r+q]: row r's partial sum over the p < k4 with p%4 = q
-			if vec && k4 > 0 {
-				splitDots32AVX512(&s[0], &a0[0], &a1[0], &a2[0], &a3[0], &brow[0], k4)
-			} else {
-				for q := range 4 {
-					var s0, s1, s2, s3 float32
-					for p := q; p < k4; p += 4 {
-						x := brow[p]
-						s0 += a0[p] * x
-						s1 += a1[p] * x
-						s2 += a2[p] * x
-						s3 += a3[p] * x
-					}
-					s[q], s[4+q], s[8+q], s[12+q] = s0, s1, s2, s3
+			for q := range 4 {
+				var s0, s1, s2, s3 float32
+				for p := q; p < k4; p += 4 {
+					x := brow[p]
+					s0 += a0[p] * x
+					s1 += a1[p] * x
+					s2 += a2[p] * x
+					s3 += a3[p] * x
 				}
+				s[q], s[4+q], s[8+q], s[12+q] = s0, s1, s2, s3
 			}
 			d0[j] = splitJoin32(s[0:4], a0[k4:], brow[k4:])
 			d1[j] = splitJoin32(s[4:8], a1[k4:], brow[k4:])

@@ -52,27 +52,11 @@ func transBTilesAVX2(dst, a, b *float64, k4, k, n, tiles int)
 //go:noescape
 func transBTilesAVX512(dst, a, b *float64, k8, k, n, tiles int)
 
-// transBFringeAVX512 writes the 8-row × cols-column block
-// dst[r·n+j] = Σ_{p<k8} a[r·k+p]·b[j·k+p] in transBTilesAVX512's order and
-// operand order, for the 1 ≤ cols ≤ 7 columns a block of eight tiles leaves.
-// k8 must be a multiple of 8 (zero is allowed).
-//
-//go:noescape
-func transBFringeAVX512(dst, a, b *float64, k8, k, n, cols int)
-
 // anyZeroAVX2 reports whether any of a[0:n] is an exact zero of either sign (a
 // NaN is not); n must be a positive multiple of 4.
 //
 //go:noescape
 func anyZeroAVX2(a *float64, n int) bool
-
-// machinePeakAVX2 runs iters rounds of 16 independent register-only
-// VMULPD/VADDPD pairs (128 flops per round): the arithmetic ceiling the
-// kernels above are measured against.
-func machinePeakAVX2(iters int)
-
-// machinePeakAVX512 is machinePeakAVX2 on ZMM registers: 128 flops a round.
-func machinePeakAVX512(iters int)
 
 // fold32AVX2 adds Σ_p v[r·vrow+p·vterm]·b[p·n : p·n+cols] onto
 // d[r·n : r·n+cols] for r in [0, rows) and p in [0, terms), in the expression
@@ -93,9 +77,6 @@ func fold32AVX2(d, b, v *float32, rows, vrow, vterm, terms, cols, n int)
 //go:noescape
 func transB32TilesAVX2(dst, a, b *float32, rowTiles, colTiles, k, n int)
 
-// machinePeak32AVX2 is machinePeakAVX2 on eight f32 lanes: 256 flops a round.
-func machinePeak32AVX2(iters int)
-
 // fold32AVX512 is fold32AVX2 over every row and column, four rows at a time:
 // it adds Σ_p v[r·vrow+p·vterm]·b[p·n : p·n+n] onto d[r·n : r·n+n] for r in
 // [0, rows) and p in [0, terms) in the same tree and operand order, sixteen
@@ -111,19 +92,6 @@ func fold32AVX512(d, b, v *float32, rows, vrow, vterm, terms, n int)
 //
 //go:noescape
 func transB32TilesAVX512(dst, a, b *float32, rowTiles, colTiles, k, n int)
-
-// splitDots32AVX512 writes the p%4 partial sums of transB32Dots' last n%4
-// columns for the four rows a0..a3 against one b row: s[4r+q] = Σ a_r[p]·b[p]
-// over the p < k4 with p%4 = q, each from +0 in ascending p with a multiply
-// (a first) and then an add (the sum first) per term. k4 must be a positive
-// multiple of 4.
-//
-//go:noescape
-func splitDots32AVX512(s, a0, a1, a2, a3, b *float32, k4 int)
-
-// machinePeak32AVX512 is machinePeak32AVX2 on sixteen f32 lanes: 256 flops a
-// round.
-func machinePeak32AVX512(iters int)
 
 // The elementwise family (elementwise.go): n is a positive multiple of eight
 // (f32) or four (f64) elements; each lane does what one iteration of the Go
@@ -145,12 +113,8 @@ func addScalar32AVX2(dst *float32, v float32, n int)
 //go:noescape
 func addScalar64AVX2(dst *float64, v float64, n int)
 
-// axpy32AVX2 and axpy64AVX2 compute dst[i] += a·src[i]: a multiply, then an
-// add.
+// axpy64AVX2 computes dst[i] += a·src[i]: a multiply, then an add.
 //
-//go:noescape
-func axpy32AVX2(dst, src *float32, a float32, n int)
-
 //go:noescape
 func axpy64AVX2(dst, src *float64, a float64, n int)
 

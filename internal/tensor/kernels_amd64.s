@@ -4,9 +4,8 @@
 
 // AVX2 micro-kernels for matmul.go (f64, four columns per register) and
 // f32.go (f32, eight), and AVX-512 tiles of the f64 fold and a·bᵀ (eight
-// columns, or in the a·bᵀ fringe eight rows, per register) and of the f32
-// fold and a·bᵀ (sixteen columns, or eight columns' even and odd sums, per
-// register). The rule they all keep: lanes run across outputs, every output
+// columns per register) and of the f32 fold and a·bᵀ (sixteen columns, or
+// eight columns' even and odd sums, per register). The rule they all keep: lanes run across outputs, every output
 // combines its terms in the expression tree of the Go loop it replaces, a
 // VMULPD/VMULPS and then a VADDPD/VADDPS per term, never VFMADD, never a
 // horizontal sum. Each lane therefore performs exactly the scalar operations
@@ -481,155 +480,6 @@ store512:
 	VZEROUPPER
 	RET
 
-// iota8 is 0..7 in qwords: the lane numbers VPMULUDQ turns into row offsets.
-DATA iota8<>+0(SB)/8, $0
-DATA iota8<>+8(SB)/8, $1
-DATA iota8<>+16(SB)/8, $2
-DATA iota8<>+24(SB)/8, $3
-DATA iota8<>+32(SB)/8, $4
-DATA iota8<>+40(SB)/8, $5
-DATA iota8<>+48(SB)/8, $6
-DATA iota8<>+56(SB)/8, $7
-GLOBL iota8<>(SB), RODATA|NOPTR, $64
-
-// COL8 adds Σ_t a[r,p+t]·b[j,p+t] over the block's eight p onto acc, the
-// sums of one fringe column j for the eight rows r (one per lane); register bj
-// points at b[j,p]. Each product takes the a column first, each add the sum.
-#define COL8(acc, bj) \
-	VBROADCASTSD 0(bj), Z24; \
-	VMULPD Z24, Z16, Z24; \
-	VADDPD Z24, acc, acc; \
-	VBROADCASTSD 8(bj), Z25; \
-	VMULPD Z25, Z17, Z25; \
-	VADDPD Z25, acc, acc; \
-	VBROADCASTSD 16(bj), Z26; \
-	VMULPD Z26, Z18, Z26; \
-	VADDPD Z26, acc, acc; \
-	VBROADCASTSD 24(bj), Z27; \
-	VMULPD Z27, Z19, Z27; \
-	VADDPD Z27, acc, acc; \
-	VBROADCASTSD 32(bj), Z28; \
-	VMULPD Z28, Z20, Z28; \
-	VADDPD Z28, acc, acc; \
-	VBROADCASTSD 40(bj), Z29; \
-	VMULPD Z29, Z21, Z29; \
-	VADDPD Z29, acc, acc; \
-	VBROADCASTSD 48(bj), Z30; \
-	VMULPD Z30, Z22, Z30; \
-	VADDPD Z30, acc, acc; \
-	VBROADCASTSD 56(bj), Z31; \
-	VMULPD Z31, Z23, Z31; \
-	VADDPD Z31, acc, acc
-
-// func transBFringeAVX512(dst, a, b *float64, k8, k, n, cols int)
-//
-// The columns transBTilesAVX512 leaves, turned the other way: per eight p the
-// block of the eight a rows is transposed (Z16..Z23 hold one p across the
-// rows), each of the cols b rows is broadcast against it, and Z0..Z6 hold the
-// sums of columns 0..cols-1, one row per lane, until a scatter writes them.
-TEXT ·transBFringeAVX512(SB), NOSPLIT, $0-56
-	MOVQ dst+0(FP), DI
-	MOVQ a+8(FP), SI
-	MOVQ b+16(FP), BX
-	MOVQ k8+24(FP), CX
-	MOVQ k+32(FP), R8
-	MOVQ cols+48(FP), DX
-	SHLQ $3, CX           // bytes of a row the vector loop consumes
-	SHLQ $3, R8           // bytes per a / b row
-	LEAQ (R8)(R8*2), R11  // three a / b rows
-	LEAQ (SI)(R8*4), R12  // a rows 4..7
-	LEAQ (BX)(R8*4), R10  // b rows 4..6
-	VPXORQ Z0, Z0, Z0
-	VPXORQ Z1, Z1, Z1
-	VPXORQ Z2, Z2, Z2
-	VPXORQ Z3, Z3, Z3
-	VPXORQ Z4, Z4, Z4
-	VPXORQ Z5, Z5, Z5
-	VPXORQ Z6, Z6, Z6
-	TESTQ CX, CX
-	JZ    fringestore
-
-fringeblock:
-	VMOVUPD (SI), Z8
-	VMOVUPD (SI)(R8*1), Z9
-	VMOVUPD (SI)(R8*2), Z10
-	VMOVUPD (SI)(R11*1), Z11
-	VMOVUPD (R12), Z12
-	VMOVUPD (R12)(R8*1), Z13
-	VMOVUPD (R12)(R8*2), Z14
-	VMOVUPD (R12)(R11*1), Z15
-	TRANSPOSE8
-	COL8(Z0, BX)
-	CMPQ DX, $1
-	JEQ  fringenext
-	LEAQ (BX)(R8*1), AX
-	COL8(Z1, AX)
-	CMPQ DX, $2
-	JEQ  fringenext
-	LEAQ (BX)(R8*2), AX
-	COL8(Z2, AX)
-	CMPQ DX, $3
-	JEQ  fringenext
-	LEAQ (BX)(R11*1), AX
-	COL8(Z3, AX)
-	CMPQ DX, $4
-	JEQ  fringenext
-	COL8(Z4, R10)
-	CMPQ DX, $5
-	JEQ  fringenext
-	LEAQ (R10)(R8*1), AX
-	COL8(Z5, AX)
-	CMPQ DX, $6
-	JEQ  fringenext
-	LEAQ (R10)(R8*2), AX
-	COL8(Z6, AX)
-
-fringenext:
-	ADDQ $64, SI
-	ADDQ $64, R12
-	ADDQ $64, BX
-	ADDQ $64, R10
-	SUBQ $64, CX
-	JNZ  fringeblock
-
-fringestore:
-	// Lane r of a column's sums goes to dst[r·n + j]: qword indices r·n.
-	MOVQ n+40(FP), AX
-	VPBROADCASTQ AX, Z8
-	VMOVDQU64 iota8<>(SB), Z9
-	VPMULUDQ Z8, Z9, Z9
-	MOVQ $-1, AX
-	KMOVW AX, K1
-	VSCATTERQPD Z0, K1, (DI)(Z9*8)
-	CMPQ DX, $1
-	JEQ  fringedone
-	KMOVW AX, K1
-	VSCATTERQPD Z1, K1, 8(DI)(Z9*8)
-	CMPQ DX, $2
-	JEQ  fringedone
-	KMOVW AX, K1
-	VSCATTERQPD Z2, K1, 16(DI)(Z9*8)
-	CMPQ DX, $3
-	JEQ  fringedone
-	KMOVW AX, K1
-	VSCATTERQPD Z3, K1, 24(DI)(Z9*8)
-	CMPQ DX, $4
-	JEQ  fringedone
-	KMOVW AX, K1
-	VSCATTERQPD Z4, K1, 32(DI)(Z9*8)
-	CMPQ DX, $5
-	JEQ  fringedone
-	KMOVW AX, K1
-	VSCATTERQPD Z5, K1, 40(DI)(Z9*8)
-	CMPQ DX, $6
-	JEQ  fringedone
-	KMOVW AX, K1
-	VSCATTERQPD Z6, K1, 48(DI)(Z9*8)
-
-fringedone:
-	VZEROUPPER
-	RET
-
 // func anyZeroAVX2(a *float64, n int) bool
 //
 // VCMPPD predicate 0 is equal, ordered, quiet: ±0 compare equal to +0 and a
@@ -675,61 +525,6 @@ zeronone:
 
 zerofound:
 	MOVB $1, ret+16(FP)
-	VZEROUPPER
-	RET
-
-// PAIRS8 is eight independent multiply-then-add pairs, one per running sum.
-#define PAIRS8 \
-	VMULPD Y8, Y9, Y10; \
-	VMULPD Y8, Y9, Y11; \
-	VMULPD Y8, Y9, Y12; \
-	VMULPD Y8, Y9, Y13; \
-	VADDPD Y10, Y0, Y0; \
-	VADDPD Y11, Y1, Y1; \
-	VADDPD Y12, Y2, Y2; \
-	VADDPD Y13, Y3, Y3; \
-	VMULPD Y8, Y9, Y10; \
-	VMULPD Y8, Y9, Y11; \
-	VMULPD Y8, Y9, Y12; \
-	VMULPD Y8, Y9, Y13; \
-	VADDPD Y10, Y4, Y4; \
-	VADDPD Y11, Y5, Y5; \
-	VADDPD Y12, Y6, Y6; \
-	VADDPD Y13, Y7, Y7
-
-// func machinePeakAVX2(iters int)
-TEXT ·machinePeakAVX2(SB), NOSPLIT, $0-8
-	MOVQ iters+0(FP), CX
-	VXORPD Y0, Y0, Y0
-	VXORPD Y1, Y1, Y1
-	VXORPD Y2, Y2, Y2
-	VXORPD Y3, Y3, Y3
-	VXORPD Y4, Y4, Y4
-	VXORPD Y5, Y5, Y5
-	VXORPD Y6, Y6, Y6
-	VXORPD Y7, Y7, Y7
-	VXORPD Y8, Y8, Y8
-	VXORPD Y9, Y9, Y9
-
-peak:
-	PAIRS8
-	PAIRS8
-	DECQ CX
-	JNZ  peak
-	VZEROUPPER
-	RET
-
-// func machinePeakAVX512(iters int): the tile's arithmetic, register-only, 8
-// pairs into 8 running sums a round.
-TEXT ·machinePeakAVX512(SB), NOSPLIT, $0-8
-	MOVQ iters+0(FP), CX
-	VZEROALL // all of ZMM0-15
-
-peak512:
-	TILE4(Z12, Z0, Z1, Z2, Z3)
-	TILE4(Z13, Z4, Z5, Z6, Z7)
-	DECQ CX
-	JNZ  peak512
 	VZEROUPPER
 	RET
 
@@ -1026,47 +821,6 @@ store:
 	LEAQ (SI)(R8*4), SI    // next four a rows
 	DECQ R10
 	JNZ  rowtile
-	VZEROUPPER
-	RET
-
-// PAIRS8S is PAIRS8 on eight f32 lanes.
-#define PAIRS8S \
-	VMULPS Y8, Y9, Y10; \
-	VMULPS Y8, Y9, Y11; \
-	VMULPS Y8, Y9, Y12; \
-	VMULPS Y8, Y9, Y13; \
-	VADDPS Y10, Y0, Y0; \
-	VADDPS Y11, Y1, Y1; \
-	VADDPS Y12, Y2, Y2; \
-	VADDPS Y13, Y3, Y3; \
-	VMULPS Y8, Y9, Y10; \
-	VMULPS Y8, Y9, Y11; \
-	VMULPS Y8, Y9, Y12; \
-	VMULPS Y8, Y9, Y13; \
-	VADDPS Y10, Y4, Y4; \
-	VADDPS Y11, Y5, Y5; \
-	VADDPS Y12, Y6, Y6; \
-	VADDPS Y13, Y7, Y7
-
-// func machinePeak32AVX2(iters int)
-TEXT ·machinePeak32AVX2(SB), NOSPLIT, $0-8
-	MOVQ iters+0(FP), CX
-	VXORPS Y0, Y0, Y0
-	VXORPS Y1, Y1, Y1
-	VXORPS Y2, Y2, Y2
-	VXORPS Y3, Y3, Y3
-	VXORPS Y4, Y4, Y4
-	VXORPS Y5, Y5, Y5
-	VXORPS Y6, Y6, Y6
-	VXORPS Y7, Y7, Y7
-	VXORPS Y8, Y8, Y8
-	VXORPS Y9, Y9, Y9
-
-peak32:
-	PAIRS8S
-	PAIRS8S
-	DECQ CX
-	JNZ  peak32
 	VZEROUPPER
 	RET
 
@@ -1481,70 +1235,6 @@ sum512:
 	VZEROUPPER
 	RET
 
-// func splitDots32AVX512(s, a0, a1, a2, a3, b *float32, k4 int)
-//
-// Z0 holds the sixteen partial sums, row r's four in the 128-bit lane r: per
-// four p the rows' a[p..p+3] fill Z1's four lanes, and b[p..p+3] is broadcast
-// to every lane of Z2.
-TEXT ·splitDots32AVX512(SB), NOSPLIT, $0-56
-	MOVQ   s+0(FP), DI
-	MOVQ   a0+8(FP), SI
-	MOVQ   a1+16(FP), R8
-	MOVQ   a2+24(FP), R9
-	MOVQ   a3+32(FP), R10
-	MOVQ   b+40(FP), R11
-	MOVQ   k4+48(FP), CX
-	SHLQ   $2, CX          // bytes of the rows the partial sums cover
-	XORQ   AX, AX          // byte offset of p
-	VPXORD Z0, Z0, Z0
-
-split4:
-	VMOVUPS         (SI)(AX*1), X1
-	VINSERTF32X4    $1, (R8)(AX*1), Z1, Z1
-	VINSERTF32X4    $2, (R9)(AX*1), Z1, Z1
-	VINSERTF32X4    $3, (R10)(AX*1), Z1, Z1
-	VBROADCASTF32X4 (R11)(AX*1), Z2
-	VMULPS          Z2, Z1, Z1
-	VADDPS          Z1, Z0, Z0
-	ADDQ            $16, AX
-	CMPQ            AX, CX
-	JLT             split4
-	VMOVUPS         Z0, (DI)
-	VZEROUPPER
-	RET
-
-// PAIRS8Z is PAIRS8S on ZMM registers: sixteen f32 lanes.
-#define PAIRS8Z \
-	VMULPS Z8, Z9, Z10; \
-	VMULPS Z8, Z9, Z11; \
-	VMULPS Z8, Z9, Z12; \
-	VMULPS Z8, Z9, Z13; \
-	VADDPS Z10, Z0, Z0; \
-	VADDPS Z11, Z1, Z1; \
-	VADDPS Z12, Z2, Z2; \
-	VADDPS Z13, Z3, Z3; \
-	VMULPS Z8, Z9, Z10; \
-	VMULPS Z8, Z9, Z11; \
-	VMULPS Z8, Z9, Z12; \
-	VMULPS Z8, Z9, Z13; \
-	VADDPS Z10, Z4, Z4; \
-	VADDPS Z11, Z5, Z5; \
-	VADDPS Z12, Z6, Z6; \
-	VADDPS Z13, Z7, Z7
-
-// func machinePeak32AVX512(iters int): 8 pairs into 8 running sums a round,
-// 256 flops.
-TEXT ·machinePeak32AVX512(SB), NOSPLIT, $0-8
-	MOVQ iters+0(FP), CX
-	VZEROALL // all of ZMM0-15
-
-peak32z:
-	PAIRS8Z
-	DECQ CX
-	JNZ  peak32z
-	VZEROUPPER
-	RET
-
 // The elementwise family (elementwise.go). One YMM register is eight f32 or
 // four f64 iterations of the Go loop side by side; where an operation has an
 // operand order the bits depend on, it is the order of the Go loop as
@@ -1622,26 +1312,6 @@ adds64:
 	ADDQ    $32, AX
 	CMPQ    AX, CX
 	JLT     adds64
-	VZEROUPPER
-	RET
-
-// func axpy32AVX2(dst, src *float32, a float32, n int)
-TEXT ·axpy32AVX2(SB), NOSPLIT, $0-32
-	MOVQ dst+0(FP), DI
-	MOVQ src+8(FP), SI
-	VBROADCASTSS a+16(FP), Y2
-	MOVQ n+24(FP), CX
-	SHLQ $2, CX
-	XORQ AX, AX
-
-axpy32:
-	VMOVUPS (SI)(AX*1), Y1
-	VMULPS  Y2, Y1, Y1
-	VADDPS  (DI)(AX*1), Y1, Y1
-	VMOVUPS Y1, (DI)(AX*1)
-	ADDQ    $32, AX
-	CMPQ    AX, CX
-	JLT     axpy32
 	VZEROUPPER
 	RET
 

@@ -25,27 +25,13 @@ func transBTilesAVX512(dst, a, b *float64, k8, k, n, tiles int) {
 	panic("tensor: no vector kernels in this build")
 }
 
-func transBFringeAVX512(dst, a, b *float64, k8, k, n, cols int) {
-	panic("tensor: no vector kernels in this build")
-}
-
 func anyZeroAVX2(a *float64, n int) bool { panic("tensor: no vector kernels in this build") }
-
-func machinePeakAVX2(iters int) {
-	panic("tensor: no vector kernels in this build")
-}
-
-func machinePeakAVX512(iters int) { panic("tensor: no vector kernels in this build") }
 
 func fold32AVX2(d, b, v *float32, rows, vrow, vterm, terms, cols, n int) {
 	panic("tensor: no vector kernels in this build")
 }
 
 func transB32TilesAVX2(dst, a, b *float32, rowTiles, colTiles, k, n int) {
-	panic("tensor: no vector kernels in this build")
-}
-
-func machinePeak32AVX2(iters int) {
 	panic("tensor: no vector kernels in this build")
 }
 
@@ -57,12 +43,6 @@ func transB32TilesAVX512(dst, a, b *float32, rowTiles, colTiles, k, n int) {
 	panic("tensor: no vector kernels in this build")
 }
 
-func splitDots32AVX512(s, a0, a1, a2, a3, b *float32, k4 int) {
-	panic("tensor: no vector kernels in this build")
-}
-
-func machinePeak32AVX512(iters int) { panic("tensor: no vector kernels in this build") }
-
 func add32AVX2(dst, src *float32, n int) { panic("tensor: no vector kernels in this build") }
 
 func add64AVX2(dst, src *float64, n int) { panic("tensor: no vector kernels in this build") }
@@ -72,10 +52,6 @@ func addScalar32AVX2(dst *float32, v float32, n int) {
 }
 
 func addScalar64AVX2(dst *float64, v float64, n int) {
-	panic("tensor: no vector kernels in this build")
-}
-
-func axpy32AVX2(dst, src *float32, a float32, n int) {
 	panic("tensor: no vector kernels in this build")
 }
 

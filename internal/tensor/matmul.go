@@ -302,37 +302,31 @@ func matMulTransBDispatch(dst, a, b []float64, m, k, n int) {
 // matMulTransBRows writes dst rows [i0, i1) of a·bᵀ. Every element is an
 // independent dot product accumulated from +0 in ascending p, so row
 // partitioning and output tiling cannot change results. Where vector kernels
-// exist they take every whole block of eight rows over the first kv terms —
-// with AVX-512 every column, in 8×8 tiles and the n%8 last columns in the
-// fringe kernel, over k&^7; else every whole 8-row × 4-column tile over k&^3
-// — and transBDots adds the k-kv last terms onto their sums; the rows and
-// columns outside them are whole dots in transBDots. Each element is written
-// before it is read, so dst needs no zeroing.
+// exist they take every whole block of eight rows over the columns below jv
+// and the first kv terms — with AVX-512 in 8×8 tiles over k&^7, else in
+// 8-row × 4-column tiles over k&^3 — and transBDots adds the k-kv last terms
+// onto their sums; the columns from jv on and the rows outside the blocks are
+// whole dots in transBDots. Each element is written before it is read, so dst
+// needs no zeroing.
 //
 //machlint:allocfree
 func matMulTransBRows(dst, a, b []float64, i0, i1, k, n int) {
 	iv, jv, kv := i0, 0, 0 // rows [i0, iv) × columns [0, jv) are done by the vector kernels over p < kv
-	if useAVX2 && (n >= 4 || useAVX512) {
+	switch {
+	case useAVX512:
+		kv, jv = k&^7, n&^7
+	case useAVX2:
 		kv, jv = k&^3, n&^3
+	}
+	for ; jv > 0 && iv+8 <= i1; iv += 8 {
+		d, ai := &dst[iv*n], &a[iv*k]
 		if useAVX512 {
-			kv, jv = k&^7, n
+			transBTilesAVX512(d, ai, &b[0], kv, k, n, jv/8)
+		} else {
+			transBTilesAVX2(d, ai, &b[0], kv, k, n, jv/4)
 		}
-		for ; iv+8 <= i1; iv += 8 {
-			d, ai := &dst[iv*n], &a[iv*k]
-			switch {
-			case !useAVX512:
-				transBTilesAVX2(d, ai, &b[0], kv, k, n, jv/4)
-			case n >= 8:
-				transBTilesAVX512(d, ai, &b[0], kv, k, n, n/8)
-				if n%8 != 0 {
-					transBFringeAVX512(&dst[iv*n+n&^7], ai, &b[(n&^7)*k], kv, k, n, n%8)
-				}
-			default:
-				transBFringeAVX512(d, ai, &b[0], kv, k, n, n)
-			}
-			if kv < k {
-				transBDots(dst, a, b, iv, iv+8, 0, jv, kv, k, n)
-			}
+		if kv < k {
+			transBDots(dst, a, b, iv, iv+8, 0, jv, kv, k, n)
 		}
 	}
 	transBDots(dst, a, b, i0, iv, jv, n, 0, k, n)
@@ -360,9 +354,10 @@ func transBDots(dst, a, b []float64, i0, i1, j0, j1, p0, k, n int) {
 			clear(d2[j0:j1])
 			clear(d3[j0:j1])
 		}
+		a1, a2, a3 = a1[:len(a0)], a2[:len(a0)], a3[:len(a0)] // one length: the dot loop runs unchecked
 		for j := j0; j < j1; j++ {
 			s0, s1, s2, s3 := d0[j], d1[j], d2[j], d3[j]
-			for p, bv := range b[j*k+p0 : (j+1)*k] {
+			for p, bv := range b[j*k+p0:][:len(a0)] {
 				s0 += a0[p] * bv
 				s1 += a1[p] * bv
 				s2 += a2[p] * bv

@@ -253,48 +253,3 @@ func BenchmarkGEMMTrainShapes(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkMachinePeakF64 measures the arithmetic ceiling of the vector f64
-// kernels on this machine, one row per register width the kernels use:
-// independent register-only VMULPD/VADDPD pairs with no loads, stores or FMA,
-// reported in the GFLOP/s of the rows above: 16 pairs into 8 YMM running
-// sums a round for avx2, 8 pairs into 8 ZMM ones for avx512 (the tile's own
-// arithmetic) — enough independent sums that the add latency does not bound
-// either.
-func BenchmarkMachinePeakF64(b *testing.B) {
-	if !useAVX2 {
-		b.Skip("no vector kernels in this build")
-	}
-	peak := func(b *testing.B, flopsPerRound int, run func(iters int)) {
-		const iters = 1 << 16
-		for i := 0; i < b.N; i++ {
-			run(iters)
-		}
-		b.ReportMetric(float64(flopsPerRound*iters)*float64(b.N)/float64(b.Elapsed().Nanoseconds()), "GFLOP/s")
-	}
-	b.Run("avx2", func(b *testing.B) { peak(b, 128, machinePeakAVX2) })
-	if useAVX512 {
-		b.Run("avx512", func(b *testing.B) { peak(b, 128, machinePeakAVX512) })
-	}
-}
-
-// BenchmarkMachinePeakF32 is the same ceiling for the vector f32 kernels,
-// one row per register width: register-only VMULPS/VADDPS pairs, 16 pairs
-// into 8 YMM running sums a round for avx2, 8 pairs into 8 ZMM ones for
-// avx512 — 256 flops a round either way.
-func BenchmarkMachinePeakF32(b *testing.B) {
-	if !useAVX2 {
-		b.Skip("no vector kernels in this build")
-	}
-	peak := func(b *testing.B, run func(iters int)) {
-		const iters = 1 << 16
-		for i := 0; i < b.N; i++ {
-			run(iters)
-		}
-		b.ReportMetric(256*iters*float64(b.N)/float64(b.Elapsed().Nanoseconds()), "GFLOP/s")
-	}
-	b.Run("avx2", func(b *testing.B) { peak(b, machinePeak32AVX2) })
-	if useAVX512 {
-		b.Run("avx512", func(b *testing.B) { peak(b, machinePeak32AVX512) })
-	}
-}

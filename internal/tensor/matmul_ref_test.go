@@ -95,10 +95,10 @@ var kernelSweepShapes = append([][3]int{
 // vectorTailShapes crosses m around the 8-row tile (row tail, one and two
 // tiles), k around the 4- and 8-term blocks (k tails of the a·bᵀ tiles,
 // single-term tail of the fold) and n around the 4- and 8-column lane groups
-// (n < 8 is the AVX-512 fringe alone, n%8 ≥ 4 a fringe of at least four
-// columns), so every combination of full tile, row tail, column tail and k
-// tail of the vector kernels occurs — among them a full 8×8 tile with a k%8
-// tail and with every fringe width.
+// (n < 8 leaves no AVX-512 tile, n%8 ≥ 4 leaves at least four columns right
+// of the tiles to transBDots), so every combination of full tile, row tail,
+// column tail and k tail of the vector kernels occurs — among them a full 8×8
+// tile with a k%8 tail and with every column tail width.
 func vectorTailShapes() [][3]int {
 	var shapes [][3]int
 	for _, m := range []int{7, 8, 9, 15, 16, 17} {
@@ -281,8 +281,8 @@ func TestDenseFoldBitIdenticalToReferenceOrder(t *testing.T) {
 // TestKernelPathReported logs which kernels this test binary selected, so a
 // CI log shows whether the sweeps exercised the assembly or the Go loops.
 // useAVX2 picks both lanes' products and the elementwise family; useAVX512
-// adds the four-row tile of the f64 fold and puts a·bᵀ on the 8×8 ZMM tile
-// and its fringe kernel, and in the f32 lane puts a·b and aᵀ·b on the ZMM
+// adds the four-row tile of the f64 fold and puts a·bᵀ on the 8×8 ZMM tile,
+// and in the f32 lane puts a·b and aᵀ·b on the ZMM
 // fold and a·bᵀ on the 8×8 tile whose lanes hold even and odd sums.
 func TestKernelPathReported(t *testing.T) {
 	path := "go"
@@ -291,7 +291,7 @@ func TestKernelPathReported(t *testing.T) {
 	}
 	fold, transB, f32 := path, path, path
 	if useAVX512 {
-		fold, transB, f32 = "avx512 tile + avx2", "avx512 8×8 tile + fringe", "avx512 fold + 8×8 e/o tile"
+		fold, transB, f32 = "avx512 tile + avx2", "avx512 8×8 tile + go columns", "avx512 fold + 8×8 e/o tile"
 	}
 	t.Logf("tensor kernel path: f64 fold %s, f64 a·bᵀ %s, f32 %s, elementwise %s (from %d elements)", fold, transB, f32, path, vecMin)
 }

@@ -11,8 +11,16 @@ echo "== gofmt -l . (every Go file is gofmt-clean)"
 unformatted=$(gofmt -l .)
 [ -z "$unformatted" ] || { echo "check: not gofmt-clean (run gofmt -w):" >&2; echo "$unformatted" >&2; exit 1; }
 
-echo "== go vet ./... (asmdecl checks internal/tensor/kernels_amd64.s against its Go declarations: foldTermsAVX2, transBTilesAVX2, anyZeroAVX2 (the one zero scan of a product's a), fold32AVX2, transB32TilesAVX2, machinePeakAVX2, machinePeak32AVX2, cpuHasAVX2; AVX-512 f64 tiles: foldTile4AVX512, transBTilesAVX512, transBFringeAVX512, machinePeakAVX512, cpuHasAVX512; AVX-512 f32 tiles: fold32AVX512, transB32TilesAVX512, splitDots32AVX512, machinePeak32AVX512; elementwise family: add{32,64}AVX2, addScalar{32,64}AVX2, axpy{32,64}AVX2, axpyDiff64AVX2, relu{32,64}AVX2, reluGrad{32,64}AVX2, maxPool{32,64}AVX2, addRows{32,64}AVX2, masterUpdateAVX2)"
+echo "== go vet ./... (asmdecl checks internal/tensor/kernels_amd64.s against its Go declarations)"
 go vet ./...
+
+# The asm pays rent (DESIGN.md §10, "Rent ledger"): a kernel that grows the
+# file must fit the budget by deleting, or raise it in a change that states
+# the pair ratio it bought.
+asm_budget=1846
+echo "== asm budget (internal/tensor/kernels_amd64.s ≤ $asm_budget lines)"
+asm_lines=$(wc -l <internal/tensor/kernels_amd64.s)
+[ "$asm_lines" -le "$asm_budget" ] || { echo "check: kernels_amd64.s has $asm_lines lines, over its budget of $asm_budget" >&2; exit 1; }
 
 echo "== go build ./..."
 go build ./...
