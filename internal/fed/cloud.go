@@ -1,21 +1,18 @@
 package fed
 
 import (
+	"errors"
 	"fmt"
-	"math/rand"
 	"net/rpc"
 	"sync"
 	"sync/atomic"
 
 	"github.com/mach-fl/mach/internal/codec"
 	"github.com/mach-fl/mach/internal/dataset"
-	"github.com/mach-fl/mach/internal/det"
 	"github.com/mach-fl/mach/internal/hfl"
 	"github.com/mach-fl/mach/internal/metrics"
 	"github.com/mach-fl/mach/internal/mobility"
-	"github.com/mach-fl/mach/internal/nn"
 	"github.com/mach-fl/mach/internal/telemetry"
-	"github.com/mach-fl/mach/internal/tensor"
 )
 
 // CloudConfig parameterizes the coordinator.
@@ -51,27 +48,15 @@ func (c CloudConfig) Validate() error {
 	return c.Codec.Validate()
 }
 
-// Cloud is the coordinator: it owns the mobility plane, drives time steps
-// across edge servers, aggregates edge models every T_g steps and
-// redistributes the global model (Eq. 6).
+// Cloud is the coordinator: hfl's cloud half — the mobility plane, the
+// Eq. (6) reduce every T_g steps and the evaluator — driving the edge
+// servers' time steps over RPC and redistributing the global model.
 type Cloud struct {
-	cfg CloudConfig
-	// win is the cloud's O(Devices) window over the mobility plane's
-	// per-step move stream (DESIGN.md §12): a dense *mobility.Schedule via
-	// its adapter or a true streaming source.
-	win      *mobility.Window
-	nEdges   int
-	nDevices int
-	// memberIndex materializes every edge's member set once per step,
-	// repaired from the move stream between consecutive steps instead of
-	// rescanning rows.
-	memberIndex *mobility.MemberIndex
-	test        *dataset.Dataset
-	evalNet     *nn.Network
-	global      []float64
+	cfg  CloudConfig
+	core *hfl.Cloud
 
 	// prevView/prevID track the last global the cloud distributed, exactly
-	// as the edges decoded it (for lossless schemes that is c.global
+	// as the edges decoded it (for lossless schemes that is the global
 	// itself); the next distribution is encoded as a delta against it and
 	// edge replies are decoded against it. efGlobal is the error-feedback
 	// buffer for lossy global broadcasts.
@@ -88,13 +73,16 @@ type Cloud struct {
 	comm      atomic.Int64
 	transfers atomic.Int64
 
-	// tel records step/eval timings, RPC fan-out and eval results; nil
-	// disables it.
+	// tel records RPC fan-out and wire bytes; nil disables it. The core
+	// records steps, cloud rounds and evaluations into the same sink.
 	tel *telemetry.Telemetry
 }
 
 // SetTelemetry attaches a telemetry sink (nil detaches). Call before Run.
-func (c *Cloud) SetTelemetry(t *telemetry.Telemetry) { c.tel = t }
+func (c *Cloud) SetTelemetry(t *telemetry.Telemetry) {
+	c.tel = t
+	c.core.SetTelemetry(t)
+}
 
 // NewCloud dials the edge servers and device hosts and initializes the
 // global model from arch. Every connection counts its wire bytes into the
@@ -103,52 +91,34 @@ func NewCloud(cfg CloudConfig, arch hfl.ArchFunc, src mobility.StepSource, test 
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if src == nil {
-		return nil, fmt.Errorf("fed: cloud needs a valid schedule")
+	core, err := hfl.NewCloud(hfl.Config{
+		Steps: cfg.Steps, CloudInterval: cfg.CloudInterval, Participation: cfg.Participation,
+		EvalEvery: cfg.EvalEvery, Seed: cfg.Seed,
+	}, arch, src, test)
+	if err != nil {
+		return nil, fmt.Errorf("fed: cloud: %w", err)
 	}
-	if s, ok := src.(*mobility.Schedule); ok && (s == nil || s.Validate() != nil) {
-		return nil, fmt.Errorf("fed: cloud needs a valid schedule")
-	}
-	nEdges, nDevices, nSteps := src.Dims()
-	if nEdges <= 0 || nDevices <= 0 || nSteps <= 0 {
-		return nil, fmt.Errorf("fed: cloud needs a valid schedule")
-	}
-	if len(edgeAddrs) != nEdges {
+	if nEdges, _, _ := src.Dims(); len(edgeAddrs) != nEdges {
 		return nil, fmt.Errorf("fed: %d edge addresses for %d scheduled edges", len(edgeAddrs), nEdges)
 	}
-	if nSteps < cfg.Steps {
-		return nil, fmt.Errorf("fed: schedule covers %d steps, config needs %d", nSteps, cfg.Steps)
+	c := &Cloud{cfg: cfg, core: core}
+	dial := func(dst *[]*rpc.Client, role string, addrs []string) error {
+		for _, addr := range addrs {
+			cl, err := dialCounting(addr, &c.comm, &c.comm)
+			if err != nil {
+				return fmt.Errorf("fed: cloud dial %s %s: %w", role, addr, err)
+			}
+			*dst = append(*dst, cl)
+		}
+		return nil
 	}
-	if test == nil || test.Len() == 0 {
-		return nil, fmt.Errorf("fed: cloud needs a test set")
+	err = dial(&c.edges, "edge", edgeAddrs)
+	if err == nil {
+		err = dial(&c.deviceHosts, "device host", deviceHostAddrs)
 	}
-	net0, err := arch(rand.New(rand.NewSource(det.ModelInit(cfg.Seed))))
 	if err != nil {
-		return nil, fmt.Errorf("fed: build global model: %w", err)
-	}
-	c := &Cloud{
-		cfg:         cfg,
-		win:         mobility.NewWindow(src),
-		nEdges:      nEdges,
-		nDevices:    nDevices,
-		memberIndex: mobility.NewMemberIndexWindow(0, nEdges),
-		test:        test,
-		evalNet:     net0,
-		global:      net0.ParamVector(),
-	}
-	for _, addr := range edgeAddrs {
-		cl, err := dialCounting(addr, &c.comm, &c.comm)
-		if err != nil {
-			return nil, fmt.Errorf("fed: cloud dial edge %s: %w", addr, err)
-		}
-		c.edges = append(c.edges, cl)
-	}
-	for _, addr := range deviceHostAddrs {
-		cl, err := dialCounting(addr, &c.comm, &c.comm)
-		if err != nil {
-			return nil, fmt.Errorf("fed: cloud dial device host %s: %w", addr, err)
-		}
-		c.deviceHosts = append(c.deviceHosts, cl)
+		// Close what was dialed: the caller gets no Cloud to close.
+		return nil, errors.Join(err, c.Close())
 	}
 	return c, nil
 }
@@ -170,7 +140,7 @@ func (c *Cloud) Close() error {
 }
 
 // GlobalParams returns a copy of the current global model parameters.
-func (c *Cloud) GlobalParams() []float64 { return append([]float64(nil), c.global...) }
+func (c *Cloud) GlobalParams() []float64 { return c.core.GlobalParams() }
 
 // CommStats collects the run's measured communication volume: the cloud's
 // own connection counters plus each edge's device-facing counters. The
@@ -199,18 +169,22 @@ func (c *Cloud) CommStats() (hfl.CommStats, error) {
 // accuracy history.
 func (c *Cloud) Run() (*metrics.History, error) {
 	hist := &metrics.History{}
-	capacity := c.cfg.Participation * float64(c.nDevices) / float64(c.nEdges)
 	resetParams := true // first step seeds every edge with the global model
-	edgeParams := make([][]float64, c.nEdges)
+	edgeParams := make([][]float64, len(c.edges))
 
 	prevComm := c.comm.Load()
 	for t := 0; t < c.cfg.Steps; t++ {
-		stepStart := c.tel.Now()
+		// The member slices stay valid until the next BeginStep, which
+		// happens strictly after wg.Wait — net/rpc encodes args inside each
+		// goroutine — so they are safe to hand to the RPC layer uncopied.
+		if err := c.core.BeginStep(t); err != nil {
+			return nil, fmt.Errorf("fed: step %d: %w", t, err)
+		}
 		// stepSpan parents every span the cloud opens this step. It is a pure
 		// hash of (kind, step), so it is computed unconditionally — on and off
 		// runs execute the same code and put the same bytes on the wire.
 		stepSpan := telemetry.DeriveSpanID(telemetry.SpanStep, t, -1, -1)
-		cloudRound := (t+1)%c.cfg.CloudInterval == 0
+		cloudRound := c.core.CloudRound(t)
 		var blob codec.Blob
 		var blobID uint64
 		if resetParams {
@@ -220,22 +194,16 @@ func (c *Cloud) Run() (*metrics.History, error) {
 				return nil, fmt.Errorf("fed: step %d encode global: %w", t, err)
 			}
 		}
-		// The index's member slices stay valid until the next advance, which
-		// happens strictly after wg.Wait — net/rpc encodes args inside each
-		// goroutine — so they are safe to hand to the RPC layer uncopied.
-		if err := c.advanceMobility(t); err != nil {
-			return nil, fmt.Errorf("fed: step %d: %w", t, err)
-		}
 		var wg sync.WaitGroup
-		errs := make([]error, c.nEdges)
+		errs := make([]error, len(c.edges))
 		for n := range c.edges {
 			wg.Add(1)
 			go func(n int) {
 				defer wg.Done()
 				args := EdgeStepArgs{
 					Step:      t,
-					Members:   c.memberIndex.Members(n),
-					Capacity:  capacity,
+					Members:   c.core.Members(n),
+					Capacity:  c.core.Capacity(),
 					Scheme:    c.cfg.Codec,
 					WantModel: cloudRound,
 					Span:      SpanContext{Parent: uint64(telemetry.DeriveSpanID(telemetry.SpanRPCEdgeStep, t, n, -1))},
@@ -249,12 +217,15 @@ func (c *Cloud) Run() (*metrics.History, error) {
 				sp := c.tel.StartSpan(telemetry.SpanRPCEdgeStep, stepSpan, t, n, -1)
 				err := c.edges[n].Call("Edge.Step", args, &rep)
 				sp.End()
-				if err != nil || !rep.HasModel {
+				switch {
+				case err != nil || !cloudRound:
 					errs[n] = err
-					return
+				case !rep.HasModel:
+					errs[n] = fmt.Errorf("reply carries no model at a cloud round")
+				default:
+					edgeParams[n], errs[n] = c.decodeEdgeModel(rep.Model)
+					c.transfers.Add(1)
 				}
-				edgeParams[n], errs[n] = c.decodeEdgeModel(rep.Model)
-				c.transfers.Add(1)
 			}(n)
 		}
 		wg.Wait()
@@ -263,13 +234,10 @@ func (c *Cloud) Run() (*metrics.History, error) {
 				return nil, fmt.Errorf("fed: step %d edge %d: %w", t, n, err)
 			}
 		}
-		resetParams = false
+		resetParams = cloudRound
 
 		if cloudRound {
-			reduceSp := c.tel.StartSpan(telemetry.SpanCloudReduce, stepSpan, t, -1, -1)
-			c.aggregate(t, edgeParams)
-			reduceSp.End()
-			resetParams = true
+			c.core.Reduce(t, edgeParams)
 			for i, host := range c.deviceHosts {
 				var rep CloudRoundReply
 				c.tel.Add(telemetry.CounterRPCCalls, 1)
@@ -284,31 +252,14 @@ func (c *Cloud) Run() (*metrics.History, error) {
 					return nil, fmt.Errorf("fed: cloud round on host %d: %w", i, err)
 				}
 			}
-			c.tel.Add(telemetry.CounterCloudRounds, 1)
 		}
-		evalDue := cloudRound
-		if c.cfg.EvalEvery > 0 {
-			evalDue = (t+1)%c.cfg.EvalEvery == 0
+		p, evaluated, err := c.core.EndStep(t)
+		if err != nil {
+			return nil, fmt.Errorf("fed: step %d: %w", t, err)
 		}
-		if evalDue || t == c.cfg.Steps-1 {
-			evalStart := c.tel.Now()
-			if err := c.evalNet.SetParamVector(c.global); err != nil {
-				return nil, err
-			}
-			x, y := c.test.All()
-			acc, loss := c.evalNet.Evaluate(x, y)
-			hist.Add(metrics.Point{Step: t + 1, Accuracy: acc, Loss: loss})
-			evalEnd := c.tel.Now()
-			c.tel.Observe(telemetry.HistEvalNS, evalEnd-evalStart)
-			c.tel.RecordSpan(telemetry.SpanEval, stepSpan, t, -1, -1, evalStart, evalEnd)
-			c.tel.Add(telemetry.CounterEvals, 1)
-			c.tel.SetGauge(telemetry.GaugeAccuracy, acc)
-			c.tel.SetGauge(telemetry.GaugeLoss, loss)
+		if evaluated {
+			hist.Add(p)
 		}
-		c.tel.Add(telemetry.CounterSteps, 1)
-		stepEnd := c.tel.Now()
-		c.tel.Observe(telemetry.HistStepNS, stepEnd-stepStart)
-		c.tel.RecordSpan(telemetry.SpanStep, 0, t, -1, -1, stepStart, stepEnd)
 		if comm := c.comm.Load(); comm != prevComm {
 			c.tel.Add(telemetry.CounterCloudBytes, comm-prevComm)
 			prevComm = comm
@@ -322,30 +273,31 @@ func (c *Cloud) Run() (*metrics.History, error) {
 // on the first distribution. It returns the blob and the new global's ID and
 // records the receivers' view of it for the next round trip.
 func (c *Cloud) encodeGlobal() (codec.Blob, uint64, error) {
+	global := c.core.GlobalParams()
 	var baseline []float64
 	var baseID uint64
-	if len(c.prevView) == len(c.global) && c.prevID != 0 {
+	if len(c.prevView) == len(global) && c.prevID != 0 {
 		baseline, baseID = c.prevView, c.prevID
 	}
 	var ef []float64
 	if c.cfg.Codec == codec.SchemeInt8 {
-		if len(c.efGlobal) != len(c.global) {
-			c.efGlobal = make([]float64, len(c.global))
+		if len(c.efGlobal) != len(global) {
+			c.efGlobal = make([]float64, len(global))
 		}
 		ef = c.efGlobal
 	}
-	blob, err := codec.Encode(c.cfg.Codec, c.global, baseline, baseID, ef)
+	blob, err := codec.Encode(c.cfg.Codec, global, baseline, baseID, ef)
 	if err != nil {
 		return codec.Blob{}, 0, err
 	}
 	// Record exactly what receivers will hold after decoding, since edge
 	// replies come back encoded against it: the global itself bit for bit
 	// under a lossless scheme, the cloud's own decode under a lossy one.
-	var view []float64
-	if c.cfg.Codec.Lossless() {
-		view = append(view, c.global...)
-	} else if view, err = codec.Decode(blob, baseline); err != nil {
-		return codec.Blob{}, 0, err
+	view := global
+	if !c.cfg.Codec.Lossless() {
+		if view, err = codec.Decode(blob, baseline); err != nil {
+			return codec.Blob{}, 0, err
+		}
 	}
 	c.lastID++
 	c.prevView, c.prevID = view, c.lastID
@@ -354,7 +306,7 @@ func (c *Cloud) encodeGlobal() (codec.Blob, uint64, error) {
 
 // decodeEdgeModel unpacks an edge's model reply, which is encoded against
 // the last global the cloud distributed (or baseline-free before the first
-// distribution reached that edge).
+// distribution reached that edge) and has that global's parameter count.
 func (c *Cloud) decodeEdgeModel(blob codec.Blob) ([]float64, error) {
 	var baseline []float64
 	if blob.Baseline != 0 {
@@ -364,40 +316,8 @@ func (c *Cloud) decodeEdgeModel(blob codec.Blob) ([]float64, error) {
 		}
 		baseline = c.prevView
 	}
-	if blob.Count != len(c.global) {
-		return nil, fmt.Errorf("fed: edge model of %d params, global has %d", blob.Count, len(c.global))
+	if blob.Count != len(c.prevView) {
+		return nil, fmt.Errorf("fed: edge model of %d params, global has %d", blob.Count, len(c.prevView))
 	}
 	return codec.Decode(blob, baseline)
-}
-
-// advanceMobility positions the cloud's mobility window at step t and
-// repairs the member index from the move stream. Advancing to the current
-// position is a no-op.
-func (c *Cloud) advanceMobility(t int) error {
-	moves, rebuilt, err := c.win.Advance(t)
-	if err != nil {
-		return err
-	}
-	c.memberIndex.AdvanceWith(t, c.win.Row(), moves, rebuilt)
-	return nil
-}
-
-// aggregate merges edge models with the member-count weights of Eq. (6),
-// folded with tensor.Axpy in edge order and skipping edges without members —
-// the operations of hfl.Engine's cloud round. Run has already positioned the
-// member index at t by the time it aggregates.
-func (c *Cloud) aggregate(t int, edgeParams [][]float64) {
-	total := 0
-	counts := make([]int, c.nEdges)
-	for n := range counts {
-		counts[n] = c.memberIndex.Count(n)
-		total += counts[n]
-	}
-	next := make([]float64, len(c.global))
-	for n, params := range edgeParams {
-		if counts[n] > 0 && params != nil {
-			tensor.Axpy(next, float64(counts[n])/float64(total), params)
-		}
-	}
-	c.global = next
 }

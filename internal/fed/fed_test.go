@@ -3,6 +3,7 @@ package fed
 import (
 	"cmp"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"net"
@@ -12,6 +13,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"github.com/mach-fl/mach/internal/codec"
 	"github.com/mach-fl/mach/internal/dataset"
@@ -457,6 +459,103 @@ func TestNewCloudValidation(t *testing.T) {
 	}
 }
 
+// TestNewCloudClosesDialedOnFailure: when a later dial fails, NewCloud
+// closes the connections it already opened; the accepted one sees EOF.
+func TestNewCloudClosesDialedOnFailure(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	accepted := make(chan net.Conn, 1)
+	go func() {
+		if conn, err := ln.Accept(); err == nil {
+			accepted <- conn
+		}
+	}()
+	w := buildWorld(t, 4, 2, 1)
+	cfg := CloudConfig{Steps: 1, CloudInterval: 1, Participation: 0.5, Seed: runSeed}
+	if _, err := NewCloud(cfg, testArch, w.sched, w.test, []string{ln.Addr().String(), "127.0.0.1:1"}, nil); err == nil {
+		t.Fatal("expected dial error")
+	}
+	var conn net.Conn
+	select {
+	case conn = <-accepted:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the first edge was never dialed")
+	}
+	defer conn.Close()
+	if err := conn.SetReadDeadline(time.Now().Add(2 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := conn.Read(make([]byte, 1)); err != io.EOF {
+		t.Fatalf("dialed connection after the failed NewCloud: read %v, want EOF", err)
+	}
+}
+
+// TestCloudRoundRejectsEdgeWithoutModel: an edge that answers a cloud
+// round's Step without its model fails the step, naming the edge, instead of
+// the reduce skipping it (one edge: a global of zeros).
+func TestCloudRoundRejectsEdgeWithoutModel(t *testing.T) {
+	w := buildWorld(t, 4, 1, 1)
+	cloud, err := NewCloud(CloudConfig{Steps: 1, CloudInterval: 1, Participation: 0.5, Seed: runSeed},
+		testArch, w.sched, w.test, []string{serveHostile(t, &hostileHost{noModel: true})}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cloud.Close()
+	if _, err := cloud.Run(); err == nil || !strings.Contains(err.Error(), "edge 0") {
+		t.Fatalf("edge reply without a model at a cloud round: err = %v, want an error naming edge 0", err)
+	}
+}
+
+// TestCloudEvaluatesWithEngineEvaluator: every point the cloud reports is
+// hfl's evaluator on the global the run held at that step, bit for bit. The
+// global at an evaluation step s is the final global of the same run cut at
+// s steps.
+func TestCloudEvaluatesWithEngineEvaluator(t *testing.T) {
+	w := buildWorld(t, 8, 2, 10)
+	run := func(steps int) (*metrics.History, []float64) {
+		d := deployWorld(t, w, 2, CloudConfig{Steps: steps, CloudInterval: 5, Participation: 0.5, EvalEvery: 5, Seed: runSeed})
+		defer d.close()
+		hist, err := d.cloud.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return hist, d.cloud.GlobalParams()
+	}
+	hist, _ := run(w.sched.Steps)
+	if hist.Len() < 2 {
+		t.Fatalf("%d evaluations, want at least 2", hist.Len())
+	}
+	for _, p := range hist.Points {
+		_, global := run(p.Step)
+		// A one-step hfl.Cloud whose initial model is global evaluates it.
+		arch := func(rng *rand.Rand) (*nn.Network, error) {
+			net, err := testArch(rng)
+			if err == nil {
+				err = net.SetParamVector(global)
+			}
+			return net, err
+		}
+		core, err := hfl.NewCloud(hfl.Config{Steps: 1, CloudInterval: 1}, arch, w.sched, w.test)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := core.BeginStep(0); err != nil {
+			t.Fatal(err)
+		}
+		want, evaluated, err := core.EndStep(0)
+		if err != nil || !evaluated {
+			t.Fatalf("hfl evaluation: %v (evaluated %v)", err, evaluated)
+		}
+		if math.Float64bits(p.Accuracy) != math.Float64bits(want.Accuracy) || math.Float64bits(p.Loss) != math.Float64bits(want.Loss) {
+			t.Fatalf("step %d: cloud reported (acc %v, loss %v), hfl's evaluator (acc %v, loss %v)",
+				p.Step, p.Accuracy, p.Loss, want.Accuracy, want.Loss)
+		}
+	}
+}
+
 // runDeployment spins up a cluster, runs it to completion and returns the
 // evaluation history, the final global model and the measured comm stats.
 func runDeployment(t *testing.T, hosts int, scheme codec.Scheme, steps int) (*metrics.History, []float64, hfl.CommStats) {
@@ -705,6 +804,7 @@ func TestSpanStitchingAcrossRPC(t *testing.T) {
 type hostileHost struct {
 	blob      codec.Blob
 	noSetBase bool    // SetBase fails
+	noModel   bool    // Step replies without a model
 	estimate  float64 // Estimate's answer for every device (0 = 1)
 }
 
@@ -723,9 +823,10 @@ func (h *hostileHost) SetBase(SetBaseArgs, *SetBaseReply) error {
 	return nil
 }
 
-// Step answers as an edge server whose model reply is the hostile blob.
+// Step answers as an edge server whose model reply is the hostile blob, or
+// no model at all.
 func (h *hostileHost) Step(_ EdgeStepArgs, reply *EdgeStepReply) error {
-	reply.Model, reply.HasModel = h.blob, true
+	reply.Model, reply.HasModel = h.blob, !h.noModel
 	return nil
 }
 
@@ -810,7 +911,7 @@ func TestForeignParameterCountRejectedBeforeDecode(t *testing.T) {
 
 	// A cloud facing a hostile edge whose raw model reply is one parameter
 	// too long: an error, not an index out of range in the aggregation.
-	tooLong, err := codec.Encode(codec.SchemeRaw, make([]float64, len(d.cloud.global)+1), nil, 0, nil)
+	tooLong, err := codec.Encode(codec.SchemeRaw, make([]float64, len(d.cloud.GlobalParams())+1), nil, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,9 +14,10 @@
 //     strategy (Algorithm 3), dispatches local training, and adds the plain
 //     mean of the returned updates, Σ(w_m − base)/|sample|, to its model
 //     (equal weights, not Eq. 5's 1/q);
-//   - the cloud (Cloud) owns the mobility schedule B^t, drives time steps,
-//     aggregates edge models every T_g steps (Eq. 6), and redistributes the
-//     global model.
+//   - the cloud (Cloud) is the engine's cloud half, hfl.Cloud — the
+//     mobility plane B^t, the Eq. (6) reduce every T_g steps and the
+//     evaluator — plus the Edge.Step fan-out that drives the edges' time
+//     steps and redistributes the global model.
 //
 // # One protocol, four wire formats
 //
@@ -42,7 +43,7 @@
 // every scheme (per-host partial sums of w_m − base in sampled order, hosts
 // reduced in sorted-address order, then base + Σ/|sample|), so the lossless
 // schemes, raw and delta, produce bit-identical evaluation histories. The
-// cloud folds Eq. (6) with hfl.Engine's operations in its edge order; edge
+// cloud positions, reduces and evaluates with hfl's own code; edge
 // aggregation still differs from the engine's (an unweighted mean here, the
 // configured rule there), so the two stacks agree bit for bit through step 0.
 package fed

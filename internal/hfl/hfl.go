@@ -27,8 +27,6 @@ import (
 	"github.com/mach-fl/mach/internal/nn"
 	"github.com/mach-fl/mach/internal/parallel"
 	"github.com/mach-fl/mach/internal/sampling"
-	"github.com/mach-fl/mach/internal/telemetry"
-	"github.com/mach-fl/mach/internal/tensor"
 )
 
 // ArchFunc constructs the model architecture. The engine calls it once; the
@@ -231,11 +229,6 @@ func (c Config) shardCount(edges int) int {
 	return min(max(c.Shards, 1), edges)
 }
 
-// evalShards is how many shards test-set evaluation splits into. It is a
-// constant, not a function of the core count, so evaluation losses reduce
-// identically on every machine.
-const evalShards = 8
-
 // workers returns the configured worker count, defaulting to GOMAXPROCS.
 func (c Config) workers() int {
 	if c.Workers == 0 {
@@ -263,9 +256,10 @@ type device struct {
 	dist []float64 // cached local label distribution
 }
 
-// Engine runs Algorithm 1.
+// Engine runs Algorithm 1 in process: the cloud's half (Cloud) plus the
+// edges — their models, sampling decisions and local training.
 type Engine struct {
-	cfg      Config
+	*Cloud
 	strategy sampling.Strategy
 	// observer is the strategy's Observer side, nil when it does not learn
 	// from experience; pulls then counts each device's observed time steps,
@@ -273,30 +267,8 @@ type Engine struct {
 	observer sampling.Observer
 	pulls    []int
 	devices  []*device
-	test     *dataset.Dataset
 
-	// tel is the engine's observation sink; nil (the default) disables all
-	// instrumentation at zero cost. Telemetry reads simulation state but
-	// never feeds back into it (DESIGN.md §8).
-	tel *telemetry.Telemetry
-
-	// Streaming mobility plane (DESIGN.md §12): the engine positions itself
-	// from a StepSource — a dense *Schedule via its adapter, or a true
-	// streaming source — keeping only an O(Devices) window, the current
-	// attachment row, and the member index repaired from its move stream.
-	// nEdges/nDevices cache the source's Dims.
-	win         *mobility.Window
-	memberIndex *mobility.MemberIndex
-	nEdges      int
-	nDevices    int
-	// transStats, when attached, folds the engine's move stream into an
-	// incremental edge-transition model (observational only).
-	transStats *mobility.OnlineTransitionStats
-
-	global   []float64   // cloud model parameters w^t
-	edge     [][]float64 // edge model parameters w^t_n
-	evalNet  *nn.Network
-	capacity float64 // K_n, identical across edges as in the paper
+	edge [][]float64 // edge model parameters w^t_n
 
 	// trainers lends local-update state (lane.go) to a pool task or a probe
 	// for its duration: at most Workers + Shards exist, whatever the devices.
@@ -312,17 +284,14 @@ type Engine struct {
 
 	// Steady-state scratch. plans[n] and decide[n] are private to edge n's
 	// owning shard during a step and to the Run goroutine between steps.
-	plans     []edgePlan        // per-edge decision-phase output
-	decide    []edgeDecideState // per-edge pooled RNG + context + buffers
-	aggNext   [][]float64       // per-edge aggregation double-buffer
-	cloudNext []float64         // cloud aggregation double-buffer
+	plans   []edgePlan        // per-edge decision-phase output
+	decide  []edgeDecideState // per-edge pooled RNG + context + buffers
+	aggNext [][]float64       // per-edge aggregation double-buffer
 	// The step's observation batch, gathered from the plans at the collect
 	// point: (edge, device, norm window) records in edge then member order.
-	obsEdges  []int
-	obsDevs   []int
-	obsNorms  [][]float64
-	evalIdx   []int // the test set's sample indices, 0..n-1
-	evalShard []evalShardState
+	obsEdges []int
+	obsDevs  []int
+	obsNorms [][]float64
 }
 
 // edgeDecideState is one edge's pooled decision-phase machinery: a reusable
@@ -343,79 +312,38 @@ type edgeDecideState struct {
 	droppedIDs []int
 }
 
-// evalShardState is one evaluation shard's private network and batch
-// buffers. Shard boundaries are a pure function of the test-set size and the
-// fixed shard count, so in steady state the buffers are reused as-is.
-type evalShardState struct {
-	net *nn.Network
-	x   *tensor.Tensor
-	y   []int
-}
-
 // New assembles an engine. deviceData holds one local dataset per device and
 // must match the mobility source's device count; test is the held-out global
-// test set. src may be a dense *mobility.Schedule (its StepSource adapter
-// replays the matrix) or a true streaming source — runs are bit-identical
-// between a source and its Materialize'd twin.
+// test set; src and test are checked as NewCloud checks them.
 func New(cfg Config, arch ArchFunc, deviceData []*dataset.Dataset, test *dataset.Dataset, src mobility.StepSource, strategy sampling.Strategy) (*Engine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if src == nil {
-		return nil, fmt.Errorf("hfl: nil schedule")
+	cloud, err := NewCloud(cfg, arch, src, test)
+	if err != nil {
+		return nil, err
 	}
-	if s, ok := src.(*mobility.Schedule); ok {
-		if s == nil {
-			return nil, fmt.Errorf("hfl: nil schedule")
-		}
-		if err := s.Validate(); err != nil {
-			return nil, fmt.Errorf("hfl: invalid schedule: %w", err)
-		}
-	}
-	nEdges, nDevices, nSteps := src.Dims()
-	if nEdges <= 0 || nDevices <= 0 || nSteps <= 0 {
-		return nil, fmt.Errorf("hfl: mobility source dims %d/%d/%d must be positive", nEdges, nDevices, nSteps)
-	}
-	if len(deviceData) != nDevices {
-		return nil, fmt.Errorf("hfl: %d device datasets for %d scheduled devices", len(deviceData), nDevices)
-	}
-	if nSteps < cfg.Steps {
-		return nil, fmt.Errorf("hfl: schedule covers %d steps, config needs %d", nSteps, cfg.Steps)
-	}
-	if test == nil || test.Len() == 0 {
-		return nil, fmt.Errorf("hfl: empty test set")
+	if len(deviceData) != cloud.nDevices {
+		return nil, fmt.Errorf("hfl: %d device datasets for %d scheduled devices", len(deviceData), cloud.nDevices)
 	}
 	if strategy == nil {
 		return nil, fmt.Errorf("hfl: nil strategy")
 	}
-
-	base, err := arch(rand.New(rand.NewSource(det.ModelInit(cfg.Seed))))
-	if err != nil {
-		return nil, fmt.Errorf("hfl: build architecture: %w", err)
-	}
 	if cfg.Lane == LaneF32 {
 		// Fail at construction, not mid-run, when the architecture holds a
 		// layer the float32 lane cannot execute.
-		if _, err := nn.NewLane32(base, 1); err != nil {
+		if _, err := nn.NewLane32(cloud.evalNet, 1); err != nil {
 			return nil, fmt.Errorf("hfl: float32 lane: %w", err)
 		}
 	}
 	e := &Engine{
-		cfg:         cfg,
-		win:         mobility.NewWindow(src),
-		memberIndex: mobility.NewMemberIndexWindow(0, nEdges),
-		nEdges:      nEdges,
-		nDevices:    nDevices,
-		strategy:    strategy,
-		devices:     make([]*device, len(deviceData)),
-		test:        test,
-		global:      base.ParamVector(),
-		evalNet:     base,
-		trainers:    NewTrainerPool(base, test),
-		capacity:    cfg.Participation * float64(nDevices) / float64(nEdges),
+		Cloud:    cloud,
+		strategy: strategy,
+		devices:  make([]*device, len(deviceData)),
+		trainers: NewTrainerPool(cloud.evalNet, test),
 	}
 	if obs, ok := strategy.(sampling.Observer); ok {
-		e.observer, e.pulls = obs, make([]int, nDevices)
+		e.observer, e.pulls = obs, make([]int, cloud.nDevices)
 	}
 	for m, data := range deviceData {
 		if data == nil || data.Len() == 0 {
@@ -427,29 +355,20 @@ func New(cfg Config, arch ArchFunc, deviceData []*dataset.Dataset, test *dataset
 			dist: data.ClassDistribution(),
 		}
 	}
-	e.edge = make([][]float64, nEdges)
+	e.edge = make([][]float64, cloud.nEdges)
 	for n := range e.edge {
 		e.edge[n] = append([]float64(nil), e.global...)
 	}
-	e.plans = make([]edgePlan, nEdges)
-	e.decide = make([]edgeDecideState, nEdges)
-	e.aggNext = make([][]float64, nEdges)
-	shards := cfg.shardCount(nEdges)
+	e.plans = make([]edgePlan, cloud.nEdges)
+	e.decide = make([]edgeDecideState, cloud.nEdges)
+	e.aggNext = make([][]float64, cloud.nEdges)
+	shards := cfg.shardCount(cloud.nEdges)
 	e.shards = make([]*shardState, shards)
 	for s := range e.shards {
-		e.shards[s] = &shardState{e: e, id: s, lo: nEdges * s / shards, hi: nEdges * (s + 1) / shards}
+		e.shards[s] = &shardState{e: e, id: s, lo: cloud.nEdges * s / shards, hi: cloud.nEdges * (s + 1) / shards}
 	}
 	return e, nil
 }
-
-// Capacity returns K_n, the per-edge expected participation budget.
-func (e *Engine) Capacity() float64 { return e.capacity }
-
-// SetTelemetry attaches a telemetry sink (nil detaches). Call it before Run;
-// attaching mid-run races with the step loop. Telemetry is observational
-// only: the attached sink never changes what the engine computes, and
-// identically-seeded runs are bit-identical with and without it.
-func (e *Engine) SetTelemetry(t *telemetry.Telemetry) { e.tel = t }
 
 // SaveCheckpoint writes the current global model so a run can be inspected
 // or resumed in another process.
@@ -482,9 +401,4 @@ func (e *Engine) LoadCheckpoint(r io.Reader) error {
 		copy(e.edge[n], e.global)
 	}
 	return nil
-}
-
-// GlobalParams returns a copy of the current global model parameters.
-func (e *Engine) GlobalParams() []float64 {
-	return append([]float64(nil), e.global...)
 }

@@ -560,13 +560,13 @@ func TestCloudAggregateIsMemberWeightedMean(t *testing.T) {
 					}
 					total := 0
 					for n := range eng.edge {
-						total += len(eng.edgeMembers(n))
+						total += len(eng.Members(n))
 					}
 					for n, edge := range eng.edge {
 						for j := range edge {
 							edge[j] = rng.NormFloat64()
 						}
-						if c := len(eng.edgeMembers(n)); c > 0 {
+						if c := len(eng.Members(n)); c > 0 {
 							tensor.Axpy(want, float64(c)/float64(total), edge)
 						}
 					}

@@ -3,7 +3,6 @@ package hfl
 import (
 	"fmt"
 
-	"github.com/mach-fl/mach/internal/dataset"
 	"github.com/mach-fl/mach/internal/det"
 	"github.com/mach-fl/mach/internal/metrics"
 	"github.com/mach-fl/mach/internal/parallel"
@@ -196,6 +195,11 @@ func (e *Engine) Run(opts ...RunOption) (*Result, error) {
 
 	modelBytes := int64(len(e.global)) * 8
 	for t := 0; t < e.cfg.Steps; t++ {
+		// One mobility advance per step, on the Run goroutine, positions the
+		// member index the shards read.
+		if err := e.BeginStep(t); err != nil {
+			return nil, fmt.Errorf("hfl: step %d: %w", t, err)
+		}
 		// Fan the step out over the shards: each runs decide → execute →
 		// finalize for its own edge range (decide and finalize serially, in
 		// edge order, on its goroutine; device training on the shared pool),
@@ -203,16 +207,6 @@ func (e *Engine) Run(opts ...RunOption) (*Result, error) {
 		// experience write or model reduction crosses a shard boundary
 		// mid-step, so the cross-shard interleaving cannot reach a value
 		// (DESIGN.md §11).
-		stepStart := e.tel.Now()
-		// stepSpan parents the step's phase spans. Deriving it is a pure hash
-		// (no clock, no allocation), so it runs unconditionally and the span
-		// machinery costs nothing until EnableSpans turns recording on.
-		stepSpan := telemetry.DeriveSpanID(telemetry.SpanStep, t, -1, -1)
-		// One mobility advance per step, on the Run goroutine, positions the
-		// member index the shards read.
-		if err := e.advanceMobility(t); err != nil {
-			return nil, fmt.Errorf("hfl: step %d: %w", t, err)
-		}
 		parallel.ForEach(len(e.shards), len(e.shards), func(i int) { e.shards[i].runStep(t) })
 		if err := e.collectStep(t); err != nil {
 			return nil, err
@@ -248,11 +242,11 @@ func (e *Engine) Run(opts ...RunOption) (*Result, error) {
 			o.stepFn(t, stepSampled)
 		}
 
-		cloudRound := (t+1)%e.cfg.CloudInterval == 0
-		if cloudRound {
-			reduceSp := e.tel.StartSpan(telemetry.SpanCloudReduce, stepSpan, t, -1, -1)
-			e.cloudAggregate()
-			reduceSp.End()
+		if e.CloudRound(t) {
+			e.Reduce(t, e.edge)
+			for _, w := range e.edge {
+				copy(w, e.global)
+			}
 			// Every edge uploads its model and downloads the new global.
 			res.Comm.CloudBytes += 2 * int64(e.nEdges) * modelBytes
 			res.Comm.CloudTransfers += 2 * int64(e.nEdges)
@@ -260,7 +254,6 @@ func (e *Engine) Run(opts ...RunOption) (*Result, error) {
 				e.observer.CloudRound(t + 1)
 			}
 			if e.tel != nil {
-				e.tel.Add(telemetry.CounterCloudRounds, 1)
 				e.tel.Add(telemetry.CounterCloudBytes, 2*int64(e.nEdges)*modelBytes)
 				if e.observer != nil {
 					never, total, most := 0, 0, 0
@@ -279,60 +272,25 @@ func (e *Engine) Run(opts ...RunOption) (*Result, error) {
 				}
 			}
 		}
-		reached := false
-		evalDue := cloudRound
-		if e.cfg.EvalEvery > 0 {
-			evalDue = (t+1)%e.cfg.EvalEvery == 0
+		p, evaluated, err := e.EndStep(t)
+		if err != nil {
+			return nil, fmt.Errorf("hfl: step %d: %w", t, err)
 		}
-		if evalDue || t == e.cfg.Steps-1 {
-			evalStart := e.tel.Now()
-			acc, loss, err := e.evaluate()
-			if err != nil {
-				return nil, fmt.Errorf("hfl: step %d: %w", t, err)
-			}
-			e.observePhase(t, telemetry.HistEvalNS, "eval", telemetry.SpanEval, evalStart)
-			lastAcc = acc
-			if e.tel != nil {
-				e.tel.Add(telemetry.CounterEvals, 1)
-				e.tel.SetGauge(telemetry.GaugeAccuracy, acc)
-				e.tel.SetGauge(telemetry.GaugeLoss, loss)
-				tr.Emit(&telemetry.Event{Type: telemetry.EventEval, Step: t + 1, Eval: &telemetry.EvalEvent{Accuracy: acc, Loss: loss}})
-			}
-			res.History.Add(metrics.Point{Step: t + 1, Accuracy: acc, Loss: loss})
+		if evaluated {
+			lastAcc = p.Accuracy
+			res.History.Add(p)
 			if o.evalFn != nil {
-				o.evalFn(t+1, acc, loss)
+				o.evalFn(p.Step, p.Accuracy, p.Loss)
 			}
-			reached = o.hasTgt && acc >= o.target
-		}
-		e.tel.Add(telemetry.CounterSteps, 1)
-		stepEnd := e.tel.Now()
-		e.tel.Observe(telemetry.HistStepNS, stepEnd-stepStart)
-		e.tel.RecordSpan(telemetry.SpanStep, 0, t, -1, -1, stepStart, stepEnd)
-		if reached {
-			res.ReachedTarget = true
-			res.TargetStep = t + 1
-			break
+			if o.hasTgt && p.Accuracy >= o.target {
+				res.ReachedTarget = true
+				res.TargetStep = t + 1
+				break
+			}
 		}
 	}
 	emitDone()
 	return res, nil
-}
-
-// observePhase records one phase's duration in its histogram, as a span of
-// the given kind under the step span, and — when the trace records this
-// step — as a phase event. With no telemetry attached it does nothing (and,
-// via the nil clock, reads no time at all).
-func (e *Engine) observePhase(t int, h telemetry.Hist, name string, kind telemetry.SpanKind, start int64) {
-	if e.tel == nil {
-		return
-	}
-	end := e.tel.Now()
-	ns := end - start
-	e.tel.Observe(h, ns)
-	e.tel.RecordSpan(kind, telemetry.DeriveSpanID(telemetry.SpanStep, t, -1, -1), t, -1, -1, start, end)
-	if tr := e.tel.Trace(); tr.StepActive(t) {
-		tr.Emit(&telemetry.Event{Type: telemetry.EventPhase, Step: t, Phase: &telemetry.PhaseEvent{Name: name, NS: ns}})
-	}
 }
 
 // stepSamplingStats accumulates one step's cross-edge sampling observations,
@@ -351,7 +309,7 @@ type stepSamplingStats struct {
 // trace output deterministic; the decide-phase buffers it reads (probs, the
 // context's estimates, coins) stay valid until the edge's next decide.
 func (e *Engine) observeEdge(t, n int, acc *stepSamplingStats) {
-	members := e.edgeMembers(n)
+	members := e.Members(n)
 	e.tel.Observe(telemetry.HistEdgeMembers, int64(len(members)))
 	e.tel.Observe(telemetry.HistEdgeSampled, int64(len(e.plans[n].devs)))
 	if len(members) == 0 {
@@ -429,7 +387,7 @@ func (e *Engine) flushStepTelemetry(acc *stepSamplingStats) {
 func (e *Engine) edgeDecide(t, n int) error {
 	plan := &e.plans[n]
 	plan.devs = plan.devs[:0]
-	members := e.edgeMembers(n)
+	members := e.Members(n)
 	if len(members) == 0 {
 		return nil
 	}
@@ -564,37 +522,6 @@ func (e *Engine) aggregateEdge(n int, results []localResult, unbiased bool) {
 	e.edge[n], e.aggNext[n] = next, cur
 }
 
-// cloudAggregate merges the edge models into the global model with the
-// member-count weights of Eq. (6), next = Σ_n (|M_n|/|M|)·w_n, folded with
-// tensor.Axpy serially in edge order — the operations of fed's
-// Cloud.aggregate — skipping edges without members, and copies the result
-// into every edge. Like edge aggregation it double-buffers the global vector,
-// so cloud rounds stop allocating after the first. Run calls it after a
-// step's fan-out, with the member index positioned at that step.
-//
-//machlint:allocfree
-func (e *Engine) cloudAggregate() {
-	total := 0
-	for n := range e.edge {
-		total += len(e.edgeMembers(n))
-	}
-	next := e.cloudNext
-	if len(next) != len(e.global) {
-		next = make([]float64, len(e.global))
-	} else {
-		clear(next)
-	}
-	for n, w := range e.edge {
-		if c := len(e.edgeMembers(n)); c > 0 {
-			tensor.Axpy(next, float64(c)/float64(total), w)
-		}
-	}
-	e.global, e.cloudNext = next, e.global
-	for _, w := range e.edge {
-		copy(w, e.global)
-	}
-}
-
 // probeGradNorm measures the true squared stochastic-gradient norm of device
 // m under edge n's current model (used by MACH-P): one local step at a zero
 // learning rate, which moves nothing. It runs on a borrowed trainer, so edges
@@ -613,118 +540,4 @@ func (e *Engine) probeGradNorm(t, n, m int) float64 {
 		panic(fmt.Sprintf("hfl: probe gradient of device %d (step %d, edge %d): %v", m, t, n, err))
 	}
 	return gn[0]
-}
-
-// EvaluateConfusion classifies the full test set with the current global
-// model and returns the confusion matrix, exposing the per-class (macro)
-// view of the evaluation.
-func (e *Engine) EvaluateConfusion() (*metrics.Confusion, error) {
-	idx := e.testIndices()
-	preds := make([]int, len(idx))
-	labels := make([]int, len(idx))
-	for i := range labels {
-		labels[i] = e.test.Label(i)
-	}
-	if _, _, err := e.evalSums(idx, preds); err != nil {
-		return nil, fmt.Errorf("hfl: evaluate confusion: %w", err)
-	}
-	return metrics.NewConfusion(e.test.Classes, preds, labels)
-}
-
-// testIndices returns the test set's sample indices 0..n-1, built once.
-func (e *Engine) testIndices() []int {
-	if len(e.evalIdx) != e.test.Len() {
-		e.evalIdx = make([]int, e.test.Len())
-		for i := range e.evalIdx {
-			e.evalIdx[i] = i
-		}
-	}
-	return e.evalIdx
-}
-
-// evaluate computes the global model's accuracy and loss on the test set.
-func (e *Engine) evaluate() (acc, loss float64, err error) {
-	correct, lossSum, err := e.evalSums(e.testIndices(), nil)
-	if err != nil {
-		return 0, 0, err
-	}
-	total := float64(e.test.Len())
-	return float64(correct) / total, lossSum * (1 / total), nil
-}
-
-// evalSums loads the global model into per-shard evaluation networks and
-// scores the test samples at the given indices. The index list splits into
-// evalShards contiguous shards — a fixed count independent of the core
-// count — whose (correct, lossSum) pairs are reduced in shard order, so the
-// result is the same on every machine and for every worker count. Sharding
-// also bounds the per-forward im2col footprint to a shard's batch instead of
-// the whole test set. When preds is non-nil the shards instead record each
-// sample's predicted class at its position in the index list (losses are
-// skipped).
-func (e *Engine) evalSums(indices []int, preds []int) (correct int, lossSum float64, err error) {
-	shards := evalShards
-	if shards > len(indices) {
-		shards = len(indices)
-	}
-	for len(e.evalShard) < shards {
-		e.evalShard = append(e.evalShard, evalShardState{net: e.evalNet.Clone()})
-	}
-	for s := 0; s < shards; s++ {
-		if err := e.evalShard[s].net.SetParamVector(e.global); err != nil {
-			return 0, 0, fmt.Errorf("load global model into evaluation shard %d: %w", s, err)
-		}
-	}
-	type sums struct {
-		correct int
-		lossSum float64
-	}
-	out := make([]sums, shards)
-	runShard := func(s int) {
-		start, end := len(indices)*s/shards, len(indices)*(s+1)/shards
-		st := &e.evalShard[s]
-		st.x = ensureBatch(st.x, end-start, e.test)
-		st.y = resizeInts(st.y, end-start)
-		e.test.BatchInto(st.x, st.y, indices[start:end])
-		if preds == nil {
-			out[s].correct, out[s].lossSum = st.net.EvaluateSums(st.x, st.y)
-			return
-		}
-		logits := st.net.Forward(st.x, false)
-		classes := logits.Dim(1)
-		ld := logits.Data()
-		for i := 0; i < end-start; i++ {
-			row := ld[i*classes : (i+1)*classes]
-			best := 0
-			for j, v := range row {
-				if v > row[best] {
-					best = j
-				}
-			}
-			preds[start+i] = best
-		}
-	}
-	parallel.ForEach(e.cfg.workers(), shards, runShard)
-	for _, o := range out {
-		correct += o.correct
-		lossSum += o.lossSum
-	}
-	return correct, lossSum, nil
-}
-
-// ensureBatch returns a [b, InC, InH, InW] batch tensor for dataset d,
-// reusing t when its batch dimension already matches.
-func ensureBatch(t *tensor.Tensor, b int, d *dataset.Dataset) *tensor.Tensor {
-	if t != nil && t.Dim(0) == b {
-		return t
-	}
-	return tensor.New(b, d.InC, d.InH, d.InW)
-}
-
-// resizeInts returns s resized to n elements, reallocating only when the
-// capacity is insufficient. Contents are unspecified; callers overwrite.
-func resizeInts(s []int, n int) []int {
-	if cap(s) < n {
-		return make([]int, n)
-	}
-	return s[:n]
 }

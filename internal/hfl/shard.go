@@ -110,11 +110,6 @@ func (s *shardState) step(t int) {
 	e.tel.RecordSpan(telemetry.SpanFinalize, cmdSpan, t, s.id, -1, trainEnd, finalEnd)
 }
 
-// edgeMembers returns M^t_n from the engine's member index.
-//
-//machlint:allocfree
-func (e *Engine) edgeMembers(n int) []int { return e.memberIndex.Members(n) }
-
 // collectStep is the engine side of a step's collect point. It re-raises the
 // first shard panic in shard order, reports the step's first error from the
 // plans — every edge's decide error before any training error, the lowest

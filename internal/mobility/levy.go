@@ -3,7 +3,6 @@ package mobility
 import (
 	"fmt"
 	"math"
-	"math/rand"
 )
 
 // LevyConfig parameterizes Lévy-walk mobility: flight lengths follow a
@@ -64,8 +63,6 @@ func powerLaw(rng uniformRNG, alpha, lo, hi float64) float64 {
 
 // levyState is one device's Lévy-walk kinematic state: position, the
 // current flight's direction and remaining length, and the remaining pause.
-// Shared by the legacy trace generator and the streaming LevySource, so the
-// model cannot drift between the dense and streaming paths.
 type levyState struct {
 	x, y      float64
 	theta     float64
@@ -73,8 +70,8 @@ type levyState struct {
 	pause     int64
 }
 
-// levyInit draws a device's initial state — position plus the first
-// flight — in exactly the order GenerateLevyTrace always drew.
+// levyInit draws a device's initial state: position, then the first
+// flight's direction and length.
 func levyInit(rng uniformRNG, cfg LevyConfig) levyState {
 	var st levyState
 	st.x, st.y = rng.Float64()*cfg.Width, rng.Float64()*cfg.Height
@@ -85,7 +82,7 @@ func levyInit(rng uniformRNG, cfg LevyConfig) levyState {
 
 // levyStep advances one device by one time unit: sit out a pause, or fly at
 // constant speed, drawing the next flight (and possibly a pause) when the
-// current one is spent. Draw order is exactly the legacy generator's.
+// current one is spent.
 func levyStep(rng uniformRNG, st *levyState, cfg LevyConfig) {
 	if st.pause > 0 {
 		st.pause--
@@ -106,39 +103,4 @@ func levyStep(rng uniformRNG, st *levyState, cfg LevyConfig) {
 			st.pause = int64(p)
 		}
 	}
-}
-
-// GenerateLevyTrace simulates devices moving by Lévy walks, attaching to the
-// nearest station at every time unit, and emits dwell-interval records.
-func GenerateLevyTrace(rng *rand.Rand, stations []Station, devices int, horizon int64, cfg LevyConfig) (*Trace, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if len(stations) == 0 || devices <= 0 || horizon <= 0 {
-		return nil, fmt.Errorf("mobility: levy needs stations/devices/horizon > 0")
-	}
-	trace := &Trace{}
-	for m := 0; m < devices; m++ {
-		st := levyInit(rng, cfg)
-		cur := NearestStation(stations, st.x, st.y)
-		var start int64
-		for t := int64(1); t <= horizon; t++ {
-			levyStep(rng, &st, cfg)
-			if t == horizon {
-				if err := trace.Append(Record{Device: m, Station: cur, Start: start, End: horizon}); err != nil {
-					return nil, err
-				}
-				break
-			}
-			next := NearestStation(stations, st.x, st.y)
-			if next != cur {
-				if err := trace.Append(Record{Device: m, Station: cur, Start: start, End: t}); err != nil {
-					return nil, err
-				}
-				cur, start = next, t
-			}
-		}
-	}
-	trace.Sort()
-	return trace, nil
 }

@@ -1,7 +1,6 @@
 package mobility
 
 import (
-	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -52,77 +51,5 @@ func TestPowerLawRangeAndTail(t *testing.T) {
 	}
 	if !(median < mean/1.3) {
 		t.Fatalf("not heavy-tailed: median %v vs mean %v", median, mean)
-	}
-}
-
-func TestLevyTraceCoversHorizon(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	stations, err := PlaceStations(rng, 20, DefaultPlacement())
-	if err != nil {
-		t.Fatal(err)
-	}
-	trace, err := GenerateLevyTrace(rng, stations, 12, 60, DefaultLevy())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if trace.Devices() != 12 {
-		t.Fatalf("%d devices", trace.Devices())
-	}
-	// Per-device coverage [0, horizon) without gaps.
-	trace.Sort()
-	next := map[int]int64{}
-	for _, r := range trace.Records {
-		if r.Start != next[r.Device] {
-			t.Fatalf("device %d gap at %d", r.Device, r.Start)
-		}
-		next[r.Device] = r.End
-	}
-	for m, end := range next {
-		if end != 60 {
-			t.Fatalf("device %d ends at %d", m, end)
-		}
-	}
-}
-
-func TestLevyTraceFeedsSchedule(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	stations, err := PlaceStations(rng, 15, DefaultPlacement())
-	if err != nil {
-		t.Fatal(err)
-	}
-	trace, err := GenerateLevyTrace(rng, stations, 10, 40, DefaultLevy())
-	if err != nil {
-		t.Fatal(err)
-	}
-	edgeOf, err := ClusterStations(rng, stations, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sched, err := BuildSchedule(trace, edgeOf, 3, 10, 40, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sched.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if rate := sched.TransitionRate(); rate < 0 || rate > 1 || math.IsNaN(rate) {
-		t.Fatalf("transition rate %v", rate)
-	}
-	// Devices must at least move between stations (edge crossings depend
-	// on the clustering geometry and may be rare for short flights).
-	if len(trace.Records) <= trace.Devices() {
-		t.Fatalf("no station handovers in %d records", len(trace.Records))
-	}
-}
-
-func TestLevyTraceErrors(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	if _, err := GenerateLevyTrace(rng, nil, 1, 10, DefaultLevy()); err == nil {
-		t.Fatal("expected empty-stations error")
-	}
-	bad := DefaultLevy()
-	bad.Speed = -1
-	if _, err := GenerateLevyTrace(rng, []Station{{}}, 1, 10, bad); err == nil {
-		t.Fatal("expected config error")
 	}
 }

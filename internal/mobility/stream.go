@@ -273,9 +273,8 @@ func (w *WaypointSource) step(m int) (float64, float64) {
 	return st.x, st.y
 }
 
-// LevySource streams Lévy-walk mobility: the same per-device kinematics as
-// GenerateLevyTrace (shared levyStep), driven from per-device splitmix64
-// substreams over an O(Devices) window.
+// LevySource streams Lévy-walk mobility (levyStep's kinematics), driven
+// from per-device splitmix64 substreams over an O(Devices) window.
 type LevySource struct {
 	*geoSource
 	cfg    LevyConfig

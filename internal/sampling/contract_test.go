@@ -74,10 +74,11 @@ func (third) ProbabilitiesInto(ctx *EdgeContext, dst []float64) []float64 {
 // strategy and for a bare three-method one, all driven through one shared
 // context in turn: the result does not depend on what dst held or how large it
 // was (Float64bits), a sufficient dst is filled in place, q ∈ [0, 1] and q > 0
-// for unbiased strategies, Estimates is empty or member-aligned, the outputs a
-// previous strategy left on the context never leak into the next one's, and
-// the warm decide of the estimator-free and book-backed strategies allocates
-// nothing.
+// for unbiased strategies, the built-in ones keep Eq. (3) under adversarial
+// estimates (requireCapacity), Estimates is empty or member-aligned, the
+// outputs a previous strategy left on the context never leak into the next
+// one's, and the warm decide of the estimator-free and book-backed strategies
+// allocates nothing.
 func TestStrategyContract(t *testing.T) {
 	const devices = 40
 	cfg := DefaultMACHConfig()
@@ -97,9 +98,12 @@ func TestStrategyContract(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Adversarial estimates: half the devices have history, with norms spread
+	// over twelve decades, so the clamp pass pins members both at 1 and at
+	// the floor; the other half are unexplored.
 	rng := rand.New(rand.NewSource(5))
-	for m := 0; m < devices; m += 2 { // half the devices have history
-		norms := []float64{rng.Float64() * 3, rng.Float64() * 3}
+	for m := 0; m < devices; m += 2 {
+		norms := []float64{math.Pow(10, 12*rng.Float64()-6), math.Pow(10, 12*rng.Float64()-6)}
 		for _, o := range []Observer{mach, stat, oort} {
 			observe(o, 1, m%3, m, norms)
 		}
@@ -115,8 +119,12 @@ func TestStrategyContract(t *testing.T) {
 	ctx := &EdgeContext{
 		Capacity:      3,
 		ClassDist:     dist,
-		ProbeGradNorm: func(m int) float64 { return float64(m%7) + 0.5 },
+		ProbeGradNorm: func(m int) float64 { return math.Pow(10, float64(2*(m%7)-6)) },
 		RNG:           rand.New(rand.NewSource(1)),
+	}
+	var wide []int // every third device: half with history, half unexplored
+	for m := 0; m < devices; m += 3 {
+		wide = append(wide, m)
 	}
 	for _, tc := range []struct {
 		s         Strategy
@@ -135,7 +143,7 @@ func TestStrategyContract(t *testing.T) {
 		s := tc.s
 		t.Run(s.Name(), func(t *testing.T) {
 			for step := 0; step < 4; step++ {
-				for _, members := range [][]int{nil, {4}, {0, 1, 2}, {1, 3, 5, 7, 9, 11, 13, 15}} {
+				for _, members := range [][]int{nil, {4}, {0, 1, 2}, {1, 3, 5, 7, 9, 11, 13, 15}, wide} {
 					ctx.Step, ctx.Edge, ctx.Members = step, step%3, members
 					ctx.RNG.Seed(int64(step))
 					want := append([]float64(nil), decide(s, ctx, nil)...)
@@ -159,6 +167,11 @@ func TestStrategyContract(t *testing.T) {
 						if !(q >= 0 && q <= 1) || (s.Unbiased() && q <= 0) {
 							t.Fatalf("step %d members %v index %d: q = %v (unbiased %v)", step, members, i, q, s.Unbiased())
 						}
+					}
+					// Eq. (3) is a built-in strategy's promise; the bare one
+					// ignores the capacity.
+					if _, bare := s.(third); s.Unbiased() && !bare {
+						requireCapacity(t, got, ctx.Capacity, ctx.Floor)
 					}
 					wantEst := 0
 					if tc.estimates {

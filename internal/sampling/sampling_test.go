@@ -149,16 +149,30 @@ func TestVarianceTermInfiniteOnZeroProb(t *testing.T) {
 func TestCapProbabilitiesRespectsCapacityAndFloor(t *testing.T) {
 	scores := []float64{10, 1, 1, 1e-9}
 	q := capProbabilitiesInto(nil, scores, 2, 0.05)
-	if got := sum(q); got > 2+0.25 { // floor may lift the sum slightly
-		t.Fatalf("Σq = %v exceeds capacity budget", got)
-	}
-	for i, v := range q {
-		if v < 0.05 || v > 1 {
-			t.Fatalf("q[%d] = %v outside [floor, 1]", i, v)
-		}
-	}
+	requireCapacity(t, q, 2, 0.05)
 	if q[0] <= q[1] {
 		t.Fatal("higher score must receive higher probability")
+	}
+}
+
+// requireCapacity asserts Eq. (3) as Eq. (18)'s single clamp pass keeps it
+// (DESIGN.md §3.5 note 8): every q ∈ [floor, 1], and Σq ≤ K_n + n_floor·floor
+// where n_floor counts the members at the floor. The sum is checked to its own
+// rounding, len(q) ulps of K_n.
+func requireCapacity(t *testing.T, q []float64, capacity, floor float64) {
+	t.Helper()
+	atFloor := 0
+	for i, v := range q {
+		if !(v >= floor && v <= 1) {
+			t.Fatalf("q[%d] = %v outside [%v, 1]", i, v, floor)
+		}
+		if v == floor {
+			atFloor++
+		}
+	}
+	bound := capacity + float64(atFloor)*floor
+	if got := sum(q); got > bound*(1+float64(len(q))*0x1p-52) {
+		t.Fatalf("Σq = %v exceeds K_n + n_floor·floor = %v + %d·%v", got, capacity, atFloor, floor)
 	}
 }
 

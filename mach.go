@@ -76,9 +76,11 @@ type (
 	Record = mobility.Record
 	// Station is a base station at a fixed position.
 	Station = mobility.Station
-	// WaypointConfig and MarkovConfig parameterize the mobility models.
+	// WaypointConfig, MarkovConfig and LevyConfig parameterize the mobility
+	// models.
 	WaypointConfig = mobility.WaypointConfig
 	MarkovConfig   = mobility.MarkovConfig
+	LevyConfig     = mobility.LevyConfig
 )
 
 // Sampling.
@@ -137,10 +139,11 @@ var (
 	ClusterStations = mobility.ClusterStations
 	// BuildSchedule converts a trace into the per-step edge schedule.
 	BuildSchedule = mobility.BuildSchedule
-	// DefaultWaypoint and DefaultMarkov are calibrated mobility-model
-	// configurations.
+	// DefaultWaypoint, DefaultMarkov and DefaultLevy are calibrated
+	// mobility-model configurations.
 	DefaultWaypoint = mobility.DefaultWaypoint
 	DefaultMarkov   = mobility.DefaultMarkov
+	DefaultLevy     = mobility.DefaultLevy
 	// NewMarkovSource, NewWaypointSource and NewLevySource are the streaming
 	// (O(Devices)-memory) counterparts of the dense schedule generators.
 	NewMarkovSource   = mobility.NewMarkovSource

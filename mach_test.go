@@ -100,6 +100,27 @@ func TestFacadeMobilityPipeline(t *testing.T) {
 	}
 }
 
+// TestFacadeLevySource builds a streaming Lévy-walk source through the
+// facade alone and drains it into a valid schedule.
+func TestFacadeLevySource(t *testing.T) {
+	var cfg mach.LevyConfig = mach.DefaultLevy()
+	cfg.MaxPause = 0
+	src, err := mach.NewLevySource(3, 2, 6, 12, 2, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched, err := mach.Materialize(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sched.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if sched.Edges != 2 || sched.Devices != 6 || sched.Steps != 12 {
+		t.Fatalf("schedule dims %d/%d/%d, want 2/6/12", sched.Edges, sched.Devices, sched.Steps)
+	}
+}
+
 func TestFacadeOortAndCommStats(t *testing.T) {
 	oort, err := mach.NewOort(8, sampling.DefaultOortConfig())
 	if err != nil {

@@ -79,7 +79,7 @@ wait "$obs_pid" || { echo "check: machsim -debug-addr run failed" >&2; cat "$obs
 "$obs_tmp/machtop" diff "$obs_tmp/snap.json" "$obs_tmp/snap.json" >/dev/null
 rm -rf "$obs_tmp"
 
-echo "== distributed smoke (2 device hosts, 2 edges, a cloud: separate machnode processes under -codec delta; raw ≡ delta is fed's TestDeltaCodecBitIdenticalAndCheaperThanRaw)"
+echo "== distributed smoke (2 device hosts, 2 edges, a cloud: separate machnode processes, once under -codec delta and once under -codec raw; the two lossless codecs must write identical CSVs)"
 fed_tmp=$(mktemp -d)
 go build -o "$fed_tmp/machnode" ./cmd/machnode
 fed_pids=""
@@ -93,27 +93,35 @@ fed_addr() {
 	done
 	echo "check: machnode never listened: $1" >&2; cat "$1" >&2; return 1
 }
-hosts="" edges=""
-for h in 0 1; do
-	"$fed_tmp/machnode" -role device -steps 10 -host-index $h -num-hosts 2 >"$fed_tmp/host$h.log" 2>&1 &
-	fed_pids="$fed_pids $!"
-done
-for h in 0 1; do hosts="$hosts${hosts:+,}$(fed_addr "$fed_tmp/host$h.log")"; done
-for n in 0 1; do
-	"$fed_tmp/machnode" -role edge -steps 10 -edge-index $n -device-hosts "$hosts" >"$fed_tmp/edge$n.log" 2>&1 &
-	fed_pids="$fed_pids $!"
-done
-for n in 0 1; do edges="$edges${edges:+,}$(fed_addr "$fed_tmp/edge$n.log")"; done
-"$fed_tmp/machnode" -role cloud -steps 10 -codec delta -edge-addrs "$edges" -device-hosts "$hosts" \
-	>"$fed_tmp/history.csv" 2>"$fed_tmp/cloud.log" \
-	|| { echo "check: machnode cloud failed" >&2; cat "$fed_tmp"/*.log >&2; exit 1; }
-kill $fed_pids
-wait $fed_pids 2>/dev/null || true
+# fed_run brings up a fresh cluster, runs its cloud under codec $1 into
+# $fed_tmp/$1.csv and stops the cluster.
+fed_run() {
+	hosts="" edges="" fed_pids=""
+	for h in 0 1; do
+		"$fed_tmp/machnode" -role device -steps 10 -host-index $h -num-hosts 2 >"$fed_tmp/$1-host$h.log" 2>&1 &
+		fed_pids="$fed_pids $!"
+	done
+	for h in 0 1; do hosts="$hosts${hosts:+,}$(fed_addr "$fed_tmp/$1-host$h.log")"; done
+	for n in 0 1; do
+		"$fed_tmp/machnode" -role edge -steps 10 -edge-index $n -device-hosts "$hosts" >"$fed_tmp/$1-edge$n.log" 2>&1 &
+		fed_pids="$fed_pids $!"
+	done
+	for n in 0 1; do edges="$edges${edges:+,}$(fed_addr "$fed_tmp/$1-edge$n.log")"; done
+	"$fed_tmp/machnode" -role cloud -steps 10 -codec "$1" -edge-addrs "$edges" -device-hosts "$hosts" \
+		>"$fed_tmp/$1.csv" 2>"$fed_tmp/$1-cloud.log" \
+		|| { echo "check: machnode cloud failed under -codec $1" >&2; cat "$fed_tmp"/$1-*.log >&2; exit 1; }
+	kill $fed_pids
+	wait $fed_pids 2>/dev/null || true
+}
+fed_run delta
+fed_run raw
 trap - EXIT
 # The CI preset evaluates every step: a header and one row per step.
-rows=$(($(wc -l <"$fed_tmp/history.csv") - 1))
-[ "$rows" = 10 ] || { echo "check: machnode cloud wrote $rows evaluation rows, want 10" >&2; cat "$fed_tmp/history.csv" >&2; exit 1; }
-echo "   $rows evaluations"
+rows=$(($(wc -l <"$fed_tmp/delta.csv") - 1))
+[ "$rows" = 10 ] || { echo "check: machnode cloud wrote $rows evaluation rows, want 10" >&2; cat "$fed_tmp/delta.csv" >&2; exit 1; }
+diff "$fed_tmp/delta.csv" "$fed_tmp/raw.csv" >&2 \
+	|| { echo "check: -codec raw and -codec delta histories differ" >&2; exit 1; }
+echo "   $rows evaluations, raw ≡ delta"
 rm -rf "$fed_tmp"
 
 echo "check: OK"
