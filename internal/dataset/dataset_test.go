@@ -27,7 +27,7 @@ func TestDatasetAppendAndBatch(t *testing.T) {
 	if y[0] != 2 || y[1] != 0 {
 		t.Fatalf("batch labels %v", y)
 	}
-	if x.At(0, 0, 0, 0) != 5 || x.At(1, 0, 1, 1) != 4 {
+	if x.Data()[0] != 5 || x.Data()[7] != 4 {
 		t.Fatal("batch pixels misordered")
 	}
 }
@@ -183,7 +183,9 @@ func TestRandomBatchIntoMatchesRandomBatch(t *testing.T) {
 	wantX, wantY := d.RandomBatch(r1, size)
 
 	x := tensor.New(size, 1, 2, 2)
-	x.Fill(-1) // dirty scratch must be fully overwritten
+	for i := range x.Data() {
+		x.Data()[i] = -1 // dirty scratch must be fully overwritten
+	}
 	labels := make([]int, size)
 	idx := make([]int, size)
 	d.RandomBatchInto(r2, x, labels, idx)

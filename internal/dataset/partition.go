@@ -30,11 +30,6 @@ type PartitionConfig struct {
 	// SamplesPerDevice is the local dataset size |D_m| (the paper assumes
 	// it equal across devices).
 	SamplesPerDevice int
-	// SizeSpread, when positive, draws each device's dataset size from a
-	// log-normal around SamplesPerDevice with this σ — the general
-	// weighted-average setting the paper simplifies away (§II-B). Engines
-	// weight plain aggregation by |D_m| when sizes differ.
-	SizeSpread float64
 	// TailRatio is the long-tail decay of each device's local label law.
 	TailRatio float64
 	// NoisyDeviceFraction is the fraction of devices whose labels are
@@ -73,8 +68,6 @@ func (c PartitionConfig) Validate() error {
 		return fmt.Errorf("dataset: noisy device fraction %v outside [0,1]", c.NoisyDeviceFraction)
 	case c.NoisyLabelFraction < 0 || c.NoisyLabelFraction > 1:
 		return fmt.Errorf("dataset: noisy label fraction %v outside [0,1]", c.NoisyLabelFraction)
-	case c.SizeSpread < 0:
-		return fmt.Errorf("dataset: size spread %v negative", c.SizeSpread)
 	}
 	return nil
 }
@@ -119,14 +112,7 @@ func Partition(task *Task, cfg PartitionConfig) ([]*Dataset, error) {
 		for c, p := range perm {
 			law[p] = base[c]
 		}
-		size := cfg.SamplesPerDevice
-		if cfg.SizeSpread > 0 {
-			size = int(float64(cfg.SamplesPerDevice) * math.Exp(rng.NormFloat64()*cfg.SizeSpread))
-			if size < 1 {
-				size = 1
-			}
-		}
-		d, err := task.Generate(rng, size, law)
+		d, err := task.Generate(rng, cfg.SamplesPerDevice, law)
 		if err != nil {
 			return nil, fmt.Errorf("dataset: device %d: %w", m, err)
 		}

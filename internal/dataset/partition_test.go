@@ -192,35 +192,6 @@ func TestMixDistributionsProperty(t *testing.T) {
 	}
 }
 
-func TestPartitionSizeSpread(t *testing.T) {
-	task, err := NewTask(MNISTLike(4, 4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := PartitionConfig{
-		Devices: 30, SamplesPerDevice: 50, TailRatio: 0.5,
-		SizeSpread: 0.6, Seed: 13,
-	}
-	parts, err := Partition(task, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sizes := map[int]bool{}
-	for _, d := range parts {
-		if d.Len() < 1 {
-			t.Fatal("empty device dataset")
-		}
-		sizes[d.Len()] = true
-	}
-	if len(sizes) < 10 {
-		t.Fatalf("size spread produced only %d distinct sizes", len(sizes))
-	}
-	cfg.SizeSpread = -1
-	if err := cfg.Validate(); err == nil {
-		t.Fatal("expected negative-spread error")
-	}
-}
-
 // imbalance measures the class imbalance of a label distribution as the
 // squared Euclidean distance to the uniform distribution. Zero means
 // perfectly balanced; it is the quantity class-balance sampling minimizes

@@ -25,6 +25,7 @@ import (
 type DeviceServer struct {
 	mu       sync.Mutex
 	devices  map[int]*hostedDevice
+	calls    uint64 // TrainMany calls checked so far; stamps hostedDevice.call
 	book     *sampling.ExperienceBook
 	trainers *hfl.TrainerPool
 	nParams  int // parameter count of the hosted model architecture
@@ -53,6 +54,7 @@ func (s *DeviceServer) SetTelemetry(t *telemetry.Telemetry) { s.tel = t }
 type hostedDevice struct {
 	data *dataset.Dataset
 	rng  *rand.Rand
+	call uint64 // the last TrainMany call that named the device
 }
 
 // NewDeviceServer creates a host for the given logical devices (deviceID →
@@ -226,6 +228,9 @@ func (s *DeviceServer) TrainMany(args TrainManyArgs, reply *TrainManyReply) erro
 	if err != nil {
 		return err
 	}
+	if err := s.checkDevices(args.Devices); err != nil {
+		return err
+	}
 	tr := s.trainers.Borrow(hyper.BatchSize)
 	defer s.trainers.Release(tr)
 	epochs := hyper.LocalEpochs
@@ -235,11 +240,8 @@ func (s *DeviceServer) TrainMany(args TrainManyArgs, reply *TrainManyReply) erro
 	reply.SqNorms = make([][]float64, len(args.Devices))
 	for i, id := range args.Devices {
 		s.mu.Lock()
-		dev, ok := s.devices[id]
+		dev := s.devices[id]
 		s.mu.Unlock()
-		if !ok {
-			return fmt.Errorf("fed: device %d not hosted here", id)
-		}
 		reply.SqNorms[i] = norms[i*epochs : (i+1)*epochs]
 		if err := tr.LocalUpdate(base, dev.data, dev.rng, hyper.LearningRate, reply.SqNorms[i]); err != nil {
 			return fmt.Errorf("fed: device %d: %w", id, err)
@@ -278,6 +280,28 @@ func (s *DeviceServer) TrainMany(args TrainManyArgs, reply *TrainManyReply) erro
 	}
 	reply.Sum = blob
 	reply.HasSum = true
+	return nil
+}
+
+// checkDevices fails a TrainMany call that names a device this host does not
+// hold, or one device twice, before anything trains: a repeat would train
+// the device twice from one base, advancing its minibatch stream twice and
+// recording two windows in the book. Each call stamps the devices it names
+// with its own number, so the check allocates nothing.
+func (s *DeviceServer) checkDevices(ids []int) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.calls++
+	for _, id := range ids {
+		dev, ok := s.devices[id]
+		if !ok {
+			return fmt.Errorf("fed: device %d not hosted here", id)
+		}
+		if dev.call == s.calls {
+			return fmt.Errorf("fed: device %d named twice in one TrainMany call", id)
+		}
+		dev.call = s.calls
+	}
 	return nil
 }
 

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"net"
 	"net/rpc"
+	"reflect"
 	"sort"
 	"strings"
 	"sync"
@@ -1246,6 +1247,65 @@ func TestFirstStepMatchesEngine(t *testing.T) {
 				if got := tel.Count(telemetry.CounterDevicesTrained); got != wantSampled[n] {
 					t.Fatalf("edge %d sampled %d devices, the engine %d", n, got, wantSampled[n])
 				}
+			}
+		})
+	}
+}
+
+// TestTrainManyRejectsBadDeviceListBeforeTraining: a TrainMany call that
+// names a device twice, or a hosted device and then an unhosted one, fails
+// and trains nothing — the next valid call on that host replies exactly
+// what the same call on a fresh host does.
+func TestTrainManyRejectsBadDeviceListBeforeTraining(t *testing.T) {
+	task, err := dataset.NewTask(dataset.MNISTLike(4, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := map[int]*dataset.Dataset{}
+	for m := 0; m < 2; m++ {
+		if data[m], err = task.Generate(rand.New(rand.NewSource(int64(m))), 8, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	proto, err := testArch(rand.New(rand.NewSource(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := codec.Encode(codec.SchemeDelta, proto.ParamVector(), nil, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	host := func() *DeviceServer {
+		srv, err := NewDeviceServer(testArch, data, sampling.DefaultMACHConfig(), runSeed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := srv.SetBase(SetBaseArgs{Edge: 0, ID: 1, Model: blob}, &SetBaseReply{}); err != nil {
+			t.Fatal(err)
+		}
+		return srv
+	}
+	train := func(srv *DeviceServer, devices ...int) (TrainManyReply, error) {
+		var reply TrainManyReply
+		err := srv.TrainMany(TrainManyArgs{Edge: 0, Devices: devices, BaseID: 1, Hyper: testHyper}, &reply)
+		return reply, err
+	}
+	want, err := train(host(), 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, bad := range map[string][]int{"repeat": {0, 0}, "unhosted": {0, 5}} {
+		t.Run(name, func(t *testing.T) {
+			srv := host()
+			if _, err := train(srv, bad...); err == nil {
+				t.Fatalf("TrainMany(%v) succeeded", bad)
+			}
+			got, err := train(srv, 0, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("TrainMany(%v) trained before failing: the next call replies differently", bad)
 			}
 		})
 	}

@@ -147,13 +147,15 @@ const (
 	// norm noise of the literal model-space form, and keeps the gradient
 	// estimate exactly unbiased. This is the theory-faithful mode.
 	AggInverseUpdate Aggregation = iota + 1
-	// AggPlain averages the sampled local models with equal weights, the
-	// standard FedAvg-over-participants rule used by practical FL systems
-	// (Oort, Fed-CBS, the biased-selection analysis of Cho et al.). Under
-	// a tilted sampling strategy the expected update is biased toward
-	// high-probability devices, which is precisely the boosting effect
-	// that makes loss/norm-guided selection fast in practice. The
-	// benchmark presets use this mode; DESIGN.md §1 records the choice.
+	// AggPlain averages the sampled local models weighted by local dataset
+	// size |D_m| (a plain mean when sizes are equal, as dataset.Partition
+	// makes them), the standard FedAvg-over-participants rule used by
+	// practical FL systems (Oort, Fed-CBS, the biased-selection analysis of
+	// Cho et al.). Under a tilted sampling strategy the expected update is
+	// biased toward high-probability devices, which is precisely the
+	// boosting effect that makes loss/norm-guided selection fast in
+	// practice. The benchmark presets use this mode; DESIGN.md §1 records
+	// the choice.
 	AggPlain
 	// AggLiteralEq5 is the paper's Eq. (5) verbatim in model space:
 	// w_n ← Σ 1/(|M|q)·w_m. When the realized Σ 1/(|M|q) deviates from 1

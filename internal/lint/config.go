@@ -89,10 +89,10 @@ func (c *Config) Keep(names []string) {
 //
 //   - maprange guards everything, including tests — an order-dependent
 //     accumulation in a test is a flaky test.
-//   - globalrand guards the deterministic simulation core. The benchmark
-//     harness and the CLIs legitimately read the wall clock, and tests may
-//     time things, so those are exempt. internal/telemetry is the sanctioned
-//     clock site (DESIGN.md §8) and is exempt too.
+//   - globalrand guards the deterministic simulation core against math/rand's
+//     shared global source; the benchmark harness, the CLIs and tests are
+//     exempt. Wall-clock reads are walltime's alone: its scope contains
+//     globalrand's, so one read is reported once.
 //   - walltime guards everything except internal/telemetry: even harness and
 //     CLI code must read wall time through telemetry.WallNow/WallSince so the
 //     repo has exactly one clock site to audit.
@@ -118,7 +118,7 @@ func DefaultConfig() *Config {
 		"globalrand": {
 			Enabled:   true,
 			SkipTests: true,
-			Skip:      []string{"internal/bench", "internal/telemetry", "cmd", "examples"},
+			Skip:      []string{"internal/bench", "cmd", "examples"},
 		},
 		"walltime": {
 			Enabled:   true,

@@ -5,15 +5,14 @@ import (
 	"go/types"
 )
 
-// GlobalRand forbids the two ambient-state reads that silently break
+// GlobalRand forbids the ambient-state read that silently breaks
 // reproducibility inside the simulation core: package-level math/rand
-// functions (they draw from a shared, unseeded source) and wall-clock
-// reads (time.Now / time.Since / time.Until). Randomness must flow through
-// a seeded *rand.Rand threaded from the config; wall time belongs to the
-// benchmark harness and the CLIs, which DefaultConfig exempts.
+// functions, which draw from a shared, unseeded source. Randomness must flow
+// through a seeded *rand.Rand threaded from the config. Wall-clock reads are
+// walltime's to report.
 var GlobalRand = &Analyzer{
 	Name: "globalrand",
-	Doc:  "global math/rand or wall-clock read inside the deterministic simulation core",
+	Doc:  "global math/rand draw inside the deterministic simulation core",
 	Run:  runGlobalRand,
 }
 
@@ -24,9 +23,6 @@ var randConstructors = map[string]bool{
 	"New": true, "NewSource": true, "NewZipf": true,
 	"NewPCG": true, "NewChaCha8": true, // math/rand/v2 sources
 }
-
-// clockFuncs are the time package functions that read the wall clock.
-var clockFuncs = map[string]bool{"Now": true, "Since": true, "Until": true}
 
 func runGlobalRand(p *Pass) {
 	for _, f := range p.Files {
@@ -53,15 +49,8 @@ func runGlobalRand(p *Pass) {
 			if sig, ok := fn.Type().(*types.Signature); !ok || sig.Recv() != nil {
 				return true
 			}
-			switch pn.Imported().Path() {
-			case "math/rand", "math/rand/v2":
-				if !randConstructors[fn.Name()] {
-					p.Reportf(sel.Pos(), "%s.%s draws from the shared global source; thread a seeded *rand.Rand from the config instead", pkgIdent.Name, fn.Name())
-				}
-			case "time":
-				if clockFuncs[fn.Name()] {
-					p.Reportf(sel.Pos(), "wall-clock read %s.%s inside the simulation core breaks reproducibility; measure time through internal/telemetry's clock instead", pkgIdent.Name, fn.Name())
-				}
+			if path := pn.Imported().Path(); (path == "math/rand" || path == "math/rand/v2") && !randConstructors[fn.Name()] {
+				p.Reportf(sel.Pos(), "%s.%s draws from the shared global source; thread a seeded *rand.Rand from the config instead", pkgIdent.Name, fn.Name())
 			}
 			return true
 		})

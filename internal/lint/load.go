@@ -120,6 +120,7 @@ func (l *Loader) check(path, pkgName string, files []*ast.File) *Unit {
 		Types:      map[ast.Expr]types.TypeAndValue{},
 		Defs:       map[*ast.Ident]types.Object{},
 		Uses:       map[*ast.Ident]types.Object{},
+		Implicits:  map[ast.Node]types.Object{},
 		Selections: map[*ast.SelectorExpr]*types.Selection{},
 	}
 	conf := types.Config{

@@ -246,9 +246,12 @@ func TestTreeCleanAtHead(t *testing.T) {
 
 // TestDeadExportFixture drives the deadexport phase over its fixture module
 // (testdata/src/deadexport: an internal package, its test file, a command
-// that uses part of it, and a ledger with one live entry, one used again and
-// one whose identifier is gone) and pins the ledger failure modes plus the
-// exemptions.
+// that uses part of it, a facade re-exporting one of its types, and a ledger
+// with one live entry, one used again, one whose identifier is gone and one
+// that names no reason) and pins the ledger failure modes plus the
+// exemptions: a method that satisfies an interface (the module's own
+// Measurer, fmt.Stringer from the import closure), one on a type registered
+// with net/rpc and one on a type the facade re-exports go unreported.
 func TestDeadExportFixture(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Keep([]string{DeadExportName})
@@ -261,6 +264,8 @@ func TestDeadExportFixture(t *testing.T) {
 		"internal/lib.OnlyTests is exported but no non-test file",
 		"internal/lib.Orphan is exported but no non-test file",
 		"internal/lib.Recursive is exported but no non-test file",
+		"internal/lib.Shape.Unused is exported but no non-test file",
+		"ledger entry internal/lib.Orphan.Get names nothing that keeps it",
 		"stale ledger: internal/lib.Gone is used by non-test code now, or gone",
 		"stale ledger: internal/lib.Revived is used by non-test code now, or gone",
 	}
@@ -282,14 +287,18 @@ func TestDeadExportFixture(t *testing.T) {
 		t.Fatalf("subset run: %v, %v", diags, err)
 	}
 
-	// The ledger a tree writes is the ledger it reads back clean.
+	// The ledger a tree writes is the ledger it reads back clean, and a
+	// rewrite keeps the reasons the old ledger carried.
 	path := filepath.Join(t.TempDir(), "dead.txt")
-	dead := map[string]token.Position{"internal/lib.OnlyTests": {}, "internal/lib.Orphan": {}}
+	if err := os.WriteFile(path, []byte("internal/lib.Orphan.Get  # TestOnlyTests\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	dead := map[string]token.Position{"internal/lib.OnlyTests": {}, "internal/lib.Orphan.Get": {}}
 	if err := writeDeadExportLedger(path, dead); err != nil {
 		t.Fatal(err)
 	}
 	ledger, err := readDeadExportLedger(path)
-	if err != nil || len(ledger) != 2 || ledger["internal/lib.Orphan"] == 0 {
+	if err != nil || len(ledger) != 2 || ledger["internal/lib.Orphan.Get"].why != "TestOnlyTests" || ledger["internal/lib.OnlyTests"].line == 0 {
 		t.Fatalf("ledger round trip: %v, %v", ledger, err)
 	}
 }

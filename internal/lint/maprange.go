@@ -9,8 +9,8 @@ import (
 // MapRange flags `range` over a map whose body makes the (intentionally
 // randomized) iteration order observable: accumulating floats, appending
 // to a slice, or issuing net/rpc calls. Those were exactly the hazards
-// live in fed.groupByHost and mobility.EstimateTransitions before this
-// check existed. The remediation is to iterate a sorted key slice
+// live in fed.groupByHost and mobility's dense transition estimator before
+// this check existed. The remediation is to iterate a sorted key slice
 // (det.SortedKeys) or to collect keys at insertion time.
 var MapRange = &Analyzer{
 	Name: "maprange",

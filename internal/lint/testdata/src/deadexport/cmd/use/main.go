@@ -3,8 +3,15 @@ package main
 
 import (
 	"fmt"
+	"net/rpc"
 
 	"github.com/mach-fl/mach/internal/lint/testdata/src/deadexport/internal/lib"
 )
 
-func main() { fmt.Println(lib.Used() + lib.Revived) }
+func main() {
+	if err := rpc.Register(new(lib.Service)); err != nil {
+		panic(err)
+	}
+	shape := lib.Shape{}
+	fmt.Println(lib.Used()+lib.Revived+lib.Measure(shape), shape)
+}

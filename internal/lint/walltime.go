@@ -18,6 +18,9 @@ var WallTime = &Analyzer{
 	Run:  runWallTime,
 }
 
+// clockFuncs are the time package functions that read the wall clock.
+var clockFuncs = map[string]bool{"Now": true, "Since": true, "Until": true}
+
 func runWallTime(p *Pass) {
 	for _, f := range p.Files {
 		ast.Inspect(f, func(n ast.Node) bool {

@@ -29,7 +29,7 @@ import "sort"
 //
 // A MemberIndex is not safe for concurrent mutation: AdvanceWith must be
 // called from one goroutine, but any number of goroutines may call
-// Members/Count between advances (the per-step parallel decide phase does
+// Members between advances (the per-step parallel decide phase does
 // exactly that).
 type MemberIndex struct {
 	step   int // current step, -1 before the first AdvanceWith
@@ -53,7 +53,7 @@ const deltaRebuildDen = 2
 // lists plus O(hi-lo) scratch, never a dense schedule. Build and repair cost
 // scale with the range: the counting pass still scans the full device row
 // (membership of a range is not locally decidable) but sizes, fills and
-// repairs only the covered lists. Members/Count must only be asked about
+// repairs only the covered lists. Members must only be asked about
 // edges inside the range.
 func NewMemberIndexWindow(lo, hi int) *MemberIndex {
 	if lo < 0 || lo > hi {
@@ -68,25 +68,11 @@ func NewMemberIndexWindow(lo, hi int) *MemberIndex {
 	}
 }
 
-// Step returns the step the index is positioned at, or -1 before the first
-// AdvanceWith.
-func (ix *MemberIndex) Step() int { return ix.step }
-
-// Lo returns the first covered edge.
-func (ix *MemberIndex) Lo() int { return ix.lo }
-
-// Hi returns one past the last covered edge.
-func (ix *MemberIndex) Hi() int { return ix.hi }
-
 // Members returns M^t_n for the current step, ascending in device ID. The
 // slice is owned by the index and valid until the next AdvanceWith; callers
 // must not mutate or retain it across advances. n must lie in the covered
 // range.
 func (ix *MemberIndex) Members(n int) []int { return ix.members[n-ix.lo] }
-
-// Count returns |M^t_n| for the current step. n must lie in the covered
-// range.
-func (ix *MemberIndex) Count(n int) int { return len(ix.members[n-ix.lo]) }
 
 // AdvanceWith positions the index at step t from the caller's attachment row
 // and move stream — the StepSource protocol. row is the full device→edge row

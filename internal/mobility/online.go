@@ -7,10 +7,10 @@ import (
 )
 
 // OnlineTransitionStats fits the edge-level Markov mobility model of §II-A
-// incrementally from a StepSource's move stream, replacing the dense
-// after-the-fact EstimateTransitions pass for streaming runs. Each observed
-// single-step move stream is folded in at O(moves) — a device that stays put
-// costs nothing — and the fitted matrix is available at any point of the run.
+// incrementally from a StepSource's move stream, with no dense pass over the
+// realized schedule. Each observed single-step move stream is folded in at
+// O(moves) — a device that stays put costs nothing — and the fitted matrix is
+// available at any point of the run.
 // Memory is O(distinct observed transitions): a sparse hop-count map plus one
 // row-total per edge, never Edges² until a dense matrix is asked for.
 type OnlineTransitionStats struct {
@@ -18,8 +18,8 @@ type OnlineTransitionStats struct {
 	devices int
 
 	// counts holds observed hop counts keyed (from<<32)|to; self-loops are
-	// never observed because sources emit only real edge changes, matching
-	// EstimateTransitions' consecutive-record (departure-only) counting.
+	// never observed because sources emit only real edge changes, so the
+	// counts are departure-only.
 	counts    map[uint64]int64
 	rowTotals []int64
 
@@ -77,8 +77,8 @@ func (o *OnlineTransitionStats) TransitionRate() float64 {
 
 // Transitions densifies the fitted model: row i is the empirical distribution
 // of the next edge given a device is leaving edge i, with rows that observed
-// no departures uniform over all edges — exactly EstimateTransitions'
-// convention, so downstream prediction code accepts either.
+// no departures uniform over all edges — a row-stochastic matrix
+// NewPredictor accepts.
 func (o *OnlineTransitionStats) Transitions() [][]float64 {
 	out := make([][]float64, o.edges)
 	for i := range out {

@@ -84,7 +84,7 @@ func TestOnlineStatsMatchDenseHopCounts(t *testing.T) {
 		t.Fatalf("observed %d steps, want %d", stats.Steps(), steps-1)
 	}
 	// The fitted matrix must satisfy NewPredictor, closing the loop to the
-	// prediction path EstimateTransitions feeds.
+	// prediction path.
 	edgeOf := make([]int, edges)
 	for i := range edgeOf {
 		edgeOf[i] = i

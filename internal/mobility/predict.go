@@ -6,8 +6,9 @@ import "fmt"
 // to edge n, t steps ahead — from a fitted station-level Markov chain
 // (§II-A: "we can set a variable P^t_{n,m} ∈ [0,1] as the probability that
 // device m is accessed to edge n at time step t", using "classical mobility
-// models such as Markov mobility"). Combine EstimateTransitions (fit from a
-// trace) with a station→edge clustering to build one.
+// models such as Markov mobility"). Feed it a chain fitted online
+// (OnlineTransitionStats.Transitions with the identity clustering) or any
+// station-level chain with a station→edge clustering.
 type Predictor struct {
 	transitions [][]float64 // station-level chain
 	edgeOf      []int       // station → edge
@@ -91,23 +92,6 @@ func (p *Predictor) EdgeProbabilities(station, steps int) ([]float64, error) {
 	out := make([]float64, p.edges)
 	for s, mass := range stationDist {
 		out[p.edgeOf[s]] += mass
-	}
-	return out, nil
-}
-
-// ExpectedMembers returns, for each edge, the expected number of the given
-// devices attached `steps` ahead — the E[|M^t_n|] a capacity planner would
-// use. currentStations[i] is device i's present station.
-func (p *Predictor) ExpectedMembers(currentStations []int, steps int) ([]float64, error) {
-	out := make([]float64, p.edges)
-	for _, st := range currentStations {
-		probs, err := p.EdgeProbabilities(st, steps)
-		if err != nil {
-			return nil, err
-		}
-		for n, q := range probs {
-			out[n] += q
-		}
 	}
 	return out, nil
 }

@@ -186,13 +186,17 @@ func BuildSchedule(trace *Trace, edgeOfStation []int, edges, devices, steps int,
 // end. A record that spans no step boundary yields first > last and covers
 // nothing. This is the one trace→attachment lowering both the dense
 // (BuildSchedule) and streaming (TraceSource) paths use, so the two cannot
-// drift.
+// drift. Go's / truncates toward zero, so the ceiling and floor are fixed up
+// for negative times too.
 func recordSteps(start, end, stepDur int64) (first, last int64) {
 	first = start / stepDur
-	if start%stepDur != 0 {
+	if first*stepDur < start {
 		first++ // station must hold at the step boundary
 	}
 	last = (end - 1) / stepDur
+	if last*stepDur > end-1 {
+		last--
+	}
 	return first, last
 }
 

@@ -3,8 +3,6 @@ package mobility
 import (
 	"fmt"
 	"sort"
-
-	"github.com/mach-fl/mach/internal/det"
 )
 
 // TraceStats summarizes a mobility trace: the quantities one inspects to
@@ -71,81 +69,4 @@ func (s TraceStats) String() string {
 	return fmt.Sprintf("records=%d devices=%d stations=%d horizon=%d dwell(mean/med/p90)=%.1f/%.1f/%.1f handovers/device=%.1f",
 		s.Records, s.Devices, s.Stations, s.Horizon,
 		s.MeanDwell, s.MedianDwell, s.P90Dwell, s.HandoversPerDevice)
-}
-
-// EstimateTransitions fits a station-level Markov mobility model from a
-// trace (the "classical mobility model" route of §II-A): row i of the result
-// is the empirical distribution of the next station given the device is
-// leaving station i. Rows with no observed departures are uniform over all
-// stations. The fitted matrix can seed GenerateMarkovTrace-style synthesis
-// or location prediction.
-func EstimateTransitions(t *Trace, stations int) ([][]float64, error) {
-	if stations <= 0 {
-		return nil, fmt.Errorf("mobility: need ≥ 1 station, got %d", stations)
-	}
-	counts := make([][]float64, stations)
-	for i := range counts {
-		counts[i] = make([]float64, stations)
-	}
-	// Order records per device by start time and count consecutive pairs.
-	byDevice := map[int][]Record{}
-	for _, r := range t.Records {
-		if r.Station >= stations {
-			return nil, fmt.Errorf("mobility: record references station %d ≥ %d", r.Station, stations)
-		}
-		byDevice[r.Device] = append(byDevice[r.Device], r)
-	}
-	// Walk devices in sorted-key order: the count accumulations below are
-	// floating point, so the randomized map order must never reach them.
-	for _, d := range det.SortedKeys(byDevice) {
-		recs := byDevice[d]
-		sort.Slice(recs, func(i, j int) bool { return recs[i].Start < recs[j].Start })
-		for i := 1; i < len(recs); i++ {
-			counts[recs[i-1].Station][recs[i].Station]++
-		}
-	}
-	for i := range counts {
-		total := 0.0
-		for _, c := range counts[i] {
-			total += c
-		}
-		//machlint:allow floateq counts sum small integers exactly; zero is the precise "no departures observed" case
-		if total == 0 {
-			for j := range counts[i] {
-				counts[i][j] = 1 / float64(stations)
-			}
-			continue
-		}
-		for j := range counts[i] {
-			counts[i][j] /= total
-		}
-	}
-	return counts, nil
-}
-
-// StationaryDistribution iterates the transition matrix to its stationary
-// distribution (power iteration with uniform start), useful for comparing a
-// fitted chain against observed station load.
-func StationaryDistribution(transitions [][]float64, iterations int) []float64 {
-	n := len(transitions)
-	if n == 0 {
-		return nil
-	}
-	cur := make([]float64, n)
-	for i := range cur {
-		cur[i] = 1 / float64(n)
-	}
-	next := make([]float64, n)
-	for it := 0; it < iterations; it++ {
-		for j := range next {
-			next[j] = 0
-		}
-		for i, row := range transitions {
-			for j, p := range row {
-				next[j] += cur[i] * p
-			}
-		}
-		cur, next = next, cur
-	}
-	return cur
 }

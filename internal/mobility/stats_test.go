@@ -2,7 +2,6 @@ package mobility
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 )
 
@@ -43,87 +42,5 @@ func TestComputeStatsEmpty(t *testing.T) {
 	s := ComputeStats(&Trace{})
 	if s.Records != 0 || s.MeanDwell != 0 {
 		t.Fatalf("empty trace stats: %+v", s)
-	}
-}
-
-func TestEstimateTransitionsRecoversChain(t *testing.T) {
-	// Generate a Markov trace with a known stay/hop structure and check
-	// the fitted matrix concentrates on the true neighbors.
-	rng := rand.New(rand.NewSource(1))
-	stations, err := PlaceStations(rng, 6, PlacementConfig{Width: 100, Height: 100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	trace, err := GenerateMarkovTrace(rng, stations, 40, 400, MarkovConfig{StayProb: 0.8, Neighbors: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	trans, err := EstimateTransitions(trace, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	neighbors := nearestNeighbors(stations, 2)
-	for i, row := range trans {
-		sum := 0.0
-		for _, p := range row {
-			if p < 0 {
-				t.Fatalf("negative probability in row %d", i)
-			}
-			sum += p
-		}
-		if math.Abs(sum-1) > 1e-9 {
-			t.Fatalf("row %d sums to %v", i, sum)
-		}
-		// Mass should concentrate on the station's true hop candidates.
-		nbMass := 0.0
-		for _, j := range neighbors[i] {
-			nbMass += row[j]
-		}
-		if nbMass < 0.9 {
-			t.Fatalf("row %d: only %.2f mass on true neighbors", i, nbMass)
-		}
-	}
-}
-
-func TestEstimateTransitionsErrors(t *testing.T) {
-	var tr Trace
-	if err := tr.Append(Record{Device: 0, Station: 5, Start: 0, End: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := EstimateTransitions(&tr, 3); err == nil {
-		t.Fatal("expected out-of-range station error")
-	}
-	if _, err := EstimateTransitions(&tr, 0); err == nil {
-		t.Fatal("expected station-count error")
-	}
-}
-
-func TestEstimateTransitionsUniformFallback(t *testing.T) {
-	// A station never departed from gets a uniform row.
-	var tr Trace
-	if err := tr.Append(Record{Device: 0, Station: 0, Start: 0, End: 5}); err != nil {
-		t.Fatal(err)
-	}
-	trans, err := EstimateTransitions(&tr, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for j := 0; j < 3; j++ {
-		if math.Abs(trans[1][j]-1.0/3) > 1e-12 {
-			t.Fatalf("unvisited row not uniform: %v", trans[1])
-		}
-	}
-}
-
-func TestStationaryDistribution(t *testing.T) {
-	// Two-state chain with known stationary distribution π = (2/3, 1/3):
-	// P = [[0.9, 0.1], [0.2, 0.8]].
-	trans := [][]float64{{0.9, 0.1}, {0.2, 0.8}}
-	pi := StationaryDistribution(trans, 200)
-	if math.Abs(pi[0]-2.0/3) > 1e-6 || math.Abs(pi[1]-1.0/3) > 1e-6 {
-		t.Fatalf("stationary distribution %v", pi)
-	}
-	if StationaryDistribution(nil, 10) != nil {
-		t.Fatal("empty chain should be nil")
 	}
 }

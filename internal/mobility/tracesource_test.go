@@ -70,6 +70,43 @@ func TestTraceSourceMatchesBuildSchedule(t *testing.T) {
 	}
 }
 
+// TestRecordBeforeTimeZeroAttachesNothing: a record that ends before time 0
+// holds its station at no step boundary ≥ 0, so neither lowering may attach
+// the device there at step 0; the device's first boundary-covering record
+// back-fills the leading steps instead.
+func TestRecordBeforeTimeZeroAttachesNothing(t *testing.T) {
+	const edges, devices, steps, stepDur = 2, 1, 4, 3
+	edgeOf := []int{0, 1}
+	trace := &Trace{Records: []Record{
+		{Device: 0, Station: 1, Start: -10, End: -1},
+		{Device: 0, Station: 0, Start: 4, End: 12},
+	}}
+	sched, err := BuildSchedule(trace, edgeOf, edges, devices, steps, stepDur)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := trace.WriteCSV(&buf); err != nil {
+		t.Fatal(err)
+	}
+	src, err := NewTraceSource(&buf, TraceSourceConfig{
+		Edges: edges, Devices: devices, Steps: steps, StepDur: stepDur,
+		EdgeOfStation: edgeOf, Format: TraceCSV,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := walkSource(t, src)
+	for step := 0; step < 2; step++ {
+		if e := sched.EdgeOf(step, 0); e != 0 {
+			t.Errorf("BuildSchedule: step %d on edge %d, want 0", step, e)
+		}
+		if e := rows[step][0]; e != 0 {
+			t.Errorf("TraceSource: step %d on edge %d, want 0", step, e)
+		}
+	}
+}
+
 // TestTraceSourceJumpAndRewind: a forward jump folds all due records and
 // reports rebuilt; rewinding a consumed stream is an error.
 func TestTraceSourceJumpAndRewind(t *testing.T) {

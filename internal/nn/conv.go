@@ -61,11 +61,6 @@ func (c *Conv2D) Name() string { return c.name }
 // Params implements Layer.
 func (c *Conv2D) Params() []*Param { return []*Param{c.w, c.b} }
 
-// OutShape returns the per-image output shape [outC, outH, outW].
-func (c *Conv2D) OutShape() (outC, outH, outW int) {
-	return c.outC, c.geom.OutH(), c.geom.OutW()
-}
-
 // Forward implements Layer.
 //
 //machlint:allocfree

@@ -123,7 +123,7 @@ func TestSoftmaxCrossEntropyKnownValues(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		rowSum := 0.0
 		for j := 0; j < 4; j++ {
-			rowSum += grad.At(i, j)
+			rowSum += grad.Data()[i*4+j]
 		}
 		if math.Abs(rowSum) > 1e-12 {
 			t.Fatalf("grad row %d sums to %v, want 0", i, rowSum)
@@ -154,7 +154,7 @@ func TestSoftmaxRowsAreDistributions(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		sum := 0.0
 		for j := 0; j < 7; j++ {
-			v := 5 * grad.At(i, j)
+			v := 5 * grad.Data()[i*7+j]
 			if j == labels[i] {
 				v++
 			}

@@ -192,15 +192,6 @@ func NewLane32(net *Network, slots int) (*Lane32, error) {
 // Slots returns the number of device slots the lane was built with.
 func (l *Lane32) Slots() int { return l.slots }
 
-// NumParams returns the flat parameter count (same layout as Network.ParamVector).
-func (l *Lane32) NumParams() int { return l.paramLen }
-
-// SampleLen returns the per-sample input length the lane expects.
-func (l *Lane32) SampleLen() int { return l.sampleLen }
-
-// Classes returns the network's output width.
-func (l *Lane32) Classes() int { return l.classes }
-
 // LoadParams installs a flat float64 parameter vector (Network.ParamVector
 // layout) as slot's master weights and rounds the float32 compute copy.
 func (l *Lane32) LoadParams(slot int, v []float64) error {

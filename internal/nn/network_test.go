@@ -19,8 +19,8 @@ func twoBlobs(rng *rand.Rand, n int) (*tensor.Tensor, []int) {
 		if c == 1 {
 			cx = 1.5
 		}
-		x.Set(cx+rng.NormFloat64()*0.4, i, 0)
-		x.Set(rng.NormFloat64()*0.4, i, 1)
+		x.Data()[2*i] = cx + rng.NormFloat64()*0.4
+		x.Data()[2*i+1] = rng.NormFloat64() * 0.4
 		labels[i] = c
 	}
 	return x, labels

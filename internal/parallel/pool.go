@@ -19,10 +19,9 @@ import (
 // Pool is a fixed-size worker pool. Tasks submitted through a Group run on
 // one of the pool's goroutines; the pool never grows or shrinks.
 type Pool struct {
-	tasks   chan func()
-	workers int
-	wg      sync.WaitGroup
-	closed  bool
+	tasks  chan func()
+	wg     sync.WaitGroup
+	closed bool
 }
 
 // NewPool returns a pool with the given number of workers. workers <= 0
@@ -34,8 +33,7 @@ func NewPool(workers int) *Pool {
 	p := &Pool{
 		// A small buffer lets producers batch submissions without a
 		// rendezvous per task; the bound keeps memory finite.
-		tasks:   make(chan func(), 4*workers),
-		workers: workers,
+		tasks: make(chan func(), 4*workers),
 	}
 	for i := 0; i < workers; i++ {
 		p.wg.Add(1)
@@ -48,9 +46,6 @@ func NewPool(workers int) *Pool {
 	}
 	return p
 }
-
-// Workers returns the pool's worker count.
-func (p *Pool) Workers() int { return p.workers }
 
 // QueueDepth returns the number of submitted tasks not yet picked up by a
 // worker. It is an instantaneous reading of the submission buffer — a

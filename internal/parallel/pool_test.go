@@ -25,8 +25,9 @@ func TestPoolRunsAllTasks(t *testing.T) {
 func TestPoolDefaultsToGOMAXPROCS(t *testing.T) {
 	p := NewPool(0)
 	defer p.Close()
-	if p.Workers() != runtime.GOMAXPROCS(0) {
-		t.Fatalf("workers = %d, want GOMAXPROCS = %d", p.Workers(), runtime.GOMAXPROCS(0))
+	// NewPool sizes the task buffer at four slots per worker.
+	if cap(p.tasks) != 4*runtime.GOMAXPROCS(0) {
+		t.Fatalf("task buffer %d, want 4 × GOMAXPROCS = %d", cap(p.tasks), 4*runtime.GOMAXPROCS(0))
 	}
 }
 

@@ -218,29 +218,30 @@ func TestTraceEmitZeroAllocSteadyState(t *testing.T) {
 func TestSpanRecording(t *testing.T) {
 	clock := int64(1000)
 	tel := NewWithClock(func() int64 { clock += 10; return clock })
-	if tel.SpansEnabled() {
+	if tel.Spans() != nil {
 		t.Fatal("spans enabled before EnableSpans")
 	}
 	tel.EnableSpans(true)
-	if !tel.SpansEnabled() {
+	if tel.Spans() == nil {
 		t.Fatal("spans not enabled after EnableSpans(true)")
 	}
 
+	rootID := DeriveSpanID(SpanStep, 7, -1, -1)
 	root := tel.StartSpan(SpanStep, 0, 7, -1, -1)
-	if root.ID() != DeriveSpanID(SpanStep, 7, -1, -1) {
-		t.Fatalf("span ID %d != DeriveSpanID %d", root.ID(), DeriveSpanID(SpanStep, 7, -1, -1))
-	}
-	child := tel.StartSpan(SpanRPCEdgeStep, root.ID(), 7, 2, -1)
+	child := tel.StartSpan(SpanRPCEdgeStep, rootID, 7, 2, -1)
 	child.End()
 	root.End()
-	tel.RecordSpan(SpanEval, root.ID(), 7, -1, -1, 100, 250)
+	tel.RecordSpan(SpanEval, rootID, 7, -1, -1, 100, 250)
 
 	spans := tel.Spans()
 	if len(spans) != 3 {
 		t.Fatalf("Spans() returned %d records, want 3", len(spans))
 	}
-	if spans[0].Kind != "rpc_edge_step" || spans[0].Parent != uint64(root.ID()) {
-		t.Fatalf("child span = %+v, want kind rpc_edge_step with parent %d", spans[0], root.ID())
+	if spans[1].ID != uint64(rootID) {
+		t.Fatalf("root span = %+v, want ID DeriveSpanID %d", spans[1], rootID)
+	}
+	if spans[0].Kind != "rpc_edge_step" || spans[0].Parent != uint64(rootID) {
+		t.Fatalf("child span = %+v, want kind rpc_edge_step with parent %d", spans[0], rootID)
 	}
 	if spans[2].Kind != "eval" || spans[2].DurNS != 150 {
 		t.Fatalf("recorded span = %+v, want eval with dur 150", spans[2])
@@ -255,7 +256,7 @@ func TestSpanRecording(t *testing.T) {
 	}
 
 	// Same dimensions, same ID — across sinks and processes.
-	if DeriveSpanID(SpanRPCEdgeStep, 7, 2, -1) != child.ID() {
+	if uint64(DeriveSpanID(SpanRPCEdgeStep, 7, 2, -1)) != spans[0].ID {
 		t.Fatal("DeriveSpanID is not a pure function of its inputs")
 	}
 

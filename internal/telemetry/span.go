@@ -148,13 +148,8 @@ func (t *Telemetry) EnableSpans(on bool) {
 	}
 }
 
-// SpansEnabled reports whether spans are being recorded.
-func (t *Telemetry) SpansEnabled() bool {
-	return t != nil && t.spans.Load() != nil
-}
-
 // Span is an open span. The zero Span (from a nil or spans-off sink) is
-// inert: End is a no-op and ID returns 0.
+// inert: End is a no-op.
 type Span struct {
 	t      *Telemetry
 	kind   SpanKind
@@ -187,10 +182,6 @@ func (t *Telemetry) StartSpan(kind SpanKind, parent SpanID, step, edge, device i
 		start:  t.clock(),
 	}
 }
-
-// ID returns the span's deterministic ID, for propagation to child spans
-// (e.g. in RPC args). 0 when the span is inert.
-func (s Span) ID() SpanID { return s.id }
 
 // End closes the span, recording its duration into the kind's latency
 // histogram and the span ring. No-op on an inert span.

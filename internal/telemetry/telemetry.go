@@ -318,14 +318,6 @@ func (t *Telemetry) SetGauge(g Gauge, v float64) {
 	t.gauges[g].Store(math.Float64bits(v))
 }
 
-// GaugeValue returns a gauge's latest value (0 when disabled).
-func (t *Telemetry) GaugeValue(g Gauge) float64 {
-	if t == nil {
-		return 0
-	}
-	return math.Float64frombits(t.gauges[g].Load())
-}
-
 // Observe records one histogram observation.
 //
 //machlint:allocfree
@@ -363,18 +355,6 @@ func (t *Telemetry) SetShardCount(n int) {
 	t.shards.Store(&s)
 }
 
-// ShardCount returns how many per-shard metric slots are configured.
-func (t *Telemetry) ShardCount() int {
-	if t == nil {
-		return 0
-	}
-	s := t.shards.Load()
-	if s == nil {
-		return 0
-	}
-	return len(*s)
-}
-
 // ObserveShardPhase records one shard's phase duration in nanoseconds.
 //
 //machlint:allocfree
@@ -402,19 +382,6 @@ func (t *Telemetry) SetShardQueueDepth(shard int, depth int64) {
 		return
 	}
 	(*s)[shard].queueDepth.Store(depth)
-}
-
-// ShardQueueDepth returns a shard's last recorded queue depth (0 when
-// disabled or out of range).
-func (t *Telemetry) ShardQueueDepth(shard int) int64 {
-	if t == nil {
-		return 0
-	}
-	s := t.shards.Load()
-	if s == nil || shard < 0 || shard >= len(*s) {
-		return 0
-	}
-	return (*s)[shard].queueDepth.Load()
 }
 
 // HistBucket is one non-empty histogram bucket of a snapshot: Count

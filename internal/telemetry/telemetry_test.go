@@ -64,10 +64,10 @@ func TestCountersGaugesHistograms(t *testing.T) {
 	if got := tel.Count(CounterSteps); got != 3 {
 		t.Fatalf("CounterSteps = %d, want 3", got)
 	}
-	if got := tel.GaugeValue(GaugeLoss); got != 2.25 {
+	s := tel.Snapshot()
+	if got := s.Gauges["loss"]; got != 2.25 {
 		t.Fatalf("GaugeLoss = %v, want 2.25", got)
 	}
-	s := tel.Snapshot()
 	h := s.Histograms["edge_members"]
 	if h.Count != 4 || h.Sum != 14 {
 		t.Fatalf("edge_members count/sum = %d/%d, want 4/14", h.Count, h.Sum)
@@ -91,8 +91,8 @@ func TestCountersGaugesHistograms(t *testing.T) {
 // with one named section per phase.
 func TestShardMetrics(t *testing.T) {
 	tel := New()
-	if got := tel.ShardCount(); got != 0 {
-		t.Fatalf("ShardCount before SetShardCount = %d, want 0", got)
+	if got := len(tel.Snapshot().Shards); got != 0 {
+		t.Fatalf("%d shard sections before SetShardCount, want 0", got)
 	}
 	// Out-of-range and disabled writes must be silent no-ops.
 	tel.ObserveShardPhase(0, ShardPhaseDecide, 5)
@@ -108,16 +108,6 @@ func TestShardMetrics(t *testing.T) {
 	tel.SetShardQueueDepth(1, 4)
 	tel.SetShardQueueDepth(1, 2) // gauge: last value wins
 	tel.SetShardQueueDepth(3, 8) // out of range: dropped
-
-	if got := tel.ShardCount(); got != 3 {
-		t.Fatalf("ShardCount = %d, want 3", got)
-	}
-	if got := tel.ShardQueueDepth(1); got != 2 {
-		t.Fatalf("ShardQueueDepth(1) = %d, want 2", got)
-	}
-	if got := tel.ShardQueueDepth(3); got != 0 {
-		t.Fatalf("ShardQueueDepth(3) = %d, want 0 (out of range)", got)
-	}
 
 	s := tel.Snapshot()
 	if len(s.Shards) != 3 {

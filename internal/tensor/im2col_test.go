@@ -67,11 +67,11 @@ func naiveConv(x *Tensor, w *Tensor, g ConvGeom) *Tensor {
 						if iy < 0 || iy >= g.InH || ix < 0 || ix >= g.InW {
 							continue
 						}
-						s += x.At(c, iy, ix) * w.At(c, ky, kx)
+						s += x.data[(c*g.InH+iy)*g.InW+ix] * w.data[(c*g.K+ky)*g.K+kx]
 					}
 				}
 			}
-			out.Set(s, oy, ox)
+			out.data[oy*outW+ox] = s
 		}
 	}
 	return out

@@ -53,7 +53,7 @@ func TestBlockedMatMulBitIdenticalToNaive(t *testing.T) {
 			}
 		}
 		into := New(m, n)
-		into.Fill(3.14) // dirty scratch must be fully overwritten
+		fill(into, 3.14) // dirty scratch must be fully overwritten
 		MatMulInto(into, a, b)
 		for i := range want.data {
 			if into.data[i] != want.data[i] {
@@ -73,7 +73,7 @@ func TestMatMulTransIntoMatchAllocatingForms(t *testing.T) {
 		b := Randn(rng, 1, k, n)
 		wantA := matMulTransA(at, b)
 		gotA := New(m, n)
-		gotA.Fill(-1)
+		fill(gotA, -1)
 		MatMulTransAInto(gotA, at, b)
 		for i := range wantA.data {
 			if gotA.data[i] != wantA.data[i] {
@@ -86,7 +86,7 @@ func TestMatMulTransIntoMatchAllocatingForms(t *testing.T) {
 		bt := Randn(rng, 1, n, k)
 		wantB := matMulTransB(a, bt)
 		gotB := New(m, n)
-		gotB.Fill(-1)
+		fill(gotB, -1)
 		MatMulTransBInto(gotB, a, bt)
 		for i := range wantB.data {
 			if gotB.data[i] != wantB.data[i] {
@@ -119,7 +119,7 @@ func TestIm2ColColIntoReuseDirtyScratch(t *testing.T) {
 	x := Randn(rng, 1, 2, 6, 6)
 	want := im2Col(x, g)
 	dst := New(want.Dim(0), want.Dim(1))
-	dst.Fill(42)
+	fill(dst, 42)
 	Im2ColInto(dst, x, g)
 	for i := range want.data {
 		if dst.data[i] != want.data[i] {
@@ -129,7 +129,7 @@ func TestIm2ColColIntoReuseDirtyScratch(t *testing.T) {
 
 	wantImg := col2Im(want, g)
 	img := New(2, 6, 6)
-	img.Fill(-7)
+	fill(img, -7)
 	Col2ImInto(img, want, g)
 	for i := range wantImg.data {
 		if img.data[i] != wantImg.data[i] {

@@ -11,13 +11,12 @@ package tensor
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"strings"
 )
 
 // Tensor is a dense, row-major float64 tensor. The zero value is not usable;
-// construct tensors with New, FromSlice, Full, or Randn.
+// construct tensors with New, FromSlice, Windows or Randn.
 type Tensor struct {
 	shape []int
 	data  []float64
@@ -116,26 +115,6 @@ func (t *Tensor) Reshape(shape ...int) *Tensor {
 	return &Tensor{shape: append([]int(nil), shape...), data: t.data}
 }
 
-// At returns the element at the given multi-index.
-func (t *Tensor) At(idx ...int) float64 { return t.data[t.offset(idx)] }
-
-// Set assigns v to the element at the given multi-index.
-func (t *Tensor) Set(v float64, idx ...int) { t.data[t.offset(idx)] = v }
-
-func (t *Tensor) offset(idx []int) int {
-	if len(idx) != len(t.shape) {
-		panic(fmt.Sprintf("tensor: index %v has wrong rank for shape %v", idx, t.shape))
-	}
-	off := 0
-	for i, x := range idx {
-		if x < 0 || x >= t.shape[i] {
-			panic(fmt.Sprintf("tensor: index %v out of range for shape %v", idx, t.shape))
-		}
-		off = off*t.shape[i] + x
-	}
-	return off
-}
-
 // SameShape reports whether t and u have identical shapes.
 func (t *Tensor) SameShape(u *Tensor) bool {
 	if len(t.shape) != len(u.shape) {
@@ -162,32 +141,6 @@ func (t *Tensor) AddInPlace(u *Tensor) *Tensor {
 	return t
 }
 
-// SubInPlace subtracts u from t element-wise, returning t.
-func (t *Tensor) SubInPlace(u *Tensor) *Tensor {
-	t.mustSameShape(u, "SubInPlace")
-	for i := range t.data {
-		t.data[i] -= u.data[i]
-	}
-	return t
-}
-
-// MulInPlace multiplies t by u element-wise (Hadamard product), returning t.
-func (t *Tensor) MulInPlace(u *Tensor) *Tensor {
-	t.mustSameShape(u, "MulInPlace")
-	for i := range t.data {
-		t.data[i] *= u.data[i]
-	}
-	return t
-}
-
-// ScaleInPlace multiplies every element of t by s, returning t.
-func (t *Tensor) ScaleInPlace(s float64) *Tensor {
-	for i := range t.data {
-		t.data[i] *= s
-	}
-	return t
-}
-
 // AxpyInPlace computes t += a*u element-wise, returning t.
 func (t *Tensor) AxpyInPlace(a float64, u *Tensor) *Tensor {
 	t.mustSameShape(u, "AxpyInPlace")
@@ -200,53 +153,6 @@ func (t *Tensor) Zero() {
 	for i := range t.data {
 		t.data[i] = 0
 	}
-}
-
-// Fill sets every element of t to v.
-func (t *Tensor) Fill(v float64) {
-	for i := range t.data {
-		t.data[i] = v
-	}
-}
-
-// Apply replaces each element x with f(x), returning t.
-func (t *Tensor) Apply(f func(float64) float64) *Tensor {
-	for i := range t.data {
-		t.data[i] = f(t.data[i])
-	}
-	return t
-}
-
-// Sum returns the sum of all elements.
-func (t *Tensor) Sum() float64 {
-	s := 0.0
-	for _, v := range t.data {
-		s += v
-	}
-	return s
-}
-
-// Mean returns the arithmetic mean of all elements.
-func (t *Tensor) Mean() float64 { return t.Sum() / float64(len(t.data)) }
-
-// Max returns the maximum element.
-func (t *Tensor) Max() float64 {
-	m := math.Inf(-1)
-	for _, v := range t.data {
-		if v > m {
-			m = v
-		}
-	}
-	return m
-}
-
-// Norm2 returns the Euclidean (L2) norm of the flattened tensor.
-func (t *Tensor) Norm2() float64 {
-	s := 0.0
-	for _, v := range t.data {
-		s += v * v
-	}
-	return math.Sqrt(s)
 }
 
 // SquaredNorm returns the squared Euclidean norm of the flattened tensor.

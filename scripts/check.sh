@@ -1,8 +1,9 @@
 #!/usr/bin/env sh
-# check.sh — the repo's tier-1+ gate: gofmt, vet, build, machlint, the full test
-# suite (default, -tags purego on the kernel packages, and -race over
-# ./...), the codec fuzz and bench smokes, the observability smoke and the
-# distributed smoke. Run via `make check` or directly. Every PR must pass.
+# check.sh — the repo's tier-1+ gate: gofmt, vet, the asm and line budgets,
+# build, machlint, the full test suite (default, -tags purego on the kernel
+# packages, and -race over ./...), the codec fuzz and bench smokes, the
+# observability smoke and the distributed smoke. Run via `make check` or
+# directly. Every PR must pass.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -21,6 +22,13 @@ asm_budget=1846
 echo "== asm budget (internal/tensor/kernels_amd64.s ≤ $asm_budget lines)"
 asm_lines=$(wc -l <internal/tensor/kernels_amd64.s)
 [ "$asm_lines" -le "$asm_budget" ] || { echo "check: kernels_amd64.s has $asm_lines lines, over its budget of $asm_budget" >&2; exit 1; }
+
+# So does the tree: a change that grows the scripts/loc.sh total past the
+# budget raises it and states what the lines bought.
+loc_budget=23659
+echo "== line budget (scripts/loc.sh total ≤ $loc_budget non-test lines)"
+loc_total=$(./scripts/loc.sh | awk '$1 == "total" { print $2 }')
+[ "$loc_total" -le "$loc_budget" ] || { echo "check: the tree has $loc_total non-test lines, over its budget of $loc_budget" >&2; exit 1; }
 
 echo "== go build ./..."
 go build ./...
