@@ -92,6 +92,72 @@ func TestEdgeProbabilitiesAggregateStations(t *testing.T) {
 	}
 }
 
+// TestEdgeProbabilitiesSumToOne: on a random chain clustered onto fewer
+// edges, every station's edge law sums to one at every horizon, so summing it
+// over a device population gives E[|M^t_n|] totalling the population size.
+func TestEdgeProbabilitiesSumToOne(t *testing.T) {
+	const stations, edges = 6, 3
+	rng := rand.New(rand.NewSource(9))
+	chain := make([][]float64, stations)
+	for i := range chain {
+		chain[i] = make([]float64, stations)
+		total := 0.0
+		for j := range chain[i] {
+			chain[i][j] = rng.Float64()
+			total += chain[i][j]
+		}
+		for j := range chain[i] {
+			chain[i][j] /= total
+		}
+	}
+	p, err := NewPredictor(chain, []int{0, 0, 1, 1, 2, 2}, edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	current := []int{0, 0, 1, 3, 4, 5, 5, 5}
+	for _, horizon := range []int{0, 1, 4, 30} {
+		members := make([]float64, edges)
+		for _, st := range current {
+			probs, err := p.EdgeProbabilities(st, horizon)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum := 0.0
+			for n, q := range probs {
+				if q < 0 {
+					t.Fatalf("horizon %d station %d edge %d probability %v", horizon, st, n, q)
+				}
+				sum += q
+				members[n] += q
+			}
+			if math.Abs(sum-1) > 1e-12 {
+				t.Fatalf("horizon %d station %d edge law sums to %v", horizon, st, sum)
+			}
+		}
+		if total := members[0] + members[1] + members[2]; math.Abs(total-float64(len(current))) > 1e-9 {
+			t.Fatalf("horizon %d expected members sum %v, want %d", horizon, total, len(current))
+		}
+	}
+}
+
+// TestEdgeProbabilitiesErrors: the station and horizon checks of
+// StationDistribution reach EdgeProbabilities' callers.
+func TestEdgeProbabilitiesErrors(t *testing.T) {
+	p, err := NewPredictor(twoStationChain(), []int{0, 1}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.EdgeProbabilities(2, 1); err == nil {
+		t.Fatal("expected station range error")
+	}
+	if _, err := p.EdgeProbabilities(-1, 1); err == nil {
+		t.Fatal("expected negative station error")
+	}
+	if _, err := p.EdgeProbabilities(0, -1); err == nil {
+		t.Fatal("expected horizon error")
+	}
+}
+
 // TestPredictorUniformChain: the all-uniform chain (what a fit that saw no
 // departures yields) keeps the predictor exactly uniform at every horizon
 // instead of degenerating or erroring.

@@ -48,6 +48,9 @@ func TestInvalidShapePanics(t *testing.T) {
 		{"negative dim", func() { New(-1) }},
 		{"from slice mismatch", func() { FromSlice([]float64{1, 2}, 3) }},
 		{"reshape mismatch", func() { New(4).Reshape(5) }},
+		{"add shape mismatch", func() { New(2, 2).AddInPlace(New(4)) }},
+		{"axpy shape mismatch", func() { New(3).AxpyInPlace(1, New(2)) }},
+		{"windows short data", func() { Windows([]float64{1, 2}, 3) }},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -258,6 +261,24 @@ func TestMatMulDistributiveProperty(t *testing.T) {
 			}
 		}
 		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Property: the squared norm is homogeneous of degree two,
+// ‖s·x‖² = s²·‖x‖², with s·x built by AxpyInPlace onto a zero tensor.
+func TestSquaredNormHomogeneityProperty(t *testing.T) {
+	f := func(seed int64, s float64) bool {
+		if math.IsNaN(s) || math.IsInf(s, 0) || math.Abs(s) > 1e6 {
+			return true // skip pathological scales
+		}
+		rng := rand.New(rand.NewSource(seed))
+		x := Randn(rng, 1, 3, 3)
+		want := s * s * x.SquaredNorm()
+		got := New(3, 3).AxpyInPlace(s, x).SquaredNorm()
+		return almostEqual(got, want, 1e-9*(1+want))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
