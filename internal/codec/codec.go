@@ -133,6 +133,13 @@ type Blob struct {
 // the residual before quantizing and overwrites it with the new quantization
 // error; lossless schemes leave it untouched.
 func Encode(scheme Scheme, params, baseline []float64, baseID uint64, ef []float64) (Blob, error) {
+	return AppendEncode(nil, scheme, params, baseline, baseID, ef)
+}
+
+// AppendEncode is Encode with the payload appended to dst: the blob's Data is
+// dst followed by the payload, in dst's array when its capacity suffices, so
+// a sender that passes a reused buffer's [:0] encodes without allocating.
+func AppendEncode(dst []byte, scheme Scheme, params, baseline []float64, baseID uint64, ef []float64) (Blob, error) {
 	if err := scheme.Validate(); err != nil {
 		return Blob{}, err
 	}
@@ -148,9 +155,10 @@ func Encode(scheme Scheme, params, baseline []float64, baseID uint64, ef []float
 	n := len(params)
 	switch scheme {
 	case SchemeRaw:
-		data := make([]byte, 8*n)
+		at := len(dst)
+		data := append(dst, make([]byte, 8*n)...)
 		for i, p := range params {
-			binary.LittleEndian.PutUint64(data[8*i:], math.Float64bits(p))
+			binary.LittleEndian.PutUint64(data[at+8*i:], math.Float64bits(p))
 		}
 		return Blob{Scheme: SchemeRaw, Count: n, Data: data}, nil
 
@@ -165,7 +173,7 @@ func Encode(scheme Scheme, params, baseline []float64, baseID uint64, ef []float
 			}
 			s.words[i] = u
 		}
-		return s.pack(SchemeDelta, baseID, nil, 8), nil
+		return s.pack(dst, SchemeDelta, baseID, nil, 8), nil
 
 	case SchemeFloat32:
 		s := scratchPool.Get().(*scratch)
@@ -178,16 +186,25 @@ func Encode(scheme Scheme, params, baseline []float64, baseID uint64, ef []float
 			}
 			s.words[i] = uint64(u)
 		}
-		return s.pack(SchemeFloat32, baseID, nil, 4), nil
+		return s.pack(dst, SchemeFloat32, baseID, nil, 4), nil
 
 	default: // SchemeInt8
-		return encodeInt8(params, baseline, baseID, ef)
+		return encodeInt8(dst, params, baseline, baseID, ef)
 	}
 }
 
 // Decode unpacks a Blob. baseline must be the vector named by b.Baseline
 // (nil when b.Baseline == 0); passing a mismatched pair is an error.
 func Decode(b Blob, baseline []float64) ([]float64, error) {
+	return DecodeInto(nil, b, baseline)
+}
+
+// DecodeInto is Decode into dst, grown as needed: a receiver that passes a
+// reused vector decodes without allocating. dst must not share memory with
+// baseline.
+//
+//machlint:noalias dst,baseline
+func DecodeInto(dst []float64, b Blob, baseline []float64) ([]float64, error) {
 	if err := b.Scheme.Validate(); err != nil {
 		return nil, err
 	}
@@ -207,7 +224,7 @@ func Decode(b Blob, baseline []float64) ([]float64, error) {
 		if len(b.Data) != 8*n {
 			return nil, fmt.Errorf("codec: raw blob has %d bytes for %d params", len(b.Data), n)
 		}
-		out := make([]float64, n)
+		out := grow(dst, n)
 		for i := range out {
 			out[i] = math.Float64frombits(binary.LittleEndian.Uint64(b.Data[8*i:]))
 		}
@@ -219,7 +236,7 @@ func Decode(b Blob, baseline []float64) ([]float64, error) {
 		if err := s.unpack(b.Data, 8, n); err != nil {
 			return nil, err
 		}
-		out := make([]float64, n)
+		out := grow(dst, n)
 		s.join(out, baseline)
 		return out, nil
 
@@ -229,7 +246,7 @@ func Decode(b Blob, baseline []float64) ([]float64, error) {
 		if err := s.unpack(b.Data, 4, n); err != nil {
 			return nil, err
 		}
-		out := make([]float64, n)
+		out := grow(dst, n)
 		for i := range out {
 			u := s.word32(i)
 			if baseline != nil {
@@ -240,7 +257,7 @@ func Decode(b Blob, baseline []float64) ([]float64, error) {
 		return out, nil
 
 	default: // SchemeInt8
-		return decodeInt8(b, baseline)
+		return decodeInt8(dst, b, baseline)
 	}
 }
 
@@ -249,7 +266,7 @@ func Decode(b Blob, baseline []float64) ([]float64, error) {
 // payload is a verbatim 16-byte header storing the range, then the quantized
 // bytes as one packed plane; the quantization error of each parameter lands
 // in ef for the stream's next encode.
-func encodeInt8(params, baseline []float64, baseID uint64, ef []float64) (Blob, error) {
+func encodeInt8(dst []byte, params, baseline []float64, baseID uint64, ef []float64) (Blob, error) {
 	n := len(params)
 	res := make([]float64, n)
 	lo, hi := math.Inf(1), math.Inf(-1)
@@ -301,13 +318,13 @@ func encodeInt8(params, baseline []float64, baseID uint64, ef []float64) (Blob, 
 			ef[i] = r - dq
 		}
 	}
-	return s.pack(SchemeInt8, baseID, header[:], 1), nil
+	return s.pack(dst, SchemeInt8, baseID, header[:], 1), nil
 }
 
 // decodeInt8 inverts encodeInt8. A range header the encoder never writes —
 // an end that is not finite, or lo > hi — is refused before any scratch is
 // touched.
-func decodeInt8(b Blob, baseline []float64) ([]float64, error) {
+func decodeInt8(dst []float64, b Blob, baseline []float64) ([]float64, error) {
 	if len(b.Data) < 16 {
 		return nil, fmt.Errorf("codec: int8 blob has %d bytes, want a 16-byte range header", len(b.Data))
 	}
@@ -322,7 +339,7 @@ func decodeInt8(b Blob, baseline []float64) ([]float64, error) {
 		return nil, err
 	}
 	span := hi - lo
-	out := make([]float64, b.Count)
+	out := grow(dst, b.Count)
 	for i := range out {
 		v := lo
 		if span > 0 {

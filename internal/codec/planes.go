@@ -50,9 +50,10 @@ func grow[T any](b []T, n int) []T {
 // entropy is no lower, and that is the bound at which the flate writer this
 // stage once ran gave up and stored. Every other plane is priced exactly
 // under its Huffman code, and is stored when the code does not shrink it.
+// The blob's Data is the payload appended to dst.
 //
 //machlint:allocfree
-func (s *scratch) pack(scheme Scheme, baseID uint64, header []byte, width int) Blob {
+func (s *scratch) pack(dst []byte, scheme Scheme, baseID uint64, header []byte, width int) Blob {
 	n := len(s.words)
 	if n == 0 {
 		width = 0
@@ -86,7 +87,7 @@ func (s *scratch) pack(scheme Scheme, baseID uint64, header []byte, width int) B
 		}
 		s.out = append(append(s.out, modeStored), plane...)
 	}
-	return Blob{Scheme: scheme, Baseline: baseID, Count: n, Data: append([]byte(nil), s.out...)}
+	return Blob{Scheme: scheme, Baseline: baseID, Count: n, Data: append(dst, s.out...)}
 }
 
 // cut transposes s.words into s.planes, plane p at [p·n, (p+1)·n), and counts

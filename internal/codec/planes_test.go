@@ -157,7 +157,7 @@ func TestPlaneModeRule(t *testing.T) {
 			s.words[i] = uint64(c.byteAt(i))
 		}
 		want := append([]uint64(nil), s.words...)
-		data := s.pack(SchemeInt8, 0, nil, 1).Data
+		data := s.pack(nil, SchemeInt8, 0, nil, 1).Data
 		if data[0] != c.mode || len(data) > c.maxSize {
 			t.Fatalf("%s: mode %d in %d bytes, want mode %d in at most %d", c.name, data[0], len(data), c.mode, c.maxSize)
 		}
@@ -340,6 +340,69 @@ func TestDecodeSteadyStateAllocs(t *testing.T) {
 			})
 			if allocs > 1 {
 				t.Errorf("%v/%s: %.0f allocs per Decode, want 1", scheme, tr.class, allocs)
+			}
+		}
+	}
+}
+
+// TestIntoFormsReuseTheirDestination: AppendEncode appends Encode's payload to
+// its destination, in place when the capacity suffices, and DecodeInto
+// writes Decode's vector into its destination; with reused destinations
+// neither allocates beyond int8's residual vector.
+func TestIntoFormsReuseTheirDestination(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	for _, tr := range vectorClasses(rng, 8554)[:4] {
+		var id uint64
+		if tr.baseline != nil {
+			id = 1
+		}
+		for _, scheme := range Schemes() {
+			base, bid := tr.baseline, id
+			if scheme == SchemeRaw {
+				base, bid = nil, 0
+			}
+			label := fmt.Sprintf("%v/%s", scheme, tr.class)
+			want, err := Encode(scheme, tr.params, base, bid, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			buf := append(make([]byte, 0, 3+len(want.Data)), "hdr"...)
+			got, err := AppendEncode(buf, scheme, tr.params, base, bid, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(got.Data[:3]) != "hdr" || string(got.Data[3:]) != string(want.Data) || &got.Data[0] != &buf[:1][0] {
+				t.Fatalf("%s: AppendEncode did not append Encode's payload in place", label)
+			}
+			vec, err := Decode(want, base)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dst := make([]float64, len(vec))
+			into, err := DecodeInto(dst[:0], want, base)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bitsEqual(t, into, vec, label+" DecodeInto")
+			if &into[0] != &dst[0] {
+				t.Fatalf("%s: DecodeInto did not decode in place", label)
+			}
+			if raceEnabled() {
+				continue // sync.Pool sheds pooled scratch at random under the race detector
+			}
+			limit := 0.0
+			if scheme == SchemeInt8 {
+				limit = 1 // the residual vector
+			}
+			if allocs := testing.AllocsPerRun(20, func() {
+				if _, err := AppendEncode(buf[:0], scheme, tr.params, base, bid, nil); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := DecodeInto(dst, want, base); err != nil {
+					t.Fatal(err)
+				}
+			}); allocs > limit {
+				t.Errorf("%s: %.0f allocs per AppendEncode + DecodeInto, want at most %.0f", label, allocs, limit)
 			}
 		}
 	}

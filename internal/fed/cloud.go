@@ -154,7 +154,7 @@ func (c *Cloud) CommStats() (hfl.CommStats, error) {
 	}
 	for n, cl := range c.edges {
 		var rep CommReply
-		if err := cl.Call("Edge.Comm", CommArgs{}, &rep); err != nil {
+		if err := cl.Call("Edge.Comm", &CommArgs{}, &rep); err != nil {
 			return hfl.CommStats{}, fmt.Errorf("fed: comm stats from edge %d: %w", n, err)
 		}
 		stats.DeviceUplinkBytes += rep.UplinkBytes
@@ -215,7 +215,7 @@ func (c *Cloud) Run() (*metrics.History, error) {
 				var rep EdgeStepReply
 				c.tel.Add(telemetry.CounterRPCCalls, 1)
 				sp := c.tel.StartSpan(telemetry.SpanRPCEdgeStep, stepSpan, t, n, -1)
-				err := c.edges[n].Call("Edge.Step", args, &rep)
+				err := c.edges[n].Call("Edge.Step", &args, &rep)
 				sp.End()
 				switch {
 				case err != nil || !cloudRound:
@@ -246,7 +246,7 @@ func (c *Cloud) Run() (*metrics.History, error) {
 					Span: SpanContext{Parent: uint64(telemetry.DeriveSpanID(telemetry.SpanRPCCloudRound, t, -1, i))},
 				}
 				sp := c.tel.StartSpan(telemetry.SpanRPCCloudRound, stepSpan, t, -1, i)
-				err := host.Call("Device.CloudRound", crArgs, &rep)
+				err := host.Call("Device.CloudRound", &crArgs, &rep)
 				sp.End()
 				if err != nil {
 					return nil, fmt.Errorf("fed: cloud round on host %d: %w", i, err)

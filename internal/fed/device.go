@@ -13,7 +13,6 @@ import (
 	"github.com/mach-fl/mach/internal/hfl"
 	"github.com/mach-fl/mach/internal/sampling"
 	"github.com/mach-fl/mach/internal/telemetry"
-	"github.com/mach-fl/mach/internal/tensor"
 )
 
 // DeviceServer hosts a set of logical mobile devices: their datasets,
@@ -114,16 +113,6 @@ func (s *DeviceServer) Close() error {
 		return nil
 	}
 	return s.listener.Close()
-}
-
-func acceptLoop(srv *rpc.Server, ln net.Listener) {
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			return // listener closed
-		}
-		go srv.ServeConn(conn)
-	}
 }
 
 // Ping implements the liveness RPC.
@@ -233,9 +222,11 @@ func (s *DeviceServer) TrainMany(args TrainManyArgs, reply *TrainManyReply) erro
 	}
 	tr := s.trainers.Borrow(hyper.BatchSize)
 	defer s.trainers.Release(tr)
+	acc := sumPool.Get().(*[]float64)
+	defer sumPool.Put(acc)
+	*acc = zeroed(*acc, len(base))
+	sum := *acc
 	epochs := hyper.LocalEpochs
-	sum := make([]float64, len(base))
-	var trained []float64 // the RPC's one read-out buffer, reused per device
 	norms := make([]float64, len(args.Devices)*epochs)
 	reply.SqNorms = make([][]float64, len(args.Devices))
 	for i, id := range args.Devices {
@@ -246,8 +237,7 @@ func (s *DeviceServer) TrainMany(args TrainManyArgs, reply *TrainManyReply) erro
 		if err := tr.LocalUpdate(base, dev.data, dev.rng, hyper.LearningRate, reply.SqNorms[i]); err != nil {
 			return fmt.Errorf("fed: device %d: %w", id, err)
 		}
-		trained = tr.ParamsInto(trained)
-		tensor.AxpyDiff(sum, 1, trained, base) // sum += trained − base, exactly
+		tr.AddUpdateTo(sum, base) // sum += trained − base, exactly
 	}
 	s.tel.Add(telemetry.CounterDevicesTrained, int64(len(args.Devices)))
 	// The RPC's experiences go in under one book lock (Algorithm 2, line 1);
@@ -274,14 +264,18 @@ func (s *DeviceServer) TrainMany(args TrainManyArgs, reply *TrainManyReply) erro
 		}
 		s.mu.Unlock()
 	}
-	blob, err := codec.Encode(args.Scheme, sum, nil, 0, ef)
+	buf := blobPool.Get().(*[]byte)
+	blob, err := codec.AppendEncode((*buf)[:0], args.Scheme, sum, nil, 0, ef)
 	if err != nil {
+		blobPool.Put(buf)
 		return err
 	}
-	reply.Sum = blob
-	reply.HasSum = true
+	reply.Sum, reply.HasSum, reply.pooled = blob, true, true
 	return nil
 }
+
+// sumPool holds TrainMany's update-sum vectors, one per call in flight.
+var sumPool = sync.Pool{New: func() any { return new([]float64) }}
 
 // checkDevices fails a TrainMany call that names a device this host does not
 // hold, or one device twice, before anything trains: a repeat would train

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net"
 	"net/rpc"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -34,18 +35,25 @@ type EdgeServer struct {
 	seed     int64
 	resolver Resolver
 
+	// step serializes Step: the edge runs one time step at a time, and what
+	// only Step touches — installed and the step buffers below — is its own.
+	step      sync.Mutex
+	installed map[string]uint64 // host address → base ID it has cached
+	replies   []TrainManyReply  // per sampled host; their blobs' capacity is reused
+	sum       []float64         // Σ over hosts of the update sums
+	hostSum   []float64         // one host's decoded update sum
+
 	mu     sync.Mutex
 	params []float64
 	// stale marks that the authoritative base bits live on staleAddr (the
 	// host advanced the base in place) rather than in params.
 	stale     bool
 	staleAddr string
-	baseID    uint64            // ID of the current base model
-	lastID    uint64            // monotonic baseline-ID allocator
-	installed map[string]uint64 // host address → base ID it has cached
-	cloudView []float64         // last global model decoded from the cloud
-	cloudID   uint64            // its baseline ID (EdgeStepArgs.ModelID)
-	efReply   []float64         // error feedback for lossy cloud-reply encodes
+	baseID    uint64    // ID of the current base model
+	lastID    uint64    // monotonic baseline-ID allocator
+	cloudView []float64 // last global model decoded from the cloud
+	cloudID   uint64    // its baseline ID (EdgeStepArgs.ModelID)
+	efReply   []float64 // error feedback for lossy cloud-reply encodes
 
 	clients  map[string]*rpc.Client
 	listener net.Listener
@@ -206,7 +214,10 @@ func (e *EdgeServer) stepSpanID(step int) telemetry.SpanID {
 }
 
 // Step implements the edge's share of Algorithm 1 for one time step.
+// Overlapping calls (a retrying or hostile cloud) run one after the other.
 func (e *EdgeServer) Step(args EdgeStepArgs, reply *EdgeStepReply) error {
+	e.step.Lock()
+	defer e.step.Unlock()
 	e.tel.Add(telemetry.CounterRPCCalls, 1)
 	stepStart := e.tel.Now()
 	sp := e.tel.StartSpan(telemetry.SpanHandleEdgeStep, telemetry.SpanID(args.Span.Parent), args.Step, e.id, -1)
@@ -350,7 +361,7 @@ func (e *EdgeServer) ensureParams(step int) error {
 	e.mu.Unlock()
 	var rep GetBaseReply
 	if err := e.callHost(step, telemetry.SpanRPCGetBase, -1, addr, func(_ int, c *rpc.Client, span SpanContext) error {
-		return c.Call("Device.GetBase", GetBaseArgs{Edge: e.id, ID: id, Span: span}, &rep)
+		return c.Call("Device.GetBase", &GetBaseArgs{Edge: e.id, ID: id, Span: span}, &rep)
 	}); err != nil {
 		return fmt.Errorf("fed: edge %d fetch base %d from %s: %w", e.id, id, addr, err)
 	}
@@ -411,7 +422,7 @@ func (e *EdgeServer) fanOut(step int, kind telemetry.SpanKind, addrs []string, c
 func (e *EdgeServer) fetchEstimates(step int, members []int, groups map[string][]int, addrs []string) ([]float64, error) {
 	replies := make([]EstimateReply, len(addrs))
 	errs := e.fanOut(step, telemetry.SpanRPCEstimate, addrs, func(i int, c *rpc.Client, span SpanContext) error {
-		return c.Call("Device.Estimate", EstimateArgs{Step: step, Devices: groups[addrs[i]], Span: span}, &replies[i])
+		return c.Call("Device.Estimate", &EstimateArgs{Step: step, Devices: groups[addrs[i]], Span: span}, &replies[i])
 	})
 	estimate := make(map[int]float64, len(members))
 	for i, addr := range addrs {
@@ -466,10 +477,12 @@ func (e *EdgeServer) train(args EdgeStepArgs, totalSampled int, sampledAddrs []s
 	} else if err := e.ensureParams(args.Step); err != nil {
 		return err
 	}
-	replies := make([]TrainManyReply, len(sampledAddrs))
+	if len(e.replies) < len(sampledAddrs) {
+		e.replies = append(e.replies, make([]TrainManyReply, len(sampledAddrs)-len(e.replies))...)
+	}
+	replies := e.replies[:len(sampledAddrs)]
 	trainMany := func(i int, c *rpc.Client, span SpanContext) error {
-		replies[i] = TrainManyReply{}
-		return c.Call("Device.TrainMany", TrainManyArgs{
+		return c.Call("Device.TrainMany", &TrainManyArgs{
 			Step:    args.Step,
 			Edge:    e.id,
 			Devices: sampledGroups[sampledAddrs[i]],
@@ -512,7 +525,7 @@ func (e *EdgeServer) train(args EdgeStepArgs, totalSampled int, sampledAddrs []s
 	e.mu.Lock()
 	base := e.params
 	e.mu.Unlock()
-	sum := make([]float64, len(base))
+	e.sum = zeroed(e.sum, len(base))
 	for i, addr := range sampledAddrs {
 		if !replies[i].HasSum {
 			return fmt.Errorf("fed: edge %d: host %s returned no update sum", e.id, addr)
@@ -521,14 +534,15 @@ func (e *EdgeServer) train(args EdgeStepArgs, totalSampled int, sampledAddrs []s
 			return fmt.Errorf("fed: edge %d: host %s summed %d params, want %d",
 				e.id, addr, replies[i].Sum.Count, len(base))
 		}
-		hostSum, err := codec.Decode(replies[i].Sum, nil)
+		hostSum, err := codec.DecodeInto(e.hostSum, replies[i].Sum, nil)
 		if err != nil {
 			return fmt.Errorf("fed: edge %d decode sum from %s: %w", e.id, addr, err)
 		}
+		e.hostSum = hostSum
 		e.uploads.Add(1)
-		tensor.Add(sum, hostSum)
+		tensor.Add(e.sum, hostSum)
 	}
-	next := nextBase(base, sum, totalSampled)
+	next := nextBase(base, e.sum, totalSampled)
 	e.mu.Lock()
 	e.params = next
 	e.lastID++
@@ -547,6 +561,14 @@ func nextBase(base, sum []float64, n int) []float64 {
 	return next
 }
 
+// zeroed returns buf resized to n zeros, reallocating only when it is too
+// small.
+func zeroed(buf []float64, n int) []float64 {
+	buf = slices.Grow(buf[:0], n)[:n]
+	clear(buf)
+	return buf
+}
+
 // setBaseOn installs the edge's current base model on the given hosts: the
 // base is encoded once and the per-host Device.SetBase RPCs run concurrently,
 // errors surfacing in addrs order. A host that lost its cache (restart)
@@ -562,12 +584,15 @@ func (e *EdgeServer) setBaseOn(step int, addrs []string, scheme codec.Scheme, id
 	e.mu.Lock()
 	params := e.params
 	e.mu.Unlock()
-	blob, err := codec.Encode(scheme, params, nil, 0, nil)
+	buf := blobPool.Get().(*[]byte)
+	defer blobPool.Put(buf)
+	blob, err := codec.AppendEncode((*buf)[:0], scheme, params, nil, 0, nil)
 	if err != nil {
 		return fmt.Errorf("fed: edge %d encode base: %w", e.id, err)
 	}
+	*buf = blob.Data // every Call below has returned before the deferred Put
 	errs := e.fanOut(step, telemetry.SpanRPCSetBase, addrs, func(_ int, c *rpc.Client, span SpanContext) error {
-		return c.Call("Device.SetBase", SetBaseArgs{Edge: e.id, ID: id, Model: blob, Span: span}, &SetBaseReply{})
+		return c.Call("Device.SetBase", &SetBaseArgs{Edge: e.id, ID: id, Model: blob, Span: span}, &SetBaseReply{})
 	})
 	var firstErr error
 	for i, addr := range addrs {

@@ -425,6 +425,51 @@ func TestEdgeStepEmptyMembersKeepsModel(t *testing.T) {
 	}
 }
 
+// TestConcurrentEdgeStepsSerialize: overlapping Step calls on one edge — a
+// retrying or hostile cloud — run one after the other. Each call installs a
+// global and trains on two hosts, so every one reads and writes the edge's
+// per-host install table; unserialized, -race reports the overlap and a
+// concurrent map write can kill the edge process.
+func TestConcurrentEdgeStepsSerialize(t *testing.T) {
+	const devices, callers, rounds = 8, 4, 3
+	w := buildWorld(t, devices, 1, 1)
+	d := deployWorld(t, w, 2, CloudConfig{Steps: 1, CloudInterval: 1, Participation: 1, Seed: runSeed})
+	defer d.close()
+	proto, err := testArch(rand.New(rand.NewSource(runSeed)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	global, err := codec.Encode(codec.SchemeDelta, proto.ParamVector(), nil, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	members := []int{0, 1, 2, 3, 4, 5, 6, 7}
+	errs := make([]error, callers)
+	var wg sync.WaitGroup
+	for g := range errs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < rounds && errs[g] == nil; r++ {
+				var rep EdgeStepReply
+				errs[g] = d.edges[0].Step(EdgeStepArgs{
+					Step: r*callers + g, Members: members, Capacity: devices,
+					Model: global, ModelID: uint64(g + 1), HasModel: true,
+				}, &rep)
+				if errs[g] == nil && rep.Sampled == 0 {
+					errs[g] = fmt.Errorf("step %d sampled no device", r*callers+g)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for g, err := range errs {
+		if err != nil {
+			t.Fatalf("caller %d: %v", g, err)
+		}
+	}
+}
+
 func TestNewCloudValidation(t *testing.T) {
 	task, err := dataset.NewTask(dataset.MNISTLike(4, 4))
 	if err != nil {
@@ -654,9 +699,10 @@ func TestLossySchemesStillLearn(t *testing.T) {
 }
 
 // TestTrainManyUnknownBaselineOverRPC checks the baseline-cache handshake
-// where it matters: across net/rpc, which flattens errors to strings. A
-// TrainMany naming a base the host never saw must come back recognizable to
-// isUnknownBaseline, and succeed after SetBase installs that base.
+// where it matters: across net/rpc, which flattens errors to strings, over
+// fed's frame codec and over a stock gob client. A TrainMany naming a base
+// the host never saw must come back recognizable to isUnknownBaseline, and
+// succeed after SetBase installs that base.
 func TestTrainManyUnknownBaselineOverRPC(t *testing.T) {
 	task, err := dataset.NewTask(dataset.MNISTLike(4, 4))
 	if err != nil {
@@ -666,34 +712,6 @@ func TestTrainManyUnknownBaselineOverRPC(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := NewDeviceServer(testArch, map[int]*dataset.Dataset{0: data}, sampling.DefaultMACHConfig(), 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr, err := srv.Serve("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	client, err := rpc.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
-
-	args := TrainManyArgs{
-		Edge: 0, Devices: []int{0}, BaseID: 77, Scheme: codec.SchemeDelta,
-		Hyper: Hyper{LocalEpochs: 1, BatchSize: 4, LearningRate: 0.05},
-	}
-	var rep TrainManyReply
-	err = client.Call("Device.TrainMany", args, &rep)
-	if err == nil {
-		t.Fatal("expected unknown-baseline error")
-	}
-	if !isUnknownBaseline(err) {
-		t.Fatalf("error %v not recognized as unknown baseline across RPC", err)
-	}
-
 	base, err := testArch(rand.New(rand.NewSource(2)))
 	if err != nil {
 		t.Fatal(err)
@@ -703,26 +721,66 @@ func TestTrainManyUnknownBaselineOverRPC(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var sbRep SetBaseReply
-	if err := client.Call("Device.SetBase", SetBaseArgs{Edge: 0, ID: 77, Model: blob}, &sbRep); err != nil {
-		t.Fatal(err)
-	}
-	rep = TrainManyReply{}
-	if err := client.Call("Device.TrainMany", args, &rep); err != nil {
-		t.Fatal(err)
-	}
-	if !rep.HasSum {
-		t.Fatal("TrainMany returned no update sum")
-	}
-	sum, err := codec.Decode(rep.Sum, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sum) != len(params) {
-		t.Fatalf("update sum has %d params, want %d", len(sum), len(params))
-	}
-	if len(rep.SqNorms) != 1 || len(rep.SqNorms[0]) != 1 {
-		t.Fatalf("sqNorms %v", rep.SqNorms)
+	for _, c := range []struct {
+		name string
+		dial func(addr string) (*rpc.Client, error)
+	}{
+		{"framed", func(addr string) (*rpc.Client, error) {
+			return dialCounting(addr, new(atomic.Int64), new(atomic.Int64))
+		}},
+		{"gob", func(addr string) (*rpc.Client, error) { return rpc.Dial("tcp", addr) }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			srv, err := NewDeviceServer(testArch, map[int]*dataset.Dataset{0: data}, sampling.DefaultMACHConfig(), 9)
+			if err != nil {
+				t.Fatal(err)
+			}
+			addr, err := srv.Serve("127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Close()
+			client, err := c.dial(addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer client.Close()
+
+			args := &TrainManyArgs{
+				Edge: 0, Devices: []int{0}, BaseID: 77, Scheme: codec.SchemeDelta,
+				Hyper: Hyper{LocalEpochs: 1, BatchSize: 4, LearningRate: 0.05},
+			}
+			var rep TrainManyReply
+			err = client.Call("Device.TrainMany", args, &rep)
+			if err == nil {
+				t.Fatal("expected unknown-baseline error")
+			}
+			if !isUnknownBaseline(err) {
+				t.Fatalf("error %v not recognized as unknown baseline across RPC", err)
+			}
+
+			var sbRep SetBaseReply
+			if err := client.Call("Device.SetBase", &SetBaseArgs{Edge: 0, ID: 77, Model: blob}, &sbRep); err != nil {
+				t.Fatal(err)
+			}
+			rep = TrainManyReply{}
+			if err := client.Call("Device.TrainMany", args, &rep); err != nil {
+				t.Fatal(err)
+			}
+			if !rep.HasSum {
+				t.Fatal("TrainMany returned no update sum")
+			}
+			sum, err := codec.Decode(rep.Sum, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(sum) != len(params) {
+				t.Fatalf("update sum has %d params, want %d", len(sum), len(params))
+			}
+			if len(rep.SqNorms) != 1 || len(rep.SqNorms[0]) != 1 {
+				t.Fatalf("sqNorms %v", rep.SqNorms)
+			}
+		})
 	}
 }
 

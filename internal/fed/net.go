@@ -7,9 +7,9 @@ import (
 )
 
 // countingConn wraps a net.Conn and tallies the bytes that actually cross
-// it. Sitting under net/rpc's gob codec, it measures the true wire cost of
-// the protocol — framing, field names and padding included — rather than an
-// analytic bytes-per-parameter estimate.
+// it. Sitting under the frame codec (wire.go), it measures the true wire cost
+// of the protocol — preamble, frame headers and field encodings included —
+// rather than an analytic bytes-per-parameter estimate.
 type countingConn struct {
 	net.Conn
 	read  *atomic.Int64
@@ -35,5 +35,5 @@ func dialCounting(addr string, read, wrote *atomic.Int64) (*rpc.Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	return rpc.NewClient(&countingConn{Conn: conn, read: read, wrote: wrote}), nil
+	return newClient(&countingConn{Conn: conn, read: read, wrote: wrote}), nil
 }

@@ -1,7 +1,7 @@
 // Package fed runs the HFL system of internal/hfl as a real distributed
 // deployment: device hosts, edge servers and a cloud coordinator are separate
-// processes (or goroutines in tests) communicating over TCP with net/rpc and
-// gob encoding.
+// processes (or goroutines in tests) communicating over TCP with net/rpc
+// dispatch over a hand-framed codec (wire.go).
 //
 // The roles mirror the paper's architecture (§II):
 //
@@ -121,6 +121,8 @@ type TrainManyReply struct {
 	Sum     codec.Blob
 	HasSum  bool
 	SqNorms [][]float64
+
+	pooled bool // Sum.Data is a blobPool buffer, which wireDone returns
 }
 
 // GetBaseArgs fetches the bits of a cached base model back from a host

@@ -32,7 +32,8 @@ type Trainer struct {
 
 // LocalUpdate runs Eq. (4) in float64: from base, len(sqNorms) SGD steps at
 // rate lr on minibatches of data drawn from rng, recording each step's squared
-// stochastic-gradient norm. ParamsInto reads the trained parameters.
+// stochastic-gradient norm. ParamsInto reads the trained parameters and
+// AddUpdateTo folds their update.
 //
 //machlint:allocfree
 func (tr *Trainer) LocalUpdate(base []float64, data *dataset.Dataset, rng *rand.Rand, lr float64, sqNorms []float64) error {
@@ -50,6 +51,20 @@ func (tr *Trainer) LocalUpdate(base []float64, data *dataset.Dataset, rng *rand.
 
 // ParamsInto copies the last LocalUpdate's result into dst, grown as needed.
 func (tr *Trainer) ParamsInto(dst []float64) []float64 { return tr.net.ParamVectorInto(dst) }
+
+// AddUpdateTo adds the last LocalUpdate's update θ − base onto sum, one
+// parameter tensor at a time: the elementwise tensor.AxpyDiff(sum, 1, θ, base)
+// of ParamsInto's flat θ, bit for bit, without reading θ out.
+//
+//machlint:allocfree
+func (tr *Trainer) AddUpdateTo(sum, base []float64) {
+	off := 0
+	for _, p := range tr.net.Params() {
+		v := p.Value.Data()
+		tensor.AxpyDiff(sum[off:off+len(v)], 1, v, base[off:off+len(v)])
+		off += len(v)
+	}
+}
 
 // TrainerPool is a free list of Trainers cloned from one prototype network.
 // A borrower holds its trainer for one task, so a pool builds no more than it

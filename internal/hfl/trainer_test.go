@@ -13,6 +13,7 @@ import (
 	"github.com/mach-fl/mach/internal/nn"
 	"github.com/mach-fl/mach/internal/sampling"
 	"github.com/mach-fl/mach/internal/telemetry"
+	"github.com/mach-fl/mach/internal/tensor"
 )
 
 // cnnArch is a small two-stage CNN over 8×8 single-channel images: it has
@@ -353,5 +354,51 @@ func TestTargetStopCountsFinalStep(t *testing.T) {
 		if got := tel.Snapshot().Histograms["step_ns"].Count; got != int64(res.StepsRun) {
 			t.Fatalf("target %v: step histogram holds %d samples, run took %d steps", target, got, res.StepsRun)
 		}
+	}
+}
+
+// TestAddUpdateToMatchesFlatFold: AddUpdateTo, folding θ − base one
+// parameter tensor at a time, equals reading θ out with ParamsInto and one
+// tensor.AxpyDiff over the flat vector, in Float64bits, on the MLP and on the
+// paper's CNN.
+func TestAddUpdateToMatchesFlatFold(t *testing.T) {
+	paperCNN := func(rng *rand.Rand) (*nn.Network, error) { return nn.NewCNN(nn.MNISTCNNConfig(16, 16), rng) }
+	for _, tc := range []struct {
+		name string
+		side int
+		arch ArchFunc
+	}{{"mlp", 8, mlp8Arch}, {"paper-cnn", 16, paperCNN}} {
+		t.Run(tc.name, func(t *testing.T) {
+			task, err := dataset.NewTask(dataset.MNISTLike(tc.side, tc.side))
+			if err != nil {
+				t.Fatal(err)
+			}
+			data, err := task.Generate(rand.New(rand.NewSource(1)), 16, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			proto, err := tc.arch(rand.New(rand.NewSource(2)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			tr := NewTrainerPool(proto, data).Borrow(4)
+			base := proto.ParamVector()
+			if err := tr.LocalUpdate(base, data, rand.New(rand.NewSource(3)), 0.1, make([]float64, 2)); err != nil {
+				t.Fatal(err)
+			}
+			// A running sum that is not zero, as on a host's second device.
+			want := make([]float64, len(base))
+			for i := range want {
+				want[i] = 1e-3 * float64(i%7-3)
+			}
+			got := append([]float64(nil), want...)
+			tensor.AxpyDiff(want, 1, tr.ParamsInto(nil), base)
+			tr.AddUpdateTo(got, base)
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("parameter %d of %d: AddUpdateTo %v, flat fold %v", i, len(want), got[i], want[i])
+				}
+			}
+		})
 	}
 }
