@@ -19,7 +19,7 @@
 //
 // Baselines are negotiated by ID: the sender names the shared vector in
 // Blob.Baseline and the receiver must hold the same bits under that ID
-// (internal/fed installs them with the Device.SetBase RPC). Baseline 0 is
+// (internal/fed ships them inside its Device.TrainMany RPC). Baseline 0 is
 // the implicit all-zeros vector, so a fresh stream can always start without
 // negotiation.
 //

@@ -73,9 +73,9 @@ type transfer struct {
 // fedTraffic replays the vectors internal/fed puts on the wire, produced by
 // real SGD: an MLP of the fed_loopback shape (16×16 inputs, 32 hidden, 8,554
 // parameters) trained for `rounds` edge rounds of five devices × ten local
-// steps. Every round contributes the baseline-free base model (Device.SetBase)
-// and the devices' update sum (TrainMany reply); the run ends with the global
-// delta against the model the cloud distributed first.
+// steps. Every round contributes the baseline-free base model (carried by
+// TrainMany) and the devices' update sum (TrainMany reply); the run ends
+// with the global delta against the model the cloud distributed first.
 func fedTraffic(t testing.TB, rounds int) []transfer {
 	t.Helper()
 	rng := rand.New(rand.NewSource(21))

@@ -2,6 +2,7 @@ package fed
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"net"
 	"net/rpc"
@@ -28,11 +29,12 @@ type DeviceServer struct {
 	book     *sampling.ExperienceBook
 	trainers *hfl.TrainerPool
 	nParams  int // parameter count of the hosted model architecture
+	maxBatch int // the largest minibatch whose input fits in maxFrame bytes
 
-	// edgeBases caches, per edge, the base models installed by SetBase or
-	// advanced in place by TrainMany (DESIGN.md §6). At most a couple of
-	// vectors per edge are alive at any time: SetBase replaces the edge's
-	// whole cache and TrainMany's advance drops the base it consumed.
+	// edgeBases caches, per edge, the base models TrainMany installs from
+	// the base it carries or advances in place (DESIGN.md §6). At most a
+	// couple of vectors per edge are alive at any time: an install replaces
+	// the edge's whole cache and an advance drops the base it consumed.
 	edgeBases map[int]map[uint64][]float64
 	// efSum holds the per-edge error-feedback buffers for lossy update-sum
 	// encodes (codec.SchemeInt8 streams).
@@ -81,6 +83,7 @@ func NewDeviceServer(arch hfl.ArchFunc, data map[int]*dataset.Dataset, machCfg s
 		book:      sampling.NewExperienceBook(maxID+1, machCfg.ExplorationCoef, machCfg.Discount),
 		trainers:  hfl.NewTrainerPool(proto, data[maxID]), // any hosted dataset has the sample dims
 		nParams:   proto.NumParams(),
+		maxBatch:  maxFrame / 8 / max(1, data[maxID].SampleLen()),
 		edgeBases: make(map[int]map[uint64][]float64),
 		efSum:     make(map[int][]float64),
 	}
@@ -141,25 +144,26 @@ func (s *DeviceServer) Estimate(args EstimateArgs, reply *EstimateReply) error {
 	return nil
 }
 
-// SetBase caches an edge's base model under a baseline ID (DESIGN.md §6).
-// Installing a base replaces every earlier base of that edge, so the cache
-// holds at most one vector per edge between steps.
-func (s *DeviceServer) SetBase(args SetBaseArgs, reply *SetBaseReply) error {
-	s.tel.Add(telemetry.CounterRPCCalls, 1)
-	sp := s.tel.StartSpan(telemetry.SpanHandleSetBase, telemetry.SpanID(args.Span.Parent), -1, args.Edge, -1)
-	defer sp.End()
-	if args.Model.Count != s.nParams {
-		return fmt.Errorf("fed: set base for edge %d: %d params, hosted models have %d", args.Edge, args.Model.Count, s.nParams)
+// trainBase is the base a TrainMany trains from: the cached one it names, or
+// the one it carries. That one is decoded into a vector of the host's own,
+// never keeping the blob (it aliases the request frame), and cached under
+// BaseID, replacing every earlier base of the edge: the cache holds at most
+// one vector per edge between steps.
+func (s *DeviceServer) trainBase(args *TrainManyArgs) ([]float64, error) {
+	if !args.HasBase {
+		return s.lookupBase(args.Edge, args.BaseID)
 	}
-	params, err := codec.Decode(args.Model, nil)
+	if args.Base.Count != s.nParams {
+		return nil, fmt.Errorf("fed: base for edge %d: %d params, hosted models have %d", args.Edge, args.Base.Count, s.nParams)
+	}
+	base, err := codec.Decode(args.Base, nil)
 	if err != nil {
-		return fmt.Errorf("fed: set base for edge %d: %w", args.Edge, err)
+		return nil, fmt.Errorf("fed: base for edge %d: %w", args.Edge, err)
 	}
 	s.mu.Lock()
-	s.edgeBases[args.Edge] = map[uint64][]float64{args.ID: params}
+	s.edgeBases[args.Edge] = map[uint64][]float64{args.BaseID: base}
 	s.mu.Unlock()
-	*reply = SetBaseReply{}
-	return nil
+	return base, nil
 }
 
 // GetBase returns the bits of a cached base model, always encoded lossless
@@ -190,9 +194,10 @@ func (s *DeviceServer) lookupBase(edge int, id uint64) ([]float64, error) {
 	return base, nil
 }
 
-// TrainMany runs local updating on every listed device from the cached base
-// named by BaseID and returns the summed update Σ(w_m − base), accumulated
-// in args.Devices order, which fixes the float order of the edge's
+// TrainMany runs local updating on every listed device from the base named
+// by BaseID — cached, or installed first from args.Base when the call
+// carries it — and returns the summed update Σ(w_m − base), accumulated in
+// args.Devices order, which fixes the float order of the edge's
 // aggregation. With args.Advance the host instead folds the sum into the
 // next base itself (base + Σ/|Devices|), installs it under NextID and ships
 // no vector at all. Devices train sequentially: they share the host's
@@ -207,17 +212,15 @@ func (s *DeviceServer) TrainMany(args TrainManyArgs, reply *TrainManyReply) erro
 	if err := args.Scheme.Validate(); err != nil {
 		return err
 	}
-	// The hyperparameters arrive from the wire and size the trainer's
-	// buffers, so they are checked before the borrow.
 	hyper := args.Hyper
-	if len(args.Devices) == 0 || hyper.LocalEpochs <= 0 || hyper.BatchSize <= 0 || hyper.LearningRate <= 0 {
-		return fmt.Errorf("fed: TrainMany of %d devices with hyperparameters %+v", len(args.Devices), hyper)
-	}
-	base, err := s.lookupBase(args.Edge, args.BaseID)
-	if err != nil {
+	if err := s.checkHyper(len(args.Devices), hyper); err != nil {
 		return err
 	}
 	if err := s.checkDevices(args.Devices); err != nil {
+		return err
+	}
+	base, err := s.trainBase(&args)
+	if err != nil {
 		return err
 	}
 	tr := s.trainers.Borrow(hyper.BatchSize)
@@ -228,13 +231,13 @@ func (s *DeviceServer) TrainMany(args TrainManyArgs, reply *TrainManyReply) erro
 	sum := *acc
 	epochs := hyper.LocalEpochs
 	norms := make([]float64, len(args.Devices)*epochs)
-	reply.SqNorms = make([][]float64, len(args.Devices))
+	windows := make([][]float64, len(args.Devices))
 	for i, id := range args.Devices {
 		s.mu.Lock()
 		dev := s.devices[id]
 		s.mu.Unlock()
-		reply.SqNorms[i] = norms[i*epochs : (i+1)*epochs]
-		if err := tr.LocalUpdate(base, dev.data, dev.rng, hyper.LearningRate, reply.SqNorms[i]); err != nil {
+		windows[i] = norms[i*epochs : (i+1)*epochs]
+		if err := tr.LocalUpdate(base, dev.data, dev.rng, hyper.LearningRate, windows[i]); err != nil {
 			return fmt.Errorf("fed: device %d: %w", id, err)
 		}
 		tr.AddUpdateTo(sum, base) // sum += trained − base, exactly
@@ -242,7 +245,7 @@ func (s *DeviceServer) TrainMany(args TrainManyArgs, reply *TrainManyReply) erro
 	s.tel.Add(telemetry.CounterDevicesTrained, int64(len(args.Devices)))
 	// The RPC's experiences go in under one book lock (Algorithm 2, line 1);
 	// a failed RPC, which fails the run, records none.
-	s.book.ObserveMany(args.Devices, reply.SqNorms)
+	s.book.ObserveMany(args.Devices, windows)
 
 	if args.Advance {
 		next := nextBase(base, sum, len(args.Devices))
@@ -276,6 +279,20 @@ func (s *DeviceServer) TrainMany(args TrainManyArgs, reply *TrainManyReply) erro
 
 // sumPool holds TrainMany's update-sum vectors, one per call in flight.
 var sumPool = sync.Pool{New: func() any { return new([]float64) }}
+
+// checkHyper refuses hyperparameters no edge sends before anything is sized
+// by them: they arrive from the wire, and as in the frame decoder no wire
+// value sizes a buffer past maxFrame bytes — here the devices' gradient-norm
+// windows (devices·LocalEpochs floats) and the trainer's minibatch input.
+func (s *DeviceServer) checkHyper(devices int, h Hyper) error {
+	const maxFloats = maxFrame / 8
+	lr := h.LearningRate
+	if devices > 0 && h.LocalEpochs > 0 && h.LocalEpochs <= maxFloats/devices &&
+		h.BatchSize > 0 && h.BatchSize <= s.maxBatch && lr > 0 && !math.IsInf(lr, 1) {
+		return nil
+	}
+	return fmt.Errorf("fed: TrainMany of %d devices with hyperparameters %+v", devices, h)
+}
 
 // checkDevices fails a TrainMany call that names a device this host does not
 // hold, or one device twice, before anything trains: a repeat would train

@@ -6,7 +6,6 @@ import (
 	"net"
 	"net/rpc"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -23,11 +22,12 @@ import (
 // sampling strategy (Algorithm 3), dispatches local training, and aggregates
 // the returned updates into the edge model.
 //
-// The edge maintains one baseline stream per device host (see protocol.go): the current base model is installed on a
-// host once per change (Device.SetBase), training requests name it by ID,
-// and when a single host covers the whole sample the base advances on the
-// host itself — the edge then marks its own copy stale and refetches the
-// bits (Device.GetBase) only when something actually needs them.
+// The edge maintains one baseline stream per device host (see protocol.go):
+// training requests (Device.TrainMany) name the current base model by ID and
+// carry it only to a host that lacks that ID, so a base ships once per host
+// per change; when a single host covers the whole sample the base advances
+// on the host itself — the edge then marks its own copy stale and refetches
+// the bits (Device.GetBase) only when something actually needs them.
 type EdgeServer struct {
 	id       int
 	machCfg  sampling.MACHConfig
@@ -183,27 +183,40 @@ func (e *EdgeServer) client(addr string) (*rpc.Client, error) {
 	return c, nil
 }
 
-// groupByHost resolves each member to its host address and groups them.
-// Addresses are collected at insertion time and sorted, never by walking
-// the map, so per-group RPC dispatch and result ordering are stable across
-// runs. The returned memberAddr table lets later phases of the step reuse
-// the resolution instead of querying the resolver again.
-func (e *EdgeServer) groupByHost(members []int) (groups map[string][]int, addrs []string, memberAddr map[int]string, err error) {
-	groups = map[string][]int{}
-	memberAddr = make(map[int]string, len(members))
-	for _, m := range members {
-		addr, err := e.resolver(m)
-		if err != nil {
-			return nil, nil, nil, err
+// resolveHosts resolves each member's host once: addrs lists the distinct
+// host addresses sorted, so per-host RPC dispatch and result ordering are
+// stable across runs, and host[i] is members[i]'s position in addrs.
+func (e *EdgeServer) resolveHosts(members []int) (addrs []string, host []int, err error) {
+	memberAddr := make([]string, len(members))
+	for i, m := range members {
+		if memberAddr[i], err = e.resolver(m); err != nil {
+			return nil, nil, err
 		}
-		if _, ok := groups[addr]; !ok {
-			addrs = append(addrs, addr)
-		}
-		groups[addr] = append(groups[addr], m)
-		memberAddr[m] = addr
 	}
-	sort.Strings(addrs)
-	return groups, addrs, memberAddr, nil
+	addrs = slices.Clone(memberAddr)
+	slices.Sort(addrs)
+	addrs = slices.Compact(addrs)
+	host = make([]int, len(members))
+	for i, addr := range memberAddr {
+		host[i], _ = slices.BinarySearch(addrs, addr)
+	}
+	return addrs, host, nil
+}
+
+// groupByHost splits ids by host: for each host position h that any ID has
+// (host[i] is ids[i]'s), in order, it returns addrs[h] and those IDs in ids
+// order.
+func groupByHost(ids, host []int, addrs []string) (groupAddrs []string, groups [][]int) {
+	byHost := make([][]int, len(addrs))
+	for i, id := range ids {
+		byHost[host[i]] = append(byHost[host[i]], id)
+	}
+	for h, group := range byHost {
+		if len(group) != 0 {
+			groupAddrs, groups = append(groupAddrs, addrs[h]), append(groups, group)
+		}
+	}
+	return groupAddrs, groups
 }
 
 // stepSpanID is the edge's handler-span ID for one step — the parent of
@@ -236,11 +249,12 @@ func (e *EdgeServer) Step(args EdgeStepArgs, reply *EdgeStepReply) error {
 		return e.finishStep(args, 0, reply)
 	}
 
-	groups, addrs, memberAddr, err := e.groupByHost(args.Members)
+	addrs, host, err := e.resolveHosts(args.Members)
 	if err != nil {
 		return err
 	}
-	estimates, err := e.fetchEstimates(args.Step, args.Members, groups, addrs)
+	_, groups := groupByHost(args.Members, host, addrs) // every host has a member
+	estimates, err := e.fetchEstimates(args.Step, addrs, host, groups)
 	if err != nil {
 		return err
 	}
@@ -249,7 +263,7 @@ func (e *EdgeServer) Step(args EdgeStepArgs, reply *EdgeStepReply) error {
 	// Bernoulli device sampling on the engine's coin stream for (step, edge).
 	probs := sampling.EdgeSamplingInto(e.machCfg, args.Capacity, estimates, estimates)
 	rng := det.NewRand(det.EdgeCoin(e.seed, args.Step, e.id))
-	var sampled []int
+	var sampled, sampledHost []int
 	for i, m := range args.Members {
 		q := probs[i]
 		if !(q >= 0 && q <= 1) {
@@ -257,26 +271,16 @@ func (e *EdgeServer) Step(args EdgeStepArgs, reply *EdgeStepReply) error {
 		}
 		if rng.Float64() < q {
 			sampled = append(sampled, m)
+			sampledHost = append(sampledHost, host[i])
 		}
 	}
 	if len(sampled) == 0 {
 		return e.finishStep(args, 0, reply)
 	}
 
-	// Group the sampled devices by host, reusing the member resolution.
 	// Within a host the sampled order is kept: it fixes the summation order
 	// of the aggregation.
-	sampledGroups := map[string][]int{}
-	var sampledAddrs []string
-	for _, m := range sampled {
-		addr := memberAddr[m]
-		if _, ok := sampledGroups[addr]; !ok {
-			sampledAddrs = append(sampledAddrs, addr)
-		}
-		sampledGroups[addr] = append(sampledGroups[addr], m)
-	}
-	sort.Strings(sampledAddrs)
-
+	sampledAddrs, sampledGroups := groupByHost(sampled, sampledHost, addrs)
 	if err := e.train(args, len(sampled), sampledAddrs, sampledGroups); err != nil {
 		return err
 	}
@@ -417,54 +421,72 @@ func (e *EdgeServer) fanOut(step int, kind telemetry.SpanKind, addrs []string, c
 }
 
 // fetchEstimates queries the members' UCB estimates host by host,
-// concurrently. Merging walks the sorted address list, so both the
-// resulting estimate order and the first surfaced error are deterministic.
-func (e *EdgeServer) fetchEstimates(step int, members []int, groups map[string][]int, addrs []string) ([]float64, error) {
+// concurrently, groups[h] from addrs[h]. Merging walks the hosts in order,
+// so the first surfaced error is deterministic, and the members in order,
+// each taking its host's next estimate.
+func (e *EdgeServer) fetchEstimates(step int, addrs []string, host []int, groups [][]int) ([]float64, error) {
 	replies := make([]EstimateReply, len(addrs))
 	errs := e.fanOut(step, telemetry.SpanRPCEstimate, addrs, func(i int, c *rpc.Client, span SpanContext) error {
-		return c.Call("Device.Estimate", &EstimateArgs{Step: step, Devices: groups[addrs[i]], Span: span}, &replies[i])
+		return c.Call("Device.Estimate", &EstimateArgs{Step: step, Devices: groups[i], Span: span}, &replies[i])
 	})
-	estimate := make(map[int]float64, len(members))
 	for i, addr := range addrs {
 		if errs[i] != nil {
 			return nil, fmt.Errorf("fed: edge %d estimate via %s: %w", e.id, addr, errs[i])
 		}
-		if len(replies[i].Estimates) != len(groups[addr]) {
+		if len(replies[i].Estimates) != len(groups[i]) {
 			return nil, fmt.Errorf("fed: edge %d: host %s returned %d estimates for %d devices",
-				e.id, addr, len(replies[i].Estimates), len(groups[addr]))
-		}
-		for j, id := range groups[addr] {
-			estimate[id] = replies[i].Estimates[j]
+				e.id, addr, len(replies[i].Estimates), len(groups[i]))
 		}
 	}
-	estimates := make([]float64, len(members))
-	for i, m := range members {
-		estimates[i] = estimate[m]
+	estimates := make([]float64, len(host))
+	next := make([]int, len(addrs))
+	for i, h := range host {
+		estimates[i] = replies[h].Estimates[next[h]]
+		next[h]++
 	}
 	return estimates, nil
 }
 
-// train runs the step's training: it makes sure every participating host
-// caches the current base, dispatches one TrainMany per host, and folds the
+// train runs the step's training: it dispatches one TrainMany per host,
+// attaching the current base for the hosts that lack it, and folds the
 // hosts' update sums into the next base — or, when one host covers the whole
 // sample and the cloud does not need the model this step, lets that host
 // advance the base in place so no model bytes cross the wire.
-func (e *EdgeServer) train(args EdgeStepArgs, totalSampled int, sampledAddrs []string, sampledGroups map[string][]int) error {
-	advance := len(sampledAddrs) == 1 && !args.WantModel
-
-	// Install the current base on hosts that do not have it. Needs the
-	// authoritative bits, so a stale edge refetches them first.
+func (e *EdgeServer) train(args EdgeStepArgs, totalSampled int, addrs []string, groups [][]int) error {
+	advance := len(addrs) == 1 && !args.WantModel
 	e.mu.Lock()
 	baseID := e.baseID
 	e.mu.Unlock()
-	var missing []string
-	for _, addr := range sampledAddrs {
-		if e.installed[addr] != baseID {
-			missing = append(missing, addr)
-		}
+	ship := make([]bool, len(addrs))
+	for i, addr := range addrs {
+		ship[i] = e.installed[addr] != baseID
 	}
-	if err := e.setBaseOn(args.Step, missing, args.Scheme, baseID); err != nil {
-		return err
+	// The base is encoded at most once per step, into a pooled buffer that
+	// every Call below has left before the deferred Put.
+	buf := blobPool.Get().(*[]byte)
+	defer blobPool.Put(buf)
+	var base codec.Blob
+	encodeBase := func() error {
+		if base.Data != nil {
+			return nil // encoded already
+		}
+		if err := e.ensureParams(args.Step); err != nil {
+			return err
+		}
+		e.mu.Lock()
+		params := e.params
+		e.mu.Unlock()
+		blob, err := codec.AppendEncode((*buf)[:0], args.Scheme, params, nil, 0, nil)
+		if err != nil {
+			return fmt.Errorf("fed: edge %d encode base: %w", e.id, err)
+		}
+		base, *buf = blob, blob.Data
+		return nil
+	}
+	if slices.Contains(ship, true) {
+		if err := encodeBase(); err != nil {
+			return err
+		}
 	}
 	// The host-side advance installs the next base under a fresh ID; the sum
 	// path folds next = base + Σ/|sample| edge-side, so it needs the bits.
@@ -477,42 +499,54 @@ func (e *EdgeServer) train(args EdgeStepArgs, totalSampled int, sampledAddrs []s
 	} else if err := e.ensureParams(args.Step); err != nil {
 		return err
 	}
-	if len(e.replies) < len(sampledAddrs) {
-		e.replies = append(e.replies, make([]TrainManyReply, len(sampledAddrs)-len(e.replies))...)
+	if len(e.replies) < len(addrs) {
+		e.replies = append(e.replies, make([]TrainManyReply, len(addrs)-len(e.replies))...)
 	}
-	replies := e.replies[:len(sampledAddrs)]
+	replies := e.replies[:len(addrs)]
 	trainMany := func(i int, c *rpc.Client, span SpanContext) error {
-		return c.Call("Device.TrainMany", &TrainManyArgs{
+		req := &TrainManyArgs{
 			Step:    args.Step,
 			Edge:    e.id,
-			Devices: sampledGroups[sampledAddrs[i]],
+			Devices: groups[i],
 			BaseID:  baseID,
 			Scheme:  args.Scheme,
 			Hyper:   e.hyper,
 			Advance: advance,
 			NextID:  nextID,
 			Span:    span,
-		}, &replies[i])
+		}
+		if ship[i] {
+			req.Base, req.HasBase = base, true
+		}
+		return c.Call("Device.TrainMany", req, &replies[i])
 	}
-	errs := e.fanOut(args.Step, telemetry.SpanRPCTrainMany, sampledAddrs, trainMany)
-	for i, addr := range sampledAddrs {
-		if isUnknownBaseline(errs[i]) {
+	errs := e.fanOut(args.Step, telemetry.SpanRPCTrainMany, addrs, trainMany)
+	var firstErr error
+	for i, addr := range addrs {
+		if isUnknownBaseline(errs[i]) && !ship[i] {
 			// The host lost its base cache (e.g. a restart): the failed lookup
-			// happened before any training, so reinstall the base and retry
-			// once. A stale edge whose authoritative host forgot the base
+			// happened before any training, so resend the call with the base
+			// attached. A stale edge whose authoritative host forgot the base
 			// cannot recover: ensureParams surfaces that as its own error.
-			if err := e.setBaseOn(args.Step, []string{addr}, args.Scheme, baseID); err != nil {
-				return err
+			if errs[i] = encodeBase(); errs[i] == nil {
+				ship[i] = true
+				errs[i] = e.callHost(args.Step, telemetry.SpanRPCTrainMany, i, addr, trainMany)
 			}
-			errs[i] = e.callHost(args.Step, telemetry.SpanRPCTrainMany, i, addr, trainMany)
 		}
-		if errs[i] != nil {
-			return fmt.Errorf("fed: edge %d training via %s: %w", e.id, addr, errs[i])
+		switch {
+		case errs[i] == nil && ship[i]:
+			e.downloads.Add(1)
+			e.installed[addr] = baseID
+		case errs[i] != nil && firstErr == nil:
+			firstErr = fmt.Errorf("fed: edge %d training via %s: %w", e.id, addr, errs[i])
 		}
+	}
+	if firstErr != nil {
+		return firstErr
 	}
 
 	if advance {
-		addr := sampledAddrs[0]
+		addr := addrs[0]
 		e.mu.Lock()
 		e.stale = true
 		e.staleAddr = addr
@@ -523,16 +557,16 @@ func (e *EdgeServer) train(args EdgeStepArgs, totalSampled int, sampledAddrs []s
 	}
 
 	e.mu.Lock()
-	base := e.params
+	params := e.params
 	e.mu.Unlock()
-	e.sum = zeroed(e.sum, len(base))
-	for i, addr := range sampledAddrs {
+	e.sum = zeroed(e.sum, len(params))
+	for i, addr := range addrs {
 		if !replies[i].HasSum {
 			return fmt.Errorf("fed: edge %d: host %s returned no update sum", e.id, addr)
 		}
-		if replies[i].Sum.Count != len(base) {
+		if replies[i].Sum.Count != len(params) {
 			return fmt.Errorf("fed: edge %d: host %s summed %d params, want %d",
-				e.id, addr, replies[i].Sum.Count, len(base))
+				e.id, addr, replies[i].Sum.Count, len(params))
 		}
 		hostSum, err := codec.DecodeInto(e.hostSum, replies[i].Sum, nil)
 		if err != nil {
@@ -542,7 +576,7 @@ func (e *EdgeServer) train(args EdgeStepArgs, totalSampled int, sampledAddrs []s
 		e.uploads.Add(1)
 		tensor.Add(e.sum, hostSum)
 	}
-	next := nextBase(base, e.sum, totalSampled)
+	next := nextBase(params, e.sum, totalSampled)
 	e.mu.Lock()
 	e.params = next
 	e.lastID++
@@ -567,43 +601,6 @@ func zeroed(buf []float64, n int) []float64 {
 	buf = slices.Grow(buf[:0], n)[:n]
 	clear(buf)
 	return buf
-}
-
-// setBaseOn installs the edge's current base model on the given hosts: the
-// base is encoded once and the per-host Device.SetBase RPCs run concurrently,
-// errors surfacing in addrs order. A host that lost its cache (restart)
-// simply gets the full baseline-free blob again — the vector IDs make the
-// stream self-describing. step labels the RPC spans.
-func (e *EdgeServer) setBaseOn(step int, addrs []string, scheme codec.Scheme, id uint64) error {
-	if len(addrs) == 0 {
-		return nil
-	}
-	if err := e.ensureParams(step); err != nil {
-		return err
-	}
-	e.mu.Lock()
-	params := e.params
-	e.mu.Unlock()
-	buf := blobPool.Get().(*[]byte)
-	defer blobPool.Put(buf)
-	blob, err := codec.AppendEncode((*buf)[:0], scheme, params, nil, 0, nil)
-	if err != nil {
-		return fmt.Errorf("fed: edge %d encode base: %w", e.id, err)
-	}
-	*buf = blob.Data // every Call below has returned before the deferred Put
-	errs := e.fanOut(step, telemetry.SpanRPCSetBase, addrs, func(_ int, c *rpc.Client, span SpanContext) error {
-		return c.Call("Device.SetBase", &SetBaseArgs{Edge: e.id, ID: id, Model: blob, Span: span}, &SetBaseReply{})
-	})
-	var firstErr error
-	for i, addr := range addrs {
-		if errs[i] == nil {
-			e.downloads.Add(1)
-			e.installed[addr] = id
-		} else if firstErr == nil {
-			firstErr = fmt.Errorf("fed: edge %d set base on %s: %w", e.id, addr, errs[i])
-		}
-	}
-	return firstErr
 }
 
 // isUnknownBaseline detects codec.ErrUnknownBaseline both locally and

@@ -99,7 +99,8 @@ func deploy(t *testing.T, devices, edges, steps, hosts int, scheme codec.Scheme)
 
 // deployWorld serves w from `hosts` device hosts splitting the population
 // into contiguous ranges, one edge server per scheduled edge and a cloud.
-func deployWorld(t *testing.T, w world, hosts int, cfg CloudConfig) *deployment {
+// With wrap, each host is served through the receiver wrap makes of it.
+func deployWorld(t *testing.T, w world, hosts int, cfg CloudConfig, wrap ...func(*DeviceServer) any) *deployment {
 	t.Helper()
 	d := &deployment{}
 	machCfg := sampling.DefaultMACHConfig()
@@ -116,8 +117,10 @@ func deployWorld(t *testing.T, w world, hosts int, cfg CloudConfig) *deployment 
 		if err != nil {
 			t.Fatal(err)
 		}
-		addr, err := srv.Serve("127.0.0.1:0")
-		if err != nil {
+		var addr string
+		if len(wrap) != 0 {
+			addr = serveRPC(t, wrap[0](srv), "Device")
+		} else if addr, err = srv.Serve("127.0.0.1:0"); err != nil {
 			t.Fatal(err)
 		}
 		d.devices = append(d.devices, srv)
@@ -215,14 +218,15 @@ func TestDeviceServerRPCs(t *testing.T) {
 	if len(est.Estimates) != 1 || est.Estimates[0] <= 0 {
 		t.Fatalf("estimates %v", est.Estimates)
 	}
+	explore := est.Estimates[0]
 	// Unknown device errors.
 	if err := client.Call("Device.Estimate", EstimateArgs{Step: 10, Devices: []int{99}}, &est); err == nil {
 		t.Fatal("expected error for unknown device")
 	}
 
-	// Train round-trip: SetBase caches a base, TrainMany returns the update
-	// sum and I gradient norms, and the experience changes the estimate
-	// after a cloud round.
+	// Train round-trip: TrainMany installs the base it carries and returns
+	// the update sum, and the experience changes the estimate after a cloud
+	// round.
 	rng := rand.New(rand.NewSource(2))
 	base, err := testArch(rng)
 	if err != nil {
@@ -233,19 +237,13 @@ func TestDeviceServerRPCs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := client.Call("Device.SetBase", SetBaseArgs{Edge: 0, ID: 1, Model: blob}, &SetBaseReply{}); err != nil {
-		t.Fatal(err)
-	}
 	var tr TrainManyReply
 	args := TrainManyArgs{
-		Step: 0, Edge: 0, Devices: []int{3}, BaseID: 1, Scheme: codec.SchemeRaw,
+		Step: 0, Edge: 0, Devices: []int{3}, BaseID: 1, Base: blob, HasBase: true, Scheme: codec.SchemeRaw,
 		Hyper: Hyper{LocalEpochs: 3, BatchSize: 4, LearningRate: 0.1},
 	}
 	if err := client.Call("Device.TrainMany", args, &tr); err != nil {
 		t.Fatal(err)
-	}
-	if len(tr.SqNorms) != 1 || len(tr.SqNorms[0]) != 3 {
-		t.Fatalf("gradient norms %v, want one device with 3", tr.SqNorms)
 	}
 	sum, err := codec.Decode(tr.Sum, nil)
 	if err != nil {
@@ -267,6 +265,12 @@ func TestDeviceServerRPCs(t *testing.T) {
 	var cr CloudRoundReply
 	if err := client.Call("Device.CloudRound", CloudRoundArgs{Step: 1}, &cr); err != nil {
 		t.Fatal(err)
+	}
+	if err := client.Call("Device.Estimate", EstimateArgs{Step: 10, Devices: []int{3}}, &est); err != nil {
+		t.Fatal(err)
+	}
+	if est.Estimates[0] == explore {
+		t.Fatalf("estimate %v unchanged by a trained window and a cloud round", explore)
 	}
 
 	// Bad hyperparameters are rejected.
@@ -376,13 +380,15 @@ func TestTrainRejectsWrongParameterLength(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := client.Call("Device.SetBase", SetBaseArgs{Edge: 0, ID: 1, Model: blob}, &SetBaseReply{}); err == nil {
-		t.Fatal("expected parameter-length error over RPC")
-	}
-	err = client.Call("Device.TrainMany", TrainManyArgs{
-		Edge: 0, Devices: []int{0}, BaseID: 1,
+	args := TrainManyArgs{
+		Edge: 0, Devices: []int{0}, BaseID: 1, Base: blob, HasBase: true,
 		Hyper: Hyper{LocalEpochs: 1, BatchSize: 2, LearningRate: 0.1},
-	}, &TrainManyReply{})
+	}
+	if err := client.Call("Device.TrainMany", args, &TrainManyReply{}); err == nil || !strings.Contains(err.Error(), "3 params") {
+		t.Fatalf("TrainMany carrying a 3-parameter base: err = %v, want a parameter-length error", err)
+	}
+	args.Base, args.HasBase = codec.Blob{}, false
+	err = client.Call("Device.TrainMany", args, &TrainManyReply{})
 	if !isUnknownBaseline(err) {
 		t.Fatalf("TrainMany from a refused base: err = %v, want unknown baseline", err)
 	}
@@ -702,7 +708,8 @@ func TestLossySchemesStillLearn(t *testing.T) {
 // where it matters: across net/rpc, which flattens errors to strings, over
 // fed's frame codec and over a stock gob client. A TrainMany naming a base
 // the host never saw must come back recognizable to isUnknownBaseline, and
-// succeed after SetBase installs that base.
+// succeed when resent with that base attached. An edge whose host lost its
+// cache makes that resend itself, and counts it as one download.
 func TestTrainManyUnknownBaselineOverRPC(t *testing.T) {
 	task, err := dataset.NewTask(dataset.MNISTLike(4, 4))
 	if err != nil {
@@ -759,10 +766,7 @@ func TestTrainManyUnknownBaselineOverRPC(t *testing.T) {
 				t.Fatalf("error %v not recognized as unknown baseline across RPC", err)
 			}
 
-			var sbRep SetBaseReply
-			if err := client.Call("Device.SetBase", &SetBaseArgs{Edge: 0, ID: 77, Model: blob}, &sbRep); err != nil {
-				t.Fatal(err)
-			}
+			args.Base, args.HasBase = blob, true
 			rep = TrainManyReply{}
 			if err := client.Call("Device.TrainMany", args, &rep); err != nil {
 				t.Fatal(err)
@@ -777,11 +781,53 @@ func TestTrainManyUnknownBaselineOverRPC(t *testing.T) {
 			if len(sum) != len(params) {
 				t.Fatalf("update sum has %d params, want %d", len(sum), len(params))
 			}
-			if len(rep.SqNorms) != 1 || len(rep.SqNorms[0]) != 1 {
-				t.Fatalf("sqNorms %v", rep.SqNorms)
-			}
 		})
 	}
+
+	t.Run("edge", func(t *testing.T) {
+		const devices = 4
+		d := deployWorld(t, buildWorld(t, devices, 1, 1), 1, CloudConfig{Steps: 1, CloudInterval: 1, Participation: 1, Seed: runSeed})
+		defer d.close()
+		e, host := d.edges[0], d.devices[0]
+		members := []int{0, 1, 2, 3}
+		downloads := func() int64 {
+			var rep CommReply
+			if err := e.Comm(CommArgs{}, &rep); err != nil {
+				t.Fatal(err)
+			}
+			return rep.Downloads
+		}
+		// Step 0 trains on the one host, which advances the base in place;
+		// step 1 samples no one and asks for the model, so the edge fetches
+		// the advanced base back and knows the host caches it. Then the host
+		// forgets it, as a restart would.
+		for _, args := range []EdgeStepArgs{
+			{Step: 0, Members: members, Capacity: devices, Model: blob, ModelID: 1, HasModel: true},
+			{Step: 1, WantModel: true},
+		} {
+			var rep EdgeStepReply
+			if err := e.Step(args, &rep); err != nil {
+				t.Fatal(err)
+			}
+			if args.Step == 0 && rep.Sampled == 0 {
+				t.Fatal("step 0 sampled no device")
+			}
+		}
+		host.mu.Lock()
+		clear(host.edgeBases)
+		host.mu.Unlock()
+		before := downloads()
+		var rep EdgeStepReply
+		if err := e.Step(EdgeStepArgs{Step: 2, Members: members, Capacity: devices, WantModel: true}, &rep); err != nil {
+			t.Fatalf("step after the host lost its base: %v", err)
+		}
+		if rep.Sampled == 0 {
+			t.Fatal("step 2 sampled no device")
+		}
+		if got := downloads() - before; got != 1 {
+			t.Fatalf("the resend counted %d downloads, want 1", got)
+		}
+	})
 }
 
 // TestSpanStitchingAcrossRPC verifies that the span context carried in RPC
@@ -861,23 +907,16 @@ func TestSpanStitchingAcrossRPC(t *testing.T) {
 // hostileHost is a device host that answers every model-bearing RPC with a
 // blob of its choosing.
 type hostileHost struct {
-	blob      codec.Blob
-	noSetBase bool    // SetBase fails
-	noModel   bool    // Step replies without a model
-	estimate  float64 // Estimate's answer for every device (0 = 1)
+	blob     codec.Blob
+	noBase   bool    // TrainMany fails when it carries a base
+	noModel  bool    // Step replies without a model
+	estimate float64 // Estimate's answer for every device (0 = 1)
 }
 
 func (h *hostileHost) Estimate(args EstimateArgs, reply *EstimateReply) error {
 	reply.Estimates = make([]float64, len(args.Devices))
 	for i := range reply.Estimates {
 		reply.Estimates[i] = cmp.Or(h.estimate, 1)
-	}
-	return nil
-}
-
-func (h *hostileHost) SetBase(SetBaseArgs, *SetBaseReply) error {
-	if h.noSetBase {
-		return fmt.Errorf("no room for a base")
 	}
 	return nil
 }
@@ -893,9 +932,16 @@ func (h *hostileHost) Step(_ EdgeStepArgs, reply *EdgeStepReply) error {
 // edge server too.
 func serveHostile(t *testing.T, h *hostileHost) string {
 	t.Helper()
+	return serveRPC(t, h, "Device", "Edge")
+}
+
+// serveRPC serves rcvr under the given service names on loopback until the
+// test ends and returns the address.
+func serveRPC(t *testing.T, rcvr any, names ...string) string {
+	t.Helper()
 	srv := rpc.NewServer()
-	for _, name := range []string{"Device", "Edge"} {
-		if err := srv.RegisterName(name, h); err != nil {
+	for _, name := range names {
+		if err := srv.RegisterName(name, rcvr); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -909,6 +955,9 @@ func serveHostile(t *testing.T, h *hostileHost) string {
 }
 
 func (h *hostileHost) TrainMany(args TrainManyArgs, reply *TrainManyReply) error {
+	if h.noBase && args.HasBase {
+		return fmt.Errorf("no room for a base")
+	}
 	reply.Sum, reply.HasSum = h.blob, !args.Advance
 	return nil
 }
@@ -927,7 +976,7 @@ func TestForeignParameterCountRejectedBeforeDecode(t *testing.T) {
 
 	d := deploy(t, 4, 2, 5, 1, codec.SchemeDelta)
 	defer d.close()
-	if err := d.devices[0].SetBase(SetBaseArgs{Edge: 0, ID: 1, Model: huge}, &SetBaseReply{}); err == nil {
+	if err := d.devices[0].TrainMany(TrainManyArgs{Devices: []int{0}, BaseID: 1, Base: huge, HasBase: true, Hyper: testHyper}, &TrainManyReply{}); err == nil {
 		t.Fatal("device host accepted a base of foreign size")
 	}
 	if _, err := d.cloud.decodeEdgeModel(huge); err == nil {
@@ -1008,13 +1057,13 @@ func TestEdgeStepRejectsNaNProbability(t *testing.T) {
 	}
 }
 
-// TestSetBaseFanOutReportsFirstHostInAddressOrder: the concurrent base
-// installs surface the failure of the first host in sorted-address order,
-// whichever RPC happens to fail first.
-func TestSetBaseFanOutReportsFirstHostInAddressOrder(t *testing.T) {
+// TestBaseFanOutReportsFirstHostInAddressOrder: the concurrent TrainMany
+// calls that carry the base surface the failure of the first host in
+// sorted-address order, whichever RPC happens to fail first.
+func TestBaseFanOutReportsFirstHostInAddressOrder(t *testing.T) {
 	addrs := []string{
-		serveHostile(t, &hostileHost{noSetBase: true}),
-		serveHostile(t, &hostileHost{noSetBase: true}),
+		serveHostile(t, &hostileHost{noBase: true}),
+		serveHostile(t, &hostileHost{noBase: true}),
 	}
 	base, err := testArch(rand.New(rand.NewSource(4)))
 	if err != nil {
@@ -1030,8 +1079,8 @@ func TestSetBaseFanOutReportsFirstHostInAddressOrder(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		var rep EdgeStepReply
 		err := e.Step(EdgeStepArgs{Step: i, Members: []int{0, 1}, Capacity: 2}, &rep)
-		if err == nil || !strings.Contains(err.Error(), "set base on "+addrs[0]) {
-			t.Fatalf("step %d: err = %v, want the set-base failure of %s", i, err, addrs[0])
+		if err == nil || !strings.Contains(err.Error(), "training via "+addrs[0]+": no room for a base") {
+			t.Fatalf("step %d: err = %v, want the base install failure of %s", i, err, addrs[0])
 		}
 	}
 }
@@ -1192,7 +1241,8 @@ func TestEdgeStepMatchesTrainerOracle(t *testing.T) {
 // TestDeviceTrainMatchesEngineTrainer: a hosted device's local update is the
 // engine's — a one-device TrainMany sums exactly trained − base, where trained
 // is what hfl.Trainer.LocalUpdate leaves for the same data, base model and run
-// seed, whichever host serves it, and replies the same gradient norms.
+// seed, whichever host serves it, and records the same gradient norms: after
+// a cloud round the host's estimate is that of a book fed the trainer's.
 func TestDeviceTrainMatchesEngineTrainer(t *testing.T) {
 	const device = 3
 	w := buildWorld(t, 8, 2, 1)
@@ -1212,13 +1262,12 @@ func TestDeviceTrainMatchesEngineTrainer(t *testing.T) {
 	}
 	tr := hfl.NewTrainerPool(proto, w.test).Borrow(testHyper.BatchSize)
 	rng := det.NewRand(det.DeviceBatch(runSeed, device))
+	machCfg := sampling.DefaultMACHConfig()
+	book := sampling.NewExperienceBook(device+1, machCfg.ExplorationCoef, machCfg.Discount)
 	// Two updates in a row: the second continues the device's minibatch stream.
 	for step := 0; step < 2; step++ {
-		if err := srv.SetBase(SetBaseArgs{Edge: 0, ID: 1, Model: blob}, &SetBaseReply{}); err != nil {
-			t.Fatal(err)
-		}
 		var rep TrainManyReply
-		if err := srv.TrainMany(TrainManyArgs{Step: step, Devices: []int{device}, BaseID: 1, Hyper: testHyper}, &rep); err != nil {
+		if err := srv.TrainMany(TrainManyArgs{Step: step, Devices: []int{device}, BaseID: 1, Base: blob, HasBase: true, Hyper: testHyper}, &rep); err != nil {
 			t.Fatal(err)
 		}
 		sum, err := codec.Decode(rep.Sum, nil)
@@ -1233,8 +1282,19 @@ func TestDeviceTrainMatchesEngineTrainer(t *testing.T) {
 		for j := range update {
 			update[j] -= base[j]
 		}
-		requireSameBits(t, fmt.Sprintf("step %d SqNorms", step), rep.SqNorms[0], sqNorms)
 		requireSameBits(t, fmt.Sprintf("step %d Sum", step), sum, update)
+		book.ObserveMany([]int{device}, [][]float64{sqNorms})
+		book.CloudRound(step)
+		if err := srv.CloudRound(CloudRoundArgs{Step: step}, &CloudRoundReply{}); err != nil {
+			t.Fatal(err)
+		}
+		want := make([]float64, 1)
+		book.UCBEstimatesInto(want, []int{device}, step+1)
+		var est EstimateReply
+		if err := srv.Estimate(EstimateArgs{Step: step + 1, Devices: []int{device}}, &est); err != nil {
+			t.Fatal(err)
+		}
+		requireSameBits(t, fmt.Sprintf("step %d estimate", step), est.Estimates, want)
 	}
 }
 
@@ -1338,14 +1398,11 @@ func TestTrainManyRejectsBadDeviceListBeforeTraining(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := srv.SetBase(SetBaseArgs{Edge: 0, ID: 1, Model: blob}, &SetBaseReply{}); err != nil {
-			t.Fatal(err)
-		}
 		return srv
 	}
 	train := func(srv *DeviceServer, devices ...int) (TrainManyReply, error) {
 		var reply TrainManyReply
-		err := srv.TrainMany(TrainManyArgs{Edge: 0, Devices: devices, BaseID: 1, Hyper: testHyper}, &reply)
+		err := srv.TrainMany(TrainManyArgs{Edge: 0, Devices: devices, BaseID: 1, Base: blob, HasBase: true, Hyper: testHyper}, &reply)
 		return reply, err
 	}
 	want, err := train(host(), 0, 1)
@@ -1364,6 +1421,124 @@ func TestTrainManyRejectsBadDeviceListBeforeTraining(t *testing.T) {
 			}
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("TrainMany(%v) trained before failing: the next call replies differently", bad)
+			}
+		})
+	}
+}
+
+// TestTrainManyRejectsHostileHyperparameters: wire-supplied hyperparameters
+// that would size a buffer past a frame — the devices' gradient-norm windows,
+// the trainer's minibatch input — or a learning rate that is not a positive
+// finite number fail the call before anything is sized by them, and the host
+// goes on serving.
+func TestTrainManyRejectsHostileHyperparameters(t *testing.T) {
+	task, err := dataset.NewTask(dataset.MNISTLike(4, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := map[int]*dataset.Dataset{}
+	for m := 0; m < 2; m++ {
+		if data[m], err = task.Generate(rand.New(rand.NewSource(int64(m))), 8, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	proto, err := testArch(rand.New(rand.NewSource(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := codec.Encode(codec.SchemeDelta, proto.ParamVector(), nil, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := NewDeviceServer(testArch, data, sampling.DefaultMACHConfig(), runSeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	train := func(h Hyper) error {
+		return srv.TrainMany(TrainManyArgs{Devices: []int{0, 1}, BaseID: 1, Base: blob, HasBase: true, Hyper: h}, &TrainManyReply{})
+	}
+	for _, c := range []struct {
+		name  string
+		hyper Hyper
+	}{
+		{"epochs overflow the norm windows", Hyper{LocalEpochs: math.MaxInt/2 + 1, BatchSize: 4, LearningRate: 0.05}},
+		{"batch overflows the input", Hyper{LocalEpochs: 1, BatchSize: 1 << 50, LearningRate: 0.05}},
+		{"NaN learning rate", Hyper{LocalEpochs: 1, BatchSize: 4, LearningRate: math.NaN()}},
+		{"infinite learning rate", Hyper{LocalEpochs: 1, BatchSize: 4, LearningRate: math.Inf(1)}},
+	} {
+		if err := train(c.hyper); err == nil {
+			t.Errorf("%s: TrainMany with %+v succeeded", c.name, c.hyper)
+		}
+	}
+	if err := train(testHyper); err != nil {
+		t.Fatalf("a valid call after the refused ones: %v", err)
+	}
+}
+
+// installLog is a device host that records, per edge, the TrainMany calls it
+// serves: all of them, those that carry a base, and those whose carrying a
+// base or not disagrees with whether the host lacked the base they name.
+type installLog struct {
+	*DeviceServer
+	mu                     sync.Mutex
+	calls, shipped, misfit map[int]int
+}
+
+func (h *installLog) TrainMany(args TrainManyArgs, reply *TrainManyReply) error {
+	_, err := h.lookupBase(args.Edge, args.BaseID)
+	h.mu.Lock()
+	h.calls[args.Edge]++
+	if args.HasBase {
+		h.shipped[args.Edge]++
+	}
+	if args.HasBase != (err != nil) {
+		h.misfit[args.Edge]++
+	}
+	h.mu.Unlock()
+	return h.DeviceServer.TrainMany(args, reply)
+}
+
+// TestBaseShipsOncePerHostPerID: over a multi-step run at one and two hosts,
+// a TrainMany carries the base exactly when its host lacks the base ID it
+// names, and each edge's Downloads counts those calls — one per (host, base
+// ID) install, never one per call.
+func TestBaseShipsOncePerHostPerID(t *testing.T) {
+	for _, hosts := range []int{1, 2} {
+		t.Run(fmt.Sprintf("hosts=%d", hosts), func(t *testing.T) {
+			const edges, steps = 2, 12
+			var logs []*installLog
+			d := deployWorld(t, buildWorld(t, 8, edges, steps), hosts, CloudConfig{
+				Steps: steps, CloudInterval: 5, Participation: 0.5, Seed: runSeed,
+			}, func(srv *DeviceServer) any {
+				h := &installLog{DeviceServer: srv, calls: map[int]int{}, shipped: map[int]int{}, misfit: map[int]int{}}
+				logs = append(logs, h)
+				return h
+			})
+			defer d.close()
+			if _, err := d.cloud.Run(); err != nil {
+				t.Fatal(err)
+			}
+			var calls, shipped int
+			for n, e := range d.edges {
+				var comm CommReply
+				if err := e.Comm(CommArgs{}, &comm); err != nil {
+					t.Fatal(err)
+				}
+				var edgeShipped int
+				for _, h := range logs {
+					if h.misfit[n] != 0 {
+						t.Errorf("edge %d: %d of %d calls carried a base the host had or lacked one it needed", n, h.misfit[n], h.calls[n])
+					}
+					calls += h.calls[n]
+					edgeShipped += h.shipped[n]
+				}
+				if comm.Downloads != int64(edgeShipped) {
+					t.Errorf("edge %d counted %d downloads for %d shipped bases", n, comm.Downloads, edgeShipped)
+				}
+				shipped += edgeShipped
+			}
+			if shipped == 0 || shipped == calls {
+				t.Fatalf("%d of %d calls carried a base: the check would be vacuous", shipped, calls)
 			}
 		})
 	}
@@ -1405,17 +1580,16 @@ func TestDeviceServerModelsBoundedByCallers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Each caller is an edge with its own cached base, training its devices
-	// one RPC at a time.
+	// Each caller is an edge with its own cached base, installed by its first
+	// RPC, training its devices one RPC at a time.
 	errs := make([]error, callers)
 	var wg sync.WaitGroup
 	for c := 0; c < callers; c++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			errs[c] = srv.SetBase(SetBaseArgs{Edge: c, ID: 1, Model: blob}, &SetBaseReply{})
 			for m := c; m < devices && errs[c] == nil; m += callers {
-				errs[c] = srv.TrainMany(TrainManyArgs{Edge: c, Devices: []int{m}, BaseID: 1, Hyper: testHyper}, &TrainManyReply{})
+				errs[c] = srv.TrainMany(TrainManyArgs{Edge: c, Devices: []int{m}, BaseID: 1, Base: blob, HasBase: m == c, Hyper: testHyper}, &TrainManyReply{})
 			}
 		}()
 	}

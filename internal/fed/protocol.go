@@ -27,9 +27,9 @@
 // messages — models move as codec.Blob payloads — and the same three
 // structural optimizations:
 //
-//   - baseline caching: Device.SetBase installs an edge's base model on a
-//     host once; Device.TrainMany then names it by ID for all of the host's
-//     sampled devices;
+//   - baseline caching: a host caches an edge's base model under an ID;
+//     Device.TrainMany names it by ID for all of the host's sampled devices
+//     and carries the base itself only when the host lacks that ID;
 //   - host-side update sums: TrainMany returns the single summed update
 //     Σ(w_m − base) of its devices instead of per-device models, and when
 //     one host covers the edge's whole sample it advances the base in place
@@ -80,19 +80,6 @@ type EstimateReply struct {
 	Estimates []float64
 }
 
-// SetBaseArgs installs an edge's base model on a device host under a
-// baseline ID. The blob is baseline-free; later TrainMany calls and codec
-// blobs reference the vector by ID.
-type SetBaseArgs struct {
-	Edge  int
-	ID    uint64
-	Model codec.Blob
-	Span  SpanContext
-}
-
-// SetBaseReply is empty.
-type SetBaseReply struct{}
-
 // TrainManyArgs asks a device host to run local updating on all of the
 // edge's sampled devices it hosts, from the cached base model named by
 // BaseID. Devices lists them in the edge's sampled order, which fixes the
@@ -102,6 +89,11 @@ type TrainManyArgs struct {
 	Edge    int
 	Devices []int
 	BaseID  uint64
+	// Base, when HasBase, is the base model itself, baseline-free: the edge
+	// attaches it when the host lacks BaseID. The host installs it under
+	// BaseID, replacing every earlier base of the edge, before training.
+	Base    codec.Blob
+	HasBase bool
 	Scheme  codec.Scheme
 	Hyper   Hyper
 	// Advance, when set, tells the host this call covers the edge's entire
@@ -114,13 +106,13 @@ type TrainManyArgs struct {
 	Span    SpanContext
 }
 
-// TrainManyReply returns the host's training results. Sum (present unless
-// the call advanced the base host-side) encodes Σ(w_m − base) over
-// args.Devices in order, baseline-free; SqNorms aligns with args.Devices.
+// TrainManyReply returns the host's training result: Sum (present unless the
+// call advanced the base host-side) encodes Σ(w_m − base) over args.Devices
+// in order, baseline-free. The devices' gradient norms stay on the host, in
+// its experience book (Algorithm 2).
 type TrainManyReply struct {
-	Sum     codec.Blob
-	HasSum  bool
-	SqNorms [][]float64
+	Sum    codec.Blob
+	HasSum bool
 
 	pooled bool // Sum.Data is a blobPool buffer, which wireDone returns
 }

@@ -44,12 +44,12 @@ const (
 // wireMethods are the RPCs fed serves; the server names a request's method
 // with these strings instead of allocating one per request.
 var wireMethods = [...]string{
-	"Device.Ping", "Device.Estimate", "Device.SetBase", "Device.TrainMany", "Device.GetBase", "Device.CloudRound",
+	"Device.Ping", "Device.Estimate", "Device.TrainMany", "Device.GetBase", "Device.CloudRound",
 	"Edge.Ping", "Edge.Comm", "Edge.Step",
 }
 
 // framePool holds the servers' request frames, blobPool the codec payload
-// buffers of outgoing models (TrainMany sums, SetBase bases).
+// buffers of outgoing models (TrainMany sums, the bases TrainMany carries).
 var (
 	framePool = sync.Pool{New: func() any { return new([]byte) }}
 	blobPool  = sync.Pool{New: func() any { return new([]byte) }}
@@ -246,13 +246,14 @@ func (w *wirer) flag(p *bool) {
 	*p = b == 1
 }
 
-// bytes is a counted byte string; decoded, it aliases the frame.
+// bytes is a counted byte string; decoded, it aliases the frame, or is nil
+// when empty.
 func (w *wirer) bytes(p *[]byte) {
 	n := w.count(len(*p), 1)
 	if !w.dec {
 		w.buf = append(w.buf, *p...)
-	} else {
-		*p = w.next(n, "bytes")
+	} else if *p = w.next(n, "bytes"); n == 0 {
+		*p = nil
 	}
 }
 
@@ -295,7 +296,6 @@ func (w *wirer) blob(b *codec.Blob) {
 
 func (*PingArgs) wire(*wirer)        {}
 func (m *PingReply) wire(w *wirer)   { w.str(&m.Role) }
-func (*SetBaseReply) wire(*wirer)    {}
 func (*CloudRoundReply) wire(*wirer) {}
 func (*CommArgs) wire(*wirer)        {}
 
@@ -307,18 +307,13 @@ func (m *EstimateArgs) wire(w *wirer) {
 
 func (m *EstimateReply) wire(w *wirer) { w.floats(&m.Estimates) }
 
-func (m *SetBaseArgs) wire(w *wirer) {
-	w.int(&m.Edge)
-	w.id(&m.ID)
-	w.blob(&m.Model)
-	w.u64(&m.Span.Parent)
-}
-
 func (m *TrainManyArgs) wire(w *wirer) {
 	w.int(&m.Step)
 	w.int(&m.Edge)
 	w.ints(&m.Devices)
 	w.id(&m.BaseID)
+	w.flag(&m.HasBase)
+	w.blob(&m.Base)
 	w.u8((*uint8)(&m.Scheme))
 	w.int(&m.Hyper.LocalEpochs)
 	w.int(&m.Hyper.BatchSize)
@@ -331,7 +326,6 @@ func (m *TrainManyArgs) wire(w *wirer) {
 func (m *TrainManyReply) wire(w *wirer) {
 	w.blob(&m.Sum)
 	w.flag(&m.HasSum)
-	wireSlice(w, &m.SqNorms, 1, (*wirer).floats)
 }
 
 // wireDone returns the pooled buffer under Sum once the server codec has

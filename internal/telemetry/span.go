@@ -39,13 +39,11 @@ const (
 	SpanShardCmd
 	SpanRPCEdgeStep
 	SpanRPCTrainMany
-	SpanRPCSetBase
 	SpanRPCGetBase
 	SpanRPCEstimate
 	SpanRPCCloudRound
 	SpanHandleEdgeStep
 	SpanHandleTrainMany
-	SpanHandleSetBase
 	SpanHandleGetBase
 	SpanHandleEstimate
 	SpanHandleCloudRound
@@ -64,13 +62,11 @@ var spanKindNames = [spanKindCount]string{
 	"shard_cmd",
 	"rpc_edge_step",
 	"rpc_train_many",
-	"rpc_set_base",
 	"rpc_get_base",
 	"rpc_estimate",
 	"rpc_cloud_round",
 	"handle_edge_step",
 	"handle_train_many",
-	"handle_set_base",
 	"handle_get_base",
 	"handle_estimate",
 	"handle_cloud_round",
