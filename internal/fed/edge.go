@@ -42,6 +42,8 @@ type EdgeServer struct {
 	replies   []TrainManyReply  // per sampled host; their blobs' capacity is reused
 	sum       []float64         // Σ over hosts of the update sums
 	hostSum   []float64         // one host's decoded update sum
+	order     []int             // the sampled hosts' reduce order (reduceOrder)
+	group     []int             // reduceOrder's per-host scratch
 
 	mu     sync.Mutex
 	params []float64
@@ -219,6 +221,35 @@ func groupByHost(ids, host []int, addrs []string) (groupAddrs []string, groups [
 	return groupAddrs, groups
 }
 
+// reduceOrder returns the order the edge adds its sampled hosts' update sums
+// in, as indices of groupByHost's sampled groups: by each host's first member
+// in the step (host[i] is member i's host position), which the run alone
+// fixes. Address order follows the ports, and three or more sums do not
+// commute. The result is valid until the next step.
+func (e *EdgeServer) reduceOrder(host, sampledHost []int, hosts int) []int {
+	group := slices.Grow(e.group[:0], hosts)[:hosts] // 1 + the host's sampled-group index, 0 if unsampled
+	clear(group)
+	for _, h := range sampledHost {
+		group[h] = 1
+	}
+	k := 0
+	for h, g := range group {
+		if g != 0 {
+			k++
+			group[h] = k
+		}
+	}
+	order := e.order[:0]
+	for _, h := range host {
+		if group[h] != 0 {
+			order = append(order, group[h]-1)
+			group[h] = 0
+		}
+	}
+	e.group, e.order = group, order
+	return order
+}
+
 // stepSpanID is the edge's handler-span ID for one step — the parent of
 // every client RPC span the edge opens while executing it. A pure hash, so
 // helpers re-derive it instead of threading the Span value around.
@@ -281,7 +312,8 @@ func (e *EdgeServer) Step(args EdgeStepArgs, reply *EdgeStepReply) error {
 	// Within a host the sampled order is kept: it fixes the summation order
 	// of the aggregation.
 	sampledAddrs, sampledGroups := groupByHost(sampled, sampledHost, addrs)
-	if err := e.train(args, len(sampled), sampledAddrs, sampledGroups); err != nil {
+	order := e.reduceOrder(host, sampledHost, len(addrs))
+	if err := e.train(args, len(sampled), sampledAddrs, sampledGroups, order); err != nil {
 		return err
 	}
 	return e.finishStep(args, len(sampled), reply)
@@ -449,10 +481,11 @@ func (e *EdgeServer) fetchEstimates(step int, addrs []string, host []int, groups
 
 // train runs the step's training: it dispatches one TrainMany per host,
 // attaching the current base for the hosts that lack it, and folds the
-// hosts' update sums into the next base — or, when one host covers the whole
-// sample and the cloud does not need the model this step, lets that host
-// advance the base in place so no model bytes cross the wire.
-func (e *EdgeServer) train(args EdgeStepArgs, totalSampled int, addrs []string, groups [][]int) error {
+// hosts' update sums into the next base in the given order (reduceOrder) —
+// or, when one host covers the whole sample and the cloud does not need the
+// model this step, lets that host advance the base in place so no model
+// bytes cross the wire.
+func (e *EdgeServer) train(args EdgeStepArgs, totalSampled int, addrs []string, groups [][]int, order []int) error {
 	advance := len(addrs) == 1 && !args.WantModel
 	e.mu.Lock()
 	baseID := e.baseID
@@ -559,7 +592,6 @@ func (e *EdgeServer) train(args EdgeStepArgs, totalSampled int, addrs []string, 
 	e.mu.Lock()
 	params := e.params
 	e.mu.Unlock()
-	e.sum = zeroed(e.sum, len(params))
 	for i, addr := range addrs {
 		if !replies[i].HasSum {
 			return fmt.Errorf("fed: edge %d: host %s returned no update sum", e.id, addr)
@@ -568,9 +600,12 @@ func (e *EdgeServer) train(args EdgeStepArgs, totalSampled int, addrs []string, 
 			return fmt.Errorf("fed: edge %d: host %s summed %d params, want %d",
 				e.id, addr, replies[i].Sum.Count, len(params))
 		}
+	}
+	e.sum = zeroed(e.sum, len(params))
+	for _, i := range order {
 		hostSum, err := codec.DecodeInto(e.hostSum, replies[i].Sum, nil)
 		if err != nil {
-			return fmt.Errorf("fed: edge %d decode sum from %s: %w", e.id, addr, err)
+			return fmt.Errorf("fed: edge %d decode sum from %s: %w", e.id, addrs[i], err)
 		}
 		e.hostSum = hostSum
 		e.uploads.Add(1)

@@ -59,11 +59,14 @@ const runSeed = 6
 // testHyper is the local-update setting of every test deployment.
 var testHyper = Hyper{LocalEpochs: 2, BatchSize: 4, LearningRate: 0.05}
 
-// world is a deployment's input: per-device data, the test set, the schedule.
+// world is a deployment's input: per-device data, the test set, the schedule
+// and, optionally, the address each device host listens on (default
+// 127.0.0.1:0, an ephemeral port).
 type world struct {
-	parts []*dataset.Dataset
-	test  *dataset.Dataset
-	sched *mobility.Schedule
+	parts  []*dataset.Dataset
+	test   *dataset.Dataset
+	sched  *mobility.Schedule
+	listen []string
 }
 
 func buildWorld(t *testing.T, devices, edges, steps int) world {
@@ -86,7 +89,7 @@ func buildWorld(t *testing.T, devices, edges, steps int) world {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return world{parts, test, sched}
+	return world{parts: parts, test: test, sched: sched}
 }
 
 func deploy(t *testing.T, devices, edges, steps, hosts int, scheme codec.Scheme) *deployment {
@@ -117,10 +120,13 @@ func deployWorld(t *testing.T, w world, hosts int, cfg CloudConfig, wrap ...func
 		if err != nil {
 			t.Fatal(err)
 		}
-		var addr string
+		addr := "127.0.0.1:0"
+		if w.listen != nil {
+			addr = w.listen[h]
+		}
 		if len(wrap) != 0 {
 			addr = serveRPC(t, wrap[0](srv), "Device")
-		} else if addr, err = srv.Serve("127.0.0.1:0"); err != nil {
+		} else if addr, err = srv.Serve(addr); err != nil {
 			t.Fatal(err)
 		}
 		d.devices = append(d.devices, srv)
@@ -1097,10 +1103,65 @@ func requireSameBits(t *testing.T, label string, got, want []float64) {
 	}
 }
 
+// TestThreeHostGlobalsIgnorePorts: which host listens on which port moves no
+// bit. One seed's world is served twice by three device hosts on the same
+// three loopback ports, handed out in two permutations, so the hosts' address
+// order differs between the runs; edges add the hosts' update sums in the
+// order of their first members, so the histories and final globals agree.
+func TestThreeHostGlobalsIgnorePorts(t *testing.T) {
+	const steps = 10
+	// Three distinct free ports: each listener stays open until all three
+	// are bound, then all close for the hosts to listen on.
+	var ports []string
+	var reserved []net.Listener
+	for range 3 {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		reserved = append(reserved, ln)
+		ports = append(ports, ln.Addr().String())
+	}
+	for _, ln := range reserved {
+		ln.Close()
+	}
+	sort.Strings(ports)
+	run := func(perm ...int) (*metrics.History, []float64) {
+		w := buildWorld(t, 12, 2, steps)
+		for _, p := range perm {
+			w.listen = append(w.listen, ports[p])
+		}
+		d := deployWorld(t, w, len(perm), CloudConfig{
+			Steps: steps, CloudInterval: 5, Participation: 0.8, EvalEvery: 5, Seed: runSeed,
+			Codec: codec.SchemeDelta,
+		})
+		defer d.close()
+		hist, err := d.cloud.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return hist, d.cloud.GlobalParams()
+	}
+	histA, globalA := run(0, 1, 2)
+	histB, globalB := run(2, 0, 1)
+	if histA.Len() == 0 || histA.Len() != histB.Len() {
+		t.Fatalf("history lengths %d and %d", histA.Len(), histB.Len())
+	}
+	for i, a := range histA.Points {
+		b := histB.Points[i]
+		if a.Step != b.Step || math.Float64bits(a.Accuracy) != math.Float64bits(b.Accuracy) ||
+			math.Float64bits(a.Loss) != math.Float64bits(b.Loss) {
+			t.Fatalf("evaluation %d: %+v with the ports in order, %+v permuted", i, a, b)
+		}
+	}
+	requireSameBits(t, "permuted ports' final global", globalB, globalA)
+}
+
 // TestEdgeStepMatchesTrainerOracle: edge steps over one or two device hosts
 // are, bit for bit, base + Σ_host Σ_dev (LocalUpdate − base)/|sample|
 // computed here with hfl.Trainer — per-host partial sums in sampled order,
-// hosts in sorted-address order — under both lossless schemes. Step 0 keeps
+// hosts in sorted-address order, which two hosts' sums commute to — under
+// both lossless schemes. Step 0 keeps
 // the model on the edge side (WantModel false): one host advances the base in
 // place under a fresh ID, two hosts send sums the edge folds. Step 1 samples
 // no one and asks for the model, so a one-host edge refetches the advanced

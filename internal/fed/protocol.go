@@ -41,9 +41,9 @@
 //
 // Edge aggregation is the same float operations in the same order under
 // every scheme (per-host partial sums of w_m − base in sampled order, hosts
-// reduced in sorted-address order, then base + Σ/|sample|), so the lossless
-// schemes, raw and delta, produce bit-identical evaluation histories. The
-// cloud positions, reduces and evaluates with hfl's own code; edge
+// reduced in the order of their first members, then base + Σ/|sample|), so
+// the lossless schemes, raw and delta, produce bit-identical evaluation
+// histories, whatever ports the hosts listen on. The cloud positions, reduces and evaluates with hfl's own code; edge
 // aggregation still differs from the engine's (an unweighted mean here, the
 // configured rule there), so the two stacks agree bit for bit through step 0.
 package fed

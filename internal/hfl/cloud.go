@@ -57,13 +57,19 @@ type Cloud struct {
 // identically on every machine.
 const evalShards = 8
 
-// evalShardState is one evaluation shard's private network and batch
-// buffers. Shard boundaries are a pure function of the test-set size and the
-// fixed shard count, so in steady state the buffers are reused as-is.
+// evalChunk is how many rows an evaluation shard forwards at once. Each
+// shard's buffers and its network's activations are sized by it, not by the
+// test set, so the evaluator's footprint is O(evalShards·evalChunk) samples.
+const evalChunk = 16
+
+// evalShardState is one evaluation shard's private network and chunk
+// buffers, allocated once: every forward has evalChunk rows, so the
+// network's layer buffers are reused as-is too.
 type evalShardState struct {
 	net *nn.Network
-	x   *tensor.Tensor
-	y   []int
+	x   *tensor.Tensor // [evalChunk, InC, InH, InW]
+	y   []int          // the chunk's labels
+	idx []int          // the chunk's sample indices
 }
 
 // NewCloud checks the mobility source and the test set against cfg and
@@ -293,15 +299,21 @@ func (c *Cloud) evaluate() (acc, loss float64, err error) {
 // scores the test samples at the given indices. The index list splits into
 // evalShards contiguous shards — a fixed count independent of the core
 // count — whose (correct, lossSum) pairs are reduced in shard order, so the
-// result is the same on every machine and for every worker count. Sharding
-// also bounds the per-forward im2col footprint to a shard's batch instead of
-// the whole test set. When preds is non-nil the shards instead record each
-// sample's predicted class at its position in the index list (losses are
-// skipped).
+// result is the same on every machine and for every worker count. A shard
+// scores its slice in chunks of evalChunk rows, carrying its sums across
+// chunks row by row, so the bits are those of one pass over the slice; a
+// short last chunk is padded by repeating its last index, and the padding
+// rows are forwarded but not scored. When preds is non-nil the shards also
+// record each sample's predicted class at its position in the index list.
 func (c *Cloud) evalSums(indices []int, preds []int) (correct int, lossSum float64, err error) {
 	shards := min(evalShards, len(indices))
 	for len(c.evalShard) < shards {
-		c.evalShard = append(c.evalShard, evalShardState{net: c.evalNet.Clone()})
+		c.evalShard = append(c.evalShard, evalShardState{
+			net: c.evalNet.Clone(),
+			x:   tensor.New(evalChunk, c.test.InC, c.test.InH, c.test.InW),
+			y:   make([]int, evalChunk),
+			idx: make([]int, evalChunk),
+		})
 	}
 	for s := 0; s < shards; s++ {
 		if err := c.evalShard[s].net.SetParamVector(c.global); err != nil {
@@ -316,26 +328,20 @@ func (c *Cloud) evalSums(indices []int, preds []int) (correct int, lossSum float
 	runShard := func(s int) {
 		start, end := len(indices)*s/shards, len(indices)*(s+1)/shards
 		st := &c.evalShard[s]
-		st.x = ensureBatch(st.x, end-start, c.test)
-		st.y = resizeInts(st.y, end-start)
-		c.test.BatchInto(st.x, st.y, indices[start:end])
-		if preds == nil {
-			out[s].correct, out[s].lossSum = st.net.EvaluateSums(st.x, st.y)
-			return
-		}
-		logits := st.net.Forward(st.x, false)
-		classes := logits.Dim(1)
-		ld := logits.Data()
-		for i := 0; i < end-start; i++ {
-			row := ld[i*classes : (i+1)*classes]
-			best := 0
-			for j, v := range row {
-				if v > row[best] {
-					best = j
-				}
+		var sum sums
+		for lo := start; lo < end; lo += evalChunk {
+			rows := copy(st.idx, indices[lo:end])
+			for i := rows; i < evalChunk; i++ {
+				st.idx[i] = st.idx[rows-1]
 			}
-			preds[start+i] = best
+			c.test.BatchInto(st.x, st.y, st.idx)
+			var p []int
+			if preds != nil {
+				p = preds[lo : lo+rows]
+			}
+			sum.correct, sum.lossSum = st.net.Score(st.x, st.y[:rows], p, sum.correct, sum.lossSum)
 		}
+		out[s] = sum
 	}
 	parallel.ForEach(c.cfg.workers(), shards, runShard)
 	for _, o := range out {
@@ -343,22 +349,4 @@ func (c *Cloud) evalSums(indices []int, preds []int) (correct int, lossSum float
 		lossSum += o.lossSum
 	}
 	return correct, lossSum, nil
-}
-
-// ensureBatch returns a [b, InC, InH, InW] batch tensor for dataset d,
-// reusing t when its batch dimension already matches.
-func ensureBatch(t *tensor.Tensor, b int, d *dataset.Dataset) *tensor.Tensor {
-	if t != nil && t.Dim(0) == b {
-		return t
-	}
-	return tensor.New(b, d.InC, d.InH, d.InW)
-}
-
-// resizeInts returns s resized to n elements, reallocating only when the
-// capacity is insufficient. Contents are unspecified; callers overwrite.
-func resizeInts(s []int, n int) []int {
-	if cap(s) < n {
-		return make([]int, n)
-	}
-	return s[:n]
 }

@@ -248,6 +248,13 @@ func TestLiteralEq5ModeRuns(t *testing.T) {
 // form is off by P(∅)·w_n: an empty sample carries the edge model over where
 // the formula's Σ would be 0. Plain averaging is biased toward the likely
 // members, which shows the enumeration tells the modes apart.
+//
+// The same enumeration gives the exact second moment E‖w_n' − E w_n'‖², the
+// sampling variance Theorem 1 bounds. The independent coins X_m ~ Bern(q_m)
+// make it a closed form: Σ_m (1/q_m − 1)·‖θ_m − w_n‖²/|M|² for the inverse
+// weights on updates; for the literal form, whose w_n' is Σ X_m θ_m/(|M| q_m)
+// plus w_n when the sample is empty, Σ_m (1/q_m − 1)·‖θ_m‖²/|M|² +
+// P(∅)(1 − P(∅))·‖w_n‖² − 2·P(∅)·⟨θ̄, w_n⟩, θ̄ the member mean.
 func TestEdgeAggregationUnbiasedness(t *testing.T) {
 	probs := []float64{0.9, 0.5, 0.3, 0.7} // deliberately non-uniform
 	parts, test, sched := tinySetup(t, len(probs), 1, 5, 10)
@@ -267,9 +274,22 @@ func TestEdgeAggregationUnbiasedness(t *testing.T) {
 			mean[j] += members[i][j] / float64(len(probs))
 		}
 	}
-	for _, mode := range []Aggregation{AggInverseUpdate, AggLiteralEq5, AggPlain} {
-		eng.cfg.Aggregation = mode
-		expect, pEmpty := make([]float64, dim), 0.0
+	pEmpty := 1.0
+	for _, q := range probs {
+		pEmpty *= 1 - q
+	}
+	sqDist := func(a, b []float64) float64 {
+		s := 0.0
+		for j := range a {
+			s += (a[j] - b[j]) * (a[j] - b[j])
+		}
+		return s
+	}
+	zero := make([]float64, dim)
+	size := float64(len(probs))
+	// enumerate aggregates every sample outcome from the same edge model and
+	// hands each result to f with the outcome's probability.
+	enumerate := func(f func(prob float64, agg []float64)) {
 		for outcome := 0; outcome < 1<<len(probs); outcome++ {
 			prob := 1.0
 			var results []localResult
@@ -279,15 +299,17 @@ func TestEdgeAggregationUnbiasedness(t *testing.T) {
 					continue
 				}
 				prob *= q
-				results = append(results, localResult{params: members[i], weight: 1 / (float64(len(probs)) * q), size: 1})
-			}
-			if outcome == 0 {
-				pEmpty = prob
+				results = append(results, localResult{params: members[i], weight: 1 / (size * q), size: 1})
 			}
 			copy(eng.edge[0], base)
 			eng.aggregateEdge(0, results, true)
-			tensor.Axpy(expect, prob, eng.edge[0])
+			f(prob, eng.edge[0])
 		}
+	}
+	for _, mode := range []Aggregation{AggInverseUpdate, AggLiteralEq5, AggPlain} {
+		eng.cfg.Aggregation = mode
+		expect := make([]float64, dim)
+		enumerate(func(prob float64, agg []float64) { tensor.Axpy(expect, prob, agg) })
 		worst := 0.0
 		for j := range expect {
 			want := mean[j]
@@ -303,6 +325,31 @@ func TestEdgeAggregationUnbiasedness(t *testing.T) {
 			t.Fatalf("%v: E[aggregate] is %.3g from its Lemma 1 value (P(∅) = %v)", mode, worst, pEmpty)
 		}
 		t.Logf("%v: largest |E[aggregate] − Lemma 1 value| = %.3g", mode, worst)
+
+		if mode == AggPlain {
+			continue // no closed form to hold it to
+		}
+		variance := 0.0
+		enumerate(func(prob float64, agg []float64) { variance += prob * sqDist(agg, expect) })
+		want := 0.0
+		for i, q := range probs {
+			if mode == AggInverseUpdate {
+				want += (1/q - 1) * sqDist(members[i], base) / (size * size)
+			} else {
+				want += (1/q - 1) * sqDist(members[i], zero) / (size * size)
+			}
+		}
+		if mode == AggLiteralEq5 {
+			dot := 0.0
+			for j := range base {
+				dot += mean[j] * base[j]
+			}
+			want += pEmpty*(1-pEmpty)*sqDist(base, zero) - 2*pEmpty*dot
+		}
+		if rel := math.Abs(variance-want) / want; rel > 1e-12 {
+			t.Fatalf("%v: E‖w' − E w'‖² = %v, closed form %v (relative error %.3g)", mode, variance, want, rel)
+		}
+		t.Logf("%v: E‖w' − E w'‖² = %v, closed form %v", mode, variance, want)
 	}
 }
 

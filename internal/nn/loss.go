@@ -58,40 +58,26 @@ func SoftmaxCrossEntropyInto(logits *tensor.Tensor, labels []int, grad *tensor.T
 	return loss * invB
 }
 
-// CrossEntropyLossSum returns the *sum* of per-sample cross-entropy losses
-// of logits [B, classes] against labels, without materializing a gradient.
-// Per-sample terms are accumulated in row order with the same arithmetic as
-// SoftmaxCrossEntropyInto, so sum/batch equals that function's mean loss for
-// the same rows. Evaluation shards use it so a shard-ordered reduction over
-// (correct, lossSum) pairs is exact and allocation-free.
-func CrossEntropyLossSum(logits *tensor.Tensor, labels []int) float64 {
-	if logits.Rank() != 2 {
-		panic(fmt.Sprintf("nn: CrossEntropyLossSum expects [B, classes], got %v", logits.Shape()))
-	}
-	batch, classes := logits.Dim(0), logits.Dim(1)
-	if len(labels) != batch {
-		panic(fmt.Sprintf("nn: CrossEntropyLossSum got %d labels for batch %d", len(labels), batch))
-	}
-	ld := logits.Data()
-	sum := 0.0
-	for i := 0; i < batch; i++ {
-		row := ld[i*classes : (i+1)*classes]
-		maxv := row[0]
-		for _, v := range row[1:] {
-			if v > maxv {
-				maxv = v
-			}
+// crossEntropy returns one sample's cross-entropy loss for its logits row and
+// label, with the same arithmetic as SoftmaxCrossEntropyInto, so a sum of
+// these terms divided by the batch equals that function's mean loss for the
+// same rows. Network.Score adds them in row order into a running sum, so an
+// evaluation cut into chunks adds the same float sequence as one pass over
+// the whole batch.
+func crossEntropy(row []float64, y int) float64 {
+	maxv := row[0]
+	for _, v := range row[1:] {
+		if v > maxv {
+			maxv = v
 		}
-		expSum := 0.0
-		for _, v := range row {
-			expSum += math.Exp(v - maxv)
-		}
-		y := labels[i]
-		if y < 0 || y >= classes {
-			panic(fmt.Sprintf("nn: label %d out of range [0,%d)", y, classes))
-		}
-		p := math.Exp(row[y]-maxv) / expSum
-		sum += -math.Log(math.Max(p, 1e-300))
 	}
-	return sum
+	expSum := 0.0
+	for _, v := range row {
+		expSum += math.Exp(v - maxv)
+	}
+	if y < 0 || y >= len(row) {
+		panic(fmt.Sprintf("nn: label %d out of range [0,%d)", y, len(row)))
+	}
+	p := math.Exp(row[y]-maxv) / expSum
+	return -math.Log(math.Max(p, 1e-300))
 }

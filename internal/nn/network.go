@@ -191,23 +191,44 @@ func (n *Network) Evaluate(x *tensor.Tensor, labels []int) (accuracy, loss float
 
 // EvaluateSums returns the raw correct-prediction count and summed
 // cross-entropy loss for a batch, without materializing a loss gradient or
-// prediction slice. Shard-based evaluation reduces these pairs exactly
-// (integer count; loss sums combined in shard order).
+// prediction slice: Score over every row, started from (0, 0).
 func (n *Network) EvaluateSums(x *tensor.Tensor, labels []int) (correct int, lossSum float64) {
+	if len(labels) != x.Dim(0) {
+		panic(fmt.Sprintf("nn: EvaluateSums got %d labels for batch %d", len(labels), x.Dim(0)))
+	}
+	return n.Score(x, labels, nil, 0, 0)
+}
+
+// Score forwards x and adds its first len(labels) rows, one at a time in row
+// order, to a running (correct, lossSum): a row counts as correct when its
+// label is its largest logit (the first on ties), and its cross-entropy loss
+// is added to lossSum. Rows past len(labels) are forwarded but not scored, so
+// a caller can pad a short last chunk to a fixed batch shape and keep every
+// layer's buffers. When preds is non-nil, preds[i] receives row i's predicted
+// class. Because each row's logits do not depend on the other rows of the
+// batch, scoring a batch in chunks while carrying the sums gives the same
+// bits as scoring it in one pass.
+func (n *Network) Score(x *tensor.Tensor, labels, preds []int, correct int, lossSum float64) (int, float64) {
 	logits := n.Forward(x, false)
-	lossSum = CrossEntropyLossSum(logits, labels)
-	batch, classes := logits.Dim(0), logits.Dim(1)
+	if logits.Rank() != 2 || len(labels) > logits.Dim(0) {
+		panic(fmt.Sprintf("nn: Score got %d labels for logits %v", len(labels), logits.Shape()))
+	}
+	classes := logits.Dim(1)
 	ld := logits.Data()
-	for i := 0; i < batch; i++ {
+	for i, y := range labels {
 		row := ld[i*classes : (i+1)*classes]
+		lossSum += crossEntropy(row, y)
 		best := 0
 		for j, v := range row {
 			if v > row[best] {
 				best = j
 			}
 		}
-		if best == labels[i] {
+		if best == y {
 			correct++
+		}
+		if preds != nil {
+			preds[i] = best
 		}
 	}
 	return correct, lossSum

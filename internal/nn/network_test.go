@@ -289,3 +289,55 @@ func TestPaperArchitecturesBuildAndRun(t *testing.T) {
 		}
 	}
 }
+
+// TestForwardIsRowIndependent: a row's logits depend on that row alone. For
+// the MLP and both paper CNNs, every row of a 16-row chunk gets the same bits
+// forwarded alone, inside the full chunk, and beside padding rows of
+// unrelated data — which chunked, padded evaluation (hfl's evalSums) relies
+// on.
+func TestForwardIsRowIndependent(t *testing.T) {
+	const chunk = 16
+	rng := rand.New(rand.NewSource(21))
+	mnist, err := NewCNN(MNISTCNNConfig(16, 16), rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cifar, err := NewCNN(CIFARCNNConfig(16, 16), rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		net           *Network
+		inC, inH, inW int
+	}{
+		{NewMLP("mlp", 64, []int{30}, 10, rng), 1, 8, 8},
+		{mnist, 1, 16, 16},
+		{cifar, 3, 16, 16},
+	} {
+		sl := tc.inC * tc.inH * tc.inW
+		x := tensor.Randn(rng, 1, chunk, tc.inC, tc.inH, tc.inW)
+		full := append([]float64(nil), tc.net.Forward(x, false).Data()...)
+		classes := len(full) / chunk
+		check := func(how string, row int, got []float64) {
+			t.Helper()
+			for j, v := range got {
+				if want := full[row*classes+j]; math.Float64bits(v) != math.Float64bits(want) {
+					t.Fatalf("%s: row %d logit %d is %v %s, %v in the full chunk", tc.net.Name(), row, j, v, how, want)
+				}
+			}
+		}
+		one := tensor.New(1, tc.inC, tc.inH, tc.inW)
+		for i := 0; i < chunk; i++ {
+			copy(one.Data(), x.Data()[i*sl:(i+1)*sl])
+			check("forwarded alone", i, tc.net.Forward(one, false).Data())
+		}
+		for rows := 1; rows < chunk; rows++ {
+			padded := tensor.Randn(rng, 1, chunk, tc.inC, tc.inH, tc.inW)
+			copy(padded.Data(), x.Data()[:rows*sl])
+			out := tc.net.Forward(padded, false).Data()
+			for i := 0; i < rows; i++ {
+				check("beside padding", i, out[i*classes:(i+1)*classes])
+			}
+		}
+	}
+}
