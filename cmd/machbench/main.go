@@ -105,7 +105,7 @@ func run() error {
 		target  = flag.Float64("target", 0, "override target accuracy (0 = preset)")
 		agg     = flag.String("agg", "", "override aggregation: inverse | plain | literal")
 		lane    = flag.String("lane", "", "override compute lane for local updates: f64 | f32 (default: preset)")
-		fuse    = flag.Bool("fuse", false, "train each edge's sampled devices in one execution task")
+		fuse    = flag.Bool("fuse", false, "f32 lane: an edge's sampled devices share lane slots and step together")
 		conf    = flag.String("config", "", "JSON experiment config layered over the preset")
 		outDir  = flag.String("out", "", "directory for per-strategy CSV curves and the resolved config (optional)")
 		ndev    = flag.Float64("noisydev", -1, "override noisy-device fraction (-1 = preset)")

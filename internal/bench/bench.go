@@ -100,7 +100,7 @@ type Config struct {
 	Aggregation      hfl.Aggregation
 	MACH             sampling.MACHConfig
 	Lane             string // compute lane for local updates: "f64" (default) or "f32"
-	FuseBatch        bool   // train each edge's sampled devices in one execution task
+	FuseBatch        bool   // f32 lane: an edge's sampled devices share lane slots
 }
 
 // Validate reports whether the config is usable.

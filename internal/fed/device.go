@@ -240,7 +240,7 @@ func (s *DeviceServer) TrainMany(args TrainManyArgs, reply *TrainManyReply) erro
 		if err := tr.LocalUpdate(base, dev.data, dev.rng, hyper.LearningRate, windows[i]); err != nil {
 			return fmt.Errorf("fed: device %d: %w", id, err)
 		}
-		tr.AddUpdateTo(sum, base) // sum += trained − base, exactly
+		tr.Fold(sum, base, 1, -1) // sum += trained − base, exactly
 	}
 	s.tel.Add(telemetry.CounterDevicesTrained, int64(len(args.Devices)))
 	// The RPC's experiences go in under one book lock (Algorithm 2, line 1);

@@ -1259,7 +1259,7 @@ func TestEdgeStepMatchesTrainerOracle(t *testing.T) {
 							if err := tr.LocalUpdate(want, w.parts[m], rngs[m], testHyper.LearningRate, sqNorms); err != nil {
 								t.Fatal(err)
 							}
-							for j, v := range tr.ParamsInto(nil) {
+							for j, v := range trainedParams(tr, len(want)) {
 								hostSum[j] += v - want[j]
 							}
 							hostSampled++
@@ -1297,6 +1297,14 @@ func TestEdgeStepMatchesTrainerOracle(t *testing.T) {
 			})
 		}
 	}
+}
+
+// trainedParams reads the parameters of tr's last LocalUpdate out, by
+// folding them onto zero at weight 1.
+func trainedParams(tr *hfl.Trainer, n int) []float64 {
+	theta := make([]float64, n)
+	tr.Fold(theta, nil, 1, -1)
+	return theta
 }
 
 // TestDeviceTrainMatchesEngineTrainer: a hosted device's local update is the
@@ -1339,7 +1347,7 @@ func TestDeviceTrainMatchesEngineTrainer(t *testing.T) {
 		if err := tr.LocalUpdate(base, w.parts[device], rng, testHyper.LearningRate, sqNorms); err != nil {
 			t.Fatal(err)
 		}
-		update := tr.ParamsInto(nil)
+		update := trainedParams(tr, len(base))
 		for j := range update {
 			update[j] -= base[j]
 		}

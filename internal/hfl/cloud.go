@@ -49,6 +49,12 @@ type Cloud struct {
 	evalNet   *nn.Network
 	evalIdx   []int // the test set's sample indices, 0..n-1
 	evalShard []evalShardState
+	// evalSums' arguments for its shard tasks (evalTask, built once), and
+	// their group on the pool of an engine's Run (nil outside one).
+	evalIn    []int
+	evalPreds []int
+	evalTask  func(s int)
+	evalGroup *parallel.Group
 	stepStart int64 // the open step's clock reading
 }
 
@@ -62,14 +68,17 @@ const evalShards = 8
 // test set, so the evaluator's footprint is O(evalShards·evalChunk) samples.
 const evalChunk = 16
 
-// evalShardState is one evaluation shard's private network and chunk
-// buffers, allocated once: every forward has evalChunk rows, so the
+// evalShardState is one evaluation shard's private network, chunk buffers
+// and sums, allocated once: every forward has evalChunk rows, so the
 // network's layer buffers are reused as-is too.
 type evalShardState struct {
 	net *nn.Network
 	x   *tensor.Tensor // [evalChunk, InC, InH, InW]
 	y   []int          // the chunk's labels
 	idx []int          // the chunk's sample indices
+
+	correct int // the shard's sums over its slice of the last evaluation
+	lossSum float64
 }
 
 // NewCloud checks the mobility source and the test set against cfg and
@@ -106,7 +115,7 @@ func NewCloud(cfg Config, arch ArchFunc, src mobility.StepSource, test *dataset.
 	if err != nil {
 		return nil, fmt.Errorf("hfl: build architecture: %w", err)
 	}
-	return &Cloud{
+	c := &Cloud{
 		cfg:         cfg,
 		test:        test,
 		win:         mobility.NewWindow(src),
@@ -116,7 +125,9 @@ func NewCloud(cfg Config, arch ArchFunc, src mobility.StepSource, test *dataset.
 		global:      net.ParamVector(),
 		capacity:    cfg.Participation * float64(nDevices) / float64(nEdges),
 		evalNet:     net,
-	}, nil
+	}
+	c.evalTask = c.scoreShard
+	return c, nil
 }
 
 // Capacity returns K_n, the per-edge expected participation budget.
@@ -299,12 +310,10 @@ func (c *Cloud) evaluate() (acc, loss float64, err error) {
 // scores the test samples at the given indices. The index list splits into
 // evalShards contiguous shards — a fixed count independent of the core
 // count — whose (correct, lossSum) pairs are reduced in shard order, so the
-// result is the same on every machine and for every worker count. A shard
-// scores its slice in chunks of evalChunk rows, carrying its sums across
-// chunks row by row, so the bits are those of one pass over the slice; a
-// short last chunk is padded by repeating its last index, and the padding
-// rows are forwarded but not scored. When preds is non-nil the shards also
-// record each sample's predicted class at its position in the index list.
+// result is the same on every machine and for every worker count. The shards
+// run as index tasks on the run's pool, or outside a run on a pool of the
+// call's own. When preds is non-nil the shards also record each sample's
+// predicted class at its position in the index list.
 func (c *Cloud) evalSums(indices []int, preds []int) (correct int, lossSum float64, err error) {
 	shards := min(evalShards, len(indices))
 	for len(c.evalShard) < shards {
@@ -320,33 +329,44 @@ func (c *Cloud) evalSums(indices []int, preds []int) (correct int, lossSum float
 			return 0, 0, fmt.Errorf("load global model into evaluation shard %d: %w", s, err)
 		}
 	}
-	type sums struct {
-		correct int
-		lossSum float64
+	g := c.evalGroup
+	if g == nil {
+		pool := parallel.NewPool(c.cfg.workers())
+		defer pool.Close()
+		g = pool.Group()
 	}
-	out := make([]sums, shards)
-	runShard := func(s int) {
-		start, end := len(indices)*s/shards, len(indices)*(s+1)/shards
-		st := &c.evalShard[s]
-		var sum sums
-		for lo := start; lo < end; lo += evalChunk {
-			rows := copy(st.idx, indices[lo:end])
-			for i := rows; i < evalChunk; i++ {
-				st.idx[i] = st.idx[rows-1]
-			}
-			c.test.BatchInto(st.x, st.y, st.idx)
-			var p []int
-			if preds != nil {
-				p = preds[lo : lo+rows]
-			}
-			sum.correct, sum.lossSum = st.net.Score(st.x, st.y[:rows], p, sum.correct, sum.lossSum)
-		}
-		out[s] = sum
+	c.evalIn, c.evalPreds = indices, preds
+	for s := 0; s < shards; s++ {
+		g.GoIndex(c.evalTask, s)
 	}
-	parallel.ForEach(c.cfg.workers(), shards, runShard)
-	for _, o := range out {
-		correct += o.correct
-		lossSum += o.lossSum
+	g.Wait()
+	for _, st := range c.evalShard[:shards] {
+		correct += st.correct
+		lossSum += st.lossSum
 	}
 	return correct, lossSum, nil
+}
+
+// scoreShard scores shard s's slice of evalSums' indices in chunks of
+// evalChunk rows, carrying its sums row by row — the bits of one pass over
+// the slice; a short last chunk repeats its last index in padding rows that
+// are forwarded but not scored.
+func (c *Cloud) scoreShard(s int) {
+	indices := c.evalIn
+	shards := min(evalShards, len(indices))
+	start, end := len(indices)*s/shards, len(indices)*(s+1)/shards
+	st := &c.evalShard[s]
+	st.correct, st.lossSum = 0, 0
+	for lo := start; lo < end; lo += evalChunk {
+		rows := copy(st.idx, indices[lo:end])
+		for i := rows; i < evalChunk; i++ {
+			st.idx[i] = st.idx[rows-1]
+		}
+		c.test.BatchInto(st.x, st.y, st.idx)
+		var p []int
+		if c.evalPreds != nil {
+			p = c.evalPreds[lo : lo+rows]
+		}
+		st.correct, st.lossSum = st.net.Score(st.x, st.y[:rows], p, st.correct, st.lossSum)
+	}
 }

@@ -11,13 +11,14 @@ import (
 	"github.com/mach-fl/mach/internal/metrics"
 	"github.com/mach-fl/mach/internal/mobility"
 	"github.com/mach-fl/mach/internal/nn"
+	"github.com/mach-fl/mach/internal/parallel"
 )
 
-// evalCloud is a fresh Cloud whose test set is n 8×8 MNIST-like images,
-// scored by the paper's MNIST CNN at its seeded initial model.
-func evalCloud(t *testing.T, n int) *Cloud {
+// evalCloud is a fresh Cloud whose test set is n side×side MNIST-like
+// images, scored by the paper's MNIST CNN at its seeded initial model.
+func evalCloud(t *testing.T, n, side int) *Cloud {
 	t.Helper()
-	task, err := dataset.NewTask(dataset.MNISTLike(8, 8))
+	task, err := dataset.NewTask(dataset.MNISTLike(side, side))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +30,7 @@ func evalCloud(t *testing.T, n int) *Cloud {
 	if err != nil {
 		t.Fatal(err)
 	}
-	arch := func(rng *rand.Rand) (*nn.Network, error) { return nn.NewCNN(nn.MNISTCNNConfig(8, 8), rng) }
+	arch := func(rng *rand.Rand) (*nn.Network, error) { return nn.NewCNN(nn.MNISTCNNConfig(side, side), rng) }
 	c, err := NewCloud(tinyConfig(1, 5), arch, sched, test)
 	if err != nil {
 		t.Fatal(err)
@@ -80,7 +81,7 @@ func wholeShardEval(t *testing.T, c *Cloud) (acc, loss float64, preds []int) {
 // sets smaller than one chunk per shard, on chunk boundaries and off them.
 func TestChunkedEvaluationMatchesWholeShards(t *testing.T) {
 	for _, n := range []int{1, 7, 8, 9, 16, 17, 125, 1000, 1003} {
-		c := evalCloud(t, n)
+		c := evalCloud(t, n, 8)
 		// Move the model off its initialization so predictions spread.
 		rng := rand.New(rand.NewSource(int64(n)))
 		for j := range c.global {
@@ -120,7 +121,7 @@ func TestChunkedEvaluationMatchesWholeShards(t *testing.T) {
 // buffers are sized by evalChunk, not by the test set.
 func TestEvaluatorFootprintIsConstant(t *testing.T) {
 	firstEval := func(n int) uint64 {
-		c := evalCloud(t, n)
+		c := evalCloud(t, n, 8)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		if _, _, err := c.evaluate(); err != nil {
@@ -133,5 +134,24 @@ func TestEvaluatorFootprintIsConstant(t *testing.T) {
 	t.Logf("first evaluate allocates %d B at 1,000 test images, %d B at 10,000", small, large)
 	if max(small, large)-min(small, large) >= 1<<20 {
 		t.Fatalf("first evaluate allocates %d B at 10,000 test images, %d B at 1,000: more than 1 MiB apart", large, small)
+	}
+}
+
+// TestWarmEvaluationAllocatesNothing: on a warm 16×16 CNN cloud with a run's
+// pool installed, an evaluation allocates nothing — the shard sums live in
+// the shard states and the shards go out as index tasks of one reused group.
+func TestWarmEvaluationAllocatesNothing(t *testing.T) {
+	c := evalCloud(t, 200, 16)
+	pool := parallel.NewPool(2)
+	defer pool.Close()
+	c.evalGroup = pool.Group()
+	evaluate := func() {
+		if _, _, err := c.evaluate(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	evaluate() // builds the shard networks and buffers
+	if allocs := testing.AllocsPerRun(20, evaluate); allocs != 0 {
+		t.Fatalf("a warm evaluation allocates %v objects", allocs)
 	}
 }

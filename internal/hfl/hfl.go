@@ -9,9 +9,9 @@
 // Each time step splits into a decision phase — strategy probabilities and
 // every Bernoulli coin drawn from per-edge RNG streams in member order, with
 // independent edges deciding in parallel — and a parallel execution phase
-// that dispatches the sampled devices' local SGD to a bounded worker pool
-// shared across edges. Aggregation then reduces uploads back in member
-// order, so runs are bit-identical for every worker count (see DESIGN.md,
+// that dispatches one task per edge to a bounded worker pool shared across
+// edges; the task trains the edge's sampled devices and folds their uploads
+// in member order, so runs are bit-identical for every worker count (see DESIGN.md,
 // "Concurrency & determinism model" and "Scale model").
 package hfl
 
@@ -68,10 +68,10 @@ type Config struct {
 	// that sampled it. Training experience is still recorded on the device
 	// (it trained); only the upload is lost. 0 disables failures.
 	UploadFailureProb float64
-	// Workers bounds the worker pool that executes per-device local
-	// updates and evaluation shards (0 = runtime.GOMAXPROCS). All random
-	// decisions are made before work is dispatched and results are reduced
-	// in member order, so results are bit-identical for every value.
+	// Workers bounds the worker pool that executes the per-edge training
+	// tasks and evaluation shards (0 = runtime.GOMAXPROCS). All random
+	// decisions are made before work is dispatched and each edge folds its
+	// uploads in member order, so results are bit-identical for every value.
 	Workers int
 	// Lane selects the numeric compute lane for local training (DESIGN.md
 	// §10). LaneF64 (the default) is the reference engine, bit-identical
@@ -82,17 +82,16 @@ type Config struct {
 	// across worker counts and tracks the f64 trajectory within float32
 	// tolerance. Probing, evaluation and aggregation always run f64.
 	Lane Lane
-	// FuseBatch sets the execution phase's task granularity (DESIGN.md
-	// §10): one pool task trains all of an edge's sampled devices as a
-	// group instead of one task per device. On the f32 lane the group's
-	// devices step through the architecture together, layer by layer, in
-	// the slots of one strided executor. Per-device update semantics, RNG
-	// streams and gradients are unchanged — fused results are bit-identical
-	// to unfused within the same lane. Default off.
+	// FuseBatch is f32 slot fusion (DESIGN.md §10): an edge's sampled
+	// devices occupy the slots of one strided f32 executor and step
+	// through the architecture together, layer by layer, instead of one at
+	// a time. The f64 lane ignores it; either way the execution task is one
+	// edge. Per-device update semantics, RNG streams and gradients are
+	// unchanged — fused results are bit-identical to unfused. Default off.
 	FuseBatch bool
 	// Shards partitions the control plane into this many in-process shards
-	// (0 = 1), each a contiguous range of edges with its own aggregation
-	// scratch (DESIGN.md §11). Shards run decide → execute → aggregate for
+	// (0 = 1), each a contiguous range of edges with its own task group
+	// (DESIGN.md §11). Shards run decide → execute → finalize for
 	// their edges concurrently; results are bit-identical for every value,
 	// because each edge's step lives in its own plan and the collect point
 	// and the cloud reduce read the plans in edge order after the step's
@@ -239,14 +238,6 @@ func (c Config) workers() int {
 	return c.Workers
 }
 
-// aggregation returns the configured mode, defaulting to AggInverseUpdate.
-func (c Config) aggregation() Aggregation {
-	if c.Aggregation == 0 {
-		return AggInverseUpdate
-	}
-	return c.Aggregation
-}
-
 // device is what the paper says a device is between time steps: its local
 // data, the RNG stream its minibatches are drawn from, and the cached label
 // distribution of that data. Eq. (4) starts every local update from the edge
@@ -280,15 +271,20 @@ type Engine struct {
 	// edge range.
 	shards []*shardState
 
-	// pool executes per-device local updates while a Run is active; nil
-	// otherwise.
+	// pool executes the edge tasks and evaluation shards while a Run is
+	// active; nil otherwise.
 	pool *parallel.Pool
+
+	// The pool tasks of an edge's execution phase (trainEdge on a borrowed
+	// trainer) and of a shard's step, one func each for every step.
+	edgeTask  func(n int)
+	shardTask func(s int)
 
 	// Steady-state scratch. plans[n] and decide[n] are private to edge n's
 	// owning shard during a step and to the Run goroutine between steps.
 	plans   []edgePlan        // per-edge decision-phase output
 	decide  []edgeDecideState // per-edge pooled RNG + context + buffers
-	aggNext [][]float64       // per-edge aggregation double-buffer
+	aggNext [][]float64       // per-edge fold target, swapped with edge[n]
 	// The step's observation batch, gathered from the plans at the collect
 	// point: (edge, device, norm window) records in edge then member order.
 	obsEdges []int
@@ -364,6 +360,15 @@ func New(cfg Config, arch ArchFunc, deviceData []*dataset.Dataset, test *dataset
 	e.plans = make([]edgePlan, cloud.nEdges)
 	e.decide = make([]edgeDecideState, cloud.nEdges)
 	e.aggNext = make([][]float64, cloud.nEdges)
+	for n := range e.aggNext {
+		e.aggNext[n] = make([]float64, len(e.global))
+	}
+	e.edgeTask = func(n int) {
+		tr := e.trainers.Borrow(e.cfg.BatchSize)
+		defer e.trainers.Release(tr)
+		e.trainEdge(n, tr)
+	}
+	e.shardTask = func(s int) { e.shards[s].runStep() }
 	shards := cfg.shardCount(cloud.nEdges)
 	e.shards = make([]*shardState, shards)
 	for s := range e.shards {

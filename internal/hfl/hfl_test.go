@@ -287,22 +287,38 @@ func TestEdgeAggregationUnbiasedness(t *testing.T) {
 	}
 	zero := make([]float64, dim)
 	size := float64(len(probs))
-	// enumerate aggregates every sample outcome from the same edge model and
-	// hands each result to f with the outcome's probability.
+	tr := eng.trainers.Borrow(eng.cfg.BatchSize)
+	plan := &eng.plans[0]
+	// enumerate folds every sample outcome into the same edge model the way
+	// an edge task does — the plan's weights, foldStart, one Fold per upload
+	// in member order, edgeFinalize — with device i's trained model installed
+	// as members[i], and hands each result to f with the outcome's
+	// probability.
 	enumerate := func(f func(prob float64, agg []float64)) {
 		for outcome := 0; outcome < 1<<len(probs); outcome++ {
 			prob := 1.0
-			var results []localResult
+			plan.devs, plan.uploads = plan.devs[:0], 0
 			for i, q := range probs {
 				if outcome&(1<<i) == 0 {
 					prob *= 1 - q
 					continue
 				}
 				prob *= q
-				results = append(results, localResult{params: members[i], weight: 1 / (size * q), size: 1})
+				plan.devs = append(plan.devs, plannedDevice{m: i, weight: 1 / (size * q), upload: true})
+				plan.uploads++
+			}
+			if eng.aggregation() == AggPlain {
+				eng.plainWeights(plan)
 			}
 			copy(eng.edge[0], base)
-			eng.aggregateEdge(0, results, true)
+			next, foldBase := eng.foldStart(0)
+			for _, pd := range plan.devs {
+				if err := tr.net.SetParamVector(members[pd.m]); err != nil {
+					t.Fatal(err)
+				}
+				tr.Fold(next, foldBase, pd.weight, -1)
+			}
+			eng.edgeFinalize(0)
 			f(prob, eng.edge[0])
 		}
 	}

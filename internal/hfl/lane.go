@@ -32,8 +32,7 @@ type Trainer struct {
 
 // LocalUpdate runs Eq. (4) in float64: from base, len(sqNorms) SGD steps at
 // rate lr on minibatches of data drawn from rng, recording each step's squared
-// stochastic-gradient norm. ParamsInto reads the trained parameters and
-// AddUpdateTo folds their update.
+// stochastic-gradient norm. Fold reads the trained parameters in place.
 //
 //machlint:allocfree
 func (tr *Trainer) LocalUpdate(base []float64, data *dataset.Dataset, rng *rand.Rand, lr float64, sqNorms []float64) error {
@@ -49,21 +48,32 @@ func (tr *Trainer) LocalUpdate(base []float64, data *dataset.Dataset, rng *rand.
 	return nil
 }
 
-// ParamsInto copies the last LocalUpdate's result into dst, grown as needed.
-func (tr *Trainer) ParamsInto(dst []float64) []float64 { return tr.net.ParamVectorInto(dst) }
-
-// AddUpdateTo adds the last LocalUpdate's update θ − base onto sum, one
-// parameter tensor at a time: the elementwise tensor.AxpyDiff(sum, 1, θ, base)
-// of ParamsInto's flat θ, bit for bit, without reading θ out.
+// Fold adds w·(θ − base) onto dst (w·θ when base is nil), θ the trained
+// parameters — the f32 lane's slot masters for slot ≥ 0, the last
+// LocalUpdate's network for −1 — read in place: bit for bit the flat
+// tensor.AxpyDiff (tensor.Axpy). Eq. (5)'s edge fold, and fed's update sum.
 //
 //machlint:allocfree
-func (tr *Trainer) AddUpdateTo(sum, base []float64) {
+func (tr *Trainer) Fold(dst, base []float64, w float64, slot int) {
+	if slot >= 0 {
+		fold(dst, base, w, tr.lane.Master(slot), 0)
+		return
+	}
 	off := 0
 	for _, p := range tr.net.Params() {
-		v := p.Value.Data()
-		tensor.AxpyDiff(sum[off:off+len(v)], 1, v, base[off:off+len(v)])
-		off += len(v)
+		fold(dst, base, w, p.Value.Data(), off)
+		off += p.Value.Len()
 	}
+}
+
+// fold is Fold on the stretch theta of θ, which starts at offset off.
+func fold(dst, base []float64, w float64, theta []float64, off int) {
+	end := off + len(theta)
+	if base == nil {
+		tensor.Axpy(dst[off:end], w, theta)
+		return
+	}
+	tensor.AxpyDiff(dst[off:end], w, theta, base[off:end])
 }
 
 // TrainerPool is a free list of Trainers cloned from one prototype network.
@@ -129,64 +139,65 @@ func (tr *Trainer) growLane(count int) error {
 	return nil
 }
 
-// trainGroup is the execution phase (DESIGN.md §5, §10): on a borrowed
-// trainer it runs I local SGD steps from edge n's model (Eq. 4) for the
-// planned devices [lo, hi) of the edge. Config.Lane picks the arithmetic and
-// Config.FuseBatch only how the shard cuts a plan into pool tasks; neither
-// can reach a value, because every device's minibatches come from its own
-// dev.rng in local-epoch order whatever group or trainer serves it, a trainer
-// carries nothing between devices, and aggregation boundaries stay float64 —
-// the f32 lane trains float32 copies of float64 master weights and uploads
-// the masters. Each device's gradient-norm window and — when its upload
-// survives — its trained parameters land in the plan's slot buffers
-// (edgePlan.reserve sized them), where edgeFinalize reads them; an error
-// lands on the device that met it. On the f32 lane the group's devices occupy
-// lane slots 0..hi-lo and step together, layer by layer; slot order is plan
-// order, so a k-slot pass equals k one-slot passes.
+// trainEdge is edge n's execution phase (DESIGN.md §5, §10): on a borrowed
+// trainer, I local SGD steps from the edge model (Eq. 4) for each planned
+// device in member order, each surviving upload folded into aggNext[n] with
+// its decide weight as soon as it is trained (Eq. 5; foldStart), and each
+// norm window left in the plan. Config.Lane picks the arithmetic and
+// FuseBatch whether the devices share f32 lane slots (device i in slot i,
+// stepping together; a k-slot pass equals k one-slot passes); neither can
+// reach a value, since minibatches come from each device's own rng, a
+// trainer carries nothing between devices, and the fold reads the float64
+// masters. An error lands on the device that met it and ends the task.
 //
 //machlint:allocfree
-func (e *Engine) trainGroup(n, lo, hi int, tr *Trainer) {
+func (e *Engine) trainEdge(n int, tr *Trainer) {
 	plan := &e.plans[n]
-	devs := plan.devs[lo:hi]
-	uploads := plan.uploads[lo:hi]
-	epochs, batch := e.cfg.LocalEpochs, e.cfg.BatchSize
-	norms := plan.norms[lo*epochs : hi*epochs]
+	devs, epochs, batch := plan.devs, e.cfg.LocalEpochs, e.cfg.BatchSize
+	next, base := e.foldStart(n)
 	if e.cfg.Lane != LaneF32 {
 		for i := range devs {
 			pd, dev := &devs[i], e.devices[devs[i].m]
-			if pd.err = tr.LocalUpdate(e.edge[n], dev.data, dev.rng, e.cfg.LearningRate, norms[i*epochs:(i+1)*epochs]); pd.err != nil {
+			if pd.err = tr.LocalUpdate(e.edge[n], dev.data, dev.rng, e.cfg.LearningRate, plan.norms[i*epochs:(i+1)*epochs]); pd.err != nil {
 				return
 			}
 			if pd.upload {
-				uploads[i] = tr.ParamsInto(uploads[i])
+				tr.Fold(next, base, pd.weight, -1)
 			}
 		}
 		return
 	}
-	if tr.lane == nil || tr.lane.Slots() < len(devs) {
-		if devs[0].err = tr.growLane(len(devs)); devs[0].err != nil {
+	size := 1
+	if e.cfg.FuseBatch {
+		size = len(devs)
+	}
+	if tr.lane == nil || tr.lane.Slots() < size {
+		if devs[0].err = tr.growLane(size); devs[0].err != nil {
 			return
 		}
 	}
-	for i := range devs {
-		if devs[i].err = tr.lane.LoadParams(i, e.edge[n]); devs[i].err != nil {
-			return
+	for lo := 0; lo < len(devs); lo += size {
+		group, norms := devs[lo:lo+size], plan.norms[lo*epochs:(lo+size)*epochs]
+		for i := range group {
+			if group[i].err = tr.lane.LoadParams(i, e.edge[n]); group[i].err != nil {
+				return
+			}
 		}
-	}
-	for tau := 0; tau < epochs; tau++ {
-		for i := range devs {
-			dev := e.devices[devs[i].m]
-			dev.data.RandomBatchInto(dev.rng, tr.batchX, tr.labels[i], tr.batchIdx)
-			tr.lane.SetInput(i, batch, tr.batchX.Data())
+		for tau := 0; tau < epochs; tau++ {
+			for i := range group {
+				dev := e.devices[group[i].m]
+				dev.data.RandomBatchInto(dev.rng, tr.batchX, tr.labels[i], tr.batchIdx)
+				tr.lane.SetInput(i, batch, tr.batchX.Data())
+			}
+			tr.lane.TrainStep(len(group), batch, tr.labels, e.cfg.LearningRate, tr.losses, tr.norms)
+			for i := range group {
+				norms[i*epochs+tau] = tr.norms[i]
+			}
 		}
-		tr.lane.TrainStep(len(devs), batch, tr.labels, e.cfg.LearningRate, tr.losses, tr.norms)
-		for i := range devs {
-			norms[i*epochs+tau] = tr.norms[i]
-		}
-	}
-	for i := range devs {
-		if devs[i].upload {
-			uploads[i] = tr.lane.ParamsInto(i, uploads[i])
+		for i := range group {
+			if group[i].upload {
+				tr.Fold(next, base, group[i].weight, i)
+			}
 		}
 	}
 }

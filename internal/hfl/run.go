@@ -7,7 +7,6 @@ import (
 	"github.com/mach-fl/mach/internal/metrics"
 	"github.com/mach-fl/mach/internal/parallel"
 	"github.com/mach-fl/mach/internal/telemetry"
-	"github.com/mach-fl/mach/internal/tensor"
 )
 
 // Result summarizes one training run.
@@ -83,34 +82,24 @@ func WithEvalHook(fn func(step int, accuracy, loss float64)) RunOption {
 	return func(o *runOptions) { o.evalFn = fn }
 }
 
-// localResult is one sampled device's contribution to edge aggregation.
-type localResult struct {
-	params []float64
-	weight float64 // 1/(|M_n|·q) for unbiased strategies, 1 for biased
-	size   int     // |D_m|: plain aggregation weights by dataset size
-}
-
 // plannedDevice is one sampled device's decision-phase outcome, later filled
 // in with its execution-phase result.
 type plannedDevice struct {
 	m      int     // device id
-	weight float64 // 1/(|M_n|·q) for unbiased strategies, 1 for biased
+	weight float64 // fold weight: 1/(|M_n|·q) (Eq. 5), or plainWeights'
 	upload bool    // false when the upload-failure coin dropped the result
 	err    error
 }
 
-// edgePlan is everything one step produces for one edge: the decision-phase
-// output (the planned devices, or the decide error), plus the pooled buffers
-// the execution phase fills per planned device (slot i belongs to devs[i]):
-// its gradient-norm window norms[i·I:(i+1)·I], its error and, when its upload
-// survives, its trained parameters uploads[i]. The buffers are valid until
-// the edge's next decide, which is after the step's observations are merged
-// and its uploads aggregated.
+// edgePlan is everything one step produces for one edge but its folded
+// model: the planned devices, their surviving uploads' count and the decide
+// error, then each device's error and gradient-norm window norms[i·I:(i+1)·I]
+// (pooled; valid until the edge's next decide, after the collect point).
 type edgePlan struct {
 	devs    []plannedDevice
+	uploads int
 	err     error
 	norms   []float64
-	uploads [][]float64
 }
 
 // trainErr returns the plan's first local-update error in member order.
@@ -123,26 +112,11 @@ func (p *edgePlan) trainErr() error {
 	return nil
 }
 
-// uploaded counts the planned devices whose upload survived.
-func (p *edgePlan) uploaded() int {
-	k := 0
-	for _, pd := range p.devs {
-		if pd.upload {
-			k++
-		}
-	}
-	return k
-}
-
-// reserve sizes the slot buffers for the devices just planned, keeping what
-// earlier steps grew. A new upload slot is allocated once, at the model's
-// size, so ParamsInto's per-layer appends never regrow it.
-func (p *edgePlan) reserve(epochs, numParams int) {
+// reserve sizes the norm buffer for the devices just planned, keeping what
+// earlier steps grew.
+func (p *edgePlan) reserve(epochs int) {
 	if need := len(p.devs) * epochs; len(p.norms) < need {
 		p.norms = make([]float64, need)
-	}
-	for len(p.uploads) < len(p.devs) {
-		p.uploads = append(p.uploads, make([]float64, 0, numParams))
 	}
 }
 
@@ -153,10 +127,11 @@ func (p *edgePlan) reserve(epochs, numParams int) {
 // coins) from the per-edge RNG streams in member order — edges of different
 // shards decide in parallel, which is safe because each edge's stream,
 // context and plan are private to it and every draw within an edge stays
-// serial; a parallel *execution* phase dispatches the sampled devices' local
-// SGD to a bounded worker pool shared across edges; a *finalize* phase
-// aggregates each edge's uploads in member order, and the step's collect
-// point hands the strategy its experiences in edge then member order.
+// serial; a parallel *execution* phase runs one task per edge on a worker
+// pool shared across edges, training its devices and folding their uploads
+// in member order (Eq. 5); a *finalize* phase swaps the folded models in,
+// and the collect point hands the strategy its experiences in edge then
+// member order.
 // Because no random decision depends on execution timing and every reduction
 // is order-fixed, the result is bit-identical for every Config.Workers value.
 func (e *Engine) Run(opts ...RunOption) (*Result, error) {
@@ -167,9 +142,18 @@ func (e *Engine) Run(opts ...RunOption) (*Result, error) {
 	res := &Result{History: &metrics.History{}}
 
 	e.pool = parallel.NewPool(e.cfg.workers())
+	e.evalGroup = e.pool.Group()
+	for _, s := range e.shards {
+		s.group = e.pool.Group()
+	}
+	// The shards fan out on a pool of their own, a worker each: a shard
+	// waits on its edge tasks, so it must not hold a worker they need.
+	fan := parallel.NewPool(len(e.shards))
+	shards := fan.Group()
 	defer func() {
+		fan.Close()
 		e.pool.Close()
-		e.pool = nil
+		e.pool, e.evalGroup = nil, nil
 	}()
 	if e.tel != nil {
 		e.tel.SetShardCount(len(e.shards))
@@ -202,12 +186,15 @@ func (e *Engine) Run(opts ...RunOption) (*Result, error) {
 		}
 		// Fan the step out over the shards: each runs decide → execute →
 		// finalize for its own edge range (decide and finalize serially, in
-		// edge order, on its goroutine; device training on the shared pool),
-		// and ForEach's return is the collect point. No RNG stream,
-		// experience write or model reduction crosses a shard boundary
-		// mid-step, so the cross-shard interleaving cannot reach a value
-		// (DESIGN.md §11).
-		parallel.ForEach(len(e.shards), len(e.shards), func(i int) { e.shards[i].runStep(t) })
+		// edge order, on its worker; edge tasks on the shared pool), and
+		// the fan-out's Wait is the collect point. No RNG stream, experience
+		// write or model reduction crosses a shard boundary mid-step, so the
+		// cross-shard interleaving cannot reach a value (DESIGN.md §11).
+		for i, s := range e.shards {
+			s.t = t
+			shards.GoIndex(e.shardTask, i)
+		}
+		shards.Wait()
 		if err := e.collectStep(t); err != nil {
 			return nil, err
 		}
@@ -217,7 +204,7 @@ func (e *Engine) Run(opts ...RunOption) (*Result, error) {
 		var stepTel stepSamplingStats
 		stepSampled := 0
 		for n := range e.plans {
-			trained, uploaded := len(e.plans[n].devs), e.plans[n].uploaded()
+			trained, uploaded := len(e.plans[n].devs), e.plans[n].uploads
 			stepSampled += uploaded
 			res.Comm.DeviceDownlinkBytes += int64(trained) * modelBytes
 			res.Comm.DeviceUplinkBytes += int64(uploaded) * modelBytes
@@ -294,7 +281,7 @@ func (e *Engine) Run(opts ...RunOption) (*Result, error) {
 }
 
 // stepSamplingStats accumulates one step's cross-edge sampling observations,
-// folded serially during the finalize loop and flushed once per step.
+// folded serially during the accounting pass and flushed once per step.
 type stepSamplingStats struct {
 	ucbMin, ucbMax, ucbSum float64
 	ucbCount               int
@@ -305,7 +292,7 @@ type stepSamplingStats struct {
 
 // observeEdge folds one edge's decision into the step accumulator and, when
 // the trace records this decision, emits the complete decision event. It
-// runs on the sequential finalize path in edge order, which is what makes
+// runs on the sequential accounting pass in edge order, which is what makes
 // trace output deterministic; the decide-phase buffers it reads (probs, the
 // context's estimates, coins) stay valid until the edge's next decide.
 func (e *Engine) observeEdge(t, n int, acc *stepSamplingStats) {
@@ -375,7 +362,8 @@ func (e *Engine) flushStepTelemetry(acc *stepSamplingStats) {
 // first, then per member one sampling coin and — for sampled devices under a
 // positive failure probability — one upload-failure coin. Local updates never
 // touch this stream, so pulling the failure coin forward from the serial
-// post-training position leaves every draw at the same stream offset.
+// post-training position leaves every draw at the same stream offset. Then
+// the fold weights are final: Eq. (5)'s, or plainWeights'.
 //
 // All per-step machinery is pooled in e.decide[n]: the RNG is reseeded to
 // the det.EdgeCoin stream a fresh det.NewRand would start (Seed is one store
@@ -386,7 +374,7 @@ func (e *Engine) flushStepTelemetry(acc *stepSamplingStats) {
 //machlint:allocfree
 func (e *Engine) edgeDecide(t, n int) error {
 	plan := &e.plans[n]
-	plan.devs = plan.devs[:0]
+	plan.devs, plan.uploads = plan.devs[:0], 0
 	members := e.Members(n)
 	if len(members) == 0 {
 		return nil
@@ -421,7 +409,6 @@ func (e *Engine) edgeDecide(t, n int) error {
 		st.sampledIDs = st.sampledIDs[:0]
 		st.droppedIDs = st.droppedIDs[:0]
 	}
-	unbiased := e.strategy.Unbiased()
 	for i, m := range members {
 		q := probs[i]
 		if !(q >= 0 && q <= 1) {
@@ -444,82 +431,77 @@ func (e *Engine) edgeDecide(t, n int) error {
 				st.droppedIDs = append(st.droppedIDs, m)
 			}
 		}
-		weight := 1.0
-		if unbiased {
-			weight = 1 / (float64(len(members)) * q) // Eq. (5)
+		weight := 1 / (float64(len(members)) * q) // Eq. (5)
+		if upload {
+			plan.uploads++
 		}
 		plan.devs = append(plan.devs, plannedDevice{m: m, weight: weight, upload: upload})
 	}
-	plan.reserve(e.cfg.LocalEpochs, len(e.global))
+	if e.aggregation() == AggPlain {
+		e.plainWeights(plan)
+	}
+	plan.reserve(e.cfg.LocalEpochs)
 	return nil
 }
 
-// edgeFinalize merges the surviving uploads of one edge's executed plan into
-// the edge model in member order (Algorithm 1, lines 6-11). The uploads are
-// the plan's slot buffers (see edgePlan).
-func (e *Engine) edgeFinalize(n int, s *shardState) {
-	plan := &e.plans[n]
-	results := s.aggResults[:0]
-	for i, pd := range plan.devs {
-		if pd.upload {
-			results = append(results, localResult{params: plan.uploads[i], weight: pd.weight, size: e.devices[pd.m].data.Len()})
-		}
-	}
-	e.aggregateEdge(n, results, e.strategy.Unbiased())
-	s.aggResults = results[:0] // keep the grown capacity for the shard's next edge
-}
-
-// aggregateEdge merges sampled local models into the edge model. For
-// unbiased strategies the inverse-probability weights of Eq. (5) are applied
-// to the model updates (or, with AggLiteralEq5, to the models themselves); for
-// biased active-selection strategies a plain average over participants is
-// used. The edge keeps a double buffer: the outgoing model becomes the next
-// aggregation's scratch, so steady-state aggregation does not allocate.
+// plainWeights gives each surviving upload the weight |D_m|/Σ|D| over the
+// uploads: FedAvg over participants (equal sizes: a plain mean, the paper's
+// simplification).
 //
 //machlint:allocfree
-func (e *Engine) aggregateEdge(n int, results []localResult, unbiased bool) {
-	if len(results) == 0 {
-		return // no participants: edge model carries over
-	}
-	cur := e.edge[n]
-	next := e.aggNext[n]
-	if len(next) != len(cur) {
-		next = make([]float64, len(cur))
-	}
-	mode := e.cfg.aggregation()
-	if !unbiased {
-		mode = AggPlain // active selection always plain-averages
-	}
-	switch mode {
-	case AggPlain:
-		// FedAvg over participants, weighted by local dataset size |D_m|
-		// (equal sizes reduce to a plain mean, the paper's simplification).
-		total := 0
-		for _, r := range results {
-			total += r.size
-		}
-		clear(next)
-		for _, r := range results {
-			// total == 0 can only mean every participant reported an empty
-			// dataset; fall back to a plain mean instead of dividing by 0.
-			w := 1.0 / float64(len(results))
-			if total > 0 {
-				w = float64(r.size) / float64(total)
-			}
-			tensor.Axpy(next, w, r.params)
-		}
-	case AggLiteralEq5:
-		clear(next)
-		for _, r := range results {
-			tensor.Axpy(next, r.weight, r.params)
-		}
-	default: // AggInverseUpdate: w_n ← w_n + Σ weight·(w_m − w_n)
-		copy(next, cur)
-		for _, r := range results {
-			tensor.AxpyDiff(next, r.weight, r.params, cur)
+func (e *Engine) plainWeights(plan *edgePlan) {
+	total := 0
+	for _, pd := range plan.devs {
+		if pd.upload {
+			total += e.devices[pd.m].data.Len()
 		}
 	}
-	e.edge[n], e.aggNext[n] = next, cur
+	for i := range plan.devs {
+		if pd := &plan.devs[i]; pd.upload {
+			pd.weight = float64(e.devices[pd.m].data.Len()) / float64(total)
+		}
+	}
+}
+
+// foldStart readies edge n's fold target and returns it with the fold base:
+// a copy of w_n taking w·(θ − w_n) per upload under AggInverseUpdate, else
+// zero taking w·θ (base nil). With no uploads it leaves the target be.
+//
+//machlint:allocfree
+func (e *Engine) foldStart(n int) (next, base []float64) {
+	cur, next := e.edge[n], e.aggNext[n]
+	if e.aggregation() == AggInverseUpdate {
+		base = cur
+	}
+	if e.plans[n].uploads > 0 {
+		if base != nil {
+			copy(next, cur)
+		} else {
+			clear(next)
+		}
+	}
+	return next, base
+}
+
+// edgeFinalize swaps edge n's folded model in (Algorithm 1, line 11); an
+// edge whose uploads all dropped keeps its model.
+func (e *Engine) edgeFinalize(n int) {
+	if e.plans[n].uploads > 0 {
+		e.edge[n], e.aggNext[n] = e.aggNext[n], e.edge[n]
+	}
+}
+
+// aggregation returns the edge rule this run folds with: AggPlain for active
+// selection, which always plain-averages, else the configured mode
+// (AggInverseUpdate when unset).
+func (e *Engine) aggregation() Aggregation {
+	switch {
+	case !e.strategy.Unbiased():
+		return AggPlain
+	case e.cfg.Aggregation == 0:
+		return AggInverseUpdate
+	}
+	return e.cfg.Aggregation
 }
 
 // probeGradNorm measures the true squared stochastic-gradient norm of device

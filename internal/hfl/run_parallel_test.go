@@ -1,9 +1,9 @@
 package hfl
 
 import (
-	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -49,60 +49,6 @@ func TestMobilityStatsDeterministic(t *testing.T) {
 	}
 }
 
-// TestAggregateEdgeSteadyStateZeroAllocs pins the double-buffer contract:
-// after the first call installs the buffers, edge aggregation never
-// allocates, in every mode.
-func TestAggregateEdgeSteadyStateZeroAllocs(t *testing.T) {
-	parts, test, sched := tinySetup(t, 8, 2, 5, 3)
-	for _, mode := range []Aggregation{AggInverseUpdate, AggPlain, AggLiteralEq5} {
-		cfg := tinyConfig(5, 3)
-		cfg.Aggregation = mode
-		eng, err := New(cfg, tinyArch, parts, test, sched, sampling.NewUniform())
-		if err != nil {
-			t.Fatal(err)
-		}
-		results := []localResult{
-			{params: eng.GlobalParams(), weight: 0.7, size: 40},
-			{params: eng.GlobalParams(), weight: 1.3, size: 40},
-		}
-		eng.aggregateEdge(0, results, true) // warm-up installs the buffer
-		allocs := testing.AllocsPerRun(50, func() {
-			eng.aggregateEdge(0, results, true)
-		})
-		if allocs != 0 {
-			t.Fatalf("mode %v: aggregateEdge allocates %v objects per call in steady state", mode, allocs)
-		}
-	}
-}
-
-// TestAggregatePlainZeroTotalFallsBackToMean covers the total == 0 guard:
-// participants that all report empty datasets must produce a plain mean, not
-// a division by zero.
-func TestAggregatePlainZeroTotalFallsBackToMean(t *testing.T) {
-	parts, test, sched := tinySetup(t, 8, 2, 5, 3)
-	eng, err := New(tinyConfig(5, 3), tinyArch, parts, test, sched, sampling.NewUniform())
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := len(eng.global)
-	a, b := make([]float64, p), make([]float64, p)
-	for j := range a {
-		a[j], b[j] = 1, 3
-	}
-	eng.aggregateEdge(0, []localResult{
-		{params: a, weight: 1, size: 0},
-		{params: b, weight: 1, size: 0},
-	}, false)
-	for j, v := range eng.edge[0] {
-		if math.IsNaN(v) {
-			t.Fatal("zero-size aggregation produced NaN")
-		}
-		if v != 2 {
-			t.Fatalf("edge[0][%d] = %v, want plain mean 2", j, v)
-		}
-	}
-}
-
 // TestEvaluateSurfacesModelMismatch covers the error-propagation fix: a
 // global vector that no longer fits the architecture must fail loudly from
 // every evaluation entry point instead of reporting zeros.
@@ -141,4 +87,43 @@ func TestProbeGradNormPanicsWithContext(t *testing.T) {
 		}
 	}()
 	eng.probeGradNorm(0, 0, 0)
+}
+
+// TestEngineStepAllocations is the execution phase's allocation guard: once
+// warm, an engine step — decide, the per-edge train-and-fold tasks, finalize,
+// the collect point, cloud rounds and evaluations — at Workers 2 × Shards 2
+// allocates at most 8 objects on average. Dispatch is index tasks on reused
+// groups, the fold writes into buffers New sized, and the experience book
+// keeps running sums.
+func TestEngineStepAllocations(t *testing.T) {
+	const warm, steps, budget = 10, 60, 8
+	parts, test, sched := tinySetup(t, 40, 4, steps, 7)
+	cfg := tinyConfig(steps, 7)
+	cfg.Workers, cfg.Shards = 2, 2
+	strategy, err := sampling.NewMACH(len(parts), sampling.DefaultMACHConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := New(cfg, tinyArch, parts, test, sched, strategy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ms runtime.MemStats
+	var from uint64
+	hook := func(step, _ int) {
+		if step == warm || step == steps-1 {
+			runtime.ReadMemStats(&ms)
+			if step == warm {
+				from = ms.Mallocs
+			}
+		}
+	}
+	if _, err := eng.Run(WithStepHook(hook)); err != nil {
+		t.Fatal(err)
+	}
+	perStep := float64(ms.Mallocs-from) / float64(steps-1-warm)
+	t.Logf("%.2f allocations per warm step", perStep)
+	if perStep > budget {
+		t.Fatalf("a warm engine step allocates %.2f objects, budget %d", perStep, budget)
+	}
 }

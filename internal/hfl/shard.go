@@ -2,34 +2,36 @@ package hfl
 
 import (
 	"fmt"
+	"slices"
 
+	"github.com/mach-fl/mach/internal/parallel"
 	"github.com/mach-fl/mach/internal/telemetry"
 )
 
 // This file holds the sharded control plane (DESIGN.md §11): the engine's
 // per-step work is partitioned into shards, each a contiguous range of edges
-// with its aggregation scratch and phase timings. Run fans a step out over
-// the shards with parallel.ForEach — one goroutine per shard, or inline with
-// one shard — and every shard runs decide → execute → finalize for its edges.
+// with its task group and phase timings. Run fans a step out over the shards
+// as index tasks on a pool with a worker per shard, and every shard runs
+// decide → execute → finalize for its edges.
 // Everything a step produces for an edge lands in that edge's plan, so a
 // step's cross-shard interleaving can never reach a value: every RNG stream
 // is per-edge and placement-independent, the member index and experience book
 // are only read during the step, and the collect point reads errors,
 // observations and counts from the plans in edge order on the Run goroutine
-// after ForEach returns.
+// after the fan-out's Wait returns.
 
 // shardState is one control-plane shard: a contiguous edge range [lo, hi),
-// its aggregation scratch, and its phase telemetry. All fields are owned by
-// the shard's goroutine during a step and readable by the engine after
-// ForEach returns, which orders the two.
+// the task group its edges' training goes through, and its phase telemetry.
+// All fields are owned by the shard's worker during a step and readable by
+// the engine after the fan-out's Wait returns, which orders the two.
 type shardState struct {
 	e      *Engine
 	id     int
 	lo, hi int // owned edge range [lo, hi)
+	t      int // the step Run dispatched the shard for
 
-	// aggResults is the shard's upload-collection scratch, reused across its
-	// edges.
-	aggResults []localResult
+	group *parallel.Group // the edge tasks' group on the run's pool, set by Run
+	order []int           // the step's edge tasks, longest first
 
 	// Phase telemetry, observed by the engine at the collect point.
 	decideNS, trainNS, finalNS int64
@@ -39,28 +41,28 @@ type shardState struct {
 	hasPanic bool
 }
 
-// runStep is the shard's step as ForEach calls it: a panic is stored rather
-// than left to kill the process from a ForEach goroutine, so every shard
-// finishes and collectStep re-raises the first one in shard order. The span
-// reuses the edge dimension for the shard id and nests under the step span.
-func (s *shardState) runStep(t int) {
+// runStep is the shard's step at step s.t as the fan-out runs it: a panic is
+// stored rather than left to the fan-out's group, so every shard finishes and
+// collectStep re-raises the first one in shard order. The span reuses the
+// edge dimension for the shard id and nests under the step span.
+func (s *shardState) runStep() {
 	defer func() {
 		if r := recover(); r != nil && !s.hasPanic {
 			s.hasPanic, s.panicked = true, r
 		}
 	}()
-	sp := s.e.tel.StartSpan(telemetry.SpanShardCmd, telemetry.DeriveSpanID(telemetry.SpanStep, t, -1, -1), t, s.id, 0)
+	sp := s.e.tel.StartSpan(telemetry.SpanShardCmd, telemetry.DeriveSpanID(telemetry.SpanStep, s.t, -1, -1), s.t, s.id, 0)
 	defer sp.End()
-	s.step(t)
+	s.step(s.t)
 }
 
 // step runs the shard's share of one time step: decide every owned edge in
-// edge order, execute the sampled devices' local updates on the shared pool,
-// and aggregate in edge order. Everything written here is either owned by the
-// shard (its edges, their decide states and plans, its scratch) or private to
-// a device the schedule assigns to exactly one of its edges this step, so
-// shards never contend; the member index and the experience book are only
-// read during the step, never written.
+// edge order, train and fold each edge with sampled devices as one task on
+// the shared pool, and swap the folded models in, in edge order. Everything
+// written here is owned by the shard (its edges' decide states, plans and
+// fold targets) or private to a device the schedule assigns to exactly one
+// of its edges this step, so shards never contend; the member index and the
+// experience book are only read during the step.
 func (s *shardState) step(t int) {
 	e := s.e
 	start := e.tel.Now()
@@ -80,30 +82,25 @@ func (s *shardState) step(t int) {
 	if failed {
 		return // the engine aborts the run; a failed plan is not executable
 	}
-	// Config.FuseBatch is task granularity only: one trainGroup per plan or per device.
-	g := e.pool.Group()
+	// Longest edge first: task order reaches no value, and a long task
+	// started last would leave the other workers idle.
+	s.order = s.order[:0]
 	for n := s.lo; n < s.hi; n++ {
-		count := len(e.plans[n].devs)
-		size := 1
-		if e.cfg.FuseBatch {
-			size = count
-		}
-		for lo := 0; lo < count; lo += size {
-			n, hi := n, lo+size // never reassigned, so the task captures them by value
-			g.Go(func() {
-				tr := e.trainers.Borrow(e.cfg.BatchSize)
-				defer e.trainers.Release(tr)
-				e.trainGroup(n, lo, hi, tr)
-			})
+		if len(e.plans[n].devs) > 0 {
+			s.order = append(s.order, n)
 		}
 	}
+	slices.SortStableFunc(s.order, func(a, b int) int { return len(e.plans[b].devs) - len(e.plans[a].devs) })
+	for _, n := range s.order {
+		s.group.GoIndex(e.edgeTask, n)
+	}
 	s.queueDepth = e.pool.QueueDepth()
-	g.Wait()
+	s.group.Wait()
 	trainEnd := e.tel.Now()
 	s.trainNS = trainEnd - decideEnd
 	e.tel.RecordSpan(telemetry.SpanTrain, cmdSpan, t, s.id, -1, decideEnd, trainEnd)
 	for n := s.lo; n < s.hi && e.plans[n].trainErr() == nil; n++ {
-		e.edgeFinalize(n, s)
+		e.edgeFinalize(n)
 	}
 	finalEnd := e.tel.Now()
 	s.finalNS = finalEnd - trainEnd
@@ -115,7 +112,7 @@ func (s *shardState) step(t int) {
 // plans — every edge's decide error before any training error, the lowest
 // edge of each kind — and hands the strategy's observer the step's training
 // experience as one batch in edge then member order. It runs serially on the
-// Run goroutine after ForEach returns, so everything it does is
+// Run goroutine after the fan-out's Wait returns, so everything it does is
 // deterministic.
 func (e *Engine) collectStep(t int) error {
 	for _, s := range e.shards {

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"github.com/mach-fl/mach/internal/dataset"
@@ -69,19 +70,23 @@ func markovTwin(t testing.TB, seed int64, edges, devices int) *mobility.Schedule
 	return sched
 }
 
-// planFor installs a hand-made plan on edge n: the given devices, every
-// second upload dropped.
+// planFor installs a hand-made plan on edge n: the given devices at weight
+// 1, every second upload dropped.
 func planFor(e *Engine, n int, devs []int) {
 	plan := &e.plans[n]
-	plan.devs = plan.devs[:0]
+	plan.devs, plan.uploads = plan.devs[:0], 0
 	for i, m := range devs {
 		plan.devs = append(plan.devs, plannedDevice{m: m, weight: 1, upload: i%2 == 0})
+		if i%2 == 0 {
+			plan.uploads++
+		}
 	}
-	plan.reserve(e.cfg.LocalEpochs, len(e.global))
+	plan.reserve(e.cfg.LocalEpochs)
 }
 
-// groupOutputs copies what trainGroup left in edge n's plan.
-func groupOutputs(t *testing.T, e *Engine, n int) (norms [][]float64, uploads [][]float64) {
+// edgeOutputs copies what trainEdge left for edge n: each planned device's
+// gradient-norm window, and the folded next edge model.
+func edgeOutputs(t *testing.T, e *Engine, n int) (norms [][]float64, folded []float64) {
 	t.Helper()
 	plan := &e.plans[n]
 	for i := range plan.devs {
@@ -90,13 +95,8 @@ func groupOutputs(t *testing.T, e *Engine, n int) (norms [][]float64, uploads []
 			t.Fatalf("device %d: %v", pd.m, pd.err)
 		}
 		norms = append(norms, append([]float64(nil), plan.norms[i*e.cfg.LocalEpochs:(i+1)*e.cfg.LocalEpochs]...))
-		var up []float64
-		if pd.upload {
-			up = append(up, plan.uploads[i]...)
-		}
-		uploads = append(uploads, up)
 	}
-	return norms, uploads
+	return norms, append([]float64(nil), e.aggNext[n]...)
 }
 
 func requireSameBits(t *testing.T, label string, got, want [][]float64) {
@@ -118,9 +118,10 @@ func requireSameBits(t *testing.T, label string, got, want [][]float64) {
 
 // TestTrainerCarriesNoStateBetweenDevices: training devices B on a trainer
 // that has just served other devices A — from a different edge model, in a
-// larger group — leaves exactly the uploads and gradient-norm windows that a
-// fresh trainer leaves. Stale gradients, a stale loss gradient, Conv2D view
-// caches or Lane32 slot residue would all show here.
+// larger group of lane slots — leaves exactly the gradient-norm windows and
+// folded edge model that a fresh trainer leaves. Stale gradients, a stale
+// loss gradient, Conv2D view caches or Lane32 slot residue would all show
+// here.
 func TestTrainerCarriesNoStateBetweenDevices(t *testing.T) {
 	archs := map[string]ArchFunc{"mlp": mlp8Arch, "cnn": cnnArch}
 	for _, lane := range []Lane{LaneF64, LaneF32} {
@@ -130,7 +131,7 @@ func TestTrainerCarriesNoStateBetweenDevices(t *testing.T) {
 					build := func() *Engine {
 						parts, test, sched := world8(t, 10, 2, 41)
 						cfg := tinyConfig(2, 41)
-						cfg.Lane = lane
+						cfg.Lane, cfg.FuseBatch = lane, true
 						e, err := New(cfg, archs[name], parts, test, sched, sampling.NewUniform())
 						if err != nil {
 							t.Fatal(err)
@@ -147,17 +148,17 @@ func TestTrainerCarriesNoStateBetweenDevices(t *testing.T) {
 					planFor(used, 0, devsA)
 					planFor(used, 1, devsB)
 					tr := used.trainers.Borrow(used.cfg.BatchSize)
-					used.trainGroup(0, 0, len(devsA), tr)
-					used.trainGroup(1, 0, len(devsB), tr)
-					gotNorms, gotUploads := groupOutputs(t, used, 1)
+					used.trainEdge(0, tr)
+					used.trainEdge(1, tr)
+					gotNorms, gotFold := edgeOutputs(t, used, 1)
 
 					fresh := build()
 					planFor(fresh, 1, devsB)
-					fresh.trainGroup(1, 0, len(devsB), fresh.trainers.Borrow(fresh.cfg.BatchSize))
-					wantNorms, wantUploads := groupOutputs(t, fresh, 1)
+					fresh.trainEdge(1, fresh.trainers.Borrow(fresh.cfg.BatchSize))
+					wantNorms, wantFold := edgeOutputs(t, fresh, 1)
 
 					requireSameBits(t, "norms", gotNorms, wantNorms)
-					requireSameBits(t, "uploads", gotUploads, wantUploads)
+					requireSameBits(t, "fold", [][]float64{gotFold}, [][]float64{wantFold})
 				})
 			}
 		}
@@ -186,7 +187,7 @@ func deviceOwnedUpdate(t *testing.T, cfg Config, base *nn.Network, data *dataset
 			lane.SetInput(0, cfg.BatchSize, x.Data())
 			lane.TrainStep(1, cfg.BatchSize, [][]int{y}, cfg.LearningRate, loss, norms[tau:tau+1])
 		}
-		return norms, lane.ParamsInto(0, nil)
+		return norms, append([]float64(nil), lane.Master(0)...)
 	}
 	model, opt := base.Clone(), nn.NewSGD(cfg.LearningRate)
 	if err := model.SetParamVector(edgeParams); err != nil {
@@ -199,50 +200,111 @@ func deviceOwnedUpdate(t *testing.T, cfg Config, base *nn.Network, data *dataset
 	return norms, model.ParamVector()
 }
 
+// upload is one surviving device's trained model, as the slot-then-aggregate
+// engine kept it for aggregation.
+type upload struct {
+	params []float64
+	weight float64 // 1/(|M_n|·q)
+	size   int     // |D_m|
+}
+
+// slotOracle is the slot-then-aggregate edge step the per-edge fold
+// replaced, kept as the reference: the uploads, collected in member order,
+// merge into a copy of the edge model cur in one pass — Eq. (5)'s weights on
+// the updates (AggInverseUpdate) or on the models (AggLiteralEq5), or a
+// dataset-size-weighted mean (AggPlain). With no uploads the edge model
+// carries over.
+func slotOracle(mode Aggregation, cur []float64, uploads []upload) []float64 {
+	next := append([]float64(nil), cur...)
+	if len(uploads) == 0 {
+		return next
+	}
+	switch mode {
+	case AggPlain:
+		total := 0
+		for _, u := range uploads {
+			total += u.size
+		}
+		clear(next)
+		for _, u := range uploads {
+			tensor.Axpy(next, float64(u.size)/float64(total), u.params)
+		}
+	case AggLiteralEq5:
+		clear(next)
+		for _, u := range uploads {
+			tensor.Axpy(next, u.weight, u.params)
+		}
+	default:
+		for _, u := range uploads {
+			tensor.AxpyDiff(next, u.weight, u.params, cur)
+		}
+	}
+	return next
+}
+
 // TestEngineStepMatchesDeviceOwnedUpdate runs one engine step at every
-// Workers × Shards × FuseBatch layout on both lanes and requires each planned
-// device's gradient-norm window and upload to equal, bit for bit, what the
-// device-owned reference computes for it.
+// Workers × Shards × FuseBatch layout on both lanes under every aggregation
+// mode, with uploads failing, and requires each planned device's
+// gradient-norm window to equal, bit for bit, what the device-owned reference
+// computes for it, and each edge model to equal slotOracle over the
+// reference's surviving uploads: the per-edge fold is the slot-then-aggregate
+// step. The world has an edge whose every upload drops, which keeps its model,
+// and edges that fold more than one upload.
 func TestEngineStepMatchesDeviceOwnedUpdate(t *testing.T) {
 	for _, lane := range []Lane{LaneF64, LaneF32} {
 		for _, workers := range []int{1, 4} {
 			for _, shards := range []int{1, 3} {
 				for _, fuse := range []bool{false, true} {
-					t.Run(fmt.Sprintf("%s/workers%d/shards%d/fuse%v", lane, workers, shards, fuse), func(t *testing.T) {
-						parts, test, sched := world8(t, 24, 4, 43)
-						cfg := tinyConfig(1, 43)
-						cfg.Lane, cfg.Workers, cfg.Shards, cfg.FuseBatch = lane, workers, shards, fuse
-						cfg.UploadFailureProb = 0.3
-						e, err := New(cfg, cnnArch, parts, test, sched, sampling.NewUniform())
-						if err != nil {
-							t.Fatal(err)
-						}
-						start := e.GlobalParams() // every edge starts the step from it
-						res, err := e.Run()
-						if err != nil {
-							t.Fatal(err)
-						}
-						base, err := cnnArch(rand.New(rand.NewSource(cfg.Seed)))
-						if err != nil {
-							t.Fatal(err)
-						}
-						trained := 0
-						for n := range e.plans {
-							gotNorms, gotUploads := groupOutputs(t, e, n)
-							for i, pd := range e.plans[n].devs {
-								norms, upload := deviceOwnedUpdate(t, cfg, base, parts[pd.m], pd.m, start)
-								if !pd.upload {
-									upload = nil
-								}
-								requireSameBits(t, fmt.Sprintf("edge %d device %d", n, pd.m),
-									[][]float64{gotNorms[i], gotUploads[i]}, [][]float64{norms, upload})
-								trained++
+					for _, mode := range []Aggregation{AggInverseUpdate, AggPlain, AggLiteralEq5} {
+						t.Run(fmt.Sprintf("%s/workers%d/shards%d/fuse%v/%v", lane, workers, shards, fuse, mode), func(t *testing.T) {
+							parts, test, sched := world8(t, 24, 4, 48)
+							cfg := tinyConfig(1, 48)
+							cfg.Lane, cfg.Workers, cfg.Shards, cfg.FuseBatch = lane, workers, shards, fuse
+							cfg.Aggregation, cfg.UploadFailureProb = mode, 0.5
+							e, err := New(cfg, cnnArch, parts, test, sched, sampling.NewUniform())
+							if err != nil {
+								t.Fatal(err)
 							}
-						}
-						if trained < 4 || int64(trained) != res.Comm.DeviceDownloads {
-							t.Fatalf("compared %d devices, run trained %d", trained, res.Comm.DeviceDownloads)
-						}
-					})
+							start := e.GlobalParams() // every edge starts the step from it
+							res, err := e.Run()
+							if err != nil {
+								t.Fatal(err)
+							}
+							base, err := cnnArch(rand.New(rand.NewSource(cfg.Seed)))
+							if err != nil {
+								t.Fatal(err)
+							}
+							trained, allDropped, multi := 0, 0, 0
+							for n := range e.plans {
+								plan := &e.plans[n]
+								gotNorms, _ := edgeOutputs(t, e, n)
+								var uploads []upload
+								for i, pd := range plan.devs {
+									norms, params := deviceOwnedUpdate(t, cfg, base, parts[pd.m], pd.m, start)
+									requireSameBits(t, fmt.Sprintf("edge %d device %d norms", n, pd.m), [][]float64{gotNorms[i]}, [][]float64{norms})
+									if pd.upload {
+										members := e.Members(n)
+										q := e.decide[n].probs[slices.Index(members, pd.m)]
+										uploads = append(uploads, upload{params: params, weight: 1 / (float64(len(members)) * q), size: parts[pd.m].Len()})
+									}
+									trained++
+								}
+								switch {
+								case len(plan.devs) > 0 && len(uploads) == 0:
+									allDropped++
+								case len(uploads) > 1:
+									multi++
+								}
+								requireSameBits(t, fmt.Sprintf("edge %d model", n), [][]float64{e.edge[n]}, [][]float64{slotOracle(mode, start, uploads)})
+							}
+							if trained < 4 || int64(trained) != res.Comm.DeviceDownloads {
+								t.Fatalf("compared %d devices, run trained %d", trained, res.Comm.DeviceDownloads)
+							}
+							if allDropped == 0 || multi == 0 {
+								t.Fatalf("the world has %d edges whose uploads all dropped and %d folding several; want both", allDropped, multi)
+							}
+						})
+					}
 				}
 			}
 		}
@@ -357,11 +419,11 @@ func TestTargetStopCountsFinalStep(t *testing.T) {
 	}
 }
 
-// TestAddUpdateToMatchesFlatFold: AddUpdateTo, folding θ − base one
-// parameter tensor at a time, equals reading θ out with ParamsInto and one
-// tensor.AxpyDiff over the flat vector, in Float64bits, on the MLP and on the
-// paper's CNN.
-func TestAddUpdateToMatchesFlatFold(t *testing.T) {
+// TestFoldMatchesFlatFold: Fold, reading θ one parameter tensor at a time,
+// equals reading θ out flat and one tensor.AxpyDiff (or tensor.Axpy, with no
+// base) over the whole vector, in Float64bits, at weight 1 (fed's update sum)
+// and at a weight that rounds, on the MLP and on the paper's CNN.
+func TestFoldMatchesFlatFold(t *testing.T) {
 	paperCNN := func(rng *rand.Rand) (*nn.Network, error) { return nn.NewCNN(nn.MNISTCNNConfig(16, 16), rng) }
 	for _, tc := range []struct {
 		name string
@@ -386,17 +448,22 @@ func TestAddUpdateToMatchesFlatFold(t *testing.T) {
 			if err := tr.LocalUpdate(base, data, rand.New(rand.NewSource(3)), 0.1, make([]float64, 2)); err != nil {
 				t.Fatal(err)
 			}
-			// A running sum that is not zero, as on a host's second device.
-			want := make([]float64, len(base))
-			for i := range want {
-				want[i] = 1e-3 * float64(i%7-3)
-			}
-			got := append([]float64(nil), want...)
-			tensor.AxpyDiff(want, 1, tr.ParamsInto(nil), base)
-			tr.AddUpdateTo(got, base)
-			for i := range want {
-				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-					t.Fatalf("parameter %d of %d: AddUpdateTo %v, flat fold %v", i, len(want), got[i], want[i])
+			theta := tr.net.ParamVector()
+			for _, w := range []float64{1, 0.37} {
+				for _, b := range [][]float64{base, nil} {
+					// A running sum that is not zero, as on a host's second device.
+					want := make([]float64, len(base))
+					for i := range want {
+						want[i] = 1e-3 * float64(i%7-3)
+					}
+					got := append([]float64(nil), want...)
+					if b == nil {
+						tensor.Axpy(want, w, theta)
+					} else {
+						tensor.AxpyDiff(want, w, theta, b)
+					}
+					tr.Fold(got, b, w, -1)
+					requireSameBits(t, fmt.Sprintf("w %v, base %v", w, b != nil), [][]float64{got}, [][]float64{want})
 				}
 			}
 		})

@@ -25,9 +25,10 @@ import (
 //     constructor; det.ModelInit, one stream a run, stays on math/rand.
 //  2. Goroutine ownership: a *rand.Rand local must be owned by exactly one
 //     goroutine-spawning scope. A rand captured by two spawned closures,
-//     by a closure spawned in a loop, by a parallel.ForEach body (which
-//     runs on many goroutines), or used by both a spawned closure and its
-//     parent after the spawn, is drawn from concurrently — draw order, and
+//     by a closure spawned in a loop (a go statement, or a pool task handed
+//     to parallel's Group.Go or Group.GoIndex), or used by both a spawned
+//     closure and its parent after the spawn, is drawn from concurrently —
+//     draw order, and
 //     therefore every downstream decision, becomes scheduler-dependent.
 //
 // Struct-field rands (pooled edgeDecideState) are out of scope here: those
@@ -144,8 +145,8 @@ type spawnKind int
 
 const (
 	spawnNone   spawnKind = iota
-	spawnSingle           // `go func(){...}()` or (*parallel.Group).Go outside a loop
-	spawnMulti            // spawned inside a loop, or a parallel.ForEach body
+	spawnSingle           // `go func(){...}()` or a parallel.Group task outside a loop
+	spawnMulti            // spawned inside a loop
 )
 
 // randUse records where a *rand.Rand variable was referenced.
@@ -309,17 +310,14 @@ func (p *Pass) reportRandSharing(obj types.Object, uses []randUse) {
 }
 
 // spawnerKind recognizes the repo's worker-pool entry points: a function
-// literal passed to parallel.ForEach executes on many goroutines at once;
-// one passed to (*parallel.Group).Go executes on exactly one pool worker.
+// literal passed to (*parallel.Group).Go or GoIndex executes on exactly one
+// pool worker per call.
 func spawnerKind(p *Pass, call *ast.CallExpr) spawnKind {
 	fn := calleeFunc(p, call)
 	if fn == nil || fn.Pkg() == nil || !isParallelPkg(fn.Pkg().Path()) {
 		return spawnNone
 	}
-	switch fn.Name() {
-	case "ForEach":
-		return spawnMulti
-	case "Go":
+	if fn.Name() == "Go" || fn.Name() == "GoIndex" {
 		return spawnSingle
 	}
 	return spawnNone

@@ -93,11 +93,17 @@ func spawnInLoop(seed int64, n int) {
 	wg.Wait()
 }
 
-func forEachCapture(seed int64, n int) {
+func goIndexCapture(seed int64, n int) {
 	r := rand.New(rand.NewSource(mix(seed)))
-	parallel.ForEach(2, n, func(i int) {
-		_ = r.Int63() // want "multiple goroutines"
-	})
+	p := parallel.NewPool(2)
+	defer p.Close()
+	g := p.Group()
+	for i := 0; i < n; i++ {
+		g.GoIndex(func(int) {
+			_ = r.Int63() // want "multiple goroutines"
+		}, i)
+	}
+	g.Wait()
 }
 
 // handOffClean seeds on the parent goroutine, then hands the stream off

@@ -206,12 +206,11 @@ func (l *Lane32) LoadParams(slot int, v []float64) error {
 	return nil
 }
 
-// ParamsInto appends slot's float64 master weights to dst[:0] and returns
-// the slice — the aggregation-boundary view of the slot, free of float32
-// round-trips.
-func (l *Lane32) ParamsInto(slot int, dst []float64) []float64 {
-	return append(dst[:0], l.master[slot]...)
-}
+// Master returns slot's float64 master weights in Network.ParamVector
+// layout — the aggregation-boundary view of the slot, free of float32
+// round-trips. The slice is the lane's own: callers read it, and it is valid
+// until the slot's next LoadParams or TrainStep.
+func (l *Lane32) Master(slot int) []float64 { return l.master[slot] }
 
 // SetInput converts a flat float64 batch ([batch][sampleLen]) into slot's
 // strided float32 input window. All slots of one TrainStep must use the same

@@ -50,7 +50,7 @@ func TestLane32TracksF64Trajectory(t *testing.T) {
 		}
 	}
 	p64 := net.ParamVector()
-	p32 := lane.ParamsInto(0, nil)
+	p32 := lane.Master(0)
 	for i := range p64 {
 		if math.Abs(p32[i]-p64[i]) > 1e-3*(1+math.Abs(p64[i])) {
 			t.Fatalf("param %d diverged: f32 lane %v vs f64 %v", i, p32[i], p64[i])
@@ -95,7 +95,7 @@ func TestLane32TracksF64CNN(t *testing.T) {
 		}
 	}
 	p64 := net.ParamVector()
-	p32 := lane.ParamsInto(0, nil)
+	p32 := lane.Master(0)
 	for i := range p64 {
 		if math.Abs(p32[i]-p64[i]) > 1e-3*(1+math.Abs(p64[i])) {
 			t.Fatalf("param %d diverged: f32 lane %v vs f64 %v", i, p32[i], p64[i])
@@ -201,8 +201,8 @@ func TestLane32FusedSlotsBitIdenticalToSolo(t *testing.T) {
 				t.Fatalf("step %d slot %d: fused (loss %v, norm %v) != solo (loss %v, norm %v)",
 					step, s, fLoss[s], fNorm[s], sLoss[0], sNorm[0])
 			}
-			fp := fused.ParamsInto(s, nil)
-			sp := solos[s].ParamsInto(0, nil)
+			fp := append([]float64(nil), fused.Master(s)...)
+			sp := solos[s].Master(0)
 			for i := range fp {
 				if math.Float64bits(fp[i]) != math.Float64bits(sp[i]) {
 					t.Fatalf("step %d slot %d param %d: fused %v != solo %v", step, s, i, fp[i], sp[i])

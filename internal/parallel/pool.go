@@ -1,7 +1,8 @@
 // Package parallel provides the bounded worker pool that executes the
-// simulator's per-device local updates. One pool is shared across all edges
-// of a run so the hardware parallelism budget (GOMAXPROCS by default) is a
-// global property of the process, not multiplied by the edge count.
+// simulator's per-edge training tasks and evaluation shards. One pool is
+// shared across all edges of a run so the hardware parallelism budget
+// (GOMAXPROCS by default) is a global property of the process, not
+// multiplied by the edge count.
 //
 // The pool is deliberately decoupled from determinism: callers are expected
 // to make all random decisions *before* dispatching work and to reduce
@@ -19,9 +20,18 @@ import (
 // Pool is a fixed-size worker pool. Tasks submitted through a Group run on
 // one of the pool's goroutines; the pool never grows or shrinks.
 type Pool struct {
-	tasks  chan func()
+	tasks  chan task
 	wg     sync.WaitGroup
 	closed bool
+}
+
+// task is one submission: fn(i) — or call() for Group.Go — on behalf of g.
+// It travels by value, so submitting one allocates nothing.
+type task struct {
+	g    *Group
+	fn   func(int)
+	i    int
+	call func()
 }
 
 // NewPool returns a pool with the given number of workers. workers <= 0
@@ -33,14 +43,14 @@ func NewPool(workers int) *Pool {
 	p := &Pool{
 		// A small buffer lets producers batch submissions without a
 		// rendezvous per task; the bound keeps memory finite.
-		tasks: make(chan func(), 4*workers),
+		tasks: make(chan task, 4*workers),
 	}
 	for i := 0; i < workers; i++ {
 		p.wg.Add(1)
 		go func() {
 			defer p.wg.Done()
-			for fn := range p.tasks {
-				fn()
+			for t := range p.tasks {
+				t.g.run(t)
 			}
 		}()
 	}
@@ -70,7 +80,8 @@ func (p *Pool) Close() {
 
 // Group collects a batch of tasks submitted to one pool so the producer can
 // wait for exactly its own tasks. Multiple groups may use the same pool
-// concurrently (each edge of a time step owns one group).
+// concurrently (each shard of a time step owns one), and a group is reused
+// batch after batch: Wait leaves it ready for the next.
 type Group struct {
 	pool *Pool
 	wg   sync.WaitGroup
@@ -85,77 +96,48 @@ func (p *Pool) Group() *Group { return &Group{pool: p} }
 
 // Go submits one task. The call blocks only when the pool's submission
 // buffer is full (i.e. all workers are busy and the backlog is at capacity),
-// which bounds the number of in-flight closures.
+// which bounds the number of in-flight tasks.
 func (g *Group) Go(fn func()) {
 	g.wg.Add(1)
-	g.pool.tasks <- func() {
-		defer g.wg.Done()
-		defer func() {
-			if r := recover(); r != nil {
-				g.mu.Lock()
-				if !g.hasPanic {
-					g.hasPanic, g.panicked = true, r
-				}
-				g.mu.Unlock()
-			}
-		}()
-		fn()
-	}
+	g.pool.tasks <- task{g: g, call: fn}
 }
 
-// Wait blocks until every task submitted via Go has finished. If any task
-// panicked, Wait re-panics with the first recovered value so the failure
-// surfaces on the producer goroutine instead of silently killing a worker.
+// GoIndex submits the task fn(i), blocking as Go does. A producer that
+// dispatches one func over many indices allocates nothing per task.
+//
+//machlint:allocfree
+func (g *Group) GoIndex(fn func(int), i int) {
+	g.wg.Add(1)
+	g.pool.tasks <- task{g: g, fn: fn, i: i}
+}
+
+// run executes one of the group's tasks on a worker, recording the first
+// panic instead of letting it kill the worker.
+func (g *Group) run(t task) {
+	defer g.wg.Done()
+	defer func() {
+		if r := recover(); r != nil {
+			g.mu.Lock()
+			if !g.hasPanic {
+				g.hasPanic, g.panicked = true, r
+			}
+			g.mu.Unlock()
+		}
+	}()
+	if t.call != nil {
+		t.call()
+		return
+	}
+	t.fn(t.i)
+}
+
+// Wait blocks until every task submitted via Go or GoIndex has finished. If
+// any task panicked, Wait re-panics with the first recovered value so the
+// failure surfaces on the producer goroutine instead of silently killing a
+// worker.
 func (g *Group) Wait() {
 	g.wg.Wait()
 	if g.hasPanic {
 		panic(fmt.Sprintf("parallel: task panicked: %v", g.panicked))
 	}
-}
-
-// ForEach executes fn(0), …, fn(n-1) on up to workers concurrent goroutines
-// and returns when all calls have finished. workers <= 1 (or n <= 1) runs
-// inline on the caller's goroutine, making the serial path trivially
-// deterministic. ForEach spawns transient goroutines rather than using a
-// Pool, so it is safe to call where no pool exists (public evaluation
-// entry points) and from inside pool workers without risk of starvation.
-func ForEach(workers, n int, fn func(i int)) {
-	if n <= 0 {
-		return
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var (
-		next int
-		mu   sync.Mutex
-		wg   sync.WaitGroup
-	)
-	claim := func() int {
-		mu.Lock()
-		defer mu.Unlock()
-		i := next
-		next++
-		return i
-	}
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := claim()
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
 }

@@ -104,15 +104,28 @@ func TestCloseIsIdempotentAndDrains(t *testing.T) {
 	}
 }
 
-func TestForEachCoversRangeAtAnyWidth(t *testing.T) {
-	for _, workers := range []int{1, 2, 7, 64} {
-		seen := make([]atomic.Bool, 100)
-		ForEach(workers, len(seen), func(i int) { seen[i].Store(true) })
-		for i := range seen {
-			if !seen[i].Load() {
-				t.Fatalf("workers=%d: index %d not visited", workers, i)
-			}
+// TestGoIndexReusesGroupWithoutAllocating: one group and one task func serve
+// batch after batch of index tasks, each index runs once per batch, and once
+// the pool is up a dispatch allocates nothing.
+func TestGoIndexReusesGroupWithoutAllocating(t *testing.T) {
+	p := NewPool(2)
+	defer p.Close()
+	g := p.Group()
+	hits := make([]atomic.Int64, 16)
+	task := func(i int) { hits[i].Add(1) }
+	batch := func() {
+		for i := range hits {
+			g.GoIndex(task, i)
+		}
+		g.Wait()
+	}
+	batch()
+	if allocs := testing.AllocsPerRun(50, batch); allocs != 0 {
+		t.Fatalf("a batch of %d index tasks allocates %v objects", len(hits), allocs)
+	}
+	for i := range hits {
+		if got := hits[i].Load(); got != 52 { // warm-up, AllocsPerRun's own warm-up, 50 runs
+			t.Fatalf("index %d ran %d times, want 52", i, got)
 		}
 	}
-	ForEach(4, 0, func(int) { t.Fatal("n=0 must not invoke fn") })
 }

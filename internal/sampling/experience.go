@@ -6,14 +6,16 @@ import (
 )
 
 // deviceExperience is the per-device state of Algorithm 2: the gradient
-// experience buffer G^t_m accumulated since the last edge-to-cloud
-// communication, plus the sufficient statistics of the UCB score.
+// experience buffer G^t_m since the last edge-to-cloud communication, kept
+// as a running sum (from 0, in arrival order: the buffer's sequential mean's
+// bits) and count, plus the sufficient statistics of the UCB score.
 type deviceExperience struct {
-	buffer  []float64 // squared gradient norms of the current round window
-	maxAvg  float64   // max over windows of Avg(buffer): exploitation term A
-	lastAvg float64   // most recent window average (statistical sampling uses it)
-	steps   int       // Σ_{t'} 1^{t'}_m — participated time steps
-	seen    bool      // whether the device ever participated
+	sum     float64 // Σ of the current window's squared norms
+	count   int     // how many norms the window holds
+	maxAvg  float64 // max over windows of Avg(buffer): exploitation term A
+	lastAvg float64 // most recent window average (statistical sampling uses it)
+	steps   int     // Σ_{t'} 1^{t'}_m — participated time steps
+	seen    bool    // whether the device ever participated
 }
 
 // ExperienceBook tracks training experiences for every device and produces
@@ -46,9 +48,9 @@ func NewExperienceBook(numDevices int, explorationCoef, discount float64) *Exper
 	}
 }
 
-// ObserveMany appends, for every element, the squared norms of device
+// ObserveMany adds, for every element, the squared norms of device
 // devices[i]'s local stochastic gradients from one time step to its
-// experience buffer (Algorithm 2, line 1) — under a single lock, one per batch
+// experience window (Algorithm 2, line 1) — under a single lock, one per batch
 // however many devices trained. Empty norm windows record nothing.
 func (b *ExperienceBook) ObserveMany(devices []int, norms [][]float64) {
 	b.mu.Lock()
@@ -59,13 +61,16 @@ func (b *ExperienceBook) ObserveMany(devices []int, norms [][]float64) {
 			continue
 		}
 		d := &b.devices[m]
-		d.buffer = append(d.buffer, sqNorms...)
+		for _, v := range sqNorms {
+			d.sum += v
+		}
+		d.count += len(sqNorms)
 		d.steps++
 		d.seen = true
 	}
 }
 
-// CloudRound folds the current buffers into the UCB statistics and clears
+// CloudRound folds the current windows into the UCB statistics and clears
 // them (Algorithm 2, lines 2-4). t is the current time step, used by the
 // confidence radius √(log t / Σ 1).
 func (b *ExperienceBook) CloudRound(t int) {
@@ -74,15 +79,15 @@ func (b *ExperienceBook) CloudRound(t int) {
 	for m := range b.devices {
 		d := &b.devices[m]
 		d.maxAvg *= b.discount
-		if len(d.buffer) == 0 {
+		if d.count == 0 {
 			continue
 		}
-		avg := mean(d.buffer)
+		avg := d.sum / float64(d.count)
 		d.lastAvg = avg
 		if avg > d.maxAvg {
 			d.maxAvg = avg
 		}
-		d.buffer = d.buffer[:0]
+		d.sum, d.count = 0, 0
 	}
 }
 

@@ -145,3 +145,37 @@ func TestEdgeSamplingProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestRunningWindowMatchesBufferMean: the book's running (sum, count) window
+// gives, round after round, the Float64bits of the appended buffer's
+// sequential mean it replaced — as the last average and as the running max —
+// over random windows of random-length observations.
+func TestRunningWindowMatchesBufferMean(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	b := NewExperienceBook(1, 0, 1)
+	maxAvg := 0.0
+	for round := 1; round <= 200; round++ {
+		var buffer []float64
+		for obs := rng.Intn(6); obs > 0; obs-- {
+			norms := make([]float64, 1+rng.Intn(12))
+			for i := range norms {
+				norms[i] = math.Exp(8 * rng.NormFloat64()) // magnitudes far apart, so order matters
+			}
+			observeBook(b, 0, norms)
+			buffer = append(buffer, norms...)
+		}
+		before := b.LastAverage(0, -1)
+		b.CloudRound(round)
+		want := before
+		if len(buffer) > 0 {
+			want = mean(buffer)
+			maxAvg = max(maxAvg, want)
+		}
+		if got := b.LastAverage(0, -1); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("round %d: window average %v, buffer mean %v", round, got, want)
+		}
+		if got := ucbEstimate(b, 0, round); math.Float64bits(got) != math.Float64bits(maxAvg) {
+			t.Fatalf("round %d: max window average %v, buffer means' max %v", round, got, maxAvg)
+		}
+	}
+}
