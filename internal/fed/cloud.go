@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"net/rpc"
-	"sync"
 	"sync/atomic"
 
 	"github.com/mach-fl/mach/internal/codec"
@@ -64,6 +63,10 @@ type Cloud struct {
 	prevID   uint64
 	lastID   uint64
 	efGlobal []float64
+	// spare is the vector the next distribution's view is written into
+	// before it swaps with prevView; globalBuf holds its encoded payload.
+	spare     []float64
+	globalBuf []byte
 
 	edges       []*rpc.Client
 	deviceHosts []*rpc.Client
@@ -170,13 +173,18 @@ func (c *Cloud) CommStats() (hfl.CommStats, error) {
 func (c *Cloud) Run() (*metrics.History, error) {
 	hist := &metrics.History{}
 	resetParams := true // first step seeds every edge with the global model
+	// One Edge.Step per edge each step, whose args, replies and decoded
+	// models are reused step after step.
+	var fan fanOut
+	args := make([]EdgeStepArgs, len(c.edges))
+	replies := make([]EdgeStepReply, len(c.edges))
 	edgeParams := make([][]float64, len(c.edges))
 
 	prevComm := c.comm.Load()
 	for t := 0; t < c.cfg.Steps; t++ {
-		// The member slices stay valid until the next BeginStep, which
-		// happens strictly after wg.Wait — net/rpc encodes args inside each
-		// goroutine — so they are safe to hand to the RPC layer uncopied.
+		// The member slices stay valid until the next BeginStep, and every
+		// request has been written by then, so they go to the RPC layer
+		// uncopied.
 		if err := c.core.BeginStep(t); err != nil {
 			return nil, fmt.Errorf("fed: step %d: %w", t, err)
 		}
@@ -194,42 +202,32 @@ func (c *Cloud) Run() (*metrics.History, error) {
 				return nil, fmt.Errorf("fed: step %d encode global: %w", t, err)
 			}
 		}
-		var wg sync.WaitGroup
-		errs := make([]error, len(c.edges))
-		for n := range c.edges {
-			wg.Add(1)
-			go func(n int) {
-				defer wg.Done()
-				args := EdgeStepArgs{
-					Step:      t,
-					Members:   c.core.Members(n),
-					Capacity:  c.core.Capacity(),
-					Scheme:    c.cfg.Codec,
-					WantModel: cloudRound,
-					Span:      SpanContext{Parent: uint64(telemetry.DeriveSpanID(telemetry.SpanRPCEdgeStep, t, n, -1))},
-				}
-				if resetParams {
-					args.Model, args.ModelID, args.HasModel = blob, blobID, true
-					c.transfers.Add(1)
-				}
-				var rep EdgeStepReply
-				c.tel.Add(telemetry.CounterRPCCalls, 1)
-				sp := c.tel.StartSpan(telemetry.SpanRPCEdgeStep, stepSpan, t, n, -1)
-				err := c.edges[n].Call("Edge.Step", &args, &rep)
-				sp.End()
-				switch {
-				case err != nil || !cloudRound:
-					errs[n] = err
-				case !rep.HasModel:
-					errs[n] = fmt.Errorf("reply carries no model at a cloud round")
-				default:
-					edgeParams[n], errs[n] = c.decodeEdgeModel(rep.Model)
-					c.transfers.Add(1)
-				}
-			}(n)
+		fan.start(len(c.edges))
+		for n, cl := range c.edges {
+			args[n] = EdgeStepArgs{
+				Step:      t,
+				Members:   c.core.Members(n),
+				Capacity:  c.core.Capacity(),
+				Scheme:    c.cfg.Codec,
+				WantModel: cloudRound,
+				Span:      SpanContext{Parent: uint64(telemetry.DeriveSpanID(telemetry.SpanRPCEdgeStep, t, n, -1))},
+			}
+			if resetParams {
+				args[n].Model, args[n].ModelID, args[n].HasModel = blob, blobID, true
+				c.transfers.Add(1)
+			}
+			c.tel.Add(telemetry.CounterRPCCalls, 1)
+			fan.call(n, cl, "Edge.Step", &args[n], &replies[n], c.tel.StartSpan(telemetry.SpanRPCEdgeStep, stepSpan, t, n, -1))
 		}
-		wg.Wait()
-		for n, err := range errs {
+		for n, err := range fan.wait() {
+			switch {
+			case err != nil || !cloudRound:
+			case !replies[n].HasModel:
+				err = fmt.Errorf("reply carries no model at a cloud round")
+			default:
+				edgeParams[n], err = c.decodeEdgeModel(edgeParams[n], replies[n].Model)
+				c.transfers.Add(1)
+			}
 			if err != nil {
 				return nil, fmt.Errorf("fed: step %d edge %d: %w", t, n, err)
 			}
@@ -273,7 +271,7 @@ func (c *Cloud) Run() (*metrics.History, error) {
 // on the first distribution. It returns the blob and the new global's ID and
 // records the receivers' view of it for the next round trip.
 func (c *Cloud) encodeGlobal() (codec.Blob, uint64, error) {
-	global := c.core.GlobalParams()
+	global := c.core.AppendGlobal(c.spare[:0])
 	var baseline []float64
 	var baseID uint64
 	if len(c.prevView) == len(global) && c.prevID != 0 {
@@ -286,28 +284,30 @@ func (c *Cloud) encodeGlobal() (codec.Blob, uint64, error) {
 		}
 		ef = c.efGlobal
 	}
-	blob, err := codec.Encode(c.cfg.Codec, global, baseline, baseID, ef)
+	blob, err := codec.AppendEncode(c.globalBuf[:0], c.cfg.Codec, global, baseline, baseID, ef)
 	if err != nil {
 		return codec.Blob{}, 0, err
 	}
+	c.globalBuf = blob.Data
 	// Record exactly what receivers will hold after decoding, since edge
 	// replies come back encoded against it: the global itself bit for bit
 	// under a lossless scheme, the cloud's own decode under a lossy one.
 	view := global
 	if !c.cfg.Codec.Lossless() {
-		if view, err = codec.Decode(blob, baseline); err != nil {
+		if view, err = codec.DecodeInto(global, blob, baseline); err != nil {
 			return codec.Blob{}, 0, err
 		}
 	}
 	c.lastID++
-	c.prevView, c.prevID = view, c.lastID
+	c.prevView, c.spare, c.prevID = view, c.prevView, c.lastID
 	return blob, c.lastID, nil
 }
 
-// decodeEdgeModel unpacks an edge's model reply, which is encoded against
-// the last global the cloud distributed (or baseline-free before the first
-// distribution reached that edge) and has that global's parameter count.
-func (c *Cloud) decodeEdgeModel(blob codec.Blob) ([]float64, error) {
+// decodeEdgeModel unpacks an edge's model reply into dst, grown as needed.
+// The reply is encoded against the last global the cloud distributed (or
+// baseline-free before the first distribution reached that edge) and has
+// that global's parameter count.
+func (c *Cloud) decodeEdgeModel(dst []float64, blob codec.Blob) ([]float64, error) {
 	var baseline []float64
 	if blob.Baseline != 0 {
 		if blob.Baseline != c.prevID {
@@ -319,5 +319,5 @@ func (c *Cloud) decodeEdgeModel(blob codec.Blob) ([]float64, error) {
 	if blob.Count != len(c.prevView) {
 		return nil, fmt.Errorf("fed: edge model of %d params, global has %d", blob.Count, len(c.prevView))
 	}
-	return codec.Decode(blob, baseline)
+	return codec.DecodeInto(dst, blob, baseline)
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"net"
 	"net/rpc"
 	"sync"
 
@@ -31,17 +30,11 @@ type DeviceServer struct {
 	nParams  int // parameter count of the hosted model architecture
 	maxBatch int // the largest minibatch whose input fits in maxFrame bytes
 
-	// edgeBases caches, per edge, the base models TrainMany installs from
-	// the base it carries or advances in place (DESIGN.md §6). At most a
-	// couple of vectors per edge are alive at any time: an install replaces
-	// the edge's whole cache and an advance drops the base it consumed.
-	edgeBases map[int]map[uint64][]float64
-	// efSum holds the per-edge error-feedback buffers for lossy update-sum
-	// encodes (codec.SchemeInt8 streams).
-	efSum map[int][]float64
+	// edges holds what the host keeps for each edge between its calls: the
+	// edge's cached base (DESIGN.md §6) and its calls' buffers.
+	edges map[int]*hostedEdge
 
-	listener net.Listener
-	server   *rpc.Server
+	listener *rpcListener
 
 	// tel counts served RPCs and training activity; nil disables it.
 	tel *telemetry.Telemetry
@@ -79,13 +72,12 @@ func NewDeviceServer(arch hfl.ArchFunc, data map[int]*dataset.Dataset, machCfg s
 		return nil, fmt.Errorf("fed: build hosted model: %w", err)
 	}
 	ds := &DeviceServer{
-		devices:   make(map[int]*hostedDevice, len(data)),
-		book:      sampling.NewExperienceBook(maxID+1, machCfg.ExplorationCoef, machCfg.Discount),
-		trainers:  hfl.NewTrainerPool(proto, data[maxID]), // any hosted dataset has the sample dims
-		nParams:   proto.NumParams(),
-		maxBatch:  maxFrame / 8 / max(1, data[maxID].SampleLen()),
-		edgeBases: make(map[int]map[uint64][]float64),
-		efSum:     make(map[int][]float64),
+		devices:  make(map[int]*hostedDevice, len(data)),
+		book:     sampling.NewExperienceBook(maxID+1, machCfg.ExplorationCoef, machCfg.Discount),
+		trainers: hfl.NewTrainerPool(proto, data[maxID]), // any hosted dataset has the sample dims
+		nParams:  proto.NumParams(),
+		maxBatch: maxFrame / 8 / max(1, data[maxID].SampleLen()),
+		edges:    make(map[int]*hostedEdge),
 	}
 	for id, d := range data {
 		ds.devices[id] = &hostedDevice{data: d, rng: det.NewRand(det.DeviceBatch(seed, id))}
@@ -100,17 +92,15 @@ func (s *DeviceServer) Serve(addr string) (string, error) {
 	if err := srv.RegisterName("Device", s); err != nil {
 		return "", fmt.Errorf("fed: register device service: %w", err)
 	}
-	ln, err := net.Listen("tcp", addr)
+	ln, err := listen(srv, addr)
 	if err != nil {
 		return "", fmt.Errorf("fed: device listen: %w", err)
 	}
 	s.listener = ln
-	s.server = srv
-	go acceptLoop(srv, ln)
 	return ln.Addr().String(), nil
 }
 
-// Close stops the listener.
+// Close stops the listener and stops serving the connections it accepted.
 func (s *DeviceServer) Close() error {
 	if s.listener == nil {
 		return nil
@@ -139,30 +129,65 @@ func (s *DeviceServer) Estimate(args EstimateArgs, reply *EstimateReply) error {
 			return fmt.Errorf("fed: device %d not hosted here", id)
 		}
 	}
-	reply.Estimates = make([]float64, len(args.Devices))
-	s.book.UCBEstimatesInto(reply.Estimates, args.Devices, args.Step)
+	buf := floatPool.Get().(*[]float64)
+	*buf = resize(*buf, len(args.Devices))
+	s.book.UCBEstimatesInto(*buf, args.Devices, args.Step)
+	reply.Estimates, reply.lent = *buf, lent{&floatPool, buf}
 	return nil
+}
+
+// hostedEdge is what a host keeps for one edge: one cached base, named by one
+// ID, and the buffers of the edge's calls. A base the call carries decodes
+// into the vector of the base it replaces, and an advance runs in place: the
+// old ID retires before its bits change. mu serializes the edge's calls,
+// which the edge makes one at a time anyway, so that no call reads a vector
+// another one rewrites.
+type hostedEdge struct {
+	mu      sync.Mutex
+	id      uint64 // base's ID; 0 when none resolves
+	base    []float64
+	sum     []float64   // the update sum of the call in progress
+	ef      []float64   // error feedback for the edge's lossy update-sum encodes
+	norms   []float64   // the devices' gradient-norm windows, back to back
+	windows [][]float64 // per device: its window of norms
+}
+
+// edge returns the host's state for edge id, made on first use.
+func (s *DeviceServer) edge(id int) *hostedEdge {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	he := s.edges[id]
+	if he == nil {
+		he = &hostedEdge{}
+		s.edges[id] = he
+	}
+	return he
+}
+
+func (he *hostedEdge) lookup(edge int, id uint64) ([]float64, error) {
+	if id == 0 || id != he.id {
+		return nil, fmt.Errorf("fed: edge %d base %d not cached here: %w", edge, id, codec.ErrUnknownBaseline)
+	}
+	return he.base, nil
 }
 
 // trainBase is the base a TrainMany trains from: the cached one it names, or
 // the one it carries. That one is decoded into a vector of the host's own,
-// never keeping the blob (it aliases the request frame), and cached under
-// BaseID, replacing every earlier base of the edge: the cache holds at most
-// one vector per edge between steps.
-func (s *DeviceServer) trainBase(args *TrainManyArgs) ([]float64, error) {
+// never keeping the blob (it aliases the request frame), and installed under
+// BaseID.
+func (s *DeviceServer) trainBase(he *hostedEdge, args *TrainManyArgs) ([]float64, error) {
 	if !args.HasBase {
-		return s.lookupBase(args.Edge, args.BaseID)
+		return he.lookup(args.Edge, args.BaseID)
 	}
 	if args.Base.Count != s.nParams {
 		return nil, fmt.Errorf("fed: base for edge %d: %d params, hosted models have %d", args.Edge, args.Base.Count, s.nParams)
 	}
-	base, err := codec.Decode(args.Base, nil)
+	he.id = 0
+	base, err := codec.DecodeInto(he.base, args.Base, nil)
 	if err != nil {
 		return nil, fmt.Errorf("fed: base for edge %d: %w", args.Edge, err)
 	}
-	s.mu.Lock()
-	s.edgeBases[args.Edge] = map[uint64][]float64{args.BaseID: base}
-	s.mu.Unlock()
+	he.id, he.base = args.BaseID, base
 	return base, nil
 }
 
@@ -172,26 +197,21 @@ func (s *DeviceServer) GetBase(args GetBaseArgs, reply *GetBaseReply) error {
 	s.tel.Add(telemetry.CounterRPCCalls, 1)
 	sp := s.tel.StartSpan(telemetry.SpanHandleGetBase, telemetry.SpanID(args.Span.Parent), -1, args.Edge, -1)
 	defer sp.End()
-	base, err := s.lookupBase(args.Edge, args.ID)
+	he := s.edge(args.Edge)
+	he.mu.Lock()
+	defer he.mu.Unlock()
+	base, err := he.lookup(args.Edge, args.ID)
 	if err != nil {
 		return err
 	}
-	blob, err := codec.Encode(codec.SchemeDelta, base, nil, 0, nil)
+	buf := blobPool.Get().(*[]byte)
+	blob, err := codec.AppendEncode((*buf)[:0], codec.SchemeDelta, base, nil, 0, nil)
 	if err != nil {
+		blobPool.Put(buf)
 		return err
 	}
-	reply.Model = blob
+	reply.Model, reply.lent = blob, lent{&blobPool, &reply.Model.Data}
 	return nil
-}
-
-func (s *DeviceServer) lookupBase(edge int, id uint64) ([]float64, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	base, ok := s.edgeBases[edge][id]
-	if !ok {
-		return nil, fmt.Errorf("fed: edge %d base %d not cached here: %w", edge, id, codec.ErrUnknownBaseline)
-	}
-	return base, nil
 }
 
 // TrainMany runs local updating on every listed device from the base named
@@ -219,66 +239,66 @@ func (s *DeviceServer) TrainMany(args TrainManyArgs, reply *TrainManyReply) erro
 	if err := s.checkDevices(args.Devices); err != nil {
 		return err
 	}
-	base, err := s.trainBase(&args)
+	he := s.edge(args.Edge)
+	he.mu.Lock()
+	defer he.mu.Unlock()
+	base, err := s.trainBase(he, &args)
 	if err != nil {
 		return err
 	}
 	tr := s.trainers.Borrow(hyper.BatchSize)
 	defer s.trainers.Release(tr)
-	acc := sumPool.Get().(*[]float64)
-	defer sumPool.Put(acc)
-	*acc = zeroed(*acc, len(base))
-	sum := *acc
-	epochs := hyper.LocalEpochs
-	norms := make([]float64, len(args.Devices)*epochs)
-	windows := make([][]float64, len(args.Devices))
-	for i, id := range args.Devices {
-		s.mu.Lock()
-		dev := s.devices[id]
-		s.mu.Unlock()
-		windows[i] = norms[i*epochs : (i+1)*epochs]
-		if err := tr.LocalUpdate(base, dev.data, dev.rng, hyper.LearningRate, windows[i]); err != nil {
-			return fmt.Errorf("fed: device %d: %w", id, err)
-		}
-		tr.Fold(sum, base, 1, -1) // sum += trained − base, exactly
+	he.sum = zeroed(he.sum, len(base))
+	if err := s.trainDevices(tr, he, base, args.Devices, hyper); err != nil {
+		return err
 	}
 	s.tel.Add(telemetry.CounterDevicesTrained, int64(len(args.Devices)))
 	// The RPC's experiences go in under one book lock (Algorithm 2, line 1);
 	// a failed RPC, which fails the run, records none.
-	s.book.ObserveMany(args.Devices, windows)
+	s.book.ObserveMany(args.Devices, he.windows)
 
 	if args.Advance {
-		next := nextBase(base, sum, len(args.Devices))
-		s.mu.Lock()
-		bases := s.edgeBases[args.Edge]
-		delete(bases, args.BaseID)
-		bases[args.NextID] = next
-		s.mu.Unlock()
+		nextBase(base, he.sum, len(args.Devices))
+		he.id = args.NextID
 		return nil
 	}
-
 	var ef []float64
 	if args.Scheme == codec.SchemeInt8 {
-		s.mu.Lock()
-		ef = s.efSum[args.Edge]
-		if len(ef) != len(sum) {
-			ef = make([]float64, len(sum))
-			s.efSum[args.Edge] = ef
+		if len(he.ef) != len(he.sum) {
+			he.ef = make([]float64, len(he.sum))
 		}
-		s.mu.Unlock()
+		ef = he.ef
 	}
 	buf := blobPool.Get().(*[]byte)
-	blob, err := codec.AppendEncode((*buf)[:0], args.Scheme, sum, nil, 0, ef)
+	blob, err := codec.AppendEncode((*buf)[:0], args.Scheme, he.sum, nil, 0, ef)
 	if err != nil {
 		blobPool.Put(buf)
 		return err
 	}
-	reply.Sum, reply.HasSum, reply.pooled = blob, true, true
+	reply.Sum, reply.HasSum, reply.lent = blob, true, lent{&blobPool, &reply.Sum.Data}
 	return nil
 }
 
-// sumPool holds TrainMany's update-sum vectors, one per call in flight.
-var sumPool = sync.Pool{New: func() any { return new([]float64) }}
+// trainDevices trains each of devices from base in turn on tr, adding its
+// trained − base to he.sum, and records its gradient norms in he.windows.
+//
+//machlint:allocfree
+func (s *DeviceServer) trainDevices(tr *hfl.Trainer, he *hostedEdge, base []float64, devices []int, hyper Hyper) error {
+	epochs := hyper.LocalEpochs
+	he.norms = resize(he.norms, len(devices)*epochs)
+	he.windows = resize(he.windows, len(devices))
+	for i, id := range devices {
+		s.mu.Lock()
+		dev := s.devices[id]
+		s.mu.Unlock()
+		he.windows[i] = he.norms[i*epochs : (i+1)*epochs]
+		if err := tr.LocalUpdate(base, dev.data, dev.rng, hyper.LearningRate, he.windows[i]); err != nil {
+			return fmt.Errorf("fed: device %d: %w", id, err)
+		}
+		tr.Fold(he.sum, base, 1, -1) // sum += trained − base, exactly
+	}
+	return nil
+}
 
 // checkHyper refuses hyperparameters no edge sends before anything is sized
 // by them: they arrive from the wire, and as in the frame decoder no wire

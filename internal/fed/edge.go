@@ -3,7 +3,7 @@ package fed
 import (
 	"errors"
 	"fmt"
-	"net"
+	"math/rand"
 	"net/rpc"
 	"slices"
 	"strings"
@@ -35,30 +35,43 @@ type EdgeServer struct {
 	seed     int64
 	resolver Resolver
 
-	// step serializes Step: the edge runs one time step at a time, and what
-	// only Step touches — installed and the step buffers below — is its own.
-	step      sync.Mutex
-	installed map[string]uint64 // host address → base ID it has cached
-	replies   []TrainManyReply  // per sampled host; their blobs' capacity is reused
-	sum       []float64         // Σ over hosts of the update sums
-	hostSum   []float64         // one host's decoded update sum
-	order     []int             // the sampled hosts' reduce order (reduceOrder)
-	group     []int             // reduceOrder's per-host scratch
-
-	mu     sync.Mutex
+	// step serializes Step: the edge runs one time step at a time, and
+	// everything from here to mu is Step's own — the edge model, the
+	// baseline bookkeeping and the step buffers, reused step after step.
+	step   sync.Mutex
 	params []float64
 	// stale marks that the authoritative base bits live on staleAddr (the
 	// host advanced the base in place) rather than in params.
-	stale     bool
-	staleAddr string
-	baseID    uint64    // ID of the current base model
-	lastID    uint64    // monotonic baseline-ID allocator
-	cloudView []float64 // last global model decoded from the cloud
-	cloudID   uint64    // its baseline ID (EdgeStepArgs.ModelID)
-	efReply   []float64 // error feedback for lossy cloud-reply encodes
+	stale      bool
+	staleAddr  string
+	baseID     uint64            // ID of the current base model
+	lastID     uint64            // monotonic baseline-ID allocator
+	cloudView  []float64         // last global model decoded from the cloud
+	cloudID    uint64            // its baseline ID (EdgeStepArgs.ModelID)
+	cloudNext  []float64         // what the next global decodes into; it swaps with cloudView
+	efReply    []float64         // error feedback for lossy cloud-reply encodes
+	installed  map[string]uint64 // host address → base ID it has cached
+	fan        fanOut            // the step's concurrent host RPCs
+	coins      *rand.Rand        // the step's coin stream, re-seeded per step
+	memberAddr []string          // per member: its host's address
+	addrs      []string          // the members' distinct host addresses, sorted
+	host       []int             // per member: its host's position in addrs
+	all        hostGroups        // the members by host
+	picked     hostGroups        // the sampled devices by host
+	calls      []hostCalls       // per host of all while estimating, of picked while training
+	probs      []float64         // per member: its estimate, then its probability
+	sampled    []int             // the sampled devices, in member order
+	sampledAt  []int             // per sampled device: its host's position
+	baseArgs   GetBaseArgs       // ensureParams' call
+	baseReply  GetBaseReply      // its reply; the blob's capacity is reused
+	sum        []float64         // Σ over hosts of the update sums
+	hostSum    []float64         // one host's decoded update sum
+	order      []int             // the sampled hosts' reduce order (reduceOrder)
+	group      []int             // reduceOrder's per-host scratch
 
+	mu       sync.Mutex // guards clients: Close may run during a step
 	clients  map[string]*rpc.Client
-	listener net.Listener
+	listener *rpcListener
 
 	// Measured wire traffic on the edge↔device-host connections, plus
 	// model-bearing message counts (Edge.Comm exposes them).
@@ -115,6 +128,7 @@ func NewEdgeServer(id int, machCfg sampling.MACHConfig, hyper Hyper, seed int64,
 		baseID:    1,
 		lastID:    1,
 		installed: make(map[string]uint64),
+		coins:     det.NewRand(0),
 		clients:   make(map[string]*rpc.Client),
 	}, nil
 }
@@ -125,17 +139,16 @@ func (e *EdgeServer) Serve(addr string) (string, error) {
 	if err := srv.RegisterName("Edge", e); err != nil {
 		return "", fmt.Errorf("fed: register edge service: %w", err)
 	}
-	ln, err := net.Listen("tcp", addr)
+	ln, err := listen(srv, addr)
 	if err != nil {
 		return "", fmt.Errorf("fed: edge listen: %w", err)
 	}
 	e.listener = ln
-	go acceptLoop(srv, ln)
 	return ln.Addr().String(), nil
 }
 
-// Close stops the listener and drops device-host connections, reporting
-// the first failure.
+// Close stops the listener, stops serving the connections it accepted and
+// drops device-host connections, reporting the first failure.
 func (e *EdgeServer) Close() error {
 	var firstErr error
 	e.mu.Lock()
@@ -185,50 +198,75 @@ func (e *EdgeServer) client(addr string) (*rpc.Client, error) {
 	return c, nil
 }
 
-// resolveHosts resolves each member's host once: addrs lists the distinct
+// resolveHosts resolves each member's host once: e.addrs lists the distinct
 // host addresses sorted, so per-host RPC dispatch and result ordering are
-// stable across runs, and host[i] is members[i]'s position in addrs.
-func (e *EdgeServer) resolveHosts(members []int) (addrs []string, host []int, err error) {
-	memberAddr := make([]string, len(members))
+// stable across runs, and e.host[i] is members[i]'s position in e.addrs.
+func (e *EdgeServer) resolveHosts(members []int) (err error) {
+	e.memberAddr = resize(e.memberAddr, len(members))
 	for i, m := range members {
-		if memberAddr[i], err = e.resolver(m); err != nil {
-			return nil, nil, err
+		if e.memberAddr[i], err = e.resolver(m); err != nil {
+			return err
 		}
 	}
-	addrs = slices.Clone(memberAddr)
-	slices.Sort(addrs)
-	addrs = slices.Compact(addrs)
-	host = make([]int, len(members))
-	for i, addr := range memberAddr {
-		host[i], _ = slices.BinarySearch(addrs, addr)
+	e.addrs = append(e.addrs[:0], e.memberAddr...)
+	slices.Sort(e.addrs)
+	e.addrs = slices.Compact(e.addrs)
+	e.host = resize(e.host, len(members))
+	for i, addr := range e.memberAddr {
+		e.host[i], _ = slices.BinarySearch(e.addrs, addr)
 	}
-	return addrs, host, nil
+	return nil
 }
 
-// groupByHost splits ids by host: for each host position h that any ID has
-// (host[i] is ids[i]'s), in order, it returns addrs[h] and those IDs in ids
-// order.
-func groupByHost(ids, host []int, addrs []string) (groupAddrs []string, groups [][]int) {
-	byHost := make([][]int, len(addrs))
-	for i, id := range ids {
-		byHost[host[i]] = append(byHost[host[i]], id)
+// hostGroups splits device IDs by host into buffers reused split after
+// split: for each host position h that any ID has, in order, addrs holds the
+// host's address and groups its IDs, in the order given.
+type hostGroups struct {
+	addrs  []string
+	groups [][]int
+	byHost [][]int // per host position: its IDs
+}
+
+// split groups ids by host; host[i] is ids[i]'s position in addrs.
+//
+//machlint:allocfree
+func (g *hostGroups) split(ids, host []int, addrs []string) {
+	g.byHost = resize(g.byHost, len(addrs))
+	for h := range g.byHost {
+		g.byHost[h] = g.byHost[h][:0]
 	}
-	for h, group := range byHost {
+	for i, id := range ids {
+		g.byHost[host[i]] = append(g.byHost[host[i]], id)
+	}
+	g.addrs, g.groups = g.addrs[:0], g.groups[:0]
+	for h, group := range g.byHost {
 		if len(group) != 0 {
-			groupAddrs, groups = append(groupAddrs, addrs[h]), append(groups, group)
+			g.addrs, g.groups = append(g.addrs, addrs[h]), append(g.groups, group)
 		}
 	}
-	return groupAddrs, groups
+}
+
+// hostCalls holds one host's RPCs of a step: the Estimate and TrainMany
+// args, and the replies, whose buffers the client decodes into step after
+// step.
+type hostCalls struct {
+	estimate  EstimateArgs
+	estimates EstimateReply
+	next      int // fetchEstimates' cursor into estimates
+	train     TrainManyArgs
+	trained   TrainManyReply
+	ship      bool // train carries the base
 }
 
 // reduceOrder returns the order the edge adds its sampled hosts' update sums
-// in, as indices of groupByHost's sampled groups: by each host's first member
-// in the step (host[i] is member i's host position), which the run alone
-// fixes. Address order follows the ports, and three or more sums do not
-// commute. The result is valid until the next step.
+// in, as indices of e.picked's groups: by each host's first member in the
+// step (host[i] is member i's host position), which the run alone fixes.
+// Address order follows the ports, and three or more sums do not commute.
+// The result is valid until the next step.
+//
+//machlint:allocfree
 func (e *EdgeServer) reduceOrder(host, sampledHost []int, hosts int) []int {
-	group := slices.Grow(e.group[:0], hosts)[:hosts] // 1 + the host's sampled-group index, 0 if unsampled
-	clear(group)
+	group := zeroed(e.group, hosts) // 1 + the host's sampled-group index, 0 if unsampled
 	for _, h := range sampledHost {
 		group[h] = 1
 	}
@@ -280,50 +318,47 @@ func (e *EdgeServer) Step(args EdgeStepArgs, reply *EdgeStepReply) error {
 		return e.finishStep(args, 0, reply)
 	}
 
-	addrs, host, err := e.resolveHosts(args.Members)
-	if err != nil {
+	if err := e.resolveHosts(args.Members); err != nil {
 		return err
 	}
-	_, groups := groupByHost(args.Members, host, addrs) // every host has a member
-	estimates, err := e.fetchEstimates(args.Step, addrs, host, groups)
-	if err != nil {
+	e.all.split(args.Members, e.host, e.addrs) // every host has a member
+	e.calls = resize(e.calls, len(e.addrs))
+	if err := e.fetchEstimates(args.Step); err != nil {
 		return err
 	}
 
 	// Edge sampling (Algorithm 3), in place over the fetched estimates, and
 	// Bernoulli device sampling on the engine's coin stream for (step, edge).
-	probs := sampling.EdgeSamplingInto(e.machCfg, args.Capacity, estimates, estimates)
-	rng := det.NewRand(det.EdgeCoin(e.seed, args.Step, e.id))
-	var sampled, sampledHost []int
+	e.probs = sampling.EdgeSamplingInto(e.machCfg, args.Capacity, e.probs, e.probs)
+	e.coins.Seed(det.EdgeCoin(e.seed, args.Step, e.id))
+	e.sampled, e.sampledAt = e.sampled[:0], e.sampledAt[:0]
 	for i, m := range args.Members {
-		q := probs[i]
+		q := e.probs[i]
 		if !(q >= 0 && q <= 1) {
 			return fmt.Errorf("fed: edge %d: device %d sampling probability %v, outside [0, 1]", e.id, m, q)
 		}
-		if rng.Float64() < q {
-			sampled = append(sampled, m)
-			sampledHost = append(sampledHost, host[i])
+		if e.coins.Float64() < q {
+			e.sampled = append(e.sampled, m)
+			e.sampledAt = append(e.sampledAt, e.host[i])
 		}
 	}
-	if len(sampled) == 0 {
+	if len(e.sampled) == 0 {
 		return e.finishStep(args, 0, reply)
 	}
 
 	// Within a host the sampled order is kept: it fixes the summation order
 	// of the aggregation.
-	sampledAddrs, sampledGroups := groupByHost(sampled, sampledHost, addrs)
-	order := e.reduceOrder(host, sampledHost, len(addrs))
-	if err := e.train(args, len(sampled), sampledAddrs, sampledGroups, order); err != nil {
+	e.picked.split(e.sampled, e.sampledAt, e.addrs)
+	order := e.reduceOrder(e.host, e.sampledAt, len(e.addrs))
+	if err := e.train(args, len(e.sampled), order); err != nil {
 		return err
 	}
-	return e.finishStep(args, len(sampled), reply)
+	return e.finishStep(args, len(e.sampled), reply)
 }
 
 // installGlobal decodes the cloud's global model from EdgeStepArgs and makes
 // it the edge's current base.
 func (e *EdgeServer) installGlobal(args EdgeStepArgs) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	var baseline []float64
 	if args.Model.Baseline != 0 {
 		if e.cloudView == nil || args.Model.Baseline != e.cloudID {
@@ -335,13 +370,12 @@ func (e *EdgeServer) installGlobal(args EdgeStepArgs) error {
 	if len(e.params) != 0 && args.Model.Count != len(e.params) {
 		return fmt.Errorf("fed: edge %d: global of %d params, edge model has %d", e.id, args.Model.Count, len(e.params))
 	}
-	global, err := codec.Decode(args.Model, baseline)
+	global, err := codec.DecodeInto(e.cloudNext, args.Model, baseline)
 	if err != nil {
 		return fmt.Errorf("fed: edge %d decode global: %w", e.id, err)
 	}
-	e.cloudView = global
-	e.cloudID = args.ModelID
-	e.params = append([]float64(nil), global...)
+	e.cloudView, e.cloudNext, e.cloudID = global, e.cloudView, args.ModelID
+	e.params = append(e.params[:0], global...)
 	e.stale = false
 	e.lastID++
 	e.baseID = e.lastID
@@ -360,27 +394,24 @@ func (e *EdgeServer) finishStep(args EdgeStepArgs, sampled int, reply *EdgeStepR
 	if err := e.ensureParams(args.Step); err != nil {
 		return err
 	}
-	e.mu.Lock()
-	params := e.params
-	baseline := e.cloudView
-	baseID := e.cloudID
+	baseline, baseID := e.cloudView, e.cloudID
+	if baseline != nil && len(baseline) != len(e.params) {
+		baseline, baseID = nil, 0
+	}
 	var ef []float64
 	if args.Scheme == codec.SchemeInt8 {
-		if len(e.efReply) != len(params) {
-			e.efReply = make([]float64, len(params))
+		if len(e.efReply) != len(e.params) {
+			e.efReply = make([]float64, len(e.params))
 		}
 		ef = e.efReply
 	}
-	e.mu.Unlock()
-	if baseline != nil && len(baseline) != len(params) {
-		baseline, baseID = nil, 0
-	}
-	blob, err := codec.Encode(args.Scheme, params, baseline, baseID, ef)
+	buf := blobPool.Get().(*[]byte)
+	blob, err := codec.AppendEncode((*buf)[:0], args.Scheme, e.params, baseline, baseID, ef)
 	if err != nil {
+		blobPool.Put(buf)
 		return fmt.Errorf("fed: edge %d encode model: %w", e.id, err)
 	}
-	reply.Model = blob
-	reply.HasModel = true
+	reply.Model, reply.HasModel, reply.lent = blob, true, lent{&blobPool, &reply.Model.Data}
 	return nil
 }
 
@@ -388,114 +419,147 @@ func (e *EdgeServer) finishStep(args EdgeStepArgs, sampled int, reply *EdgeStepR
 // advance, by fetching the bits back (always lossless). step labels the
 // fetch's RPC span with the step it serves.
 func (e *EdgeServer) ensureParams(step int) error {
-	e.mu.Lock()
 	if !e.stale {
-		e.mu.Unlock()
 		return nil
 	}
-	addr, id, want := e.staleAddr, e.baseID, len(e.params)
-	e.mu.Unlock()
-	var rep GetBaseReply
-	if err := e.callHost(step, telemetry.SpanRPCGetBase, -1, addr, func(_ int, c *rpc.Client, span SpanContext) error {
-		return c.Call("Device.GetBase", &GetBaseArgs{Edge: e.id, ID: id, Span: span}, &rep)
-	}); err != nil {
-		return fmt.Errorf("fed: edge %d fetch base %d from %s: %w", e.id, id, addr, err)
+	rep := &e.baseReply
+	e.baseArgs = GetBaseArgs{Edge: e.id, ID: e.baseID, Span: e.hostSpan(telemetry.SpanRPCGetBase, step, -1)}
+	if err := e.callHost(step, telemetry.SpanRPCGetBase, -1, e.staleAddr, "Device.GetBase", &e.baseArgs, rep); err != nil {
+		return fmt.Errorf("fed: edge %d fetch base %d from %s: %w", e.id, e.baseID, e.staleAddr, err)
 	}
-	if rep.Model.Count != want {
-		return fmt.Errorf("fed: edge %d: host %s returned a base of %d params, want %d", e.id, addr, rep.Model.Count, want)
+	if rep.Model.Count != len(e.params) {
+		return fmt.Errorf("fed: edge %d: host %s returned a base of %d params, want %d", e.id, e.staleAddr, rep.Model.Count, len(e.params))
 	}
-	params, err := codec.Decode(rep.Model, nil)
+	params, err := codec.DecodeInto(e.params, rep.Model, nil)
 	if err != nil {
-		return fmt.Errorf("fed: edge %d decode base %d: %w", e.id, id, err)
+		return fmt.Errorf("fed: edge %d decode base %d: %w", e.id, e.baseID, err)
 	}
 	e.uploads.Add(1)
-	e.mu.Lock()
-	e.params = params
-	e.stale = false
-	e.mu.Unlock()
+	e.params, e.stale = params, false
 	return nil
 }
 
-// hostCall makes one RPC on the i-th host of a fan-out through c, carrying
-// span in its args.
-type hostCall func(i int, c *rpc.Client, span SpanContext) error
+// fanOut runs a batch of RPCs concurrently through net/rpc's Client.Go, all
+// completing on one buffered channel, and reports their errors aligned with
+// the batch, whatever order the replies arrive in. Its buffers serve batch
+// after batch.
+type fanOut struct {
+	done  chan *rpc.Call
+	sent  int         // calls in flight
+	calls []*rpc.Call // per call: in flight, or nil
+	spans []telemetry.Span
+	errs  []error
+}
 
-// callHost makes one RPC to the host at addr inside a client span of kind
-// parented to the edge's step span. The span's device coordinate is i, the
-// host's position in its fan-out (-1 outside one), and the SpanContext the
-// call puts in its args is derived from the same coordinates.
-func (e *EdgeServer) callHost(step int, kind telemetry.SpanKind, i int, addr string, call hostCall) error {
+// start readies f for a batch of n calls.
+func (f *fanOut) start(n int) {
+	if cap(f.done) < n {
+		f.done = make(chan *rpc.Call, n) // net/rpc drops replies a full channel cannot take
+	}
+	f.sent, f.calls, f.spans, f.errs = 0, zeroed(f.calls, n), zeroed(f.spans, n), zeroed(f.errs, n)
+}
+
+// call sends call i of the batch: method on c, timed by sp until its reply.
+func (f *fanOut) call(i int, c *rpc.Client, method string, args, reply any, sp telemetry.Span) {
+	f.calls[i], f.spans[i] = c.Go(method, args, reply, f.done), sp
+	f.sent++
+}
+
+// wait collects the calls sent, ending each one's span as its reply arrives,
+// and returns the batch's errors; a call never sent keeps the one its sender
+// recorded.
+//
+//machlint:allocfree
+func (f *fanOut) wait() []error {
+	for ; f.sent > 0; f.sent-- {
+		call := <-f.done
+		i := slices.Index(f.calls, call)
+		f.spans[i].End()
+		f.errs[i], f.calls[i] = call.Error, nil
+	}
+	return f.errs
+}
+
+// hostSpan is the SpanContext the i-th host call of kind in step carries in
+// its args: the ID of the client span send or callHost opens around it.
+func (e *EdgeServer) hostSpan(kind telemetry.SpanKind, step, i int) SpanContext {
+	return SpanContext{Parent: uint64(telemetry.DeriveSpanID(kind, step, e.id, i))}
+}
+
+// send starts call i of the edge's fan-out: method to the host at addr,
+// inside a client span of kind parented to the edge's step span, whose
+// device coordinate is i.
+func (e *EdgeServer) send(step int, kind telemetry.SpanKind, i int, addr, method string, args, reply any) {
+	c, err := e.client(addr)
+	if err != nil {
+		e.fan.errs[i] = err
+		return
+	}
+	e.fan.call(i, c, method, args, reply, e.tel.StartSpan(kind, e.stepSpanID(step), step, e.id, i))
+}
+
+// callHost makes one RPC to the host at addr and waits for it, inside the
+// span send would open; i is the span's device coordinate, -1 outside a
+// fan-out.
+func (e *EdgeServer) callHost(step int, kind telemetry.SpanKind, i int, addr, method string, args, reply any) error {
 	c, err := e.client(addr)
 	if err != nil {
 		return err
 	}
 	sp := e.tel.StartSpan(kind, e.stepSpanID(step), step, e.id, i)
 	defer sp.End()
-	return call(i, c, SpanContext{Parent: uint64(telemetry.DeriveSpanID(kind, step, e.id, i))})
+	return c.Call(method, args, reply)
 }
 
-// fanOut runs call on every host in addrs concurrently, one goroutine per
-// host, and returns the errors aligned with addrs: callers walk them in that
-// (sorted) order, so the error they surface does not depend on which RPC
-// happened to fail first.
-func (e *EdgeServer) fanOut(step int, kind telemetry.SpanKind, addrs []string, call hostCall) []error {
-	errs := make([]error, len(addrs))
-	var wg sync.WaitGroup
+// fetchEstimates queries the members' UCB estimates into e.probs, host by
+// host and concurrently: e.all's groups[h] from addrs[h]. Merging walks the
+// hosts in order, so the first surfaced error is deterministic, and the
+// members in order, each taking its host's next estimate.
+func (e *EdgeServer) fetchEstimates(step int) error {
+	addrs, groups := e.all.addrs, e.all.groups
+	e.fan.start(len(addrs))
 	for i, addr := range addrs {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			errs[i] = e.callHost(step, kind, i, addr, call)
-		}()
+		hc := &e.calls[i]
+		hc.estimate = EstimateArgs{Step: step, Devices: groups[i], Span: e.hostSpan(telemetry.SpanRPCEstimate, step, i)}
+		e.send(step, telemetry.SpanRPCEstimate, i, addr, "Device.Estimate", &hc.estimate, &hc.estimates)
 	}
-	wg.Wait()
-	return errs
-}
-
-// fetchEstimates queries the members' UCB estimates host by host,
-// concurrently, groups[h] from addrs[h]. Merging walks the hosts in order,
-// so the first surfaced error is deterministic, and the members in order,
-// each taking its host's next estimate.
-func (e *EdgeServer) fetchEstimates(step int, addrs []string, host []int, groups [][]int) ([]float64, error) {
-	replies := make([]EstimateReply, len(addrs))
-	errs := e.fanOut(step, telemetry.SpanRPCEstimate, addrs, func(i int, c *rpc.Client, span SpanContext) error {
-		return c.Call("Device.Estimate", &EstimateArgs{Step: step, Devices: groups[i], Span: span}, &replies[i])
-	})
+	errs := e.fan.wait()
 	for i, addr := range addrs {
+		hc := &e.calls[i]
 		if errs[i] != nil {
-			return nil, fmt.Errorf("fed: edge %d estimate via %s: %w", e.id, addr, errs[i])
+			return fmt.Errorf("fed: edge %d estimate via %s: %w", e.id, addr, errs[i])
 		}
-		if len(replies[i].Estimates) != len(groups[i]) {
-			return nil, fmt.Errorf("fed: edge %d: host %s returned %d estimates for %d devices",
-				e.id, addr, len(replies[i].Estimates), len(groups[i]))
+		if got := len(hc.estimates.Estimates); got != len(groups[i]) {
+			return fmt.Errorf("fed: edge %d: host %s returned %d estimates for %d devices", e.id, addr, got, len(groups[i]))
 		}
+		hc.next = 0
 	}
-	estimates := make([]float64, len(host))
-	next := make([]int, len(addrs))
-	for i, h := range host {
-		estimates[i] = replies[h].Estimates[next[h]]
-		next[h]++
+	e.probs = resize(e.probs, len(e.host))
+	for i, h := range e.host {
+		hc := &e.calls[h]
+		e.probs[i] = hc.estimates.Estimates[hc.next]
+		hc.next++
 	}
-	return estimates, nil
+	return nil
 }
 
-// train runs the step's training: it dispatches one TrainMany per host,
-// attaching the current base for the hosts that lack it, and folds the
-// hosts' update sums into the next base in the given order (reduceOrder) —
-// or, when one host covers the whole sample and the cloud does not need the
-// model this step, lets that host advance the base in place so no model
+// train runs the step's training: it dispatches one TrainMany per host of
+// e.picked, attaching the current base for the hosts that lack it, and folds
+// the hosts' update sums into the next base in the given order (reduceOrder)
+// — or, when one host covers the whole sample and the cloud does not need
+// the model this step, lets that host advance the base in place so no model
 // bytes cross the wire.
-func (e *EdgeServer) train(args EdgeStepArgs, totalSampled int, addrs []string, groups [][]int, order []int) error {
+func (e *EdgeServer) train(args EdgeStepArgs, totalSampled int, order []int) error {
+	addrs, groups := e.picked.addrs, e.picked.groups
+	calls := e.calls[:len(addrs)]
 	advance := len(addrs) == 1 && !args.WantModel
-	e.mu.Lock()
-	baseID := e.baseID
-	e.mu.Unlock()
-	ship := make([]bool, len(addrs))
+	baseID, ship := e.baseID, false
 	for i, addr := range addrs {
-		ship[i] = e.installed[addr] != baseID
+		calls[i].ship = e.installed[addr] != baseID
+		ship = ship || calls[i].ship
 	}
 	// The base is encoded at most once per step, into a pooled buffer that
-	// every Call below has left before the deferred Put.
+	// every call below has sent before the deferred Put.
 	buf := blobPool.Get().(*[]byte)
 	defer blobPool.Put(buf)
 	var base codec.Blob
@@ -506,17 +570,14 @@ func (e *EdgeServer) train(args EdgeStepArgs, totalSampled int, addrs []string, 
 		if err := e.ensureParams(args.Step); err != nil {
 			return err
 		}
-		e.mu.Lock()
-		params := e.params
-		e.mu.Unlock()
-		blob, err := codec.AppendEncode((*buf)[:0], args.Scheme, params, nil, 0, nil)
+		blob, err := codec.AppendEncode((*buf)[:0], args.Scheme, e.params, nil, 0, nil)
 		if err != nil {
 			return fmt.Errorf("fed: edge %d encode base: %w", e.id, err)
 		}
 		base, *buf = blob, blob.Data
 		return nil
 	}
-	if slices.Contains(ship, true) {
+	if ship {
 		if err := encodeBase(); err != nil {
 			return err
 		}
@@ -525,49 +586,39 @@ func (e *EdgeServer) train(args EdgeStepArgs, totalSampled int, addrs []string, 
 	// path folds next = base + Σ/|sample| edge-side, so it needs the bits.
 	var nextID uint64
 	if advance {
-		e.mu.Lock()
 		e.lastID++
 		nextID = e.lastID
-		e.mu.Unlock()
 	} else if err := e.ensureParams(args.Step); err != nil {
 		return err
 	}
-	if len(e.replies) < len(addrs) {
-		e.replies = append(e.replies, make([]TrainManyReply, len(addrs)-len(e.replies))...)
-	}
-	replies := e.replies[:len(addrs)]
-	trainMany := func(i int, c *rpc.Client, span SpanContext) error {
-		req := &TrainManyArgs{
-			Step:    args.Step,
-			Edge:    e.id,
-			Devices: groups[i],
-			BaseID:  baseID,
-			Scheme:  args.Scheme,
-			Hyper:   e.hyper,
-			Advance: advance,
-			NextID:  nextID,
-			Span:    span,
+	e.fan.start(len(addrs))
+	for i, addr := range addrs {
+		hc := &calls[i]
+		hc.train = TrainManyArgs{
+			Step: args.Step, Edge: e.id, Devices: groups[i], BaseID: baseID, Scheme: args.Scheme, Hyper: e.hyper,
+			Advance: advance, NextID: nextID, Span: e.hostSpan(telemetry.SpanRPCTrainMany, args.Step, i),
 		}
-		if ship[i] {
-			req.Base, req.HasBase = base, true
+		if hc.ship {
+			hc.train.Base, hc.train.HasBase = base, true
 		}
-		return c.Call("Device.TrainMany", req, &replies[i])
+		e.send(args.Step, telemetry.SpanRPCTrainMany, i, addr, "Device.TrainMany", &hc.train, &hc.trained)
 	}
-	errs := e.fanOut(args.Step, telemetry.SpanRPCTrainMany, addrs, trainMany)
+	errs := e.fan.wait()
 	var firstErr error
 	for i, addr := range addrs {
-		if isUnknownBaseline(errs[i]) && !ship[i] {
+		hc := &calls[i]
+		if isUnknownBaseline(errs[i]) && !hc.ship {
 			// The host lost its base cache (e.g. a restart): the failed lookup
 			// happened before any training, so resend the call with the base
 			// attached. A stale edge whose authoritative host forgot the base
 			// cannot recover: ensureParams surfaces that as its own error.
 			if errs[i] = encodeBase(); errs[i] == nil {
-				ship[i] = true
-				errs[i] = e.callHost(args.Step, telemetry.SpanRPCTrainMany, i, addr, trainMany)
+				hc.ship, hc.train.Base, hc.train.HasBase = true, base, true
+				errs[i] = e.callHost(args.Step, telemetry.SpanRPCTrainMany, i, addr, "Device.TrainMany", &hc.train, &hc.trained)
 			}
 		}
 		switch {
-		case errs[i] == nil && ship[i]:
+		case errs[i] == nil && hc.ship:
 			e.downloads.Add(1)
 			e.installed[addr] = baseID
 		case errs[i] != nil && firstErr == nil:
@@ -579,61 +630,66 @@ func (e *EdgeServer) train(args EdgeStepArgs, totalSampled int, addrs []string, 
 	}
 
 	if advance {
-		addr := addrs[0]
-		e.mu.Lock()
-		e.stale = true
-		e.staleAddr = addr
-		e.baseID = nextID
-		e.mu.Unlock()
-		e.installed[addr] = nextID
+		e.stale, e.staleAddr, e.baseID = true, addrs[0], nextID
+		e.installed[addrs[0]] = nextID
 		return nil
 	}
-
-	e.mu.Lock()
-	params := e.params
-	e.mu.Unlock()
 	for i, addr := range addrs {
-		if !replies[i].HasSum {
+		switch rep := &calls[i].trained; {
+		case !rep.HasSum:
 			return fmt.Errorf("fed: edge %d: host %s returned no update sum", e.id, addr)
-		}
-		if replies[i].Sum.Count != len(params) {
-			return fmt.Errorf("fed: edge %d: host %s summed %d params, want %d",
-				e.id, addr, replies[i].Sum.Count, len(params))
+		case rep.Sum.Count != len(e.params):
+			return fmt.Errorf("fed: edge %d: host %s summed %d params, want %d", e.id, addr, rep.Sum.Count, len(e.params))
 		}
 	}
-	e.sum = zeroed(e.sum, len(params))
+	if err := e.foldSums(calls, order, totalSampled); err != nil {
+		return err
+	}
+	e.lastID++
+	e.baseID = e.lastID
+	return nil
+}
+
+// foldSums folds the sampled hosts' update sums, in the given order
+// (reduceOrder), into the edge model: Σ runs from zero, and nextBase adds
+// Σ/n in place, as the host-side advance does. Nothing names the old base's
+// bits on the edge: the hosts cache their own copies.
+//
+//machlint:allocfree
+func (e *EdgeServer) foldSums(calls []hostCalls, order []int, n int) error {
+	e.sum = zeroed(e.sum, len(e.params))
 	for _, i := range order {
-		hostSum, err := codec.DecodeInto(e.hostSum, replies[i].Sum, nil)
+		hostSum, err := codec.DecodeInto(e.hostSum, calls[i].trained.Sum, nil)
 		if err != nil {
-			return fmt.Errorf("fed: edge %d decode sum from %s: %w", e.id, addrs[i], err)
+			return fmt.Errorf("fed: edge %d decode sum from %s: %w", e.id, e.picked.addrs[i], err)
 		}
 		e.hostSum = hostSum
 		e.uploads.Add(1)
 		tensor.Add(e.sum, hostSum)
 	}
-	next := nextBase(params, e.sum, totalSampled)
-	e.mu.Lock()
-	e.params = next
-	e.lastID++
-	e.baseID = e.lastID
-	e.mu.Unlock()
+	nextBase(e.params, e.sum, n)
 	return nil
 }
 
-// nextBase is the base model after a step whose n sampled updates sum to
-// sum: base + Σ/n, as a fresh vector so cached baselines never alias a
-// mutating slice. The edge-side fold and the host-side advance both call it,
-// so the two paths are one float expression.
-func nextBase(base, sum []float64, n int) []float64 {
-	next := append([]float64(nil), base...)
-	tensor.Axpy(next, 1/float64(n), sum)
-	return next
+// nextBase turns base, in place, into the base model after a step whose n
+// sampled updates sum to sum: base + Σ/n. The edge-side fold and the
+// host-side advance both call it, so the two paths are one float expression.
+//
+//machlint:allocfree
+func nextBase(base, sum []float64, n int) { tensor.Axpy(base, 1/float64(n), sum) }
+
+// resize returns buf with n elements, growing it append-style when it is
+// too small; the elements it keeps hold what they held.
+func resize[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		buf = append(buf[:cap(buf)], make([]T, n-cap(buf))...)
+	}
+	return buf[:n]
 }
 
-// zeroed returns buf resized to n zeros, reallocating only when it is too
-// small.
-func zeroed(buf []float64, n int) []float64 {
-	buf = slices.Grow(buf[:0], n)[:n]
+// zeroed returns buf resized to n zero values.
+func zeroed[T any](buf []T, n int) []T {
+	buf = resize(buf, n)
 	clear(buf)
 	return buf
 }

@@ -2,6 +2,7 @@ package fed
 
 import (
 	"cmp"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -9,6 +10,8 @@ import (
 	"net"
 	"net/rpc"
 	"reflect"
+	"runtime/debug"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -820,7 +823,7 @@ func TestTrainManyUnknownBaselineOverRPC(t *testing.T) {
 			}
 		}
 		host.mu.Lock()
-		clear(host.edgeBases)
+		clear(host.edges)
 		host.mu.Unlock()
 		before := downloads()
 		var rep EdgeStepReply
@@ -951,12 +954,11 @@ func serveRPC(t *testing.T, rcvr any, names ...string) string {
 			t.Fatal(err)
 		}
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	ln, err := listen(srv, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { ln.Close() })
-	go acceptLoop(srv, ln)
 	return ln.Addr().String()
 }
 
@@ -985,7 +987,7 @@ func TestForeignParameterCountRejectedBeforeDecode(t *testing.T) {
 	if err := d.devices[0].TrainMany(TrainManyArgs{Devices: []int{0}, BaseID: 1, Base: huge, HasBase: true, Hyper: testHyper}, &TrainManyReply{}); err == nil {
 		t.Fatal("device host accepted a base of foreign size")
 	}
-	if _, err := d.cloud.decodeEdgeModel(huge); err == nil {
+	if _, err := d.cloud.decodeEdgeModel(nil, huge); err == nil {
 		t.Fatal("cloud accepted an edge model of foreign size")
 	}
 	// The deployment builds its edges as cmd/machnode and examples/distributed
@@ -1554,7 +1556,10 @@ type installLog struct {
 }
 
 func (h *installLog) TrainMany(args TrainManyArgs, reply *TrainManyReply) error {
-	_, err := h.lookupBase(args.Edge, args.BaseID)
+	he := h.edge(args.Edge)
+	he.mu.Lock()
+	_, err := he.lookup(args.Edge, args.BaseID)
+	he.mu.Unlock()
 	h.mu.Lock()
 	h.calls[args.Edge]++
 	if args.HasBase {
@@ -1673,5 +1678,302 @@ func TestDeviceServerModelsBoundedByCallers(t *testing.T) {
 	}
 	if built := srv.trainers.Built(); built < 1 || built > callers {
 		t.Fatalf("host built %d trainers for %d concurrent callers", built, callers)
+	}
+}
+
+// TestWarmFedStepAllocations: a warm loopback step allocates only what
+// net/rpc allocates per call — the reflected args, reply and result values,
+// the handler goroutine, the Call, the decoded ID list — about 7.5 objects;
+// fed's own code allocates nothing. Two hosts serve two edges, driven over
+// the wire the way the cloud drives them: edge 0's members sit on both
+// hosts, so it folds two update sums each step, and edge 1's on one host,
+// which advances the base in place and is asked for it at the period's
+// cloud round. Every period of five steps starts with a global install,
+// which ships the base to every host.
+func TestWarmFedStepAllocations(t *testing.T) {
+	if raceEnabled() {
+		t.Skip("sync.Pool sheds pooled buffers at random under the race detector")
+	}
+	const period, bound = 5, 9
+	w := buildWorld(t, 8, 2, 1)
+	d := deployWorld(t, w, 2, CloudConfig{Steps: 1, CloudInterval: 1, Participation: 1, Seed: runSeed})
+	defer d.close()
+	proto, err := testArch(rand.New(rand.NewSource(runSeed)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	global, err := codec.Encode(codec.SchemeDelta, proto.ParamVector(), nil, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	members := [][]int{{0, 1, 4, 5}, {6, 7}}
+	// Per step, each edge serves Step and calls Estimate and TrainMany once
+	// per host its members sit on; edge 1 fetches its advanced base once a
+	// period.
+	const calls = period*(1+2+2) + period*(1+1+1) + 1
+	clients := make([]*rpc.Client, len(d.edges))
+	for n := range clients {
+		conn, err := net.Dial("tcp", d.edges[n].listener.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		clients[n] = newClient(conn)
+		defer clients[n].Close()
+	}
+	args := make([]EdgeStepArgs, len(d.edges))
+	replies := make([]EdgeStepReply, len(d.edges))
+	done := make(chan *rpc.Call, len(d.edges))
+	step, id := 0, uint64(0)
+	runPeriod := func() {
+		for s := 0; s < period; s, step = s+1, step+1 {
+			if s == 0 {
+				id++
+			}
+			for n, c := range clients {
+				args[n] = EdgeStepArgs{
+					Step: step, Members: members[n], Capacity: float64(len(members[n])),
+					Model: global, ModelID: id, HasModel: s == 0, WantModel: s == period-1,
+				}
+				c.Go("Edge.Step", &args[n], &replies[n], done)
+			}
+			for range clients {
+				call := <-done
+				if call.Error != nil {
+					t.Fatal(call.Error)
+				}
+			}
+			for n, rep := range replies {
+				if rep.Sampled != len(members[n]) || rep.HasModel != (s == period-1) {
+					t.Fatalf("step %d edge %d: sampled %d of %d, model %v", step, n, rep.Sampled, len(members[n]), rep.HasModel)
+				}
+			}
+		}
+	}
+	for range 4 {
+		runPeriod()
+	}
+	perCall := testing.AllocsPerRun(20, runPeriod) / calls
+	t.Logf("%.1f allocations per RPC call", perCall)
+	if perCall > bound {
+		t.Fatalf("a warm step allocates %.1f objects per RPC call, want ≤ %d", perCall, bound)
+	}
+}
+
+// raceEnabled reports whether the test binary was built with -race.
+func raceEnabled() bool {
+	info, ok := debug.ReadBuildInfo()
+	if !ok {
+		return false
+	}
+	for _, kv := range info.Settings {
+		if kv.Key == "-race" {
+			return kv.Value == "true"
+		}
+	}
+	return false
+}
+
+// TestCloseStopsServingOpenConnections: closing a device host or an edge
+// server stops it serving the connections it accepted before, not only new
+// ones.
+func TestCloseStopsServingOpenConnections(t *testing.T) {
+	w := buildWorld(t, 2, 1, 1)
+	host, err := NewDeviceServer(testArch, map[int]*dataset.Dataset{0: w.parts[0]}, sampling.DefaultMACHConfig(), runSeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	edge, err := NewEdgeServer(0, sampling.DefaultMACHConfig(), testHyper, runSeed, StaticResolver(nil), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range []struct {
+		method string
+		serve  func(string) (string, error)
+		close  func() error
+	}{
+		{"Device.Ping", host.Serve, host.Close},
+		{"Edge.Ping", edge.Serve, edge.Close},
+	} {
+		addr, err := s.serve("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		client := newClient(conn)
+		defer client.Close()
+		var rep PingReply
+		if err := client.Call(s.method, &PingArgs{}, &rep); err != nil {
+			t.Fatalf("%s before Close: %v", s.method, err)
+		}
+		if err := s.close(); err != nil {
+			t.Fatal(err)
+		}
+		rep = PingReply{}
+		if err := client.Call(s.method, &PingArgs{}, &rep); err == nil {
+			t.Fatalf("%s on a connection opened before Close answered %q", s.method, rep.Role)
+		}
+	}
+}
+
+// TestModelVectorOwnership: edges, hosts and the cloud reuse their model
+// vectors, so a vector must stay intact while an ID names it, and an ID
+// whose vector may be rewritten must stop resolving. One edge over two hosts
+// goes through a global install with a two-host sum step, a one-host
+// advance, a GetBase, a cloud round and another sum step. After each, every
+// vector a live ID names — the hosts' cached bases, the edge's view of the
+// global, the cloud's view of what it distributed — equals the copy taken
+// when the ID was first seen, and every retired ID answers
+// ErrUnknownBaseline.
+func TestModelVectorOwnership(t *testing.T) {
+	w := buildWorld(t, 8, 1, 1)
+	d := deployWorld(t, w, 2, CloudConfig{Steps: 1, CloudInterval: 1, Participation: 1, Seed: runSeed, Codec: codec.SchemeDelta})
+	defer d.close()
+	e, c := d.edges[0], d.cloud
+	if err := c.core.BeginStep(0); err != nil {
+		t.Fatal(err)
+	}
+	// named is one holder's vector: the ID it answers to, the bits it held
+	// when that ID was first seen, and the IDs it answered to before.
+	type named struct {
+		id      uint64
+		bits    []float64
+		retired []uint64
+	}
+	var hosts [2]named
+	var edgeView, cloudView named
+	see := func(v *named, label string, id uint64, bits []float64) {
+		t.Helper()
+		if id == v.id {
+			requireSameBits(t, label, bits, v.bits)
+			return
+		}
+		if v.id != 0 {
+			v.retired = append(v.retired, v.id)
+		}
+		v.id, v.bits = id, slices.Clone(bits)
+	}
+	unknown := func(label string, err error) {
+		t.Helper()
+		if !errors.Is(err, codec.ErrUnknownBaseline) {
+			t.Fatalf("%s: err = %v, want ErrUnknownBaseline", label, err)
+		}
+	}
+	n := len(e.params)
+	step := func(stage string, args EdgeStepArgs) EdgeStepReply {
+		t.Helper()
+		var rep EdgeStepReply
+		if err := e.Step(args, &rep); err != nil {
+			t.Fatalf("%s: %v", stage, err)
+		}
+		if rep.Sampled != len(args.Members) {
+			t.Fatalf("%s: sampled %d of %d", stage, rep.Sampled, len(args.Members))
+		}
+		for i, h := range d.devices {
+			he := h.edge(0)
+			he.mu.Lock()
+			see(&hosts[i], fmt.Sprintf("%s: host %d base %d", stage, i, he.id), he.id, he.base)
+			he.mu.Unlock()
+			for _, id := range hosts[i].retired {
+				unknown(fmt.Sprintf("%s: host %d base %d", stage, i, id), h.GetBase(GetBaseArgs{ID: id}, &GetBaseReply{}))
+			}
+		}
+		see(&edgeView, stage+": edge's global", e.cloudID, e.cloudView)
+		for _, id := range edgeView.retired {
+			stale := EdgeStepArgs{Step: args.Step, HasModel: true, Model: codec.Blob{Scheme: codec.SchemeDelta, Baseline: id, Count: n}}
+			unknown(fmt.Sprintf("%s: edge global %d", stage, id), e.Step(stale, &EdgeStepReply{}))
+		}
+		see(&cloudView, stage+": cloud's global", c.prevID, c.prevView)
+		for _, id := range cloudView.retired {
+			_, err := c.decodeEdgeModel(nil, codec.Blob{Scheme: codec.SchemeDelta, Baseline: id, Count: n})
+			unknown(fmt.Sprintf("%s: cloud global %d", stage, id), err)
+		}
+		return rep
+	}
+
+	// Hosts 0 and 1 serve devices 0–3 and 4–7.
+	blob, id, err := c.encodeGlobal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	global := c.core.GlobalParams()
+	step("install and sum", EdgeStepArgs{Step: 0, Members: []int{0, 1, 4, 5}, Capacity: 4, Model: blob, ModelID: id, HasModel: true})
+	for i := range hosts {
+		requireSameBits(t, fmt.Sprintf("host %d's shipped base", i), hosts[i].bits, global)
+	}
+	requireSameBits(t, "edge's global", edgeView.bits, global)
+	shipped := e.baseID // ships to host 0 next, which advances past it
+	step("advance", EdgeStepArgs{Step: 1, Members: []int{0, 1}, Capacity: 2})
+	if hosts[0].id == shipped || len(hosts[0].retired) != 1 || len(hosts[1].retired) != 0 {
+		t.Fatalf("host 0 answers to %d (retired %v), host 1 retired %v", hosts[0].id, hosts[0].retired, hosts[1].retired)
+	}
+	hosts[0].retired = append(hosts[0].retired, shipped)
+	rep := step("get base", EdgeStepArgs{Step: 2, WantModel: true})
+	requireSameBits(t, "edge model after GetBase", e.params, hosts[0].bits)
+	model, err := c.decodeEdgeModel(nil, rep.Model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameBits(t, "cloud's decode of the edge model", model, hosts[0].bits)
+	c.core.Reduce(2, [][]float64{model})
+	if blob, id, err = c.encodeGlobal(); err != nil {
+		t.Fatal(err)
+	}
+	step("cloud round", EdgeStepArgs{Step: 3, Members: []int{4, 5}, Capacity: 2, Model: blob, ModelID: id, HasModel: true})
+	if len(edgeView.retired) != 1 || len(cloudView.retired) != 1 || len(hosts[1].retired) != 1 {
+		t.Fatalf("retired: edge %v, cloud %v, host 1 %v", edgeView.retired, cloudView.retired, hosts[1].retired)
+	}
+	requireSameBits(t, "edge's new global", edgeView.bits, cloudView.bits)
+	// A second fold writes the vector the first one retired.
+	step("sum again", EdgeStepArgs{Step: 4, Members: []int{2, 6}, Capacity: 2})
+}
+
+// TestHostSerializesOneEdgesCalls: a host's per-edge state — the cached base,
+// the update sum, the norm windows — serves every call that names the edge,
+// so overlapping TrainMany and GetBase calls for one edge (a retrying or
+// hostile edge) run one after the other; unserialized, -race reports them.
+func TestHostSerializesOneEdgesCalls(t *testing.T) {
+	const callers, rounds = 4, 3
+	w := buildWorld(t, callers, 1, 1)
+	data := map[int]*dataset.Dataset{}
+	for m, d := range w.parts {
+		data[m] = d
+	}
+	srv, err := NewDeviceServer(testArch, data, sampling.DefaultMACHConfig(), runSeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	proto, err := testArch(rand.New(rand.NewSource(runSeed)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := codec.Encode(codec.SchemeDelta, proto.ParamVector(), nil, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	errs := make([]error, callers)
+	var wg sync.WaitGroup
+	for c := range callers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := uint64(0); r < rounds && errs[c] == nil; r++ {
+				id := 2 * (uint64(c)*rounds + r + 1)
+				errs[c] = srv.TrainMany(TrainManyArgs{Devices: []int{c}, BaseID: id, Base: blob, HasBase: true,
+					Hyper: testHyper, Advance: r%2 == 0, NextID: id + 1}, &TrainManyReply{})
+				// Another caller's install may have retired the ID already.
+				if err := srv.GetBase(GetBaseArgs{ID: id + 1}, &GetBaseReply{}); errs[c] == nil && err != nil && !errors.Is(err, codec.ErrUnknownBaseline) {
+					errs[c] = err
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for c, err := range errs {
+		if err != nil {
+			t.Fatalf("caller %d: %v", c, err)
+		}
 	}
 }

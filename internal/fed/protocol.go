@@ -78,6 +78,7 @@ type EstimateArgs struct {
 // EstimateReply returns the estimates aligned with EstimateArgs.Devices.
 type EstimateReply struct {
 	Estimates []float64
+	lent      // Estimates' buffer, when the host borrowed it
 }
 
 // TrainManyArgs asks a device host to run local updating on all of the
@@ -113,8 +114,7 @@ type TrainManyArgs struct {
 type TrainManyReply struct {
 	Sum    codec.Blob
 	HasSum bool
-
-	pooled bool // Sum.Data is a blobPool buffer, which wireDone returns
+	lent   // Sum.Data's buffer, when the host's encoder borrowed it
 }
 
 // GetBaseArgs fetches the bits of a cached base model back from a host
@@ -130,6 +130,7 @@ type GetBaseArgs struct {
 // GetBaseReply carries the requested base model.
 type GetBaseReply struct {
 	Model codec.Blob
+	lent  // Model.Data's buffer, when the host's encoder borrowed it
 }
 
 // CloudRoundArgs tells device hosts an edge-to-cloud communication happened
@@ -170,6 +171,7 @@ type EdgeStepReply struct {
 	Model    codec.Blob
 	HasModel bool
 	Sampled  int
+	lent     // Model.Data's buffer, when the edge's encoder borrowed it
 }
 
 // CommArgs asks a server for its measured communication counters.

@@ -49,10 +49,12 @@ var wireMethods = [...]string{
 }
 
 // framePool holds the servers' request frames, blobPool the codec payload
-// buffers of outgoing models (TrainMany sums, the bases TrainMany carries).
+// buffers of outgoing models (TrainMany sums, the bases TrainMany carries),
+// floatPool the estimates Estimate replies with.
 var (
 	framePool = sync.Pool{New: func() any { return new([]byte) }}
 	blobPool  = sync.Pool{New: func() any { return new([]byte) }}
+	floatPool = sync.Pool{New: func() any { return new([]float64) }}
 )
 
 // wireMsg is a message fed sends: every arg and reply type of protocol.go,
@@ -328,12 +330,17 @@ func (m *TrainManyReply) wire(w *wirer) {
 	w.flag(&m.HasSum)
 }
 
-// wireDone returns the pooled buffer under Sum once the server codec has
-// copied the reply into its frame.
-func (m *TrainManyReply) wireDone() {
-	if m.pooled {
-		m.pooled = false
-		blobPool.Put(&m.Sum.Data)
+// lent is a reply's buffer, a slice pointer borrowed from pool, which
+// wireDone returns once the server codec has copied the reply into its frame.
+type lent struct {
+	pool *sync.Pool
+	buf  any
+}
+
+func (l *lent) wireDone() {
+	if l.pool != nil {
+		l.pool.Put(l.buf)
+		*l = lent{}
 	}
 }
 
@@ -506,15 +513,62 @@ func (c *serverCodec) WriteResponse(resp *rpc.Response, body any) error {
 
 func (c *serverCodec) Close() error { return c.conn.Close() }
 
-// acceptLoop serves srv on every connection ln accepts until ln closes.
-func acceptLoop(srv *rpc.Server, ln net.Listener) {
+// rpcListener is a TCP listener serving an RPC server. It tracks the
+// connections it accepted, so that Close stops serving them too.
+type rpcListener struct {
+	net.Listener
+	mu    sync.Mutex
+	conns map[net.Conn]bool // the connections being served; nil once closed
+}
+
+// listen serves srv on a TCP listener at addr until Close.
+func listen(srv *rpc.Server, addr string) (*rpcListener, error) {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return nil, err
+	}
+	l := &rpcListener{Listener: ln, conns: map[net.Conn]bool{}}
+	go l.acceptLoop(srv)
+	return l, nil
+}
+
+// acceptLoop serves srv on every connection l accepts until l closes.
+func (l *rpcListener) acceptLoop(srv *rpc.Server) {
 	for {
-		conn, err := ln.Accept()
+		conn, err := l.Accept()
 		if err != nil {
 			return // listener closed
 		}
-		go serveConn(srv, conn)
+		l.mu.Lock()
+		closed := l.conns == nil
+		if !closed {
+			l.conns[conn] = true
+		}
+		l.mu.Unlock()
+		if closed {
+			conn.Close() //machlint:allow errdrop accepted as the listener closed; never served
+			return
+		}
+		go func() {
+			serveConn(srv, conn)
+			l.mu.Lock()
+			delete(l.conns, conn)
+			l.mu.Unlock()
+		}()
 	}
+}
+
+// Close stops the listener and closes the connections still being served,
+// reporting the listener's error.
+func (l *rpcListener) Close() error {
+	err := l.Listener.Close()
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for conn := range l.conns {
+		conn.Close() //machlint:allow errdrop the server is going away; the peer sees the close
+	}
+	l.conns = nil
+	return err
 }
 
 // serveConn serves one connection: with the frame codec when it opens with

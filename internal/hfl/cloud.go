@@ -134,7 +134,10 @@ func NewCloud(cfg Config, arch ArchFunc, src mobility.StepSource, test *dataset.
 func (c *Cloud) Capacity() float64 { return c.capacity }
 
 // GlobalParams returns a copy of the current global model parameters.
-func (c *Cloud) GlobalParams() []float64 { return append([]float64(nil), c.global...) }
+func (c *Cloud) GlobalParams() []float64 { return c.AppendGlobal(nil) }
+
+// AppendGlobal appends the current global model parameters to dst.
+func (c *Cloud) AppendGlobal(dst []float64) []float64 { return append(dst, c.global...) }
 
 // SetTelemetry attaches a telemetry sink (nil detaches). Call it before the
 // run (Engine.Run, fed's Cloud.Run); attaching mid-run races with the step

@@ -3,6 +3,7 @@ package hfl
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"strings"
 	"testing"
 
@@ -145,5 +146,27 @@ func TestNaNProbabilityFailsStep(t *testing.T) {
 		step, sched.MembersAt(step, 2)[0])
 	if err := runFaulty(t, 2, s, step); err == nil || err.Error() != want {
 		t.Fatalf("err = %v, want %q", err, want)
+	}
+}
+
+// TestPlanNormsGrowthIsAmortized: an edge that plans one more device step
+// after step reallocates its plan's norm buffer O(log n) times over n new
+// highs, not once per high.
+func TestPlanNormsGrowthIsAmortized(t *testing.T) {
+	const n, epochs = 2048, 3
+	var p edgePlan
+	reallocs := 0
+	for k := 1; k <= n; k++ {
+		p.devs = make([]plannedDevice, k)
+		before := cap(p.norms)
+		if p.reserve(epochs); len(p.norms) < k*epochs {
+			t.Fatalf("%d devices × %d epochs got %d norms", k, epochs, len(p.norms))
+		}
+		if cap(p.norms) != before {
+			reallocs++
+		}
+	}
+	if limit := 2 * bits.Len(n); reallocs > limit {
+		t.Fatalf("%d rising plans reallocated the norms %d times, want ≤ %d", n, reallocs, limit)
 	}
 }

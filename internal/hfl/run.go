@@ -113,10 +113,10 @@ func (p *edgePlan) trainErr() error {
 }
 
 // reserve sizes the norm buffer for the devices just planned, keeping what
-// earlier steps grew.
+// earlier steps grew and growing append-style.
 func (p *edgePlan) reserve(epochs int) {
 	if need := len(p.devs) * epochs; len(p.norms) < need {
-		p.norms = make([]float64, need)
+		p.norms = append(p.norms, make([]float64, need-len(p.norms))...)
 	}
 }
 
@@ -374,8 +374,11 @@ func (e *Engine) flushStepTelemetry(acc *stepSamplingStats) {
 //machlint:allocfree
 func (e *Engine) edgeDecide(t, n int) error {
 	plan := &e.plans[n]
-	plan.devs, plan.uploads = plan.devs[:0], 0
 	members := e.Members(n)
+	if k := cap(plan.devs); k < len(members) { // room for every member: no append below grows it
+		plan.devs = append(plan.devs[:k], make([]plannedDevice, len(members)-k)...)
+	}
+	plan.devs, plan.uploads = plan.devs[:0], 0
 	if len(members) == 0 {
 		return nil
 	}

@@ -83,11 +83,12 @@ type Strategy interface {
 	ProbabilitiesInto(ctx *EdgeContext, dst []float64) []float64
 }
 
-// ensureLen returns dst resized to n, reallocating only when cap(dst) < n.
+// ensureLen returns dst resized to n, reallocating only when cap(dst) < n,
+// and then append-style, so a rising n reallocates O(log n) times.
 // Contents are unspecified; callers overwrite every element.
 func ensureLen(dst []float64, n int) []float64 {
 	if cap(dst) < n {
-		return make([]float64, n)
+		dst = append(dst[:cap(dst)], make([]float64, n-cap(dst))...)
 	}
 	return dst[:n]
 }

@@ -2,6 +2,7 @@ package sampling
 
 import (
 	"math"
+	"math/bits"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -455,5 +456,26 @@ func TestStrategyProbabilityRangeProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestEnsureLenGrowthIsAmortized: as an edge meets one new membership high
+// after another, MACH's per-edge scratch reallocates O(log n) times over n
+// highs, not once per high.
+func TestEnsureLenGrowthIsAmortized(t *testing.T) {
+	const n = 4096
+	var dst []float64
+	reallocs := 0
+	for k := 1; k <= n; k++ {
+		before := cap(dst)
+		if dst = ensureLen(dst, k); len(dst) != k {
+			t.Fatalf("ensureLen(_, %d) has %d elements", k, len(dst))
+		}
+		if cap(dst) != before {
+			reallocs++
+		}
+	}
+	if limit := 2 * bits.Len(n); reallocs > limit {
+		t.Fatalf("%d rising lengths reallocated %d times, want ≤ %d", n, reallocs, limit)
 	}
 }
