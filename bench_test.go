@@ -355,22 +355,3 @@ func BenchmarkHFLTimeStep(b *testing.B) {
 		}
 	}
 }
-
-// ---- Extension: Oort-style utility selection (beyond the paper) ----
-
-func BenchmarkExtensionOort(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		cfg := microBench(bench.TaskMNIST)
-		cfg.Seed = int64(i + 1)
-		oort, err := sampling.NewOort(cfg.Devices, sampling.DefaultOortConfig())
-		if err != nil {
-			b.Fatal(err)
-		}
-		machStrat, err := sampling.NewMACH(cfg.Devices, cfg.MACH)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(runStrategyVariant(b, cfg, oort, hfl.AggPlain), "final_acc_oort")
-		b.ReportMetric(runStrategyVariant(b, cfg, machStrat, hfl.AggPlain), "final_acc_mach")
-	}
-}

@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 
-	mach "github.com/mach-fl/mach"
-	"github.com/mach-fl/mach/internal/nn"
-	"github.com/mach-fl/mach/internal/sampling"
+	"github.com/mach-fl/mach"
 )
 
 // Example shows the smallest end-to-end training run: synthetic non-IID
@@ -21,7 +19,7 @@ func Example() {
 	strategy, _ := mach.NewMACH(8, mach.DefaultMACHConfig())
 
 	arch := func(rng *rand.Rand) (*mach.Network, error) {
-		return nn.NewMLP("example", 16, []int{8}, 10, rng), nil
+		return mach.NewMLP("example", 16, []int{8}, 10, rng), nil
 	}
 	engine, _ := mach.NewEngine(mach.EngineConfig{
 		Steps: 20, CloudInterval: 5, LocalEpochs: 2, BatchSize: 4,
@@ -33,25 +31,55 @@ func Example() {
 	// Output: 20 steps, 4 evaluations
 }
 
-// ExampleMACHConfig_Transfer shows the transfer function S(·) of Eq. (17):
+// ExampleDefaultMACHConfig shows the transfer function S(·) of Eq. (17):
 // bounded near 1 so early noisy estimates cannot starve any device.
-func ExampleMACHConfig_Transfer() {
+func ExampleDefaultMACHConfig() {
 	cfg := mach.DefaultMACHConfig()
 	fmt.Printf("S(0)=%.2f S(1)=%.2f S(5)=%.2f\n",
 		cfg.Transfer(0), cfg.Transfer(1), cfg.Transfer(5))
 	// Output: S(0)=1.00 S(1)=1.72 S(5)=1.95
 }
 
-// ExampleNewUniform shows that any Strategy plugs into the same engine.
-func ExampleNewUniform() {
-	var s mach.Strategy = mach.NewUniform()
-	q := s.ProbabilitiesInto(&sampling.EdgeContext{
-		Capacity: 2,
-		Members:  []int{4, 7, 9, 11},
-		RNG:      rand.New(rand.NewSource(1)),
-	}, nil)
-	fmt.Println(q)
-	// Output: [0.5 0.5 0.5 0.5]
+// ExampleEdgeSamplingInto shows MACH's edge sampling (Eqs. 16-18): the
+// transfer function flattens the Eq. (16) proportions to G² so the lightest
+// devices keep a fair share of the capacity.
+func ExampleEdgeSamplingInto() {
+	q := mach.EdgeSamplingInto(mach.DefaultMACHConfig(), 2, []float64{1, 1, 4, 9}, nil)
+	fmt.Printf("%.3f\n", q)
+	// Output: [0.409 0.409 0.531 0.651]
+}
+
+// ExampleOptimalProbabilities shows the exact minimizer of Σ G²/q under
+// Σ q = K: q ∝ G, not the G² that Eq. (13) states.
+func ExampleOptimalProbabilities() {
+	q := mach.OptimalProbabilities(2, []float64{1, 1, 4, 9})
+	fmt.Printf("%.3f\n", q)
+	// Output: [0.286 0.286 0.571 0.857]
+}
+
+// ExampleVarianceTerm compares the sampling term of Theorem 1 on one edge
+// under uniform sampling and under its exact minimizer, at the same
+// capacity.
+func ExampleVarianceTerm() {
+	sq := []float64{1, 1, 4, 9}
+	uniform := mach.VarianceTerm(sq, []float64{0.5, 0.5, 0.5, 0.5})
+	optimal := mach.VarianceTerm(sq, mach.OptimalProbabilities(2, sq))
+	fmt.Printf("uniform %.2f, optimal %.2f\n", uniform, optimal)
+	// Output: uniform 30.00, optimal 24.50
+}
+
+// ExampleTheorem1Bound evaluates the convergence bound of Eq. (9): the
+// sampling strategy enters it only through the per-step variance terms, so
+// a smaller Σ G²/q tightens it.
+func ExampleTheorem1Bound() {
+	params := mach.BoundParams{
+		InitialGap: 2, L: 1, Gamma: 0.01,
+		LocalEpochs: 10, CloudInterval: 5, Devices: 4,
+	}
+	uniform, _ := mach.Theorem1Bound(params, []float64{30, 30, 30, 30})
+	optimal, _ := mach.Theorem1Bound(params, []float64{24.5, 24.5, 24.5, 24.5})
+	fmt.Printf("uniform %.4f, optimal %.4f\n", uniform, optimal)
+	// Output: uniform 10.9750, optimal 10.7963
 }
 
 // ExampleGenerateSchedule shows the mobility schedule every experiment is

@@ -11,8 +11,7 @@ import (
 	"math/rand"
 	"os"
 
-	"github.com/mach-fl/mach/internal/hfl"
-	"github.com/mach-fl/mach/internal/sampling"
+	"github.com/mach-fl/mach"
 )
 
 func main() {
@@ -41,7 +40,11 @@ func run() error {
 		}
 	}
 
-	machCfg := sampling.DefaultMACHConfig()
+	// MACH's own edge sampling (Eqs. 16-18), and with RawEq13 set the
+	// paper's Eq. 13 unsmoothed, both capped to [QMin, 1].
+	machCfg := mach.DefaultMACHConfig()
+	rawCfg := machCfg
+	rawCfg.RawEq13 = true
 	strategies := []struct {
 		name  string
 		probs func(edge []float64) []float64
@@ -54,49 +57,21 @@ func run() error {
 			return q
 		}},
 		{"paper Eq.13 (∝G²)", func(edge []float64) []float64 {
-			q := sampling.PaperVirtualProbabilities(capacity, edge)
-			for i := range q {
-				if q[i] > 1 {
-					q[i] = 1
-				}
-				if q[i] < machCfg.QMin {
-					q[i] = machCfg.QMin
-				}
-			}
-			return q
+			return mach.EdgeSamplingInto(rawCfg, capacity, edge, nil)
 		}},
 		{"exact optimum (∝G)", func(edge []float64) []float64 {
-			q := sampling.OptimalProbabilities(capacity, edge)
+			q := mach.OptimalProbabilities(capacity, edge)
 			for i := range q {
-				if q[i] > 1 {
-					q[i] = 1
-				}
-				if q[i] < machCfg.QMin {
-					q[i] = machCfg.QMin
-				}
+				q[i] = min(max(q[i], machCfg.QMin), 1)
 			}
 			return q
 		}},
 		{"MACH Eq.16-18", func(edge []float64) []float64 {
-			qHat := sampling.PaperVirtualProbabilities(capacity, edge)
-			scores := make([]float64, len(edge))
-			total := 0.0
-			for i, v := range qHat {
-				scores[i] = machCfg.Transfer(v)
-				total += scores[i]
-			}
-			q := make([]float64, len(edge))
-			for i, s := range scores {
-				q[i] = capacity * s / total
-				if q[i] > 1 {
-					q[i] = 1
-				}
-			}
-			return q
+			return mach.EdgeSamplingInto(machCfg, capacity, edge, nil)
 		}},
 	}
 
-	params := hfl.BoundParams{
+	params := mach.BoundParams{
 		InitialGap:    2,
 		L:             1,
 		Gamma:         0.01,
@@ -109,13 +84,13 @@ func run() error {
 	for _, st := range strategies {
 		perStep := 0.0
 		for _, edge := range norms {
-			perStep += sampling.VarianceTerm(edge, st.probs(edge))
+			perStep += mach.VarianceTerm(edge, st.probs(edge))
 		}
 		terms := make([]float64, steps)
 		for t := range terms {
 			terms[t] = perStep
 		}
-		bound, err := hfl.Theorem1Bound(params, terms)
+		bound, err := mach.Theorem1Bound(params, terms)
 		if err != nil {
 			return err
 		}

@@ -1,4 +1,4 @@
-// Custom sampler example: the sampling.Strategy interface is the extension
+// Custom sampler example: the mach.Strategy interface is the extension
 // point of the library. This example implements a "stickiness-aware" sampler
 // that favors devices that have stayed in the same edge (cheap, stable
 // uplinks) and runs it through the full HFL engine next to the built-ins.
@@ -11,9 +11,7 @@ import (
 	"os"
 	"sync"
 
-	"github.com/mach-fl/mach/internal/bench"
-	"github.com/mach-fl/mach/internal/hfl"
-	"github.com/mach-fl/mach/internal/sampling"
+	"github.com/mach-fl/mach"
 )
 
 // Sticky favors devices that keep appearing in the same edge: every step a
@@ -25,23 +23,23 @@ type Sticky struct {
 	streak   map[int]float64
 }
 
-var _ sampling.Strategy = (*Sticky)(nil)
+var _ mach.Strategy = (*Sticky)(nil)
 
 // NewSticky returns the example strategy.
 func NewSticky() *Sticky {
 	return &Sticky{lastEdge: map[int]int{}, streak: map[int]float64{}}
 }
 
-// Name implements sampling.Strategy.
+// Name implements mach.Strategy.
 func (*Sticky) Name() string { return "sticky" }
 
-// Unbiased implements sampling.Strategy: stickiness scores feed the engine's
+// Unbiased implements mach.Strategy: stickiness scores feed the engine's
 // plain aggregation path like class-balance does.
 func (*Sticky) Unbiased() bool { return false }
 
-// ProbabilitiesInto implements sampling.Strategy: streak scores land in the
+// ProbabilitiesInto implements mach.Strategy: streak scores land in the
 // caller's buffer and are scaled to the capacity in place.
-func (s *Sticky) ProbabilitiesInto(ctx *sampling.EdgeContext, dst []float64) []float64 {
+func (s *Sticky) ProbabilitiesInto(ctx *mach.EdgeContext, dst []float64) []float64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	dst = dst[:0]
@@ -70,15 +68,15 @@ func main() {
 }
 
 func run() error {
-	cfg := bench.TaskPreset(bench.TaskMNIST, bench.ScaleCI)
+	cfg := mach.TaskPreset(mach.TaskMNIST, mach.ScaleCI)
 	cfg.Steps = 100
 	env, err := cfg.BuildEnvironment(0)
 	if err != nil {
 		return err
 	}
 
-	run := func(name string, strat sampling.Strategy) (float64, error) {
-		eng, err := hfl.New(cfg.HFLConfig(0), cfg.Arch(), env.DeviceData, env.Test, env.Schedule, strat)
+	run := func(name string, strat mach.Strategy) (float64, error) {
+		eng, err := mach.NewEngine(cfg.HFLConfig(0), cfg.Arch(), env.DeviceData, env.Test, env.Schedule, strat)
 		if err != nil {
 			return 0, err
 		}
@@ -93,7 +91,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	uniStrat, err := cfg.NewStrategy(bench.StratUniform)
+	uniStrat, err := cfg.NewStrategy(mach.StratUniform)
 	if err != nil {
 		return err
 	}
@@ -101,11 +99,11 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	machStrat, err := cfg.NewStrategy(bench.StratMACH)
+	machStrat, err := cfg.NewStrategy(mach.StratMACH)
 	if err != nil {
 		return err
 	}
-	mach, err := run("mach", machStrat)
+	machAcc, err := run("mach", machStrat)
 	if err != nil {
 		return err
 	}
@@ -113,7 +111,7 @@ func run() error {
 	fmt.Printf("final accuracy after %d steps:\n", cfg.Steps)
 	fmt.Printf("  sticky (custom)  %.3f\n", sticky)
 	fmt.Printf("  uniform          %.3f\n", uniform)
-	fmt.Printf("  mach             %.3f\n", mach)
-	fmt.Println("\nthe three methods of sampling.Strategy are all a new sampler needs.")
+	fmt.Printf("  mach             %.3f\n", machAcc)
+	fmt.Println("\nthe three methods of mach.Strategy are all a new sampler needs.")
 	return nil
 }

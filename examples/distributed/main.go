@@ -14,9 +14,7 @@ import (
 	"math/rand"
 	"os"
 
-	"github.com/mach-fl/mach/internal/bench"
-	"github.com/mach-fl/mach/internal/dataset"
-	"github.com/mach-fl/mach/internal/fed"
+	"github.com/mach-fl/mach"
 )
 
 func main() {
@@ -27,7 +25,7 @@ func main() {
 }
 
 func run() error {
-	cfg := bench.TaskPreset(bench.TaskMNIST, bench.ScaleCI)
+	cfg := mach.TaskPreset(mach.TaskMNIST, mach.ScaleCI)
 	cfg.Devices = 18
 	cfg.Edges = 3
 	cfg.Steps = 60
@@ -41,11 +39,11 @@ func run() error {
 	table := map[int]string{}
 	var hostAddrs []string
 	for h := 0; h < numHosts; h++ {
-		data := map[int]*dataset.Dataset{}
+		data := map[int]*mach.Dataset{}
 		for m := h * cfg.Devices / numHosts; m < (h+1)*cfg.Devices/numHosts; m++ {
 			data[m] = env.DeviceData[m]
 		}
-		srv, err := fed.NewDeviceServer(cfg.Arch(), data, cfg.MACH, cfg.Seed)
+		srv, err := mach.NewDeviceServer(cfg.Arch(), data, cfg.MACH, cfg.Seed)
 		if err != nil {
 			return err
 		}
@@ -62,7 +60,7 @@ func run() error {
 	}
 
 	// Edge servers.
-	hyper := fed.Hyper{
+	hyper := mach.Hyper{
 		LocalEpochs:  cfg.LocalEpochs,
 		BatchSize:    cfg.BatchSize,
 		LearningRate: cfg.LearningRate,
@@ -73,7 +71,7 @@ func run() error {
 	}
 	var edgeAddrs []string
 	for n := 0; n < cfg.Edges; n++ {
-		e, err := fed.NewEdgeServer(n, cfg.MACH, hyper, cfg.Seed, fed.StaticResolver(table), base.ParamVector())
+		e, err := mach.NewEdgeServer(n, cfg.MACH, hyper, cfg.Seed, mach.StaticResolver(table), base.ParamVector())
 		if err != nil {
 			return err
 		}
@@ -87,7 +85,7 @@ func run() error {
 	}
 
 	// Cloud coordinator drives the training over RPC.
-	cloud, err := fed.NewCloud(fed.CloudConfig{
+	cloud, err := mach.NewCloud(mach.CloudConfig{
 		Steps:         cfg.Steps,
 		CloudInterval: cfg.CloudInterval,
 		Participation: cfg.Participation,

@@ -14,10 +14,7 @@ import (
 	"math/rand"
 	"os"
 
-	"github.com/mach-fl/mach/internal/bench"
-	"github.com/mach-fl/mach/internal/hfl"
-	"github.com/mach-fl/mach/internal/mobility"
-	"github.com/mach-fl/mach/internal/sampling"
+	"github.com/mach-fl/mach"
 )
 
 func main() {
@@ -37,15 +34,15 @@ func run() error {
 	rng := rand.New(rand.NewSource(3))
 
 	// Telecom-style deployment: stations clustered around urban cores.
-	placed, err := mobility.PlaceStations(rng, stations, mobility.DefaultPlacement())
+	placed, err := mach.PlaceStations(rng, stations, mach.DefaultPlacement())
 	if err != nil {
 		return err
 	}
 
 	// Fast-moving devices stress cross-edge mobility.
-	wcfg := mobility.DefaultWaypoint()
+	wcfg := mach.DefaultWaypoint()
 	wcfg.SpeedMin, wcfg.SpeedMax = 2, 8
-	trace, err := mobility.GenerateWaypointTrace(rng, placed, devices, steps, wcfg)
+	trace, err := mach.GenerateWaypointTrace(rng, placed, devices, steps, wcfg)
 	if err != nil {
 		return err
 	}
@@ -58,18 +55,18 @@ func run() error {
 	if err := trace.WriteCSV(&buf); err != nil {
 		return err
 	}
-	parsed, err := mobility.ReadCSV(&buf)
+	parsed, err := mach.ReadCSV(&buf)
 	if err != nil {
 		return err
 	}
 
 	// Cluster neighbouring stations into main edges, as the paper does for
 	// sparse base stations, and derive the schedule.
-	edgeOf, err := mobility.ClusterStations(rng, placed, edges)
+	edgeOf, err := mach.ClusterStations(rng, placed, edges)
 	if err != nil {
 		return err
 	}
-	schedule, err := mobility.BuildSchedule(parsed, edgeOf, edges, devices, steps, 1)
+	schedule, err := mach.BuildSchedule(parsed, edgeOf, edges, devices, steps, 1)
 	if err != nil {
 		return err
 	}
@@ -81,7 +78,7 @@ func run() error {
 	fmt.Println()
 
 	// Same task, same schedule — only the sampling strategy differs.
-	cfg := bench.TaskPreset(bench.TaskMNIST, bench.ScaleCI)
+	cfg := mach.TaskPreset(mach.TaskMNIST, mach.ScaleCI)
 	cfg.Devices = devices
 	cfg.Edges = edges
 	cfg.Steps = steps
@@ -91,12 +88,12 @@ func run() error {
 	}
 	env.Schedule = schedule
 
-	for _, name := range []string{bench.StratStatistical, bench.StratMACH} {
+	for _, name := range []string{mach.StratStatistical, mach.StratMACH} {
 		strat, err := cfg.NewStrategy(name)
 		if err != nil {
 			return err
 		}
-		eng, err := hfl.New(cfg.HFLConfig(0), cfg.Arch(), env.DeviceData, env.Test, env.Schedule, strat)
+		eng, err := mach.NewEngine(cfg.HFLConfig(0), cfg.Arch(), env.DeviceData, env.Test, env.Schedule, strat)
 		if err != nil {
 			return err
 		}
@@ -105,7 +102,7 @@ func run() error {
 			return err
 		}
 		where := "edge-side (forgets movers)"
-		if name == bench.StratMACH {
+		if name == mach.StratMACH {
 			where = "device-side (travels with the device)"
 		}
 		fmt.Printf("%-12s experience %-38s final accuracy %.3f\n",
@@ -114,14 +111,14 @@ func run() error {
 
 	// The same estimates, inspected directly: a MACH book retains a moved
 	// device's experience; a per-edge statistical table does not.
-	mach, err := sampling.NewMACH(devices, sampling.DefaultMACHConfig())
+	strat, err := mach.NewMACH(devices, mach.DefaultMACHConfig())
 	if err != nil {
 		return err
 	}
-	mach.ObserveBatch(0, []int{0}, []int{7}, [][]float64{{4, 4, 4}}) // device 7 trains at edge 0
-	mach.CloudRound(1)
+	strat.ObserveBatch(0, []int{0}, []int{7}, [][]float64{{4, 4, 4}}) // device 7 trains at edge 0
+	strat.CloudRound(1)
 	var estimate [1]float64
-	mach.Book().UCBEstimatesInto(estimate[:], []int{7}, 10)
+	strat.Book().UCBEstimatesInto(estimate[:], []int{7}, 10)
 	fmt.Printf("\nMACH estimate for device 7 after it moves to edge 3: %.2f (experience retained)\n",
 		estimate[0])
 	return nil

@@ -9,12 +9,7 @@ import (
 	"math/rand"
 	"os"
 
-	"github.com/mach-fl/mach/internal/bench"
-	"github.com/mach-fl/mach/internal/dataset"
-	"github.com/mach-fl/mach/internal/hfl"
-	"github.com/mach-fl/mach/internal/mobility"
-	"github.com/mach-fl/mach/internal/nn"
-	"github.com/mach-fl/mach/internal/sampling"
+	"github.com/mach-fl/mach"
 )
 
 func main() {
@@ -33,11 +28,11 @@ func run() error {
 
 	// 1. A synthetic 10-class image task (an MNIST stand-in) partitioned
 	//    across devices with long-tailed non-IID label distributions.
-	task, err := dataset.NewTask(dataset.MNISTLike(8, 8))
+	task, err := mach.NewTask(mach.MNISTLike(8, 8))
 	if err != nil {
 		return err
 	}
-	parts, err := dataset.Partition(task, dataset.PartitionConfig{
+	parts, err := mach.Partition(task, mach.PartitionConfig{
 		Devices:          devices,
 		SamplesPerDevice: 60,
 		TailRatio:        0.25,
@@ -55,7 +50,7 @@ func run() error {
 	// 2. Mobile devices: a waypoint mobility trace over base stations,
 	//    clustered into edges. The schedule is B^t — which edge each
 	//    device touches at each step.
-	schedule, err := mobility.GenerateSchedule(9, edges, devices, steps, 4)
+	schedule, err := mach.GenerateSchedule(9, edges, devices, steps, 4)
 	if err != nil {
 		return err
 	}
@@ -64,16 +59,16 @@ func run() error {
 
 	// 3. The MACH sampling strategy: UCB experience updating + smoothed
 	//    edge sampling, no prior knowledge of device statistics.
-	strategy, err := sampling.NewMACH(devices, sampling.DefaultMACHConfig())
+	strategy, err := mach.NewMACH(devices, mach.DefaultMACHConfig())
 	if err != nil {
 		return err
 	}
 
 	// 4. Hierarchical federated training (Algorithm 1).
-	arch := func(rng *rand.Rand) (*nn.Network, error) {
-		return nn.NewMLP("quickstart", 64, []int{32}, 10, rng), nil
+	arch := func(rng *rand.Rand) (*mach.Network, error) {
+		return mach.NewMLP("quickstart", 64, []int{32}, 10, rng), nil
 	}
-	cfg := hfl.Config{
+	cfg := mach.EngineConfig{
 		Steps:         steps,
 		CloudInterval: 5,
 		LocalEpochs:   5,
@@ -82,13 +77,13 @@ func run() error {
 		Participation: 0.5,
 		EvalEvery:     4,
 		Seed:          10,
-		Aggregation:   hfl.AggPlain,
+		Aggregation:   mach.AggPlain,
 	}
-	engine, err := hfl.New(cfg, arch, parts, test, schedule, strategy)
+	engine, err := mach.NewEngine(cfg, arch, parts, test, schedule, strategy)
 	if err != nil {
 		return err
 	}
-	res, err := engine.Run(hfl.WithEvalHook(func(step int, acc, loss float64) {
+	res, err := engine.Run(mach.WithEvalHook(func(step int, acc, loss float64) {
 		fmt.Printf("step %3d  accuracy %.3f  loss %.3f\n", step, acc, loss)
 	}))
 	if err != nil {
@@ -103,7 +98,7 @@ func run() error {
 		ys = append(ys, p.Accuracy)
 	}
 	fmt.Println()
-	bench.RenderCurveASCII(os.Stdout, "global model accuracy", xs, ys, 60, 10)
+	mach.RenderCurveASCII(os.Stdout, "global model accuracy", xs, ys, 60, 10)
 	fmt.Printf("\nfinal accuracy %.3f after %d steps (%d device participations)\n",
 		res.History.FinalAccuracy(), res.StepsRun, res.TotalSampled)
 	if step, ok := res.History.TimeToAccuracy(0.6); ok {

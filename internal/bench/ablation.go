@@ -24,8 +24,8 @@ type AblationVariant struct {
 }
 
 // RunAblations executes the DESIGN.md §4 ablation suite on one config:
-// aggregation rule, transfer-function smoothing, UCB discount, estimator
-// locality, and the Oort extension.
+// aggregation rule, transfer-function smoothing, UCB discount and estimator
+// locality.
 func RunAblations(cfg Config) ([]AblationResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -76,15 +76,6 @@ func RunAblations(cfg Config) ([]AblationResult, error) {
 				{"device-side UCB (MACH)", machStrat(nil), hfl.AggPlain},
 				{"edge-side last-obs (SS)", func() (sampling.Strategy, error) {
 					return sampling.NewStatistical(cfg.Devices, cfg.MACH.QMin)
-				}, hfl.AggPlain},
-			},
-		},
-		{
-			name: "extension: Oort utility selection",
-			variants: []variant{
-				{"MACH", machStrat(nil), hfl.AggPlain},
-				{"Oort", func() (sampling.Strategy, error) {
-					return sampling.NewOort(cfg.Devices, sampling.DefaultOortConfig())
 				}, hfl.AggPlain},
 			},
 		},

@@ -55,9 +55,6 @@ const (
 	StratStatistical  = "statistical"
 	StratMACH         = "mach"
 	StratMACHP        = "mach-p"
-	// StratOort is an extension beyond the paper's benchmark set (Lai et
-	// al., OSDI 2021), wired in for the extension benches.
-	StratOort = "oort"
 )
 
 // AllStrategies lists every compared strategy, MACH last.
@@ -232,8 +229,6 @@ func (c Config) NewStrategy(name string) (sampling.Strategy, error) {
 		return sampling.NewMACH(c.Devices, c.MACH)
 	case StratMACHP:
 		return sampling.NewMACHP(c.MACH)
-	case StratOort:
-		return sampling.NewOort(c.Devices, sampling.DefaultOortConfig())
 	default:
 		return nil, fmt.Errorf("bench: unknown strategy %q", name)
 	}

@@ -57,9 +57,6 @@ func (d *Dataset) Len() int { return len(d.images) }
 // Label returns the label of sample i.
 func (d *Dataset) Label(i int) int { return d.labels[i] }
 
-// Image returns the raw image of sample i (shared storage).
-func (d *Dataset) Image(i int) []float64 { return d.images[i] }
-
 // Batch assembles the samples at the given indices into a [B, InC, InH, InW]
 // tensor and a label slice.
 func (d *Dataset) Batch(indices []int) (*tensor.Tensor, []int) {
@@ -93,18 +90,11 @@ func (d *Dataset) BatchInto(x *tensor.Tensor, labels []int, indices []int) {
 	}
 }
 
-// RandomBatch draws a uniform random minibatch of the given size with
-// replacement, matching the ξ sampling of the local update rule (Eq. 4).
-func (d *Dataset) RandomBatch(rng *rand.Rand, size int) (*tensor.Tensor, []int) {
-	x := tensor.New(size, d.InC, d.InH, d.InW)
-	labels := make([]int, size)
-	d.RandomBatchInto(rng, x, labels, make([]int, size))
-	return x, labels
-}
-
-// RandomBatchInto is RandomBatch writing into caller-owned buffers. idx is
-// index scratch of length equal to the batch size; the RNG draws exactly one
-// Intn per sample in slot order, identical to RandomBatch.
+// RandomBatchInto draws a uniform random minibatch with replacement,
+// matching the ξ sampling of the local update rule (Eq. 4), into
+// caller-owned buffers sized as for BatchInto. idx is index scratch of
+// length equal to the batch size; the RNG draws exactly one Intn per sample
+// in slot order.
 //
 //machlint:noalias labels,idx
 func (d *Dataset) RandomBatchInto(rng *rand.Rand, x *tensor.Tensor, labels, idx []int) {
@@ -144,17 +134,4 @@ func (d *Dataset) ClassDistribution() []float64 {
 		out[c] = float64(n) * inv
 	}
 	return out
-}
-
-// Subset returns a view over the samples at the given indices. Image storage
-// is shared with the parent dataset.
-func (d *Dataset) Subset(name string, indices []int) *Dataset {
-	sub := NewDataset(name, d.InC, d.InH, d.InW, d.Classes)
-	sub.images = make([][]float64, len(indices))
-	sub.labels = make([]int, len(indices))
-	for i, idx := range indices {
-		sub.images[i] = d.images[idx]
-		sub.labels[i] = d.labels[idx]
-	}
-	return sub
 }

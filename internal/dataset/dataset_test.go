@@ -73,22 +73,6 @@ func TestClassHistogramAndDistribution(t *testing.T) {
 	}
 }
 
-func TestSubsetSharesImagesButNotLabels(t *testing.T) {
-	d := NewDataset("toy", 1, 1, 1, 2)
-	for i := 0; i < 4; i++ {
-		if err := d.Append([]float64{float64(i)}, i%2); err != nil {
-			t.Fatal(err)
-		}
-	}
-	sub := d.Subset("half", []int{0, 3})
-	if sub.Len() != 2 || sub.Label(0) != 0 || sub.Label(1) != 1 {
-		t.Fatalf("subset labels wrong")
-	}
-	if sub.Image(1)[0] != 3 {
-		t.Fatalf("subset image wrong")
-	}
-}
-
 func TestRandomBatchWithinBounds(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	task, err := NewTask(MNISTLike(4, 4))
@@ -99,10 +83,8 @@ func TestRandomBatchWithinBounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	x, y := d.RandomBatch(rng, 32) // larger than the dataset: with replacement
-	if x.Dim(0) != 32 || len(y) != 32 {
-		t.Fatalf("random batch size %v/%d", x.Shape(), len(y))
-	}
+	y := make([]int, 32) // larger than the dataset: with replacement
+	d.RandomBatchInto(rng, tensor.New(32, d.InC, d.InH, d.InW), y, make([]int, 32))
 	for _, l := range y {
 		if l < 0 || l >= 10 {
 			t.Fatalf("label %d out of range", l)
@@ -162,10 +144,10 @@ func TestSampleClassValidProperty(t *testing.T) {
 	}
 }
 
-// RandomBatchInto must draw the identical RNG stream and fill the identical
-// pixels/labels as RandomBatch — the simulator's determinism across worker
-// counts depends on it.
-func TestRandomBatchIntoMatchesRandomBatch(t *testing.T) {
+// RandomBatchInto must draw exactly one Intn per slot, in slot order, and
+// fill the pixels/labels Batch gives for those indices — the simulator's
+// determinism across worker counts depends on it.
+func TestRandomBatchIntoMatchesBatch(t *testing.T) {
 	d := NewDataset("toy", 1, 2, 2, 3)
 	rng := rand.New(rand.NewSource(11))
 	for i := 0; i < 9; i++ {
@@ -180,7 +162,11 @@ func TestRandomBatchIntoMatchesRandomBatch(t *testing.T) {
 	const size = 5
 	r1 := rand.New(rand.NewSource(99))
 	r2 := rand.New(rand.NewSource(99))
-	wantX, wantY := d.RandomBatch(r1, size)
+	drawn := make([]int, size)
+	for i := range drawn {
+		drawn[i] = r1.Intn(d.Len())
+	}
+	wantX, wantY := d.Batch(drawn)
 
 	x := tensor.New(size, 1, 2, 2)
 	for i := range x.Data() {

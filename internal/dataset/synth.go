@@ -113,9 +113,6 @@ func NewTask(spec TaskSpec) (*Task, error) {
 	return &Task{Spec: spec, prototypes: protos}, nil
 }
 
-// Prototype returns the prototype image of class c (shared storage).
-func (t *Task) Prototype(c int) []float64 { return t.prototypes[c] }
-
 // Sample draws one image of class c.
 func (t *Task) Sample(rng *rand.Rand, c int) []float64 {
 	p := t.prototypes[c]

@@ -54,7 +54,7 @@ func TestPrototypesDeterministicPerSeed(t *testing.T) {
 		t.Fatal(err)
 	}
 	for c := 0; c < a.Spec.Classes; c++ {
-		pa, pb := a.Prototype(c), b.Prototype(c)
+		pa, pb := a.prototypes[c], b.prototypes[c]
 		for i := range pa {
 			if pa[i] != pb[i] {
 				t.Fatalf("prototypes differ for class %d at %d", c, i)
@@ -73,7 +73,7 @@ func TestOverlapControlsPrototypeCorrelation(t *testing.T) {
 		total, pairs := 0.0, 0
 		for a := 0; a < spec.Classes; a++ {
 			for b := a + 1; b < spec.Classes; b++ {
-				pa, pb := task.Prototype(a), task.Prototype(b)
+				pa, pb := task.prototypes[a], task.prototypes[b]
 				dot, na, nb := 0.0, 0.0, 0.0
 				for i := range pa {
 					dot += pa[i] * pb[i]
@@ -142,10 +142,10 @@ func TestSamplesAreLearnable(t *testing.T) {
 	}
 	correct := 0
 	for i := 0; i < d.Len(); i++ {
-		img := d.Image(i)
+		img := d.images[i]
 		best, bestDist := -1, math.Inf(1)
 		for c := 0; c < task.Spec.Classes; c++ {
-			p := task.Prototype(c)
+			p := task.prototypes[c]
 			dist := 0.0
 			for j := range img {
 				diff := img[j] - p[j]
@@ -180,10 +180,10 @@ func TestDifficultyOrderingEmpirically(t *testing.T) {
 		}
 		correct := 0
 		for i := 0; i < d.Len(); i++ {
-			img := d.Image(i)
+			img := d.images[i]
 			best, bestDist := -1, math.Inf(1)
 			for c := 0; c < task.Spec.Classes; c++ {
-				p := task.Prototype(c)
+				p := task.prototypes[c]
 				dist := 0.0
 				for j := range img {
 					diff := img[j] - p[j]

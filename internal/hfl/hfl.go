@@ -17,7 +17,6 @@ package hfl
 
 import (
 	"fmt"
-	"io"
 	"math/rand"
 	"runtime"
 
@@ -375,37 +374,4 @@ func New(cfg Config, arch ArchFunc, deviceData []*dataset.Dataset, test *dataset
 		e.shards[s] = &shardState{e: e, id: s, lo: cloud.nEdges * s / shards, hi: cloud.nEdges * (s + 1) / shards}
 	}
 	return e, nil
-}
-
-// SaveCheckpoint writes the current global model so a run can be inspected
-// or resumed in another process.
-func (e *Engine) SaveCheckpoint(w io.Writer) error {
-	if err := e.evalNet.SetParamVector(e.global); err != nil {
-		return err
-	}
-	blob, err := e.evalNet.MarshalBinary()
-	if err != nil {
-		return fmt.Errorf("hfl: marshal checkpoint: %w", err)
-	}
-	if _, err := w.Write(blob); err != nil {
-		return fmt.Errorf("hfl: write checkpoint: %w", err)
-	}
-	return nil
-}
-
-// LoadCheckpoint restores a global model written by SaveCheckpoint into the
-// cloud and every edge, so a subsequent Run continues from it.
-func (e *Engine) LoadCheckpoint(r io.Reader) error {
-	blob, err := io.ReadAll(r)
-	if err != nil {
-		return fmt.Errorf("hfl: read checkpoint: %w", err)
-	}
-	if err := e.evalNet.UnmarshalBinary(blob); err != nil {
-		return fmt.Errorf("hfl: restore checkpoint: %w", err)
-	}
-	e.global = e.evalNet.ParamVector()
-	for n := range e.edge {
-		copy(e.edge[n], e.global)
-	}
-	return nil
 }

@@ -1,7 +1,6 @@
 package hfl
 
 import (
-	"bytes"
 	"errors"
 	"math"
 	"math/rand"
@@ -254,7 +253,10 @@ func TestLiteralEq5ModeRuns(t *testing.T) {
 // make it a closed form: Σ_m (1/q_m − 1)·‖θ_m − w_n‖²/|M|² for the inverse
 // weights on updates; for the literal form, whose w_n' is Σ X_m θ_m/(|M| q_m)
 // plus w_n when the sample is empty, Σ_m (1/q_m − 1)·‖θ_m‖²/|M|² +
-// P(∅)(1 − P(∅))·‖w_n‖² − 2·P(∅)·⟨θ̄, w_n⟩, θ̄ the member mean.
+// P(∅)(1 − P(∅))·‖w_n‖² − 2·P(∅)·⟨θ̄, w_n⟩, θ̄ the member mean. Under
+// the inverse weights that variance, times |M|², is the sampling term of
+// Theorem 1 as sampling.VarianceTerm evaluates it, less Σ G²: the bound and
+// the aggregation are held to one quantity.
 func TestEdgeAggregationUnbiasedness(t *testing.T) {
 	probs := []float64{0.9, 0.5, 0.3, 0.7} // deliberately non-uniform
 	parts, test, sched := tinySetup(t, len(probs), 1, 5, 10)
@@ -294,7 +296,7 @@ func TestEdgeAggregationUnbiasedness(t *testing.T) {
 	// in member order, edgeFinalize — with device i's trained model installed
 	// as members[i], and hands each result to f with the outcome's
 	// probability.
-	enumerate := func(f func(prob float64, agg []float64)) {
+	enumerate := func(t *testing.T, f func(prob float64, agg []float64)) {
 		for outcome := 0; outcome < 1<<len(probs); outcome++ {
 			prob := 1.0
 			plan.devs, plan.uploads = plan.devs[:0], 0
@@ -324,48 +326,65 @@ func TestEdgeAggregationUnbiasedness(t *testing.T) {
 	}
 	for _, mode := range []Aggregation{AggInverseUpdate, AggLiteralEq5, AggPlain} {
 		eng.cfg.Aggregation = mode
-		expect := make([]float64, dim)
-		enumerate(func(prob float64, agg []float64) { tensor.Axpy(expect, prob, agg) })
-		worst := 0.0
-		for j := range expect {
-			want := mean[j]
-			if mode == AggLiteralEq5 {
-				want += pEmpty * base[j]
+		t.Run(mode.String(), func(t *testing.T) {
+			expect := make([]float64, dim)
+			enumerate(t, func(prob float64, agg []float64) { tensor.Axpy(expect, prob, agg) })
+			worst := 0.0
+			for j := range expect {
+				want := mean[j]
+				if mode == AggLiteralEq5 {
+					want += pEmpty * base[j]
+				}
+				worst = max(worst, math.Abs(expect[j]-want))
 			}
-			worst = max(worst, math.Abs(expect[j]-want))
-		}
-		switch {
-		case mode == AggPlain && worst < 0.1:
-			t.Fatalf("%v: E[aggregate] is within %.3g of the member mean; plain averaging under non-uniform q should be biased", mode, worst)
-		case mode != AggPlain && worst > 1e-12:
-			t.Fatalf("%v: E[aggregate] is %.3g from its Lemma 1 value (P(∅) = %v)", mode, worst, pEmpty)
-		}
-		t.Logf("%v: largest |E[aggregate] − Lemma 1 value| = %.3g", mode, worst)
+			switch {
+			case mode == AggPlain && worst < 0.1:
+				t.Fatalf("%v: E[aggregate] is within %.3g of the member mean; plain averaging under non-uniform q should be biased", mode, worst)
+			case mode != AggPlain && worst > 1e-12:
+				t.Fatalf("%v: E[aggregate] is %.3g from its Lemma 1 value (P(∅) = %v)", mode, worst, pEmpty)
+			}
+			t.Logf("%v: largest |E[aggregate] − Lemma 1 value| = %.3g", mode, worst)
 
-		if mode == AggPlain {
-			continue // no closed form to hold it to
-		}
-		variance := 0.0
-		enumerate(func(prob float64, agg []float64) { variance += prob * sqDist(agg, expect) })
-		want := 0.0
-		for i, q := range probs {
+			if mode == AggPlain {
+				return // no closed form to hold it to
+			}
+			variance := 0.0
+			enumerate(t, func(prob float64, agg []float64) { variance += prob * sqDist(agg, expect) })
+			want := 0.0
+			for i, q := range probs {
+				if mode == AggInverseUpdate {
+					want += (1/q - 1) * sqDist(members[i], base) / (size * size)
+				} else {
+					want += (1/q - 1) * sqDist(members[i], zero) / (size * size)
+				}
+			}
+			if mode == AggLiteralEq5 {
+				dot := 0.0
+				for j := range base {
+					dot += mean[j] * base[j]
+				}
+				want += pEmpty*(1-pEmpty)*sqDist(base, zero) - 2*pEmpty*dot
+			}
+			if rel := math.Abs(variance-want) / want; rel > 1e-12 {
+				t.Fatalf("%v: E‖w' − E w'‖² = %v, closed form %v (relative error %.3g)", mode, variance, want, rel)
+			}
+			t.Logf("%v: E‖w' − E w'‖² = %v, closed form %v", mode, variance, want)
+
 			if mode == AggInverseUpdate {
-				want += (1/q - 1) * sqDist(members[i], base) / (size * size)
-			} else {
-				want += (1/q - 1) * sqDist(members[i], zero) / (size * size)
+				// Theorem 1's sampling term is this variance: with
+				// G_m = ‖θ_m − w_n‖, Σ G²/q − Σ G² = |M|²·E‖w' − E w'‖².
+				sq := make([]float64, len(probs))
+				sum := 0.0
+				for i := range probs {
+					sq[i] = sqDist(members[i], base)
+					sum += sq[i]
+				}
+				term := sampling.VarianceTerm(sq, probs) - sum
+				if rel := math.Abs(term-size*size*variance) / term; rel > 1e-12 {
+					t.Fatalf("%v: VarianceTerm(G², q) − Σ G² = %v, |M|²·Var = %v (relative error %.3g)", mode, term, size*size*variance, rel)
+				}
 			}
-		}
-		if mode == AggLiteralEq5 {
-			dot := 0.0
-			for j := range base {
-				dot += mean[j] * base[j]
-			}
-			want += pEmpty*(1-pEmpty)*sqDist(base, zero) - 2*pEmpty*dot
-		}
-		if rel := math.Abs(variance-want) / want; rel > 1e-12 {
-			t.Fatalf("%v: E‖w' − E w'‖² = %v, closed form %v (relative error %.3g)", mode, variance, want, rel)
-		}
-		t.Logf("%v: E‖w' − E w'‖² = %v, closed form %v", mode, variance, want)
+		})
 	}
 }
 
@@ -409,49 +428,6 @@ func TestCloudAggregationSynchronizesEdges(t *testing.T) {
 				t.Fatalf("edge %d diverges from global after cloud round", n)
 			}
 		}
-	}
-}
-
-func TestCheckpointRoundTrip(t *testing.T) {
-	parts, test, sched := tinySetup(t, 8, 2, 20, 13)
-	eng, err := New(tinyConfig(20, 13), tinyArch, parts, test, sched, sampling.NewUniform())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := eng.SaveCheckpoint(&buf); err != nil {
-		t.Fatal(err)
-	}
-	want := eng.GlobalParams()
-
-	// A fresh engine restored from the checkpoint starts from the same
-	// global model, on the cloud and on every edge.
-	parts2, test2, sched2 := tinySetup(t, 8, 2, 20, 13)
-	eng2, err := New(tinyConfig(20, 14), tinyArch, parts2, test2, sched2, sampling.NewUniform())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := eng2.LoadCheckpoint(bytes.NewReader(buf.Bytes())); err != nil {
-		t.Fatal(err)
-	}
-	got := eng2.GlobalParams()
-	for i := range want {
-		if want[i] != got[i] {
-			t.Fatalf("checkpoint mismatch at %d", i)
-		}
-	}
-	for n := range eng2.edge {
-		for j := range eng2.edge[n] {
-			if eng2.edge[n][j] != want[j] {
-				t.Fatalf("edge %d not restored", n)
-			}
-		}
-	}
-	if err := eng2.LoadCheckpoint(bytes.NewReader([]byte{1, 2})); err == nil {
-		t.Fatal("expected error for corrupt checkpoint")
 	}
 }
 

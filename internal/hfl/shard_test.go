@@ -1,7 +1,6 @@
 package hfl
 
 import (
-	"bytes"
 	"testing"
 
 	"github.com/mach-fl/mach/internal/sampling"
@@ -37,32 +36,6 @@ func TestShardLayout(t *testing.T) {
 		}
 		if next != sched.Edges {
 			t.Fatalf("Shards=%d: shards cover %d edges, want %d", tc.configured, next, sched.Edges)
-		}
-	}
-}
-
-// TestCheckpointRestoreAcrossShardCounts covers resharding at a checkpoint
-// boundary: a run checkpointed under one shard count and resumed under
-// another must continue exactly like a same-shard-count resume, because the
-// checkpoint carries only the global model and the shard layout never
-// reaches a value.
-func TestCheckpointRestoreAcrossShardCounts(t *testing.T) {
-	cell := layoutCell{world: "five", strategy: "uniform", workers: 3, shards: 2}
-	var ckpt bytes.Buffer
-	if err := runCell(t, cell, nil).eng.SaveCheckpoint(&ckpt); err != nil {
-		t.Fatal(err)
-	}
-	restore := func(e *Engine) {
-		if err := e.LoadCheckpoint(bytes.NewReader(ckpt.Bytes())); err != nil {
-			t.Fatal(err)
-		}
-	}
-	cell.shards = 1
-	ref := runCell(t, cell, restore)
-	for _, shards := range []int{2, 3} {
-		cell.shards = shards
-		if d := ref.diverge(runCell(t, cell, restore)); d != "" {
-			t.Fatalf("resumed %s diverges at %s", cell, d)
 		}
 	}
 }

@@ -172,6 +172,11 @@ func TestTrainerCarriesNoStateBetweenDevices(t *testing.T) {
 func deviceOwnedUpdate(t *testing.T, cfg Config, base *nn.Network, data *dataset.Dataset, m int, edgeParams []float64) (norms, upload []float64) {
 	t.Helper()
 	rng := det.NewRand(det.DeviceBatch(cfg.Seed, m))
+	batch := func() (*tensor.Tensor, []int) {
+		x, y := tensor.New(cfg.BatchSize, data.InC, data.InH, data.InW), make([]int, cfg.BatchSize)
+		data.RandomBatchInto(rng, x, y, make([]int, cfg.BatchSize))
+		return x, y
+	}
 	norms = make([]float64, cfg.LocalEpochs)
 	if cfg.Lane == LaneF32 {
 		lane, err := nn.NewLane32(base, 1)
@@ -183,7 +188,7 @@ func deviceOwnedUpdate(t *testing.T, cfg Config, base *nn.Network, data *dataset
 		}
 		loss := make([]float64, 1)
 		for tau := range norms {
-			x, y := data.RandomBatch(rng, cfg.BatchSize)
+			x, y := batch()
 			lane.SetInput(0, cfg.BatchSize, x.Data())
 			lane.TrainStep(1, cfg.BatchSize, [][]int{y}, cfg.LearningRate, loss, norms[tau:tau+1])
 		}
@@ -194,7 +199,7 @@ func deviceOwnedUpdate(t *testing.T, cfg Config, base *nn.Network, data *dataset
 		t.Fatal(err)
 	}
 	for tau := range norms {
-		x, y := data.RandomBatch(rng, cfg.BatchSize)
+		x, y := batch()
 		_, norms[tau] = model.TrainStep(x, y, opt)
 	}
 	return norms, model.ParamVector()

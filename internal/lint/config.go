@@ -110,8 +110,9 @@ func (c *Config) Keep(names []string) {
 //   - allocfree runs everywhere it finds annotations; scoping is by
 //     annotation, not path.
 //   - deadexport audits declarations under internal/ — nothing outside the
-//     module can import them, so an export only tests use is dead — against
-//     uses anywhere in the module.
+//     module can import them, so an export only tests use is dead — and in
+//     the root package, the facade, whose aliases would otherwise keep their
+//     internal targets alive, against uses anywhere in the module.
 func DefaultConfig() *Config {
 	return &Config{Rules: map[string]*Rule{
 		"maprange": {Enabled: true},
@@ -159,6 +160,6 @@ func DefaultConfig() *Config {
 		},
 		"intoalias":  {Enabled: true, SkipTests: true},
 		"allocfree":  {Enabled: true},
-		"deadexport": {Enabled: true, Only: []string{"internal"}},
+		"deadexport": {Enabled: true, Only: []string{"internal", "."}},
 	}}
 }

@@ -11,32 +11,33 @@ import (
 	"github.com/mach-fl/mach/internal/det"
 )
 
-// The deadexport check finds exported declarations under internal/ — funcs,
-// types, vars, consts and methods — that no non-test file of the module
-// uses: API kept alive only by its own tests. A use inside the
-// declaration itself, or as the receiver of one of a type's methods, does
-// not count. A method is also exempt when something other than a selector
-// reaches it:
+// The deadexport check finds exported declarations under internal/ and in
+// the module's root package (the facade) — funcs, types, vars, consts and
+// methods — that no non-test file of the module uses: API kept alive only
+// by its own tests. A facade alias is live only when a program of the
+// module uses it, so the facade keeps nothing alive that no program
+// reaches. A use inside the declaration itself, or as the receiver of one
+// of a type's methods, does not count. A method is also exempt when
+// something other than a selector reaches it:
 //   - its type (or a pointer to it) implements an interface the module
 //     declares, spells out, or imports from any package in its import
 //     closure (error, fmt.Stringer, io.Writer, nn.Layer, ...), and the
 //     method is one of that interface's;
-//   - its type is registered with net/rpc, which dispatches by reflection;
-//   - its type is re-exported by the module's root package (the facade),
-//     so callers outside the module reach it.
+//   - its type is registered with net/rpc, which dispatches by reflection.
 //
 // Struct fields stay exempt. Like allocfree it is a whole-run phase, not a
 // per-unit Analyzer: it needs every use in the module in view, so the
 // driver runs it only on a whole-tree run (./...).
 //
 // Known findings live in the committed ledger (lint_deadexports.txt, one
-// "<pkgdir>.<Name>" or "<pkgdir>.<Type>.<Method>" per line). A finding
-// missing from the ledger and a ledger entry that is no finding any more
-// (used again, or gone) both fail, so the ledger is an exact inventory that
-// deletions shrink; regenerate it with `machlint -write-deadexports`.
+// "<pkgdir>.<Name>" or "<pkgdir>.<Type>.<Method>" per line; the root
+// package's pkgdir is its name). A finding missing from the ledger and a
+// ledger entry that is no finding any more (used again, or gone) both fail,
+// so the ledger is an exact inventory that deletions shrink; regenerate it
+// with `machlint -write-deadexports`.
 const (
 	DeadExportName = "deadexport"
-	DeadExportDoc  = "exported identifiers and methods under internal/ that only tests use, beyond the committed ledger (whole-tree runs only)"
+	DeadExportDoc  = "exported identifiers and methods under internal/ and in the root package that only tests use, beyond the committed ledger (whole-tree runs only)"
 
 	// DefaultDeadExportPath is the committed ledger, relative to the lint
 	// root.
@@ -62,6 +63,10 @@ func deadExports(units []*Unit, rule *Rule) map[string]token.Position {
 				continue
 			}
 			r.scan(u, f)
+			prefix := u.Path
+			if prefix == "." {
+				prefix = u.Pkg.Name() // the facade's entries read "mach.Name"
+			}
 			for _, d := range f.Decls {
 				own := map[string]bool{}
 				if rule.appliesTo(u.Path) {
@@ -69,7 +74,7 @@ func deadExports(units []*Unit, rule *Rule) map[string]token.Position {
 						if id.IsExported() {
 							pos := u.Fset.Position(id.Pos())
 							own[posKey(pos)] = true
-							decls[posKey(pos)] = decl{u.Path + "." + name, pos}
+							decls[posKey(pos)] = decl{prefix + "." + name, pos}
 						}
 					}
 				}
@@ -145,18 +150,17 @@ func namedOf(t types.Type) *types.Named {
 
 // reach gathers what calls a method without a selector naming it: the
 // interfaces in view, checked against the module's named types, and the
-// types registered with net/rpc or re-exported by the facade, all of whose
-// methods are reachable.
+// types registered with net/rpc, all of whose methods are reachable.
 type reach struct {
 	fset     *token.FileSet
 	concrete []*types.Named      // the module's non-interface named types
 	ifaces   map[string][]string // an interface's joined method signatures → them
-	open     []*types.Named      // types registered with net/rpc or re-exported
+	open     []*types.Named      // types registered with net/rpc
 	imported map[*types.Package]bool
 }
 
-// scan records one non-test file's imports, interface types, named types,
-// net/rpc registrations and, in the root package, facade aliases.
+// scan records one non-test file's imports, interface types, named types
+// and net/rpc registrations.
 func (r *reach) scan(u *Unit, f *ast.File) {
 	r.fset = u.Fset
 	for _, spec := range f.Imports {
@@ -177,8 +181,6 @@ func (r *reach) scan(u *Unit, f *ast.File) {
 			}
 			if named := namedOf(tn.Type()); named != nil && !tn.IsAlias() {
 				r.concrete = append(r.concrete, named)
-			} else if named != nil && u.Path == "." {
-				r.open = append(r.open, named)
 			}
 		case *ast.CallExpr:
 			sel, ok := n.Fun.(*ast.SelectorExpr)
@@ -226,8 +228,8 @@ func (r *reach) addInterface(it *types.Interface) {
 	}
 }
 
-// exemptMethods returns the posKeys of every method an interface, net/rpc
-// or the facade reaches.
+// exemptMethods returns the posKeys of every method an interface or
+// net/rpc reaches.
 func (r *reach) exemptMethods() map[string]bool {
 	exempt := map[string]bool{}
 	for _, named := range r.open {
@@ -332,10 +334,10 @@ func writeDeadExportLedger(path string, dead map[string]token.Position) error {
 	}
 	var b strings.Builder
 	b.WriteString("# machlint deadexport ledger — exported identifiers and methods under\n")
-	b.WriteString("# internal/ that no non-test file of the module uses, each followed by\n")
-	b.WriteString("# \"# <what keeps it>\". The list may only shrink: delete or unexport, then\n")
-	b.WriteString("# regenerate with `machlint -write-deadexports` (or `make lint-ledger`);\n")
-	b.WriteString("# make check fails on any drift.\n")
+	b.WriteString("# internal/ and in the root package that no non-test file of the module\n")
+	b.WriteString("# uses, each followed by \"# <what keeps it>\". The list may only shrink:\n")
+	b.WriteString("# delete or unexport, then regenerate with `machlint -write-deadexports`\n")
+	b.WriteString("# (or `make lint-ledger`); make check fails on any drift.\n")
 	for _, k := range det.SortedKeys(dead) {
 		b.WriteString(k)
 		if why := old[k].why; why != "" {

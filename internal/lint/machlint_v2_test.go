@@ -246,12 +246,14 @@ func TestTreeCleanAtHead(t *testing.T) {
 
 // TestDeadExportFixture drives the deadexport phase over its fixture module
 // (testdata/src/deadexport: an internal package, its test file, a command
-// that uses part of it, a facade re-exporting one of its types, and a ledger
+// that uses part of it, a facade re-exporting two of its types, and a ledger
 // with one live entry, one used again, one whose identifier is gone and one
 // that names no reason) and pins the ledger failure modes plus the
 // exemptions: a method that satisfies an interface (the module's own
-// Measurer, fmt.Stringer from the import closure), one on a type registered
-// with net/rpc and one on a type the facade re-exports go unreported.
+// Measurer, fmt.Stringer from the import closure) and one on a type
+// registered with net/rpc go unreported. The facade is audited like
+// internal/: its alias no program uses is reported, and so is the method of
+// the type it re-exports that nothing calls.
 func TestDeadExportFixture(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Keep([]string{DeadExportName})
@@ -261,6 +263,8 @@ func TestDeadExportFixture(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := []string{
+		"deadexport.Spare is exported but no non-test file",
+		"internal/lib.Faced.Hello is exported but no non-test file",
 		"internal/lib.OnlyTests is exported but no non-test file",
 		"internal/lib.Orphan is exported but no non-test file",
 		"internal/lib.Recursive is exported but no non-test file",

@@ -5,8 +5,11 @@ import (
 	"fmt"
 	"net/rpc"
 
+	"github.com/mach-fl/mach/internal/lint/testdata/src/deadexport"
 	"github.com/mach-fl/mach/internal/lint/testdata/src/deadexport/internal/lib"
 )
+
+var _ = deadexport.Faced{}
 
 func main() {
 	if err := rpc.Register(new(lib.Service)); err != nil {

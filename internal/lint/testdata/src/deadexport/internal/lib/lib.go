@@ -1,7 +1,7 @@
 // Package lib is the deadexport fixture's internal package: one exported
 // identifier of each kind that only tests use, next to ones that
-// production code reaches, and methods reached only through an interface,
-// a net/rpc registration or the facade.
+// production code reaches, and methods reached only through an interface
+// or a net/rpc registration.
 package lib
 
 // Used is called from cmd/use.
@@ -65,5 +65,6 @@ func (*Service) Echo(args int, reply *int) error {
 // Faced is re-exported by the fixture's root package.
 type Faced struct{}
 
-// Hello is reachable by the facade's callers outside the module.
+// Hello is dead although the facade re-exports its type: no program of
+// the module calls it.
 func (Faced) Hello() string { return "hello" }

@@ -128,9 +128,6 @@ type MarkovConfig struct {
 	Neighbors int
 }
 
-// DefaultMarkov keeps devices on a station ~95% of time units.
-func DefaultMarkov() MarkovConfig { return MarkovConfig{StayProb: 0.95, Neighbors: 4} }
-
 // Validate reports whether the Markov config is usable.
 func (c MarkovConfig) Validate() error {
 	switch {

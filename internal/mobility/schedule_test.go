@@ -65,7 +65,7 @@ func TestModelConfigValidation(t *testing.T) {
 	if _, err := GenerateMarkovTrace(rng, stations, 1, 10, MarkovConfig{StayProb: 1.5, Neighbors: 1}); err == nil {
 		t.Fatal("expected invalid markov config error")
 	}
-	if _, err := GenerateMarkovTrace(rng, stations, 0, 10, DefaultMarkov()); err == nil {
+	if _, err := GenerateMarkovTrace(rng, stations, 0, 10, MarkovConfig{StayProb: 0.95, Neighbors: 4}); err == nil {
 		t.Fatal("expected zero devices error")
 	}
 }

@@ -14,6 +14,25 @@ func lossAndGrad(logits *tensor.Tensor, labels []int) (float64, *tensor.Tensor) 
 	return SoftmaxCrossEntropyInto(logits, labels, grad), grad
 }
 
+// backward propagates the loss gradient through every layer in reverse,
+// accumulating parameter gradients, and returns the input gradient: the
+// full pass a training step's backwardParams shortcuts.
+func backward(n *Network, grad *tensor.Tensor) *tensor.Tensor {
+	for i := len(n.layers) - 1; i >= 0; i-- {
+		grad = n.layers[i].Backward(grad)
+	}
+	return grad
+}
+
+// gradVector flattens all accumulated gradients into a single vector.
+func gradVector(n *Network) []float64 {
+	var out []float64
+	for _, p := range n.Params() {
+		out = append(out, p.Grad.Data()...)
+	}
+	return out
+}
+
 // numericalGrad estimates d(loss)/d(param[i]) with central differences.
 func numericalGrad(net *Network, x *tensor.Tensor, labels []int, p *Param, i int) float64 {
 	const h = 1e-5
@@ -33,7 +52,7 @@ func checkGradients(t *testing.T, net *Network, x *tensor.Tensor, labels []int, 
 	net.ZeroGrad()
 	logits := net.Forward(x, true)
 	_, grad := lossAndGrad(logits, labels)
-	net.Backward(grad)
+	backward(net, grad)
 	for _, p := range net.Params() {
 		n := p.Value.Len()
 		samples := 8

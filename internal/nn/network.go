@@ -1,9 +1,7 @@
 package nn
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
 
 	"github.com/mach-fl/mach/internal/tensor"
 )
@@ -39,15 +37,6 @@ func (n *Network) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	return x
 }
 
-// Backward propagates the loss gradient through all layers in reverse,
-// accumulating parameter gradients, and returns the input gradient.
-func (n *Network) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	for i := len(n.layers) - 1; i >= 0; i-- {
-		grad = n.layers[i].Backward(grad)
-	}
-	return grad
-}
-
 // Params returns all trainable parameters in layer order. The slice is
 // cached — the layer stack never changes after construction — so the
 // per-step Param walks (ZeroGrad, optimizer steps, norm reductions) stop
@@ -64,11 +53,12 @@ func (n *Network) Params() []*Param {
 	return n.params
 }
 
-// backwardParams is Backward for a training step, where nothing reads the
-// gradient with respect to the network input: the first layer that holds
-// parameters skips its input-gradient product (often the step's largest)
-// when it knows how (Conv2D, Dense), and the parameterless layers below it
-// do not run at all.
+// backwardParams propagates the loss gradient through the layers in
+// reverse, accumulating parameter gradients. Nothing reads the gradient with
+// respect to the network input, so the first layer that holds parameters
+// skips its input-gradient product (often the step's largest) when it knows
+// how (Conv2D, Dense), and the parameterless layers below it do not run at
+// all.
 func (n *Network) backwardParams(grad *tensor.Tensor) {
 	n.Params() // resolves n.first
 	for i := len(n.layers) - 1; i > n.first; i-- {
@@ -135,15 +125,6 @@ func (n *Network) SetParamVector(v []float64) error {
 	return nil
 }
 
-// GradVector flattens all accumulated gradients into a single vector.
-func (n *Network) GradVector() []float64 {
-	out := make([]float64, 0, n.NumParams())
-	for _, p := range n.Params() {
-		out = append(out, p.Grad.Data()...)
-	}
-	return out
-}
-
 // GradSquaredNorm returns ‖∇‖² over all accumulated parameter gradients.
 // This is the quantity whose per-device upper bound G²_m drives the MACH
 // sampling strategy (Assumption 3 in the paper).
@@ -178,15 +159,6 @@ func (n *Network) TrainStep(x *tensor.Tensor, labels []int, opt Optimizer) (loss
 	gradSqNorm = n.GradSquaredNorm()
 	opt.Step(n.Params())
 	return loss, gradSqNorm
-}
-
-// Evaluate returns classification accuracy and mean loss of the network on
-// inputs x with integer labels, without touching cached training state.
-func (n *Network) Evaluate(x *tensor.Tensor, labels []int) (accuracy, loss float64) {
-	correct, lossSum := n.EvaluateSums(x, labels)
-	// Mean via multiplication by 1/B to keep the value bit-identical to the
-	// SoftmaxCrossEntropyInto mean (which scales by invB).
-	return float64(correct) / float64(len(labels)), lossSum * (1.0 / float64(len(labels)))
 }
 
 // EvaluateSums returns the raw correct-prediction count and summed
@@ -232,39 +204,4 @@ func (n *Network) Score(x *tensor.Tensor, labels, preds []int, correct int, loss
 		}
 	}
 	return correct, lossSum
-}
-
-const paramMagic = uint32(0x4d414348) // "MACH"
-
-// MarshalBinary serializes the parameter vector with a small header so
-// checkpoints can be written to disk and exchanged between processes.
-func (n *Network) MarshalBinary() ([]byte, error) {
-	v := n.ParamVector()
-	buf := make([]byte, 8+8*len(v))
-	binary.LittleEndian.PutUint32(buf[0:], paramMagic)
-	binary.LittleEndian.PutUint32(buf[4:], uint32(len(v)))
-	for i, x := range v {
-		binary.LittleEndian.PutUint64(buf[8+8*i:], math.Float64bits(x))
-	}
-	return buf, nil
-}
-
-// UnmarshalBinary restores parameters serialized by MarshalBinary into a
-// structurally identical network.
-func (n *Network) UnmarshalBinary(data []byte) error {
-	if len(data) < 8 {
-		return fmt.Errorf("nn: checkpoint too short (%d bytes)", len(data))
-	}
-	if binary.LittleEndian.Uint32(data[0:]) != paramMagic {
-		return fmt.Errorf("nn: bad checkpoint magic")
-	}
-	count := int(binary.LittleEndian.Uint32(data[4:]))
-	if len(data) != 8+8*count {
-		return fmt.Errorf("nn: checkpoint declares %d params but holds %d bytes", count, len(data))
-	}
-	v := make([]float64, count)
-	for i := range v {
-		v[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[8+8*i:]))
-	}
-	return n.SetParamVector(v)
 }

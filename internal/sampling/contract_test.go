@@ -94,17 +94,13 @@ func TestStrategyContract(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oort, err := NewOort(devices, DefaultOortConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Adversarial estimates: half the devices have history, with norms spread
 	// over twelve decades, so the clamp pass pins members both at 1 and at
 	// the floor; the other half are unexplored.
 	rng := rand.New(rand.NewSource(5))
 	for m := 0; m < devices; m += 2 {
 		norms := []float64{math.Pow(10, 12*rng.Float64()-6), math.Pow(10, 12*rng.Float64()-6)}
-		for _, o := range []Observer{mach, stat, oort} {
+		for _, o := range []Observer{mach, stat} {
 			observe(o, 1, m%3, m, norms)
 		}
 	}
@@ -138,7 +134,6 @@ func TestStrategyContract(t *testing.T) {
 		{NewUniform(), false, 0, true},
 		{stat, true, 0.03, true},
 		{NewClassBalance(), false, 0, false},
-		{oort, false, 0, false},
 	} {
 		s := tc.s
 		t.Run(s.Name(), func(t *testing.T) {

@@ -173,7 +173,7 @@ func clampProb(q, floor float64) float64 {
 // Note the paper's Eq. (13) states q* ∝ G²_m; that expression does not
 // minimize Σ G²/q (substitute both and compare), so we expose the true
 // minimizer here for analysis while the MACH strategy itself implements the
-// paper's Eq. (16) literally — see PaperVirtualProbabilities and DESIGN.md.
+// paper's Eq. (16) literally — see EdgeSamplingInto and DESIGN.md.
 func OptimalProbabilities(capacity float64, sqNorms []float64) []float64 {
 	out := make([]float64, len(sqNorms))
 	total := 0.0
@@ -188,28 +188,6 @@ func OptimalProbabilities(capacity float64, sqNorms []float64) []float64 {
 	}
 	for i, g := range sqNorms {
 		out[i] = capacity * math.Sqrt(g) / total
-	}
-	return out
-}
-
-// PaperVirtualProbabilities is the paper's Eq. (13)/(16) literally:
-// q̂_m = K_n·G²_m / Σ G²_{m'}. MACH's edge sampling feeds this through the
-// transfer function of Eq. (17); the ablation benches compare it against the
-// exact minimizer OptimalProbabilities.
-func PaperVirtualProbabilities(capacity float64, sqNorms []float64) []float64 {
-	out := make([]float64, len(sqNorms))
-	total := 0.0
-	for _, g := range sqNorms {
-		total += g
-	}
-	if total <= 0 {
-		for i := range out {
-			out[i] = capacity / float64(len(sqNorms))
-		}
-		return out
-	}
-	for i, g := range sqNorms {
-		out[i] = capacity * g / total
 	}
 	return out
 }

@@ -74,21 +74,22 @@ func TestOptimalProbabilitiesClosedForm(t *testing.T) {
 	}
 }
 
-func TestPaperVirtualProbabilitiesEq13(t *testing.T) {
-	// Eq. (13)/(16) literally: q̂ = K·G²/ΣG².
-	q := PaperVirtualProbabilities(2, []float64{1, 3})
-	if math.Abs(q[0]-0.5) > 1e-12 || math.Abs(q[1]-1.5) > 1e-12 {
+func TestRawEq13Probabilities(t *testing.T) {
+	// Eq. (13)/(16) literally: q̂ = K·G²/ΣG², capped to [QMin, 1].
+	raw := MACHConfig{RawEq13: true}
+	q := EdgeSamplingInto(raw, 2, []float64{1, 3, 4}, nil)
+	if math.Abs(q[0]-0.25) > 1e-12 || math.Abs(q[1]-0.75) > 1e-12 || q[2] != 1 {
 		t.Fatalf("q̂ = %v", q)
 	}
-	q = PaperVirtualProbabilities(1, []float64{0, 0})
+	q = EdgeSamplingInto(raw, 1, []float64{0, 0}, nil)
 	if math.Abs(q[0]-0.5) > 1e-12 {
 		t.Fatalf("zero-norm fallback: %v", q)
 	}
 }
 
 // The exact minimizer must never produce a larger variance term than the
-// paper's Eq. (13) plug-in — quantifying the (small) suboptimality of the
-// published closed form.
+// paper's Eq. (13) plug-in q̂ = K·G²/ΣG², taken literally (uncapped, Σq̂ = K)
+// — quantifying the (small) suboptimality of the published closed form.
 func TestOptimalNoWorseThanPaperForm(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -99,7 +100,11 @@ func TestOptimalNoWorseThanPaperForm(t *testing.T) {
 		}
 		capacity := 1 + rng.Float64()*float64(n-1)
 		exact := VarianceTerm(norms, OptimalProbabilities(capacity, norms))
-		paper := VarianceTerm(norms, PaperVirtualProbabilities(capacity, norms))
+		literal := make([]float64, n)
+		for i, g := range norms {
+			literal[i] = capacity * g / sum(norms) // norms > 0, so ΣG² > 0
+		}
+		paper := VarianceTerm(norms, literal)
 		return exact <= paper+1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {

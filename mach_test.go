@@ -1,12 +1,15 @@
 package mach_test
 
 import (
+	"go/parser"
+	"go/token"
 	"math/rand"
+	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 
-	mach "github.com/mach-fl/mach"
-	"github.com/mach-fl/mach/internal/nn"
-	"github.com/mach-fl/mach/internal/sampling"
+	"github.com/mach-fl/mach"
 )
 
 // TestFacadeEndToEnd drives the whole library through the public facade
@@ -35,7 +38,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	arch := func(rng *rand.Rand) (*mach.Network, error) {
-		return nn.NewMLP("facade", 16, []int{8}, 10, rng), nil
+		return mach.NewMLP("facade", 16, []int{8}, 10, rng), nil
 	}
 	cfg := mach.EngineConfig{
 		Steps:         20,
@@ -61,26 +64,37 @@ func TestFacadeEndToEnd(t *testing.T) {
 	}
 }
 
+// TestFacadeStrategiesConstruct builds every strategy the facade names
+// through an evaluation preset, as examples/mobility does: each reports its
+// own name and is unbiased, so the preset runs may compare them.
 func TestFacadeStrategiesConstruct(t *testing.T) {
-	if _, err := mach.NewMACHP(mach.DefaultMACHConfig()); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := mach.NewStatistical(4, 0.02); err != nil {
-		t.Fatal(err)
-	}
-	var s mach.Strategy = mach.NewUniform()
-	if s.Name() != "uniform" {
-		t.Fatal("facade alias broken")
-	}
-	if mach.NewClassBalance().Unbiased() {
-		t.Fatal("class-balance must be biased")
+	preset := mach.TaskPreset(mach.TaskMNIST, mach.ScaleCI)
+	for _, name := range []string{mach.StratUniform, mach.StratStatistical, mach.StratMACH} {
+		t.Run(name, func(t *testing.T) {
+			s, err := preset.NewStrategy(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if s.Name() != name {
+				t.Fatalf("strategy %q reports name %q", name, s.Name())
+			}
+			if !s.Unbiased() {
+				t.Fatalf("%s must be unbiased", name)
+			}
+		})
 	}
 }
 
+// TestFacadeMobilityPipeline runs the telecom-trace pipeline of
+// examples/mobility through the facade: placed stations, a waypoint trace,
+// k-means edges and the schedule they induce.
 func TestFacadeMobilityPipeline(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	stations := []mach.Station{{ID: 0, X: 0, Y: 0}, {ID: 1, X: 10, Y: 10}}
-	trace, err := mach.GenerateMarkovTrace(rng, stations, 4, 15, mach.MarkovConfig{StayProb: 0.8, Neighbors: 1})
+	stations, err := mach.PlaceStations(rng, 6, mach.DefaultPlacement())
+	if err != nil {
+		t.Fatal(err)
+	}
+	trace, err := mach.GenerateWaypointTrace(rng, stations, 4, 15, mach.DefaultWaypoint())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,33 +114,8 @@ func TestFacadeMobilityPipeline(t *testing.T) {
 	}
 }
 
-// TestFacadeLevySource builds a streaming Lévy-walk source through the
-// facade alone and drains it into a valid schedule.
-func TestFacadeLevySource(t *testing.T) {
-	var cfg mach.LevyConfig = mach.DefaultLevy()
-	cfg.MaxPause = 0
-	src, err := mach.NewLevySource(3, 2, 6, 12, 2, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sched, err := mach.Materialize(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sched.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if sched.Edges != 2 || sched.Devices != 6 || sched.Steps != 12 {
-		t.Fatalf("schedule dims %d/%d/%d, want 2/6/12", sched.Edges, sched.Devices, sched.Steps)
-	}
-}
-
-func TestFacadeOortAndCommStats(t *testing.T) {
-	oort, err := mach.NewOort(8, sampling.DefaultOortConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	task, err := mach.NewTask(mach.FMNISTLike(4, 4))
+func TestFacadeCommStats(t *testing.T) {
+	task, err := mach.NewTask(mach.MNISTLike(4, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,14 +133,18 @@ func TestFacadeOortAndCommStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	strategy, err := mach.NewMACH(8, mach.DefaultMACHConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
 	arch := func(rng *rand.Rand) (*mach.Network, error) {
-		return nn.NewMLP("facade-oort", 16, []int{8}, 10, rng), nil
+		return mach.NewMLP("facade-comm", 16, []int{8}, 10, rng), nil
 	}
 	cfg := mach.EngineConfig{
 		Steps: 12, CloudInterval: 4, LocalEpochs: 2, BatchSize: 4,
 		LearningRate: 0.05, Participation: 0.5, Seed: 9,
 	}
-	engine, err := mach.NewEngine(cfg, arch, devices, test, schedule, oort)
+	engine, err := mach.NewEngine(cfg, arch, devices, test, schedule, strategy)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,5 +164,29 @@ func TestFacadeOortAndCommStats(t *testing.T) {
 	}
 	if conf.Total() != 100 {
 		t.Fatalf("confusion total %d", conf.Total())
+	}
+}
+
+// TestExamplesImportOnlyFacade keeps every example copyable out of the
+// module: an examples/*/main.go may import the facade and the standard
+// library, never an internal package.
+func TestExamplesImportOnlyFacade(t *testing.T) {
+	files, err := filepath.Glob("examples/*/main.go")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no examples found: %v", err)
+	}
+	fset := token.NewFileSet()
+	for _, path := range files {
+		t.Run(filepath.Base(filepath.Dir(path)), func(t *testing.T) {
+			f, err := parser.ParseFile(fset, path, nil, parser.ImportsOnly)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, imp := range f.Imports {
+				if p, _ := strconv.Unquote(imp.Path.Value); strings.HasPrefix(p, "github.com/mach-fl/mach/internal/") {
+					t.Errorf("%s imports %s; examples build against the mach facade only", path, p)
+				}
+			}
+		})
 	}
 }
