@@ -1,8 +1,8 @@
 // Distributed example: the same HFL algorithm as the simulator, but run as a
 // real deployment — two device-host servers, three edge servers and a cloud
-// coordinator, all speaking net/rpc over loopback TCP. Device-side experience
-// buffers live on the device hosts, so a device's G̃² estimate follows it
-// when mobility moves it between edges.
+// coordinator, all speaking fed's framed RPC over loopback TCP. Device-side
+// experience buffers live on the device hosts, so a device's G̃² estimate
+// follows it when mobility moves it between edges.
 //
 //	go run ./examples/distributed
 //

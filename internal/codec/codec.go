@@ -40,8 +40,8 @@ import (
 
 // ErrUnknownBaseline reports that a blob references a baseline vector the
 // decoder does not hold. Callers detect it with errors.Is locally and by
-// substring across net/rpc (which flattens errors to strings) and recover
-// by resending without a baseline.
+// substring across fed's RPC frames (which carry errors as strings) and
+// recover by resending without a baseline.
 var ErrUnknownBaseline = errors.New("codec: unknown baseline")
 
 // Scheme selects a wire encoding. The zero value is SchemeDelta, the

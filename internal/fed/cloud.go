@@ -3,7 +3,7 @@ package fed
 import (
 	"errors"
 	"fmt"
-	"net/rpc"
+	"slices"
 	"sync/atomic"
 
 	"github.com/mach-fl/mach/internal/codec"
@@ -68,8 +68,8 @@ type Cloud struct {
 	spare     []float64
 	globalBuf []byte
 
-	edges       []*rpc.Client
-	deviceHosts []*rpc.Client
+	edges       []*client
+	deviceHosts []*client
 
 	// comm counts the bytes crossing the cloud's own connections, both
 	// directions; transfers the model-bearing messages among them.
@@ -105,7 +105,7 @@ func NewCloud(cfg CloudConfig, arch hfl.ArchFunc, src mobility.StepSource, test 
 		return nil, fmt.Errorf("fed: %d edge addresses for %d scheduled edges", len(edgeAddrs), nEdges)
 	}
 	c := &Cloud{cfg: cfg, core: core}
-	dial := func(dst *[]*rpc.Client, role string, addrs []string) error {
+	dial := func(dst *[]*client, role string, addrs []string) error {
 		for _, addr := range addrs {
 			cl, err := dialCounting(addr, &c.comm, &c.comm)
 			if err != nil {
@@ -129,13 +129,8 @@ func NewCloud(cfg CloudConfig, arch hfl.ArchFunc, src mobility.StepSource, test 
 // Close drops all connections, reporting the first failure.
 func (c *Cloud) Close() error {
 	var firstErr error
-	for _, cl := range c.edges {
-		if err := cl.Close(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	for _, cl := range c.deviceHosts {
-		if err := cl.Close(); err != nil && firstErr == nil {
+	for _, cl := range slices.Concat(c.edges, c.deviceHosts) {
+		if err := cl.close(); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
@@ -157,7 +152,7 @@ func (c *Cloud) CommStats() (hfl.CommStats, error) {
 	}
 	for n, cl := range c.edges {
 		var rep CommReply
-		if err := cl.Call("Edge.Comm", &CommArgs{}, &rep); err != nil {
+		if err := cl.call("Edge.Comm", &CommArgs{}, &rep); err != nil {
 			return hfl.CommStats{}, fmt.Errorf("fed: comm stats from edge %d: %w", n, err)
 		}
 		stats.DeviceUplinkBytes += rep.UplinkBytes
@@ -244,7 +239,7 @@ func (c *Cloud) Run() (*metrics.History, error) {
 					Span: SpanContext{Parent: uint64(telemetry.DeriveSpanID(telemetry.SpanRPCCloudRound, t, -1, i))},
 				}
 				sp := c.tel.StartSpan(telemetry.SpanRPCCloudRound, stepSpan, t, -1, i)
-				err := host.Call("Device.CloudRound", &crArgs, &rep)
+				err := host.call("Device.CloudRound", &crArgs, &rep)
 				sp.End()
 				if err != nil {
 					return nil, fmt.Errorf("fed: cloud round on host %d: %w", i, err)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"net/rpc"
 	"sync"
 
 	"github.com/mach-fl/mach/internal/codec"
@@ -88,11 +87,7 @@ func NewDeviceServer(arch hfl.ArchFunc, data map[int]*dataset.Dataset, machCfg s
 // Serve starts listening on addr ("host:0" for an ephemeral port) and
 // serves RPCs until Close. It returns the bound address.
 func (s *DeviceServer) Serve(addr string) (string, error) {
-	srv := rpc.NewServer()
-	if err := srv.RegisterName("Device", s); err != nil {
-		return "", fmt.Errorf("fed: register device service: %w", err)
-	}
-	ln, err := listen(srv, addr)
+	ln, err := listen(s, "Device", addr)
 	if err != nil {
 		return "", fmt.Errorf("fed: device listen: %w", err)
 	}
@@ -108,17 +103,33 @@ func (s *DeviceServer) Close() error {
 	return s.listener.Close()
 }
 
-// Ping implements the liveness RPC.
-func (s *DeviceServer) Ping(_ PingArgs, reply *PingReply) error {
+func (s *DeviceServer) serve(m *msgs, method []byte, body *wirer) (wireMsg, error) {
+	switch string(method) {
+	case "Device.Ping":
+		return handle(body, &PingArgs{}, &m.ping, s.ping)
+	case "Device.Estimate":
+		return handle(body, &m.estimate, &m.estimates, s.estimate)
+	case "Device.TrainMany":
+		return handle(body, &m.train, &m.trained, s.trainMany)
+	case "Device.GetBase":
+		return handle(body, &m.getBase, &m.base, s.getBase)
+	case "Device.CloudRound":
+		return handle(body, &m.round, &CloudRoundReply{}, s.cloudRound)
+	}
+	return nil, fmt.Errorf("fed: device host serves no method %q", method)
+}
+
+// ping is the liveness RPC.
+func (s *DeviceServer) ping(_ *PingArgs, reply *PingReply) error {
 	s.tel.Add(telemetry.CounterRPCCalls, 1)
 	reply.Role = "device-host"
 	return nil
 }
 
-// Estimate returns the devices' current UCB gradient-norm estimates
+// estimate returns the devices' current UCB gradient-norm estimates
 // (Eq. 15), read under one book lock. Unknown devices yield an error: the
 // edge's membership view is stale.
-func (s *DeviceServer) Estimate(args EstimateArgs, reply *EstimateReply) error {
+func (s *DeviceServer) estimate(args *EstimateArgs, reply *EstimateReply) error {
 	s.tel.Add(telemetry.CounterRPCCalls, 1)
 	sp := s.tel.StartSpan(telemetry.SpanHandleEstimate, telemetry.SpanID(args.Span.Parent), args.Step, -1, -1)
 	defer sp.End()
@@ -129,10 +140,8 @@ func (s *DeviceServer) Estimate(args EstimateArgs, reply *EstimateReply) error {
 			return fmt.Errorf("fed: device %d not hosted here", id)
 		}
 	}
-	buf := floatPool.Get().(*[]float64)
-	*buf = resize(*buf, len(args.Devices))
-	s.book.UCBEstimatesInto(*buf, args.Devices, args.Step)
-	reply.Estimates, reply.lent = *buf, lent{&floatPool, buf}
+	reply.Estimates = resize(reply.Estimates, len(args.Devices))
+	s.book.UCBEstimatesInto(reply.Estimates, args.Devices, args.Step)
 	return nil
 }
 
@@ -191,9 +200,9 @@ func (s *DeviceServer) trainBase(he *hostedEdge, args *TrainManyArgs) ([]float64
 	return base, nil
 }
 
-// GetBase returns the bits of a cached base model, always encoded lossless
+// getBase returns the bits of a cached base model, always encoded lossless
 // so the caller recovers exactly what the hosted devices train from.
-func (s *DeviceServer) GetBase(args GetBaseArgs, reply *GetBaseReply) error {
+func (s *DeviceServer) getBase(args *GetBaseArgs, reply *GetBaseReply) error {
 	s.tel.Add(telemetry.CounterRPCCalls, 1)
 	sp := s.tel.StartSpan(telemetry.SpanHandleGetBase, telemetry.SpanID(args.Span.Parent), -1, args.Edge, -1)
 	defer sp.End()
@@ -204,17 +213,15 @@ func (s *DeviceServer) GetBase(args GetBaseArgs, reply *GetBaseReply) error {
 	if err != nil {
 		return err
 	}
-	buf := blobPool.Get().(*[]byte)
-	blob, err := codec.AppendEncode((*buf)[:0], codec.SchemeDelta, base, nil, 0, nil)
+	blob, err := codec.AppendEncode(reply.Model.Data[:0], codec.SchemeDelta, base, nil, 0, nil)
 	if err != nil {
-		blobPool.Put(buf)
 		return err
 	}
-	reply.Model, reply.lent = blob, lent{&blobPool, &reply.Model.Data}
+	reply.Model = blob
 	return nil
 }
 
-// TrainMany runs local updating on every listed device from the base named
+// trainMany runs local updating on every listed device from the base named
 // by BaseID — cached, or installed first from args.Base when the call
 // carries it — and returns the summed update Σ(w_m − base), accumulated in
 // args.Devices order, which fixes the float order of the edge's
@@ -225,7 +232,7 @@ func (s *DeviceServer) GetBase(args GetBaseArgs, reply *GetBaseReply) error {
 // parallelism comes from the edge's concurrent dispatch. Concurrent calls
 // (one per edge) touch distinct devices, since a device attaches to exactly
 // one edge per step (Eq. 1), so each device's RNG serves one call at a time.
-func (s *DeviceServer) TrainMany(args TrainManyArgs, reply *TrainManyReply) error {
+func (s *DeviceServer) trainMany(args *TrainManyArgs, reply *TrainManyReply) error {
 	s.tel.Add(telemetry.CounterRPCCalls, 1)
 	sp := s.tel.StartSpan(telemetry.SpanHandleTrainMany, telemetry.SpanID(args.Span.Parent), args.Step, args.Edge, -1)
 	defer sp.End()
@@ -242,7 +249,7 @@ func (s *DeviceServer) TrainMany(args TrainManyArgs, reply *TrainManyReply) erro
 	he := s.edge(args.Edge)
 	he.mu.Lock()
 	defer he.mu.Unlock()
-	base, err := s.trainBase(he, &args)
+	base, err := s.trainBase(he, args)
 	if err != nil {
 		return err
 	}
@@ -260,6 +267,7 @@ func (s *DeviceServer) TrainMany(args TrainManyArgs, reply *TrainManyReply) erro
 	if args.Advance {
 		nextBase(base, he.sum, len(args.Devices))
 		he.id = args.NextID
+		reply.Sum, reply.HasSum = codec.Blob{Data: reply.Sum.Data[:0]}, false
 		return nil
 	}
 	var ef []float64
@@ -269,13 +277,11 @@ func (s *DeviceServer) TrainMany(args TrainManyArgs, reply *TrainManyReply) erro
 		}
 		ef = he.ef
 	}
-	buf := blobPool.Get().(*[]byte)
-	blob, err := codec.AppendEncode((*buf)[:0], args.Scheme, he.sum, nil, 0, ef)
+	blob, err := codec.AppendEncode(reply.Sum.Data[:0], args.Scheme, he.sum, nil, 0, ef)
 	if err != nil {
-		blobPool.Put(buf)
 		return err
 	}
-	reply.Sum, reply.HasSum, reply.lent = blob, true, lent{&blobPool, &reply.Sum.Data}
+	reply.Sum, reply.HasSum = blob, true
 	return nil
 }
 
@@ -336,13 +342,12 @@ func (s *DeviceServer) checkDevices(ids []int) error {
 	return nil
 }
 
-// CloudRound folds the hosted devices' experience buffers (Algorithm 2,
+// cloudRound folds the hosted devices' experience buffers (Algorithm 2,
 // lines 2-4).
-func (s *DeviceServer) CloudRound(args CloudRoundArgs, reply *CloudRoundReply) error {
+func (s *DeviceServer) cloudRound(args *CloudRoundArgs, _ *CloudRoundReply) error {
 	s.tel.Add(telemetry.CounterRPCCalls, 1)
 	sp := s.tel.StartSpan(telemetry.SpanHandleCloudRound, telemetry.SpanID(args.Span.Parent), args.Step, -1, -1)
 	defer sp.End()
 	s.book.CloudRound(args.Step)
-	*reply = CloudRoundReply{}
 	return nil
 }

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"net/rpc"
 	"slices"
 	"strings"
 	"sync"
@@ -35,10 +34,10 @@ type EdgeServer struct {
 	seed     int64
 	resolver Resolver
 
-	// step serializes Step: the edge runs one time step at a time, and
-	// everything from here to mu is Step's own — the edge model, the
+	// stepMu serializes step: the edge runs one time step at a time, and
+	// everything from here to mu is step's own — the edge model, the
 	// baseline bookkeeping and the step buffers, reused step after step.
-	step   sync.Mutex
+	stepMu sync.Mutex
 	params []float64
 	// stale marks that the authoritative base bits live on staleAddr (the
 	// host advanced the base in place) rather than in params.
@@ -64,13 +63,14 @@ type EdgeServer struct {
 	sampledAt  []int             // per sampled device: its host's position
 	baseArgs   GetBaseArgs       // ensureParams' call
 	baseReply  GetBaseReply      // its reply; the blob's capacity is reused
+	baseBlob   []byte            // train's encode of the base it ships
 	sum        []float64         // Σ over hosts of the update sums
 	hostSum    []float64         // one host's decoded update sum
 	order      []int             // the sampled hosts' reduce order (reduceOrder)
 	group      []int             // reduceOrder's per-host scratch
 
 	mu       sync.Mutex // guards clients: Close may run during a step
-	clients  map[string]*rpc.Client
+	clients  map[string]*client
 	listener *rpcListener
 
 	// Measured wire traffic on the edge↔device-host connections, plus
@@ -129,17 +129,13 @@ func NewEdgeServer(id int, machCfg sampling.MACHConfig, hyper Hyper, seed int64,
 		lastID:    1,
 		installed: make(map[string]uint64),
 		coins:     det.NewRand(0),
-		clients:   make(map[string]*rpc.Client),
+		clients:   make(map[string]*client),
 	}, nil
 }
 
 // Serve starts the edge's RPC listener and returns the bound address.
 func (e *EdgeServer) Serve(addr string) (string, error) {
-	srv := rpc.NewServer()
-	if err := srv.RegisterName("Edge", e); err != nil {
-		return "", fmt.Errorf("fed: register edge service: %w", err)
-	}
-	ln, err := listen(srv, addr)
+	ln, err := listen(e, "Edge", addr)
 	if err != nil {
 		return "", fmt.Errorf("fed: edge listen: %w", err)
 	}
@@ -147,17 +143,17 @@ func (e *EdgeServer) Serve(addr string) (string, error) {
 	return ln.Addr().String(), nil
 }
 
-// Close stops the listener, stops serving the connections it accepted and
-// drops device-host connections, reporting the first failure.
+// Close stops the listener and its accepted connections and drops the host
+// connections, failing any call in flight. It reports the first failure.
 func (e *EdgeServer) Close() error {
 	var firstErr error
 	e.mu.Lock()
 	for _, c := range e.clients {
-		if err := c.Close(); err != nil && firstErr == nil {
+		if err := c.close(); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
-	e.clients = map[string]*rpc.Client{}
+	e.clients = map[string]*client{}
 	e.mu.Unlock()
 	if e.listener != nil {
 		if err := e.listener.Close(); err != nil && firstErr == nil {
@@ -167,15 +163,27 @@ func (e *EdgeServer) Close() error {
 	return firstErr
 }
 
-// Ping implements the liveness RPC.
-func (e *EdgeServer) Ping(_ PingArgs, reply *PingReply) error {
+func (e *EdgeServer) serve(m *msgs, method []byte, body *wirer) (wireMsg, error) {
+	switch string(method) {
+	case "Edge.Ping":
+		return handle(body, &PingArgs{}, &m.ping, e.ping)
+	case "Edge.Comm":
+		return handle(body, &CommArgs{}, &m.comm, e.comm)
+	case "Edge.Step":
+		return handle(body, &m.step, &m.stepped, e.step)
+	}
+	return nil, fmt.Errorf("fed: edge serves no method %q", method)
+}
+
+// ping is the liveness RPC.
+func (e *EdgeServer) ping(_ *PingArgs, reply *PingReply) error {
 	e.tel.Add(telemetry.CounterRPCCalls, 1)
 	reply.Role = fmt.Sprintf("edge-%d", e.id)
 	return nil
 }
 
-// Comm reports the edge's measured device-host traffic.
-func (e *EdgeServer) Comm(_ CommArgs, reply *CommReply) error {
+// comm reports the edge's measured device-host traffic.
+func (e *EdgeServer) comm(_ *CommArgs, reply *CommReply) error {
 	e.tel.Add(telemetry.CounterRPCCalls, 1)
 	reply.UplinkBytes = e.commUp.Load()
 	reply.DownlinkBytes = e.commDown.Load()
@@ -184,7 +192,7 @@ func (e *EdgeServer) Comm(_ CommArgs, reply *CommReply) error {
 	return nil
 }
 
-func (e *EdgeServer) client(addr string) (*rpc.Client, error) {
+func (e *EdgeServer) client(addr string) (*client, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if c, ok := e.clients[addr]; ok {
@@ -295,11 +303,11 @@ func (e *EdgeServer) stepSpanID(step int) telemetry.SpanID {
 	return telemetry.DeriveSpanID(telemetry.SpanHandleEdgeStep, step, e.id, -1)
 }
 
-// Step implements the edge's share of Algorithm 1 for one time step.
+// step implements the edge's share of Algorithm 1 for one time step.
 // Overlapping calls (a retrying or hostile cloud) run one after the other.
-func (e *EdgeServer) Step(args EdgeStepArgs, reply *EdgeStepReply) error {
-	e.step.Lock()
-	defer e.step.Unlock()
+func (e *EdgeServer) step(args *EdgeStepArgs, reply *EdgeStepReply) error {
+	e.stepMu.Lock()
+	defer e.stepMu.Unlock()
 	e.tel.Add(telemetry.CounterRPCCalls, 1)
 	stepStart := e.tel.Now()
 	sp := e.tel.StartSpan(telemetry.SpanHandleEdgeStep, telemetry.SpanID(args.Span.Parent), args.Step, e.id, -1)
@@ -358,7 +366,7 @@ func (e *EdgeServer) Step(args EdgeStepArgs, reply *EdgeStepReply) error {
 
 // installGlobal decodes the cloud's global model from EdgeStepArgs and makes
 // it the edge's current base.
-func (e *EdgeServer) installGlobal(args EdgeStepArgs) error {
+func (e *EdgeServer) installGlobal(args *EdgeStepArgs) error {
 	var baseline []float64
 	if args.Model.Baseline != 0 {
 		if e.cloudView == nil || args.Model.Baseline != e.cloudID {
@@ -384,10 +392,10 @@ func (e *EdgeServer) installGlobal(args EdgeStepArgs) error {
 
 // finishStep fills the step reply, with the edge model encoded only when the
 // cloud asked for it.
-func (e *EdgeServer) finishStep(args EdgeStepArgs, sampled int, reply *EdgeStepReply) error {
+func (e *EdgeServer) finishStep(args *EdgeStepArgs, sampled int, reply *EdgeStepReply) error {
 	e.tel.Observe(telemetry.HistEdgeSampled, int64(sampled))
 	e.tel.Add(telemetry.CounterDevicesTrained, int64(sampled))
-	reply.Sampled = sampled
+	reply.Model, reply.HasModel, reply.Sampled = codec.Blob{Data: reply.Model.Data[:0]}, false, sampled
 	if !args.WantModel {
 		return nil
 	}
@@ -405,13 +413,11 @@ func (e *EdgeServer) finishStep(args EdgeStepArgs, sampled int, reply *EdgeStepR
 		}
 		ef = e.efReply
 	}
-	buf := blobPool.Get().(*[]byte)
-	blob, err := codec.AppendEncode((*buf)[:0], args.Scheme, e.params, baseline, baseID, ef)
+	blob, err := codec.AppendEncode(reply.Model.Data[:0], args.Scheme, e.params, baseline, baseID, ef)
 	if err != nil {
-		blobPool.Put(buf)
 		return fmt.Errorf("fed: edge %d encode model: %w", e.id, err)
 	}
-	reply.Model, reply.HasModel, reply.lent = blob, true, lent{&blobPool, &reply.Model.Data}
+	reply.Model, reply.HasModel = blob, true
 	return nil
 }
 
@@ -439,43 +445,41 @@ func (e *EdgeServer) ensureParams(step int) error {
 	return nil
 }
 
-// fanOut runs a batch of RPCs concurrently through net/rpc's Client.Go, all
-// completing on one buffered channel, and reports their errors aligned with
-// the batch, whatever order the replies arrive in. Its buffers serve batch
-// after batch.
+// fanOut sends a batch of RPCs, each on its own client, then reads their
+// replies in call order, and reports their errors aligned with the batch.
+// Its buffers serve batch after batch.
 type fanOut struct {
-	done  chan *rpc.Call
-	sent  int         // calls in flight
-	calls []*rpc.Call // per call: in flight, or nil
-	spans []telemetry.Span
-	errs  []error
+	clients []*client // per call: the client holding its request, or nil
+	replies []wireMsg
+	spans   []telemetry.Span
+	errs    []error
 }
 
 // start readies f for a batch of n calls.
 func (f *fanOut) start(n int) {
-	if cap(f.done) < n {
-		f.done = make(chan *rpc.Call, n) // net/rpc drops replies a full channel cannot take
+	f.clients, f.replies, f.spans, f.errs = zeroed(f.clients, n), zeroed(f.replies, n), zeroed(f.spans, n), zeroed(f.errs, n)
+}
+
+// call sends call i of the batch: method on c, timed by sp until wait reads
+// its reply.
+func (f *fanOut) call(i int, c *client, method string, args, reply wireMsg, sp telemetry.Span) {
+	f.spans[i] = sp
+	if f.errs[i] = c.send(method, args); f.errs[i] == nil {
+		f.clients[i], f.replies[i] = c, reply
 	}
-	f.sent, f.calls, f.spans, f.errs = 0, zeroed(f.calls, n), zeroed(f.spans, n), zeroed(f.errs, n)
 }
 
-// call sends call i of the batch: method on c, timed by sp until its reply.
-func (f *fanOut) call(i int, c *rpc.Client, method string, args, reply any, sp telemetry.Span) {
-	f.calls[i], f.spans[i] = c.Go(method, args, reply, f.done), sp
-	f.sent++
-}
-
-// wait collects the calls sent, ending each one's span as its reply arrives,
-// and returns the batch's errors; a call never sent keeps the one its sender
-// recorded.
+// wait reads the replies of the calls sent, in call order, ending each
+// call's span, and returns the batch's errors; a call never sent keeps the
+// one its sender recorded.
 //
 //machlint:allocfree
 func (f *fanOut) wait() []error {
-	for ; f.sent > 0; f.sent-- {
-		call := <-f.done
-		i := slices.Index(f.calls, call)
+	for i, c := range f.clients {
+		if c != nil {
+			f.errs[i] = c.recv(f.replies[i])
+		}
 		f.spans[i].End()
-		f.errs[i], f.calls[i] = call.Error, nil
 	}
 	return f.errs
 }
@@ -489,7 +493,7 @@ func (e *EdgeServer) hostSpan(kind telemetry.SpanKind, step, i int) SpanContext 
 // send starts call i of the edge's fan-out: method to the host at addr,
 // inside a client span of kind parented to the edge's step span, whose
 // device coordinate is i.
-func (e *EdgeServer) send(step int, kind telemetry.SpanKind, i int, addr, method string, args, reply any) {
+func (e *EdgeServer) send(step int, kind telemetry.SpanKind, i int, addr, method string, args, reply wireMsg) {
 	c, err := e.client(addr)
 	if err != nil {
 		e.fan.errs[i] = err
@@ -501,18 +505,18 @@ func (e *EdgeServer) send(step int, kind telemetry.SpanKind, i int, addr, method
 // callHost makes one RPC to the host at addr and waits for it, inside the
 // span send would open; i is the span's device coordinate, -1 outside a
 // fan-out.
-func (e *EdgeServer) callHost(step int, kind telemetry.SpanKind, i int, addr, method string, args, reply any) error {
+func (e *EdgeServer) callHost(step int, kind telemetry.SpanKind, i int, addr, method string, args, reply wireMsg) error {
 	c, err := e.client(addr)
 	if err != nil {
 		return err
 	}
 	sp := e.tel.StartSpan(kind, e.stepSpanID(step), step, e.id, i)
 	defer sp.End()
-	return c.Call(method, args, reply)
+	return c.call(method, args, reply)
 }
 
-// fetchEstimates queries the members' UCB estimates into e.probs, host by
-// host and concurrently: e.all's groups[h] from addrs[h]. Merging walks the
+// fetchEstimates queries the members' UCB estimates into e.probs, from all
+// hosts at once: e.all's groups[h] from addrs[h]. Merging walks the
 // hosts in order, so the first surfaced error is deterministic, and the
 // members in order, each taking its host's next estimate.
 func (e *EdgeServer) fetchEstimates(step int) error {
@@ -549,7 +553,7 @@ func (e *EdgeServer) fetchEstimates(step int) error {
 // — or, when one host covers the whole sample and the cloud does not need
 // the model this step, lets that host advance the base in place so no model
 // bytes cross the wire.
-func (e *EdgeServer) train(args EdgeStepArgs, totalSampled int, order []int) error {
+func (e *EdgeServer) train(args *EdgeStepArgs, totalSampled int, order []int) error {
 	addrs, groups := e.picked.addrs, e.picked.groups
 	calls := e.calls[:len(addrs)]
 	advance := len(addrs) == 1 && !args.WantModel
@@ -558,10 +562,7 @@ func (e *EdgeServer) train(args EdgeStepArgs, totalSampled int, order []int) err
 		calls[i].ship = e.installed[addr] != baseID
 		ship = ship || calls[i].ship
 	}
-	// The base is encoded at most once per step, into a pooled buffer that
-	// every call below has sent before the deferred Put.
-	buf := blobPool.Get().(*[]byte)
-	defer blobPool.Put(buf)
+	// The base is encoded at most once per step, into e.baseBlob.
 	var base codec.Blob
 	encodeBase := func() error {
 		if base.Data != nil {
@@ -570,11 +571,11 @@ func (e *EdgeServer) train(args EdgeStepArgs, totalSampled int, order []int) err
 		if err := e.ensureParams(args.Step); err != nil {
 			return err
 		}
-		blob, err := codec.AppendEncode((*buf)[:0], args.Scheme, e.params, nil, 0, nil)
+		blob, err := codec.AppendEncode(e.baseBlob[:0], args.Scheme, e.params, nil, 0, nil)
 		if err != nil {
 			return fmt.Errorf("fed: edge %d encode base: %w", e.id, err)
 		}
-		base, *buf = blob, blob.Data
+		base, e.baseBlob = blob, blob.Data
 		return nil
 	}
 	if ship {
@@ -695,7 +696,7 @@ func zeroed[T any](buf []T, n int) []T {
 }
 
 // isUnknownBaseline detects codec.ErrUnknownBaseline both locally and
-// across net/rpc, which flattens errors to strings.
+// across fed's frames, which carry errors as strings.
 func isUnknownBaseline(err error) bool {
 	return err != nil && (errors.Is(err, codec.ErrUnknownBaseline) ||
 		strings.Contains(err.Error(), codec.ErrUnknownBaseline.Error()))

@@ -8,7 +8,6 @@ import (
 	"math"
 	"math/rand"
 	"net"
-	"net/rpc"
 	"reflect"
 	"runtime/debug"
 	"slices"
@@ -105,8 +104,8 @@ func deploy(t *testing.T, devices, edges, steps, hosts int, scheme codec.Scheme)
 
 // deployWorld serves w from `hosts` device hosts splitting the population
 // into contiguous ranges, one edge server per scheduled edge and a cloud.
-// With wrap, each host is served through the receiver wrap makes of it.
-func deployWorld(t *testing.T, w world, hosts int, cfg CloudConfig, wrap ...func(*DeviceServer) any) *deployment {
+// With wrap, each host is served through the server wrap makes of it.
+func deployWorld(t *testing.T, w world, hosts int, cfg CloudConfig, wrap ...func(*DeviceServer) server) *deployment {
 	t.Helper()
 	d := &deployment{}
 	machCfg := sampling.DefaultMACHConfig()
@@ -128,7 +127,7 @@ func deployWorld(t *testing.T, w world, hosts int, cfg CloudConfig, wrap ...func
 			addr = w.listen[h]
 		}
 		if len(wrap) != 0 {
-			addr = serveRPC(t, wrap[0](srv), "Device")
+			addr = serveRPC(t, wrap[0](srv))
 		} else if addr, err = srv.Serve(addr); err != nil {
 			t.Fatal(err)
 		}
@@ -204,15 +203,10 @@ func TestDeviceServerRPCs(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-
-	client, err := rpc.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
+	client := dialClient(t, addr)
 
 	var ping PingReply
-	if err := client.Call("Device.Ping", PingArgs{}, &ping); err != nil {
+	if err := client.call("Device.Ping", &PingArgs{}, &ping); err != nil {
 		t.Fatal(err)
 	}
 	if ping.Role != "device-host" {
@@ -221,7 +215,7 @@ func TestDeviceServerRPCs(t *testing.T) {
 
 	// Estimate before any training: pure exploration score.
 	var est EstimateReply
-	if err := client.Call("Device.Estimate", EstimateArgs{Step: 10, Devices: []int{3}}, &est); err != nil {
+	if err := client.call("Device.Estimate", &EstimateArgs{Step: 10, Devices: []int{3}}, &est); err != nil {
 		t.Fatal(err)
 	}
 	if len(est.Estimates) != 1 || est.Estimates[0] <= 0 {
@@ -229,7 +223,7 @@ func TestDeviceServerRPCs(t *testing.T) {
 	}
 	explore := est.Estimates[0]
 	// Unknown device errors.
-	if err := client.Call("Device.Estimate", EstimateArgs{Step: 10, Devices: []int{99}}, &est); err == nil {
+	if err := client.call("Device.Estimate", &EstimateArgs{Step: 10, Devices: []int{99}}, &est); err == nil {
 		t.Fatal("expected error for unknown device")
 	}
 
@@ -251,7 +245,7 @@ func TestDeviceServerRPCs(t *testing.T) {
 		Step: 0, Edge: 0, Devices: []int{3}, BaseID: 1, Base: blob, HasBase: true, Scheme: codec.SchemeRaw,
 		Hyper: Hyper{LocalEpochs: 3, BatchSize: 4, LearningRate: 0.1},
 	}
-	if err := client.Call("Device.TrainMany", args, &tr); err != nil {
+	if err := client.call("Device.TrainMany", &args, &tr); err != nil {
 		t.Fatal(err)
 	}
 	sum, err := codec.Decode(tr.Sum, nil)
@@ -272,10 +266,10 @@ func TestDeviceServerRPCs(t *testing.T) {
 		t.Fatal("training did not change the model")
 	}
 	var cr CloudRoundReply
-	if err := client.Call("Device.CloudRound", CloudRoundArgs{Step: 1}, &cr); err != nil {
+	if err := client.call("Device.CloudRound", &CloudRoundArgs{Step: 1}, &cr); err != nil {
 		t.Fatal(err)
 	}
-	if err := client.Call("Device.Estimate", EstimateArgs{Step: 10, Devices: []int{3}}, &est); err != nil {
+	if err := client.call("Device.Estimate", &EstimateArgs{Step: 10, Devices: []int{3}}, &est); err != nil {
 		t.Fatal(err)
 	}
 	if est.Estimates[0] == explore {
@@ -285,7 +279,7 @@ func TestDeviceServerRPCs(t *testing.T) {
 	// Bad hyperparameters are rejected.
 	bad := args
 	bad.Hyper.BatchSize = 0
-	if err := client.Call("Device.TrainMany", bad, &tr); err == nil {
+	if err := client.call("Device.TrainMany", &bad, &tr); err == nil {
 		t.Fatal("expected error for invalid hyperparameters")
 	}
 }
@@ -355,8 +349,65 @@ func TestEdgeStepFailsOnDeadDeviceHost(t *testing.T) {
 	}
 	defer e.Close()
 	var rep EdgeStepReply
-	if err := e.Step(EdgeStepArgs{Step: 0, Members: []int{0}, Capacity: 1}, &rep); err == nil {
+	if err := e.step(&EdgeStepArgs{Step: 0, Members: []int{0}, Capacity: 1}, &rep); err == nil {
 		t.Fatal("expected dial error for dead device host")
+	}
+}
+
+// TestCloseUnblocksCallToHungHost: a host that accepts connections and never
+// replies holds an edge's step in its first call; Close makes the step
+// return an error that names the host.
+func TestCloseUnblocksCallToHungHost(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	accepted := make(chan net.Conn, 1)
+	go func() {
+		if conn, err := ln.Accept(); err == nil {
+			accepted <- conn
+		}
+	}()
+	addr := ln.Addr().String()
+	base, err := testArch(rand.New(rand.NewSource(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := NewEdgeServer(0, sampling.DefaultMACHConfig(), testHyper, 1, StaticResolver(map[int]string{0: addr}), base.ParamVector())
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		var rep EdgeStepReply
+		done <- e.step(&EdgeStepArgs{Members: []int{0}, Capacity: 1}, &rep)
+	}()
+	var conn net.Conn
+	select {
+	case conn = <-accepted:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the edge never dialed the host")
+	}
+	defer conn.Close()
+	// The request has arrived once its first byte can be read: the step is
+	// waiting for the reply.
+	if err := conn.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := conn.Read(make([]byte, 1)); err != nil {
+		t.Fatalf("the edge's request never arrived: %v", err)
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-done:
+		if err == nil || !strings.Contains(err.Error(), addr) {
+			t.Fatalf("step after Close: err = %v, want an error naming %s", err, addr)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("step still blocked 2 s after Close")
 	}
 }
 
@@ -378,11 +429,7 @@ func TestTrainRejectsWrongParameterLength(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	client, err := rpc.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
+	client := dialClient(t, addr)
 	// A base of the wrong length is refused when it is installed, so no
 	// TrainMany can ever train from it.
 	blob, err := codec.Encode(codec.SchemeRaw, []float64{1, 2, 3}, nil, 0, nil)
@@ -393,11 +440,11 @@ func TestTrainRejectsWrongParameterLength(t *testing.T) {
 		Edge: 0, Devices: []int{0}, BaseID: 1, Base: blob, HasBase: true,
 		Hyper: Hyper{LocalEpochs: 1, BatchSize: 2, LearningRate: 0.1},
 	}
-	if err := client.Call("Device.TrainMany", args, &TrainManyReply{}); err == nil || !strings.Contains(err.Error(), "3 params") {
+	if err := client.call("Device.TrainMany", &args, &TrainManyReply{}); err == nil || !strings.Contains(err.Error(), "3 params") {
 		t.Fatalf("TrainMany carrying a 3-parameter base: err = %v, want a parameter-length error", err)
 	}
 	args.Base, args.HasBase = codec.Blob{}, false
-	err = client.Call("Device.TrainMany", args, &TrainManyReply{})
+	err = client.call("Device.TrainMany", &args, &TrainManyReply{})
 	if !isUnknownBaseline(err) {
 		t.Fatalf("TrainMany from a refused base: err = %v, want unknown baseline", err)
 	}
@@ -419,14 +466,14 @@ func TestEdgeStepEmptyMembersKeepsModel(t *testing.T) {
 	// The model only travels when asked for, as a blob of the step's scheme.
 	for step, scheme := range []codec.Scheme{codec.SchemeRaw, codec.SchemeDelta} {
 		var rep EdgeStepReply
-		if err := e.Step(EdgeStepArgs{Step: 2 * step, Members: nil, Capacity: 2, Scheme: scheme}, &rep); err != nil {
+		if err := e.step(&EdgeStepArgs{Step: 2 * step, Members: nil, Capacity: 2, Scheme: scheme}, &rep); err != nil {
 			t.Fatal(err)
 		}
 		if rep.Sampled != 0 || rep.HasModel {
 			t.Fatalf("%v: empty edge step sampled %d, shipped a model nobody asked for: %v", scheme, rep.Sampled, rep.HasModel)
 		}
 		rep = EdgeStepReply{}
-		if err := e.Step(EdgeStepArgs{Step: 2*step + 1, Members: nil, Capacity: 2, Scheme: scheme, WantModel: true}, &rep); err != nil {
+		if err := e.step(&EdgeStepArgs{Step: 2*step + 1, Members: nil, Capacity: 2, Scheme: scheme, WantModel: true}, &rep); err != nil {
 			t.Fatal(err)
 		}
 		if !rep.HasModel || rep.Model.Scheme != scheme {
@@ -467,7 +514,7 @@ func TestConcurrentEdgeStepsSerialize(t *testing.T) {
 			defer wg.Done()
 			for r := 0; r < rounds && errs[g] == nil; r++ {
 				var rep EdgeStepReply
-				errs[g] = d.edges[0].Step(EdgeStepArgs{
+				errs[g] = d.edges[0].step(&EdgeStepArgs{
 					Step: r*callers + g, Members: members, Capacity: devices,
 					Model: global, ModelID: uint64(g + 1), HasModel: true,
 				}, &rep)
@@ -714,8 +761,8 @@ func TestLossySchemesStillLearn(t *testing.T) {
 }
 
 // TestTrainManyUnknownBaselineOverRPC checks the baseline-cache handshake
-// where it matters: across net/rpc, which flattens errors to strings, over
-// fed's frame codec and over a stock gob client. A TrainMany naming a base
+// where it matters: across fed's frames, which carry errors as strings. A
+// TrainMany naming a base
 // the host never saw must come back recognizable to isUnknownBaseline, and
 // succeed when resent with that base attached. An edge whose host lost its
 // cache makes that resend itself, and counts it as one download.
@@ -737,61 +784,47 @@ func TestTrainManyUnknownBaselineOverRPC(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, c := range []struct {
-		name string
-		dial func(addr string) (*rpc.Client, error)
-	}{
-		{"framed", func(addr string) (*rpc.Client, error) {
-			return dialCounting(addr, new(atomic.Int64), new(atomic.Int64))
-		}},
-		{"gob", func(addr string) (*rpc.Client, error) { return rpc.Dial("tcp", addr) }},
-	} {
-		t.Run(c.name, func(t *testing.T) {
-			srv, err := NewDeviceServer(testArch, map[int]*dataset.Dataset{0: data}, sampling.DefaultMACHConfig(), 9)
-			if err != nil {
-				t.Fatal(err)
-			}
-			addr, err := srv.Serve("127.0.0.1:0")
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer srv.Close()
-			client, err := c.dial(addr)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer client.Close()
+	t.Run("framed", func(t *testing.T) {
+		srv, err := NewDeviceServer(testArch, map[int]*dataset.Dataset{0: data}, sampling.DefaultMACHConfig(), 9)
+		if err != nil {
+			t.Fatal(err)
+		}
+		addr, err := srv.Serve("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srv.Close()
+		client := dialClient(t, addr)
 
-			args := &TrainManyArgs{
-				Edge: 0, Devices: []int{0}, BaseID: 77, Scheme: codec.SchemeDelta,
-				Hyper: Hyper{LocalEpochs: 1, BatchSize: 4, LearningRate: 0.05},
-			}
-			var rep TrainManyReply
-			err = client.Call("Device.TrainMany", args, &rep)
-			if err == nil {
-				t.Fatal("expected unknown-baseline error")
-			}
-			if !isUnknownBaseline(err) {
-				t.Fatalf("error %v not recognized as unknown baseline across RPC", err)
-			}
+		args := &TrainManyArgs{
+			Edge: 0, Devices: []int{0}, BaseID: 77, Scheme: codec.SchemeDelta,
+			Hyper: Hyper{LocalEpochs: 1, BatchSize: 4, LearningRate: 0.05},
+		}
+		var rep TrainManyReply
+		err = client.call("Device.TrainMany", args, &rep)
+		if err == nil {
+			t.Fatal("expected unknown-baseline error")
+		}
+		if !isUnknownBaseline(err) {
+			t.Fatalf("error %v not recognized as unknown baseline across RPC", err)
+		}
 
-			args.Base, args.HasBase = blob, true
-			rep = TrainManyReply{}
-			if err := client.Call("Device.TrainMany", args, &rep); err != nil {
-				t.Fatal(err)
-			}
-			if !rep.HasSum {
-				t.Fatal("TrainMany returned no update sum")
-			}
-			sum, err := codec.Decode(rep.Sum, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(sum) != len(params) {
-				t.Fatalf("update sum has %d params, want %d", len(sum), len(params))
-			}
-		})
-	}
+		args.Base, args.HasBase = blob, true
+		rep = TrainManyReply{}
+		if err := client.call("Device.TrainMany", args, &rep); err != nil {
+			t.Fatal(err)
+		}
+		if !rep.HasSum {
+			t.Fatal("TrainMany returned no update sum")
+		}
+		sum, err := codec.Decode(rep.Sum, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(sum) != len(params) {
+			t.Fatalf("update sum has %d params, want %d", len(sum), len(params))
+		}
+	})
 
 	t.Run("edge", func(t *testing.T) {
 		const devices = 4
@@ -801,7 +834,7 @@ func TestTrainManyUnknownBaselineOverRPC(t *testing.T) {
 		members := []int{0, 1, 2, 3}
 		downloads := func() int64 {
 			var rep CommReply
-			if err := e.Comm(CommArgs{}, &rep); err != nil {
+			if err := e.comm(&CommArgs{}, &rep); err != nil {
 				t.Fatal(err)
 			}
 			return rep.Downloads
@@ -815,7 +848,7 @@ func TestTrainManyUnknownBaselineOverRPC(t *testing.T) {
 			{Step: 1, WantModel: true},
 		} {
 			var rep EdgeStepReply
-			if err := e.Step(args, &rep); err != nil {
+			if err := e.step(&args, &rep); err != nil {
 				t.Fatal(err)
 			}
 			if args.Step == 0 && rep.Sampled == 0 {
@@ -827,7 +860,7 @@ func TestTrainManyUnknownBaselineOverRPC(t *testing.T) {
 		host.mu.Unlock()
 		before := downloads()
 		var rep EdgeStepReply
-		if err := e.Step(EdgeStepArgs{Step: 2, Members: members, Capacity: devices, WantModel: true}, &rep); err != nil {
+		if err := e.step(&EdgeStepArgs{Step: 2, Members: members, Capacity: devices, WantModel: true}, &rep); err != nil {
 			t.Fatalf("step after the host lost its base: %v", err)
 		}
 		if rep.Sampled == 0 {
@@ -922,39 +955,52 @@ type hostileHost struct {
 	estimate float64 // Estimate's answer for every device (0 = 1)
 }
 
-func (h *hostileHost) Estimate(args EstimateArgs, reply *EstimateReply) error {
-	reply.Estimates = make([]float64, len(args.Devices))
-	for i := range reply.Estimates {
-		reply.Estimates[i] = cmp.Or(h.estimate, 1)
-	}
+func (h *hostileHost) ping(_ *PingArgs, reply *PingReply) error {
+	reply.Role = "hostile"
 	return nil
 }
 
-// Step answers as an edge server whose model reply is the hostile blob, or
-// no model at all.
-func (h *hostileHost) Step(_ EdgeStepArgs, reply *EdgeStepReply) error {
-	reply.Model, reply.HasModel = h.blob, !h.noModel
-	return nil
+// serve answers Estimate with h.estimate, TrainMany and GetBase with the
+// hostile blob, and Step as an edge server whose model reply is that blob,
+// or no model at all.
+func (h *hostileHost) serve(_ *msgs, method []byte, body *wirer) (wireMsg, error) {
+	switch string(method) {
+	case "Device.Estimate":
+		return handle(body, &EstimateArgs{}, &EstimateReply{}, func(args *EstimateArgs, reply *EstimateReply) error {
+			reply.Estimates = make([]float64, len(args.Devices))
+			for i := range reply.Estimates {
+				reply.Estimates[i] = cmp.Or(h.estimate, 1)
+			}
+			return nil
+		})
+	case "Device.TrainMany":
+		return handle(body, &TrainManyArgs{}, &TrainManyReply{}, func(args *TrainManyArgs, reply *TrainManyReply) error {
+			if h.noBase && args.HasBase {
+				return fmt.Errorf("no room for a base")
+			}
+			reply.Sum, reply.HasSum = h.blob, !args.Advance
+			return nil
+		})
+	case "Device.GetBase":
+		return handle(body, &GetBaseArgs{}, &GetBaseReply{Model: h.blob}, func(*GetBaseArgs, *GetBaseReply) error { return nil })
+	case "Edge.Step":
+		return handle(body, &EdgeStepArgs{}, &EdgeStepReply{Model: h.blob, HasModel: !h.noModel}, func(*EdgeStepArgs, *EdgeStepReply) error { return nil })
+	}
+	return nil, fmt.Errorf("the hostile host serves no method %q", method)
 }
 
 // serveHostile starts a hostile device host on loopback; it answers as an
 // edge server too.
 func serveHostile(t *testing.T, h *hostileHost) string {
 	t.Helper()
-	return serveRPC(t, h, "Device", "Edge")
+	return serveRPC(t, h)
 }
 
-// serveRPC serves rcvr under the given service names on loopback until the
-// test ends and returns the address.
-func serveRPC(t *testing.T, rcvr any, names ...string) string {
+// serveRPC serves srv on loopback until the test ends and returns the
+// address.
+func serveRPC(t *testing.T, srv server) string {
 	t.Helper()
-	srv := rpc.NewServer()
-	for _, name := range names {
-		if err := srv.RegisterName(name, rcvr); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ln, err := listen(srv, "127.0.0.1:0")
+	ln, err := listen(srv, "Device", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -962,17 +1008,15 @@ func serveRPC(t *testing.T, rcvr any, names ...string) string {
 	return ln.Addr().String()
 }
 
-func (h *hostileHost) TrainMany(args TrainManyArgs, reply *TrainManyReply) error {
-	if h.noBase && args.HasBase {
-		return fmt.Errorf("no room for a base")
+// dialClient opens a fed client to addr, closed when the test ends.
+func dialClient(t *testing.T, addr string) *client {
+	t.Helper()
+	c, err := dialCounting(addr, new(atomic.Int64), new(atomic.Int64))
+	if err != nil {
+		t.Fatal(err)
 	}
-	reply.Sum, reply.HasSum = h.blob, !args.Advance
-	return nil
-}
-
-func (h *hostileHost) GetBase(_ GetBaseArgs, reply *GetBaseReply) error {
-	reply.Model = h.blob
-	return nil
+	t.Cleanup(func() { c.close() })
+	return c
 }
 
 // TestForeignParameterCountRejectedBeforeDecode: a blob whose Count is not
@@ -984,7 +1028,7 @@ func TestForeignParameterCountRejectedBeforeDecode(t *testing.T) {
 
 	d := deploy(t, 4, 2, 5, 1, codec.SchemeDelta)
 	defer d.close()
-	if err := d.devices[0].TrainMany(TrainManyArgs{Devices: []int{0}, BaseID: 1, Base: huge, HasBase: true, Hyper: testHyper}, &TrainManyReply{}); err == nil {
+	if err := d.devices[0].trainMany(&TrainManyArgs{Devices: []int{0}, BaseID: 1, Base: huge, HasBase: true, Hyper: testHyper}, &TrainManyReply{}); err == nil {
 		t.Fatal("device host accepted a base of foreign size")
 	}
 	if _, err := d.cloud.decodeEdgeModel(nil, huge); err == nil {
@@ -995,7 +1039,7 @@ func TestForeignParameterCountRejectedBeforeDecode(t *testing.T) {
 	// step: that initial model's length is the only count it can check the
 	// cloud's first global against.
 	var rep EdgeStepReply
-	if err := d.edges[0].Step(EdgeStepArgs{HasModel: true, Model: huge, ModelID: 1}, &rep); err == nil ||
+	if err := d.edges[0].step(&EdgeStepArgs{HasModel: true, Model: huge, ModelID: 1}, &rep); err == nil ||
 		!strings.Contains(err.Error(), "global of") {
 		t.Fatalf("first global of foreign size: err = %v, want a parameter-count error", err)
 	}
@@ -1014,14 +1058,14 @@ func TestForeignParameterCountRejectedBeforeDecode(t *testing.T) {
 	}
 	defer e.Close()
 	step := EdgeStepArgs{Members: []int{0, 1}, Capacity: 2, WantModel: true}
-	if err := e.Step(step, &rep); err == nil || !strings.Contains(err.Error(), "summed") {
+	if err := e.step(&step, &rep); err == nil || !strings.Contains(err.Error(), "summed") {
 		t.Fatalf("hostile update sum: err = %v, want a parameter-count error", err)
 	}
 	step.WantModel = false // one host covers the sample: it advances the base in place
-	if err := e.Step(step, &rep); err != nil {
+	if err := e.step(&step, &rep); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Step(EdgeStepArgs{Step: 1, WantModel: true}, &rep); err == nil || !strings.Contains(err.Error(), "returned a base of") {
+	if err := e.step(&EdgeStepArgs{Step: 1, WantModel: true}, &rep); err == nil || !strings.Contains(err.Error(), "returned a base of") {
 		t.Fatalf("hostile base fetch: err = %v, want a parameter-count error", err)
 	}
 
@@ -1059,7 +1103,7 @@ func TestEdgeStepRejectsNaNProbability(t *testing.T) {
 	}
 	defer e.Close()
 	var rep EdgeStepReply
-	err = e.Step(EdgeStepArgs{Members: []int{0, 1}, Capacity: 1}, &rep)
+	err = e.step(&EdgeStepArgs{Members: []int{0, 1}, Capacity: 1}, &rep)
 	if want := "fed: edge 0: device 0 sampling probability NaN, outside [0, 1]"; err == nil || err.Error() != want {
 		t.Fatalf("+Inf estimates: err = %v (sampled %d), want %q", err, rep.Sampled, want)
 	}
@@ -1086,7 +1130,7 @@ func TestBaseFanOutReportsFirstHostInAddressOrder(t *testing.T) {
 	sort.Strings(addrs)
 	for i := 0; i < 5; i++ {
 		var rep EdgeStepReply
-		err := e.Step(EdgeStepArgs{Step: i, Members: []int{0, 1}, Capacity: 2}, &rep)
+		err := e.step(&EdgeStepArgs{Step: i, Members: []int{0, 1}, Capacity: 2}, &rep)
 		if err == nil || !strings.Contains(err.Error(), "training via "+addrs[0]+": no room for a base") {
 			t.Fatalf("step %d: err = %v, want the base install failure of %s", i, err, addrs[0])
 		}
@@ -1234,7 +1278,7 @@ func TestEdgeStepMatchesTrainerOracle(t *testing.T) {
 						args.Model, args.ModelID, args.HasModel = global, 1, true
 					}
 					var rep EdgeStepReply
-					if err := e.Step(args, &rep); err != nil {
+					if err := e.step(&args, &rep); err != nil {
 						t.Fatal(err)
 					}
 					if step == 0 && e.stale != (hosts == 1) {
@@ -1338,7 +1382,7 @@ func TestDeviceTrainMatchesEngineTrainer(t *testing.T) {
 	// Two updates in a row: the second continues the device's minibatch stream.
 	for step := 0; step < 2; step++ {
 		var rep TrainManyReply
-		if err := srv.TrainMany(TrainManyArgs{Step: step, Devices: []int{device}, BaseID: 1, Base: blob, HasBase: true, Hyper: testHyper}, &rep); err != nil {
+		if err := srv.trainMany(&TrainManyArgs{Step: step, Devices: []int{device}, BaseID: 1, Base: blob, HasBase: true, Hyper: testHyper}, &rep); err != nil {
 			t.Fatal(err)
 		}
 		sum, err := codec.Decode(rep.Sum, nil)
@@ -1356,13 +1400,13 @@ func TestDeviceTrainMatchesEngineTrainer(t *testing.T) {
 		requireSameBits(t, fmt.Sprintf("step %d Sum", step), sum, update)
 		book.ObserveMany([]int{device}, [][]float64{sqNorms})
 		book.CloudRound(step)
-		if err := srv.CloudRound(CloudRoundArgs{Step: step}, &CloudRoundReply{}); err != nil {
+		if err := srv.cloudRound(&CloudRoundArgs{Step: step}, &CloudRoundReply{}); err != nil {
 			t.Fatal(err)
 		}
 		want := make([]float64, 1)
 		book.UCBEstimatesInto(want, []int{device}, step+1)
 		var est EstimateReply
-		if err := srv.Estimate(EstimateArgs{Step: step + 1, Devices: []int{device}}, &est); err != nil {
+		if err := srv.estimate(&EstimateArgs{Step: step + 1, Devices: []int{device}}, &est); err != nil {
 			t.Fatal(err)
 		}
 		requireSameBits(t, fmt.Sprintf("step %d estimate", step), est.Estimates, want)
@@ -1426,7 +1470,7 @@ func TestFirstStepMatchesEngine(t *testing.T) {
 			got := make([]float64, 0, devices)
 			for h, srv := range d.devices {
 				var rep EstimateReply
-				if err := srv.Estimate(EstimateArgs{Step: 1, Devices: all[h*devices/hosts : (h+1)*devices/hosts]}, &rep); err != nil {
+				if err := srv.estimate(&EstimateArgs{Step: 1, Devices: all[h*devices/hosts : (h+1)*devices/hosts]}, &rep); err != nil {
 					t.Fatal(err)
 				}
 				got = append(got, rep.Estimates...)
@@ -1473,7 +1517,7 @@ func TestTrainManyRejectsBadDeviceListBeforeTraining(t *testing.T) {
 	}
 	train := func(srv *DeviceServer, devices ...int) (TrainManyReply, error) {
 		var reply TrainManyReply
-		err := srv.TrainMany(TrainManyArgs{Edge: 0, Devices: devices, BaseID: 1, Base: blob, HasBase: true, Hyper: testHyper}, &reply)
+		err := srv.trainMany(&TrainManyArgs{Edge: 0, Devices: devices, BaseID: 1, Base: blob, HasBase: true, Hyper: testHyper}, &reply)
 		return reply, err
 	}
 	want, err := train(host(), 0, 1)
@@ -1526,7 +1570,7 @@ func TestTrainManyRejectsHostileHyperparameters(t *testing.T) {
 		t.Fatal(err)
 	}
 	train := func(h Hyper) error {
-		return srv.TrainMany(TrainManyArgs{Devices: []int{0, 1}, BaseID: 1, Base: blob, HasBase: true, Hyper: h}, &TrainManyReply{})
+		return srv.trainMany(&TrainManyArgs{Devices: []int{0, 1}, BaseID: 1, Base: blob, HasBase: true, Hyper: h}, &TrainManyReply{})
 	}
 	for _, c := range []struct {
 		name  string
@@ -1555,12 +1599,23 @@ type installLog struct {
 	calls, shipped, misfit map[int]int
 }
 
-func (h *installLog) TrainMany(args TrainManyArgs, reply *TrainManyReply) error {
+// serve logs each TrainMany from a copy of the body's cursor, then serves
+// the request as the host does.
+func (h *installLog) serve(m *msgs, method []byte, body *wirer) (wireMsg, error) {
+	var args TrainManyArgs
+	if peek := *body; string(method) == "Device.TrainMany" && peek.finish(&args) == nil {
+		h.log(&args)
+	}
+	return h.DeviceServer.serve(m, method, body)
+}
+
+func (h *installLog) log(args *TrainManyArgs) {
 	he := h.edge(args.Edge)
 	he.mu.Lock()
 	_, err := he.lookup(args.Edge, args.BaseID)
 	he.mu.Unlock()
 	h.mu.Lock()
+	defer h.mu.Unlock()
 	h.calls[args.Edge]++
 	if args.HasBase {
 		h.shipped[args.Edge]++
@@ -1568,8 +1623,6 @@ func (h *installLog) TrainMany(args TrainManyArgs, reply *TrainManyReply) error 
 	if args.HasBase != (err != nil) {
 		h.misfit[args.Edge]++
 	}
-	h.mu.Unlock()
-	return h.DeviceServer.TrainMany(args, reply)
 }
 
 // TestBaseShipsOncePerHostPerID: over a multi-step run at one and two hosts,
@@ -1583,7 +1636,7 @@ func TestBaseShipsOncePerHostPerID(t *testing.T) {
 			var logs []*installLog
 			d := deployWorld(t, buildWorld(t, 8, edges, steps), hosts, CloudConfig{
 				Steps: steps, CloudInterval: 5, Participation: 0.5, Seed: runSeed,
-			}, func(srv *DeviceServer) any {
+			}, func(srv *DeviceServer) server {
 				h := &installLog{DeviceServer: srv, calls: map[int]int{}, shipped: map[int]int{}, misfit: map[int]int{}}
 				logs = append(logs, h)
 				return h
@@ -1595,7 +1648,7 @@ func TestBaseShipsOncePerHostPerID(t *testing.T) {
 			var calls, shipped int
 			for n, e := range d.edges {
 				var comm CommReply
-				if err := e.Comm(CommArgs{}, &comm); err != nil {
+				if err := e.comm(&CommArgs{}, &comm); err != nil {
 					t.Fatal(err)
 				}
 				var edgeShipped int
@@ -1663,7 +1716,7 @@ func TestDeviceServerModelsBoundedByCallers(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for m := c; m < devices && errs[c] == nil; m += callers {
-				errs[c] = srv.TrainMany(TrainManyArgs{Edge: c, Devices: []int{m}, BaseID: 1, Base: blob, HasBase: m == c, Hyper: testHyper}, &TrainManyReply{})
+				errs[c] = srv.trainMany(&TrainManyArgs{Edge: c, Devices: []int{m}, BaseID: 1, Base: blob, HasBase: m == c, Hyper: testHyper}, &TrainManyReply{})
 			}
 		}()
 	}
@@ -1681,20 +1734,19 @@ func TestDeviceServerModelsBoundedByCallers(t *testing.T) {
 	}
 }
 
-// TestWarmFedStepAllocations: a warm loopback step allocates only what
-// net/rpc allocates per call — the reflected args, reply and result values,
-// the handler goroutine, the Call, the decoded ID list — about 7.5 objects;
-// fed's own code allocates nothing. Two hosts serve two edges, driven over
-// the wire the way the cloud drives them: edge 0's members sit on both
-// hosts, so it folds two update sums each step, and edge 1's on one host,
-// which advances the base in place and is asked for it at the period's
-// cloud round. Every period of five steps starts with a global install,
-// which ships the base to every host.
+// TestWarmFedStepAllocations: a warm loopback step allocates nothing. Every
+// connection decodes into args and replies it owns, and every handler, fold
+// and encode writes into buffers its owner reuses. Two hosts serve two
+// edges, driven over the wire the way the cloud drives them: edge 0's
+// members sit on both hosts, so it folds two update sums each step, and
+// edge 1's on one host, which advances the base in place and is asked for
+// it at the period's cloud round. Every period of five steps starts with a
+// global install, which ships the base to every host.
 func TestWarmFedStepAllocations(t *testing.T) {
 	if raceEnabled() {
-		t.Skip("sync.Pool sheds pooled buffers at random under the race detector")
+		t.Skip("the codec's scratch sync.Pool sheds buffers at random under the race detector")
 	}
-	const period, bound = 5, 9
+	const period, bound = 5, 0
 	w := buildWorld(t, 8, 2, 1)
 	d := deployWorld(t, w, 2, CloudConfig{Steps: 1, CloudInterval: 1, Participation: 1, Seed: runSeed})
 	defer d.close()
@@ -1711,18 +1763,17 @@ func TestWarmFedStepAllocations(t *testing.T) {
 	// per host its members sit on; edge 1 fetches its advanced base once a
 	// period.
 	const calls = period*(1+2+2) + period*(1+1+1) + 1
-	clients := make([]*rpc.Client, len(d.edges))
+	clients := make([]*client, len(d.edges))
 	for n := range clients {
 		conn, err := net.Dial("tcp", d.edges[n].listener.Addr().String())
 		if err != nil {
 			t.Fatal(err)
 		}
 		clients[n] = newClient(conn)
-		defer clients[n].Close()
+		defer clients[n].close()
 	}
 	args := make([]EdgeStepArgs, len(d.edges))
 	replies := make([]EdgeStepReply, len(d.edges))
-	done := make(chan *rpc.Call, len(d.edges))
 	step, id := 0, uint64(0)
 	runPeriod := func() {
 		for s := 0; s < period; s, step = s+1, step+1 {
@@ -1734,12 +1785,13 @@ func TestWarmFedStepAllocations(t *testing.T) {
 					Step: step, Members: members[n], Capacity: float64(len(members[n])),
 					Model: global, ModelID: id, HasModel: s == 0, WantModel: s == period-1,
 				}
-				c.Go("Edge.Step", &args[n], &replies[n], done)
+				if err := c.send("Edge.Step", &args[n]); err != nil {
+					t.Fatal(err)
+				}
 			}
-			for range clients {
-				call := <-done
-				if call.Error != nil {
-					t.Fatal(call.Error)
+			for n, c := range clients {
+				if err := c.recv(&replies[n]); err != nil {
+					t.Fatal(err)
 				}
 			}
 			for n, rep := range replies {
@@ -1803,16 +1855,16 @@ func TestCloseStopsServingOpenConnections(t *testing.T) {
 			t.Fatal(err)
 		}
 		client := newClient(conn)
-		defer client.Close()
+		defer client.close()
 		var rep PingReply
-		if err := client.Call(s.method, &PingArgs{}, &rep); err != nil {
+		if err := client.call(s.method, &PingArgs{}, &rep); err != nil {
 			t.Fatalf("%s before Close: %v", s.method, err)
 		}
 		if err := s.close(); err != nil {
 			t.Fatal(err)
 		}
 		rep = PingReply{}
-		if err := client.Call(s.method, &PingArgs{}, &rep); err == nil {
+		if err := client.call(s.method, &PingArgs{}, &rep); err == nil {
 			t.Fatalf("%s on a connection opened before Close answered %q", s.method, rep.Role)
 		}
 	}
@@ -1865,7 +1917,7 @@ func TestModelVectorOwnership(t *testing.T) {
 	step := func(stage string, args EdgeStepArgs) EdgeStepReply {
 		t.Helper()
 		var rep EdgeStepReply
-		if err := e.Step(args, &rep); err != nil {
+		if err := e.step(&args, &rep); err != nil {
 			t.Fatalf("%s: %v", stage, err)
 		}
 		if rep.Sampled != len(args.Members) {
@@ -1877,13 +1929,13 @@ func TestModelVectorOwnership(t *testing.T) {
 			see(&hosts[i], fmt.Sprintf("%s: host %d base %d", stage, i, he.id), he.id, he.base)
 			he.mu.Unlock()
 			for _, id := range hosts[i].retired {
-				unknown(fmt.Sprintf("%s: host %d base %d", stage, i, id), h.GetBase(GetBaseArgs{ID: id}, &GetBaseReply{}))
+				unknown(fmt.Sprintf("%s: host %d base %d", stage, i, id), h.getBase(&GetBaseArgs{ID: id}, &GetBaseReply{}))
 			}
 		}
 		see(&edgeView, stage+": edge's global", e.cloudID, e.cloudView)
 		for _, id := range edgeView.retired {
 			stale := EdgeStepArgs{Step: args.Step, HasModel: true, Model: codec.Blob{Scheme: codec.SchemeDelta, Baseline: id, Count: n}}
-			unknown(fmt.Sprintf("%s: edge global %d", stage, id), e.Step(stale, &EdgeStepReply{}))
+			unknown(fmt.Sprintf("%s: edge global %d", stage, id), e.step(&stale, &EdgeStepReply{}))
 		}
 		see(&cloudView, stage+": cloud's global", c.prevID, c.prevView)
 		for _, id := range cloudView.retired {
@@ -1961,10 +2013,10 @@ func TestHostSerializesOneEdgesCalls(t *testing.T) {
 			defer wg.Done()
 			for r := uint64(0); r < rounds && errs[c] == nil; r++ {
 				id := 2 * (uint64(c)*rounds + r + 1)
-				errs[c] = srv.TrainMany(TrainManyArgs{Devices: []int{c}, BaseID: id, Base: blob, HasBase: true,
+				errs[c] = srv.trainMany(&TrainManyArgs{Devices: []int{c}, BaseID: id, Base: blob, HasBase: true,
 					Hyper: testHyper, Advance: r%2 == 0, NextID: id + 1}, &TrainManyReply{})
 				// Another caller's install may have retired the ID already.
-				if err := srv.GetBase(GetBaseArgs{ID: id + 1}, &GetBaseReply{}); errs[c] == nil && err != nil && !errors.Is(err, codec.ErrUnknownBaseline) {
+				if err := srv.getBase(&GetBaseArgs{ID: id + 1}, &GetBaseReply{}); errs[c] == nil && err != nil && !errors.Is(err, codec.ErrUnknownBaseline) {
 					errs[c] = err
 				}
 			}

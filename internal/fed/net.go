@@ -2,7 +2,6 @@ package fed
 
 import (
 	"net"
-	"net/rpc"
 	"sync/atomic"
 )
 
@@ -30,7 +29,7 @@ func (c *countingConn) Write(p []byte) (int, error) {
 
 // dialCounting opens an RPC client whose connection counts inbound bytes
 // into read and outbound bytes into wrote.
-func dialCounting(addr string, read, wrote *atomic.Int64) (*rpc.Client, error) {
+func dialCounting(addr string, read, wrote *atomic.Int64) (*client, error) {
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		return nil, err

@@ -1,7 +1,8 @@
 // Package fed runs the HFL system of internal/hfl as a real distributed
 // deployment: device hosts, edge servers and a cloud coordinator are separate
-// processes (or goroutines in tests) communicating over TCP with net/rpc
-// dispatch over a hand-framed codec (wire.go).
+// processes (or goroutines in tests) communicating over TCP through fed's
+// own RPC layer: hand-framed messages, one in-order serve loop per
+// connection and a client with one call in flight (wire.go).
 //
 // The roles mirror the paper's architecture (§II):
 //
@@ -78,7 +79,6 @@ type EstimateArgs struct {
 // EstimateReply returns the estimates aligned with EstimateArgs.Devices.
 type EstimateReply struct {
 	Estimates []float64
-	lent      // Estimates' buffer, when the host borrowed it
 }
 
 // TrainManyArgs asks a device host to run local updating on all of the
@@ -114,7 +114,6 @@ type TrainManyArgs struct {
 type TrainManyReply struct {
 	Sum    codec.Blob
 	HasSum bool
-	lent   // Sum.Data's buffer, when the host's encoder borrowed it
 }
 
 // GetBaseArgs fetches the bits of a cached base model back from a host
@@ -130,7 +129,6 @@ type GetBaseArgs struct {
 // GetBaseReply carries the requested base model.
 type GetBaseReply struct {
 	Model codec.Blob
-	lent  // Model.Data's buffer, when the host's encoder borrowed it
 }
 
 // CloudRoundArgs tells device hosts an edge-to-cloud communication happened
@@ -171,7 +169,6 @@ type EdgeStepReply struct {
 	Model    codec.Blob
 	HasModel bool
 	Sampled  int
-	lent     // Model.Data's buffer, when the edge's encoder borrowed it
 }
 
 // CommArgs asks a server for its measured communication counters.

@@ -3,6 +3,7 @@ package fed
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -14,22 +15,25 @@ import (
 	"github.com/mach-fl/mach/internal/codec"
 )
 
-// This file is fed's wire format (DESIGN.md §6): net/rpc's dispatch over a
-// hand-framed codec. Every request and response is one frame,
+// This file is fed's RPC layer (DESIGN.md §6): hand-framed messages, a
+// client with one call in flight, and a server that runs one in-order loop
+// per connection. Every request and response is one frame,
 //
 //	u32 length of the rest | u64 seq | method (request) or error (response) | body
 //
 // little-endian, the string uvarint-prefixed, and the body the message's
-// fields as its wire method codes them. A client sends wirePreamble with its
-// first request; a server that does not see it serves the connection with
-// net/rpc's gob codec, for stock clients such as the benchmark harness's
+// fields as its wire method codes them; an error response has no body. A
+// client sends wirePreamble with its first request; a server that does not
+// see it serves the connection with net/rpc's gob codec and answers only
+// Ping, for stock clients such as the benchmark harness's
 // fed.rpc_roundtrip_us probe (rpc.Dial).
 //
-// Frame lifetime: a server reads each request into a pooled frame, decodes
-// the args' codec blobs in place — Blob.Data aliases the frame — and returns
-// the frame to the pool when it writes the response with that seq. So a
-// handler reads its arg blobs but never keeps them. A client copies reply
-// blobs into the reply's own capacity and reuses its read frame.
+// Frame lifetime: a server reads each request into its connection's frame
+// buffer and decodes the args into the connection's own args value, their
+// codec blobs in place — Blob.Data aliases the frame until the next request
+// is read. So a handler reads its arg blobs but never keeps them. The reply
+// is the connection's too, reused request after request. A client copies
+// reply blobs into the capacity the caller's reply already holds.
 
 const (
 	wirePreamble = "machrpc\x01"
@@ -41,21 +45,12 @@ const (
 	frameChunk = 1 << 16
 )
 
-// wireMethods are the RPCs fed serves; the server names a request's method
-// with these strings instead of allocating one per request.
+// wireMethods are the RPCs fed serves, the names each role's serve switches
+// on; TestWireSamplesCoverEveryMethod holds the frame samples to them.
 var wireMethods = [...]string{
 	"Device.Ping", "Device.Estimate", "Device.TrainMany", "Device.GetBase", "Device.CloudRound",
 	"Edge.Ping", "Edge.Comm", "Edge.Step",
 }
-
-// framePool holds the servers' request frames, blobPool the codec payload
-// buffers of outgoing models (TrainMany sums, the bases TrainMany carries),
-// floatPool the estimates Estimate replies with.
-var (
-	framePool = sync.Pool{New: func() any { return new([]byte) }}
-	blobPool  = sync.Pool{New: func() any { return new([]byte) }}
-	floatPool = sync.Pool{New: func() any { return new([]float64) }}
-)
 
 // wireMsg is a message fed sends: every arg and reply type of protocol.go,
 // by pointer. Its wire method names its fields once, in order, for both
@@ -126,17 +121,8 @@ func openFrame(frame []byte, own bool) (seq uint64, name []byte, w wirer) {
 	return seq, name, w
 }
 
-// finish decodes body, a message pointer (nil skips it: an error response,
-// or a request net/rpc cannot serve), from the rest of the frame, which it
-// must consume.
-func (w *wirer) finish(body any) error {
-	if body == nil {
-		return nil
-	}
-	msg, ok := body.(wireMsg)
-	if !ok {
-		return fmt.Errorf("fed: wire: %T is not a message pointer", body)
-	}
+// finish decodes msg from the rest of the frame, which it must consume.
+func (w *wirer) finish(msg wireMsg) error {
 	msg.wire(w)
 	if w.err == nil && len(w.buf) != 0 {
 		w.fail("body: trailing bytes")
@@ -330,20 +316,6 @@ func (m *TrainManyReply) wire(w *wirer) {
 	w.flag(&m.HasSum)
 }
 
-// lent is a reply's buffer, a slice pointer borrowed from pool, which
-// wireDone returns once the server codec has copied the reply into its frame.
-type lent struct {
-	pool *sync.Pool
-	buf  any
-}
-
-func (l *lent) wireDone() {
-	if l.pool != nil {
-		l.pool.Put(l.buf)
-		*l = lent{}
-	}
-}
-
 func (m *GetBaseArgs) wire(w *wirer) {
 	w.int(&m.Edge)
 	w.id(&m.ID)
@@ -382,158 +354,154 @@ func (m *CommReply) wire(w *wirer) {
 	w.i64(&m.Downloads)
 }
 
-// clientCodec is the client half: net/rpc serializes WriteRequest calls, and
-// its one input goroutine reads the responses.
-type clientCodec struct {
-	conn    io.ReadWriteCloser
-	r       *bufio.Reader
-	enc     wirer  // the request frame being written
-	rbuf    []byte // the response frame being read
-	body    wirer  // at the unread body of rbuf
-	greeted bool   // the preamble has gone out
-}
-
-// newClient opens a fed RPC client over conn. Its calls pass args and reply
-// by pointer.
-func newClient(conn io.ReadWriteCloser) *rpc.Client {
-	return rpc.NewClientWithCodec(&clientCodec{conn: conn, r: bufio.NewReader(conn)})
-}
-
-func (c *clientCodec) WriteRequest(req *rpc.Request, body any) error {
-	msg, ok := body.(wireMsg)
-	if !ok {
-		return fmt.Errorf("fed: wire: %T is not a message pointer", body)
-	}
-	c.enc.buf = c.enc.buf[:0]
-	if !c.greeted {
-		c.enc.buf = append(c.enc.buf, wirePreamble...)
-	}
-	at := len(c.enc.buf)
-	c.enc.frame(req.Seq, req.ServiceMethod, msg)
-	if n := len(c.enc.buf) - at - 4; n > maxFrame {
-		return fmt.Errorf("fed: wire: %s request of %d bytes over the %d-byte cap", req.ServiceMethod, n, maxFrame)
-	}
-	c.greeted = true
-	_, err := c.conn.Write(c.enc.buf)
-	return err
-}
-
-func (c *clientCodec) ReadResponseHeader(resp *rpc.Response) error {
-	var err error
-	if c.rbuf, err = readFrame(c.r, c.rbuf); err != nil {
-		return err
-	}
-	var msg []byte
-	resp.Seq, msg, c.body = openFrame(c.rbuf, true)
-	resp.Error = string(msg)
-	return c.body.err
-}
-
-func (c *clientCodec) ReadResponseBody(body any) error { return c.body.finish(body) }
-
-func (c *clientCodec) Close() error { return c.conn.Close() }
-
-// serverCodec is the server half. net/rpc calls the Read methods from one
-// goroutine and WriteResponse from the handlers' goroutines, one at a time.
-type serverCodec struct {
+// client is fed's end of a connection to a fed server, with one call in
+// flight: send writes a request and holds the client until recv has read
+// its reply into the caller's value. A fan-out sends on several clients,
+// then receives from each in call order. It cannot deadlock: a connection
+// has at most one request outstanding, so its server is reading when the
+// request arrives.
+type client struct {
+	mu   sync.Mutex // held from a request's send to its reply's recv
 	conn io.ReadWriteCloser
 	r    *bufio.Reader
-	enc  wirer // the response frame being written
-	body wirer // at the unread body of the last request
-
-	mu      sync.Mutex
-	pending map[uint64]*[]byte // seq → request frame, until its response is written
+	out  wirer  // the request frame being written
+	in   []byte // the reply frame being read
+	body wirer  // at the body of in
+	seq  uint64 // the request in flight's, or the next one's; 0 carries the preamble
 }
 
-func (c *serverCodec) ReadRequestHeader(req *rpc.Request) error {
-	fp := framePool.Get().(*[]byte)
-	var err error
-	if *fp, err = readFrame(c.r, *fp); err != nil {
-		framePool.Put(fp)
+func newClient(conn io.ReadWriteCloser) *client {
+	return &client{conn: conn, r: bufio.NewReader(conn)}
+}
+
+// call makes one RPC: method with args, its result decoded into reply.
+func (c *client) call(method string, args, reply wireMsg) error {
+	if err := c.send(method, args); err != nil {
 		return err
 	}
-	var method []byte
-	req.Seq, method, c.body = openFrame(*fp, false)
+	return c.recv(reply)
+}
+
+// send writes a request; unless it fails, the client is held for recv.
+func (c *client) send(method string, args wireMsg) error {
 	c.mu.Lock()
-	_, dup := c.pending[req.Seq]
-	if c.body.err == nil && !dup {
-		c.pending[req.Seq] = fp
+	c.out.buf = c.out.buf[:0]
+	if c.seq == 0 {
+		c.out.buf = append(c.out.buf, wirePreamble...)
 	}
+	at := len(c.out.buf)
+	c.out.frame(c.seq, method, args)
+	if n := len(c.out.buf) - at - 4; n > maxFrame {
+		c.mu.Unlock()
+		return fmt.Errorf("fed: wire: %s request of %d bytes over the %d-byte cap", method, n, maxFrame)
+	}
+	if _, err := c.conn.Write(c.out.buf); err != nil {
+		return c.fail(err)
+	}
+	return nil
+}
+
+// recv reads the reply to the request send wrote, and releases the client.
+// A reply that is not that request's closes the connection.
+func (c *client) recv(reply wireMsg) error {
+	var err error
+	if c.in, err = readFrame(c.r, c.in); err != nil {
+		return c.fail(err)
+	}
+	seq, errMsg, body := openFrame(c.in, true)
+	switch c.body = body; {
+	case body.err != nil:
+		return c.fail(body.err)
+	case seq != c.seq:
+		return c.fail(fmt.Errorf("fed: wire: reply %d to request %d", seq, c.seq))
+	}
+	c.seq++
+	defer c.mu.Unlock()
+	if len(errMsg) != 0 {
+		return errors.New(string(errMsg))
+	}
+	return c.body.finish(reply)
+}
+
+// fail closes the connection after err left it out of step, and releases
+// the client: every later call fails.
+func (c *client) fail(err error) error {
+	c.conn.Close() //machlint:allow errdrop the call already failed with err; the close only stops later calls
 	c.mu.Unlock()
-	switch {
-	case c.body.err != nil:
-		err = c.body.err
-	case dup:
-		err = fmt.Errorf("fed: wire: request %d is already in flight", req.Seq)
-	default:
-		req.ServiceMethod = methodName(method)
-		return nil
-	}
-	framePool.Put(fp)
 	return err
 }
 
-// methodName is the method a request names, one of wireMethods' strings when
-// it is one.
-func methodName(p []byte) string {
-	for _, m := range wireMethods {
-		if string(p) == m {
-			return m
-		}
-	}
-	return string(p)
+// close closes the connection, failing a call in flight.
+func (c *client) close() error { return c.conn.Close() }
+
+// A server is what a listener serves. serve decodes a framed request for
+// method from body into the connection's msgs, runs the handler and returns
+// the reply, which the connection writes and reuses. A stock client reaches
+// only ping.
+type server interface {
+	serve(m *msgs, method []byte, body *wirer) (wireMsg, error)
+	ping(*PingArgs, *PingReply) error
 }
 
-func (c *serverCodec) ReadRequestBody(body any) error { return c.body.finish(body) }
-
-func (c *serverCodec) WriteResponse(resp *rpc.Response, body any) error {
-	c.mu.Lock()
-	fp := c.pending[resp.Seq]
-	delete(c.pending, resp.Seq)
-	c.mu.Unlock()
-	if fp != nil {
-		framePool.Put(fp) // the handler has returned: nothing reads its args
-	}
-	msg, _ := body.(wireMsg)
-	errMsg := resp.Error
-	if errMsg == "" && msg == nil {
-		errMsg = fmt.Sprintf("fed: wire: %T is not a message pointer", body)
-	}
-	if errMsg != "" {
-		msg = nil
-	}
-	c.enc.buf = c.enc.buf[:0]
-	c.enc.frame(resp.Seq, errMsg, msg)
-	if d, ok := body.(interface{ wireDone() }); ok {
-		d.wireDone()
-	}
-	_, err := c.conn.Write(c.enc.buf)
-	return err
+// msgs is one framed connection's args and replies, one of each per RPC,
+// reused request after request.
+type msgs struct {
+	ping      PingReply
+	estimate  EstimateArgs
+	estimates EstimateReply
+	train     TrainManyArgs
+	trained   TrainManyReply
+	getBase   GetBaseArgs
+	base      GetBaseReply
+	round     CloudRoundArgs
+	comm      CommReply
+	step      EdgeStepArgs
+	stepped   EdgeStepReply
 }
 
-func (c *serverCodec) Close() error { return c.conn.Close() }
+// handle decodes args from body and, when they decode, serves them with h
+// into reply.
+func handle[A, R wireMsg](body *wirer, args A, reply R, h func(A, R) error) (wireMsg, error) {
+	if err := body.finish(args); err != nil {
+		return nil, err
+	}
+	return reply, h(args, reply)
+}
 
-// rpcListener is a TCP listener serving an RPC server. It tracks the
-// connections it accepted, so that Close stops serving them too.
+// stockPing is all of a fed server that a stock net/rpc client reaches.
+type stockPing func(*PingArgs, *PingReply) error
+
+// Ping answers a stock client's Device.Ping or Edge.Ping.
+func (p stockPing) Ping(args PingArgs, reply *PingReply) error { return p(&args, reply) }
+
+// rpcListener is a TCP listener serving a server. It tracks the connections
+// it accepted, so that Close stops serving them too.
 type rpcListener struct {
 	net.Listener
+	srv   server
+	stock *rpc.Server // srv's Ping under the role's name, for stock clients
 	mu    sync.Mutex
 	conns map[net.Conn]bool // the connections being served; nil once closed
 }
 
-// listen serves srv on a TCP listener at addr until Close.
-func listen(srv *rpc.Server, addr string) (*rpcListener, error) {
+// listen serves srv, whose stock clients call it role ("Device" or "Edge"),
+// on a TCP listener at addr until Close.
+func listen(srv server, role, addr string) (*rpcListener, error) {
+	stock := rpc.NewServer()
+	if err := stock.RegisterName(role, stockPing(srv.ping)); err != nil {
+		return nil, err
+	}
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
-	l := &rpcListener{Listener: ln, conns: map[net.Conn]bool{}}
-	go l.acceptLoop(srv)
+	l := &rpcListener{Listener: ln, srv: srv, stock: stock, conns: map[net.Conn]bool{}}
+	go l.acceptLoop()
 	return l, nil
 }
 
-// acceptLoop serves srv on every connection l accepts until l closes.
-func (l *rpcListener) acceptLoop(srv *rpc.Server) {
+// acceptLoop serves every connection l accepts until l closes.
+func (l *rpcListener) acceptLoop() {
 	for {
 		conn, err := l.Accept()
 		if err != nil {
@@ -550,7 +518,7 @@ func (l *rpcListener) acceptLoop(srv *rpc.Server) {
 			return
 		}
 		go func() {
-			serveConn(srv, conn)
+			l.serveConn(conn)
 			l.mu.Lock()
 			delete(l.conns, conn)
 			l.mu.Unlock()
@@ -573,21 +541,52 @@ func (l *rpcListener) Close() error {
 
 // serveConn serves one connection: with the frame codec when it opens with
 // wirePreamble, else with net/rpc's gob codec (a stock client).
-func serveConn(srv *rpc.Server, conn net.Conn) {
+func (l *rpcListener) serveConn(conn net.Conn) {
 	r := bufio.NewReader(conn)
 	head, err := r.Peek(len(wirePreamble))
-	if err != nil {
-		conn.Close() //machlint:allow errdrop the peer left before its first request; no one to report to
-		return
-	}
-	if string(head) != wirePreamble {
-		srv.ServeConn(struct {
+	switch {
+	case err != nil: // the peer left before its first request
+	case string(head) != wirePreamble:
+		l.stock.ServeConn(struct {
 			io.Reader
 			io.Writer
 			io.Closer
 		}{r, conn, conn})
 		return
+	default:
+		r.Discard(len(wirePreamble)) //machlint:allow errdrop discarding bytes Peek has buffered cannot fail
+		serveFrames(l.srv, r, conn)
 	}
-	r.Discard(len(wirePreamble)) //machlint:allow errdrop discarding bytes Peek has buffered cannot fail
-	srv.ServeCodec(&serverCodec{conn: conn, r: r, pending: map[uint64]*[]byte{}})
+	conn.Close() //machlint:allow errdrop the peer left or the connection failed; no one to report to
+}
+
+// serveFrames serves srv's requests from r in order, each read into one
+// frame buffer and answered on w before the next is read. A request whose
+// body does not decode, or whose method srv does not serve, gets an error
+// response; a frame that does not parse, or a failed write, ends the
+// connection.
+func serveFrames(srv server, r *bufio.Reader, w io.Writer) {
+	var frame, method []byte
+	var seq uint64
+	var out, body wirer
+	var m msgs
+	for {
+		var err error
+		if frame, err = readFrame(r, frame); err != nil {
+			return
+		}
+		if seq, method, body = openFrame(frame, false); body.err != nil {
+			return
+		}
+		reply, err := srv.serve(&m, method, &body)
+		var errMsg string
+		if err != nil {
+			errMsg, reply = err.Error(), nil
+		}
+		out.buf = out.buf[:0]
+		out.frame(seq, errMsg, reply)
+		if _, err := w.Write(out.buf); err != nil {
+			return
+		}
+	}
 }

@@ -14,6 +14,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -226,6 +227,20 @@ func TestFrameCorpusIsCurrent(t *testing.T) {
 	}
 }
 
+// TestWireSamplesCoverEveryMethod: the frame samples, and so FuzzFrame's
+// corpus, cover every RPC fed serves, in wireMethods' order.
+func TestWireSamplesCoverEveryMethod(t *testing.T) {
+	var methods []string
+	for _, s := range wireSamples(t) {
+		if !slices.Contains(methods, s.method) {
+			methods = append(methods, s.method)
+		}
+	}
+	if !slices.Equal(methods, wireMethods[:]) {
+		t.Fatalf("the samples cover %v, fed serves %v", methods, wireMethods)
+	}
+}
+
 // FuzzFrame feeds the frame reader and every message's wire method hostile
 // bytes. Whatever the bytes: no panic; heap growth bounded by a constant plus
 // a multiple of the bytes supplied, never by the lengths and counts they
@@ -285,15 +300,23 @@ func TestStockClientsServed(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, client := range []*rpc.Client{stock, framed} {
+		for _, client := range []struct {
+			call  func(method string, args, reply any) error
+			close func() error
+		}{
+			{stock.Call, stock.Close},
+			{func(method string, args, reply any) error {
+				return framed.call(method, args.(wireMsg), reply.(wireMsg))
+			}, framed.close},
+		} {
 			var rep PingReply
-			if err := client.Call(c.method, &PingArgs{}, &rep); err != nil {
+			if err := client.call(c.method, &PingArgs{}, &rep); err != nil {
 				t.Fatalf("%s: %v", c.method, err)
 			}
 			if rep.Role != c.role {
 				t.Fatalf("%s: role %q, want %q", c.method, rep.Role, c.role)
 			}
-			if err := client.Close(); err != nil {
+			if err := client.close(); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -318,45 +341,119 @@ func TestSameSeedSameWireBytes(t *testing.T) {
 	}
 }
 
-// TestServerRefusesMalformedFrames: a request whose body does not decode is
-// answered with an error and the connection keeps serving; a frame longer
-// than the cap closes the connection before anything is allocated for it.
+// TestServerRefusesMalformedFrames: a request whose body does not decode, or
+// whose method the server does not serve — an unknown one, or another
+// role's — is answered with an error and the connection keeps serving; a
+// frame longer than the cap closes the connection before anything is
+// allocated for it.
 func TestServerRefusesMalformedFrames(t *testing.T) {
 	d := deploy(t, 2, 1, 1, 1, codec.SchemeDelta)
 	defer d.close()
-	conn, err := net.Dial("tcp", d.devices[0].listener.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if err := conn.SetDeadline(time.Now().Add(5 * time.Second)); err != nil {
-		t.Fatal(err)
-	}
-	in := bufio.NewReader(conn)
-	call := func(frame []byte) (seq uint64, errMsg string, body wirer) {
-		t.Helper()
-		if _, err := conn.Write(frame); err != nil {
-			t.Fatal(err)
-		}
-		resp, err := readFrame(in, nil)
+	dial := func(addr string) (call func(frame []byte) (seq uint64, errMsg string, body wirer), conn net.Conn) {
+		conn, err := net.Dial("tcp", addr)
 		if err != nil {
 			t.Fatal(err)
 		}
-		seq, msg, body := openFrame(resp, true)
-		return seq, string(msg), body
+		t.Cleanup(func() { conn.Close() })
+		if err := conn.SetDeadline(time.Now().Add(5 * time.Second)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := conn.Write([]byte(wirePreamble)); err != nil {
+			t.Fatal(err)
+		}
+		in := bufio.NewReader(conn)
+		return func(frame []byte) (uint64, string, wirer) {
+			t.Helper()
+			if _, err := conn.Write(frame); err != nil {
+				t.Fatal(err)
+			}
+			resp, err := readFrame(in, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			seq, msg, body := openFrame(resp, true)
+			return seq, string(msg), body
+		}, conn
 	}
-	trailing := rawFrame("Device.CloudRound", append([]byte{0x02}, make([]byte, 9)...)...)
-	if seq, msg, _ := call(append([]byte(wirePreamble), trailing...)); seq != 7 || msg == "" {
-		t.Fatalf("a body with a trailing byte: seq %d, error %q", seq, msg)
+	for _, srv := range []struct {
+		addr, ping, role string
+		refused          [][]byte
+	}{
+		{d.devices[0].listener.Addr().String(), "Device.Ping", "device-host", [][]byte{
+			rawFrame("Device.CloudRound", append([]byte{0x02}, make([]byte, 9)...)...), // a trailing byte
+			rawFrame("Device.Nope"),
+			encodeFrame(7, "Edge.Step", &EdgeStepArgs{Members: []int{0}}),
+		}},
+		{d.edges[0].listener.Addr().String(), "Edge.Ping", "edge-0", [][]byte{
+			rawFrame("Edge.Nope"),
+			encodeFrame(7, "Device.Estimate", &EstimateArgs{Devices: []int{0}}),
+		}},
+	} {
+		call, _ := dial(srv.addr)
+		for _, frame := range srv.refused {
+			if seq, msg, _ := call(frame); seq != 7 || msg == "" {
+				t.Fatalf("%s refused %x: seq %d, error %q", srv.role, frame, seq, msg)
+			}
+			var rep PingReply
+			if _, msg, body := call(encodeFrame(8, srv.ping, &PingArgs{})); msg != "" || body.finish(&rep) != nil || rep.Role != srv.role {
+				t.Fatalf("%s stopped serving after refusing %x: error %q, reply %+v", srv.role, frame, msg, rep)
+			}
+		}
 	}
-	var rep PingReply
-	if _, msg, body := call(encodeFrame(8, "Device.Ping", &PingArgs{})); msg != "" || body.finish(&rep) != nil || rep.Role != "device-host" {
-		t.Fatalf("the connection stopped serving after a malformed body: error %q, reply %+v", msg, rep)
-	}
+	_, conn := dial(d.devices[0].listener.Addr().String())
 	if _, err := conn.Write(binary.LittleEndian.AppendUint32(nil, maxFrame+1)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := conn.Read(make([]byte, 1)); err != io.EOF {
 		t.Fatalf("after a frame over the cap: read %v, want EOF", err)
+	}
+}
+
+// TestClientRefusesForeignSeq: a reply whose seq is not the request in
+// flight's fails the call and closes the connection.
+func TestClientRefusesForeignSeq(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	eof := make(chan error, 1)
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			eof <- err
+			return
+		}
+		defer conn.Close()
+		r := bufio.NewReader(conn)
+		if _, err := r.Discard(len(wirePreamble)); err != nil {
+			eof <- err
+			return
+		}
+		req, err := readFrame(r, nil)
+		if err != nil {
+			eof <- err
+			return
+		}
+		seq, _, _ := openFrame(req, false)
+		if _, err := conn.Write(encodeFrame(seq+1, "", &PingReply{Role: "impostor"})); err != nil {
+			eof <- err
+			return
+		}
+		_, err = r.ReadByte()
+		eof <- err
+	}()
+	c := dialClient(t, ln.Addr().String())
+	var rep PingReply
+	if err := c.call("Device.Ping", &PingArgs{}, &rep); err == nil || rep.Role != "" {
+		t.Fatalf("a reply to another seq: err = %v, reply %+v", err, rep)
+	}
+	select {
+	case err := <-eof:
+		if err != io.EOF {
+			t.Fatalf("server side after the refused reply: %v, want EOF", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the client kept the connection open")
 	}
 }

@@ -34,8 +34,8 @@ type Result struct {
 // distribution); device uplink one local-model upload per successful
 // participation (Eq. 5); cloud volume one edge-model exchange per edge per
 // cloud round, both directions (Eq. 6). The distributed stack
-// (internal/fed) instead measures real wire bytes under net/rpc and sets
-// Measured.
+// (internal/fed) instead measures real wire bytes on its connections and
+// sets Measured.
 type CommStats struct {
 	DeviceUplinkBytes   int64
 	DeviceDownlinkBytes int64

@@ -4,11 +4,12 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"regexp"
 )
 
 // MapRange flags `range` over a map whose body makes the (intentionally
 // randomized) iteration order observable: accumulating floats, appending
-// to a slice, or issuing net/rpc calls. Those were exactly the hazards
+// to a slice, or issuing RPCs. Those were exactly the hazards
 // live in fed.groupByHost and mobility's dense transition estimator before
 // this check existed. The remediation is to iterate a sorted key slice
 // (det.SortedKeys) or to collect keys at insertion time.
@@ -17,6 +18,10 @@ var MapRange = &Analyzer{
 	Doc:  "range over a map with an order-sensitive body (float accumulation, append, RPC)",
 	Run:  runMapRange,
 }
+
+// rpcMethod matches the FullName of each RPC-issuing method: net/rpc's Client's
+// Call and Go, and fed's (unexported, so matched by name) client's call and send.
+var rpcMethod = regexp.MustCompile(`(^\(\*net/rpc\.Client\)\.(Call|Go)|\.client\)\.(call|send))$`)
 
 func runMapRange(p *Pass) {
 	for _, f := range p.Files {
@@ -74,8 +79,7 @@ func mapRangeHazard(p *Pass, body *ast.BlockStmt) string {
 				if _, isBuiltin := p.ObjectOf(id).(*types.Builtin); isBuiltin || p.Info == nil {
 					hazard = "appends to a slice in iteration order"
 				}
-			} else if fn := calleeFunc(p, n); fn != nil && fn.Pkg() != nil &&
-				fn.Pkg().Path() == "net/rpc" && (fn.Name() == "Call" || fn.Name() == "Go") {
+			} else if fn := calleeFunc(p, n); fn != nil && rpcMethod.MatchString(fn.FullName()) {
 				hazard = "issues RPCs in iteration order"
 			}
 		}

@@ -45,6 +45,25 @@ func rpcDispatch(clients map[string]*rpc.Client) {
 	}
 }
 
+// client has the shape of fed's RPC client.
+type client struct{}
+
+func (*client) call(method string, args, reply any) error { return nil }
+func (*client) send(method string, args any) error        { return nil }
+func (*client) close() error                              { return nil }
+
+func fedDispatch(clients map[string]*client) {
+	for addr, c := range clients { // want "issues RPCs"
+		_ = c.call(addr, nil, nil)
+	}
+	for addr, c := range clients { // want "issues RPCs"
+		_ = c.send(addr, nil)
+	}
+	for _, c := range clients { // closing is order-blind
+		_ = c.close()
+	}
+}
+
 func negatives(m map[string]float64, ints map[string]int) int {
 	n := 0
 	for range m { // integer counting is order-blind
