@@ -11,6 +11,8 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+
+	"github.com/mach-fl/mach/internal/telemetry"
 )
 
 var (
@@ -77,6 +79,67 @@ func TestDocCitationsResolve(t *testing.T) {
 	}
 	for _, c := range tree.comments {
 		checkSections(c.where, designCiteRe.FindAllString(c.text, -1))
+	}
+}
+
+// TestSignalTableCoversEverySignal holds DESIGN.md §8's signal table to the
+// telemetry package: one row per counter, gauge, histogram and span kind,
+// named as the snapshot and SpanKind.String name it, and each row names a
+// reader. A signal nothing reads goes instead of getting a row.
+func TestSignalTableCoversEverySignal(t *testing.T) {
+	design := readDoc(t, "DESIGN.md")
+	start := strings.Index(design, "\n## 8. ")
+	end := strings.Index(design, "\n### 8.1 ")
+	if start < 0 || end < start {
+		t.Fatal("DESIGN.md has no §8 before §8.1")
+	}
+	table := map[string]bool{}
+	rows := 0
+	for _, line := range strings.Split(design[start:end], "\n") {
+		cells := strings.Split(line, "|")
+		if len(cells) < 6 || strings.HasPrefix(cells[1], " signal") || strings.HasPrefix(cells[1], "---") {
+			continue
+		}
+		rows++
+		names := codeSpanRe.FindAllStringSubmatch(cells[2], -1)
+		if len(names) != 1 {
+			t.Errorf("signal table row %q: want one name, got %d", line, len(names))
+			continue
+		}
+		if table[names[0][1]] {
+			t.Errorf("signal table lists %s twice", names[0][1])
+		}
+		table[names[0][1]] = true
+		if strings.Contains(strings.ToLower(cells[4]), "none") {
+			t.Errorf("signal table: %s has no reader", names[0][1])
+		}
+	}
+	if rows == 0 {
+		t.Fatal("DESIGN.md §8 has no signal table")
+	}
+	want := map[string]bool{}
+	snap := telemetry.New().Snapshot()
+	for name := range snap.Counters {
+		want[name] = true
+	}
+	for name := range snap.Gauges {
+		want[name] = true
+	}
+	for name := range snap.Histograms {
+		want[name] = true
+	}
+	for k := telemetry.SpanKind(0); k.String() != "unknown"; k++ {
+		want[k.String()] = true
+	}
+	for name := range want {
+		if !table[name] {
+			t.Errorf("signal %s has no row in DESIGN.md §8's table", name)
+		}
+	}
+	for name := range table {
+		if !want[name] {
+			t.Errorf("DESIGN.md §8's table lists %s, which telemetry does not record", name)
+		}
 	}
 }
 

@@ -211,7 +211,6 @@ func (c *Cloud) Run() (*metrics.History, error) {
 				args[n].Model, args[n].ModelID, args[n].HasModel = blob, blobID, true
 				c.transfers.Add(1)
 			}
-			c.tel.Add(telemetry.CounterRPCCalls, 1)
 			fan.call(n, cl, "Edge.Step", &args[n], &replies[n], c.tel.StartSpan(telemetry.SpanRPCEdgeStep, stepSpan, t, n, -1))
 		}
 		for n, err := range fan.wait() {
@@ -233,7 +232,6 @@ func (c *Cloud) Run() (*metrics.History, error) {
 			c.core.Reduce(t, edgeParams)
 			for i, host := range c.deviceHosts {
 				var rep CloudRoundReply
-				c.tel.Add(telemetry.CounterRPCCalls, 1)
 				crArgs := CloudRoundArgs{
 					Step: t + 1,
 					Span: SpanContext{Parent: uint64(telemetry.DeriveSpanID(telemetry.SpanRPCCloudRound, t, -1, i))},

@@ -309,11 +309,8 @@ func (e *EdgeServer) step(args *EdgeStepArgs, reply *EdgeStepReply) error {
 	e.stepMu.Lock()
 	defer e.stepMu.Unlock()
 	e.tel.Add(telemetry.CounterRPCCalls, 1)
-	stepStart := e.tel.Now()
 	sp := e.tel.StartSpan(telemetry.SpanHandleEdgeStep, telemetry.SpanID(args.Span.Parent), args.Step, e.id, -1)
 	defer sp.End()
-	defer e.tel.ObserveSince(telemetry.HistStepNS, stepStart)
-	e.tel.Observe(telemetry.HistEdgeMembers, int64(len(args.Members)))
 	if err := args.Scheme.Validate(); err != nil {
 		return err
 	}
@@ -394,7 +391,6 @@ func (e *EdgeServer) installGlobal(args *EdgeStepArgs) error {
 // cloud asked for it.
 func (e *EdgeServer) finishStep(args *EdgeStepArgs, sampled int, reply *EdgeStepReply) error {
 	e.tel.Observe(telemetry.HistEdgeSampled, int64(sampled))
-	e.tel.Add(telemetry.CounterDevicesTrained, int64(sampled))
 	reply.Model, reply.HasModel, reply.Sampled = codec.Blob{Data: reply.Model.Data[:0]}, false, sampled
 	if !args.WantModel {
 		return nil

@@ -946,6 +946,51 @@ func TestSpanStitchingAcrossRPC(t *testing.T) {
 	}
 }
 
+// TestSharedSinkCountsEachEventOnce: a cluster whose cloud, edges and hosts
+// share one sink, as the benchmark's traced fed_loopback run attaches it,
+// records each event at one site. The hosts count the devices they train,
+// the cloud observes the step latency, and rpc_calls counts handler
+// invocations, so it equals the handler spans.
+func TestSharedSinkCountsEachEventOnce(t *testing.T) {
+	const steps = 6
+	d := deploy(t, 12, 2, steps, 2, codec.SchemeDelta)
+	defer d.close()
+	tel := telemetry.New()
+	tel.EnableSpans(true)
+	d.cloud.SetTelemetry(tel)
+	for _, e := range d.edges {
+		e.SetTelemetry(tel)
+	}
+	for _, s := range d.devices {
+		s.SetTelemetry(tel)
+	}
+	if _, err := d.cloud.Run(); err != nil {
+		t.Fatal(err)
+	}
+	// Before CommStats, whose Edge.Comm calls have no handler span.
+	snap := tel.Snapshot()
+
+	sampled := snap.Histograms["edge_sampled"].Sum
+	if sampled == 0 {
+		t.Fatal("no device was sampled: the comparison would be vacuous")
+	}
+	if got := snap.Counters["devices_trained"]; got != sampled {
+		t.Errorf("devices_trained = %d, edge_sampled sums to %d", got, sampled)
+	}
+	if got := snap.Histograms["step_ns"].Count; got != steps {
+		t.Errorf("step_ns count = %d over %d steps", got, steps)
+	}
+	var handled int64
+	for name, h := range snap.Histograms {
+		if strings.HasPrefix(name, "span_handle_") {
+			handled += h.Count
+		}
+	}
+	if got := snap.Counters["rpc_calls"]; got != handled {
+		t.Errorf("rpc_calls = %d, the handle_* spans count %d", got, handled)
+	}
+}
+
 // hostileHost is a device host that answers every model-bearing RPC with a
 // blob of its choosing.
 type hostileHost struct {
@@ -1477,7 +1522,7 @@ func TestFirstStepMatchesEngine(t *testing.T) {
 			}
 			requireSameBits(t, "estimates", got, want)
 			for n, tel := range tels {
-				if got := tel.Count(telemetry.CounterDevicesTrained); got != wantSampled[n] {
+				if got := tel.Snapshot().Histograms["edge_sampled"].Sum; got != wantSampled[n] {
 					t.Fatalf("edge %d sampled %d devices, the engine %d", n, got, wantSampled[n])
 				}
 			}

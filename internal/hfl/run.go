@@ -242,7 +242,7 @@ func (e *Engine) Run(opts ...RunOption) (*Result, error) {
 			}
 			if e.tel != nil {
 				e.tel.Add(telemetry.CounterCloudBytes, 2*int64(e.nEdges)*modelBytes)
-				if e.observer != nil {
+				if e.observer != nil && tr != nil {
 					never, total, most := 0, 0, 0
 					for _, n := range e.pulls {
 						if n == 0 {
@@ -251,8 +251,6 @@ func (e *Engine) Run(opts ...RunOption) (*Result, error) {
 						total += n
 						most = max(most, n)
 					}
-					e.tel.SetGauge(telemetry.GaugeNeverPulled, float64(never))
-					e.tel.SetGauge(telemetry.GaugeMaxPulls, float64(most))
 					tr.Emit(&telemetry.Event{Type: telemetry.EventEstimator, Step: t + 1, Estimator: &telemetry.EstimatorEvent{
 						Devices: e.nDevices, NeverPulled: never, TotalPulls: total, MaxPulls: most,
 					}})
@@ -280,14 +278,11 @@ func (e *Engine) Run(opts ...RunOption) (*Result, error) {
 	return res, nil
 }
 
-// stepSamplingStats accumulates one step's cross-edge sampling observations,
+// stepSamplingStats accumulates one step's cross-edge probability clamps,
 // folded serially during the accounting pass and flushed once per step.
 type stepSamplingStats struct {
-	ucbMin, ucbMax, ucbSum float64
-	ucbCount               int
-	probMass               float64
-	floorClamps            int64
-	ceilClamps             int64
+	floorClamps int64
+	ceilClamps  int64
 }
 
 // observeEdge folds one edge's decision into the step accumulator and, when
@@ -297,7 +292,6 @@ type stepSamplingStats struct {
 // context's estimates, coins) stay valid until the edge's next decide.
 func (e *Engine) observeEdge(t, n int, acc *stepSamplingStats) {
 	members := e.Members(n)
-	e.tel.Observe(telemetry.HistEdgeMembers, int64(len(members)))
 	e.tel.Observe(telemetry.HistEdgeSampled, int64(len(e.plans[n].devs)))
 	if len(members) == 0 {
 		return // edgeDecide returned early; decide-state buffers are stale
@@ -308,24 +302,12 @@ func (e *Engine) observeEdge(t, n int, acc *stepSamplingStats) {
 	}
 	probs := st.probs[:len(members)]
 	for _, q := range probs {
-		acc.probMass += q
 		if st.ctx.Floor > 0 && q <= st.ctx.Floor {
 			acc.floorClamps++
 		}
 		if q >= 1 {
 			acc.ceilClamps++
 		}
-	}
-	estimates := st.ctx.Estimates
-	for _, g := range estimates {
-		if acc.ucbCount == 0 || g < acc.ucbMin {
-			acc.ucbMin = g
-		}
-		if acc.ucbCount == 0 || g > acc.ucbMax {
-			acc.ucbMax = g
-		}
-		acc.ucbSum += g
-		acc.ucbCount++
 	}
 	tr := e.tel.Trace()
 	if !tr.DecisionActive(t, n) {
@@ -336,7 +318,7 @@ func (e *Engine) observeEdge(t, n int, acc *stepSamplingStats) {
 	tr.Emit(&telemetry.Event{Type: telemetry.EventDecision, Step: t, Decision: &telemetry.DecisionEvent{
 		Edge:      n,
 		Members:   members,
-		Estimates: estimates,
+		Estimates: st.ctx.Estimates,
 		Probs:     probs,
 		Coins:     st.coins,
 		Sampled:   st.sampledIDs,
@@ -344,16 +326,10 @@ func (e *Engine) observeEdge(t, n int, acc *stepSamplingStats) {
 	}})
 }
 
-// flushStepTelemetry publishes the step accumulator's gauges and counters.
+// flushStepTelemetry publishes the step accumulator's counters.
 func (e *Engine) flushStepTelemetry(acc *stepSamplingStats) {
 	e.tel.Add(telemetry.CounterProbFloorClamps, acc.floorClamps)
 	e.tel.Add(telemetry.CounterProbCeilClamps, acc.ceilClamps)
-	e.tel.SetGauge(telemetry.GaugeProbMass, acc.probMass)
-	if acc.ucbCount > 0 {
-		e.tel.SetGauge(telemetry.GaugeUCBMin, acc.ucbMin)
-		e.tel.SetGauge(telemetry.GaugeUCBMean, acc.ucbSum/float64(acc.ucbCount))
-		e.tel.SetGauge(telemetry.GaugeUCBMax, acc.ucbMax)
-	}
 }
 
 // edgeDecide performs the sampling decisions for one edge at one time step
@@ -513,7 +489,6 @@ func (e *Engine) aggregation() Aggregation {
 // on different shards probe concurrently; the value depends only on (seed, t,
 // n, m) — the probed model and the batch stream — never on the trainer.
 func (e *Engine) probeGradNorm(t, n, m int) float64 {
-	e.tel.Add(telemetry.CounterProbes, 1)
 	tr := e.trainers.Borrow(e.cfg.BatchSize)
 	defer e.trainers.Release(tr)
 	rng := det.NewRand(det.Probe(e.cfg.Seed, t, m))

@@ -157,7 +157,6 @@ func (e *Engine) collectStep(t int) error {
 // per step), the per-shard telemetry slots, and — when the trace records this
 // step — phase events in (phase, shard) order.
 func (e *Engine) collectShardTelemetry(t int) {
-	maxDepth := 0
 	for _, s := range e.shards {
 		e.tel.Observe(telemetry.HistDecideNS, s.decideNS)
 		e.tel.Observe(telemetry.HistTrainNS, s.trainNS)
@@ -166,11 +165,7 @@ func (e *Engine) collectShardTelemetry(t int) {
 		e.tel.ObserveShardPhase(s.id, telemetry.ShardPhaseTrain, s.trainNS)
 		e.tel.ObserveShardPhase(s.id, telemetry.ShardPhaseFinalize, s.finalNS)
 		e.tel.SetShardQueueDepth(s.id, int64(s.queueDepth))
-		if s.queueDepth > maxDepth {
-			maxDepth = s.queueDepth
-		}
 	}
-	e.tel.SetGauge(telemetry.GaugeQueueDepth, float64(maxDepth))
 	tr := e.tel.Trace()
 	if !tr.StepActive(t) {
 		return

@@ -89,20 +89,17 @@ func (c *Config) Keep(names []string) {
 //
 //   - maprange guards everything, including tests — an order-dependent
 //     accumulation in a test is a flaky test.
-//   - globalrand guards the deterministic simulation core against math/rand's
-//     shared global source; the benchmark harness, the CLIs and tests are
-//     exempt. Wall-clock reads are walltime's alone: its scope contains
-//     globalrand's, so one read is reported once.
 //   - walltime guards everything except internal/telemetry: even harness and
 //     CLI code must read wall time through telemetry.WallNow/WallSince so the
 //     repo has exactly one clock site to audit.
 //   - floateq and errdrop guard non-test code everywhere; tests compare
 //     floats exactly on purpose (bit-identity contracts) and may drop
 //     errors for brevity.
-//   - randshare and selectdet guard the deterministic simulation core, like
-//     globalrand: CLIs and the bench harness may use ad-hoc goroutines, and
-//     tests may share rands deliberately (e.g. to provoke races under
-//     -race).
+//   - randshare guards the deterministic simulation core: CLIs and the
+//     bench harness may seed and share ad-hoc rands, and tests may share
+//     rands deliberately (e.g. to provoke races under -race). A global
+//     math/rand draw or a scheduler-ordered channel fan-in in the core has
+//     no check: the layout matrix fails on either (DESIGN.md §5.5).
 //   - intoalias guards non-test code everywhere: every *Into buffer
 //     function must declare its aliasing contract and every call site is
 //     checked against it. Tests are exempt — they routinely alias buffers
@@ -116,11 +113,6 @@ func (c *Config) Keep(names []string) {
 func DefaultConfig() *Config {
 	return &Config{Rules: map[string]*Rule{
 		"maprange": {Enabled: true},
-		"globalrand": {
-			Enabled:   true,
-			SkipTests: true,
-			Skip:      []string{"internal/bench", "cmd", "examples"},
-		},
 		"walltime": {
 			Enabled:   true,
 			SkipTests: true,
@@ -152,11 +144,6 @@ func DefaultConfig() *Config {
 			Enabled:   true,
 			SkipTests: true,
 			Skip:      []string{"internal/bench", "cmd", "examples"},
-		},
-		"selectdet": {
-			Enabled:   true,
-			SkipTests: true,
-			Skip:      []string{"cmd", "examples"},
 		},
 		"intoalias":  {Enabled: true, SkipTests: true},
 		"allocfree":  {Enabled: true},

@@ -135,19 +135,19 @@ func TestChecksFlag(t *testing.T) {
 	}
 }
 
-// TestDefaultConfigScoping pins the package-scoped policy: globalrand
+// TestDefaultConfigScoping pins the package-scoped policy: randshare
 // guards the simulation core but not the benchmark harness or the CLIs.
 func TestDefaultConfigScoping(t *testing.T) {
 	cfg := DefaultConfig()
-	gr := cfg.rule("globalrand")
+	rs := cfg.rule("randshare")
 	for _, path := range []string{"internal/hfl", "internal/fed", "internal/mobility", "internal/nn", "internal/tensor", "internal/sampling"} {
-		if !gr.appliesTo(path) {
-			t.Errorf("globalrand must apply to %s", path)
+		if !rs.appliesTo(path) {
+			t.Errorf("randshare must apply to %s", path)
 		}
 	}
 	for _, path := range []string{"internal/bench", "cmd/machsim", "cmd", "examples/quickstart"} {
-		if gr.appliesTo(path) {
-			t.Errorf("globalrand must not apply to %s", path)
+		if rs.appliesTo(path) {
+			t.Errorf("randshare must not apply to %s", path)
 		}
 	}
 	// Prefix matching is segment-aware: cmdx is not under cmd.

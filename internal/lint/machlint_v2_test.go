@@ -317,7 +317,7 @@ func TestAllChecks(t *testing.T) {
 	for _, c := range checks {
 		set[c] = true
 	}
-	for _, want := range []string{"randshare", "intoalias", "selectdet", "allocfree", "deadexport", "maprange"} {
+	for _, want := range []string{"randshare", "intoalias", "allocfree", "deadexport", "maprange"} {
 		if !set[want] {
 			t.Fatalf("AllChecks missing %q: %v", want, checks)
 		}

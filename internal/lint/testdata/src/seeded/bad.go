@@ -17,7 +17,7 @@ func violations(m map[string]float64) float64 {
 		total += v
 	}
 	if total == 0.5 { // floateq
-		total = rand.Float64() // globalrand
+		total = 0
 	}
 	mayFail()                                 // errdrop
 	total += float64(time.Now().Nanosecond()) // walltime
@@ -28,7 +28,7 @@ func moreViolations() int {
 	r := rand.New(rand.NewSource(42)) // randshare: constant seed
 	out := make(chan int)
 	go func() { out <- r.Intn(10) }()
-	go func() { out <- r.Intn(10) }() // randshare: shared stream; selectdet: two producers
+	go func() { out <- r.Intn(10) }() // randshare: shared stream
 	return <-out + <-out
 }
 

@@ -41,8 +41,6 @@ const (
 	CounterCloudRounds
 	// CounterEvals counts global-model evaluations.
 	CounterEvals
-	// CounterProbes counts oracle gradient-norm probes (MACH-P).
-	CounterProbes
 	// CounterProbFloorClamps counts sampling probabilities saturated at the
 	// strategy's floor (q_min) by the capacity normalization of Eq. (18);
 	// CounterProbCeilClamps counts saturations at 1. Together they expose
@@ -69,7 +67,6 @@ var counterNames = [counterCount]string{
 	"uploads_dropped",
 	"cloud_rounds",
 	"evals",
-	"probes",
 	"prob_floor_clamps",
 	"prob_ceil_clamps",
 	"device_downlink_bytes",
@@ -81,57 +78,32 @@ var counterNames = [counterCount]string{
 // Gauge identifies one last-value metric.
 type Gauge int
 
-// Gauges of the training engine.
+// Gauges of the training engine: the most recent evaluation's results.
 const (
-	// GaugeUCBMin/Mean/Max summarize the per-member UCB estimates of the
-	// most recent step, across all edges (Eq. 15).
-	GaugeUCBMin Gauge = iota
-	GaugeUCBMean
-	GaugeUCBMax
-	// GaugeProbMass is Σ q over all members of all edges in the most recent
-	// step — the expected number of sampled devices (Eq. 3 sums to ≤ ΣK_n).
-	GaugeProbMass
-	// GaugeNeverPulled is the number of devices the experience estimator has
-	// never observed; GaugeMaxPulls the most-pulled device's participation
-	// count. Both refresh at cloud rounds.
-	GaugeNeverPulled
-	GaugeMaxPulls
-	// GaugeAccuracy/GaugeLoss are the most recent evaluation results.
-	GaugeAccuracy
+	GaugeAccuracy Gauge = iota
 	GaugeLoss
-	// GaugeQueueDepth samples the worker pool's submission backlog during
-	// the execution phase.
-	GaugeQueueDepth
 
 	gaugeCount
 )
 
 // gaugeNames align with the Gauge constants.
 var gaugeNames = [gaugeCount]string{
-	"ucb_min",
-	"ucb_mean",
-	"ucb_max",
-	"prob_mass",
-	"never_pulled",
-	"max_pulls",
 	"accuracy",
 	"loss",
-	"queue_depth",
 }
 
 // Hist identifies one fixed-bucket histogram.
 type Hist int
 
 // Histograms of the training engine. The *NS histograms record phase
-// durations in nanoseconds; the Edge* histograms record per-edge per-step
-// population counts.
+// durations in nanoseconds; HistEdgeSampled records each edge step's count
+// of sampled devices.
 const (
 	HistDecideNS Hist = iota
 	HistTrainNS
 	HistAggregateNS
 	HistEvalNS
 	HistStepNS
-	HistEdgeMembers
 	HistEdgeSampled
 
 	histCount
@@ -144,7 +116,6 @@ var histNames = [histCount]string{
 	"aggregate_ns",
 	"eval_ns",
 	"step_ns",
-	"edge_members",
 	"edge_sampled",
 }
 
@@ -279,8 +250,8 @@ func (t *Telemetry) Trace() *Trace {
 
 // Now reads the telemetry clock in nanoseconds. Disabled telemetry returns
 // 0 without touching any clock, so the disabled hot path stays
-// syscall-free; callers pair Now with ObserveSince and both degrade to
-// no-ops together.
+// syscall-free; callers pair Now with Observe and both degrade to no-ops
+// together.
 //
 //machlint:allocfree
 func (t *Telemetry) Now() int64 {
@@ -326,18 +297,6 @@ func (t *Telemetry) Observe(h Hist, v int64) {
 		return
 	}
 	t.hists[h].observe(v)
-}
-
-// ObserveSince records the nanoseconds elapsed since start (a value from
-// Now) into a duration histogram. On a nil receiver both Now and
-// ObserveSince are no-ops, so instrumented code needs no enabled check.
-//
-//machlint:allocfree
-func (t *Telemetry) ObserveSince(h Hist, start int64) {
-	if t == nil {
-		return
-	}
-	t.hists[h].observe(t.clock() - start)
 }
 
 // SetShardCount sizes the per-shard metric slots. The engine calls it once

@@ -16,9 +16,9 @@ func TestNilTelemetryZeroAlloc(t *testing.T) {
 	allocs := testing.AllocsPerRun(1000, func() {
 		start := tel.Now()
 		tel.Add(CounterSteps, 1)
-		tel.SetGauge(GaugeProbMass, 1.5)
-		tel.Observe(HistEdgeMembers, 12)
-		tel.ObserveSince(HistDecideNS, start)
+		tel.SetGauge(GaugeAccuracy, 1.5)
+		tel.Observe(HistEdgeSampled, 12)
+		tel.Observe(HistDecideNS, tel.Now()-start)
 		tr := tel.Trace()
 		if tr.DecisionActive(3, 0) {
 			t.Fatal("nil trace claims active decisions")
@@ -43,7 +43,7 @@ func TestEnabledCountersZeroAlloc(t *testing.T) {
 		tel.Add(CounterDevicesTrained, 3)
 		tel.SetGauge(GaugeAccuracy, 0.7)
 		tel.Observe(HistEdgeSampled, 5)
-		tel.ObserveSince(HistStepNS, start)
+		tel.Observe(HistStepNS, tel.Now()-start)
 	})
 	if allocs != 0 {
 		t.Fatalf("enabled metrics path allocates %.1f per run, want 0", allocs)
@@ -56,10 +56,10 @@ func TestCountersGaugesHistograms(t *testing.T) {
 	tel.Add(CounterSteps, 2)
 	tel.Add(CounterSteps, 1)
 	tel.SetGauge(GaugeLoss, 2.25)
-	tel.Observe(HistEdgeMembers, 0)
-	tel.Observe(HistEdgeMembers, 1)
-	tel.Observe(HistEdgeMembers, 5)
-	tel.Observe(HistEdgeMembers, 8)
+	tel.Observe(HistEdgeSampled, 0)
+	tel.Observe(HistEdgeSampled, 1)
+	tel.Observe(HistEdgeSampled, 5)
+	tel.Observe(HistEdgeSampled, 8)
 
 	if got := tel.Count(CounterSteps); got != 3 {
 		t.Fatalf("CounterSteps = %d, want 3", got)
@@ -68,15 +68,15 @@ func TestCountersGaugesHistograms(t *testing.T) {
 	if got := s.Gauges["loss"]; got != 2.25 {
 		t.Fatalf("GaugeLoss = %v, want 2.25", got)
 	}
-	h := s.Histograms["edge_members"]
+	h := s.Histograms["edge_sampled"]
 	if h.Count != 4 || h.Sum != 14 {
-		t.Fatalf("edge_members count/sum = %d/%d, want 4/14", h.Count, h.Sum)
+		t.Fatalf("edge_sampled count/sum = %d/%d, want 4/14", h.Count, h.Sum)
 	}
 	// Small values get exact unit buckets in the log-linear layout:
 	// 0 → [0,0]; 1 → [1,1]; 5 → [5,5]; 8 → [8,8].
 	want := []HistBucket{{0, 0, 1}, {1, 1, 1}, {5, 5, 1}, {8, 8, 1}}
 	if len(h.Buckets) != len(want) {
-		t.Fatalf("edge_members buckets = %+v, want %+v", h.Buckets, want)
+		t.Fatalf("edge_sampled buckets = %+v, want %+v", h.Buckets, want)
 	}
 	for i, b := range want {
 		if h.Buckets[i] != b {
@@ -173,7 +173,7 @@ func TestSnapshotDeterministicJSON(t *testing.T) {
 	build := func() []byte {
 		tel := NewWithClock(func() int64 { return 7 })
 		tel.Add(CounterEvals, 4)
-		tel.SetGauge(GaugeUCBMax, 3.5)
+		tel.SetGauge(GaugeLoss, 3.5)
 		tel.Observe(HistStepNS, 1000)
 		var buf bytes.Buffer
 		if err := tel.WriteSnapshot(&buf); err != nil {
