@@ -127,18 +127,21 @@ func (s *DeviceServer) ping(_ *PingArgs, reply *PingReply) error {
 }
 
 // estimate returns the devices' current UCB gradient-norm estimates
-// (Eq. 15), read under one book lock. Unknown devices yield an error: the
-// edge's membership view is stale.
+// (Eq. 15), read under one book lock, and their dataset sizes. Unknown
+// devices yield an error: the edge's membership view is stale.
 func (s *DeviceServer) estimate(args *EstimateArgs, reply *EstimateReply) error {
 	s.tel.Add(telemetry.CounterRPCCalls, 1)
 	sp := s.tel.StartSpan(telemetry.SpanHandleEstimate, telemetry.SpanID(args.Span.Parent), args.Step, -1, -1)
 	defer sp.End()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, id := range args.Devices {
-		if _, ok := s.devices[id]; !ok {
+	reply.Sizes = resize(reply.Sizes, len(args.Devices))
+	for i, id := range args.Devices {
+		dev, ok := s.devices[id]
+		if !ok {
 			return fmt.Errorf("fed: device %d not hosted here", id)
 		}
+		reply.Sizes[i] = dev.data.Len()
 	}
 	reply.Estimates = resize(reply.Estimates, len(args.Devices))
 	s.book.UCBEstimatesInto(reply.Estimates, args.Devices, args.Step)
@@ -147,15 +150,15 @@ func (s *DeviceServer) estimate(args *EstimateArgs, reply *EstimateReply) error 
 
 // hostedEdge is what a host keeps for one edge: one cached base, named by one
 // ID, and the buffers of the edge's calls. A base the call carries decodes
-// into the vector of the base it replaces, and an advance runs in place: the
-// old ID retires before its bits change. mu serializes the edge's calls,
-// which the edge makes one at a time anyway, so that no call reads a vector
-// another one rewrites.
+// into the vector of the base it replaces, and an advance swaps its fold in:
+// the old ID retires before its vector is reused. mu serializes the edge's
+// calls, which the edge makes one at a time anyway, so that no call reads a
+// vector another one rewrites.
 type hostedEdge struct {
 	mu      sync.Mutex
 	id      uint64 // base's ID; 0 when none resolves
 	base    []float64
-	sum     []float64   // the update sum of the call in progress
+	sum     []float64   // the fold of the call in progress; an advance swaps it with base
 	ef      []float64   // error feedback for the edge's lossy update-sum encodes
 	norms   []float64   // the devices' gradient-norm windows, back to back
 	windows [][]float64 // per device: its window of norms
@@ -223,15 +226,16 @@ func (s *DeviceServer) getBase(args *GetBaseArgs, reply *GetBaseReply) error {
 
 // trainMany runs local updating on every listed device from the base named
 // by BaseID — cached, or installed first from args.Base when the call
-// carries it — and returns the summed update Σ(w_m − base), accumulated in
-// args.Devices order, which fixes the float order of the edge's
-// aggregation. With args.Advance the host instead folds the sum into the
-// next base itself (base + Σ/|Devices|), installs it under NextID and ships
-// no vector at all. Devices train sequentially: they share the host's
-// compute the way one simulator machine emulates a fleet, and cross-host
-// parallelism comes from the edge's concurrent dispatch. Concurrent calls
-// (one per edge) touch distinct devices, since a device attaches to exactly
-// one edge per step (Eq. 1), so each device's RNG serves one call at a time.
+// carries it — and folds each trained model θ_m at its weight w_m with
+// hfl.Trainer.Fold, in args.Devices order, which fixes the float order of
+// the edge's aggregation: the reply's update sum Σ w_m·(θ_m − base), or with
+// args.NextID the next base Σ w_m·θ_m from zero, exactly the engine's
+// AggPlain fold, which the host installs under NextID, shipping no vector at
+// all. Devices train sequentially: they share the host's compute the way one
+// simulator machine emulates a fleet, and cross-host parallelism comes from
+// the edge's concurrent dispatch. Concurrent calls (one per edge) touch
+// distinct devices, since a device attaches to exactly one edge per step
+// (Eq. 1), so each device's RNG serves one call at a time.
 func (s *DeviceServer) trainMany(args *TrainManyArgs, reply *TrainManyReply) error {
 	s.tel.Add(telemetry.CounterRPCCalls, 1)
 	sp := s.tel.StartSpan(telemetry.SpanHandleTrainMany, telemetry.SpanID(args.Span.Parent), args.Step, args.Edge, -1)
@@ -239,8 +243,7 @@ func (s *DeviceServer) trainMany(args *TrainManyArgs, reply *TrainManyReply) err
 	if err := args.Scheme.Validate(); err != nil {
 		return err
 	}
-	hyper := args.Hyper
-	if err := s.checkHyper(len(args.Devices), hyper); err != nil {
+	if err := s.checkHyper(args); err != nil {
 		return err
 	}
 	if err := s.checkDevices(args.Devices); err != nil {
@@ -253,10 +256,14 @@ func (s *DeviceServer) trainMany(args *TrainManyArgs, reply *TrainManyReply) err
 	if err != nil {
 		return err
 	}
-	tr := s.trainers.Borrow(hyper.BatchSize)
+	tr := s.trainers.Borrow(args.Hyper.BatchSize)
 	defer s.trainers.Release(tr)
 	he.sum = zeroed(he.sum, len(base))
-	if err := s.trainDevices(tr, he, base, args.Devices, hyper); err != nil {
+	foldBase := base
+	if args.NextID != 0 {
+		foldBase = nil
+	}
+	if err := s.trainDevices(tr, he, base, foldBase, args); err != nil {
 		return err
 	}
 	s.tel.Add(telemetry.CounterDevicesTrained, int64(len(args.Devices)))
@@ -264,9 +271,8 @@ func (s *DeviceServer) trainMany(args *TrainManyArgs, reply *TrainManyReply) err
 	// a failed RPC, which fails the run, records none.
 	s.book.ObserveMany(args.Devices, he.windows)
 
-	if args.Advance {
-		nextBase(base, he.sum, len(args.Devices))
-		he.id = args.NextID
+	if args.NextID != 0 {
+		he.id, he.base, he.sum = args.NextID, he.sum, he.base
 		reply.Sum, reply.HasSum = codec.Blob{Data: reply.Sum.Data[:0]}, false
 		return nil
 	}
@@ -285,39 +291,45 @@ func (s *DeviceServer) trainMany(args *TrainManyArgs, reply *TrainManyReply) err
 	return nil
 }
 
-// trainDevices trains each of devices from base in turn on tr, adding its
-// trained − base to he.sum, and records its gradient norms in he.windows.
+// trainDevices trains each of args.Devices from base in turn on tr, adding
+// its weighted trained − foldBase (trained when foldBase is nil) to he.sum,
+// and records its gradient norms in he.windows.
 //
 //machlint:allocfree
-func (s *DeviceServer) trainDevices(tr *hfl.Trainer, he *hostedEdge, base []float64, devices []int, hyper Hyper) error {
-	epochs := hyper.LocalEpochs
-	he.norms = resize(he.norms, len(devices)*epochs)
-	he.windows = resize(he.windows, len(devices))
-	for i, id := range devices {
+func (s *DeviceServer) trainDevices(tr *hfl.Trainer, he *hostedEdge, base, foldBase []float64, args *TrainManyArgs) error {
+	epochs := args.Hyper.LocalEpochs
+	he.norms = resize(he.norms, len(args.Devices)*epochs)
+	he.windows = resize(he.windows, len(args.Devices))
+	for i, id := range args.Devices {
 		s.mu.Lock()
 		dev := s.devices[id]
 		s.mu.Unlock()
 		he.windows[i] = he.norms[i*epochs : (i+1)*epochs]
-		if err := tr.LocalUpdate(base, dev.data, dev.rng, hyper.LearningRate, he.windows[i]); err != nil {
+		if err := tr.LocalUpdate(base, dev.data, dev.rng, args.Hyper.LearningRate, he.windows[i]); err != nil {
 			return fmt.Errorf("fed: device %d: %w", id, err)
 		}
-		tr.Fold(he.sum, base, 1, -1) // sum += trained − base, exactly
+		tr.Fold(he.sum, foldBase, args.Weights[i], -1)
 	}
 	return nil
 }
 
-// checkHyper refuses hyperparameters no edge sends before anything is sized
-// by them: they arrive from the wire, and as in the frame decoder no wire
-// value sizes a buffer past maxFrame bytes — here the devices' gradient-norm
-// windows (devices·LocalEpochs floats) and the trainer's minibatch input.
-func (s *DeviceServer) checkHyper(devices int, h Hyper) error {
+// checkHyper refuses hyperparameters and fold weights no edge sends before
+// anything is sized or trained by them: they arrive from the wire, and as in
+// the frame decoder no wire value sizes a buffer past maxFrame bytes — here
+// the devices' gradient-norm windows (devices·LocalEpochs floats) and the
+// trainer's minibatch input — and each device needs a finite positive weight.
+func (s *DeviceServer) checkHyper(args *TrainManyArgs) error {
 	const maxFloats = maxFrame / 8
-	lr := h.LearningRate
-	if devices > 0 && h.LocalEpochs > 0 && h.LocalEpochs <= maxFloats/devices &&
-		h.BatchSize > 0 && h.BatchSize <= s.maxBatch && lr > 0 && !math.IsInf(lr, 1) {
-		return nil
+	devices, h := len(args.Devices), args.Hyper
+	ok := devices > 0 && h.LocalEpochs > 0 && h.LocalEpochs <= maxFloats/devices && h.BatchSize > 0 &&
+		h.BatchSize <= s.maxBatch && h.LearningRate > 0 && !math.IsInf(h.LearningRate, 1) && len(args.Weights) == devices
+	for _, w := range args.Weights {
+		ok = ok && w > 0 && !math.IsInf(w, 1)
 	}
-	return fmt.Errorf("fed: TrainMany of %d devices with hyperparameters %+v", devices, h)
+	if !ok {
+		return fmt.Errorf("fed: TrainMany of %d devices with hyperparameters %+v and %d weights", devices, h, len(args.Weights))
+	}
+	return nil
 }
 
 // checkDevices fails a TrainMany call that names a device this host does not

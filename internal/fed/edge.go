@@ -3,6 +3,7 @@ package fed
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"strings"
@@ -11,15 +12,18 @@ import (
 
 	"github.com/mach-fl/mach/internal/codec"
 	"github.com/mach-fl/mach/internal/det"
+	"github.com/mach-fl/mach/internal/hfl"
 	"github.com/mach-fl/mach/internal/sampling"
 	"github.com/mach-fl/mach/internal/telemetry"
 	"github.com/mach-fl/mach/internal/tensor"
 )
 
 // EdgeServer executes one edge's share of every time step: it fetches its
-// current members' G̃² estimates from their device hosts, derives the edge
-// sampling strategy (Algorithm 3), dispatches local training, and aggregates
-// the returned updates into the edge model.
+// current members' G̃² estimates and dataset sizes from their device hosts,
+// derives the edge sampling strategy (Algorithm 3), samples and weights the
+// members with hfl.Decision under hfl.AggPlain, the rule of every fed
+// deployment, dispatches local training, and aggregates the returned
+// updates into the edge model.
 //
 // The edge maintains one baseline stream per device host (see protocol.go):
 // training requests (Device.TrainMany) name the current base model by ID and
@@ -55,19 +59,16 @@ type EdgeServer struct {
 	memberAddr []string          // per member: its host's address
 	addrs      []string          // the members' distinct host addresses, sorted
 	host       []int             // per member: its host's position in addrs
-	all        hostGroups        // the members by host
-	picked     hostGroups        // the sampled devices by host
-	calls      []hostCalls       // per host of all while estimating, of picked while training
+	order      []int             // the host positions by first member (resolveHosts)
+	calls      []hostCalls       // per host position: its calls of the step
+	sampled    []int             // the sampled hosts' positions, in address order
 	probs      []float64         // per member: its estimate, then its probability
-	sampled    []int             // the sampled devices, in member order
-	sampledAt  []int             // per sampled device: its host's position
+	sizes      []int             // per member: its dataset size |D_m|
+	decision   hfl.Decision      // the step's sampled members and their weights
 	baseArgs   GetBaseArgs       // ensureParams' call
 	baseReply  GetBaseReply      // its reply; the blob's capacity is reused
 	baseBlob   []byte            // train's encode of the base it ships
-	sum        []float64         // Σ over hosts of the update sums
 	hostSum    []float64         // one host's decoded update sum
-	order      []int             // the sampled hosts' reduce order (reduceOrder)
-	group      []int             // reduceOrder's per-host scratch
 
 	mu       sync.Mutex // guards clients: Close may run during a step
 	clients  map[string]*client
@@ -208,7 +209,11 @@ func (e *EdgeServer) client(addr string) (*client, error) {
 
 // resolveHosts resolves each member's host once: e.addrs lists the distinct
 // host addresses sorted, so per-host RPC dispatch and result ordering are
-// stable across runs, and e.host[i] is members[i]'s position in e.addrs.
+// stable across runs; e.host[i] is members[i]'s position in e.addrs, and
+// that host's call slot lists its members in member order. e.order lists the
+// host positions by each host's first member: the order the edge adds the
+// hosts' update sums in, which the run alone fixes, whereas address order
+// follows the ports, and three or more sums do not commute.
 func (e *EdgeServer) resolveHosts(members []int) (err error) {
 	e.memberAddr = resize(e.memberAddr, len(members))
 	for i, m := range members {
@@ -219,44 +224,25 @@ func (e *EdgeServer) resolveHosts(members []int) (err error) {
 	e.addrs = append(e.addrs[:0], e.memberAddr...)
 	slices.Sort(e.addrs)
 	e.addrs = slices.Compact(e.addrs)
-	e.host = resize(e.host, len(members))
+	e.calls = resize(e.calls, len(e.addrs))
+	for h := range e.calls {
+		e.calls[h].estimate.Devices = e.calls[h].estimate.Devices[:0]
+	}
+	e.host, e.order = resize(e.host, len(members)), e.order[:0]
 	for i, addr := range e.memberAddr {
-		e.host[i], _ = slices.BinarySearch(e.addrs, addr)
+		h, _ := slices.BinarySearch(e.addrs, addr)
+		hc := &e.calls[h]
+		if len(hc.estimate.Devices) == 0 {
+			e.order = append(e.order, h)
+		}
+		e.host[i], hc.estimate.Devices = h, append(hc.estimate.Devices, members[i])
 	}
 	return nil
 }
 
-// hostGroups splits device IDs by host into buffers reused split after
-// split: for each host position h that any ID has, in order, addrs holds the
-// host's address and groups its IDs, in the order given.
-type hostGroups struct {
-	addrs  []string
-	groups [][]int
-	byHost [][]int // per host position: its IDs
-}
-
-// split groups ids by host; host[i] is ids[i]'s position in addrs.
-//
-//machlint:allocfree
-func (g *hostGroups) split(ids, host []int, addrs []string) {
-	g.byHost = resize(g.byHost, len(addrs))
-	for h := range g.byHost {
-		g.byHost[h] = g.byHost[h][:0]
-	}
-	for i, id := range ids {
-		g.byHost[host[i]] = append(g.byHost[host[i]], id)
-	}
-	g.addrs, g.groups = g.addrs[:0], g.groups[:0]
-	for h, group := range g.byHost {
-		if len(group) != 0 {
-			g.addrs, g.groups = append(g.addrs, addrs[h]), append(g.groups, group)
-		}
-	}
-}
-
 // hostCalls holds one host's RPCs of a step: the Estimate and TrainMany
-// args, and the replies, whose buffers the client decodes into step after
-// step.
+// args, whose device lists it owns, and the replies, whose buffers the
+// client decodes into step after step.
 type hostCalls struct {
 	estimate  EstimateArgs
 	estimates EstimateReply
@@ -264,36 +250,6 @@ type hostCalls struct {
 	train     TrainManyArgs
 	trained   TrainManyReply
 	ship      bool // train carries the base
-}
-
-// reduceOrder returns the order the edge adds its sampled hosts' update sums
-// in, as indices of e.picked's groups: by each host's first member in the
-// step (host[i] is member i's host position), which the run alone fixes.
-// Address order follows the ports, and three or more sums do not commute.
-// The result is valid until the next step.
-//
-//machlint:allocfree
-func (e *EdgeServer) reduceOrder(host, sampledHost []int, hosts int) []int {
-	group := zeroed(e.group, hosts) // 1 + the host's sampled-group index, 0 if unsampled
-	for _, h := range sampledHost {
-		group[h] = 1
-	}
-	k := 0
-	for h, g := range group {
-		if g != 0 {
-			k++
-			group[h] = k
-		}
-	}
-	order := e.order[:0]
-	for _, h := range host {
-		if group[h] != 0 {
-			order = append(order, group[h]-1)
-			group[h] = 0
-		}
-	}
-	e.group, e.order = group, order
-	return order
 }
 
 // stepSpanID is the edge's handler-span ID for one step — the parent of
@@ -326,39 +282,35 @@ func (e *EdgeServer) step(args *EdgeStepArgs, reply *EdgeStepReply) error {
 	if err := e.resolveHosts(args.Members); err != nil {
 		return err
 	}
-	e.all.split(args.Members, e.host, e.addrs) // every host has a member
-	e.calls = resize(e.calls, len(e.addrs))
 	if err := e.fetchEstimates(args.Step); err != nil {
 		return err
 	}
 
-	// Edge sampling (Algorithm 3), in place over the fetched estimates, and
-	// Bernoulli device sampling on the engine's coin stream for (step, edge).
+	// Edge sampling (Algorithm 3), in place over the fetched estimates, then
+	// the engine's decision on its coin stream for (step, edge).
 	e.probs = sampling.EdgeSamplingInto(e.machCfg, args.Capacity, e.probs, e.probs)
 	e.coins.Seed(det.EdgeCoin(e.seed, args.Step, e.id))
-	e.sampled, e.sampledAt = e.sampled[:0], e.sampledAt[:0]
-	for i, m := range args.Members {
-		q := e.probs[i]
-		if !(q >= 0 && q <= 1) {
-			return fmt.Errorf("fed: edge %d: device %d sampling probability %v, outside [0, 1]", e.id, m, q)
-		}
-		if e.coins.Float64() < q {
-			e.sampled = append(e.sampled, m)
-			e.sampledAt = append(e.sampledAt, e.host[i])
-		}
+	if err := e.decision.Decide(e.coins, args.Members, e.probs, func(i int) int { return e.sizes[i] }, hfl.AggPlain, 0); err != nil {
+		return fmt.Errorf("fed: edge %d: %w", e.id, err)
 	}
-	if len(e.sampled) == 0 {
+	picks := e.decision.Picks
+	if len(picks) == 0 {
 		return e.finishStep(args, 0, reply)
 	}
-
-	// Within a host the sampled order is kept: it fixes the summation order
-	// of the aggregation.
-	e.picked.split(e.sampled, e.sampledAt, e.addrs)
-	order := e.reduceOrder(e.host, e.sampledAt, len(e.addrs))
-	if err := e.train(args, len(e.sampled), order); err != nil {
+	// Each host's call lists its sampled devices and their weights in member
+	// order, which fixes the summation order of its fold.
+	for h := range e.calls {
+		tm := &e.calls[h].train
+		tm.Devices, tm.Weights = tm.Devices[:0], tm.Weights[:0]
+	}
+	for _, p := range picks {
+		tm := &e.calls[e.host[p.Member]].train
+		tm.Devices, tm.Weights = append(tm.Devices, p.Device), append(tm.Weights, p.Weight)
+	}
+	if err := e.train(args); err != nil {
 		return err
 	}
-	return e.finishStep(args, len(e.sampled), reply)
+	return e.finishStep(args, len(picks), reply)
 }
 
 // installGlobal decodes the cloud's global model from EdgeStepArgs and makes
@@ -511,53 +463,59 @@ func (e *EdgeServer) callHost(step int, kind telemetry.SpanKind, i int, addr, me
 	return c.call(method, args, reply)
 }
 
-// fetchEstimates queries the members' UCB estimates into e.probs, from all
-// hosts at once: e.all's groups[h] from addrs[h]. Merging walks the
-// hosts in order, so the first surfaced error is deterministic, and the
-// members in order, each taking its host's next estimate.
+// fetchEstimates queries the members' UCB estimates into e.probs and their
+// dataset sizes into e.sizes, from all hosts at once. Merging walks the hosts
+// in order, so the first surfaced error is deterministic, and the members in
+// order, each taking its host's next estimate and size. Sizes come from the
+// wire: each must be at least 1, and their total must fit an int, before the
+// fold weights divide by it.
 func (e *EdgeServer) fetchEstimates(step int) error {
-	addrs, groups := e.all.addrs, e.all.groups
-	e.fan.start(len(addrs))
-	for i, addr := range addrs {
-		hc := &e.calls[i]
-		hc.estimate = EstimateArgs{Step: step, Devices: groups[i], Span: e.hostSpan(telemetry.SpanRPCEstimate, step, i)}
-		e.send(step, telemetry.SpanRPCEstimate, i, addr, "Device.Estimate", &hc.estimate, &hc.estimates)
+	e.fan.start(len(e.addrs))
+	for h, addr := range e.addrs {
+		hc := &e.calls[h]
+		hc.estimate = EstimateArgs{Step: step, Devices: hc.estimate.Devices, Span: e.hostSpan(telemetry.SpanRPCEstimate, step, h)}
+		e.send(step, telemetry.SpanRPCEstimate, h, addr, "Device.Estimate", &hc.estimate, &hc.estimates)
 	}
-	errs := e.fan.wait()
-	for i, addr := range addrs {
-		hc := &e.calls[i]
-		if errs[i] != nil {
-			return fmt.Errorf("fed: edge %d estimate via %s: %w", e.id, addr, errs[i])
+	for h, err := range e.fan.wait() {
+		hc, addr := &e.calls[h], e.addrs[h]
+		if err != nil {
+			return fmt.Errorf("fed: edge %d estimate via %s: %w", e.id, addr, err)
 		}
-		if got := len(hc.estimates.Estimates); got != len(groups[i]) {
-			return fmt.Errorf("fed: edge %d: host %s returned %d estimates for %d devices", e.id, addr, got, len(groups[i]))
+		if n, got, sizes := len(hc.estimate.Devices), len(hc.estimates.Estimates), len(hc.estimates.Sizes); got != n || sizes != n {
+			return fmt.Errorf("fed: edge %d: host %s returned %d estimates and %d sizes for %d devices", e.id, addr, got, sizes, n)
 		}
 		hc.next = 0
 	}
-	e.probs = resize(e.probs, len(e.host))
+	e.probs, e.sizes = resize(e.probs, len(e.host)), resize(e.sizes, len(e.host))
+	total := 0
 	for i, h := range e.host {
 		hc := &e.calls[h]
-		e.probs[i] = hc.estimates.Estimates[hc.next]
+		e.probs[i], e.sizes[i] = hc.estimates.Estimates[hc.next], hc.estimates.Sizes[hc.next]
 		hc.next++
+		if size := e.sizes[i]; size < 1 || size > math.MaxInt-total {
+			return fmt.Errorf("fed: edge %d: host %s returned dataset size %d after a total of %d", e.id, e.addrs[h], size, total)
+		}
+		total += e.sizes[i]
 	}
 	return nil
 }
 
-// train runs the step's training: it dispatches one TrainMany per host of
-// e.picked, attaching the current base for the hosts that lack it, and folds
-// the hosts' update sums into the next base in the given order (reduceOrder)
-// — or, when one host covers the whole sample and the cloud does not need
-// the model this step, lets that host advance the base in place so no model
-// bytes cross the wire.
-func (e *EdgeServer) train(args *EdgeStepArgs, totalSampled int, order []int) error {
-	addrs, groups := e.picked.addrs, e.picked.groups
-	calls := e.calls[:len(addrs)]
-	advance := len(addrs) == 1 && !args.WantModel
+// train runs the step's training: it dispatches one TrainMany per sampled
+// host, attaching the current base for the hosts that lack it, and adds the
+// hosts' weighted update sums onto the base in e.order — or, when one host
+// covers the whole sample, lets that host fold the next base and install it
+// in place, so no model bytes cross the wire.
+func (e *EdgeServer) train(args *EdgeStepArgs) error {
+	e.sampled = e.sampled[:0]
 	baseID, ship := e.baseID, false
-	for i, addr := range addrs {
-		calls[i].ship = e.installed[addr] != baseID
-		ship = ship || calls[i].ship
+	for h, addr := range e.addrs {
+		if hc := &e.calls[h]; len(hc.train.Devices) != 0 {
+			e.sampled = append(e.sampled, h)
+			hc.ship = e.installed[addr] != baseID
+			ship = ship || hc.ship
+		}
 	}
+	advance := len(e.sampled) == 1
 	// The base is encoded at most once per step, into e.baseBlob.
 	var base codec.Blob
 	encodeBase := func() error {
@@ -580,7 +538,7 @@ func (e *EdgeServer) train(args *EdgeStepArgs, totalSampled int, order []int) er
 		}
 	}
 	// The host-side advance installs the next base under a fresh ID; the sum
-	// path folds next = base + Σ/|sample| edge-side, so it needs the bits.
+	// path adds the sums onto the base edge-side, so it needs the bits.
 	var nextID uint64
 	if advance {
 		e.lastID++
@@ -588,38 +546,38 @@ func (e *EdgeServer) train(args *EdgeStepArgs, totalSampled int, order []int) er
 	} else if err := e.ensureParams(args.Step); err != nil {
 		return err
 	}
-	e.fan.start(len(addrs))
-	for i, addr := range addrs {
-		hc := &calls[i]
+	e.fan.start(len(e.addrs))
+	for _, h := range e.sampled {
+		hc := &e.calls[h]
 		hc.train = TrainManyArgs{
-			Step: args.Step, Edge: e.id, Devices: groups[i], BaseID: baseID, Scheme: args.Scheme, Hyper: e.hyper,
-			Advance: advance, NextID: nextID, Span: e.hostSpan(telemetry.SpanRPCTrainMany, args.Step, i),
+			Step: args.Step, Edge: e.id, Devices: hc.train.Devices, Weights: hc.train.Weights, BaseID: baseID, Scheme: args.Scheme,
+			Hyper: e.hyper, NextID: nextID, Span: e.hostSpan(telemetry.SpanRPCTrainMany, args.Step, h),
 		}
 		if hc.ship {
 			hc.train.Base, hc.train.HasBase = base, true
 		}
-		e.send(args.Step, telemetry.SpanRPCTrainMany, i, addr, "Device.TrainMany", &hc.train, &hc.trained)
+		e.send(args.Step, telemetry.SpanRPCTrainMany, h, e.addrs[h], "Device.TrainMany", &hc.train, &hc.trained)
 	}
 	errs := e.fan.wait()
 	var firstErr error
-	for i, addr := range addrs {
-		hc := &calls[i]
-		if isUnknownBaseline(errs[i]) && !hc.ship {
+	for _, h := range e.sampled {
+		hc, addr := &e.calls[h], e.addrs[h]
+		if isUnknownBaseline(errs[h]) && !hc.ship {
 			// The host lost its base cache (e.g. a restart): the failed lookup
 			// happened before any training, so resend the call with the base
 			// attached. A stale edge whose authoritative host forgot the base
 			// cannot recover: ensureParams surfaces that as its own error.
-			if errs[i] = encodeBase(); errs[i] == nil {
+			if errs[h] = encodeBase(); errs[h] == nil {
 				hc.ship, hc.train.Base, hc.train.HasBase = true, base, true
-				errs[i] = e.callHost(args.Step, telemetry.SpanRPCTrainMany, i, addr, "Device.TrainMany", &hc.train, &hc.trained)
+				errs[h] = e.callHost(args.Step, telemetry.SpanRPCTrainMany, h, addr, "Device.TrainMany", &hc.train, &hc.trained)
 			}
 		}
 		switch {
-		case errs[i] == nil && hc.ship:
+		case errs[h] == nil && hc.ship:
 			e.downloads.Add(1)
 			e.installed[addr] = baseID
-		case errs[i] != nil && firstErr == nil:
-			firstErr = fmt.Errorf("fed: edge %d training via %s: %w", e.id, addr, errs[i])
+		case errs[h] != nil && firstErr == nil:
+			firstErr = fmt.Errorf("fed: edge %d training via %s: %w", e.id, addr, errs[h])
 		}
 	}
 	if firstErr != nil {
@@ -627,53 +585,44 @@ func (e *EdgeServer) train(args *EdgeStepArgs, totalSampled int, order []int) er
 	}
 
 	if advance {
-		e.stale, e.staleAddr, e.baseID = true, addrs[0], nextID
-		e.installed[addrs[0]] = nextID
+		addr := e.addrs[e.sampled[0]]
+		e.stale, e.staleAddr, e.baseID, e.installed[addr] = true, addr, nextID, nextID
 		return nil
 	}
-	for i, addr := range addrs {
-		switch rep := &calls[i].trained; {
+	// A fold that fails part way has changed the model all the same, so the
+	// base takes a fresh ID either way.
+	err := e.foldSums()
+	e.lastID++
+	e.baseID = e.lastID
+	return err
+}
+
+// foldSums adds the sampled hosts' weighted update sums onto the edge model
+// in place, in e.order. Nothing names the old base's bits on the edge: the
+// hosts cache their own copies.
+//
+//machlint:allocfree
+func (e *EdgeServer) foldSums() error {
+	for _, h := range e.order {
+		hc, addr := &e.calls[h], e.addrs[h]
+		switch rep := &hc.trained; {
+		case len(hc.train.Devices) == 0:
+			continue
 		case !rep.HasSum:
 			return fmt.Errorf("fed: edge %d: host %s returned no update sum", e.id, addr)
 		case rep.Sum.Count != len(e.params):
 			return fmt.Errorf("fed: edge %d: host %s summed %d params, want %d", e.id, addr, rep.Sum.Count, len(e.params))
 		}
-	}
-	if err := e.foldSums(calls, order, totalSampled); err != nil {
-		return err
-	}
-	e.lastID++
-	e.baseID = e.lastID
-	return nil
-}
-
-// foldSums folds the sampled hosts' update sums, in the given order
-// (reduceOrder), into the edge model: Σ runs from zero, and nextBase adds
-// Σ/n in place, as the host-side advance does. Nothing names the old base's
-// bits on the edge: the hosts cache their own copies.
-//
-//machlint:allocfree
-func (e *EdgeServer) foldSums(calls []hostCalls, order []int, n int) error {
-	e.sum = zeroed(e.sum, len(e.params))
-	for _, i := range order {
-		hostSum, err := codec.DecodeInto(e.hostSum, calls[i].trained.Sum, nil)
+		hostSum, err := codec.DecodeInto(e.hostSum, hc.trained.Sum, nil)
 		if err != nil {
-			return fmt.Errorf("fed: edge %d decode sum from %s: %w", e.id, e.picked.addrs[i], err)
+			return fmt.Errorf("fed: edge %d decode sum from %s: %w", e.id, addr, err)
 		}
 		e.hostSum = hostSum
 		e.uploads.Add(1)
-		tensor.Add(e.sum, hostSum)
+		tensor.Add(e.params, hostSum)
 	}
-	nextBase(e.params, e.sum, n)
 	return nil
 }
-
-// nextBase turns base, in place, into the base model after a step whose n
-// sampled updates sum to sum: base + Σ/n. The edge-side fold and the
-// host-side advance both call it, so the two paths are one float expression.
-//
-//machlint:allocfree
-func nextBase(base, sum []float64, n int) { tensor.Axpy(base, 1/float64(n), sum) }
 
 // resize returns buf with n elements, growing it append-style when it is
 // too small; the elements it keeps hold what they held.

@@ -242,7 +242,7 @@ func TestDeviceServerRPCs(t *testing.T) {
 	}
 	var tr TrainManyReply
 	args := TrainManyArgs{
-		Step: 0, Edge: 0, Devices: []int{3}, BaseID: 1, Base: blob, HasBase: true, Scheme: codec.SchemeRaw,
+		Step: 0, Edge: 0, Devices: []int{3}, Weights: []float64{1}, BaseID: 1, Base: blob, HasBase: true, Scheme: codec.SchemeRaw,
 		Hyper: Hyper{LocalEpochs: 3, BatchSize: 4, LearningRate: 0.1},
 	}
 	if err := client.call("Device.TrainMany", &args, &tr); err != nil {
@@ -437,7 +437,7 @@ func TestTrainRejectsWrongParameterLength(t *testing.T) {
 		t.Fatal(err)
 	}
 	args := TrainManyArgs{
-		Edge: 0, Devices: []int{0}, BaseID: 1, Base: blob, HasBase: true,
+		Edge: 0, Devices: []int{0}, Weights: []float64{1}, BaseID: 1, Base: blob, HasBase: true,
 		Hyper: Hyper{LocalEpochs: 1, BatchSize: 2, LearningRate: 0.1},
 	}
 	if err := client.call("Device.TrainMany", &args, &TrainManyReply{}); err == nil || !strings.Contains(err.Error(), "3 params") {
@@ -797,7 +797,7 @@ func TestTrainManyUnknownBaselineOverRPC(t *testing.T) {
 		client := dialClient(t, addr)
 
 		args := &TrainManyArgs{
-			Edge: 0, Devices: []int{0}, BaseID: 77, Scheme: codec.SchemeDelta,
+			Edge: 0, Devices: []int{0}, Weights: []float64{1}, BaseID: 77, Scheme: codec.SchemeDelta,
 			Hyper: Hyper{LocalEpochs: 1, BatchSize: 4, LearningRate: 0.05},
 		}
 		var rep TrainManyReply
@@ -998,6 +998,7 @@ type hostileHost struct {
 	noBase   bool    // TrainMany fails when it carries a base
 	noModel  bool    // Step replies without a model
 	estimate float64 // Estimate's answer for every device (0 = 1)
+	sizes    []int   // Estimate's dataset sizes (nil = 1 per device)
 }
 
 func (h *hostileHost) ping(_ *PingArgs, reply *PingReply) error {
@@ -1005,16 +1006,19 @@ func (h *hostileHost) ping(_ *PingArgs, reply *PingReply) error {
 	return nil
 }
 
-// serve answers Estimate with h.estimate, TrainMany and GetBase with the
-// hostile blob, and Step as an edge server whose model reply is that blob,
+// serve answers Estimate with h.estimate and h.sizes, TrainMany and GetBase
+// with the hostile blob, and Step as an edge server whose model reply is that blob,
 // or no model at all.
 func (h *hostileHost) serve(_ *msgs, method []byte, body *wirer) (wireMsg, error) {
 	switch string(method) {
 	case "Device.Estimate":
 		return handle(body, &EstimateArgs{}, &EstimateReply{}, func(args *EstimateArgs, reply *EstimateReply) error {
-			reply.Estimates = make([]float64, len(args.Devices))
+			reply.Estimates, reply.Sizes = make([]float64, len(args.Devices)), h.sizes
 			for i := range reply.Estimates {
 				reply.Estimates[i] = cmp.Or(h.estimate, 1)
+				if h.sizes == nil {
+					reply.Sizes = append(reply.Sizes, 1)
+				}
 			}
 			return nil
 		})
@@ -1023,7 +1027,7 @@ func (h *hostileHost) serve(_ *msgs, method []byte, body *wirer) (wireMsg, error
 			if h.noBase && args.HasBase {
 				return fmt.Errorf("no room for a base")
 			}
-			reply.Sum, reply.HasSum = h.blob, !args.Advance
+			reply.Sum, reply.HasSum = h.blob, args.NextID == 0
 			return nil
 		})
 	case "Device.GetBase":
@@ -1073,7 +1077,7 @@ func TestForeignParameterCountRejectedBeforeDecode(t *testing.T) {
 
 	d := deploy(t, 4, 2, 5, 1, codec.SchemeDelta)
 	defer d.close()
-	if err := d.devices[0].trainMany(&TrainManyArgs{Devices: []int{0}, BaseID: 1, Base: huge, HasBase: true, Hyper: testHyper}, &TrainManyReply{}); err == nil {
+	if err := d.devices[0].trainMany(&TrainManyArgs{Devices: []int{0}, Weights: []float64{1}, BaseID: 1, Base: huge, HasBase: true, Hyper: testHyper}, &TrainManyReply{}); err == nil {
 		t.Fatal("device host accepted a base of foreign size")
 	}
 	if _, err := d.cloud.decodeEdgeModel(nil, huge); err == nil {
@@ -1089,29 +1093,30 @@ func TestForeignParameterCountRejectedBeforeDecode(t *testing.T) {
 		t.Fatalf("first global of foreign size: err = %v, want a parameter-count error", err)
 	}
 
-	// An edge facing a hostile host: the update sum, then the base fetched
-	// back after a host-side advance.
-	addr := serveHostile(t, &hostileHost{blob: huge})
+	// An edge facing hostile hosts: their update sums when the sample spans
+	// two, the base fetched back after a host-side advance when it sits on
+	// one.
+	addrs := []string{serveHostile(t, &hostileHost{blob: huge}), serveHostile(t, &hostileHost{blob: huge})}
 	base, err := testArch(rand.New(rand.NewSource(4)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := NewEdgeServer(0, sampling.DefaultMACHConfig(), Hyper{LocalEpochs: 1, BatchSize: 2, LearningRate: 0.1}, 1,
-		StaticResolver(map[int]string{0: addr, 1: addr}), base.ParamVector())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	step := EdgeStepArgs{Members: []int{0, 1}, Capacity: 2, WantModel: true}
-	if err := e.step(&step, &rep); err == nil || !strings.Contains(err.Error(), "summed") {
-		t.Fatalf("hostile update sum: err = %v, want a parameter-count error", err)
-	}
-	step.WantModel = false // one host covers the sample: it advances the base in place
-	if err := e.step(&step, &rep); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.step(&EdgeStepArgs{Step: 1, WantModel: true}, &rep); err == nil || !strings.Contains(err.Error(), "returned a base of") {
-		t.Fatalf("hostile base fetch: err = %v, want a parameter-count error", err)
+	for _, c := range []struct {
+		hosts map[int]string
+		want  string
+	}{
+		{map[int]string{0: addrs[0], 1: addrs[1]}, "summed"},
+		{map[int]string{0: addrs[0], 1: addrs[0]}, "returned a base of"},
+	} {
+		e, err := NewEdgeServer(0, sampling.DefaultMACHConfig(), Hyper{LocalEpochs: 1, BatchSize: 2, LearningRate: 0.1}, 1,
+			StaticResolver(c.hosts), base.ParamVector())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer e.Close()
+		if err := e.step(&EdgeStepArgs{Members: []int{0, 1}, Capacity: 2, WantModel: true}, &rep); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Fatalf("hostile hosts %v: err = %v, want a parameter-count error (%q)", c.hosts, err, c.want)
+		}
 	}
 
 	// A cloud facing a hostile edge whose raw model reply is one parameter
@@ -1134,23 +1139,40 @@ func TestForeignParameterCountRejectedBeforeDecode(t *testing.T) {
 
 // TestEdgeStepRejectsNaNProbability: +Inf estimates drive Algorithm 3 to
 // q = NaN, and the step fails naming the edge, device and q instead of
-// silently sampling nobody.
+// silently sampling nobody. Dataset sizes come from the wire too: a reply
+// whose sizes do not align with the devices asked, hold a size below 1, or
+// sum past an int fails the step naming the host, before any weight divides
+// by them.
 func TestEdgeStepRejectsNaNProbability(t *testing.T) {
-	addr := serveHostile(t, &hostileHost{estimate: math.Inf(1)})
 	base, err := testArch(rand.New(rand.NewSource(4)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := NewEdgeServer(0, sampling.DefaultMACHConfig(), Hyper{LocalEpochs: 1, BatchSize: 2, LearningRate: 0.1}, 1,
-		StaticResolver(map[int]string{0: addr, 1: addr}), base.ParamVector())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	var rep EdgeStepReply
-	err = e.step(&EdgeStepArgs{Members: []int{0, 1}, Capacity: 1}, &rep)
-	if want := "fed: edge 0: device 0 sampling probability NaN, outside [0, 1]"; err == nil || err.Error() != want {
-		t.Fatalf("+Inf estimates: err = %v (sampled %d), want %q", err, rep.Sampled, want)
+	for _, c := range []struct {
+		host *hostileHost
+		want string // the error; %s is the host's address
+	}{
+		{&hostileHost{estimate: math.Inf(1)}, "fed: edge 0: device 0 sampling probability NaN, outside [0, 1]"},
+		{&hostileHost{sizes: []int{1}}, "fed: edge 0: host %s returned 2 estimates and 1 sizes for 2 devices"},
+		{&hostileHost{sizes: []int{1, 0}}, "fed: edge 0: host %s returned dataset size 0 after a total of 1"},
+		{&hostileHost{sizes: []int{math.MaxInt, 1}}, fmt.Sprintf("fed: edge 0: host %%s returned dataset size 1 after a total of %d", math.MaxInt)},
+	} {
+		addr := serveHostile(t, c.host)
+		e, err := NewEdgeServer(0, sampling.DefaultMACHConfig(), Hyper{LocalEpochs: 1, BatchSize: 2, LearningRate: 0.1}, 1,
+			StaticResolver(map[int]string{0: addr, 1: addr}), base.ParamVector())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer e.Close()
+		var rep EdgeStepReply
+		err = e.step(&EdgeStepArgs{Members: []int{0, 1}, Capacity: 1}, &rep)
+		want := c.want
+		if strings.Contains(want, "%s") {
+			want = fmt.Sprintf(want, addr)
+		}
+		if err == nil || err.Error() != want {
+			t.Errorf("hostile estimates: err = %v (sampled %d), want %q", err, rep.Sampled, want)
+		}
 	}
 }
 
@@ -1249,17 +1271,19 @@ func TestThreeHostGlobalsIgnorePorts(t *testing.T) {
 }
 
 // TestEdgeStepMatchesTrainerOracle: edge steps over one or two device hosts
-// are, bit for bit, base + Σ_host Σ_dev (LocalUpdate − base)/|sample|
-// computed here with hfl.Trainer — per-host partial sums in sampled order,
-// hosts in sorted-address order, which two hosts' sums commute to — under
-// both lossless schemes. Step 0 keeps
-// the model on the edge side (WantModel false): one host advances the base in
-// place under a fresh ID, two hosts send sums the edge folds. Step 1 samples
-// no one and asks for the model, so a one-host edge refetches the advanced
-// base; step 2 trains from that base and folds.
+// are, bit for bit, the engine's AggPlain fold computed here with
+// hfl.Trainer, each sampled device at weight w_m = |D_m|/Σ|D| over the
+// sample (the sizes differ), under both lossless schemes. One host folds the next model
+// Σ w_m·θ_m from zero and installs it in place under a fresh ID, leaving the
+// edge stale until something needs the bits; two hosts each sum
+// Σ w_m·(θ_m − base) in sampled order, and the edge adds the sums onto the
+// base in the order of the hosts' first members. Step 0 keeps the model on
+// the edge side (WantModel false); step 1 samples no one and asks for the
+// model, so a one-host edge refetches the advanced base; step 2 trains from
+// that base and asks for the model again.
 func TestEdgeStepMatchesTrainerOracle(t *testing.T) {
 	const devices = 8
-	w := buildWorld(t, devices, 1, 1)
+	w := unequalSizes(t, buildWorld(t, devices, 1, 1))
 	proto, err := testArch(rand.New(rand.NewSource(9)))
 	if err != nil {
 		t.Fatal(err)
@@ -1276,10 +1300,11 @@ func TestEdgeStepMatchesTrainerOracle(t *testing.T) {
 	for _, hosts := range []int{1, 2} {
 		for _, scheme := range []codec.Scheme{codec.SchemeRaw, codec.SchemeDelta} {
 			t.Run(fmt.Sprintf("hosts=%d/%v", hosts, scheme), func(t *testing.T) {
+				// Host h serves a contiguous device range, so creation order
+				// is the order of the hosts' first members.
 				table := map[int]string{}
-				srvs := map[string]*DeviceServer{}
-				var addrs []string
-				for h := 0; h < hosts; h++ {
+				srvs := make([]*DeviceServer, hosts)
+				for h := range srvs {
 					data := map[int]*dataset.Dataset{}
 					for m := h * devices / hosts; m < (h+1)*devices/hosts; m++ {
 						data[m] = w.parts[m]
@@ -1293,13 +1318,11 @@ func TestEdgeStepMatchesTrainerOracle(t *testing.T) {
 						t.Fatal(err)
 					}
 					defer srv.Close()
-					srvs[addr] = srv
-					addrs = append(addrs, addr)
+					srvs[h] = srv
 					for m := range data {
 						table[m] = addr
 					}
 				}
-				sort.Strings(addrs)
 				e, err := NewEdgeServer(0, sampling.DefaultMACHConfig(), testHyper, runSeed, StaticResolver(table), base)
 				if err != nil {
 					t.Fatal(err)
@@ -1326,52 +1349,61 @@ func TestEdgeStepMatchesTrainerOracle(t *testing.T) {
 					if err := e.step(&args, &rep); err != nil {
 						t.Fatal(err)
 					}
-					if step == 0 && e.stale != (hosts == 1) {
-						t.Fatalf("step 0 on %d hosts left the edge stale = %v: the path under test did not run", hosts, e.stale)
+					if stale := hosts == 1 && !s.wantModel; e.stale != stale {
+						t.Fatalf("step %d on %d hosts left the edge stale = %v, want %v", step, hosts, e.stale, stale)
 					}
 
-					sum := make([]float64, len(want))
-					sampled := 0
-					for _, addr := range addrs {
-						hostSum := make([]float64, len(want))
-						hostSampled := 0
+					sampled := make([][]int, hosts) // per host, in member order
+					total, count := 0, 0
+					for h, srv := range srvs {
 						for _, m := range s.members {
-							if table[m] != addr {
+							if table[m] != table[h*devices/hosts] {
 								continue
 							}
-							p := srvs[addr].book.Participations(m)
-							if p == participations[m] {
-								continue
+							if p := srv.book.Participations(m); p != participations[m] {
+								participations[m] = p
+								sampled[h] = append(sampled[h], m)
+								total += w.parts[m].Len()
+								count++
 							}
-							participations[m] = p
+						}
+						if len(s.members) > 0 && len(sampled[h]) == 0 {
+							t.Fatalf("step %d: host %d trained no device", step, h)
+						}
+					}
+					if count != rep.Sampled {
+						t.Fatalf("step %d: hosts trained %d devices, the edge reports %d", step, count, rep.Sampled)
+					}
+					if count == 0 {
+						continue
+					}
+					next := make([]float64, len(want))
+					if hosts > 1 {
+						copy(next, want)
+					}
+					for h := range srvs {
+						hostSum := make([]float64, len(want))
+						for _, m := range sampled[h] {
 							if rngs[m] == nil {
 								rngs[m] = det.NewRand(det.DeviceBatch(runSeed, m))
 							}
 							if err := tr.LocalUpdate(want, w.parts[m], rngs[m], testHyper.LearningRate, sqNorms); err != nil {
 								t.Fatal(err)
 							}
+							weight := float64(w.parts[m].Len()) / float64(total)
 							for j, v := range trainedParams(tr, len(want)) {
-								hostSum[j] += v - want[j]
+								if hosts == 1 {
+									hostSum[j] += float64(weight * v)
+								} else {
+									hostSum[j] += float64(weight * (v - want[j]))
+								}
 							}
-							hostSampled++
-						}
-						if len(s.members) > 0 && hostSampled == 0 {
-							t.Fatalf("step %d: host %s trained no device", step, addr)
 						}
 						for j, v := range hostSum {
-							sum[j] += v
-						}
-						sampled += hostSampled
-					}
-					if sampled != rep.Sampled {
-						t.Fatalf("step %d: hosts trained %d devices, the edge reports %d", step, sampled, rep.Sampled)
-					}
-					if sampled > 0 {
-						inv := 1 / float64(sampled)
-						for j := range want {
-							want[j] += float64(inv * sum[j])
+							next[j] += v
 						}
 					}
+					want = next
 					if !s.wantModel {
 						continue
 					}
@@ -1385,6 +1417,7 @@ func TestEdgeStepMatchesTrainerOracle(t *testing.T) {
 					}
 					requireSameBits(t, fmt.Sprintf("step %d edge model", step), got, want)
 				}
+				requireSameBits(t, "final edge model", e.params, want)
 			})
 		}
 	}
@@ -1427,7 +1460,7 @@ func TestDeviceTrainMatchesEngineTrainer(t *testing.T) {
 	// Two updates in a row: the second continues the device's minibatch stream.
 	for step := 0; step < 2; step++ {
 		var rep TrainManyReply
-		if err := srv.trainMany(&TrainManyArgs{Step: step, Devices: []int{device}, BaseID: 1, Base: blob, HasBase: true, Hyper: testHyper}, &rep); err != nil {
+		if err := srv.trainMany(&TrainManyArgs{Step: step, Devices: []int{device}, Weights: []float64{1}, BaseID: 1, Base: blob, HasBase: true, Hyper: testHyper}, &rep); err != nil {
 			t.Fatal(err)
 		}
 		sum, err := codec.Decode(rep.Sum, nil)
@@ -1458,50 +1491,50 @@ func TestDeviceTrainMatchesEngineTrainer(t *testing.T) {
 	}
 }
 
-// TestFirstStepMatchesEngine is the in-process ≡ distributed statement as far
-// as it holds today: from the same seed, data and schedule, hfl.Engine under
-// MACH and a fed cluster — on one device host or two — sample the same devices
-// at step 0 and record bit-identical gradient-norm windows. The windows are
-// read through the UCB estimates after the step's cloud round folded them
-// (Eq. 15's term A is their mean). The trajectories part at the step's edge
-// aggregation, where the two sides still sum in different orders (DESIGN.md
-// §6).
+// TestFirstStepMatchesEngine is the in-process ≡ distributed statement
+// (DESIGN.md §6): from the same seed, data and schedule, a cluster whose
+// devices sit on one host runs hfl.Engine under MACH and AggPlain bit for
+// bit, under both lossless schemes, through steps, cloud rounds and
+// evaluations alike — Float64bits-identical evaluation histories and final
+// globals, and the same devices sampled on every edge. The devices' dataset
+// sizes differ, so the plain weights |D_m|/Σ|D| are not 1/|sample|.
 func TestFirstStepMatchesEngine(t *testing.T) {
-	const devices, edges = 12, 3
-	w := buildWorld(t, devices, edges, 1)
-	all := make([]int, devices)
-	for m := range all {
-		all[m] = m
-	}
-
+	const devices, edges, steps = 12, 3, 12
+	w := unequalSizes(t, buildWorld(t, devices, edges, steps))
 	mach, err := sampling.NewMACH(devices, sampling.DefaultMACHConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := hfl.DefaultConfig()
-	cfg.Steps, cfg.CloudInterval, cfg.Seed = 1, 1, runSeed
+	cfg.Steps, cfg.CloudInterval, cfg.EvalEvery, cfg.Seed, cfg.Aggregation = steps, 4, 1, runSeed, hfl.AggPlain
 	cfg.LocalEpochs, cfg.BatchSize, cfg.LearningRate = testHyper.LocalEpochs, testHyper.BatchSize, testHyper.LearningRate
 	eng, err := hfl.New(cfg, testArch, w.parts, w.test, w.sched, mach)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.Run(); err != nil {
+	// Each device the book saw trained at the step, on its edge of that step.
+	wantSampled := make([]int64, edges)
+	participations := make([]int, devices)
+	res, err := eng.Run(hfl.WithStepHook(func(step, _ int) {
+		for m := range participations {
+			if p := mach.Book().Participations(m); p != participations[m] {
+				participations[m] = p
+				wantSampled[w.sched.EdgeOf(step, m)]++
+			}
+		}
+	}))
+	if err != nil {
 		t.Fatal(err)
 	}
-	want := make([]float64, devices)
-	mach.Book().UCBEstimatesInto(want, all, 1)
-	wantSampled := make([]int64, edges)
-	for m := range all {
-		wantSampled[w.sched.EdgeOf(0, m)] += int64(mach.Book().Participations(m))
-	}
-	if total := wantSampled[0] + wantSampled[1] + wantSampled[2]; total == 0 || total == devices {
-		t.Fatalf("engine sampled %d of %d devices: the comparison would be vacuous", total, devices)
+	if res.History.Len() != steps || res.TotalSampled == 0 {
+		t.Fatalf("engine: %d evaluations, %d devices sampled", res.History.Len(), res.TotalSampled)
 	}
 
-	for _, hosts := range []int{1, 2} {
-		t.Run(fmt.Sprintf("hosts=%d", hosts), func(t *testing.T) {
-			d := deployWorld(t, w, hosts, CloudConfig{
-				Steps: 1, CloudInterval: 1, Participation: cfg.Participation, Seed: runSeed,
+	for _, scheme := range []codec.Scheme{codec.SchemeRaw, codec.SchemeDelta} {
+		t.Run(scheme.String(), func(t *testing.T) {
+			d := deployWorld(t, w, 1, CloudConfig{
+				Steps: steps, CloudInterval: cfg.CloudInterval, Participation: cfg.Participation, EvalEvery: 1,
+				Seed: runSeed, Codec: scheme,
 			})
 			defer d.close()
 			tels := make([]*telemetry.Telemetry, edges)
@@ -1509,18 +1542,21 @@ func TestFirstStepMatchesEngine(t *testing.T) {
 				tels[n] = telemetry.New()
 				e.SetTelemetry(tels[n])
 			}
-			if _, err := d.cloud.Run(); err != nil {
+			hist, err := d.cloud.Run()
+			if err != nil {
 				t.Fatal(err)
 			}
-			got := make([]float64, 0, devices)
-			for h, srv := range d.devices {
-				var rep EstimateReply
-				if err := srv.estimate(&EstimateArgs{Step: 1, Devices: all[h*devices/hosts : (h+1)*devices/hosts]}, &rep); err != nil {
-					t.Fatal(err)
-				}
-				got = append(got, rep.Estimates...)
+			if hist.Len() != res.History.Len() {
+				t.Fatalf("%d evaluations, the engine %d", hist.Len(), res.History.Len())
 			}
-			requireSameBits(t, "estimates", got, want)
+			for i, p := range hist.Points {
+				q := res.History.Points[i]
+				if p.Step != q.Step || math.Float64bits(p.Accuracy) != math.Float64bits(q.Accuracy) ||
+					math.Float64bits(p.Loss) != math.Float64bits(q.Loss) {
+					t.Fatalf("evaluation %d: %+v, the engine %+v", i, p, q)
+				}
+			}
+			requireSameBits(t, "final global", d.cloud.GlobalParams(), eng.GlobalParams())
 			for n, tel := range tels {
 				if got := tel.Snapshot().Histograms["edge_sampled"].Sum; got != wantSampled[n] {
 					t.Fatalf("edge %d sampled %d devices, the engine %d", n, got, wantSampled[n])
@@ -1528,6 +1564,24 @@ func TestFirstStepMatchesEngine(t *testing.T) {
 			}
 		})
 	}
+}
+
+// unequalSizes cuts device m's data to its first 40 − 8·(m mod 3) samples,
+// so plain fold weights |D_m|/Σ|D| part from 1/|sample|.
+func unequalSizes(t *testing.T, w world) world {
+	t.Helper()
+	for m, d := range w.parts {
+		x, labels := d.All()
+		cut := dataset.NewDataset(d.Name, d.InC, d.InH, d.InW, d.Classes)
+		n := d.SampleLen()
+		for i := range d.Len() - 8*(m%3) {
+			if err := cut.Append(x.Data()[i*n:(i+1)*n], labels[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		w.parts[m] = cut
+	}
+	return w
 }
 
 // TestTrainManyRejectsBadDeviceListBeforeTraining: a TrainMany call that
@@ -1562,7 +1616,11 @@ func TestTrainManyRejectsBadDeviceListBeforeTraining(t *testing.T) {
 	}
 	train := func(srv *DeviceServer, devices ...int) (TrainManyReply, error) {
 		var reply TrainManyReply
-		err := srv.trainMany(&TrainManyArgs{Edge: 0, Devices: devices, BaseID: 1, Base: blob, HasBase: true, Hyper: testHyper}, &reply)
+		weights := make([]float64, len(devices))
+		for i := range weights {
+			weights[i] = 1
+		}
+		err := srv.trainMany(&TrainManyArgs{Edge: 0, Devices: devices, Weights: weights, BaseID: 1, Base: blob, HasBase: true, Hyper: testHyper}, &reply)
 		return reply, err
 	}
 	want, err := train(host(), 0, 1)
@@ -1589,8 +1647,9 @@ func TestTrainManyRejectsBadDeviceListBeforeTraining(t *testing.T) {
 // TestTrainManyRejectsHostileHyperparameters: wire-supplied hyperparameters
 // that would size a buffer past a frame — the devices' gradient-norm windows,
 // the trainer's minibatch input — or a learning rate that is not a positive
-// finite number fail the call before anything is sized by them, and the host
-// goes on serving.
+// finite number, and fold weights that are not one positive finite number
+// per device, fail the call before anything is sized or trained by them, and
+// the host goes on serving.
 func TestTrainManyRejectsHostileHyperparameters(t *testing.T) {
 	task, err := dataset.NewTask(dataset.MNISTLike(4, 4))
 	if err != nil {
@@ -1614,23 +1673,30 @@ func TestTrainManyRejectsHostileHyperparameters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	train := func(h Hyper) error {
-		return srv.trainMany(&TrainManyArgs{Devices: []int{0, 1}, BaseID: 1, Base: blob, HasBase: true, Hyper: h}, &TrainManyReply{})
+	train := func(h Hyper, weights ...float64) error {
+		return srv.trainMany(&TrainManyArgs{Devices: []int{0, 1}, Weights: weights, BaseID: 1, Base: blob, HasBase: true, Hyper: h}, &TrainManyReply{})
 	}
 	for _, c := range []struct {
-		name  string
-		hyper Hyper
+		name    string
+		hyper   Hyper
+		weights []float64
 	}{
-		{"epochs overflow the norm windows", Hyper{LocalEpochs: math.MaxInt/2 + 1, BatchSize: 4, LearningRate: 0.05}},
-		{"batch overflows the input", Hyper{LocalEpochs: 1, BatchSize: 1 << 50, LearningRate: 0.05}},
-		{"NaN learning rate", Hyper{LocalEpochs: 1, BatchSize: 4, LearningRate: math.NaN()}},
-		{"infinite learning rate", Hyper{LocalEpochs: 1, BatchSize: 4, LearningRate: math.Inf(1)}},
+		{"epochs overflow the norm windows", Hyper{LocalEpochs: math.MaxInt/2 + 1, BatchSize: 4, LearningRate: 0.05}, []float64{1, 1}},
+		{"batch overflows the input", Hyper{LocalEpochs: 1, BatchSize: 1 << 50, LearningRate: 0.05}, []float64{1, 1}},
+		{"NaN learning rate", Hyper{LocalEpochs: 1, BatchSize: 4, LearningRate: math.NaN()}, []float64{1, 1}},
+		{"infinite learning rate", Hyper{LocalEpochs: 1, BatchSize: 4, LearningRate: math.Inf(1)}, []float64{1, 1}},
+		{"a weight short", testHyper, []float64{1}},
+		{"a weight too many", testHyper, []float64{1, 1, 1}},
+		{"zero weight", testHyper, []float64{0, 1}},
+		{"negative weight", testHyper, []float64{1, -0.5}},
+		{"NaN weight", testHyper, []float64{math.NaN(), 1}},
+		{"infinite weight", testHyper, []float64{1, math.Inf(1)}},
 	} {
-		if err := train(c.hyper); err == nil {
-			t.Errorf("%s: TrainMany with %+v succeeded", c.name, c.hyper)
+		if err := train(c.hyper, c.weights...); err == nil {
+			t.Errorf("%s: TrainMany with %+v and weights %v succeeded", c.name, c.hyper, c.weights)
 		}
 	}
-	if err := train(testHyper); err != nil {
+	if err := train(testHyper, 0.5, 0.5); err != nil {
 		t.Fatalf("a valid call after the refused ones: %v", err)
 	}
 }
@@ -1761,7 +1827,7 @@ func TestDeviceServerModelsBoundedByCallers(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for m := c; m < devices && errs[c] == nil; m += callers {
-				errs[c] = srv.trainMany(&TrainManyArgs{Edge: c, Devices: []int{m}, BaseID: 1, Base: blob, HasBase: m == c, Hyper: testHyper}, &TrainManyReply{})
+				errs[c] = srv.trainMany(&TrainManyArgs{Edge: c, Devices: []int{m}, Weights: []float64{1}, BaseID: 1, Base: blob, HasBase: m == c, Hyper: testHyper}, &TrainManyReply{})
 			}
 		}()
 	}
@@ -2057,9 +2123,12 @@ func TestHostSerializesOneEdgesCalls(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for r := uint64(0); r < rounds && errs[c] == nil; r++ {
-				id := 2 * (uint64(c)*rounds + r + 1)
-				errs[c] = srv.trainMany(&TrainManyArgs{Devices: []int{c}, BaseID: id, Base: blob, HasBase: true,
-					Hyper: testHyper, Advance: r%2 == 0, NextID: id + 1}, &TrainManyReply{})
+				id, next := 2*(uint64(c)*rounds+r+1), uint64(0)
+				if r%2 == 0 {
+					next = id + 1
+				}
+				errs[c] = srv.trainMany(&TrainManyArgs{Devices: []int{c}, Weights: []float64{1}, BaseID: id, Base: blob, HasBase: true,
+					Hyper: testHyper, NextID: next}, &TrainManyReply{})
 				// Another caller's install may have retired the ID already.
 				if err := srv.getBase(&GetBaseArgs{ID: id + 1}, &GetBaseReply{}); errs[c] == nil && err != nil && !errors.Is(err, codec.ErrUnknownBaseline) {
 					errs[c] = err

@@ -11,10 +11,10 @@
 //     gradient experience buffers (Algorithm 2 runs ON the device, which is
 //     what makes the experience travel with the device across edges);
 //   - an edge server (EdgeServer) executes one edge's share of a time step:
-//     it queries its current members' G̃² estimates, computes the sampling
-//     strategy (Algorithm 3), dispatches local training, and adds the plain
-//     mean of the returned updates, Σ(w_m − base)/|sample|, to its model
-//     (equal weights, not Eq. 5's 1/q);
+//     it queries its current members' G̃² estimates and dataset sizes,
+//     computes the sampling strategy (Algorithm 3), samples and weights the
+//     members with the engine's hfl.Decision under hfl.AggPlain (|D_m|/Σ|D|)
+//     and dispatches local training;
 //   - the cloud (Cloud) is the engine's cloud half, hfl.Cloud — the
 //     mobility plane B^t, the Eq. (6) reduce every T_g steps and the
 //     evaluator — plus the Edge.Step fan-out that drives the edges' time
@@ -31,9 +31,9 @@
 //   - baseline caching: a host caches an edge's base model under an ID;
 //     Device.TrainMany names it by ID for all of the host's sampled devices
 //     and carries the base itself only when the host lacks that ID;
-//   - host-side update sums: TrainMany returns the single summed update
-//     Σ(w_m − base) of its devices instead of per-device models, and when
-//     one host covers the edge's whole sample it advances the base in place
+//   - host-side folds: TrainMany returns the host's weighted update sum
+//     Σ w_m·(θ_m − base) instead of per-device models, and when one host
+//     covers the edge's whole sample it folds the next base Σ w_m·θ_m itself
 //     so that no model bytes cross the wire at all (the edge recovers the
 //     bits later with Device.GetBase when it actually needs them);
 //   - on-demand edge models: EdgeStepReply carries the edge model only when
@@ -41,12 +41,12 @@
 //     global as a delta against the previous global it distributed.
 //
 // Edge aggregation is the same float operations in the same order under
-// every scheme (per-host partial sums of w_m − base in sampled order, hosts
-// reduced in the order of their first members, then base + Σ/|sample|), so
-// the lossless schemes, raw and delta, produce bit-identical evaluation
-// histories, whatever ports the hosts listen on. The cloud positions, reduces and evaluates with hfl's own code; edge
-// aggregation still differs from the engine's (an unweighted mean here, the
-// configured rule there), so the two stacks agree bit for bit through step 0.
+// every scheme (per-host weighted sums in sampled order, added onto the base
+// in the order of the hosts' first members), so the lossless schemes, raw
+// and delta, produce bit-identical evaluation histories, whatever ports the
+// hosts listen on. The edge decides and the cloud reduces with hfl's own
+// code, so a one-host deployment runs hfl.Engine under AggPlain bit for bit
+// (DESIGN.md §6); at two or more hosts the same weights sum in another order.
 package fed
 
 import "github.com/mach-fl/mach/internal/codec"
@@ -76,19 +76,24 @@ type EstimateArgs struct {
 	Span    SpanContext
 }
 
-// EstimateReply returns the estimates aligned with EstimateArgs.Devices.
+// EstimateReply returns the estimates and the devices' local dataset sizes
+// |D_m|, which the edge's plain fold weights read, aligned with
+// EstimateArgs.Devices.
 type EstimateReply struct {
 	Estimates []float64
+	Sizes     []int
 }
 
 // TrainManyArgs asks a device host to run local updating on all of the
 // edge's sampled devices it hosts, from the cached base model named by
 // BaseID. Devices lists them in the edge's sampled order, which fixes the
-// float summation order of the reply's update sum.
+// float summation order of the fold, and Weights their fold weights, finite
+// and positive, aligned with Devices.
 type TrainManyArgs struct {
 	Step    int
 	Edge    int
 	Devices []int
+	Weights []float64
 	BaseID  uint64
 	// Base, when HasBase, is the base model itself, baseline-free: the edge
 	// attaches it when the host lacks BaseID. The host installs it under
@@ -97,20 +102,18 @@ type TrainManyArgs struct {
 	HasBase bool
 	Scheme  codec.Scheme
 	Hyper   Hyper
-	// Advance, when set, tells the host this call covers the edge's entire
-	// sample for the step: the host computes the next base
-	// base + Σ(w_m − base)/|Devices| itself, installs it under NextID and
-	// drops BaseID, and the reply carries no update sum — no model bytes
-	// cross the wire.
-	Advance bool
-	NextID  uint64
-	Span    SpanContext
+	// NextID, when nonzero, tells the host this call covers the edge's
+	// entire sample for the step: the host folds the next base Σ w_m·θ_m
+	// from zero itself, installs it under NextID and drops BaseID, and the
+	// reply carries no update sum — no model bytes cross the wire.
+	NextID uint64
+	Span   SpanContext
 }
 
 // TrainManyReply returns the host's training result: Sum (present unless the
-// call advanced the base host-side) encodes Σ(w_m − base) over args.Devices
-// in order, baseline-free. The devices' gradient norms stay on the host, in
-// its experience book (Algorithm 2).
+// call advanced the base host-side) encodes Σ w_m·(θ_m − base) over
+// args.Devices in order, baseline-free. The devices' gradient norms stay on
+// the host, in its experience book (Algorithm 2).
 type TrainManyReply struct {
 	Sum    codec.Blob
 	HasSum bool

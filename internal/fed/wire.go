@@ -293,12 +293,16 @@ func (m *EstimateArgs) wire(w *wirer) {
 	w.u64(&m.Span.Parent)
 }
 
-func (m *EstimateReply) wire(w *wirer) { w.floats(&m.Estimates) }
+func (m *EstimateReply) wire(w *wirer) {
+	w.floats(&m.Estimates)
+	w.ints(&m.Sizes)
+}
 
 func (m *TrainManyArgs) wire(w *wirer) {
 	w.int(&m.Step)
 	w.int(&m.Edge)
 	w.ints(&m.Devices)
+	w.floats(&m.Weights)
 	w.id(&m.BaseID)
 	w.flag(&m.HasBase)
 	w.blob(&m.Base)
@@ -306,7 +310,6 @@ func (m *TrainManyArgs) wire(w *wirer) {
 	w.int(&m.Hyper.LocalEpochs)
 	w.int(&m.Hyper.BatchSize)
 	w.f64(&m.Hyper.LearningRate)
-	w.flag(&m.Advance)
 	w.id(&m.NextID)
 	w.u64(&m.Span.Parent)
 }

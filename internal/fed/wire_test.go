@@ -82,10 +82,10 @@ func wireSamples(t testing.TB) []wireSample {
 	}{
 		{"Device.Ping", &PingArgs{}, &PingReply{Role: "device-host"}},
 		{"Device.Estimate", &EstimateArgs{Step: 12, Devices: []int{5, 0, 300}, Span: span},
-			&EstimateReply{Estimates: []float64{1.5, math.Inf(1), math.Copysign(0, -1)}}},
+			&EstimateReply{Estimates: []float64{1.5, math.Inf(1), math.Copysign(0, -1)}, Sizes: []int{40, 1, 1 << 20}}},
 		{"Device.TrainMany", &TrainManyArgs{
-			Step: 12, Edge: 2, Devices: []int{5, 1}, BaseID: 41, Scheme: codec.SchemeFloat32,
-			Hyper: testHyper, Advance: true, NextID: 1 << 40, Span: span,
+			Step: 12, Edge: 2, Devices: []int{5, 1}, Weights: []float64{0.25, 0.75}, BaseID: 41, Scheme: codec.SchemeFloat32,
+			Hyper: testHyper, NextID: 1 << 40, Span: span,
 		}, &TrainManyReply{Sum: blob, HasSum: true}},
 		{"Device.GetBase", &GetBaseArgs{Edge: 2, ID: 42, Span: span}, &GetBaseReply{Model: blob}},
 		{"Device.CloudRound", &CloudRoundArgs{Step: 15, Span: span}, &CloudRoundReply{}},
@@ -101,7 +101,7 @@ func wireSamples(t testing.TB) []wireSample {
 		samples = append(samples, wireSample{p.method, false, p.args, ""}, wireSample{p.method, true, p.reply, ""})
 	}
 	return append(samples, wireSample{"Device.TrainMany", false, &TrainManyArgs{
-		Step: 13, Edge: 2, Devices: []int{7}, BaseID: 43, Base: blob, HasBase: true, Scheme: codec.SchemeDelta,
+		Step: 13, Edge: 2, Devices: []int{7}, Weights: []float64{1}, BaseID: 43, Base: blob, HasBase: true, Scheme: codec.SchemeDelta,
 		Hyper: testHyper, Span: span,
 	}, "-base"})
 }

@@ -142,7 +142,7 @@ func TestStepErrorPrecedence(t *testing.T) {
 func TestNaNProbabilityFailsStep(t *testing.T) {
 	step, sched := faultyWorld(t)
 	s := &faultyStrategy{nan: map[[2]int]bool{{step, 2}: true}}
-	want := fmt.Sprintf("hfl: step %d edge 2: strategy \"faulty\" gave device %d probability NaN, outside [0, 1]",
+	want := fmt.Sprintf("hfl: step %d edge 2: strategy \"faulty\": device %d sampling probability NaN, outside [0, 1]",
 		step, sched.MembersAt(step, 2)[0])
 	if err := runFaulty(t, 2, s, step); err == nil || err.Error() != want {
 		t.Fatalf("err = %v, want %q", err, want)
@@ -157,7 +157,7 @@ func TestPlanNormsGrowthIsAmortized(t *testing.T) {
 	var p edgePlan
 	reallocs := 0
 	for k := 1; k <= n; k++ {
-		p.devs = make([]plannedDevice, k)
+		p.Picks = make([]Pick, k)
 		before := cap(p.norms)
 		if p.reserve(epochs); len(p.norms) < k*epochs {
 			t.Fatalf("%d devices × %d epochs got %d norms", k, epochs, len(p.norms))

@@ -301,10 +301,8 @@ type edgeDecideState struct {
 	ctx   sampling.EdgeContext
 	probs []float64
 
-	// Trace buffers, filled during the (parallel) decide phase only when the
-	// step's decisions are being traced, and read by the sequential finalize
-	// phase, which emits them in edge order so trace output is deterministic.
-	coins      []float64
+	// The traced decision's sampled and dropped devices, filled by the
+	// sequential accounting pass when it emits the decision.
 	sampledIDs []int
 	droppedIDs []int
 }

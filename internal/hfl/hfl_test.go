@@ -289,6 +289,7 @@ func TestEdgeAggregationUnbiasedness(t *testing.T) {
 	}
 	zero := make([]float64, dim)
 	size := float64(len(probs))
+	sizeOf := func(i int) int { return parts[i].Len() } // member i is device i
 	tr := eng.trainers.Borrow(eng.cfg.BatchSize)
 	plan := &eng.plans[0]
 	// enumerate folds every sample outcome into the same edge model the way
@@ -299,26 +300,26 @@ func TestEdgeAggregationUnbiasedness(t *testing.T) {
 	enumerate := func(t *testing.T, f func(prob float64, agg []float64)) {
 		for outcome := 0; outcome < 1<<len(probs); outcome++ {
 			prob := 1.0
-			plan.devs, plan.uploads = plan.devs[:0], 0
+			plan.Picks, plan.Uploads = plan.Picks[:0], 0
 			for i, q := range probs {
 				if outcome&(1<<i) == 0 {
 					prob *= 1 - q
 					continue
 				}
 				prob *= q
-				plan.devs = append(plan.devs, plannedDevice{m: i, weight: 1 / (size * q), upload: true})
-				plan.uploads++
+				plan.Picks = append(plan.Picks, Pick{Device: i, Member: i, Weight: 1 / (size * q), Upload: true})
+				plan.Uploads++
 			}
 			if eng.aggregation() == AggPlain {
-				eng.plainWeights(plan)
+				plan.plainWeights(sizeOf)
 			}
 			copy(eng.edge[0], base)
 			next, foldBase := eng.foldStart(0)
-			for _, pd := range plan.devs {
-				if err := tr.net.SetParamVector(members[pd.m]); err != nil {
+			for _, pd := range plan.Picks {
+				if err := tr.net.SetParamVector(members[pd.Device]); err != nil {
 					t.Fatal(err)
 				}
-				tr.Fold(next, foldBase, pd.weight, -1)
+				tr.Fold(next, foldBase, pd.Weight, -1)
 			}
 			eng.edgeFinalize(0)
 			f(prob, eng.edge[0])

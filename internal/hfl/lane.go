@@ -148,21 +148,22 @@ func (tr *Trainer) growLane(count int) error {
 // stepping together; a k-slot pass equals k one-slot passes); neither can
 // reach a value, since minibatches come from each device's own rng, a
 // trainer carries nothing between devices, and the fold reads the float64
-// masters. An error lands on the device that met it and ends the task.
+// masters. An error ends the task, recorded with the pick that met it.
 //
 //machlint:allocfree
 func (e *Engine) trainEdge(n int, tr *Trainer) {
 	plan := &e.plans[n]
-	devs, epochs, batch := plan.devs, e.cfg.LocalEpochs, e.cfg.BatchSize
+	devs, epochs, batch := plan.Picks, e.cfg.LocalEpochs, e.cfg.BatchSize
 	next, base := e.foldStart(n)
 	if e.cfg.Lane != LaneF32 {
-		for i := range devs {
-			pd, dev := &devs[i], e.devices[devs[i].m]
-			if pd.err = tr.LocalUpdate(e.edge[n], dev.data, dev.rng, e.cfg.LearningRate, plan.norms[i*epochs:(i+1)*epochs]); pd.err != nil {
+		for i, pd := range devs {
+			dev := e.devices[pd.Device]
+			if err := tr.LocalUpdate(e.edge[n], dev.data, dev.rng, e.cfg.LearningRate, plan.norms[i*epochs:(i+1)*epochs]); err != nil {
+				plan.failErr, plan.failAt = err, i
 				return
 			}
-			if pd.upload {
-				tr.Fold(next, base, pd.weight, -1)
+			if pd.Upload {
+				tr.Fold(next, base, pd.Weight, -1)
 			}
 		}
 		return
@@ -172,20 +173,22 @@ func (e *Engine) trainEdge(n int, tr *Trainer) {
 		size = len(devs)
 	}
 	if tr.lane == nil || tr.lane.Slots() < size {
-		if devs[0].err = tr.growLane(size); devs[0].err != nil {
+		if err := tr.growLane(size); err != nil {
+			plan.failErr, plan.failAt = err, 0
 			return
 		}
 	}
 	for lo := 0; lo < len(devs); lo += size {
 		group, norms := devs[lo:lo+size], plan.norms[lo*epochs:(lo+size)*epochs]
 		for i := range group {
-			if group[i].err = tr.lane.LoadParams(i, e.edge[n]); group[i].err != nil {
+			if err := tr.lane.LoadParams(i, e.edge[n]); err != nil {
+				plan.failErr, plan.failAt = err, lo+i
 				return
 			}
 		}
 		for tau := 0; tau < epochs; tau++ {
 			for i := range group {
-				dev := e.devices[group[i].m]
+				dev := e.devices[group[i].Device]
 				dev.data.RandomBatchInto(dev.rng, tr.batchX, tr.labels[i], tr.batchIdx)
 				tr.lane.SetInput(i, batch, tr.batchX.Data())
 			}
@@ -195,8 +198,8 @@ func (e *Engine) trainEdge(n int, tr *Trainer) {
 			}
 		}
 		for i := range group {
-			if group[i].upload {
-				tr.Fold(next, base, group[i].weight, i)
+			if group[i].Upload {
+				tr.Fold(next, base, group[i].Weight, i)
 			}
 		}
 	}

@@ -2,6 +2,7 @@ package hfl
 
 import (
 	"fmt"
+	"math/rand"
 
 	"github.com/mach-fl/mach/internal/det"
 	"github.com/mach-fl/mach/internal/metrics"
@@ -82,40 +83,31 @@ func WithEvalHook(fn func(step int, accuracy, loss float64)) RunOption {
 	return func(o *runOptions) { o.evalFn = fn }
 }
 
-// plannedDevice is one sampled device's decision-phase outcome, later filled
-// in with its execution-phase result.
-type plannedDevice struct {
-	m      int     // device id
-	weight float64 // fold weight: 1/(|M_n|·q) (Eq. 5), or plainWeights'
-	upload bool    // false when the upload-failure coin dropped the result
-	err    error
-}
-
 // edgePlan is everything one step produces for one edge but its folded
-// model: the planned devices, their surviving uploads' count and the decide
-// error, then each device's error and gradient-norm window norms[i·I:(i+1)·I]
-// (pooled; valid until the edge's next decide, after the collect point).
+// model: the decision and the decide error, then the local-update error that
+// ended the edge's task with the pick it hit, and each pick's gradient-norm
+// window norms[i·I:(i+1)·I] (pooled; valid until the edge's next decide,
+// after the collect point).
 type edgePlan struct {
-	devs    []plannedDevice
-	uploads int
+	Decision
 	err     error
+	failErr error
+	failAt  int
 	norms   []float64
 }
 
-// trainErr returns the plan's first local-update error in member order.
+// trainErr returns the local-update error that ended the edge's task.
 func (p *edgePlan) trainErr() error {
-	for _, pd := range p.devs {
-		if pd.err != nil {
-			return fmt.Errorf("device %d: %w", pd.m, pd.err)
-		}
+	if p.failErr == nil {
+		return nil
 	}
-	return nil
+	return fmt.Errorf("device %d: %w", p.Picks[p.failAt].Device, p.failErr)
 }
 
-// reserve sizes the norm buffer for the devices just planned, keeping what
+// reserve sizes the norm buffer for the devices just picked, keeping what
 // earlier steps grew and growing append-style.
 func (p *edgePlan) reserve(epochs int) {
-	if need := len(p.devs) * epochs; len(p.norms) < need {
+	if need := len(p.Picks) * epochs; len(p.norms) < need {
 		p.norms = append(p.norms, make([]float64, need-len(p.norms))...)
 	}
 }
@@ -204,7 +196,7 @@ func (e *Engine) Run(opts ...RunOption) (*Result, error) {
 		var stepTel stepSamplingStats
 		stepSampled := 0
 		for n := range e.plans {
-			trained, uploaded := len(e.plans[n].devs), e.plans[n].uploads
+			trained, uploaded := len(e.plans[n].Picks), e.plans[n].Uploads
 			stepSampled += uploaded
 			res.Comm.DeviceDownlinkBytes += int64(trained) * modelBytes
 			res.Comm.DeviceUplinkBytes += int64(uploaded) * modelBytes
@@ -292,7 +284,7 @@ type stepSamplingStats struct {
 // context's estimates, coins) stay valid until the edge's next decide.
 func (e *Engine) observeEdge(t, n int, acc *stepSamplingStats) {
 	members := e.Members(n)
-	e.tel.Observe(telemetry.HistEdgeSampled, int64(len(e.plans[n].devs)))
+	e.tel.Observe(telemetry.HistEdgeSampled, int64(len(e.plans[n].Picks)))
 	if len(members) == 0 {
 		return // edgeDecide returned early; decide-state buffers are stale
 	}
@@ -313,6 +305,14 @@ func (e *Engine) observeEdge(t, n int, acc *stepSamplingStats) {
 	if !tr.DecisionActive(t, n) {
 		return
 	}
+	plan := &e.plans[n]
+	st.sampledIDs, st.droppedIDs = st.sampledIDs[:0], st.droppedIDs[:0]
+	for _, p := range plan.Picks {
+		st.sampledIDs = append(st.sampledIDs, p.Device)
+		if !p.Upload {
+			st.droppedIDs = append(st.droppedIDs, p.Device)
+		}
+	}
 	// Emit encodes synchronously, so handing it the engine's live buffers is
 	// safe: they are not touched again until the next decide phase.
 	tr.Emit(&telemetry.Event{Type: telemetry.EventDecision, Step: t, Decision: &telemetry.DecisionEvent{
@@ -320,7 +320,7 @@ func (e *Engine) observeEdge(t, n int, acc *stepSamplingStats) {
 		Members:   members,
 		Estimates: st.ctx.Estimates,
 		Probs:     probs,
-		Coins:     st.coins,
+		Coins:     plan.Coins,
 		Sampled:   st.sampledIDs,
 		Dropped:   st.droppedIDs,
 	}})
@@ -335,11 +335,9 @@ func (e *Engine) flushStepTelemetry(acc *stepSamplingStats) {
 // edgeDecide performs the sampling decisions for one edge at one time step
 // (Algorithm 1, lines 3-5) and records them in e.plans[n]. It draws from the
 // edge's deterministic RNG stream in member order: strategy probabilities
-// first, then per member one sampling coin and — for sampled devices under a
-// positive failure probability — one upload-failure coin. Local updates never
-// touch this stream, so pulling the failure coin forward from the serial
-// post-training position leaves every draw at the same stream offset. Then
-// the fold weights are final: Eq. (5)'s, or plainWeights'.
+// first, then Decision.Decide's coins. Local updates never touch this stream,
+// so pulling the failure coin forward from the serial post-training position
+// leaves every draw at the same stream offset.
 //
 // All per-step machinery is pooled in e.decide[n]: the RNG is reseeded to
 // the det.EdgeCoin stream a fresh det.NewRand would start (Seed is one store
@@ -351,10 +349,7 @@ func (e *Engine) flushStepTelemetry(acc *stepSamplingStats) {
 func (e *Engine) edgeDecide(t, n int) error {
 	plan := &e.plans[n]
 	members := e.Members(n)
-	if k := cap(plan.devs); k < len(members) { // room for every member: no append below grows it
-		plan.devs = append(plan.devs[:k], make([]plannedDevice, len(members)-k)...)
-	}
-	plan.devs, plan.uploads = plan.devs[:0], 0
+	plan.Picks, plan.Uploads, plan.failErr = plan.Picks[:0], 0, nil
 	if len(members) == 0 {
 		return nil
 	}
@@ -376,68 +371,96 @@ func (e *Engine) edgeDecide(t, n int) error {
 	st.ctx.Members = members
 	st.ctx.Estimates, st.ctx.Floor = nil, 0
 	st.probs = e.strategy.ProbabilitiesInto(&st.ctx, st.probs)
-	probs := st.probs
-	if len(probs) != len(members) {
-		return fmt.Errorf("strategy %q returned %d probabilities for %d members", e.strategy.Name(), len(probs), len(members))
+	if len(st.probs) != len(members) {
+		return fmt.Errorf("strategy %q returned %d probabilities for %d members", e.strategy.Name(), len(st.probs), len(members))
 	}
 	// DecisionActive is a pure function of (step, edge), so this agrees with
 	// the finalize phase's emission gate without any shared state.
-	tracing := e.tel.Trace().DecisionActive(t, n)
-	if tracing {
-		st.coins = st.coins[:0]
-		st.sampledIDs = st.sampledIDs[:0]
-		st.droppedIDs = st.droppedIDs[:0]
-	}
-	for i, m := range members {
-		q := probs[i]
-		if !(q >= 0 && q <= 1) {
-			return fmt.Errorf("strategy %q gave device %d probability %v, outside [0, 1]", e.strategy.Name(), m, q)
-		}
-		coin := st.rng.Float64()
-		if tracing {
-			st.coins = append(st.coins, coin)
-		}
-		if coin >= q {
-			continue // not sampled: 1^t_{m,n} = 0
-		}
-		upload := true
-		if e.cfg.UploadFailureProb > 0 && st.rng.Float64() < e.cfg.UploadFailureProb {
-			upload = false // device moved away before uploading (see Config)
-		}
-		if tracing {
-			st.sampledIDs = append(st.sampledIDs, m)
-			if !upload {
-				st.droppedIDs = append(st.droppedIDs, m)
-			}
-		}
-		weight := 1 / (float64(len(members)) * q) // Eq. (5)
-		if upload {
-			plan.uploads++
-		}
-		plan.devs = append(plan.devs, plannedDevice{m: m, weight: weight, upload: upload})
-	}
-	if e.aggregation() == AggPlain {
-		e.plainWeights(plan)
+	plan.Trace = e.tel.Trace().DecisionActive(t, n)
+	size := func(i int) int { return e.devices[members[i]].data.Len() }
+	if err := plan.Decide(st.rng, members, st.probs, size, e.aggregation(), e.cfg.UploadFailureProb); err != nil {
+		return fmt.Errorf("strategy %q: %w", e.strategy.Name(), err)
 	}
 	plan.reserve(e.cfg.LocalEpochs)
 	return nil
 }
 
-// plainWeights gives each surviving upload the weight |D_m|/Σ|D| over the
-// uploads: FedAvg over participants (equal sizes: a plain mean, the paper's
-// simplification).
+// Pick is one device an edge sampled at a step (1^t_{m,n} = 1 in
+// Algorithm 1) and the weight its trained model folds in at.
+type Pick struct {
+	Device int     // the device's ID
+	Member int     // its position in the step's members
+	Weight float64 // its fold weight (Decision.Decide)
+	Upload bool    // false when the upload-failure coin dropped its result
+}
+
+// Decision is the decision half of one edge's step — Algorithm 1's sampling
+// coins and the fold weights of Eq. (5) or its plain variant — and the one
+// code that makes it, for Engine and for internal/fed's edge servers alike.
+// Its buffers serve step after step.
+type Decision struct {
+	Picks   []Pick // the sampled members, in member order
+	Uploads int    // how many picks upload
+	// With Trace set, Decide records every member's sampling coin in Coins,
+	// in member order.
+	Trace bool
+	Coins []float64
+}
+
+// Decide draws one edge's step from rng, which the caller has placed on the
+// step's det.EdgeCoin stream: per member in order, one coin against the
+// member's probability probs[i], which must lie in [0, 1], sampling the
+// member when the coin falls below it, and per sampled member, when failProb
+// is positive, one upload-failure coin. Then it weights the picks for agg:
+// 1/(|M|·q) (Eq. 5), or under AggPlain |D_m|/Σ|D| over the uploads, where
+// size(i) is member i's |D_m| (asked under AggPlain only, of picks only).
 //
 //machlint:allocfree
-func (e *Engine) plainWeights(plan *edgePlan) {
+func (d *Decision) Decide(rng *rand.Rand, members []int, probs []float64, size func(member int) int, agg Aggregation, failProb float64) error {
+	if k := cap(d.Picks); k < len(members) { // room for every member: no append below grows it
+		d.Picks = append(d.Picks[:k], make([]Pick, len(members)-k)...)
+	}
+	d.Picks, d.Uploads, d.Coins = d.Picks[:0], 0, d.Coins[:0]
+	for i, m := range members {
+		q := probs[i]
+		if !(q >= 0 && q <= 1) {
+			return fmt.Errorf("device %d sampling probability %v, outside [0, 1]", m, q)
+		}
+		coin := rng.Float64()
+		if d.Trace {
+			d.Coins = append(d.Coins, coin)
+		}
+		if coin >= q {
+			continue // not sampled: 1^t_{m,n} = 0
+		}
+		// The device may move away before uploading (Config.UploadFailureProb).
+		upload := !(failProb > 0 && rng.Float64() < failProb)
+		if upload {
+			d.Uploads++
+		}
+		d.Picks = append(d.Picks, Pick{Device: m, Member: i, Weight: 1 / (float64(len(members)) * q), Upload: upload})
+	}
+	if agg == AggPlain {
+		d.plainWeights(size)
+	}
+	return nil
+}
+
+// plainWeights gives each upload the weight |D_m|/Σ|D| over the uploads,
+// size(i) being member i's |D_m|: FedAvg over participants (equal sizes: a
+// plain mean, the paper's simplification).
+//
+//machlint:allocfree
+func (d *Decision) plainWeights(size func(member int) int) {
 	total := 0
-	for _, pd := range plan.devs {
-		if pd.upload {
-			total += e.devices[pd.m].data.Len()
+	for _, p := range d.Picks {
+		if p.Upload {
+			total += size(p.Member)
 		}
 	}
-	for i := range plan.devs {
-		if pd := &plan.devs[i]; pd.upload {
-			pd.weight = float64(e.devices[pd.m].data.Len()) / float64(total)
+	for i := range d.Picks {
+		if p := &d.Picks[i]; p.Upload {
+			p.Weight = float64(size(p.Member)) / float64(total)
 		}
 	}
 }
@@ -452,7 +475,7 @@ func (e *Engine) foldStart(n int) (next, base []float64) {
 	if e.aggregation() == AggInverseUpdate {
 		base = cur
 	}
-	if e.plans[n].uploads > 0 {
+	if e.plans[n].Uploads > 0 {
 		if base != nil {
 			copy(next, cur)
 		} else {
@@ -465,7 +488,7 @@ func (e *Engine) foldStart(n int) (next, base []float64) {
 // edgeFinalize swaps edge n's folded model in (Algorithm 1, line 11); an
 // edge whose uploads all dropped keeps its model.
 func (e *Engine) edgeFinalize(n int) {
-	if e.plans[n].uploads > 0 {
+	if e.plans[n].Uploads > 0 {
 		e.edge[n], e.aggNext[n] = e.aggNext[n], e.edge[n]
 	}
 }

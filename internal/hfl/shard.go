@@ -86,11 +86,11 @@ func (s *shardState) step(t int) {
 	// started last would leave the other workers idle.
 	s.order = s.order[:0]
 	for n := s.lo; n < s.hi; n++ {
-		if len(e.plans[n].devs) > 0 {
+		if len(e.plans[n].Picks) > 0 {
 			s.order = append(s.order, n)
 		}
 	}
-	slices.SortStableFunc(s.order, func(a, b int) int { return len(e.plans[b].devs) - len(e.plans[a].devs) })
+	slices.SortStableFunc(s.order, func(a, b int) int { return len(e.plans[b].Picks) - len(e.plans[a].Picks) })
 	for _, n := range s.order {
 		s.group.GoIndex(e.edgeTask, n)
 	}
@@ -135,11 +135,11 @@ func (e *Engine) collectStep(t int) error {
 		e.obsEdges, e.obsDevs, e.obsNorms = e.obsEdges[:0], e.obsDevs[:0], e.obsNorms[:0]
 		for n := range e.plans {
 			plan := &e.plans[n]
-			for i, pd := range plan.devs {
+			for i, pd := range plan.Picks {
 				e.obsEdges = append(e.obsEdges, n)
-				e.obsDevs = append(e.obsDevs, pd.m)
+				e.obsDevs = append(e.obsDevs, pd.Device)
 				e.obsNorms = append(e.obsNorms, plan.norms[i*epochs:(i+1)*epochs])
-				e.pulls[pd.m]++
+				e.pulls[pd.Device]++
 			}
 		}
 		if len(e.obsDevs) > 0 {

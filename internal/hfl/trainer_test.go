@@ -74,11 +74,11 @@ func markovTwin(t testing.TB, seed int64, edges, devices int) *mobility.Schedule
 // 1, every second upload dropped.
 func planFor(e *Engine, n int, devs []int) {
 	plan := &e.plans[n]
-	plan.devs, plan.uploads = plan.devs[:0], 0
+	plan.Picks, plan.Uploads, plan.failErr = plan.Picks[:0], 0, nil
 	for i, m := range devs {
-		plan.devs = append(plan.devs, plannedDevice{m: m, weight: 1, upload: i%2 == 0})
+		plan.Picks = append(plan.Picks, Pick{Device: m, Member: i, Weight: 1, Upload: i%2 == 0})
 		if i%2 == 0 {
-			plan.uploads++
+			plan.Uploads++
 		}
 	}
 	plan.reserve(e.cfg.LocalEpochs)
@@ -89,11 +89,10 @@ func planFor(e *Engine, n int, devs []int) {
 func edgeOutputs(t *testing.T, e *Engine, n int) (norms [][]float64, folded []float64) {
 	t.Helper()
 	plan := &e.plans[n]
-	for i := range plan.devs {
-		pd := &plan.devs[i]
-		if pd.err != nil {
-			t.Fatalf("device %d: %v", pd.m, pd.err)
-		}
+	if err := plan.trainErr(); err != nil {
+		t.Fatal(err)
+	}
+	for i := range plan.Picks {
 		norms = append(norms, append([]float64(nil), plan.norms[i*e.cfg.LocalEpochs:(i+1)*e.cfg.LocalEpochs]...))
 	}
 	return norms, append([]float64(nil), e.aggNext[n]...)
@@ -284,18 +283,18 @@ func TestEngineStepMatchesDeviceOwnedUpdate(t *testing.T) {
 								plan := &e.plans[n]
 								gotNorms, _ := edgeOutputs(t, e, n)
 								var uploads []upload
-								for i, pd := range plan.devs {
-									norms, params := deviceOwnedUpdate(t, cfg, base, parts[pd.m], pd.m, start)
-									requireSameBits(t, fmt.Sprintf("edge %d device %d norms", n, pd.m), [][]float64{gotNorms[i]}, [][]float64{norms})
-									if pd.upload {
+								for i, pd := range plan.Picks {
+									norms, params := deviceOwnedUpdate(t, cfg, base, parts[pd.Device], pd.Device, start)
+									requireSameBits(t, fmt.Sprintf("edge %d device %d norms", n, pd.Device), [][]float64{gotNorms[i]}, [][]float64{norms})
+									if pd.Upload {
 										members := e.Members(n)
-										q := e.decide[n].probs[slices.Index(members, pd.m)]
-										uploads = append(uploads, upload{params: params, weight: 1 / (float64(len(members)) * q), size: parts[pd.m].Len()})
+										q := e.decide[n].probs[slices.Index(members, pd.Device)]
+										uploads = append(uploads, upload{params: params, weight: 1 / (float64(len(members)) * q), size: parts[pd.Device].Len()})
 									}
 									trained++
 								}
 								switch {
-								case len(plan.devs) > 0 && len(uploads) == 0:
+								case len(plan.Picks) > 0 && len(uploads) == 0:
 									allDropped++
 								case len(uploads) > 1:
 									multi++

@@ -40,7 +40,7 @@ asm_lines=$(wc -l <internal/tensor/kernels_amd64.s)
 
 # So does the tree: a change that grows the scripts/loc.sh total past the
 # budget raises it and states what the lines bought.
-loc_budget=23700
+loc_budget=23694
 echo "== line budget (scripts/loc.sh total ≤ $loc_budget non-test lines)"
 loc_total=$(./scripts/loc.sh | awk '$1 == "total" { print $2 }')
 [ "$loc_total" -le "$loc_budget" ] || { echo "check: the tree has $loc_total non-test lines, over its budget of $loc_budget" >&2; exit 1; }
@@ -110,7 +110,7 @@ obs_pid=""
 # The final snapshot must diff cleanly against itself (machtop diff exit 0).
 "$tmp/machtop" diff "$tmp/snap.json" "$tmp/snap.json" >/dev/null
 
-echo "== distributed smoke (2 device hosts, 2 edges, a cloud: separate machnode processes, once under -codec delta and once under -codec raw; the two lossless codecs must write identical CSVs)"
+echo "== distributed smoke (2 edges and a cloud over 2 device hosts, then over 1: separate machnode processes, each cluster once under -codec delta and once under -codec raw; the two lossless codecs must write identical CSVs)"
 go build -o "$tmp/machnode" ./cmd/machnode
 # fed_addr waits for a node's "… on <addr>" line and prints the address.
 fed_addr() {
@@ -121,34 +121,37 @@ fed_addr() {
 	done
 	echo "check: machnode never listened: $1" >&2; cat "$1" >&2; return 1
 }
-# fed_run brings up a fresh cluster, runs its cloud under codec $1 into
-# $tmp/$1.csv and stops the cluster.
+# fed_run brings up a fresh cluster of $2 device hosts, runs its cloud under
+# codec $1 into $tmp/$1-$2.csv and stops the cluster. On one host every edge
+# step folds host-side, and every cloud round refetches the edge models.
 fed_run() {
 	hosts="" edges="" fed_pids=""
-	for h in 0 1; do
-		"$tmp/machnode" -role device -steps 10 -host-index $h -num-hosts 2 >"$tmp/$1-host$h.log" 2>&1 &
+	for h in $(seq 0 $(($2 - 1))); do
+		"$tmp/machnode" -role device -steps 10 -host-index $h -num-hosts $2 >"$tmp/$1-$2-host$h.log" 2>&1 &
 		fed_pids="$fed_pids $!"
 	done
-	for h in 0 1; do hosts="$hosts${hosts:+,}$(fed_addr "$tmp/$1-host$h.log")"; done
+	for h in $(seq 0 $(($2 - 1))); do hosts="$hosts${hosts:+,}$(fed_addr "$tmp/$1-$2-host$h.log")"; done
 	for n in 0 1; do
-		"$tmp/machnode" -role edge -steps 10 -edge-index $n -device-hosts "$hosts" >"$tmp/$1-edge$n.log" 2>&1 &
+		"$tmp/machnode" -role edge -steps 10 -edge-index $n -device-hosts "$hosts" >"$tmp/$1-$2-edge$n.log" 2>&1 &
 		fed_pids="$fed_pids $!"
 	done
-	for n in 0 1; do edges="$edges${edges:+,}$(fed_addr "$tmp/$1-edge$n.log")"; done
+	for n in 0 1; do edges="$edges${edges:+,}$(fed_addr "$tmp/$1-$2-edge$n.log")"; done
 	"$tmp/machnode" -role cloud -steps 10 -codec "$1" -edge-addrs "$edges" -device-hosts "$hosts" \
-		>"$tmp/$1.csv" 2>"$tmp/$1-cloud.log" \
-		|| { echo "check: machnode cloud failed under -codec $1" >&2; cat "$tmp"/$1-*.log >&2; exit 1; }
+		>"$tmp/$1-$2.csv" 2>"$tmp/$1-$2-cloud.log" \
+		|| { echo "check: machnode cloud failed under -codec $1" >&2; cat "$tmp"/$1-$2-*.log >&2; exit 1; }
 	kill $fed_pids
 	wait $fed_pids 2>/dev/null || true
 	fed_pids=""
 }
-fed_run delta
-fed_run raw
-# The CI preset evaluates every step: a header and one row per step.
-rows=$(($(wc -l <"$tmp/delta.csv") - 1))
-[ "$rows" = 10 ] || { echo "check: machnode cloud wrote $rows evaluation rows, want 10" >&2; cat "$tmp/delta.csv" >&2; exit 1; }
-diff "$tmp/delta.csv" "$tmp/raw.csv" >&2 \
-	|| { echo "check: -codec raw and -codec delta histories differ" >&2; exit 1; }
-echo "   $rows evaluations, raw ≡ delta"
+for nh in 2 1; do
+	fed_run delta $nh
+	fed_run raw $nh
+	# The CI preset evaluates every step: a header and one row per step.
+	rows=$(($(wc -l <"$tmp/delta-$nh.csv") - 1))
+	[ "$rows" = 10 ] || { echo "check: machnode cloud wrote $rows evaluation rows, want 10" >&2; cat "$tmp/delta-$nh.csv" >&2; exit 1; }
+	diff "$tmp/delta-$nh.csv" "$tmp/raw-$nh.csv" >&2 \
+		|| { echo "check: -codec raw and -codec delta histories differ on $nh host(s)" >&2; exit 1; }
+	echo "   $nh host(s): $rows evaluations, raw ≡ delta"
+done
 
 echo "check: OK"
