@@ -6,6 +6,11 @@
 //
 //	machbench -exp fig3 -task mnist -scale ci
 //	machbench -exp all -scale full          # paper-scale, slow
+//	machbench -exp fig3 -task mnist -config <(echo '{"Runs":1,"Steps":100}')
+//
+// A paper experiment's config is the task's preset, then the -config JSON
+// layer (any bench.Config field by name), then -seed when given; -out saves
+// the resolved config, which -config reproduces the run from.
 package main
 
 import (
@@ -21,7 +26,6 @@ import (
 	"time"
 
 	"github.com/mach-fl/mach/internal/bench"
-	"github.com/mach-fl/mach/internal/hfl"
 	"github.com/mach-fl/mach/internal/telemetry"
 )
 
@@ -89,32 +93,9 @@ func run() error {
 		memProfile   = flag.String("memprofile", "", "write a heap profile to this file on exit")
 		blockProfile = flag.String("blockprofile", "", "write a goroutine blocking profile to this file on exit")
 		mutexProfile = flag.String("mutexprofile", "", "write a mutex contention profile to this file on exit")
-		seed         = flag.Int64("seed", 1, "base random seed")
-		runs         = flag.Int("runs", 0, "override number of averaged runs (0 = preset)")
-		steps        = flag.Int("steps", 0, "override step budget (0 = preset)")
-
-		devices = flag.Int("devices", 0, "override device count (0 = preset)")
-		edges   = flag.Int("edges", 0, "override edge count (0 = preset)")
-		batch   = flag.Int("batch", 0, "override batch size (0 = preset)")
-		lr      = flag.Float64("lr", 0, "override learning rate (0 = preset)")
-		part    = flag.Float64("participation", 0, "override participation (0 = preset)")
-		tail    = flag.Float64("tail", 0, "override device tail ratio (0 = preset)")
-		gtail   = flag.Float64("gtail", -1, "override global tail ratio (-1 = preset)")
-		alpha   = flag.Float64("alpha", 0, "override MACH alpha (0 = preset)")
-		beta    = flag.Float64("beta", 0, "override MACH beta (0 = preset)")
-		target  = flag.Float64("target", 0, "override target accuracy (0 = preset)")
-		agg     = flag.String("agg", "", "override aggregation: inverse | plain | literal")
-		lane    = flag.String("lane", "", "override compute lane for local updates: f64 | f32 (default: preset)")
-		fuse    = flag.Bool("fuse", false, "f32 lane: an edge's sampled devices share lane slots and step together")
-		conf    = flag.String("config", "", "JSON experiment config layered over the preset")
-		outDir  = flag.String("out", "", "directory for per-strategy CSV curves and the resolved config (optional)")
-		ndev    = flag.Float64("noisydev", -1, "override noisy-device fraction (-1 = preset)")
-		nlab    = flag.Float64("noisylab", -1, "override noisy-label fraction (-1 = preset)")
-		speed   = flag.Float64("speed", 0, "override mobility speed multiplier (0 = preset)")
-		explore = flag.Float64("explore", -1, "override MACH exploration coefficient (-1 = preset)")
-		disc    = flag.Float64("discount", 0, "override MACH discount (0 = preset)")
-		epochs  = flag.Int("epochs", 0, "override local epochs I (0 = preset)")
-		tg      = flag.Int("tg", 0, "override cloud interval Tg (0 = preset)")
+		seed         = flag.Int64("seed", 1, "override base random seed")
+		conf         = flag.String("config", "", "JSON experiment config layered over the preset (every bench.Config field by name); -seed overrides it only when given")
+		outDir       = flag.String("out", "", "directory for per-strategy CSV curves and the resolved config (optional)")
 	)
 	flag.Parse()
 
@@ -192,92 +173,10 @@ func run() error {
 	}
 
 	for _, tk := range tasks {
-		cfg := bench.TaskPreset(tk, sc)
-		if *conf != "" {
-			loaded, err := bench.LoadConfig(*conf, cfg)
-			if err != nil {
-				return err
-			}
-			cfg = loaded
-		}
-		cfg.Seed = *seed
-		if *runs > 0 {
-			cfg.Runs = *runs
-		}
-		if *steps > 0 {
-			cfg.Steps = *steps
-		}
-		if *devices > 0 {
-			cfg.Devices = *devices
-		}
-		if *edges > 0 {
-			cfg.Edges = *edges
-		}
-		if *batch > 0 {
-			cfg.BatchSize = *batch
-		}
-		if *lr > 0 {
-			cfg.LearningRate = *lr
-		}
-		if *part > 0 {
-			cfg.Participation = *part
-		}
-		if *tail > 0 {
-			cfg.TailRatio = *tail
-		}
-		if *gtail >= 0 {
-			cfg.GlobalTailRatio = *gtail
-		}
-		if *alpha > 0 {
-			cfg.MACH.Alpha = *alpha
-		}
-		//machlint:allow floateq flag sentinel: exact zero means "not set on the command line"
-		if *beta != 0 {
-			cfg.MACH.Beta = *beta
-		}
-		if *target > 0 {
-			cfg.TargetAccuracy = *target
-		}
-		if *epochs > 0 {
-			cfg.LocalEpochs = *epochs
-		}
-		if *ndev >= 0 {
-			cfg.NoisyDevices = *ndev
-		}
-		if *nlab >= 0 {
-			cfg.NoisyLabels = *nlab
-		}
-		if *speed > 0 {
-			cfg.MobilitySpeed = *speed
-		}
-		if *explore >= 0 {
-			cfg.MACH.ExplorationCoef = *explore
-		}
-		if *disc > 0 {
-			cfg.MACH.Discount = *disc
-		}
-		if *tg > 0 {
-			cfg.CloudInterval = *tg
-		}
-		if *lane != "" {
-			if _, err := hfl.ParseLane(*lane); err != nil {
-				return err
-			}
-			cfg.Lane = *lane
-		}
-		if *fuse {
-			cfg.FuseBatch = true
-		}
-		switch *agg {
-		case "":
-		case "inverse":
-			cfg.Aggregation = hfl.AggInverseUpdate
-		case "plain":
-			cfg.Aggregation = hfl.AggPlain
-		case "literal":
-			cfg.Aggregation = hfl.AggLiteralEq5
-		default:
-			return fmt.Errorf("unknown aggregation %q", *agg)
+		cfg, err := bench.ResolveConfig(bench.TaskPreset(tk, sc), *conf, flag.CommandLine,
+			map[string]func(*bench.Config){"seed": func(c *bench.Config) { c.Seed = *seed }})
+		if err != nil {
+			return err
 		}
 		if *outDir != "" {
 			if err := os.MkdirAll(*outDir, 0o755); err != nil {

@@ -12,12 +12,14 @@
 //	         -device-hosts 127.0.0.1:7001,127.0.0.1:7002 &
 //	machnode -role cloud  -edge-addrs 127.0.0.1:7101,127.0.0.1:7102 \
 //	         -device-hosts 127.0.0.1:7001,127.0.0.1:7002 -edges 2
+//
+// The roles are the CI preset's deployment (DESIGN.md §6): on one device host
+// the cloud prints the CSV machsim -out writes for the same flags.
 package main
 
 import (
 	"flag"
 	"fmt"
-	"math/rand"
 	"os"
 	"os/signal"
 	"strings"
@@ -25,8 +27,6 @@ import (
 
 	"github.com/mach-fl/mach/internal/bench"
 	"github.com/mach-fl/mach/internal/codec"
-	"github.com/mach-fl/mach/internal/dataset"
-	"github.com/mach-fl/mach/internal/fed"
 	"github.com/mach-fl/mach/internal/telemetry"
 )
 
@@ -94,24 +94,10 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	hyper := fed.Hyper{
-		LocalEpochs:  cfg.LocalEpochs,
-		BatchSize:    cfg.BatchSize,
-		LearningRate: cfg.LearningRate,
-	}
 
 	switch *role {
 	case "device":
-		if *hostIndex < 0 || *numHosts < 1 || *hostIndex >= *numHosts {
-			return fmt.Errorf("invalid host index %d of %d", *hostIndex, *numHosts)
-		}
-		data := map[int]*dataset.Dataset{}
-		for m := 0; m < cfg.Devices; m++ {
-			if hostOf(m, cfg.Devices, *numHosts) == *hostIndex {
-				data[m] = env.DeviceData[m]
-			}
-		}
-		srv, err := fed.NewDeviceServer(cfg.Arch(), data, cfg.MACH, *seed)
+		srv, err := cfg.DeviceHost(env, *hostIndex, *numHosts)
 		if err != nil {
 			return err
 		}
@@ -120,26 +106,13 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("machnode: device host %d/%d serving %d devices on %s\n",
-			*hostIndex, *numHosts, len(data), addr)
+		fmt.Printf("machnode: device host %d/%d serving on %s\n", *hostIndex, *numHosts, addr)
 		markReady()
 		waitForSignal()
 		return srv.Close()
 
 	case "edge":
-		hosts := splitAddrs(*hostList)
-		if len(hosts) == 0 {
-			return fmt.Errorf("edge role needs -device-hosts")
-		}
-		table := map[int]string{}
-		for m := 0; m < cfg.Devices; m++ {
-			table[m] = hosts[hostOf(m, cfg.Devices, len(hosts))]
-		}
-		base, err := cfg.Arch()(rand.New(rand.NewSource(*seed))) // its length bounds every global the edge accepts
-		if err != nil {
-			return err
-		}
-		e, err := fed.NewEdgeServer(*edgeIndex, cfg.MACH, hyper, *seed, fed.StaticResolver(table), base.ParamVector())
+		e, err := cfg.Edge(*edgeIndex, splitAddrs(*hostList))
 		if err != nil {
 			return err
 		}
@@ -154,19 +127,7 @@ func run() error {
 		return e.Close()
 
 	case "cloud":
-		edgeAddrs := splitAddrs(*edgeList)
-		hostAddrs := splitAddrs(*hostList)
-		if len(edgeAddrs) != cfg.Edges {
-			return fmt.Errorf("cloud needs %d edge addresses, got %d", cfg.Edges, len(edgeAddrs))
-		}
-		cloud, err := fed.NewCloud(fed.CloudConfig{
-			Steps:         cfg.Steps,
-			CloudInterval: cfg.CloudInterval,
-			Participation: cfg.Participation,
-			EvalEvery:     cfg.EvalEvery,
-			Seed:          *seed,
-			Codec:         scheme,
-		}, cfg.Arch(), env.Schedule, env.Test, edgeAddrs, hostAddrs)
+		cloud, err := cfg.Cloud(env, scheme, splitAddrs(*edgeList), splitAddrs(*hostList))
 		if err != nil {
 			return err
 		}
@@ -191,16 +152,6 @@ func run() error {
 	default:
 		return fmt.Errorf("unknown role %q (want device | edge | cloud)", *role)
 	}
-}
-
-// hostOf maps devices to hosts in contiguous blocks, matching the device
-// role's partitioning.
-func hostOf(device, devices, hosts int) int {
-	h := device * hosts / devices
-	if h >= hosts {
-		h = hosts - 1
-	}
-	return h
 }
 
 func splitAddrs(s string) []string {

@@ -64,7 +64,7 @@ func run() error {
 		strategy = flag.String("strategy", "mach", "sampling strategy: uniform | class-balance | statistical | mach | mach-p")
 		scale    = flag.String("scale", "ci", "preset scale: ci | full")
 		steps    = flag.Int("steps", 0, "override step budget")
-		seed     = flag.Int64("seed", 1, "random seed")
+		seed     = flag.Int64("seed", 1, "override random seed")
 		target   = flag.Float64("target", 0, "stop at this accuracy (0 = run to completion)")
 		tracePth = flag.String("trace", "", "mobility trace CSV (from tracegen); default synthetic waypoint")
 		coords   = flag.String("coords", "", "station coordinates CSV (required with -trace)")
@@ -73,7 +73,7 @@ func run() error {
 		edges    = flag.Int("edges", 0, "override edge count")
 		devices  = flag.Int("devices", 0, "override device count")
 		outPath  = flag.String("out", "", "write accuracy history CSV here (default stdout)")
-		confPath = flag.String("config", "", "JSON experiment config layered over the preset")
+		confPath = flag.String("config", "", "JSON experiment config layered over the preset; -seed, -steps, -edges and -devices override it only when given")
 
 		debugAddr  = flag.String("debug-addr", "", "serve /debug/*, /metrics, /healthz and /readyz on this address (watch with machtop)")
 		metricsOut = flag.String("metrics-out", "", "write the final telemetry snapshot JSON here (compare runs with machtop diff)")
@@ -83,28 +83,17 @@ func run() error {
 	)
 	flag.Parse()
 
-	cfg := bench.TaskPreset(bench.Task(*task), bench.Scale(*scale))
-	if *confPath != "" {
-		loaded, err := bench.LoadConfig(*confPath, cfg)
-		if err != nil {
-			return err
-		}
-		cfg = loaded
-	}
-	cfg.Seed = *seed
-	cfg.Runs = 1
-	if *steps > 0 {
-		cfg.Steps = *steps
-	}
-	if *edges > 0 {
-		cfg.Edges = *edges
-	}
-	if *devices > 0 {
-		cfg.Devices = *devices
-	}
-	if err := cfg.Validate(); err != nil {
+	cfg, err := bench.ResolveConfig(bench.TaskPreset(bench.Task(*task), bench.Scale(*scale)), *confPath, flag.CommandLine,
+		map[string]func(*bench.Config){
+			"seed":    func(c *bench.Config) { c.Seed = *seed },
+			"steps":   func(c *bench.Config) { c.Steps = *steps },
+			"edges":   func(c *bench.Config) { c.Edges = *edges },
+			"devices": func(c *bench.Config) { c.Devices = *devices },
+		})
+	if err != nil {
 		return err
 	}
+	cfg.Runs = 1
 
 	env, err := cfg.BuildEnvironment(0)
 	if err != nil {
@@ -113,7 +102,7 @@ func run() error {
 	var src mobility.StepSource = env.Schedule
 	if *tracePth != "" {
 		if *stream {
-			f, ts, err := streamFromTrace(*tracePth, *coords, cfg.Edges, cfg.Devices, cfg.Steps, *seed, *stepDur)
+			f, ts, err := streamFromTrace(*tracePth, *coords, cfg.Edges, cfg.Devices, cfg.Steps, cfg.Seed, *stepDur)
 			if err != nil {
 				return err
 			}
@@ -122,7 +111,7 @@ func run() error {
 			defer f.Close() //machlint:allow errdrop read-only file; a close failure cannot corrupt anything
 			src = ts
 		} else {
-			sched, err := scheduleFromTrace(*tracePth, *coords, cfg.Edges, cfg.Devices, cfg.Steps, *seed, *stepDur)
+			sched, err := scheduleFromTrace(*tracePth, *coords, cfg.Edges, cfg.Devices, cfg.Steps, cfg.Seed, *stepDur)
 			if err != nil {
 				return err
 			}
@@ -203,7 +192,7 @@ func run() error {
 	}
 	fmt.Fprintf(os.Stderr,
 		"machsim: %s/%s  steps=%d  sampled=%d  final accuracy=%.4f  best=%.4f  elapsed=%v\n",
-		*task, *strategy, res.StepsRun, res.TotalSampled,
+		cfg.Task, *strategy, res.StepsRun, res.TotalSampled,
 		res.History.FinalAccuracy(), res.History.BestAccuracy(),
 		telemetry.WallSince(start).Round(time.Millisecond))
 	if res.ReachedTarget {

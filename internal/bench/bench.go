@@ -112,7 +112,8 @@ func (c Config) Validate() error {
 	case c.TargetAccuracy <= 0 || c.TargetAccuracy >= 1:
 		return fmt.Errorf("bench: target accuracy %v outside (0,1)", c.TargetAccuracy)
 	}
-	return nil
+	_, err := hfl.ParseLane(c.Lane)
+	return err
 }
 
 // TaskPreset returns the experiment configuration of one task at one scale,

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -9,8 +10,6 @@ import (
 	"runtime"
 
 	"github.com/mach-fl/mach/internal/codec"
-	"github.com/mach-fl/mach/internal/dataset"
-	"github.com/mach-fl/mach/internal/fed"
 	"github.com/mach-fl/mach/internal/metrics"
 	"github.com/mach-fl/mach/internal/telemetry"
 )
@@ -85,101 +84,10 @@ type CommBenchResult struct {
 	Profiles *ProfileMeta `json:"profiles,omitempty"`
 }
 
-// commDeployment is an in-process loopback cluster for one measured run.
-type commDeployment struct {
-	cloud *fed.Cloud
-	hosts []*fed.DeviceServer
-	edges []*fed.EdgeServer
-}
-
-func (d *commDeployment) close() {
-	if d.cloud != nil {
-		d.cloud.Close() //machlint:allow errdrop best-effort teardown between measured runs
-	}
-	for _, e := range d.edges {
-		e.Close() //machlint:allow errdrop best-effort teardown between measured runs
-	}
-	for _, s := range d.hosts {
-		s.Close() //machlint:allow errdrop best-effort teardown between measured runs
-	}
-}
-
-// buildCommDeployment wires the environment into a fed cluster: `hosts`
-// device hosts splitting the population into contiguous ranges, one edge
-// server per scheduled edge, and a cloud driving the run under scheme. All
-// seeds derive from the config alone, so every scheme sees the same world.
-func buildCommDeployment(cfg Config, env *Environment, hosts int, scheme codec.Scheme) (*commDeployment, error) {
-	d := &commDeployment{}
-	table := map[int]string{}
-	for h := 0; h < hosts; h++ {
-		data := map[int]*dataset.Dataset{}
-		for m := h * cfg.Devices / hosts; m < (h+1)*cfg.Devices/hosts; m++ {
-			data[m] = env.DeviceData[m]
-		}
-		srv, err := fed.NewDeviceServer(cfg.Arch(), data, cfg.MACH, cfg.Seed)
-		if err != nil {
-			d.close()
-			return nil, err
-		}
-		addr, err := srv.Serve("127.0.0.1:0")
-		if err != nil {
-			d.close()
-			return nil, err
-		}
-		d.hosts = append(d.hosts, srv)
-		for m := range data {
-			table[m] = addr
-		}
-	}
-	var hostAddrs []string
-	for h := 0; h < hosts; h++ {
-		hostAddrs = append(hostAddrs, table[h*cfg.Devices/hosts])
-	}
-
-	hyper := fed.Hyper{
-		LocalEpochs:  cfg.LocalEpochs,
-		BatchSize:    cfg.BatchSize,
-		LearningRate: cfg.LearningRate,
-	}
-	var edgeAddrs []string
-	for n := 0; n < cfg.Edges; n++ {
-		e, err := fed.NewEdgeServer(n, cfg.MACH, hyper, cfg.Seed, fed.StaticResolver(table), nil)
-		if err != nil {
-			d.close()
-			return nil, err
-		}
-		addr, err := e.Serve("127.0.0.1:0")
-		if err != nil {
-			d.close()
-			return nil, err
-		}
-		d.edges = append(d.edges, e)
-		edgeAddrs = append(edgeAddrs, addr)
-	}
-
-	cloud, err := fed.NewCloud(fed.CloudConfig{
-		Steps:         cfg.Steps,
-		CloudInterval: cfg.CloudInterval,
-		Participation: cfg.Participation,
-		EvalEvery:     cfg.EvalEvery,
-		Seed:          cfg.Seed,
-		Codec:         scheme,
-	}, cfg.Arch(), env.Schedule, env.Test, edgeAddrs, hostAddrs)
-	if err != nil {
-		d.close()
-		return nil, err
-	}
-	d.cloud = cloud
-	return d, nil
-}
-
 // RunCommBench runs the frozen configuration once per wire format on a
 // single-host loopback cluster (the machnode default topology), measuring
 // real bytes on every connection, and adds the codec micro-timings.
 func RunCommBench(cfg Config) (*CommBenchResult, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
 	const hosts = 1
 	res := &CommBenchResult{
 		GOOS:    runtime.GOOS,
@@ -207,24 +115,18 @@ func RunCommBench(cfg Config) (*CommBenchResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		d, err := buildCommDeployment(cfg, env, hosts, scheme)
+		cl, err := cfg.Cluster(env, hosts, scheme)
 		if err != nil {
 			return nil, fmt.Errorf("bench: comm deployment (%v): %w", scheme, err)
 		}
 		start := telemetry.WallNow()
-		hist, err := d.cloud.Run()
+		hist, err := cl.Run()
 		wall := telemetry.WallSince(start)
-		if err != nil {
-			d.close()
+		stats, serr := cl.CommStats()
+		global := cl.GlobalParams()
+		if err := errors.Join(err, serr, cl.Close()); err != nil {
 			return nil, fmt.Errorf("bench: comm run (%v): %w", scheme, err)
 		}
-		stats, err := d.cloud.CommStats()
-		if err != nil {
-			d.close()
-			return nil, fmt.Errorf("bench: comm stats (%v): %w", scheme, err)
-		}
-		global := d.cloud.GlobalParams()
-		d.close()
 
 		row := CommBenchRow{
 			Scheme:              scheme.String(),

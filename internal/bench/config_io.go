@@ -2,6 +2,7 @@ package bench
 
 import (
 	"encoding/json"
+	"flag"
 	"fmt"
 	"io"
 	"os"
@@ -56,4 +57,30 @@ func LoadConfig(path string, base Config) (Config, error) {
 	}
 	defer f.Close() //machlint:allow errdrop read-only file; a close failure cannot corrupt anything
 	return ReadConfig(f, base)
+}
+
+// ResolveConfig is how a command line becomes a run's config: base (a
+// preset), then the JSON file at path when path is non-empty, then every
+// flag of fs that was given on the command line and has a setter in set. A
+// flag left at its default overrides nothing, so a file's Seed survives a
+// command line without -seed, and any value a flag can hold — zero too —
+// can be given. The result is validated.
+func ResolveConfig(base Config, path string, fs *flag.FlagSet, set map[string]func(*Config)) (Config, error) {
+	cfg := base
+	if path != "" {
+		loaded, err := LoadConfig(path, cfg)
+		if err != nil {
+			return Config{}, err
+		}
+		cfg = loaded
+	}
+	fs.Visit(func(f *flag.Flag) {
+		if apply, ok := set[f.Name]; ok {
+			apply(&cfg)
+		}
+	})
+	if err := cfg.Validate(); err != nil {
+		return Config{}, err
+	}
+	return cfg, nil
 }

@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"flag"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -49,10 +51,41 @@ func TestReadConfigRejectsUnknownAndInvalid(t *testing.T) {
 	if _, err := ReadConfig(strings.NewReader(`{"Edges": 0}`), base); err == nil {
 		t.Fatal("expected validation error")
 	}
+	if _, err := ReadConfig(strings.NewReader(`{"Lane": "f33"}`), base); err == nil || !strings.Contains(err.Error(), `"f33"`) {
+		t.Fatalf("unknown lane: error %v, want one naming it", err)
+	}
 	if _, err := ReadConfig(strings.NewReader(`not json`), base); err == nil {
 		t.Fatal("expected parse error")
 	}
 	if _, err := LoadConfig("/nonexistent/cfg.json", base); err == nil {
 		t.Fatal("expected open error")
+	}
+}
+
+// TestResolveConfigHonoursFileSeed: a flag overrides the -config file only
+// when the command line gives it, so the file's Seed survives a command line
+// without -seed, and -seed wins, even at its default value, when given.
+func TestResolveConfigHonoursFileSeed(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "cfg.json")
+	if err := os.WriteFile(path, []byte(`{"Seed": 2}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		args []string
+		want int64
+	}{{nil, 2}, {[]string{"-seed", "5"}, 5}, {[]string{"-seed", "1"}, 1}} {
+		fs := flag.NewFlagSet("resolve", flag.ContinueOnError)
+		seed := fs.Int64("seed", 1, "")
+		if err := fs.Parse(tc.args); err != nil {
+			t.Fatal(err)
+		}
+		cfg, err := ResolveConfig(TaskPreset(TaskMNIST, ScaleCI), path, fs,
+			map[string]func(*Config){"seed": func(c *Config) { c.Seed = *seed }})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cfg.Seed != tc.want {
+			t.Fatalf("args %q: seed %d, want %d", tc.args, cfg.Seed, tc.want)
+		}
 	}
 }
