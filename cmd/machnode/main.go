@@ -90,13 +90,14 @@ func run() error {
 	cfg.Devices = *devices
 	cfg.Edges = *edges
 	cfg.Steps = *steps
-	env, err := cfg.BuildEnvironment(0)
-	if err != nil {
-		return err
-	}
 
+	// Only the device and cloud roles read the world, so only they build it.
 	switch *role {
 	case "device":
+		env, err := cfg.BuildEnvironment(0)
+		if err != nil {
+			return err
+		}
 		srv, err := cfg.DeviceHost(env, *hostIndex, *numHosts)
 		if err != nil {
 			return err
@@ -127,6 +128,10 @@ func run() error {
 		return e.Close()
 
 	case "cloud":
+		env, err := cfg.BuildEnvironment(0)
+		if err != nil {
+			return err
+		}
 		cloud, err := cfg.Cloud(env, scheme, splitAddrs(*edgeList), splitAddrs(*hostList))
 		if err != nil {
 			return err

@@ -406,12 +406,14 @@ func (c *Comparison) Result(name string) *StrategyResult {
 	return nil
 }
 
-// SavedPercent computes the headline metric: percentage of time steps MACH
-// saves against the best of the given baselines (only counting baselines
-// that reached the target).
+// SavedPercent computes the headline metric, metrics.SavedPercent: the
+// percentage of time steps MACH saves against the best of the given
+// baselines that reached the target. A MACH miss scores as the step budget
+// (its TimeToTarget), Table I's rule too: the figure is then at most what
+// MACH saved, negative once a baseline reached the target.
 func (c *Comparison) SavedPercent(baselines []string) float64 {
 	mach := c.Result(StratMACH)
-	if mach == nil || !mach.Reached {
+	if mach == nil {
 		return 0
 	}
 	var steps []int

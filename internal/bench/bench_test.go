@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"github.com/mach-fl/mach/internal/metrics"
 	"github.com/mach-fl/mach/internal/nn"
 )
 
@@ -307,19 +306,6 @@ func TestRenderCurveASCII(t *testing.T) {
 	if sb.Len() != 0 {
 		t.Fatal("empty curve should render nothing")
 	}
-}
-
-func TestSavedPercentAgainstKnownSteps(t *testing.T) {
-	// Mirrors the paper's Table I arithmetic: MACH 110 vs best baseline
-	// 155 → 29.03% saved.
-	got := savedPercent(110, []int{155, 255, 180})
-	if got < 29.0 || got > 29.1 {
-		t.Fatalf("savedPercent = %v, want ≈ 29.03", got)
-	}
-	if savedPercent(100, nil) != 0 {
-		t.Fatal("no baselines should yield 0")
-	}
-	_ = metrics.SavedPercent // keep the metrics linkage explicit
 }
 
 func TestRunAblationsSuite(t *testing.T) {

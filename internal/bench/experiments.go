@@ -2,6 +2,8 @@ package bench
 
 import (
 	"fmt"
+
+	"github.com/mach-fl/mach/internal/metrics"
 )
 
 // Fig3Result holds the time-to-accuracy curves of one task (one subplot of
@@ -179,22 +181,9 @@ func RunTable1(cfg Config) (*Table1Result, error) {
 					baselineSteps = append(baselineSteps, step)
 				}
 			}
-			row.SavedPercent = savedPercent(machStep, baselineSteps)
+			row.SavedPercent = metrics.SavedPercent(machStep, baselineSteps)
 			out.Rows = append(out.Rows, row)
 		}
 	}
 	return out, nil
-}
-
-func savedPercent(machStep int, baselineSteps []int) float64 {
-	best := 0
-	for _, s := range baselineSteps {
-		if best == 0 || s < best {
-			best = s
-		}
-	}
-	if best == 0 {
-		return 0
-	}
-	return (float64(best) - float64(machStep)) / float64(best) * 100
 }

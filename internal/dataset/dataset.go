@@ -12,7 +12,6 @@ package dataset
 
 import (
 	"fmt"
-	"math/rand"
 
 	"github.com/mach-fl/mach/internal/tensor"
 )
@@ -93,11 +92,11 @@ func (d *Dataset) BatchInto(x *tensor.Tensor, labels []int, indices []int) {
 // RandomBatchInto draws a uniform random minibatch with replacement,
 // matching the ξ sampling of the local update rule (Eq. 4), into
 // caller-owned buffers sized as for BatchInto. idx is index scratch of
-// length equal to the batch size; the RNG draws exactly one Intn per sample
-// in slot order.
+// length equal to the batch size; rng — a *det.Stream on the training path,
+// or a *rand.Rand — draws exactly one Intn per sample in slot order.
 //
 //machlint:noalias labels,idx
-func (d *Dataset) RandomBatchInto(rng *rand.Rand, x *tensor.Tensor, labels, idx []int) {
+func (d *Dataset) RandomBatchInto(rng interface{ Intn(n int) int }, x *tensor.Tensor, labels, idx []int) {
 	for i := range idx {
 		idx[i] = rng.Intn(len(d.images))
 	}

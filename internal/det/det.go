@@ -55,9 +55,12 @@ const (
 // math/rand: one per run, drawn through rand.NormFloat64 by every layer.
 func ModelInit(run int64) int64 { return run }
 
-// DeviceBatch seeds a device's minibatch stream ξ, which travels with the
-// device across edges, steps and hosts.
-func DeviceBatch(run int64, device int) int64 { return Mix(run, tagDeviceBatch, int64(device)) }
+// DeviceBatch seeds the minibatches ξ of device's local update at step. A
+// device trains at most once per step, so the key names each update's draws
+// whichever trainer, edge or host runs it: the device carries no stream.
+func DeviceBatch(run int64, step, device int) int64 {
+	return Mix(run, tagDeviceBatch, int64(step), int64(device))
+}
 
 // EdgeCoin seeds an edge's per-step decision stream: strategy draws, then the
 // Bernoulli sampling (and upload-failure) coins in member order.
@@ -76,8 +79,8 @@ func Probe(run int64, step, device int) int64 {
 func MobilityDevice(run, model int64, device int) int64 { return Mix(run, model, int64(device)) }
 
 // Stream is the generator every keyed stream of the seed table runs on:
-// splitmix64 over one word of state. A run holds a stream per device and
-// restarts one per (step, edge), so state size and Seed are per-entity costs:
+// splitmix64 over one word of state. A run restarts one per local update and
+// per (step, edge), so state size and Seed are per-entity costs:
 // 8 bytes and one store here, against math/rand's 607-word register and its
 // ~10 µs re-expansion (DESIGN.md §5). *Stream is a rand.Source64: consumers
 // of the math/rand API take NewRand's *rand.Rand over it, while the mobility

@@ -27,7 +27,8 @@ func TestSortedKeys(t *testing.T) {
 // constant fails here, by name, instead of as an opaque drift in some
 // trajectory golden downstream. Mix, ModelInit and MobilityDevice hold the
 // values the engine has always seeded with; the other three were re-pinned
-// once, when each stream got its domain tag (old → new in DESIGN.md §5).
+// when each stream got its domain tag, and DeviceBatch again when its key
+// gained the step (old → new in DESIGN.md §5).
 func TestSeedTableGolden(t *testing.T) {
 	for _, tc := range []struct {
 		name      string
@@ -36,8 +37,8 @@ func TestSeedTableGolden(t *testing.T) {
 		{"Mix()", Mix(), 1469598103934665603},
 		{"Mix(1,2,3)", Mix(1, 2, 3), -6875869291373882723},
 		{"ModelInit(7)", ModelInit(7), 7},
-		{"DeviceBatch(1,0)", DeviceBatch(1, 0), 7513452268709884525},
-		{"DeviceBatch(7,99)", DeviceBatch(7, 99), -7722173593085123846},
+		{"DeviceBatch(1,0,0)", DeviceBatch(1, 0, 0), 8912721772770471735},
+		{"DeviceBatch(7,57,99)", DeviceBatch(7, 57, 99), 2982027761310011165},
 		{"EdgeCoin(1,0,0)", EdgeCoin(1, 0, 0), -6367894499455814600},
 		{"EdgeCoin(7,57,2)", EdgeCoin(7, 57, 2), -1739377423560844643},
 		{"Probe(1,0,0)", Probe(1, 0, 0), 3082012663785546636},
@@ -63,7 +64,7 @@ func TestSeedStreamsDistinct(t *testing.T) {
 		a, b   int64
 	}
 	for _, run := range []int64{1, 7} {
-		seen := make(map[int64]key, steps*(devices+edges)+4*devices)
+		seen := make(map[int64]key, steps*(2*devices+edges)+3*devices+1)
 		add := func(seed int64, k key) {
 			if prev, dup := seen[seed]; dup {
 				t.Fatalf("run %d: %v and %v share seed %d", run, prev, k, seed)
@@ -72,7 +73,6 @@ func TestSeedStreamsDistinct(t *testing.T) {
 		}
 		add(ModelInit(run), key{stream: "ModelInit"})
 		for m := 0; m < devices; m++ {
-			add(DeviceBatch(run, m), key{"DeviceBatch", int64(m), 0})
 			for _, model := range []int64{0x4d41524b, 0x57415950, 0x4c455659} {
 				add(MobilityDevice(run, model, m), key{"MobilityDevice", model, int64(m)})
 			}
@@ -82,6 +82,7 @@ func TestSeedStreamsDistinct(t *testing.T) {
 				add(EdgeCoin(run, s, n), key{"EdgeCoin", int64(s), int64(n)})
 			}
 			for m := 0; m < devices; m++ {
+				add(DeviceBatch(run, s, m), key{"DeviceBatch", int64(s), int64(m)})
 				add(Probe(run, s, m), key{"Probe", int64(s), int64(m)})
 			}
 		}
@@ -131,11 +132,11 @@ func TestSeedDomainsDisjoint(t *testing.T) {
 			prefixes[prefix>>keyBits] = name
 		}
 		add(ModelInit(run)*inv, "ModelInit")
-		add(Mix(run, tagDeviceBatch), "DeviceBatch(·)")
 		for _, model := range []int64{0x4d41524b, 0x57415950, 0x4c455659} {
 			add(Mix(run, model), fmt.Sprintf("MobilityDevice(%#x, ·)", model))
 		}
 		for s := int64(0); s < steps; s++ {
+			add(Mix(run, tagDeviceBatch, s), fmt.Sprintf("DeviceBatch(%d, ·)", s))
 			add(Mix(run, tagEdgeCoin, s), fmt.Sprintf("EdgeCoin(%d, ·)", s))
 			add(Mix(run, tagProbe, s), fmt.Sprintf("Probe(%d, ·)", s))
 		}
@@ -225,7 +226,7 @@ func chiSquare(bins int, draws []int) float64 {
 
 // TestKeyedStreamsUniform guards the one way a keyed small-state generator
 // fails: correlated seeds. The first Float64 of 20,000 DeviceBatch streams
-// must be uniform, and the first draws of streams at adjacent EdgeCoin keys
+// (step 0, one per device) must be uniform, and the first draws of streams at adjacent EdgeCoin keys
 // (next edge, next step) must be jointly uniform — Pearson's χ² over 64 cells
 // (63 degrees of freedom) under the 99.9% point, 103.4. The inputs are fixed,
 // so the verdict is too.
@@ -235,7 +236,7 @@ func TestKeyedStreamsUniform(t *testing.T) {
 
 	draws := make([]int, 20_000)
 	for m := range draws {
-		draws[m] = int(first(DeviceBatch(1, m)) * bins)
+		draws[m] = int(first(DeviceBatch(1, 0, m)) * bins)
 	}
 	if x2 := chiSquare(bins, draws); x2 > limit {
 		t.Errorf("first draw of %d DeviceBatch streams: χ² = %.1f > %.1f", len(draws), x2, limit)

@@ -14,20 +14,27 @@ import (
 	"github.com/mach-fl/mach/internal/telemetry"
 )
 
-// DeviceServer hosts a set of logical mobile devices: their datasets,
-// minibatch streams and — per the paper's device-side design — their gradient
-// experience buffers. What a local update mutates is not a device's: like the
-// engine, the host lends each training RPC one of the engine's trainers, so
-// it holds one model replica per concurrent RPC however many devices it
-// hosts (like one simulator machine emulating a fleet).
+// DeviceServer hosts a set of logical mobile devices: their datasets and —
+// per the paper's device-side design — their gradient experience buffers.
+// What a local update mutates is not a device's: like the engine, the host
+// lends each training RPC one of the engine's trainers, which draws each
+// update's minibatches at its det.DeviceBatch key, so it holds one model
+// replica per concurrent RPC however many devices it hosts (like one
+// simulator machine emulating a fleet), and any host holding a device's data
+// trains it to the same bits.
 type DeviceServer struct {
-	mu       sync.Mutex
-	devices  map[int]*hostedDevice
-	calls    uint64 // TrainMany calls checked so far; stamps hostedDevice.call
+	// data is the device table, indexed by device ID, nil where a device is
+	// not hosted here; fixed at construction, it is read without a lock.
+	data     []*dataset.Dataset
+	seed     int64 // the run's seed, the same on every host
 	book     *sampling.ExperienceBook
 	trainers *hfl.TrainerPool
 	nParams  int // parameter count of the hosted model architecture
 	maxBatch int // the largest minibatch whose input fits in maxFrame bytes
+
+	mu    sync.Mutex // guards calls, named and edges
+	calls uint64     // TrainMany calls checked so far; stamps named
+	named []uint64   // per device ID, the last TrainMany call that named it
 
 	// edges holds what the host keeps for each edge between its calls: the
 	// edge's cached base (DESIGN.md §6) and its calls' buffers.
@@ -42,14 +49,6 @@ type DeviceServer struct {
 // SetTelemetry attaches a telemetry sink (nil detaches). Call before Serve.
 func (s *DeviceServer) SetTelemetry(t *telemetry.Telemetry) { s.tel = t }
 
-// hostedDevice is the engine's device: its data and the minibatch stream
-// det.DeviceBatch(seed, id), which does not depend on the host serving it.
-type hostedDevice struct {
-	data *dataset.Dataset
-	rng  *rand.Rand
-	call uint64 // the last TrainMany call that named the device
-}
-
 // NewDeviceServer creates a host for the given logical devices (deviceID →
 // dataset). machCfg parameterizes the on-device UCB estimator; seed is the
 // run's seed, the same on every host.
@@ -59,8 +58,8 @@ func NewDeviceServer(arch hfl.ArchFunc, data map[int]*dataset.Dataset, machCfg s
 	}
 	maxID := 0
 	for id, d := range data {
-		if d == nil || d.Len() == 0 {
-			return nil, fmt.Errorf("fed: device %d has no data", id)
+		if id < 0 || d == nil || d.Len() == 0 {
+			return nil, fmt.Errorf("fed: device %d: negative ID or no data", id)
 		}
 		if id > maxID {
 			maxID = id
@@ -71,7 +70,9 @@ func NewDeviceServer(arch hfl.ArchFunc, data map[int]*dataset.Dataset, machCfg s
 		return nil, fmt.Errorf("fed: build hosted model: %w", err)
 	}
 	ds := &DeviceServer{
-		devices:  make(map[int]*hostedDevice, len(data)),
+		data:     make([]*dataset.Dataset, maxID+1),
+		seed:     seed,
+		named:    make([]uint64, maxID+1),
 		book:     sampling.NewExperienceBook(maxID+1, machCfg.ExplorationCoef, machCfg.Discount),
 		trainers: hfl.NewTrainerPool(proto, data[maxID]), // any hosted dataset has the sample dims
 		nParams:  proto.NumParams(),
@@ -79,7 +80,7 @@ func NewDeviceServer(arch hfl.ArchFunc, data map[int]*dataset.Dataset, machCfg s
 		edges:    make(map[int]*hostedEdge),
 	}
 	for id, d := range data {
-		ds.devices[id] = &hostedDevice{data: d, rng: det.NewRand(det.DeviceBatch(seed, id))}
+		ds.data[id] = d
 	}
 	return ds, nil
 }
@@ -128,24 +129,29 @@ func (s *DeviceServer) ping(_ *PingArgs, reply *PingReply) error {
 
 // estimate returns the devices' current UCB gradient-norm estimates
 // (Eq. 15), read under one book lock, and their dataset sizes. Unknown
-// devices yield an error: the edge's membership view is stale.
+// devices yield an error before anything is sized: the edge's membership
+// view is stale.
 func (s *DeviceServer) estimate(args *EstimateArgs, reply *EstimateReply) error {
 	s.tel.Add(telemetry.CounterRPCCalls, 1)
 	sp := s.tel.StartSpan(telemetry.SpanHandleEstimate, telemetry.SpanID(args.Span.Parent), args.Step, -1, -1)
 	defer sp.End()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	reply.Sizes = resize(reply.Sizes, len(args.Devices))
-	for i, id := range args.Devices {
-		dev, ok := s.devices[id]
-		if !ok {
+	for _, id := range args.Devices {
+		if !s.hosts(id) {
 			return fmt.Errorf("fed: device %d not hosted here", id)
 		}
-		reply.Sizes[i] = dev.data.Len()
+	}
+	reply.Sizes = resize(reply.Sizes, len(args.Devices))
+	for i, id := range args.Devices {
+		reply.Sizes[i] = s.data[id].Len()
 	}
 	reply.Estimates = resize(reply.Estimates, len(args.Devices))
 	s.book.UCBEstimatesInto(reply.Estimates, args.Devices, args.Step)
 	return nil
+}
+
+// hosts reports whether device id, an ID from the wire, is hosted here.
+func (s *DeviceServer) hosts(id int) bool {
+	return id >= 0 && id < len(s.data) && s.data[id] != nil
 }
 
 // hostedEdge is what a host keeps for one edge: one cached base, named by one
@@ -160,6 +166,7 @@ type hostedEdge struct {
 	base    []float64
 	sum     []float64   // the fold of the call in progress; an advance swaps it with base
 	ef      []float64   // error feedback for the edge's lossy update-sum encodes
+	picks   []hfl.Pick  // the call's devices and weights, as the edge task takes them
 	norms   []float64   // the devices' gradient-norm windows, back to back
 	windows [][]float64 // per device: its window of norms
 }
@@ -170,7 +177,7 @@ func (s *DeviceServer) edge(id int) *hostedEdge {
 	defer s.mu.Unlock()
 	he := s.edges[id]
 	if he == nil {
-		he = &hostedEdge{}
+		he = &hostedEdge{picks: make([]hfl.Pick, 0, len(s.data))} // room for every hosted device
 		s.edges[id] = he
 	}
 	return he
@@ -224,18 +231,18 @@ func (s *DeviceServer) getBase(args *GetBaseArgs, reply *GetBaseReply) error {
 	return nil
 }
 
-// trainMany runs local updating on every listed device from the base named
-// by BaseID — cached, or installed first from args.Base when the call
-// carries it — and folds each trained model θ_m at its weight w_m with
-// hfl.Trainer.Fold, in args.Devices order, which fixes the float order of
-// the edge's aggregation: the reply's update sum Σ w_m·(θ_m − base), or with
+// trainMany runs the engine's edge task, hfl.Trainer.TrainFold, on the listed
+// devices from the base named by BaseID — cached, or installed first from
+// args.Base when the call carries it — folding each trained model θ_m at its
+// weight w_m in args.Devices order, which fixes the float order of the edge's
+// aggregation: the reply's update sum Σ w_m·(θ_m − base), or with
 // args.NextID the next base Σ w_m·θ_m from zero, exactly the engine's
 // AggPlain fold, which the host installs under NextID, shipping no vector at
 // all. Devices train sequentially: they share the host's compute the way one
 // simulator machine emulates a fleet, and cross-host parallelism comes from
-// the edge's concurrent dispatch. Concurrent calls (one per edge) touch
-// distinct devices, since a device attaches to exactly one edge per step
-// (Eq. 1), so each device's RNG serves one call at a time.
+// the edge's concurrent dispatch. Each update draws at its (run, step,
+// device) key, so a call retried, or sent to another host holding the same
+// data, trains to the same bits.
 func (s *DeviceServer) trainMany(args *TrainManyArgs, reply *TrainManyReply) error {
 	s.tel.Add(telemetry.CounterRPCCalls, 1)
 	sp := s.tel.StartSpan(telemetry.SpanHandleTrainMany, telemetry.SpanID(args.Span.Parent), args.Step, args.Edge, -1)
@@ -263,8 +270,16 @@ func (s *DeviceServer) trainMany(args *TrainManyArgs, reply *TrainManyReply) err
 	if args.NextID != 0 {
 		foldBase = nil
 	}
-	if err := s.trainDevices(tr, he, base, foldBase, args); err != nil {
-		return err
+	epochs := args.Hyper.LocalEpochs
+	he.picks = resize(he.picks, len(args.Devices))
+	he.norms = resize(he.norms, len(args.Devices)*epochs)
+	he.windows = resize(he.windows, len(args.Devices))
+	for i, id := range args.Devices {
+		he.picks[i] = hfl.Pick{Device: id, Weight: args.Weights[i], Upload: true}
+		he.windows[i] = he.norms[i*epochs : (i+1)*epochs]
+	}
+	if i, err := tr.TrainFold(he.sum, base, foldBase, s.data, he.picks, s.seed, args.Step, args.Hyper.LearningRate, he.norms); err != nil {
+		return fmt.Errorf("fed: device %d: %w", args.Devices[i], err)
 	}
 	s.tel.Add(telemetry.CounterDevicesTrained, int64(len(args.Devices)))
 	// The RPC's experiences go in under one book lock (Algorithm 2, line 1);
@@ -291,28 +306,6 @@ func (s *DeviceServer) trainMany(args *TrainManyArgs, reply *TrainManyReply) err
 	return nil
 }
 
-// trainDevices trains each of args.Devices from base in turn on tr, adding
-// its weighted trained − foldBase (trained when foldBase is nil) to he.sum,
-// and records its gradient norms in he.windows.
-//
-//machlint:allocfree
-func (s *DeviceServer) trainDevices(tr *hfl.Trainer, he *hostedEdge, base, foldBase []float64, args *TrainManyArgs) error {
-	epochs := args.Hyper.LocalEpochs
-	he.norms = resize(he.norms, len(args.Devices)*epochs)
-	he.windows = resize(he.windows, len(args.Devices))
-	for i, id := range args.Devices {
-		s.mu.Lock()
-		dev := s.devices[id]
-		s.mu.Unlock()
-		he.windows[i] = he.norms[i*epochs : (i+1)*epochs]
-		if err := tr.LocalUpdate(base, dev.data, dev.rng, args.Hyper.LearningRate, he.windows[i]); err != nil {
-			return fmt.Errorf("fed: device %d: %w", id, err)
-		}
-		tr.Fold(he.sum, foldBase, args.Weights[i], -1)
-	}
-	return nil
-}
-
 // checkHyper refuses hyperparameters and fold weights no edge sends before
 // anything is sized or trained by them: they arrive from the wire, and as in
 // the frame decoder no wire value sizes a buffer past maxFrame bytes — here
@@ -334,22 +327,21 @@ func (s *DeviceServer) checkHyper(args *TrainManyArgs) error {
 
 // checkDevices fails a TrainMany call that names a device this host does not
 // hold, or one device twice, before anything trains: a repeat would train
-// the device twice from one base, advancing its minibatch stream twice and
-// recording two windows in the book. Each call stamps the devices it names
-// with its own number, so the check allocates nothing.
+// the device twice from one base and record two windows in the book. Each
+// call stamps the devices it names with its own number, so the check
+// allocates nothing.
 func (s *DeviceServer) checkDevices(ids []int) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.calls++
 	for _, id := range ids {
-		dev, ok := s.devices[id]
-		if !ok {
+		if !s.hosts(id) {
 			return fmt.Errorf("fed: device %d not hosted here", id)
 		}
-		if dev.call == s.calls {
+		if s.named[id] == s.calls {
 			return fmt.Errorf("fed: device %d named twice in one TrainMany call", id)
 		}
-		dev.call = s.calls
+		s.named[id] = s.calls
 	}
 	return nil
 }

@@ -222,9 +222,12 @@ func TestDeviceServerRPCs(t *testing.T) {
 		t.Fatalf("estimates %v", est.Estimates)
 	}
 	explore := est.Estimates[0]
-	// Unknown device errors.
-	if err := client.call("Device.Estimate", &EstimateArgs{Step: 10, Devices: []int{99}}, &est); err == nil {
-		t.Fatal("expected error for unknown device")
+	// Unknown devices error: one past the end of the host's table (it holds
+	// IDs 0..3), far past it, a negative ID, and an unhosted ID inside it.
+	for _, id := range []int{4, 99, -1, 0} {
+		if err := client.call("Device.Estimate", &EstimateArgs{Step: 10, Devices: []int{3, id}}, &est); err == nil || !strings.Contains(err.Error(), "not hosted here") {
+			t.Fatalf("Estimate of device %d: %v, want not hosted here", id, err)
+		}
 	}
 
 	// Train round-trip: TrainMany installs the base it carries and returns
@@ -1334,10 +1337,9 @@ func TestEdgeStepMatchesTrainerOracle(t *testing.T) {
 				}
 
 				// The oracle trains the devices whose participation count the
-				// hosts' books raised, continuing each one's minibatch stream.
+				// hosts' books raised, each at its (run, step, device) key.
 				tr := hfl.NewTrainerPool(proto, w.test).Borrow(testHyper.BatchSize)
 				sqNorms := make([]float64, testHyper.LocalEpochs)
-				rngs := map[int]*rand.Rand{}
 				participations := map[int]int{}
 				want := append([]float64(nil), base...)
 				for step, s := range steps {
@@ -1384,10 +1386,7 @@ func TestEdgeStepMatchesTrainerOracle(t *testing.T) {
 					for h := range srvs {
 						hostSum := make([]float64, len(want))
 						for _, m := range sampled[h] {
-							if rngs[m] == nil {
-								rngs[m] = det.NewRand(det.DeviceBatch(runSeed, m))
-							}
-							if err := tr.LocalUpdate(want, w.parts[m], rngs[m], testHyper.LearningRate, sqNorms); err != nil {
+							if err := tr.LocalUpdate(want, w.parts[m], det.DeviceBatch(runSeed, step, m), testHyper.LearningRate, sqNorms); err != nil {
 								t.Fatal(err)
 							}
 							weight := float64(w.parts[m].Len()) / float64(total)
@@ -1454,10 +1453,9 @@ func TestDeviceTrainMatchesEngineTrainer(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := hfl.NewTrainerPool(proto, w.test).Borrow(testHyper.BatchSize)
-	rng := det.NewRand(det.DeviceBatch(runSeed, device))
 	machCfg := sampling.DefaultMACHConfig()
 	book := sampling.NewExperienceBook(device+1, machCfg.ExplorationCoef, machCfg.Discount)
-	// Two updates in a row: the second continues the device's minibatch stream.
+	// Two updates in a row, each drawn at its step's key.
 	for step := 0; step < 2; step++ {
 		var rep TrainManyReply
 		if err := srv.trainMany(&TrainManyArgs{Step: step, Devices: []int{device}, Weights: []float64{1}, BaseID: 1, Base: blob, HasBase: true, Hyper: testHyper}, &rep); err != nil {
@@ -1468,7 +1466,7 @@ func TestDeviceTrainMatchesEngineTrainer(t *testing.T) {
 			t.Fatal(err)
 		}
 		sqNorms := make([]float64, testHyper.LocalEpochs)
-		if err := tr.LocalUpdate(base, w.parts[device], rng, testHyper.LearningRate, sqNorms); err != nil {
+		if err := tr.LocalUpdate(base, w.parts[device], det.DeviceBatch(runSeed, step, device), testHyper.LearningRate, sqNorms); err != nil {
 			t.Fatal(err)
 		}
 		update := trainedParams(tr, len(base))
@@ -1489,6 +1487,49 @@ func TestDeviceTrainMatchesEngineTrainer(t *testing.T) {
 		}
 		requireSameBits(t, fmt.Sprintf("step %d estimate", step), est.Estimates, want)
 	}
+}
+
+// TestAnyHostTrainsADeviceAlike: a device is its data. Two hosts that both
+// hold device m's data — the first has already trained m at an earlier
+// step, the second never has — answer the same TrainManyArgs with
+// Float64bits-identical sums. This is what lets another host retrain a
+// device whose host died; while each host kept a stream per device, the
+// first host's answer depended on m's training history.
+func TestAnyHostTrainsADeviceAlike(t *testing.T) {
+	const m = 3
+	w := buildWorld(t, 8, 2, 1)
+	proto, err := testArch(rand.New(rand.NewSource(9)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := codec.Encode(codec.SchemeRaw, proto.ParamVector(), nil, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hosts := make([]*DeviceServer, 2)
+	for h := range hosts {
+		data := map[int]*dataset.Dataset{m: w.parts[m], 4 + h: w.parts[4+h]}
+		if hosts[h], err = NewDeviceServer(testArch, data, sampling.DefaultMACHConfig(), runSeed); err != nil {
+			t.Fatal(err)
+		}
+	}
+	args := func(step int) *TrainManyArgs {
+		return &TrainManyArgs{Step: step, Devices: []int{m}, Weights: []float64{0.5}, BaseID: 1, Base: blob, HasBase: true, Scheme: codec.SchemeRaw, Hyper: testHyper}
+	}
+	if err := hosts[0].trainMany(args(2), &TrainManyReply{}); err != nil {
+		t.Fatal(err)
+	}
+	sums := make([][]float64, len(hosts))
+	for h, srv := range hosts {
+		var rep TrainManyReply
+		if err := srv.trainMany(args(5), &rep); err != nil {
+			t.Fatal(err)
+		}
+		if sums[h], err = codec.Decode(rep.Sum, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	requireSameBits(t, "step 5 sum", sums[0], sums[1])
 }
 
 // TestFirstStepMatchesEngine is the in-process ≡ distributed statement
@@ -1585,9 +1626,11 @@ func unequalSizes(t *testing.T, w world) world {
 }
 
 // TestTrainManyRejectsBadDeviceListBeforeTraining: a TrainMany call that
-// names a device twice, or a hosted device and then an unhosted one, fails
-// and trains nothing — the next valid call on that host replies exactly
-// what the same call on a fresh host does.
+// names a device twice, or a hosted device and then one the host's table
+// does not hold (unhosted, negative, one past the end), fails before
+// anything is sized, trained or booked — no edge state, no trainer, no
+// window — and the next valid call on that host replies exactly what the
+// same call on a fresh host does.
 func TestTrainManyRejectsBadDeviceListBeforeTraining(t *testing.T) {
 	task, err := dataset.NewTask(dataset.MNISTLike(4, 4))
 	if err != nil {
@@ -1627,11 +1670,14 @@ func TestTrainManyRejectsBadDeviceListBeforeTraining(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, bad := range map[string][]int{"repeat": {0, 0}, "unhosted": {0, 5}} {
+	for name, bad := range map[string][]int{"repeat": {0, 0}, "unhosted": {0, 5}, "negative": {0, -1}, "one past the end": {0, 2}, "min int": {math.MinInt}} {
 		t.Run(name, func(t *testing.T) {
 			srv := host()
 			if _, err := train(srv, bad...); err == nil {
 				t.Fatalf("TrainMany(%v) succeeded", bad)
+			}
+			if booked := srv.book.Participations(0) + srv.book.Participations(1); len(srv.edges) != 0 || srv.trainers.Built() != 0 || booked != 0 {
+				t.Fatalf("TrainMany(%v) left %d edge states, %d trainers and %d booked windows before failing", bad, len(srv.edges), srv.trainers.Built(), booked)
 			}
 			got, err := train(srv, 0, 1)
 			if err != nil {

@@ -7,9 +7,9 @@
 // The roles mirror the paper's architecture (§II):
 //
 //   - a device host (DeviceServer) owns a set of logical mobile devices —
-//     their local datasets, their minibatch streams, and, crucially, their
-//     gradient experience buffers (Algorithm 2 runs ON the device, which is
-//     what makes the experience travel with the device across edges);
+//     their local datasets and, crucially, their gradient experience
+//     buffers (Algorithm 2 runs ON the device, which is what makes the
+//     experience travel with the device across edges);
 //   - an edge server (EdgeServer) executes one edge's share of a time step:
 //     it queries its current members' G̃² estimates and dataset sizes,
 //     computes the sampling strategy (Algorithm 3), samples and weights the

@@ -21,7 +21,6 @@ import (
 	"runtime"
 
 	"github.com/mach-fl/mach/internal/dataset"
-	"github.com/mach-fl/mach/internal/det"
 	"github.com/mach-fl/mach/internal/mobility"
 	"github.com/mach-fl/mach/internal/nn"
 	"github.com/mach-fl/mach/internal/parallel"
@@ -237,17 +236,6 @@ func (c Config) workers() int {
 	return c.Workers
 }
 
-// device is what the paper says a device is between time steps: its local
-// data, the RNG stream its minibatches are drawn from, and the cached label
-// distribution of that data. Eq. (4) starts every local update from the edge
-// model, so nothing a local update mutates belongs to the device; that state
-// lives in a trainer (lane.go), lent to whichever task trains the device.
-type device struct {
-	data *dataset.Dataset
-	rng  *rand.Rand
-	dist []float64 // cached local label distribution
-}
-
 // Engine runs Algorithm 1 in process: the cloud's half (Cloud) plus the
 // edges — their models, sampling decisions and local training.
 type Engine struct {
@@ -258,7 +246,12 @@ type Engine struct {
 	// the estimator's exploration state reported at cloud rounds.
 	observer sampling.Observer
 	pulls    []int
-	devices  []*device
+
+	// A device is its local data, data[m] (dists[m] caches its label
+	// distribution): a local update starts from the edge model and draws at
+	// its det.DeviceBatch key, on a trainer (lane.go) lent to the task.
+	data  []*dataset.Dataset
+	dists [][]float64
 
 	edge [][]float64 // edge model parameters w^t_n
 
@@ -334,7 +327,8 @@ func New(cfg Config, arch ArchFunc, deviceData []*dataset.Dataset, test *dataset
 	e := &Engine{
 		Cloud:    cloud,
 		strategy: strategy,
-		devices:  make([]*device, len(deviceData)),
+		data:     append([]*dataset.Dataset(nil), deviceData...),
+		dists:    make([][]float64, len(deviceData)),
 		trainers: NewTrainerPool(cloud.evalNet, test),
 	}
 	if obs, ok := strategy.(sampling.Observer); ok {
@@ -344,11 +338,7 @@ func New(cfg Config, arch ArchFunc, deviceData []*dataset.Dataset, test *dataset
 		if data == nil || data.Len() == 0 {
 			return nil, fmt.Errorf("hfl: device %d has no data", m)
 		}
-		e.devices[m] = &device{
-			data: data,
-			rng:  det.NewRand(det.DeviceBatch(cfg.Seed, m)),
-			dist: data.ClassDistribution(),
-		}
+		e.dists[m] = data.ClassDistribution()
 	}
 	e.edge = make([][]float64, cloud.nEdges)
 	for n := range e.edge {

@@ -1,29 +1,31 @@
 package hfl
 
 import (
-	"math/rand"
 	"sync"
 	"sync/atomic"
 
 	"github.com/mach-fl/mach/internal/dataset"
+	"github.com/mach-fl/mach/internal/det"
 	"github.com/mach-fl/mach/internal/nn"
 	"github.com/mach-fl/mach/internal/tensor"
 )
 
 // Trainer is everything a local update mutates — one float64 model replica
-// with its optimizer, one minibatch buffer set and, built on first f32 use, a
-// float32 lane grown to the largest group it has served — and the one unit
-// that runs Eq. (4): for the engine's pool tasks and probes and for
-// internal/fed's device hosts. Reuse cannot reach a value: the parameters are
-// overwritten with the base model before any is read, every training step
-// zeroes the gradients and rewrites each activation cache it later reads,
-// plain SGD keeps no state beyond the learning rate (set at every use), and
-// the batch buffers are filled before each step.
+// with its optimizer, one minibatch buffer set, one minibatch stream per lane
+// slot and, built on first f32 use, a float32 lane grown to the largest group
+// it has served — and the one unit that runs Eq. (4): for the engine's pool
+// tasks and probes and for internal/fed's device hosts. Reuse cannot reach a
+// value: the parameters are overwritten with the base model before any is
+// read, every training step zeroes the gradients and rewrites each activation
+// cache it later reads, plain SGD keeps no state beyond the learning rate (set
+// at every use), each stream is re-seeded to the update's seed-table key
+// before it draws, and the batch buffers are filled before each step.
 type Trainer struct {
 	net      *nn.Network
 	opt      *nn.SGD
 	batchX   *tensor.Tensor // minibatch pixels [batch, InC, InH, InW]
 	batchIdx []int          // minibatch index scratch
+	streams  []det.Stream   // per-slot minibatch streams; the f64 lane uses slot 0
 
 	lane          *nn.Lane32
 	labels        [][]int   // per-slot minibatch labels; the f64 lane uses slot 0
@@ -31,21 +33,43 @@ type Trainer struct {
 }
 
 // LocalUpdate runs Eq. (4) in float64: from base, len(sqNorms) SGD steps at
-// rate lr on minibatches of data drawn from rng, recording each step's squared
-// stochastic-gradient norm. Fold reads the trained parameters in place.
+// rate lr on minibatches of data drawn at seed (det.DeviceBatch, or det.Probe
+// for MACH-P), recording each step's squared stochastic-gradient norm. Fold
+// reads the trained parameters in place.
 //
 //machlint:allocfree
-func (tr *Trainer) LocalUpdate(base []float64, data *dataset.Dataset, rng *rand.Rand, lr float64, sqNorms []float64) error {
+func (tr *Trainer) LocalUpdate(base []float64, data *dataset.Dataset, seed int64, lr float64, sqNorms []float64) error {
 	if err := tr.net.SetParamVector(base); err != nil {
 		return err
 	}
 	tr.opt.SetLearningRate(lr)
-	y := tr.labels[0]
+	rng, y := &tr.streams[0], tr.labels[0]
+	rng.Seed(seed)
 	for tau := range sqNorms {
 		data.RandomBatchInto(rng, tr.batchX, y, tr.batchIdx)
 		_, sqNorms[tau] = tr.net.TrainStep(tr.batchX, y, tr.opt)
 	}
 	return nil
+}
+
+// TrainFold is the float64 edge task, the engine's and a device host's: per
+// pick in order, a LocalUpdate from `from` on data[pick.Device] at its
+// det.DeviceBatch(run, step, device) key, norm window norms[i·I:(i+1)·I],
+// then an upload's Fold into dst against base. An error stops the task and
+// returns the index of the pick that met it.
+//
+//machlint:allocfree
+func (tr *Trainer) TrainFold(dst, from, base []float64, data []*dataset.Dataset, picks []Pick, run int64, step int, lr float64, norms []float64) (int, error) {
+	epochs := len(norms) / max(len(picks), 1)
+	for i, p := range picks {
+		if err := tr.LocalUpdate(from, data[p.Device], det.DeviceBatch(run, step, p.Device), lr, norms[i*epochs:(i+1)*epochs]); err != nil {
+			return i, err
+		}
+		if p.Upload {
+			tr.Fold(dst, base, p.Weight, -1)
+		}
+	}
+	return 0, nil
 }
 
 // Fold adds w·(θ − base) onto dst (w·θ when base is nil), θ the trained
@@ -100,7 +124,7 @@ func (p *TrainerPool) Borrow(batch int) *Trainer {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if len(p.free) == 0 {
-		p.free = append(p.free, &Trainer{net: p.proto.Clone(), opt: nn.NewSGD(0)})
+		p.free = append(p.free, &Trainer{net: p.proto.Clone(), opt: nn.NewSGD(0), streams: make([]det.Stream, 1)})
 		p.built.Add(1)
 	}
 	tr := p.free[len(p.free)-1]
@@ -123,8 +147,8 @@ func (p *TrainerPool) Release(tr *Trainer) {
 // Built reports how many trainers the pool has ever built.
 func (p *TrainerPool) Built() int { return int(p.built.Load()) }
 
-// growLane sizes the trainer's float32 lane and per-slot buffers for count
-// devices.
+// growLane sizes the trainer's float32 lane, per-slot buffers and streams for
+// count devices.
 func (tr *Trainer) growLane(count int) error {
 	lane, err := nn.NewLane32(tr.net, count)
 	if err != nil {
@@ -134,6 +158,7 @@ func (tr *Trainer) growLane(count int) error {
 	for len(tr.labels) < count {
 		tr.labels = append(tr.labels, make([]int, len(tr.batchIdx)))
 	}
+	tr.streams = make([]det.Stream, count)
 	tr.losses = make([]float64, count)
 	tr.norms = make([]float64, count)
 	return nil
@@ -146,9 +171,10 @@ func (tr *Trainer) growLane(count int) error {
 // norm window left in the plan. Config.Lane picks the arithmetic and
 // FuseBatch whether the devices share f32 lane slots (device i in slot i,
 // stepping together; a k-slot pass equals k one-slot passes); neither can
-// reach a value, since minibatches come from each device's own rng, a
-// trainer carries nothing between devices, and the fold reads the float64
-// masters. An error ends the task, recorded with the pick that met it.
+// reach a value, since each device's minibatches are drawn at its
+// det.DeviceBatch key for the step, a trainer carries nothing between
+// devices, and the fold reads the float64 masters. An error ends the task,
+// recorded with the pick that met it.
 //
 //machlint:allocfree
 func (e *Engine) trainEdge(n int, tr *Trainer) {
@@ -156,16 +182,7 @@ func (e *Engine) trainEdge(n int, tr *Trainer) {
 	devs, epochs, batch := plan.Picks, e.cfg.LocalEpochs, e.cfg.BatchSize
 	next, base := e.foldStart(n)
 	if e.cfg.Lane != LaneF32 {
-		for i, pd := range devs {
-			dev := e.devices[pd.Device]
-			if err := tr.LocalUpdate(e.edge[n], dev.data, dev.rng, e.cfg.LearningRate, plan.norms[i*epochs:(i+1)*epochs]); err != nil {
-				plan.failErr, plan.failAt = err, i
-				return
-			}
-			if pd.Upload {
-				tr.Fold(next, base, pd.Weight, -1)
-			}
-		}
+		plan.failAt, plan.failErr = tr.TrainFold(next, e.edge[n], base, e.data, devs, e.cfg.Seed, plan.step, e.cfg.LearningRate, plan.norms[:len(devs)*epochs])
 		return
 	}
 	size := 1
@@ -185,11 +202,11 @@ func (e *Engine) trainEdge(n int, tr *Trainer) {
 				plan.failErr, plan.failAt = err, lo+i
 				return
 			}
+			tr.streams[i].Seed(det.DeviceBatch(e.cfg.Seed, plan.step, group[i].Device))
 		}
 		for tau := 0; tau < epochs; tau++ {
 			for i := range group {
-				dev := e.devices[group[i].Device]
-				dev.data.RandomBatchInto(dev.rng, tr.batchX, tr.labels[i], tr.batchIdx)
+				e.data[group[i].Device].RandomBatchInto(&tr.streams[i], tr.batchX, tr.labels[i], tr.batchIdx)
 				tr.lane.SetInput(i, batch, tr.batchX.Data())
 			}
 			tr.lane.TrainStep(len(group), batch, tr.labels, e.cfg.LearningRate, tr.losses, tr.norms)

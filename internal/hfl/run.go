@@ -84,12 +84,13 @@ func WithEvalHook(fn func(step int, accuracy, loss float64)) RunOption {
 }
 
 // edgePlan is everything one step produces for one edge but its folded
-// model: the decision and the decide error, then the local-update error that
-// ended the edge's task with the pick it hit, and each pick's gradient-norm
-// window norms[i·I:(i+1)·I] (pooled; valid until the edge's next decide,
-// after the collect point).
+// model: the step, the decision and the decide error, then the local-update
+// error that ended the edge's task with the pick it hit, and each pick's
+// gradient-norm window norms[i·I:(i+1)·I] (pooled; valid until the edge's
+// next decide, after the collect point).
 type edgePlan struct {
 	Decision
+	step    int
 	err     error
 	failErr error
 	failAt  int
@@ -349,7 +350,7 @@ func (e *Engine) flushStepTelemetry(acc *stepSamplingStats) {
 func (e *Engine) edgeDecide(t, n int) error {
 	plan := &e.plans[n]
 	members := e.Members(n)
-	plan.Picks, plan.Uploads, plan.failErr = plan.Picks[:0], 0, nil
+	plan.step, plan.Picks, plan.Uploads, plan.failErr = t, plan.Picks[:0], 0, nil
 	if len(members) == 0 {
 		return nil
 	}
@@ -360,7 +361,7 @@ func (e *Engine) edgeDecide(t, n int) error {
 		st.ctx.Capacity = e.capacity
 		st.ctx.RNG = st.rng
 		st.ctx.ClassDist = func(m int) []float64 {
-			return e.devices[m].dist
+			return e.dists[m]
 		}
 		st.ctx.ProbeGradNorm = func(m int) float64 {
 			return e.probeGradNorm(st.ctx.Step, n, m)
@@ -377,7 +378,7 @@ func (e *Engine) edgeDecide(t, n int) error {
 	// DecisionActive is a pure function of (step, edge), so this agrees with
 	// the finalize phase's emission gate without any shared state.
 	plan.Trace = e.tel.Trace().DecisionActive(t, n)
-	size := func(i int) int { return e.devices[members[i]].data.Len() }
+	size := func(i int) int { return e.data[members[i]].Len() }
 	if err := plan.Decide(st.rng, members, st.probs, size, e.aggregation(), e.cfg.UploadFailureProb); err != nil {
 		return fmt.Errorf("strategy %q: %w", e.strategy.Name(), err)
 	}
@@ -508,15 +509,15 @@ func (e *Engine) aggregation() Aggregation {
 
 // probeGradNorm measures the true squared stochastic-gradient norm of device
 // m under edge n's current model (used by MACH-P): one local step at a zero
-// learning rate, which moves nothing. It runs on a borrowed trainer, so edges
-// on different shards probe concurrently; the value depends only on (seed, t,
-// n, m) — the probed model and the batch stream — never on the trainer.
+// learning rate, which moves nothing. It runs on a borrowed trainer, whose
+// stream it re-seeds to det.Probe(seed, t, m), so edges on different shards
+// probe concurrently and the value depends only on (seed, t, n, m) — the
+// probed model and the batch draws — never on the trainer.
 func (e *Engine) probeGradNorm(t, n, m int) float64 {
 	tr := e.trainers.Borrow(e.cfg.BatchSize)
 	defer e.trainers.Release(tr)
-	rng := det.NewRand(det.Probe(e.cfg.Seed, t, m))
 	var gn [1]float64
-	if err := tr.LocalUpdate(e.edge[n], e.devices[m].data, rng, 0, gn[:]); err != nil {
+	if err := tr.LocalUpdate(e.edge[n], e.data[m], det.Probe(e.cfg.Seed, t, m), 0, gn[:]); err != nil {
 		// The strategy callback has no error channel, and a length mismatch
 		// here means the engine's networks are wired wrong — fail loudly
 		// instead of silently scoring the device as zero.

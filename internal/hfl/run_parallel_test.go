@@ -92,38 +92,49 @@ func TestProbeGradNormPanicsWithContext(t *testing.T) {
 // TestEngineStepAllocations is the execution phase's allocation guard: once
 // warm, an engine step — decide, the per-edge train-and-fold tasks, finalize,
 // the collect point, cloud rounds and evaluations — at Workers 2 × Shards 2
-// allocates at most 8 objects on average. Dispatch is index tasks on reused
-// groups, the fold writes into buffers New sized, and the experience book
-// keeps running sums.
+// allocates at most 8 objects on average, under MACH and under MACH-P, whose
+// probes re-seed a borrowed trainer's stream (one generator a probe was ≈ 40
+// allocations a step). Dispatch is index tasks on reused groups, the fold
+// writes into buffers New sized, and the experience book keeps running sums.
 func TestEngineStepAllocations(t *testing.T) {
 	const warm, steps, budget = 10, 60, 8
-	parts, test, sched := tinySetup(t, 40, 4, steps, 7)
-	cfg := tinyConfig(steps, 7)
-	cfg.Workers, cfg.Shards = 2, 2
-	strategy, err := sampling.NewMACH(len(parts), sampling.DefaultMACHConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := New(cfg, tinyArch, parts, test, sched, strategy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var ms runtime.MemStats
-	var from uint64
-	hook := func(step, _ int) {
-		if step == warm || step == steps-1 {
-			runtime.ReadMemStats(&ms)
-			if step == warm {
-				from = ms.Mallocs
+	for _, name := range []string{"mach", "machp"} {
+		t.Run(name, func(t *testing.T) {
+			parts, test, sched := tinySetup(t, 40, 4, steps, 7)
+			cfg := tinyConfig(steps, 7)
+			cfg.Workers, cfg.Shards = 2, 2
+			var strategy sampling.Strategy
+			var err error
+			if name == "mach" {
+				strategy, err = sampling.NewMACH(len(parts), sampling.DefaultMACHConfig())
+			} else {
+				strategy, err = sampling.NewMACHP(sampling.DefaultMACHConfig())
 			}
-		}
-	}
-	if _, err := eng.Run(WithStepHook(hook)); err != nil {
-		t.Fatal(err)
-	}
-	perStep := float64(ms.Mallocs-from) / float64(steps-1-warm)
-	t.Logf("%.2f allocations per warm step", perStep)
-	if perStep > budget {
-		t.Fatalf("a warm engine step allocates %.2f objects, budget %d", perStep, budget)
+			if err != nil {
+				t.Fatal(err)
+			}
+			eng, err := New(cfg, tinyArch, parts, test, sched, strategy)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var ms runtime.MemStats
+			var from uint64
+			hook := func(step, _ int) {
+				if step == warm || step == steps-1 {
+					runtime.ReadMemStats(&ms)
+					if step == warm {
+						from = ms.Mallocs
+					}
+				}
+			}
+			if _, err := eng.Run(WithStepHook(hook)); err != nil {
+				t.Fatal(err)
+			}
+			perStep := float64(ms.Mallocs-from) / float64(steps-1-warm)
+			t.Logf("%.2f allocations per warm step", perStep)
+			if perStep > budget {
+				t.Fatalf("a warm engine step allocates %.2f objects, budget %d", perStep, budget)
+			}
+		})
 	}
 }

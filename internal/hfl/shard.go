@@ -60,9 +60,9 @@ func (s *shardState) runStep() {
 // edge order, train and fold each edge with sampled devices as one task on
 // the shared pool, and swap the folded models in, in edge order. Everything
 // written here is owned by the shard (its edges' decide states, plans and
-// fold targets) or private to a device the schedule assigns to exactly one
-// of its edges this step, so shards never contend; the member index and the
-// experience book are only read during the step.
+// fold targets) or by the trainer a task borrows, so shards never contend;
+// the member index, the device data and the experience book are only read
+// during the step.
 func (s *shardState) step(t int) {
 	e := s.e
 	start := e.tel.Now()

@@ -164,16 +164,54 @@ func TestTrainerCarriesNoStateBetweenDevices(t *testing.T) {
 	}
 }
 
+// TestDeviceUpdateIndependentOfTrainer: a device's local update is a
+// function of the run, the step, the device and the edge model alone. Device
+// m trained at step t on a fresh trainer, and on one that has just trained
+// ten other devices at another step — one fused group of ten slots on the
+// f32 lane — leaves Float64bits-identical θ and norm windows, on both lanes.
+// (While each device owned a stream, the update instead depended on how often
+// the device had trained before.)
+func TestDeviceUpdateIndependentOfTrainer(t *testing.T) {
+	const m, step = 11, 7
+	for _, lane := range []Lane{LaneF64, LaneF32} {
+		t.Run(lane.String(), func(t *testing.T) {
+			parts, test, sched := world8(t, 12, 2, 43)
+			cfg := tinyConfig(2, 43)
+			cfg.Lane, cfg.FuseBatch = lane, true
+			e, err := New(cfg, cnnArch, parts, test, sched, sampling.NewUniform())
+			if err != nil {
+				t.Fatal(err)
+			}
+			train := func(tr *Trainer, t0 int, devs ...int) (norms [][]float64, theta []float64) {
+				planFor(e, 0, devs)
+				e.plans[0].step = t0
+				e.trainEdge(0, tr)
+				norms, _ = edgeOutputs(t, e, 0)
+				if lane == LaneF32 {
+					return norms, append([]float64(nil), tr.lane.Master(0)...)
+				}
+				return norms, tr.net.ParamVector()
+			}
+			used := e.trainers.Borrow(cfg.BatchSize)
+			train(used, 3, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9)
+			gotNorms, gotTheta := train(used, step, m)
+			wantNorms, wantTheta := train(e.trainers.Borrow(cfg.BatchSize), step, m)
+			requireSameBits(t, "norms", gotNorms, wantNorms)
+			requireSameBits(t, "theta", [][]float64{gotTheta}, [][]float64{wantTheta})
+		})
+	}
+}
+
 // deviceOwnedUpdate is the engine's previous local update, kept as the
 // reference: the device owns a model replica and an optimizer (here built
 // fresh from the base), loads the edge model, and takes I steps on
-// minibatches drawn from its own stream.
+// minibatches drawn from its own stream, at its key for step 0.
 func deviceOwnedUpdate(t *testing.T, cfg Config, base *nn.Network, data *dataset.Dataset, m int, edgeParams []float64) (norms, upload []float64) {
 	t.Helper()
-	rng := det.NewRand(det.DeviceBatch(cfg.Seed, m))
+	rng := det.Stream(det.DeviceBatch(cfg.Seed, 0, m))
 	batch := func() (*tensor.Tensor, []int) {
 		x, y := tensor.New(cfg.BatchSize, data.InC, data.InH, data.InW), make([]int, cfg.BatchSize)
-		data.RandomBatchInto(rng, x, y, make([]int, cfg.BatchSize))
+		data.RandomBatchInto(&rng, x, y, make([]int, cfg.BatchSize))
 		return x, y
 	}
 	norms = make([]float64, cfg.LocalEpochs)
@@ -333,9 +371,8 @@ func heapAfterNew(t *testing.T, arch ArchFunc, parts []*dataset.Dataset, test *d
 	return float64(after.HeapAlloc) - float64(before.HeapAlloc)
 }
 
-// TestDeviceFootprintIndependentOfModelSize: a device is data and an RNG
-// stream, so what one more device costs the engine does not depend on the
-// architecture. Two MLPs whose parameter counts differ 30× must agree on the
+// TestDeviceFootprintIndependentOfModelSize: a device is its data, so what
+// one more device costs the engine does not depend on the architecture. Two MLPs whose parameter counts differ 30× must agree on the
 // heap growth per added device within 1 KiB.
 func TestDeviceFootprintIndependentOfModelSize(t *testing.T) {
 	archOf := func(hidden int) ArchFunc {
@@ -363,10 +400,9 @@ func TestDeviceFootprintIndependentOfModelSize(t *testing.T) {
 }
 
 // TestEngineHeapPerDevice is the fleet memory guard: everything the engine
-// owns for 5,000 devices — device records, their det.Stream minibatch
-// streams, label distributions, the mobility window, the edge models of an
-// MLP — fits in 1 KiB a device. The data is one sample each and allocated
-// outside the measurement. A math/rand source per device alone is 4.9 KB
+// owns for 5,000 devices — the device table, label distributions, the
+// mobility window, the edge models of an MLP — fits in 1 KiB a device. The
+// data is one sample each and allocated outside the measurement. A math/rand source per device alone is 4.9 KB
 // (≈ 5.9 KB a device through d7166bc); scripts/check.sh runs this by name.
 func TestEngineHeapPerDevice(t *testing.T) {
 	const devices, budget = 5000, 1024
@@ -449,7 +485,7 @@ func TestFoldMatchesFlatFold(t *testing.T) {
 			}
 			tr := NewTrainerPool(proto, data).Borrow(4)
 			base := proto.ParamVector()
-			if err := tr.LocalUpdate(base, data, rand.New(rand.NewSource(3)), 0.1, make([]float64, 2)); err != nil {
+			if err := tr.LocalUpdate(base, data, 3, 0.1, make([]float64, 2)); err != nil {
 				t.Fatal(err)
 			}
 			theta := tr.net.ParamVector()

@@ -18,10 +18,10 @@ import (
 //     seed+id*311) is controlled by Seed but collides across roles: two
 //     additive recipes meet wherever their offsets do. A plain value or a
 //     call (mix(seed, t), rng.Int63()) passes — except a seed-table call:
-//     the keyed streams (det.DeviceBatch, det.EdgeCoin, …) exist per device
-//     and per (step, edge), so they run on the one-word det.Stream, and
-//     rand.NewSource / rand.NewPCG over one of them outside internal/det
-//     puts a 607-word register back behind every key. det.NewRand is the
+//     the keyed streams (det.DeviceBatch, det.EdgeCoin, …) restart per
+//     (step, device) and per (step, edge), so they run on the one-word
+//     det.Stream, and rand.NewSource / rand.NewPCG over one of them outside
+//     internal/det puts a 607-word register back behind every key. det.NewRand is the
 //     constructor; det.ModelInit, one stream a run, stays on math/rand.
 //  2. Goroutine ownership: a *rand.Rand local must be owned by exactly one
 //     goroutine-spawning scope. A rand captured by two spawned closures,

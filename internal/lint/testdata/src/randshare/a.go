@@ -40,8 +40,8 @@ func scaledReseed(r *rand.Rand, seed int64) {
 	r.Seed(int64((seed * 1009))) // want "seeded with seed arithmetic"
 }
 
-func keyedStreamOnMathRand(seed int64, m int) *rand.Rand {
-	return rand.New(rand.NewSource(det.DeviceBatch(seed, m))) // want "NewSource over det.DeviceBatch builds a math/rand register per keyed stream; use det.NewRand"
+func keyedStreamOnMathRand(seed int64, t, m int) *rand.Rand {
+	return rand.New(rand.NewSource(det.DeviceBatch(seed, t, m))) // want "NewSource over det.DeviceBatch builds a math/rand register per keyed stream; use det.NewRand"
 }
 
 func keyedStreamConverted(seed int64, t, n int) rand.Source {

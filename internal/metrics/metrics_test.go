@@ -128,6 +128,7 @@ func TestSavedPercent(t *testing.T) {
 		want      float64
 	}{
 		{"paper style", 110, []int{160, 245, 185}, 31.25},
+		{"paper's Table I arithmetic", 110, []int{155, 255, 180}, 45.0 / 155 * 100}, // ≈ 29.03%
 		{"mach worse", 200, []int{100}, -100},
 		{"no baselines", 50, nil, 0},
 		{"zero baselines ignored", 50, []int{0, 100}, 50},

@@ -40,7 +40,7 @@ asm_lines=$(wc -l <internal/tensor/kernels_amd64.s)
 
 # So does the tree: a change that grows the scripts/loc.sh total past the
 # budget raises it and states what the lines bought.
-loc_budget=23619
+loc_budget=23617
 echo "== line budget (scripts/loc.sh total ≤ $loc_budget non-test lines)"
 loc_total=$(./scripts/loc.sh | awk '$1 == "total" { print $2 }')
 [ "$loc_total" -le "$loc_budget" ] || { echo "check: the tree has $loc_total non-test lines, over its budget of $loc_budget" >&2; exit 1; }
